@@ -91,6 +91,46 @@ impl BasicSearchResult {
     }
 }
 
+/// One candidate region that already passed the budget filter, with its
+/// training block.
+pub(crate) struct Candidate<'a> {
+    pub(crate) idx: usize,
+    pub(crate) region: RegionId,
+    pub(crate) block: &'a RegionBlock,
+}
+
+/// Evaluate a candidate through a reusable scratch (zero allocations
+/// once warm): the coverage / min-examples gates, then gather →
+/// estimate → fit. The one evaluation both [`basic_search`] and the
+/// streaming re-score call, so cold and streamed reports cannot
+/// disagree.
+pub(crate) fn evaluate_candidate(
+    scratch: &mut RegionEvalScratch,
+    candidate: Candidate<'_>,
+    space: &RegionSpace,
+    cost_model: &dyn CostModel,
+    config: &BellwetherConfig,
+    total_items: usize,
+) -> Option<RegionReport> {
+    let Candidate { idx, region, block } = candidate;
+    let min_cov_items = (config.min_coverage * total_items as f64).ceil() as usize;
+    if block.n() < config.min_examples || block.n() < min_cov_items {
+        return None;
+    }
+    scratch.gather(block, None);
+    let error = scratch.estimate(config)?;
+    let model = scratch.fit_model()?;
+    Some(RegionReport {
+        source_index: idx,
+        label: space.label(&region),
+        cost: cost_model.cost(space, &region),
+        region,
+        n_examples: block.n(),
+        error,
+        model,
+    })
+}
+
 /// Run the basic bellwether search under `config`'s budget/coverage over
 /// the stored regions. `total_items` is |I|, the coverage denominator.
 pub fn basic_search(
@@ -102,29 +142,6 @@ pub fn basic_search(
 ) -> Result<BasicSearchResult> {
     let _timer = span!(config.recorder, "search/basic");
     let n = source.num_regions();
-    let min_cov_items = (config.min_coverage * total_items as f64).ceil() as usize;
-
-    // Evaluate a candidate region that already passed the budget filter,
-    // through the worker's reusable scratch (zero allocations once warm).
-    let evaluate =
-        |scratch: &mut RegionEvalScratch, idx: usize, block: &RegionBlock| -> Option<RegionReport> {
-            if block.n() < config.min_examples || block.n() < min_cov_items {
-                return None;
-            }
-            scratch.gather(block, None);
-            let error = scratch.estimate(config)?;
-            let model = scratch.fit_model()?;
-            let region = RegionId(source.region_coords(idx).to_vec());
-            Some(RegionReport {
-                source_index: idx,
-                region: region.clone(),
-                label: space.label(&region),
-                cost: cost_model.cost(space, &region),
-                n_examples: block.n(),
-                error,
-                model,
-            })
-        };
 
     let scanned = scan_regions_where_policy(
         source,
@@ -139,9 +156,16 @@ pub fn basic_search(
             scratch: RegionEvalScratch::new(),
         },
         |ws: &mut WithScratch<Concat<RegionReport>, RegionEvalScratch>, idx, block| {
-            if let Some(report) = evaluate(&mut ws.scratch, idx, block) {
-                ws.acc.0.push(report);
-            }
+            let region = RegionId(source.region_coords(idx).to_vec());
+            let candidate = Candidate { idx, region, block };
+            ws.acc.0.extend(evaluate_candidate(
+                &mut ws.scratch,
+                candidate,
+                space,
+                cost_model,
+                config,
+                total_items,
+            ));
             Ok(())
         },
     )?;

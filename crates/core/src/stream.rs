@@ -38,11 +38,11 @@ use std::sync::Arc;
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
 use bellwether_obs::names;
 use bellwether_storage::{
-    even_shard_plan, CachedSource, RegionBlock, ShardAppender, ShardedSource, ShardedWriter,
+    even_shard_plan, CachedSource, ShardAppender, ShardedSource, ShardedWriter,
     TrainingSource,
 };
 
-use crate::basic::{basic_search, BasicSearchResult, RegionReport};
+use crate::basic::{basic_search, evaluate_candidate, BasicSearchResult, Candidate, RegionReport};
 use crate::error::{BellwetherError, Result};
 use crate::eval::RegionEvalScratch;
 use crate::items::ItemTable;
@@ -258,13 +258,10 @@ impl StreamingBellwether {
             .recorder
             .add(names::STORAGE_CACHE_INVALIDATIONS, evicted);
 
-        // Re-score the dirty candidates, replicating `basic_search`'s
-        // evaluation exactly: budget prefilter *before* the read (an
-        // over-budget region is never evaluated and stays report-less),
-        // then the coverage / min-examples gates, then the shared
-        // scratch pipeline.
-        let min_cov_items =
-            (self.config.min_coverage * self.total_items as f64).ceil() as usize;
+        // Re-score the dirty candidates as `basic_search` does: budget
+        // prefilter *before* the read (an over-budget region is never
+        // evaluated and stays report-less), then the evaluation function
+        // the cold search itself calls.
         for &idx in &dirty {
             let region = &self.regions[idx];
             if self.cost_model.cost(&self.space, region) > self.config.budget {
@@ -275,7 +272,19 @@ impl StreamingBellwether {
                 .read_region(idx)
                 .map_err(|e| BellwetherError::RegionRead { index: idx, source: e })?;
             outcome.rescored += 1;
-            self.reports[idx] = self.evaluate(idx, &block, min_cov_items);
+            let candidate = Candidate {
+                idx,
+                region: region.clone(),
+                block: &block,
+            };
+            self.reports[idx] = evaluate_candidate(
+                &mut self.scratch,
+                candidate,
+                &self.space,
+                self.cost_model.as_ref(),
+                &self.config,
+                self.total_items,
+            );
         }
         self.config
             .recorder
@@ -299,30 +308,6 @@ impl StreamingBellwether {
         }
         self.best = new_best;
         Ok(outcome)
-    }
-
-    fn evaluate(
-        &mut self,
-        idx: usize,
-        block: &RegionBlock,
-        min_cov_items: usize,
-    ) -> Option<RegionReport> {
-        if block.n() < self.config.min_examples || block.n() < min_cov_items {
-            return None;
-        }
-        self.scratch.gather(block, None);
-        let error = self.scratch.estimate(&self.config)?;
-        let model = self.scratch.fit_model()?;
-        let region = self.regions[idx].clone();
-        Some(RegionReport {
-            source_index: idx,
-            region: region.clone(),
-            label: self.space.label(&region),
-            cost: self.cost_model.cost(&self.space, &region),
-            n_examples: block.n(),
-            error,
-            model,
-        })
     }
 
     /// Argmin over retained reports by `(error, source index)` — the

@@ -56,6 +56,7 @@
 //! The result maps every region to its per-item feature vectors, plus
 //! coverage counts — everything basic bellwether search needs.
 
+use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
@@ -121,12 +122,64 @@ impl Measure {
         }
     }
 
-    pub(crate) fn check_len(&self, n: usize) {
-        let len = match self {
-            Measure::Numeric { values, .. } => values.len(),
-            Measure::DistinctKeyed { keys, .. } => keys.len(),
+    /// Name, kind (distinct-keyed or not) and function.
+    fn shape(&self) -> (&str, bool, AggFunc) {
+        match self {
+            Measure::Numeric { name, func, .. } => (name, false, *func),
+            Measure::DistinctKeyed { name, func, .. } => (name, true, *func),
+        }
+    }
+
+    /// A measure of the same shape with no rows.
+    fn empty_like(&self) -> Measure {
+        match self {
+            Measure::Numeric { name, func, .. } => Measure::Numeric {
+                name: name.clone(),
+                func: *func,
+                values: Vec::new(),
+            },
+            Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
+                name: name.clone(),
+                func: *func,
+                keys: Vec::new(),
+                values: Vec::new(),
+            },
+        }
+    }
+
+    /// Append `src`'s rows (same shape — see [`CubeInput::check_schema`]).
+    fn extend(&mut self, src: &Measure) {
+        match (self, src) {
+            (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
+                values.extend_from_slice(sv);
+            }
+            (
+                Measure::DistinctKeyed { keys, values, .. },
+                Measure::DistinctKeyed {
+                    keys: sk,
+                    values: sv,
+                    ..
+                },
+            ) => {
+                keys.extend_from_slice(sk);
+                values.extend_from_slice(sv);
+            }
+            _ => unreachable!("measure shapes checked before extend"),
+        }
+    }
+
+    /// `Err` unless every per-row column has exactly `n` rows — the kernel
+    /// indexes `keys` and `values` alike by row.
+    fn check_len(&self, n: usize) -> Result<(), String> {
+        let ok = match self {
+            Measure::Numeric { values, .. } => values.len() == n,
+            Measure::DistinctKeyed { keys, values, .. } => keys.len() == n && values.len() == n,
         };
-        assert_eq!(len, n, "measure {} length mismatch", self.name());
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("measure {} length mismatch", self.name()))
+        }
     }
 }
 
@@ -142,32 +195,66 @@ pub struct CubeInput {
     pub measures: Vec<Measure>,
 }
 
+impl CubeInput {
+    /// An input with the same measure schema and no rows.
+    pub(crate) fn empty_like(&self) -> CubeInput {
+        CubeInput {
+            item_ids: Vec::new(),
+            coords: Vec::new(),
+            measures: self.measures.iter().map(Measure::empty_like).collect(),
+        }
+    }
+
+    /// Append every row of `src` (same arity and measure schema —
+    /// validated by the caller).
+    pub(crate) fn extend(&mut self, src: &CubeInput) {
+        self.item_ids.extend_from_slice(&src.item_ids);
+        self.coords.extend_from_slice(&src.coords);
+        for (dst, sm) in self.measures.iter_mut().zip(&src.measures) {
+            dst.extend(sm);
+        }
+    }
+
+    /// `Err` unless `coords` and every measure column hold exactly one
+    /// entry per row of `item_ids`.
+    pub(crate) fn check_shape(&self, arity: usize) -> Result<(), String> {
+        let n = self.item_ids.len();
+        if self.coords.len() != n * arity {
+            return Err("coords length mismatch".to_string());
+        }
+        self.measures.iter().try_for_each(|m| m.check_len(n))
+    }
+
+    /// What inputs must agree on to be aggregated together.
+    fn schema(&self) -> impl Iterator<Item = (&str, bool, AggFunc)> {
+        self.measures.iter().map(Measure::shape)
+    }
+
+    /// `Err` unless `other`'s measures line up with this input's (same
+    /// count, names, kinds and functions, in order).
+    pub(crate) fn check_schema(&self, other: &CubeInput) -> Result<(), String> {
+        if self.schema().eq(other.schema()) {
+            return Ok(());
+        }
+        Err(format!(
+            "measures {:?} do not match the schema {:?}",
+            other.schema().collect::<Vec<_>>(),
+            self.schema().collect::<Vec<_>>()
+        ))
+    }
+}
+
 /// Reduce the distinct-key map of one cell in key order, so the float
 /// result does not depend on hash-map iteration (part of the
-/// determinism policy). Shared by the columnar kernel and the
-/// row-at-a-time reference states.
+/// determinism policy).
 fn finish_distinct(func: AggFunc, keys: &FxMap<i64, f64>) -> Option<f64> {
-    if func == AggFunc::CountDistinct {
-        return Some(keys.len() as f64);
-    }
-    if keys.is_empty() {
-        return None;
-    }
     let mut pairs: Vec<(i64, f64)> = keys.iter().map(|(&k, &v)| (k, v)).collect();
     pairs.sort_unstable_by_key(|&(k, _)| k);
-    let vals = pairs.iter().map(|&(_, v)| v);
-    Some(match func {
-        AggFunc::Sum => vals.sum(),
-        AggFunc::Avg => vals.sum::<f64>() / pairs.len() as f64,
-        AggFunc::Min => vals.fold(f64::INFINITY, f64::min),
-        AggFunc::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-        AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
-    })
+    finish_distinct_pairs(func, &pairs)
 }
 
 /// Mergeable per-cell state of one measure: the row-at-a-time (AoS)
-/// representation, retained for [`cube_pass_reference`] and as the
-/// per-entry form of the huge-item-domain rollup fallback.
+/// representation, retained for [`cube_pass_reference`] alone.
 #[derive(Debug, Clone)]
 enum CellState {
     Sum { total: f64, seen: bool },
@@ -348,8 +435,7 @@ pub(crate) fn dedup_pairs(pairs: &mut Vec<(i64, f64)>) {
     pairs.truncate(w);
 }
 
-/// Reduce one cell's deduplicated, key-sorted distinct pairs — the
-/// columnar counterpart of [`finish_distinct`], bit-identical to it.
+/// Reduce one cell's deduplicated, key-sorted distinct pairs.
 fn finish_distinct_pairs(func: AggFunc, sorted: &[(i64, f64)]) -> Option<f64> {
     if func == AggFunc::CountDistinct {
         return Some(sorted.len() as f64);
@@ -380,62 +466,53 @@ fn gather_take<T: Default>(v: &mut [T], idx: &[u32]) -> Vec<T> {
 }
 
 impl StateCol {
-    fn new(measure: &Measure, len: usize) -> StateCol {
-        match measure {
-            Measure::Numeric { func, .. } => match func {
-                AggFunc::Sum => StateCol::Sum {
-                    totals: vec![0.0; len],
-                    seen: vec![false; len],
-                },
-                AggFunc::Count => StateCol::Count(vec![0; len]),
-                AggFunc::Avg => StateCol::Avg {
-                    totals: vec![0.0; len],
-                    counts: vec![0; len],
-                },
-                AggFunc::Min => StateCol::Min {
-                    vals: vec![0.0; len],
-                    seen: vec![false; len],
-                },
-                AggFunc::Max => StateCol::Max {
-                    vals: vec![0.0; len],
-                    seen: vec![false; len],
-                },
-                AggFunc::CountDistinct => {
-                    panic!("CountDistinct requires Measure::DistinctKeyed")
-                }
-            },
-            Measure::DistinctKeyed { func, .. } => StateCol::Distinct {
-                func: *func,
+    /// A column of `len` empty slots for `func`, over distinct-FK lanes
+    /// when `distinct`.
+    fn with_len(func: AggFunc, distinct: bool, len: usize) -> StateCol {
+        if distinct {
+            return StateCol::Distinct {
+                func,
                 pairs: vec![Vec::new(); len],
-            },
+            };
         }
+        match func {
+            AggFunc::Sum => StateCol::Sum {
+                totals: vec![0.0; len],
+                seen: vec![false; len],
+            },
+            AggFunc::Count => StateCol::Count(vec![0; len]),
+            AggFunc::Avg => StateCol::Avg {
+                totals: vec![0.0; len],
+                counts: vec![0; len],
+            },
+            AggFunc::Min => StateCol::Min {
+                vals: vec![0.0; len],
+                seen: vec![false; len],
+            },
+            AggFunc::Max => StateCol::Max {
+                vals: vec![0.0; len],
+                seen: vec![false; len],
+            },
+            AggFunc::CountDistinct => panic!("CountDistinct requires Measure::DistinctKeyed"),
+        }
+    }
+
+    fn new(measure: &Measure, len: usize) -> StateCol {
+        let (_, distinct, func) = measure.shape();
+        StateCol::with_len(func, distinct, len)
     }
 
     /// A fresh column of the same measure kind with `len` empty slots.
     pub(crate) fn new_like(&self, len: usize) -> StateCol {
-        match self {
-            StateCol::Sum { .. } => StateCol::Sum {
-                totals: vec![0.0; len],
-                seen: vec![false; len],
-            },
-            StateCol::Count(_) => StateCol::Count(vec![0; len]),
-            StateCol::Avg { .. } => StateCol::Avg {
-                totals: vec![0.0; len],
-                counts: vec![0; len],
-            },
-            StateCol::Min { .. } => StateCol::Min {
-                vals: vec![0.0; len],
-                seen: vec![false; len],
-            },
-            StateCol::Max { .. } => StateCol::Max {
-                vals: vec![0.0; len],
-                seen: vec![false; len],
-            },
-            StateCol::Distinct { func, .. } => StateCol::Distinct {
-                func: *func,
-                pairs: vec![Vec::new(); len],
-            },
-        }
+        let (func, distinct) = match self {
+            StateCol::Sum { .. } => (AggFunc::Sum, false),
+            StateCol::Count(_) => (AggFunc::Count, false),
+            StateCol::Avg { .. } => (AggFunc::Avg, false),
+            StateCol::Min { .. } => (AggFunc::Min, false),
+            StateCol::Max { .. } => (AggFunc::Max, false),
+            StateCol::Distinct { func, .. } => (*func, true),
+        };
+        StateCol::with_len(func, distinct, len)
     }
 
     /// Grow to `len` slots (new slots empty).
@@ -683,61 +760,6 @@ impl StateCol {
             StateCol::Distinct { func, pairs } => finish_distinct_pairs(*func, &pairs[i]),
         }
     }
-
-    /// Slot `i` as a standalone AoS state (huge-item-domain fallback).
-    fn state_at(&self, i: usize) -> CellState {
-        match self {
-            StateCol::Sum { totals, seen } => CellState::Sum {
-                total: totals[i],
-                seen: seen[i],
-            },
-            StateCol::Count(c) => CellState::Count(c[i]),
-            StateCol::Avg { totals, counts } => CellState::Avg {
-                total: totals[i],
-                count: counts[i],
-            },
-            StateCol::Min { vals, seen } => CellState::Min(seen[i].then_some(vals[i])),
-            StateCol::Max { vals, seen } => CellState::Max(seen[i].then_some(vals[i])),
-            StateCol::Distinct { func, pairs } => {
-                let mut keys = FxMap::default();
-                for &(k, v) in &pairs[i] {
-                    keys.insert(k, v);
-                }
-                CellState::Distinct { func: *func, keys }
-            }
-        }
-    }
-
-    /// Merge slot `i` into an AoS state (huge-item-domain fallback).
-    fn merge_into_state(&self, i: usize, dst: &mut CellState) {
-        match (dst, self) {
-            (CellState::Sum { total, seen }, StateCol::Sum { totals, seen: ss }) => {
-                *total += totals[i];
-                *seen |= ss[i];
-            }
-            (CellState::Count(c), StateCol::Count(sc)) => *c += sc[i],
-            (CellState::Avg { total, count }, StateCol::Avg { totals, counts }) => {
-                *total += totals[i];
-                *count += counts[i];
-            }
-            (CellState::Min(best), StateCol::Min { vals, seen }) => {
-                if seen[i] {
-                    *best = Some(best.map_or(vals[i], |a| a.min(vals[i])));
-                }
-            }
-            (CellState::Max(best), StateCol::Max { vals, seen }) => {
-                if seen[i] {
-                    *best = Some(best.map_or(vals[i], |a| a.max(vals[i])));
-                }
-            }
-            (CellState::Distinct { keys, .. }, StateCol::Distinct { pairs: sp, .. }) => {
-                for &(k, v) in &sp[i] {
-                    keys.insert(k, v);
-                }
-            }
-            _ => unreachable!("merging mismatched states"),
-        }
-    }
 }
 
 /// A key-sorted table of cells in structure-of-arrays layout: `keys[i]`
@@ -873,6 +895,34 @@ impl KeySpace {
             .sum()
     }
 
+    /// The dense `(cell, item)` key of one fact row; `Err` when a
+    /// coordinate is out of range or the item is outside the key space.
+    pub(crate) fn row_key(&self, coords: &[u32], item: i64) -> Result<u64, String> {
+        for (d, (&c, &nv)) in coords.iter().zip(&self.num_values).enumerate() {
+            if c as u64 >= nv {
+                return Err(format!("coordinate {c} out of range on dimension {d}"));
+            }
+        }
+        match self.item_index.get(&item) {
+            Some(&idx) => Ok(self.cell_key(coords) * self.n_items + idx as u64),
+            None => Err(format!("item {item} is outside the pinned item universe")),
+        }
+    }
+
+    /// [`KeySpace::row_key`] as the key function [`fold_chunk`] takes
+    /// over `input`'s rows. Panics on a row the key space does not
+    /// cover: the cold passes build the key space from the very rows
+    /// they fold, and the delta pass validates a batch before folding it.
+    pub(crate) fn key_fn<'a>(
+        &'a self,
+        input: &'a CubeInput,
+    ) -> impl Fn(usize, &[u32]) -> Option<u64> + Sync + 'a {
+        move |row, coords| match self.row_key(coords, input.item_ids[row]) {
+            Ok(key) => Some(key),
+            Err(e) => panic!("{e}"),
+        }
+    }
+
     pub(crate) fn decode_region(&self, key: u64) -> Vec<u32> {
         let mut rem = key;
         self.strides
@@ -936,35 +986,39 @@ where
     table
 }
 
-/// Phase 1a: fold all rows chunk by chunk, sharding chunks over
+/// Phase 1a: fold chunks `chunks` of `input`, sharding them over
 /// `threads` workers. The returned tables are in chunk order — the
 /// partition of chunks onto workers never shows in the output.
-fn scan_chunks<K>(input: &CubeInput, arity: usize, threads: usize, key_of: &K) -> Vec<StateTable>
+pub(crate) fn fold_chunks<K>(
+    input: &CubeInput,
+    arity: usize,
+    chunks: Range<usize>,
+    threads: usize,
+    key_of: &K,
+) -> Vec<StateTable>
 where
     K: Fn(usize, &[u32]) -> Option<u64> + Sync,
 {
     let n = input.item_ids.len();
-    let n_chunks = n.div_ceil(ROW_CHUNK);
-    if threads <= 1 {
-        return (0..n_chunks)
+    let fold = |chunks: Range<usize>| -> Vec<StateTable> {
+        chunks
             .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-            .collect();
+            .collect()
+    };
+    if threads <= 1 || chunks.len() <= 1 {
+        return fold(chunks);
     }
+    let (lo, count) = (chunks.start, chunks.len());
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                let lo = n_chunks * w / threads;
-                let hi = n_chunks * (w + 1) / threads;
-                s.spawn(move || {
-                    (lo..hi)
-                        .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-                        .collect::<Vec<_>>()
-                })
+                let fold = &fold;
+                s.spawn(move || fold(lo + count * w / threads..lo + count * (w + 1) / threads))
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("cube scan worker panicked"))
+            .flat_map(|h| h.join().expect("cube fold worker panicked"))
             .collect()
     })
 }
@@ -1147,20 +1201,34 @@ pub(crate) fn expansion_keys(
     }
 }
 
-/// One region's dense item-indexed aggregation state: `occupied[i]` says
-/// whether item slot `i` has data; `cols[m]` holds measure `m`'s lanes
-/// over all item slots.
+/// Where a region's items live in its lanes — chosen from the observed
+/// item domain, never by the caller.
+enum ItemSlots {
+    /// Slot = dense item index; `occupied[i]` says whether item `i` has
+    /// data. Memory `O(regions × items)`, so only up to
+    /// [`DENSE_ITEMS_MAX`] items.
+    Dense(Vec<bool>),
+    /// Huge item domains: dense item index → slot, assigned in
+    /// first-contribution order, so a region pays only for the items it
+    /// actually holds.
+    Hashed(FxMap<u32, u32>),
+}
+
+/// One region's aggregation state: `cols[m]` holds measure `m`'s lanes
+/// over the region's item slots.
 struct RegionTable {
-    occupied: Vec<bool>,
+    slots: ItemSlots,
     cols: Vec<StateCol>,
 }
 
 /// Reusable per-run scratch for [`flush_run`].
 #[derive(Default)]
 struct RunScratch {
-    /// Dense item slot of each run entry — one `% n_items` per entry,
+    /// Dense item index of each run entry — one `% n_items` per entry,
     /// computed once and shared across every region key and column.
     items: Vec<u32>,
+    /// Hash-assigned slot per entry for the current region table.
+    hashed: Vec<u32>,
     /// Occupancy pre-state per entry for the current region table.
     was: Vec<bool>,
 }
@@ -1185,27 +1253,48 @@ fn flush_run(
         // item decode for a run no region will consume.
         return;
     }
-    let RunScratch { items, was } = scratch;
+    let RunScratch { items, hashed, was } = scratch;
     items.clear();
     items.extend(shard.keys[run.clone()].iter().map(|&k| (k % n_items) as u32));
     for &rk in expansion {
-        let table = out.entry(rk).or_insert_with(|| RegionTable {
-            occupied: vec![false; n_items as usize],
-            cols: shard
-                .cols
-                .iter()
-                .map(|c| c.new_like(n_items as usize))
-                .collect(),
+        let table = out.entry(rk).or_insert_with(|| {
+            let (slots, len) = if n_items <= DENSE_ITEMS_MAX {
+                (ItemSlots::Dense(vec![false; n_items as usize]), n_items as usize)
+            } else {
+                (ItemSlots::Hashed(FxMap::default()), 0)
+            };
+            RegionTable {
+                slots,
+                cols: shard.cols.iter().map(|c| c.new_like(len)).collect(),
+            }
         });
         was.clear();
-        for &it in items.iter() {
-            let w = table.occupied[it as usize];
-            *merges += w as u64;
-            was.push(w);
-            table.occupied[it as usize] = true;
-        }
+        let dsts: &[u32] = match &mut table.slots {
+            ItemSlots::Dense(occupied) => {
+                for &it in items.iter() {
+                    let w = std::mem::replace(&mut occupied[it as usize], true);
+                    *merges += w as u64;
+                    was.push(w);
+                }
+                items
+            }
+            ItemSlots::Hashed(index) => {
+                hashed.clear();
+                for &it in items.iter() {
+                    let next = index.len() as u32;
+                    let slot = *index.entry(it).or_insert(next);
+                    *merges += (slot != next) as u64;
+                    was.push(slot != next);
+                    hashed.push(slot);
+                }
+                for col in &mut table.cols {
+                    col.resize_default(index.len());
+                }
+                hashed
+            }
+        };
         for (dst, src) in table.cols.iter_mut().zip(&shard.cols) {
-            dst.merge_from(src, run.clone(), items, was);
+            dst.merge_from(src, run.clone(), dsts, was);
         }
     }
 }
@@ -1256,72 +1345,19 @@ pub(crate) fn expand_rollup(
         // and the cell's items are batched into one columnar run,
         // hashing each region key once per run instead of once per
         // (region, item).
-        if ks.n_items <= DENSE_ITEMS_MAX {
-            let mut out: FxMap<u64, RegionTable> = FxMap::default();
-            let mut merges = 0u64;
-            let mut cur_cell = u64::MAX;
-            let mut expansion: Vec<u64> = Vec::new();
-            let mut scratch = RunScratch::default();
-            for shard in shards {
-                let mut i = 0;
-                while i < shard.len() {
-                    let cell_key = shard.keys[i] / ks.n_items;
-                    let mut j = i + 1;
-                    while j < shard.len() && shard.keys[j] / ks.n_items == cell_key {
-                        j += 1;
-                    }
-                    if cell_key != cur_cell {
-                        cur_cell = cell_key;
-                        expansion_keys(cell_key, ks, &anc_keys, lo, hi, &mut expansion);
-                        if let Some(keep) = filter {
-                            expansion.retain(|k| keep.binary_search(k).is_ok());
-                        }
-                    }
-                    flush_run(
-                        &expansion,
-                        shard,
-                        i..j,
-                        ks.n_items,
-                        &mut out,
-                        &mut scratch,
-                        &mut merges,
-                    );
-                    i = j;
-                }
-            }
-            let finished = out
-                .into_iter()
-                .map(|(rk, mut table)| {
-                    for col in &mut table.cols {
-                        col.dedup_distinct();
-                    }
-                    let n_occ = table.occupied.iter().filter(|&&o| o).count();
-                    let mut items: ItemFeatures = HashMap::with_capacity(n_occ);
-                    for (i, &occ) in table.occupied.iter().enumerate() {
-                        if occ {
-                            items.insert(
-                                ks.items[i],
-                                table.cols.iter().map(|c| c.finish_at(i)).collect(),
-                            );
-                        }
-                    }
-                    (RegionId(ks.decode_region(rk)), items)
-                })
-                .collect();
-            return (finished, merges);
-        }
-
-        // Huge item domains: dense per-region item tables would cost
-        // O(regions × items) memory, so key the map by (region, item)
-        // and keep per-entry AoS states.
-        let mut out: FxMap<u64, Vec<CellState>> = FxMap::default();
+        let mut out: FxMap<u64, RegionTable> = FxMap::default();
         let mut merges = 0u64;
         let mut cur_cell = u64::MAX;
         let mut expansion: Vec<u64> = Vec::new();
+        let mut scratch = RunScratch::default();
         for shard in shards {
-            for (i, &key) in shard.keys.iter().enumerate() {
-                let cell_key = key / ks.n_items;
-                let item_part = key % ks.n_items;
+            let mut i = 0;
+            while i < shard.len() {
+                let cell_key = shard.keys[i] / ks.n_items;
+                let mut j = i + 1;
+                while j < shard.len() && shard.keys[j] / ks.n_items == cell_key {
+                    j += 1;
+                }
                 if cell_key != cur_cell {
                     cur_cell = cell_key;
                     expansion_keys(cell_key, ks, &anc_keys, lo, hi, &mut expansion);
@@ -1329,33 +1365,49 @@ pub(crate) fn expand_rollup(
                         expansion.retain(|k| keep.binary_search(k).is_ok());
                     }
                 }
-                for &rk in &expansion {
-                    match out.entry(rk * ks.n_items + item_part) {
-                        Entry::Occupied(mut e) => {
-                            for (state, col) in e.get_mut().iter_mut().zip(&shard.cols) {
-                                col.merge_into_state(i, state);
+                flush_run(
+                    &expansion,
+                    shard,
+                    i..j,
+                    ks.n_items,
+                    &mut out,
+                    &mut scratch,
+                    &mut merges,
+                );
+                i = j;
+            }
+        }
+        let finished = out
+            .into_iter()
+            .map(|(rk, mut table)| {
+                for col in &mut table.cols {
+                    col.dedup_distinct();
+                }
+                let n_occ = match &table.slots {
+                    ItemSlots::Dense(occupied) => occupied.iter().filter(|&&o| o).count(),
+                    ItemSlots::Hashed(index) => index.len(),
+                };
+                let mut items: ItemFeatures = HashMap::with_capacity(n_occ);
+                let mut emit = |item: usize, slot: usize| {
+                    let values = table.cols.iter().map(|c| c.finish_at(slot)).collect();
+                    items.insert(ks.items[item], values);
+                };
+                match &table.slots {
+                    ItemSlots::Dense(occupied) => {
+                        for (i, &occ) in occupied.iter().enumerate() {
+                            if occ {
+                                emit(i, i);
                             }
-                            merges += 1;
                         }
-                        Entry::Vacant(e) => {
-                            e.insert(shard.cols.iter().map(|c| c.state_at(i)).collect());
+                    }
+                    ItemSlots::Hashed(index) => {
+                        for (&item, &slot) in index {
+                            emit(item as usize, slot as usize);
                         }
                     }
                 }
-            }
-        }
-        let mut per_region: FxMap<u64, HashMap<i64, Vec<Option<f64>>>> = FxMap::default();
-        for (combined, states) in out {
-            let region_key = combined / ks.n_items;
-            let item = ks.items[(combined % ks.n_items) as usize];
-            per_region
-                .entry(region_key)
-                .or_default()
-                .insert(item, states.iter().map(CellState::finish).collect());
-        }
-        let finished = per_region
-            .into_iter()
-            .map(|(rk, items)| (RegionId(ks.decode_region(rk)), items))
+                (RegionId(ks.decode_region(rk)), items)
+            })
             .collect();
         (finished, merges)
     };
@@ -1420,63 +1472,17 @@ pub fn cube_pass_traced(
     par: Parallelism,
     rec: &dyn Recorder,
 ) -> CubeResult {
-    let n = input.item_ids.len();
-    let arity = space.arity();
-    assert_eq!(input.coords.len(), n * arity, "coords length mismatch");
-    for m in &input.measures {
-        m.check_len(n);
-    }
-
-    let measure_names: Vec<String> = input.measures.iter().map(|m| m.name().to_string()).collect();
-    if n == 0 {
-        return CubeResult {
-            measure_names,
-            regions: HashMap::new(),
-        };
-    }
-    let Some(ks) = KeySpace::build(space, &input.item_ids) else {
-        // Key space too large for dense u64 encoding — use the
-        // tuple-keyed reference kernel.
-        return cube_pass_reference(space, input);
-    };
-
-    let threads = par.threads_for(n.div_ceil(ROW_CHUNK));
-
-    // Phase 1a: chunked base-cell aggregation.
-    let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-        for (d, (&c, &nv)) in coords.iter().zip(&ks.num_values).enumerate() {
-            assert!((c as u64) < nv, "coordinate {c} out of range on dimension {d}");
-        }
-        let item_idx = ks.item_index[&input.item_ids[row]];
-        Some(ks.cell_key(coords) * ks.n_items + item_idx as u64)
-    };
-    let tables = {
-        let _t = span!(rec, "cube_pass/phase1_scan");
-        scan_chunks(input, arity, threads, &key_of)
-    };
-
-    // Phase 1b: merge chunks into key-range shards.
-    let (shards, merges_1b) = {
-        let _t = span!(rec, "cube_pass/phase1_merge");
-        merge_chunks(&tables, ks.cell_space * ks.n_items, threads)
-    };
-    drop(tables);
-    let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
-
-    // Phase 2: rollup expansion.
-    let (regions, merges_2) = {
-        let _t = span!(rec, "cube_pass/phase2_rollup");
-        expand_rollup(space, &ks, &shards, threads, None)
-    };
-
-    rec.add(names::CUBE_PASS_ROWS_SCANNED, n as u64);
-    rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
-    rec.add(names::CUBE_PASS_CELL_MERGES, merges_1b + merges_2);
-    rec.add(names::CUBE_PASS_REGIONS_EMITTED, regions.len() as u64);
-    CubeResult {
-        measure_names,
-        regions,
-    }
+    // One resident run of all chunks under no budget: nothing spills,
+    // so the driver never touches the file system.
+    cube_pass_runs(
+        space,
+        std::slice::from_ref(input),
+        par,
+        UNLIMITED_BUDGET,
+        usize::MAX,
+        rec,
+    )
+    .expect("a pass that never spills does no I/O")
 }
 
 /// The original tuple-keyed, single-threaded CUBE pass, retained as the
@@ -1489,10 +1495,7 @@ pub fn cube_pass_traced(
 pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult {
     let n = input.item_ids.len();
     let arity = space.arity();
-    assert_eq!(input.coords.len(), n * arity, "coords length mismatch");
-    for m in &input.measures {
-        m.check_len(n);
-    }
+    input.check_shape(arity).unwrap_or_else(|e| panic!("{e}"));
 
     // Phase 1: base-cell aggregation keyed by (finest coords, item).
     let mut base: HashMap<(Vec<u32>, i64), Vec<CellState>> = HashMap::new();
@@ -1555,29 +1558,15 @@ pub fn aggregate_filtered(
     arity: usize,
     row_filter: impl Fn(&[u32]) -> bool + Sync,
 ) -> HashMap<i64, Vec<Option<f64>>> {
-    aggregate_filtered_with(input, arity, row_filter, Parallelism::default(), None)
+    aggregate_filtered_traced(input, arity, row_filter, Parallelism::default(), &NoopRecorder)
 }
 
-/// [`aggregate_filtered`] with an explicit thread budget and optional
-/// counters. Runs on the same chunked phase-1 kernel as [`cube_pass`]
+/// [`aggregate_filtered`] with an explicit thread budget, reporting into
+/// a [`Recorder`] (same `cube_pass/*` counter names; the scan+merge is
+/// timed under the `cube_pass/phase1_scan` and `cube_pass/phase1_merge`
+/// spans). Runs on the same chunked phase-1 kernel as [`cube_pass`]
 /// (keyed by dense item index alone), so it inherits the bit-identical
 /// determinism guarantee.
-pub fn aggregate_filtered_with(
-    input: &CubeInput,
-    arity: usize,
-    row_filter: impl Fn(&[u32]) -> bool + Sync,
-    par: Parallelism,
-    stats: Option<&CubeStats>,
-) -> HashMap<i64, Vec<Option<f64>>> {
-    match stats {
-        Some(st) => aggregate_filtered_traced(input, arity, row_filter, par, st),
-        None => aggregate_filtered_traced(input, arity, row_filter, par, &NoopRecorder),
-    }
-}
-
-/// [`aggregate_filtered_with`] reporting into a [`Recorder`] (same
-/// `cube_pass/*` counter names; the scan+merge is timed under the
-/// `cube_pass/phase1_scan` and `cube_pass/phase1_merge` spans).
 pub fn aggregate_filtered_traced(
     input: &CubeInput,
     arity: usize,
@@ -1586,10 +1575,7 @@ pub fn aggregate_filtered_traced(
     rec: &dyn Recorder,
 ) -> HashMap<i64, Vec<Option<f64>>> {
     let n = input.item_ids.len();
-    assert_eq!(input.coords.len(), n * arity, "coords length mismatch");
-    for m in &input.measures {
-        m.check_len(n);
-    }
+    input.check_shape(arity).unwrap_or_else(|e| panic!("{e}"));
     if n == 0 {
         return HashMap::new();
     }
@@ -1609,7 +1595,7 @@ pub fn aggregate_filtered_traced(
     };
     let tables = {
         let _t = span!(rec, "cube_pass/phase1_scan");
-        scan_chunks(input, arity, threads, &key_of)
+        fold_chunks(input, arity, 0..n.div_ceil(ROW_CHUNK), threads, &key_of)
     };
     let (shards, merges) = {
         let _t = span!(rec, "cube_pass/phase1_merge");
@@ -1634,21 +1620,9 @@ pub fn aggregate_filtered_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dimension::{Dimension, Hierarchy};
-
-    fn space() -> RegionSpace {
-        let mut loc = Hierarchy::new("Loc", "All");
-        let us = loc.add_child(0, "US");
-        loc.add_child(us, "WI"); // id 2
-        loc.add_child(us, "MD"); // id 3
-        RegionSpace::new(vec![
-            Dimension::Interval {
-                name: "Time".into(),
-                max_t: 2,
-            },
-            Dimension::Hierarchy(loc),
-        ])
-    }
+    use crate::delta::StreamingCube;
+    use crate::dimension::Dimension;
+    use crate::testutil::{assert_bit_identical, measures_of_every_kind, space};
 
     /// Four fact rows:
     ///   (item 1, t1, WI, profit 10, ad 7→size 3.0)
@@ -1816,28 +1790,6 @@ mod tests {
         cube_pass(&s, &inp);
     }
 
-    fn assert_results_identical(a: &CubeResult, b: &CubeResult) {
-        assert_eq!(a.measure_names, b.measure_names);
-        assert_eq!(a.regions.len(), b.regions.len());
-        for (region, items) in &a.regions {
-            let other = b.regions.get(region).expect("region missing");
-            assert_eq!(items.len(), other.len(), "item count in {region:?}");
-            for (item, values) in items {
-                let ov = other.get(item).expect("item missing");
-                assert_eq!(values.len(), ov.len());
-                for (x, y) in values.iter().zip(ov) {
-                    match (x, y) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.to_bits(), b.to_bits(), "bits differ in {region:?}")
-                        }
-                        _ => panic!("NULL mismatch in {region:?} item {item}"),
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn thread_count_never_changes_bits() {
         let s = space();
@@ -1845,7 +1797,7 @@ mod tests {
         let base = cube_pass_with(&s, &inp, Parallelism::sequential(), None);
         for t in 2..=8 {
             let par = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
-            assert_results_identical(&base, &par);
+            assert_bit_identical(&base, &par, &format!("threads={t}"));
         }
     }
 
@@ -1855,7 +1807,7 @@ mod tests {
         let inp = input(); // integer-valued, so the reference is exact
         let fast = cube_pass(&s, &inp);
         let reference = cube_pass_reference(&s, &inp);
-        assert_results_identical(&fast, &reference);
+        assert_bit_identical(&fast, &reference, "fast vs reference");
     }
 
     #[test]
@@ -1897,33 +1849,54 @@ mod tests {
         let reference = cube_pass_reference(&s, &inp);
         for t in 1..=4 {
             let fast = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
-            assert_results_identical(&fast, &reference);
+            assert_bit_identical(&fast, &reference, &format!("threads={t}"));
         }
     }
 
     #[test]
     fn huge_item_domain_matches_reference() {
         // More distinct items than DENSE_ITEMS_MAX forces the
-        // (region, item)-keyed rollup fallback. One fact row per item,
-        // so every aggregate is exact and the reference is bitwise.
+        // hash-slotted rollup tables. Every state kind, two or more rows
+        // per (cell, item); all values are integers and each FK value is
+        // a function of its key, so every aggregate is exact and the
+        // order-free reference is a bitwise oracle.
         let n = (DENSE_ITEMS_MAX + 2) as usize;
         let s = RegionSpace::new(vec![Dimension::Interval {
             name: "Time".into(),
             max_t: 2,
         }]);
-        let inp = CubeInput {
-            item_ids: (0..n as i64).collect(),
-            coords: (0..n).map(|i| (i % 2) as u32).collect(),
-            measures: vec![Measure::Numeric {
-                name: "s".into(),
-                func: AggFunc::Sum,
-                values: (0..n).map(|i| Some(i as f64 * 0.5)).collect(),
-            }],
+        // Rows sweep the item domain once per pass, at time 0, 1, 0, 1.
+        let rows = |rows: Range<usize>| {
+            let fks: Vec<Option<i64>> =
+                rows.clone().map(|r| (r % 5 != 0).then_some((r % 9) as i64)).collect();
+            CubeInput {
+                item_ids: rows.clone().map(|r| (r % n) as i64).collect(),
+                coords: rows.clone().map(|r| (r / n % 2) as u32).collect(),
+                measures: measures_of_every_kind(
+                    rows.clone().map(|r| (r % 11 != 0).then_some((r % 97) as f64 - 40.0)).collect(),
+                    rows.clone().map(|r| (r % 7 != 0).then_some((r % 89) as f64)).collect(),
+                    rows.clone().map(|r| Some((r % 13) as f64)).collect(),
+                    fks.clone(),
+                    fks.iter().map(|k| k.map_or(0.0, |k| (k * 3) as f64)).collect(),
+                ),
+            }
         };
-        let reference = cube_pass_reference(&s, &inp);
+        let base = rows(0..3 * n);
+        let delta = rows(3 * n..4 * n);
+        let mut full = base.clone();
+        full.extend(&delta);
+        let reference = cube_pass_reference(&s, &full);
+        let universe: Vec<i64> = (0..n as i64).collect();
         for t in [1usize, 3] {
-            let fast = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
-            assert_results_identical(&fast, &reference);
+            let par = Parallelism::fixed(t);
+            let fast = cube_pass_with(&s, &full, par, None);
+            assert_bit_identical(&fast, &reference, &format!("cold, threads={t}"));
+            // The delta rows sit at time 1, so only [1-2] is dirty and
+            // the *filtered* rollup crosses the hashed branch too.
+            let mut stream = StreamingCube::new(&s, &base, &universe, par).unwrap();
+            let update = stream.append(&delta).unwrap();
+            assert_eq!(update.dirty_regions, vec![RegionId(vec![1])]);
+            assert_bit_identical(stream.result(), &reference, &format!("stream, threads={t}"));
         }
     }
 
@@ -1967,7 +1940,7 @@ mod tests {
         let r = cube_pass_traced(&s, &inp, Parallelism::fixed(2), reg.as_ref());
         let stats = CubeStats::shared();
         let legacy = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
-        assert_results_identical(&r, &legacy);
+        assert_bit_identical(&r, &legacy, "traced vs stats");
         let snap = reg.snapshot();
         let legacy_snap = stats.snapshot();
         assert_eq!(snap.rows_scanned(), legacy_snap.rows_scanned());
@@ -1986,19 +1959,19 @@ mod tests {
     fn filtered_aggregation_stats_and_threads() {
         let inp = input();
         let stats = CubeStats::shared();
-        let seq = aggregate_filtered_with(
+        let seq = aggregate_filtered_traced(
             &inp,
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::sequential(),
-            None,
+            &NoopRecorder,
         );
-        let par = aggregate_filtered_with(
+        let par = aggregate_filtered_traced(
             &inp,
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::fixed(4),
-            Some(&stats),
+            stats.as_ref(),
         );
         assert_eq!(seq.len(), par.len());
         for (item, values) in &seq {

@@ -98,32 +98,6 @@ fn merge_delta_into(dst: &mut StateTable, src: &StateTable) {
     dst.sort_by_key();
 }
 
-/// Append every row of `src` onto `dst` (same arity, same measure
-/// shape — validated by the caller).
-fn extend_input(dst: &mut CubeInput, src: &CubeInput) {
-    dst.item_ids.extend_from_slice(&src.item_ids);
-    dst.coords.extend_from_slice(&src.coords);
-    for (dm, sm) in dst.measures.iter_mut().zip(&src.measures) {
-        match (dm, sm) {
-            (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
-                values.extend_from_slice(sv);
-            }
-            (
-                Measure::DistinctKeyed { keys, values, .. },
-                Measure::DistinctKeyed {
-                    keys: sk,
-                    values: sv,
-                    ..
-                },
-            ) => {
-                keys.extend_from_slice(sk);
-                values.extend_from_slice(sv);
-            }
-            _ => unreachable!("measure shapes validated before extend"),
-        }
-    }
-}
-
 /// Drop the first `rows` rows of `input` in place.
 fn drain_rows(input: &mut CubeInput, rows: usize, arity: usize) {
     input.item_ids.drain(..rows);
@@ -139,64 +113,6 @@ fn drain_rows(input: &mut CubeInput, rows: usize, arity: usize) {
             }
         }
     }
-}
-
-/// An empty input with the same arity and measure shape as `like`.
-fn empty_like(like: &CubeInput) -> CubeInput {
-    CubeInput {
-        item_ids: Vec::new(),
-        coords: Vec::new(),
-        measures: like
-            .measures
-            .iter()
-            .map(|m| match m {
-                Measure::Numeric { name, func, .. } => Measure::Numeric {
-                    name: name.clone(),
-                    func: *func,
-                    values: Vec::new(),
-                },
-                Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
-                    name: name.clone(),
-                    func: *func,
-                    keys: Vec::new(),
-                    values: Vec::new(),
-                },
-            })
-            .collect(),
-    }
-}
-
-/// `Err` with a shape description unless `delta`'s measures line up
-/// with `base`'s (same count, names, kinds and functions).
-fn check_measure_shape(base: &CubeInput, delta: &CubeInput) -> Result<(), String> {
-    if base.measures.len() != delta.measures.len() {
-        return Err(format!(
-            "append has {} measures, stream has {}",
-            delta.measures.len(),
-            base.measures.len()
-        ));
-    }
-    for (b, d) in base.measures.iter().zip(&delta.measures) {
-        let ok = match (b, d) {
-            (
-                Measure::Numeric { name, func, .. },
-                Measure::Numeric {
-                    name: dn, func: df, ..
-                },
-            ) => name == dn && func == df,
-            (
-                Measure::DistinctKeyed { name, func, .. },
-                Measure::DistinctKeyed {
-                    name: dn, func: df, ..
-                },
-            ) => name == dn && func == df,
-            _ => false,
-        };
-        if !ok {
-            return Err(format!("measure {:?} does not match the stream", d.name()));
-        }
-    }
-    Ok(())
 }
 
 /// The outcome of one [`StreamingCube::append`]: which regions changed.
@@ -262,7 +178,8 @@ impl StreamingCube {
     /// universe (must contain every item id the stream will ever see;
     /// a superset never changes any output bit). Returns `None` when
     /// the dense key encoding cannot cover `space` × universe — the
-    /// caller then stays on cold rebuilds.
+    /// caller then stays on cold rebuilds. Panics on a malformed base
+    /// input, like the cold passes.
     pub fn new(
         space: &RegionSpace,
         input: &CubeInput,
@@ -280,7 +197,7 @@ impl StreamingCube {
                 keys: Vec::new(),
                 cols: Vec::new(),
             },
-            pending: empty_like(input),
+            pending: input.empty_like(),
             rows_total: 0,
             par,
             result: CubeResult {
@@ -288,7 +205,8 @@ impl StreamingCube {
                 regions: HashMap::new(),
             },
         };
-        stream.ingest(input).ok()?;
+        stream.validate(input).unwrap_or_else(|e| panic!("{e}"));
+        stream.ingest(input);
         if !input.item_ids.is_empty() {
             let table = stream.rollup_table();
             let (regions, _) = expand_rollup(
@@ -317,7 +235,7 @@ impl StreamingCube {
                 cells_dirtied: 0,
             });
         }
-        self.ingest(delta).map_err(|e| e.to_string())?;
+        self.ingest(delta);
 
         // Expand dirty cells to dirty region keys.
         let mut dirty_keys: Vec<u64> = Vec::new();
@@ -387,27 +305,12 @@ impl StreamingCube {
     /// Validate a batch and return its distinct dirty cell keys.
     fn validate(&self, delta: &CubeInput) -> Result<Vec<u64>, String> {
         let arity = self.space.arity();
-        let rows = delta.item_ids.len();
-        if delta.coords.len() != rows * arity {
-            return Err("append coords length mismatch".to_string());
-        }
-        check_measure_shape(&self.pending, delta)?;
-        for m in &delta.measures {
-            m.check_len(rows);
-        }
-        let mut cells: Vec<u64> = Vec::with_capacity(rows);
-        for row in 0..rows {
-            let id = delta.item_ids[row];
-            if !self.ks.item_index.contains_key(&id) {
-                return Err(format!("item {id} is outside the pinned item universe"));
-            }
+        delta.check_shape(arity)?;
+        self.pending.check_schema(delta)?;
+        let mut cells: Vec<u64> = Vec::with_capacity(delta.item_ids.len());
+        for (row, &id) in delta.item_ids.iter().enumerate() {
             let coords = &delta.coords[row * arity..(row + 1) * arity];
-            for (d, (&c, &nv)) in coords.iter().zip(&self.ks.num_values).enumerate() {
-                if c as u64 >= nv {
-                    return Err(format!("coordinate {c} out of range on dimension {d}"));
-                }
-            }
-            cells.push(self.ks.cell_key(coords));
+            cells.push(self.ks.row_key(coords, id)? / self.ks.n_items);
         }
         cells.sort_unstable();
         cells.dedup();
@@ -416,8 +319,8 @@ impl StreamingCube {
 
     /// Fold `delta` into the stream: extend the pending tail, then
     /// extract every completed chunk into `complete` in chunk order.
-    fn ingest(&mut self, delta: &CubeInput) -> Result<(), String> {
-        extend_input(&mut self.pending, delta);
+    fn ingest(&mut self, delta: &CubeInput) {
+        self.pending.extend(delta);
         self.rows_total += delta.item_ids.len();
         let arity = self.space.arity();
         while self.pending.item_ids.len() >= ROW_CHUNK {
@@ -425,18 +328,12 @@ impl StreamingCube {
             merge_delta_into(&mut self.complete, &chunk);
             drain_rows(&mut self.pending, ROW_CHUNK, arity);
         }
-        Ok(())
     }
 
     /// Fold a row range of the pending tail into a chunk table.
     fn fold_pending(&self, rows: std::ops::Range<usize>) -> StateTable {
-        let ks = &self.ks;
-        let pending = &self.pending;
-        let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-            let item_idx = ks.item_index[&pending.item_ids[row]];
-            Some(ks.cell_key(coords) * ks.n_items + item_idx as u64)
-        };
-        fold_chunk(pending, self.space.arity(), rows, &key_of)
+        let key_of = self.ks.key_fn(&self.pending);
+        fold_chunk(&self.pending, self.space.arity(), rows, &key_of)
     }
 
     /// The base-cell table to roll up: `complete` plus the pending
@@ -457,103 +354,7 @@ impl StreamingCube {
 mod tests {
     use super::*;
     use crate::cube_pass::cube_pass_with;
-    use crate::dimension::{Dimension, Hierarchy};
-    use bellwether_table::ops::AggFunc;
-
-    fn space() -> RegionSpace {
-        let mut loc = Hierarchy::new("Loc", "All");
-        let us = loc.add_child(0, "US");
-        loc.add_child(us, "WI");
-        loc.add_child(us, "CA");
-        RegionSpace::new(vec![
-            Dimension::Interval {
-                name: "T".into(),
-                max_t: 6,
-            },
-            Dimension::Hierarchy(loc),
-        ])
-    }
-
-    /// Deterministic pseudo-random input: `rows` facts over the leaf
-    /// cells of [`space`], with every measure kind represented.
-    fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let mut item_ids = Vec::with_capacity(rows);
-        let mut coords = Vec::with_capacity(rows * 2);
-        let mut sales = Vec::with_capacity(rows);
-        let mut temps = Vec::with_capacity(rows);
-        let mut fks = Vec::with_capacity(rows);
-        let mut fkv = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            item_ids.push(items[(next() % items.len() as u64) as usize]);
-            coords.push((next() % 6) as u32);
-            coords.push(2 + (next() % 2) as u32); // leaves WI/CA
-            sales.push((next() % 7 != 0).then(|| (next() % 1000) as f64 / 8.0));
-            temps.push(Some((next() % 500) as f64 / 16.0 - 10.0));
-            fks.push((next() % 5 != 0).then(|| (next() % 40) as i64));
-            fkv.push((next() % 300) as f64 / 4.0);
-        }
-        CubeInput {
-            item_ids,
-            coords,
-            measures: vec![
-                Measure::Numeric {
-                    name: "sum_sales".into(),
-                    func: AggFunc::Sum,
-                    values: sales.clone(),
-                },
-                Measure::Numeric {
-                    name: "avg_temp".into(),
-                    func: AggFunc::Avg,
-                    values: temps,
-                },
-                Measure::Numeric {
-                    name: "min_sales".into(),
-                    func: AggFunc::Min,
-                    values: sales,
-                },
-                Measure::DistinctKeyed {
-                    name: "distinct_stores".into(),
-                    func: AggFunc::CountDistinct,
-                    keys: fks.clone(),
-                    values: fkv.clone(),
-                },
-                Measure::DistinctKeyed {
-                    name: "sum_store_size".into(),
-                    func: AggFunc::Sum,
-                    keys: fks,
-                    values: fkv,
-                },
-            ],
-        }
-    }
-
-    fn assert_same(a: &CubeResult, b: &CubeResult) {
-        assert_eq!(a.measure_names, b.measure_names);
-        assert_eq!(a.regions.len(), b.regions.len(), "region count differs");
-        for (r, items) in &a.regions {
-            let other = b.regions.get(r).unwrap_or_else(|| panic!("missing {r:?}"));
-            assert_eq!(items.len(), other.len(), "item count differs in {r:?}");
-            for (item, feats) in items {
-                let of = &other[item];
-                assert_eq!(feats.len(), of.len());
-                for (x, y) in feats.iter().zip(of) {
-                    // Bit-level comparison, not approximate.
-                    assert_eq!(
-                        x.map(f64::to_bits),
-                        y.map(f64::to_bits),
-                        "feature bits differ for {r:?}/{item}"
-                    );
-                }
-            }
-        }
-    }
+    use crate::testutil::{assert_bit_identical, gen_input, space};
 
     #[test]
     fn appends_match_cold_rebuild_bit_for_bit() {
@@ -570,9 +371,9 @@ mod tests {
                 let delta = gen_input(100 + i as u64, *rows, &items);
                 let update = stream.append(&delta).unwrap();
                 assert_eq!(update.rows_appended, *rows);
-                extend_input(&mut concat, &delta);
+                concat.extend(&delta);
                 let cold = cube_pass_with(&space, &concat, par, None);
-                assert_same(stream.result(), &cold);
+                assert_bit_identical(stream.result(), &cold, &format!("threads={threads} batch {i}"));
             }
             assert_eq!(stream.rows(), 700 + 900 + 3000 + 1 + 650 + 4096 + 77);
         }
@@ -587,12 +388,13 @@ mod tests {
         let par = Parallelism::fixed(1);
         let mut stream = StreamingCube::new(&space, &base, &universe, par).unwrap();
         let cold = cube_pass_with(&space, &base, par, None);
-        assert_same(stream.result(), &cold);
+        assert_bit_identical(stream.result(), &cold, "base");
         let delta = gen_input(4, 500, &items);
         stream.append(&delta).unwrap();
         let mut concat = base.clone();
-        extend_input(&mut concat, &delta);
-        assert_same(stream.result(), &cube_pass_with(&space, &concat, par, None));
+        concat.extend(&delta);
+        let cold = cube_pass_with(&space, &concat, par, None);
+        assert_bit_identical(stream.result(), &cold, "after append");
     }
 
     #[test]
@@ -604,7 +406,7 @@ mod tests {
             StreamingCube::new(&space, &base, &items, Parallelism::fixed(1)).unwrap();
         // One row in week 2 at leaf WI (coords [2, 2]): dirty regions
         // are exactly (intervals containing week 2) × {WI, US, All}.
-        let mut delta = empty_like(&base);
+        let mut delta = base.empty_like();
         delta.item_ids.push(3);
         delta.coords.extend_from_slice(&[2, 2]);
         for m in &mut delta.measures {
@@ -647,6 +449,22 @@ mod tests {
         bad.measures.pop();
         assert!(stream.append(&bad).unwrap_err().contains("measures"));
 
+        // A short measure column — for a distinct-keyed measure, either
+        // of its two — is an error, not a panic or a stray index.
+        let mut bad = gen_input(14, 5, &items);
+        let Some(Measure::Numeric { values, .. }) = bad.measures.first_mut() else {
+            panic!("generator puts a numeric measure first")
+        };
+        values.pop();
+        assert!(stream.append(&bad).unwrap_err().contains("length mismatch"));
+
+        let mut bad = gen_input(14, 5, &items);
+        let Some(Measure::DistinctKeyed { values, .. }) = bad.measures.last_mut() else {
+            panic!("generator puts a distinct-keyed measure last")
+        };
+        values.pop();
+        assert!(stream.append(&bad).unwrap_err().contains("length mismatch"));
+
         assert_eq!(stream.result().regions.len(), before);
         assert_eq!(stream.rows(), 100);
     }
@@ -655,12 +473,13 @@ mod tests {
     fn empty_base_then_appends() {
         let space = space();
         let items: Vec<i64> = (0..8).collect();
-        let empty = empty_like(&gen_input(0, 1, &items));
+        let empty = gen_input(0, 1, &items).empty_like();
         let par = Parallelism::fixed(2);
         let mut stream = StreamingCube::new(&space, &empty, &items, par).unwrap();
         assert!(stream.result().regions.is_empty());
         let delta = gen_input(21, 450, &items);
         stream.append(&delta).unwrap();
-        assert_same(stream.result(), &cube_pass_with(&space, &delta, par, None));
+        let cold = cube_pass_with(&space, &delta, par, None);
+        assert_bit_identical(stream.result(), &cold, "empty base");
     }
 }

@@ -1,25 +1,28 @@
-//! Memory-budgeted external CUBE pass: the `cube_pass` kernel for fact
-//! tables whose phase-1 state does not fit in RAM.
+//! The CUBE driver, and the run/spill machinery that lets it work on
+//! fact tables whose phase-1 state does not fit in RAM.
 //!
 //! # Run discipline
 //!
-//! Fact rows are folded in the usual fixed [`ROW_CHUNK`] chunks, but
-//! instead of keeping every chunk table alive until one global merge,
-//! chunks are grouped into **runs** of a fixed [`RUN_CHUNKS`] chunks
-//! (the last run may be short). Each completed run is merged with the
-//! in-memory kernel's own `merge_chunks` into a key-sorted state run.
-//! The byte budget then decides only *where* completed runs live: when
-//! the resident runs exceed the budget, the oldest ones are serialized
-//! to temp files (a `shard/spills` counter per run, `shard/spill_bytes`
-//! for volume) until the budget holds again. Finally all runs — spilled
-//! and resident alike, in formation order — are k-way merged by key
-//! into sorted output segments and rolled up by the ordinary
-//! `expand_rollup`.
+//! Every pass is the same pipeline ([`cube_pass_runs`]). Fact rows are
+//! folded in fixed [`ROW_CHUNK`] chunks; chunks are grouped into **runs**
+//! of a fixed number of chunks (the last run may be short) and each
+//! completed run is merged by `merge_chunks` into a key-sorted state
+//! run. The byte budget then decides only *where* completed runs live:
+//! when the resident runs exceed the budget, the oldest ones are
+//! serialized to temp files (a `shard/spills` counter per run,
+//! `shard/spill_bytes` for volume) until the budget holds again.
+//! Finally all runs — spilled and resident alike, in formation order —
+//! are k-way merged by key into sorted output segments and rolled up by
+//! `expand_rollup`. The entry points differ only in the two numbers they
+//! fix: [`cube_pass_external`] takes [`RUN_CHUNKS`] chunks per run and
+//! the caller's budget; the in-memory [`crate::cube_pass`] functions
+//! take one run of all chunks and no budget, so nothing spills and the
+//! single run *is* the merged base-cell table.
 //!
 //! # Determinism
 //!
-//! Run boundaries are a function of the input alone ([`RUN_CHUNKS`]
-//! chunks each), never of the budget or thread count. The budget picks
+//! Run boundaries are a function of the input and the entry point's
+//! fixed run length, never of the budget or thread count. The budget picks
 //! between two bit-exact representations of the same run — the
 //! in-memory [`StateTable`]s or their serialized form, which round-trips
 //! every accumulator exactly (`f64` bits, integer counts, the
@@ -41,8 +44,8 @@
 //! be useful, independent of how many fact rows collapsed into it.
 
 use crate::cube_pass::{
-    chunk_range, cube_pass_reference, expand_rollup, fold_chunk, merge_chunks, CubeInput,
-    CubeResult, KeySpace, Measure, StateCol, StateTable, ROW_CHUNK,
+    cube_pass_reference, expand_rollup, fold_chunks, merge_chunks, CubeInput, CubeResult, KeySpace,
+    StateCol, StateTable, ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -441,171 +444,8 @@ impl RunCursor {
     }
 }
 
-/// Append cell `i` of `src` as a fresh last slot of `dst` (the
-/// copy-first contribution).
-fn push_slot(dst: &mut StateCol, src: &StateCol, i: usize) {
-    match (dst, src) {
-        (StateCol::Sum { totals, seen }, StateCol::Sum { totals: st, seen: ss })
-        | (StateCol::Min { vals: totals, seen }, StateCol::Min { vals: st, seen: ss })
-        | (StateCol::Max { vals: totals, seen }, StateCol::Max { vals: st, seen: ss }) => {
-            totals.push(st[i]);
-            seen.push(ss[i]);
-        }
-        (StateCol::Count(c), StateCol::Count(sc)) => c.push(sc[i]),
-        (StateCol::Avg { totals, counts }, StateCol::Avg { totals: st, counts: sc }) => {
-            totals.push(st[i]);
-            counts.push(sc[i]);
-        }
-        (StateCol::Distinct { pairs, .. }, StateCol::Distinct { pairs: sp, .. }) => {
-            pairs.push(sp[i].clone());
-        }
-        _ => unreachable!("runs disagree on column kinds"),
-    }
-}
-
-/// Merge cell `i` of `src` into the last slot of `dst` (a later run's
-/// contribution to the same key).
-fn merge_slot_into_last(dst: &mut StateCol, src: &StateCol, i: usize) {
-    match (dst, src) {
-        (StateCol::Sum { totals, seen }, StateCol::Sum { totals: st, seen: ss }) => {
-            *totals.last_mut().expect("slot pushed") += st[i];
-            let s = seen.last_mut().expect("slot pushed");
-            *s |= ss[i];
-        }
-        (StateCol::Count(c), StateCol::Count(sc)) => {
-            *c.last_mut().expect("slot pushed") += sc[i];
-        }
-        (StateCol::Avg { totals, counts }, StateCol::Avg { totals: st, counts: sc }) => {
-            *totals.last_mut().expect("slot pushed") += st[i];
-            *counts.last_mut().expect("slot pushed") += sc[i];
-        }
-        (StateCol::Min { vals, seen }, StateCol::Min { vals: sv, seen: ss }) => {
-            if ss[i] {
-                let v = vals.last_mut().expect("slot pushed");
-                let s = seen.last_mut().expect("slot pushed");
-                *v = if *s { v.min(sv[i]) } else { sv[i] };
-                *s = true;
-            }
-        }
-        (StateCol::Max { vals, seen }, StateCol::Max { vals: sv, seen: ss }) => {
-            if ss[i] {
-                let v = vals.last_mut().expect("slot pushed");
-                let s = seen.last_mut().expect("slot pushed");
-                *v = if *s { v.max(sv[i]) } else { sv[i] };
-                *s = true;
-            }
-        }
-        (StateCol::Distinct { pairs, .. }, StateCol::Distinct { pairs: sp, .. }) => {
-            pairs.last_mut().expect("slot pushed").extend_from_slice(&sp[i]);
-        }
-        _ => unreachable!("runs disagree on column kinds"),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Input validation and fallback
-// ---------------------------------------------------------------------
-
-/// The (name, kind, func) shape of a measure, for schema equality.
-fn measure_shape(m: &Measure) -> (&str, u8, AggFunc) {
-    match m {
-        Measure::Numeric { name, func, .. } => (name, 0, *func),
-        Measure::DistinctKeyed { name, func, .. } => (name, 1, *func),
-    }
-}
-
-/// Concatenate fact inputs row-wise (the reference-kernel fallback; not
-/// out-of-core).
-fn concat_inputs(inputs: &[CubeInput]) -> CubeInput {
-    let mut out = CubeInput {
-        item_ids: Vec::new(),
-        coords: Vec::new(),
-        measures: inputs[0]
-            .measures
-            .iter()
-            .map(|m| match m {
-                Measure::Numeric { name, func, .. } => Measure::Numeric {
-                    name: name.clone(),
-                    func: *func,
-                    values: Vec::new(),
-                },
-                Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
-                    name: name.clone(),
-                    func: *func,
-                    keys: Vec::new(),
-                    values: Vec::new(),
-                },
-            })
-            .collect(),
-    };
-    for input in inputs {
-        out.item_ids.extend_from_slice(&input.item_ids);
-        out.coords.extend_from_slice(&input.coords);
-        for (dst, src) in out.measures.iter_mut().zip(&input.measures) {
-            match (dst, src) {
-                (
-                    Measure::Numeric { values, .. },
-                    Measure::Numeric { values: sv, .. },
-                ) => values.extend_from_slice(sv),
-                (
-                    Measure::DistinctKeyed { keys, values, .. },
-                    Measure::DistinctKeyed {
-                        keys: sk,
-                        values: sv,
-                        ..
-                    },
-                ) => {
-                    keys.extend_from_slice(sk);
-                    values.extend_from_slice(sv);
-                }
-                _ => unreachable!("schema checked by caller"),
-            }
-        }
-    }
-    out
-}
-
-/// Fold chunks `chunks` of `input` in parallel; tables return in chunk
-/// order (identical to a sequential fold).
-fn fold_chunks_range<K>(
-    input: &CubeInput,
-    arity: usize,
-    chunks: std::ops::Range<usize>,
-    threads: usize,
-    key_of: &K,
-) -> Vec<StateTable>
-where
-    K: Fn(usize, &[u32]) -> Option<u64> + Sync,
-{
-    let n = input.item_ids.len();
-    if threads <= 1 || chunks.len() <= 1 {
-        return chunks
-            .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-            .collect();
-    }
-    let lo = chunks.start;
-    let count = chunks.len();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let a = lo + count * w / threads;
-                let b = lo + count * (w + 1) / threads;
-                s.spawn(move || {
-                    (a..b)
-                        .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("external cube fold worker panicked"))
-            .collect()
-    })
-}
-
-// ---------------------------------------------------------------------
-// The pass
+// The driver
 // ---------------------------------------------------------------------
 
 /// Run the CUBE pass over one or more fact inputs under a byte budget
@@ -630,14 +470,18 @@ pub fn cube_pass_external(
     budget_bytes: usize,
     rec: &dyn Recorder,
 ) -> io::Result<CubeResult> {
-    cube_pass_external_opts(space, inputs, par, budget_bytes, RUN_CHUNKS, rec)
+    cube_pass_runs(space, inputs, par, budget_bytes, RUN_CHUNKS, rec)
 }
 
-/// [`cube_pass_external`] with an explicit run length (chunks per run).
-/// Production uses [`RUN_CHUNKS`]; tests shrink it to exercise
+/// The one CUBE driver: validate the inputs, build the key space, fold
+/// fixed [`ROW_CHUNK`] chunks, close a run every `run_chunks` chunks,
+/// spill the oldest resident runs past `budget_bytes`, merge the runs
+/// and roll up. [`cube_pass_external`] enters with [`RUN_CHUNKS`];
+/// the in-memory [`crate::cube_pass`] entry points enter with one run of
+/// all chunks and no budget; tests shrink the run length to exercise
 /// multi-run merges on small inputs. Results are comparable only across
 /// passes with the *same* run length.
-pub(crate) fn cube_pass_external_opts(
+pub(crate) fn cube_pass_runs(
     space: &RegionSpace,
     inputs: &[CubeInput],
     par: Parallelism,
@@ -653,21 +497,12 @@ pub(crate) fn cube_pass_external_opts(
             regions: HashMap::new(),
         });
     };
-    let shape: Vec<(&str, u8, AggFunc)> = first.measures.iter().map(measure_shape).collect();
     let mut total_rows = 0usize;
     for (idx, input) in inputs.iter().enumerate() {
-        let n = input.item_ids.len();
-        assert_eq!(
-            input.coords.len(),
-            n * arity,
-            "input {idx}: coords length mismatch"
-        );
-        for m in &input.measures {
-            m.check_len(n);
+        if let Err(e) = input.check_shape(arity).and(first.check_schema(input)) {
+            panic!("input {idx}: {e}");
         }
-        let got: Vec<(&str, u8, AggFunc)> = input.measures.iter().map(measure_shape).collect();
-        assert_eq!(got, shape, "input {idx}: measure schema mismatch");
-        total_rows += n;
+        total_rows += input.item_ids.len();
     }
     let measure_names: Vec<String> = first.measures.iter().map(|m| m.name().to_string()).collect();
     if total_rows == 0 {
@@ -686,7 +521,13 @@ pub(crate) fn cube_pass_external_opts(
         uniq.dedup();
     }
     let Some(ks) = KeySpace::build(space, &uniq) else {
-        return Ok(cube_pass_reference(space, &concat_inputs(inputs)));
+        // Key space too large for dense u64 encoding — use the
+        // tuple-keyed reference kernel (not out-of-core).
+        let mut all = first.empty_like();
+        for input in inputs {
+            all.extend(input);
+        }
+        return Ok(cube_pass_reference(space, &all));
     };
     drop(uniq);
     let key_space = ks.cell_space * ks.n_items;
@@ -698,77 +539,64 @@ pub(crate) fn cube_pass_external_opts(
     let mut runs: Vec<Run> = Vec::new();
     let mut resident_bytes = 0usize;
     let mut run_merges = 0u64;
-    {
-        let _t = span!(rec, "cube_pass/external_phase1");
-        let mut pending: Vec<StateTable> = Vec::new();
-        let mut close_run = |pending: &mut Vec<StateTable>,
-                             runs: &mut Vec<Run>,
-                             resident_bytes: &mut usize,
-                             run_merges: &mut u64|
-         -> io::Result<()> {
-            let (shards, merges) = merge_chunks(pending, key_space, threads);
-            pending.clear();
-            *run_merges += merges;
-            let bytes = shards.iter().map(table_bytes).sum::<usize>();
-            runs.push(Run::Resident { shards, bytes });
-            *resident_bytes += bytes;
-            if *resident_bytes > budget_bytes {
-                for run in runs.iter_mut() {
-                    if *resident_bytes <= budget_bytes {
-                        break;
-                    }
-                    if let Run::Resident { shards, bytes } = run {
-                        let path = spill_dir.next_path()?;
-                        let written = write_run(&path, shards)?;
-                        rec.add(names::SHARD_SPILLS, 1);
-                        rec.add(names::SHARD_SPILL_BYTES, written);
-                        *resident_bytes -= *bytes;
-                        *run = Run::Spilled { path };
-                    }
-                }
-            }
-            Ok(())
+    let mut pending: Vec<StateTable> = Vec::new();
+    let mut close_run = |pending: &mut Vec<StateTable>| -> io::Result<()> {
+        let (shards, merges) = {
+            let _t = span!(rec, "cube_pass/phase1_merge");
+            merge_chunks(pending, key_space, threads)
         };
-
-        for input in inputs {
-            let n = input.item_ids.len();
-            let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-                for (d, (&c, &nv)) in coords.iter().zip(&ks.num_values).enumerate() {
-                    assert!(
-                        (c as u64) < nv,
-                        "coordinate {c} out of range on dimension {d}"
-                    );
+        pending.clear();
+        run_merges += merges;
+        let bytes = shards.iter().map(table_bytes).sum::<usize>();
+        runs.push(Run::Resident { shards, bytes });
+        resident_bytes += bytes;
+        if resident_bytes > budget_bytes {
+            let _t = span!(rec, "cube_pass/external_spill");
+            for run in runs.iter_mut() {
+                if resident_bytes <= budget_bytes {
+                    break;
                 }
-                let item_idx = ks.item_index[&input.item_ids[row]];
-                Some(ks.cell_key(coords) * ks.n_items + item_idx as u64)
-            };
-            let n_chunks = n.div_ceil(ROW_CHUNK);
-            let mut c = 0;
-            while c < n_chunks {
-                let take = (run_chunks - pending.len()).min(n_chunks - c);
-                let mut tables = fold_chunks_range(input, arity, c..c + take, threads, &key_of);
-                pending.append(&mut tables);
-                c += take;
-                if pending.len() == run_chunks {
-                    close_run(&mut pending, &mut runs, &mut resident_bytes, &mut run_merges)?;
+                if let Run::Resident { shards, bytes } = run {
+                    let path = spill_dir.next_path()?;
+                    let written = write_run(&path, shards)?;
+                    rec.add(names::SHARD_SPILLS, 1);
+                    rec.add(names::SHARD_SPILL_BYTES, written);
+                    resident_bytes -= *bytes;
+                    *run = Run::Spilled { path };
                 }
             }
         }
-        if !pending.is_empty() {
-            close_run(&mut pending, &mut runs, &mut resident_bytes, &mut run_merges)?;
+        Ok(())
+    };
+    for input in inputs {
+        let key_of = ks.key_fn(input);
+        let n_chunks = input.item_ids.len().div_ceil(ROW_CHUNK);
+        let mut c = 0;
+        while c < n_chunks {
+            let take = (run_chunks - pending.len()).min(n_chunks - c);
+            let mut tables = {
+                let _t = span!(rec, "cube_pass/phase1_scan");
+                fold_chunks(input, arity, c..c + take, threads, &key_of)
+            };
+            pending.append(&mut tables);
+            c += take;
+            if pending.len() == run_chunks {
+                close_run(&mut pending)?;
+            }
         }
+    }
+    if !pending.is_empty() {
+        close_run(&mut pending)?;
     }
 
     // Final merge: one sorted base-cell table from all runs, in run
     // formation order. A single resident run needs no merge at all —
-    // it *is* the in-memory kernel's phase-1 output.
+    // it *is* phase 1's output.
     let mut final_merges = 0u64;
-    let shards: Vec<StateTable> = if runs.len() == 1
-        && matches!(runs[0], Run::Resident { .. })
-    {
-        match runs.pop().expect("one run") {
-            Run::Resident { shards, .. } => shards,
-            Run::Spilled { .. } => unreachable!("matched resident above"),
+    let shards: Vec<StateTable> = if let [Run::Resident { .. }] = runs[..] {
+        match runs.pop() {
+            Some(Run::Resident { shards, .. }) => shards,
+            _ => unreachable!("matched one resident run above"),
         }
     } else {
         let _t = span!(rec, "cube_pass/external_merge");
@@ -796,24 +624,25 @@ pub(crate) fn cube_pass_external_opts(
                 }
             }
             let Some(key) = min else { break };
-            let mut first = true;
+            // The first run holding `key` opens a fresh last slot and
+            // copies into it; later runs merge into that slot.
+            let slot = cur.len() as u32;
+            let mut occupied = false;
             for c in cursors.iter_mut() {
                 while c.peek() == Some(key) {
-                    {
-                        let t = c.frame.as_ref().expect("peek returned Some");
-                        if first {
-                            cur.keys.push(key);
-                            for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                                push_slot(dst, src, c.pos);
-                            }
-                            first = false;
-                        } else {
-                            final_merges += 1;
-                            for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                                merge_slot_into_last(dst, src, c.pos);
-                            }
+                    let t = c.frame.as_ref().expect("peek returned Some");
+                    if occupied {
+                        final_merges += 1;
+                    } else {
+                        cur.keys.push(key);
+                        for col in &mut cur.cols {
+                            col.resize_default(slot as usize + 1);
                         }
                     }
+                    for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
+                        dst.merge_from(src, c.pos..c.pos + 1, &[slot], &[occupied]);
+                    }
+                    occupied = true;
                     c.advance()?;
                 }
             }
@@ -834,7 +663,7 @@ pub(crate) fn cube_pass_external_opts(
     };
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
 
-    // Phase 2: the ordinary rollup (segmentation-tolerant).
+    // Phase 2: the rollup (segmentation-tolerant).
     let (regions, merges_2) = {
         let _t = span!(rec, "cube_pass/phase2_rollup");
         expand_rollup(space, &ks, &shards, threads, None)
@@ -856,129 +685,14 @@ pub(crate) fn cube_pass_external_opts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube_pass::cube_pass_with;
-    use crate::dimension::{Dimension, Hierarchy};
+    use crate::cube_pass::{chunk_range, cube_pass_with, fold_chunk, Measure};
+    use crate::testutil::{assert_bit_identical, gen_input, space};
     use bellwether_obs::{NoopRecorder, Registry};
 
-    /// Tiny deterministic generator (xorshift) for fact rows.
-    struct Lcg(u64);
-
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        fn f64(&mut self) -> f64 {
-            // Awkward floats on purpose: sums must not be exactly
-            // representable, so any merge-order deviation shows.
-            (self.next() as f64 / u64::MAX as f64) * 10.0 - 5.0 + 1.0 / 3.0
-        }
-    }
-
-    fn space() -> RegionSpace {
-        let mut loc = Hierarchy::new("L", "All");
-        let a = loc.add_child(0, "A");
-        loc.add_child(a, "A1");
-        loc.add_child(a, "A2");
-        let b = loc.add_child(0, "B");
-        loc.add_child(b, "B1");
-        RegionSpace::new(vec![
-            Dimension::Interval {
-                name: "T".into(),
-                max_t: 4,
-            },
-            Dimension::Hierarchy(loc),
-        ])
-    }
-
-    /// `rows` fact rows over the space's leaves with every measure kind.
+    /// `rows` seeded fact rows over seven item ids.
     fn input(rows: usize, seed: u64) -> CubeInput {
-        let leaves = [2u32, 3, 5];
-        let mut g = Lcg(seed | 1);
-        let mut item_ids = Vec::with_capacity(rows);
-        let mut coords = Vec::with_capacity(rows * 2);
-        let mut sums = Vec::with_capacity(rows);
-        let mut mins = Vec::with_capacity(rows);
-        let mut avgs = Vec::with_capacity(rows);
-        let mut fks = Vec::with_capacity(rows);
-        let mut fkv = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            item_ids.push(g.below(7) as i64 * 3);
-            coords.push(g.below(4) as u32);
-            coords.push(leaves[g.below(3) as usize]);
-            sums.push((g.below(10) > 0).then(|| g.f64()));
-            mins.push((g.below(10) > 1).then(|| g.f64()));
-            avgs.push(Some(g.f64()));
-            fks.push((g.below(4) > 0).then(|| g.below(5) as i64));
-            fkv.push(g.f64());
-        }
-        CubeInput {
-            item_ids,
-            coords,
-            measures: vec![
-                Measure::Numeric {
-                    name: "s".into(),
-                    func: AggFunc::Sum,
-                    values: sums,
-                },
-                Measure::Numeric {
-                    name: "m".into(),
-                    func: AggFunc::Min,
-                    values: mins,
-                },
-                Measure::Numeric {
-                    name: "a".into(),
-                    func: AggFunc::Avg,
-                    values: avgs.clone(),
-                },
-                Measure::Numeric {
-                    name: "c".into(),
-                    func: AggFunc::Count,
-                    values: avgs,
-                },
-                Measure::DistinctKeyed {
-                    name: "d".into(),
-                    func: AggFunc::Sum,
-                    keys: fks.clone(),
-                    values: fkv.clone(),
-                },
-                Measure::DistinctKeyed {
-                    name: "cd".into(),
-                    func: AggFunc::CountDistinct,
-                    keys: fks,
-                    values: fkv,
-                },
-            ],
-        }
-    }
-
-    /// Bit-level comparison of two results (NaN-safe).
-    fn assert_bit_identical(a: &CubeResult, b: &CubeResult, what: &str) {
-        assert_eq!(a.measure_names, b.measure_names, "{what}: names");
-        assert_eq!(a.regions.len(), b.regions.len(), "{what}: region count");
-        for (r, items) in &a.regions {
-            let other = b.regions.get(r).unwrap_or_else(|| {
-                panic!("{what}: region {r:?} missing")
-            });
-            assert_eq!(items.len(), other.len(), "{what}: {r:?} item count");
-            for (id, vals) in items {
-                let ovals = &other[id];
-                let bits: Vec<Option<u64>> =
-                    vals.iter().map(|v| v.map(f64::to_bits)).collect();
-                let obits: Vec<Option<u64>> =
-                    ovals.iter().map(|v| v.map(f64::to_bits)).collect();
-                assert_eq!(bits, obits, "{what}: {r:?} item {id}");
-            }
-        }
+        let items: Vec<i64> = (0..7).map(|i| i * 3).collect();
+        gen_input(seed, rows, &items)
     }
 
     fn par(threads: usize) -> Parallelism {
@@ -1011,7 +725,7 @@ mod tests {
         // a genuine multi-run k-way merge on both sides.
         let inputs: Vec<CubeInput> = (0..3).map(|i| input(9000, 7 + i)).collect();
         let reg = Registry::shared();
-        let unlimited = cube_pass_external_opts(
+        let unlimited = cube_pass_runs(
             &sp,
             &inputs,
             par(2),
@@ -1021,7 +735,7 @@ mod tests {
         )
         .unwrap();
         let spilled =
-            cube_pass_external_opts(&sp, &inputs, par(4), 0, 2, reg.as_ref()).unwrap();
+            cube_pass_runs(&sp, &inputs, par(4), 0, 2, reg.as_ref()).unwrap();
         assert_bit_identical(&spilled, &unlimited, "spilled vs unlimited");
         let snap = reg.snapshot();
         let get = |name: &str| {
@@ -1041,7 +755,7 @@ mod tests {
     fn multi_input_partition_is_stable_across_threads_and_budgets() {
         let sp = space();
         let inputs: Vec<CubeInput> = (0..2).map(|i| input(5000, 100 + i)).collect();
-        let base = cube_pass_external_opts(
+        let base = cube_pass_runs(
             &sp,
             &inputs,
             par(1),
@@ -1052,7 +766,7 @@ mod tests {
         .unwrap();
         for threads in [2, 4] {
             for budget in [0usize, 1 << 20, UNLIMITED_BUDGET] {
-                let got = cube_pass_external_opts(
+                let got = cube_pass_runs(
                     &sp,
                     &inputs,
                     par(threads),
@@ -1123,9 +837,7 @@ mod tests {
         let sp = space();
         let inp = input(2000, 77);
         let ks = KeySpace::build(&sp, &inp.item_ids).unwrap();
-        let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-            Some(ks.cell_key(coords) * ks.n_items + ks.item_index[&inp.item_ids[row]] as u64)
-        };
+        let key_of = ks.key_fn(&inp);
         let tables: Vec<StateTable> = (0..inp.item_ids.len().div_ceil(ROW_CHUNK))
             .map(|c| {
                 fold_chunk(&inp, 2, chunk_range(c, inp.item_ids.len()), &key_of)
@@ -1154,10 +866,10 @@ mod tests {
                     let tb = from_disk.frame.as_ref().unwrap();
                     for (ca, cb) in ta.cols.iter().zip(&tb.cols) {
                         assert_eq!(col_tags(ca), col_tags(cb), "column kinds diverged");
-                        let mut probe_a = ca.new_like(0);
-                        let mut probe_b = cb.new_like(0);
-                        push_slot(&mut probe_a, ca, from_mem.pos);
-                        push_slot(&mut probe_b, cb, from_disk.pos);
+                        let mut probe_a = ca.new_like(1);
+                        let mut probe_b = cb.new_like(1);
+                        probe_a.merge_from(ca, from_mem.pos..from_mem.pos + 1, &[0], &[false]);
+                        probe_b.merge_from(cb, from_disk.pos..from_disk.pos + 1, &[0], &[false]);
                         assert_eq!(
                             format!("{probe_a:?}"),
                             format!("{probe_b:?}"),

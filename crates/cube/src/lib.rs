@@ -43,13 +43,15 @@ pub mod iceberg;
 pub mod parallel;
 pub mod region;
 pub mod rollup;
+#[cfg(test)]
+mod testutil;
 
 pub use bellwether_obs::{NoopRecorder, Recorder, Registry};
 pub use bellwether_storage::CubeStats;
 pub use cost::{CellTableCost, CostModel, ProductCost, UniformCellCost};
 pub use cube_pass::{
-    aggregate_filtered, aggregate_filtered_traced, aggregate_filtered_with, cube_pass,
-    cube_pass_reference, cube_pass_traced, cube_pass_with, CubeInput, CubeResult, Measure,
+    aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_reference,
+    cube_pass_traced, cube_pass_with, CubeInput, CubeResult, Measure,
 };
 pub use delta::{DeltaUpdate, StreamingCube};
 pub use external::{cube_pass_external, RUN_CHUNKS, UNLIMITED_BUDGET};

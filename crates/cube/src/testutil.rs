@@ -1,0 +1,115 @@
+//! Fixtures shared by the crate's unit tests: one region space, one
+//! seeded fact generator covering every state kind, one bit-level
+//! result comparison.
+
+use crate::cube_pass::{CubeInput, CubeResult, Measure};
+use crate::dimension::{Dimension, Hierarchy};
+use crate::region::RegionSpace;
+use bellwether_table::ops::AggFunc;
+
+/// Leaf nodes of [`space`]'s location hierarchy.
+const LEAVES: [u32; 3] = [2, 3, 5];
+
+/// Time `[1-t]` for `t ≤ 6` × location `All(0) → US(1) → {WI(2), MD(3)}`,
+/// `All → B(4) → B1(5)`.
+pub(crate) fn space() -> RegionSpace {
+    let mut loc = Hierarchy::new("Loc", "All");
+    let us = loc.add_child(0, "US");
+    loc.add_child(us, "WI");
+    loc.add_child(us, "MD");
+    let b = loc.add_child(0, "B");
+    loc.add_child(b, "B1");
+    RegionSpace::new(vec![
+        Dimension::Interval {
+            name: "Time".into(),
+            max_t: 6,
+        },
+        Dimension::Hierarchy(loc),
+    ])
+}
+
+/// One measure per state kind — Sum, Min, Max, Avg, Count and both
+/// distinct-FK forms — over the given per-row columns.
+pub(crate) fn measures_of_every_kind(
+    sums: Vec<Option<f64>>,
+    extrema: Vec<Option<f64>>,
+    avgs: Vec<Option<f64>>,
+    fks: Vec<Option<i64>>,
+    fk_values: Vec<f64>,
+) -> Vec<Measure> {
+    let numeric = |name: &str, func, values| Measure::Numeric {
+        name: name.into(),
+        func,
+        values,
+    };
+    let distinct = |name: &str, func, keys, values| Measure::DistinctKeyed {
+        name: name.into(),
+        func,
+        keys,
+        values,
+    };
+    vec![
+        numeric("s", AggFunc::Sum, sums),
+        numeric("mn", AggFunc::Min, extrema.clone()),
+        numeric("mx", AggFunc::Max, extrema),
+        numeric("a", AggFunc::Avg, avgs.clone()),
+        numeric("c", AggFunc::Count, avgs),
+        distinct("d", AggFunc::Sum, fks.clone(), fk_values.clone()),
+        distinct("cd", AggFunc::CountDistinct, fks, fk_values),
+    ]
+}
+
+/// `rows` seeded (xorshift) fact rows over the leaf cells of [`space`],
+/// items drawn from `items`, with every measure kind and some NULLs.
+pub(crate) fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
+    let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    // Awkward floats on purpose: sums must not be exactly representable,
+    // so any merge-order deviation shows.
+    let float = |x: u64| (x as f64 / u64::MAX as f64) * 10.0 - 5.0 + 1.0 / 3.0;
+    let mut item_ids = Vec::with_capacity(rows);
+    let mut coords = Vec::with_capacity(rows * 2);
+    let (mut sums, mut extrema, mut avgs) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut fks, mut fk_values) = (Vec::new(), Vec::new());
+    for _ in 0..rows {
+        item_ids.push(items[(next() % items.len() as u64) as usize]);
+        coords.push((next() % 6) as u32);
+        coords.push(LEAVES[(next() % 3) as usize]);
+        sums.push((next() % 10 > 0).then(|| float(next())));
+        extrema.push((next() % 10 > 1).then(|| float(next())));
+        avgs.push(Some(float(next())));
+        fks.push((next() % 4 > 0).then(|| (next() % 40) as i64));
+        fk_values.push(float(next()));
+    }
+    CubeInput {
+        item_ids,
+        coords,
+        measures: measures_of_every_kind(sums, extrema, avgs, fks, fk_values),
+    }
+}
+
+/// Bit-level comparison of two results (NaN-safe).
+pub(crate) fn assert_bit_identical(a: &CubeResult, b: &CubeResult, what: &str) {
+    assert_eq!(a.measure_names, b.measure_names, "{what}: names");
+    assert_eq!(a.regions.len(), b.regions.len(), "{what}: region count");
+    for (r, items) in &a.regions {
+        let other = b
+            .regions
+            .get(r)
+            .unwrap_or_else(|| panic!("{what}: region {r:?} missing"));
+        assert_eq!(items.len(), other.len(), "{what}: {r:?} item count");
+        for (id, vals) in items {
+            let ovals = other
+                .get(id)
+                .unwrap_or_else(|| panic!("{what}: {r:?} item {id} missing"));
+            let bits: Vec<Option<u64>> = vals.iter().map(|v| v.map(f64::to_bits)).collect();
+            let obits: Vec<Option<u64>> = ovals.iter().map(|v| v.map(f64::to_bits)).collect();
+            assert_eq!(bits, obits, "{what}: {r:?} item {id}");
+        }
+    }
+}
