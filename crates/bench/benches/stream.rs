@@ -1,6 +1,6 @@
 //! Incremental maintenance vs cold rebuild: the O(Δ) evidence.
 //!
-//! Emits `results/BENCH_stream.json` with three sections:
+//! Emits `results/BENCH_stream.json` with four sections:
 //!
 //! * `config` — workload shape: fact rows, candidate regions, rows in
 //!   the appended batch (the final week ≈ 1% of the timeline);
@@ -11,9 +11,17 @@
 //!   - `engine_append_1pct` — [`StreamingBellwether::append`] of the
 //!     same final week onto a warm engine: delta CUBE fold, dirty
 //!     blocks appended as a new generation, dirty candidates
-//!     re-scored (each timed sample consumes its own pre-built warm
-//!     engine, so every sample performs the identical append);
-//!   - `cube_cold` / `cube_append_1pct` — the CUBE layer alone;
+//!     re-scored (each timed sample appends onto its own warm engine,
+//!     built outside the timed region, so every sample performs the
+//!     identical append);
+//!   - `cube_cold` / `cube_append_1pct` — the CUBE layer alone (each
+//!     sample appends onto its own warm cube, likewise built outside
+//!     the timed region: an append clones nothing, so the sample does
+//!     not either);
+//! * `delta` — what the appended week did to the delta cube: dirty
+//!   regions that extended their retained rollup state vs those
+//!   re-aggregated from scratch (zero for an append at the end of the
+//!   timeline);
 //! * `speedup` — cold/append median ratios plus `bit_identical`: the
 //!   appended engine's search state compared field-by-field (float
 //!   bits included) against the cold rebuild.
@@ -30,7 +38,6 @@ use bellwether_core::training::region_block;
 use bellwether_cube::{cube_pass, Parallelism, StreamingCube, UniformCellCost};
 use bellwether_datagen::{build_stream_workload, StreamConfig, StreamWorkload};
 use bellwether_storage::{even_shard_plan, ShardedSource, ShardedWriter};
-use std::collections::VecDeque;
 use std::path::PathBuf;
 
 fn env_usize(var: &str, default: usize) -> usize {
@@ -95,11 +102,10 @@ fn cold_rebuild(wl: &StreamWorkload, upto: u32, dir: &PathBuf) -> BasicSearchRes
     .unwrap()
 }
 
-fn build_engine(wl: &StreamWorkload, base_weeks: u32, tag: usize) -> StreamingBellwether {
-    let dir = std::env::temp_dir().join(format!("bw_bench_stream_engine_{tag}"));
-    std::fs::remove_dir_all(&dir).ok();
+fn build_engine(wl: &StreamWorkload, base_weeks: u32, dir: &PathBuf) -> StreamingBellwether {
+    std::fs::remove_dir_all(dir).ok();
     StreamingBellwether::create(
-        &dir,
+        dir,
         &wl.region_space,
         &wl.input_range(0, base_weeks),
         &wl.item_universe(),
@@ -162,46 +168,40 @@ fn main() {
     });
     let cold = cold_rebuild(&wl, weeks, &cold_dir);
 
-    // One warm engine per timed sample: every sample appends the same
-    // final week onto an identical base state. Capped at 5 samples —
-    // the pre-built engines all sit in memory at once, so this cell's
-    // peak RSS overstates a real deployment (which holds ONE warm
-    // engine) by roughly the engine count.
-    let (saved_samples, saved_warmup) = (harness.sample_size, harness.warmup_iters);
-    harness.sample_size = harness.sample_size.min(5);
-    harness.warmup_iters = 1;
-    let n_engines = harness.warmup_iters + harness.sample_size;
-    let mut engines: VecDeque<StreamingBellwether> = (0..n_engines)
-        .map(|i| build_engine(&wl, base_weeks, i))
-        .collect();
-    let mut appended: Option<StreamingBellwether> = None;
-    harness.bench("engine_append_1pct(threads=1)", || {
-        let mut engine = engines.pop_front().expect("one engine per sample");
-        engine.append(&delta).unwrap();
-        appended = Some(engine);
-    });
-    let appended = appended.expect("at least one sample ran");
-    harness.sample_size = saved_samples;
-    harness.warmup_iters = saved_warmup;
+    // One warm engine per timed sample, built outside the timed region:
+    // every sample appends the same final week onto an identical base
+    // state, and one engine is alive at a time, as in a deployment.
+    let engine_dir = std::env::temp_dir().join("bw_bench_stream_engine");
+    harness.bench_batched(
+        "engine_append_1pct(threads=1)",
+        || build_engine(&wl, base_weeks, &engine_dir),
+        |engine| engine.append(&delta).unwrap(),
+    );
+    let mut appended = build_engine(&wl, base_weeks, &engine_dir);
+    appended.append(&delta).unwrap();
     let bit_identical = same_result(&appended.search_result(), &cold);
 
-    // The CUBE layer alone (clone cost of the retained state is paid
-    // inside the sample; it is a flat memcpy, part of the honest
-    // price of an append).
+    // The CUBE layer alone. Every sample appends the same week onto
+    // its own warm cube, built (and later dropped) outside the timed
+    // region — built, not cloned: a clone's vectors are exactly full,
+    // so its first push would copy the retained state, which no live
+    // stream pays.
     let base_input = wl.input_range(0, base_weeks);
     let full_input = wl.full_input();
     harness.bench("cube_cold(threads=1)", || {
         cube_pass(&wl.region_space, &full_input)
     });
-    let warm_cube = StreamingCube::new(
-        &wl.region_space,
-        &base_input,
-        &wl.item_universe(),
-        Parallelism::fixed(1),
-    )
-    .expect("key space fits");
-    harness.bench("cube_append_1pct(threads=1)", || {
-        let mut cube = warm_cube.clone();
+    let warm_cube = || {
+        StreamingCube::new(
+            &wl.region_space,
+            &base_input,
+            &wl.item_universe(),
+            Parallelism::fixed(1),
+        )
+        .expect("key space fits")
+    };
+    let update = warm_cube().append(&delta).unwrap();
+    harness.bench_batched("cube_append_1pct(threads=1)", warm_cube, |cube| {
         cube.append(&delta).unwrap()
     });
 
@@ -219,13 +219,18 @@ fn main() {
         "{{\n  \"config\": {{\n    \"rows\": {total_rows},\n    \"regions\": {},\n    \
          \"weeks\": {weeks},\n    \"append_rows\": {append_rows},\n    \
          \"append_fraction\": {},\n    \"shards\": 2,\n    \"threads\": 1\n  }},\n  \
-         \"results\": {},\n  \"speedup\": {{\n    \"engine_cold_over_append\": {},\n    \
+         \"results\": {},\n  \"delta\": {{\n    \"cells_dirtied\": {},\n    \
+         \"regions_extended\": {},\n    \"regions_rebuilt\": {}\n  }},\n  \
+         \"speedup\": {{\n    \"engine_cold_over_append\": {},\n    \
          \"cube_cold_over_append\": {},\n    \"bit_identical\": {bit_identical},\n    \
-         \"note\": \"append-cell peak RSS holds every pre-built warm engine at once; \
-a deployment holds one\"\n  }}\n}}\n",
+         \"note\": \"the append cells build one warm engine (cube) per sample outside \
+the timed region; their peak RSS includes that build\"\n  }}\n}}\n",
         wl.regions.len(),
         json_f64(append_rows as f64 / total_rows as f64),
         harness.to_json(),
+        update.cells_dirtied,
+        update.regions_extended,
+        update.regions_rebuilt,
         json_f64(engine_speedup),
         json_f64(cube_speedup),
     );
@@ -234,7 +239,5 @@ a deployment holds one\"\n  }}\n}}\n",
 
     assert!(bit_identical, "append must be bit-identical to cold rebuild");
     std::fs::remove_dir_all(&cold_dir).ok();
-    for engine in engines.iter().chain(appended.dir().exists().then_some(&appended)) {
-        std::fs::remove_dir_all(engine.dir()).ok();
-    }
+    std::fs::remove_dir_all(&engine_dir).ok();
 }

@@ -88,16 +88,30 @@ impl Harness {
     /// value is routed through [`black_box`] so the work is not
     /// optimised away.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &BenchResult {
+        self.bench_batched(name, || (), |()| f())
+    }
+
+    /// [`Harness::bench`] for an `f` that consumes state: every
+    /// iteration gets a fresh input from `setup`, built before and
+    /// dropped after the timed region, so one input is alive at a time.
+    /// The reported peak RSS does include `setup`.
+    pub fn bench_batched<I, T>(
+        &mut self,
+        name: &str,
+        mut setup: impl FnMut() -> I,
+        mut f: impl FnMut(&mut I) -> T,
+    ) -> &BenchResult {
         for _ in 0..self.warmup_iters {
-            black_box(f());
+            black_box(f(&mut setup()));
         }
         // Reset the RSS high-water mark after warm-up so the reported
         // peak covers only the timed samples of *this* benchmark.
         crate::rss::reset_peak_rss();
         let mut samples = Vec::with_capacity(self.sample_size);
         for _ in 0..self.sample_size {
+            let mut input = setup();
             let start = Instant::now();
-            black_box(f());
+            black_box(f(&mut input));
             samples.push(start.elapsed().as_secs_f64());
         }
         let result = BenchResult {

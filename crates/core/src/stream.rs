@@ -73,7 +73,8 @@ pub struct DriftEvent {
 pub struct AppendOutcome {
     /// Fact rows folded into the delta cube.
     pub rows_appended: usize,
-    /// Distinct `(region, item)` cells whose suffstats changed.
+    /// Distinct base cells (finest coordinates, not `(region, item)`
+    /// pairs) the appended rows touched.
     pub cells_dirtied: usize,
     /// Candidate regions whose training block was rewritten.
     pub dirty_candidates: usize,
@@ -112,6 +113,10 @@ pub struct StreamingBellwether {
     /// [`Self::search_result`] parity with [`basic_search`]).
     skipped: Vec<usize>,
     scratch: RegionEvalScratch,
+    /// Dirty candidates of appends whose publish failed after the cube
+    /// had moved on: their blocks and reports are stale until the next
+    /// append rewrites them.
+    unpublished: Vec<usize>,
     appends: u64,
     drift_log: Vec<DriftEvent>,
 }
@@ -126,7 +131,8 @@ impl StreamingBellwether {
     /// it never changes an output bit). `regions` is the candidate list
     /// in scan order; its order defines source indices for the lifetime
     /// of the stream. Returns [`BellwetherError::Config`] when the
-    /// region × item key space is too large for dense delta keys.
+    /// region × item key space is too large for dense delta keys or
+    /// `base` is malformed.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         dir: &Path,
@@ -143,11 +149,7 @@ impl StreamingBellwether {
         cache_bytes: usize,
     ) -> Result<StreamingBellwether> {
         let cube = StreamingCube::new(space, base, item_universe, config.parallelism)
-            .ok_or_else(|| {
-                BellwetherError::Config(
-                    "region × item key space too large for incremental maintenance".into(),
-                )
-            })?;
+            .map_err(|e| BellwetherError::Config(format!("incremental maintenance: {e}")))?;
 
         std::fs::create_dir_all(dir)?;
         let n_static = items.numeric_attrs().len();
@@ -194,6 +196,7 @@ impl StreamingBellwether {
             best,
             skipped: boot.skipped_regions,
             scratch: RegionEvalScratch::new(),
+            unpublished: Vec::new(),
             appends: 0,
             drift_log: Vec::new(),
         })
@@ -202,24 +205,26 @@ impl StreamingBellwether {
     /// Fold `delta` into the stream: update the cube, rewrite exactly
     /// the dirty candidates' blocks as a new storage generation,
     /// invalidate their cache entries, re-score them, and recompute the
-    /// argmin. A failed append (shape mismatch) leaves every layer of
-    /// state unchanged.
+    /// argmin. An append the cube rejects (shape mismatch) leaves every
+    /// layer of state unchanged. When storage fails after the cube took
+    /// the rows, the call is an `Err` and is not counted, the rows stay
+    /// folded, and the next append publishes this one's dirty
+    /// candidates with its own — the engine converges on the cold
+    /// result instead of serving the stale blocks forever.
     pub fn append(&mut self, delta: &CubeInput) -> Result<AppendOutcome> {
         let update = self.cube.append(delta).map_err(BellwetherError::Config)?;
-        self.appends += 1;
-        self.config.recorder.add(names::STREAM_APPENDS, 1);
 
         // Dirty *candidates*: the cube reports every dirty region in
         // the space; only those in our candidate list hold blocks.
-        let mut dirty: Vec<usize> = update
-            .dirty_regions
-            .iter()
-            .filter_map(|r| self.region_index.get(r).copied())
-            .collect();
+        let mut dirty = std::mem::take(&mut self.unpublished);
+        dirty.extend(
+            update
+                .dirty_regions
+                .iter()
+                .filter_map(|r| self.region_index.get(r).copied()),
+        );
         dirty.sort_unstable();
-        self.config
-            .recorder
-            .add(names::STREAM_REGIONS_DIRTIED, dirty.len() as u64);
+        dirty.dedup();
 
         let old_best = self.best;
         let old_summary = old_best.and_then(|i| self.reports[i].clone());
@@ -233,15 +238,47 @@ impl StreamingBellwether {
             generation: self.source.inner().generation(),
             drift: None,
         };
-        if dirty.is_empty() {
-            return Ok(outcome);
+        if !dirty.is_empty() {
+            if let Err(e) = self.publish(&dirty, &mut outcome) {
+                self.unpublished = dirty;
+                return Err(e);
+            }
         }
+        self.appends += 1;
+        let rec = &self.config.recorder;
+        rec.add(names::STREAM_APPENDS, 1);
+        rec.add(names::STREAM_REGIONS_DIRTIED, dirty.len() as u64);
+        rec.add(names::STREAM_REGIONS_EXTENDED, update.regions_extended as u64);
+        rec.add(names::STREAM_REGIONS_REBUILT, update.regions_rebuilt as u64);
+        rec.add(names::STREAM_REGIONS_RESCORED, outcome.rescored as u64);
 
-        // Rewrite the dirty blocks under a new generation. Blocks must
-        // be appended in ascending source order (the appender enforces
-        // it); `dirty` is already sorted.
+        let new_best = self.argmin();
+        if new_best != old_best {
+            let to_summary = new_best.and_then(|i| self.reports[i].as_ref());
+            let event = DriftEvent {
+                append_seq: self.appends,
+                from: old_summary.as_ref().map(|r| r.region.clone()),
+                from_label: old_summary.as_ref().map(|r| r.label.clone()),
+                from_error: old_summary.as_ref().map(|r| r.error.value),
+                to: to_summary.map(|r| r.region.clone()),
+                to_label: to_summary.map(|r| r.label.clone()),
+                to_error: to_summary.map(|r| r.error.value),
+            };
+            self.config.recorder.add(names::STREAM_DRIFT_EVENTS, 1);
+            self.drift_log.push(event.clone());
+            outcome.drift = Some(event);
+        }
+        self.best = new_best;
+        Ok(outcome)
+    }
+
+    /// Rewrite the `dirty` candidates' blocks under a new generation,
+    /// adopt it, evict their cache entries and re-score them.
+    fn publish(&mut self, dirty: &[usize], outcome: &mut AppendOutcome) -> Result<()> {
+        // Blocks must be appended in ascending source order (the
+        // appender enforces it); `dirty` is sorted.
         let mut appender = ShardAppender::open(&self.dir)?;
-        for &idx in &dirty {
+        for &idx in dirty {
             let block = region_block(
                 self.cube.result(),
                 &self.regions[idx],
@@ -252,7 +289,7 @@ impl StreamingBellwether {
         }
         appender.finish()?;
         outcome.generation = self.source.inner().refresh()?;
-        let evicted = self.source.invalidate_regions(&dirty);
+        let evicted = self.source.invalidate_regions(dirty);
         outcome.blocks_invalidated = evicted;
         self.config
             .recorder
@@ -262,7 +299,7 @@ impl StreamingBellwether {
         // prefilter *before* the read (an over-budget region is never
         // evaluated and stays report-less), then the evaluation function
         // the cold search itself calls.
-        for &idx in &dirty {
+        for &idx in dirty {
             let region = &self.regions[idx];
             if self.cost_model.cost(&self.space, region) > self.config.budget {
                 continue;
@@ -286,28 +323,7 @@ impl StreamingBellwether {
                 self.total_items,
             );
         }
-        self.config
-            .recorder
-            .add(names::STREAM_REGIONS_RESCORED, outcome.rescored as u64);
-
-        let new_best = self.argmin();
-        if new_best != old_best {
-            let to_summary = new_best.and_then(|i| self.reports[i].as_ref());
-            let event = DriftEvent {
-                append_seq: self.appends,
-                from: old_summary.as_ref().map(|r| r.region.clone()),
-                from_label: old_summary.as_ref().map(|r| r.label.clone()),
-                from_error: old_summary.as_ref().map(|r| r.error.value),
-                to: to_summary.map(|r| r.region.clone()),
-                to_label: to_summary.map(|r| r.label.clone()),
-                to_error: to_summary.map(|r| r.error.value),
-            };
-            self.config.recorder.add(names::STREAM_DRIFT_EVENTS, 1);
-            self.drift_log.push(event.clone());
-            outcome.drift = Some(event);
-        }
-        self.best = new_best;
-        Ok(outcome)
+        Ok(())
     }
 
     /// Argmin over retained reports by `(error, source index)` — the

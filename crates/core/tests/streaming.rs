@@ -335,17 +335,18 @@ fn all_seven_builders_match_cold_rebuild() {
 #[test]
 fn drift_report_is_deterministic() {
     let cfg = StreamConfig::default();
-    let run = |tag: &str| {
+    let run = |tag: &str, recorded: bool| {
         let wl = build_stream_workload(&cfg);
         let registry = Arc::new(Registry::new());
-        let config = BellwetherConfig::builder(f64::INFINITY)
+        let mut config = BellwetherConfig::builder(f64::INFINITY)
             .min_coverage(0.0)
             .min_examples(10)
             .error_measure(ErrorMeasure::TrainingSet)
-            .parallelism(Parallelism::fixed(2))
-            .recorder(registry.clone() as Arc<dyn Recorder>)
-            .build()
-            .unwrap();
+            .parallelism(Parallelism::fixed(2));
+        if recorded {
+            config = config.recorder(registry.clone() as Arc<dyn Recorder>);
+        }
+        let config = config.build().unwrap();
         let mut engine = StreamingBellwether::create(
             &tmp_dir(tag),
             &wl.region_space,
@@ -369,12 +370,19 @@ fn drift_report_is_deterministic() {
         let mut counters = snap.counters;
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         std::fs::remove_dir_all(engine.dir()).ok();
-        (drift, counters)
+        (drift, counters, engine.search_result())
     };
-    let (drift_a, counters_a) = run("drift_a");
-    let (drift_b, counters_b) = run("drift_b");
+    let (drift_a, counters_a, result_a) = run("drift_a", true);
+    let (drift_b, counters_b, _) = run("drift_b", true);
     assert_eq!(drift_a, drift_b, "drift log must be deterministic");
     assert_eq!(counters_a, counters_b, "counter totals must be deterministic");
+
+    // The recorder only watches: an unrecorded engine reaches the same
+    // state and counts nothing.
+    let (drift_off, counters_off, result_off) = run("drift_off", false);
+    assert_eq!(drift_off, drift_a, "recorder changed the drift log");
+    assert_same_result(&result_off, &result_a, "recorder on vs off");
+    assert!(counters_off.is_empty());
 
     // The planted flip: a leaf-1 ("L1") region takes over once its
     // opening week enters the stream.
@@ -408,6 +416,57 @@ fn drift_report_is_deterministic() {
             .any(|(n, v)| n == "storage/cache_invalidations" && *v > 0),
         "cache invalidations must be counted"
     );
+    // One week an append, in time order: every dirty region of the
+    // delta cube extends its retained state, none is re-aggregated.
+    let count = |name: &str| counters_a.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+    assert!(count("stream/regions_extended").unwrap() >= count("stream/regions_dirtied").unwrap());
+    assert_eq!(count("stream/regions_rebuilt"), Some(0));
+}
+
+/// When storage fails after the cube took the rows, the append is an
+/// error — and the next append publishes the stranded dirty candidates
+/// with its own, so the engine converges on the cold rebuild.
+#[test]
+fn failed_publish_is_carried_into_the_next_append() {
+    let wl = build_stream_workload(&StreamConfig::default());
+    let mut engine = build_engine(&wl, 4, 1, f64::INFINITY, 2, "publishfail");
+    let mut healthy = build_engine(&wl, 4, 1, f64::INFINITY, 2, "publishok");
+    engine.append(&wl.input_range(4, 5)).unwrap();
+    healthy.append(&wl.input_range(4, 6)).unwrap();
+
+    // The appender cannot open a layout without its manifest.
+    let manifest = engine.dir().join("manifest.bwsm");
+    let aside = engine.dir().join("manifest.aside");
+    std::fs::rename(&manifest, &aside).unwrap();
+    assert!(engine.append(&wl.input_range(5, 6)).is_err());
+    assert_eq!(engine.appends(), 1, "failed append not counted");
+    std::fs::rename(&aside, &manifest).unwrap();
+
+    // Week 6 alone touches the intervals from [1-7] on; [1-6, *] is
+    // dirty from the failed append only.
+    let outcome = engine.append(&wl.input_range(6, 7)).unwrap();
+    assert_eq!(engine.appends(), 2);
+    let own = healthy.append(&wl.input_range(6, 7)).unwrap().dirty_candidates;
+    assert!(outcome.dirty_candidates > own, "stranded candidates republished");
+    std::fs::remove_dir_all(healthy.dir()).ok();
+
+    let cold_dir = cold_layout(&wl, 7, 2, "publishfail_cold");
+    let cold_src = ShardedSource::open(&cold_dir).unwrap();
+    let cold = basic_search(
+        &cold_src,
+        &wl.region_space,
+        &UniformCellCost { rate: 1.0 },
+        &config_for(1, f64::INFINITY),
+        wl.items.len(),
+    )
+    .unwrap();
+    assert_same_result(&engine.search_result(), &cold, "after a failed publish");
+    for idx in 0..wl.regions.len() {
+        let streamed = engine.source().read_region(idx).unwrap();
+        assert_eq!(*streamed, *cold_src.read_region(idx).unwrap(), "block {idx}");
+    }
+    std::fs::remove_dir_all(engine.dir()).ok();
+    std::fs::remove_dir_all(&cold_dir).ok();
 }
 
 /// A failed append (shape mismatch) leaves every layer untouched.

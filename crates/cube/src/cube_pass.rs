@@ -1203,6 +1203,7 @@ pub(crate) fn expansion_keys(
 
 /// Where a region's items live in its lanes — chosen from the observed
 /// item domain, never by the caller.
+#[derive(Clone)]
 enum ItemSlots {
     /// Slot = dense item index; `occupied[i]` says whether item `i` has
     /// data. Memory `O(regions × items)`, so only up to
@@ -1216,14 +1217,18 @@ enum ItemSlots {
 
 /// One region's aggregation state: `cols[m]` holds measure `m`'s lanes
 /// over the region's item slots.
-struct RegionTable {
+#[derive(Clone)]
+pub(crate) struct RegionTable {
     slots: ItemSlots,
     cols: Vec<StateCol>,
+    /// The largest base cell folded so far (runs arrive ascending). The
+    /// delta pass may fold a cell past it straight onto this state.
+    pub(crate) last_cell: u64,
 }
 
 /// Reusable per-run scratch for [`flush_run`].
 #[derive(Default)]
-struct RunScratch {
+pub(crate) struct RunScratch {
     /// Dense item index of each run entry — one `% n_items` per entry,
     /// computed once and shared across every region key and column.
     items: Vec<u32>,
@@ -1239,7 +1244,7 @@ struct RunScratch {
 /// `(region, item)` output accumulates its contributions in the same
 /// order for any sharding — a run split at a shard boundary flushes as
 /// two segments, which preserves that per-output order.
-fn flush_run(
+pub(crate) fn flush_run(
     expansion: &[u64],
     shard: &StateTable,
     run: Range<usize>,
@@ -1256,6 +1261,7 @@ fn flush_run(
     let RunScratch { items, hashed, was } = scratch;
     items.clear();
     items.extend(shard.keys[run.clone()].iter().map(|&k| (k % n_items) as u32));
+    let cell = shard.keys[run.start] / n_items;
     for &rk in expansion {
         let table = out.entry(rk).or_insert_with(|| {
             let (slots, len) = if n_items <= DENSE_ITEMS_MAX {
@@ -1266,8 +1272,10 @@ fn flush_run(
             RegionTable {
                 slots,
                 cols: shard.cols.iter().map(|c| c.new_like(len)).collect(),
+                last_cell: cell,
             }
         });
+        table.last_cell = cell;
         was.clear();
         let dsts: &[u32] = match &mut table.slots {
             ItemSlots::Dense(occupied) => {
@@ -1320,26 +1328,61 @@ pub(crate) fn ancestor_key_tables(space: &RegionSpace, ks: &KeySpace) -> Vec<Vec
         .collect()
 }
 
-/// Phase 2: roll base cells up into every containing region. Workers own
-/// disjoint region-key ranges; every worker walks all base cells in key
-/// order, so each output cell accumulates its contributions in a fixed
-/// order and no two workers ever touch the same output cell.
+/// Finalize one region's lanes into its per-item feature vectors. The
+/// table stays valid for further [`flush_run`]s: keep-last dedup
+/// composes, so deduplicating now and again after more cells is
+/// bit-equal to one dedup at the end.
+pub(crate) fn finish_region(ks: &KeySpace, table: &mut RegionTable) -> ItemFeatures {
+    for col in &mut table.cols {
+        col.dedup_distinct();
+    }
+    let n_occ = match &table.slots {
+        ItemSlots::Dense(occupied) => occupied.iter().filter(|&&o| o).count(),
+        ItemSlots::Hashed(index) => index.len(),
+    };
+    let mut items: ItemFeatures = HashMap::with_capacity(n_occ);
+    let mut emit = |item: usize, slot: usize| {
+        let values = table.cols.iter().map(|c| c.finish_at(slot)).collect();
+        items.insert(ks.items[item], values);
+    };
+    match &table.slots {
+        ItemSlots::Dense(occupied) => {
+            for (i, &occ) in occupied.iter().enumerate() {
+                if occ {
+                    emit(i, i);
+                }
+            }
+        }
+        ItemSlots::Hashed(index) => {
+            for (&item, &slot) in index {
+                emit(item as usize, slot as usize);
+            }
+        }
+    }
+    items
+}
+
+/// Phase 2's base-cell walk: roll base cells up into the columnar table
+/// of every containing region. Workers own disjoint region-key ranges;
+/// every worker walks all base cells in key order, so each output cell
+/// accumulates its contributions in a fixed order and no two workers
+/// ever touch the same output cell. Each worker hands its tables to
+/// `finish` on its own thread; the results come back in worker order.
 ///
 /// When `filter` is given (a **sorted** list of region keys), only those
-/// regions are expanded and emitted — the delta pass uses this to roll
-/// up just its dirty set. Because each kept region still accumulates
+/// regions are expanded — the delta pass uses this to rebuild regions it
+/// cannot extend in place. Because each kept region still accumulates
 /// every base cell in full key order, a filtered region's value is
-/// bit-identical to the same region in an unfiltered rollup.
-pub(crate) fn expand_rollup(
-    space: &RegionSpace,
+/// bit-identical to the same region in an unfiltered walk.
+pub(crate) fn rollup_walk<T: Send>(
     ks: &KeySpace,
+    anc_keys: &[Vec<Vec<u64>>],
     shards: &[StateTable],
     threads: usize,
     filter: Option<&[u64]>,
-) -> (HashMap<RegionId, ItemFeatures>, u64) {
-    let anc_keys = ancestor_key_tables(space, ks);
-
-    let worker = |lo: u64, hi: u64| -> (Vec<(RegionId, ItemFeatures)>, u64) {
+    finish: impl Fn(FxMap<u64, RegionTable>) -> T + Sync,
+) -> (Vec<T>, u64) {
+    let worker = |lo: u64, hi: u64| -> (T, u64) {
         // Base cells with the same coordinates are adjacent in key
         // order, so the expansion list is memoised per distinct cell
         // and the cell's items are batched into one columnar run,
@@ -1360,7 +1403,7 @@ pub(crate) fn expand_rollup(
                 }
                 if cell_key != cur_cell {
                     cur_cell = cell_key;
-                    expansion_keys(cell_key, ks, &anc_keys, lo, hi, &mut expansion);
+                    expansion_keys(cell_key, ks, anc_keys, lo, hi, &mut expansion);
                     if let Some(keep) = filter {
                         expansion.retain(|k| keep.binary_search(k).is_ok());
                     }
@@ -1377,65 +1420,48 @@ pub(crate) fn expand_rollup(
                 i = j;
             }
         }
-        let finished = out
-            .into_iter()
-            .map(|(rk, mut table)| {
-                for col in &mut table.cols {
-                    col.dedup_distinct();
-                }
-                let n_occ = match &table.slots {
-                    ItemSlots::Dense(occupied) => occupied.iter().filter(|&&o| o).count(),
-                    ItemSlots::Hashed(index) => index.len(),
-                };
-                let mut items: ItemFeatures = HashMap::with_capacity(n_occ);
-                let mut emit = |item: usize, slot: usize| {
-                    let values = table.cols.iter().map(|c| c.finish_at(slot)).collect();
-                    items.insert(ks.items[item], values);
-                };
-                match &table.slots {
-                    ItemSlots::Dense(occupied) => {
-                        for (i, &occ) in occupied.iter().enumerate() {
-                            if occ {
-                                emit(i, i);
-                            }
-                        }
-                    }
-                    ItemSlots::Hashed(index) => {
-                        for (&item, &slot) in index {
-                            emit(item as usize, slot as usize);
-                        }
-                    }
-                }
-                (RegionId(ks.decode_region(rk)), items)
-            })
-            .collect();
-        (finished, merges)
+        (finish(out), merges)
     };
 
-    let mut regions = HashMap::new();
-    let mut merges = 0;
     if threads <= 1 {
-        let (finished, m) = worker(0, ks.cell_space);
-        regions.extend(finished);
-        merges += m;
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = split_point(ks.cell_space, w, threads);
-                    let hi = split_point(ks.cell_space, w + 1, threads);
-                    let worker = &worker;
-                    s.spawn(move || worker(lo, hi))
-                })
-                .collect();
-            for h in handles {
-                let (finished, m) = h.join().expect("cube rollup worker panicked");
-                regions.extend(finished);
-                merges += m;
-            }
-        });
+        let (part, merges) = worker(0, ks.cell_space);
+        return (vec![part], merges);
     }
-    (regions, merges)
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                let lo = split_point(ks.cell_space, w, threads);
+                let hi = split_point(ks.cell_space, w + 1, threads);
+                let worker = &worker;
+                s.spawn(move || worker(lo, hi))
+            })
+            .collect();
+        let mut parts = Vec::with_capacity(threads);
+        let mut merges = 0;
+        for h in handles {
+            let (part, m) = h.join().expect("cube rollup worker panicked");
+            parts.push(part);
+            merges += m;
+        }
+        (parts, merges)
+    })
+}
+
+/// Phase 2: [`rollup_walk`] over every region, each worker finishing its
+/// own tables into the result's feature vectors.
+pub(crate) fn expand_rollup(
+    space: &RegionSpace,
+    ks: &KeySpace,
+    shards: &[StateTable],
+    threads: usize,
+) -> (HashMap<RegionId, ItemFeatures>, u64) {
+    let anc_keys = ancestor_key_tables(space, ks);
+    let (parts, merges) = rollup_walk(ks, &anc_keys, shards, threads, None, |out| {
+        out.into_iter()
+            .map(|(rk, mut table)| (RegionId(ks.decode_region(rk)), finish_region(ks, &mut table)))
+            .collect::<Vec<_>>()
+    });
+    (parts.into_iter().flatten().collect(), merges)
 }
 
 /// Run the CUBE pass over fact data with default [`Parallelism`].

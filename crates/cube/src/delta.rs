@@ -5,9 +5,9 @@
 //! in-memory kernel ([`crate::cube_pass`]) between batches of fact
 //! rows. An append folds **only the new rows** into chunk tables,
 //! merges them into the retained state in the kernel's own
-//! deterministic chunk order, and re-rolls up **only the regions whose
-//! sufficient statistics changed** (the *dirty set*) through the
-//! region-key-filtered phase 2.
+//! deterministic chunk order, and folds the touched cells onto the
+//! retained phase-2 state of **only the regions whose sufficient
+//! statistics changed** (the *dirty set*).
 //!
 //! # Delta algebra
 //!
@@ -30,9 +30,21 @@
 //! *move* from the pending tail into `complete` when a chunk boundary
 //! is crossed re-fold to bit-equal values (same rows, same order), so
 //! they are not dirty and their regions keep their previous values
-//! verbatim. The filtered rollup walks all base cells in full key
-//! order, so a dirty region's recomputed value is bit-identical to the
-//! same region in an unfiltered rollup.
+//! verbatim.
+//!
+//! # Rollup partials
+//!
+//! Phase 2 folds a region from its base cells in ascending key order.
+//! The stream retains every non-empty region's columnar phase-2 table
+//! (a *partial*) with the largest cell it has folded. A dirty region
+//! whose smallest dirty cell lies past that cell — an append at the end
+//! of the timeline, with the interval dimension as the major stride —
+//! sees the new cells as a pure suffix of its fold, so they are merged
+//! onto the partial in place: the very operations the cold pass would
+//! run, in the same order, hence bit-identical. Any other dirty region
+//! (a re-appended week, a back-fill, time as a minor stride) is rebuilt
+//! by the key-filtered cold walk over all base cells, which is the only
+//! step whose cost grows with the retained state.
 //!
 //! # Pinned item universe
 //!
@@ -44,12 +56,15 @@
 //! outside the universe is an error.
 
 use crate::cube_pass::{
-    ancestor_key_tables, chunk_range, dedup_pairs, expand_rollup, expansion_keys, fold_chunk,
-    CubeInput, CubeResult, KeySpace, Measure, StateCol, StateTable, ROW_CHUNK,
+    ancestor_key_tables, chunk_range, dedup_pairs, expansion_keys, finish_region, flush_run,
+    fold_chunk, rollup_walk, CubeInput, CubeResult, KeySpace, Measure, RegionTable, RunScratch,
+    StateCol, StateTable, ROW_CHUNK,
 };
+use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
 use std::collections::HashMap;
+use std::fmt;
 
 /// Merge every entry of the key-sorted `src` table into `dst` in one
 /// pass: existing keys merge in place (binary search against the
@@ -127,7 +142,37 @@ pub struct DeltaUpdate {
     pub rows_appended: usize,
     /// Distinct base cells the append touched.
     pub cells_dirtied: usize,
+    /// Dirty regions that took the new cells as a suffix of their
+    /// retained state.
+    pub regions_extended: usize,
+    /// Dirty regions re-aggregated from every base cell they cover —
+    /// the slow path; zero for appends at the end of the timeline.
+    pub regions_rebuilt: usize,
 }
+
+/// Why [`StreamingCube::new`] refused to build a stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StreamingCubeError {
+    /// `space` × item universe does not fit the dense key encoding;
+    /// the caller stays on cold rebuilds.
+    KeySpaceTooLarge,
+    /// The base input is malformed (column lengths, a coordinate out of
+    /// range, an item outside the universe).
+    Malformed(String),
+}
+
+impl fmt::Display for StreamingCubeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StreamingCubeError::KeySpaceTooLarge => {
+                f.write_str("region × item key space too large for dense delta keys")
+            }
+            StreamingCubeError::Malformed(why) => write!(f, "malformed base input: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for StreamingCubeError {}
 
 /// Incrementally maintained CUBE state — see the [module docs](self).
 ///
@@ -170,23 +215,25 @@ pub struct StreamingCube {
     pending: CubeInput,
     rows_total: usize,
     par: Parallelism,
+    /// Phase 2's table of every non-empty region, by region key: the
+    /// state `result` was finished from.
+    partials: FxMap<u64, RegionTable>,
     result: CubeResult,
 }
 
 impl StreamingCube {
     /// Build the stream from its base input and a pinned item
     /// universe (must contain every item id the stream will ever see;
-    /// a superset never changes any output bit). Returns `None` when
-    /// the dense key encoding cannot cover `space` × universe — the
-    /// caller then stays on cold rebuilds. Panics on a malformed base
-    /// input, like the cold passes.
+    /// a superset never changes any output bit). On
+    /// [`StreamingCubeError::KeySpaceTooLarge`] the caller stays on
+    /// cold rebuilds.
     pub fn new(
         space: &RegionSpace,
         input: &CubeInput,
         item_universe: &[i64],
         par: Parallelism,
-    ) -> Option<StreamingCube> {
-        let ks = KeySpace::build(space, item_universe)?;
+    ) -> Result<StreamingCube, StreamingCubeError> {
+        let ks = KeySpace::build(space, item_universe).ok_or(StreamingCubeError::KeySpaceTooLarge)?;
         let anc_keys = ancestor_key_tables(space, &ks);
         let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
         let mut stream = StreamingCube {
@@ -200,78 +247,71 @@ impl StreamingCube {
             pending: input.empty_like(),
             rows_total: 0,
             par,
+            partials: FxMap::default(),
             result: CubeResult {
                 measure_names,
                 regions: HashMap::new(),
             },
         };
-        stream.validate(input).unwrap_or_else(|e| panic!("{e}"));
+        stream.validate(input).map_err(StreamingCubeError::Malformed)?;
         stream.ingest(input);
-        if !input.item_ids.is_empty() {
-            let table = stream.rollup_table();
-            let (regions, _) = expand_rollup(
-                &stream.space,
-                &stream.ks,
-                std::slice::from_ref(&table),
-                stream.threads(),
-                None,
-            );
-            stream.result.regions = regions;
-        }
-        Some(stream)
+        stream.rebuild(None);
+        Ok(stream)
     }
 
     /// Append a batch of fact rows and patch the retained result.
-    /// `O(Δ)` in the new rows plus the dirty regions' rollup — never a
-    /// rescan of old chunks. Errors (shape mismatch, unknown item,
-    /// out-of-range coordinate) leave the stream unchanged.
+    /// `O(Δ · ancestors + dirty regions · items)` when every dirty
+    /// region extends its partial (see the module docs); a region that
+    /// cannot is rebuilt from the base cells it covers. Errors (shape
+    /// mismatch, unknown item, out-of-range coordinate) leave the
+    /// stream unchanged.
     pub fn append(&mut self, delta: &CubeInput) -> Result<DeltaUpdate, String> {
         let rows = delta.item_ids.len();
         let dirty_cells = self.validate(delta)?;
-        if rows == 0 {
-            return Ok(DeltaUpdate {
-                dirty_regions: Vec::new(),
-                rows_appended: 0,
-                cells_dirtied: 0,
-            });
-        }
         self.ingest(delta);
 
-        // Expand dirty cells to dirty region keys.
+        // Walk the dirty cells ascending, so a region meets its smallest
+        // dirty cell first: past the partial's last cell (or no partial
+        // yet) it extends, otherwise it is poisoned — nothing is past
+        // `u64::MAX` — and queued for the rebuild.
+        let cells = self.dirty_table(&dirty_cells);
         let mut dirty_keys: Vec<u64> = Vec::new();
+        let mut rebuild: Vec<u64> = Vec::new();
         let mut expansion: Vec<u64> = Vec::new();
-        for &cell in &dirty_cells {
-            expansion_keys(
-                cell,
-                &self.ks,
-                &self.anc_keys,
-                0,
-                self.ks.cell_space,
-                &mut expansion,
-            );
+        let mut scratch = RunScratch::default();
+        let n = self.ks.n_items;
+        let mut i = 0;
+        while i < cells.len() {
+            let cell = cells.keys[i] / n;
+            let run = i..i + cells.keys[i..].partition_point(|&k| k / n == cell);
+            expansion_keys(cell, &self.ks, &self.anc_keys, 0, self.ks.cell_space, &mut expansion);
             dirty_keys.extend_from_slice(&expansion);
+            expansion.retain(|rk| match self.partials.get_mut(rk) {
+                Some(partial) if partial.last_cell >= cell => {
+                    if partial.last_cell != u64::MAX {
+                        partial.last_cell = u64::MAX;
+                        rebuild.push(*rk);
+                    }
+                    false
+                }
+                _ => true,
+            });
+            flush_run(&expansion, &cells, run.clone(), n, &mut self.partials, &mut scratch, &mut 0);
+            i = run.end;
         }
         dirty_keys.sort_unstable();
         dirty_keys.dedup();
+        if !rebuild.is_empty() {
+            rebuild.sort_unstable();
+            self.rebuild(Some(&rebuild));
+        }
 
-        let table = self.rollup_table();
-        let (mut patched, _) = expand_rollup(
-            &self.space,
-            &self.ks,
-            std::slice::from_ref(&table),
-            self.threads(),
-            Some(&dirty_keys),
-        );
         let mut dirty_regions = Vec::with_capacity(dirty_keys.len());
         for &rk in &dirty_keys {
             let id = RegionId(self.ks.decode_region(rk));
-            match patched.remove(&id) {
-                Some(items) => {
-                    self.result.regions.insert(id.clone(), items);
-                }
-                None => {
-                    self.result.regions.remove(&id);
-                }
+            if rebuild.binary_search(&rk).is_err() {
+                let partial = self.partials.get_mut(&rk).expect("dirty regions hold data");
+                self.result.regions.insert(id.clone(), finish_region(&self.ks, partial));
             }
             dirty_regions.push(id);
         }
@@ -279,6 +319,8 @@ impl StreamingCube {
             dirty_regions,
             rows_appended: rows,
             cells_dirtied: dirty_cells.len(),
+            regions_extended: dirty_keys.len() - rebuild.len(),
+            regions_rebuilt: rebuild.len(),
         })
     }
 
@@ -348,6 +390,63 @@ impl StreamingCube {
         merge_delta_into(&mut table, &tail);
         table
     }
+
+    /// [`Self::rollup_table`] restricted to `cells` (ascending base
+    /// cells), without touching any other retained entry: each cell's
+    /// slice of `complete`, then the pending rows that fall in `cells`.
+    fn dirty_table(&self, cells: &[u64]) -> StateTable {
+        let n = self.ks.n_items;
+        let mut table = StateTable {
+            keys: Vec::new(),
+            cols: self.complete.cols.iter().map(|c| c.new_like(0)).collect(),
+        };
+        let (mut dsts, mut was): (Vec<u32>, Vec<bool>) = (Vec::new(), Vec::new());
+        for &cell in cells {
+            let r = self.complete.range_of(cell * n, (cell + 1) * n);
+            dsts.clear();
+            dsts.extend(table.len() as u32..(table.len() + r.len()) as u32);
+            was.resize(r.len(), false);
+            table.keys.extend_from_slice(&self.complete.keys[r.clone()]);
+            for (col, src) in table.cols.iter_mut().zip(&self.complete.cols) {
+                col.resize_default(table.keys.len());
+                col.merge_from(src, r.clone(), &dsts, &was);
+            }
+        }
+        let key_of = self.ks.key_fn(&self.pending);
+        let in_cells = |row: usize, coords: &[u32]| {
+            key_of(row, coords).filter(|key| cells.binary_search(&(key / n)).is_ok())
+        };
+        let rows = 0..self.pending.item_ids.len();
+        let tail = fold_chunk(&self.pending, self.space.arity(), rows, &in_cells);
+        merge_delta_into(&mut table, &tail);
+        table
+    }
+
+    /// Roll the regions in `filter` (sorted region keys; `None` = all)
+    /// up from every base cell through the cold walk, replacing their
+    /// partials and results.
+    fn rebuild(&mut self, filter: Option<&[u64]>) {
+        let table = self.rollup_table();
+        let ks = &self.ks;
+        let (parts, _) = rollup_walk(
+            ks,
+            &self.anc_keys,
+            std::slice::from_ref(&table),
+            self.threads(),
+            filter,
+            |mut out| {
+                let finished: Vec<_> = out
+                    .iter_mut()
+                    .map(|(&rk, t)| (RegionId(ks.decode_region(rk)), finish_region(ks, t)))
+                    .collect();
+                (out, finished)
+            },
+        );
+        for (tables, finished) in parts {
+            self.partials.extend(tables);
+            self.result.regions.extend(finished);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -377,6 +476,186 @@ mod tests {
             }
             assert_eq!(stream.rows(), 700 + 900 + 3000 + 1 + 650 + 4096 + 77);
         }
+    }
+
+    /// `gen_input` rows moved onto the given weeks and location leaves.
+    fn rows_at(seed: u64, rows: usize, items: &[i64], weeks: &[u32], leaves: &[u32]) -> CubeInput {
+        let mut input = gen_input(seed, rows, items);
+        for c in input.coords.chunks_mut(2) {
+            c[0] = weeks[c[0] as usize % weeks.len()];
+            let leaf = ALL_LEAVES.iter().position(|&l| l == c[1]).expect("a leaf of `space`");
+            c[1] = leaves[leaf % leaves.len()];
+        }
+        input
+    }
+
+    /// Append `batches` in turn at threads {1, 2, 4}, holding every step
+    /// bit-identical to the cold pass over the concatenation; the
+    /// updates (the same at every thread count) come back.
+    fn check_schedule(
+        space: &RegionSpace,
+        universe: &[i64],
+        base: &CubeInput,
+        batches: &[CubeInput],
+    ) -> Vec<DeltaUpdate> {
+        let mut updates: Vec<DeltaUpdate> = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let par = Parallelism::fixed(threads);
+            let mut stream = StreamingCube::new(space, base, universe, par).unwrap();
+            let mut concat = base.clone();
+            for (i, batch) in batches.iter().enumerate() {
+                let update = stream.append(batch).unwrap();
+                concat.extend(batch);
+                let cold = cube_pass_with(space, &concat, par, None);
+                let what = format!("threads={threads} batch {i}");
+                assert_bit_identical(stream.result(), &cold, &what);
+                assert_eq!(
+                    update.regions_extended + update.regions_rebuilt,
+                    update.dirty_regions.len()
+                );
+                if threads == 1 {
+                    updates.push(update);
+                } else {
+                    assert_eq!(update.dirty_regions, updates[i].dirty_regions);
+                    assert_eq!(update.regions_rebuilt, updates[i].regions_rebuilt);
+                }
+            }
+        }
+        updates
+    }
+
+    const ALL_LEAVES: [u32; 3] = [2, 3, 5];
+
+    #[test]
+    fn in_order_weeks_extend_every_dirty_region() {
+        let items: Vec<i64> = (0..30).collect();
+        let base = rows_at(1, 600, &items, &[0], &ALL_LEAVES);
+        // One week a batch: short of the chunk boundary, across it,
+        // across two in one batch, exactly onto one (empty pending
+        // tail), and a single row.
+        let batches: Vec<CubeInput> = [400usize, 3500, 9000, 2884, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &rows)| rows_at(10 + i as u64, rows, &items, &[i as u32 + 1], &ALL_LEAVES))
+            .collect();
+        assert_eq!(600 + 400 + 3500 + 9000 + 2884, 4 * ROW_CHUNK);
+        for update in check_schedule(&space(), &items, &base, &batches) {
+            assert!(update.regions_extended > 0);
+            assert_eq!(update.regions_rebuilt, 0, "an append at the end of the timeline");
+        }
+    }
+
+    #[test]
+    fn reappended_week_backfill_and_mixed_batch_rebuild() {
+        let items: Vec<i64> = (0..30).collect();
+        let base = rows_at(2, 500, &items, &[0, 1, 3], &ALL_LEAVES);
+        let mut mixed = rows_at(23, 200, &items, &[4], &[2]); // existing cells, WI
+        mixed.extend(&rows_at(24, 200, &items, &[5], &[3])); // new cells, MD
+        let batches = [
+            rows_at(20, 300, &items, &[4], &ALL_LEAVES),
+            rows_at(21, 300, &items, &[4], &ALL_LEAVES), // the same week again
+            rows_at(22, 300, &items, &[2], &ALL_LEAVES), // back-fill
+            mixed,
+        ];
+        let updates = check_schedule(&space(), &items, &base, &batches);
+        assert_eq!(updates[0].regions_rebuilt, 0);
+        assert_eq!(updates[1].regions_extended, 0);
+        // The back-filled week is a suffix only of [1-3, *], which ends
+        // before the weeks that came after it.
+        assert_eq!((updates[2].regions_extended, updates[2].regions_rebuilt), (6, 18));
+        // [1-6, MD] holds only the new cell; [1-6, US] also an old one.
+        assert!(updates[3].regions_extended > 0 && updates[3].regions_rebuilt > 0);
+    }
+
+    #[test]
+    fn time_as_minor_stride_falls_back_on_ancestor_regions() {
+        let by_time = space();
+        let by_loc = RegionSpace::new(by_time.dims().iter().rev().cloned().collect());
+        let items: Vec<i64> = (0..30).collect();
+        let swapped = |mut input: CubeInput| {
+            input.coords.chunks_mut(2).for_each(|c| c.swap(0, 1));
+            input
+        };
+        let base = swapped(rows_at(3, 500, &items, &[0, 1], &ALL_LEAVES));
+        let batches: Vec<CubeInput> = (2..5)
+            .map(|w| swapped(rows_at(30 + w as u64, 300, &items, &[w], &ALL_LEAVES)))
+            .collect();
+        for update in check_schedule(&by_loc, &items, &base, &batches) {
+            // (WI, week w) sorts before (MD, week w - 1): leaf regions
+            // still extend, US and All do not.
+            assert!(update.regions_extended > 0 && update.regions_rebuilt > 0);
+        }
+    }
+
+    #[test]
+    fn region_first_filled_by_an_append() {
+        let items: Vec<i64> = (0..30).collect();
+        let base = rows_at(4, 400, &items, &[0, 1, 2], &[2, 3]);
+        let batches = [
+            rows_at(40, 200, &items, &[3], &[5]), // B and B1 hold nothing yet
+            rows_at(41, 200, &items, &[0], &[5]), // [1-1..3, B1] are new, [1-4.., B1] are not
+        ];
+        let updates = check_schedule(&space(), &items, &base, &batches);
+        assert_eq!(updates[0].regions_rebuilt, 0);
+        assert!(updates[1].regions_extended > 0 && updates[1].regions_rebuilt > 0);
+    }
+
+    #[test]
+    fn hashed_item_slots_extend_in_place() {
+        // A universe past 2^16 items puts every region on hash-assigned
+        // item slots, which an extension grows.
+        let universe: Vec<i64> = (0..(1 << 16) + 2).collect();
+        let items: Vec<i64> = (0..40).map(|i| i * 1500).collect();
+        let base = rows_at(5, 400, &items[..25], &[0, 1], &ALL_LEAVES);
+        let batches: Vec<CubeInput> = (2..5)
+            .map(|w| rows_at(50 + w as u64, 300, &items, &[w], &ALL_LEAVES))
+            .collect();
+        for update in check_schedule(&space(), &universe, &base, &batches) {
+            assert_eq!(update.regions_rebuilt, 0);
+        }
+    }
+
+    #[test]
+    fn clones_diverge_independently() {
+        let space = space();
+        let items: Vec<i64> = (0..30).collect();
+        let base = rows_at(6, 500, &items, &[0, 1, 2], &ALL_LEAVES);
+        let par = Parallelism::fixed(2);
+        let mut a = StreamingCube::new(&space, &base, &items, par).unwrap();
+        let mut b = a.clone();
+        let (da, db) = (
+            rows_at(60, 300, &items, &[3], &ALL_LEAVES),
+            rows_at(61, 300, &items, &[3, 4], &ALL_LEAVES),
+        );
+        assert_eq!(a.append(&da).unwrap().regions_rebuilt, 0);
+        assert_eq!(b.append(&db).unwrap().regions_rebuilt, 0);
+        for (stream, delta) in [(&a, &da), (&b, &db)] {
+            let mut concat = base.clone();
+            concat.extend(delta);
+            let cold = cube_pass_with(&space, &concat, par, None);
+            assert_bit_identical(stream.result(), &cold, "diverged clone");
+        }
+    }
+
+    #[test]
+    fn malformed_base_is_an_error_not_a_panic() {
+        let space = space();
+        let items: Vec<i64> = (0..8).collect();
+        let par = Parallelism::fixed(1);
+        let mut bad = gen_input(15, 20, &items);
+        bad.coords[1] = 99;
+        let err = StreamingCube::new(&space, &bad, &items, par).err().unwrap();
+        assert!(matches!(&err, StreamingCubeError::Malformed(why) if why.contains("out of range")));
+        let base = gen_input(15, 20, &items);
+        let err = StreamingCube::new(&space, &base, &items[..2], par).err().unwrap();
+        assert!(matches!(&err, StreamingCubeError::Malformed(why) if why.contains("universe")));
+        let wide = RegionSpace::new(vec![
+            crate::dimension::Dimension::Interval { name: "T".into(), max_t: u32::MAX };
+            3
+        ]);
+        let empty = gen_input(0, 1, &items).empty_like();
+        let err = StreamingCube::new(&wide, &empty, &items, par).err().unwrap();
+        assert_eq!(err, StreamingCubeError::KeySpaceTooLarge);
     }
 
     #[test]

@@ -666,7 +666,7 @@ pub(crate) fn cube_pass_runs(
     // Phase 2: the rollup (segmentation-tolerant).
     let (regions, merges_2) = {
         let _t = span!(rec, "cube_pass/phase2_rollup");
-        expand_rollup(space, &ks, &shards, threads, None)
+        expand_rollup(space, &ks, &shards, threads)
     };
 
     rec.add(names::CUBE_PASS_ROWS_SCANNED, total_rows as u64);

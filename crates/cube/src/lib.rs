@@ -53,7 +53,7 @@ pub use cube_pass::{
     aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_reference,
     cube_pass_traced, cube_pass_with, CubeInput, CubeResult, Measure,
 };
-pub use delta::{DeltaUpdate, StreamingCube};
+pub use delta::{DeltaUpdate, StreamingCube, StreamingCubeError};
 pub use external::{cube_pass_external, RUN_CHUNKS, UNLIMITED_BUDGET};
 pub use parallel::{Parallelism, DEFAULT_MIN_CHUNK};
 pub use dimension::{Dimension, HierNode, Hierarchy};

@@ -112,6 +112,13 @@ pub const STREAM_APPENDS: &str = "stream/appends";
 /// Candidate regions whose sufficient statistics changed under an
 /// append (the dirty set).
 pub const STREAM_REGIONS_DIRTIED: &str = "stream/regions_dirtied";
+/// Dirty regions of the whole region space whose retained rollup state
+/// took an append's cells as a suffix (the delta cube's fast path).
+pub const STREAM_REGIONS_EXTENDED: &str = "stream/regions_extended";
+/// Dirty regions the delta cube re-aggregated from every base cell they
+/// cover (re-appended weeks, back-fills, time as a minor dimension). A
+/// stream whose appends arrive in time order keeps this at zero.
+pub const STREAM_REGIONS_REBUILT: &str = "stream/regions_rebuilt";
 /// Dirty regions actually re-scored after an append (dirty minus the
 /// over-budget candidates the search would never read).
 pub const STREAM_REGIONS_RESCORED: &str = "stream/regions_rescored";

@@ -17,6 +17,13 @@
 //! `ScanPolicy::SkipUnreadable` scan). They stay zero on this healthy
 //! run; `examples/fault_tolerance.rs` exercises all four.
 //!
+//! A short streaming section appends three weeks to a
+//! `StreamingBellwether` — two in time order, then the first of them
+//! again — and prints the `stream/*` counters: `regions_extended`
+//! (dirty regions whose retained rollup state took the new cells in
+//! place) against `regions_rebuilt` (dirty regions re-aggregated from
+//! everything they cover, which only the repeated week causes).
+//!
 //! Run with: `cargo run --release --example observability`
 
 use bellwether::prelude::*;
@@ -194,6 +201,44 @@ fn main() {
         snap.cache_hit_rate() * 100.0,
         snap.cache_evictions()
     );
+
+    // ---- streaming appends: in time order every dirty region extends
+    // its retained rollup state; a week appended again falls back to
+    // re-aggregation, and the counters say so.
+    let wl = bellwether::datagen::build_stream_workload(&Default::default());
+    let stream_dir = std::env::temp_dir().join("bellwether_observability_stream");
+    std::fs::remove_dir_all(&stream_dir).ok();
+    let mut engine = bellwether::core::StreamingBellwether::create(
+        &stream_dir,
+        &wl.region_space,
+        &wl.input_range(0, 4),
+        &wl.item_universe(),
+        wl.items.clone(),
+        wl.target_map(),
+        wl.regions.clone(),
+        std::sync::Arc::new(UniformCellCost { rate: 1.0 }),
+        problem.clone(),
+        wl.items.len(),
+        2,
+        1 << 20,
+    )
+    .unwrap();
+    let stream_count = |name: &str| reg.snapshot().counter(name).unwrap_or(0);
+    for week in [4, 5] {
+        engine.append(&wl.input_range(week, week + 1)).unwrap();
+    }
+    assert_eq!(stream_count("stream/regions_rebuilt"), 0);
+    println!(
+        "2 appends in time order: {} dirty regions extended in place, 0 rebuilt",
+        stream_count("stream/regions_extended")
+    );
+    engine.append(&wl.input_range(4, 5)).unwrap();
+    println!(
+        "week 5 appended again: {} regions rebuilt from everything they cover",
+        stream_count("stream/regions_rebuilt")
+    );
+    assert!(stream_count("stream/regions_rebuilt") > 0);
+    std::fs::remove_dir_all(&stream_dir).ok();
 
     // ---- one span per RainForest level scan (Lemma 1, observed).
     let snap = reg.snapshot();

@@ -4,6 +4,9 @@
 //!   region, for arbitrary fact data;
 //! * the parallel CUBE kernel is bit-identical to the sequential one
 //!   for every tested thread count, space shape and measure mix;
+//! * the delta CUBE is bit-identical to the cold pass over the
+//!   concatenation after every append of a random schedule, and
+//!   time-ordered appends never leave its fast path;
 //! * lattice rollup of counts agrees with the naive per-cell definition;
 //! * iceberg pruning returns exactly the brute-force feasible set;
 //! * the Theorem-1 statistic is merge-order invariant and subtraction
@@ -13,7 +16,7 @@
 use bellwether::prelude::*;
 use bellwether_cube::{
     aggregate_filtered, cube_pass_with, feasible_regions, feasible_regions_naive,
-    rollup_lattice, rollup_naive, Constraints, CubeResult, Measure, Parallelism,
+    rollup_lattice, rollup_naive, Constraints, CubeResult, Measure, Parallelism, StreamingCube,
 };
 use bellwether_prop::{check, Rng};
 use std::collections::HashMap;
@@ -212,6 +215,90 @@ fn parallel_cube_pass_is_bit_identical_to_sequential() {
         for threads in 2..=8 {
             let par = cube_pass_with(&s, &input, Parallelism::fixed(threads), None);
             assert_bit_identical(&seq, &par);
+        }
+    });
+}
+
+/// Rows `rows` of `input` as an input of their own.
+fn slice_input(input: &CubeInput, rows: std::ops::Range<usize>, arity: usize) -> CubeInput {
+    CubeInput {
+        item_ids: input.item_ids[rows.clone()].to_vec(),
+        coords: input.coords[rows.start * arity..rows.end * arity].to_vec(),
+        measures: input
+            .measures
+            .iter()
+            .map(|m| match m {
+                Measure::Numeric { name, func, values } => Measure::Numeric {
+                    name: name.clone(),
+                    func: *func,
+                    values: values[rows.clone()].to_vec(),
+                },
+                Measure::DistinctKeyed { name, func, keys, values } => Measure::DistinctKeyed {
+                    name: name.clone(),
+                    func: *func,
+                    keys: keys[rows.clone()].to_vec(),
+                    values: values[rows.clone()].to_vec(),
+                },
+            })
+            .collect(),
+    }
+}
+
+/// The delta CUBE equals the cold pass over everything seen so far
+/// after *every* append, at threads {1, 2, 4}, for random spaces
+/// (any dimension order), measure mixes and batch sizes up to a few
+/// chunks. Where time is the major dimension and each batch is one time
+/// point in order, every dirty region must extend its retained state —
+/// none may be re-aggregated.
+#[test]
+fn streaming_cube_matches_cold_pass_on_random_schedules() {
+    check("streaming_cube_matches_cold_pass", 10, |rng| {
+        let (s, leaf_pools) = random_space(rng);
+        let arity = leaf_pools.len();
+        let n = rng.usize_in(1, 10_000);
+        let in_order = matches!(s.dims()[0], Dimension::Interval { .. }) && rng.flip(0.7);
+        let mut times: Vec<u32> = (0..n).map(|_| *rng.choice(&leaf_pools[0])).collect();
+        if in_order {
+            times.sort_unstable();
+        }
+        let coords: Vec<u32> = times
+            .iter()
+            .flat_map(|&t| {
+                let rest = leaf_pools[1..].iter().map(|pool| *rng.choice(pool));
+                std::iter::once(t).chain(rest).collect::<Vec<_>>()
+            })
+            .collect();
+        let input = CubeInput {
+            item_ids: (0..n).map(|_| rng.i64_in(0, 8)).collect(),
+            coords,
+            measures: (0..rng.usize_in(1, 4)).map(|i| random_measure(rng, i, n)).collect(),
+        };
+        // Batch ends: every change of time point when in order (so no
+        // time point is ever appended twice), a few random cuts if not.
+        let mut cuts: Vec<usize> = if in_order {
+            (1..n).filter(|&r| times[r] != times[r - 1]).collect()
+        } else {
+            (0..rng.usize_in(1, 5)).map(|_| rng.usize_in(0, n + 1)).collect()
+        };
+        cuts.push(n);
+        cuts.sort_unstable();
+        let universe: Vec<i64> = (0..8).collect();
+        for threads in [1usize, 2, 4] {
+            let par = Parallelism::fixed(threads);
+            let base = slice_input(&input, 0..cuts[0], arity);
+            let mut stream = StreamingCube::new(&s, &base, &universe, par).unwrap();
+            for w in cuts.windows(2) {
+                let update = stream.append(&slice_input(&input, w[0]..w[1], arity)).unwrap();
+                let cold = cube_pass_with(&s, &slice_input(&input, 0..w[1], arity), par, None);
+                assert_bit_identical(stream.result(), &cold);
+                assert_eq!(
+                    update.regions_extended + update.regions_rebuilt,
+                    update.dirty_regions.len()
+                );
+                if in_order {
+                    assert_eq!(update.regions_rebuilt, 0, "time-ordered append left the fast path");
+                }
+            }
         }
     });
 }
