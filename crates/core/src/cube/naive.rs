@@ -5,9 +5,11 @@
 use super::{BellwetherCube, CubeConfig, SubsetCell};
 use crate::error::{BellwetherError, Result};
 use crate::eval::{record_eval_stats, RegionEvalScratch};
+use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
 use crate::scan::{merge_skipped, scan_regions_policy, BestRegion, WithScratch};
 use crate::training::block_subset_data;
+use crate::tree::block_subset_error_with;
 use bellwether_cube::{RegionId, RegionSpace};
 use bellwether_linreg::fit_wls;
 use bellwether_obs::{names, span};
@@ -71,6 +73,7 @@ pub(crate) fn subset_cell_scanned(
     ids: &HashSet<i64>,
     problem: &BellwetherConfig,
 ) -> Result<(Option<SubsetCell>, Vec<usize>)> {
+    let members: ItemIndex = ids.iter().copied().collect();
     let scanned = scan_regions_policy(
         source,
         problem.parallelism,
@@ -80,12 +83,8 @@ pub(crate) fn subset_cell_scanned(
             scratch: RegionEvalScratch::new(),
         },
         |ws: &mut WithScratch<BestRegion, RegionEvalScratch>, idx, block| {
-            ws.scratch.gather(block, Some(ids));
-            if ws.scratch.data.n() < problem.min_examples.max(1) {
-                return Ok(());
-            }
-            if let Some(e) = ws.scratch.estimate(problem) {
-                ws.acc.observe(idx, e.value);
+            if let Some(err) = block_subset_error_with(block, &members, problem, &mut ws.scratch) {
+                ws.acc.observe(idx, err);
             }
             Ok(())
         },

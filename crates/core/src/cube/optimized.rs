@@ -18,13 +18,14 @@ use super::naive::finalize_cell;
 use super::{BellwetherCube, CubeConfig};
 use crate::error::{BellwetherError, Result};
 use crate::eval::{record_eval_stats, RegionEvalScratch};
+use crate::items::ItemIndex;
 use crate::problem::{BellwetherConfig, ErrorMeasure};
-use crate::scan::{scan_regions_policy, MergeableAccumulator, WithScratch};
+use crate::scan::{scan_regions_policy, MergeableAccumulator, Scanned, WithScratch};
 use crate::seeded::hash_fold;
 use bellwether_cube::{rollup_lattice, Parallelism, RegionId, RegionSpace};
 use bellwether_linreg::{FoldedSuffStats, RegSuffStats};
 use bellwether_obs::{names, span};
-use bellwether_storage::TrainingSource;
+use bellwether_storage::{RegionBlock, TrainingSource};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -70,6 +71,105 @@ impl<V: Ranked + Send> MergeableAccumulator for BestMap<V> {
     }
 }
 
+/// The base cells of a build — the distinct leaf-coordinate combinations
+/// its items sit at — with each item's cell resolved once, so the
+/// per-example step of the base aggregation is an id lookup and two
+/// array loads instead of a coordinate-vector clone and hash.
+struct BaseCells {
+    index: ItemIndex,
+    /// Per position of `index`: the item's slot in `cells`.
+    cell_of: Vec<u32>,
+    /// Leaf coordinates, ascending.
+    cells: Vec<RegionId>,
+}
+
+impl BaseCells {
+    fn new(item_coords: &HashMap<i64, Vec<u32>>) -> Self {
+        let mut cells: Vec<RegionId> =
+            item_coords.values().map(|c| RegionId(c.clone())).collect();
+        cells.sort();
+        cells.dedup();
+        let (ids, cell_of): (Vec<i64>, Vec<u32>) = item_coords
+            .iter()
+            .map(|(&id, coords)| {
+                let cell = cells.binary_search_by(|c| c.0.cmp(coords));
+                (id, cell.expect("every item's cell was collected") as u32)
+            })
+            .unzip();
+        BaseCells {
+            index: ItemIndex::new(&ids),
+            cell_of,
+            cells,
+        }
+    }
+
+    /// One statistic per base cell with examples in `block`, each fed
+    /// its rows (`add(stat, row, item id)`) in ascending order; examples
+    /// of items without coordinates are skipped.
+    fn aggregate<S>(
+        &self,
+        block: &RegionBlock,
+        new: impl Fn() -> S,
+        mut add: impl FnMut(&mut S, usize, i64),
+    ) -> HashMap<RegionId, S> {
+        let mut stats: Vec<Option<S>> = self.cells.iter().map(|_| None).collect();
+        for (row, &id) in block.item_ids.iter().enumerate() {
+            let Some(item) = self.index.get(id) else { continue };
+            let cell = self.cell_of[item] as usize;
+            add(stats[cell].get_or_insert_with(&new), row, id);
+        }
+        let filled = self.cells.iter().zip(stats);
+        filled
+            .filter_map(|(cell, stat)| Some((cell.clone(), stat?)))
+            .collect()
+    }
+}
+
+/// The optimized cube's scan: per significant subset, the region whose
+/// rolled-up statistic gives the lowest training-set error.
+fn scan_best(
+    source: &dyn TrainingSource,
+    item_space: &RegionSpace,
+    item_coords: &HashMap<i64, Vec<u32>>,
+    order: &[RegionId],
+    problem: &BellwetherConfig,
+) -> Result<Scanned<BestMap<(usize, f64)>>> {
+    let p = source.feature_arity();
+    let base_cells = BaseCells::new(item_coords);
+    scan_regions_policy(
+        source,
+        problem.parallelism,
+        problem.scan_policy,
+        || BestMap(HashMap::new()),
+        |acc: &mut BestMap<(usize, f64)>, idx, block| {
+            // Base aggregation: one suffstats update per example, read
+            // straight from the block's feature lanes.
+            let base = base_cells.aggregate(
+                block,
+                || RegSuffStats::new(p),
+                |stats, row, _| stats.add_from_cols(block.cols(), row, block.targets[row], 1.0),
+            );
+
+            // Lattice rollup: merge statistics upward (Observation 1).
+            let rolled = rollup_lattice(item_space, base, |a, b| a.merge(b));
+
+            // Read each significant subset's error from its statistic.
+            for subset in order {
+                let Some(stats) = rolled.get(subset) else { continue };
+                if stats.n() < problem.min_examples.max(1) {
+                    continue;
+                }
+                let Some(err) = stats.rmse() else { continue };
+                let slot = acc.0.entry(subset.clone()).or_insert((idx, f64::INFINITY));
+                if err < slot.1 {
+                    *slot = (idx, err);
+                }
+            }
+            Ok(())
+        },
+    )
+}
+
 /// Build a bellwether cube with the algebraic-rollup optimization.
 pub fn build_optimized_cube(
     source: &dyn TrainingSource,
@@ -88,42 +188,7 @@ pub fn build_optimized_cube(
     }
     let _timer = span!(problem.recorder, "cube/optimized");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
-    let p = source.feature_arity();
-
-    let scanned = scan_regions_policy(
-        source,
-        problem.parallelism,
-        problem.scan_policy,
-        || BestMap(HashMap::new()),
-        |acc: &mut BestMap<(usize, f64)>, idx, block| {
-            // Base aggregation: one suffstats update per example, read
-            // straight from the block's feature lanes.
-            let mut base: HashMap<RegionId, RegSuffStats> = HashMap::new();
-            for (i, id) in block.item_ids.iter().enumerate() {
-                let Some(coords) = item_coords.get(id) else { continue };
-                base.entry(RegionId(coords.clone()))
-                    .or_insert_with(|| RegSuffStats::new(p))
-                    .add_from_cols(block.cols(), i, block.targets[i], 1.0);
-            }
-
-            // Lattice rollup: merge statistics upward (Observation 1).
-            let rolled = rollup_lattice(item_space, base, |a, b| a.merge(b));
-
-            // Read each significant subset's error from its statistic.
-            for subset in &index.order {
-                let Some(stats) = rolled.get(subset) else { continue };
-                if stats.n() < problem.min_examples.max(1) {
-                    continue;
-                }
-                let Some(err) = stats.rmse() else { continue };
-                let slot = acc.0.entry(subset.clone()).or_insert((idx, f64::INFINITY));
-                if err < slot.1 {
-                    *slot = (idx, err);
-                }
-            }
-            Ok(())
-        },
-    )?;
+    let scanned = scan_best(source, item_space, item_coords, &index.order, problem)?;
     scanned.record_skipped(problem.recorder.as_ref());
     let best = scanned.acc.0;
 
@@ -189,6 +254,7 @@ pub fn build_optimized_cube_cv(
     let _timer = span!(problem.recorder, "cube/optimized_cv");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
     let p = source.feature_arity();
+    let base_cells = BaseCells::new(item_coords);
 
     // best[subset] = (region idx, cv error, fold rmses). Runs through
     // the shared scan engine for the one-idiom property, but pinned
@@ -205,13 +271,14 @@ pub fn build_optimized_cube_cv(
         |ws: &mut CvScanState, idx, block| {
             let WithScratch { acc, scratch } = ws;
             // Base aggregation, one folded statistic per base subset.
-            let mut base: HashMap<RegionId, FoldedSuffStats> = HashMap::new();
-            for (i, &id) in block.item_ids.iter().enumerate() {
-                let Some(coords) = item_coords.get(&id) else { continue };
-                base.entry(RegionId(coords.clone()))
-                    .or_insert_with(|| FoldedSuffStats::new(p, folds))
-                    .add_from_cols(block.cols(), i, block.targets[i], 1.0, hash_fold(id, folds, seed));
-            }
+            let base = base_cells.aggregate(
+                block,
+                || FoldedSuffStats::new(p, folds),
+                |stats, row, id| {
+                    let fold = hash_fold(id, folds, seed);
+                    stats.add_from_cols(block.cols(), row, block.targets[row], 1.0, fold);
+                },
+            );
 
             // Rollup: merge folded statistics (total + per-fold).
             let rolled = rollup_lattice(item_space, base, |a, b| a.merge(b));
@@ -326,6 +393,49 @@ mod tests {
                 scell.error.value,
                 ocell.error.value
             );
+        }
+    }
+
+    #[test]
+    fn scan_errors_are_bit_equal_from_run_to_run() {
+        use bellwether_cube::{Dimension, Hierarchy};
+        use bellwether_storage::MemorySource;
+        // Six base cells under one root: the root's statistic is a
+        // six-way float merge, whose low bits follow the merge order.
+        let leaves = ["g0", "g1", "g2", "g3", "g4", "g5"];
+        let item_space = RegionSpace::new(vec![Dimension::Hierarchy(Hierarchy::flat(
+            "G", "Any", &leaves,
+        ))]);
+        let coords: HashMap<i64, Vec<u32>> =
+            (0..60).map(|id| (id, vec![1 + (id % 6) as u32])).collect();
+        let mut rng = bellwether_prop::Rng::new(3);
+        let blocks = (0..6)
+            .map(|r| {
+                let mut b = RegionBlock::new(vec![r], 3);
+                for id in 0..60 {
+                    let x = [1.0, rng.f64_in(-9.0, 9.0), rng.f64_in(0.0, 1e3)];
+                    b.push(id, &x, rng.f64_in(-50.0, 50.0));
+                }
+                b
+            })
+            .collect();
+        let src = MemorySource::new(blocks);
+        let order = super::super::significant_subsets(&item_space, &coords, &cfg())
+            .unwrap()
+            .order;
+        assert_eq!(order.len(), 7);
+        let run = || {
+            let best = scan_best(&src, &item_space, &coords, &order, &problem()).unwrap();
+            let errors: Vec<_> = order
+                .iter()
+                .map(|s| best.acc.0.get(s).map(|&(idx, err)| (idx, err.to_bits())))
+                .collect();
+            assert!(errors.iter().all(Option::is_some));
+            errors
+        };
+        let first = run();
+        for _ in 0..8 {
+            assert_eq!(run(), first);
         }
     }
 

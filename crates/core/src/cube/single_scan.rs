@@ -8,6 +8,7 @@ use super::naive::finalize_cell;
 use super::{BellwetherCube, CubeConfig};
 use crate::error::Result;
 use crate::eval::{record_eval_stats, PartitionScratch};
+use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions_policy, BestRegion, WithScratch};
 use crate::tree::partition::PartitionSpec;
@@ -28,11 +29,17 @@ pub fn build_single_scan_cube(
     let _timer = span!(problem.recorder, "cube/single_scan");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
     // Cube subsets overlap (they are nested), so each subset gets its
-    // own single-set routing table, built once for the whole scan.
+    // own one-child routing table over the item universe, built once
+    // for the whole scan; a block's ids are resolved once for all of
+    // them.
+    let universe: ItemIndex = item_coords.keys().copied().collect();
     let subset_specs: Vec<PartitionSpec> = index
         .order
         .iter()
-        .map(|s| PartitionSpec::new(std::slice::from_ref(&index.members[s])))
+        .map(|s| {
+            let members = index.members[s].iter().filter_map(|&id| universe.get(id));
+            PartitionSpec::new(universe.len(), [members])
+        })
         .collect();
 
     // MinError[S] / BellwetherRegion[S], updated region by region via
@@ -51,6 +58,7 @@ pub fn build_single_scan_cube(
             // block — the per-subset refits the optimized variant
             // eliminates.
             let WithScratch { acc, scratch } = ws;
+            scratch.resolve(&universe, block);
             for (slot, spec) in subset_specs.iter().enumerate() {
                 if let Some(err) = scratch.errors(spec, block, problem)[0] {
                     acc[slot].observe(idx, err);

@@ -11,23 +11,20 @@
 //! along scan accumulators via [`crate::scan::WithScratch`] and their
 //! work counters merge deterministically across worker chunks.
 
+use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
 use crate::scan::ScanScratch;
 use crate::tree::partition::PartitionSpec;
 use bellwether_linreg::{ErrorEstimate, EvalScratch, EvalStats, LinearModel, RegressionData};
 use bellwether_obs::{names, Recorder};
 use bellwether_storage::RegionBlock;
-use std::collections::HashSet;
 
 /// Reusable per-worker scratch for single-subset region evaluation: a
-/// dataset buffer, the gathered item ids (for callers that replay rows,
-/// like the RF tree), and the algebraic error engine.
+/// dataset buffer and the algebraic error engine.
 #[derive(Debug)]
 pub struct RegionEvalScratch {
     /// Reusable dataset buffer holding the most recent gather.
     pub data: RegressionData,
-    /// Item ids of the gathered rows, parallel to `data`.
-    pub ids: Vec<i64>,
     /// Row-index workspace for filtered gathers.
     rows: Vec<usize>,
     /// The algebraic error engine (owns the work counters).
@@ -45,43 +42,44 @@ impl RegionEvalScratch {
     pub fn new() -> Self {
         RegionEvalScratch {
             data: RegressionData::new(0),
-            ids: Vec::new(),
             rows: Vec::new(),
             eval: EvalScratch::new(),
         }
     }
 
     /// Gather a block's rows — all of them, or only those whose item id
-    /// is in `keep` — into the reusable dataset buffer as lane-by-lane
+    /// `keep` indexes — into the reusable dataset buffer as lane-by-lane
     /// columnar copies. Allocation-free once the buffers have seen a
     /// block of this size.
-    pub fn gather(&mut self, block: &RegionBlock, keep: Option<&HashSet<i64>>) {
+    pub fn gather(&mut self, block: &RegionBlock, keep: Option<&ItemIndex>) {
+        let Some(keep) = keep else {
+            return self.fill(block, None, false);
+        };
+        let mut rows = std::mem::take(&mut self.rows);
+        let grew = rows.capacity() < block.n();
+        rows.clear();
+        rows.reserve(block.n());
+        rows.extend((0..block.n()).filter(|&i| keep.get(block.item_ids[i]).is_some()));
+        self.fill(block, Some(&rows), grew);
+        self.rows = rows;
+    }
+
+    /// Gather the block rows listed in `rows`, in that order.
+    pub fn gather_rows(&mut self, block: &RegionBlock, rows: &[usize]) {
+        self.fill(block, Some(rows), false);
+    }
+
+    fn fill(&mut self, block: &RegionBlock, rows: Option<&[usize]>, mut grew: bool) {
         // The rows are about to change — a shape collision must not let
         // the engine serve the previous region's cached totals.
         self.eval.forget_data();
         self.data.reset(block.p as usize);
-        let mut grew = self.data.ensure_capacity(block.n());
-        grew |= self.ids.capacity() < block.n();
-        self.ids.clear();
-        self.ids.reserve(block.n());
-        match keep {
-            None => {
-                self.ids.extend_from_slice(&block.item_ids);
-                self.data.extend_from_cols(block.cols(), &block.targets);
-            }
-            Some(k) => {
-                grew |= self.rows.capacity() < block.n();
-                self.rows.clear();
-                self.rows.reserve(block.n());
-                for (i, &id) in block.item_ids.iter().enumerate() {
-                    if k.contains(&id) {
-                        self.rows.push(i);
-                        self.ids.push(id);
-                    }
-                }
-                self.data
-                    .extend_from_cols_gather(block.cols(), &block.targets, &self.rows);
-            }
+        grew |= self.data.ensure_capacity(rows.map_or(block.n(), <[usize]>::len));
+        match rows {
+            None => self.data.extend_from_cols(block.cols(), &block.targets),
+            Some(rows) => self
+                .data
+                .extend_from_cols_gather(block.cols(), &block.targets, rows),
         }
         if grew {
             self.eval.stats.scratch_grows += 1;
@@ -94,6 +92,14 @@ impl RegionEvalScratch {
     /// measure (no `min_examples` gate — callers apply their own).
     pub fn estimate(&mut self, config: &BellwetherConfig) -> Option<ErrorEstimate> {
         config.error_measure.estimate_with(&self.data, &mut self.eval)
+    }
+
+    /// The `value` of [`RegionEvalScratch::estimate`], bit for bit, for
+    /// scans that only rank regions (skips the `std_err` work).
+    pub fn estimate_value(&mut self, config: &BellwetherConfig) -> Option<f64> {
+        config
+            .error_measure
+            .estimate_value_with(&self.data, &mut self.eval)
     }
 
     /// Fit a WLS model over the currently gathered rows; coefficients
@@ -119,6 +125,9 @@ pub struct PartitionScratch {
     /// Per-child row-index lists, the routing pass's output.
     rowsets: Vec<Vec<usize>>,
     errs: Vec<Option<f64>>,
+    /// Positions of the block last passed to
+    /// [`PartitionScratch::resolve`], one per row.
+    at: Vec<u32>,
     /// The algebraic error engine (owns the work counters).
     pub eval: EvalScratch,
 }
@@ -129,35 +138,41 @@ impl PartitionScratch {
         PartitionScratch::default()
     }
 
-    /// Each child's model error for one region block — the reusable
-    /// form of [`PartitionSpec::errors`]. The returned slice has one
-    /// entry per child (`None` = too few examples / unfittable).
+    /// Resolve `block`'s id lane through `index`, once, for every
+    /// [`PartitionScratch::errors`] call on this block — the specs must
+    /// partition sets whose member positions are `index`'s.
+    pub fn resolve(&mut self, index: &ItemIndex, block: &RegionBlock) {
+        index.resolve_into(&block.item_ids, &mut self.at);
+    }
+
+    /// Each child's model error for the block last resolved: one entry
+    /// per child (`None` = too few examples / unfittable).
     pub fn errors(
         &mut self,
         spec: &PartitionSpec,
         block: &RegionBlock,
         config: &BellwetherConfig,
     ) -> &[Option<f64>] {
-        self.errors_cols(
-            spec,
-            block.p as usize,
-            block.cols(),
-            &block.item_ids,
-            &block.targets,
-            config,
-        )
+        let at = std::mem::take(&mut self.at);
+        assert_eq!(at.len(), block.n(), "resolve the block before scoring it");
+        self.errors_cols(spec, block.p as usize, block.cols(), &at, &block.targets, config);
+        self.at = at;
+        &self.errs
     }
 
-    /// As [`PartitionScratch::errors`], over bare feature columns (the
-    /// RF tree pre-gathers each node's rows once per block and feeds
-    /// only those lanes to its candidates). Two passes: route each row's
-    /// id to its child slot, then gather each child's rows lane by lane.
+    /// The one partition-scoring function: each child's model error over
+    /// the rows given as bare feature columns, `at[i]` being row `i`'s
+    /// position in the set `spec` partitions (the RF tree pre-gathers
+    /// each node's rows once per block and feeds only those lanes to its
+    /// candidates). Two passes: route each row to its child slot with
+    /// one table load, then gather each child's rows lane by lane —
+    /// ascending, so a child's dataset is the block filtered to it.
     pub fn errors_cols(
         &mut self,
         spec: &PartitionSpec,
         p: usize,
         cols: &[Vec<f64>],
-        ids: &[i64],
+        at: &[u32],
         ys: &[f64],
         config: &BellwetherConfig,
     ) -> &[Option<f64>] {
@@ -178,8 +193,8 @@ impl PartitionScratch {
         } else {
             self.eval.stats.scratch_reuses += 1;
         }
-        for (i, &id) in ids.iter().enumerate() {
-            if let Some(slot) = spec.slot_of(id) {
+        for (i, &at) in at.iter().enumerate() {
+            if let Some(slot) = spec.slot_of(at) {
                 self.rowsets[slot].push(i);
             }
         }
@@ -191,10 +206,7 @@ impl PartitionScratch {
             let e = if d.n() < config.min_examples.max(1) {
                 None
             } else {
-                config
-                    .error_measure
-                    .estimate_with(d, &mut self.eval)
-                    .map(|e| e.value)
+                config.error_measure.estimate_value_with(d, &mut self.eval)
             };
             self.errs.push(e);
         }
@@ -233,6 +245,8 @@ pub fn record_eval_stats(rec: &dyn Recorder, stats: &EvalStats) {
 mod tests {
     use super::*;
     use crate::problem::ErrorMeasure;
+    use crate::tree::tests_support::oracle;
+    use std::collections::HashSet;
 
     fn block() -> RegionBlock {
         let mut b = RegionBlock::new(vec![0], 2);
@@ -252,22 +266,23 @@ mod tests {
             .unwrap()
     }
 
+    /// Items 0..20 split into 0..10 and 10..20.
+    fn halves() -> (ItemIndex, PartitionSpec) {
+        let index: ItemIndex = (0..20).collect();
+        (index, PartitionSpec::new(20, [0..10, 10..20]))
+    }
+
     #[test]
     fn gather_matches_block_to_data_and_subsets() {
         let b = block();
         let mut s = RegionEvalScratch::new();
         s.gather(&b, None);
         assert_eq!(s.data.n(), 20);
-        assert_eq!(s.ids.len(), 20);
         let keep: HashSet<i64> = (0..10).collect();
-        s.gather(&b, Some(&keep));
-        assert_eq!(s.data.n(), 10);
-        assert_eq!(s.ids, (0..10).collect::<Vec<i64>>());
-        let direct = crate::training::block_subset_data(&b, &keep);
-        for i in 0..10 {
-            assert_eq!(s.data.row(i), direct.row(i));
-            assert_eq!(s.data.y(i), direct.y(i));
-        }
+        s.gather(&b, Some(&keep.iter().copied().collect()));
+        assert_eq!(s.data, crate::training::block_subset_data(&b, &keep));
+        s.gather_rows(&b, &[19, 0, 0]);
+        assert_eq!(s.data.ys(), [b.y(19), b.y(0), b.y(0)]);
     }
 
     #[test]
@@ -276,8 +291,9 @@ mod tests {
         let cfg = config();
         let mut s = RegionEvalScratch::new();
         let keep: HashSet<i64> = (0..10).collect();
-        s.gather(&b, Some(&keep));
+        s.gather(&b, Some(&keep.iter().copied().collect()));
         let est = s.estimate(&cfg).unwrap();
+        assert_eq!(s.estimate_value(&cfg).map(f64::to_bits), Some(est.value.to_bits()));
         let direct = cfg
             .error_measure
             .estimate(&crate::training::block_subset_data(&b, &keep))
@@ -295,13 +311,15 @@ mod tests {
     fn partition_scratch_matches_partition_spec() {
         let b = block();
         let cfg = config();
+        let (index, spec) = halves();
+        let mut scratch = PartitionScratch::new();
+        scratch.resolve(&index, &b);
+        let via_scratch = scratch.errors(&spec, &b, &cfg).to_vec();
         let low: HashSet<i64> = (0..10).collect();
         let high: HashSet<i64> = (10..20).collect();
-        let spec = PartitionSpec::new(&[low, high]);
-        let via_spec = spec.errors(&b, &cfg);
-        let mut scratch = PartitionScratch::new();
-        let via_scratch = scratch.errors(&spec, &b, &cfg).to_vec();
-        assert_eq!(via_spec, via_scratch);
+        let (data, ids) = oracle::gather(&b, &(0..20).collect());
+        let via_hashes = oracle::HashPartitionSpec::new(&[low, high]).errors(&data, &ids, &cfg);
+        assert_eq!(via_hashes, via_scratch);
         assert!(via_scratch[0].unwrap() < 1e-6);
         assert!(via_scratch[1].unwrap() < 1e-6);
     }
@@ -321,13 +339,13 @@ mod tests {
         assert_eq!(s.eval.stats.scratch_grows, grows, "warm gather must not grow");
         assert!(s.eval.stats.scratch_reuses >= 20);
 
-        let low: HashSet<i64> = (0..10).collect();
-        let high: HashSet<i64> = (10..20).collect();
-        let spec = PartitionSpec::new(&[low, high]);
+        let (index, spec) = halves();
         let mut ps = PartitionScratch::new();
+        ps.resolve(&index, &b);
         ps.errors(&spec, &b, &cfg);
         let grows = ps.eval.stats.scratch_grows;
         for _ in 0..10 {
+            ps.resolve(&index, &b);
             ps.errors(&spec, &b, &cfg);
         }
         assert_eq!(ps.eval.stats.scratch_grows, grows);

@@ -34,6 +34,119 @@ impl CategoricalAttr {
     }
 }
 
+/// [`ItemIndex`]'s answer for an id it does not hold.
+pub const NO_ITEM: u32 = u32::MAX;
+
+/// Item id → dense position (the id's place in the list the index was
+/// built from), made to resolve a whole block's id lane at once: scan
+/// loops route rows through small arrays indexed by that position
+/// instead of probing a hash set per row.
+///
+/// The form follows the ids observed at construction: a compact id range
+/// gets a direct table (one load per id); ids spread too thin for that —
+/// sparse keys, extreme values — are kept sorted and binary-searched.
+/// Neither hashes, so hostile ids cannot degrade a lookup.
+#[derive(Debug, Clone)]
+pub struct ItemIndex {
+    lookup: Lookup,
+    len: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Lookup {
+    /// `table[id − min]` is the position, [`NO_ITEM`] in the gaps.
+    Direct { min: i64, table: Vec<u32> },
+    /// Ids ascending, each with its position.
+    Sorted { ids: Vec<i64>, at: Vec<u32> },
+}
+
+impl ItemIndex {
+    /// Index `ids` by their position in the slice. Ids should be
+    /// distinct; one listed twice keeps its first position.
+    pub fn new(ids: &[i64]) -> Self {
+        assert!(ids.len() < NO_ITEM as usize, "too many items for a u32 position");
+        let len = ids.len();
+        let (min, max) = ids
+            .iter()
+            .fold((i64::MAX, i64::MIN), |(lo, hi), &id| (lo.min(id), hi.max(id)));
+        // A direct table may spend up to four slots per item (16 bytes,
+        // against the sorted form's 12).
+        let span = (max as i128 - min as i128 + 1).max(0) as u128;
+        let lookup = if span <= 4 * len as u128 + 64 {
+            let mut table = vec![NO_ITEM; span as usize];
+            for (at, &id) in ids.iter().enumerate().rev() {
+                table[(id - min) as usize] = at as u32;
+            }
+            Lookup::Direct { min, table }
+        } else {
+            let mut order: Vec<u32> = (0..len as u32).collect();
+            order.sort_by_key(|&at| ids[at as usize]);
+            order.dedup_by_key(|at| ids[*at as usize]);
+            Lookup::Sorted {
+                ids: order.iter().map(|&at| ids[at as usize]).collect(),
+                at: order,
+            }
+        };
+        ItemIndex { lookup, len }
+    }
+
+    /// Number of positions (the length of the indexed list).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no id is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Position of `id`, if indexed.
+    pub fn get(&self, id: i64) -> Option<usize> {
+        let at = match &self.lookup {
+            Lookup::Direct { min, table } => direct(*min, table, id),
+            Lookup::Sorted { ids, at } => sorted(ids, at, id),
+        };
+        (at != NO_ITEM).then_some(at as usize)
+    }
+
+    /// Resolve a block's id lane: `out[i]` is the position of `ids[i]`,
+    /// or [`NO_ITEM`].
+    pub fn resolve_into(&self, ids: &[i64], out: &mut Vec<u32>) {
+        out.clear();
+        match &self.lookup {
+            Lookup::Direct { min, table } => {
+                out.extend(ids.iter().map(|&id| direct(*min, table, id)));
+            }
+            Lookup::Sorted { ids: sorted_ids, at } => {
+                out.extend(ids.iter().map(|&id| sorted(sorted_ids, at, id)));
+            }
+        }
+    }
+}
+
+impl FromIterator<i64> for ItemIndex {
+    /// Index ids by the order the iterator yields them.
+    fn from_iter<I: IntoIterator<Item = i64>>(ids: I) -> Self {
+        ItemIndex::new(&ids.into_iter().collect::<Vec<_>>())
+    }
+}
+
+#[inline]
+fn direct(min: i64, table: &[u32], id: i64) -> u32 {
+    // Ids below `min` wrap to offsets past any table.
+    let offset = id.wrapping_sub(min) as u64;
+    usize::try_from(offset)
+        .ok()
+        .and_then(|o| table.get(o))
+        .copied()
+        .unwrap_or(NO_ITEM)
+}
+
+#[inline]
+fn sorted(ids: &[i64], at: &[u32], id: i64) -> u32 {
+    ids.binary_search(&id).map_or(NO_ITEM, |i| at[i])
+}
+
 /// The item table: ids plus typed attributes with O(1) id lookup.
 #[derive(Debug, Clone, Default)]
 pub struct ItemTable {
@@ -292,6 +405,44 @@ mod tests {
         assert_eq!(it.categorical_attrs()[0].label_of(1), "desktop");
         assert_eq!(it.categorical_attrs()[0].labels.len(), 2);
         assert!(it.static_features(99).is_none());
+    }
+
+    #[test]
+    fn item_index_resolves_compact_sparse_and_extreme_ids() {
+        let cases: [&[i64]; 6] = [
+            &[],
+            &[7],
+            &[3, 1, 2, 0],
+            &[-5, 12, -40, 0, 33],
+            &[i64::MIN, -1, 0, 1, i64::MAX],
+            &[1_000_000_007, 5, 2_000_000_011, -9_000_000_000],
+        ];
+        for ids in cases {
+            let index = ItemIndex::new(ids);
+            assert_eq!(index.len(), ids.len());
+            for (at, &id) in ids.iter().enumerate() {
+                assert_eq!(index.get(id), Some(at), "{ids:?}");
+            }
+            let probes = [i64::MIN + 1, -41, -6, 4, 6, 8, 34, i64::MAX - 1];
+            let mut lane: Vec<i64> = ids.to_vec();
+            lane.extend(probes.iter().filter(|p| !ids.contains(p)));
+            lane.extend_from_slice(ids); // a block may repeat an id
+            let mut out = vec![99];
+            index.resolve_into(&lane, &mut out);
+            assert_eq!(out.len(), lane.len());
+            for (&id, &at) in lane.iter().zip(&out) {
+                let expect = ids.iter().position(|&x| x == id);
+                assert_eq!((at != NO_ITEM).then_some(at as usize), expect, "{ids:?} {id}");
+                assert_eq!(index.get(id), expect);
+            }
+        }
+        // The two forms are chosen by id spread, and a repeated id keeps
+        // its first position in both.
+        assert!(matches!(ItemIndex::new(&[4, 5, 4]).lookup, Lookup::Direct { .. }));
+        assert_eq!(ItemIndex::new(&[4, 5, 4]).get(4), Some(0));
+        let sparse = ItemIndex::new(&[1 << 40, 5, 1 << 40]);
+        assert!(matches!(sparse.lookup, Lookup::Sorted { .. }));
+        assert_eq!(sparse.get(1 << 40), Some(0));
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use features::{
     auto_generate_queries, build_cube_input, build_cube_input_with, global_target, FeatureQuery,
     StarDatabase,
 };
-pub use items::ItemTable;
+pub use items::{ItemIndex, ItemTable};
 pub use model::{BellwetherModel, MethodKind, ModelBuilder};
 pub use predict::{evaluate_method, EvalContext, ItemCentricEval, Method};
 pub use problem::{BellwetherConfig, BellwetherConfigBuilder, ErrorMeasure};

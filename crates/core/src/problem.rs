@@ -57,6 +57,22 @@ impl ErrorMeasure {
             ErrorMeasure::TrainingSet => scratch.training_estimate(data),
         }
     }
+
+    /// The `value` of [`ErrorMeasure::estimate_with`], bit for bit, for
+    /// scans that rank regions by error and discard `std_err`: the
+    /// training-set measure then skips its residual pass.
+    pub fn estimate_value_with(
+        &self,
+        data: &RegressionData,
+        scratch: &mut EvalScratch,
+    ) -> Option<f64> {
+        match *self {
+            ErrorMeasure::CrossValidation { folds, seed } => {
+                scratch.cv_estimate(data, folds, seed).map(|e| e.value)
+            }
+            ErrorMeasure::TrainingSet => scratch.training_value(data),
+        }
+    }
 }
 
 /// Full configuration of a bellwether analysis run: the constrained
@@ -254,6 +270,10 @@ mod tests {
         let tr = ErrorMeasure::TrainingSet.estimate_with(&d, &mut scratch).unwrap();
         let refit_tr = training_set_estimate(&d).unwrap();
         assert_eq!(tr.value.to_bits(), refit_tr.value.to_bits());
+        for (measure, full) in [(ErrorMeasure::cv10(), cv), (ErrorMeasure::TrainingSet, tr)] {
+            let value = measure.estimate_value_with(&d, &mut scratch).unwrap();
+            assert_eq!(value.to_bits(), full.value.to_bits());
+        }
         assert!(scratch.stats.fits >= 11);
     }
 

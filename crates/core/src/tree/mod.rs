@@ -22,7 +22,7 @@ pub(crate) mod tests_support;
 
 use crate::error::{BellwetherError, Result};
 use crate::eval::{record_eval_stats, RegionEvalScratch};
-use crate::items::ItemTable;
+use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions_policy, BestRegion, WithScratch};
 use crate::training::block_subset_data;
@@ -443,21 +443,13 @@ impl BellwetherTree {
 }
 
 /// `Error(h_r | S)`: error of the model built on region block `block`
-/// restricted to items `keep`. `None` when the subset cannot support a
-/// model there.
-pub fn block_subset_error(
-    block: &RegionBlock,
-    keep: &HashSet<i64>,
-    config: &BellwetherConfig,
-) -> Option<f64> {
-    block_subset_error_with(block, keep, config, &mut RegionEvalScratch::new())
-}
-
-/// [`block_subset_error`] through a caller-held [`RegionEvalScratch`],
-/// so scan hot loops reuse the gather/engine buffers across blocks.
+/// restricted to the items `keep` indexes, through a caller-held
+/// [`RegionEvalScratch`] so scan hot loops reuse the gather/engine
+/// buffers across blocks. `None` when the subset cannot support a model
+/// there.
 pub fn block_subset_error_with(
     block: &RegionBlock,
-    keep: &HashSet<i64>,
+    keep: &ItemIndex,
     config: &BellwetherConfig,
     scratch: &mut RegionEvalScratch,
 ) -> Option<f64> {
@@ -465,7 +457,7 @@ pub fn block_subset_error_with(
     if scratch.data.n() < config.min_examples.max(1) {
         return None;
     }
-    scratch.estimate(config).map(|e| e.value)
+    scratch.estimate_value(config)
 }
 
 /// Solve the basic bellwether problem for an item subset by scanning all
@@ -489,6 +481,7 @@ pub(crate) fn subset_bellwether_scanned(
     keep: &HashSet<i64>,
     config: &BellwetherConfig,
 ) -> Result<(Option<NodeInfo>, Vec<usize>)> {
+    let members: ItemIndex = keep.iter().copied().collect();
     let scanned = scan_regions_policy(
         source,
         config.parallelism,
@@ -498,7 +491,7 @@ pub(crate) fn subset_bellwether_scanned(
             scratch: RegionEvalScratch::new(),
         },
         |ws: &mut WithScratch<BestRegion, RegionEvalScratch>, idx, block| {
-            if let Some(err) = block_subset_error_with(block, keep, config, &mut ws.scratch) {
+            if let Some(err) = block_subset_error_with(block, &members, config, &mut ws.scratch) {
                 ws.acc.observe(idx, err);
             }
             Ok(())

@@ -4,11 +4,11 @@
 
 use super::{candidate_splits, BellwetherTree, CandidateSplit, Node, TreeConfig};
 use crate::error::Result;
-use crate::eval::{record_eval_stats, PartitionScratch};
-use crate::items::ItemTable;
+use crate::eval::record_eval_stats;
+use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions_policy, MinSlots, WithScratch};
-use crate::tree::partition::{child_id_sets, PartitionSpec};
+use crate::tree::partition::{GroupRouting, RoutedScratch};
 use crate::tree::{merge_skipped, subset_bellwether_scanned};
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
@@ -74,9 +74,11 @@ fn split_node(
     // Evaluate every splitting criterion: one full scan each, computing
     // all of the criterion's child errors inside the same scan.
     let candidates = candidate_splits(items, &rows, tree_cfg);
+    let index = ItemIndex::new(items.ids());
+    let routing = GroupRouting::new(&index, [rows.as_slice()]);
     let mut best: Option<(usize, f64, Vec<f64>)> = None; // (cand idx, goodness, child errs)
     for (ci, cand) in candidates.iter().enumerate() {
-        let spec = PartitionSpec::new(&child_id_sets(items, &cand.partition));
+        let spec = routing.spec(rows.len(), &cand.partition);
         let parts = cand.partition.len();
         let scanned = scan_regions_policy(
             source,
@@ -84,13 +86,17 @@ fn split_node(
             problem.scan_policy,
             || WithScratch {
                 acc: MinSlots::new(parts),
-                scratch: PartitionScratch::new(),
+                scratch: RoutedScratch::new(),
             },
-            |ws: &mut WithScratch<MinSlots, PartitionScratch>, _, block| {
+            |ws: &mut WithScratch<MinSlots, RoutedScratch>, _, block| {
                 let WithScratch { acc, scratch } = ws;
-                for (slot, e) in scratch.errors(&spec, block, problem).iter().enumerate() {
-                    if let Some(e) = *e {
-                        acc.observe(slot, e);
+                routing.split(block, scratch);
+                if scratch.gather_group(block, 0) {
+                    let errs = scratch.child_errors(&spec, 0, problem);
+                    for (slot, e) in errs.iter().enumerate() {
+                        if let Some(e) = *e {
+                            acc.observe(slot, e);
+                        }
                     }
                 }
                 Ok(())
@@ -99,7 +105,8 @@ fn split_node(
         scanned.record_skipped(problem.recorder.as_ref());
         merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
         let WithScratch { acc, scratch } = scanned.acc;
-        record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
+        record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
+        record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
         let min_err = acc.0;
         if min_err.iter().any(|e| !e.is_finite()) {
             continue; // some child cannot be modelled anywhere

@@ -15,12 +15,12 @@ use super::{
     candidate_splits, merge_skipped, BellwetherTree, CandidateSplit, Node, TreeConfig,
 };
 use crate::error::{BellwetherError, Result};
-use crate::eval::{record_eval_stats, PartitionScratch, RegionEvalScratch};
-use crate::items::ItemTable;
+use crate::eval::record_eval_stats;
+use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions_policy, BestRegion, MergeableAccumulator, WithScratch};
 use crate::tree::naive::goodness_of;
-use crate::tree::partition::{child_id_sets, fit_node_model, PartitionSpec};
+use crate::tree::partition::{fit_node_model, GroupRouting, PartitionSpec, RoutedScratch};
 use bellwether_cube::{RegionId, RegionSpace};
 use bellwether_obs::{names, span};
 use bellwether_storage::TrainingSource;
@@ -31,10 +31,8 @@ use std::collections::HashSet;
 /// [`LevelAcc`].
 struct LevelEntry {
     node_id: usize,
-    ids: HashSet<i64>,
-    /// Candidates and their routing tables (empty when inactive).
+    /// Candidates (empty when inactive).
     candidates: Vec<CandidateSplit>,
-    specs: Vec<PartitionSpec>,
     active: bool,
 }
 
@@ -97,6 +95,7 @@ pub fn build_rainforest(
 ) -> Result<BellwetherTree> {
     let _timer = span!(problem.recorder, "tree/rainforest");
     let rows = root_rows.unwrap_or_else(|| (0..items.len()).collect());
+    let index = ItemIndex::new(items.ids());
     let mut tree = BellwetherTree {
         nodes: Vec::new(),
         skipped_regions: Vec::new(),
@@ -124,67 +123,67 @@ pub fn build_rainforest(
                 } else {
                     Vec::new()
                 };
-                let specs: Vec<PartitionSpec> = candidates
-                    .iter()
-                    .map(|c| PartitionSpec::new(&child_id_sets(items, &c.partition)))
-                    .collect();
-                let ids: HashSet<i64> =
-                    node.item_rows.iter().map(|&r| items.ids()[r]).collect();
                 LevelEntry {
                     node_id,
-                    ids,
                     candidates,
-                    specs,
                     active,
                 }
+            })
+            .collect();
+        // The level's nodes hold disjoint items, so one table routes a
+        // row to its node, and each candidate's slot table is indexed by
+        // the item's position within that node.
+        let node_rows = |e: &LevelEntry| tree.nodes[e.node_id].item_rows.as_slice();
+        let routing = GroupRouting::new(&index, entries.iter().map(node_rows));
+        let specs: Vec<Vec<PartitionSpec>> = entries
+            .iter()
+            .map(|e| {
+                let len = node_rows(e).len();
+                let spec = |c: &CandidateSplit| routing.spec(len, &c.partition);
+                e.candidates.iter().map(spec).collect()
             })
             .collect();
 
         // The level's single scan over the entire training data, run
         // through the shared engine (parallel under
-        // `problem.parallelism`, merged in region order). For each
-        // block, gather each node's rows once, then evaluate the node's
-        // own error and all its candidates over just those rows — deep
-        // levels must not re-route the full block per criterion. One
-        // span per level scan — the empirical witness of Lemma 1's
-        // "`l` scans over the entire training data" claim.
+        // `problem.parallelism`, merged in region order). Each block's
+        // rows are split among the nodes once, then every node with rows
+        // in the block evaluates its own error and all its candidates
+        // over just those rows. One span per level scan — the empirical
+        // witness of Lemma 1's "`l` scans over the entire training data"
+        // claim.
         let level_timer = span!(problem.recorder, "tree/rainforest/level{depth}");
-        let p = source.feature_arity();
         let scanned = scan_regions_policy(
             source,
             problem.parallelism,
             problem.scan_policy,
             || WithScratch {
                 acc: LevelAcc::for_entries(&entries),
-                scratch: (RegionEvalScratch::new(), PartitionScratch::new()),
+                scratch: RoutedScratch::new(),
             },
-            |ws: &mut WithScratch<LevelAcc, (RegionEvalScratch, PartitionScratch)>,
-             idx,
-             block| {
-                let (region_scratch, part_scratch) = &mut ws.scratch;
-                for (e, partial) in entries.iter().zip(ws.acc.0.iter_mut()) {
-                    region_scratch.gather(block, Some(&e.ids));
+            |ws: &mut WithScratch<LevelAcc, RoutedScratch>, idx, block| {
+                let scratch = &mut ws.scratch;
+                routing.split(block, scratch);
+                let nodes = entries.iter().zip(&specs).zip(ws.acc.0.iter_mut());
+                for (g, ((e, specs), partial)) in nodes.enumerate() {
+                    if !scratch.gather_group(block, g) {
+                        continue;
+                    }
                     // Track the node's own bellwether in the same pass.
-                    if region_scratch.data.n() >= problem.min_examples.max(1) {
-                        if let Some(est) = problem
-                            .error_measure
-                            .estimate_with(&region_scratch.data, &mut region_scratch.eval)
-                        {
-                            partial.node_best.observe(idx, est.value);
+                    if scratch.node.data.n() >= problem.min_examples.max(1) {
+                        if let Some(err) = scratch.node.estimate_value(problem) {
+                            partial.node_best.observe(idx, err);
                         }
                     }
                     if !e.active {
                         continue;
                     }
-                    let data = &region_scratch.data;
-                    let ids = &region_scratch.ids;
-                    for (c, spec) in e.specs.iter().enumerate() {
-                        let errs =
-                            part_scratch.errors_cols(spec, p, data.cols(), ids, data.ys(), problem);
-                        for (p_idx, err) in errs.iter().enumerate() {
+                    for (spec, min_err) in specs.iter().zip(&mut partial.min_err) {
+                        let errs = scratch.child_errors(spec, g, problem);
+                        for (err, min) in errs.iter().zip(min_err) {
                             if let Some(err) = *err {
-                                if err < partial.min_err[c][p_idx] {
-                                    partial.min_err[c][p_idx] = err;
+                                if err < *min {
+                                    *min = err;
                                 }
                             }
                         }
@@ -198,8 +197,11 @@ pub fn build_rainforest(
         scanned.record_skipped(problem.recorder.as_ref());
         merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
         let WithScratch { acc, scratch } = scanned.acc;
-        record_eval_stats(problem.recorder.as_ref(), &scratch.0.eval.stats);
-        record_eval_stats(problem.recorder.as_ref(), &scratch.1.eval.stats);
+        record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
+        record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
+        problem
+            .recorder
+            .add(names::TREE_ROWS_ROUTED, scratch.rows_routed);
 
         // Finalize the level: fit node models (targeted reads), pick
         // splits, spawn the next level.
@@ -214,8 +216,13 @@ pub fn build_rainforest(
                     })?;
                 let region = RegionId(source.region_coords(ridx).to_vec());
                 let label = space.label(&region);
+                let ids: HashSet<i64> = tree.nodes[e.node_id]
+                    .item_rows
+                    .iter()
+                    .map(|&r| items.ids()[r])
+                    .collect();
                 tree.nodes[e.node_id].info =
-                    fit_node_model(&block, &e.ids, ridx, region, label, err);
+                    fit_node_model(&block, &ids, ridx, region, label, err);
             }
             let Some((_, node_err)) = partial.node_best.0 else { continue };
             if !e.active
@@ -349,6 +356,23 @@ mod tests {
         assert_eq!(
             snap.counter(bellwether_obs::names::TREE_NODES),
             Some(rf.nodes.len() as u64)
+        );
+    }
+
+    #[test]
+    fn every_block_row_is_routed_once_per_level() {
+        let (src, space, items) = two_group_fixture();
+        let reg = bellwether_obs::Registry::shared();
+        let mut problem = problem();
+        problem.recorder = reg.clone();
+        let rf =
+            build_rainforest(&src, &space, &items, None, &problem, &tree_cfg()).unwrap();
+        let levels = rf.depth() as u64 + 1;
+        assert!(levels > 1);
+        let block_rows: u64 = src.blocks().iter().map(|b| b.n() as u64).sum();
+        assert_eq!(
+            reg.snapshot().counter(bellwether_obs::names::TREE_ROWS_ROUTED),
+            Some(levels * block_rows)
         );
     }
 

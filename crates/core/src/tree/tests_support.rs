@@ -4,6 +4,9 @@
 
 use super::BellwetherTree;
 use crate::items::ItemTable;
+use crate::problem::BellwetherConfig;
+use bellwether_linreg::{EvalScratch, RegressionData};
+use std::collections::{HashMap, HashSet};
 use bellwether_cube::{Dimension, Hierarchy, RegionSpace};
 use bellwether_storage::{MemorySource, RegionBlock};
 use bellwether_table::{Column, DataType, Schema, Table};
@@ -98,4 +101,79 @@ pub fn canonical_form(tree: &BellwetherTree, items: &ItemTable) -> String {
     let mut out = String::new();
     rec(tree, items, 0, &mut out);
     out
+}
+
+/// The routing the builders used before the dense tables, kept as the
+/// oracle the dense path is tested against bit for bit: a hash-set probe
+/// per row to gather a node's rows, a hash-map probe per gathered row
+/// and criterion to route them, and the full error estimate (of which
+/// the scans only ever kept `value`).
+pub mod oracle {
+    use super::*;
+    use bellwether_storage::RegionBlock;
+
+    /// The rows of `block` whose item is in `keep`, with their ids.
+    pub fn gather(block: &RegionBlock, keep: &HashSet<i64>) -> (RegressionData, Vec<i64>) {
+        let rows: Vec<usize> = (0..block.n())
+            .filter(|&i| keep.contains(&block.item_ids[i]))
+            .collect();
+        let mut data = RegressionData::new(block.p as usize);
+        data.extend_from_cols_gather(block.cols(), &block.targets, &rows);
+        (data, rows.iter().map(|&i| block.item_ids[i]).collect())
+    }
+
+    /// Error of the model over `data` under `config`'s gates.
+    pub fn error_of(data: &RegressionData, config: &BellwetherConfig) -> Option<f64> {
+        if data.n() < config.min_examples.max(1) {
+            return None;
+        }
+        config
+            .error_measure
+            .estimate_with(data, &mut EvalScratch::new())
+            .map(|e| e.value)
+    }
+
+    /// Item id → child slot.
+    pub struct HashPartitionSpec {
+        slot_of: HashMap<i64, usize>,
+        n_children: usize,
+    }
+
+    impl HashPartitionSpec {
+        pub fn new(child_ids: &[HashSet<i64>]) -> Self {
+            let mut slot_of = HashMap::new();
+            for (slot, ids) in child_ids.iter().enumerate() {
+                for &id in ids {
+                    slot_of.insert(id, slot);
+                }
+            }
+            HashPartitionSpec {
+                slot_of,
+                n_children: child_ids.len(),
+            }
+        }
+
+        /// Each child's error over rows given as columns and ids.
+        pub fn errors(
+            &self,
+            data: &RegressionData,
+            ids: &[i64],
+            config: &BellwetherConfig,
+        ) -> Vec<Option<f64>> {
+            let mut rowsets = vec![Vec::new(); self.n_children];
+            for (i, id) in ids.iter().enumerate() {
+                if let Some(&slot) = self.slot_of.get(id) {
+                    rowsets[slot].push(i);
+                }
+            }
+            rowsets
+                .iter()
+                .map(|rows| {
+                    let mut child = RegressionData::new(data.p());
+                    child.extend_from_cols_gather(data.cols(), data.ys(), rows);
+                    error_of(&child, config)
+                })
+                .collect()
+        }
+    }
 }

@@ -36,7 +36,13 @@ pub fn rollup_lattice<T: Clone>(
     for (d, dim) in space.dims().iter().enumerate() {
         let Dimension::Hierarchy(h) = dim else { unreachable!() };
         let mut next: HashMap<RegionId, T> = HashMap::with_capacity(current.len() * 2);
-        for (key, value) in current {
+        // Ascending key order, not the map's: a cell's children must
+        // merge in one fixed order, because float merges are only
+        // commutative — regrouping them changes the low bits callers
+        // take arg-mins over.
+        let mut cells: Vec<(RegionId, T)> = current.into_iter().collect();
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
+        for (key, value) in cells {
             // After processing dims 0..d, the key's coordinate along d is
             // still a leaf; expand it to every ancestor-or-self.
             for anc in h.ancestors_or_self(key.coord(d)) {
@@ -152,6 +158,32 @@ mod tests {
         assert_eq!(rolled.get(&RegionId(vec![1, 1])), Some(&1));
         // [Software, AnyExp] = [4, 0] contains nothing → absent
         assert!(!rolled.contains_key(&RegionId(vec![4, 0])));
+    }
+
+    #[test]
+    fn merge_order_is_the_same_on_every_call() {
+        // Concatenation is not commutative, so the value of a cell is
+        // the order its children merged in. Every map here is seeded
+        // afresh, so an order taken from map iteration would differ
+        // between calls.
+        let s = item_space();
+        let rolled = || {
+            let base: HashMap<RegionId, String> = s
+                .base_regions()
+                .into_iter()
+                .map(|r| (r.clone(), format!("{:?};", r.0)))
+                .collect();
+            let mut cells: Vec<_> = rollup_lattice(&s, base, |a, b| a.push_str(b))
+                .into_iter()
+                .collect();
+            cells.sort();
+            cells
+        };
+        let first = rolled();
+        assert!(first.iter().any(|(_, v)| v.matches(';').count() > 2));
+        for _ in 0..50 {
+            assert_eq!(rolled(), first);
+        }
     }
 
     #[test]

@@ -331,27 +331,8 @@ impl EvalScratch {
     /// [`crate::crossval::training_set_estimate`], without its second
     /// statistics pass and per-call allocations.
     pub fn training_estimate(&mut self, data: &RegressionData) -> Option<ErrorEstimate> {
-        self.cached_total = CachedTotal::None;
-        let p = data.p();
         let n = data.n();
-        let mut grew = self.train.reset(p);
-        grew |= ensure_buf(&mut self.factor, packed_len(p));
-        grew |= ensure_buf(&mut self.beta_buf, p);
-        grew |= ensure_buf(&mut self.sq, n);
-        self.note_shape(grew);
-
-        if n <= p {
-            return None;
-        }
-        self.train.add_dataset(data);
-        self.cached_total = CachedTotal::Train { n, p };
-        let diag = self.train.fit_into(&mut self.factor, &mut self.beta_buf)?;
-        self.stats.fits += 1;
-        if diag.ridged() {
-            self.stats.ridge_rescues += 1;
-        }
-        let sse = self.train.sse_given_fit(&self.beta_buf);
-        let rmse = (sse / (n - p) as f64).sqrt();
+        let rmse = self.training_rmse(data, n)?;
         // Delta-method standard error from the spread of squared
         // residuals, as in the refit path.
         for i in 0..n {
@@ -367,6 +348,39 @@ impl EvalScratch {
             value: rmse,
             std_err,
         })
+    }
+
+    /// The `value` of [`EvalScratch::training_estimate`], bit for bit,
+    /// without the residual pass behind its `std_err` — for scans that
+    /// only rank regions by error.
+    pub fn training_value(&mut self, data: &RegressionData) -> Option<f64> {
+        self.training_rmse(data, 0)
+    }
+
+    /// One statistics pass and one fit; leaves the coefficients in
+    /// `beta_buf` and `residuals` zeroed slots in `sq`.
+    fn training_rmse(&mut self, data: &RegressionData, residuals: usize) -> Option<f64> {
+        self.cached_total = CachedTotal::None;
+        let p = data.p();
+        let n = data.n();
+        let mut grew = self.train.reset(p);
+        grew |= ensure_buf(&mut self.factor, packed_len(p));
+        grew |= ensure_buf(&mut self.beta_buf, p);
+        grew |= ensure_buf(&mut self.sq, residuals);
+        self.note_shape(grew);
+
+        if n <= p {
+            return None;
+        }
+        self.train.add_dataset(data);
+        self.cached_total = CachedTotal::Train { n, p };
+        let diag = self.train.fit_into(&mut self.factor, &mut self.beta_buf)?;
+        self.stats.fits += 1;
+        if diag.ridged() {
+            self.stats.ridge_rescues += 1;
+        }
+        let sse = self.train.sse_given_fit(&self.beta_buf);
+        Some((sse / (n - p) as f64).sqrt())
     }
 
     /// Algebraic k-fold CV **purely from folded statistics** — no row
@@ -554,6 +568,8 @@ mod tests {
             let alg = scratch.training_estimate(&d).unwrap();
             assert_eq!(alg.value.to_bits(), refit.value.to_bits());
             assert_eq!(alg.std_err.to_bits(), refit.std_err.to_bits());
+            let value = scratch.training_value(&d).unwrap();
+            assert_eq!(value.to_bits(), refit.value.to_bits());
         }
     }
 

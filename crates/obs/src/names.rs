@@ -76,6 +76,9 @@ pub const LINREG_SCRATCH_GROWS: &str = "linreg/scratch_grows";
 
 /// Nodes constructed by a bellwether tree builder.
 pub const TREE_NODES: &str = "tree/nodes";
+/// Block rows the RainForest level scans split among a level's nodes:
+/// every row of every block read, once per level — `levels × Σ rows`.
+pub const TREE_ROWS_ROUTED: &str = "tree/rows_routed";
 /// Cells emitted by a bellwether cube builder.
 pub const CUBE_CELLS: &str = "cube/cells_emitted";
 /// CV folds that produced a usable predictor in `evaluate_method`.

@@ -152,6 +152,13 @@ fn main() {
         build_rainforest(&source, &data.space, &data.items, None, &problem, &tree_cfg)
             .unwrap();
     println!("RF tree: {} nodes, depth {}", tree.nodes.len(), tree.depth());
+    // A level scan hands every block row to its node exactly once:
+    // levels × the rows of one pass over the data.
+    println!(
+        "RF tree: {} rows routed over {} level scans",
+        reg.snapshot().counter("tree/rows_routed").unwrap_or(0),
+        tree.depth() + 1
+    );
 
     let cube_cfg = CubeConfig {
         min_subset_size: 30,

@@ -66,6 +66,85 @@ fn lemma_1_rf_equals_naive_tree() {
     }
 }
 
+/// A tree down to the bit, independent of node numbering (naive numbers
+/// depth-first, RF level by level): every node's bellwether — region,
+/// error, example count, model coefficients — its items and its split.
+fn canonical_bits(tree: &BellwetherTree, items: &ItemTable) -> String {
+    fn rec(tree: &BellwetherTree, items: &ItemTable, id: usize, out: &mut String) {
+        let node = &tree.nodes[id];
+        let info = node.info.as_ref().map(|i| {
+            let coefficients: Vec<u64> =
+                i.model.coefficients().iter().map(|c| c.to_bits()).collect();
+            (i.region_index, i.error.to_bits(), i.n_examples, coefficients)
+        });
+        let mut ids: Vec<i64> = node.item_rows.iter().map(|&r| items.ids()[r]).collect();
+        ids.sort_unstable();
+        out.push_str(&format!("({info:?} {ids:?}"));
+        if let Some((criterion, children)) = &node.split {
+            out.push_str(&criterion.describe(items));
+            for &c in children {
+                rec(tree, items, c, out);
+            }
+        }
+        out.push(')');
+    }
+    let mut out = String::new();
+    rec(tree, items, 0, &mut out);
+    out
+}
+
+/// Lemma 1 where a level has many nodes: random scale workloads grown to
+/// depth 4 and beyond with small nodes, on the whole item table and on a
+/// `root_rows` subset of it, at three thread counts. Equal means equal
+/// bits.
+#[test]
+fn lemma_1_on_deep_random_workloads_at_any_thread_count() {
+    bellwether_prop::check("lemma_1_deep_random_workloads", 4, |rng| {
+        let w = build_scale_workload(&ScaleConfig {
+            n_items: rng.usize_in(60, 140),
+            fact_dim_leaves: [rng.usize_in(2, 4), rng.usize_in(2, 4)],
+            item_hierarchy_leaves: [rng.usize_in(2, 4), 2, 2],
+            n_numeric_attrs: 2,
+            regional_features: 2,
+            bellwether_noise: 0.5,
+            seed: rng.next_u64(),
+        });
+        let src = w.memory_source();
+        let tree_cfg = TreeConfig {
+            max_depth: rng.usize_in(4, 6),
+            min_node_items: 6,
+            max_numeric_splits: 2,
+            // Grow wherever a split can be scored at all.
+            require_positive_goodness: false,
+            perfect_error_tol: 0.0,
+            ..TreeConfig::default()
+        };
+        let subset: Vec<usize> = (0..w.items.len()).filter(|_| rng.flip(0.7)).collect();
+        for root_rows in [None, Some(subset)] {
+            let mut builds = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let mut problem = problem();
+                problem.min_examples = 4;
+                problem.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
+                let space = &w.region_space;
+                let naive =
+                    build_naive_tree(&src, space, &w.items, root_rows.clone(), &problem, &tree_cfg)
+                        .unwrap();
+                let rf =
+                    build_rainforest(&src, space, &w.items, root_rows.clone(), &problem, &tree_cfg)
+                        .unwrap();
+                let widest = (0..=rf.depth())
+                    .map(|d| rf.nodes.iter().filter(|n| n.depth == d).count())
+                    .max();
+                assert!(rf.depth() >= 4 && widest >= Some(4), "shallow tree: widest {widest:?}");
+                builds.push(canonical_bits(&naive, &w.items));
+                builds.push(canonical_bits(&rf, &w.items));
+            }
+            assert!(builds.iter().all(|b| *b == builds[0]), "naive and RF builds differ");
+        }
+    });
+}
+
 #[test]
 fn lemma_1_rf_scan_budget() {
     let (w, src) = workload();
