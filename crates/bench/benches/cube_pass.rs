@@ -4,14 +4,66 @@
 //! This bench records the kernel trajectory the perf work is judged by:
 //! the legacy hash-per-row kernel (`cube_pass_reference`) against the
 //! dense-keyed chunked kernel (`cube_pass_with`) at 1/2/4/8 worker
-//! threads, plus the end-to-end retail preparation. Results land in
+//! threads, plus the end-to-end retail preparation and the two extremes
+//! of a distinct-FK lane (few keys seen over and over; every key new),
+//! each beside what it took at the parent commit. Results land in
 //! `results/BENCH_cube_pass.json`.
 
 use bellwether_bench::{emit_metrics_json, prepare_retail, results_dir, Harness};
 use bellwether_core::build_cube_input;
-use bellwether_cube::{cube_pass_reference, cube_pass_traced, cube_pass_with, Parallelism};
+use bellwether_cube::{
+    cube_pass_reference, cube_pass_traced, cube_pass_with, CubeInput, Dimension, Measure,
+    Parallelism, RegionSpace,
+};
 use bellwether_datagen::{generate_retail, RetailConfig};
 use bellwether_obs::Registry;
+use bellwether_table::ops::AggFunc;
+
+/// `rows` fact rows of one item, dealt round-robin over the finest cells
+/// of `space`, each with a foreign key no other row has (in scrambled,
+/// not ascending, arrival order).
+fn highcard_input(space: &RegionSpace, rows: usize) -> CubeInput {
+    let finest: Vec<Vec<u32>> = space
+        .dims()
+        .iter()
+        .map(|d| match d {
+            Dimension::Interval { max_t, .. } => (0..*max_t).collect(),
+            Dimension::Hierarchy(h) => h.leaves(),
+        })
+        .collect();
+    let mut coords = Vec::with_capacity(rows * finest.len());
+    let mut keys = Vec::with_capacity(rows);
+    for row in 0..rows {
+        let mut cell = row;
+        for values in &finest {
+            coords.push(values[cell % values.len()]);
+            cell /= values.len();
+        }
+        // An odd multiplier permutes the u64s: distinct rows, distinct keys.
+        keys.push(Some((row as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64));
+    }
+    let values = keys.iter().map(|k| (k.unwrap_or(0) % 1000) as f64).collect();
+    CubeInput {
+        item_ids: vec![1; rows],
+        coords,
+        measures: vec![Measure::DistinctKeyed {
+            name: "distinct_sum".into(),
+            func: AggFunc::Sum,
+            keys,
+            values,
+        }],
+    }
+}
+
+/// What the two distinct-lane cells took at the parent commit (PR 14,
+/// where a distinct lane was an append-only list deduplicated at merge
+/// boundaries): medians of full 10-sample runs of this file built
+/// against that commit, alternated with the runs behind the committed
+/// results on the same machine.
+const PARENT_MEDIAN_SECS: [(&str, f64); 2] = [
+    ("cube_pass_distinct_12keys", 0.140213),
+    ("cube_pass_distinct_highcard", 0.131728),
+];
 
 fn main() {
     let mut cfg = RetailConfig::mail_order(150, 99);
@@ -39,6 +91,29 @@ fn main() {
             &format!("cube_pass_retail_150x8x10/threads={threads}"),
             || cube_pass_with(&data.space, &input, Parallelism::fixed(threads), None),
         );
+    }
+
+    // The distinct-FK lane at its two extremes. `12keys` is the shape
+    // of the pipeline benchmark's `train_facts` workload: every
+    // (region, item) slot sees the same ≤ 12 catalog keys from each of
+    // the ~24 base cells it covers. `highcard` is the adversarial input
+    // for a set-valued lane: one item, every row its own key, so the
+    // `[1-T, All]` slot ends up holding all of them.
+    let mut cfg12 = RetailConfig::mail_order_heterogeneous(160, 99);
+    cfg12.months = 12;
+    let data12 = generate_retail(&cfg12);
+    let input12 = build_cube_input(&data12.db, &data12.space, &data12.feature_queries).unwrap();
+    eprintln!("distinct_12keys fact rows: {}", input12.item_ids.len());
+    h.bench("cube_pass_distinct_12keys", || {
+        cube_pass_with(&data12.space, &input12, Parallelism::fixed(1), None)
+    });
+    let highcard = highcard_input(&data.space, 200_000);
+    h.bench("cube_pass_distinct_highcard", || {
+        cube_pass_with(&data.space, &highcard, Parallelism::fixed(1), None)
+    });
+
+    for (name, secs) in PARENT_MEDIAN_SECS {
+        h.record_parent_median(name, secs);
     }
 
     h.bench("prepare_retail_end_to_end", || {

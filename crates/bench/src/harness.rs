@@ -24,6 +24,11 @@ pub struct BenchResult {
     /// exposes it (see [`crate::rss`]). The high-water mark is reset
     /// after warm-up, so this is per-benchmark, not per-process.
     pub peak_rss_bytes: Option<u64>,
+    /// Median of the same cell at the parent of the commit that added
+    /// or reworked it, measured on this harness and machine: the
+    /// baseline a committed-results ratchet divides by. Set through
+    /// [`Harness::record_parent_median`].
+    pub parent_median_secs: Option<f64>,
 }
 
 impl BenchResult {
@@ -118,6 +123,7 @@ impl Harness {
             name: name.to_string(),
             samples,
             peak_rss_bytes: crate::rss::peak_rss_bytes(),
+            parent_median_secs: None,
         };
         let rss = match result.peak_rss_bytes {
             Some(b) => format!("{:>7.1} MiB", b as f64 / (1024.0 * 1024.0)),
@@ -163,6 +169,12 @@ impl Harness {
                 r.peak_rss_bytes
                     .map_or_else(|| "null".to_string(), |b| b.to_string())
             ));
+            if let Some(parent) = r.parent_median_secs {
+                out.push_str(&format!(
+                    "      \"parent_median_secs\": {},\n",
+                    json_f64(parent)
+                ));
+            }
             let samples: Vec<String> = r.samples.iter().map(|s| json_f64(*s)).collect();
             out.push_str(&format!(
                 "      \"samples\": [{}]\n",
@@ -186,6 +198,13 @@ impl Harness {
             Ok(()) => println!("(wrote {})", path.display()),
             Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
         }
+    }
+
+    /// Record beside the completed result `name` what the same cell
+    /// took at the parent commit (see [`BenchResult::parent_median_secs`]).
+    pub fn record_parent_median(&mut self, name: &str, secs: f64) {
+        let result = self.results.iter_mut().find(|r| r.name == name);
+        result.expect("a completed benchmark").parent_median_secs = Some(secs);
     }
 
     /// Look up a completed result by exact name.
@@ -249,5 +268,8 @@ mod tests {
         assert!(j.contains("\"name\": \"a\""));
         assert!(j.contains("\"name\": \"b\""));
         assert!(j.contains("\"median_secs\""));
+        assert!(!j.contains("parent_median_secs"));
+        h.record_parent_median("b", 0.25);
+        assert!(h.to_json().contains("\"parent_median_secs\": 0.25"));
     }
 }

@@ -29,26 +29,25 @@ pub fn region_block(
     items: &ItemTable,
     targets: &HashMap<i64, f64>,
 ) -> RegionBlock {
-    let n_static = items.numeric_attrs().len();
-    let n_regional = cube.measure_names.len();
-    let p = (1 + n_static + n_regional) as u32;
+    let statics = items.numeric_attrs();
+    let p = (1 + statics.len() + cube.measure_names.len()) as u32;
     let mut block = RegionBlock::new(region.0.clone(), p);
 
     let Some(region_items) = cube.regions.get(region) else {
         return block;
     };
     // Deterministic example order: sort by item id.
-    let mut ids: Vec<i64> = region_items.keys().copied().collect();
-    ids.sort_unstable();
+    let mut entries: Vec<(i64, &Vec<Option<f64>>)> =
+        region_items.iter().map(|(&id, values)| (id, values)).collect();
+    entries.sort_unstable_by_key(|&(id, _)| id);
 
     let mut x = Vec::with_capacity(p as usize);
-    for id in ids {
+    for (id, regional) in entries {
         let Some(&target) = targets.get(&id) else { continue };
-        let Some(statics) = items.static_features(id) else { continue };
-        let regional = &region_items[&id];
+        let Some(row) = items.row_of(id) else { continue };
         x.clear();
         x.push(1.0);
-        x.extend_from_slice(&statics);
+        x.extend(statics.iter().map(|a| a.values[row]));
         x.extend(regional.iter().map(|v| v.unwrap_or(0.0)));
         block.push(id, &x, target);
     }

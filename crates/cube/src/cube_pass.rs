@@ -385,11 +385,14 @@ impl CellState {
 /// semantics: the first contribution to a slot assigns, later ones
 /// merge. That keeps e.g. a `-0.0` sum bit-identical to the AoS oracle,
 /// which clones the first contribution instead of adding it to `0.0`.
-/// The distinct-FK lanes hold append-only `(key, value)` pair lists
-/// instead of hash maps: updates and merges are pushes, and the
-/// map-overwrite semantics ("last insert wins per key") are recovered by
-/// a stable sort-by-key + keep-last dedup, applied at fold/merge
-/// boundaries (to bound carried size) and again at finish.
+/// The distinct-FK lanes hold `(key, value)` pair lists instead of hash
+/// maps. A chunk fold pushes rows and restores the map-overwrite
+/// semantics ("last insert wins per key") with [`dedup_pairs`], a stable
+/// sort-by-key + keep-last dedup; from there on every merge goes through
+/// [`union_into`], which keeps a list a key-sorted set while it is small
+/// and a compacting append log past that. The dedup at merge boundaries
+/// and at finish is what closes a log; on a sorted set it changes
+/// nothing.
 #[derive(Debug, Clone)]
 pub(crate) enum StateCol {
     Sum { totals: Vec<f64>, seen: Vec<bool> },
@@ -400,6 +403,11 @@ pub(crate) enum StateCol {
     Distinct { func: AggFunc, pairs: Vec<Vec<(i64, f64)>> },
 }
 
+/// Longest distinct pair list handled by element moves: [`dedup_pairs`]
+/// insertion-sorts up to this many pairs, and [`union_into`] keeps a
+/// destination a sorted set while destination plus source fit in it.
+const SMALL_PAIRS_MAX: usize = 32;
+
 /// Stable-sort `pairs` by key and keep the **last** occurrence of each
 /// key (= hash-map insert order semantics). The result is key-sorted.
 pub(crate) fn dedup_pairs(pairs: &mut Vec<(i64, f64)>) {
@@ -409,7 +417,7 @@ pub(crate) fn dedup_pairs(pairs: &mut Vec<(i64, f64)>) {
     // Stable sort by key; the lists are almost always tiny (one entry
     // per contributing cell), where a hand-rolled insertion sort beats
     // the general sort's dispatch overhead.
-    if pairs.len() <= 32 {
+    if pairs.len() <= SMALL_PAIRS_MAX {
         for i in 1..pairs.len() {
             let mut j = i;
             while j > 0 && pairs[j - 1].0 > pairs[j].0 {
@@ -433,6 +441,61 @@ pub(crate) fn dedup_pairs(pairs: &mut Vec<(i64, f64)>) {
         i = j + 1;
     }
     pairs.truncate(w);
+}
+
+/// Whether `pairs` is a key-sorted set: what every deduplicated lane is.
+pub(crate) fn strictly_ascending(pairs: &[(i64, f64)]) -> bool {
+    pairs.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+/// Fold the later arrival `src` (strictly key-ascending, as every
+/// deduplicated lane is) into `dst` so that `dedup_pairs(dst)` afterwards
+/// equals `dedup_pairs(old dst ++ src)`.
+///
+/// While both fit in [`SMALL_PAIRS_MAX`] pairs, `dst` is a key-sorted
+/// set and `src` is upserted in place: an equal key takes the later
+/// value, a new key is inserted in order. A slot that receives the same
+/// few keys from every cell it covers therefore never holds more than
+/// its distinct keys. Past that size a sorted insert would move O(n)
+/// pairs per arrival, so `dst` becomes an append log that is compacted
+/// whenever it would outgrow its allocation, and the allocation doubles
+/// only if the compacted log still fills more than half of it: O(log n)
+/// amortised work per arrival, memory O(distinct keys). A log is longer
+/// than [`SMALL_PAIRS_MAX`] until a dedup shortens it, which also sorts
+/// it, so a list short enough for the sorted regime is always sorted.
+fn union_into(dst: &mut Vec<(i64, f64)>, src: &[(i64, f64)]) {
+    if dst.len() + src.len() > SMALL_PAIRS_MAX {
+        let cap = dst.capacity();
+        let full = dst.len() + src.len() > cap;
+        if full {
+            #[cfg(test)]
+            tests::touched(dst.len());
+            dedup_pairs(dst);
+        }
+        if dst.len() + src.len() > SMALL_PAIRS_MAX {
+            if full && dst.len() > cap / 2 {
+                dst.reserve(cap);
+            }
+            dst.extend_from_slice(src);
+            return;
+        }
+    }
+    debug_assert!(strictly_ascending(dst), "sorted-regime destination: {dst:?}");
+    debug_assert!(strictly_ascending(src), "sorted-regime source: {src:?}");
+    let mut hi = dst.len();
+    for &(key, value) in src.iter().rev() {
+        while hi > 0 && dst[hi - 1].0 > key {
+            hi -= 1;
+        }
+        if hi > 0 && dst[hi - 1].0 == key {
+            hi -= 1;
+            dst[hi].1 = value;
+        } else {
+            dst.insert(hi, (key, value));
+        }
+    }
+    #[cfg(test)]
+    tests::touched(dst.len() * src.len());
 }
 
 /// Reduce one cell's deduplicated, key-sorted distinct pairs.
@@ -688,18 +751,14 @@ impl StateCol {
                 }
             }
             (StateCol::Distinct { pairs, .. }, StateCol::Distinct { pairs: sp, .. }) => {
+                #[cfg(test)]
+                let union_into = tests::distinct_merge_arm();
                 for (sl, (&d, &w)) in sp[range].iter().zip(dsts.iter().zip(was)) {
                     let d = d as usize;
                     if !w {
                         pairs[d].clear();
-                        // A slot typically accumulates one pair per
-                        // contributing cell; skipping the doubling
-                        // ladder saves most of the reallocations.
-                        if pairs[d].capacity() < 8 {
-                            pairs[d].reserve(8);
-                        }
                     }
-                    pairs[d].extend_from_slice(sl);
+                    union_into(&mut pairs[d], sl);
                 }
             }
             _ => unreachable!("merging mismatched state columns"),
@@ -1648,7 +1707,47 @@ mod tests {
     use super::*;
     use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
-    use crate::testutil::{assert_bit_identical, measures_of_every_kind, space};
+    use crate::testutil::{
+        assert_bit_identical, gen_distinct_input, measures_of_every_kind, space,
+    };
+    use bellwether_prop::check;
+    use std::cell::Cell;
+
+    type Pairs = Vec<(i64, f64)>;
+
+    thread_local! {
+        /// Destination pairs [`union_into`] compared, moved or compacted
+        /// on this thread (an upper bound): its work, in a unit no clock
+        /// can move.
+        static PAIRS_TOUCHED: Cell<u64> = const { Cell::new(0) };
+        /// Whether this thread's passes merge distinct lanes with
+        /// [`append_oracle`]. Worker threads never see it: run an oracle
+        /// pass at one thread.
+        static APPEND_ORACLE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The merge arm this change replaced, kept as the oracle: append,
+    /// and leave the set semantics to the next [`dedup_pairs`].
+    fn append_oracle(dst: &mut Pairs, src: &[(i64, f64)]) {
+        dst.extend_from_slice(src);
+    }
+
+    /// What [`StateCol::merge_from`] merges distinct lanes with.
+    pub(super) fn distinct_merge_arm() -> fn(&mut Pairs, &[(i64, f64)]) {
+        if APPEND_ORACLE.with(Cell::get) {
+            append_oracle
+        } else {
+            union_into
+        }
+    }
+
+    pub(super) fn touched(pairs: usize) {
+        PAIRS_TOUCHED.with(|c| c.set(c.get() + pairs as u64));
+    }
+
+    fn pairs_touched() -> u64 {
+        PAIRS_TOUCHED.with(Cell::get)
+    }
 
     /// Four fact rows:
     ///   (item 1, t1, WI, profit 10, ad 7→size 3.0)
@@ -2006,5 +2105,198 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.rows_scanned(), 4);
         assert_eq!(snap.base_cells(), 2); // two items survive the filter
+    }
+
+    /// `pairs` after the closing dedup, values as bits (`-0.0`, NaN
+    /// payloads and all).
+    fn closed_bits(pairs: &Pairs) -> Vec<(i64, u64)> {
+        let mut p = pairs.clone();
+        dedup_pairs(&mut p);
+        p.iter().map(|&(k, v)| (k, v.to_bits())).collect()
+    }
+
+    /// `n` pairs with keys `start, start + step, …` and values no other
+    /// call with a different `tag` produces.
+    fn run_of(start: i64, step: i64, n: usize, tag: f64) -> Pairs {
+        (0..n as i64).map(|i| (start + i * step, tag + i as f64 / 3.0)).collect()
+    }
+
+    #[test]
+    fn union_into_matches_the_append_oracle_bit_for_bit() {
+        let special = [-0.0, 0.0, f64::NAN, f64::from_bits(0x7ff8_0000_0000_beef), f64::INFINITY];
+        // Key domains under, at, just over and far over the small
+        // bound, and all of `i64`.
+        let domains = [6u64, 32, 33, 40, 500, u64::MAX];
+        check("union_into matches the append oracle", 600, |rng| {
+            let domain = *rng.choice(&domains);
+            let (mut got, mut want): (Pairs, Pairs) = (Vec::new(), Vec::new());
+            for _ in 0..rng.below(60) {
+                let max_len = *rng.choice(&[1usize, 2, 8, 50]);
+                let mut src = rng.vec_of(0, max_len, |rng| {
+                    let key = match rng.below(16) {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        _ => (rng.next_u64() % domain) as i64,
+                    };
+                    // A key meets a different value on every arrival,
+                    // so last-wins is observable.
+                    let value = match rng.below(3) {
+                        0 => *rng.choice(&special),
+                        _ => f64::from_bits(rng.next_u64()),
+                    };
+                    (key, value)
+                });
+                dedup_pairs(&mut src);
+                match rng.below(12) {
+                    // The first contribution to a reused slot.
+                    0 => {
+                        got.clear();
+                        want.clear();
+                    }
+                    // A dedup boundary between two rounds of merges.
+                    1 | 2 => dedup_pairs(&mut got),
+                    _ => {}
+                }
+                union_into(&mut got, &src);
+                append_oracle(&mut want, &src);
+                assert_eq!(closed_bits(&got), closed_bits(&want));
+                if got.len() <= SMALL_PAIRS_MAX {
+                    assert!(strictly_ascending(&got), "a short list is a set: {got:?}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn union_into_straddles_the_small_bound() {
+        // Totals of 31, 32 and 33 pairs at every split, with the source
+        // disjoint from, interleaved with and equal to part of the
+        // destination.
+        for total in [31usize, 32, 33] {
+            for n_src in 0..=total {
+                let n_dst = total - n_src;
+                for (start, step) in [(1000, 1), (1, 2), (0, 2)] {
+                    let mut got = run_of(0, 2, n_dst, 1.0);
+                    let mut want = got.clone();
+                    let src = run_of(start, step, n_src, 2.0);
+                    union_into(&mut got, &src);
+                    append_oracle(&mut want, &src);
+                    assert_eq!(closed_bits(&got), closed_bits(&want), "{n_dst} + {n_src}");
+                    if total <= SMALL_PAIRS_MAX {
+                        assert!(strictly_ascending(&got), "{n_dst} + {n_src}: {got:?}");
+                    }
+                }
+            }
+        }
+
+        // Into the log and back out through a dedup boundary: the next
+        // arrival must find a sorted set again.
+        let mut got = run_of(0, 1, 20, 1.0);
+        let mut want = got.clone();
+        for (round, src) in [run_of(5, 1, 15, 2.0), run_of(0, 3, 8, 3.0)].iter().enumerate() {
+            union_into(&mut got, src);
+            append_oracle(&mut want, src);
+            if round == 0 {
+                assert_eq!(got.len(), 35, "an append log past the bound");
+                dedup_pairs(&mut got);
+            }
+        }
+        assert_eq!(got.len(), 21);
+        assert!(strictly_ascending(&got));
+        assert_eq!(closed_bits(&got), closed_bits(&want));
+
+        // Back out through the log's own compaction: a full allocation
+        // compacts to 20 keys, and 20 + 10 is a sorted upsert again.
+        let mut got: Pairs = Vec::with_capacity(40);
+        got.extend(run_of(0, 1, 20, 1.0));
+        let mut want = got.clone();
+        for src in [run_of(3, 1, 15, 2.0), run_of(10, 1, 10, 3.0)] {
+            union_into(&mut got, &src);
+            append_oracle(&mut want, &src);
+        }
+        assert_eq!((got.len(), got.capacity()), (20, 40), "compacted, not grown");
+        assert!(strictly_ascending(&got));
+        assert_eq!(closed_bits(&got), closed_bits(&want));
+
+        // Extreme keys and an empty source.
+        let mut got = vec![(i64::MIN, 1.0), (0, 2.0), (i64::MAX, 3.0)];
+        union_into(&mut got, &[]);
+        union_into(&mut got, &[(i64::MIN, -0.0), (i64::MAX, f64::NAN)]);
+        let bits: Vec<(i64, u64)> = got.iter().map(|&(k, v)| (k, v.to_bits())).collect();
+        assert_eq!(
+            bits,
+            [(i64::MIN, (-0.0f64).to_bits()), (0, 2f64.to_bits()), (i64::MAX, f64::NAN.to_bits())]
+        );
+    }
+
+    #[test]
+    fn a_high_cardinality_lane_costs_linear_compaction_work() {
+        // Distinct keys: all different, 60 in rotation (a compacted log
+        // that nearly fills its first allocation), 33 in rotation (one
+        // past the bound); arrivals one pair and 2,500 at a time.
+        for (distinct, arrivals, per_arrival) in
+            [(200_000u64, 200_000u64, 1u64), (200_000, 80, 2_500), (60, 200_000, 1), (33, 50_000, 1)]
+        {
+            let what = format!("{distinct} keys in {arrivals} x {per_arrival}");
+            let (mut got, mut want): (Pairs, Pairs) = (Vec::new(), Vec::new());
+            let before = pairs_touched();
+            let mut n = 0u64;
+            for _ in 0..arrivals {
+                let mut src: Pairs = (0..per_arrival)
+                    .map(|_| {
+                        n += 1;
+                        // Scrambled, not ascending, arrival order.
+                        let key = (n % distinct).wrapping_mul(0x9e37_79b9_7f4a_7c15) as i64;
+                        (key, n as f64)
+                    })
+                    .collect();
+                dedup_pairs(&mut src);
+                union_into(&mut got, &src);
+                append_oracle(&mut want, &src);
+                // A sorted upsert touches at most the small bound per
+                // pair and only the first few pairs meet one; the log
+                // costs an amortised constant.
+                let work = pairs_touched() - before;
+                let bound = (SMALL_PAIRS_MAX * SMALL_PAIRS_MAX + 4 * want.len()) as u64;
+                assert!(work <= bound, "{what}: {work} pairs touched for {}", want.len());
+            }
+            assert_eq!(closed_bits(&got), closed_bits(&want), "{what}");
+            assert!(
+                got.capacity() as u64 <= 4 * distinct.max(SMALL_PAIRS_MAX as u64),
+                "{what}: {} pairs allocated",
+                got.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn distinct_heavy_pass_matches_the_reference_and_the_append_oracle() {
+        let sp = space();
+        let items: Vec<i64> = (0..24).map(|i| i * 5 - 7).collect();
+        let weeks: Vec<u32> = (0..6).collect();
+        // 9,000 rows are three chunks over 432 base cells of ~18 keys
+        // each out of 90: leaf-level slots stay sorted sets, slots
+        // further up turn into logs.
+        let functional = gen_distinct_input(11, 9000, &items, &weeks, 0..90, true);
+        let free = gen_distinct_input(12, 9000, &items, &weeks, 0..90, false);
+        let reference = cube_pass_reference(&sp, &functional);
+
+        let before = pairs_touched();
+        APPEND_ORACLE.with(|o| o.set(true));
+        let oracle = cube_pass_with(&sp, &free, Parallelism::fixed(1), None);
+        APPEND_ORACLE.with(|o| o.set(false));
+        assert_eq!(pairs_touched(), before, "the oracle pass ran union_into");
+        // `d_count` is the length of a slot's list.
+        let counts: Vec<f64> =
+            oracle.regions.values().flat_map(|items| items.values()).filter_map(|v| v[4]).collect();
+        assert!(counts.iter().any(|&c| c < SMALL_PAIRS_MAX as f64), "no short list");
+        assert!(counts.iter().any(|&c| c > SMALL_PAIRS_MAX as f64 * 2.0), "no long list");
+
+        for threads in [1usize, 2, 4] {
+            let par = Parallelism::fixed(threads).with_min_chunk(1);
+            let what = format!("threads={threads}");
+            assert_bit_identical(&cube_pass_with(&sp, &functional, par, None), &reference, &what);
+            assert_bit_identical(&cube_pass_with(&sp, &free, par, None), &oracle, &what);
+        }
     }
 }

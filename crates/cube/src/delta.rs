@@ -453,7 +453,7 @@ impl StreamingCube {
 mod tests {
     use super::*;
     use crate::cube_pass::cube_pass_with;
-    use crate::testutil::{assert_bit_identical, gen_input, space};
+    use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
 
     #[test]
     fn appends_match_cold_rebuild_bit_for_bit() {
@@ -539,6 +539,26 @@ mod tests {
             .map(|(i, &rows)| rows_at(10 + i as u64, rows, &items, &[i as u32 + 1], &ALL_LEAVES))
             .collect();
         assert_eq!(600 + 400 + 3500 + 9000 + 2884, 4 * ROW_CHUNK);
+        for update in check_schedule(&space(), &items, &base, &batches) {
+            assert!(update.regions_extended > 0);
+            assert_eq!(update.regions_rebuilt, 0, "an append at the end of the timeline");
+        }
+    }
+
+    #[test]
+    fn distinct_partials_outgrow_the_sorted_regime_between_appends() {
+        let items: Vec<i64> = (0..5).collect();
+        // Week `w` draws its keys from `15w..15w + 20`, values free: the
+        // retained `[1-t, ·]` partials hold ~20 keys after the base,
+        // ~35 after the first append and ~80 after the last, and a key
+        // shared by two weeks takes the later week's value.
+        let week = |w: u32, rows: usize| {
+            let keys = 15 * w as i64..15 * w as i64 + 20;
+            gen_distinct_input(50 + w as u64, rows, &items, &[w], keys, false)
+        };
+        let base = week(0, 600);
+        let batches: Vec<CubeInput> =
+            [500usize, 3500, 5000, 300, 40].iter().zip(1..).map(|(&rows, w)| week(w, rows)).collect();
         for update in check_schedule(&space(), &items, &base, &batches) {
             assert!(update.regions_extended > 0);
             assert_eq!(update.regions_rebuilt, 0, "an append at the end of the timeline");

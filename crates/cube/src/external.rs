@@ -44,8 +44,8 @@
 //! be useful, independent of how many fact rows collapsed into it.
 
 use crate::cube_pass::{
-    cube_pass_reference, expand_rollup, fold_chunks, merge_chunks, CubeInput, CubeResult, KeySpace,
-    StateCol, StateTable, ROW_CHUNK,
+    cube_pass_reference, expand_rollup, fold_chunks, merge_chunks, strictly_ascending, CubeInput,
+    CubeResult, KeySpace, StateCol, StateTable, ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -289,18 +289,26 @@ impl FrameReader {
                     for _ in 0..n {
                         let len = self.u32()? as usize;
                         let raw = self.bytes(len * 16)?;
-                        pairs.push(
-                            raw.chunks_exact(16)
-                                .map(|c| {
-                                    (
-                                        i64::from_le_bytes(c[..8].try_into().expect("8 bytes")),
-                                        f64::from_bits(u64::from_le_bytes(
-                                            c[8..].try_into().expect("8 bytes"),
-                                        )),
-                                    )
-                                })
-                                .collect(),
-                        );
+                        let list: Vec<(i64, f64)> = raw
+                            .chunks_exact(16)
+                            .map(|c| {
+                                (
+                                    i64::from_le_bytes(c[..8].try_into().expect("8 bytes")),
+                                    f64::from_bits(u64::from_le_bytes(
+                                        c[8..].try_into().expect("8 bytes"),
+                                    )),
+                                )
+                            })
+                            .collect();
+                        // The merge walks a source list as a sorted
+                        // set; a run on disk is the one source that is
+                        // bytes rather than a dedup's output.
+                        if !strictly_ascending(&list) {
+                            return invalid(
+                                "distinct keys not strictly ascending in spill run".to_string(),
+                            );
+                        }
+                        pairs.push(list);
                     }
                     StateCol::Distinct {
                         func: func_from(func)?,
@@ -686,7 +694,7 @@ pub(crate) fn cube_pass_runs(
 mod tests {
     use super::*;
     use crate::cube_pass::{chunk_range, cube_pass_with, fold_chunk, Measure};
-    use crate::testutil::{assert_bit_identical, gen_input, space};
+    use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
     use bellwether_obs::{NoopRecorder, Registry};
 
     /// `rows` seeded fact rows over seven item ids.
@@ -884,6 +892,73 @@ mod tests {
             }
         }
         assert!(cells > 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn distinct_lists_that_outgrow_the_sorted_regime_across_runs_spill_exactly() {
+        let sp = space();
+        let items = [4i64, 8, 15, 16];
+        let weeks: Vec<u32> = (0..6).collect();
+        // Four slices of 8,192 rows are four runs at two chunks a run.
+        // Each draws its keys from its own window of 20, sharing 5 with
+        // the run before, values free: a base cell's list is a sorted
+        // set of at most 20 keys inside a run and a log of ~65 after
+        // the k-way merge, and which run wrote a shared key last shows.
+        let slices: Vec<CubeInput> = (0..4)
+            .map(|r| gen_distinct_input(30 + r as u64, 8192, &items, &weeks, 15 * r..15 * r + 20, false))
+            .collect();
+        let unlimited =
+            cube_pass_runs(&sp, &slices, par(1), UNLIMITED_BUDGET, 2, &NoopRecorder).unwrap();
+        let widest = unlimited
+            .regions
+            .values()
+            .flat_map(|items| items.values())
+            .filter_map(|v| v[4])
+            .fold(0.0, f64::max);
+        assert_eq!(widest, 65.0, "distinct keys of the widest slot");
+        for threads in [1usize, 2, 4] {
+            let reg = Registry::shared();
+            let spilled = cube_pass_runs(&sp, &slices, par(threads), 0, 2, reg.as_ref()).unwrap();
+            assert_bit_identical(&spilled, &unlimited, &format!("threads={threads}"));
+            assert_eq!(reg.snapshot().counter(names::SHARD_SPILLS), Some(4));
+        }
+    }
+
+    #[test]
+    fn a_spilled_distinct_list_out_of_key_order_is_invalid_data() {
+        // One cell whose distinct lane holds keys 3 and 9.
+        let table = StateTable {
+            keys: vec![7],
+            cols: vec![StateCol::Distinct {
+                func: AggFunc::Sum,
+                pairs: vec![vec![(3, 1.5), (9, 2.5)]],
+            }],
+        };
+        let dir = std::env::temp_dir().join(format!("bw_run_doctored_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.bwrun");
+        write_run(&path, std::slice::from_ref(&table)).unwrap();
+        let good = fs::read(&path).unwrap();
+        // header (4 + 2), cell count (4), cell key (8), list length (4),
+        // then the two 16-byte pairs.
+        let pairs_at = 22;
+        assert_eq!(good.len(), pairs_at + 32 + 4);
+        assert!(RunCursor::open(Run::Spilled { path: path.clone() }).is_ok());
+
+        let mut swapped = good.clone();
+        swapped[pairs_at..pairs_at + 16].copy_from_slice(&good[pairs_at + 16..pairs_at + 32]);
+        swapped[pairs_at + 16..pairs_at + 32].copy_from_slice(&good[pairs_at..pairs_at + 16]);
+        let mut repeated = good.clone();
+        repeated[pairs_at + 16..pairs_at + 24].copy_from_slice(&good[pairs_at..pairs_at + 8]);
+        for (what, bytes) in [("descending keys", swapped), ("a repeated key", repeated)] {
+            fs::write(&path, bytes).unwrap();
+            let err = RunCursor::open(Run::Spilled { path: path.clone() })
+                .err()
+                .unwrap_or_else(|| panic!("{what} decoded"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("strictly ascending"), "{what}: {err}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

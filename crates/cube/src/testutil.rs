@@ -59,16 +59,20 @@ pub(crate) fn measures_of_every_kind(
     ]
 }
 
-/// `rows` seeded (xorshift) fact rows over the leaf cells of [`space`],
-/// items drawn from `items`, with every measure kind and some NULLs.
-pub(crate) fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
     let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    let mut next = move || {
+    move || {
         s ^= s << 13;
         s ^= s >> 7;
         s ^= s << 17;
         s
-    };
+    }
+}
+
+/// `rows` seeded (xorshift) fact rows over the leaf cells of [`space`],
+/// items drawn from `items`, with every measure kind and some NULLs.
+pub(crate) fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
+    let mut next = xorshift(seed);
     // Awkward floats on purpose: sums must not be exactly representable,
     // so any merge-order deviation shows.
     let float = |x: u64| (x as f64 / u64::MAX as f64) * 10.0 - 5.0 + 1.0 / 3.0;
@@ -80,16 +84,71 @@ pub(crate) fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
         item_ids.push(items[(next() % items.len() as u64) as usize]);
         coords.push((next() % 6) as u32);
         coords.push(LEAVES[(next() % 3) as usize]);
-        sums.push((next() % 10 > 0).then(|| float(next())));
+        sums.push((!next().is_multiple_of(10)).then(|| float(next())));
         extrema.push((next() % 10 > 1).then(|| float(next())));
         avgs.push(Some(float(next())));
-        fks.push((next() % 4 > 0).then(|| (next() % 40) as i64));
+        fks.push((!next().is_multiple_of(4)).then(|| (next() % 40) as i64));
         fk_values.push(float(next()));
     }
     CubeInput {
         item_ids,
         coords,
         measures: measures_of_every_kind(sums, extrema, avgs, fks, fk_values),
+    }
+}
+
+/// `rows` seeded fact rows over the leaf cells of [`space`] at times
+/// drawn from `weeks`, carrying nothing but distinct-FK measures: every
+/// `func` the form takes, all over the same foreign keys drawn from
+/// `keys`. With `functional` a key's value is a function of the key (the
+/// join contract, and what [`crate::cube_pass_reference`]'s hash-order
+/// merge needs); without it every row draws its own, so which duplicate
+/// of a key arrived last shows in the result.
+pub(crate) fn gen_distinct_input(
+    seed: u64,
+    rows: usize,
+    items: &[i64],
+    weeks: &[u32],
+    keys: std::ops::Range<i64>,
+    functional: bool,
+) -> CubeInput {
+    let mut next = xorshift(seed);
+    let mut item_ids = Vec::with_capacity(rows);
+    let mut coords = Vec::with_capacity(rows * 2);
+    let (mut fks, mut fk_values) = (Vec::new(), Vec::new());
+    for _ in 0..rows {
+        item_ids.push(items[(next() % items.len() as u64) as usize]);
+        coords.push(weeks[(next() % weeks.len() as u64) as usize]);
+        coords.push(LEAVES[(next() % 3) as usize]);
+        let key = keys.start + (next() % (keys.end - keys.start) as u64) as i64;
+        fks.push((!next().is_multiple_of(8)).then_some(key));
+        // Thirds and sevenths: no sum of them is exact, so a changed
+        // operand order would show.
+        fk_values.push(if functional {
+            key as f64 / 7.0 - 3.0
+        } else {
+            (next() % 1000) as f64 / 3.0 - 150.0
+        });
+    }
+    let measures = [
+        ("d_sum", AggFunc::Sum),
+        ("d_min", AggFunc::Min),
+        ("d_max", AggFunc::Max),
+        ("d_avg", AggFunc::Avg),
+        ("d_count", AggFunc::CountDistinct),
+    ]
+    .into_iter()
+    .map(|(name, func)| Measure::DistinctKeyed {
+        name: name.into(),
+        func,
+        keys: fks.clone(),
+        values: fk_values.clone(),
+    })
+    .collect();
+    CubeInput {
+        item_ids,
+        coords,
+        measures,
     }
 }
 

@@ -17,6 +17,11 @@
 //! `ScanPolicy::SkipUnreadable` scan). They stay zero on this healthy
 //! run; `examples/fault_tolerance.rs` exercises all four.
 //!
+//! Right after the CUBE pass the same pass runs twice more on one
+//! thread, with and without the `DistinctKeyed` measures, and prints
+//! what share of the pass (and of its rollup phase) the distinct-FK
+//! lanes account for.
+//!
 //! A short streaming section appends three weeks to a
 //! `StreamingBellwether` — two in time order, then the first of them
 //! again — and prints the `stream/*` counters: `regions_extended`
@@ -74,6 +79,40 @@ fn main() {
         "CUBE pass: {} rows scanned, {} regions emitted (matches legacy CubeStats)",
         snap.rows_scanned(),
         snap.regions_emitted()
+    );
+
+    // ---- what the distinct-FK lanes cost: the same pass with the
+    // `DistinctKeyed` measures and without them, through one recorder
+    // (reset in between), on one thread so a span is CPU time.
+    let lanes = Registry::shared();
+    let mut numeric_only = cube_input.clone();
+    numeric_only
+        .measures
+        .retain(|m| matches!(m, bellwether::cube::Measure::Numeric { .. }));
+    // The fastest of three passes: (whole pass, its rollup phase).
+    let pass_and_rollup_ms = |input: &CubeInput| -> (f64, f64) {
+        (0..3)
+            .map(|_| {
+                lanes.reset();
+                cube_pass_traced(&data.space, input, Parallelism::fixed(1), lanes.as_ref());
+                let snap = lanes.snapshot();
+                let ms = |phase: &str| {
+                    snap.span(&format!("cube_pass/{phase}"))
+                        .map_or(0.0, |s| s.total_secs() * 1e3)
+                };
+                let rollup = ms("phase2_rollup");
+                (ms("phase1_scan") + ms("phase1_merge") + rollup, rollup)
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("three passes")
+    };
+    let (with, with_rollup) = pass_and_rollup_ms(&cube_input);
+    let (without, without_rollup) = pass_and_rollup_ms(&numeric_only);
+    println!(
+        "CUBE pass with / without its {} distinct-FK measure(s): {with:.1} / {without:.1} ms \
+         (rollup {with_rollup:.1} / {without_rollup:.1} ms) — the distinct lanes are {:.0}% of the pass",
+        cube_input.measures.len() - numeric_only.measures.len(),
+        (1.0 - without / with) * 100.0
     );
 
     // ---- entire training data on disk, written and read through the
