@@ -4,9 +4,11 @@
 //! This bench records the kernel trajectory the perf work is judged by:
 //! the legacy hash-per-row kernel (`cube_pass_reference`) against the
 //! dense-keyed chunked kernel (`cube_pass_with`) at 1/2/4/8 worker
-//! threads, plus the end-to-end retail preparation and the two extremes
-//! of a distinct-FK lane (few keys seen over and over; every key new),
-//! each beside what it took at the parent commit. Results land in
+//! threads, plus the end-to-end retail preparation, the two extremes
+//! of a distinct-FK lane (few keys seen over and over; every key new)
+//! and a long timeline over a flat location hierarchy (60 prefixes
+//! `[1..t]`, the shape whose rollup shares the most), each beside what
+//! it took at a recorded parent commit. Results land in
 //! `results/BENCH_cube_pass.json`.
 
 use bellwether_bench::{emit_metrics_json, prepare_retail, results_dir, Harness};
@@ -15,7 +17,7 @@ use bellwether_cube::{
     cube_pass_reference, cube_pass_traced, cube_pass_with, CubeInput, Dimension, Measure,
     Parallelism, RegionSpace,
 };
-use bellwether_datagen::{generate_retail, RetailConfig};
+use bellwether_datagen::{build_stream_workload, generate_retail, RetailConfig, StreamConfig};
 use bellwether_obs::Registry;
 use bellwether_table::ops::AggFunc;
 
@@ -60,9 +62,16 @@ fn highcard_input(space: &RegionSpace, rows: usize) -> CubeInput {
 /// boundaries): medians of full 10-sample runs of this file built
 /// against that commit, alternated with the runs behind the committed
 /// results on the same machine.
-const PARENT_MEDIAN_SECS: [(&str, f64); 2] = [
+///
+/// `cube_pass_prefix_60x30` is measured against PR 15 instead, where
+/// the rollup folded every base cell into each of the `60 − w` prefixes
+/// containing its week: the median of a full 10-sample run of this cell
+/// built against that commit, on the same machine as the committed
+/// results.
+const PARENT_MEDIAN_SECS: [(&str, f64); 3] = [
     ("cube_pass_distinct_12keys", 0.140213),
     ("cube_pass_distinct_highcard", 0.131728),
+    ("cube_pass_prefix_60x30", 0.274475),
 ];
 
 fn main() {
@@ -110,6 +119,24 @@ fn main() {
     let highcard = highcard_input(&data.space, 200_000);
     h.bench("cube_pass_distinct_highcard", || {
         cube_pass_with(&data.space, &highcard, Parallelism::fixed(1), None)
+    });
+
+    // The pipeline benchmark's `train_spill` shape: 60 weeks × 30
+    // location leaves × 300 items, two numeric measures, 538,200 rows
+    // that are one base cell each. A cell of week `w` lies in `60 − w`
+    // prefixes `[1..t]`; the rollup folds it once per location ancestor
+    // and hands the running table out as each prefix closes.
+    let stream = build_stream_workload(&StreamConfig {
+        n_items: 300,
+        weeks: 60,
+        leaves: 30,
+        open_week: 6,
+        ..StreamConfig::default()
+    });
+    let prefix_input = stream.input_range(0, 60);
+    eprintln!("prefix_60x30 fact rows: {}", prefix_input.item_ids.len());
+    h.bench("cube_pass_prefix_60x30", || {
+        cube_pass_with(&stream.region_space, &prefix_input, Parallelism::fixed(1), None)
     });
 
     for (name, secs) in PARENT_MEDIAN_SECS {

@@ -38,10 +38,15 @@
 //!   dense table when the key space is small, a hash-indexed one
 //!   otherwise.
 //! * Phase 2 rolls base cells up with precomputed per-dimension ancestor
-//!   key tables; workers own disjoint region-key ranges, so no locks and
-//!   no duplicated work. Each region accumulates into a dense
-//!   item-indexed [`RegionTable`] (the same columnar lanes), and each
-//!   output cell accumulates contributions in ascending base-key order.
+//!   key tables into dense item-indexed [`RegionTable`]s (the same
+//!   columnar lanes), each output cell accumulating contributions in
+//!   ascending base-key order. A leading interval dimension is a chain
+//!   of prefixes `[1..1] ⊂ [1..2] ⊂ …`, so there the walk keeps one
+//!   running table per combination of the *other* coordinates and hands
+//!   it out as `[1..t]`'s region when the cells pass time point `t`
+//!   ([`RollupPlan`]) instead of folding every cell into every prefix
+//!   that contains it. Workers own disjoint table-key ranges, so no
+//!   locks and no duplicated work.
 //!
 //! Because chunk boundaries and merge order are fixed properties of the
 //! *input* — never of the worker count — the result is **bit-identical
@@ -56,6 +61,7 @@
 //! The result maps every region to its per-item feature vectors, plus
 //! coverage counts — everything basic bellwether search needs.
 
+use crate::dimension::Dimension;
 use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
@@ -66,6 +72,7 @@ use bellwether_table::ops::AggFunc;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::Instant;
 
 /// Fixed scan granularity: fact rows are folded in chunks of this many
 /// rows regardless of thread count, which is what makes the parallel
@@ -1216,66 +1223,22 @@ pub(crate) fn merge_chunks(
     })
 }
 
-/// The region keys containing `cell_key` that fall in `[lo, hi)`,
-/// written into `out`: an odometer over the per-dimension ancestor key
-/// contributions, maintaining the key sum incrementally.
-pub(crate) fn expansion_keys(
-    cell_key: u64,
-    ks: &KeySpace,
-    anc_keys: &[Vec<Vec<u64>>],
-    lo: u64,
-    hi: u64,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    let arity = ks.strides.len();
-    let mut lists: Vec<&[u64]> = Vec::with_capacity(arity);
-    let mut rem = cell_key;
-    for (&stride, anc_d) in ks.strides.iter().zip(anc_keys) {
-        let v = (rem / stride) as usize;
-        rem %= stride;
-        lists.push(&anc_d[v]);
-    }
-    let mut idx = vec![0usize; arity];
-    let mut sum: u64 = lists.iter().map(|l| l[0]).sum();
-    loop {
-        if (lo..hi).contains(&sum) {
-            out.push(sum);
-        }
-        let mut d = arity;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            sum -= lists[d][idx[d]];
-            idx[d] += 1;
-            if idx[d] < lists[d].len() {
-                sum += lists[d][idx[d]];
-                break;
-            }
-            idx[d] = 0;
-            sum += lists[d][0];
-        }
-    }
-}
-
-/// Where a region's items live in its lanes — chosen from the observed
+/// Where a table's items live in its lanes — chosen from the observed
 /// item domain, never by the caller.
 #[derive(Clone)]
 enum ItemSlots {
     /// Slot = dense item index; `occupied[i]` says whether item `i` has
-    /// data. Memory `O(regions × items)`, so only up to
+    /// data. Memory `O(tables × items)`, so only up to
     /// [`DENSE_ITEMS_MAX`] items.
     Dense(Vec<bool>),
     /// Huge item domains: dense item index → slot, assigned in
-    /// first-contribution order, so a region pays only for the items it
+    /// first-contribution order, so a table pays only for the items it
     /// actually holds.
     Hashed(FxMap<u32, u32>),
 }
 
-/// One region's aggregation state: `cols[m]` holds measure `m`'s lanes
-/// over the region's item slots.
+/// One running table of the rollup walk: `cols[m]` holds measure `m`'s
+/// lanes over the table's item slots.
 #[derive(Clone)]
 pub(crate) struct RegionTable {
     slots: ItemSlots,
@@ -1283,126 +1246,136 @@ pub(crate) struct RegionTable {
     /// The largest base cell folded so far (runs arrive ascending). The
     /// delta pass may fold a cell past it straight onto this state.
     pub(crate) last_cell: u64,
+    /// Where in the current walk's output the features finished from
+    /// this very state sit; `None` once a cell arrives, and between
+    /// walks.
+    emitted: Option<usize>,
 }
 
-/// Reusable per-run scratch for [`flush_run`].
-#[derive(Default)]
-pub(crate) struct RunScratch {
-    /// Dense item index of each run entry — one `% n_items` per entry,
-    /// computed once and shared across every region key and column.
-    items: Vec<u32>,
-    /// Hash-assigned slot per entry for the current region table.
-    hashed: Vec<u32>,
-    /// Occupancy pre-state per entry for the current region table.
-    was: Vec<bool>,
+/// How phase 2 lays a region space out for its walk.
+///
+/// Base cells arrive in ascending key order with dimension 0 as the
+/// major stride. When that dimension is an interval, region
+/// `([1..t], n)` folds exactly the cells `([1..t−1], n)` folds, in the
+/// same order, and then time point `t`'s cells under `n`. The walk
+/// therefore keeps one running table per combination `n` of *trailing*
+/// coordinates and hands it out as region `(t, n)` whenever the leading
+/// coordinate moves past `t` — an **epoch** closes. Every other space
+/// (no leading interval, or nothing trailing it to split workers over)
+/// is the same walk with one epoch: a table per region, handed out once
+/// at the end.
+///
+/// A table is addressed by its **table key**, the region key with the
+/// epoch taken out: `region key = epoch × epoch_stride + table key`.
+#[derive(Clone)]
+pub(crate) struct RollupPlan {
+    /// Cell keys per epoch, which is also the size of the table-key
+    /// space.
+    pub(crate) epoch_stride: u64,
+    pub(crate) n_epochs: u64,
+    /// `anc_keys[d][v]` lists the table-key contribution (ancestor value
+    /// × stride) of every value of dimension `d` containing `v`; a
+    /// dimension that is the epoch contributes the single key 0.
+    anc_keys: Vec<Vec<Vec<u64>>>,
 }
 
-/// Merge one cell's run of shard entries (`run`, a contiguous index
-/// range of `shard` sharing a cell key) into the region tables of every
-/// key in `expansion`. Runs arrive in ascending cell-key order, so each
-/// `(region, item)` output accumulates its contributions in the same
-/// order for any sharding — a run split at a shard boundary flushes as
-/// two segments, which preserves that per-output order.
-pub(crate) fn flush_run(
-    expansion: &[u64],
-    shard: &StateTable,
-    run: Range<usize>,
-    n_items: u64,
-    out: &mut FxMap<u64, RegionTable>,
-    scratch: &mut RunScratch,
-    merges: &mut u64,
-) {
-    if expansion.is_empty() {
-        // Filtered rollups prune most cells; don't pay the per-entry
-        // item decode for a run no region will consume.
-        return;
-    }
-    let RunScratch { items, hashed, was } = scratch;
-    items.clear();
-    items.extend(shard.keys[run.clone()].iter().map(|&k| (k % n_items) as u32));
-    let cell = shard.keys[run.start] / n_items;
-    for &rk in expansion {
-        let table = out.entry(rk).or_insert_with(|| {
-            let (slots, len) = if n_items <= DENSE_ITEMS_MAX {
-                (ItemSlots::Dense(vec![false; n_items as usize]), n_items as usize)
-            } else {
-                (ItemSlots::Hashed(FxMap::default()), 0)
-            };
-            RegionTable {
-                slots,
-                cols: shard.cols.iter().map(|c| c.new_like(len)).collect(),
-                last_cell: cell,
-            }
-        });
-        table.last_cell = cell;
-        was.clear();
-        let dsts: &[u32] = match &mut table.slots {
-            ItemSlots::Dense(occupied) => {
-                for &it in items.iter() {
-                    let w = std::mem::replace(&mut occupied[it as usize], true);
-                    *merges += w as u64;
-                    was.push(w);
-                }
-                items
-            }
-            ItemSlots::Hashed(index) => {
-                hashed.clear();
-                for &it in items.iter() {
-                    let next = index.len() as u32;
-                    let slot = *index.entry(it).or_insert(next);
-                    *merges += (slot != next) as u64;
-                    was.push(slot != next);
-                    hashed.push(slot);
-                }
-                for col in &mut table.cols {
-                    col.resize_default(index.len());
-                }
-                hashed
-            }
+impl RollupPlan {
+    pub(crate) fn new(space: &RegionSpace, ks: &KeySpace) -> RollupPlan {
+        let shared =
+            space.arity() > 1 && matches!(space.dims()[0], Dimension::Interval { .. });
+        #[cfg(test)]
+        let shared = shared && !tests::one_epoch_oracle();
+        let mut anc_keys: Vec<Vec<Vec<u64>>> = space
+            .dims()
+            .iter()
+            .zip(&ks.strides)
+            .map(|(dim, &stride)| {
+                (0..dim.num_values())
+                    .map(|v| dim.containing_values(v).into_iter().map(|a| a as u64 * stride).collect())
+                    .collect()
+            })
+            .collect();
+        let (epoch_stride, n_epochs) = if shared {
+            anc_keys[0].iter_mut().for_each(|keys| *keys = vec![0]);
+            (ks.strides[0], ks.num_values[0])
+        } else {
+            (ks.cell_space, 1)
         };
-        for (dst, src) in table.cols.iter_mut().zip(&shard.cols) {
-            dst.merge_from(src, run.clone(), dsts, was);
+        RollupPlan { epoch_stride, n_epochs, anc_keys }
+    }
+
+    /// The table keys worker `w` of `threads` owns: an even cut of the
+    /// table-key space, so no two workers share a table and every
+    /// region of a table comes from the one worker that folded it.
+    pub(crate) fn worker_range(&self, w: usize, threads: usize) -> (u64, u64) {
+        (
+            split_point(self.epoch_stride, w, threads),
+            split_point(self.epoch_stride, w + 1, threads),
+        )
+    }
+
+    /// The table keys `cell_key` rolls up into that fall in `[lo, hi)`,
+    /// written into `out`: an odometer over the per-dimension ancestor
+    /// key contributions, maintaining the key sum incrementally.
+    pub(crate) fn table_keys(&self, cell_key: u64, ks: &KeySpace, lo: u64, hi: u64, out: &mut Vec<u64>) {
+        out.clear();
+        let arity = ks.strides.len();
+        let mut lists: Vec<&[u64]> = Vec::with_capacity(arity);
+        let mut rem = cell_key;
+        for (&stride, anc_d) in ks.strides.iter().zip(&self.anc_keys) {
+            let v = (rem / stride) as usize;
+            rem %= stride;
+            lists.push(&anc_d[v]);
+        }
+        let mut idx = vec![0usize; arity];
+        let mut sum: u64 = lists.iter().map(|l| l[0]).sum();
+        loop {
+            if (lo..hi).contains(&sum) {
+                out.push(sum);
+            }
+            let mut d = arity;
+            loop {
+                if d == 0 {
+                    return;
+                }
+                d -= 1;
+                sum -= lists[d][idx[d]];
+                idx[d] += 1;
+                if idx[d] < lists[d].len() {
+                    sum += lists[d][idx[d]];
+                    break;
+                }
+                idx[d] = 0;
+                sum += lists[d][0];
+            }
         }
     }
 }
 
-/// Per-dimension ancestor tables: `anc_keys[d][v]` lists the key
-/// contribution (ancestor value × stride) of every value containing
-/// `v`, replacing the per-cell `containing_regions` materialisation.
-pub(crate) fn ancestor_key_tables(space: &RegionSpace, ks: &KeySpace) -> Vec<Vec<Vec<u64>>> {
-    space
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(d, dim)| {
-            (0..dim.num_values())
-                .map(|v| {
-                    dim.containing_values(v)
-                        .into_iter()
-                        .map(|a| a as u64 * ks.strides[d])
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Finalize one region's lanes into its per-item feature vectors. The
-/// table stays valid for further [`flush_run`]s: keep-last dedup
+/// Finalize one table's lanes into per-item feature vectors, written
+/// over `stale` — the features the same region was finished into before
+/// it took more cells; an item never leaves a region — when there are
+/// any. The table stays valid for further cells: keep-last dedup
 /// composes, so deduplicating now and again after more cells is
 /// bit-equal to one dedup at the end.
-pub(crate) fn finish_region(ks: &KeySpace, table: &mut RegionTable) -> ItemFeatures {
+fn finish_region(ks: &KeySpace, table: &mut RegionTable, stale: Option<ItemFeatures>) -> ItemFeatures {
     for col in &mut table.cols {
         col.dedup_distinct();
     }
-    let n_occ = match &table.slots {
-        ItemSlots::Dense(occupied) => occupied.iter().filter(|&&o| o).count(),
-        ItemSlots::Hashed(index) => index.len(),
-    };
-    let mut items: ItemFeatures = HashMap::with_capacity(n_occ);
+    let mut items = stale.unwrap_or_else(|| {
+        HashMap::with_capacity(match &table.slots {
+            ItemSlots::Dense(occupied) => occupied.iter().filter(|&&o| o).count(),
+            ItemSlots::Hashed(index) => index.len(),
+        })
+    });
     let mut emit = |item: usize, slot: usize| {
-        let values = table.cols.iter().map(|c| c.finish_at(slot)).collect();
-        items.insert(ks.items[item], values);
+        let values = table.cols.iter().map(|c| c.finish_at(slot));
+        match items.entry(ks.items[item]) {
+            Entry::Occupied(old) => old.into_mut().iter_mut().zip(values).for_each(|(o, v)| *o = v),
+            Entry::Vacant(new) => {
+                new.insert(values.collect());
+            }
+        }
     };
     match &table.slots {
         ItemSlots::Dense(occupied) => {
@@ -1421,37 +1394,219 @@ pub(crate) fn finish_region(ks: &KeySpace, table: &mut RegionTable) -> ItemFeatu
     items
 }
 
-/// Phase 2's base-cell walk: roll base cells up into the columnar table
-/// of every containing region. Workers own disjoint region-key ranges;
-/// every worker walks all base cells in key order, so each output cell
-/// accumulates its contributions in a fixed order and no two workers
-/// ever touch the same output cell. Each worker hands its tables to
-/// `finish` on its own thread; the results come back in worker order.
+/// What a walk leaves behind.
+pub(crate) struct Rolled {
+    /// The running tables at the end of the walk, by table key.
+    pub(crate) tables: FxMap<u64, RegionTable>,
+    /// Every region handed out, by region key.
+    pub(crate) finished: Vec<(u64, ItemFeatures)>,
+    /// Merges into an occupied slot.
+    pub(crate) merges: u64,
+    /// Nanoseconds spent merging cells and finishing tables, when timed.
+    spans: Option<(u64, u64)>,
+}
+
+/// One walk over base cells in ascending key order: the running tables
+/// of a table-key range, and the regions handed out so far.
+pub(crate) struct Walk<'a> {
+    plan: &'a RollupPlan,
+    ks: &'a KeySpace,
+    /// Sorted region keys to hand out (`None` = all).
+    filter: Option<&'a [u64]>,
+    pub(crate) tables: FxMap<u64, RegionTable>,
+    /// By region key, features an earlier walk finished for a region
+    /// this walk is about to hand out again, to be overwritten in place.
+    pub(crate) stale: FxMap<u64, ItemFeatures>,
+    /// The earliest epoch not yet closed.
+    epoch: u64,
+    rolled_out: Vec<(u64, ItemFeatures)>,
+    merges: u64,
+    /// When a timed walk began, and how much of it went into finishing.
+    started: Option<Instant>,
+    finish_nanos: u64,
+    /// Dense item index of each entry of the run being flushed — one
+    /// `% n_items` per entry, shared across every table and column.
+    items: Vec<u32>,
+    /// Hash-assigned slot per entry for the current table.
+    hashed: Vec<u32>,
+    /// Occupancy pre-state per entry for the current table.
+    was: Vec<bool>,
+}
+
+impl<'a> Walk<'a> {
+    pub(crate) fn new(
+        plan: &'a RollupPlan,
+        ks: &'a KeySpace,
+        filter: Option<&'a [u64]>,
+        timed: bool,
+    ) -> Walk<'a> {
+        Walk {
+            plan,
+            ks,
+            filter,
+            tables: FxMap::default(),
+            stale: FxMap::default(),
+            epoch: 0,
+            rolled_out: Vec::new(),
+            merges: 0,
+            started: timed.then(Instant::now),
+            finish_nanos: 0,
+            items: Vec::new(),
+            hashed: Vec::new(),
+            was: Vec::new(),
+        }
+    }
+
+    /// Hand every running table out as its region of each epoch before
+    /// `until` that is still open: call with a cell's epoch *before*
+    /// flushing the cell, so a region is finished after the last cell it
+    /// contains and before the first it does not. A table no cell has
+    /// reached since it was last finished hands out a copy of those
+    /// features instead.
+    pub(crate) fn close_epochs(&mut self, until: u64) {
+        if until <= self.epoch {
+            return;
+        }
+        let started = self.started.map(|_| Instant::now());
+        let epochs = std::mem::replace(&mut self.epoch, until)..until;
+        for (&key, table) in &mut self.tables {
+            for epoch in epochs.clone() {
+                let region = epoch * self.plan.epoch_stride + key;
+                if self.filter.is_some_and(|keep| keep.binary_search(&region).is_err()) {
+                    continue;
+                }
+                let features = match table.emitted {
+                    Some(at) => self.rolled_out[at].1.clone(),
+                    None => finish_region(self.ks, table, self.stale.remove(&region)),
+                };
+                table.emitted = Some(self.rolled_out.len());
+                self.rolled_out.push((region, features));
+            }
+        }
+        if let Some(started) = started {
+            self.finish_nanos += started.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Merge one cell's run of shard entries (`run`, a contiguous index
+    /// range of `shard` sharing a cell key) into the tables of every key
+    /// in `expansion`. Runs arrive in ascending cell-key order, so each
+    /// `(table, item)` slot accumulates its contributions in the same
+    /// order for any sharding — a run split at a shard boundary flushes
+    /// as two segments, which preserves that per-slot order.
+    pub(crate) fn flush(&mut self, expansion: &[u64], shard: &StateTable, run: Range<usize>) {
+        if expansion.is_empty() {
+            // Filtered rollups prune most cells; don't pay the per-entry
+            // item decode for a run no table will consume.
+            return;
+        }
+        let n_items = self.ks.n_items;
+        let Walk { tables, merges, items, hashed, was, .. } = self;
+        items.clear();
+        items.extend(shard.keys[run.clone()].iter().map(|&k| (k % n_items) as u32));
+        let cell = shard.keys[run.start] / n_items;
+        for &key in expansion {
+            let table = tables.entry(key).or_insert_with(|| {
+                let (slots, len) = if n_items <= DENSE_ITEMS_MAX {
+                    (ItemSlots::Dense(vec![false; n_items as usize]), n_items as usize)
+                } else {
+                    (ItemSlots::Hashed(FxMap::default()), 0)
+                };
+                RegionTable {
+                    slots,
+                    cols: shard.cols.iter().map(|c| c.new_like(len)).collect(),
+                    last_cell: cell,
+                    emitted: None,
+                }
+            });
+            table.last_cell = cell;
+            table.emitted = None;
+            was.clear();
+            let dsts: &[u32] = match &mut table.slots {
+                ItemSlots::Dense(occupied) => {
+                    for &it in items.iter() {
+                        let w = std::mem::replace(&mut occupied[it as usize], true);
+                        *merges += w as u64;
+                        was.push(w);
+                    }
+                    items
+                }
+                ItemSlots::Hashed(index) => {
+                    hashed.clear();
+                    for &it in items.iter() {
+                        let next = index.len() as u32;
+                        let slot = *index.entry(it).or_insert(next);
+                        *merges += (slot != next) as u64;
+                        was.push(slot != next);
+                        hashed.push(slot);
+                    }
+                    for col in &mut table.cols {
+                        col.resize_default(index.len());
+                    }
+                    hashed
+                }
+            };
+            for (dst, src) in table.cols.iter_mut().zip(&shard.cols) {
+                dst.merge_from(src, run.clone(), dsts, was);
+            }
+        }
+    }
+
+    /// Close every remaining epoch and hand the walk's state over.
+    pub(crate) fn finish(mut self) -> Rolled {
+        self.close_epochs(self.plan.n_epochs);
+        for table in self.tables.values_mut() {
+            table.emitted = None;
+        }
+        let finish = self.finish_nanos;
+        Rolled {
+            tables: self.tables,
+            finished: self.rolled_out,
+            merges: self.merges,
+            spans: self.started.map(|s| (s.elapsed().as_nanos() as u64 - finish, finish)),
+        }
+    }
+}
+
+/// Phase 2's base-cell walk: roll base cells up into the running tables
+/// of a [`RollupPlan`] and hand every region out as its last epoch
+/// closes. Workers own disjoint table-key ranges; every worker walks all
+/// base cells in key order, so each output cell accumulates its
+/// contributions in a fixed order and no two workers ever touch the same
+/// output cell.
 ///
 /// When `filter` is given (a **sorted** list of region keys), only those
-/// regions are expanded — the delta pass uses this to rebuild regions it
-/// cannot extend in place. Because each kept region still accumulates
-/// every base cell in full key order, a filtered region's value is
+/// regions are handed out, and only the tables that stand for one of
+/// them are kept — the delta pass uses this to rebuild regions it cannot
+/// extend in place. Because each kept table still accumulates every base
+/// cell under it in full key order, a filtered region's value is
 /// bit-identical to the same region in an unfiltered walk.
-pub(crate) fn rollup_walk<T: Send>(
+///
+/// An enabled `rec` gets one `phase2_walk` and one `phase2_finish` span
+/// per worker.
+pub(crate) fn rollup_walk(
+    plan: &RollupPlan,
     ks: &KeySpace,
-    anc_keys: &[Vec<Vec<u64>>],
     shards: &[StateTable],
     threads: usize,
     filter: Option<&[u64]>,
-    finish: impl Fn(FxMap<u64, RegionTable>) -> T + Sync,
-) -> (Vec<T>, u64) {
-    let worker = |lo: u64, hi: u64| -> (T, u64) {
+    rec: &dyn Recorder,
+) -> Rolled {
+    let wanted_tables: Option<Vec<u64>> = filter.map(|keep| {
+        let mut keys: Vec<u64> = keep.iter().map(|region| region % plan.epoch_stride).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    });
+    let worker = |lo: u64, hi: u64| -> Rolled {
         // Base cells with the same coordinates are adjacent in key
         // order, so the expansion list is memoised per distinct cell
         // and the cell's items are batched into one columnar run,
-        // hashing each region key once per run instead of once per
-        // (region, item).
-        let mut out: FxMap<u64, RegionTable> = FxMap::default();
-        let mut merges = 0u64;
+        // hashing each table key once per run instead of once per
+        // (table, item).
+        let mut walk = Walk::new(plan, ks, filter, rec.enabled());
         let mut cur_cell = u64::MAX;
         let mut expansion: Vec<u64> = Vec::new();
-        let mut scratch = RunScratch::default();
         for shard in shards {
             let mut i = 0;
             while i < shard.len() {
@@ -1462,65 +1617,67 @@ pub(crate) fn rollup_walk<T: Send>(
                 }
                 if cell_key != cur_cell {
                     cur_cell = cell_key;
-                    expansion_keys(cell_key, ks, anc_keys, lo, hi, &mut expansion);
-                    if let Some(keep) = filter {
+                    walk.close_epochs(cell_key / plan.epoch_stride);
+                    plan.table_keys(cell_key, ks, lo, hi, &mut expansion);
+                    if let Some(keep) = &wanted_tables {
                         expansion.retain(|k| keep.binary_search(k).is_ok());
                     }
                 }
-                flush_run(
-                    &expansion,
-                    shard,
-                    i..j,
-                    ks.n_items,
-                    &mut out,
-                    &mut scratch,
-                    &mut merges,
-                );
+                walk.flush(&expansion, shard, i..j);
                 i = j;
             }
         }
-        (finish(out), merges)
+        walk.finish()
+    };
+    let record = |rolled: Rolled| {
+        if let Some((walk, finish)) = rolled.spans {
+            rec.record_span(names::CUBE_PASS_PHASE2_WALK, walk);
+            rec.record_span(names::CUBE_PASS_PHASE2_FINISH, finish);
+        }
+        rolled
     };
 
+    let threads = threads.min(usize::try_from(plan.epoch_stride).unwrap_or(usize::MAX));
     if threads <= 1 {
-        let (part, merges) = worker(0, ks.cell_space);
-        return (vec![part], merges);
+        return record(worker(0, plan.epoch_stride));
     }
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
-                let lo = split_point(ks.cell_space, w, threads);
-                let hi = split_point(ks.cell_space, w + 1, threads);
+                let (lo, hi) = plan.worker_range(w, threads);
                 let worker = &worker;
                 s.spawn(move || worker(lo, hi))
             })
             .collect();
-        let mut parts = Vec::with_capacity(threads);
-        let mut merges = 0;
-        for h in handles {
-            let (part, m) = h.join().expect("cube rollup worker panicked");
-            parts.push(part);
-            merges += m;
-        }
-        (parts, merges)
+        handles
+            .into_iter()
+            .map(|h| record(h.join().expect("cube rollup worker panicked")))
+            .reduce(|mut all, part| {
+                all.tables.extend(part.tables);
+                all.finished.extend(part.finished);
+                all.merges += part.merges;
+                all
+            })
+            .expect("at least two workers")
     })
 }
 
-/// Phase 2: [`rollup_walk`] over every region, each worker finishing its
-/// own tables into the result's feature vectors.
+/// Phase 2: [`rollup_walk`] over every region.
 pub(crate) fn expand_rollup(
     space: &RegionSpace,
     ks: &KeySpace,
     shards: &[StateTable],
     threads: usize,
+    rec: &dyn Recorder,
 ) -> (HashMap<RegionId, ItemFeatures>, u64) {
-    let anc_keys = ancestor_key_tables(space, ks);
-    let (parts, merges) = rollup_walk(ks, &anc_keys, shards, threads, None, |out| {
-        out.into_iter()
-            .map(|(rk, mut table)| (RegionId(ks.decode_region(rk)), finish_region(ks, &mut table)))
-            .collect::<Vec<_>>()
-    });
-    (parts.into_iter().flatten().collect(), merges)
+    let plan = RollupPlan::new(space, ks);
+    let rolled = rollup_walk(&plan, ks, shards, threads, None, rec);
+    let regions = rolled
+        .finished
+        .into_iter()
+        .map(|(region, features)| (RegionId(ks.decode_region(region)), features))
+        .collect();
+    (regions, rolled.merges)
 }
 
 /// Run the CUBE pass over fact data with default [`Parallelism`].
@@ -1703,7 +1860,7 @@ pub fn aggregate_filtered_traced(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
@@ -1724,6 +1881,23 @@ mod tests {
         /// [`append_oracle`]. Worker threads never see it: run an oracle
         /// pass at one thread.
         static APPEND_ORACLE: Cell<bool> = const { Cell::new(false) };
+        /// Whether the rollup plans this thread builds take one epoch
+        /// whatever the space: the flat walk that folds every cell into
+        /// every region containing it, kept as the oracle.
+        static ONE_EPOCH: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn one_epoch_oracle() -> bool {
+        ONE_EPOCH.with(Cell::get)
+    }
+
+    /// Run `f` with every rollup it plans on this thread forced to one
+    /// epoch.
+    pub(crate) fn with_one_epoch<T>(f: impl FnOnce() -> T) -> T {
+        ONE_EPOCH.with(|o| o.set(true));
+        let out = f();
+        ONE_EPOCH.with(|o| o.set(false));
+        out
     }
 
     /// The merge arm this change replaced, kept as the oracle: append,
@@ -2077,6 +2251,13 @@ mod tests {
                 .span(&format!("cube_pass/{phase}"))
                 .unwrap_or_else(|| panic!("missing span {phase}"));
             assert_eq!(span.calls, 1);
+        }
+        // One of each per rollup worker, inside `phase2_rollup`.
+        let rollup = snap.span("cube_pass/phase2_rollup").unwrap().total_nanos;
+        for part in [names::CUBE_PASS_PHASE2_WALK, names::CUBE_PASS_PHASE2_FINISH] {
+            let span = snap.span(part).unwrap_or_else(|| panic!("missing span {part}"));
+            assert!((1..=2).contains(&span.calls), "{part}: {} calls", span.calls);
+            assert!(span.total_nanos <= rollup * span.calls, "{part}");
         }
     }
 

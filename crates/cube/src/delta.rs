@@ -6,8 +6,8 @@
 //! rows. An append folds **only the new rows** into chunk tables,
 //! merges them into the retained state in the kernel's own
 //! deterministic chunk order, and folds the touched cells onto the
-//! retained phase-2 state of **only the regions whose sufficient
-//! statistics changed** (the *dirty set*).
+//! retained phase-2 tables, re-finishing **only the regions whose
+//! sufficient statistics changed** (the *dirty set*).
 //!
 //! # Delta algebra
 //!
@@ -32,19 +32,26 @@
 //! they are not dirty and their regions keep their previous values
 //! verbatim.
 //!
-//! # Rollup partials
+//! # Resuming the rollup walk
 //!
-//! Phase 2 folds a region from its base cells in ascending key order.
-//! The stream retains every non-empty region's columnar phase-2 table
-//! (a *partial*) with the largest cell it has folded. A dirty region
-//! whose smallest dirty cell lies past that cell — an append at the end
-//! of the timeline, with the interval dimension as the major stride —
-//! sees the new cells as a pure suffix of its fold, so they are merged
-//! onto the partial in place: the very operations the cold pass would
-//! run, in the same order, hence bit-identical. Any other dirty region
-//! (a re-appended week, a back-fill, time as a minor stride) is rebuilt
-//! by the key-filtered cold walk over all base cells, which is the only
-//! step whose cost grows with the retained state.
+//! Phase 2 folds base cells in ascending key order into one running
+//! table per table key and hands a table out as a region each time an
+//! epoch closes (`RollupPlan` in [`crate::cube_pass`]: with time as the
+//! major stride a table stands for `[1..t] × n` for every `t` from the
+//! last time point it has seen; in any other space it is one region's
+//! table). The stream retains those running tables, each with the
+//! largest cell it has folded. An append walks its dirty cells the same
+//! way. A table whose smallest dirty cell lies past everything it has
+//! folded — an append at the end of the timeline — sees the new cells as
+//! a pure suffix of its fold, so the walk is *resumed* on it: the cells
+//! merge in place and the table is handed out again for every epoch
+//! from the first dirty one on, one finish shared by all the regions it
+//! now stands for. These are the very operations the cold pass would
+//! run, in the same order, hence bit-identical. Any other table (a
+//! re-appended week, a back-fill, time as a minor stride) is poisoned,
+//! and its regions from the first dirty epoch on are rebuilt by the
+//! key-filtered cold walk over all base cells, which is the only step
+//! whose cost grows with the retained state.
 //!
 //! # Pinned item universe
 //!
@@ -56,21 +63,23 @@
 //! outside the universe is an error.
 
 use crate::cube_pass::{
-    ancestor_key_tables, chunk_range, dedup_pairs, expansion_keys, finish_region, flush_run,
-    fold_chunk, rollup_walk, CubeInput, CubeResult, KeySpace, Measure, RegionTable, RunScratch,
-    StateCol, StateTable, ROW_CHUNK,
+    chunk_range, dedup_pairs, fold_chunk, rollup_walk, CubeInput, CubeResult, ItemFeatures,
+    KeySpace, Measure, RegionTable, RollupPlan, StateCol, StateTable, Walk, ROW_CHUNK,
 };
 use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
+use bellwether_obs::NoopRecorder;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Merge every entry of the key-sorted `src` table into `dst` in one
-/// pass: existing keys merge in place (binary search against the
-/// pre-merge key array), new keys append. Copy-first semantics match
-/// the cold merge exactly, and only the touched distinct slots are
-/// re-deduplicated, so the work is `O(src + log dst)` per entry.
+/// pass: existing keys merge in place, new keys append. Both key arrays
+/// ascend, so each search starts where the last one ended — an append at
+/// the end of the key space finds its first key past everything and
+/// searches no more. Copy-first semantics match the cold merge exactly,
+/// and only the touched distinct slots are re-deduplicated.
 fn merge_delta_into(dst: &mut StateTable, src: &StateTable) {
     if src.len() == 0 {
         return;
@@ -81,17 +90,14 @@ fn merge_delta_into(dst: &mut StateTable, src: &StateTable) {
     let old_len = dst.keys.len();
     let mut dsts: Vec<u32> = Vec::with_capacity(src.len());
     let mut was: Vec<bool> = Vec::with_capacity(src.len());
+    let mut from = 0;
     for &k in &src.keys {
-        match dst.keys[..old_len].binary_search(&k) {
-            Ok(i) => {
-                dsts.push(i as u32);
-                was.push(true);
-            }
-            Err(_) => {
-                dsts.push(dst.keys.len() as u32);
-                dst.keys.push(k);
-                was.push(false);
-            }
+        from += dst.keys[from..old_len].partition_point(|&old| old < k);
+        let found = from < old_len && dst.keys[from] == k;
+        dsts.push(if found { from } else { dst.keys.len() } as u32);
+        was.push(found);
+        if !found {
+            dst.keys.push(k);
         }
     }
     let new_len = dst.keys.len();
@@ -107,10 +113,11 @@ fn merge_delta_into(dst: &mut StateTable, src: &StateTable) {
             }
         }
     }
-    // New keys interleave with old ones only when an append back-fills
-    // an earlier part of the key space; `sort_by_key` is an O(n)
-    // is-sorted check in the common append-at-the-end case.
-    dst.sort_by_key();
+    // The new keys ascend behind the old ones: they interleave only
+    // when an append back-fills an earlier part of the key space.
+    if old_len > 0 && new_len > old_len && dst.keys[old_len] < dst.keys[old_len - 1] {
+        dst.sort_by_key();
+    }
 }
 
 /// Drop the first `rows` rows of `input` in place.
@@ -142,8 +149,8 @@ pub struct DeltaUpdate {
     pub rows_appended: usize,
     /// Distinct base cells the append touched.
     pub cells_dirtied: usize,
-    /// Dirty regions that took the new cells as a suffix of their
-    /// retained state.
+    /// Dirty regions handed out again by a retained table that took the
+    /// new cells as a suffix of its fold.
     pub regions_extended: usize,
     /// Dirty regions re-aggregated from every base cell they cover —
     /// the slow path; zero for appends at the end of the timeline.
@@ -208,16 +215,16 @@ impl std::error::Error for StreamingCubeError {}
 pub struct StreamingCube {
     space: RegionSpace,
     ks: KeySpace,
-    anc_keys: Vec<Vec<Vec<u64>>>,
+    plan: RollupPlan,
     /// Merged state of every completed chunk, key-sorted.
     complete: StateTable,
     /// Rows past the last chunk boundary (always < [`ROW_CHUNK`]).
     pending: CubeInput,
     rows_total: usize,
     par: Parallelism,
-    /// Phase 2's table of every non-empty region, by region key: the
-    /// state `result` was finished from.
-    partials: FxMap<u64, RegionTable>,
+    /// Phase 2's running tables as the walk over everything seen so far
+    /// left them, by table key.
+    tables: FxMap<u64, RegionTable>,
     result: CubeResult,
 }
 
@@ -234,12 +241,12 @@ impl StreamingCube {
         par: Parallelism,
     ) -> Result<StreamingCube, StreamingCubeError> {
         let ks = KeySpace::build(space, item_universe).ok_or(StreamingCubeError::KeySpaceTooLarge)?;
-        let anc_keys = ancestor_key_tables(space, &ks);
+        let plan = RollupPlan::new(space, &ks);
         let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
         let mut stream = StreamingCube {
             space: space.clone(),
             ks,
-            anc_keys,
+            plan,
             complete: StateTable {
                 keys: Vec::new(),
                 cols: Vec::new(),
@@ -247,7 +254,7 @@ impl StreamingCube {
             pending: input.empty_like(),
             rows_total: 0,
             par,
-            partials: FxMap::default(),
+            tables: FxMap::default(),
             result: CubeResult {
                 measure_names,
                 regions: HashMap::new(),
@@ -260,8 +267,8 @@ impl StreamingCube {
     }
 
     /// Append a batch of fact rows and patch the retained result.
-    /// `O(Δ · ancestors + dirty regions · items)` when every dirty
-    /// region extends its partial (see the module docs); a region that
+    /// `O(Δ · ancestors + dirty tables · items)` when every table the
+    /// batch reaches resumes its walk (see the module docs); a table that
     /// cannot is rebuilt from the base cells it covers. Errors (shape
     /// mismatch, unknown item, out-of-range coordinate) leave the
     /// stream unchanged.
@@ -270,53 +277,66 @@ impl StreamingCube {
         let dirty_cells = self.validate(delta)?;
         self.ingest(delta);
 
-        // Walk the dirty cells ascending, so a region meets its smallest
-        // dirty cell first: past the partial's last cell (or no partial
-        // yet) it extends, otherwise it is poisoned — nothing is past
-        // `u64::MAX` — and queued for the rebuild.
+        // Walk the dirty cells ascending, so a table meets its smallest
+        // dirty cell first: past its last cell (or no table yet) it
+        // joins the resumed walk, otherwise it is poisoned — nothing is
+        // past `u64::MAX` — and left for the rebuild.
         let cells = self.dirty_table(&dirty_cells);
-        let mut dirty_keys: Vec<u64> = Vec::new();
-        let mut rebuild: Vec<u64> = Vec::new();
+        let (stride, n_epochs) = (self.plan.epoch_stride, self.plan.n_epochs);
+        // A table reached at epoch `first` dirties its region of every
+        // epoch from `first` on.
+        let regions_from = |first: u64, key: u64| (first..n_epochs).map(move |e| e * stride + key);
+        let mut walk = Walk::new(&self.plan, &self.ks, None, false);
+        let (mut dirty_keys, mut rebuild): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
         let mut expansion: Vec<u64> = Vec::new();
-        let mut scratch = RunScratch::default();
         let n = self.ks.n_items;
         let mut i = 0;
         while i < cells.len() {
             let cell = cells.keys[i] / n;
             let run = i..i + cells.keys[i..].partition_point(|&k| k / n == cell);
-            expansion_keys(cell, &self.ks, &self.anc_keys, 0, self.ks.cell_space, &mut expansion);
-            dirty_keys.extend_from_slice(&expansion);
-            expansion.retain(|rk| match self.partials.get_mut(rk) {
-                Some(partial) if partial.last_cell >= cell => {
-                    if partial.last_cell != u64::MAX {
-                        partial.last_cell = u64::MAX;
-                        rebuild.push(*rk);
-                    }
-                    false
+            let epoch = cell / stride;
+            walk.close_epochs(epoch);
+            self.plan.table_keys(cell, &self.ks, 0, stride, &mut expansion);
+            expansion.retain(|&key| {
+                if walk.tables.contains_key(&key) {
+                    return true;
                 }
-                _ => true,
+                let resumes = match self.tables.entry(key) {
+                    Entry::Occupied(e) if e.get().last_cell == u64::MAX => return false,
+                    Entry::Occupied(mut e) if e.get().last_cell >= cell => {
+                        e.get_mut().last_cell = u64::MAX;
+                        false
+                    }
+                    Entry::Occupied(e) => {
+                        walk.tables.insert(key, e.remove());
+                        for region in regions_from(epoch, key) {
+                            let id = RegionId(self.ks.decode_region(region));
+                            walk.stale.extend(self.result.regions.remove(&id).map(|old| (region, old)));
+                        }
+                        true
+                    }
+                    Entry::Vacant(_) => true,
+                };
+                dirty_keys.extend(regions_from(epoch, key));
+                if !resumes {
+                    rebuild.extend(regions_from(epoch, key));
+                }
+                resumes
             });
-            flush_run(&expansion, &cells, run.clone(), n, &mut self.partials, &mut scratch, &mut 0);
+            walk.flush(&expansion, &cells, run.clone());
             i = run.end;
         }
+        let rolled = walk.finish();
+        self.tables.extend(rolled.tables);
+        self.patch(rolled.finished);
+
         dirty_keys.sort_unstable();
-        dirty_keys.dedup();
         if !rebuild.is_empty() {
             rebuild.sort_unstable();
             self.rebuild(Some(&rebuild));
         }
-
-        let mut dirty_regions = Vec::with_capacity(dirty_keys.len());
-        for &rk in &dirty_keys {
-            let id = RegionId(self.ks.decode_region(rk));
-            if rebuild.binary_search(&rk).is_err() {
-                let partial = self.partials.get_mut(&rk).expect("dirty regions hold data");
-                self.result.regions.insert(id.clone(), finish_region(&self.ks, partial));
-            }
-            dirty_regions.push(id);
-        }
         Ok(DeltaUpdate {
-            dirty_regions,
+            dirty_regions: dirty_keys.iter().map(|&rk| RegionId(self.ks.decode_region(rk))).collect(),
             rows_appended: rows,
             cells_dirtied: dirty_cells.len(),
             regions_extended: dirty_keys.len() - rebuild.len(),
@@ -424,27 +444,19 @@ impl StreamingCube {
 
     /// Roll the regions in `filter` (sorted region keys; `None` = all)
     /// up from every base cell through the cold walk, replacing their
-    /// partials and results.
+    /// tables and results.
     fn rebuild(&mut self, filter: Option<&[u64]>) {
         let table = self.rollup_table();
-        let ks = &self.ks;
-        let (parts, _) = rollup_walk(
-            ks,
-            &self.anc_keys,
-            std::slice::from_ref(&table),
-            self.threads(),
-            filter,
-            |mut out| {
-                let finished: Vec<_> = out
-                    .iter_mut()
-                    .map(|(&rk, t)| (RegionId(ks.decode_region(rk)), finish_region(ks, t)))
-                    .collect();
-                (out, finished)
-            },
-        );
-        for (tables, finished) in parts {
-            self.partials.extend(tables);
-            self.result.regions.extend(finished);
+        let shards = std::slice::from_ref(&table);
+        let rolled = rollup_walk(&self.plan, &self.ks, shards, self.threads(), filter, &NoopRecorder);
+        self.tables.extend(rolled.tables);
+        self.patch(rolled.finished);
+    }
+
+    /// Put freshly finished regions into the result.
+    fn patch(&mut self, finished: Vec<(u64, ItemFeatures)>) {
+        for (region, features) in finished {
+            self.result.regions.insert(RegionId(self.ks.decode_region(region)), features);
         }
     }
 }
@@ -453,6 +465,7 @@ impl StreamingCube {
 mod tests {
     use super::*;
     use crate::cube_pass::cube_pass_with;
+    use crate::cube_pass::tests::with_one_epoch;
     use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
 
     #[test]
@@ -489,14 +502,24 @@ mod tests {
         input
     }
 
+    /// `(regions_extended, regions_rebuilt)`.
+    fn counts(update: &DeltaUpdate) -> (usize, usize) {
+        (update.regions_extended, update.regions_rebuilt)
+    }
+
     /// Append `batches` in turn at threads {1, 2, 4}, holding every step
     /// bit-identical to the cold pass over the concatenation; the
-    /// updates (the same at every thread count) come back.
+    /// updates (the same at every thread count) come back. A stream
+    /// planned with one epoch — a table per region, which is how this
+    /// type kept its rollup state before tables ran across epochs — takes
+    /// the same batches: it must dirty the same regions, and unless
+    /// `back_fills` names the batch it must extend and rebuild as many.
     fn check_schedule(
         space: &RegionSpace,
         universe: &[i64],
         base: &CubeInput,
         batches: &[CubeInput],
+        back_fills: &[usize],
     ) -> Vec<DeltaUpdate> {
         let mut updates: Vec<DeltaUpdate> = Vec::new();
         for threads in [1usize, 2, 4] {
@@ -521,6 +544,22 @@ mod tests {
                 }
             }
         }
+        let par = Parallelism::fixed(1);
+        let mut per_region =
+            with_one_epoch(|| StreamingCube::new(space, base, universe, par)).unwrap();
+        for (i, (batch, update)) in batches.iter().zip(&updates).enumerate() {
+            let flat = per_region.append(batch).unwrap();
+            assert_eq!(flat.dirty_regions, update.dirty_regions, "batch {i}");
+            if back_fills.contains(&i) {
+                assert!(flat.regions_rebuilt < update.regions_rebuilt, "batch {i}");
+            } else {
+                assert_eq!(counts(&flat), counts(update), "batch {i}");
+            }
+        }
+        let mut concat = base.clone();
+        batches.iter().for_each(|batch| concat.extend(batch));
+        let cold = cube_pass_with(space, &concat, par, None);
+        assert_bit_identical(per_region.result(), &cold, "a table per region");
         updates
     }
 
@@ -539,10 +578,32 @@ mod tests {
             .map(|(i, &rows)| rows_at(10 + i as u64, rows, &items, &[i as u32 + 1], &ALL_LEAVES))
             .collect();
         assert_eq!(600 + 400 + 3500 + 9000 + 2884, 4 * ROW_CHUNK);
-        for update in check_schedule(&space(), &items, &base, &batches) {
+        for update in check_schedule(&space(), &items, &base, &batches, &[]) {
             assert!(update.regions_extended > 0);
             assert_eq!(update.regions_rebuilt, 0, "an append at the end of the timeline");
         }
+    }
+
+    #[test]
+    fn a_batch_spanning_weeks_hands_each_week_its_own_regions() {
+        let items: Vec<i64> = (0..30).collect();
+        let base = rows_at(8, 600, &items, &[0, 1], &ALL_LEAVES);
+        let batches = [
+            rows_at(80, 500, &items, &[2, 3], &ALL_LEAVES), // two weeks in a row
+            rows_at(81, 500, &items, &[3, 5], &[2, 3]),     // a week again, past a gap
+        ];
+        let updates = check_schedule(&space(), &items, &base, &batches, &[]);
+        // Weeks 3 to 6 of all six locations.
+        assert_eq!(counts(&updates[0]), (4 * 6, 0));
+        // WI, MD, US and All have folded week 4: rebuilt from it on. A
+        // batch that only reached week 6 would have extended them.
+        assert_eq!(counts(&updates[1]), (0, 3 * 4));
+        let late = [rows_at(82, 300, &items, &[3], &[5]), rows_at(83, 300, &items, &[4, 5], &[5])];
+        let updates = check_schedule(&space(), &items, &base, &late, &[]);
+        // B1 and B are new at week 4, All extends: [1-4..6] of each; then
+        // weeks 5 and 6 on top.
+        assert_eq!(counts(&updates[0]), (3 * 3, 0));
+        assert_eq!(counts(&updates[1]), (2 * 3, 0));
     }
 
     #[test]
@@ -559,7 +620,7 @@ mod tests {
         let base = week(0, 600);
         let batches: Vec<CubeInput> =
             [500usize, 3500, 5000, 300, 40].iter().zip(1..).map(|(&rows, w)| week(w, rows)).collect();
-        for update in check_schedule(&space(), &items, &base, &batches) {
+        for update in check_schedule(&space(), &items, &base, &batches, &[]) {
             assert!(update.regions_extended > 0);
             assert_eq!(update.regions_rebuilt, 0, "an append at the end of the timeline");
         }
@@ -577,12 +638,14 @@ mod tests {
             rows_at(22, 300, &items, &[2], &ALL_LEAVES), // back-fill
             mixed,
         ];
-        let updates = check_schedule(&space(), &items, &base, &batches);
+        let updates = check_schedule(&space(), &items, &base, &batches, &[2]);
         assert_eq!(updates[0].regions_rebuilt, 0);
         assert_eq!(updates[1].regions_extended, 0);
-        // The back-filled week is a suffix only of [1-3, *], which ends
-        // before the weeks that came after it.
-        assert_eq!((updates[2].regions_extended, updates[2].regions_rebuilt), (6, 18));
+        // Every table has folded weeks past the back-filled one, so all
+        // six are rebuilt for [1-3..6, *]. (Per-region tables extended
+        // the six [1-3, *], which end before those later weeks; a running
+        // table no longer holds that state.)
+        assert_eq!((updates[2].regions_extended, updates[2].regions_rebuilt), (0, 24));
         // [1-6, MD] holds only the new cell; [1-6, US] also an old one.
         assert!(updates[3].regions_extended > 0 && updates[3].regions_rebuilt > 0);
     }
@@ -600,7 +663,7 @@ mod tests {
         let batches: Vec<CubeInput> = (2..5)
             .map(|w| swapped(rows_at(30 + w as u64, 300, &items, &[w], &ALL_LEAVES)))
             .collect();
-        for update in check_schedule(&by_loc, &items, &base, &batches) {
+        for update in check_schedule(&by_loc, &items, &base, &batches, &[]) {
             // (WI, week w) sorts before (MD, week w - 1): leaf regions
             // still extend, US and All do not.
             assert!(update.regions_extended > 0 && update.regions_rebuilt > 0);
@@ -613,11 +676,14 @@ mod tests {
         let base = rows_at(4, 400, &items, &[0, 1, 2], &[2, 3]);
         let batches = [
             rows_at(40, 200, &items, &[3], &[5]), // B and B1 hold nothing yet
-            rows_at(41, 200, &items, &[0], &[5]), // [1-1..3, B1] are new, [1-4.., B1] are not
+            rows_at(41, 200, &items, &[0], &[5]), // [1-1..3, B1] are new regions
         ];
-        let updates = check_schedule(&space(), &items, &base, &batches);
+        let updates = check_schedule(&space(), &items, &base, &batches, &[1]);
+        assert!(updates[0].regions_extended > 0);
         assert_eq!(updates[0].regions_rebuilt, 0);
-        assert!(updates[1].regions_extended > 0 && updates[1].regions_rebuilt > 0);
+        // B1, B and All have each folded week 4 already: a back-fill
+        // rebuilds them for all six weeks, new regions included.
+        assert_eq!((updates[1].regions_extended, updates[1].regions_rebuilt), (0, 18));
     }
 
     #[test]
@@ -630,7 +696,7 @@ mod tests {
         let batches: Vec<CubeInput> = (2..5)
             .map(|w| rows_at(50 + w as u64, 300, &items, &[w], &ALL_LEAVES))
             .collect();
-        for update in check_schedule(&space(), &universe, &base, &batches) {
+        for update in check_schedule(&space(), &universe, &base, &batches, &[]) {
             assert_eq!(update.regions_rebuilt, 0);
         }
     }

@@ -35,13 +35,28 @@
 //! **a spill-forced pass (tiny budget) and an unlimited-budget pass are
 //! bit-identical**, at any thread count.
 //!
-//! The budget bounds the *aggregation state* (completed runs). Two
+//! The budget bounds the *aggregation state* (completed runs). Three
 //! allocations are intentionally outside it: the transient chunk tables
 //! of the run being folded (at most `RUN_CHUNKS × ROW_CHUNK` rows of
-//! state — the floor any streaming pass pays) and the final merged
+//! state — the floor any streaming pass pays); the final merged
 //! base-cell table handed to the rollup, whose size is bounded by
 //! `#finest-cells × #items` — the aggregate itself, which must fit to
-//! be useful, independent of how many fact rows collapsed into it.
+//! be useful, independent of how many fact rows collapsed into it; and
+//! the rollup's own state, one running table per trailing-coordinate
+//! combination × items when an interval leads the space (per region
+//! otherwise), beside the finished features that are the result.
+//!
+//! # What a spill costs
+//!
+//! Five spans decompose the pass: `cube_pass/phase1_merge` (run close),
+//! `cube_pass/external_spill` (encode + write), `cube_pass/external_merge`
+//! (the k-way merge, with `cube_pass/external_decode` — read-back and
+//! frame decode — inside it) and `cube_pass/phase2_rollup`. The merge
+//! moves *ranges*: the run holding the smallest head key copies every
+//! cell of its current frame that lies below every other run's head with
+//! one `merge_from` per column, and only keys two runs share go cell by
+//! cell. The frame reader (`FrameReader`) treats a run as untrusted
+//! bytes.
 
 use crate::cube_pass::{
     cube_pass_reference, expand_rollup, fold_chunks, merge_chunks, strictly_ascending, CubeInput,
@@ -56,6 +71,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Chunks per run. Fixed — never derived from the budget or thread
 /// count — so every budget produces the same run structure and the
@@ -213,26 +229,46 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
     Ok(bytes)
 }
 
+/// Reads a run back. The bytes are only as trustworthy as the temp
+/// directory: every length is checked against what the format allows
+/// and what the file still holds *before* anything is allocated for it,
+/// and the key order the merge relies on is checked as it is decoded.
 struct FrameReader {
     r: BufReader<File>,
     schema: Vec<(u8, u8)>,
+    /// Bytes of the file not read yet.
+    left: u64,
+    /// The last cell key decoded: keys ascend strictly across the run.
+    last_key: Option<u64>,
+    /// Time spent in [`FrameReader::next_frame`] (`None` = not timed).
+    decode_nanos: Option<u64>,
 }
 
 impl FrameReader {
     fn u32(&mut self) -> io::Result<u32> {
         let mut b = [0u8; 4];
         self.r.read_exact(&mut b)?;
+        self.left = self.left.saturating_sub(4);
         Ok(u32::from_le_bytes(b))
     }
 
-    fn bytes(&mut self, n: usize) -> io::Result<Vec<u8>> {
+    /// The next `count × width` bytes; fails before allocating when the
+    /// file does not hold that many.
+    fn bytes(&mut self, count: usize, width: usize) -> io::Result<Vec<u8>> {
+        let n = count.checked_mul(width).filter(|&n| n as u64 <= self.left).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("spill run ends inside {count} x {width} bytes"),
+            )
+        })?;
+        self.left -= n as u64;
         let mut v = vec![0u8; n];
         self.r.read_exact(&mut v)?;
         Ok(v)
     }
 
     fn u64s(&mut self, n: usize) -> io::Result<Vec<u64>> {
-        let raw = self.bytes(n * 8)?;
+        let raw = self.bytes(n, 8)?;
         Ok(raw
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
@@ -244,16 +280,24 @@ impl FrameReader {
     }
 
     fn bools(&mut self, n: usize) -> io::Result<Vec<bool>> {
-        Ok(self.bytes(n)?.into_iter().map(|b| b != 0).collect())
+        let raw = self.bytes(n, 1)?;
+        if raw.iter().any(|&b| b > 1) {
+            return invalid("a seen flag that is neither 0 nor 1 in spill run".to_string());
+        }
+        Ok(raw.into_iter().map(|b| b != 0).collect())
     }
 
-    fn open(path: &PathBuf) -> io::Result<FrameReader> {
+    fn open(path: &PathBuf, timed: bool) -> io::Result<FrameReader> {
+        let file = File::open(path)?;
         let mut fr = FrameReader {
-            r: BufReader::new(File::open(path)?),
+            left: file.metadata()?.len(),
+            r: BufReader::new(file),
             schema: Vec::new(),
+            last_key: None,
+            decode_nanos: timed.then_some(0),
         };
         let n_cols = fr.u32()? as usize;
-        let raw = fr.bytes(n_cols * 2)?;
+        let raw = fr.bytes(n_cols, 2)?;
         fr.schema = raw.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         Ok(fr)
     }
@@ -261,14 +305,33 @@ impl FrameReader {
     /// Read the next frame as a small [`StateTable`]; `None` at the
     /// terminator.
     fn next_frame(&mut self) -> io::Result<Option<StateTable>> {
+        let Some(nanos) = self.decode_nanos else {
+            return self.decode_frame();
+        };
+        let started = Instant::now();
+        let frame = self.decode_frame();
+        self.decode_nanos = Some(nanos + started.elapsed().as_nanos() as u64);
+        frame
+    }
+
+    fn decode_frame(&mut self) -> io::Result<Option<StateTable>> {
         let n = self.u32()? as usize;
         if n == 0 {
             return Ok(None);
         }
+        if n > FRAME_CELLS {
+            return invalid(format!("frame of {n} cells in spill run (at most {FRAME_CELLS})"));
+        }
         let keys = self.u64s(n)?;
-        let schema = self.schema.clone();
-        let mut cols = Vec::with_capacity(schema.len());
-        for &(kind, func) in &schema {
+        let ascending = keys.windows(2).all(|w| w[0] < w[1])
+            && self.last_key.is_none_or(|last| last < keys[0]);
+        if !ascending {
+            return invalid("cell keys not strictly ascending in spill run".to_string());
+        }
+        self.last_key = keys.last().copied();
+        let mut cols = Vec::with_capacity(self.schema.len());
+        for i in 0..self.schema.len() {
+            let (kind, func) = self.schema[i];
             let col = match kind {
                 0 | 3 | 4 => {
                     let vals = self.f64s(n)?;
@@ -285,10 +348,11 @@ impl FrameReader {
                     counts: self.u64s(n)?,
                 },
                 5 => {
+                    let func = func_from(func)?;
                     let mut pairs = Vec::with_capacity(n);
                     for _ in 0..n {
                         let len = self.u32()? as usize;
-                        let raw = self.bytes(len * 16)?;
+                        let raw = self.bytes(len, 16)?;
                         let list: Vec<(i64, f64)> = raw
                             .chunks_exact(16)
                             .map(|c| {
@@ -310,10 +374,7 @@ impl FrameReader {
                         }
                         pairs.push(list);
                     }
-                    StateCol::Distinct {
-                        func: func_from(func)?,
-                        pairs,
-                    }
+                    StateCol::Distinct { func, pairs }
                 }
                 other => return invalid(format!("bad column tag {other} in spill run")),
             };
@@ -405,10 +466,10 @@ enum CursorSource {
 }
 
 impl RunCursor {
-    fn open(run: Run) -> io::Result<RunCursor> {
+    fn open(run: Run, timed: bool) -> io::Result<RunCursor> {
         let source = match run {
             Run::Resident { shards, .. } => CursorSource::Resident(shards.into_iter()),
-            Run::Spilled { path } => CursorSource::Spilled(FrameReader::open(&path)?),
+            Run::Spilled { path } => CursorSource::Spilled(FrameReader::open(&path, timed)?),
         };
         let mut cur = RunCursor {
             source,
@@ -441,8 +502,9 @@ impl RunCursor {
         self.frame.as_ref().map(|t| t.keys[self.pos])
     }
 
-    fn advance(&mut self) -> io::Result<()> {
-        self.pos += 1;
+    /// Step over `cells` cells of the current frame.
+    fn advance(&mut self, cells: usize) -> io::Result<()> {
+        self.pos += cells;
         if let Some(t) = &self.frame {
             if self.pos >= t.len() {
                 self.load_frame()?;
@@ -450,6 +512,102 @@ impl RunCursor {
         }
         Ok(())
     }
+}
+
+/// The final merge: one sorted base-cell table, cut into segments, from
+/// all runs in run formation order. Per key the first run holding it
+/// copies and later runs merge, ascending by run. A run whose head key
+/// is below every other run's head copies, with one `merge_from` per
+/// column, every cell of its current frame that is — week-sliced inputs
+/// make runs nearly disjoint, so that is most of the merge. Returns the
+/// segments and the merges into an occupied slot.
+fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>, u64)> {
+    let mut cursors = runs
+        .into_iter()
+        .map(|run| RunCursor::open(run, rec.enabled()))
+        .collect::<io::Result<Vec<_>>>()?;
+    let template: Vec<StateCol> = cursors
+        .iter()
+        .find_map(|c| c.frame.as_ref())
+        .map(|t| t.cols.iter().map(|col| col.new_like(0)).collect())
+        .unwrap_or_default();
+    let fresh = |template: &[StateCol]| StateTable {
+        keys: Vec::new(),
+        cols: template.iter().map(|c| c.new_like(0)).collect(),
+    };
+    let mut merges = 0u64;
+    let mut segments: Vec<StateTable> = Vec::new();
+    let mut cur = fresh(&template);
+    let mut dsts: Vec<u32> = Vec::new();
+    let copied = vec![false; SEGMENT_CELLS];
+    loop {
+        // The lowest run holding the smallest head key, and the smallest
+        // head among the other runs (cell keys stay far below u64::MAX).
+        let mut first: Option<(usize, u64)> = None;
+        let mut rest = u64::MAX;
+        for (i, c) in cursors.iter().enumerate() {
+            let Some(k) = c.peek() else { continue };
+            match first {
+                Some((_, min)) if k >= min => rest = rest.min(k),
+                Some((_, min)) => {
+                    rest = min;
+                    first = Some((i, k));
+                }
+                None => first = Some((i, k)),
+            }
+        }
+        let Some((f, key)) = first else { break };
+        let (head, later) = cursors[f..].split_first_mut().expect("f indexes a cursor");
+        let frame = head.frame.as_ref().expect("peek returned Some");
+        let start = cur.len();
+        let cells = if rest == key {
+            1
+        } else {
+            let below = frame.keys[head.pos..].partition_point(|&k| k < rest);
+            below.min(SEGMENT_CELLS - start)
+        };
+        cur.keys.extend_from_slice(&frame.keys[head.pos..head.pos + cells]);
+        dsts.clear();
+        dsts.extend(start as u32..(start + cells) as u32);
+        for (dst, src) in cur.cols.iter_mut().zip(&frame.cols) {
+            dst.resize_default(start + cells);
+            dst.merge_from(src, head.pos..head.pos + cells, &dsts, &copied[..cells]);
+        }
+        head.advance(cells)?;
+        if rest == key {
+            for c in later.iter_mut().filter(|c| c.peek() == Some(key)) {
+                let t = c.frame.as_ref().expect("peek returned Some");
+                for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
+                    dst.merge_from(src, c.pos..c.pos + 1, &[start as u32], &[true]);
+                }
+                merges += 1;
+                c.advance(1)?;
+            }
+        }
+        if cur.len() >= SEGMENT_CELLS {
+            for col in &mut cur.cols {
+                col.dedup_distinct();
+            }
+            segments.push(std::mem::replace(&mut cur, fresh(&template)));
+        }
+    }
+    if cur.len() > 0 {
+        for col in &mut cur.cols {
+            col.dedup_distinct();
+        }
+        segments.push(cur);
+    }
+    if rec.enabled() {
+        let decode: u64 = cursors
+            .iter()
+            .filter_map(|c| match &c.source {
+                CursorSource::Spilled(reader) => reader.decode_nanos,
+                CursorSource::Resident(_) => None,
+            })
+            .sum();
+        rec.record_span(names::CUBE_PASS_EXTERNAL_DECODE, decode);
+    }
+    Ok((segments, merges))
 }
 
 // ---------------------------------------------------------------------
@@ -597,84 +755,23 @@ pub(crate) fn cube_pass_runs(
         close_run(&mut pending)?;
     }
 
-    // Final merge: one sorted base-cell table from all runs, in run
-    // formation order. A single resident run needs no merge at all —
-    // it *is* phase 1's output.
-    let mut final_merges = 0u64;
-    let shards: Vec<StateTable> = if let [Run::Resident { .. }] = runs[..] {
-        match runs.pop() {
-            Some(Run::Resident { shards, .. }) => shards,
-            _ => unreachable!("matched one resident run above"),
+    // A single resident run needs no final merge at all — it *is*
+    // phase 1's output.
+    let (shards, final_merges) = match runs.pop() {
+        Some(Run::Resident { shards, .. }) if runs.is_empty() => (shards, 0),
+        last => {
+            runs.extend(last);
+            let _t = span!(rec, "cube_pass/external_merge");
+            rec.add(names::SHARD_RUNS_MERGED, runs.len() as u64);
+            merge_runs(runs, rec)?
         }
-    } else {
-        let _t = span!(rec, "cube_pass/external_merge");
-        rec.add(names::SHARD_RUNS_MERGED, runs.len() as u64);
-        let mut cursors = runs
-            .drain(..)
-            .map(RunCursor::open)
-            .collect::<io::Result<Vec<_>>>()?;
-        let template: Vec<StateCol> = cursors
-            .iter()
-            .find_map(|c| c.frame.as_ref())
-            .map(|t| t.cols.iter().map(|col| col.new_like(0)).collect())
-            .unwrap_or_default();
-        let fresh = |template: &[StateCol]| StateTable {
-            keys: Vec::new(),
-            cols: template.iter().map(|c| c.new_like(0)).collect(),
-        };
-        let mut segments: Vec<StateTable> = Vec::new();
-        let mut cur = fresh(&template);
-        loop {
-            let mut min: Option<u64> = None;
-            for c in &cursors {
-                if let Some(k) = c.peek() {
-                    min = Some(min.map_or(k, |m| m.min(k)));
-                }
-            }
-            let Some(key) = min else { break };
-            // The first run holding `key` opens a fresh last slot and
-            // copies into it; later runs merge into that slot.
-            let slot = cur.len() as u32;
-            let mut occupied = false;
-            for c in cursors.iter_mut() {
-                while c.peek() == Some(key) {
-                    let t = c.frame.as_ref().expect("peek returned Some");
-                    if occupied {
-                        final_merges += 1;
-                    } else {
-                        cur.keys.push(key);
-                        for col in &mut cur.cols {
-                            col.resize_default(slot as usize + 1);
-                        }
-                    }
-                    for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                        dst.merge_from(src, c.pos..c.pos + 1, &[slot], &[occupied]);
-                    }
-                    occupied = true;
-                    c.advance()?;
-                }
-            }
-            if cur.len() >= SEGMENT_CELLS {
-                for col in &mut cur.cols {
-                    col.dedup_distinct();
-                }
-                segments.push(std::mem::replace(&mut cur, fresh(&template)));
-            }
-        }
-        if cur.len() > 0 {
-            for col in &mut cur.cols {
-                col.dedup_distinct();
-            }
-            segments.push(cur);
-        }
-        segments
     };
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
 
     // Phase 2: the rollup (segmentation-tolerant).
     let (regions, merges_2) = {
         let _t = span!(rec, "cube_pass/phase2_rollup");
-        expand_rollup(space, &ks, &shards, threads)
+        expand_rollup(space, &ks, &shards, threads, rec)
     };
 
     rec.add(names::CUBE_PASS_ROWS_SCANNED, total_rows as u64);
@@ -697,14 +794,30 @@ mod tests {
     use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
     use bellwether_obs::{NoopRecorder, Registry};
 
+    fn items() -> Vec<i64> {
+        (0..7).map(|i| i * 3).collect()
+    }
+
     /// `rows` seeded fact rows over seven item ids.
     fn input(rows: usize, seed: u64) -> CubeInput {
-        let items: Vec<i64> = (0..7).map(|i| i * 3).collect();
-        gen_input(seed, rows, &items)
+        gen_input(seed, rows, &items())
     }
 
     fn par(threads: usize) -> Parallelism {
         Parallelism::fixed(threads).with_min_chunk(1)
+    }
+
+    /// The merged state of `rows` seeded rows — one run's worth, every
+    /// state kind — as `shards` key-range shards.
+    fn merged_run(rows: usize, seed: u64, shards: usize) -> Vec<StateTable> {
+        let sp = space();
+        let inp = input(rows, seed);
+        let ks = KeySpace::build(&sp, &items()).unwrap();
+        let key_of = ks.key_fn(&inp);
+        let tables: Vec<StateTable> = (0..rows.div_ceil(ROW_CHUNK))
+            .map(|c| fold_chunk(&inp, 2, chunk_range(c, rows), &key_of))
+            .collect();
+        merge_chunks(&tables, ks.cell_space * ks.n_items, shards).0
     }
 
     #[test]
@@ -842,28 +955,15 @@ mod tests {
     #[test]
     fn run_roundtrip_is_bit_exact() {
         // Serialize + reload one run and compare every lane.
-        let sp = space();
-        let inp = input(2000, 77);
-        let ks = KeySpace::build(&sp, &inp.item_ids).unwrap();
-        let key_of = ks.key_fn(&inp);
-        let tables: Vec<StateTable> = (0..inp.item_ids.len().div_ceil(ROW_CHUNK))
-            .map(|c| {
-                fold_chunk(&inp, 2, chunk_range(c, inp.item_ids.len()), &key_of)
-            })
-            .collect();
-        let (shards, _) = merge_chunks(&tables, ks.cell_space * ks.n_items, 2);
+        let shards = merged_run(2000, 77, 2);
         let dir = std::env::temp_dir().join(format!("bw_run_rt_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.bwrun");
         write_run(&path, &shards).unwrap();
 
         let mut from_disk =
-            RunCursor::open(Run::Spilled { path: path.clone() }).unwrap();
-        let mut from_mem = RunCursor::open(Run::Resident {
-            shards,
-            bytes: 0,
-        })
-        .unwrap();
+            RunCursor::open(Run::Spilled { path: path.clone() }, false).unwrap();
+        let mut from_mem = RunCursor::open(Run::Resident { shards, bytes: 0 }, false).unwrap();
         let mut cells = 0usize;
         loop {
             match (from_mem.peek(), from_disk.peek()) {
@@ -884,8 +984,8 @@ mod tests {
                             "cell {cells} state diverged"
                         );
                     }
-                    from_mem.advance().unwrap();
-                    from_disk.advance().unwrap();
+                    from_mem.advance(1).unwrap();
+                    from_disk.advance(1).unwrap();
                     cells += 1;
                 }
                 other => panic!("cursor lengths diverged at {cells}: {other:?}"),
@@ -944,7 +1044,7 @@ mod tests {
         // then the two 16-byte pairs.
         let pairs_at = 22;
         assert_eq!(good.len(), pairs_at + 32 + 4);
-        assert!(RunCursor::open(Run::Spilled { path: path.clone() }).is_ok());
+        assert!(RunCursor::open(Run::Spilled { path: path.clone() }, false).is_ok());
 
         let mut swapped = good.clone();
         swapped[pairs_at..pairs_at + 16].copy_from_slice(&good[pairs_at + 16..pairs_at + 32]);
@@ -953,11 +1053,145 @@ mod tests {
         repeated[pairs_at + 16..pairs_at + 24].copy_from_slice(&good[pairs_at..pairs_at + 8]);
         for (what, bytes) in [("descending keys", swapped), ("a repeated key", repeated)] {
             fs::write(&path, bytes).unwrap();
-            let err = RunCursor::open(Run::Spilled { path: path.clone() })
+            let err = RunCursor::open(Run::Spilled { path: path.clone() }, false)
                 .err()
                 .unwrap_or_else(|| panic!("{what} decoded"));
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
             assert!(err.to_string().contains("strictly ascending"), "{what}: {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every merged cell as `(key, state)`, the state spelled out per
+    /// column.
+    fn cells_of(segments: &[StateTable]) -> Vec<(u64, String)> {
+        let mut cells = Vec::new();
+        for t in segments {
+            for (i, &key) in t.keys.iter().enumerate() {
+                let state: Vec<String> = t
+                    .cols
+                    .iter()
+                    .map(|col| {
+                        let mut probe = col.new_like(1);
+                        probe.merge_from(col, i..i + 1, &[0], &[false]);
+                        format!("{probe:?}")
+                    })
+                    .collect();
+                cells.push((key, state.join(" ")));
+            }
+        }
+        cells
+    }
+
+    /// Merge the run in `path` with a resident one, as the pass would.
+    fn merge_with(path: &std::path::Path, resident: &[StateTable]) -> io::Result<Vec<StateTable>> {
+        let runs = vec![
+            Run::Spilled { path: path.to_path_buf() },
+            Run::Resident { shards: resident.to_vec(), bytes: 0 },
+        ];
+        merge_runs(runs, &NoopRecorder).map(|(segments, _)| segments)
+    }
+
+    fn is_structured(err: &io::Error) -> bool {
+        matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof)
+    }
+
+    #[test]
+    fn a_damaged_spill_run_is_an_error_or_one_damaged_cell() {
+        // A full frame would take minutes to cut at every byte; ~120
+        // cells of every state kind (15 KB) hold every field there is.
+        let spilled = merged_run(300, 5, 1);
+        let resident = merged_run(300, 6, 1);
+        let dir = std::env::temp_dir().join(format!("bw_run_damage_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.bwrun");
+        write_run(&path, &spilled).unwrap();
+        let good = fs::read(&path).unwrap();
+        let clean = cells_of(&merge_with(&path, &resident).unwrap());
+        assert!(clean.len() > spilled[0].len(), "the runs overlap only in part");
+
+        // Cut short anywhere, the terminator is gone.
+        let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
+        for len in (0..good.len() as u64).rev() {
+            file.set_len(len).unwrap();
+            let err = merge_with(&path, &resident).err().unwrap_or_else(|| panic!("{len} bytes merged"));
+            assert!(is_structured(&err), "{len} bytes: {err}");
+        }
+        drop(file);
+
+        // One flipped bit. The format carries no checksum, so a flip
+        // inside a cell's own key or lanes that leaves the run well
+        // formed reads back as that cell damaged; anything that shifts
+        // what follows must be caught.
+        let (undetected, caught) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
+        bellwether_prop::check("one flipped bit in a spill run", 1500, |rng| {
+            let mut bytes = good.clone();
+            bytes[rng.below(good.len())] ^= 1 << rng.below(8);
+            fs::write(&path, &bytes).unwrap();
+            match merge_with(&path, &resident) {
+                Err(err) => {
+                    assert!(is_structured(&err), "{err}");
+                    caught.set(caught.get() + 1);
+                }
+                Ok(segments) => {
+                    let got = cells_of(&segments);
+                    let same = got.iter().filter(|cell| clean.binary_search(cell).is_ok()).count();
+                    assert!(got.len().abs_diff(clean.len()) <= 1 && same + 1 >= got.len().min(clean.len()));
+                    undetected.set(undetected.get() + (got != clean) as u32);
+                }
+            }
+        });
+        assert!(caught.get() > 0 && undetected.get() > 0, "{caught:?} caught, {undetected:?} not");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lengths_a_spill_run_cannot_hold_fail_before_allocating() {
+        let table = StateTable {
+            keys: vec![7, 9],
+            cols: vec![StateCol::Distinct {
+                func: AggFunc::Sum,
+                pairs: vec![vec![(3, 1.5)], vec![]],
+            }],
+        };
+        let dir = std::env::temp_dir().join(format!("bw_run_lengths_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.bwrun");
+        write_run(&path, std::slice::from_ref(&table)).unwrap();
+        let good = fs::read(&path).unwrap();
+        // header (4 + 2), cell count (4), two keys (16), first list's
+        // length (4).
+        let (n_cols_at, count_at, keys_at, len_at) = (0, 6, 10, 26);
+        let with_u32 = |at: usize, v: u32| {
+            let mut bytes = good.clone();
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            bytes
+        };
+        let mut swapped = good.clone();
+        swapped[keys_at..keys_at + 8].copy_from_slice(&good[keys_at + 8..keys_at + 16]);
+        swapped[keys_at + 8..keys_at + 16].copy_from_slice(&good[keys_at..keys_at + 8]);
+        // A second frame starting below where the first ended.
+        let mut two_frames = good[..good.len() - 4].to_vec();
+        two_frames.extend_from_slice(&good[count_at..]);
+        for (what, bytes, kind) in [
+            ("4 billion columns", with_u32(n_cols_at, u32::MAX), io::ErrorKind::UnexpectedEof),
+            ("a frame of 4 billion cells", with_u32(count_at, u32::MAX), io::ErrorKind::InvalidData),
+            ("a frame one cell too long", with_u32(count_at, FRAME_CELLS as u32 + 1), io::ErrorKind::InvalidData),
+            ("a list of 4 billion pairs", with_u32(len_at, u32::MAX), io::ErrorKind::UnexpectedEof),
+            ("a list longer than the file", with_u32(len_at, 3), io::ErrorKind::UnexpectedEof),
+            ("descending cell keys", swapped, io::ErrorKind::InvalidData),
+            ("a frame that starts over", two_frames, io::ErrorKind::InvalidData),
+        ] {
+            fs::write(&path, bytes).unwrap();
+            let mut cursor = RunCursor::open(Run::Spilled { path: path.clone() }, false);
+            // The first frame decodes on open; the second on advance.
+            if let Ok(c) = &mut cursor {
+                if let Err(e) = c.advance(2) {
+                    cursor = Err(e);
+                }
+            }
+            let err = cursor.err().unwrap_or_else(|| panic!("{what} decoded"));
+            assert_eq!(err.kind(), kind, "{what}: {err}");
         }
         fs::remove_dir_all(&dir).ok();
     }

@@ -44,6 +44,8 @@ pub mod parallel;
 pub mod region;
 pub mod rollup;
 #[cfg(test)]
+mod rollup_tests;
+#[cfg(test)]
 mod testutil;
 
 pub use bellwether_obs::{NoopRecorder, Recorder, Registry};

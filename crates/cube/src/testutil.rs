@@ -152,6 +152,30 @@ pub(crate) fn gen_distinct_input(
     }
 }
 
+/// Rows `rows` of `input` as an input of their own.
+pub(crate) fn slice_rows(input: &CubeInput, rows: std::ops::Range<usize>) -> CubeInput {
+    let arity = input.coords.len() / input.item_ids.len().max(1);
+    let mut out = input.empty_like();
+    out.item_ids = input.item_ids[rows.clone()].to_vec();
+    out.coords = input.coords[rows.start * arity..rows.end * arity].to_vec();
+    for (dst, src) in out.measures.iter_mut().zip(&input.measures) {
+        match (dst, src) {
+            (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
+                *values = sv[rows.clone()].to_vec();
+            }
+            (
+                Measure::DistinctKeyed { keys, values, .. },
+                Measure::DistinctKeyed { keys: sk, values: sv, .. },
+            ) => {
+                *keys = sk[rows.clone()].to_vec();
+                *values = sv[rows.clone()].to_vec();
+            }
+            _ => unreachable!("`empty_like` keeps measure kinds"),
+        }
+    }
+    out
+}
+
 /// Bit-level comparison of two results (NaN-safe).
 pub(crate) fn assert_bit_identical(a: &CubeResult, b: &CubeResult, what: &str) {
     assert_eq!(a.measure_names, b.measure_names, "{what}: names");

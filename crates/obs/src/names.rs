@@ -56,6 +56,17 @@ pub const CUBE_PASS_CELL_MERGES: &str = "cube_pass/cell_merges";
 /// Non-empty regions emitted by the rollup.
 pub const CUBE_PASS_REGIONS_EMITTED: &str = "cube_pass/regions_emitted";
 
+/// Span, one per rollup worker, inside `cube_pass/phase2_rollup`: merging
+/// base cells into the running tables.
+pub const CUBE_PASS_PHASE2_WALK: &str = "cube_pass/phase2_rollup/phase2_walk";
+/// Span, one per rollup worker, inside `cube_pass/phase2_rollup`:
+/// finishing tables into the per-item feature vectors of the regions
+/// they stand for.
+pub const CUBE_PASS_PHASE2_FINISH: &str = "cube_pass/phase2_rollup/phase2_finish";
+/// Span, one per merge, inside `cube_pass/external_merge`: reading
+/// spilled runs back and decoding their frames.
+pub const CUBE_PASS_EXTERNAL_DECODE: &str = "cube_pass/external_decode";
+
 /// Candidate regions examined by the basic search.
 pub const SEARCH_REGIONS_EVALUATED: &str = "search/regions_evaluated";
 /// Regions that passed all constraints and fit a model.

@@ -17,10 +17,17 @@
 //! `ScanPolicy::SkipUnreadable` scan). They stay zero on this healthy
 //! run; `examples/fault_tolerance.rs` exercises all four.
 //!
-//! Right after the CUBE pass the same pass runs twice more on one
-//! thread, with and without the `DistinctKeyed` measures, and prints
-//! what share of the pass (and of its rollup phase) the distinct-FK
-//! lanes account for.
+//! Right after the CUBE pass come its merges per base cell (how often a
+//! cell's state was folded into an occupied slot on the way up: the
+//! rollup keeps one running table per location and hands it out week by
+//! week, so this stays near the number of location ancestors instead of
+//! growing with the weeks), then the same input through the external
+//! pass with no byte budget at all, so its one run spills, with the five
+//! spans that decompose what a spill costs: run close, spill write,
+//! read-back + decode, the k-way merge, and the rollup. Then the same
+//! pass runs twice more on one thread, with and without the
+//! `DistinctKeyed` measures, and prints what share of the pass (and of
+//! its rollup phase) the distinct-FK lanes account for.
 //!
 //! A short streaming section appends three weeks to a
 //! `StreamingBellwether` — two in time order, then the first of them
@@ -80,6 +87,43 @@ fn main() {
         snap.rows_scanned(),
         snap.regions_emitted()
     );
+
+    println!(
+        "CUBE pass: {:.1} merges per base cell ({} merges, {} base cells)",
+        snap.cell_merges() as f64 / snap.base_cells() as f64,
+        snap.cell_merges(),
+        snap.base_cells()
+    );
+
+    // ---- what a spill costs: the same input through the external pass
+    // under a zero byte budget, on one thread so a span is CPU time.
+    let ext = Registry::shared();
+    let spilled = bellwether::cube::cube_pass_external(
+        &data.space,
+        std::slice::from_ref(&cube_input),
+        Parallelism::fixed(1),
+        0,
+        ext.as_ref(),
+    )
+    .expect("spill I/O");
+    assert_eq!(spilled.regions.len(), cube_result.regions.len());
+    let ext_snap = ext.snapshot();
+    let ms = |path: &str| ext_snap.span(path).map_or(0.0, |s| s.total_secs() * 1e3);
+    let decode = ms(bellwether::obs::names::CUBE_PASS_EXTERNAL_DECODE);
+    println!(
+        "forced-spill rerun ({} run(s), {} bytes spilled):",
+        ext_snap.counter("shard/spills").unwrap_or(0),
+        ext_snap.counter("shard/spill_bytes").unwrap_or(0)
+    );
+    for (what, millis) in [
+        ("run close (phase1_merge)", ms("cube_pass/phase1_merge")),
+        ("spill write (external_spill)", ms("cube_pass/external_spill")),
+        ("read-back + decode (external_decode)", decode),
+        ("k-way merge (external_merge - decode)", ms("cube_pass/external_merge") - decode),
+        ("rollup (phase2_rollup)", ms("cube_pass/phase2_rollup")),
+    ] {
+        println!("  {what:<40} {millis:>8.2} ms");
+    }
 
     // ---- what the distinct-FK lanes cost: the same pass with the
     // `DistinctKeyed` measures and without them, through one recorder
