@@ -6,7 +6,8 @@
 //!
 //! * a thread matrix for the RF tree and the optimized cube on an
 //!   81-region scale workload (large enough to clear the
-//!   `Parallelism::min_chunk` sequential fallback);
+//!   `Parallelism::min_chunk` sequential fallback), plus the same tree at
+//!   the library default of 50 thresholds per numeric attribute;
 //! * the same builders on the small 150-item retail workload at
 //!   `threads=1` vs `threads=4`, guarding the fallback against the
 //!   regression the CUBE-pass bench once recorded;
@@ -28,6 +29,16 @@ use bellwether_obs::Registry;
 use bellwether_storage::{
     CachedSource, DiskSource, MemorySource, TrainingSource, TrainingWriter,
 };
+
+/// The RF tree at the library's default threshold count.
+const SPLITS50: &str = "tree_rainforest_81regions_splits50/threads=1";
+
+/// What [`SPLITS50`] took at the parent commit (PR 16, where every
+/// candidate criterion gathered its children's rows and ran a statistics
+/// pass over them): the median of a full 10-sample run of this cell
+/// built against that commit, on the same machine as the committed
+/// results.
+const SPLITS50_PARENT_MEDIAN_SECS: f64 = 0.076652;
 
 fn problem(threads: usize) -> BellwetherConfig {
     BellwetherConfig::builder(f64::INFINITY)
@@ -99,6 +110,22 @@ fn main() {
             .unwrap()
         });
     }
+
+    // --- The same tree at the library default of 50 thresholds per
+    // numeric attribute (what a caller who sets nothing runs): ten times the
+    // candidates of the cell above over the same rows. A level scan that
+    // made a pass per candidate paid for every one of them; per-attribute
+    // bucket statistics fold a row once per attribute however many
+    // thresholds the attribute carries.
+    let tc50 = TreeConfig {
+        max_numeric_splits: 50,
+        ..tc.clone()
+    };
+    let pr = problem(1);
+    h.bench(SPLITS50, || {
+        build_rainforest(&src, &w.region_space, &w.items, None, &pr, &tc50).unwrap()
+    });
+    h.record_parent_median(SPLITS50, SPLITS50_PARENT_MEDIAN_SECS);
 
     // --- Small retail workload: the sequential fallback must keep
     // threads=4 from regressing against threads=1 (the fix for the

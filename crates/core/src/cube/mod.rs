@@ -21,8 +21,12 @@ pub mod predict;
 pub mod single_scan;
 
 use crate::error::{BellwetherError, Result};
+use crate::eval::RegionEvalScratch;
+use crate::items::ItemIndex;
+use crate::problem::BellwetherConfig;
 use bellwether_cube::{rollup_lattice, RegionId, RegionSpace};
 use bellwether_linreg::{ErrorEstimate, LinearModel};
+use bellwether_storage::TrainingSource;
 use std::collections::{HashMap, HashSet};
 
 /// Construction parameters specific to cubes.
@@ -170,13 +174,125 @@ pub fn significant_subsets(
     Ok(SubsetIndex { members, order })
 }
 
+/// Turn every subset's winning region (`winners[slot]` for
+/// `index.order[slot]`, as a scan index) into a full cell: the model
+/// fitted to the subset's rows of that region's block and its complete
+/// error estimate. Shared by all three construction algorithms.
+///
+/// Winners repeat — subsets that share a bellwether, nested subsets most
+/// of all — so cells are finalized in ascending region order and each
+/// distinct winning region is read **once**, its block held across the
+/// cells it wins. A cell's rows are gathered through an index over its
+/// members, and one statistics pass serves both the estimate and the
+/// fit. On a faulty source the targeted re-read of a region that was
+/// readable during the scan can still fail; the first failure (lowest
+/// region index) is returned with that index attached.
+pub(crate) fn finalize_cells(
+    source: &dyn TrainingSource,
+    region_space: &RegionSpace,
+    item_space: &RegionSpace,
+    index: &SubsetIndex,
+    problem: &BellwetherConfig,
+    winners: &[Option<usize>],
+) -> Result<HashMap<RegionId, SubsetCell>> {
+    let mut todo: Vec<(usize, usize)> = winners
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, region)| Some(((*region)?, slot)))
+        .collect();
+    todo.sort_unstable();
+    let mut scratch = RegionEvalScratch::new();
+    let mut held = None;
+    let mut cells = HashMap::new();
+    for (region_index, slot) in todo {
+        let block = match &held {
+            Some((index, block)) if *index == region_index => block,
+            _ => {
+                let block = source.read_region(region_index).map_err(|source| {
+                    BellwetherError::RegionRead {
+                        index: region_index,
+                        source,
+                    }
+                })?;
+                &held.insert((region_index, block)).1
+            }
+        };
+        let subset = &index.order[slot];
+        let ids = &index.members[subset];
+        let keep: ItemIndex = ids.iter().copied().collect();
+        scratch.gather(block, Some(&keep));
+        let (Some(error), Some(model)) = (scratch.estimate(problem), scratch.fit_model()) else {
+            continue;
+        };
+        let region = RegionId(source.region_coords(region_index).to_vec());
+        cells.insert(
+            subset.clone(),
+            SubsetCell {
+                label: item_space.label(subset),
+                subset: subset.clone(),
+                size: ids.len(),
+                region_index,
+                region_label: region_space.label(&region),
+                region,
+                error,
+                model,
+                n_examples: scratch.data.n(),
+            },
+        );
+    }
+    Ok(cells)
+}
+
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::*;
     use crate::items::ItemTable;
     use bellwether_cube::{Dimension, Hierarchy};
+    use bellwether_linreg::{fit_wls, RegressionData};
     use bellwether_storage::{MemorySource, RegionBlock};
     use bellwether_table::{Column, DataType, Schema, Table};
+
+    /// The finalize every builder ran per cell before
+    /// [`finalize_cells`], kept as its oracle: one targeted read, a hash
+    /// probe per row, one statistics pass for the estimate and another
+    /// for the fit.
+    pub fn finalize_cell(
+        source: &dyn TrainingSource,
+        region_space: &RegionSpace,
+        item_space: &RegionSpace,
+        subset: &RegionId,
+        ids: &HashSet<i64>,
+        problem: &BellwetherConfig,
+        region_index: usize,
+    ) -> Result<Option<SubsetCell>> {
+        let block = source
+            .read_region(region_index)
+            .map_err(|source| BellwetherError::RegionRead {
+                index: region_index,
+                source,
+            })?;
+        let rows: Vec<usize> = (0..block.n())
+            .filter(|&i| ids.contains(&block.item_ids[i]))
+            .collect();
+        let mut data = RegressionData::new(block.p as usize);
+        data.extend_from_cols_gather(block.cols(), &block.targets, &rows);
+        let (Some(error), Some(model)) = (problem.error_measure.estimate(&data), fit_wls(&data))
+        else {
+            return Ok(None);
+        };
+        let region = RegionId(source.region_coords(region_index).to_vec());
+        Ok(Some(SubsetCell {
+            label: item_space.label(subset),
+            subset: subset.clone(),
+            size: ids.len(),
+            region_index,
+            region_label: region_space.label(&region),
+            region,
+            error,
+            model,
+            n_examples: data.n(),
+        }))
+    }
 
     /// Item space: one hierarchy Any → {ga, gb}; 24 items, half per
     /// leaf. Region space: All/{ra, rb}. Group ga is perfectly
@@ -246,8 +362,132 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
-    use super::tests_support::cube_fixture;
+    use super::tests_support::{cube_fixture, finalize_cell};
     use super::*;
+    use crate::problem::ErrorMeasure;
+    use bellwether_cube::{Dimension, Hierarchy};
+    use bellwether_prop::{check, Rng};
+    use bellwether_storage::{FaultPlan, FaultySource, MemorySource, RegionBlock};
+
+    /// Six item groups under one root, and `regions` random blocks in
+    /// which some items are missing, some repeat, and some rows belong
+    /// to no item.
+    fn random_cube_input(
+        rng: &mut Rng,
+        regions: u32,
+    ) -> (MemorySource, RegionSpace, RegionSpace, SubsetIndex) {
+        let names: Vec<String> = (0..regions - 1).map(|r| format!("r{r}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let region_space =
+            RegionSpace::new(vec![Dimension::Hierarchy(Hierarchy::flat("L", "All", &names))]);
+        let leaves = ["g0", "g1", "g2", "g3", "g4", "g5"];
+        let item_space =
+            RegionSpace::new(vec![Dimension::Hierarchy(Hierarchy::flat("G", "Any", &leaves))]);
+        let n_items = rng.usize_in(30, 90) as i64;
+        let coords: HashMap<i64, Vec<u32>> = (0..n_items)
+            .map(|id| (7 * id - 100, vec![1 + rng.below(6) as u32]))
+            .collect();
+        let blocks = (0..regions)
+            .map(|r| {
+                let mut b = RegionBlock::new(vec![r], 3);
+                for id in 0..n_items + 5 {
+                    for _ in 0..[0, 1, 1, 1, 2][rng.below(5)] {
+                        let x = [1.0, rng.f64_in(-9.0, 9.0), rng.f64_in(0.0, 1e3)];
+                        b.push(7 * id - 100, &x, rng.f64_in(-50.0, 50.0));
+                    }
+                }
+                b
+            })
+            .collect();
+        let index =
+            significant_subsets(&item_space, &coords, &CubeConfig { min_subset_size: 3 }).unwrap();
+        (MemorySource::new(blocks), region_space, item_space, index)
+    }
+
+    fn problem(measure: ErrorMeasure) -> BellwetherConfig {
+        BellwetherConfig::builder(1e9)
+            .min_coverage(0.0)
+            .min_examples(4)
+            .error_measure(measure)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn finalize_cells_equals_the_per_cell_finalize_and_reads_each_winner_once() {
+        check("finalize_cells_vs_per_cell", 24, |rng| {
+            let regions = rng.u32_in(2, 7);
+            let (src, region_space, item_space, index) = random_cube_input(rng, regions);
+            let measure = if rng.flip(0.5) {
+                ErrorMeasure::TrainingSet
+            } else {
+                ErrorMeasure::CrossValidation {
+                    folds: rng.usize_in(2, 6),
+                    seed: rng.next_u64(),
+                }
+            };
+            let problem = problem(measure);
+            // Any assignment of winners, not only one a scan would
+            // produce: repeated, absent, in no particular order.
+            let winners: Vec<Option<usize>> = index
+                .order
+                .iter()
+                .map(|_| (!rng.flip(0.15)).then(|| rng.below(regions as usize)))
+                .collect();
+
+            src.stats().reset();
+            let cells =
+                finalize_cells(&src, &region_space, &item_space, &index, &problem, &winners)
+                    .unwrap();
+            let distinct: HashSet<usize> = winners.iter().flatten().copied().collect();
+            assert_eq!(src.snapshot().regions_read(), distinct.len() as u64);
+
+            let mut expected = 0;
+            for (subset, winner) in index.order.iter().zip(&winners) {
+                let want = winner.and_then(|region_index| {
+                    let ids = &index.members[subset];
+                    finalize_cell(&src, &region_space, &item_space, subset, ids, &problem, region_index)
+                        .unwrap()
+                });
+                // `f64`'s `Debug` round-trips, so equal text is equal
+                // bits in every float field.
+                assert_eq!(format!("{:?}", cells.get(subset)), format!("{:?}", want.as_ref()));
+                expected += usize::from(want.is_some());
+            }
+            assert_eq!(cells.len(), expected);
+        });
+    }
+
+    #[test]
+    fn finalize_cells_names_the_first_unreadable_winner() {
+        let mut rng = Rng::new(17);
+        let (src, region_space, item_space, index) = random_cube_input(&mut rng, 8);
+        let plan = FaultPlan::new(3).corrupt_every(2);
+        let corrupt: Vec<usize> = (0..8).filter(|&r| plan.is_corrupt_region(r)).collect();
+        assert!(corrupt.len() >= 2 && corrupt.len() < 8, "{corrupt:?}");
+        let src = FaultySource::new(src, plan);
+        let problem = problem(ErrorMeasure::TrainingSet);
+        // Subset order runs against region order, so the first failure
+        // in subset order is not the lowest.
+        let winners: Vec<Option<usize>> =
+            (0..index.order.len()).map(|slot| Some(7 - slot % 8)).collect();
+        let failing: Vec<usize> = winners.iter().flatten().copied().filter(|r| corrupt.contains(r)).collect();
+        assert!(failing.len() >= 2 && failing[0] > failing[1], "{failing:?}");
+        let err = finalize_cells(&src, &region_space, &item_space, &index, &problem, &winners)
+            .unwrap_err();
+        match err {
+            BellwetherError::RegionRead { index, .. } => {
+                assert_eq!(Some(&index), failing.iter().min());
+            }
+            other => panic!("expected RegionRead, got {other:?}"),
+        }
+        // A clean winner set finalizes around the rotten regions.
+        let clean = (0..8).find(|r| !corrupt.contains(r)).unwrap();
+        let winners = vec![Some(clean); index.order.len()];
+        let cells = finalize_cells(&src, &region_space, &item_space, &index, &problem, &winners)
+            .unwrap();
+        assert!(!cells.is_empty());
+    }
 
     #[test]
     fn significant_subsets_respect_threshold() {

@@ -14,8 +14,7 @@
 //! algorithm requires [`ErrorMeasure::TrainingSet`]; constructing with a
 //! cross-validation measure is a configuration error.
 
-use super::naive::finalize_cell;
-use super::{BellwetherCube, CubeConfig};
+use super::{finalize_cells, BellwetherCube, CubeConfig};
 use crate::error::{BellwetherError, Result};
 use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::items::ItemIndex;
@@ -192,20 +191,12 @@ pub fn build_optimized_cube(
     scanned.record_skipped(problem.recorder.as_ref());
     let best = scanned.acc.0;
 
-    let mut cells = HashMap::new();
-    for subset in &index.order {
-        if let Some(cell) = finalize_cell(
-            source,
-            region_space,
-            item_space,
-            subset,
-            &index.members[subset],
-            problem,
-            best.get(subset).copied(),
-        )? {
-            cells.insert(subset.clone(), cell);
-        }
-    }
+    let winners: Vec<Option<usize>> = index
+        .order
+        .iter()
+        .map(|subset| best.get(subset).map(|&(region_index, _)| region_index))
+        .collect();
+    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners)?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
     Ok(BellwetherCube {
         item_space: item_space.clone(),
@@ -326,7 +317,8 @@ pub fn build_optimized_cube_cv(
                 index: *region_index,
                 source,
             })?;
-        let data = crate::training::block_subset_data(&block, ids);
+        let keep: ItemIndex = ids.iter().copied().collect();
+        let data = crate::training::block_subset_data(&block, &keep);
         let Some(model) = bellwether_linreg::fit_wls(&data) else { continue };
         let region = RegionId(source.region_coords(*region_index).to_vec());
         cells.insert(
@@ -446,9 +438,12 @@ mod tests {
         let cube =
             build_optimized_cube(&src, &region_space, &item_space, &coords, &problem(), &cfg())
                 .unwrap();
+        // One full scan + one targeted read per distinct winning region.
+        let winners: std::collections::HashSet<usize> =
+            cube.cells.values().map(|c| c.region_index).collect();
         assert_eq!(
             src.snapshot().regions_read(),
-            src.num_regions() as u64 + cube.cells.len() as u64
+            src.num_regions() as u64 + winners.len() as u64
         );
     }
 
@@ -487,7 +482,7 @@ mod tests {
         let cell = cube.cell(&RegionId(vec![1])).expect("ga cell");
         let block = src.read_region(cell.region_index).unwrap();
         let ids: std::collections::HashSet<i64> = (0..12).collect();
-        let data = block_subset_data(&block, &ids);
+        let data = block_subset_data(&block, &ids.iter().copied().collect());
         // Recompute per-fold: gather rows per fold by item id.
         let fold_of = |id: i64| crate::seeded::hash_fold(id, folds, seed);
         let mut fold_rmses = Vec::new();

@@ -278,8 +278,8 @@ mod tests {
         let mut s = RegionEvalScratch::new();
         s.gather(&b, None);
         assert_eq!(s.data.n(), 20);
-        let keep: HashSet<i64> = (0..10).collect();
-        s.gather(&b, Some(&keep.iter().copied().collect()));
+        let keep: ItemIndex = (0..10).collect();
+        s.gather(&b, Some(&keep));
         assert_eq!(s.data, crate::training::block_subset_data(&b, &keep));
         s.gather_rows(&b, &[19, 0, 0]);
         assert_eq!(s.data.ys(), [b.y(19), b.y(0), b.y(0)]);
@@ -290,8 +290,8 @@ mod tests {
         let b = block();
         let cfg = config();
         let mut s = RegionEvalScratch::new();
-        let keep: HashSet<i64> = (0..10).collect();
-        s.gather(&b, Some(&keep.iter().copied().collect()));
+        let keep: ItemIndex = (0..10).collect();
+        s.gather(&b, Some(&keep));
         let est = s.estimate(&cfg).unwrap();
         assert_eq!(s.estimate_value(&cfg).map(f64::to_bits), Some(est.value.to_bits()));
         let direct = cfg

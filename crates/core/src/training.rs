@@ -1,6 +1,6 @@
 //! Construction of the *entire training data* (§4.2, §5.2): the training
 //! sets of all feasible regions, materialised once via the CUBE pass and
-//! stored behind a [`TrainingSource`].
+//! stored behind a [`bellwether_storage::TrainingSource`].
 //!
 //! Each example's feature vector is laid out as
 //! `[1 (intercept), item-table numeric features…, regional features…]`,
@@ -11,12 +11,11 @@
 //! uniformly.
 
 use crate::error::Result;
-use crate::items::ItemTable;
-use crate::problem::ErrorMeasure;
+use crate::items::{ItemIndex, ItemTable};
 use bellwether_cube::{CubeResult, Parallelism, RegionId, RegionSpace};
-use bellwether_linreg::{ErrorEstimate, RegressionData};
-use bellwether_storage::{MemorySource, RegionBlock, TrainingSource, TrainingWriter};
-use std::collections::{HashMap, HashSet};
+use bellwether_linreg::RegressionData;
+use bellwether_storage::{MemorySource, RegionBlock, TrainingWriter};
+use std::collections::HashMap;
 use std::path::Path;
 
 /// Assemble one region's training block from the cube result.
@@ -156,41 +155,22 @@ pub fn block_to_data(block: &RegionBlock) -> RegressionData {
     d
 }
 
-/// View the subset of a block whose items are in `keep` as a dataset.
-pub fn block_subset_data(block: &RegionBlock, keep: &HashSet<i64>) -> RegressionData {
+/// View the rows of a block whose items `keep` indexes as a dataset, in
+/// block order.
+pub fn block_subset_data(block: &RegionBlock, keep: &ItemIndex) -> RegressionData {
     let mut d = RegressionData::new(block.p as usize);
     let rows: Vec<usize> = (0..block.n())
-        .filter(|&i| keep.contains(&block.item_ids[i]))
+        .filter(|&i| keep.get(block.item_ids[i]).is_some())
         .collect();
     d.extend_from_cols_gather(block.cols(), &block.targets, &rows);
     d
-}
-
-/// Estimate the error of the model a region induces for an item subset:
-/// `Error(h_r | S)` — the quantity minimised everywhere in the paper.
-/// `None` if the subset has too few examples in the region.
-pub fn region_subset_error(
-    source: &dyn TrainingSource,
-    region_idx: usize,
-    keep: Option<&HashSet<i64>>,
-    measure: ErrorMeasure,
-    min_examples: usize,
-) -> Result<Option<ErrorEstimate>> {
-    let block = source.read_region(region_idx)?;
-    let data = match keep {
-        Some(keep) => block_subset_data(&block, keep),
-        None => block_to_data(&block),
-    };
-    if data.n() < min_examples {
-        return Ok(None);
-    }
-    Ok(measure.estimate(&data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bellwether_cube::{cube_pass, CubeInput, Dimension, Hierarchy, Measure};
+    use bellwether_storage::TrainingSource;
     use bellwether_table::ops::AggFunc;
     use bellwether_table::{Column, DataType, Schema, Table};
 
@@ -293,8 +273,7 @@ mod tests {
     fn subset_filtering() {
         let c = cube();
         let b = region_block(&c, &RegionId(vec![1, 0]), &items(), &targets());
-        let keep: HashSet<i64> = [2].into_iter().collect();
-        let d = block_subset_data(&b, &keep);
+        let d = block_subset_data(&b, &ItemIndex::new(&[2]));
         assert_eq!(d.n(), 1);
         assert_eq!(d.y(0), 200.0);
         let full = block_to_data(&b);

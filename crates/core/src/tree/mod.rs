@@ -470,17 +470,6 @@ pub fn subset_bellwether(
     keep: &HashSet<i64>,
     config: &BellwetherConfig,
 ) -> Result<Option<NodeInfo>> {
-    Ok(subset_bellwether_scanned(source, space, keep, config)?.0)
-}
-
-/// [`subset_bellwether`] that also reports which region indices the scan
-/// skipped as unreadable, so tree builders can account for them.
-pub(crate) fn subset_bellwether_scanned(
-    source: &dyn TrainingSource,
-    space: &RegionSpace,
-    keep: &HashSet<i64>,
-    config: &BellwetherConfig,
-) -> Result<(Option<NodeInfo>, Vec<usize>)> {
     let members: ItemIndex = keep.iter().copied().collect();
     let scanned = scan_regions_policy(
         source,
@@ -498,11 +487,10 @@ pub(crate) fn subset_bellwether_scanned(
         },
     )?;
     scanned.record_skipped(config.recorder.as_ref());
-    let skipped = scanned.skipped;
     let WithScratch { acc, scratch } = scanned.acc;
     record_eval_stats(config.recorder.as_ref(), &scratch.eval.stats);
     let Some((region_index, error)) = acc.0 else {
-        return Ok((None, skipped));
+        return Ok(None);
     };
     // One more read to fit the winning model (the search loop above only
     // kept the score). The region was readable moments ago, but on a
@@ -514,22 +502,19 @@ pub(crate) fn subset_bellwether_scanned(
             index: region_index,
             source,
         })?;
-    let data = block_subset_data(&block, keep);
+    let data = block_subset_data(&block, &members);
     let model = fit_wls(&data).ok_or_else(|| {
         BellwetherError::Config("winning region no longer fits a model".into())
     })?;
     let region = RegionId(source.region_coords(region_index).to_vec());
-    Ok((
-        Some(NodeInfo {
-            region_index,
-            label: space.label(&region),
-            region,
-            error,
-            model,
-            n_examples: data.n(),
-        }),
-        skipped,
-    ))
+    Ok(Some(NodeInfo {
+        region_index,
+        label: space.label(&region),
+        region,
+        error,
+        model,
+        n_examples: data.n(),
+    }))
 }
 
 pub(crate) use crate::scan::merge_skipped;

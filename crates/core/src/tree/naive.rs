@@ -7,12 +7,12 @@ use crate::error::Result;
 use crate::eval::record_eval_stats;
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions_policy, MinSlots, WithScratch};
-use crate::tree::partition::{GroupRouting, RoutedScratch};
-use crate::tree::{merge_skipped, subset_bellwether_scanned};
+use crate::scan::{scan_regions_policy, BestRegion, MergeableAccumulator, MinSlots, WithScratch};
+use crate::tree::merge_skipped;
+use crate::tree::partition::{fit_node_model, LevelPlan, RoutedScratch, Scope, Scored};
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
-use bellwether_storage::TrainingSource;
+use bellwether_storage::{RegionBlock, TrainingSource};
 
 /// Build a bellwether tree with the naive algorithm. `root_rows`
 /// restricts the training items (defaults to every item).
@@ -36,17 +36,51 @@ pub fn build_naive(
         info: None,
         split: None,
     });
-    split_node(0, source, space, items, problem, tree_cfg, &mut tree)?;
+    let index = ItemIndex::new(items.ids());
+    split_node(0, source, space, items, &index, problem, tree_cfg, &mut tree)?;
     problem.recorder.add(names::TREE_NODES, tree.nodes.len() as u64);
     Ok(tree)
 }
 
+/// One full scan of the naive algorithm: `fold` receives every block
+/// with a fresh accumulator's worth of scratch. Accounts for skipped
+/// regions and the scratch's work counters.
+fn full_scan<A: MergeableAccumulator>(
+    source: &dyn TrainingSource,
+    problem: &BellwetherConfig,
+    tree: &mut BellwetherTree,
+    init: impl Fn() -> A + Sync,
+    fold: impl Fn(&mut A, &mut RoutedScratch, usize, &RegionBlock) + Sync,
+) -> Result<A> {
+    let scanned = scan_regions_policy(
+        source,
+        problem.parallelism,
+        problem.scan_policy,
+        || WithScratch {
+            acc: init(),
+            scratch: RoutedScratch::new(),
+        },
+        |ws: &mut WithScratch<A, RoutedScratch>, idx, block| {
+            fold(&mut ws.acc, &mut ws.scratch, idx, block);
+            Ok(())
+        },
+    )?;
+    scanned.record_skipped(problem.recorder.as_ref());
+    merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
+    let WithScratch { acc, scratch } = scanned.acc;
+    record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
+    record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
+    Ok(acc)
+}
+
 /// Recursive SplitNode from Figure 4.
+#[allow(clippy::too_many_arguments)] // the recursion's fixed context
 fn split_node(
     node_id: usize,
     source: &dyn TrainingSource,
     space: &RegionSpace,
     items: &ItemTable,
+    index: &ItemIndex,
     problem: &BellwetherConfig,
     tree_cfg: &TreeConfig,
     tree: &mut BellwetherTree,
@@ -54,70 +88,64 @@ fn split_node(
     let rows = tree.nodes[node_id].item_rows.clone();
     let depth = tree.nodes[node_id].depth;
 
-    // Find the bellwether for this node's item subset (one full scan).
-    let ids: std::collections::HashSet<i64> =
-        rows.iter().map(|&r| items.ids()[r]).collect();
-    let (info, skipped) = subset_bellwether_scanned(source, space, &ids, problem)?;
-    merge_skipped(&mut tree.skipped_regions, &skipped);
-    let node_err = info.as_ref().map(|i| i.error);
-    tree.nodes[node_id].info = info;
+    // The node is scored exactly as a RainForest level of one node
+    // would score it (Lemma 1); only the scans differ: one for the
+    // node's own error, then one per criterion.
+    let splits = depth < tree_cfg.max_depth && rows.len() >= tree_cfg.min_node_items;
+    let candidates = if splits {
+        candidate_splits(items, &rows, tree_cfg)
+    } else {
+        Vec::new()
+    };
+    let plan = LevelPlan::new(index, problem.error_measure, &[(&rows, &candidates)]);
+
+    // Find the bellwether for this node's item subset (one full scan,
+    // then a targeted read to fit the winning region's model).
+    let best = full_scan(
+        source,
+        problem,
+        tree,
+        BestRegion::default,
+        |best, scratch, idx, block| {
+            plan.score(block, scratch, problem, Scope::Own, |_, _, err| best.observe(idx, err));
+        },
+    )?;
+    let Some((ridx, node_err)) = best.0 else { return Ok(()) };
+    tree.nodes[node_id].info = fit_node_model(source, space, items, &rows, ridx, node_err)?;
 
     // Termination condition (including the numerically-perfect gate).
-    if depth >= tree_cfg.max_depth
-        || rows.len() < tree_cfg.min_node_items
-        || node_err.is_none_or(|e| e <= tree_cfg.perfect_error_tol)
-    {
+    if !splits || tree.nodes[node_id].info.is_none() || node_err <= tree_cfg.perfect_error_tol {
         return Ok(());
     }
-    let node_err = node_err.unwrap();
 
     // Evaluate every splitting criterion: one full scan each, computing
     // all of the criterion's child errors inside the same scan.
-    let candidates = candidate_splits(items, &rows, tree_cfg);
-    let index = ItemIndex::new(items.ids());
-    let routing = GroupRouting::new(&index, [rows.as_slice()]);
-    let mut best: Option<(usize, f64, Vec<f64>)> = None; // (cand idx, goodness, child errs)
+    let mut best: Option<(usize, f64)> = None; // (cand idx, goodness)
     for (ci, cand) in candidates.iter().enumerate() {
-        let spec = routing.spec(rows.len(), &cand.partition);
-        let parts = cand.partition.len();
-        let scanned = scan_regions_policy(
+        let min_err = full_scan(
             source,
-            problem.parallelism,
-            problem.scan_policy,
-            || WithScratch {
-                acc: MinSlots::new(parts),
-                scratch: RoutedScratch::new(),
-            },
-            |ws: &mut WithScratch<MinSlots, RoutedScratch>, _, block| {
-                let WithScratch { acc, scratch } = ws;
-                routing.split(block, scratch);
-                if scratch.gather_group(block, 0) {
-                    let errs = scratch.child_errors(&spec, 0, problem);
-                    for (slot, e) in errs.iter().enumerate() {
-                        if let Some(e) = *e {
-                            acc.observe(slot, e);
-                        }
+            problem,
+            tree,
+            || MinSlots::new(cand.partition.len()),
+            |min_err, scratch, _, block| {
+                plan.score(block, scratch, problem, Scope::Candidate(ci), |_, scored, err| {
+                    if let Scored::Child { child, .. } = scored {
+                        min_err.observe(child, err);
                     }
-                }
-                Ok(())
+                });
             },
-        )?;
-        scanned.record_skipped(problem.recorder.as_ref());
-        merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
-        let WithScratch { acc, scratch } = scanned.acc;
-        record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
-        record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
-        let min_err = acc.0;
+        )?
+        .0;
         if min_err.iter().any(|e| !e.is_finite()) {
             continue; // some child cannot be modelled anywhere
         }
         let goodness = goodness_of(&rows, node_err, cand, &min_err);
-        if best.as_ref().is_none_or(|(_, g, _)| goodness > *g) {
-            best = Some((ci, goodness, min_err));
+        if best.is_none_or(|(_, g)| goodness > g) {
+            best = Some((ci, goodness));
         }
     }
 
-    let Some((ci, goodness, _)) = best else {
+    let Some((ci, goodness)) = best else {
         return Ok(());
     };
     if tree_cfg.require_positive_goodness && goodness <= 0.0 {
@@ -139,7 +167,7 @@ fn split_node(
     }
     tree.nodes[node_id].split = Some((cand.criterion, children.clone()));
     for child in children {
-        split_node(child, source, space, items, problem, tree_cfg, tree)?;
+        split_node(child, source, space, items, index, problem, tree_cfg, tree)?;
     }
     Ok(())
 }

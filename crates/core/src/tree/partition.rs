@@ -1,32 +1,48 @@
 //! Shared partition-error computation.
 //!
-//! Both tree algorithms must score a splitting criterion's children the
+//! Both tree algorithms must score a node and its candidate criteria the
 //! same way, or Lemma 1 (naive ≡ RainForest) breaks. This module is that
-//! single code path: given one region block and a node's child
-//! partition, build each child's training subset in one pass over the
-//! block and estimate each child's error.
+//! single code path: a [`LevelPlan`] over the item-disjoint nodes of one
+//! scan scores a region block — each node's own error and each
+//! candidate's child errors — and both builders only choose which of
+//! those a scan wants ([`Scope`]).
 //!
 //! Routing is dense. A scan resolves a block's id lane to item positions
-//! once ([`ItemIndex`]), [`GroupRouting`] hands each row to the one
-//! group (tree node) holding its item with one array load, and every
-//! candidate criterion of that node routes the node's rows to children
-//! through a [`PartitionSpec`] — a slot table indexed by the item's
-//! position *within its node*. A level's nodes are disjoint, so its
-//! tables total O(candidates × items) entries however many nodes it
-//! has. Rows keep their ascending block order at every step, so each
-//! child dataset — and every reduction over it — sees the same operands
-//! in the same lanes as a per-child filter of the block would give.
+//! once ([`ItemIndex`]) and [`GroupRouting`] maps a position to the one
+//! node holding the item and the item's place within it. What happens to
+//! a routed row follows the error measure:
+//!
+//! * **Training-set error** is an algebraic aggregate of the mergeable
+//!   `⟨Y'WY, X'WX, X'WY⟩` (Theorem 1), so a row is never copied: its
+//!   unit-weight terms are computed once and added to the node's *total*
+//!   slot and to one *bucket* slot per attribute that has a candidate. A
+//!   categorical attribute's buckets are its criterion's children; the
+//!   `m` thresholds of a numeric attribute share `m + 1` buckets and
+//!   every threshold's two children are merges of them. See
+//!   [`LevelPlan`] for the order of every sum.
+//! * **Cross-validation** draws its folds from a shuffle of the child's
+//!   own row positions, which no shared statistic can reproduce; it
+//!   keeps the gather path: rows are handed to their node, the node's
+//!   rows gathered once, and each candidate routes them to per-child
+//!   datasets through a [`PartitionSpec`]. Rows keep their ascending
+//!   block order at every step, so each dataset — and every reduction
+//!   over it — sees the same operands in the same lanes as a per-child
+//!   filter of the block would give. This path is also the oracle the
+//!   statistics path is tested against.
 
-use super::NodeInfo;
+use super::{CandidateSplit, NodeInfo, SplitCriterion};
+use crate::error::{BellwetherError, Result};
 use crate::eval::{PartitionScratch, RegionEvalScratch};
-use crate::items::{ItemIndex, NO_ITEM};
-use crate::problem::BellwetherConfig;
+use crate::items::{ItemIndex, ItemTable, NO_ITEM};
+use crate::problem::{BellwetherConfig, ErrorMeasure};
 use crate::scan::ScanScratch;
-use bellwether_linreg::fit_wls;
-use bellwether_storage::RegionBlock;
-use std::collections::HashSet;
+use crate::training::block_subset_data;
+use bellwether_cube::{RegionId, RegionSpace};
+use bellwether_linreg::{fit_wls, EvalScratch, RegSuffStats};
+use bellwether_storage::{RegionBlock, TrainingSource};
+use std::ops::Range;
 
-/// Slot of a member that no child takes.
+/// Slot of a member that no child (or bucket) takes.
 const NO_CHILD: u32 = u32::MAX;
 
 /// A reusable routing table for one child partition of an item set (a
@@ -91,7 +107,7 @@ struct Place {
 /// Dense routing of block rows to the item-disjoint groups of one scan —
 /// the nodes of a tree level (RainForest), or a single node (naive).
 #[derive(Debug)]
-pub struct GroupRouting<'a> {
+struct GroupRouting<'a> {
     index: &'a ItemIndex,
     /// Per position of `index`; `group == NO_ITEM` for items in no group.
     place: Vec<Place>,
@@ -102,7 +118,7 @@ impl<'a> GroupRouting<'a> {
     /// `groups[g]` lists group `g`'s items as positions of `index`
     /// (for an index over [`crate::items::ItemTable::ids`], item-table
     /// rows). Groups must be disjoint.
-    pub fn new<'g>(index: &'a ItemIndex, groups: impl IntoIterator<Item = &'g [usize]>) -> Self {
+    fn new<'g>(index: &'a ItemIndex, groups: impl IntoIterator<Item = &'g [usize]>) -> Self {
         let nowhere = Place {
             group: NO_ITEM,
             at: NO_ITEM,
@@ -128,7 +144,7 @@ impl<'a> GroupRouting<'a> {
 
     /// The routing table of `partition` — a split of one group's `len`
     /// items, given like the group itself as positions of the index.
-    pub fn spec(&self, len: usize, partition: &[Vec<usize>]) -> PartitionSpec {
+    fn spec(&self, len: usize, partition: &[Vec<usize>]) -> PartitionSpec {
         PartitionSpec::new(
             len,
             partition
@@ -140,7 +156,7 @@ impl<'a> GroupRouting<'a> {
     /// Hand each row of `block` to the group holding its item: one id
     /// resolution and one `place` load per row, rows ascending within
     /// every group. Rows of unknown or ungrouped items go nowhere.
-    pub fn split(&self, block: &RegionBlock, scratch: &mut RoutedScratch) {
+    fn split(&self, block: &RegionBlock, scratch: &mut RoutedScratch) {
         let before = scratch.routed_capacity();
         let RoutedScratch {
             items, rows, at, ..
@@ -160,17 +176,480 @@ impl<'a> GroupRouting<'a> {
         }
         scratch.rows_routed += block.n() as u64;
         let grew = scratch.routed_capacity() > before;
-        let stats = &mut scratch.node.eval.stats;
-        if grew {
-            stats.scratch_grows += 1;
-        } else {
-            stats.scratch_reuses += 1;
+        scratch.note_shape(grew);
+    }
+}
+
+/// Which of a plan's errors one scan wants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Every node's own error and the children of all its candidates: a
+    /// RainForest level scan.
+    Level,
+    /// Every node's own error: the naive tree's scan for a node.
+    Own,
+    /// The children of each node's candidate with this index: the naive
+    /// tree's scan for one criterion.
+    Candidate(usize),
+}
+
+impl Scope {
+    /// Whether the scan wants the nodes' own errors.
+    fn own(self) -> bool {
+        !matches!(self, Scope::Candidate(_))
+    }
+
+    /// The candidates the scan wants, of a node that has `n`.
+    fn candidates(self, n: usize) -> Range<usize> {
+        match self {
+            Scope::Level => 0..n,
+            Scope::Own => 0..0,
+            Scope::Candidate(c) => c.min(n)..(c + 1).min(n),
+        }
+    }
+
+    /// The attribute groups (of one node) those candidates sit in.
+    fn groups(self, groups: &[AttrGroup]) -> Range<usize> {
+        match self {
+            Scope::Level => 0..groups.len(),
+            Scope::Own => 0..0,
+            Scope::Candidate(c) => groups
+                .iter()
+                .position(|group| group.cands.contains(&c))
+                .map_or(0..0, |g| g..g + 1),
         }
     }
 }
 
-/// Per-worker scratch of a [`GroupRouting`] scan: the routed rows of the
-/// block last split, the dataset of the group being scored, and the
+/// One error a scored block yields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scored {
+    /// The node's own error.
+    Node,
+    /// The error of one child of one of the node's candidates.
+    Child {
+        /// Index into the node's candidate list.
+        cand: usize,
+        /// Child slot within the candidate's partition.
+        child: usize,
+    },
+}
+
+/// The candidates of one node that share an attribute, and the bucket
+/// slots their children are merged from.
+#[derive(Debug)]
+struct AttrGroup {
+    /// The candidates it serves (indices into the node's list): one
+    /// categorical criterion, or consecutive thresholds of one numeric
+    /// attribute.
+    cands: Range<usize>,
+    /// Its bucket slots: one per child of a categorical criterion,
+    /// `m + 1` for `m` thresholds.
+    buckets: Range<usize>,
+    numeric: bool,
+}
+
+/// One node's slots.
+#[derive(Debug)]
+struct StatNode {
+    /// The node's total slot.
+    total: usize,
+    groups: Vec<AttrGroup>,
+    n_candidates: usize,
+    /// Start of the node's part of [`StatPlan::slot_of`]: the item at
+    /// position `at` owns the `groups.len()` entries from
+    /// `table + at * groups.len()`, its bucket slot under each group.
+    table: usize,
+}
+
+/// The statistics form of a plan: the slot numbers of every node and the
+/// bucket slot of every (item, attribute group).
+#[derive(Debug, Default)]
+struct StatPlan {
+    nodes: Vec<StatNode>,
+    /// [`NO_CHILD`] where a categorical criterion has no child for the
+    /// item.
+    slot_of: Vec<u32>,
+    n_slots: usize,
+}
+
+impl StatPlan {
+    fn push_node(
+        &mut self,
+        routing: &GroupRouting,
+        items: &[usize],
+        candidates: &[CandidateSplit],
+    ) {
+        let total = self.n_slots;
+        let mut next = total + 1;
+        let mut groups = Vec::new();
+        let mut c = 0;
+        while c < candidates.len() {
+            let mut end = c + 1;
+            let mut numeric = false;
+            if let SplitCriterion::Numeric { attr, threshold } = candidates[c].criterion {
+                // The thresholds of one attribute, as long as they do
+                // not descend: each one's child 1 lies inside that of
+                // the one before it.
+                numeric = true;
+                let mut last = threshold;
+                while let Some(SplitCriterion::Numeric {
+                    attr: a,
+                    threshold: t,
+                }) = candidates.get(end).map(|cand| &cand.criterion)
+                {
+                    if *a != attr || t.partial_cmp(&last).is_none_or(|o| o.is_lt()) {
+                        break;
+                    }
+                    last = *t;
+                    end += 1;
+                }
+            }
+            let n_buckets = if numeric {
+                end - c + 1
+            } else {
+                candidates[c].partition.len()
+            };
+            groups.push(AttrGroup {
+                cands: c..end,
+                buckets: next..next + n_buckets,
+                numeric,
+            });
+            next += n_buckets;
+            c = end;
+        }
+        assert!(next < NO_CHILD as usize, "too many slots for a u32");
+
+        let table = self.slot_of.len();
+        let width = groups.len();
+        self.slot_of.resize(table + items.len() * width, NO_CHILD);
+        let entry = |item: usize, g: usize| table + routing.place[item].at as usize * width + g;
+        for (g, group) in groups.iter().enumerate() {
+            let first = &candidates[group.cands.start];
+            if group.numeric {
+                // An item's bucket is the number of the group's
+                // thresholds whose child 1 holds it.
+                debug_assert_eq!(
+                    first.partition.iter().map(Vec::len).sum::<usize>(),
+                    items.len(),
+                    "a threshold splits all of the node's items in two"
+                );
+                for &item in first.partition.iter().flatten() {
+                    self.slot_of[entry(item, g)] = group.buckets.start as u32;
+                }
+                for cand in &candidates[group.cands.clone()] {
+                    for &item in &cand.partition[1] {
+                        self.slot_of[entry(item, g)] += 1;
+                    }
+                }
+            } else {
+                for (child, members) in first.partition.iter().enumerate() {
+                    for &item in members {
+                        self.slot_of[entry(item, g)] = (group.buckets.start + child) as u32;
+                    }
+                }
+            }
+        }
+        self.nodes.push(StatNode {
+            total,
+            groups,
+            n_candidates: candidates.len(),
+            table,
+        });
+        self.n_slots = next;
+    }
+
+    /// Read the errors `scope` asks for out of the slots
+    /// [`LevelPlan::accumulate`] filled.
+    fn errors(
+        &self,
+        p: usize,
+        scratch: &mut RoutedScratch,
+        config: &BellwetherConfig,
+        scope: Scope,
+        sink: &mut impl FnMut(usize, Scored, f64),
+    ) {
+        let stride = RegSuffStats::flat_len(p);
+        let RoutedScratch {
+            sums,
+            counts,
+            wanted,
+            prefix,
+            suffix,
+            suffix_n,
+            node: own,
+            children,
+            ..
+        } = scratch;
+        let slot = |s: usize| &sums[s * stride..(s + 1) * stride];
+        for (g, node) in self.nodes.iter().enumerate() {
+            if scope.own() {
+                let n = counts[node.total];
+                if n == 0 {
+                    continue; // none of the node's items in this block
+                }
+                if let Some(err) = flat_error(&mut own.eval, config, p, n, slot(node.total)) {
+                    sink(g, Scored::Node, err);
+                }
+            }
+            let cands = scope.candidates(node.n_candidates);
+            let mut child = |cand: usize, child: usize, n: u32, flat: &[f64]| {
+                if let Some(err) = flat_error(&mut children.eval, config, p, n, flat) {
+                    sink(g, Scored::Child { cand, child }, err);
+                }
+            };
+            // The groups `accumulate` filled for this scope.
+            for group in &node.groups[wanted[g].clone()] {
+                let base = group.buckets.start;
+                if !group.numeric {
+                    for (c, bucket) in group.buckets.clone().enumerate() {
+                        child(group.cands.start, c, counts[bucket], slot(bucket));
+                    }
+                    continue;
+                }
+                // Child 1 of threshold j is buckets j+1..=m, summed from
+                // the top bucket down; entry m is the empty sum.
+                let m = group.cands.len();
+                suffix.clear();
+                suffix.resize((m + 1) * stride, 0.0);
+                suffix_n.clear();
+                suffix_n.resize(m + 1, 0);
+                for j in (0..m).rev() {
+                    let (below, above) = suffix.split_at_mut((j + 1) * stride);
+                    let sum = &mut below[j * stride..];
+                    sum.copy_from_slice(&above[..stride]);
+                    add_into(sum, slot(base + j + 1));
+                    suffix_n[j] = suffix_n[j + 1] + counts[base + j + 1];
+                }
+                // Child 0 is buckets 0..=j, summed from bucket 0 up.
+                prefix.clear();
+                prefix.resize(stride, 0.0);
+                let mut prefix_n = 0;
+                for j in 0..m {
+                    add_into(prefix, slot(base + j));
+                    prefix_n += counts[base + j];
+                    let cand = group.cands.start + j;
+                    if cands.contains(&cand) {
+                        child(cand, 0, prefix_n, prefix);
+                        child(cand, 1, suffix_n[j], &suffix[j * stride..(j + 1) * stride]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `into[i] += from[i]`: the one addition every slot sum and bucket merge
+/// is made of.
+#[inline]
+fn add_into(into: &mut [f64], from: &[f64]) {
+    for (sum, part) in into.iter_mut().zip(from) {
+        *sum += part;
+    }
+}
+
+/// The training-set error of the model fitted to the `n` rows summed in
+/// `flat`, under the gates every scored set passes: `min_examples`
+/// rows, then (inside the engine) more rows than features.
+fn flat_error(
+    eval: &mut EvalScratch,
+    config: &BellwetherConfig,
+    p: usize,
+    n: u32,
+    flat: &[f64],
+) -> Option<f64> {
+    let n = n as usize;
+    if n < config.min_examples.max(1) {
+        return None;
+    }
+    eval.training_value_flat(p, n, flat)
+}
+
+/// How a plan turns routed rows into errors.
+#[derive(Debug)]
+enum Scorer {
+    /// From per-slot statistics (training-set error).
+    Stats(StatPlan),
+    /// From gathered per-child datasets: per node, each candidate's
+    /// routing table.
+    Gather(Vec<Vec<PartitionSpec>>),
+}
+
+/// Everything one scan needs to score region blocks for a set of
+/// item-disjoint nodes — a tree level (RainForest) or one node (naive):
+/// the routing of items to nodes and, per node, what its candidates need
+/// from a routed row. Built once and shared read-only by the scan's
+/// workers; [`LevelPlan::score`] is the one scoring function of both
+/// tree builders.
+///
+/// # Order of the sums (training-set error)
+///
+/// One [`LevelPlan::score`] call works on one block and starts from
+/// zeroed slots. A **slot** — a node's total, or one bucket of one
+/// attribute group — is the scalar fold, in ascending row order, of the
+/// unit-weight terms ([`RegSuffStats::unit_terms_from_cols`]) of the
+/// block's rows that belong to it. A node's own error is read from its
+/// total slot. A categorical criterion's child *is* its bucket. The
+/// thresholds `t_0 ≤ … ≤ t_{m−1}` of a numeric attribute share buckets
+/// `0..=m`, an item's bucket being the number of thresholds whose child
+/// 1 (`value ≥ t`) holds it; threshold `j`'s child 0 is buckets `0..=j`
+/// summed ascending from bucket 0, its child 1 is buckets `j+1..=m`
+/// summed descending from bucket `m`. Additions only: no child is a
+/// `total − sibling` downdate. Every sum is therefore a function of the
+/// block, the nodes' items and their candidate lists alone — not of
+/// which worker scores the block, what it scored before, or which of the
+/// errors the scan wants ([`Scope`]).
+#[derive(Debug)]
+pub struct LevelPlan<'a> {
+    routing: GroupRouting<'a>,
+    scorer: Scorer,
+}
+
+impl<'a> LevelPlan<'a> {
+    /// Plan for `nodes`, each given by its items (positions of `index`,
+    /// disjoint between nodes) and its candidate criteria in enumeration
+    /// order (none for a node that will not split). A numeric
+    /// candidate's two children must hold all of the node's items.
+    pub fn new(
+        index: &'a ItemIndex,
+        measure: ErrorMeasure,
+        nodes: &[(&[usize], &[CandidateSplit])],
+    ) -> Self {
+        let routing = GroupRouting::new(index, nodes.iter().map(|&(items, _)| items));
+        // Theorem 1 decomposes training-set SSE; cross-validation folds
+        // shuffle each child's own row positions and need the rows.
+        let stats = measure == ErrorMeasure::TrainingSet;
+        #[cfg(test)]
+        let stats = stats && !tests::GATHER_ORACLE.with(std::cell::Cell::get);
+        let scorer = if stats {
+            let mut plan = StatPlan::default();
+            for &(items, candidates) in nodes {
+                plan.push_node(&routing, items, candidates);
+            }
+            Scorer::Stats(plan)
+        } else {
+            let specs = |&(items, candidates): &(&[usize], &[CandidateSplit])| {
+                let spec = |c: &CandidateSplit| routing.spec(items.len(), &c.partition);
+                candidates.iter().map(spec).collect()
+            };
+            Scorer::Gather(nodes.iter().map(specs).collect())
+        };
+        LevelPlan { routing, scorer }
+    }
+
+    /// Statistic slots one worker holds while scanning under this plan
+    /// (none on the gather path).
+    pub fn stat_slots(&self) -> usize {
+        match &self.scorer {
+            Scorer::Stats(plan) => plan.n_slots,
+            Scorer::Gather(_) => 0,
+        }
+    }
+
+    /// Score one block: `sink(node, what, error)` receives every error
+    /// `scope` asks for that the block supports — the node (or child)
+    /// has at least `config.min_examples` rows in it, more rows than
+    /// features, and a model that fits.
+    pub fn score(
+        &self,
+        block: &RegionBlock,
+        scratch: &mut RoutedScratch,
+        config: &BellwetherConfig,
+        scope: Scope,
+        mut sink: impl FnMut(usize, Scored, f64),
+    ) {
+        match &self.scorer {
+            Scorer::Stats(plan) => {
+                let before = scratch.slot_capacity();
+                self.accumulate(plan, block, scratch, scope);
+                plan.errors(block.p as usize, scratch, config, scope, &mut sink);
+                let grew = scratch.slot_capacity() > before;
+                scratch.note_shape(grew);
+            }
+            Scorer::Gather(specs) => {
+                self.routing.split(block, scratch);
+                for (g, specs) in specs.iter().enumerate() {
+                    if !scratch.gather_group(block, g) {
+                        continue;
+                    }
+                    if scope.own() && scratch.node.data.n() >= config.min_examples.max(1) {
+                        if let Some(err) = scratch.node.estimate_value(config) {
+                            sink(g, Scored::Node, err);
+                        }
+                    }
+                    for cand in scope.candidates(specs.len()) {
+                        let errs = scratch.child_errors(&specs[cand], g, config);
+                        for (child, err) in errs.iter().enumerate() {
+                            if let Some(err) = *err {
+                                sink(g, Scored::Child { cand, child }, err);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fold every routed row of `block` into its node's total slot (when
+    /// the scan wants own errors) and into its bucket slot under each
+    /// attribute group the scan wants: the row's terms are computed
+    /// once, every slot it belongs to adds them.
+    fn accumulate(
+        &self,
+        plan: &StatPlan,
+        block: &RegionBlock,
+        scratch: &mut RoutedScratch,
+        scope: Scope,
+    ) {
+        let stride = RegSuffStats::flat_len(block.p as usize);
+        let RoutedScratch {
+            items,
+            sums,
+            counts,
+            terms,
+            wanted,
+            ..
+        } = scratch;
+        sums.clear();
+        sums.resize(plan.n_slots * stride, 0.0);
+        counts.clear();
+        counts.resize(plan.n_slots, 0);
+        terms.resize(stride, 0.0);
+        wanted.clear();
+        wanted.extend(plan.nodes.iter().map(|node| scope.groups(&node.groups)));
+        self.routing.index.resolve_into(&block.item_ids, items);
+
+        let mut add = |slot: usize, terms: &[f64]| {
+            counts[slot] += 1;
+            add_into(&mut sums[slot * stride..(slot + 1) * stride], terms);
+        };
+        let own = scope.own();
+        let mut adds = 0;
+        for (row, &item) in items.iter().enumerate() {
+            let Some(place) = self.routing.place.get(item as usize) else { continue };
+            let Some(node) = plan.nodes.get(place.group as usize) else { continue };
+            RegSuffStats::unit_terms_from_cols(block.cols(), row, block.targets[row], terms);
+            if own {
+                add(node.total, terms);
+                adds += 1;
+            }
+            let width = node.groups.len();
+            let entries = &plan.slot_of[node.table + place.at as usize * width..][..width];
+            for &slot in &entries[wanted[place.group as usize].clone()] {
+                if slot != NO_CHILD {
+                    add(slot as usize, terms);
+                    adds += 1;
+                }
+            }
+        }
+        scratch.rows_routed += block.n() as u64;
+        scratch.slot_adds += adds;
+    }
+}
+
+/// Per-worker scratch of a [`LevelPlan`] scan. On the statistics path:
+/// the slots of the block last scored. On the gather path: the routed
+/// rows of that block, the dataset of the node being scored, and the
 /// per-child datasets of its candidates.
 #[derive(Debug, Default)]
 pub struct RoutedScratch {
@@ -180,11 +659,27 @@ pub struct RoutedScratch {
     rows: Vec<Vec<usize>>,
     /// Per group: each of those rows' position within the group.
     at: Vec<Vec<u32>>,
-    /// Block rows split so far — every row of every block, once.
+    /// Per slot, its `RegSuffStats::flat_len` sums.
+    sums: Vec<f64>,
+    /// Per slot, the rows folded into it.
+    counts: Vec<u32>,
+    /// One row's terms.
+    terms: Vec<f64>,
+    /// Per node, the attribute groups the scan wants.
+    wanted: Vec<Range<usize>>,
+    /// A threshold group's running child 0.
+    prefix: Vec<f64>,
+    /// Every child 1 of a threshold group, and their row counts.
+    suffix: Vec<f64>,
+    suffix_n: Vec<u32>,
+    /// Block rows routed so far — every row of every block, once.
     pub rows_routed: u64,
-    /// The gathered group and its error engine.
+    /// Slot additions so far: per routed row of a node's item, one for
+    /// each slot it was folded into.
+    pub slot_adds: u64,
+    /// The gathered group, and the error engine of nodes' own errors.
     pub node: RegionEvalScratch,
-    /// Child datasets and their error engine.
+    /// Child datasets, and the error engine of child errors.
     pub children: PartitionScratch,
 }
 
@@ -201,9 +696,30 @@ impl RoutedScratch {
             + self.at.iter().map(Vec::capacity).sum::<usize>()
     }
 
+    /// What the slot buffers can hold without allocating.
+    fn slot_capacity(&self) -> usize {
+        self.items.capacity()
+            + self.sums.capacity()
+            + self.counts.capacity()
+            + self.terms.capacity()
+            + self.wanted.capacity()
+            + self.prefix.capacity()
+            + self.suffix.capacity()
+            + self.suffix_n.capacity()
+    }
+
+    fn note_shape(&mut self, grew: bool) {
+        let stats = &mut self.node.eval.stats;
+        if grew {
+            stats.scratch_grows += 1;
+        } else {
+            stats.scratch_reuses += 1;
+        }
+    }
+
     /// Gather group `g`'s rows of the block last split into `node`.
     /// False (and nothing gathered) when the block holds none.
-    pub fn gather_group(&mut self, block: &RegionBlock, g: usize) -> bool {
+    fn gather_group(&mut self, block: &RegionBlock, g: usize) -> bool {
         let rows = &self.rows[g];
         if rows.is_empty() {
             return false;
@@ -214,7 +730,7 @@ impl RoutedScratch {
 
     /// Each child's model error over the gathered group `g` under one
     /// of its candidates' routing tables.
-    pub fn child_errors(
+    fn child_errors(
         &mut self,
         spec: &PartitionSpec,
         g: usize,
@@ -229,321 +745,44 @@ impl RoutedScratch {
 impl ScanScratch for RoutedScratch {
     fn absorb(&mut self, later: Self) {
         self.rows_routed += later.rows_routed;
+        self.slot_adds += later.slot_adds;
         self.node.absorb(later.node);
         self.children.absorb(later.children);
     }
 }
 
-/// Fit the final model of a node: its item subset restricted to the
-/// winning region's block.
+/// Fit the final model of a node — `rows` of the item table — from its
+/// winning region: one targeted read, then the rows of that block whose
+/// items are the node's. The region was readable during the scan, but on
+/// a faulty source the re-read can still fail; the failure carries the
+/// region index. `None` when the rows no longer fit a model.
 pub fn fit_node_model(
-    block: &RegionBlock,
-    ids: &HashSet<i64>,
+    source: &dyn TrainingSource,
+    space: &RegionSpace,
+    items: &ItemTable,
+    rows: &[usize],
     region_index: usize,
-    region: bellwether_cube::RegionId,
-    label: String,
     error: f64,
-) -> Option<NodeInfo> {
-    let data = crate::training::block_subset_data(block, ids);
-    let model = fit_wls(&data)?;
-    Some(NodeInfo {
+) -> Result<Option<NodeInfo>> {
+    let block = source
+        .read_region(region_index)
+        .map_err(|source| BellwetherError::RegionRead {
+            index: region_index,
+            source,
+        })?;
+    let keep: ItemIndex = rows.iter().map(|&r| items.ids()[r]).collect();
+    let data = block_subset_data(&block, &keep);
+    let region = RegionId(source.region_coords(region_index).to_vec());
+    Ok(fit_wls(&data).map(|model| NodeInfo {
         region_index,
+        label: space.label(&region),
         region,
-        label,
         error,
         model,
         n_examples: data.n(),
-    })
+    }))
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::problem::ErrorMeasure;
-    use crate::training::block_subset_data;
-    use crate::tree::tests_support::oracle;
-    use bellwether_prop::{check, Rng};
-
-    fn block() -> RegionBlock {
-        let mut b = RegionBlock::new(vec![0], 2);
-        // items 0..10: y = 2x; items 10..20: y = -3x
-        for i in 0..20i64 {
-            let x = i as f64;
-            let y = if i < 10 { 2.0 * x } else { -3.0 * x };
-            b.push(i, &[1.0, x], y);
-        }
-        b
-    }
-
-    fn config() -> BellwetherConfig {
-        BellwetherConfig::builder(1.0)
-            .min_examples(3)
-            .error_measure(ErrorMeasure::TrainingSet)
-            .build()
-            .unwrap()
-    }
-
-    /// Child errors through the dense path: the children's items form
-    /// the one group of a routing over exactly those items.
-    fn partition_errors(
-        block: &RegionBlock,
-        child_ids: &[HashSet<i64>],
-        config: &BellwetherConfig,
-    ) -> Vec<Option<f64>> {
-        let mut ids: Vec<i64> = child_ids.iter().flatten().copied().collect();
-        ids.sort_unstable();
-        let index = ItemIndex::new(&ids);
-        let group: Vec<usize> = (0..ids.len()).collect();
-        let routing = GroupRouting::new(&index, [group.as_slice()]);
-        let partition: Vec<Vec<usize>> = child_ids
-            .iter()
-            .map(|c| c.iter().map(|&id| index.get(id).unwrap()).collect())
-            .collect();
-        let spec = routing.spec(group.len(), &partition);
-        let mut scratch = RoutedScratch::new();
-        routing.split(block, &mut scratch);
-        if !scratch.gather_group(block, 0) {
-            return vec![None; child_ids.len()];
-        }
-        scratch.child_errors(&spec, 0, config).to_vec()
-    }
-
-    #[test]
-    fn children_score_independently() {
-        let b = block();
-        let low: HashSet<i64> = (0..10).collect();
-        let high: HashSet<i64> = (10..20).collect();
-        let errs = partition_errors(&b, &[low, high], &config());
-        // each side is a perfect line → ~0 error
-        assert!(errs[0].unwrap() < 1e-6);
-        assert!(errs[1].unwrap() < 1e-6);
-        // mixed set is NOT a line → substantial error
-        let all: HashSet<i64> = (0..20).collect();
-        let mixed = partition_errors(&b, &[all], &config());
-        assert!(mixed[0].unwrap() > 1.0);
-    }
-
-    #[test]
-    fn partition_errors_match_direct_subset_computation() {
-        let b = block();
-        let subset: HashSet<i64> = [1, 3, 5, 7, 9].into_iter().collect();
-        let direct = config()
-            .error_measure
-            .estimate(&block_subset_data(&b, &subset))
-            .unwrap()
-            .value;
-        let via = partition_errors(&b, &[subset], &config())[0].unwrap();
-        assert_eq!(direct.to_bits(), via.to_bits());
-    }
-
-    #[test]
-    fn tiny_children_are_none() {
-        let b = block();
-        let tiny: HashSet<i64> = [0, 1].into_iter().collect();
-        let errs = partition_errors(&b, &[tiny], &config());
-        assert_eq!(errs[0], None);
-    }
-
-    #[test]
-    fn absent_items_are_ignored() {
-        let b = block();
-        let ghost: HashSet<i64> = (100..120).collect();
-        let errs = partition_errors(&b, &[ghost], &config());
-        assert_eq!(errs[0], None);
-    }
-
-    fn bits(errs: &[Option<f64>]) -> Vec<Option<u64>> {
-        errs.iter().map(|e| e.map(f64::to_bits)).collect()
-    }
-
-    /// One random scan level: an item universe, disjoint groups over
-    /// part of it, candidate partitions per group, and blocks whose ids
-    /// need not respect any of that.
-    struct Level {
-        ids: Vec<i64>,
-        groups: Vec<Vec<usize>>,
-        /// Per group, per candidate, per child: item positions.
-        candidates: Vec<Vec<Vec<Vec<usize>>>>,
-        blocks: Vec<RegionBlock>,
-        config: BellwetherConfig,
-    }
-
-    fn random_level(rng: &mut Rng) -> Level {
-        let n_items = rng.usize_in(1, 60);
-        let mut ids: Vec<i64> = match rng.below(3) {
-            0 => (0..n_items as i64).collect(),
-            1 => (0..n_items as i64).map(|i| 3 * i - 70).collect(),
-            _ => (0..n_items).map(|_| rng.next_u64() as i64).collect(),
-        };
-        ids.sort_unstable();
-        ids.dedup();
-        rng.shuffle(&mut ids);
-        // Items land in one of the groups or (last bucket) in none, as
-        // when `root_rows` restricts a tree to part of the item table.
-        let n_groups = rng.usize_in(1, 6);
-        let mut groups = vec![Vec::new(); n_groups];
-        for item in 0..ids.len() {
-            let g = rng.below(n_groups + 1);
-            if g < n_groups {
-                groups[g].push(item);
-            }
-        }
-        let candidates = groups
-            .iter()
-            .map(|items| {
-                (0..rng.usize_in(0, 4))
-                    .map(|_| {
-                        let mut children = vec![Vec::new(); rng.usize_in(1, 5)];
-                        for &item in items {
-                            let c = rng.below(children.len());
-                            children[c].push(item);
-                        }
-                        children
-                    })
-                    .collect()
-            })
-            .collect();
-        let blocks = (0..rng.usize_in(1, 5))
-            .map(|r| {
-                let mut b = RegionBlock::new(vec![r as u32], 2);
-                // Some blocks draw from few items, so whole groups are
-                // absent from them and ids repeat.
-                let pool = rng.usize_in(1, ids.len() + 1);
-                for _ in 0..rng.usize_in(0, 120) {
-                    let id = if rng.flip(0.15) {
-                        rng.next_u64() as i64 // most likely not an item
-                    } else {
-                        ids[rng.below(pool)]
-                    };
-                    b.push(id, &[1.0, rng.f64_in(-10.0, 10.0)], rng.f64_in(-50.0, 50.0));
-                }
-                b
-            })
-            .collect();
-        let measure = if rng.flip(0.5) {
-            ErrorMeasure::TrainingSet
-        } else {
-            ErrorMeasure::CrossValidation {
-                folds: rng.usize_in(2, 5),
-                seed: rng.next_u64(),
-            }
-        };
-        let config = BellwetherConfig::builder(1.0)
-            .min_examples(rng.usize_in(1, 6))
-            .error_measure(measure)
-            .build()
-            .unwrap();
-        Level {
-            ids,
-            groups,
-            candidates,
-            blocks,
-            config,
-        }
-    }
-
-    #[test]
-    fn dense_routing_matches_the_hash_oracle_bit_for_bit() {
-        check("dense_routing_matches_the_hash_oracle", 200, |rng| {
-            let level = random_level(rng);
-            let id_set = |items: &[usize]| -> HashSet<i64> {
-                items.iter().map(|&item| level.ids[item]).collect()
-            };
-            let index = ItemIndex::new(&level.ids);
-            let routing = GroupRouting::new(&index, level.groups.iter().map(Vec::as_slice));
-            let mut scratch = RoutedScratch::new();
-            let mut rows = 0;
-            for block in &level.blocks {
-                routing.split(block, &mut scratch);
-                rows += block.n() as u64;
-                assert_eq!(scratch.rows_routed, rows);
-                for (g, items) in level.groups.iter().enumerate() {
-                    let (data, ids) = oracle::gather(block, &id_set(items));
-                    let gathered = scratch.gather_group(block, g);
-                    assert_eq!(gathered, data.n() > 0);
-                    if !gathered {
-                        continue;
-                    }
-                    assert_eq!(scratch.node.data, data);
-                    let enough = data.n() >= level.config.min_examples.max(1);
-                    let own = enough
-                        .then(|| scratch.node.estimate_value(&level.config))
-                        .flatten();
-                    let expect = oracle::error_of(&data, &level.config);
-                    assert_eq!(own.map(f64::to_bits), expect.map(f64::to_bits));
-                    for children in &level.candidates[g] {
-                        let spec = routing.spec(items.len(), children);
-                        let dense = scratch.child_errors(&spec, g, &level.config).to_vec();
-                        let child_ids: Vec<HashSet<i64>> =
-                            children.iter().map(|c| id_set(c)).collect();
-                        let hashed = oracle::HashPartitionSpec::new(&child_ids)
-                            .errors(&data, &ids, &level.config);
-                        assert_eq!(bits(&dense), bits(&hashed));
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn a_split_may_have_more_than_255_children() {
-        // 300 children of two items each; a narrower slot would alias
-        // child 256 onto child 0.
-        let n_children = 300;
-        let ids: Vec<i64> = (0..2 * n_children).collect();
-        let child_ids: Vec<HashSet<i64>> =
-            (0..n_children).map(|c| HashSet::from([2 * c, 2 * c + 1])).collect();
-        let mut rng = Rng::new(7);
-        let mut block = RegionBlock::new(vec![0], 2);
-        for _ in 0..3 {
-            for &id in &ids {
-                block.push(id, &[1.0, rng.f64_in(-10.0, 10.0)], rng.f64_in(-50.0, 50.0));
-            }
-        }
-        let dense = partition_errors(&block, &child_ids, &config());
-        assert_eq!(dense.len(), n_children as usize);
-
-        let (data, row_ids) = oracle::gather(&block, &ids.iter().copied().collect());
-        let hashed =
-            oracle::HashPartitionSpec::new(&child_ids).errors(&data, &row_ids, &config());
-        assert_eq!(bits(&dense), bits(&hashed));
-        assert!(dense.iter().all(Option::is_some));
-    }
-
-    #[test]
-    fn warm_routed_scratch_stops_growing() {
-        let mut rng = Rng::new(11);
-        let level = loop {
-            let level = random_level(&mut rng);
-            if level.blocks.iter().any(|b| b.n() > 40) {
-                break level;
-            }
-        };
-        let index = ItemIndex::new(&level.ids);
-        let routing = GroupRouting::new(&index, level.groups.iter().map(Vec::as_slice));
-        let specs: Vec<Vec<PartitionSpec>> = level
-            .groups
-            .iter()
-            .zip(&level.candidates)
-            .map(|(items, cands)| cands.iter().map(|c| routing.spec(items.len(), c)).collect())
-            .collect();
-        let mut scratch = RoutedScratch::new();
-        let scan = |scratch: &mut RoutedScratch| {
-            for block in &level.blocks {
-                routing.split(block, scratch);
-                for (g, specs) in specs.iter().enumerate() {
-                    if scratch.gather_group(block, g) {
-                        scratch.node.estimate_value(&level.config);
-                        for spec in specs {
-                            scratch.child_errors(spec, g, &level.config);
-                        }
-                    }
-                }
-            }
-            scratch.node.eval.stats.scratch_grows + scratch.children.eval.stats.scratch_grows
-        };
-        let cold = scan(&mut scratch);
-        assert!(cold > 0);
-        assert_eq!(scan(&mut scratch), cold, "a warm level scan must not grow");
-    }
-}
+#[path = "partition_tests.rs"]
+mod tests;

@@ -14,17 +14,16 @@
 use super::{
     candidate_splits, merge_skipped, BellwetherTree, CandidateSplit, Node, TreeConfig,
 };
-use crate::error::{BellwetherError, Result};
+use crate::error::Result;
 use crate::eval::record_eval_stats;
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions_policy, BestRegion, MergeableAccumulator, WithScratch};
 use crate::tree::naive::goodness_of;
-use crate::tree::partition::{fit_node_model, GroupRouting, PartitionSpec, RoutedScratch};
-use bellwether_cube::{RegionId, RegionSpace};
+use crate::tree::partition::{fit_node_model, LevelPlan, RoutedScratch, Scope, Scored};
+use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
 use bellwether_storage::TrainingSource;
-use std::collections::HashSet;
 
 /// Per-level bookkeeping for one node. Read-only during the level scan
 /// so workers can share it; the scan's mutable state lives in
@@ -109,6 +108,7 @@ pub fn build_rainforest(
 
     let mut level: Vec<usize> = vec![0];
     let mut depth = 0usize;
+    let mut stat_slots = 0;
     while !level.is_empty() {
         // Prepare the level: termination decides which nodes are active,
         // active nodes enumerate their candidate criteria.
@@ -130,28 +130,22 @@ pub fn build_rainforest(
                 }
             })
             .collect();
-        // The level's nodes hold disjoint items, so one table routes a
-        // row to its node, and each candidate's slot table is indexed by
-        // the item's position within that node.
-        let node_rows = |e: &LevelEntry| tree.nodes[e.node_id].item_rows.as_slice();
-        let routing = GroupRouting::new(&index, entries.iter().map(node_rows));
-        let specs: Vec<Vec<PartitionSpec>> = entries
+        // The level's nodes hold disjoint items, so one plan routes a
+        // row to its node and says what the node's candidates need from
+        // it.
+        let nodes: Vec<(&[usize], &[CandidateSplit])> = entries
             .iter()
-            .map(|e| {
-                let len = node_rows(e).len();
-                let spec = |c: &CandidateSplit| routing.spec(len, &c.partition);
-                e.candidates.iter().map(spec).collect()
-            })
+            .map(|e| (tree.nodes[e.node_id].item_rows.as_slice(), e.candidates.as_slice()))
             .collect();
+        let plan = LevelPlan::new(&index, problem.error_measure, &nodes);
+        stat_slots = stat_slots.max(plan.stat_slots());
 
         // The level's single scan over the entire training data, run
         // through the shared engine (parallel under
-        // `problem.parallelism`, merged in region order). Each block's
-        // rows are split among the nodes once, then every node with rows
-        // in the block evaluates its own error and all its candidates
-        // over just those rows. One span per level scan — the empirical
-        // witness of Lemma 1's "`l` scans over the entire training data"
-        // claim.
+        // `problem.parallelism`, merged in region order): every block
+        // yields each node's own error and the child errors of all its
+        // candidates. One span per level scan — the empirical witness of
+        // Lemma 1's "`l` scans over the entire training data" claim.
         let level_timer = span!(problem.recorder, "tree/rainforest/level{depth}");
         let scanned = scan_regions_policy(
             source,
@@ -162,33 +156,20 @@ pub fn build_rainforest(
                 scratch: RoutedScratch::new(),
             },
             |ws: &mut WithScratch<LevelAcc, RoutedScratch>, idx, block| {
-                let scratch = &mut ws.scratch;
-                routing.split(block, scratch);
-                let nodes = entries.iter().zip(&specs).zip(ws.acc.0.iter_mut());
-                for (g, ((e, specs), partial)) in nodes.enumerate() {
-                    if !scratch.gather_group(block, g) {
-                        continue;
-                    }
-                    // Track the node's own bellwether in the same pass.
-                    if scratch.node.data.n() >= problem.min_examples.max(1) {
-                        if let Some(err) = scratch.node.estimate_value(problem) {
-                            partial.node_best.observe(idx, err);
-                        }
-                    }
-                    if !e.active {
-                        continue;
-                    }
-                    for (spec, min_err) in specs.iter().zip(&mut partial.min_err) {
-                        let errs = scratch.child_errors(spec, g, problem);
-                        for (err, min) in errs.iter().zip(min_err) {
-                            if let Some(err) = *err {
-                                if err < *min {
-                                    *min = err;
-                                }
+                let WithScratch { acc, scratch } = ws;
+                plan.score(block, scratch, problem, Scope::Level, |node, scored, err| {
+                    let partial = &mut acc.0[node];
+                    match scored {
+                        // Track the node's own bellwether in the same pass.
+                        Scored::Node => partial.node_best.observe(idx, err),
+                        Scored::Child { cand, child } => {
+                            let min = &mut partial.min_err[cand][child];
+                            if err < *min {
+                                *min = err;
                             }
                         }
                     }
-                }
+                });
                 Ok(())
             },
         )?;
@@ -202,27 +183,18 @@ pub fn build_rainforest(
         problem
             .recorder
             .add(names::TREE_ROWS_ROUTED, scratch.rows_routed);
+        if scratch.slot_adds > 0 {
+            problem.recorder.add(names::TREE_SLOT_ADDS, scratch.slot_adds);
+        }
 
         // Finalize the level: fit node models (targeted reads), pick
         // splits, spawn the next level.
         let mut next_level = Vec::new();
         for (e, partial) in entries.iter().zip(acc.0) {
             if let Some((ridx, err)) = partial.node_best.0 {
-                let block = source
-                    .read_region(ridx)
-                    .map_err(|source| BellwetherError::RegionRead {
-                        index: ridx,
-                        source,
-                    })?;
-                let region = RegionId(source.region_coords(ridx).to_vec());
-                let label = space.label(&region);
-                let ids: HashSet<i64> = tree.nodes[e.node_id]
-                    .item_rows
-                    .iter()
-                    .map(|&r| items.ids()[r])
-                    .collect();
+                let rows = &tree.nodes[e.node_id].item_rows;
                 tree.nodes[e.node_id].info =
-                    fit_node_model(&block, &ids, ridx, region, label, err);
+                    fit_node_model(source, space, items, rows, ridx, err)?;
             }
             let Some((_, node_err)) = partial.node_best.0 else { continue };
             if !e.active
@@ -268,6 +240,9 @@ pub fn build_rainforest(
         depth += 1;
     }
     problem.recorder.add(names::TREE_NODES, tree.nodes.len() as u64);
+    if stat_slots > 0 {
+        problem.recorder.add(names::TREE_STAT_SLOTS, stat_slots as u64);
+    }
     Ok(tree)
 }
 
@@ -278,6 +253,7 @@ mod tests {
     use crate::tree::naive::build_naive;
     use crate::tree::tests_support::{canonical_form, two_group_fixture};
     use bellwether_storage::TrainingSource;
+    use std::collections::HashSet;
 
     fn problem() -> BellwetherConfig {
         BellwetherConfig::builder(1e9)
@@ -374,6 +350,81 @@ mod tests {
             reg.snapshot().counter(bellwether_obs::names::TREE_ROWS_ROUTED),
             Some(levels * block_rows)
         );
+    }
+
+    #[test]
+    fn slot_counters_follow_the_plan_at_any_thread_count() {
+        use crate::tree::SplitCriterion;
+        use bellwether_cube::Parallelism;
+        use bellwether_obs::names::{TREE_SLOT_ADDS, TREE_STAT_SLOTS};
+        let (src, space, items) = two_group_fixture();
+        let mut seen = Vec::new();
+        for threads in [1usize, 2, 4] {
+            let reg = bellwether_obs::Registry::shared();
+            let mut problem = problem();
+            problem.recorder = reg.clone();
+            problem.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
+            let rf =
+                build_rainforest(&src, &space, &items, None, &problem, &tree_cfg()).unwrap();
+            // What the plan of every level holds and adds, from the
+            // finished tree: a node's total, plus per attribute with a
+            // candidate one bucket per child or threshold interval.
+            let (mut adds, mut widest) = (0u64, 0u64);
+            for depth in 0..=rf.depth() {
+                let mut slots = 0;
+                for node in rf.nodes.iter().filter(|n| n.depth == depth) {
+                    let cfg = tree_cfg();
+                    let active =
+                        depth < cfg.max_depth && node.item_rows.len() >= cfg.min_node_items;
+                    let candidates = if active {
+                        candidate_splits(&items, &node.item_rows, &cfg)
+                    } else {
+                        Vec::new()
+                    };
+                    let mut attrs = std::collections::BTreeMap::new();
+                    for cand in &candidates {
+                        match cand.criterion {
+                            SplitCriterion::Categorical { attr, .. } => {
+                                attrs.insert((0, attr), cand.partition.len() as u64);
+                            }
+                            SplitCriterion::Numeric { attr, .. } => {
+                                *attrs.entry((1, attr)).or_insert(1) += 1;
+                            }
+                        }
+                    }
+                    slots += 1 + attrs.values().sum::<u64>();
+                    let ids: HashSet<i64> =
+                        node.item_rows.iter().map(|&r| items.ids()[r]).collect();
+                    let rows = src
+                        .blocks()
+                        .iter()
+                        .flat_map(|b| &b.item_ids)
+                        .filter(|id| ids.contains(id))
+                        .count() as u64;
+                    adds += rows * (1 + attrs.len() as u64);
+                }
+                widest = widest.max(slots);
+            }
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter(TREE_SLOT_ADDS), Some(adds));
+            assert_eq!(snap.counter(TREE_STAT_SLOTS), Some(widest));
+            seen.push((adds, widest));
+        }
+        // 20 items in 3 blocks; the root has both attributes (3 adds a
+        // row), its two children only the numeric one (2 adds).
+        assert_eq!(seen, [(300, 1 + 2 + 20); 3]);
+
+        // Cross-validation scores gathered rows and has no slots.
+        let reg = bellwether_obs::Registry::shared();
+        let cv = BellwetherConfig::builder(1e9)
+            .min_coverage(0.0)
+            .min_examples(4)
+            .recorder(reg.clone())
+            .build()
+            .unwrap();
+        build_rainforest(&src, &space, &items, None, &cv, &tree_cfg()).unwrap();
+        assert_eq!(reg.snapshot().counter(TREE_SLOT_ADDS), None);
+        assert_eq!(reg.snapshot().counter(TREE_STAT_SLOTS), None);
     }
 
     #[test]

@@ -374,13 +374,36 @@ impl EvalScratch {
         }
         self.train.add_dataset(data);
         self.cached_total = CachedTotal::Train { n, p };
+        self.rmse_of_train()
+    }
+
+    /// [`EvalScratch::training_value`] from an already accumulated
+    /// unit-weight statistic in flat form ([`RegSuffStats::flat_len`])
+    /// instead of from rows — Theorem 1: the training-set error needs
+    /// nothing else. Same `n > p` gate, solve and counters.
+    pub fn training_value_flat(&mut self, p: usize, n: usize, flat: &[f64]) -> Option<f64> {
+        self.cached_total = CachedTotal::None;
+        let mut grew = self.train.load_flat(p, n, flat);
+        grew |= ensure_buf(&mut self.factor, packed_len(p));
+        grew |= ensure_buf(&mut self.beta_buf, p);
+        self.note_shape(grew);
+        if n <= p {
+            return None;
+        }
+        self.rmse_of_train()
+    }
+
+    /// Fit the statistic in `train` (more examples than features) and
+    /// return its RMSE over `n − p` degrees of freedom, leaving the
+    /// coefficients in `beta_buf`.
+    fn rmse_of_train(&mut self) -> Option<f64> {
         let diag = self.train.fit_into(&mut self.factor, &mut self.beta_buf)?;
         self.stats.fits += 1;
         if diag.ridged() {
             self.stats.ridge_rescues += 1;
         }
         let sse = self.train.sse_given_fit(&self.beta_buf);
-        Some((sse / (n - p) as f64).sqrt())
+        Some((sse / (self.train.n() - self.train.p()) as f64).sqrt())
     }
 
     /// Algebraic k-fold CV **purely from folded statistics** — no row
@@ -571,6 +594,31 @@ mod tests {
             let value = scratch.training_value(&d).unwrap();
             assert_eq!(value.to_bits(), refit.value.to_bits());
         }
+    }
+
+    #[test]
+    fn training_value_flat_is_the_rmse_of_the_flat_statistic() {
+        let d = noisy_line(40, 0.7, 5);
+        let mut flat = vec![0.0; RegSuffStats::flat_len(2)];
+        let mut terms = flat.clone();
+        let mut scalar = RegSuffStats::new(2);
+        for i in 0..d.n() {
+            scalar.add_from_cols(d.cols(), i, d.y(i), 1.0);
+            RegSuffStats::unit_terms_from_cols(d.cols(), i, d.y(i), &mut terms);
+            for (sum, term) in flat.iter_mut().zip(&terms) {
+                *sum += term;
+            }
+        }
+        let mut scratch = EvalScratch::new();
+        let value = scratch.training_value_flat(2, d.n(), &flat).unwrap();
+        assert_eq!(value.to_bits(), scalar.rmse().unwrap().to_bits());
+        assert_eq!(scratch.stats.fits, 1);
+        // The row path sums the same terms in `dot4` lanes.
+        let from_rows = scratch.training_value(&d).unwrap();
+        assert!((value - from_rows).abs() <= 1e-9 * from_rows);
+        // `n ≤ p` is gated before the solve and counts no fit.
+        assert!(scratch.training_value_flat(2, 2, &flat).is_none());
+        assert_eq!(scratch.stats.fits, 2);
     }
 
     #[test]

@@ -131,6 +131,53 @@ impl RegSuffStats {
         }
     }
 
+    /// Length of the flat form of a unit-weight statistic over `p`
+    /// features: `[Y'Y, X'Y (p entries), X'X (packed, p(p+1)/2)]`.
+    pub const fn flat_len(p: usize) -> usize {
+        1 + p + packed_len(p)
+    }
+
+    /// The terms one unit-weight example adds to a statistic, in the
+    /// layout of [`RegSuffStats::flat_len`]. Each is the product
+    /// [`RegSuffStats::add_from_cols`] adds at `w = 1` (`1.0 * x` is
+    /// bitwise `x`), so adding the terms of a sequence of examples entry
+    /// by entry into a zeroed slice builds exactly the sums that scalar
+    /// fold builds — for callers that fold one example into several
+    /// statistics and want to multiply once.
+    pub fn unit_terms_from_cols(cols: &[Vec<f64>], row: usize, y: f64, out: &mut [f64]) {
+        let p = cols.len();
+        assert_eq!(out.len(), Self::flat_len(p), "flat statistic length mismatch");
+        let (ytwy, rest) = out.split_first_mut().expect("flat_len is at least 1");
+        let (xtwy, gram) = rest.split_at_mut(p);
+        *ytwy = y * y;
+        let mut at = 0;
+        for (i, xy) in xtwy.iter_mut().enumerate() {
+            let xi = cols[i][row];
+            *xy = xi * y;
+            for (g, col) in gram[at..at + i + 1].iter_mut().zip(cols) {
+                *g = xi * col[row];
+            }
+            at += i + 1;
+        }
+    }
+
+    /// Overwrite `self` with the unit-weight statistic of `n` examples
+    /// whose flat sums ([`RegSuffStats::flat_len`]) are `flat`, reusing
+    /// buffers. Returns `true` if a buffer had to grow.
+    pub fn load_flat(&mut self, p: usize, n: usize, flat: &[f64]) -> bool {
+        assert_eq!(flat.len(), Self::flat_len(p), "flat statistic length mismatch");
+        let grew = self.gram.capacity() < packed_len(p) || self.xtwy.capacity() < p;
+        self.p = p;
+        self.n = n;
+        self.sum_w = n as f64;
+        self.ytwy = flat[0];
+        self.xtwy.clear();
+        self.xtwy.extend_from_slice(&flat[1..1 + p]);
+        self.gram.clear();
+        self.gram.extend_from_slice(&flat[1 + p..]);
+        grew
+    }
+
     /// Accumulate an entire dataset with the batched columnar kernels.
     ///
     /// # Canonical summation order
@@ -732,6 +779,27 @@ mod tests {
                 by_rows.add(&d.row(i), d.y(i), d.w(i));
             }
             assert_eq!(by_cols, by_rows, "scalar folds must agree bitwise");
+        });
+    }
+
+    #[test]
+    fn flat_terms_fold_to_the_scalar_fold_bitwise() {
+        use bellwether_prop::check;
+        check("suffstats/unit_terms_vs_add_from_cols", 200, |rng| {
+            let d = random_data(rng, true);
+            let mut scalar = RegSuffStats::new(d.p());
+            let mut flat = vec![0.0; RegSuffStats::flat_len(d.p())];
+            let mut terms = flat.clone();
+            for i in 0..d.n() {
+                scalar.add_from_cols(d.cols(), i, d.y(i), 1.0);
+                RegSuffStats::unit_terms_from_cols(d.cols(), i, d.y(i), &mut terms);
+                for (sum, term) in flat.iter_mut().zip(&terms) {
+                    *sum += term;
+                }
+            }
+            let mut loaded = RegSuffStats::new(0);
+            loaded.load_flat(d.p(), d.n(), &flat);
+            assert_eq!(loaded, scalar, "flat fold must equal the scalar fold bitwise");
         });
     }
 

@@ -90,6 +90,16 @@ pub const TREE_NODES: &str = "tree/nodes";
 /// Block rows the RainForest level scans split among a level's nodes:
 /// every row of every block read, once per level — `levels × Σ rows`.
 pub const TREE_ROWS_ROUTED: &str = "tree/rows_routed";
+/// Statistic slots one RainForest scan worker holds at the tree's widest
+/// level (a node's total plus one bucket per child or threshold
+/// interval of each attribute with a candidate), each
+/// `1 + p + p(p+1)/2` floats: Lemma 1's in-memory `MinError` table.
+/// Absent under cross-validation, which scores gathered rows.
+pub const TREE_STAT_SLOTS: &str = "tree/stat_slots";
+/// Slot additions of the RainForest level scans: per block row of a
+/// node's item, one for the node's total and one per attribute with a
+/// candidate — however many candidates those attributes carry.
+pub const TREE_SLOT_ADDS: &str = "tree/slot_adds";
 /// Cells emitted by a bellwether cube builder.
 pub const CUBE_CELLS: &str = "cube/cells_emitted";
 /// CV folds that produced a usable predictor in `evaluate_method`.

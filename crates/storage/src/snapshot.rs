@@ -251,6 +251,51 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    /// A CRC-32 of a whole snapshot file is **not** a content check.
+    /// Every section frame `M` is followed by `crc32(M)`, and a CRC run
+    /// over `M ‖ crc32(M)` leaves a register that depends on `|M|` and
+    /// the register it started from — never on what `M` says (the CRC
+    /// is affine in its input: the frame's own contribution is the
+    /// constant residue). By induction over the frames the whole-file
+    /// CRC sees the header, the section *lengths* and the footer, and
+    /// nothing of any payload or kind tag. Compare snapshot bytes, or a
+    /// digest that is not a CRC, when two snapshots must hold the same
+    /// model.
+    #[test]
+    fn whole_file_crc32_is_blind_to_section_contents() {
+        let file_bytes = |name: &str, sections: &[(u32, Vec<u8>)]| {
+            let path = tmp_dir().join(name);
+            let mut w = SnapshotWriter::create(&path).unwrap();
+            for (kind, payload) in sections {
+                w.write_section(*kind, payload).unwrap();
+            }
+            w.finish().unwrap();
+            let bytes = fs::read(&path).unwrap();
+            fs::remove_file(&path).ok();
+            bytes
+        };
+        // Deterministic noise, no two payloads alike.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = |len: usize| -> Vec<u8> {
+            let mut byte = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            };
+            (0..len).map(|_| byte()).collect()
+        };
+        let lens = [13usize, 0, 300, 4097];
+        let a: Vec<(u32, Vec<u8>)> = lens.iter().map(|&l| (1, noise(l))).collect();
+        let b: Vec<(u32, Vec<u8>)> = lens.iter().map(|&l| (9, noise(l))).collect();
+        let (bytes_a, bytes_b) = (file_bytes("blind_a.bwsn", &a), file_bytes("blind_b.bwsn", &b));
+        assert_eq!(bytes_a.len(), bytes_b.len());
+        assert_ne!(bytes_a, bytes_b);
+        assert_eq!(crc32(&bytes_a), crc32(&bytes_b), "equal lengths, equal whole-file CRC");
+        // What it does see is a length.
+        let mut c = a.clone();
+        c[2].1.push(0);
+        assert_ne!(crc32(&file_bytes("blind_c.bwsn", &c)), crc32(&bytes_a));
+    }
+
     #[test]
     fn every_truncation_errors_instead_of_panicking() {
         let path = tmp_dir().join("trunc.bwsn");

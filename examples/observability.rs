@@ -237,10 +237,27 @@ fn main() {
     println!("RF tree: {} nodes, depth {}", tree.nodes.len(), tree.depth());
     // A level scan hands every block row to its node exactly once:
     // levels × the rows of one pass over the data.
+    let snap = reg.snapshot();
+    let rows_routed = snap.counter("tree/rows_routed").unwrap_or(0);
     println!(
-        "RF tree: {} rows routed over {} level scans",
-        reg.snapshot().counter("tree/rows_routed").unwrap_or(0),
+        "RF tree: {rows_routed} rows routed over {} level scans",
         tree.depth() + 1
+    );
+    // Under the training-set measure a routed row is never copied: its
+    // terms are added to its node's total slot and to one bucket slot
+    // per attribute with a candidate — 1 + attributes additions a row
+    // (1 at the last level, whose nodes do not split), where gathering
+    // made one pass per candidate. The slots of the widest level are
+    // all a scan worker holds: Lemma 1's in-memory MinError table.
+    let floats_per_slot = {
+        let p = source.feature_arity();
+        1 + p + p * (p + 1) / 2
+    };
+    let stat_slots = snap.counter("tree/stat_slots").unwrap_or(0);
+    println!(
+        "RF tree: {:.2} slot additions per routed row; {stat_slots} slots x {floats_per_slot} floats = {:.1} KiB per worker",
+        snap.counter("tree/slot_adds").unwrap_or(0) as f64 / rows_routed as f64,
+        (stat_slots as usize * (floats_per_slot * 8 + 4)) as f64 / 1024.0
     );
 
     let cube_cfg = CubeConfig {

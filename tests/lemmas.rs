@@ -145,6 +145,37 @@ fn lemma_1_on_deep_random_workloads_at_any_thread_count() {
     });
 }
 
+/// Cross-validation shuffles each child's own row positions into folds,
+/// which no shared statistic reproduces: its trees are scored from
+/// gathered rows, as every tree was before the training-set measure got
+/// level statistics. That path must not move when the other does — the
+/// digests are those of the commit before level statistics (PR 16).
+#[test]
+fn cross_validated_trees_are_the_gather_paths_bit_for_bit() {
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+    let (w, src) = workload();
+    let mut problem = problem();
+    problem.error_measure = ErrorMeasure::CrossValidation { folds: 5, seed: 99 };
+    let tree_cfg = TreeConfig {
+        max_depth: 3,
+        min_node_items: 40,
+        max_numeric_splits: 3,
+        ..TreeConfig::default()
+    };
+    let rf = build_rainforest(&src, &w.region_space, &w.items, None, &problem, &tree_cfg).unwrap();
+    assert!(rf.nodes.len() >= 5, "{} nodes", rf.nodes.len());
+    assert_eq!(fnv1a(&canonical_bits(&rf, &w.items)), CV_TREE_DIGEST);
+    let naive =
+        build_naive_tree(&src, &w.region_space, &w.items, None, &problem, &tree_cfg).unwrap();
+    assert_eq!(fnv1a(&canonical_bits(&naive, &w.items)), CV_TREE_DIGEST);
+}
+
+/// FNV-1a of [`canonical_bits`] of the tree above.
+const CV_TREE_DIGEST: u64 = 6_086_481_988_088_189_166;
+
 #[test]
 fn lemma_1_rf_scan_budget() {
     let (w, src) = workload();

@@ -583,6 +583,11 @@ fn recorder_does_not_change_results() {
         let snap = reg.snapshot();
         assert!(snap.counter("search/regions_evaluated").is_some());
         assert!(snap.counter("tree/nodes").is_some());
+        // The level statistics were counted while they were left alone:
+        // every block row of an item adds to the root's total slot.
+        let rows: u64 = source.blocks().iter().map(|b| b.n() as u64).sum();
+        assert!(snap.counter("tree/slot_adds").unwrap() >= rows);
+        assert!(snap.counter("tree/stat_slots").unwrap() >= 1);
     });
 }
 

@@ -282,6 +282,93 @@ fn layered_sharded_stack_matches_clean_run_for_all_builders() {
     });
 }
 
+/// The RainForest level statistics have a summation order of their own
+/// (a slot folds one block's rows, a threshold's children merge buckets
+/// in a fixed order), stated as a function of the block, the nodes'
+/// items and their candidates alone. So trees with several numeric
+/// attributes, several thresholds each, and levels of many nodes must
+/// come out byte-identical, the naive and the RainForest one, from a
+/// clean in-memory source at one thread and from every layered stack:
+/// shards {1, 3} × threads {1, 2, 4} × cache {off, on}, with transients
+/// injected on every region and retried.
+#[test]
+fn level_statistics_do_not_depend_on_threads_shards_cache_or_faults() {
+    check("level_statistics_layered_bit_identical", 2, |rng| {
+        let w = build_scale_workload(&ScaleConfig {
+            n_items: rng.usize_in(60, 100),
+            fact_dim_leaves: [rng.usize_in(2, 4), 2],
+            item_hierarchy_leaves: [3, 2, 2],
+            n_numeric_attrs: 2,
+            regional_features: 2,
+            bellwether_noise: 0.5,
+            seed: rng.next_u64(),
+        });
+        let tc = TreeConfig {
+            max_depth: 3,
+            min_node_items: 8,
+            max_numeric_splits: 6,
+            // Grow wherever a split can be scored at all.
+            require_positive_goodness: false,
+            perfect_error_tol: 0.0,
+            ..TreeConfig::default()
+        };
+        let tree_bytes = |src: &dyn TrainingSource, naive: bool, threads: usize| -> Vec<u8> {
+            let mut config = config_for(threads);
+            config.min_examples = 4;
+            let build = if naive { build_naive_tree } else { build_rainforest };
+            let tree = build(src, &w.region_space, &w.items, None, &config, &tc).unwrap();
+            assert!(tree.depth() >= 2, "shallow tree");
+            let model = ModelBuilder::new(src, w.items.clone()).tree(tree).build().unwrap();
+            let path = tmp(&format!("level_stats_{naive}_{threads}.bwsn"));
+            model.save(&path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        };
+        let clean = w.memory_source();
+        // Naive numbers its nodes depth-first, RainForest level by level
+        // (tests/lemmas.rs holds one to the other); each is held to its
+        // own clean run.
+        let reference = [tree_bytes(&clean, false, 1), tree_bytes(&clean, true, 1)];
+
+        let fault_seed = rng.next_u64();
+        for shards in [1usize, 3] {
+            let dir = tmp(&format!("level_stats_s{shards}"));
+            std::fs::remove_dir_all(&dir).ok();
+            w.write_sharded(&dir, shards).unwrap();
+            for threads in [1usize, 2, 4] {
+                for cache in [false, true] {
+                    let reg = Registry::shared();
+                    let layered = ShardedSource::open_layered(&dir, |disk| {
+                        let plan = FaultPlan::new(fault_seed).transient_every(1, 2);
+                        let policy = absorbing_policy();
+                        if cache {
+                            let cached = CachedSource::with_registry(disk, 1 << 16, &reg);
+                            let faulty = FaultySource::with_registry(cached, plan, &reg);
+                            Box::new(RetryingSource::with_registry(faulty, policy, &reg))
+                        } else {
+                            let faulty = FaultySource::with_registry(disk, plan, &reg);
+                            Box::new(RetryingSource::with_registry(faulty, policy, &reg))
+                        }
+                    })
+                    .unwrap();
+                    // The naive tree scans once per criterion: it takes
+                    // the cached stacks only.
+                    for naive in [false, true].into_iter().take(1 + usize::from(cache)) {
+                        assert!(
+                            tree_bytes(&layered, naive, threads) == reference[usize::from(naive)],
+                            "naive={naive}: snapshot bytes diverged at shards={shards} \
+                             threads={threads} cache={cache}"
+                        );
+                    }
+                    assert!(reg.snapshot().retries() > 0, "no transient was injected");
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    });
+}
+
 /// Opening a sharded dataset whose shard file was truncated, or whose
 /// manifest byte count was doctored, fails with a structured IO error.
 #[test]
