@@ -1,14 +1,30 @@
-//! Microbenchmarks for the two hot kernels this repo vectorizes by
-//! hand: sufficient-statistic accumulation (scalar row-at-a-time
+//! Microbenchmarks for the hot kernels this repo writes by hand:
+//! sufficient-statistic accumulation (scalar row-at-a-time
 //! [`RegSuffStats::add`] versus the batched columnar
-//! [`RegSuffStats::add_rows`]) and CRC-32 (the bytewise reference
-//! versus the slice-by-8 kernel fused into block decode). Results land
-//! in `results/BENCH_kernels.json`; the CI kernel-smoke job asserts the
-//! new kernels beat their scalar baselines on the largest configs.
+//! [`RegSuffStats::add_rows`]), CRC-32 (the bytewise reference, the
+//! slice-by-8 table kernel and, where the CPU has it, the
+//! carry-less-multiply fold behind `crc32`), and the v2 block codec the
+//! checksum sits under. Results land in `results/BENCH_kernels.json`;
+//! the CI kernel-smoke job asserts the new kernels beat their baselines
+//! on the largest configs.
 
 use bellwether_bench::{results_dir, Harness};
 use bellwether_linreg::{RegSuffStats, RegressionData, SplitMix64};
-use bellwether_storage::crc32::{crc32, crc32_bytewise};
+use bellwether_storage::crc32::{crc32, crc32_bytewise, crc32_finish, crc32_table, CRC_INIT};
+use bellwether_storage::format::{decode_block_v2, encode_block_v2};
+use bellwether_storage::RegionBlock;
+
+/// The block shape of the benchmark's `train_scan` layout: 2,500 rows
+/// of 5 features under 3 region coordinates, 140,032 bytes encoded.
+const BLOCK_DECODE: &str = "block_decode_v2/n=2500/p=5";
+const BLOCK_ENCODE: &str = "block_encode_v2/n=2500/p=5";
+/// Medians of the two cells at the parent of the PR that put the fold
+/// under them (PR 17: slice-by-8 fused into the decode loop, and over
+/// the whole payload on encode), same harness, same machine, runs
+/// alternated with the change's. The box has two clock states; these
+/// are the fast one's (the slow one read 86 and 99 us), the harder
+/// baseline to stay under.
+const PARENT_MEDIAN_SECS: [(&str, f64); 2] = [(BLOCK_DECODE, 0.000068), (BLOCK_ENCODE, 0.000078)];
 
 /// Deterministic dataset of `n` examples with `p` features, plus the
 /// same rows materialised row-major for the scalar kernel (so the AoS
@@ -32,6 +48,9 @@ fn dataset(n: usize, p: usize) -> (RegressionData, Vec<Vec<f64>>, Vec<f64>) {
 
 fn main() {
     let mut h = Harness::new();
+    let crc_kernel = bellwether_storage::crc32::kernel();
+    h.record_environment("crc32_kernel", crc_kernel);
+    println!("crc32 kernel for inputs of 64 bytes or more: {crc_kernel}");
 
     // --- Sufficient-statistic accumulation, n × p matrix.
     for &n in &[1024usize, 16384, 131072] {
@@ -74,7 +93,35 @@ fn main() {
         h.bench(&format!("crc32/len={len}/kernel=bytewise"), || {
             crc32_bytewise(&data)
         });
-        h.bench(&format!("crc32/len={len}/kernel=slice8"), || crc32(&data));
+        h.bench(&format!("crc32/len={len}/kernel=slice8"), || {
+            crc32_finish(crc32_table(CRC_INIT, &data))
+        });
+        // `crc32` only differs from the cell above where it folds.
+        if crc_kernel == "clmul" {
+            h.bench(&format!("crc32/len={len}/kernel=clmul"), || crc32(&data));
+        }
+    }
+
+    // --- The v2 block codec over one `train_scan`-shaped block.
+    let mut rng = SplitMix64::new(0xB10C);
+    let mut unit = || rng.next_u64() as f64 / u64::MAX as f64;
+    let mut block = RegionBlock::new(vec![3, 1, 4], 5);
+    for id in 0..2500i64 {
+        let x: Vec<f64> = (0..5).map(|_| unit() * 10.0 - 5.0).collect();
+        block.push(id, &x, unit());
+    }
+    let mut encoded = Vec::new();
+    encode_block_v2(&block, &mut encoded);
+    assert_eq!(decode_block_v2(&encoded).expect("clean block"), block);
+    h.bench(BLOCK_DECODE, || decode_block_v2(&encoded).expect("clean block"));
+    let mut out = Vec::with_capacity(encoded.len());
+    h.bench(BLOCK_ENCODE, || {
+        out.clear();
+        encode_block_v2(&block, &mut out);
+        out.len()
+    });
+    for (name, secs) in PARENT_MEDIAN_SECS {
+        h.record_parent_median(name, secs);
     }
 
     // --- Headline ratios.
@@ -96,6 +143,17 @@ fn main() {
             "crc32 1 MiB, bytewise / slice-by-8 (median): {:.2}x",
             bytewise / slice8
         );
+        if let Some(clmul) = median("crc32/len=1048576/kernel=clmul") {
+            println!(
+                "crc32 1 MiB, slice-by-8 / clmul (median): {:.2}x",
+                slice8 / clmul
+            );
+        }
+    }
+    for (name, parent) in PARENT_MEDIAN_SECS {
+        if let Some(now) = median(name) {
+            println!("{name}: {:.2}x its parent median", now / parent);
+        }
     }
 
     h.emit_json(&results_dir().join("BENCH_kernels.json"));

@@ -66,6 +66,10 @@ pub struct Harness {
     pub warmup_iters: usize,
     /// Completed results, in registration order.
     pub results: Vec<BenchResult>,
+    /// Facts about the machine the numbers depend on (which kernel a
+    /// run-time dispatch picked, say), written as the JSON's
+    /// `environment` object. Set through [`Harness::record_environment`].
+    pub environment: Vec<(String, String)>,
 }
 
 impl Harness {
@@ -86,6 +90,7 @@ impl Harness {
             sample_size,
             warmup_iters: 2,
             results: Vec::new(),
+            environment: Vec::new(),
         }
     }
 
@@ -144,7 +149,16 @@ impl Harness {
     /// Serialize all results as pretty-printed JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"benchmarks\": [");
+        out.push_str("{\n");
+        if !self.environment.is_empty() {
+            let facts: Vec<String> = self
+                .environment
+                .iter()
+                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
+                .collect();
+            out.push_str(&format!("  \"environment\": {{{}}},\n", facts.join(", ")));
+        }
+        out.push_str("  \"benchmarks\": [");
         for (i, r) in self.results.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\n");
@@ -207,6 +221,12 @@ impl Harness {
         result.expect("a completed benchmark").parent_median_secs = Some(secs);
     }
 
+    /// Record one fact about the machine for the JSON's `environment`
+    /// object.
+    pub fn record_environment(&mut self, key: &str, value: &str) {
+        self.environment.push((key.to_string(), value.to_string()));
+    }
+
     /// Look up a completed result by exact name.
     pub fn result(&self, name: &str) -> Option<&BenchResult> {
         self.results.iter().find(|r| r.name == name)
@@ -247,6 +267,7 @@ mod tests {
             sample_size: 4,
             warmup_iters: 1,
             results: Vec::new(),
+            environment: Vec::new(),
         };
         h.bench("noop", || 1 + 1);
         let r = h.result("noop").unwrap();
@@ -261,6 +282,7 @@ mod tests {
             sample_size: 2,
             warmup_iters: 0,
             results: Vec::new(),
+            environment: Vec::new(),
         };
         h.bench("a", || ());
         h.bench("b", || ());
@@ -269,7 +291,11 @@ mod tests {
         assert!(j.contains("\"name\": \"b\""));
         assert!(j.contains("\"median_secs\""));
         assert!(!j.contains("parent_median_secs"));
+        assert!(!j.contains("environment"));
         h.record_parent_median("b", 0.25);
-        assert!(h.to_json().contains("\"parent_median_secs\": 0.25"));
+        h.record_environment("crc32_kernel", "table");
+        let j = h.to_json();
+        assert!(j.contains("\"parent_median_secs\": 0.25"));
+        assert!(j.contains("\"environment\": {\"crc32_kernel\": \"table\"},"));
     }
 }

@@ -8,6 +8,7 @@
 //! [`harness`] (the build is offline and self-contained).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod report;

@@ -8,11 +8,12 @@
 //! | len: u32 LE | kind: u8 | payload: len bytes | crc: u32 LE |
 //! ```
 //!
-//! where `crc` covers `kind` plus `payload` (the same slice-by-8 CRC-32
-//! as the v2 block format). Every decode path is *total*: truncation,
-//! oversize and checksum mismatch all surface as classified
-//! `io::Error`s, never a panic — a flipped bit anywhere in a frame body
-//! is caught by the checksum before any field is interpreted.
+//! where `crc` covers `kind` plus `payload` (the same CRC-32, through
+//! the same `crc32_update`, as the v2 block format). Every decode path
+//! is *total*: truncation, oversize and checksum mismatch all surface
+//! as classified `io::Error`s, never a panic — a flipped bit anywhere
+//! in a frame body is caught by the checksum before any field is
+//! interpreted.
 //!
 //! Blocks travel as their v2 on-disk encoding
 //! ([`bellwether_storage::format::encode_block_v2`]), so the bytes the
@@ -354,6 +355,22 @@ mod tests {
             let mut cursor = &buf[..];
             assert_eq!(read_frame(&mut cursor).unwrap(), (kind, payload));
         }
+    }
+
+    /// The wire format pinned byte for byte: the trailer is zlib's
+    /// CRC-32 of `kind ‖ payload`, whichever kernel computes it here
+    /// (one byte through the table kernel, then 80 through the fold).
+    #[test]
+    fn golden_frame_bytes_are_pinned() {
+        let payload: Vec<u8> = (0..80u32).map(|i| (i * 11 + 5) as u8).collect();
+        let mut golden = vec![0x50, 0, 0, 0, RESP_BLOCK];
+        golden.extend_from_slice(&payload);
+        golden.extend_from_slice(&0x0997_7965u32.to_le_bytes());
+        assert_eq!(encode_frame(RESP_BLOCK, &payload), golden);
+        let mut streamed = Vec::new();
+        write_frame(&mut streamed, RESP_BLOCK, &payload).unwrap();
+        assert_eq!(streamed, golden);
+        assert_eq!(decode_frame(&golden).unwrap(), (RESP_BLOCK, payload));
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! in-process `ShardedSource` path.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod coordinator;
 pub mod fault;

@@ -31,6 +31,7 @@
 //! See the workspace README for an end-to-end example.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod basic;
 pub mod combinatorial;

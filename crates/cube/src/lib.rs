@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod cube_pass;

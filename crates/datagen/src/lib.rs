@@ -16,6 +16,7 @@
 //! datasets, so every number in EXPERIMENTS.md is reproducible.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod retail;
 pub mod rng;

@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cholesky;
 pub mod confint;

@@ -17,6 +17,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// SplitMix64 — tiny deterministic RNG, one u64 of state. The same
 /// construction the workspace already uses for cross-validation fold

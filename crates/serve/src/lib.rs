@@ -51,6 +51,7 @@
 //! is graceful — in-flight requests finish, then workers exit.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod http;
 pub mod json;

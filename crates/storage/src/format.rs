@@ -32,7 +32,7 @@
 //! every truncation of a valid file.
 
 use crate::block::RegionBlock;
-use crate::crc32::{crc32, crc32_finish, crc32_step8, crc32_update, CRC_INIT};
+use crate::crc32::crc32;
 use std::fmt;
 use std::io;
 
@@ -74,11 +74,6 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    /// Everything not yet consumed.
-    fn rest(&self) -> &'a [u8] {
-        self.buf
-    }
-
     fn copy_to_slice(&mut self, out: &mut [u8]) -> io::Result<()> {
         if self.buf.len() < out.len() {
             return Err(bad("unexpected end of input"));
@@ -95,37 +90,6 @@ impl<'a> Cursor<'a> {
 
     fn get_u64_le(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take()?))
-    }
-}
-
-/// Observer of decoded bytes, in payload order. The v2 path plugs a
-/// running CRC in here so the checksum is computed *while* the payload
-/// decodes (one touch per block); the v1 path plugs a no-op and the
-/// whole mechanism monomorphizes away.
-trait CrcSink {
-    fn consume(&mut self, bytes: &[u8]);
-    fn consume8(&mut self, chunk: &[u8; 8]);
-}
-
-struct NoCrc;
-
-impl CrcSink for NoCrc {
-    #[inline]
-    fn consume(&mut self, _: &[u8]) {}
-    #[inline]
-    fn consume8(&mut self, _: &[u8; 8]) {}
-}
-
-struct WithCrc(u32);
-
-impl CrcSink for WithCrc {
-    #[inline]
-    fn consume(&mut self, bytes: &[u8]) {
-        self.0 = crc32_update(self.0, bytes);
-    }
-    #[inline]
-    fn consume8(&mut self, chunk: &[u8; 8]) {
-        self.0 = crc32_step8(self.0, chunk);
     }
 }
 
@@ -304,28 +268,20 @@ pub fn encode_block_versioned(block: &RegionBlock, version: u32, out: &mut Vec<u
     }
 }
 
-/// Structural block parse shared by the v1 and v2 paths. Every byte it
-/// consumes is fed to `sink` in payload order, so the v2 caller can
-/// fold the CRC into the same pass that decodes values into columns.
-fn parse_block<C: CrcSink>(cur: &mut Cursor<'_>, sink: &mut C) -> io::Result<RegionBlock> {
-    let arity_bytes = cur.take::<4>()?;
-    sink.consume(&arity_bytes);
-    let arity = u32::from_le_bytes(arity_bytes) as usize;
+/// Structural block parse shared by the v1 and v2 paths: the row-major
+/// payload decodes straight into the block's SoA lanes.
+fn parse_block(cur: &mut Cursor<'_>) -> io::Result<RegionBlock> {
+    let arity = cur.get_u32_le()? as usize;
     if cur.remaining() < arity.saturating_mul(4).saturating_add(12) {
         return Err(bad("truncated block header"));
     }
-    let coord_bytes = cur.take_span(arity * 4)?;
-    sink.consume(coord_bytes);
-    let region = coord_bytes
+    let region = cur
+        .take_span(arity * 4)?
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunks")))
         .collect::<Vec<u32>>();
-    let n_bytes = cur.take::<8>()?;
-    sink.consume(&n_bytes);
-    let n = u64::from_le_bytes(n_bytes) as usize;
-    let p_bytes = cur.take::<4>()?;
-    sink.consume(&p_bytes);
-    let p = u32::from_le_bytes(p_bytes);
+    let n = cur.get_u64_le()? as usize;
+    let p = cur.get_u32_le()?;
     // Guard the size computation itself: a garbage n or p must not
     // overflow usize before the remaining-length check can reject it.
     let need = n
@@ -336,73 +292,58 @@ fn parse_block<C: CrcSink>(cur: &mut Cursor<'_>, sink: &mut C) -> io::Result<Reg
         Some(need) if cur.remaining() >= need => {}
         _ => return Err(bad("truncated block payload")),
     }
-    let id_bytes = cur.take_span(n * 8)?;
-    let mut item_ids = Vec::with_capacity(n);
-    for chunk in id_bytes.chunks_exact(8) {
-        let c: &[u8; 8] = chunk.try_into().expect("8-byte chunks");
-        sink.consume8(c);
-        item_ids.push(i64::from_le_bytes(*c));
-    }
-    // Features decode straight into SoA lanes, one checksum fold per
-    // value in the same pass. An empty block gets no lanes at all —
-    // `p` is untrusted here and must not size an allocation on its own.
+    let item_ids = cur
+        .take_span(n * 8)?
+        .chunks_exact(8)
+        .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunks")))
+        .collect::<Vec<i64>>();
+    // An empty block gets no lanes at all — `p` is untrusted here and
+    // must not size an allocation on its own.
     let feat_bytes = cur.take_span(n * p as usize * 8)?;
     let mut cols: Vec<Vec<f64>> = if n == 0 {
         Vec::new()
     } else {
         (0..p).map(|_| Vec::with_capacity(n)).collect()
     };
-    let mut chunks = feat_bytes.chunks_exact(8);
+    let mut values = feat_bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")));
     for _ in 0..n {
         for col in cols.iter_mut() {
-            let c: &[u8; 8] = chunks
-                .next()
-                .expect("span length checked")
-                .try_into()
-                .expect("8-byte chunks");
-            sink.consume8(c);
-            col.push(f64::from_le_bytes(*c));
+            col.push(values.next().expect("span length checked"));
         }
     }
-    let target_bytes = cur.take_span(n * 8)?;
-    let mut targets = Vec::with_capacity(n);
-    for chunk in target_bytes.chunks_exact(8) {
-        let c: &[u8; 8] = chunk.try_into().expect("8-byte chunks");
-        sink.consume8(c);
-        targets.push(f64::from_le_bytes(*c));
-    }
+    let targets = cur
+        .take_span(n * 8)?
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")))
+        .collect::<Vec<f64>>();
     Ok(RegionBlock::from_columns(region, p, item_ids, cols, targets))
 }
 
 /// Decode one v1 (checksum-less) region block from its exact byte span.
 pub fn decode_block(buf: &[u8]) -> io::Result<RegionBlock> {
-    parse_block(&mut Cursor::new(buf), &mut NoCrc)
+    parse_block(&mut Cursor::new(buf))
 }
 
-/// Decode one v2 region block, computing the payload CRC-32 *while*
-/// decoding (fused: one touch per block) and validating it against the
-/// trailer. A mismatch returns a [`CorruptBlock`] error (see
-/// [`is_corrupt`]) and takes priority over structural errors — corrupt
-/// bytes routinely garble the structure too, and the checksum verdict
-/// is the more actionable one.
+/// Decode one v2 region block: verify, then decode. The payload CRC-32
+/// (everything before the trailer, any trailing slack included) is
+/// computed in one call and compared first, so a mismatch returns a
+/// [`CorruptBlock`] error (see [`is_corrupt`]) whatever the structure
+/// looks like — corrupt bytes routinely garble the structure too, and
+/// the checksum verdict is the more actionable one. Only verified
+/// bytes are parsed.
 pub fn decode_block_v2(buf: &[u8]) -> io::Result<RegionBlock> {
     if buf.len() < CHECKSUM_LEN {
         return Err(bad("truncated block checksum"));
     }
     let (payload, trailer) = buf.split_at(buf.len() - CHECKSUM_LEN);
     let expected = u32::from_le_bytes(trailer.try_into().expect("CHECKSUM_LEN bytes"));
-    let mut cur = Cursor::new(payload);
-    let mut sink = WithCrc(CRC_INIT);
-    let parsed = parse_block(&mut cur, &mut sink);
-    // Cover whatever the parse did not consume (trailing slack on
-    // success, the unparsed tail after a structural error) so `actual`
-    // is always the digest of the full payload.
-    sink.consume(cur.rest());
-    let actual = crc32_finish(sink.0);
+    let actual = crc32(payload);
     if actual != expected {
         return Err(CorruptBlock { expected, actual }.into());
     }
-    parsed
+    parse_block(&mut Cursor::new(payload))
 }
 
 /// Decode one region block encoded with `version`.
@@ -422,13 +363,41 @@ pub fn encoded_payload_len(region_arity: usize, n: usize, p: usize) -> usize {
     4 + region_arity * 4 + 8 + 4 + n * 8 + n * p * 8 + n * 8
 }
 
+/// Bytes a block of `version` carries after its payload (the v2
+/// checksum).
+fn trailer_len(version: u32) -> usize {
+    match version {
+        VERSION_V1 => 0,
+        _ => CHECKSUM_LEN,
+    }
+}
+
 /// Encoded length of `block` under `version` (v1 = raw payload,
 /// v2 = payload + checksum trailer).
 pub fn encoded_block_len(block: &RegionBlock, version: u32) -> usize {
-    match version {
-        VERSION_V1 => block.encoded_len(),
-        _ => block.encoded_len() + CHECKSUM_LEN,
-    }
+    block.encoded_len() + trailer_len(version)
+}
+
+/// Encoded length of a block holding no examples — the shortest span an
+/// index entry of a `version` file can name.
+pub fn empty_block_len(region_arity: usize, version: u32) -> usize {
+    encoded_payload_len(region_arity, 0, 0) + trailer_len(version)
+}
+
+/// The inverse of [`encoded_payload_len`] through a version's trailer:
+/// how many examples a block of `len` encoded bytes holds, or `None`
+/// unless some whole number of them encodes to exactly `len` — so an
+/// index entry's length answers "how many rows" without the block's
+/// bytes.
+pub fn examples_in_encoded_len(
+    region_arity: usize,
+    p: usize,
+    len: u64,
+    version: u32,
+) -> Option<u64> {
+    let per_example = encoded_payload_len(0, 1, p) - encoded_payload_len(0, 0, p);
+    let rows = len.checked_sub(empty_block_len(region_arity, version) as u64)?;
+    (rows % per_example as u64 == 0).then_some(rows / per_example as u64)
 }
 
 /// Encode the index + footer.
@@ -568,6 +537,38 @@ mod tests {
         assert_eq!(decode_block_versioned(&buf, VERSION_V2).unwrap(), b);
     }
 
+    /// The v2 disk format, pinned byte for byte by a block written out
+    /// by hand (the trailer is zlib's CRC-32 of the 120 bytes before
+    /// it): whatever kernel computes the checksum, and however decode is
+    /// arranged, these are the bytes a three-row block is.
+    const GOLDEN_V2_BLOCK: &str = concat!(
+        "02000000", "03000000", "01000000", // arity 2, region [3, 1]
+        "0300000000000000", "02000000", // n = 3, p = 2
+        "0a00000000000000", "0b00000000000000", "f4ffffffffffffff", // ids 10, 11, -12
+        "000000000000f83f", "00000000000000c0", // row 0: 1.5, -2.0
+        "0000000000000000", "0000000000001040", // row 1: 0.0, 4.0
+        "000000000000d03f", "9c7500883ce4377e", // row 2: 0.25, 1e300
+        "0000000000001c40", "000000000000f0bf", "9a9999999999b93f", // targets 7, -1, 0.1
+        "3d29b66b", // CRC-32 0x6bb6293d, little-endian
+    );
+
+    #[test]
+    fn golden_v2_block_bytes_are_pinned() {
+        let mut b = RegionBlock::new(vec![3, 1], 2);
+        b.push(10, &[1.5, -2.0], 7.0);
+        b.push(11, &[0.0, 4.0], -1.0);
+        b.push(-12, &[0.25, 1e300], 0.1);
+        let mut buf = Vec::new();
+        encode_block_v2(&b, &mut buf);
+        let hex: String = buf.iter().map(|byte| format!("{byte:02x}")).collect();
+        assert_eq!(hex, GOLDEN_V2_BLOCK);
+        assert_eq!(decode_block_v2(&buf).unwrap(), b);
+        // The oracle kernel reads the same trailer off the same payload.
+        let (payload, trailer) = buf.split_at(buf.len() - CHECKSUM_LEN);
+        assert_eq!(payload.len(), 120, "long enough to take the folding kernel");
+        assert_eq!(crate::crc32::crc32_bytewise(payload).to_le_bytes(), trailer);
+    }
+
     #[test]
     fn truncated_block_rejected() {
         let b = block();
@@ -640,6 +641,32 @@ mod tests {
             // way).
             assert!(is_corrupt(&err), "pos {pos}: {err}");
         }
+    }
+
+    /// Verify-then-decode gives the verdicts the fused pass gave: the
+    /// checksum covers the whole payload, trailing slack included, and
+    /// bytes that verify are then judged on their structure alone.
+    #[test]
+    fn verified_payloads_get_structural_verdicts_and_slack_is_covered() {
+        let seal = |mut payload: Vec<u8>| {
+            let sum = crc32(&payload);
+            payload.extend_from_slice(&sum.to_le_bytes());
+            payload
+        };
+        let b = block();
+        let mut payload = Vec::new();
+        encode_block(&b, &mut payload);
+
+        let cut = seal(payload[..payload.len() - 3].to_vec());
+        let err = decode_block_v2(&cut).expect_err("three bytes short");
+        assert!(!is_corrupt(&err), "a verified payload is not corrupt: {err}");
+
+        payload.extend_from_slice(&[0xAA; 70]);
+        let mut slack = seal(payload);
+        assert_eq!(decode_block_v2(&slack).unwrap(), b);
+        let last_slack_byte = slack.len() - CHECKSUM_LEN - 1;
+        slack[last_slack_byte] ^= 0x01;
+        assert!(is_corrupt(&decode_block_v2(&slack).expect_err("slack flipped")));
     }
 
     #[test]
@@ -717,13 +744,22 @@ mod tests {
                     let mut v2 = Vec::new();
                     encode_block_v2(&b, &mut v2);
                     assert_eq!(v2.len(), encoded_block_len(&b, VERSION_V2));
+                    // And back: the length alone gives the row count,
+                    // and no other length near it gives any.
+                    for (bytes, version) in [(&v1, VERSION_V1), (&v2, VERSION_V2)] {
+                        let len = bytes.len() as u64;
+                        let rows = |len| examples_in_encoded_len(arity, p as usize, len, version);
+                        assert_eq!(rows(len), Some(n as u64), "arity {arity} p {p} n {n}");
+                        assert_eq!(rows(len + 1), None);
+                        assert_eq!(rows(len - 1), None);
+                    }
                 }
             }
         }
     }
 
     /// The original row-major (AoS) decoder, kept verbatim as the
-    /// oracle for the fused SoA decode paths.
+    /// oracle for the SoA decode paths.
     #[allow(clippy::type_complexity)]
     /// `(region coords, item ids, row-major features, targets, p)` as
     /// decoded by the original row-major (AoS) reader.

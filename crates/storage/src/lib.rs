@@ -49,6 +49,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// One module holds the workspace's only `unsafe` (`crc32::clmul`, which
+// opts back in); everywhere else in this crate it stays an error, and
+// every block there must say why it is sound.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod block;
 pub mod cache;

@@ -8,8 +8,8 @@
 
 use crate::block::RegionBlock;
 use crate::format::{
-    decode_block_versioned, decode_footer, decode_header, decode_index, Header, IndexEntry,
-    FOOTER_LEN, HEADER_LEN,
+    decode_block_versioned, decode_footer, decode_header, decode_index, empty_block_len,
+    examples_in_encoded_len, Header, IndexEntry, FOOTER_LEN, HEADER_LEN,
 };
 use crate::metrics::IoStats;
 use crate::source::TrainingSource;
@@ -32,29 +32,48 @@ pub struct DiskSource {
 }
 
 impl DiskSource {
-    /// Open and validate `path`, loading the region index.
+    /// Open and validate `path`, loading the region index. The index
+    /// and footer carry no checksum of their own, so everything a read
+    /// will later trust is checked here, once: the index lies between
+    /// the header and the footer and holds the regions the footer
+    /// counts ([`decode_index`]), and every entry is a span of the block
+    /// area long enough to hold a block. A file that fails any of it is
+    /// `InvalidData` — no read ever sizes a buffer from a length that
+    /// was not checked against the file's.
     pub fn open(path: &Path) -> io::Result<Self> {
+        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg);
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
         if file_len < (HEADER_LEN + FOOTER_LEN) as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "file too small",
-            ));
+            return Err(bad("file too small"));
         }
 
         let mut header_buf = vec![0u8; HEADER_LEN];
         file.read_exact_at(&mut header_buf, 0)?;
         let header = decode_header(&header_buf)?;
 
+        let footer_at = file_len - FOOTER_LEN as u64;
         let mut footer_buf = vec![0u8; FOOTER_LEN];
-        file.read_exact_at(&mut footer_buf, file_len - FOOTER_LEN as u64)?;
+        file.read_exact_at(&mut footer_buf, footer_at)?;
         let (index_offset, count) = decode_footer(&footer_buf)?;
 
-        let index_len = file_len - FOOTER_LEN as u64 - index_offset;
-        let mut index_buf = vec![0u8; index_len as usize];
+        let index_len = footer_at
+            .checked_sub(index_offset)
+            .filter(|_| index_offset >= HEADER_LEN as u64)
+            .and_then(|len| usize::try_from(len).ok())
+            .ok_or_else(|| bad("index offset outside the file"))?;
+        let mut index_buf = vec![0u8; index_len];
         file.read_exact_at(&mut index_buf, index_offset)?;
         let index = decode_index(&index_buf, count, header.arity)?;
+        let shortest = empty_block_len(header.arity as usize, header.version) as u64;
+        for e in &index {
+            let is_block = e.offset >= HEADER_LEN as u64
+                && e.len >= shortest
+                && e.offset.checked_add(e.len).is_some_and(|end| end <= index_offset);
+            if !is_block {
+                return Err(bad("index entry is not a block inside the file"));
+            }
+        }
 
         let by_coords = index
             .iter()
@@ -91,6 +110,15 @@ impl DiskSource {
     /// Format version the file's blocks are encoded with.
     pub fn format_version(&self) -> u32 {
         self.header.version
+    }
+
+    /// Examples in region `idx` going by its index entry alone: the
+    /// block's encoded length fixes its row count, so no block bytes
+    /// are read. `None` when the length is not that of a whole number
+    /// of examples.
+    pub(crate) fn region_examples(&self, idx: usize) -> Option<u64> {
+        let (arity, p) = (self.header.arity as usize, self.header.p as usize);
+        examples_in_encoded_len(arity, p, self.index[idx].len, self.header.version)
     }
 }
 
@@ -229,6 +257,55 @@ mod tests {
         std::fs::write(&path, b"x").unwrap();
         assert!(DiskSource::open(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The footer and index carry no checksum, so `open` is the only
+    /// thing between a rotted length and a read that trusts it: flip
+    /// every bit and cut at every offset of both (a flipped bit 46 of an
+    /// entry's `len` used to abort the process inside `vec!`). What
+    /// opens serves every region as the original block or an error, and
+    /// never names a span past the end of the file.
+    #[test]
+    fn damaged_index_or_footer_never_panics_or_overreads() {
+        let path = tmpfile("index_rot.bwtd");
+        let blocks = sample_blocks();
+        let mut w = TrainingWriter::create(&path, 3, 2).unwrap();
+        for b in &blocks {
+            w.write_region(b).unwrap();
+        }
+        w.finish().unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let index_at = clean.len() - FOOTER_LEN - blocks.len() * (16 + 4 * 2);
+
+        let damaged = tmpfile("index_rot_damaged.bwtd");
+        let (mut opened, mut refused) = (0, 0);
+        let mut probe = |bytes: &[u8]| {
+            std::fs::write(&damaged, bytes).unwrap();
+            let Ok(src) = DiskSource::open(&damaged) else {
+                refused += 1;
+                return;
+            };
+            opened += 1;
+            for (i, e) in src.index.iter().enumerate() {
+                assert!(e.offset + e.len <= bytes.len() as u64, "entry {i} overreads");
+                if let Ok(got) = src.read_region(i) {
+                    assert_eq!(*got, blocks[i], "region {i} read as another block");
+                }
+            }
+        };
+        for bit in (index_at * 8)..(clean.len() * 8) {
+            let mut bytes = clean.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            probe(&bytes);
+        }
+        for len in index_at..clean.len() {
+            probe(&clean[..len]);
+        }
+        // Both outcomes occur: a flipped coordinate still opens, a
+        // flipped magic or length does not.
+        assert!(opened > 0 && refused > 0, "{opened} opened, {refused} refused");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&damaged).ok();
     }
 
     #[test]

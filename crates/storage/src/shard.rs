@@ -41,7 +41,7 @@ use crate::reader::DiskSource;
 use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -565,7 +565,17 @@ impl ShardAppender {
     /// atomically publish the next-generation manifest. An append that
     /// replaced nothing still bumps the generation (the overlay file is
     /// discarded). Returns the published manifest.
-    pub fn finish(mut self) -> io::Result<ShardManifest> {
+    pub fn finish(self) -> io::Result<ShardManifest> {
+        self.finish_counting(replaced_examples)
+    }
+
+    /// [`ShardAppender::finish`] over either way of counting the
+    /// examples the replaced blocks held (tests pass the reading
+    /// oracle).
+    fn finish_counting(
+        mut self,
+        old_examples: fn(&Path, &ShardManifest, &[u64]) -> io::Result<u64>,
+    ) -> io::Result<ShardManifest> {
         let writer = self.writer.take().expect("writer lives until finish");
         writer.finish()?;
         let path = self.dir.join(&self.file);
@@ -574,13 +584,9 @@ impl ShardAppender {
             fs::remove_file(&path)?;
         } else {
             // The example total changes by (new − old) per replaced
-            // block; old counts come from the pre-append view, which the
-            // still-unchanged manifest on disk resolves.
-            let old_view = ShardedSource::open(&self.dir)?;
-            let mut old_examples = 0u64;
-            for &r in &self.regions {
-                old_examples += old_view.read_region(r as usize)?.n() as u64;
-            }
+            // block; old counts come from the pre-append view the
+            // manifest in hand describes.
+            let old_examples = old_examples(&self.dir, &manifest, &self.regions)?;
             manifest.examples = manifest.examples - old_examples + self.examples_written;
             manifest.overlays.push(OverlayMeta {
                 file: self.file.clone(),
@@ -592,6 +598,64 @@ impl ShardAppender {
         manifest.write_atomic(&self.dir.join(MANIFEST_NAME))?;
         Ok(manifest)
     }
+}
+
+/// Examples held by the blocks an append is about to replace, without
+/// reading one of them: each region resolves to the file that holds it
+/// in the view `manifest` describes (the newest overlay listing it, else
+/// its base shard), and that file's index gives the block's length,
+/// which fixes its row count. Only holder files are opened, each once,
+/// and only header, footer and index are read.
+fn replaced_examples(dir: &Path, manifest: &ShardManifest, regions: &[u64]) -> io::Result<u64> {
+    let starts = manifest.shard_starts();
+    let mut holders: HashMap<&str, DiskSource> = HashMap::new();
+    let mut examples = 0u64;
+    for &r in regions {
+        let overlay = manifest.overlays.iter().rev().find_map(|o| {
+            let local = o.regions.binary_search(&r).ok()?;
+            Some((o.file.as_str(), o.bytes, o.regions.len() as u64, local))
+        });
+        let (file, bytes, held, local) = overlay.unwrap_or_else(|| {
+            let s = starts.partition_point(|&start| start as u64 <= r) - 1;
+            let shard = &manifest.shards[s];
+            (shard.file.as_str(), shard.bytes, shard.regions, r as usize - starts[s])
+        });
+        let holder = match holders.entry(file) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(open_member(dir, file, bytes, held)?),
+        };
+        examples += holder.region_examples(local).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{file}: region {local} is not a whole number of examples long"),
+            )
+        })?;
+    }
+    Ok(examples)
+}
+
+/// Open one member file of a layout — a shard or an overlay — holding
+/// it to the size and the region count its manifest entry records.
+fn open_member(dir: &Path, file: &str, bytes: u64, regions: u64) -> io::Result<DiskSource> {
+    let path = dir.join(file);
+    let actual = fs::metadata(&path)?.len();
+    if actual != bytes {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{file} is {actual} bytes, manifest says {bytes}"),
+        ));
+    }
+    let disk = DiskSource::open(&path)?;
+    if disk.num_regions() as u64 != regions {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{file} holds {} regions, manifest says {regions}",
+                disk.num_regions()
+            ),
+        ));
+    }
+    Ok(disk)
 }
 
 /// A [`TrainingSource`] over the shards of a manifest: global region
@@ -626,29 +690,7 @@ impl ManifestView {
         let mut overlays = Vec::with_capacity(manifest.overlays.len());
         let mut redirect = HashMap::new();
         for (o, meta) in manifest.overlays.iter().enumerate() {
-            let path = dir.join(&meta.file);
-            let actual = fs::metadata(&path)?.len();
-            if actual != meta.bytes {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "overlay {} is {actual} bytes, manifest says {}",
-                        meta.file, meta.bytes
-                    ),
-                ));
-            }
-            let disk = DiskSource::open(&path)?;
-            if disk.num_regions() != meta.regions.len() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "overlay {} holds {} regions, manifest says {}",
-                        meta.file,
-                        disk.num_regions(),
-                        meta.regions.len()
-                    ),
-                ));
-            }
+            let disk = open_member(dir, &meta.file, meta.bytes, meta.regions.len() as u64)?;
             for (local, &global) in meta.regions.iter().enumerate() {
                 redirect.insert(global as usize, (o as u32, local as u32));
             }
@@ -690,30 +732,7 @@ impl ShardedSource {
         let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
         let mut shards: Vec<Box<dyn TrainingSource>> = Vec::with_capacity(manifest.shards.len());
         for meta in &manifest.shards {
-            let path = dir.join(&meta.file);
-            let actual = fs::metadata(&path)?.len();
-            if actual != meta.bytes {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shard {} is {actual} bytes, manifest says {}",
-                        meta.file, meta.bytes
-                    ),
-                ));
-            }
-            let disk = DiskSource::open(&path)?;
-            if disk.num_regions() as u64 != meta.regions {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "shard {} holds {} regions, manifest says {}",
-                        meta.file,
-                        disk.num_regions(),
-                        meta.regions
-                    ),
-                ));
-            }
-            shards.push(layer(disk));
+            shards.push(layer(open_member(dir, &meta.file, meta.bytes, meta.regions)?));
         }
         let view = ManifestView::build(dir, manifest)?;
         let mut src = ShardedSource::from_sources(shards)?;
@@ -1218,6 +1237,88 @@ mod tests {
         assert!(manifest.overlays.is_empty());
         assert!(!overlay.exists());
         assert!(ShardedSource::open(&dir).is_ok());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What [`replaced_examples`] replaced, kept as its oracle: open the
+    /// whole pre-append layout and read every replaced block for its
+    /// row count.
+    fn replaced_examples_by_reading(
+        dir: &Path,
+        _manifest: &ShardManifest,
+        regions: &[u64],
+    ) -> io::Result<u64> {
+        let old_view = ShardedSource::open(dir)?;
+        let mut old_examples = 0u64;
+        for &r in regions {
+            old_examples += old_view.read_region(r as usize)?.n() as u64;
+        }
+        Ok(old_examples)
+    }
+
+    #[test]
+    fn index_counted_appends_publish_the_manifests_the_reading_oracle_does() {
+        use bellwether_prop::Rng;
+        let (by_index, by_reading) = (tmp_dir("count_index"), tmp_dir("count_read"));
+        for dir in [&by_index, &by_reading] {
+            write_sharded(dir, 12, 2);
+        }
+        // Hand-picked opening: three overlays, an append that replaces
+        // nothing, then one whose regions sit in both base shards (0;
+        // 6, 11) and in each of the three overlays (1; 7; 2, 8).
+        let mut schedule: Vec<Vec<usize>> = vec![
+            vec![1],
+            vec![7],
+            vec![2, 8],
+            vec![],
+            vec![0, 1, 2, 6, 7, 8, 11],
+        ];
+        let mut rng = Rng::new(0xA99E);
+        while schedule.len() < 40 {
+            schedule.push((0..12).filter(|_| rng.flip(0.3)).collect());
+        }
+        for (g, regions) in schedule.iter().enumerate() {
+            let rows: Vec<usize> = regions.iter().map(|_| rng.usize_in(0, 6)).collect();
+            let mut published = Vec::new();
+            for (dir, count) in [
+                (&by_index, replaced_examples as fn(&Path, &ShardManifest, &[u64]) -> _),
+                (&by_reading, replaced_examples_by_reading),
+            ] {
+                let mut app = ShardAppender::open(dir).unwrap();
+                for (&r, &n) in regions.iter().zip(&rows) {
+                    app.write_region(r, &block(100 * g as u32 + r as u32, n)).unwrap();
+                }
+                let manifest = app.finish_counting(count).unwrap();
+                assert_eq!(manifest.generation, g as u64 + 1);
+                published.push(fs::read(dir.join(MANIFEST_NAME)).unwrap());
+            }
+            assert_eq!(published[0], published[1], "generation {}", g + 1);
+        }
+        // And the total both carried forward is the layout's.
+        let src = ShardedSource::open(&by_index).unwrap();
+        let read: u64 = (0..12).map(|r| src.read_region(r).unwrap().n() as u64).sum();
+        assert_eq!(src.total_examples().unwrap(), read);
+        for dir in [by_index, by_reading] {
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A holder whose index entry is not a block's length stops the
+    /// append instead of publishing a wrong total.
+    #[test]
+    fn appender_refuses_an_index_length_that_is_no_whole_block() {
+        let dir = tmp_dir("count_bad_len");
+        let manifest = write_sharded(&dir, 4, 1);
+        // Grow region 2's `len` by one (its block is followed by region
+        // 3's, so the entry still lies inside the block area).
+        let shard = dir.join(shard_file_name(0));
+        let mut bytes = fs::read(&shard).unwrap();
+        let entry = bytes.len() - crate::format::FOOTER_LEN - 2 * (16 + 4);
+        bytes[entry + 8] += 1;
+        fs::write(&shard, &bytes).unwrap();
+        let err = replaced_examples(&dir, &manifest, &[2]).expect_err("odd length counted");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(replaced_examples(&dir, &manifest, &[1]).unwrap(), 2);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -236,6 +236,28 @@ mod tests {
         w.finish().unwrap();
     }
 
+    /// The container pinned byte for byte: one 72-byte section whose
+    /// trailer is zlib's CRC-32 of `kind | len | payload`, whichever
+    /// kernel computes it here.
+    #[test]
+    fn golden_section_frame_bytes_are_pinned() {
+        let path = tmp_dir().join("golden.bwsn");
+        let payload: Vec<u8> = (0..72u32).map(|i| (i * 7 + 3) as u8).collect();
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        w.write_section(0x2a, &payload).unwrap();
+        w.finish().unwrap();
+
+        let mut golden = b"BWSN\x01\0\0\0\x01\0\0\0".to_vec();
+        golden.extend_from_slice(b"\x2a\0\0\0\x48\0\0\0\0\0\0\0");
+        golden.extend_from_slice(&payload);
+        golden.extend_from_slice(&0xe774_aed5u32.to_le_bytes());
+        golden.extend_from_slice(b"BWSN");
+        assert_eq!(fs::read(&path).unwrap(), golden);
+        let back = SnapshotFile::decode(&golden).unwrap();
+        assert_eq!(back.sections, vec![Section { kind: 0x2a, payload }]);
+        fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn round_trip_preserves_sections_in_order() {
         let path = tmp_dir().join("roundtrip.bwsn");

@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bitmap;
 pub mod column;

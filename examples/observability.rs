@@ -180,6 +180,12 @@ fn main() {
     )
     .unwrap();
     let source = DiskSource::open_with_registry(&path, &reg).unwrap();
+    // Every block written above and read below is checksummed; say
+    // which kernel this CPU runs it through ("table" is the slow path).
+    println!(
+        "block checksums: crc32 kernel = {}",
+        bellwether::storage::crc32::kernel()
+    );
 
     let problem = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)

@@ -57,6 +57,8 @@
 //! assert!(registry.snapshot().counter("search/regions_evaluated").unwrap() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use bellwether_coord as coord;
 pub use bellwether_core as core;
 pub use bellwether_cube as cube;
