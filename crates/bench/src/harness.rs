@@ -6,7 +6,7 @@
 //! JSON under `results/`. Benches register with `harness = false` in
 //! the manifest and drive a [`Harness`] from `main`.
 
-use crate::report::{json_escape, json_f64};
+use bellwether_obs::json;
 use std::fs;
 use std::hint::black_box;
 use std::path::Path;
@@ -98,30 +98,16 @@ impl Harness {
     /// value is routed through [`black_box`] so the work is not
     /// optimised away.
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) -> &BenchResult {
-        self.bench_batched(name, || (), |()| f())
-    }
-
-    /// [`Harness::bench`] for an `f` that consumes state: every
-    /// iteration gets a fresh input from `setup`, built before and
-    /// dropped after the timed region, so one input is alive at a time.
-    /// The reported peak RSS does include `setup`.
-    pub fn bench_batched<I, T>(
-        &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> I,
-        mut f: impl FnMut(&mut I) -> T,
-    ) -> &BenchResult {
         for _ in 0..self.warmup_iters {
-            black_box(f(&mut setup()));
+            black_box(f());
         }
         // Reset the RSS high-water mark after warm-up so the reported
         // peak covers only the timed samples of *this* benchmark.
         crate::rss::reset_peak_rss();
         let mut samples = Vec::with_capacity(self.sample_size);
         for _ in 0..self.sample_size {
-            let mut input = setup();
             let start = Instant::now();
-            black_box(f(&mut input));
+            black_box(f());
             samples.push(start.elapsed().as_secs_f64());
         }
         let result = BenchResult {
@@ -154,7 +140,7 @@ impl Harness {
             let facts: Vec<String> = self
                 .environment
                 .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
+                .map(|(k, v)| format!("\"{}\": \"{}\"", json::escape(k), json::escape(v)))
                 .collect();
             out.push_str(&format!("  \"environment\": {{{}}},\n", facts.join(", ")));
         }
@@ -164,19 +150,19 @@ impl Harness {
             out.push_str("    {\n");
             out.push_str(&format!(
                 "      \"name\": \"{}\",\n",
-                json_escape(&r.name)
+                json::escape(&r.name)
             ));
             out.push_str(&format!(
                 "      \"min_secs\": {},\n",
-                json_f64(r.min_secs())
+                json::number(r.min_secs())
             ));
             out.push_str(&format!(
                 "      \"median_secs\": {},\n",
-                json_f64(r.median_secs())
+                json::number(r.median_secs())
             ));
             out.push_str(&format!(
                 "      \"mean_secs\": {},\n",
-                json_f64(r.mean_secs())
+                json::number(r.mean_secs())
             ));
             out.push_str(&format!(
                 "      \"peak_rss_bytes\": {},\n",
@@ -186,10 +172,10 @@ impl Harness {
             if let Some(parent) = r.parent_median_secs {
                 out.push_str(&format!(
                     "      \"parent_median_secs\": {},\n",
-                    json_f64(parent)
+                    json::number(parent)
                 ));
             }
-            let samples: Vec<String> = r.samples.iter().map(|s| json_f64(*s)).collect();
+            let samples: Vec<String> = r.samples.iter().map(|s| json::number(*s)).collect();
             out.push_str(&format!(
                 "      \"samples\": [{}]\n",
                 samples.join(", ")
@@ -202,16 +188,7 @@ impl Harness {
 
     /// Write [`Harness::to_json`] to `path`, creating parent dirs.
     pub fn emit_json(&self, path: &Path) {
-        if let Some(dir) = path.parent() {
-            if let Err(e) = fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {dir:?}: {e}");
-                return;
-            }
-        }
-        match fs::write(path, self.to_json()) {
-            Ok(()) => println!("(wrote {})", path.display()),
-            Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-        }
+        write_json(path, &self.to_json());
     }
 
     /// Record beside the completed result `name` what the same cell
@@ -239,13 +216,17 @@ impl Harness {
 /// the counters/spans here so a run leaves both a timing and a work
 /// profile behind.
 pub fn emit_metrics_json(snap: &bellwether_obs::MetricsSnapshot, path: &Path) {
+    write_json(path, &snap.to_json());
+}
+
+fn write_json(path: &Path, body: &str) {
     if let Some(dir) = path.parent() {
         if let Err(e) = fs::create_dir_all(dir) {
             eprintln!("warning: cannot create {dir:?}: {e}");
             return;
         }
     }
-    match fs::write(path, snap.to_json()) {
+    match fs::write(path, body) {
         Ok(()) => println!("(wrote {})", path.display()),
         Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
     }

@@ -16,7 +16,6 @@ pub mod rss;
 pub mod setup;
 
 pub use harness::{emit_metrics_json, BenchResult, Harness};
-pub use rss::{peak_rss_bytes, reset_peak_rss};
 pub use report::{results_dir, FigureReport, Series};
 pub use setup::{budget_filtered_source, prepare_retail, PreparedRetail};
 

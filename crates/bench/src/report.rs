@@ -4,41 +4,9 @@
 //! self-contained, so no serde): the output is stable, pretty-printed,
 //! and shaped exactly like the derive would have produced.
 
+use bellwether_obs::json;
 use std::fs;
 use std::path::Path;
-
-/// Escape a string for a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an `f64` as a JSON number (JSON has no NaN/Inf: they become
-/// `null`).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = format!("{v}");
-        // `{}` prints integral floats without a decimal point; keep one
-        // so consumers parse the field as a float.
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            s.push_str(".0");
-        }
-        s
-    } else {
-        "null".to_string()
-    }
-}
 
 /// One plotted series: `(x, y)` points (missing y = the method produced
 /// no result at that x, e.g. nothing affordable).
@@ -71,7 +39,7 @@ impl Series {
         out.push_str(&format!("{pad}{{\n"));
         out.push_str(&format!(
             "{inner}\"name\": \"{}\",\n",
-            json_escape(&self.name)
+            json::escape(&self.name)
         ));
         if self.points.is_empty() {
             out.push_str(&format!("{inner}\"points\": []\n"));
@@ -80,13 +48,13 @@ impl Series {
             let point_pad = " ".repeat(indent + 4);
             for (i, (x, y)) in self.points.iter().enumerate() {
                 let y_str = match y {
-                    Some(v) => json_f64(*v),
+                    Some(v) => json::number(*v),
                     None => "null".to_string(),
                 };
                 let comma = if i + 1 < self.points.len() { "," } else { "" };
                 out.push_str(&format!(
                     "{point_pad}[{}, {}]{comma}\n",
-                    json_f64(*x),
+                    json::number(*x),
                     y_str
                 ));
             }
@@ -165,15 +133,15 @@ impl FigureReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": \"{}\",\n", json_escape(&self.id)));
-        out.push_str(&format!("  \"title\": \"{}\",\n", json_escape(&self.title)));
+        out.push_str(&format!("  \"id\": \"{}\",\n", json::escape(&self.id)));
+        out.push_str(&format!("  \"title\": \"{}\",\n", json::escape(&self.title)));
         out.push_str(&format!(
             "  \"x_label\": \"{}\",\n",
-            json_escape(&self.x_label)
+            json::escape(&self.x_label)
         ));
         out.push_str(&format!(
             "  \"y_label\": \"{}\",\n",
-            json_escape(&self.y_label)
+            json::escape(&self.y_label)
         ));
         if self.series.is_empty() {
             out.push_str("  \"series\": []\n");

@@ -5,7 +5,7 @@
 //! entire training data), so a *budget sweep* — the x-axis of Figures 7
 //! and 9 — re-filters the same stored regions by cost instead of
 //! rebuilding training sets. Regions are evaluated through the shared
-//! [`scan_regions_where`] engine under the config's
+//! [`scan_regions`] engine under the config's
 //! [`bellwether_cube::Parallelism`] budget; each worker owns a
 //! contiguous slice of region indices and reports merge in scan order,
 //! so the output is identical for every thread count and the minimum is
@@ -15,7 +15,7 @@
 use crate::error::Result;
 use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions_where_policy, Concat, WithScratch};
+use crate::scan::{scan_regions, Concat, WithScratch};
 use bellwether_cube::{CostModel, RegionId, RegionSpace};
 use bellwether_linreg::{ErrorEstimate, LinearModel};
 use bellwether_obs::{names, span};
@@ -143,7 +143,7 @@ pub fn basic_search(
     let _timer = span!(config.recorder, "search/basic");
     let n = source.num_regions();
 
-    let scanned = scan_regions_where_policy(
+    let scanned = scan_regions(
         source,
         config.parallelism,
         config.scan_policy,

@@ -7,7 +7,7 @@ use crate::error::Result;
 use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
-use crate::scan::{merge_skipped, scan_regions_policy, BestRegion, WithScratch};
+use crate::scan::{merge_skipped, scan_regions, BestRegion, WithScratch};
 use crate::tree::block_subset_error_with;
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
@@ -32,10 +32,11 @@ pub fn build_naive_cube(
     let mut skipped_regions = Vec::new();
     for subset in &index.order {
         let members: ItemIndex = index.members[subset].iter().copied().collect();
-        let scanned = scan_regions_policy(
+        let scanned = scan_regions(
             source,
             problem.parallelism,
             problem.scan_policy,
+            |_| true,
             || WithScratch {
                 acc: BestRegion::default(),
                 scratch: RegionEvalScratch::new(),

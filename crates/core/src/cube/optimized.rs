@@ -19,7 +19,7 @@ use crate::error::{BellwetherError, Result};
 use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::items::ItemIndex;
 use crate::problem::{BellwetherConfig, ErrorMeasure};
-use crate::scan::{scan_regions_policy, MergeableAccumulator, Scanned, WithScratch};
+use crate::scan::{scan_regions, MergeableAccumulator, Scanned, WithScratch};
 use crate::seeded::hash_fold;
 use bellwether_cube::{rollup_lattice, Parallelism, RegionId, RegionSpace};
 use bellwether_linreg::{FoldedSuffStats, RegSuffStats};
@@ -135,10 +135,11 @@ fn scan_best(
 ) -> Result<Scanned<BestMap<(usize, f64)>>> {
     let p = source.feature_arity();
     let base_cells = BaseCells::new(item_coords);
-    scan_regions_policy(
+    scan_regions(
         source,
         problem.parallelism,
         problem.scan_policy,
+        |_| true,
         || BestMap(HashMap::new()),
         |acc: &mut BestMap<(usize, f64)>, idx, block| {
             // Base aggregation: one suffstats update per example, read
@@ -251,10 +252,11 @@ pub fn build_optimized_cube_cv(
     // the shared scan engine for the one-idiom property, but pinned
     // sequential: this extension pass is never on the benchmarked path
     // and keeps the conservative configuration.
-    let scanned = scan_regions_policy(
+    let scanned = scan_regions(
         source,
         Parallelism::sequential(),
         problem.scan_policy,
+        |_| true,
         || WithScratch {
             acc: BestMap(HashMap::new()),
             scratch: RegionEvalScratch::new(),

@@ -9,7 +9,7 @@ use crate::error::Result;
 use crate::eval::{record_eval_stats, PartitionScratch};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions_policy, BestRegion, WithScratch};
+use crate::scan::{scan_regions, BestRegion, WithScratch};
 use crate::tree::partition::PartitionSpec;
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
@@ -44,10 +44,11 @@ pub fn build_single_scan_cube(
     // MinError[S] / BellwetherRegion[S], updated region by region via
     // the shared scan engine (one BestRegion slot per subset; slots
     // merge element-wise across worker chunks).
-    let scanned = scan_regions_policy(
+    let scanned = scan_regions(
         source,
         problem.parallelism,
         problem.scan_policy,
+        |_| true,
         || WithScratch {
             acc: vec![BestRegion::default(); index.order.len()],
             scratch: PartitionScratch::new(),

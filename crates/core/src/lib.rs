@@ -83,9 +83,8 @@ pub use report::BellwetherReport;
 pub use retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
 pub use sampling::sampling_baseline_error;
 pub use scan::{
-    scan_regions, scan_regions_policy, scan_regions_where, scan_regions_where_policy,
-    BestRegion, Concat, MergeableAccumulator, MinSlots, ScanPolicy, ScanScratch, Scanned,
-    WithScratch,
+    scan_regions, BestRegion, Concat, MergeableAccumulator, MinSlots, ScanPolicy, ScanScratch,
+    Scanned, WithScratch,
 };
 pub use seeded::{hash_fold, seeded_rng};
 pub use stream::{AppendOutcome, DriftEvent, StreamingBellwether};

@@ -295,79 +295,26 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Scan every region of `source` once, folding into accumulators
-/// sharded by `par`, and return the in-order merge of the partials.
+/// sharded by `par`, and return the in-order merge of the partials with
+/// the exact account of what `policy` dropped.
 ///
 /// Equivalent to
 /// `let mut acc = init(); for idx in 0..n { fold(&mut acc, idx, &read(idx)?)? }`
 /// — bit for bit, at any thread count. `fold` observes each region
-/// index exactly once, in ascending order within its chunk.
+/// index exactly once, in ascending order within its chunk. Regions
+/// where `keep(idx)` is false are passed over *without being read*,
+/// preserving the read counts (and disk IO) of callers that prune by
+/// cost before touching data, like the budget check in `basic_search`;
+/// a scan with nothing to prune passes `|_| true`.
 ///
-/// Read failures abort with [`BellwetherError::RegionRead`]
-/// ([`ScanPolicy::Strict`] semantics); use [`scan_regions_policy`] to
-/// skip unreadable regions instead. A panicking fold is isolated per
-/// worker and surfaces as [`BellwetherError::WorkerPanic`] — the
-/// process never aborts.
-pub fn scan_regions<A, I, F>(
-    source: &dyn TrainingSource,
-    par: Parallelism,
-    init: I,
-    fold: F,
-) -> Result<A>
-where
-    A: MergeableAccumulator,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, &RegionBlock) -> Result<()> + Sync,
-{
-    scan_regions_where(source, par, |_| true, init, fold)
-}
-
-/// [`scan_regions`] with a cheap pre-read filter: regions where
-/// `keep(idx)` is false are skipped *without being read*, preserving
-/// read counts (and disk IO) of callers that prune by cost before
-/// touching data, like the budget check in `basic_search`.
-pub fn scan_regions_where<A, K, I, F>(
-    source: &dyn TrainingSource,
-    par: Parallelism,
-    keep: K,
-    init: I,
-    fold: F,
-) -> Result<A>
-where
-    A: MergeableAccumulator,
-    K: Fn(usize) -> bool + Sync,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, &RegionBlock) -> Result<()> + Sync,
-{
-    let scanned = scan_regions_where_policy(source, par, ScanPolicy::Strict, keep, init, fold)?;
-    debug_assert!(scanned.skipped.is_empty(), "Strict never skips");
-    Ok(scanned.acc)
-}
-
-/// [`scan_regions`] under an explicit [`ScanPolicy`], reporting exactly
-/// which regions were dropped.
-pub fn scan_regions_policy<A, I, F>(
-    source: &dyn TrainingSource,
-    par: Parallelism,
-    policy: ScanPolicy,
-    init: I,
-    fold: F,
-) -> Result<Scanned<A>>
-where
-    A: MergeableAccumulator,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize, &RegionBlock) -> Result<()> + Sync,
-{
-    scan_regions_where_policy(source, par, policy, |_| true, init, fold)
-}
-
-/// The full engine: pre-read filter + fault policy + panic isolation.
-///
-/// Every other scan entry point delegates here, so the fault semantics
-/// are uniform and thread-count-invariant:
+/// This is the one scan entry point — pre-read filter, fault policy and
+/// panic isolation — so the fault semantics are uniform and
+/// thread-count-invariant:
 ///
 /// * a worker panic (sequential or parallel — `catch_unwind` wraps the
 ///   chunk either way) surfaces as [`BellwetherError::WorkerPanic`]
-///   with the worker's index and panic message;
+///   with the worker's index and panic message — the process never
+///   aborts;
 /// * under [`ScanPolicy::Strict`], the lowest failing region index
 ///   aborts the scan as [`BellwetherError::RegionRead`] (errors merge
 ///   in ascending chunk order, and each chunk stops at its first
@@ -378,7 +325,7 @@ where
 ///   parallel abort may report a higher skip count than the sequential
 ///   early-exit, but aborts in exactly the same situations);
 /// * fold errors always abort — the policy only covers *reads*.
-pub fn scan_regions_where_policy<A, K, I, F>(
+pub fn scan_regions<A, K, I, F>(
     source: &dyn TrainingSource,
     par: Parallelism,
     policy: ScanPolicy,
@@ -520,16 +467,48 @@ mod tests {
         Parallelism::fixed(threads).with_min_chunk(1)
     }
 
+    /// The accumulator of a strict scan with nothing filtered: what a
+    /// test of the merge itself wants.
+    fn scan_all<A, I, F>(
+        source: &dyn TrainingSource,
+        par: Parallelism,
+        init: I,
+        fold: F,
+    ) -> Result<A>
+    where
+        A: MergeableAccumulator,
+        I: Fn() -> A + Sync,
+        F: Fn(&mut A, usize, &RegionBlock) -> Result<()> + Sync,
+    {
+        let scanned = scan_regions(source, par, ScanPolicy::Strict, |_| true, init, fold)?;
+        assert!(scanned.skipped.is_empty(), "Strict never skips");
+        Ok(scanned.acc)
+    }
+
+    /// The indices a scan visits when it may skip `max_skipped`
+    /// unreadable regions, in visiting order.
+    fn visited(
+        source: &dyn TrainingSource,
+        threads: usize,
+        max_skipped: usize,
+    ) -> Result<Scanned<Concat<usize>>> {
+        let policy = ScanPolicy::SkipUnreadable { max_skipped };
+        scan_regions(source, par(threads), policy, |_| true, Concat::default, |a, i, _| {
+            a.0.push(i);
+            Ok(())
+        })
+    }
+
     #[test]
     fn concat_preserves_scan_order_at_any_thread_count() {
         let src = source(23);
-        let seq = scan_regions(&src, par(1), Concat::default, |acc, idx, b| {
+        let seq = scan_all(&src, par(1), Concat::default, |acc, idx, b| {
             acc.0.push((idx, b.region[0]));
             Ok(())
         })
         .unwrap();
         for threads in [2, 3, 4, 7, 23, 64] {
-            let got = scan_regions(&src, par(threads), Concat::default, |acc, idx, b| {
+            let got = scan_all(&src, par(threads), Concat::default, |acc, idx, b| {
                 acc.0.push((idx, b.region[0]));
                 Ok(())
             })
@@ -544,7 +523,7 @@ mod tests {
         // Every region reports the same error: index 0 must win at any
         // thread count (sequential strict-< semantics).
         for threads in [1, 2, 4, 7] {
-            let best = scan_regions(&src, par(threads), BestRegion::default, |acc, idx, _| {
+            let best = scan_all(&src, par(threads), BestRegion::default, |acc, idx, _| {
                 acc.observe(idx, 1.0);
                 Ok(())
             })
@@ -560,9 +539,9 @@ mod tests {
             acc.observe(idx % 3, (idx as f64 * 7.0) % 5.0);
             Ok(())
         };
-        let seq = scan_regions(&src, par(1), || MinSlots::new(3), fold).unwrap();
+        let seq = scan_all(&src, par(1), || MinSlots::new(3), fold).unwrap();
         for threads in [2, 4, 7] {
-            let got = scan_regions(&src, par(threads), || MinSlots::new(3), fold).unwrap();
+            let got = scan_all(&src, par(threads), || MinSlots::new(3), fold).unwrap();
             assert_eq!(got, seq, "threads={threads}");
         }
     }
@@ -570,9 +549,10 @@ mod tests {
     #[test]
     fn filter_skips_reads() {
         let src = source(10);
-        let kept = scan_regions_where(
+        let kept = scan_regions(
             &src,
             par(4),
+            ScanPolicy::Strict,
             |idx| idx % 2 == 0,
             Concat::default,
             |acc, idx, _| {
@@ -581,7 +561,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(kept.0, vec![0, 2, 4, 6, 8]);
+        assert_eq!(kept.acc.0, vec![0, 2, 4, 6, 8]);
         // Odd regions were never read.
         assert_eq!(src.snapshot().regions_read(), 5);
     }
@@ -590,7 +570,7 @@ mod tests {
     fn errors_surface_in_scan_order() {
         let src = source(12);
         let fail_at = |bad: usize| {
-            scan_regions(&src, par(4), Concat::<usize>::default, move |acc, idx, _| {
+            scan_all(&src, par(4), Concat::<usize>::default, move |acc, idx, _| {
                 if idx >= bad {
                     return Err(crate::error::BellwetherError::NotFound(format!(
                         "region {idx}"
@@ -610,7 +590,7 @@ mod tests {
     fn worker_panics_are_isolated_at_any_thread_count() {
         let src = source(16);
         for threads in [1, 2, 4] {
-            let err = scan_regions(
+            let err = scan_all(
                 &src,
                 par(threads),
                 Concat::<usize>::default,
@@ -645,7 +625,7 @@ mod tests {
         let corrupt = [5usize, 11];
         let faulty = FailOn::new(base, &corrupt);
         for threads in [1, 2, 4] {
-            let err = scan_regions(&faulty, par(threads), Concat::<usize>::default, |a, i, _| {
+            let err = scan_all(&faulty, par(threads), Concat::<usize>::default, |a, i, _| {
                 a.0.push(i);
                 Ok(())
             })
@@ -664,32 +644,12 @@ mod tests {
         let base = source(20);
         let corrupt = [3usize, 8, 15];
         let faulty = FailOn::new(base, &corrupt);
-        let seq = scan_regions_policy(
-            &faulty,
-            par(1),
-            ScanPolicy::SkipUnreadable { max_skipped: 5 },
-            Concat::default,
-            |a: &mut Concat<usize>, i, _| {
-                a.0.push(i);
-                Ok(())
-            },
-        )
-        .unwrap();
+        let seq = visited(&faulty, 1, 5).unwrap();
         assert_eq!(seq.skipped, vec![3, 8, 15]);
         assert_eq!(seq.acc.0.len(), 17);
         assert!(!seq.acc.0.contains(&8));
         for threads in [2, 4, 7] {
-            let got = scan_regions_policy(
-                &faulty,
-                par(threads),
-                ScanPolicy::SkipUnreadable { max_skipped: 5 },
-                Concat::default,
-                |a: &mut Concat<usize>, i, _| {
-                    a.0.push(i);
-                    Ok(())
-                },
-            )
-            .unwrap();
+            let got = visited(&faulty, threads, 5).unwrap();
             assert_eq!(got, seq, "threads={threads}");
         }
     }
@@ -700,17 +660,8 @@ mod tests {
         let corrupt = [1usize, 4, 7];
         let faulty = FailOn::new(base, &corrupt);
         for threads in [1, 2, 4] {
-            let err = scan_regions_policy(
-                &faulty,
-                par(threads),
-                ScanPolicy::SkipUnreadable { max_skipped: 2 },
-                Concat::default,
-                |a: &mut Concat<usize>, i, _| {
-                    a.0.push(i);
-                    Ok(())
-                },
-            )
-            .expect_err("three failures exceed a budget of two");
+            let err = visited(&faulty, threads, 2)
+                .expect_err("three failures exceed a budget of two");
             match err {
                 BellwetherError::TooManyUnreadable {
                     skipped,
@@ -727,10 +678,11 @@ mod tests {
     #[test]
     fn fold_errors_are_never_skipped() {
         let src = source(8);
-        let err = scan_regions_policy(
+        let err = scan_regions(
             &src,
             par(2),
             ScanPolicy::SkipUnreadable { max_skipped: 100 },
+            |_| true,
             Concat::<usize>::default,
             |_, idx, _| {
                 if idx == 3 {
@@ -821,15 +773,15 @@ mod tests {
             acc.0.push((idx, b.region[0]));
             Ok(())
         };
-        let expect = scan_regions(&flat, par(1), Concat::default, fold).unwrap();
+        let expect = scan_all(&flat, par(1), Concat::default, fold).unwrap();
         for shards in [1usize, 2, 3, 4, 7] {
             let src = sharded_source(23, shards);
             assert_eq!(src.num_regions(), 23);
             for threads in [1usize, 2, 4] {
-                let got = scan_regions(&src, par(threads), Concat::default, fold).unwrap();
+                let got = scan_all(&src, par(threads), Concat::default, fold).unwrap();
                 assert_eq!(got, expect, "shards={shards} threads={threads}");
                 let best =
-                    scan_regions(&src, par(threads), BestRegion::default, |acc, idx, _| {
+                    scan_all(&src, par(threads), BestRegion::default, |acc, idx, _| {
                         acc.observe(idx, 1.0);
                         Ok(())
                     })
@@ -842,36 +794,13 @@ mod tests {
     #[test]
     fn skip_policy_accounts_identically_across_shards() {
         let corrupt = [3usize, 8, 15];
-        let seq = {
-            let faulty = FailOn::new(source(20), &corrupt);
-            scan_regions_policy(
-                &faulty,
-                par(1),
-                ScanPolicy::SkipUnreadable { max_skipped: 5 },
-                Concat::default,
-                |a: &mut Concat<usize>, i, _| {
-                    a.0.push(i);
-                    Ok(())
-                },
-            )
-            .unwrap()
-        };
+        let seq = visited(&FailOn::new(source(20), &corrupt), 1, 5).unwrap();
         for shards in [2usize, 4] {
             for threads in [1usize, 2, 4] {
                 // The fault wrapper sits *outside* the sharded view, so
                 // the same global indices fail.
                 let faulty = FailOn::new(sharded_source(20, shards), &corrupt);
-                let got = scan_regions_policy(
-                    &faulty,
-                    par(threads),
-                    ScanPolicy::SkipUnreadable { max_skipped: 5 },
-                    Concat::default,
-                    |a: &mut Concat<usize>, i, _| {
-                        a.0.push(i);
-                        Ok(())
-                    },
-                )
-                .unwrap();
+                let got = visited(&faulty, threads, 5).unwrap();
                 assert_eq!(got, seq, "shards={shards} threads={threads}");
             }
         }

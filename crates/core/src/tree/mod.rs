@@ -24,7 +24,7 @@ use crate::error::{BellwetherError, Result};
 use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions_policy, BestRegion, WithScratch};
+use crate::scan::{scan_regions, BestRegion, WithScratch};
 use crate::training::block_subset_data;
 use bellwether_cube::{RegionId, RegionSpace};
 use bellwether_linreg::{fit_wls, LinearModel};
@@ -471,10 +471,11 @@ pub fn subset_bellwether(
     config: &BellwetherConfig,
 ) -> Result<Option<NodeInfo>> {
     let members: ItemIndex = keep.iter().copied().collect();
-    let scanned = scan_regions_policy(
+    let scanned = scan_regions(
         source,
         config.parallelism,
         config.scan_policy,
+        |_| true,
         || WithScratch {
             acc: BestRegion::default(),
             scratch: RegionEvalScratch::new(),

@@ -7,7 +7,7 @@ use crate::error::Result;
 use crate::eval::record_eval_stats;
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions_policy, BestRegion, MergeableAccumulator, MinSlots, WithScratch};
+use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, MinSlots, WithScratch};
 use crate::tree::merge_skipped;
 use crate::tree::partition::{fit_node_model, LevelPlan, RoutedScratch, Scope, Scored};
 use bellwether_cube::RegionSpace;
@@ -52,10 +52,11 @@ fn full_scan<A: MergeableAccumulator>(
     init: impl Fn() -> A + Sync,
     fold: impl Fn(&mut A, &mut RoutedScratch, usize, &RegionBlock) + Sync,
 ) -> Result<A> {
-    let scanned = scan_regions_policy(
+    let scanned = scan_regions(
         source,
         problem.parallelism,
         problem.scan_policy,
+        |_| true,
         || WithScratch {
             acc: init(),
             scratch: RoutedScratch::new(),

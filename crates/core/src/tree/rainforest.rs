@@ -18,7 +18,7 @@ use crate::error::Result;
 use crate::eval::record_eval_stats;
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions_policy, BestRegion, MergeableAccumulator, WithScratch};
+use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, WithScratch};
 use crate::tree::naive::goodness_of;
 use crate::tree::partition::{fit_node_model, LevelPlan, RoutedScratch, Scope, Scored};
 use bellwether_cube::RegionSpace;
@@ -147,10 +147,11 @@ pub fn build_rainforest(
         // candidates. One span per level scan — the empirical witness of
         // Lemma 1's "`l` scans over the entire training data" claim.
         let level_timer = span!(problem.recorder, "tree/rainforest/level{depth}");
-        let scanned = scan_regions_policy(
+        let scanned = scan_regions(
             source,
             problem.parallelism,
             problem.scan_policy,
+            |_| true,
             || WithScratch {
                 acc: LevelAcc::for_entries(&entries),
                 scratch: RoutedScratch::new(),

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod json;
 pub mod names;
 mod registry;
 mod snapshot;

@@ -1,7 +1,7 @@
 //! Point-in-time metric snapshots: named accessors, JSON export and a
 //! rendered span tree.
 
-use crate::names;
+use crate::{json, names};
 
 /// Aggregate timing for one span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +200,7 @@ impl MetricsSnapshot {
             }
             out.push_str(&format!(
                 "\n    {{\"name\": \"{}\", \"value\": {}}}",
-                json_escape(name),
+                json::escape(name),
                 value
             ));
         }
@@ -212,8 +212,8 @@ impl MetricsSnapshot {
             }
             out.push_str(&format!(
                 "\n    {{\"name\": \"{}\", \"value\": {}}}",
-                json_escape(name),
-                json_f64(*value)
+                json::escape(name),
+                json::number(*value)
             ));
         }
         out.push_str(if self.gauges.is_empty() { "],\n" } else { "\n  ],\n" });
@@ -224,9 +224,9 @@ impl MetricsSnapshot {
             }
             out.push_str(&format!(
                 "\n    {{\"path\": \"{}\", \"calls\": {}, \"total_secs\": {}}}",
-                json_escape(&s.path),
+                json::escape(&s.path),
                 s.calls,
-                json_f64(s.total_secs())
+                json::number(s.total_secs())
             ));
         }
         out.push_str(if self.spans.is_empty() { "]\n}" } else { "\n  ]\n}" });
@@ -308,37 +308,6 @@ impl MetricsSnapshot {
 impl From<&crate::Registry> for MetricsSnapshot {
     fn from(reg: &crate::Registry) -> MetricsSnapshot {
         reg.snapshot()
-    }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an `f64` as a JSON number (`null` for non-finite values),
-/// guaranteeing a decimal point so the value parses back as a float.
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
     }
 }
 

@@ -314,22 +314,9 @@ fn utf8_len(first: u8) -> Option<usize> {
     }
 }
 
-/// Escape a string into a JSON string literal (without quotes).
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
+/// String escaping for the response side: the workspace's one
+/// implementation, reachable here as it always was.
+pub use bellwether_obs::json::escape_into;
 
 #[cfg(test)]
 mod tests {

@@ -41,17 +41,29 @@ use std::io;
 /// Unlike `bytes::Buf`, every read is bounds-checked and reads past the
 /// end return `io::Error` — decode paths must be total over arbitrary
 /// input.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Cursor { buf }
     }
 
-    fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len()
+    }
+
+    /// An element count read as `n`, each element at least
+    /// `min_item_bytes` long: refused unless the bytes left can hold
+    /// that many, so a count never sizes an allocation its payload
+    /// could not fill — whatever checksum the payload passed.
+    pub(crate) fn count(&self, n: u64, min_item_bytes: usize) -> io::Result<usize> {
+        let fits = self.buf.len() / min_item_bytes;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= fits)
+            .ok_or_else(|| bad("count exceeds its payload"))
     }
 
     fn take<const N: usize>(&mut self) -> io::Result<[u8; N]> {
@@ -65,7 +77,7 @@ impl<'a> Cursor<'a> {
 
     /// Borrow the next `len` bytes without copying (section-at-a-time
     /// decoding).
-    fn take_span(&mut self, len: usize) -> io::Result<&'a [u8]> {
+    pub(crate) fn take_span(&mut self, len: usize) -> io::Result<&'a [u8]> {
         if self.buf.len() < len {
             return Err(bad("unexpected end of input"));
         }
@@ -84,11 +96,11 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    fn get_u32_le(&mut self) -> io::Result<u32> {
+    pub(crate) fn get_u32_le(&mut self) -> io::Result<u32> {
         Ok(u32::from_le_bytes(self.take()?))
     }
 
-    fn get_u64_le(&mut self) -> io::Result<u64> {
+    pub(crate) fn get_u64_le(&mut self) -> io::Result<u64> {
         Ok(u64::from_le_bytes(self.take()?))
     }
 }
@@ -164,12 +176,39 @@ impl From<CorruptBlock> for io::Error {
     }
 }
 
-/// True when `err` wraps a [`CorruptBlock`] — a checksum mismatch, as
-/// opposed to truncation or structural garbage. Corruption is permanent
-/// (re-reading the same bytes reproduces it), so retry layers must not
-/// spend attempts on it.
+/// A block that verified and decoded but is not the one its index entry
+/// names: the `.bwtd` index carries no checksum, so an entry whose
+/// offset rotted onto another block of the same length still reads.
+/// Carried like [`CorruptBlock`], as the inner error of an `InvalidData`
+/// `io::Error`, and classified by [`is_corrupt`].
+#[derive(Debug)]
+pub(crate) struct MisplacedBlock {
+    /// Region coordinates of the index entry.
+    pub(crate) entry: Vec<u32>,
+    /// Region coordinates the decoded block carries.
+    pub(crate) block: Vec<u32>,
+}
+
+impl fmt::Display for MisplacedBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "corrupt index: the entry of region {:?} points at the block of region {:?}",
+            self.entry, self.block
+        )
+    }
+}
+
+impl std::error::Error for MisplacedBlock {}
+
+/// True when `err` says the stored bytes are wrong — a [`CorruptBlock`]
+/// checksum mismatch, or a verified block that is not the region its
+/// index entry names — as opposed to truncation or structural garbage.
+/// Corruption is permanent (re-reading the same bytes reproduces it),
+/// so retry layers must not spend attempts on it.
 pub fn is_corrupt(err: &io::Error) -> bool {
-    err.get_ref().is_some_and(|e| e.is::<CorruptBlock>())
+    err.get_ref()
+        .is_some_and(|e| e.is::<CorruptBlock>() || e.is::<MisplacedBlock>())
 }
 
 /// Fixed-size file header.

@@ -9,7 +9,7 @@
 use crate::block::RegionBlock;
 use crate::format::{
     decode_block_versioned, decode_footer, decode_header, decode_index, empty_block_len,
-    examples_in_encoded_len, Header, IndexEntry, FOOTER_LEN, HEADER_LEN,
+    examples_in_encoded_len, Header, IndexEntry, MisplacedBlock, FOOTER_LEN, HEADER_LEN,
 };
 use crate::metrics::IoStats;
 use crate::source::TrainingSource;
@@ -143,12 +143,28 @@ impl TrainingSource for DiskSource {
         let entry = &self.index[idx];
         let mut buf = vec![0u8; entry.len as usize];
         self.file.read_exact_at(&mut buf, entry.offset)?;
-        let block = decode_block_versioned(&buf, self.header.version).inspect_err(|_| {
-            // Bytes were read but did not validate (checksum mismatch or
-            // structural garbage): account for it so operators can see
-            // rot even when callers retry or skip.
-            self.stats.record_corrupt_block();
-        })?;
+        let block = decode_block_versioned(&buf, self.header.version)
+            .and_then(|block| {
+                // The index carries no checksum: an entry redirected onto
+                // another block of exactly its length verifies and
+                // decodes, so the block must say it is the region asked
+                // for.
+                if block.region != entry.coords {
+                    let misplaced = MisplacedBlock {
+                        entry: entry.coords.clone(),
+                        block: block.region,
+                    };
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, misplaced));
+                }
+                Ok(block)
+            })
+            .inspect_err(|_| {
+                // Bytes were read but did not validate (checksum
+                // mismatch, structural garbage or another region's
+                // block): account for it so operators can see rot even
+                // when callers retry or skip.
+                self.stats.record_corrupt_block();
+            })?;
         self.stats
             .record_region_read(entry.len, block.n() as u64);
         Ok(Arc::new(block))
@@ -306,6 +322,48 @@ mod tests {
         assert!(opened > 0 && refused > 0, "{opened} opened, {refused} refused");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&damaged).ok();
+    }
+
+    /// Nothing at `open` can tell that two index entries of equal length
+    /// have traded offsets, and each then names bytes that verify. The
+    /// block's own coordinates give the redirect away: both reads are
+    /// structured corruption, not the other region's rows.
+    #[test]
+    fn entry_redirected_onto_an_equal_length_block_is_corruption() {
+        let path = tmpfile("redirect.bwtd");
+        let blocks: Vec<RegionBlock> = (0..3u32)
+            .map(|r| {
+                let mut b = RegionBlock::new(vec![r, r + 10], 3);
+                b.push(7, &[r as f64, 1.0, 0.5], r as f64);
+                b
+            })
+            .collect();
+        let mut w = TrainingWriter::create(&path, 3, 2).unwrap();
+        for b in &blocks {
+            w.write_region(b).unwrap();
+        }
+        w.finish().unwrap();
+
+        // An entry is offset u64 | len u64 | coords: swap the offsets of
+        // entries 0 and 2.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let entry_len = 16 + 4 * 2;
+        let first = bytes.len() - FOOTER_LEN - blocks.len() * entry_len;
+        let last = first + 2 * entry_len;
+        for k in 0..8 {
+            bytes.swap(first + k, last + k);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        let src = DiskSource::open(&path).unwrap();
+        for i in [0, 2] {
+            let err = src.read_region(i).expect_err("another region's rows served");
+            assert!(crate::format::is_corrupt(&err), "region {i}: {err}");
+        }
+        assert_eq!(*src.read_region(1).unwrap(), blocks[1]);
+        assert_eq!(src.snapshot().corrupt_blocks(), 2);
+        assert_eq!(src.snapshot().regions_read(), 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

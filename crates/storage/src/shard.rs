@@ -36,6 +36,7 @@
 
 use crate::block::RegionBlock;
 use crate::crc32::crc32;
+use crate::format::Cursor;
 use crate::metrics::IoStats;
 use crate::reader::DiskSource;
 use crate::source::TrainingSource;
@@ -116,33 +117,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "sharded manifest truncated",
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 impl ShardManifest {
@@ -228,33 +202,30 @@ impl ShardManifest {
                 "sharded manifest checksum mismatch",
             ));
         }
-        let mut cur = Cursor {
-            buf: payload,
-            pos: 0,
-        };
-        if cur.take(4)? != MANIFEST_MAGIC {
+        let mut cur = Cursor::new(payload);
+        if cur.take_span(4)? != MANIFEST_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "not a sharded manifest (bad magic)",
             ));
         }
-        let version = cur.u32()?;
+        let version = cur.get_u32_le()?;
         if version != MANIFEST_VERSION_V1 && version != MANIFEST_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("unsupported manifest version {version}"),
             ));
         }
-        let p = cur.u32()?;
-        let arity = cur.u32()?;
+        let p = cur.get_u32_le()?;
+        let arity = cur.get_u32_le()?;
         let (generation, examples) = if version >= MANIFEST_VERSION {
-            (cur.u64()?, Some(cur.u64()?))
+            (cur.get_u64_le()?, Some(cur.get_u64_le()?))
         } else {
             (0, None)
         };
         let take_name = |cur: &mut Cursor<'_>, what: &str| -> io::Result<String> {
-            let len = cur.u32()? as usize;
-            Ok(std::str::from_utf8(cur.take(len)?)
+            let len = cur.get_u32_le()? as usize;
+            Ok(std::str::from_utf8(cur.take_span(len)?)
                 .map_err(|_| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -263,13 +234,16 @@ impl ShardManifest {
                 })?
                 .to_string())
         };
-        let n = cur.u32()? as usize;
+        // Shortest entries: name length + three u64s for a shard, name
+        // length + bytes + region count for an overlay.
+        let n = cur.get_u32_le()?;
+        let n = cur.count(n.into(), 4 + 3 * 8)?;
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
             let file = take_name(&mut cur, "shard")?;
-            let regions = cur.u64()?;
-            let examples = cur.u64()?;
-            let bytes = cur.u64()?;
+            let regions = cur.get_u64_le()?;
+            let examples = cur.get_u64_le()?;
+            let bytes = cur.get_u64_le()?;
             shards.push(ShardMeta {
                 file,
                 regions,
@@ -280,14 +254,16 @@ impl ShardManifest {
         let mut overlays = Vec::new();
         if version >= MANIFEST_VERSION {
             let total: u64 = shards.iter().map(|s| s.regions).sum();
-            let n = cur.u32()? as usize;
+            let n = cur.get_u32_le()?;
+            let n = cur.count(n.into(), 4 + 2 * 8)?;
             for _ in 0..n {
                 let file = take_name(&mut cur, "overlay")?;
-                let bytes = cur.u64()?;
-                let count = cur.u64()? as usize;
+                let bytes = cur.get_u64_le()?;
+                let count = cur.get_u64_le()?;
+                let count = cur.count(count, 8)?;
                 let mut regions = Vec::with_capacity(count);
                 for _ in 0..count {
-                    regions.push(cur.u64()?);
+                    regions.push(cur.get_u64_le()?);
                 }
                 let ascending = regions.windows(2).all(|w| w[0] < w[1]);
                 if !ascending || regions.last().is_some_and(|&r| r >= total) {
@@ -303,7 +279,7 @@ impl ShardManifest {
                 });
             }
         }
-        if cur.pos != payload.len() {
+        if cur.remaining() != 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "trailing bytes after sharded manifest",
@@ -1037,6 +1013,47 @@ mod tests {
         assert!(ShardManifest::decode(&m.encode()).is_err(), "duplicate index");
         m.overlays[0].regions = vec![3, 17];
         assert!(ShardManifest::decode(&m.encode()).is_err(), "out of range");
+    }
+
+    /// The checksum is no guard against a count that was *written*
+    /// wrong: recompute it over an oversized shard count and an
+    /// oversized overlay region count, each the last field of its
+    /// manifest. Both must be refused against the bytes left, before
+    /// they size a vector (an unchecked `with_capacity` aborts the
+    /// process inside the allocator).
+    #[test]
+    fn oversized_counts_under_a_valid_checksum_are_rejected() {
+        let reseal = |mut bytes: Vec<u8>| {
+            let n = bytes.len() - 4;
+            let crc = crc32(&bytes[..n]);
+            bytes[n..].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let mut m = base_manifest();
+        m.shards.clear();
+        m.examples = 0;
+        let mut bytes = m.encode();
+        assert_eq!(bytes.len(), 24, "generation 0, no shards");
+        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = ShardManifest::decode(&reseal(bytes)).expect_err("shard count");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        let mut m = base_manifest();
+        m.generation = 1;
+        m.overlays = vec![OverlayMeta {
+            file: "overlay-0001.bwtd".into(),
+            bytes: 64,
+            regions: Vec::new(),
+        }];
+        let clean = m.encode();
+        assert_eq!(ShardManifest::decode(&clean).unwrap(), m);
+        for count in [1u64, 1 << 40, u64::MAX] {
+            let mut bytes = clean.clone();
+            let at = bytes.len() - 12;
+            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let err = ShardManifest::decode(&reseal(bytes)).expect_err("region count");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
+        }
     }
 
     #[test]

@@ -84,8 +84,7 @@ pub mod prelude {
         build_memory_source, build_naive_cube, build_naive_tree, build_optimized_cube,
         build_optimized_cube_cv, build_rainforest, build_single_scan_cube, evaluate_method,
         global_target, greedy_combinatorial_search, prune_tree, render_cross_tab,
-        sampling_baseline_error, scan_regions, scan_regions_policy, scan_regions_where,
-        scan_regions_where_policy, select_cell_for_item, write_disk_source,
+        sampling_baseline_error, scan_regions, select_cell_for_item, write_disk_source,
         write_disk_source_in_registry, BasicSearchResult, BellwetherConfig,
         BellwetherConfigBuilder, BellwetherCube, BellwetherError, BellwetherTree, CubeConfig,
         CubeConfigBuilder, ErrorMeasure, EvalContext, FeatureQuery, ItemCentricEval,
