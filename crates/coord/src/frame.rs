@@ -8,18 +8,21 @@
 //! | len: u32 LE | kind: u8 | payload: len bytes | crc: u32 LE |
 //! ```
 //!
-//! where `crc` covers `kind` plus `payload` (the same CRC-32, through
-//! the same `crc32_update`, as the v2 block format). Every decode path
-//! is *total*: truncation, oversize and checksum mismatch all surface
-//! as classified `io::Error`s, never a panic — a flipped bit anywhere
-//! in a frame body is caught by the checksum before any field is
-//! interpreted.
+//! where `crc` seals `kind ‖ payload` (the same
+//! [`bellwether_storage::codec`] pair as the v2 block format). Every
+//! decode path is *total*: truncation, oversize and checksum mismatch
+//! all surface as classified `io::Error`s, never a panic — a flipped bit
+//! anywhere in a frame body is caught by the checksum before any field
+//! is interpreted. The verdict on a mismatch is this crate's own: a bad
+//! frame is a *transport* fault (plain `InvalidData`, the worker is
+//! restarted), never the `is_corrupt` of stored bytes gone wrong.
 //!
 //! Blocks travel as their v2 on-disk encoding
 //! ([`bellwether_storage::format::encode_block_v2`]), so the bytes the
 //! coordinator decodes are exactly the bytes a local `DiskSource` would
 //! have decoded — the foundation of the bit-identity guarantee.
 
+use bellwether_storage::codec::{seal, verify, Cursor, PutLe, CHECKSUM_LEN};
 use bellwether_storage::crc32::{crc32_finish, crc32_update, CRC_INIT};
 use std::io::{self, Read, Write};
 
@@ -51,59 +54,55 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn body_crc(kind: u8, payload: &[u8]) -> u32 {
-    crc32_finish(crc32_update(crc32_update(CRC_INIT, &[kind]), payload))
-}
-
 /// Encode one frame to bytes.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 1 + payload.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&body_crc(kind, payload).to_le_bytes());
+    let mut out = Vec::with_capacity(4 + 1 + payload.len() + CHECKSUM_LEN);
+    out.put_u32_le(payload.len() as u32);
+    out.put_u8(kind);
+    out.put_slice(payload);
+    seal(&mut out, 4);
     out
 }
 
-/// Write one frame to a stream (no flush; callers batch then flush).
+/// Write one frame to a stream (no flush; callers batch then flush):
+/// [`encode_frame`]'s bytes without assembling them, so a block is not
+/// copied once more on its way out.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
+    let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, &[kind]), payload));
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(&[kind])?;
     w.write_all(payload)?;
-    w.write_all(&body_crc(kind, payload).to_le_bytes())
+    w.write_all(&crc.to_le_bytes())
 }
 
-/// Read and checksum-validate one frame from a stream. Truncation maps
-/// to `UnexpectedEof` (a dead peer), a bad checksum or oversize length
-/// to `InvalidData` (a corrupt frame).
-pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
+/// Read and checksum-validate one frame from a stream, handing back its
+/// `kind ‖ payload` in the buffer they were read and checked in (a block
+/// is not copied once more on its way in either). Truncation maps to
+/// `UnexpectedEof` (a dead peer), a bad checksum or oversize length to
+/// `InvalidData` (a corrupt frame).
+pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut word = [0u8; 4];
     r.read_exact(&mut word)?;
     let len = u32::from_le_bytes(word) as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(invalid(format!("frame payload of {len} bytes exceeds cap")));
     }
-    let mut kind = [0u8; 1];
-    r.read_exact(&mut kind)?;
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    r.read_exact(&mut word)?;
-    let stored = u32::from_le_bytes(word);
-    if body_crc(kind[0], &payload) != stored {
-        return Err(invalid("corrupt frame (checksum mismatch)"));
-    }
-    Ok((kind[0], payload))
+    let mut body = vec![0u8; 1 + len + CHECKSUM_LEN];
+    r.read_exact(&mut body)?;
+    verify(&body).map_err(|_| invalid("corrupt frame (checksum mismatch)"))?;
+    body.truncate(1 + len);
+    Ok(body)
 }
 
 /// Decode one full frame from a byte buffer (the simulated transport's
 /// channel); identical validation to [`read_frame`].
 pub fn decode_frame(buf: &[u8]) -> io::Result<(u8, Vec<u8>)> {
     let mut cursor = buf;
-    let frame = read_frame(&mut cursor)?;
+    let body = read_frame(&mut cursor)?;
     if !cursor.is_empty() {
         return Err(invalid("trailing bytes after frame"));
     }
-    Ok(frame)
+    Ok((body[0], body[1..].to_vec()))
 }
 
 /// Flip one deterministically chosen bit of an encoded frame, past the
@@ -115,37 +114,6 @@ pub fn corrupt_frame(buf: &mut [u8], h: u64) {
     let bits = (buf.len() - 4) * 8;
     let bit = (h % bits as u64) as usize;
     buf[4 + bit / 8] ^= 1 << (bit % 8);
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(invalid("truncated message payload"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(invalid("trailing bytes in message payload"));
-        }
-        Ok(())
-    }
 }
 
 /// A coordinator → worker message.
@@ -182,11 +150,11 @@ impl Request {
     /// Decode a request from a validated frame; unknown kinds and
     /// malformed payloads are classified errors.
     pub fn decode(kind: u8, payload: &[u8]) -> io::Result<Request> {
-        let mut cur = Cursor { buf: payload, pos: 0 };
+        let mut cur = Cursor::new(payload);
         let req = match kind {
             REQ_HELLO => Request::Hello,
-            REQ_READ => Request::Read { local: cur.u32()? },
-            REQ_PING => Request::Ping { nonce: cur.u64()? },
+            REQ_READ => Request::Read { local: cur.get_u32_le()? },
+            REQ_PING => Request::Ping { nonce: cur.get_u64_le()? },
             REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(invalid(format!("unknown request kind {other:#04x}"))),
         };
@@ -244,12 +212,10 @@ impl Response {
         match self {
             Response::ShardInfo(info) => {
                 let mut p = Vec::with_capacity(12 + info.coords.len() * 4);
-                p.extend_from_slice(&info.regions.to_le_bytes());
-                p.extend_from_slice(&info.p.to_le_bytes());
-                p.extend_from_slice(&info.arity.to_le_bytes());
-                for c in &info.coords {
-                    p.extend_from_slice(&c.to_le_bytes());
-                }
+                p.put_u32_le(info.regions);
+                p.put_u32_le(info.p);
+                p.put_u32_le(info.arity);
+                info.coords.iter().for_each(|&c| p.put_u32_le(c));
                 (RESP_SHARD_INFO, p)
             }
             Response::Block(bytes) => (RESP_BLOCK, bytes.clone()),
@@ -268,30 +234,27 @@ impl Response {
     pub fn decode(kind: u8, payload: &[u8]) -> io::Result<Response> {
         match kind {
             RESP_SHARD_INFO => {
-                let mut cur = Cursor { buf: payload, pos: 0 };
-                let regions = cur.u32()?;
-                let p = cur.u32()?;
-                let arity = cur.u32()?;
+                let mut cur = Cursor::new(payload);
+                let regions = cur.get_u32_le()?;
+                let p = cur.get_u32_le()?;
+                let arity = cur.get_u32_le()?;
                 let want = (regions as usize)
                     .checked_mul(arity as usize)
                     .ok_or_else(|| invalid("shard info coordinate count overflows"))?;
-                let mut coords = Vec::with_capacity(want.min(payload.len() / 4));
-                for _ in 0..want {
-                    coords.push(cur.u32()?);
-                }
+                let coords = cur.get_u32_lane(want)?;
                 cur.done()?;
                 Ok(Response::ShardInfo(ShardInfo { regions, p, arity, coords }))
             }
             RESP_BLOCK => Ok(Response::Block(payload.to_vec())),
             RESP_PONG => {
-                let mut cur = Cursor { buf: payload, pos: 0 };
-                let nonce = cur.u64()?;
+                let mut cur = Cursor::new(payload);
+                let nonce = cur.get_u64_le()?;
                 cur.done()?;
                 Ok(Response::Pong { nonce })
             }
             RESP_BYE => {
-                let mut cur = Cursor { buf: payload, pos: 0 };
-                let peak_rss_bytes = cur.u64()?;
+                let mut cur = Cursor::new(payload);
+                let peak_rss_bytes = cur.get_u64_le()?;
                 cur.done()?;
                 Ok(Response::Bye { peak_rss_bytes })
             }
@@ -309,38 +272,32 @@ impl Response {
     }
 }
 
+/// The [`io::ErrorKind`]s that have a wire code.
+const ERROR_KINDS: [(u8, io::ErrorKind); 7] = [
+    (1, io::ErrorKind::InvalidData),
+    (2, io::ErrorKind::NotFound),
+    (3, io::ErrorKind::Interrupted),
+    (4, io::ErrorKind::TimedOut),
+    (5, io::ErrorKind::WouldBlock),
+    (6, io::ErrorKind::UnexpectedEof),
+    (7, io::ErrorKind::PermissionDenied),
+];
+
 /// Encode an [`io::ErrorKind`] for the wire; kinds without a code map
 /// to 0 (`Other`).
 pub fn encode_error_kind(kind: io::ErrorKind) -> u8 {
-    match kind {
-        io::ErrorKind::InvalidData => 1,
-        io::ErrorKind::NotFound => 2,
-        io::ErrorKind::Interrupted => 3,
-        io::ErrorKind::TimedOut => 4,
-        io::ErrorKind::WouldBlock => 5,
-        io::ErrorKind::UnexpectedEof => 6,
-        io::ErrorKind::PermissionDenied => 7,
-        _ => 0,
-    }
+    ERROR_KINDS.iter().find(|&&(_, k)| k == kind).map_or(0, |&(code, _)| code)
 }
 
 /// Inverse of [`encode_error_kind`].
 pub fn decode_error_kind(code: u8) -> io::ErrorKind {
-    match code {
-        1 => io::ErrorKind::InvalidData,
-        2 => io::ErrorKind::NotFound,
-        3 => io::ErrorKind::Interrupted,
-        4 => io::ErrorKind::TimedOut,
-        5 => io::ErrorKind::WouldBlock,
-        6 => io::ErrorKind::UnexpectedEof,
-        7 => io::ErrorKind::PermissionDenied,
-        _ => io::ErrorKind::Other,
-    }
+    ERROR_KINDS.iter().find(|&&(c, _)| c == code).map_or(io::ErrorKind::Other, |&(_, kind)| kind)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bellwether_prop::{sweep, Damage};
 
     #[test]
     fn frames_roundtrip() {
@@ -352,8 +309,8 @@ mod tests {
             let buf = encode_frame(kind, &payload);
             assert_eq!(decode_frame(&buf).unwrap(), (kind, payload.clone()));
             // Streaming reader sees the same frame.
-            let mut cursor = &buf[..];
-            assert_eq!(read_frame(&mut cursor).unwrap(), (kind, payload));
+            let streamed = read_frame(&mut &buf[..]).unwrap();
+            assert_eq!((streamed[0], &streamed[1..]), (kind, &payload[..]));
         }
     }
 
@@ -379,24 +336,23 @@ mod tests {
         // Flips past the length prefix break the checksum; flips inside
         // the prefix change the framing and are caught as truncation or
         // oversize or trailing bytes. Either way: an error, no panic.
-        for byte in 0..buf.len() {
-            for bit in 0..8 {
-                let mut bad = buf.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    decode_frame(&bad).is_err(),
-                    "flip at byte {byte} bit {bit} must be rejected"
-                );
-            }
-        }
+        sweep(&buf, |bad, damage| {
+            let err = decode_frame(bad).expect_err("damage must be rejected");
+            assert!(!bellwether_storage::is_corrupt(&err), "{damage:?}: a transport fault, not rot");
+        });
     }
 
     #[test]
     fn every_truncation_is_rejected() {
         let buf = encode_frame(RESP_PONG, &42u64.to_le_bytes());
-        for len in 0..buf.len() {
-            assert!(decode_frame(&buf[..len]).is_err(), "truncation to {len}");
-        }
+        sweep(&buf, |bad, damage| {
+            let err = decode_frame(bad).expect_err("damage must be rejected");
+            // A cut stream is a dead peer; a whole frame that is wrong
+            // is a corrupt one.
+            let dead_peer = err.kind() == io::ErrorKind::UnexpectedEof;
+            assert!(dead_peer || err.kind() == io::ErrorKind::InvalidData, "{damage:?}: {err}");
+            assert!(dead_peer || !matches!(damage, Damage::Truncated { .. }), "{damage:?}: {err}");
+        });
     }
 
     #[test]
@@ -428,9 +384,17 @@ mod tests {
             Request::Ping { nonce: 0xDEAD_BEEF },
             Request::Shutdown,
         ];
+        // Under a frame checksum that verified, a damaged payload is an
+        // error or a message that says exactly those bytes — never a
+        // panic, never a read past them.
         for req in reqs {
             let (kind, payload) = req.encode();
             assert_eq!(Request::decode(kind, &payload).unwrap(), req);
+            sweep(&payload, |bad, _| {
+                if let Ok(back) = Request::decode(kind, bad) {
+                    assert_eq!(back.encode(), (kind, bad.to_vec()));
+                }
+            });
         }
         let resps = [
             Response::ShardInfo(ShardInfo {
@@ -447,6 +411,11 @@ mod tests {
         for resp in resps {
             let (kind, payload) = resp.encode();
             assert_eq!(Response::decode(kind, &payload).unwrap(), resp);
+            sweep(&payload, |bad, _| {
+                if let Ok(back) = Response::decode(kind, bad) {
+                    assert_eq!(back.encode(), (kind, bad.to_vec()));
+                }
+            });
         }
     }
 

@@ -91,7 +91,7 @@ impl WorkerSpawner for ProcessSpawner {
             .spawn()?;
         let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
-        let (tx, rx) = mpsc::channel::<io::Result<(u8, Vec<u8>)>>();
+        let (tx, rx) = mpsc::channel::<io::Result<Vec<u8>>>();
         let reader = std::thread::spawn(move || {
             let mut stdout = BufReader::new(stdout);
             loop {
@@ -123,7 +123,7 @@ impl WorkerSpawner for ProcessSpawner {
 pub struct ProcessTransport {
     child: Child,
     stdin: Option<BufWriter<ChildStdin>>,
-    rx: mpsc::Receiver<io::Result<(u8, Vec<u8>)>>,
+    rx: mpsc::Receiver<io::Result<Vec<u8>>>,
     reader: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -140,7 +140,7 @@ impl Transport for ProcessTransport {
 
     fn recv(&mut self, deadline: Duration) -> io::Result<Response> {
         match self.rx.recv_timeout(deadline) {
-            Ok(Ok((kind, payload))) => Response::decode(kind, &payload),
+            Ok(Ok(body)) => Response::decode(body[0], &body[1..]),
             Ok(Err(err)) => Err(err),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(io::Error::new(
                 io::ErrorKind::TimedOut,

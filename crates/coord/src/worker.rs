@@ -113,8 +113,8 @@ fn serve_loop(src: &dyn TrainingSource, args: &WorkerArgs) -> io::Result<()> {
     let mut writer = BufWriter::new(stdout.lock());
     let mut frame_no: u64 = 0;
     loop {
-        let (kind, payload) = read_frame(&mut reader)?;
-        let req = Request::decode(kind, &payload)?;
+        let body = read_frame(&mut reader)?;
+        let req = Request::decode(body[0], &body[1..])?;
         let is_read = matches!(req, Request::Read { .. });
         match args.plan.fault_for(args.worker_id, args.incarnation, frame_no, is_read) {
             Some(WorkerFault::Crash) => std::process::exit(FAULT_EXIT_CODE),

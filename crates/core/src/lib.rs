@@ -44,7 +44,6 @@ pub mod model;
 pub mod predict;
 pub mod problem;
 pub mod report;
-pub mod retry;
 pub mod sampling;
 pub mod scan;
 pub mod seeded;
@@ -71,6 +70,7 @@ pub use bellwether_cube::Parallelism;
 pub use bellwether_obs::{
     MetricsSnapshot, NoopRecorder, Recorder, Registry,
 };
+pub use bellwether_storage::retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
 pub use features::{
     auto_generate_queries, build_cube_input, build_cube_input_with, global_target, FeatureQuery,
     StarDatabase,
@@ -80,7 +80,6 @@ pub use model::{BellwetherModel, MethodKind, ModelBuilder};
 pub use predict::{evaluate_method, EvalContext, ItemCentricEval, Method};
 pub use problem::{BellwetherConfig, BellwetherConfigBuilder, ErrorMeasure};
 pub use report::BellwetherReport;
-pub use retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
 pub use sampling::sampling_baseline_error;
 pub use scan::{
     scan_regions, BestRegion, Concat, MergeableAccumulator, MinSlots, ScanPolicy, ScanScratch,

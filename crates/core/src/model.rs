@@ -28,6 +28,7 @@ use crate::report::BellwetherReport;
 use crate::tree::{BellwetherTree, Node, NodeInfo, SplitCriterion};
 use bellwether_cube::{Dimension, Hierarchy, RegionId, RegionSpace};
 use bellwether_linreg::{ErrorEstimate, LinearModel};
+use bellwether_storage::codec::{Cursor, PutLe};
 use bellwether_storage::{RegionBlock, SnapshotFile, SnapshotWriter, TrainingSource};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -311,8 +312,8 @@ impl BellwetherModel {
     pub fn save(&self, path: &Path) -> Result<()> {
         let mut w = SnapshotWriter::create(path)?;
         let mut header = Vec::new();
-        header.put_u32(MODEL_VERSION);
-        header.put_u64(self.feature_arity as u64);
+        header.put_u32_le(MODEL_VERSION);
+        header.put_u64_le(self.feature_arity as u64);
         w.write_section(SEC_HEADER, &header)?;
         w.write_section(SEC_ITEMS, &enc_items(&self.items))?;
         if let Some(b) = &self.basic {
@@ -323,7 +324,7 @@ impl BellwetherModel {
         }
         if let Some((c, conf)) = &self.cube {
             let mut buf = Vec::new();
-            buf.put_f64(*conf);
+            buf.put_f64_le(*conf);
             enc_cube_into(&mut buf, c);
             w.write_section(SEC_CUBE, &buf)?;
         }
@@ -346,31 +347,31 @@ impl BellwetherModel {
         let header = snap
             .section(SEC_HEADER)
             .ok_or_else(|| de("missing model header section"))?;
-        let mut d = Dec::new(header);
-        let version = d.u32()?;
+        let mut d = Cursor::new(header);
+        let version = d.get_u32_le()?;
         if version != MODEL_VERSION {
             return Err(de(&format!("unsupported model version {version}")));
         }
-        let feature_arity = d.usize()?;
+        let feature_arity = d.get_usize()?;
 
         let items_bytes = snap
             .section(SEC_ITEMS)
             .ok_or_else(|| de("missing item-table section"))?;
-        let items = dec_items(&mut Dec::new(items_bytes))?;
+        let items = dec_items(&mut Cursor::new(items_bytes))?;
 
         let basic = snap
             .section(SEC_BASIC)
-            .map(|b| dec_report(&mut Dec::new(b)))
+            .map(|b| dec_report(&mut Cursor::new(b)))
             .transpose()?;
         let tree = snap
             .section(SEC_TREE)
-            .map(|b| dec_tree(&mut Dec::new(b)))
+            .map(|b| dec_tree(&mut Cursor::new(b)))
             .transpose()?;
         let cube = snap
             .section(SEC_CUBE)
             .map(|b| {
-                let mut d = Dec::new(b);
-                let conf = d.f64()?;
+                let mut d = Cursor::new(b);
+                let conf = d.get_f64_le()?;
                 let cube = dec_cube(&mut d)?;
                 Ok::<_, BellwetherError>((cube, conf))
             })
@@ -379,7 +380,7 @@ impl BellwetherModel {
         let blocks_bytes = snap
             .section(SEC_BLOCKS)
             .ok_or_else(|| de("missing region-blocks section"))?;
-        let blocks = dec_blocks(&mut Dec::new(blocks_bytes))?;
+        let blocks = dec_blocks(&mut Cursor::new(blocks_bytes))?;
 
         if basic.is_none() && tree.is_none() && cube.is_none() {
             return Err(de("model snapshot holds no predictor"));
@@ -405,170 +406,26 @@ fn de(msg: &str) -> BellwetherError {
 }
 
 // ---------------------------------------------------------------------
-// Byte codec. Little-endian throughout; `f64` via to_bits, so values —
-// including NaN payloads — round-trip exactly. Every decode is total.
+// Section payloads, over the workspace's one byte codec
+// (`bellwether_storage::codec`): little-endian throughout, `f64`
+// bit-exact (NaN payloads included), every decode total.
 // ---------------------------------------------------------------------
-
-trait Put {
-    fn put_u8(&mut self, v: u8);
-    fn put_u32(&mut self, v: u32);
-    fn put_u64(&mut self, v: u64);
-    fn put_i64(&mut self, v: i64);
-    fn put_f64(&mut self, v: f64);
-    fn put_str(&mut self, s: &str);
-}
-
-impl Put for Vec<u8> {
-    fn put_u8(&mut self, v: u8) {
-        self.push(v);
-    }
-    fn put_u32(&mut self, v: u32) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u64(&mut self, v: u64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_i64(&mut self, v: i64) {
-        self.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f64(&mut self, v: f64) {
-        self.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| de("truncated payload"))?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn usize(&mut self) -> Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| de("oversized count"))
-    }
-
-    /// A count that must be plausible against the remaining bytes, with
-    /// `min_item_bytes` per element — garbage counts cannot trigger huge
-    /// allocations.
-    fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
-        let n = self.usize()?;
-        let remaining = self.bytes.len() - self.at;
-        if min_item_bytes > 0 && n > remaining / min_item_bytes {
-            return Err(de("count exceeds payload"));
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| de("invalid utf-8"))
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn u32_vec(&mut self) -> Result<Vec<u32>> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    fn i64_vec(&mut self) -> Result<Vec<i64>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.i64()).collect()
-    }
-
-    fn usize_vec(&mut self) -> Result<Vec<usize>> {
-        let n = self.count(8)?;
-        (0..n).map(|_| self.usize()).collect()
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.at != self.bytes.len() {
-            return Err(de("trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
-fn enc_f64_vec(buf: &mut Vec<u8>, v: &[f64]) {
-    buf.put_u64(v.len() as u64);
-    for &x in v {
-        buf.put_f64(x);
-    }
-}
-
-fn enc_u32_vec(buf: &mut Vec<u8>, v: &[u32]) {
-    buf.put_u64(v.len() as u64);
-    for &x in v {
-        buf.put_u32(x);
-    }
-}
-
-fn enc_i64_vec(buf: &mut Vec<u8>, v: &[i64]) {
-    buf.put_u64(v.len() as u64);
-    for &x in v {
-        buf.put_i64(x);
-    }
-}
-
-fn enc_usize_vec(buf: &mut Vec<u8>, v: &[usize]) {
-    buf.put_u64(v.len() as u64);
-    for &x in v {
-        buf.put_u64(x as u64);
-    }
-}
 
 // ---- item table ----
 
 fn enc_items(items: &ItemTable) -> Vec<u8> {
     let mut buf = Vec::new();
-    enc_i64_vec(&mut buf, items.ids());
-    buf.put_u64(items.numeric_attrs().len() as u64);
+    buf.put_i64_vec(items.ids());
+    buf.put_u64_le(items.numeric_attrs().len() as u64);
     for a in items.numeric_attrs() {
         buf.put_str(&a.name);
-        enc_f64_vec(&mut buf, &a.values);
+        buf.put_f64_vec(&a.values);
     }
-    buf.put_u64(items.categorical_attrs().len() as u64);
+    buf.put_u64_le(items.categorical_attrs().len() as u64);
     for a in items.categorical_attrs() {
         buf.put_str(&a.name);
-        enc_u32_vec(&mut buf, &a.codes);
-        buf.put_u64(a.labels.len() as u64);
+        buf.put_u32_vec(&a.codes);
+        buf.put_u64_le(a.labels.len() as u64);
         for l in &a.labels {
             buf.put_str(l);
         }
@@ -576,24 +433,24 @@ fn enc_items(items: &ItemTable) -> Vec<u8> {
     buf
 }
 
-fn dec_items(d: &mut Dec<'_>) -> Result<ItemTable> {
-    let ids = d.i64_vec()?;
-    let n_num = d.count(5)?;
+fn dec_items(d: &mut Cursor<'_>) -> Result<ItemTable> {
+    let ids = d.get_i64_vec()?;
+    let n_num = d.get_count(5)?;
     let mut numeric = Vec::with_capacity(n_num);
     for _ in 0..n_num {
-        let name = d.string()?;
-        let values = d.f64_vec()?;
+        let name = d.get_string()?;
+        let values = d.get_f64_vec()?;
         numeric.push(NumericAttr { name, values });
     }
-    let n_cat = d.count(5)?;
+    let n_cat = d.get_count(5)?;
     let mut categorical = Vec::with_capacity(n_cat);
     for _ in 0..n_cat {
-        let name = d.string()?;
-        let codes = d.u32_vec()?;
-        let n_labels = d.count(4)?;
+        let name = d.get_string()?;
+        let codes = d.get_u32_vec()?;
+        let n_labels = d.get_count(4)?;
         let labels = (0..n_labels)
-            .map(|_| d.string())
-            .collect::<Result<Vec<_>>>()?;
+            .map(|_| d.get_string())
+            .collect::<std::io::Result<Vec<_>>>()?;
         categorical.push(CategoricalAttr {
             name,
             codes,
@@ -606,70 +463,44 @@ fn dec_items(d: &mut Dec<'_>) -> Result<ItemTable> {
 
 // ---- linreg primitives ----
 
-fn enc_model_into(buf: &mut Vec<u8>, m: &LinearModel) {
-    enc_f64_vec(buf, m.coefficients());
-}
-
-fn dec_model(d: &mut Dec<'_>) -> Result<LinearModel> {
-    Ok(LinearModel::new(d.f64_vec()?))
-}
-
 fn enc_estimate_into(buf: &mut Vec<u8>, e: &ErrorEstimate) {
-    buf.put_f64(e.value);
-    buf.put_f64(e.std_err);
+    buf.put_f64_le(e.value);
+    buf.put_f64_le(e.std_err);
 }
 
-fn dec_estimate(d: &mut Dec<'_>) -> Result<ErrorEstimate> {
+fn dec_estimate(d: &mut Cursor<'_>) -> Result<ErrorEstimate> {
     Ok(ErrorEstimate {
-        value: d.f64()?,
-        std_err: d.f64()?,
+        value: d.get_f64_le()?,
+        std_err: d.get_f64_le()?,
     })
-}
-
-fn enc_region_into(buf: &mut Vec<u8>, r: &RegionId) {
-    enc_u32_vec(buf, &r.0);
-}
-
-fn dec_region(d: &mut Dec<'_>) -> Result<RegionId> {
-    Ok(RegionId(d.u32_vec()?))
 }
 
 // ---- unified report (basic predictor) ----
 
 fn enc_report(r: &BellwetherReport) -> Vec<u8> {
     let mut buf = Vec::new();
-    enc_region_into(&mut buf, &r.region);
+    buf.put_u32_vec(&r.region.0);
     buf.put_str(&r.label);
-    buf.put_u64(r.region_index as u64);
-    buf.put_f64(r.score);
-    buf.put_f64(r.error);
-    match &r.error_bounds {
-        Some(e) => {
-            buf.put_u8(1);
-            enc_estimate_into(&mut buf, e);
-        }
-        None => buf.put_u8(0),
-    }
-    enc_model_into(&mut buf, &r.model);
-    buf.put_u64(r.n_examples as u64);
-    enc_usize_vec(&mut buf, &r.skipped_regions);
+    buf.put_u64_le(r.region_index as u64);
+    buf.put_f64_le(r.score);
+    buf.put_f64_le(r.error);
+    buf.put_option(r.error_bounds.as_ref(), enc_estimate_into);
+    buf.put_f64_vec(r.model.coefficients());
+    buf.put_u64_le(r.n_examples as u64);
+    buf.put_usize_vec(&r.skipped_regions);
     buf
 }
 
-fn dec_report(d: &mut Dec<'_>) -> Result<BellwetherReport> {
-    let region = dec_region(d)?;
-    let label = d.string()?;
-    let region_index = d.usize()?;
-    let score = d.f64()?;
-    let error = d.f64()?;
-    let error_bounds = match d.u8()? {
-        0 => None,
-        1 => Some(dec_estimate(d)?),
-        _ => return Err(de("bad option tag")),
-    };
-    let model = dec_model(d)?;
-    let n_examples = d.usize()?;
-    let skipped_regions = d.usize_vec()?;
+fn dec_report(d: &mut Cursor<'_>) -> Result<BellwetherReport> {
+    let region = RegionId(d.get_u32_vec()?);
+    let label = d.get_string()?;
+    let region_index = d.get_usize()?;
+    let score = d.get_f64_le()?;
+    let error = d.get_f64_le()?;
+    let error_bounds = d.get_option(dec_estimate)?;
+    let model = LinearModel::new(d.get_f64_vec()?);
+    let n_examples = d.get_usize()?;
+    let skipped_regions = d.get_usize_vec()?;
     d.done()?;
     Ok(BellwetherReport {
         region,
@@ -687,22 +518,22 @@ fn dec_report(d: &mut Dec<'_>) -> Result<BellwetherReport> {
 // ---- tree ----
 
 fn enc_node_info_into(buf: &mut Vec<u8>, i: &NodeInfo) {
-    buf.put_u64(i.region_index as u64);
-    enc_region_into(buf, &i.region);
+    buf.put_u64_le(i.region_index as u64);
+    buf.put_u32_vec(&i.region.0);
     buf.put_str(&i.label);
-    buf.put_f64(i.error);
-    enc_model_into(buf, &i.model);
-    buf.put_u64(i.n_examples as u64);
+    buf.put_f64_le(i.error);
+    buf.put_f64_vec(i.model.coefficients());
+    buf.put_u64_le(i.n_examples as u64);
 }
 
-fn dec_node_info(d: &mut Dec<'_>) -> Result<NodeInfo> {
+fn dec_node_info(d: &mut Cursor<'_>) -> Result<NodeInfo> {
     Ok(NodeInfo {
-        region_index: d.usize()?,
-        region: dec_region(d)?,
-        label: d.string()?,
-        error: d.f64()?,
-        model: dec_model(d)?,
-        n_examples: d.usize()?,
+        region_index: d.get_usize()?,
+        region: RegionId(d.get_u32_vec()?),
+        label: d.get_string()?,
+        error: d.get_f64_le()?,
+        model: LinearModel::new(d.get_f64_vec()?),
+        n_examples: d.get_usize()?,
     })
 }
 
@@ -713,33 +544,33 @@ fn enc_criterion_into(buf: &mut Vec<u8>, c: &SplitCriterion) {
             code_children,
         } => {
             buf.put_u8(0);
-            buf.put_u64(*attr as u64);
+            buf.put_u64_le(*attr as u64);
             let mut pairs: Vec<(u32, usize)> =
                 code_children.iter().map(|(&k, &v)| (k, v)).collect();
             pairs.sort_unstable();
-            buf.put_u64(pairs.len() as u64);
+            buf.put_u64_le(pairs.len() as u64);
             for (code, child) in pairs {
-                buf.put_u32(code);
-                buf.put_u64(child as u64);
+                buf.put_u32_le(code);
+                buf.put_u64_le(child as u64);
             }
         }
         SplitCriterion::Numeric { attr, threshold } => {
             buf.put_u8(1);
-            buf.put_u64(*attr as u64);
-            buf.put_f64(*threshold);
+            buf.put_u64_le(*attr as u64);
+            buf.put_f64_le(*threshold);
         }
     }
 }
 
-fn dec_criterion(d: &mut Dec<'_>) -> Result<SplitCriterion> {
-    match d.u8()? {
+fn dec_criterion(d: &mut Cursor<'_>) -> Result<SplitCriterion> {
+    match d.get_u8()? {
         0 => {
-            let attr = d.usize()?;
-            let n = d.count(12)?;
+            let attr = d.get_usize()?;
+            let n = d.get_count(12)?;
             let mut code_children = HashMap::with_capacity(n);
             for _ in 0..n {
-                let code = d.u32()?;
-                let child = d.usize()?;
+                let code = d.get_u32_le()?;
+                let child = d.get_usize()?;
                 code_children.insert(code, child);
             }
             Ok(SplitCriterion::Categorical {
@@ -748,8 +579,8 @@ fn dec_criterion(d: &mut Dec<'_>) -> Result<SplitCriterion> {
             })
         }
         1 => Ok(SplitCriterion::Numeric {
-            attr: d.usize()?,
-            threshold: d.f64()?,
+            attr: d.get_usize()?,
+            threshold: d.get_f64_le()?,
         }),
         _ => Err(de("bad split-criterion tag")),
     }
@@ -757,50 +588,28 @@ fn dec_criterion(d: &mut Dec<'_>) -> Result<SplitCriterion> {
 
 fn enc_tree(t: &BellwetherTree) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.put_u64(t.nodes.len() as u64);
+    buf.put_u64_le(t.nodes.len() as u64);
     for node in &t.nodes {
-        buf.put_u64(node.depth as u64);
-        enc_usize_vec(&mut buf, &node.item_rows);
-        match &node.info {
-            Some(i) => {
-                buf.put_u8(1);
-                enc_node_info_into(&mut buf, i);
-            }
-            None => buf.put_u8(0),
-        }
-        match &node.split {
-            Some((criterion, children)) => {
-                buf.put_u8(1);
-                enc_criterion_into(&mut buf, criterion);
-                enc_usize_vec(&mut buf, children);
-            }
-            None => buf.put_u8(0),
-        }
+        buf.put_u64_le(node.depth as u64);
+        buf.put_usize_vec(&node.item_rows);
+        buf.put_option(node.info.as_ref(), enc_node_info_into);
+        buf.put_option(node.split.as_ref(), |buf, (criterion, children)| {
+            enc_criterion_into(buf, criterion);
+            buf.put_usize_vec(children);
+        });
     }
-    enc_usize_vec(&mut buf, &t.skipped_regions);
+    buf.put_usize_vec(&t.skipped_regions);
     buf
 }
 
-fn dec_tree(d: &mut Dec<'_>) -> Result<BellwetherTree> {
-    let n = d.count(10)?;
+fn dec_tree(d: &mut Cursor<'_>) -> Result<BellwetherTree> {
+    let n = d.get_count(10)?;
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
-        let depth = d.usize()?;
-        let item_rows = d.usize_vec()?;
-        let info = match d.u8()? {
-            0 => None,
-            1 => Some(dec_node_info(d)?),
-            _ => return Err(de("bad option tag")),
-        };
-        let split = match d.u8()? {
-            0 => None,
-            1 => {
-                let criterion = dec_criterion(d)?;
-                let children = d.usize_vec()?;
-                Some((criterion, children))
-            }
-            _ => return Err(de("bad option tag")),
-        };
+        let depth = d.get_usize()?;
+        let item_rows = d.get_usize_vec()?;
+        let info = d.get_option(dec_node_info)?;
+        let split = d.get_option(|d| Ok::<_, BellwetherError>((dec_criterion(d)?, d.get_usize_vec()?)))?;
         nodes.push(Node {
             depth,
             item_rows,
@@ -808,7 +617,7 @@ fn dec_tree(d: &mut Dec<'_>) -> Result<BellwetherTree> {
             split,
         });
     }
-    let skipped_regions = d.usize_vec()?;
+    let skipped_regions = d.get_usize_vec()?;
     d.done()?;
     if nodes.is_empty() {
         return Err(de("tree has no nodes"));
@@ -833,31 +642,31 @@ fn dec_tree(d: &mut Dec<'_>) -> Result<BellwetherTree> {
 fn enc_hierarchy_into(buf: &mut Vec<u8>, h: &Hierarchy) {
     buf.put_str(h.name());
     let n = h.num_nodes();
-    buf.put_u64(n as u64);
+    buf.put_u64_le(n as u64);
     for id in 0..n {
         let node = h.node(id);
         // Root's parent encodes as its own id (0); ids are assigned
         // parent-before-child, so replay reconstructs them exactly.
-        buf.put_u32(node.parent.unwrap_or(id));
+        buf.put_u32_le(node.parent.unwrap_or(id));
         buf.put_str(&node.label);
     }
 }
 
-fn dec_hierarchy(d: &mut Dec<'_>) -> Result<Hierarchy> {
-    let name = d.string()?;
-    let n = d.count(8)?;
+fn dec_hierarchy(d: &mut Cursor<'_>) -> Result<Hierarchy> {
+    let name = d.get_string()?;
+    let n = d.get_count(8)?;
     if n == 0 {
         return Err(de("hierarchy has no nodes"));
     }
-    let root_parent = d.u32()?;
+    let root_parent = d.get_u32_le()?;
     if root_parent != 0 {
         return Err(de("hierarchy root must be node 0"));
     }
-    let root_label = d.string()?;
+    let root_label = d.get_string()?;
     let mut h = Hierarchy::new(name, root_label);
     for id in 1..n {
-        let parent = d.u32()?;
-        let label = d.string()?;
+        let parent = d.get_u32_le()?;
+        let label = d.get_string()?;
         if parent as usize >= id || h.id_of(&label).is_some() {
             return Err(de("malformed hierarchy node"));
         }
@@ -868,13 +677,13 @@ fn dec_hierarchy(d: &mut Dec<'_>) -> Result<Hierarchy> {
 }
 
 fn enc_space_into(buf: &mut Vec<u8>, s: &RegionSpace) {
-    buf.put_u64(s.dims().len() as u64);
+    buf.put_u64_le(s.dims().len() as u64);
     for dim in s.dims() {
         match dim {
             Dimension::Interval { name, max_t } => {
                 buf.put_u8(0);
                 buf.put_str(name);
-                buf.put_u32(*max_t);
+                buf.put_u32_le(*max_t);
             }
             Dimension::Hierarchy(h) => {
                 buf.put_u8(1);
@@ -884,17 +693,17 @@ fn enc_space_into(buf: &mut Vec<u8>, s: &RegionSpace) {
     }
 }
 
-fn dec_space(d: &mut Dec<'_>) -> Result<RegionSpace> {
-    let n = d.count(2)?;
+fn dec_space(d: &mut Cursor<'_>) -> Result<RegionSpace> {
+    let n = d.get_count(2)?;
     if n == 0 {
         return Err(de("region space has no dimensions"));
     }
     let mut dims = Vec::with_capacity(n);
     for _ in 0..n {
-        dims.push(match d.u8()? {
+        dims.push(match d.get_u8()? {
             0 => {
-                let name = d.string()?;
-                let max_t = d.u32()?;
+                let name = d.get_string()?;
+                let max_t = d.get_u32_le()?;
                 if max_t == 0 {
                     return Err(de("interval dimension with no values"));
                 }
@@ -908,28 +717,28 @@ fn dec_space(d: &mut Dec<'_>) -> Result<RegionSpace> {
 }
 
 fn enc_cell_into(buf: &mut Vec<u8>, c: &SubsetCell) {
-    enc_region_into(buf, &c.subset);
+    buf.put_u32_vec(&c.subset.0);
     buf.put_str(&c.label);
-    buf.put_u64(c.size as u64);
-    buf.put_u64(c.region_index as u64);
-    enc_region_into(buf, &c.region);
+    buf.put_u64_le(c.size as u64);
+    buf.put_u64_le(c.region_index as u64);
+    buf.put_u32_vec(&c.region.0);
     buf.put_str(&c.region_label);
     enc_estimate_into(buf, &c.error);
-    enc_model_into(buf, &c.model);
-    buf.put_u64(c.n_examples as u64);
+    buf.put_f64_vec(c.model.coefficients());
+    buf.put_u64_le(c.n_examples as u64);
 }
 
-fn dec_cell(d: &mut Dec<'_>) -> Result<SubsetCell> {
+fn dec_cell(d: &mut Cursor<'_>) -> Result<SubsetCell> {
     Ok(SubsetCell {
-        subset: dec_region(d)?,
-        label: d.string()?,
-        size: d.usize()?,
-        region_index: d.usize()?,
-        region: dec_region(d)?,
-        region_label: d.string()?,
+        subset: RegionId(d.get_u32_vec()?),
+        label: d.get_string()?,
+        size: d.get_usize()?,
+        region_index: d.get_usize()?,
+        region: RegionId(d.get_u32_vec()?),
+        region_label: d.get_string()?,
         error: dec_estimate(d)?,
-        model: dec_model(d)?,
-        n_examples: d.usize()?,
+        model: LinearModel::new(d.get_f64_vec()?),
+        n_examples: d.get_usize()?,
     })
 }
 
@@ -937,38 +746,38 @@ fn enc_cube_into(buf: &mut Vec<u8>, c: &BellwetherCube) {
     enc_space_into(buf, &c.item_space);
     let mut coords: Vec<(&i64, &Vec<u32>)> = c.item_coords.iter().collect();
     coords.sort_by_key(|(id, _)| **id);
-    buf.put_u64(coords.len() as u64);
+    buf.put_u64_le(coords.len() as u64);
     for (id, cs) in coords {
-        buf.put_i64(*id);
-        enc_u32_vec(buf, cs);
+        buf.put_i64_le(*id);
+        buf.put_u32_vec(cs);
     }
     let mut cells: Vec<(&RegionId, &SubsetCell)> = c.cells.iter().collect();
     cells.sort_by_key(|(subset, _)| (*subset).clone());
-    buf.put_u64(cells.len() as u64);
+    buf.put_u64_le(cells.len() as u64);
     for (subset, cell) in cells {
-        enc_region_into(buf, subset);
+        buf.put_u32_vec(&subset.0);
         enc_cell_into(buf, cell);
     }
-    enc_usize_vec(buf, &c.skipped_regions);
+    buf.put_usize_vec(&c.skipped_regions);
 }
 
-fn dec_cube(d: &mut Dec<'_>) -> Result<BellwetherCube> {
+fn dec_cube(d: &mut Cursor<'_>) -> Result<BellwetherCube> {
     let item_space = dec_space(d)?;
-    let n_coords = d.count(16)?;
+    let n_coords = d.get_count(16)?;
     let mut item_coords = HashMap::with_capacity(n_coords);
     for _ in 0..n_coords {
-        let id = d.i64()?;
-        let coords = d.u32_vec()?;
+        let id = d.get_i64_le()?;
+        let coords = d.get_u32_vec()?;
         item_coords.insert(id, coords);
     }
-    let n_cells = d.count(8)?;
+    let n_cells = d.get_count(8)?;
     let mut cells = HashMap::with_capacity(n_cells);
     for _ in 0..n_cells {
-        let subset = dec_region(d)?;
+        let subset = RegionId(d.get_u32_vec()?);
         let cell = dec_cell(d)?;
         cells.insert(subset, cell);
     }
-    let skipped_regions = d.usize_vec()?;
+    let skipped_regions = d.get_usize_vec()?;
     d.done()?;
     Ok(BellwetherCube {
         item_space,
@@ -982,34 +791,34 @@ fn dec_cube(d: &mut Dec<'_>) -> Result<BellwetherCube> {
 
 fn enc_blocks(blocks: &BTreeMap<usize, RegionBlock>) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.put_u64(blocks.len() as u64);
+    buf.put_u64_le(blocks.len() as u64);
     for (&idx, block) in blocks {
-        buf.put_u64(idx as u64);
-        enc_u32_vec(&mut buf, &block.region);
-        buf.put_u32(block.p);
-        enc_i64_vec(&mut buf, &block.item_ids);
-        enc_f64_vec(&mut buf, &block.targets);
-        buf.put_u64(block.cols().len() as u64);
+        buf.put_u64_le(idx as u64);
+        buf.put_u32_vec(&block.region);
+        buf.put_u32_le(block.p);
+        buf.put_i64_vec(&block.item_ids);
+        buf.put_f64_vec(&block.targets);
+        buf.put_u64_le(block.cols().len() as u64);
         for col in block.cols() {
-            enc_f64_vec(&mut buf, col);
+            buf.put_f64_vec(col);
         }
     }
     buf
 }
 
-fn dec_blocks(d: &mut Dec<'_>) -> Result<BTreeMap<usize, RegionBlock>> {
-    let n = d.count(8)?;
+fn dec_blocks(d: &mut Cursor<'_>) -> Result<BTreeMap<usize, RegionBlock>> {
+    let n = d.get_count(8)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
-        let idx = d.usize()?;
-        let region = d.u32_vec()?;
-        let p = d.u32()?;
-        let item_ids = d.i64_vec()?;
-        let targets = d.f64_vec()?;
-        let n_cols = d.count(8)?;
+        let idx = d.get_usize()?;
+        let region = d.get_u32_vec()?;
+        let p = d.get_u32_le()?;
+        let item_ids = d.get_i64_vec()?;
+        let targets = d.get_f64_vec()?;
+        let n_cols = d.get_count(8)?;
         let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            cols.push(d.f64_vec()?);
+            cols.push(d.get_f64_vec()?);
         }
         // Validate what RegionBlock::from_columns would assert, so
         // malformed payloads error instead of panicking.
@@ -1043,6 +852,7 @@ mod tests {
     use crate::tree::rainforest::build_rainforest;
     use crate::tree::TreeConfig;
     use bellwether_cube::UniformCellCost;
+    use bellwether_prop::{sweep, Damage};
     use std::path::PathBuf;
 
     fn problem() -> BellwetherConfig {
@@ -1158,35 +968,42 @@ mod tests {
         assert_eq!(MethodKind::parse("nope"), None);
     }
 
+    /// What a section whose CRC was recomputed over damaged bytes hands
+    /// the payload decoders: every truncation is an error, and a flipped
+    /// bit is an error or a model that re-encodes no longer than the
+    /// payload (nothing was sized past it) — never a panic.
     #[test]
     fn truncated_model_payloads_error_not_panic() {
         let (model, _) = full_model();
         let path = tmp("trunc_model.bwsn");
         model.save(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        // Whole-file truncations are caught by the container; also strip
-        // section payload bytes to hit the model decoder's total paths.
+        // Whole-file truncations are caught by the container.
         for len in (0..bytes.len()).step_by(7) {
             let _ = SnapshotFile::decode(&bytes[..len]);
         }
         let snap = SnapshotFile::decode(&bytes).unwrap();
         for sec in &snap.sections {
-            for cut in 0..sec.payload.len().min(64) {
-                let mut d = Dec::new(&sec.payload[..cut]);
-                // Exercise every decoder against the truncated bytes;
-                // each must return an error, never panic.
-                match sec.kind {
-                    SEC_ITEMS => assert!(dec_items(&mut d).is_err()),
-                    SEC_BASIC => assert!(dec_report(&mut d).is_err()),
-                    SEC_TREE => assert!(dec_tree(&mut d).is_err()),
-                    SEC_CUBE => {
-                        let r = d.f64().and_then(|_| dec_cube(&mut d));
-                        assert!(r.is_err());
-                    }
-                    SEC_BLOCKS => assert!(dec_blocks(&mut d).is_err()),
-                    _ => {}
+            let reencode: fn(&mut Cursor<'_>) -> Result<Vec<u8>> = match sec.kind {
+                SEC_ITEMS => |d| dec_items(d).map(|items| enc_items(&items)),
+                SEC_BASIC => |d| dec_report(d).map(|report| enc_report(&report)),
+                SEC_TREE => |d| dec_tree(d).map(|tree| enc_tree(&tree)),
+                SEC_CUBE => |d| {
+                    let mut buf = Vec::new();
+                    buf.put_f64_le(d.get_f64_le()?);
+                    enc_cube_into(&mut buf, &dec_cube(d)?);
+                    Ok(buf)
+                },
+                SEC_BLOCKS => |d| dec_blocks(d).map(|blocks| enc_blocks(&blocks)),
+                _ => continue,
+            };
+            sweep(&sec.payload, |bytes, damage| {
+                match (reencode(&mut Cursor::new(bytes)), damage) {
+                    (Ok(_), Damage::Truncated { .. }) => panic!("section {} decoded", sec.kind),
+                    (Ok(back), _) => assert!(back.len() <= bytes.len(), "section {}", sec.kind),
+                    (Err(_), _) => {}
                 }
-            }
+            });
         }
         std::fs::remove_file(&path).ok();
     }

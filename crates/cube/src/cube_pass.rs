@@ -67,7 +67,6 @@ use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::{names, span, NoopRecorder, Recorder};
-use bellwether_storage::CubeStats;
 use bellwether_table::ops::AggFunc;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -1685,22 +1684,16 @@ pub fn cube_pass(space: &RegionSpace, input: &CubeInput) -> CubeResult {
     cube_pass_with(space, input, Parallelism::default(), None)
 }
 
-/// Run the CUBE pass with an explicit thread budget and optional
-/// counters. The result is bit-identical for every `Parallelism`.
-///
-/// `CubeStats` implements `Recorder` (counters only), so this is a thin
-/// shim over [`cube_pass_traced`] — both entry points share one
-/// instrumentation path.
+/// Run the CUBE pass with an explicit thread budget and an optional
+/// recorder ([`cube_pass_traced`] under [`NoopRecorder`] when `None`).
+/// The result is bit-identical for every `Parallelism`.
 pub fn cube_pass_with(
     space: &RegionSpace,
     input: &CubeInput,
     par: Parallelism,
-    stats: Option<&CubeStats>,
+    rec: Option<&dyn Recorder>,
 ) -> CubeResult {
-    match stats {
-        Some(st) => cube_pass_traced(space, input, par, st),
-        None => cube_pass_traced(space, input, par, &NoopRecorder),
-    }
+    cube_pass_traced(space, input, par, rec.unwrap_or(&NoopRecorder))
 }
 
 /// Run the CUBE pass reporting into a [`Recorder`]: phase counters under
@@ -2220,7 +2213,7 @@ pub(crate) mod tests {
     fn stats_counters_are_recorded() {
         let s = space();
         let inp = input();
-        let stats = CubeStats::shared();
+        let stats = bellwether_obs::Registry::new();
         let r = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
         let snap = stats.snapshot();
         assert_eq!(snap.rows_scanned(), 4);
@@ -2237,7 +2230,7 @@ pub(crate) mod tests {
         let inp = input();
         let reg = bellwether_obs::Registry::shared();
         let r = cube_pass_traced(&s, &inp, Parallelism::fixed(2), reg.as_ref());
-        let stats = CubeStats::shared();
+        let stats = bellwether_obs::Registry::new();
         let legacy = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
         assert_bit_identical(&r, &legacy, "traced vs stats");
         let snap = reg.snapshot();
@@ -2264,7 +2257,7 @@ pub(crate) mod tests {
     #[test]
     fn filtered_aggregation_stats_and_threads() {
         let inp = input();
-        let stats = CubeStats::shared();
+        let stats = bellwether_obs::Registry::new();
         let seq = aggregate_filtered_traced(
             &inp,
             2,
@@ -2277,7 +2270,7 @@ pub(crate) mod tests {
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::fixed(4),
-            stats.as_ref(),
+            &stats,
         );
         assert_eq!(seq.len(), par.len());
         for (item, values) in &seq {

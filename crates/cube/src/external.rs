@@ -65,6 +65,7 @@ use crate::cube_pass::{
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
 use bellwether_obs::{names, span, Recorder};
+use bellwether_storage::codec::{Cursor, PutLe};
 use bellwether_table::ops::AggFunc;
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -135,22 +136,6 @@ fn col_tags(c: &StateCol) -> (u8, u8) {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append one column's lanes for cells `lo..hi` to the frame buffer.
 fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
     match col {
@@ -158,29 +143,29 @@ fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
         | StateCol::Min { vals: totals, seen }
         | StateCol::Max { vals: totals, seen } => {
             for &v in &totals[lo..hi] {
-                put_f64(out, v);
+                out.put_f64_le(v);
             }
             out.extend(seen[lo..hi].iter().map(|&b| b as u8));
         }
         StateCol::Count(c) => {
             for &v in &c[lo..hi] {
-                put_u64(out, v);
+                out.put_u64_le(v);
             }
         }
         StateCol::Avg { totals, counts } => {
             for &v in &totals[lo..hi] {
-                put_f64(out, v);
+                out.put_f64_le(v);
             }
             for &v in &counts[lo..hi] {
-                put_u64(out, v);
+                out.put_u64_le(v);
             }
         }
         StateCol::Distinct { pairs, .. } => {
             for list in &pairs[lo..hi] {
-                put_u32(out, list.len() as u32);
+                out.put_u32_le(list.len() as u32);
                 for &(k, v) in list {
-                    put_i64(out, k);
-                    put_f64(out, v);
+                    out.put_i64_le(k);
+                    out.put_f64_le(v);
                 }
             }
         }
@@ -195,7 +180,7 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
     let mut buf = Vec::new();
 
     let cols = shards.first().map(|t| t.cols.as_slice()).unwrap_or(&[]);
-    put_u32(&mut buf, cols.len() as u32);
+    buf.put_u32_le(cols.len() as u32);
     for c in cols {
         let (kind, func) = col_tags(c);
         buf.push(kind);
@@ -209,9 +194,9 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
         while lo < table.len() {
             let hi = (lo + FRAME_CELLS).min(table.len());
             buf.clear();
-            put_u32(&mut buf, (hi - lo) as u32);
+            buf.put_u32_le((hi - lo) as u32);
             for &k in &table.keys[lo..hi] {
-                put_u64(&mut buf, k);
+                buf.put_u64_le(k);
             }
             for col in &table.cols {
                 encode_lanes(col, lo, hi, &mut buf);
@@ -222,7 +207,7 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
         }
     }
     buf.clear();
-    put_u32(&mut buf, 0);
+    buf.put_u32_le(0);
     w.write_all(&buf)?;
     bytes += buf.len() as u64;
     w.flush()?;
@@ -233,6 +218,9 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
 /// directory: every length is checked against what the format allows
 /// and what the file still holds *before* anything is allocated for it,
 /// and the key order the merge relies on is checked as it is decoded.
+/// It streams a file, so it has no slice for a [`Cursor`] to borrow: it
+/// keeps the `left` accounting itself and parses what it read through
+/// one.
 struct FrameReader {
     r: BufReader<File>,
     schema: Vec<(u8, u8)>,
@@ -268,15 +256,11 @@ impl FrameReader {
     }
 
     fn u64s(&mut self, n: usize) -> io::Result<Vec<u64>> {
-        let raw = self.bytes(n, 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect())
+        Cursor::new(&self.bytes(n, 8)?).get_u64_lane(n)
     }
 
     fn f64s(&mut self, n: usize) -> io::Result<Vec<f64>> {
-        Ok(self.u64s(n)?.into_iter().map(f64::from_bits).collect())
+        Cursor::new(&self.bytes(n, 8)?).get_f64_lane(n)
     }
 
     fn bools(&mut self, n: usize) -> io::Result<Vec<bool>> {
@@ -353,17 +337,10 @@ impl FrameReader {
                     for _ in 0..n {
                         let len = self.u32()? as usize;
                         let raw = self.bytes(len, 16)?;
-                        let list: Vec<(i64, f64)> = raw
-                            .chunks_exact(16)
-                            .map(|c| {
-                                (
-                                    i64::from_le_bytes(c[..8].try_into().expect("8 bytes")),
-                                    f64::from_bits(u64::from_le_bytes(
-                                        c[8..].try_into().expect("8 bytes"),
-                                    )),
-                                )
-                            })
-                            .collect();
+                        let mut cur = Cursor::new(&raw);
+                        let list = (0..len)
+                            .map(|_| Ok((cur.get_i64_le()?, cur.get_f64_le()?)))
+                            .collect::<io::Result<Vec<(i64, f64)>>>()?;
                         // The merge walks a source list as a sorted
                         // set; a run on disk is the one source that is
                         // bytes rather than a dedup's output.

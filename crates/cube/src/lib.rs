@@ -50,7 +50,6 @@ mod rollup_tests;
 mod testutil;
 
 pub use bellwether_obs::{NoopRecorder, Recorder, Registry};
-pub use bellwether_storage::CubeStats;
 pub use cost::{CellTableCost, CostModel, ProductCost, UniformCellCost};
 pub use cube_pass::{
     aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_reference,

@@ -3,8 +3,9 @@
 //! A tiny, dependency-free randomized property-testing harness. The
 //! build environment has no network access to crates.io, so `proptest`
 //! cannot be vendored; this crate supplies the subset the workspace
-//! actually needs: a deterministic RNG, value generators, and a case
-//! runner that reports the failing case seed for reproduction.
+//! actually needs: a deterministic RNG, value generators, a case
+//! runner that reports the failing case seed for reproduction, and
+//! [`sweep`], the hostile-bytes loop every decoder test runs.
 //!
 //! ```
 //! use bellwether_prop::{check, Rng};
@@ -104,6 +105,56 @@ impl Rng {
     }
 }
 
+/// One way [`sweep`] damages a valid encoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Damage {
+    /// Cut to its first `len` bytes.
+    Truncated {
+        /// Bytes kept.
+        len: usize,
+    },
+    /// One bit inverted.
+    Flipped {
+        /// Offset of the damaged byte.
+        byte: usize,
+        /// Which of its bits, `0..8`.
+        bit: u8,
+    },
+}
+
+/// Hostile bytes for a decoder: hand `probe` every truncation of
+/// `valid` (every length short of the whole) and every single-bit flip
+/// of it, each with the [`Damage`] done. `probe` decodes and asserts
+/// its own verdict; a panic inside it — the decoder's or an
+/// assertion's — is re-raised naming the damage that caused it.
+pub fn sweep(valid: &[u8], mut probe: impl FnMut(&[u8], Damage)) {
+    let mut run = |bytes: &[u8], damage: Damage| {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| probe(bytes, damage)));
+        if let Err(payload) = outcome {
+            panic!("{damage:?}: {}", panic_message(payload.as_ref()));
+        }
+    };
+    for len in 0..valid.len() {
+        run(&valid[..len], Damage::Truncated { len });
+    }
+    let mut bytes = valid.to_vec();
+    for byte in 0..valid.len() {
+        for bit in 0..8 {
+            bytes[byte] ^= 1 << bit;
+            run(&bytes, Damage::Flipped { byte, bit });
+            bytes[byte] ^= 1 << bit;
+        }
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".into())
+}
+
 /// Run `cases` random test cases of `body`, each with a per-case seeded
 /// [`Rng`]. On panic, re-raises with the property name and case seed so
 /// the failure reproduces with `Rng::new(seed)`.
@@ -122,11 +173,7 @@ pub fn check(name: &str, cases: u64, body: impl Fn(&mut Rng)) {
             body(&mut rng);
         }));
         if let Err(payload) = result {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic>".into());
+            let msg = panic_message(payload.as_ref());
             panic!("property {name:?} failed on case {case} (seed {seed:#x}): {msg}");
         }
     }
@@ -173,6 +220,32 @@ mod tests {
     #[should_panic(expected = "property \"always fails\" failed on case 0")]
     fn check_reports_failing_seed() {
         check("always fails", 5, |_| panic!("boom"));
+    }
+
+    #[test]
+    fn sweep_yields_every_truncation_and_every_single_bit_flip_once() {
+        let valid = [0x0fu8, 0xf0, 0xaa];
+        let mut seen = Vec::new();
+        sweep(&valid, |bytes, damage| {
+            match damage {
+                Damage::Truncated { len } => assert_eq!(bytes, &valid[..len]),
+                Damage::Flipped { byte, bit } => {
+                    let mut expect = valid;
+                    expect[byte] ^= 1 << bit;
+                    assert_eq!(bytes, expect);
+                }
+            }
+            seen.push(damage);
+        });
+        assert_eq!(seen.len(), 3 + 3 * 8);
+        seen.dedup();
+        assert_eq!(seen.len(), 3 + 3 * 8, "no damage repeated");
+    }
+
+    #[test]
+    #[should_panic(expected = "Flipped { byte: 1, bit: 0 }: decoder blew up")]
+    fn sweep_names_the_damage_that_panicked() {
+        sweep(&[0, 0], |bytes, _| assert!(bytes.get(1) != Some(&1), "decoder blew up"));
     }
 
     #[test]

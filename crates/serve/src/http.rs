@@ -246,6 +246,23 @@ mod tests {
         ));
     }
 
+    /// The parser faces the network: every truncation and flipped bit of
+    /// a valid request is an outcome, never a panic, and what it accepts
+    /// lies inside the bytes that arrived.
+    #[test]
+    fn damaged_requests_are_an_outcome_and_never_read_past_the_buffer() {
+        let valid = b"POST /predict HTTP/1.1\r\nContent-Length: 12\r\nConnection: close\r\n\r\n{\"ids\":[1]} ";
+        bellwether_prop::sweep(valid, |raw, damage| match read_all(raw) {
+            ReadOutcome::Request(r) => {
+                let held = r.method.len() + r.path.len() + r.body.len();
+                assert!(r.path.starts_with('/') && held < raw.len(), "{damage:?}: {r:?}");
+            }
+            ReadOutcome::Bad(_) => {}
+            ReadOutcome::Closed => assert!(raw.is_empty(), "{damage:?}"),
+            timed_out => panic!("{damage:?}: {timed_out:?} from a stream that ended"),
+        });
+    }
+
     #[test]
     fn response_has_framing_headers() {
         let mut out = Vec::new();

@@ -370,6 +370,14 @@ mod tests {
         // Deep nesting is bounded, not a stack overflow.
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+        // Bodies come off the network: every truncation and flipped bit
+        // of a valid one that is still UTF-8 is an error or a value.
+        let valid = r#"{"method":"cube","ids":[1,-2,3.5e1],"t":[true,null],"s":"a\"\u00e9\ud83d\ude00é😀"}"#;
+        let mut parsed = usize::from(parse(valid).is_ok());
+        bellwether_prop::sweep(valid.as_bytes(), |raw, _| {
+            parsed += std::str::from_utf8(raw).map_or(0, |text| usize::from(parse(text).is_ok()));
+        });
+        assert!(parsed > 1, "the clean body and some flips (a digit, a letter) parse");
     }
 
     #[test]

@@ -1,0 +1,64 @@
+//! The one way a file is published: stream into `<path>.tmp`, then
+//! flush → fsync → rename over `path` → best-effort fsync of the parent
+//! directory. A reader can observe the file only after the rename, and
+//! then always in full; a crash (or a drop without
+//! [`AtomicFile::commit`]) at any earlier point leaves `path` untouched —
+//! absent, or holding the previous complete file — and at worst an
+//! orphan `.tmp` beside it. [`AtomicFile::commit`] is the single seam a
+//! crash-point test has to cut.
+
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
+
+/// A file that becomes visible at its path only on
+/// [`AtomicFile::commit`].
+pub struct AtomicFile {
+    out: BufWriter<File>,
+    tmp: PathBuf,
+    path: PathBuf,
+}
+
+impl AtomicFile {
+    /// Start writing what will be published at `path` (into
+    /// `path + ".tmp"`, truncating a leftover one).
+    pub fn create(path: &Path) -> io::Result<AtomicFile> {
+        let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+        name.push(".tmp");
+        let tmp = path.with_file_name(name);
+        Ok(AtomicFile {
+            out: BufWriter::new(File::create(&tmp)?),
+            tmp,
+            path: path.to_path_buf(),
+        })
+    }
+
+    /// Make everything written durable, then visible at the path.
+    pub fn commit(mut self) -> io::Result<()> {
+        self.out.flush()?;
+        self.out.get_ref().sync_all()?;
+        fs::rename(&self.tmp, &self.path)?;
+        // Make the rename itself durable where possible; directory
+        // handles cannot be fsynced on every platform, so best-effort.
+        if let Some(parent) = self.path.parent() {
+            if let Ok(dir) = File::open(parent) {
+                let _ = dir.sync_all();
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Write for AtomicFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.out.write(buf)
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        self.out.write_all(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+}

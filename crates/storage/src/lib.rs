@@ -55,8 +55,10 @@
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod atomic;
 pub mod block;
 pub mod cache;
+pub mod codec;
 pub mod crc32;
 pub mod fault;
 pub mod format;
@@ -68,11 +70,12 @@ pub mod snapshot;
 pub mod source;
 pub mod writer;
 
+pub use atomic::AtomicFile;
 pub use block::RegionBlock;
 pub use cache::{CacheStats, CachedSource};
 pub use fault::{FaultPlan, FaultySource};
 pub use format::{is_corrupt, CorruptBlock};
-pub use metrics::{CubeStats, IoStats};
+pub use metrics::IoStats;
 pub use reader::DiskSource;
 pub use retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
 pub use shard::{

@@ -5,14 +5,13 @@
 //! cube = 1). These counters let integration tests assert the claims
 //! exactly, independent of wall-clock noise.
 //!
-//! Since the observability layer landed, [`IoStats`] and [`CubeStats`]
-//! are thin bundles of [`Counter`] handles. Constructed via
+//! [`IoStats`] is a thin bundle of [`Counter`] handles. Constructed via
 //! [`IoStats::in_registry`] the handles are bound to the canonical
-//! [`names`] entries of a shared [`Registry`], so the legacy record
-//! paths and the workspace-wide metrics see the *same* atomics. Read
-//! values through [`MetricsSnapshot`] accessors.
+//! [`names`] entries of a shared [`Registry`], so a source's own books
+//! and the workspace-wide metrics see the *same* atomics. Read values
+//! through [`MetricsSnapshot`] accessors.
 
-use bellwether_obs::{names, Counter, MetricsSnapshot, Recorder, Registry};
+use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use std::sync::Arc;
 
 /// Shared, thread-safe IO counters.
@@ -89,151 +88,9 @@ impl From<&IoStats> for MetricsSnapshot {
     }
 }
 
-impl Recorder for IoStats {
-    fn add(&self, name: &str, delta: u64) {
-        match name {
-            names::STORAGE_REGIONS_READ => self.regions_read.add(delta),
-            names::STORAGE_BYTES_READ => self.bytes_read.add(delta),
-            names::STORAGE_EXAMPLES_READ => self.examples_read.add(delta),
-            names::STORAGE_CORRUPT_BLOCKS => self.corrupt_blocks.add(delta),
-            _ => {}
-        }
-    }
-
-    fn set_gauge(&self, _name: &str, _value: f64) {}
-
-    fn record_span(&self, _path: &str, _nanos: u64) {}
-}
-
-/// Shared, thread-safe counters for the CUBE-pass kernel.
-///
-/// Same pattern as [`IoStats`]: relaxed atomics behind an `Arc`, cheap
-/// enough to leave enabled. Workers accumulate locally and publish once
-/// per phase, so the counters cost nothing in the per-row hot loop.
-/// `CubeStats` also implements [`Recorder`] (counters only — spans are
-/// dropped), so the kernel's legacy `Option<&CubeStats>` entry point and
-/// the traced one share a single instrumentation path.
-#[derive(Debug, Default)]
-pub struct CubeStats {
-    rows_scanned: Counter,
-    base_cells: Counter,
-    cell_merges: Counter,
-    regions_emitted: Counter,
-}
-
-impl CubeStats {
-    /// Fresh counters behind an `Arc` for sharing with kernels.
-    pub fn shared() -> Arc<CubeStats> {
-        Arc::new(CubeStats::default())
-    }
-
-    /// Counters bound to the canonical `cube_pass/*` entries of `reg`.
-    pub fn in_registry(reg: &Registry) -> Arc<CubeStats> {
-        Arc::new(CubeStats {
-            rows_scanned: reg.counter(names::CUBE_PASS_ROWS_SCANNED),
-            base_cells: reg.counter(names::CUBE_PASS_BASE_CELLS),
-            cell_merges: reg.counter(names::CUBE_PASS_CELL_MERGES),
-            regions_emitted: reg.counter(names::CUBE_PASS_REGIONS_EMITTED),
-        })
-    }
-
-    /// Record `n` fact rows scanned in phase 1.
-    pub fn record_rows_scanned(&self, n: u64) {
-        self.rows_scanned.add(n);
-    }
-
-    /// Record `n` distinct base cells after phase-1 merging.
-    pub fn record_base_cells(&self, n: u64) {
-        self.base_cells.add(n);
-    }
-
-    /// Record `n` cell-state merge operations (phase-1 chunk merging
-    /// plus phase-2 rollup expansion).
-    pub fn record_cell_merges(&self, n: u64) {
-        self.cell_merges.add(n);
-    }
-
-    /// Record `n` non-empty regions emitted by the rollup.
-    pub fn record_regions_emitted(&self, n: u64) {
-        self.regions_emitted.add(n);
-    }
-
-    /// Point-in-time copy of the counters under their canonical names.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![
-                (
-                    names::CUBE_PASS_ROWS_SCANNED.to_string(),
-                    self.rows_scanned.get(),
-                ),
-                (names::CUBE_PASS_BASE_CELLS.to_string(), self.base_cells.get()),
-                (
-                    names::CUBE_PASS_CELL_MERGES.to_string(),
-                    self.cell_merges.get(),
-                ),
-                (
-                    names::CUBE_PASS_REGIONS_EMITTED.to_string(),
-                    self.regions_emitted.get(),
-                ),
-            ],
-            gauges: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// Reset all counters (between experiment phases).
-    pub fn reset(&self) {
-        self.rows_scanned.reset();
-        self.base_cells.reset();
-        self.cell_merges.reset();
-        self.regions_emitted.reset();
-    }
-}
-
-impl From<&CubeStats> for MetricsSnapshot {
-    fn from(s: &CubeStats) -> MetricsSnapshot {
-        s.snapshot()
-    }
-}
-
-impl Recorder for CubeStats {
-    fn add(&self, name: &str, delta: u64) {
-        match name {
-            names::CUBE_PASS_ROWS_SCANNED => self.rows_scanned.add(delta),
-            names::CUBE_PASS_BASE_CELLS => self.base_cells.add(delta),
-            names::CUBE_PASS_CELL_MERGES => self.cell_merges.add(delta),
-            names::CUBE_PASS_REGIONS_EMITTED => self.regions_emitted.add(delta),
-            _ => {}
-        }
-    }
-
-    fn set_gauge(&self, _name: &str, _value: f64) {}
-
-    fn record_span(&self, _path: &str, _nanos: u64) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cube_stats_accumulate_and_reset() {
-        let s = CubeStats::shared();
-        s.record_rows_scanned(100);
-        s.record_base_cells(10);
-        s.record_cell_merges(25);
-        s.record_regions_emitted(4);
-        s.record_rows_scanned(50);
-        let snap = s.snapshot();
-        assert_eq!(snap.rows_scanned(), 150);
-        assert_eq!(snap.base_cells(), 10);
-        assert_eq!(snap.cell_merges(), 25);
-        assert_eq!(snap.regions_emitted(), 4);
-        s.reset();
-        let snap = s.snapshot();
-        assert_eq!(snap.rows_scanned(), 0);
-        assert_eq!(snap.cell_merges(), 0);
-    }
 
     #[test]
     fn records_accumulate_and_reset() {
@@ -255,32 +112,13 @@ mod tests {
     fn registry_bound_stats_share_atomics() {
         let reg = Registry::shared();
         let io = IoStats::in_registry(&reg);
-        let cube = CubeStats::in_registry(&reg);
         io.record_region_read(64, 4);
-        cube.record_rows_scanned(1000);
         let snap = reg.snapshot();
         assert_eq!(snap.regions_read(), 1);
         assert_eq!(snap.bytes_read(), 64);
         assert_eq!(snap.examples_read(), 4);
-        assert_eq!(snap.rows_scanned(), 1000);
-        // From<&_> conversions agree with the registry view.
+        // The From<&_> conversion agrees with the registry view.
         assert_eq!(MetricsSnapshot::from(io.as_ref()).regions_read(), 1);
-        assert_eq!(MetricsSnapshot::from(cube.as_ref()).rows_scanned(), 1000);
-    }
-
-    #[test]
-    fn cube_stats_as_recorder_routes_canonical_names() {
-        use bellwether_obs::names;
-        let s = CubeStats::shared();
-        let rec: &dyn Recorder = s.as_ref();
-        assert!(rec.enabled());
-        rec.add(names::CUBE_PASS_ROWS_SCANNED, 12);
-        rec.add(names::CUBE_PASS_CELL_MERGES, 3);
-        rec.add("unrelated/counter", 99); // ignored
-        rec.record_span("cube_pass/phase1_scan", 5); // dropped
-        let snap = s.snapshot();
-        assert_eq!(snap.rows_scanned(), 12);
-        assert_eq!(snap.cell_merges(), 3);
     }
 
     #[test]

@@ -309,14 +309,8 @@ mod tests {
                 }
             }
         };
-        for bit in (index_at * 8)..(clean.len() * 8) {
-            let mut bytes = clean.clone();
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            probe(&bytes);
-        }
-        for len in index_at..clean.len() {
-            probe(&clean[..len]);
-        }
+        let (blocks_area, index_and_footer) = clean.split_at(index_at);
+        bellwether_prop::sweep(index_and_footer, |tail, _| probe(&[blocks_area, tail].concat()));
         // Both outcomes occur: a flipped coordinate still opens, a
         // flipped magic or length does not.
         assert!(opened > 0 && refused > 0, "{opened} opened, {refused} refused");
@@ -366,21 +360,48 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A version-1 file as the last v1 writer left it, pinned as bytes
+    /// (nothing writes the format any more): header, three raw blocks —
+    /// the middle one empty — index, footer.
+    const GOLDEN_V1_FILE: &str = concat!(
+        "42575444", "01000000", "02000000", "01000000", // BWTD, v1, p = 2, arity 1
+        "01000000", "04000000", "0200000000000000", "02000000", // region [4], n = 2, p = 2
+        "0a00000000000000", "fdffffffffffffff", // ids 10, -3
+        "000000000000f83f", "00000000000000c0", // row 0: 1.5, -2.0
+        "000000000000d03f", "0000000000001040", // row 1: 0.25, 4.0
+        "0000000000001c40", "000000000000f0bf", // targets 7, -1
+        "01000000", "06000000", "0000000000000000", "02000000", // region [6], empty
+        "01000000", "09000000", "0100000000000000", "02000000", // region [9], n = 1
+        "0b00000000000000", "0000000000000000", "9c7500883ce4377e", // id 11: 0.0, 1e300
+        "9a9999999999b93f", // target 0.1
+        "1000000000000000", "5400000000000000", "04000000", // index: offset 16, len 84
+        "6400000000000000", "1400000000000000", "06000000", // offset 100, len 20
+        "7800000000000000", "3400000000000000", "09000000", // offset 120, len 52
+        "ac00000000000000", "0300000000000000", "42575444", // index at 172, 3 regions, BWTD
+    );
+
     #[test]
     fn reads_v1_files_without_checksums() {
         let path = tmpfile("v1.bwtd");
-        let blocks = sample_blocks();
-        let mut w =
-            TrainingWriter::create_versioned(&path, 3, 2, crate::format::VERSION_V1).unwrap();
-        for b in &blocks {
-            w.write_region(b).unwrap();
-        }
-        w.finish().unwrap();
+        let golden: Vec<u8> = (0..GOLDEN_V1_FILE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_V1_FILE[i..i + 2], 16).unwrap())
+            .collect();
+        std::fs::write(&path, golden).unwrap();
+        let mut first = RegionBlock::new(vec![4], 2);
+        first.push(10, &[1.5, -2.0], 7.0);
+        first.push(-3, &[0.25, 4.0], -1.0);
+        let mut last = RegionBlock::new(vec![9], 2);
+        last.push(11, &[0.0, 1e300], 0.1);
+        let blocks = [first, RegionBlock::new(vec![6], 2), last];
+
         let src = DiskSource::open(&path).unwrap();
         assert_eq!(src.format_version(), crate::format::VERSION_V1);
+        assert_eq!(src.num_regions(), blocks.len());
         for (i, expect) in blocks.iter().enumerate() {
             assert_eq!(src.read_region(i).unwrap().as_ref(), expect);
         }
+        assert_eq!(src.region_examples(0), Some(2));
         std::fs::remove_file(&path).ok();
     }
 

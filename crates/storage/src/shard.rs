@@ -34,16 +34,16 @@
 //! Generation-0 layouts keep writing byte-identical version-1
 //! manifests, so old readers and old fixtures stay valid.
 
+use crate::atomic::AtomicFile;
 use crate::block::RegionBlock;
-use crate::crc32::crc32;
-use crate::format::Cursor;
+use crate::codec::{bad, seal, verify, Cursor, PutLe};
 use crate::metrics::IoStats;
 use crate::reader::DiskSource;
 use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use std::collections::hash_map::{Entry, HashMap};
-use std::fs::{self, File};
+use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
@@ -111,14 +111,6 @@ pub struct ShardManifest {
     pub overlays: Vec<OverlayMeta>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 impl ShardManifest {
     /// Total regions across all shards.
     pub fn total_regions(&self) -> u64 {
@@ -149,72 +141,49 @@ impl ShardManifest {
     /// version-1-only reader rejects structurally instead of serving a
     /// stale region view.
     pub fn encode(&self) -> Vec<u8> {
+        let shard_examples = self.shards.iter().try_fold(0u64, |e, s| e.checked_add(s.examples));
         let v1 = self.generation == 0
             && self.overlays.is_empty()
-            && self.examples == self.shards.iter().map(|s| s.examples).sum::<u64>();
+            && shard_examples == Some(self.examples);
         let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        put_u32(&mut out, if v1 { MANIFEST_VERSION_V1 } else { MANIFEST_VERSION });
-        put_u32(&mut out, self.p);
-        put_u32(&mut out, self.arity);
+        out.put_slice(&MANIFEST_MAGIC);
+        out.put_u32_le(if v1 { MANIFEST_VERSION_V1 } else { MANIFEST_VERSION });
+        out.put_u32_le(self.p);
+        out.put_u32_le(self.arity);
         if !v1 {
-            put_u64(&mut out, self.generation);
-            put_u64(&mut out, self.examples);
+            out.put_u64_le(self.generation);
+            out.put_u64_le(self.examples);
         }
-        put_u32(&mut out, self.shards.len() as u32);
+        out.put_u32_le(self.shards.len() as u32);
         for s in &self.shards {
-            put_u32(&mut out, s.file.len() as u32);
-            out.extend_from_slice(s.file.as_bytes());
-            put_u64(&mut out, s.regions);
-            put_u64(&mut out, s.examples);
-            put_u64(&mut out, s.bytes);
+            out.put_str(&s.file);
+            out.put_u64_le(s.regions);
+            out.put_u64_le(s.examples);
+            out.put_u64_le(s.bytes);
         }
         if !v1 {
-            put_u32(&mut out, self.overlays.len() as u32);
+            out.put_u32_le(self.overlays.len() as u32);
             for o in &self.overlays {
-                put_u32(&mut out, o.file.len() as u32);
-                out.extend_from_slice(o.file.as_bytes());
-                put_u64(&mut out, o.bytes);
-                put_u64(&mut out, o.regions.len() as u64);
-                for &r in &o.regions {
-                    put_u64(&mut out, r);
-                }
+                out.put_str(&o.file);
+                out.put_u64_le(o.bytes);
+                out.put_u64_vec(&o.regions);
             }
         }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
+        seal(&mut out, 0);
         out
     }
 
-    /// Decode and checksum-validate a manifest.
+    /// Decode and checksum-validate a manifest: a trailer that does not
+    /// match is corruption ([`crate::is_corrupt`]), anything wrong with
+    /// bytes that verify is structural `InvalidData`.
     pub fn decode(bytes: &[u8]) -> io::Result<ShardManifest> {
-        if bytes.len() < 4 + 4 + 4 + 4 + 4 + 4 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "sharded manifest too short",
-            ));
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(trailer.try_into().unwrap());
-        if crc32(payload) != stored {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "sharded manifest checksum mismatch",
-            ));
-        }
-        let mut cur = Cursor::new(payload);
+        let mut cur = Cursor::new(verify(bytes)?);
         if cur.take_span(4)? != MANIFEST_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a sharded manifest (bad magic)",
-            ));
+            return Err(bad("not a sharded manifest (bad magic)"));
         }
         let version = cur.get_u32_le()?;
         if version != MANIFEST_VERSION_V1 && version != MANIFEST_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unsupported manifest version {version}"),
-            ));
+            return Err(bad(&format!("unsupported manifest version {version}")));
         }
         let p = cur.get_u32_le()?;
         let arity = cur.get_u32_le()?;
@@ -223,54 +192,40 @@ impl ShardManifest {
         } else {
             (0, None)
         };
-        let take_name = |cur: &mut Cursor<'_>, what: &str| -> io::Result<String> {
-            let len = cur.get_u32_le()? as usize;
-            Ok(std::str::from_utf8(cur.take_span(len)?)
-                .map_err(|_| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{what} name not utf-8"),
-                    )
-                })?
-                .to_string())
-        };
         // Shortest entries: name length + three u64s for a shard, name
         // length + bytes + region count for an overlay.
         let n = cur.get_u32_le()?;
         let n = cur.count(n.into(), 4 + 3 * 8)?;
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
-            let file = take_name(&mut cur, "shard")?;
-            let regions = cur.get_u64_le()?;
-            let examples = cur.get_u64_le()?;
-            let bytes = cur.get_u64_le()?;
             shards.push(ShardMeta {
-                file,
-                regions,
-                examples,
-                bytes,
+                file: cur.get_string()?,
+                regions: cur.get_u64_le()?,
+                examples: cur.get_u64_le()?,
+                bytes: cur.get_u64_le()?,
             });
         }
+        // Every later sum over the shards (`total_regions`,
+        // `shard_starts`, the example total) is this one, checked here:
+        // the CRC is no guard against values that were written wrong.
+        let (total, shard_examples) = shards
+            .iter()
+            .try_fold((0u64, 0u64), |(r, e), s| {
+                Some((r.checked_add(s.regions)?, e.checked_add(s.examples)?))
+            })
+            .filter(|&(regions, _)| usize::try_from(regions).is_ok())
+            .ok_or_else(|| bad("shard totals overflow"))?;
         let mut overlays = Vec::new();
         if version >= MANIFEST_VERSION {
-            let total: u64 = shards.iter().map(|s| s.regions).sum();
             let n = cur.get_u32_le()?;
             let n = cur.count(n.into(), 4 + 2 * 8)?;
             for _ in 0..n {
-                let file = take_name(&mut cur, "overlay")?;
+                let file = cur.get_string()?;
                 let bytes = cur.get_u64_le()?;
-                let count = cur.get_u64_le()?;
-                let count = cur.count(count, 8)?;
-                let mut regions = Vec::with_capacity(count);
-                for _ in 0..count {
-                    regions.push(cur.get_u64_le()?);
-                }
+                let regions = cur.get_u64_vec()?;
                 let ascending = regions.windows(2).all(|w| w[0] < w[1]);
                 if !ascending || regions.last().is_some_and(|&r| r >= total) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("overlay {file} region list invalid"),
-                    ));
+                    return Err(bad(&format!("overlay {file} region list invalid")));
                 }
                 overlays.push(OverlayMeta {
                     file,
@@ -279,42 +234,22 @@ impl ShardManifest {
                 });
             }
         }
-        if cur.remaining() != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes after sharded manifest",
-            ));
-        }
-        let examples = examples.unwrap_or_else(|| shards.iter().map(|s| s.examples).sum());
+        cur.done()?;
         Ok(ShardManifest {
             p,
             arity,
             generation,
-            examples,
+            examples: examples.unwrap_or(shard_examples),
             shards,
             overlays,
         })
     }
 
-    /// Write atomically (temp + fsync + rename), same discipline as
-    /// [`TrainingWriter::finish`].
+    /// Publish atomically through an [`AtomicFile`].
     pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        let mut tmp_name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        let mut f = File::create(&tmp)?;
+        let mut f = AtomicFile::create(path)?;
         f.write_all(&self.encode())?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)?;
-        if let Some(parent) = path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        f.commit()
     }
 
     /// Read and validate the manifest at `path`.
@@ -563,7 +498,11 @@ impl ShardAppender {
             // block; old counts come from the pre-append view the
             // manifest in hand describes.
             let old_examples = old_examples(&self.dir, &manifest, &self.regions)?;
-            manifest.examples = manifest.examples - old_examples + self.examples_written;
+            manifest.examples = manifest
+                .examples
+                .checked_sub(old_examples)
+                .and_then(|kept| kept.checked_add(self.examples_written))
+                .ok_or_else(|| bad("manifest example total does not cover the blocks it replaces"))?;
             manifest.overlays.push(OverlayMeta {
                 file: self.file.clone(),
                 bytes: fs::metadata(&path)?.len(),
@@ -882,6 +821,7 @@ impl TrainingSource for ShardedSource {
 mod tests {
     use super::*;
     use crate::cache::CachedSource;
+    use crate::crc32::crc32;
     use crate::source::MemorySource;
 
     fn block(region: u32, rows: usize) -> RegionBlock {
@@ -930,6 +870,13 @@ mod tests {
             ],
             overlays: Vec::new(),
         }
+    }
+
+    /// A forged manifest: the trailer recomputed over edited bytes.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.truncate(bytes.len() - 4);
+        seal(&mut bytes, 0);
+        bytes
     }
 
     #[test]
@@ -1023,12 +970,6 @@ mod tests {
     /// process inside the allocator).
     #[test]
     fn oversized_counts_under_a_valid_checksum_are_rejected() {
-        let reseal = |mut bytes: Vec<u8>| {
-            let n = bytes.len() - 4;
-            let crc = crc32(&bytes[..n]);
-            bytes[n..].copy_from_slice(&crc.to_le_bytes());
-            bytes
-        };
         let mut m = base_manifest();
         m.shards.clear();
         m.examples = 0;
@@ -1054,6 +995,37 @@ mod tests {
             let err = ShardManifest::decode(&reseal(bytes)).expect_err("region count");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
         }
+    }
+
+    /// Nor against values that sum past a `u64`: two forged region
+    /// counts, then two forged example counts (the total a version-1
+    /// manifest does not carry), are refused in `decode`, where every
+    /// later sum over the shards is taken once.
+    #[test]
+    fn overflowing_shard_totals_under_a_valid_checksum_are_rejected() {
+        let clean = base_manifest().encode();
+        // 20 header bytes, then per shard a 4 + 15 byte name and
+        // regions | examples | bytes.
+        let shard = |s: usize| 20 + s * (19 + 24) + 19;
+        assert_eq!(clean[shard(1)..][..8], 7u64.to_le_bytes(), "shard 1's region count");
+        for (field, what) in [(0, "regions"), (8, "examples")] {
+            let mut bytes = clean.clone();
+            bytes[shard(0) + field..][..8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+            bytes[shard(1) + field..][..8].copy_from_slice(&2u64.to_le_bytes());
+            let err = ShardManifest::decode(&reseal(bytes)).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(!crate::is_corrupt(&err), "{what}: verified bytes are not corrupt");
+        }
+        // An appender handed a total smaller than what it replaces stops
+        // instead of wrapping.
+        let dir = tmp_dir("forged_total");
+        write_sharded(&dir, 4, 1);
+        let mut app = ShardAppender::open(&dir).unwrap();
+        app.manifest.examples = 1;
+        app.write_region(2, &block(9, 1)).unwrap();
+        let err = app.finish().expect_err("1 - 3 + 1 examples");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

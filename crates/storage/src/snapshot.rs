@@ -22,18 +22,16 @@
 //! every version they know and reject unknown future versions instead of
 //! misparsing them.
 //!
-//! Durability follows the [`crate::writer::TrainingWriter`] discipline:
-//! [`SnapshotWriter::finish`] writes the assembled file to a temporary
-//! path, fsyncs, and atomically renames it into place, so a crash never
-//! leaves a half-valid snapshot at the target path.
+//! [`SnapshotWriter::finish`] publishes the assembled file through an
+//! [`AtomicFile`], so a crash never leaves a half-valid snapshot at the
+//! target path.
 //!
 //! Every decode path is *total*: truncated, oversized or garbage input
 //! returns `io::Error`, never panics, whatever the byte length.
 
-use crate::crc32::crc32;
-use crate::format::CorruptBlock;
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Read, Write};
+use crate::atomic::AtomicFile;
+use crate::codec::{bad, seal, verify, Cursor, PutLe, CHECKSUM_LEN};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Snapshot file magic.
@@ -45,7 +43,7 @@ pub const SNAPSHOT_VERSION: u32 = SNAPSHOT_VERSION_V1;
 /// Header byte length: magic + version + section count.
 pub const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 4;
 /// Per-section framing overhead: kind u32 + len u64 + crc32 u32.
-pub const SECTION_OVERHEAD: usize = 4 + 8 + 4;
+pub const SECTION_OVERHEAD: usize = 4 + 8 + CHECKSUM_LEN;
 
 /// One decoded section: a caller-defined kind tag plus its payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,16 +52,6 @@ pub struct Section {
     pub kind: u32,
     /// Raw payload bytes, CRC-validated.
     pub payload: Vec<u8>,
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn tmp_path_for(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 /// Accumulates checksummed sections; [`finish`] writes them through a
@@ -95,11 +83,10 @@ impl SnapshotWriter {
     /// Append one section. Sections are read back in write order.
     pub fn write_section(&mut self, kind: u32, payload: &[u8]) -> io::Result<()> {
         let frame_start = self.body.len();
-        self.body.extend_from_slice(&kind.to_le_bytes());
-        self.body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        self.body.extend_from_slice(payload);
-        let sum = crc32(&self.body[frame_start..]);
-        self.body.extend_from_slice(&sum.to_le_bytes());
+        self.body.put_u32_le(kind);
+        self.body.put_u64_le(payload.len() as u64);
+        self.body.put_slice(payload);
+        seal(&mut self.body, frame_start);
         self.sections += 1;
         Ok(())
     }
@@ -109,31 +96,16 @@ impl SnapshotWriter {
         self.sections
     }
 
-    /// Write header + sections + footer to `path + ".tmp"`, fsync, and
-    /// atomically rename over the target path. Only after the rename
-    /// returns can a reader observe the snapshot — and then always in
-    /// full.
+    /// Write header + sections + footer and commit the file: only then
+    /// can a reader observe the snapshot — and then always in full.
     pub fn finish(self) -> io::Result<()> {
-        let tmp_path = tmp_path_for(&self.final_path);
-        {
-            let mut out = BufWriter::new(File::create(&tmp_path)?);
-            out.write_all(SNAPSHOT_MAGIC)?;
-            out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-            out.write_all(&self.sections.to_le_bytes())?;
-            out.write_all(&self.body)?;
-            out.write_all(SNAPSHOT_MAGIC)?;
-            out.flush()?;
-            out.get_ref().sync_all()?;
-        }
-        fs::rename(&tmp_path, &self.final_path)?;
-        // Make the rename itself durable where possible; directory
-        // handles cannot be fsynced on every platform, so best-effort.
-        if let Some(parent) = self.final_path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        let mut out = AtomicFile::create(&self.final_path)?;
+        out.write_all(SNAPSHOT_MAGIC)?;
+        out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+        out.write_all(&self.sections.to_le_bytes())?;
+        out.write_all(&self.body)?;
+        out.write_all(SNAPSHOT_MAGIC)?;
+        out.commit()
     }
 }
 
@@ -153,55 +125,38 @@ impl SnapshotFile {
     /// error (see [`crate::format::is_corrupt`]); structural damage
     /// returns a plain `InvalidData` error. Never panics.
     pub fn read(path: &Path) -> io::Result<SnapshotFile> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Self::decode(&bytes)
+        Self::decode(&std::fs::read(path)?)
     }
 
     /// Decode a snapshot from bytes already in memory (the disk-free
     /// half of [`SnapshotFile::read`], used directly by tests).
     pub fn decode(bytes: &[u8]) -> io::Result<SnapshotFile> {
-        if bytes.len() < SNAPSHOT_HEADER_LEN + 4 {
-            return Err(bad("truncated snapshot"));
-        }
-        if &bytes[..4] != SNAPSHOT_MAGIC {
+        let mut cur = Cursor::new(bytes);
+        if cur.take_span(4)? != SNAPSHOT_MAGIC {
             return Err(bad("bad snapshot magic"));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        let version = cur.get_u32_le()?;
         if version != SNAPSHOT_VERSION_V1 {
             return Err(bad("unsupported snapshot version"));
         }
-        let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        let mut at = SNAPSHOT_HEADER_LEN;
+        let count = cur.get_u32_le()?;
         let mut sections = Vec::new();
         for _ in 0..count {
-            // Frame: kind u32 | len u64 | payload | crc32.
-            if bytes.len() - at < SECTION_OVERHEAD {
-                return Err(bad("truncated section header"));
-            }
-            let kind = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-            let len64 = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes"));
-            let len = usize::try_from(len64).map_err(|_| bad("oversized section"))?;
-            let body_end = len
-                .checked_add(at + 12)
+            // Frame: kind u32 | len u64 | payload | crc32. The length is
+            // read ahead of the checksum covering it, to find the trailer.
+            let mut ahead = cur.clone();
+            ahead.get_u32_le()?;
+            let frame_len = usize::try_from(ahead.get_u64_le()?)
+                .ok()
+                .and_then(|len| len.checked_add(SECTION_OVERHEAD))
                 .ok_or_else(|| bad("oversized section"))?;
-            let end = body_end.checked_add(4).ok_or_else(|| bad("oversized section"))?;
-            if bytes.len() < end {
-                return Err(bad("truncated section payload"));
-            }
-            let expected =
-                u32::from_le_bytes(bytes[body_end..end].try_into().expect("4 bytes"));
-            let actual = crc32(&bytes[at..body_end]);
-            if actual != expected {
-                return Err(CorruptBlock { expected, actual }.into());
-            }
-            sections.push(Section {
-                kind,
-                payload: bytes[at + 12..body_end].to_vec(),
-            });
-            at = end;
+            let mut frame = Cursor::new(verify(cur.take_span(frame_len)?)?);
+            let kind = frame.get_u32_le()?;
+            frame.get_u64_le()?;
+            let payload = frame.take_span(frame.remaining())?.to_vec();
+            sections.push(Section { kind, payload });
         }
-        if bytes.len() - at != 4 || &bytes[at..at + 4] != SNAPSHOT_MAGIC {
+        if cur.take_span(cur.remaining())? != SNAPSHOT_MAGIC {
             return Err(bad("bad snapshot footer"));
         }
         Ok(SnapshotFile { version, sections })
@@ -219,7 +174,10 @@ impl SnapshotFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
     use crate::format::is_corrupt;
+    use bellwether_prop::{sweep, Damage};
+    use std::fs;
 
     fn tmp_dir() -> PathBuf {
         let dir = std::env::temp_dir().join("bw_snapshot_test");
@@ -323,12 +281,9 @@ mod tests {
         let path = tmp_dir().join("trunc.bwsn");
         write_sample(&path);
         let bytes = fs::read(&path).unwrap();
-        for len in 0..bytes.len() {
-            assert!(
-                SnapshotFile::decode(&bytes[..len]).is_err(),
-                "truncation at {len} decoded"
-            );
-        }
+        sweep(&bytes, |bytes, damage| {
+            assert!(SnapshotFile::decode(bytes).is_err(), "{damage:?} decoded");
+        });
         assert!(SnapshotFile::decode(&bytes).is_ok());
         fs::remove_file(&path).ok();
     }
@@ -338,25 +293,18 @@ mod tests {
         let path = tmp_dir().join("bitflip.bwsn");
         write_sample(&path);
         let bytes = fs::read(&path).unwrap();
-        for pos in 0..bytes.len() {
-            for bit in [0x01u8, 0x80u8] {
-                let mut bad_bytes = bytes.clone();
-                bad_bytes[pos] ^= bit;
-                let err = SnapshotFile::decode(&bad_bytes)
-                    .expect_err("corruption must not decode cleanly");
-                // Flips inside section frames are CorruptBlock; flips in
-                // the header/footer magic or version are structural.
-                let in_sections = (SNAPSHOT_HEADER_LEN..bytes.len() - 4).contains(&pos);
-                if in_sections {
-                    // A flipped length byte can push the cursor out of
-                    // bounds before any CRC check — still a clean error.
-                    assert!(
-                        is_corrupt(&err) || err.kind() == io::ErrorKind::InvalidData,
-                        "pos {pos}: {err}"
-                    );
-                }
+        let sections = SNAPSHOT_HEADER_LEN..bytes.len() - 4;
+        sweep(&bytes, |bad_bytes, damage| {
+            let err = SnapshotFile::decode(bad_bytes).expect_err("corruption must not decode cleanly");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{damage:?}: {err}");
+            // Flips inside section frames are CorruptBlock (or, when a
+            // flipped length byte moves the frame's end out of bounds
+            // before any CRC check, still a clean error); flips in the
+            // header or the footer are structural.
+            if let Damage::Flipped { byte, .. } = damage {
+                assert!(sections.contains(&byte) || !is_corrupt(&err), "{damage:?}: {err}");
             }
-        }
+        });
         fs::remove_file(&path).ok();
     }
 
@@ -402,7 +350,7 @@ mod tests {
         w.finish().unwrap();
         let snap = SnapshotFile::read(&path).unwrap();
         assert_eq!(snap.section(1).unwrap(), b"complete");
-        assert!(!tmp_path_for(&path).exists());
+        assert!(!tmp_dir().join("atomic.bwsn.tmp").exists());
         fs::remove_file(&path).ok();
     }
 

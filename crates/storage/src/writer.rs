@@ -1,77 +1,48 @@
 //! Streaming writer for the on-disk entire-training-data file.
 //!
-//! Durability: blocks stream into a temporary file next to the target
-//! path; [`TrainingWriter::finish`] writes the index + footer, fsyncs,
-//! and atomically renames the temp file into place. A crash at any point
-//! before the rename leaves the target path untouched (either absent or
-//! holding the previous complete file) — never a half-valid file.
+//! Durability: blocks stream into an [`AtomicFile`];
+//! [`TrainingWriter::finish`] writes the index + footer and commits it,
+//! so a crash at any earlier point leaves the target path untouched —
+//! never a half-valid file.
 
+use crate::atomic::AtomicFile;
 use crate::block::RegionBlock;
 use crate::format::{
-    encode_block_versioned, encode_header, encode_index, Header, IndexEntry, HEADER_LEN,
-    VERSION, VERSION_V1, VERSION_V2,
+    encode_block_v2, encode_header, encode_index, Header, IndexEntry, HEADER_LEN, VERSION,
 };
 use bellwether_obs::{names, Counter, Registry};
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Write};
+use std::path::Path;
 
 /// Writes region blocks sequentially and finishes with the index+footer.
 pub struct TrainingWriter {
-    out: BufWriter<File>,
-    tmp_path: PathBuf,
-    final_path: PathBuf,
+    out: AtomicFile,
     entries: Vec<IndexEntry>,
     offset: u64,
     p: u32,
     arity: u32,
-    version: u32,
     buf: Vec<u8>,
     regions_counter: Counter,
     bytes_counter: Counter,
 }
 
-fn tmp_path_for(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 impl TrainingWriter {
     /// Create a writer targeting `path` for an entire-training-data file
     /// with feature arity `p` and `arity` region coordinates, in the
-    /// current (checksummed v2) format. Data streams into `path + ".tmp"`
-    /// until [`TrainingWriter::finish`] renames it into place; dropping
-    /// the writer without finishing leaves `path` untouched.
+    /// current (checksummed v2) format. Nothing is visible at `path`
+    /// until [`TrainingWriter::finish`]; dropping the writer without
+    /// finishing leaves `path` untouched.
     pub fn create(path: &Path, p: u32, arity: u32) -> io::Result<Self> {
-        Self::create_versioned(path, p, arity, VERSION)
-    }
-
-    /// Like [`TrainingWriter::create`] but with an explicit format
-    /// `version` — v1 emits checksum-less blocks for compatibility
-    /// testing against old readers.
-    pub fn create_versioned(path: &Path, p: u32, arity: u32, version: u32) -> io::Result<Self> {
-        if version != VERSION_V1 && version != VERSION_V2 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "unsupported format version",
-            ));
-        }
-        let tmp_path = tmp_path_for(path);
-        let file = File::create(&tmp_path)?;
-        let mut out = BufWriter::new(file);
+        let mut out = AtomicFile::create(path)?;
         let mut buf = Vec::with_capacity(HEADER_LEN);
-        encode_header(&Header { version, p, arity }, &mut buf);
+        encode_header(&Header { version: VERSION, p, arity }, &mut buf);
         out.write_all(&buf)?;
         Ok(TrainingWriter {
             out,
-            tmp_path,
-            final_path: path.to_path_buf(),
             entries: Vec::new(),
             offset: HEADER_LEN as u64,
             p,
             arity,
-            version,
             buf: Vec::new(),
             regions_counter: Counter::new(),
             bytes_counter: Counter::new(),
@@ -109,7 +80,7 @@ impl TrainingWriter {
             ));
         }
         self.buf.clear();
-        encode_block_versioned(block, self.version, &mut self.buf);
+        encode_block_v2(block, &mut self.buf);
         self.out.write_all(&self.buf)?;
         self.entries.push(IndexEntry {
             offset: self.offset,
@@ -127,24 +98,13 @@ impl TrainingWriter {
         self.entries.len()
     }
 
-    /// Write the index and footer, fsync the temp file, and atomically
-    /// rename it over the target path. Only after the rename returns can
-    /// a reader observe the new file — and then always in full.
+    /// Write the index and footer and commit the file: only then can a
+    /// reader observe it — and then always in full.
     pub fn finish(mut self) -> io::Result<()> {
         self.buf.clear();
         encode_index(&self.entries, self.arity, self.offset, &mut self.buf);
         self.out.write_all(&self.buf)?;
-        self.out.flush()?;
-        self.out.get_ref().sync_all()?;
-        fs::rename(&self.tmp_path, &self.final_path)?;
-        // Make the rename itself durable where possible; directory
-        // handles cannot be fsynced on every platform, so best-effort.
-        if let Some(parent) = self.final_path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
-        Ok(())
+        self.out.commit()
     }
 }
 
@@ -168,14 +128,6 @@ mod tests {
         assert_eq!(w.regions_written(), 1);
         w.finish().unwrap();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rejects_unknown_version() {
-        let dir = std::env::temp_dir().join("bw_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("badver.bwtd");
-        assert!(TrainingWriter::create_versioned(&path, 2, 2, 7).is_err());
     }
 
     #[test]
@@ -215,7 +167,7 @@ mod tests {
             b"previous complete file",
             "target must not be clobbered before finish()"
         );
-        assert!(tmp_path_for(&path).exists(), "data streamed to temp file");
+        assert!(dir.join("atomic.bwtd.tmp").exists(), "data streamed to temp file");
 
         // A finished write replaces the target atomically and removes
         // the temp file.
@@ -224,7 +176,7 @@ mod tests {
         b.push(1, &[1.0, 2.0], 3.0);
         w.write_region(&b).unwrap();
         w.finish().unwrap();
-        assert!(!tmp_path_for(&path).exists());
+        assert!(!dir.join("atomic.bwtd.tmp").exists());
         let src = crate::reader::DiskSource::open(&path).unwrap();
         assert_eq!(src.num_regions(), 1);
         std::fs::remove_file(&path).ok();

@@ -5,10 +5,6 @@
 //! the optimized cube builder — then print the resulting span-tree
 //! profile and counters.
 //!
-//! The same run is repeated with the legacy `CubeStats`/`IoStats`
-//! bundles to show the counts agree exactly: the old stats structs are
-//! now views over the same counter machinery.
-//!
 //! The registry also carries the fault-tolerance counters —
 //! `storage/retries` (transient reads absorbed by `RetryingSource`),
 //! `storage/corrupt_blocks` (CRC-32 mismatches on decode),
@@ -59,31 +55,9 @@ fn main() {
     let cube_result =
         cube_pass_traced(&data.space, &cube_input, Parallelism::default(), reg.as_ref());
 
-    // Legacy cross-check: the same pass through the old CubeStats API
-    // must count exactly the same work.
-    let legacy_cube = bellwether::storage::CubeStats::shared();
-    let _ = bellwether::cube::cube_pass_with(
-        &data.space,
-        &cube_input,
-        Parallelism::default(),
-        Some(&legacy_cube),
-    );
     let snap = reg.snapshot();
-    let legacy_snap = legacy_cube.snapshot();
-    for name in [
-        "cube_pass/rows_scanned",
-        "cube_pass/base_cells",
-        "cube_pass/cell_merges",
-        "cube_pass/regions_emitted",
-    ] {
-        assert_eq!(
-            snap.counter(name),
-            legacy_snap.counter(name),
-            "registry and legacy CubeStats disagree on {name}"
-        );
-    }
     println!(
-        "CUBE pass: {} rows scanned, {} regions emitted (matches legacy CubeStats)",
+        "CUBE pass: {} rows scanned, {} regions emitted",
         snap.rows_scanned(),
         snap.regions_emitted()
     );

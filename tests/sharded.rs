@@ -417,11 +417,11 @@ fn damaged_sharded_layouts_are_rejected_at_open() {
 
 /// Exhaustive manifest damage property: *every* truncation length and
 /// *every* single-bit flip of an encoded `manifest.bwsm` is rejected by
-/// `ShardManifest::decode` with a classified `io::Error` — never a
+/// `ShardManifest::decode` as corruption (`is_corrupt`) — never a
 /// panic, never a silently-wrong manifest. The checksum trailer covers
 /// the whole payload and the trailer itself is part of the comparison,
-/// so no bit of the file is unprotected; truncations are caught by the
-/// length floor or the checksum over the shortened payload.
+/// so no bit of the file is unprotected; a truncation fails the checksum
+/// over the shortened payload.
 #[test]
 fn every_manifest_truncation_and_bit_flip_is_rejected() {
     let mut rng = Rng::new(23);
@@ -434,35 +434,16 @@ fn every_manifest_truncation_and_bit_flip_is_rejected() {
     let clean = ShardManifest::decode(&bytes).expect("pristine manifest decodes");
     assert_eq!(clean.encode(), bytes);
 
-    // Every truncation length, 0..len.
-    for len in 0..bytes.len() {
-        let err = match ShardManifest::decode(&bytes[..len]) {
-            Ok(_) => panic!("truncation to {len} bytes must not decode"),
+    // Every truncation length and every single-bit flip: the trailer no
+    // longer matches, which is corruption — permanent, never retried.
+    bellwether_prop::sweep(&bytes, |bad, damage| {
+        let err = match ShardManifest::decode(bad) {
+            Ok(_) => panic!("{damage:?} must not decode"),
             Err(e) => e,
         };
-        assert_eq!(
-            err.kind(),
-            std::io::ErrorKind::InvalidData,
-            "truncation to {len} is classified"
-        );
-    }
-
-    // Every single-bit flip at every byte offset.
-    for byte in 0..bytes.len() {
-        for bit in 0..8 {
-            let mut bad = bytes.clone();
-            bad[byte] ^= 1 << bit;
-            let err = match ShardManifest::decode(&bad) {
-                Ok(_) => panic!("flip at byte {byte} bit {bit} must not decode"),
-                Err(e) => e,
-            };
-            assert_eq!(
-                err.kind(),
-                std::io::ErrorKind::InvalidData,
-                "flip at byte {byte} bit {bit} is classified"
-            );
-        }
-    }
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{damage:?} is classified");
+        assert!(bellwether::storage::is_corrupt(&err), "{damage:?} is corruption: {err}");
+    });
 
     // The same damage written to disk is rejected at dataset open, for
     // a sample of offsets (full coverage above; open adds file IO).
