@@ -13,9 +13,9 @@
 
 use bellwether_bench::{emit_metrics_json, prepare_retail, results_dir, Harness};
 use bellwether_core::build_cube_input;
+use bellwether_cube::cube_pass::cube_pass_reference;
 use bellwether_cube::{
-    cube_pass_reference, cube_pass_traced, cube_pass_with, CubeInput, Dimension, Measure,
-    Parallelism, RegionSpace,
+    cube_pass_traced, cube_pass_with, CubeInput, Dimension, Measure, Parallelism, RegionSpace,
 };
 use bellwether_datagen::{build_stream_workload, generate_retail, RetailConfig, StreamConfig};
 use bellwether_obs::Registry;

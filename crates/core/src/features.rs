@@ -543,10 +543,10 @@ mod tests {
 
         // [1-2, WI] item 1: profit 30, max ad size 3, distinct-ad total 3
         let f = result.features(&RegionId(vec![1, 2]), 1).unwrap();
-        assert_eq!(f, &vec![Some(30.0), Some(3.0), Some(3.0)]);
+        assert_eq!(f.iter().collect::<Vec<_>>(), [Some(30.0), Some(3.0), Some(3.0)]);
         // [1-2, All] item 1: profit 35, max size 9, distinct ads {7,8} → 12
         let f = result.features(&RegionId(vec![1, 0]), 1).unwrap();
-        assert_eq!(f, &vec![Some(35.0), Some(9.0), Some(12.0)]);
+        assert_eq!(f.iter().collect::<Vec<_>>(), [Some(35.0), Some(9.0), Some(12.0)]);
     }
 
     #[test]

@@ -148,12 +148,23 @@ fn sorted(ids: &[i64], at: &[u32], id: i64) -> u32 {
 }
 
 /// The item table: ids plus typed attributes with O(1) id lookup.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ItemTable {
     ids: Vec<i64>,
-    index: HashMap<i64, usize>,
+    index: ItemIndex,
     numeric: Vec<NumericAttr>,
     categorical: Vec<CategoricalAttr>,
+}
+
+/// Index `ids` by table row; an id listed twice is an error.
+fn index_rows(ids: &[i64]) -> Result<ItemIndex> {
+    let index = ItemIndex::new(ids);
+    // A repeated id keeps its first row, so its second does not resolve
+    // to itself.
+    match ids.iter().enumerate().find(|&(row, &id)| index.get(id) != Some(row)) {
+        Some((_, id)) => Err(BellwetherError::Config(format!("duplicate item id {id}"))),
+        None => Ok(index),
+    }
 }
 
 impl ItemTable {
@@ -168,20 +179,11 @@ impl ItemTable {
     ) -> Result<Self> {
         let n = table.num_rows();
         let id_data = table.column_by_name(id_col)?.as_int(id_col)?;
-        let mut ids = Vec::with_capacity(n);
-        let mut index = HashMap::with_capacity(n);
-        for row in 0..n {
-            if !id_data.is_valid(row) {
-                return Err(BellwetherError::Config(format!(
-                    "NULL item id at row {row}"
-                )));
-            }
-            let id = id_data.values[row];
-            if index.insert(id, row).is_some() {
-                return Err(BellwetherError::Config(format!("duplicate item id {id}")));
-            }
-            ids.push(id);
+        if let Some(row) = (0..n).find(|&row| !id_data.is_valid(row)) {
+            return Err(BellwetherError::Config(format!("NULL item id at row {row}")));
         }
+        let ids = id_data.values.clone();
+        let index = index_rows(&ids)?;
 
         let mut numeric = Vec::with_capacity(numeric_cols.len());
         for &name in numeric_cols {
@@ -252,12 +254,7 @@ impl ItemTable {
         categorical: Vec<CategoricalAttr>,
     ) -> Result<Self> {
         let n = ids.len();
-        let mut index = HashMap::with_capacity(n);
-        for (row, &id) in ids.iter().enumerate() {
-            if index.insert(id, row).is_some() {
-                return Err(BellwetherError::Config(format!("duplicate item id {id}")));
-            }
-        }
+        let index = index_rows(&ids)?;
         for a in &numeric {
             if a.values.len() != n {
                 return Err(BellwetherError::Config(format!(
@@ -307,7 +304,12 @@ impl ItemTable {
 
     /// Row index of an item id.
     pub fn row_of(&self, id: i64) -> Option<usize> {
-        self.index.get(&id).copied()
+        self.index.get(id)
+    }
+
+    /// The id → row index, for resolving a whole id lane at once.
+    pub fn index(&self) -> &ItemIndex {
+        &self.index
     }
 
     /// Numeric attributes.
@@ -450,6 +452,13 @@ mod tests {
         let schema = Schema::from_pairs(&[("id", DataType::Int)]).unwrap();
         let t = Table::new(schema, vec![Column::from_ints(vec![1, 1])]).unwrap();
         assert!(ItemTable::from_table(&t, "id", &[], &[]).is_err());
+        // Compact ids take the direct index, spread ones the sorted one.
+        for ids in [vec![3, 4, 5, 4], vec![1 << 40, 5, -9, 1 << 40]] {
+            let err = ItemTable::from_parts(ids.clone(), vec![], vec![]).unwrap_err();
+            assert!(err.to_string().contains(&format!("duplicate item id {}", ids[3])), "{err}");
+            let distinct = ItemTable::from_parts(ids[..3].to_vec(), vec![], vec![]).unwrap();
+            assert_eq!(distinct.row_of(ids[2]), Some(2));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! uniformly.
 
 use crate::error::Result;
-use crate::items::{ItemIndex, ItemTable};
+use crate::items::{ItemIndex, ItemTable, NO_ITEM};
 use bellwether_cube::{CubeResult, Parallelism, RegionId, RegionSpace};
 use bellwether_linreg::RegressionData;
 use bellwether_storage::{MemorySource, RegionBlock, TrainingWriter};
@@ -21,7 +21,8 @@ use std::path::Path;
 /// Assemble one region's training block from the cube result.
 ///
 /// Items included are those with data in the region *and* a known target
-/// (the paper's `I_r`, intersected with τ's domain).
+/// (the paper's `I_r`, intersected with τ's domain), ascending by id as
+/// the region's id lane is; every feature lane is one gather over them.
 pub fn region_block(
     cube: &CubeResult,
     region: &RegionId,
@@ -29,28 +30,34 @@ pub fn region_block(
     targets: &HashMap<i64, f64>,
 ) -> RegionBlock {
     let statics = items.numeric_attrs();
-    let p = (1 + statics.len() + cube.measure_names.len()) as u32;
-    let mut block = RegionBlock::new(region.0.clone(), p);
-
-    let Some(region_items) = cube.regions.get(region) else {
-        return block;
+    let p = 1 + statics.len() + cube.measure_names.len();
+    let Some(cols) = cube.regions.get(region) else {
+        return RegionBlock::new(region.0.clone(), p as u32);
     };
-    // Deterministic example order: sort by item id.
-    let mut entries: Vec<(i64, &Vec<Option<f64>>)> =
-        region_items.iter().map(|(&id, values)| (id, values)).collect();
-    entries.sort_unstable_by_key(|&(id, _)| id);
-
-    let mut x = Vec::with_capacity(p as usize);
-    for (id, regional) in entries {
-        let Some(&target) = targets.get(&id) else { continue };
-        let Some(row) = items.row_of(id) else { continue };
-        x.clear();
-        x.push(1.0);
-        x.extend(statics.iter().map(|a| a.values[row]));
-        x.extend(regional.iter().map(|v| v.unwrap_or(0.0)));
-        block.push(id, &x, target);
+    let ids = cols.item_ids();
+    let mut rows = Vec::new();
+    items.index().resolve_into(ids, &mut rows);
+    // The examples: where in the id lane, and the target.
+    let kept: Vec<(usize, f64)> = (0..ids.len())
+        .filter(|&at| rows[at] != NO_ITEM)
+        .filter_map(|at| Some((at, *targets.get(&ids[at])?)))
+        .collect();
+    if kept.is_empty() {
+        return RegionBlock::new(region.0.clone(), p as u32);
     }
-    block
+    fn gather(kept: &[(usize, f64)], lane: impl Fn(usize) -> f64) -> Vec<f64> {
+        kept.iter().map(|&(at, _)| lane(at)).collect()
+    }
+    let mut lanes = Vec::with_capacity(p);
+    lanes.push(vec![1.0; kept.len()]);
+    lanes.extend(statics.iter().map(|a| gather(&kept, |at| a.values[rows[at] as usize])));
+    lanes.extend((0..cube.measure_names.len()).map(|m| {
+        let lane = cols.values(m);
+        gather(&kept, |at| lane[at])
+    }));
+    let item_ids = kept.iter().map(|&(at, _)| ids[at]).collect();
+    let ys = kept.iter().map(|&(_, y)| y).collect();
+    RegionBlock::from_columns(region.0.clone(), p as u32, item_ids, lanes, ys)
 }
 
 /// Build an in-memory entire-training-data source over `regions`
@@ -114,14 +121,8 @@ pub fn write_disk_source(
     items: &ItemTable,
     targets: &HashMap<i64, f64>,
 ) -> Result<()> {
-    let n_static = items.numeric_attrs().len();
-    let p = (1 + n_static + cube.measure_names.len()) as u32;
-    let mut writer = TrainingWriter::create(path, p, space.arity() as u32)?;
-    for r in regions {
-        writer.write_region(&region_block(cube, r, items, targets))?;
-    }
-    writer.finish()?;
-    Ok(())
+    let unread = bellwether_obs::Registry::new();
+    write_disk_source_in_registry(path, cube, regions, space, items, targets, &unread)
 }
 
 /// Like [`write_disk_source`], but the writer reports

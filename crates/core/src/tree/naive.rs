@@ -36,8 +36,8 @@ pub fn build_naive(
         info: None,
         split: None,
     });
-    let index = ItemIndex::new(items.ids());
-    split_node(0, source, space, items, &index, problem, tree_cfg, &mut tree)?;
+    let index = items.index();
+    split_node(0, source, space, items, index, problem, tree_cfg, &mut tree)?;
     problem.recorder.add(names::TREE_NODES, tree.nodes.len() as u64);
     Ok(tree)
 }

@@ -16,7 +16,7 @@ use super::{
 };
 use crate::error::Result;
 use crate::eval::record_eval_stats;
-use crate::items::{ItemIndex, ItemTable};
+use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, WithScratch};
 use crate::tree::naive::goodness_of;
@@ -94,7 +94,7 @@ pub fn build_rainforest(
 ) -> Result<BellwetherTree> {
     let _timer = span!(problem.recorder, "tree/rainforest");
     let rows = root_rows.unwrap_or_else(|| (0..items.len()).collect());
-    let index = ItemIndex::new(items.ids());
+    let index = items.index();
     let mut tree = BellwetherTree {
         nodes: Vec::new(),
         skipped_regions: Vec::new(),
@@ -137,7 +137,7 @@ pub fn build_rainforest(
             .iter()
             .map(|e| (tree.nodes[e.node_id].item_rows.as_slice(), e.candidates.as_slice()))
             .collect();
-        let plan = LevelPlan::new(&index, problem.error_measure, &nodes);
+        let plan = LevelPlan::new(index, problem.error_measure, &nodes);
         stat_slots = stat_slots.max(plan.stat_slots());
 
         // The level's single scan over the entire training data, run

@@ -201,6 +201,7 @@ fn snapshot_bytes(
     src: &dyn TrainingSource,
     wl: &StreamWorkload,
     threads: usize,
+    tag: &str,
 ) -> Vec<u8> {
     let config = config_for(threads, f64::INFINITY);
     let cost = UniformCellCost { rate: 1.0 };
@@ -281,18 +282,18 @@ fn snapshot_bytes(
         other => panic!("unknown builder {other}"),
     };
     let model = mb.build().unwrap();
-    let path = std::env::temp_dir().join(format!("bw_stream_snap_{builder}_{threads}.bwsn"));
+    let path = std::env::temp_dir().join(format!("bw_stream_snap_{tag}_{builder}_{threads}.bwsn"));
     model.save(&path).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
     bytes
 }
 
-/// Satellite property: every one of the seven model builders produces
-/// byte-identical snapshots from the streamed layout and from a cold
-/// rebuild, at shards {1,2,4} × threads {1,2,4}.
-#[test]
-fn all_seven_builders_match_cold_rebuild() {
+/// Every one of the seven model builders produces byte-identical
+/// snapshots from the streamed layout and from a cold rebuild, at each
+/// of `shard_counts` × `thread_counts`. `run` keeps concurrent runs out
+/// of each other's temp files.
+fn builders_match_cold_rebuild(run: &str, shard_counts: &[usize], thread_counts: &[usize]) {
     const BUILDERS: [&str; 7] = [
         "basic",
         "basic_linear",
@@ -304,19 +305,19 @@ fn all_seven_builders_match_cold_rebuild() {
     ];
     let wl = build_stream_workload(&StreamConfig::default());
     let weeks = wl.config().weeks;
-    for shards in [1usize, 2, 4] {
-        let tag = format!("builders_{shards}");
+    for &shards in shard_counts {
+        let tag = format!("builders_{run}_{shards}");
         let mut engine = build_engine(&wl, 3, 1, f64::INFINITY, shards, &tag);
         for week in 3..weeks {
             engine.append(&wl.input_range(week, week + 1)).unwrap();
         }
         let streamed = ShardedSource::open(engine.dir()).unwrap();
-        let cold_dir = cold_layout(&wl, weeks, shards, &format!("builders_cold_{shards}"));
+        let cold_dir = cold_layout(&wl, weeks, shards, &format!("{tag}_cold"));
         let cold = ShardedSource::open(&cold_dir).unwrap();
         for builder in BUILDERS {
-            for threads in [1usize, 2, 4] {
-                let a = snapshot_bytes(builder, &streamed, &wl, threads);
-                let b = snapshot_bytes(builder, &cold, &wl, threads);
+            for &threads in thread_counts {
+                let a = snapshot_bytes(builder, &streamed, &wl, threads, &tag);
+                let b = snapshot_bytes(builder, &cold, &wl, threads, &tag);
                 assert_eq!(
                     a, b,
                     "snapshot mismatch: builder={builder} shards={shards} threads={threads}"
@@ -326,6 +327,20 @@ fn all_seven_builders_match_cold_rebuild() {
         std::fs::remove_dir_all(engine.dir()).ok();
         std::fs::remove_dir_all(&cold_dir).ok();
     }
+}
+
+/// The default run: one sharded layout, sequential and parallel scans.
+#[test]
+fn all_seven_builders_match_cold_rebuild() {
+    builders_match_cold_rebuild("default", &[2], &[1, 4]);
+}
+
+/// The full matrix, shards {1,2,4} × threads {1,2,4}: CI's `build-test`
+/// job runs it (`-- --include-ignored`).
+#[test]
+#[ignore = "4x the default run; CI includes it"]
+fn all_seven_builders_match_cold_rebuild_full_matrix() {
+    builders_match_cold_rebuild("full", &[1, 2, 4], &[1, 2, 4]);
 }
 
 /// Satellite property: the drift report is deterministic — same seed

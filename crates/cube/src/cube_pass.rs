@@ -53,14 +53,17 @@
 //! for every thread count**, floating-point and all. Merging preserves
 //! copy-first semantics: the first contribution to a slot is written,
 //! not merged into a zero-initialised accumulator, so even signed-zero
-//! corner cases match the retained row-at-a-time oracle. (The
-//! [`cube_pass_reference`] kernel predates the determinism guarantee: it
-//! merges in hash-iteration order, which is stable only for
-//! exactly-representable arithmetic.)
+//! corner cases match the retained row-at-a-time oracle. The
+//! [`cube_pass_reference`] kernel — the fallback when the dense key would
+//! overflow — folds its base cells in `(coords, item)` order, so it too
+//! returns the same bits on every call.
 //!
-//! The result maps every region to its per-item feature vectors, plus
-//! coverage counts — everything basic bellwether search needs.
+//! The result maps every region to its [`RegionColumns`]: the items with
+//! data in it, ascending, and one flat lane per measure — the relation a
+//! training block is copied from, not a lookup structure.
 
+pub use crate::columns::{RegionColumns, Row, RowIter};
+use crate::columns::Lane;
 use crate::dimension::Dimension;
 use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
@@ -69,8 +72,9 @@ use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::{names, span, NoopRecorder, Recorder};
 use bellwether_table::ops::AggFunc;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Fixed scan granularity: fact rows are folded in chunks of this many
@@ -862,28 +866,27 @@ impl StateTable {
     }
 }
 
-/// Per-item feature vectors of one region.
-pub(crate) type ItemFeatures = HashMap<i64, Vec<Option<f64>>>;
-
-/// Per-region, per-item aggregate vectors produced by [`cube_pass`].
+/// Per-region aggregate columns produced by [`cube_pass`].
 #[derive(Debug, Clone)]
 pub struct CubeResult {
     /// Feature names, in measure order.
     pub measure_names: Vec<String>,
-    /// `region → item → feature values` (`None` = NULL aggregate).
-    pub regions: HashMap<RegionId, HashMap<i64, Vec<Option<f64>>>>,
+    /// `region → its items' aggregates`. Regions a pass finished from the
+    /// same state (`[1..t] × n` over weeks with no rows under `n`) share
+    /// one allocation.
+    pub regions: HashMap<RegionId, Arc<RegionColumns>>,
 }
 
 impl CubeResult {
     /// Number of distinct items with data in `r` (the coverage
     /// numerator `|I_r|`).
     pub fn coverage_count(&self, r: &RegionId) -> usize {
-        self.regions.get(r).map_or(0, HashMap::len)
+        self.regions.get(r).map_or(0, |cols| cols.len())
     }
 
     /// The feature vector of `item` in region `r`, if the item has data.
-    pub fn features(&self, r: &RegionId, item: i64) -> Option<&Vec<Option<f64>>> {
-        self.regions.get(r)?.get(&item)
+    pub fn features(&self, r: &RegionId, item: i64) -> Option<Row<'_>> {
+        self.regions.get(r)?.get(item)
     }
 
     /// Coverage counts for every region (input to iceberg pruning).
@@ -1245,10 +1248,9 @@ pub(crate) struct RegionTable {
     /// The largest base cell folded so far (runs arrive ascending). The
     /// delta pass may fold a cell past it straight onto this state.
     pub(crate) last_cell: u64,
-    /// Where in the current walk's output the features finished from
-    /// this very state sit; `None` once a cell arrives, and between
-    /// walks.
-    emitted: Option<usize>,
+    /// The columns finished from this very state; `None` once a cell
+    /// arrives.
+    emitted: Option<Arc<RegionColumns>>,
 }
 
 /// How phase 2 lays a region space out for its walk.
@@ -1351,54 +1353,36 @@ impl RollupPlan {
     }
 }
 
-/// Finalize one table's lanes into per-item feature vectors, written
-/// over `stale` — the features the same region was finished into before
-/// it took more cells; an item never leaves a region — when there are
-/// any. The table stays valid for further cells: keep-last dedup
-/// composes, so deduplicating now and again after more cells is
-/// bit-equal to one dedup at the end.
-fn finish_region(ks: &KeySpace, table: &mut RegionTable, stale: Option<ItemFeatures>) -> ItemFeatures {
+/// Finalize one table's lanes into the region's columns, in item order
+/// (slot order in a dense table; a hashed one sorts its pairs once). The
+/// table stays valid for further cells: keep-last dedup composes, so a
+/// dedup now and another after more cells equal one dedup at the end.
+fn finish_region(ks: &KeySpace, table: &mut RegionTable) -> RegionColumns {
     for col in &mut table.cols {
         col.dedup_distinct();
     }
-    let mut items = stale.unwrap_or_else(|| {
-        HashMap::with_capacity(match &table.slots {
-            ItemSlots::Dense(occupied) => occupied.iter().filter(|&&o| o).count(),
-            ItemSlots::Hashed(index) => index.len(),
-        })
-    });
-    let mut emit = |item: usize, slot: usize| {
-        let values = table.cols.iter().map(|c| c.finish_at(slot));
-        match items.entry(ks.items[item]) {
-            Entry::Occupied(old) => old.into_mut().iter_mut().zip(values).for_each(|(o, v)| *o = v),
-            Entry::Vacant(new) => {
-                new.insert(values.collect());
-            }
-        }
-    };
-    match &table.slots {
-        ItemSlots::Dense(occupied) => {
-            for (i, &occ) in occupied.iter().enumerate() {
-                if occ {
-                    emit(i, i);
-                }
-            }
-        }
-        ItemSlots::Hashed(index) => {
-            for (&item, &slot) in index {
-                emit(item as usize, slot as usize);
-            }
-        }
+    #[cfg(test)]
+    if tests::row_finish_oracle() {
+        return RegionColumns::from_rows(tests::finish_region_by_rows(ks, table));
     }
-    items
+    let mut slots: Vec<(u32, u32)> = match &table.slots {
+        ItemSlots::Dense(occupied) => {
+            (0u32..).zip(occupied).filter_map(|(i, &occ)| occ.then_some((i, i))).collect()
+        }
+        ItemSlots::Hashed(index) => index.iter().map(|(&item, &slot)| (item, slot)).collect(),
+    };
+    slots.sort_unstable();
+    let lane = |c: &StateCol| Lane::collect(slots.len(), slots.iter().map(|&(_, s)| c.finish_at(s as usize)));
+    let lanes = table.cols.iter().map(lane).collect();
+    RegionColumns::from_lanes(slots.iter().map(|&(i, _)| ks.items[i as usize]).collect(), lanes)
 }
 
 /// What a walk leaves behind.
 pub(crate) struct Rolled {
     /// The running tables at the end of the walk, by table key.
     pub(crate) tables: FxMap<u64, RegionTable>,
-    /// Every region handed out, by region key.
-    pub(crate) finished: Vec<(u64, ItemFeatures)>,
+    /// Every region handed out.
+    pub(crate) finished: Vec<(RegionId, Arc<RegionColumns>)>,
     /// Merges into an occupied slot.
     pub(crate) merges: u64,
     /// Nanoseconds spent merging cells and finishing tables, when timed.
@@ -1413,12 +1397,9 @@ pub(crate) struct Walk<'a> {
     /// Sorted region keys to hand out (`None` = all).
     filter: Option<&'a [u64]>,
     pub(crate) tables: FxMap<u64, RegionTable>,
-    /// By region key, features an earlier walk finished for a region
-    /// this walk is about to hand out again, to be overwritten in place.
-    pub(crate) stale: FxMap<u64, ItemFeatures>,
     /// The earliest epoch not yet closed.
     epoch: u64,
-    rolled_out: Vec<(u64, ItemFeatures)>,
+    rolled_out: Vec<(RegionId, Arc<RegionColumns>)>,
     merges: u64,
     /// When a timed walk began, and how much of it went into finishing.
     started: Option<Instant>,
@@ -1444,7 +1425,6 @@ impl<'a> Walk<'a> {
             ks,
             filter,
             tables: FxMap::default(),
-            stale: FxMap::default(),
             epoch: 0,
             rolled_out: Vec::new(),
             merges: 0,
@@ -1460,8 +1440,8 @@ impl<'a> Walk<'a> {
     /// `until` that is still open: call with a cell's epoch *before*
     /// flushing the cell, so a region is finished after the last cell it
     /// contains and before the first it does not. A table no cell has
-    /// reached since it was last finished hands out a copy of those
-    /// features instead.
+    /// reached since it was last finished hands the same columns out
+    /// again.
     pub(crate) fn close_epochs(&mut self, until: u64) {
         if until <= self.epoch {
             return;
@@ -1474,12 +1454,10 @@ impl<'a> Walk<'a> {
                 if self.filter.is_some_and(|keep| keep.binary_search(&region).is_err()) {
                     continue;
                 }
-                let features = match table.emitted {
-                    Some(at) => self.rolled_out[at].1.clone(),
-                    None => finish_region(self.ks, table, self.stale.remove(&region)),
-                };
-                table.emitted = Some(self.rolled_out.len());
-                self.rolled_out.push((region, features));
+                let columns =
+                    table.emitted.take().unwrap_or_else(|| Arc::new(finish_region(self.ks, table)));
+                table.emitted = Some(Arc::clone(&columns));
+                self.rolled_out.push((RegionId(self.ks.decode_region(region)), columns));
             }
         }
         if let Some(started) = started {
@@ -1554,9 +1532,6 @@ impl<'a> Walk<'a> {
     /// Close every remaining epoch and hand the walk's state over.
     pub(crate) fn finish(mut self) -> Rolled {
         self.close_epochs(self.plan.n_epochs);
-        for table in self.tables.values_mut() {
-            table.emitted = None;
-        }
         let finish = self.finish_nanos;
         Rolled {
             tables: self.tables,
@@ -1661,24 +1636,6 @@ pub(crate) fn rollup_walk(
     })
 }
 
-/// Phase 2: [`rollup_walk`] over every region.
-pub(crate) fn expand_rollup(
-    space: &RegionSpace,
-    ks: &KeySpace,
-    shards: &[StateTable],
-    threads: usize,
-    rec: &dyn Recorder,
-) -> (HashMap<RegionId, ItemFeatures>, u64) {
-    let plan = RollupPlan::new(space, ks);
-    let rolled = rollup_walk(&plan, ks, shards, threads, None, rec);
-    let regions = rolled
-        .finished
-        .into_iter()
-        .map(|(region, features)| (RegionId(ks.decode_region(region)), features))
-        .collect();
-    (regions, rolled.merges)
-}
-
 /// Run the CUBE pass over fact data with default [`Parallelism`].
 pub fn cube_pass(space: &RegionSpace, input: &CubeInput) -> CubeResult {
     cube_pass_with(space, input, Parallelism::default(), None)
@@ -1724,16 +1681,16 @@ pub fn cube_pass_traced(
 /// differential-testing reference and as the fallback when the dense
 /// key encoding would overflow a `u64`.
 ///
-/// Unlike [`cube_pass`], its phase-2 merge order follows hash-map
-/// iteration, so floating-point aggregates are only reproducible when
-/// the arithmetic is exact (e.g. integer-valued sums).
+/// Phase 2 folds the base cells in ascending `(coords, item)` order — the
+/// order [`cube_pass`] folds them in — so every call returns the same
+/// bits, floating-point sums and keep-last distinct values included.
 pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult {
     let n = input.item_ids.len();
     let arity = space.arity();
     input.check_shape(arity).unwrap_or_else(|e| panic!("{e}"));
 
     // Phase 1: base-cell aggregation keyed by (finest coords, item).
-    let mut base: HashMap<(Vec<u32>, i64), Vec<CellState>> = HashMap::new();
+    let mut base: BTreeMap<(Vec<u32>, i64), Vec<CellState>> = BTreeMap::new();
     for row in 0..n {
         let coords = input.coords[row * arity..(row + 1) * arity].to_vec();
         let key = (coords, input.item_ids[row]);
@@ -1745,7 +1702,7 @@ pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult
         }
     }
 
-    // Phase 2: expand base cells into all containing regions.
+    // Phase 2: expand base cells, in key order, into all containing regions.
     let mut regions: HashMap<RegionId, HashMap<i64, Vec<CellState>>> = HashMap::new();
     for ((coords, item), states) in &base {
         for region in space.containing_regions(coords) {
@@ -1768,11 +1725,11 @@ pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult
     let regions = regions
         .into_iter()
         .map(|(r, items)| {
-            let items = items
+            let rows = items
                 .into_iter()
                 .map(|(i, states)| (i, states.iter().map(CellState::finish).collect()))
                 .collect();
-            (r, items)
+            (r, Arc::new(RegionColumns::from_rows(rows)))
         })
         .collect();
     CubeResult {
@@ -1787,7 +1744,8 @@ pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult
 ///
 /// This evaluates the same feature queries over an *arbitrary* union of
 /// cells — the shape the random-sampling baseline of Figure 7(a) buys,
-/// which "may not correspond to any OLAP-style region".
+/// which "may not correspond to any OLAP-style region" (hence per-item
+/// vectors, the one result that is not a [`RegionColumns`]).
 pub fn aggregate_filtered(
     input: &CubeInput,
     arity: usize,
@@ -1858,7 +1816,7 @@ pub(crate) mod tests {
     use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
     use crate::testutil::{
-        assert_bit_identical, gen_distinct_input, measures_of_every_kind, space,
+        assert_bit_identical, gen_distinct_input, gen_input, measures_of_every_kind, space,
     };
     use bellwether_prop::check;
     use std::cell::Cell;
@@ -1878,6 +1836,34 @@ pub(crate) mod tests {
         /// whatever the space: the flat walk that folds every cell into
         /// every region containing it, kept as the oracle.
         static ONE_EPOCH: Cell<bool> = const { Cell::new(false) };
+        /// Whether the regions this thread finishes go through
+        /// [`finish_region_by_rows`].
+        static ROW_FINISH: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn row_finish_oracle() -> bool {
+        ROW_FINISH.with(Cell::get)
+    }
+
+    /// The finish the lane finish replaced, kept as its oracle: one
+    /// feature vector per item, in whatever order the slots come.
+    pub(super) fn finish_region_by_rows(
+        ks: &KeySpace,
+        table: &RegionTable,
+    ) -> HashMap<i64, Vec<Option<f64>>> {
+        let row = |slot: usize| table.cols.iter().map(|c| c.finish_at(slot)).collect();
+        match &table.slots {
+            ItemSlots::Dense(occupied) => occupied
+                .iter()
+                .enumerate()
+                .filter(|&(_, &occ)| occ)
+                .map(|(i, _)| (ks.items[i], row(i)))
+                .collect(),
+            ItemSlots::Hashed(index) => index
+                .iter()
+                .map(|(&item, &slot)| (ks.items[item as usize], row(slot as usize)))
+                .collect(),
+        }
     }
 
     pub(super) fn one_epoch_oracle() -> bool {
@@ -1949,8 +1935,9 @@ pub(crate) mod tests {
     fn get(result: &CubeResult, r: Vec<u32>, item: i64) -> Vec<Option<f64>> {
         result
             .features(&RegionId(r), item)
-            .cloned()
             .unwrap_or_else(|| panic!("missing cell"))
+            .iter()
+            .collect()
     }
 
     #[test]
@@ -2061,7 +2048,7 @@ pub(crate) mod tests {
         let filtered = aggregate_filtered(&inp, 2, |c| c[0] <= 1 && (c[1] == 2 || c[1] == 3));
         let cube = cube_pass(&s, &inp);
         let want = cube.features(&RegionId(vec![1, 1]), 1).unwrap();
-        assert_eq!(filtered.get(&1).unwrap(), want);
+        assert!(want.iter().eq(filtered[&1].iter().copied()));
     }
 
     #[test]
@@ -2100,6 +2087,77 @@ pub(crate) mod tests {
         let fast = cube_pass(&s, &inp);
         let reference = cube_pass_reference(&s, &inp);
         assert_bit_identical(&fast, &reference, "fast vs reference");
+    }
+
+    #[test]
+    fn reference_fallback_is_order_deterministic() {
+        // Tenths over all 18 base cells of every item: no two orders of
+        // adding them agree on every region's low bits.
+        let s = space();
+        let cells: Vec<(u32, u32)> =
+            (0..6).flat_map(|t| [2u32, 3, 5].map(|leaf| (t, leaf))).collect();
+        let rows: Vec<(i64, (u32, u32))> =
+            (0..12).flat_map(|item| cells.iter().map(move |&c| (item, c))).collect();
+        let inp = CubeInput {
+            item_ids: rows.iter().map(|&(item, _)| item).collect(),
+            coords: rows.iter().flat_map(|&(_, (t, leaf))| [t, leaf]).collect(),
+            measures: vec![
+                Measure::Numeric {
+                    name: "s".into(),
+                    func: AggFunc::Sum,
+                    values: (1..=rows.len()).map(|k| Some(k as f64 * 0.1)).collect(),
+                },
+                // Every cell gives key 7 a value of its own: which cell
+                // merged last shows.
+                Measure::DistinctKeyed {
+                    name: "d".into(),
+                    func: AggFunc::Sum,
+                    keys: vec![Some(7); rows.len()],
+                    values: (1..=rows.len()).map(|k| k as f64 * 0.3).collect(),
+                },
+            ],
+        };
+        let first = cube_pass_reference(&s, &inp);
+        for call in 1..4 {
+            assert_bit_identical(&cube_pass_reference(&s, &inp), &first, &format!("call {call}"));
+        }
+        // And the order is the kernel's own: one row a cell, so the two
+        // differ in nothing but how they walk.
+        assert_bit_identical(&cube_pass(&s, &inp), &first, "kernel vs reference");
+    }
+
+    #[test]
+    fn lane_finish_matches_the_row_finish_oracle() {
+        let with_row_finish = |f: &dyn Fn() -> CubeResult| {
+            ROW_FINISH.with(|o| o.set(true));
+            let out = f();
+            ROW_FINISH.with(|o| o.set(false));
+            out
+        };
+        let check = |what: &str, pass: &dyn Fn() -> CubeResult| {
+            let (lanes, rows) = (pass(), with_row_finish(pass));
+            assert_bit_identical(&lanes, &rows, what);
+            assert_eq!(lanes.regions, rows.regions, "{what}: lanes, NULL filler included");
+            for cols in lanes.regions.values() {
+                assert!(cols.item_ids().windows(2).all(|w| w[0] < w[1]), "{what}: {cols:?}");
+            }
+        };
+        let s = space();
+        let par = Parallelism::sequential();
+        // Dense item slots: ids scrambled against their rank.
+        let items: Vec<i64> = (0..40).map(|i| (i * 37) % 41 - 20).collect();
+        let inp = gen_input(3, 5000, &items);
+        check("dense", &|| cube_pass_with(&s, &inp, par, None));
+        // Hashed slots: a universe past 2^16 items, slots assigned in
+        // arrival order, extended by an append.
+        let universe: Vec<i64> = (-3..(1 << 16)).collect();
+        let sparse: Vec<i64> = (0..40).map(|i| (i * 7919) % 60_000).collect();
+        let (base, delta) = (gen_input(4, 600, &sparse[..25]), gen_input(5, 600, &sparse));
+        check("hashed", &|| {
+            let mut stream = StreamingCube::new(&s, &base, &universe, par).unwrap();
+            stream.append(&delta).unwrap();
+            stream.result().clone()
+        });
     }
 
     #[test]
@@ -2462,7 +2520,7 @@ pub(crate) mod tests {
         assert_eq!(pairs_touched(), before, "the oracle pass ran union_into");
         // `d_count` is the length of a slot's list.
         let counts: Vec<f64> =
-            oracle.regions.values().flat_map(|items| items.values()).filter_map(|v| v[4]).collect();
+            oracle.regions.values().flat_map(|items| items.iter()).filter_map(|(_, v)| v.get(4)).collect();
         assert!(counts.iter().any(|&c| c < SMALL_PAIRS_MAX as f64), "no short list");
         assert!(counts.iter().any(|&c| c > SMALL_PAIRS_MAX as f64 * 2.0), "no long list");
 

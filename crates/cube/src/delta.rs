@@ -63,8 +63,8 @@
 //! outside the universe is an error.
 
 use crate::cube_pass::{
-    chunk_range, dedup_pairs, fold_chunk, rollup_walk, CubeInput, CubeResult, ItemFeatures,
-    KeySpace, Measure, RegionTable, RollupPlan, StateCol, StateTable, Walk, ROW_CHUNK,
+    chunk_range, dedup_pairs, fold_chunk, rollup_walk, CubeInput, CubeResult, KeySpace, Measure,
+    RegionTable, RollupPlan, StateCol, StateTable, Walk, ROW_CHUNK,
 };
 use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
@@ -309,10 +309,6 @@ impl StreamingCube {
                     }
                     Entry::Occupied(e) => {
                         walk.tables.insert(key, e.remove());
-                        for region in regions_from(epoch, key) {
-                            let id = RegionId(self.ks.decode_region(region));
-                            walk.stale.extend(self.result.regions.remove(&id).map(|old| (region, old)));
-                        }
                         true
                     }
                     Entry::Vacant(_) => true,
@@ -328,7 +324,7 @@ impl StreamingCube {
         }
         let rolled = walk.finish();
         self.tables.extend(rolled.tables);
-        self.patch(rolled.finished);
+        self.result.regions.extend(rolled.finished);
 
         dirty_keys.sort_unstable();
         if !rebuild.is_empty() {
@@ -450,14 +446,7 @@ impl StreamingCube {
         let shards = std::slice::from_ref(&table);
         let rolled = rollup_walk(&self.plan, &self.ks, shards, self.threads(), filter, &NoopRecorder);
         self.tables.extend(rolled.tables);
-        self.patch(rolled.finished);
-    }
-
-    /// Put freshly finished regions into the result.
-    fn patch(&mut self, finished: Vec<(u64, ItemFeatures)>) {
-        for (region, features) in finished {
-            self.result.regions.insert(RegionId(self.ks.decode_region(region)), features);
-        }
+        self.result.regions.extend(rolled.finished);
     }
 }
 

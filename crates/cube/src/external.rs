@@ -13,7 +13,7 @@
 //! `shard/spill_bytes` for volume) until the budget holds again.
 //! Finally all runs — spilled and resident alike, in formation order —
 //! are k-way merged by key into sorted output segments and rolled up by
-//! `expand_rollup`. The entry points differ only in the two numbers they
+//! `rollup_walk`. The entry points differ only in the two numbers they
 //! fix: [`cube_pass_external`] takes [`RUN_CHUNKS`] chunks per run and
 //! the caller's budget; the in-memory [`crate::cube_pass`] functions
 //! take one run of all chunks and no budget, so nothing spills and the
@@ -44,7 +44,7 @@
 //! be useful, independent of how many fact rows collapsed into it; and
 //! the rollup's own state, one running table per trailing-coordinate
 //! combination × items when an interval leads the space (per region
-//! otherwise), beside the finished features that are the result.
+//! otherwise), beside the finished columns that are the result.
 //!
 //! # What a spill costs
 //!
@@ -59,8 +59,8 @@
 //! bytes.
 
 use crate::cube_pass::{
-    cube_pass_reference, expand_rollup, fold_chunks, merge_chunks, strictly_ascending, CubeInput,
-    CubeResult, KeySpace, StateCol, StateTable, ROW_CHUNK,
+    cube_pass_reference, fold_chunks, merge_chunks, rollup_walk, strictly_ascending, CubeInput,
+    CubeResult, KeySpace, RollupPlan, StateCol, StateTable, ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -746,21 +746,21 @@ pub(crate) fn cube_pass_runs(
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
 
     // Phase 2: the rollup (segmentation-tolerant).
-    let (regions, merges_2) = {
+    let rolled = {
         let _t = span!(rec, "cube_pass/phase2_rollup");
-        expand_rollup(space, &ks, &shards, threads, rec)
+        rollup_walk(&RollupPlan::new(space, &ks), &ks, &shards, threads, None, rec)
     };
 
     rec.add(names::CUBE_PASS_ROWS_SCANNED, total_rows as u64);
     rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
     rec.add(
         names::CUBE_PASS_CELL_MERGES,
-        run_merges + final_merges + merges_2,
+        run_merges + final_merges + rolled.merges,
     );
-    rec.add(names::CUBE_PASS_REGIONS_EMITTED, regions.len() as u64);
+    rec.add(names::CUBE_PASS_REGIONS_EMITTED, rolled.finished.len() as u64);
     Ok(CubeResult {
         measure_names,
-        regions,
+        regions: rolled.finished.into_iter().collect(),
     })
 }
 
@@ -768,6 +768,7 @@ pub(crate) fn cube_pass_runs(
 mod tests {
     use super::*;
     use crate::cube_pass::{chunk_range, cube_pass_with, fold_chunk, Measure};
+    use crate::region::RegionId;
     use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
     use bellwether_obs::{NoopRecorder, Registry};
 
@@ -910,6 +911,34 @@ mod tests {
     }
 
     #[test]
+    fn a_key_space_past_u64_takes_the_reference_kernel() {
+        // 2^32 - 1 time points three times over: no dense key. Rows sit
+        // at the last two points of each, so a cell is in at most eight
+        // regions.
+        let max_t = u32::MAX;
+        let wide = RegionSpace::new(vec![
+            crate::dimension::Dimension::Interval { name: "T".into(), max_t };
+            3
+        ]);
+        assert!(KeySpace::build(&wide, &[1]).is_none());
+        let slice = |seed: u64| {
+            let mut inp = input(200, seed);
+            inp.coords = (0..200u32).flat_map(|r| [0, 1, 2].map(|d| max_t - 1 - (r >> d & 1))).collect();
+            inp
+        };
+        let slices = [slice(1), slice(2)];
+        let got = cube_pass_external(&wide, &slices, par(2), 0, &NoopRecorder).unwrap();
+        let mut concat = slices[0].clone();
+        concat.extend(&slices[1]);
+        assert_bit_identical(&got, &cube_pass_reference(&wide, &concat), "fallback");
+        assert_eq!(got.regions.len(), 8);
+        let all = RegionId(vec![max_t - 1; 3]);
+        assert_eq!(got.coverage_count(&all), items().len());
+        let rows_of_item_0 = concat.item_ids.iter().filter(|&&id| id == 0).count() as f64;
+        assert_eq!(got.features(&all, 0).unwrap().get(4), Some(rows_of_item_0), "the count lane");
+    }
+
+    #[test]
     fn empty_inputs_yield_empty_results() {
         let sp = space();
         let got = cube_pass_external(&sp, &[], par(1), 0, &NoopRecorder).unwrap();
@@ -990,8 +1019,8 @@ mod tests {
         let widest = unlimited
             .regions
             .values()
-            .flat_map(|items| items.values())
-            .filter_map(|v| v[4])
+            .flat_map(|items| items.iter())
+            .filter_map(|(_, v)| v.get(4))
             .fold(0.0, f64::max);
         assert_eq!(widest, 65.0, "distinct keys of the widest slot");
         for threads in [1usize, 2, 4] {

@@ -34,6 +34,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod columns;
 pub mod cost;
 pub mod cube_pass;
 pub mod delta;
@@ -52,8 +53,8 @@ mod testutil;
 pub use bellwether_obs::{NoopRecorder, Recorder, Registry};
 pub use cost::{CellTableCost, CostModel, ProductCost, UniformCellCost};
 pub use cube_pass::{
-    aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_reference,
-    cube_pass_traced, cube_pass_with, CubeInput, CubeResult, Measure,
+    aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_traced, cube_pass_with,
+    CubeInput, CubeResult, Measure, RegionColumns, Row,
 };
 pub use delta::{DeltaUpdate, StreamingCube, StreamingCubeError};
 pub use external::{cube_pass_external, RUN_CHUNKS, UNLIMITED_BUDGET};

@@ -10,8 +10,8 @@
 
 use crate::cube_pass::tests::with_one_epoch;
 use crate::cube_pass::{
-    cube_pass_with, fold_chunks, merge_chunks, rollup_walk, CubeInput, CubeResult, ItemFeatures,
-    KeySpace, RollupPlan, StateTable, ROW_CHUNK,
+    cube_pass_with, fold_chunks, merge_chunks, rollup_walk, CubeInput, CubeResult, KeySpace,
+    RegionColumns, RollupPlan, StateTable, ROW_CHUNK,
 };
 use crate::dimension::{Dimension, Hierarchy};
 use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
@@ -22,6 +22,7 @@ use bellwether_obs::{names, NoopRecorder, Registry};
 use bellwether_prop::{check, Rng};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Dimension kinds, leading first: interval leading, trailing, absent,
 /// doubled, and alone.
@@ -144,11 +145,7 @@ fn walked(
 ) -> CubeResult {
     let rolled = rollup_walk(plan, ks, shards, threads, filter, &NoopRecorder);
     let n = rolled.finished.len();
-    let regions: HashMap<RegionId, ItemFeatures> = rolled
-        .finished
-        .into_iter()
-        .map(|(region, features)| (RegionId(ks.decode_region(region)), features))
-        .collect();
+    let regions: HashMap<RegionId, Arc<RegionColumns>> = rolled.finished.into_iter().collect();
     assert_eq!(regions.len(), n, "a region handed out twice");
     CubeResult {
         measure_names: Vec::new(),
@@ -189,8 +186,8 @@ fn prefix_walk_matches_the_one_epoch_oracle() {
                 for count in oracle
                     .regions
                     .values()
-                    .flat_map(|items| items.values())
-                    .filter_map(|v| v[6])
+                    .flat_map(|items| items.iter())
+                    .filter_map(|(_, v)| v.get(6))
                 {
                     narrowest.set(narrowest.get().min(count));
                     widest.set(widest.get().max(count));
@@ -322,6 +319,8 @@ fn empty_weeks_hand_out_their_predecessors_values() {
         assert!(region(3, n).is_some(), "[1-4, {n}]");
         assert_eq!(region(3, n), region(4, n), "[1-5, {n}]");
         assert_eq!(region(3, n), region(5, n), "[1-6, {n}]");
+        // Not equal copies: the one allocation, handed out three times.
+        assert!(Arc::ptr_eq(region(3, n).unwrap(), region(5, n).unwrap()), "[1-6, {n}]");
     }
     assert_ne!(region(2, 0), region(3, 0));
     assert_eq!(got.regions.len(), 2 * 2 + 3 * 3);

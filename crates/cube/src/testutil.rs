@@ -101,9 +101,9 @@ pub(crate) fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
 /// drawn from `weeks`, carrying nothing but distinct-FK measures: every
 /// `func` the form takes, all over the same foreign keys drawn from
 /// `keys`. With `functional` a key's value is a function of the key (the
-/// join contract, and what [`crate::cube_pass_reference`]'s hash-order
-/// merge needs); without it every row draws its own, so which duplicate
-/// of a key arrived last shows in the result.
+/// join contract, under which kernels that group rows differently still
+/// agree); without it every row draws its own, so which duplicate of a
+/// key arrived last shows in the result.
 pub(crate) fn gen_distinct_input(
     seed: u64,
     rows: usize,
@@ -176,7 +176,8 @@ pub(crate) fn slice_rows(input: &CubeInput, rows: std::ops::Range<usize>) -> Cub
     out
 }
 
-/// Bit-level comparison of two results (NaN-safe).
+/// Bit-level comparison of two results (NaN-safe), read through the view
+/// every consumer reads.
 pub(crate) fn assert_bit_identical(a: &CubeResult, b: &CubeResult, what: &str) {
     assert_eq!(a.measure_names, b.measure_names, "{what}: names");
     assert_eq!(a.regions.len(), b.regions.len(), "{what}: region count");
@@ -186,7 +187,7 @@ pub(crate) fn assert_bit_identical(a: &CubeResult, b: &CubeResult, what: &str) {
             .get(r)
             .unwrap_or_else(|| panic!("{what}: region {r:?} missing"));
         assert_eq!(items.len(), other.len(), "{what}: {r:?} item count");
-        for (id, vals) in items {
+        for (id, vals) in items.iter() {
             let ovals = other
                 .get(id)
                 .unwrap_or_else(|| panic!("{what}: {r:?} item {id} missing"));

@@ -73,7 +73,7 @@ fn cube_pass_matches_filtered_aggregation() {
             assert_eq!(cube.coverage_count(&region), direct.len());
             for (item, vals) in &direct {
                 let got = cube.features(&region, *item).unwrap();
-                match (got[0], vals[0]) {
+                match (got.get(0), vals[0]) {
                     (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9),
                     (a, b) => assert_eq!(a, b),
                 }
@@ -173,7 +173,7 @@ fn assert_bit_identical(a: &CubeResult, b: &CubeResult) {
     for (region, items) in &a.regions {
         let other = b.regions.get(region).expect("region missing");
         assert_eq!(items.len(), other.len(), "item count differs in {region:?}");
-        for (item, vals) in items {
+        for (item, vals) in items.iter() {
             let ovals = other.get(item).expect("item missing");
             assert_eq!(vals.len(), ovals.len());
             for (x, y) in vals.iter().zip(ovals) {
