@@ -103,7 +103,7 @@ impl Harness {
         }
         // Reset the RSS high-water mark after warm-up so the reported
         // peak covers only the timed samples of *this* benchmark.
-        crate::rss::reset_peak_rss();
+        bellwether_obs::reset_peak_rss();
         let mut samples = Vec::with_capacity(self.sample_size);
         for _ in 0..self.sample_size {
             let start = Instant::now();
@@ -113,7 +113,7 @@ impl Harness {
         let result = BenchResult {
             name: name.to_string(),
             samples,
-            peak_rss_bytes: crate::rss::peak_rss_bytes(),
+            peak_rss_bytes: bellwether_obs::peak_rss_bytes(),
             parent_median_secs: None,
         };
         let rss = match result.peak_rss_bytes {

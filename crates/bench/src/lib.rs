@@ -12,7 +12,6 @@
 
 pub mod harness;
 pub mod report;
-pub mod rss;
 pub mod setup;
 
 pub use harness::{emit_metrics_json, BenchResult, Harness};

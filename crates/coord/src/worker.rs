@@ -196,23 +196,10 @@ pub fn handle_request(src: &dyn TrainingSource, req: &Request) -> (Response, boo
         }
         Request::Ping { nonce } => (Response::Pong { nonce: *nonce }, false),
         Request::Shutdown => (
-            Response::Bye { peak_rss_bytes: peak_rss_bytes().unwrap_or(0) },
+            Response::Bye { peak_rss_bytes: bellwether_obs::peak_rss_bytes().unwrap_or(0) },
             true,
         ),
     }
-}
-
-/// Peak resident set of this process in bytes (`VmHWM` on Linux;
-/// `None` elsewhere or if unreadable).
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches(" kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 use crate::error::Result;
 use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions, Concat, WithScratch};
+use crate::scan::{scan_regions, Concat, Scanned, WithScratch};
 use bellwether_cube::{CostModel, RegionId, RegionSpace};
 use bellwether_linreg::{ErrorEstimate, LinearModel};
 use bellwether_obs::{names, span};
@@ -91,44 +91,79 @@ impl BasicSearchResult {
     }
 }
 
-/// One candidate region that already passed the budget filter, with its
-/// training block.
-pub(crate) struct Candidate<'a> {
-    pub(crate) idx: usize,
-    pub(crate) region: RegionId,
-    pub(crate) block: &'a RegionBlock,
-}
+/// Every region a scan read, with its report (`None` = gated or
+/// unfittable), in source order.
+pub(crate) type Evaluated = Vec<(usize, Option<RegionReport>)>;
 
-/// Evaluate a candidate through a reusable scratch (zero allocations
-/// once warm): the coverage / min-examples gates, then gather →
-/// estimate → fit. The one evaluation both [`basic_search`] and the
-/// streaming re-score call, so cold and streamed reports cannot
-/// disagree.
-pub(crate) fn evaluate_candidate(
-    scratch: &mut RegionEvalScratch,
-    candidate: Candidate<'_>,
+/// The scan under the cold search and the streaming re-score alike:
+/// every region `keep` admits and the budget affords is read and
+/// evaluated — coverage / min-examples gates, then gather → estimate →
+/// fit through a per-worker scratch. Over-budget regions are filtered
+/// *before* being read. Skipped regions and the scratch's work
+/// counters are recorded here, so cold and streamed reports cannot
+/// disagree and neither goes uncounted.
+pub(crate) fn evaluate_regions(
+    source: &dyn TrainingSource,
     space: &RegionSpace,
     cost_model: &dyn CostModel,
     config: &BellwetherConfig,
     total_items: usize,
-) -> Option<RegionReport> {
-    let Candidate { idx, region, block } = candidate;
+    keep: impl Fn(usize) -> bool + Sync,
+) -> Result<Scanned<Evaluated>> {
     let min_cov_items = (config.min_coverage * total_items as f64).ceil() as usize;
-    if block.n() < config.min_examples || block.n() < min_cov_items {
-        return None;
-    }
-    scratch.gather(block, None);
-    let error = scratch.estimate(config)?;
-    let model = scratch.fit_model()?;
-    Some(RegionReport {
-        source_index: idx,
-        label: space.label(&region),
-        cost: cost_model.cost(space, &region),
-        region,
-        n_examples: block.n(),
-        error,
-        model,
+    let region_of = |idx: usize| RegionId(source.region_coords(idx).to_vec());
+    let evaluate = |scratch: &mut RegionEvalScratch, idx: usize, block: &RegionBlock| {
+        if block.n() < config.min_examples || block.n() < min_cov_items {
+            return None;
+        }
+        scratch.gather(block, None);
+        let error = scratch.estimate(config)?;
+        let model = scratch.fit_model()?;
+        let region = region_of(idx);
+        Some(RegionReport {
+            source_index: idx,
+            label: space.label(&region),
+            cost: cost_model.cost(space, &region),
+            region,
+            n_examples: block.n(),
+            error,
+            model,
+        })
+    };
+    let scanned = scan_regions(
+        source,
+        config.parallelism,
+        config.scan_policy,
+        |idx| keep(idx) && cost_model.cost(space, &region_of(idx)) <= config.budget,
+        || WithScratch {
+            acc: Concat::default(),
+            scratch: RegionEvalScratch::new(),
+        },
+        |ws: &mut WithScratch<Concat<_>, RegionEvalScratch>, idx, block| {
+            ws.acc.0.push((idx, evaluate(&mut ws.scratch, idx, block)));
+            Ok(())
+        },
+    )?;
+    scanned.record_skipped(config.recorder.as_ref());
+    let WithScratch { acc, scratch } = scanned.acc;
+    record_eval_stats(config.recorder.as_ref(), &scratch.eval.stats);
+    Ok(Scanned {
+        acc: acc.0,
+        skipped: scanned.skipped,
     })
+}
+
+/// The bellwether among `reports`, by the key each comes with: minimum
+/// error, ties to the lowest source index.
+pub(crate) fn min_error<'a>(
+    reports: impl IntoIterator<Item = (usize, &'a RegionReport)>,
+) -> Option<usize> {
+    let order = |a: &RegionReport, b: &RegionReport| {
+        let by_error = a.error.value.total_cmp(&b.error.value);
+        by_error.then(a.source_index.cmp(&b.source_index))
+    };
+    let best = reports.into_iter().min_by(|(_, a), (_, b)| order(a, b));
+    best.map(|(key, _)| key)
 }
 
 /// Run the basic bellwether search under `config`'s budget/coverage over
@@ -141,49 +176,10 @@ pub fn basic_search(
     total_items: usize,
 ) -> Result<BasicSearchResult> {
     let _timer = span!(config.recorder, "search/basic");
+    let scanned = evaluate_regions(source, space, cost_model, config, total_items, |_| true)?;
+    let reports: Vec<RegionReport> = scanned.acc.into_iter().filter_map(|(_, r)| r).collect();
+    let best = min_error(reports.iter().enumerate());
     let n = source.num_regions();
-
-    let scanned = scan_regions(
-        source,
-        config.parallelism,
-        config.scan_policy,
-        |idx| {
-            let region = RegionId(source.region_coords(idx).to_vec());
-            cost_model.cost(space, &region) <= config.budget
-        },
-        || WithScratch {
-            acc: Concat::default(),
-            scratch: RegionEvalScratch::new(),
-        },
-        |ws: &mut WithScratch<Concat<RegionReport>, RegionEvalScratch>, idx, block| {
-            let region = RegionId(source.region_coords(idx).to_vec());
-            let candidate = Candidate { idx, region, block };
-            ws.acc.0.extend(evaluate_candidate(
-                &mut ws.scratch,
-                candidate,
-                space,
-                cost_model,
-                config,
-                total_items,
-            ));
-            Ok(())
-        },
-    )?;
-    scanned.record_skipped(config.recorder.as_ref());
-    let WithScratch { acc, scratch } = scanned.acc;
-    record_eval_stats(config.recorder.as_ref(), &scratch.eval.stats);
-    let reports = acc.0;
-    // Bellwether = min error; ties broken by source order for determinism.
-    let best = reports
-        .iter()
-        .enumerate()
-        .min_by(|(ai, a), (bi, b)| {
-            a.error
-                .value
-                .total_cmp(&b.error.value)
-                .then(ai.cmp(bi))
-        })
-        .map(|(i, _)| i);
     config.recorder.add(names::SEARCH_REGIONS_EVALUATED, n as u64);
     config.recorder.add(names::SEARCH_REPORTS, reports.len() as u64);
     Ok(BasicSearchResult {

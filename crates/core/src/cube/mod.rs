@@ -21,7 +21,7 @@ pub mod predict;
 pub mod single_scan;
 
 use crate::error::{BellwetherError, Result};
-use crate::eval::RegionEvalScratch;
+use crate::eval::{RegionEvalScratch, WinnerFits};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
 use bellwether_cube::{rollup_lattice, RegionId, RegionSpace};
@@ -176,17 +176,17 @@ pub fn significant_subsets(
 
 /// Turn every subset's winning region (`winners[slot]` for
 /// `index.order[slot]`, as a scan index) into a full cell: the model
-/// fitted to the subset's rows of that region's block and its complete
-/// error estimate. Shared by all three construction algorithms.
+/// fitted to the subset's rows of that region's block, with the estimate
+/// `error(slot, rows)` gives for it — computed over those rows
+/// ([`RegionEvalScratch::estimate`]: one statistics pass serves it and
+/// the fit) or carried over from the scan. Shared by all four
+/// construction algorithms.
 ///
 /// Winners repeat — subsets that share a bellwether, nested subsets most
-/// of all — so cells are finalized in ascending region order and each
-/// distinct winning region is read **once**, its block held across the
-/// cells it wins. A cell's rows are gathered through an index over its
-/// members, and one statistics pass serves both the estimate and the
-/// fit. On a faulty source the targeted re-read of a region that was
-/// readable during the scan can still fail; the first failure (lowest
-/// region index) is returned with that index attached.
+/// of all — so cells are finalized in ascending region order through one
+/// [`WinnerFits`]: each distinct winning region is read **once**, its
+/// block held across the cells it wins, and the first failing re-read
+/// (lowest region index) is the error returned.
 pub(crate) fn finalize_cells(
     source: &dyn TrainingSource,
     region_space: &RegionSpace,
@@ -194,6 +194,7 @@ pub(crate) fn finalize_cells(
     index: &SubsetIndex,
     problem: &BellwetherConfig,
     winners: &[Option<usize>],
+    mut error: impl FnMut(usize, &mut RegionEvalScratch) -> Option<ErrorEstimate>,
 ) -> Result<HashMap<RegionId, SubsetCell>> {
     let mut todo: Vec<(usize, usize)> = winners
         .iter()
@@ -201,30 +202,15 @@ pub(crate) fn finalize_cells(
         .filter_map(|(slot, region)| Some(((*region)?, slot)))
         .collect();
     todo.sort_unstable();
-    let mut scratch = RegionEvalScratch::new();
-    let mut held = None;
+    let mut fits = WinnerFits::new(source, problem);
     let mut cells = HashMap::new();
     for (region_index, slot) in todo {
-        let block = match &held {
-            Some((index, block)) if *index == region_index => block,
-            _ => {
-                let block = source.read_region(region_index).map_err(|source| {
-                    BellwetherError::RegionRead {
-                        index: region_index,
-                        source,
-                    }
-                })?;
-                &held.insert((region_index, block)).1
-            }
-        };
         let subset = &index.order[slot];
         let ids = &index.members[subset];
         let keep: ItemIndex = ids.iter().copied().collect();
-        scratch.gather(block, Some(&keep));
-        let (Some(error), Some(model)) = (scratch.estimate(problem), scratch.fit_model()) else {
+        let Some(w) = fits.fit(region_index, &keep, |rows| error(slot, rows))? else {
             continue;
         };
-        let region = RegionId(source.region_coords(region_index).to_vec());
         cells.insert(
             subset.clone(),
             SubsetCell {
@@ -232,11 +218,11 @@ pub(crate) fn finalize_cells(
                 subset: subset.clone(),
                 size: ids.len(),
                 region_index,
-                region_label: region_space.label(&region),
-                region,
-                error,
-                model,
-                n_examples: scratch.data.n(),
+                region_label: region_space.label(&w.region),
+                region: w.region,
+                error: w.error,
+                model: w.model,
+                n_examples: w.n_examples,
             },
         );
     }
@@ -404,6 +390,20 @@ mod tests {
         (MemorySource::new(blocks), region_space, item_space, index)
     }
 
+    /// [`finalize_cells`] as the three paper builders call it.
+    fn finalize(
+        source: &dyn TrainingSource,
+        region_space: &RegionSpace,
+        item_space: &RegionSpace,
+        index: &SubsetIndex,
+        problem: &BellwetherConfig,
+        winners: &[Option<usize>],
+    ) -> Result<HashMap<RegionId, SubsetCell>> {
+        finalize_cells(source, region_space, item_space, index, problem, winners, |_, rows| {
+            rows.estimate(problem)
+        })
+    }
+
     fn problem(measure: ErrorMeasure) -> BellwetherConfig {
         BellwetherConfig::builder(1e9)
             .min_coverage(0.0)
@@ -436,9 +436,8 @@ mod tests {
                 .collect();
 
             src.stats().reset();
-            let cells =
-                finalize_cells(&src, &region_space, &item_space, &index, &problem, &winners)
-                    .unwrap();
+            let cells = finalize(&src, &region_space, &item_space, &index, &problem, &winners)
+                .unwrap();
             let distinct: HashSet<usize> = winners.iter().flatten().copied().collect();
             assert_eq!(src.snapshot().regions_read(), distinct.len() as u64);
 
@@ -473,8 +472,8 @@ mod tests {
             (0..index.order.len()).map(|slot| Some(7 - slot % 8)).collect();
         let failing: Vec<usize> = winners.iter().flatten().copied().filter(|r| corrupt.contains(r)).collect();
         assert!(failing.len() >= 2 && failing[0] > failing[1], "{failing:?}");
-        let err = finalize_cells(&src, &region_space, &item_space, &index, &problem, &winners)
-            .unwrap_err();
+        let err =
+            finalize(&src, &region_space, &item_space, &index, &problem, &winners).unwrap_err();
         match err {
             BellwetherError::RegionRead { index, .. } => {
                 assert_eq!(Some(&index), failing.iter().min());
@@ -484,8 +483,8 @@ mod tests {
         // A clean winner set finalizes around the rotten regions.
         let clean = (0..8).find(|r| !corrupt.contains(r)).unwrap();
         let winners = vec![Some(clean); index.order.len()];
-        let cells = finalize_cells(&src, &region_space, &item_space, &index, &problem, &winners)
-            .unwrap();
+        let cells =
+            finalize(&src, &region_space, &item_space, &index, &problem, &winners).unwrap();
         assert!(!cells.is_empty());
     }
 

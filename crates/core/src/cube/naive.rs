@@ -4,20 +4,18 @@
 
 use super::{finalize_cells, BellwetherCube, CubeConfig};
 use crate::error::Result;
-use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
-use crate::scan::{merge_skipped, scan_regions, BestRegion, WithScratch};
-use crate::tree::block_subset_error_with;
+use crate::scan::merge_skipped;
+use crate::tree::best_region;
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
 use bellwether_storage::TrainingSource;
 use std::collections::HashMap;
 
-/// Build a bellwether cube naively: per subset, scan every region
-/// (through the shared [`crate::scan`] engine, honouring
-/// `problem.scan_policy`) and track the minimum error; then fit the
-/// winning models with targeted reads.
+/// Build a bellwether cube naively: per subset, the basic bellwether
+/// scan over every region (`tree::best_region`); then fit the winning models
+/// with targeted reads.
 pub fn build_naive_cube(
     source: &dyn TrainingSource,
     region_space: &RegionSpace,
@@ -32,31 +30,13 @@ pub fn build_naive_cube(
     let mut skipped_regions = Vec::new();
     for subset in &index.order {
         let members: ItemIndex = index.members[subset].iter().copied().collect();
-        let scanned = scan_regions(
-            source,
-            problem.parallelism,
-            problem.scan_policy,
-            |_| true,
-            || WithScratch {
-                acc: BestRegion::default(),
-                scratch: RegionEvalScratch::new(),
-            },
-            |ws: &mut WithScratch<BestRegion, RegionEvalScratch>, idx, block| {
-                if let Some(err) =
-                    block_subset_error_with(block, &members, problem, &mut ws.scratch)
-                {
-                    ws.acc.observe(idx, err);
-                }
-                Ok(())
-            },
-        )?;
-        scanned.record_skipped(problem.recorder.as_ref());
+        let scanned = best_region(source, &members, problem)?;
         merge_skipped(&mut skipped_regions, &scanned.skipped);
-        let WithScratch { acc, scratch } = scanned.acc;
-        record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
-        winners.push(acc.0.map(|(region_index, _)| region_index));
+        winners.push(scanned.acc.0.map(|(region_index, _)| region_index));
     }
-    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners)?;
+    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |_, rows| {
+        rows.estimate(problem)
+    })?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
     Ok(BellwetherCube {
         item_space: item_space.clone(),

@@ -197,7 +197,9 @@ pub fn build_optimized_cube(
         .iter()
         .map(|subset| best.get(subset).map(|&(region_index, _)| region_index))
         .collect();
-    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners)?;
+    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |_, rows| {
+        rows.estimate(problem)
+    })?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
     Ok(BellwetherCube {
         item_space: item_space.clone(),
@@ -309,35 +311,12 @@ pub fn build_optimized_cube_cv(
 
     // Finalize: fit the winning models; the error estimate is the
     // algebraic CV estimate gathered during the scan.
-    let mut cells = HashMap::new();
-    for subset in &index.order {
-        let Some((region_index, _, fold_rmses)) = best.get(subset) else { continue };
-        let ids = &index.members[subset];
-        let block = source
-            .read_region(*region_index)
-            .map_err(|source| BellwetherError::RegionRead {
-                index: *region_index,
-                source,
-            })?;
-        let keep: ItemIndex = ids.iter().copied().collect();
-        let data = crate::training::block_subset_data(&block, &keep);
-        let Some(model) = bellwether_linreg::fit_wls(&data) else { continue };
-        let region = RegionId(source.region_coords(*region_index).to_vec());
-        cells.insert(
-            subset.clone(),
-            super::SubsetCell {
-                label: item_space.label(subset),
-                subset: subset.clone(),
-                size: ids.len(),
-                region_index: *region_index,
-                region_label: region_space.label(&region),
-                region,
-                error: ErrorEstimate::from_folds(fold_rmses),
-                model,
-                n_examples: data.n(),
-            },
-        );
-    }
+    let winners: Vec<Option<usize>> =
+        index.order.iter().map(|subset| best.get(subset).map(|w| w.0)).collect();
+    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |slot, _| {
+        let (_, _, fold_rmses) = best.get(&index.order[slot])?;
+        Some(ErrorEstimate::from_folds(fold_rmses))
+    })?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
     Ok(BellwetherCube {
         item_space: item_space.clone(),
@@ -460,7 +439,6 @@ mod tests {
 
     #[test]
     fn cv_cube_matches_direct_fold_computation() {
-        use crate::training::block_subset_data;
         use bellwether_linreg::RegSuffStats;
         let (src, region_space, _items, item_space, coords) = cube_fixture();
         let folds = 3;
@@ -484,7 +462,6 @@ mod tests {
         let cell = cube.cell(&RegionId(vec![1])).expect("ga cell");
         let block = src.read_region(cell.region_index).unwrap();
         let ids: std::collections::HashSet<i64> = (0..12).collect();
-        let data = block_subset_data(&block, &ids.iter().copied().collect());
         // Recompute per-fold: gather rows per fold by item id.
         let fold_of = |id: i64| crate::seeded::hash_fold(id, folds, seed);
         let mut fold_rmses = Vec::new();
@@ -514,7 +491,6 @@ mod tests {
             cell.error.value,
             expect.value
         );
-        let _ = data;
     }
 
     #[test]

@@ -75,7 +75,9 @@ pub fn build_single_scan_cube(
         .iter()
         .map(|b| b.0.map(|(region_index, _)| region_index))
         .collect();
-    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners)?;
+    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |_, rows| {
+        rows.estimate(problem)
+    })?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
     Ok(BellwetherCube {
         item_space: item_space.clone(),

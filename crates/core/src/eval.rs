@@ -11,13 +11,16 @@
 //! along scan accumulators via [`crate::scan::WithScratch`] and their
 //! work counters merge deterministically across worker chunks.
 
+use crate::error::{BellwetherError, Result};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
 use crate::scan::ScanScratch;
 use crate::tree::partition::PartitionSpec;
+use bellwether_cube::RegionId;
 use bellwether_linreg::{ErrorEstimate, EvalScratch, EvalStats, LinearModel, RegressionData};
 use bellwether_obs::{names, Recorder};
-use bellwether_storage::RegionBlock;
+use bellwether_storage::{RegionBlock, TrainingSource};
+use std::sync::Arc;
 
 /// Reusable per-worker scratch for single-subset region evaluation: a
 /// dataset buffer and the algebraic error engine.
@@ -103,7 +106,7 @@ impl RegionEvalScratch {
     }
 
     /// Fit a WLS model over the currently gathered rows; coefficients
-    /// are bit-identical to [`bellwether_linreg::fit_wls`]. The only
+    /// are bit-identical to `bellwether_linreg::fit_wls`. The only
     /// allocation is the returned coefficient vector.
     pub fn fit_model(&mut self) -> Option<LinearModel> {
         self.eval.fit_model_cached(&self.data)
@@ -113,6 +116,87 @@ impl RegionEvalScratch {
 impl ScanScratch for RegionEvalScratch {
     fn absorb(&mut self, later: Self) {
         self.eval.stats.absorb(&later.eval.stats);
+    }
+}
+
+/// What a builder knows about a subset's bellwether once
+/// [`WinnerFits::fit`] has fitted it.
+#[derive(Debug)]
+pub(crate) struct Winner<E> {
+    pub region: RegionId,
+    pub error: E,
+    pub model: LinearModel,
+    pub n_examples: usize,
+}
+
+/// The winner fit — the one place a builder turns "region `r` won for
+/// these items" into a model. A scan keeps only scores, so the winning
+/// region is re-read (it was readable moments ago, but on a faulty source
+/// the targeted re-read can still fail: the error carries the region
+/// index), the subset's rows are gathered and the model is fitted through
+/// the same scratch engine the scans use. The fits are reported under
+/// `linreg/*` when the value is dropped.
+///
+/// The last block read is held, so consecutive fits on one region cost
+/// one read: `finalize_cells` sorts its cells by winner and uses one
+/// `WinnerFits` for all of them; the trees, whose scan count (Lemma 1) is
+/// one targeted read per node, make one per fit.
+pub(crate) struct WinnerFits<'a> {
+    source: &'a dyn TrainingSource,
+    config: &'a BellwetherConfig,
+    scratch: RegionEvalScratch,
+    held: Option<(usize, Arc<RegionBlock>)>,
+}
+
+impl<'a> WinnerFits<'a> {
+    pub(crate) fn new(source: &'a dyn TrainingSource, config: &'a BellwetherConfig) -> Self {
+        WinnerFits {
+            source,
+            config,
+            scratch: RegionEvalScratch::new(),
+            held: None,
+        }
+    }
+
+    /// Fit the model of the items `keep` indexes in region
+    /// `region_index`. `error` supplies the error that goes with the
+    /// model: the scan's score, or an estimate over the gathered rows it
+    /// is handed. `None` when either is missing.
+    pub(crate) fn fit<E>(
+        &mut self,
+        region_index: usize,
+        keep: &ItemIndex,
+        error: impl FnOnce(&mut RegionEvalScratch) -> Option<E>,
+    ) -> Result<Option<Winner<E>>> {
+        let block = match &self.held {
+            Some((held, block)) if *held == region_index => block,
+            _ => {
+                let block = self.source.read_region(region_index).map_err(|source| {
+                    BellwetherError::RegionRead {
+                        index: region_index,
+                        source,
+                    }
+                })?;
+                &self.held.insert((region_index, block)).1
+            }
+        };
+        self.scratch.gather(block, Some(keep));
+        let (Some(error), Some(model)) = (error(&mut self.scratch), self.scratch.fit_model())
+        else {
+            return Ok(None);
+        };
+        Ok(Some(Winner {
+            region: RegionId(self.source.region_coords(region_index).to_vec()),
+            error,
+            model,
+            n_examples: self.scratch.data.n(),
+        }))
+    }
+}
+
+impl Drop for WinnerFits<'_> {
+    fn drop(&mut self) {
+        record_eval_stats(self.config.recorder.as_ref(), &self.scratch.eval.stats);
     }
 }
 
@@ -280,7 +364,7 @@ mod tests {
         assert_eq!(s.data.n(), 20);
         let keep: ItemIndex = (0..10).collect();
         s.gather(&b, Some(&keep));
-        assert_eq!(s.data, crate::training::block_subset_data(&b, &keep));
+        assert_eq!(s.data, oracle::gather(&b, &(0..10).collect()).0);
         s.gather_rows(&b, &[19, 0, 0]);
         assert_eq!(s.data.ys(), [b.y(19), b.y(0), b.y(0)]);
     }
@@ -294,14 +378,11 @@ mod tests {
         s.gather(&b, Some(&keep));
         let est = s.estimate(&cfg).unwrap();
         assert_eq!(s.estimate_value(&cfg).map(f64::to_bits), Some(est.value.to_bits()));
-        let direct = cfg
-            .error_measure
-            .estimate(&crate::training::block_subset_data(&b, &keep))
-            .unwrap();
+        let (rows, _) = oracle::gather(&b, &(0..10).collect());
+        let direct = cfg.error_measure.estimate(&rows).unwrap();
         assert_eq!(est.value.to_bits(), direct.value.to_bits());
         let m = s.fit_model().unwrap();
-        let direct_m =
-            bellwether_linreg::fit_wls(&crate::training::block_subset_data(&b, &keep)).unwrap();
+        let direct_m = bellwether_linreg::fit_wls(&rows).unwrap();
         for (a, b) in m.coefficients().iter().zip(direct_m.coefficients()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -364,6 +445,140 @@ mod tests {
         let fits = a.eval.stats.fits + c.eval.stats.fits;
         a.absorb(c);
         assert_eq!(a.eval.stats.fits, fits);
+    }
+
+    /// Every fit is counted once: `linreg/fits` after a builder is the
+    /// fits of its scans plus those of its winner fits, both derived
+    /// here from what was built. In both fixtures every region holds
+    /// every item and `p = 2`, so under the training-set measure a scan
+    /// fits a set once per region exactly when the set has at least
+    /// `min_examples = 4` items.
+    #[test]
+    fn every_fit_is_counted_once() {
+        use crate::cube::naive::build_naive_cube;
+        use crate::cube::optimized::{build_optimized_cube, build_optimized_cube_cv};
+        use crate::cube::single_scan::build_single_scan_cube;
+        use crate::cube::tests_support::cube_fixture;
+        use crate::cube::{significant_subsets, BellwetherCube, CubeConfig};
+        use crate::tree::naive::build_naive;
+        use crate::tree::rainforest::build_rainforest;
+        use crate::tree::tests_support::two_group_fixture;
+        use crate::tree::{candidate_splits, subset_bellwether, BellwetherTree, Node, TreeConfig};
+        use bellwether_cube::Parallelism;
+
+        const REGIONS: u64 = 3;
+        let fitted = |set: usize| u64::from(set >= 4);
+        let counted = |threads: usize, build: &dyn Fn(&BellwetherConfig) -> u64| {
+            let registry = bellwether_obs::Registry::shared();
+            let mut config = config();
+            config.min_examples = 4;
+            config.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
+            config.recorder = registry.clone();
+            let expected = build(&config);
+            assert_eq!(registry.snapshot().fits(), expected, "threads={threads}");
+        };
+
+        let (src, space, items) = two_group_fixture();
+        let tree_cfg = TreeConfig {
+            min_node_items: 8,
+            ..TreeConfig::default()
+        };
+        // A node's own set in the scan that finds its bellwether, each
+        // child of each candidate in the scans that score its candidates
+        // (`scored`), and one winner fit a fitted node.
+        let tree_fits = |tree: &BellwetherTree, scored: &dyn Fn(&Node) -> bool| -> u64 {
+            let per_node = tree.nodes.iter().map(|node| {
+                let rows = &node.item_rows;
+                let active = node.depth < tree_cfg.max_depth && rows.len() >= tree_cfg.min_node_items;
+                let candidates = if active && scored(node) {
+                    candidate_splits(&items, rows, &tree_cfg)
+                } else {
+                    Vec::new()
+                };
+                let children = candidates.iter().flat_map(|c| &c.partition);
+                let scans = fitted(rows.len()) + children.map(|c| fitted(c.len())).sum::<u64>();
+                REGIONS * scans + u64::from(node.info.is_some())
+            });
+            per_node.sum()
+        };
+        let (coords_src, region_space, _, item_space, coords) = cube_fixture();
+        let cube_cfg = CubeConfig { min_subset_size: 5 };
+        let subsets = significant_subsets(&item_space, &coords, &cube_cfg).unwrap();
+        // `per_cell`: the fits one subset costs a region in the scan;
+        // `finalize`: the fits of a cell's winner fit (its model, and its
+        // estimate when the scan kept only a score).
+        let cube_fits = |cube: &BellwetherCube, per_cell: &dyn Fn(&RegionId) -> u64, finalize: u64| {
+            assert_eq!(cube.cells.len(), subsets.order.len(), "every subset got its cell");
+            let scans: u64 = subsets.order.iter().map(per_cell).sum();
+            REGIONS * scans + finalize * cube.cells.len() as u64
+        };
+        let size_fitted = |subset: &RegionId| fitted(subsets.members[subset].len());
+
+        for threads in [1, 4] {
+            counted(threads, &|config| {
+                let keep = (0..10).collect();
+                assert!(subset_bellwether(&src, &space, &keep, config).unwrap().is_some());
+                REGIONS * fitted(keep.len()) + 1
+            });
+            counted(threads, &|config| {
+                let tree = build_rainforest(&src, &space, &items, None, config, &tree_cfg).unwrap();
+                assert!(tree.nodes.len() > 1);
+                // A level scan scores every active node's candidates.
+                tree_fits(&tree, &|_| true)
+            });
+            counted(threads, &|config| {
+                let tree = build_naive(&src, &space, &items, None, config, &tree_cfg).unwrap();
+                assert!(tree.nodes.len() > 1);
+                // The naive recursion stops before the candidates of a
+                // node it could not fit or found perfect.
+                let imperfect = |node: &Node| {
+                    let info = node.info.as_ref();
+                    info.is_some_and(|info| info.error > tree_cfg.perfect_error_tol)
+                };
+                tree_fits(&tree, &imperfect)
+            });
+            for build in [build_naive_cube, build_single_scan_cube] {
+                counted(threads, &|config| {
+                    let cube =
+                        build(&coords_src, &region_space, &item_space, &coords, config, &cube_cfg);
+                    cube_fits(&cube.unwrap(), &size_fitted, 2)
+                });
+            }
+            counted(threads, &|config| {
+                let cube = build_optimized_cube(
+                    &coords_src,
+                    &region_space,
+                    &item_space,
+                    &coords,
+                    config,
+                    &cube_cfg,
+                );
+                // Its scan reads errors off rolled-up statistics.
+                cube_fits(&cube.unwrap(), &|_| 0, 2)
+            });
+            counted(threads, &|config| {
+                let (folds, seed) = (3, 99);
+                let cube = build_optimized_cube_cv(
+                    &coords_src,
+                    &region_space,
+                    &item_space,
+                    &coords,
+                    config,
+                    &cube_cfg,
+                    folds,
+                    seed,
+                );
+                // One downdated fit a non-empty fold; the cell keeps the
+                // scan's estimate.
+                let folds_of = |subset: &RegionId| {
+                    let members = &subsets.members[subset];
+                    let used: HashSet<usize> =
+                        members.iter().map(|&id| crate::seeded::hash_fold(id, folds, seed)).collect();
+                    used.len() as u64
+                };
+                cube_fits(&cube.unwrap(), &folds_of, 1)
+            });
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! model), a [`BellwetherTree`] and a [`BellwetherCube`] with its §6
 //! confidence level — plus the item table (routing features) and the
 //! feature data of every region any predictor can choose, so prediction
-//! needs **no** [`TrainingSource`]. Predictions are bit-identical to the
-//! in-memory path in [`crate::predict`]: the same model selection
-//! (`choose_model`), the same stored-features-else-NULL convention, the
-//! same `f64` arithmetic.
+//! needs **no** [`TrainingSource`]. [`BellwetherModel::predict`] is the
+//! one place an item gets its region, model and features: the server
+//! answers with it and [`crate::predict`] scores §7's figures with it
+//! (`predict::tests::the_figure_path_is_the_served_path_through_disk`
+//! holds the two together, `save` → `load` included).
 //!
 //! On disk a model is a `BWSN` snapshot (see
 //! [`bellwether_storage::snapshot`]): versioned sections with CRC-32
@@ -256,8 +257,7 @@ impl BellwetherModel {
         out
     }
 
-    /// Resolve the (region, model) `method` uses for `id` — the
-    /// snapshot-side mirror of `choose_model` in [`crate::predict`].
+    /// Resolve the (region, model) `method` uses for `id`.
     fn choose(&self, method: MethodKind, id: i64) -> Option<(usize, &LinearModel)> {
         match method {
             MethodKind::Basic => {

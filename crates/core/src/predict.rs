@@ -1,5 +1,5 @@
-//! Item-centric bellwether-based prediction and its evaluation (§3.3,
-//! §7.1 Figure 8, §7.2 Figure 9(c), §7.3 Figure 10).
+//! Item-centric bellwether-based prediction, evaluated (§3.3, §7.1
+//! Figure 8, §7.2 Figure 9(c), §7.3 Figure 10).
 //!
 //! Three methods predict a new item's target value:
 //!
@@ -10,23 +10,26 @@
 //!   with the lowest upper confidence bound of error.
 //!
 //! Evaluation is k-fold cross-validation over *items*: train the method
-//! on the training fold's items, then for each held-out item simulate
-//! data acquisition from the chosen region (look up its query-generated
-//! features there — zero if the item genuinely has no data, matching
-//! the training-time NULL → 0 policy) and score the squared error of
-//! the prediction. Reported is the pooled RMSE.
+//! on the training fold's items into a [`BellwetherModel`] — the model a
+//! server would load — and score the squared error of its prediction for
+//! each held-out item. Which region and model an item gets, and how its
+//! features are acquired there (zero if the item genuinely has no data,
+//! matching the training-time NULL → 0 policy), is
+//! [`BellwetherModel::predict`]'s business; this module only trains,
+//! splits and pools. Reported is the pooled RMSE.
 
 use crate::cube::optimized::build_optimized_cube;
-use crate::cube::predict::select_cell;
 use crate::cube::single_scan::build_single_scan_cube;
-use crate::cube::{BellwetherCube, CubeConfig};
-use crate::error::Result;
+use crate::cube::CubeConfig;
+use crate::error::{BellwetherError, Result};
 use crate::items::ItemTable;
-use crate::problem::BellwetherConfig;
+use crate::model::{BellwetherModel, MethodKind, ModelBuilder};
+use crate::problem::{BellwetherConfig, ErrorMeasure};
+use crate::tree::prune::prune_tree;
 use crate::tree::rainforest::build_rainforest;
-use crate::tree::{subset_bellwether, BellwetherTree, TreeConfig};
+use crate::tree::{subset_bellwether, TreeConfig};
 use bellwether_cube::RegionSpace;
-use bellwether_linreg::{fold_assignment, LinearModel};
+use bellwether_linreg::fold_assignment;
 use bellwether_obs::{names, span};
 use bellwether_storage::TrainingSource;
 use std::collections::{HashMap, HashSet};
@@ -43,13 +46,18 @@ pub enum Method {
 }
 
 impl Method {
+    /// The predictor of a [`BellwetherModel`] this method trains.
+    fn kind(&self) -> MethodKind {
+        match self {
+            Method::Basic => MethodKind::Basic,
+            Method::Tree(_) => MethodKind::Tree,
+            Method::Cube(..) => MethodKind::Cube,
+        }
+    }
+
     /// Short display name.
     pub fn name(&self) -> &'static str {
-        match self {
-            Method::Basic => "basic",
-            Method::Tree(_) => "tree",
-            Method::Cube(..) => "cube",
-        }
+        self.kind().name()
     }
 }
 
@@ -71,65 +79,6 @@ impl Default for ItemCentricEval {
     }
 }
 
-/// A trained item-centric predictor for one fold.
-enum FoldPredictor {
-    Basic {
-        region_index: usize,
-        model: LinearModel,
-    },
-    Tree(BellwetherTree),
-    Cube { cube: BellwetherCube, confidence: f64 },
-}
-
-/// Per-fold cache: region index → (item id → feature vector).
-struct FeatureCache<'s> {
-    source: &'s dyn TrainingSource,
-    cached: HashMap<usize, HashMap<i64, Vec<f64>>>,
-}
-
-impl<'s> FeatureCache<'s> {
-    fn new(source: &'s dyn TrainingSource) -> Self {
-        FeatureCache {
-            source,
-            cached: HashMap::new(),
-        }
-    }
-
-    /// The stored feature vector of `item` in region `idx`, or the
-    /// zero-filled regional vector when the item has no data there.
-    fn features(
-        &mut self,
-        idx: usize,
-        item: i64,
-        items: &ItemTable,
-    ) -> Result<Option<Vec<f64>>> {
-        if !self.cached.contains_key(&idx) {
-            let block = self.source.read_region(idx)?;
-            let map = block
-                .item_ids
-                .iter()
-                .enumerate()
-                .map(|(i, &id)| (id, block.row(i)))
-                .collect::<HashMap<_, _>>();
-            self.cached.insert(idx, map);
-        }
-        if let Some(x) = self.cached[&idx].get(&item) {
-            return Ok(Some(x.clone()));
-        }
-        // No data in the region: intercept + statics + zero regional
-        // features, the same convention training uses for NULLs.
-        let Some(statics) = items.static_features(item) else {
-            return Ok(None);
-        };
-        let p = self.source.feature_arity();
-        let mut x = Vec::with_capacity(p);
-        x.push(1.0);
-        x.extend_from_slice(&statics);
-        x.resize(p, 0.0);
-        Ok(Some(x))
-    }
-}
-
 /// Inputs to [`evaluate_method`] that describe the dataset (as opposed
 /// to the method/CV knobs).
 pub struct EvalContext<'a> {
@@ -147,6 +96,35 @@ pub struct EvalContext<'a> {
     pub item_coords: Option<&'a HashMap<i64, Vec<u32>>>,
 }
 
+/// The items that can be scored — present in the item table with a
+/// target — ascending, and the fold each is held out in. `None` when
+/// there are fewer than two.
+fn item_folds(ctx: &EvalContext<'_>, eval: &ItemCentricEval) -> Option<(Vec<i64>, Vec<usize>)> {
+    let mut ids: Vec<i64> = ctx
+        .items
+        .ids()
+        .iter()
+        .copied()
+        .filter(|id| ctx.targets.contains_key(id))
+        .collect();
+    ids.sort_unstable();
+    if ids.len() < 2 {
+        return None;
+    }
+    let folds = fold_assignment(ids.len(), eval.folds, eval.seed);
+    Some((ids, folds))
+}
+
+/// The training ids of `fold` and the ids it holds out.
+fn split_fold(ids: &[i64], folds: &[usize], fold: usize) -> (Vec<i64>, Vec<i64>) {
+    let (mut train, mut held_out) = (Vec::new(), Vec::new());
+    for (&id, &f) in ids.iter().zip(folds) {
+        let side = if f == fold { &mut held_out } else { &mut train };
+        side.push(id);
+    }
+    (train, held_out)
+}
+
 /// Evaluate one item-centric method by k-fold CV over items: pooled
 /// RMSE of its predictions. `None` when no fold produced a usable
 /// predictor (e.g. no region is affordable).
@@ -156,52 +134,23 @@ pub fn evaluate_method(
     method: &Method,
     eval: &ItemCentricEval,
 ) -> Result<Option<f64>> {
-    // Items that can be scored: present in the item table with targets.
-    let mut eval_ids: Vec<i64> = ctx
-        .items
-        .ids()
-        .iter()
-        .copied()
-        .filter(|id| ctx.targets.contains_key(id))
-        .collect();
-    eval_ids.sort_unstable();
-    if eval_ids.len() < 2 {
+    let Some((ids, folds)) = item_folds(ctx, eval) else {
         return Ok(None);
-    }
-
+    };
     let _timer = span!(problem.recorder, "predict/evaluate/{}", method.name());
-    let assignment = fold_assignment(eval_ids.len(), eval.folds, eval.seed);
-    let k = assignment.iter().copied().max().map_or(1, |m| m + 1);
+    let k = folds.iter().copied().max().map_or(1, |m| m + 1);
 
     let mut sse = 0.0;
     let mut count = 0usize;
     for fold in 0..k {
-        let train_ids: Vec<i64> = eval_ids
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| assignment[*i] != fold)
-            .map(|(_, &id)| id)
-            .collect();
-        let test_ids: Vec<i64> = eval_ids
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| assignment[*i] == fold)
-            .map(|(_, &id)| id)
-            .collect();
-
-        let Some(predictor) = train_fold(ctx, problem, method, &train_ids)? else {
+        let (train_ids, test_ids) = split_fold(&ids, &folds, fold);
+        let Some(model) = train_fold(ctx, problem, method, &train_ids)? else {
             continue;
         };
-        let mut cache = FeatureCache::new(ctx.source);
-        for &id in &test_ids {
-            let Some((region_index, model)) = choose_model(&predictor, ctx, id) else {
-                continue;
-            };
-            let Some(x) = cache.features(region_index, id, ctx.items)? else {
-                continue;
-            };
-            let pred = model.predict(&x);
-            let err = pred - ctx.targets[&id];
+        let predictions = model.predict_batch(method.kind(), &test_ids);
+        for (id, pred) in test_ids.iter().zip(predictions) {
+            let Some(pred) = pred else { continue };
+            let err = pred - ctx.targets[id];
             sse += err * err;
             count += 1;
         }
@@ -214,21 +163,25 @@ pub fn evaluate_method(
     Ok(Some((sse / count as f64).sqrt()))
 }
 
-/// Train one fold's predictor on the training items.
+/// Train `method` on the training items into the model that predicts
+/// for the fold: the regions its predictors can choose are read out of
+/// `ctx.source`, which holds every item, so held-out items find their
+/// features there.
 fn train_fold(
     ctx: &EvalContext<'_>,
     problem: &BellwetherConfig,
     method: &Method,
     train_ids: &[i64],
-) -> Result<Option<FoldPredictor>> {
-    match method {
+) -> Result<Option<BellwetherModel>> {
+    let builder = ModelBuilder::new(ctx.source, ctx.items.clone());
+    let builder = match method {
         Method::Basic => {
             let ids: HashSet<i64> = train_ids.iter().copied().collect();
-            let info = subset_bellwether(ctx.source, ctx.region_space, &ids, problem)?;
-            Ok(info.map(|i| FoldPredictor::Basic {
-                region_index: i.region_index,
-                model: i.model,
-            }))
+            let Some(info) = subset_bellwether(ctx.source, ctx.region_space, &ids, problem)?
+            else {
+                return Ok(None);
+            };
+            builder.basic(info.report(&[]))
         }
         Method::Tree(tree_cfg) => {
             let rows: Vec<usize> = train_ids
@@ -250,14 +203,14 @@ fn train_fold(
                 let penalty = tree_cfg.prune_frac
                     * root_info.error
                     * tree.root().item_rows.len() as f64;
-                crate::tree::prune::prune_tree(&mut tree, penalty);
+                prune_tree(&mut tree, penalty);
             }
-            Ok(Some(FoldPredictor::Tree(tree)))
+            builder.tree(tree)
         }
         Method::Cube(cube_cfg, confidence) => {
             let (Some(item_space), Some(item_coords)) = (ctx.item_space, ctx.item_coords)
             else {
-                return Err(crate::error::BellwetherError::Config(
+                return Err(BellwetherError::Config(
                     "cube method requires item_space and item_coords".into(),
                 ));
             };
@@ -273,64 +226,38 @@ fn train_fold(
             // Theorem 1 makes the optimized construction available (and
             // much faster on many subsets) whenever the error measure is
             // training-set; otherwise fall back to the single scan.
-            let cube = if problem.error_measure == crate::problem::ErrorMeasure::TrainingSet {
-                build_optimized_cube(
-                    ctx.source,
-                    ctx.region_space,
-                    item_space,
-                    &train_coords,
-                    problem,
-                    cube_cfg,
-                )?
+            let build = if problem.error_measure == ErrorMeasure::TrainingSet {
+                build_optimized_cube
             } else {
-                build_single_scan_cube(
-                    ctx.source,
-                    ctx.region_space,
-                    item_space,
-                    &train_coords,
-                    problem,
-                    cube_cfg,
-                )?
+                build_single_scan_cube
             };
+            let mut cube = build(
+                ctx.source,
+                ctx.region_space,
+                item_space,
+                &train_coords,
+                problem,
+                cube_cfg,
+            )?;
             if cube.cells.is_empty() {
                 return Ok(None);
             }
-            Ok(Some(FoldPredictor::Cube {
-                cube,
-                confidence: *confidence,
-            }))
+            // The cells are the training items'; routing is for every
+            // item, the held-out ones included.
+            cube.item_coords = item_coords.clone();
+            builder.cube(cube, *confidence)
         }
-    }
-}
-
-/// Resolve the (region, model) the predictor uses for one test item.
-fn choose_model<'p>(
-    predictor: &'p FoldPredictor,
-    ctx: &EvalContext<'_>,
-    id: i64,
-) -> Option<(usize, &'p LinearModel)> {
-    match predictor {
-        FoldPredictor::Basic {
-            region_index,
-            model,
-        } => Some((*region_index, model)),
-        FoldPredictor::Tree(tree) => {
-            let info = tree.predicting_info(ctx.items, id)?;
-            Some((info.region_index, &info.model))
-        }
-        FoldPredictor::Cube { cube, confidence } => {
-            let coords = ctx.item_coords?.get(&id)?;
-            let cell = select_cell(cube, coords, *confidence)?;
-            Some((cell.region_index, &cell.model))
-        }
-    }
+    };
+    builder.build().map(Some)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::predict::select_cell;
     use crate::cube::tests_support::cube_fixture;
-    use crate::problem::ErrorMeasure;
+    use bellwether_cube::RegionId;
+    use bellwether_linreg::LinearModel;
 
     fn problem() -> BellwetherConfig {
         BellwetherConfig::builder(1e9)
@@ -435,6 +362,158 @@ mod tests {
         )
         .unwrap();
         assert!(out.is_none());
+    }
+
+    /// `cube_fixture`'s source and regions under 26 items: its 24, item
+    /// 24 alone in a third group `gc` (whenever it is held out no
+    /// training item shares its categorical value or its leaf
+    /// coordinates), and item 25 with no coordinates at all. Neither has
+    /// data in any region.
+    struct Served {
+        src: bellwether_storage::MemorySource,
+        region_space: RegionSpace,
+        items: ItemTable,
+        item_space: RegionSpace,
+        coords: HashMap<i64, Vec<u32>>,
+        targets: HashMap<i64, f64>,
+    }
+
+    fn served_fixture() -> Served {
+        use bellwether_cube::{Dimension, Hierarchy};
+        use bellwether_table::{Column, DataType, Schema, Table};
+        let (src, region_space, _, _, _) = cube_fixture();
+        let group = |i: i64| match i {
+            0..=11 | 25 => "ga",
+            12..=23 => "gb",
+            _ => "gc",
+        };
+        let table = Table::new(
+            Schema::from_pairs(&[("id", DataType::Int), ("g", DataType::Str)]).unwrap(),
+            vec![
+                Column::from_ints((0..26).collect()),
+                Column::from_strs(&(0..26).map(group).collect::<Vec<_>>()),
+            ],
+        )
+        .unwrap();
+        let items = ItemTable::from_table(&table, "id", &[], &["g"]).unwrap();
+        let groups = Hierarchy::flat("G", "Any", &["ga", "gb", "gc"]);
+        let mut coords = items.leaf_coords(std::slice::from_ref(&groups), &["g"]).unwrap();
+        coords.remove(&25);
+        let targets = (0..26)
+            .map(|i| (i, if i < 12 { 2.0 * (3 * i + 1) as f64 } else { -4.0 * (i + 7) as f64 }))
+            .collect();
+        Served {
+            src,
+            region_space,
+            items,
+            item_space: RegionSpace::new(vec![Dimension::Hierarchy(groups)]),
+            coords,
+            targets,
+        }
+    }
+
+    /// The figure path is the served path, through disk: every fold's
+    /// model answers for its held-out items with the same bits after
+    /// `save` → `load`, and the RMSE pooled from the loaded models is the
+    /// one `evaluate_method` returns. `inspect` sees each loaded model
+    /// with the fold's held-out ids and predictions.
+    fn assert_figures_come_from_the_served_model(
+        fx: &Served,
+        method: &Method,
+        inspect: impl Fn(&BellwetherModel, &[i64], &[Option<f64>]),
+    ) {
+        let ctx = EvalContext {
+            source: &fx.src,
+            region_space: &fx.region_space,
+            items: &fx.items,
+            targets: &fx.targets,
+            item_space: Some(&fx.item_space),
+            item_coords: Some(&fx.coords),
+        };
+        let eval = ItemCentricEval { folds: 4, seed: 3 };
+        let problem = problem();
+        let reported = evaluate_method(&ctx, &problem, method, &eval).unwrap();
+
+        let (ids, folds) = item_folds(&ctx, &eval).unwrap();
+        let dir = std::env::temp_dir().join("bw_predict_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (mut sse, mut count) = (0.0, 0usize);
+        for fold in 0..4 {
+            let (train_ids, test_ids) = split_fold(&ids, &folds, fold);
+            let model = train_fold(&ctx, &problem, method, &train_ids).unwrap().unwrap();
+            let path = dir.join(format!("{}_{:?}_{fold}.bwsn", method.name(), std::thread::current().id()));
+            model.save(&path).unwrap();
+            let loaded = BellwetherModel::load(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+
+            let served = loaded.predict_batch(method.kind(), &test_ids);
+            let bits = |p: &[Option<f64>]| p.iter().map(|p| p.map(f64::to_bits)).collect::<Vec<_>>();
+            assert_eq!(bits(&served), bits(&model.predict_batch(method.kind(), &test_ids)));
+            inspect(&loaded, &test_ids, &served);
+            for (id, pred) in test_ids.iter().zip(&served) {
+                let Some(pred) = pred else { continue };
+                sse += (pred - fx.targets[id]).powi(2);
+                count += 1;
+            }
+        }
+        assert!(count > 0);
+        let pooled = (sse / count as f64).sqrt();
+        assert_eq!(reported.map(f64::to_bits), Some(pooled.to_bits()), "{}", method.name());
+    }
+
+    #[test]
+    fn the_figure_path_is_the_served_path_through_disk() {
+        let fx = served_fixture();
+        // Items without data anywhere get intercept + zero features.
+        let zero_filled = |model: &LinearModel| model.predict(&[1.0, 0.0]);
+
+        assert_figures_come_from_the_served_model(&fx, &Method::Basic, |model, ids, served| {
+            assert!(served.iter().all(Option::is_some));
+            if let Some(at) = ids.iter().position(|&id| id == 24) {
+                let basic = &model.basic_report().unwrap().model;
+                assert_eq!(served[at], Some(zero_filled(basic)));
+            }
+        });
+
+        for prune_frac in [0.0, 0.6] {
+            let cfg = TreeConfig {
+                min_node_items: 8,
+                prune_frac,
+                ..TreeConfig::default()
+            };
+            let seen_gc = std::cell::Cell::new(false);
+            assert_figures_come_from_the_served_model(&fx, &Method::Tree(cfg), |model, ids, served| {
+                assert!(served.iter().all(Option::is_some));
+                let Some(at) = ids.iter().position(|&id| id == 24) else { return };
+                // No training item had `gc`: routing stops where the
+                // tree splits on the group, here the root.
+                let tree = model.tree().unwrap();
+                assert_eq!(tree.route_item(model.items(), 24), Some(0));
+                assert_eq!(served[at], Some(zero_filled(&tree.root().info.as_ref().unwrap().model)));
+                seen_gc.set(true);
+            });
+            assert!(seen_gc.get());
+        }
+
+        let method = Method::Cube(CubeConfig { min_subset_size: 5 }, 0.95);
+        let seen_gc = std::cell::Cell::new(false);
+        assert_figures_come_from_the_served_model(&fx, &method, |model, ids, served| {
+            let (cube, confidence) = model.cube().unwrap();
+            for (&id, pred) in ids.iter().zip(served) {
+                // No coordinates: no cell, no prediction, not counted.
+                assert_eq!(pred.is_none(), id == 25, "item {id}");
+                if id == 24 {
+                    // No training item at leaf `gc`: no cell there, the
+                    // item falls back to `[Any]`.
+                    assert!(cube.cell(&RegionId(vec![3])).is_none());
+                    let cell = select_cell(cube, &cube.item_coords[&24], confidence).unwrap();
+                    assert_eq!(cell.subset, RegionId(vec![0]));
+                    assert_eq!(*pred, Some(zero_filled(&cell.model)));
+                    seen_gc.set(true);
+                }
+            }
+        });
+        assert!(seen_gc.get());
     }
 
     #[test]

@@ -43,8 +43,8 @@ impl ErrorMeasure {
     /// scratch: one statistics pass plus k downdated packed solves for
     /// cross-validation, one fit for training-set error — no dataset
     /// copies, and no heap allocation once `scratch` is warm. Values are
-    /// bit-identical to the refit path (`cross_val_estimate` /
-    /// `training_set_estimate`).
+    /// bit-identical to a refit per fold (`bellwether_linreg`'s test
+    /// oracle holds the engine to that).
     pub fn estimate_with(
         &self,
         data: &RegressionData,
@@ -253,8 +253,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_refit_path_bitwise() {
-        use bellwether_linreg::{cross_val_estimate, training_set_estimate, SplitMix64};
+    fn measures_are_the_engine_estimates_bitwise() {
+        use bellwether_linreg::SplitMix64;
         let mut rng = SplitMix64::new(17);
         let mut d = RegressionData::new(2);
         for i in 0..120 {
@@ -264,12 +264,12 @@ mod tests {
         }
         let mut scratch = EvalScratch::new();
         let cv = ErrorMeasure::cv10().estimate_with(&d, &mut scratch).unwrap();
-        let refit_cv = cross_val_estimate(&d, 10, 0xBE11).unwrap();
-        assert_eq!(cv.value.to_bits(), refit_cv.value.to_bits());
-        assert_eq!(cv.std_err.to_bits(), refit_cv.std_err.to_bits());
+        let engine_cv = EvalScratch::new().cv_estimate(&d, 10, 0xBE11).unwrap();
+        assert_eq!(cv.value.to_bits(), engine_cv.value.to_bits());
+        assert_eq!(cv.std_err.to_bits(), engine_cv.std_err.to_bits());
         let tr = ErrorMeasure::TrainingSet.estimate_with(&d, &mut scratch).unwrap();
-        let refit_tr = training_set_estimate(&d).unwrap();
-        assert_eq!(tr.value.to_bits(), refit_tr.value.to_bits());
+        let engine_tr = EvalScratch::new().training_estimate(&d).unwrap();
+        assert_eq!(tr.value.to_bits(), engine_tr.value.to_bits());
         for (measure, full) in [(ErrorMeasure::cv10(), cv), (ErrorMeasure::TrainingSet, tr)] {
             let value = measure.estimate_value_with(&d, &mut scratch).unwrap();
             assert_eq!(value.to_bits(), full.value.to_bits());

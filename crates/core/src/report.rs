@@ -13,7 +13,7 @@
 
 use crate::basic::{BasicSearchResult, LinearSearchResult};
 use crate::cube::BellwetherCube;
-use crate::tree::BellwetherTree;
+use crate::tree::{BellwetherTree, NodeInfo};
 use bellwether_cube::RegionId;
 use bellwether_linreg::{ErrorEstimate, LinearModel};
 
@@ -99,23 +99,30 @@ impl LinearSearchResult {
     }
 }
 
+impl NodeInfo {
+    /// The unified report of a search that found this bellwether and
+    /// skipped `skipped_regions` on the way.
+    pub(crate) fn report(&self, skipped_regions: &[usize]) -> BellwetherReport {
+        BellwetherReport {
+            region: self.region.clone(),
+            label: self.label.clone(),
+            region_index: self.region_index,
+            score: self.error,
+            error: self.error,
+            error_bounds: None,
+            model: self.model.clone(),
+            n_examples: self.n_examples,
+            skipped_regions: skipped_regions.to_vec(),
+        }
+    }
+}
+
 impl BellwetherTree {
     /// The unified report for this tree: the *root* node's bellwether —
     /// the single-region answer an item falls back to before any
     /// routing. Per-leaf models stay on the tree itself.
     pub fn report(&self) -> Option<BellwetherReport> {
-        let info = self.root().info.as_ref()?;
-        Some(BellwetherReport {
-            region: info.region.clone(),
-            label: info.label.clone(),
-            region_index: info.region_index,
-            score: info.error,
-            error: info.error,
-            error_bounds: None,
-            model: info.model.clone(),
-            n_examples: info.n_examples,
-            skipped_regions: self.skipped_regions.clone(),
-        })
+        Some(self.root().info.as_ref()?.report(&self.skipped_regions))
     }
 }
 

@@ -11,10 +11,12 @@
 //!    overlay — clean blocks are never rewritten);
 //! 3. the [`CachedSource`] evicts exactly the dirty blocks; every clean
 //!    block stays cached and is never re-read;
-//! 4. only the dirty candidates are re-scored, through a retained
-//!    [`RegionEvalScratch`], and the argmin is recomputed over the
-//!    retained per-region reports. An argmin flip is a
-//!    [`DriftEvent`] — the signal a server uses to hot-swap its model.
+//! 4. only the dirty candidates are re-scored — the cold search's own
+//!    scan (`scan_regions`, so its panic isolation and the config's
+//!    `ScanPolicy`) with the dirty set as its pre-read filter — and the
+//!    argmin is recomputed over the retained per-region reports. An
+//!    argmin flip is a [`DriftEvent`] — the signal a server uses to
+//!    hot-swap its model.
 //!
 //! # Equivalence contract
 //!
@@ -22,14 +24,11 @@
 //! is **bit-identical** to running [`basic_search`] cold over a layout
 //! built from the concatenated input: the delta cube is bit-identical
 //! by construction (see `bellwether-cube`'s `delta` module), the block
-//! assembly is the same [`region_block`] call, and the re-score path
-//! replicates `basic_search`'s evaluation verbatim — same budget
-//! prefilter (over-budget regions are never read, so they can never
-//! enter the report set), same coverage/`min_examples` gates, same
-//! scratch pipeline, same `(error, source index)` argmin tie-break.
-//! Regions *not* in the dirty set keep their previous report, which is
-//! bit-identical to what a cold pass would recompute because their
-//! suffstats did not change.
+//! assembly is the same [`region_block`] call, and the re-score *is*
+//! `basic_search`'s scan and its `(error, source index)` argmin, not a
+//! copy of them. Regions *not* in the dirty set keep their previous
+//! report, which is bit-identical to what a cold pass would recompute
+//! because their suffstats did not change.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -39,14 +38,13 @@ use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube
 use bellwether_obs::names;
 use bellwether_storage::{
     even_shard_plan, CachedSource, ShardAppender, ShardedSource, ShardedWriter,
-    TrainingSource,
 };
 
-use crate::basic::{basic_search, evaluate_candidate, BasicSearchResult, Candidate, RegionReport};
+use crate::basic::{basic_search, evaluate_regions, min_error, BasicSearchResult, RegionReport};
 use crate::error::{BellwetherError, Result};
-use crate::eval::RegionEvalScratch;
 use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
+use crate::scan::merge_skipped;
 use crate::training::region_block;
 
 /// One argmin flip: the bellwether changed identity after an append.
@@ -109,10 +107,10 @@ pub struct StreamingBellwether {
     reports: Vec<Option<RegionReport>>,
     /// Source index of the current bellwether.
     best: Option<usize>,
-    /// Unreadable regions from the bootstrap scan (kept for
-    /// [`Self::search_result`] parity with [`basic_search`]).
+    /// Regions the scan that last read them found unreadable — the
+    /// bootstrap's, then each re-score's verdict on its dirty candidates
+    /// (for [`Self::search_result`] parity with [`basic_search`]).
     skipped: Vec<usize>,
-    scratch: RegionEvalScratch,
     /// Dirty candidates of appends whose publish failed after the cube
     /// had moved on: their blocks and reports are stale until the next
     /// append rewrites them.
@@ -195,7 +193,6 @@ impl StreamingBellwether {
             reports,
             best,
             skipped: boot.skipped_regions,
-            scratch: RegionEvalScratch::new(),
             unpublished: Vec::new(),
             appends: 0,
             drift_log: Vec::new(),
@@ -295,50 +292,39 @@ impl StreamingBellwether {
             .recorder
             .add(names::STORAGE_CACHE_INVALIDATIONS, evicted);
 
-        // Re-score the dirty candidates as `basic_search` does: budget
-        // prefilter *before* the read (an over-budget region is never
-        // evaluated and stays report-less), then the evaluation function
-        // the cold search itself calls.
-        for &idx in dirty {
-            let region = &self.regions[idx];
-            if self.cost_model.cost(&self.space, region) > self.config.budget {
-                continue;
-            }
-            let block = self
-                .source
-                .read_region(idx)
-                .map_err(|e| BellwetherError::RegionRead { index: idx, source: e })?;
-            outcome.rescored += 1;
-            let candidate = Candidate {
-                idx,
-                region: region.clone(),
-                block: &block,
-            };
-            self.reports[idx] = evaluate_candidate(
-                &mut self.scratch,
-                candidate,
-                &self.space,
-                self.cost_model.as_ref(),
-                &self.config,
-                self.total_items,
-            );
+        self.rescore(dirty, outcome)
+    }
+
+    /// Re-score the `dirty` candidates through the cold search's own
+    /// scan, narrowed to them: an over-budget region is still never read
+    /// and stays report-less, an unreadable one is the scan policy's to
+    /// fail on or to skip (and loses its report).
+    fn rescore(&mut self, dirty: &[usize], outcome: &mut AppendOutcome) -> Result<()> {
+        let scanned = evaluate_regions(
+            &self.source,
+            &self.space,
+            self.cost_model.as_ref(),
+            &self.config,
+            self.total_items,
+            |idx| dirty.binary_search(&idx).is_ok(),
+        )?;
+        outcome.rescored = scanned.acc.len();
+        for (idx, report) in scanned.acc {
+            self.reports[idx] = report;
+        }
+        self.skipped.retain(|idx| dirty.binary_search(idx).is_err());
+        merge_skipped(&mut self.skipped, &scanned.skipped);
+        for &idx in &scanned.skipped {
+            self.reports[idx] = None;
         }
         Ok(())
     }
 
     /// Argmin over retained reports by `(error, source index)` — the
-    /// same order `basic_search` uses (its reports arrive in source
-    /// order, so its positional tie-break is the source-index one).
+    /// order `basic_search` uses.
     fn argmin(&self) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (idx, report) in self.reports.iter().enumerate() {
-            let Some(r) = report else { continue };
-            match best {
-                Some((_, e)) if r.error.value.total_cmp(&e).is_ge() => {}
-                _ => best = Some((idx, r.error.value)),
-            }
-        }
-        best.map(|(i, _)| i)
+        let reports = self.reports.iter().enumerate();
+        min_error(reports.filter_map(|(idx, report)| Some((idx, report.as_ref()?))))
     }
 
     /// The current search state, shaped exactly as a cold
@@ -399,5 +385,130 @@ impl StreamingBellwether {
     /// The on-disk layout directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::ErrorMeasure;
+    use crate::scan::ScanPolicy;
+    use bellwether_cube::{Dimension, Hierarchy, Measure, UniformCellCost};
+    use bellwether_storage::overlay_file_name;
+    use bellwether_table::ops::AggFunc;
+    use bellwether_table::{Column, DataType, Schema, Table};
+    use std::io::{Seek, SeekFrom, Write};
+
+    /// Every one of 12 items sells in both leaves in `week` (0-based).
+    fn week(week: u32) -> CubeInput {
+        let rows = (1..=12i64).flat_map(|id| [1u32, 2].map(|leaf| (id, leaf)));
+        let profit = |(id, leaf): (i64, u32)| ((id * 7 + leaf as i64 * 3 + week as i64) % 11) as f64;
+        CubeInput {
+            item_ids: rows.clone().map(|(id, _)| id).collect(),
+            coords: rows.clone().flat_map(|(_, leaf)| [week, leaf]).collect(),
+            measures: vec![Measure::Numeric {
+                name: "profit".into(),
+                func: AggFunc::Sum,
+                values: rows.map(|row| Some(profit(row))).collect(),
+            }],
+        }
+    }
+
+    /// Three weeks × {All, a, b}: nine candidates over week 0.
+    fn engine(tag: &str) -> StreamingBellwether {
+        let space = RegionSpace::new(vec![
+            Dimension::Interval {
+                name: "T".into(),
+                max_t: 3,
+            },
+            Dimension::Hierarchy(Hierarchy::flat("L", "All", &["a", "b"])),
+        ]);
+        let ids: Vec<i64> = (1..=12).collect();
+        let table = Table::new(
+            Schema::from_pairs(&[("id", DataType::Int), ("rd", DataType::Float)]).unwrap(),
+            vec![
+                Column::from_ints(ids.clone()),
+                Column::from_floats(ids.iter().map(|&id| (id % 5) as f64).collect()),
+            ],
+        )
+        .unwrap();
+        let items = ItemTable::from_table(&table, "id", &["rd"], &[]).unwrap();
+        let targets = ids.iter().map(|&id| (id, (id * id % 17) as f64)).collect();
+        let regions = (0..3).flat_map(|t| (0..3).map(move |l| RegionId(vec![t, l]))).collect();
+        let config = BellwetherConfig::builder(f64::INFINITY)
+            .min_coverage(0.0)
+            .min_examples(4)
+            .error_measure(ErrorMeasure::TrainingSet)
+            .build()
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("bw_stream_unit_{tag}"));
+        std::fs::remove_dir_all(&dir).ok();
+        StreamingBellwether::create(
+            &dir,
+            &space,
+            &week(0),
+            &ids,
+            items,
+            targets,
+            regions,
+            Arc::new(UniformCellCost { rate: 1.0 }),
+            config,
+            12,
+            2,
+            1 << 20,
+        )
+        .unwrap()
+    }
+
+    /// The re-score is a filtered `scan_regions`: what it does with a
+    /// dirty block it cannot read is the scan policy's call, and what it
+    /// skipped is part of the search result until a later append reads
+    /// the region again.
+    #[test]
+    fn an_unreadable_dirty_block_is_the_scan_policys_to_judge() {
+        let mut engine = engine("policy");
+        let mut outcome = engine.append(&week(1)).unwrap();
+        // Week 1 reaches the intervals [0..=1] and [0..=2] in every
+        // location: candidates 3..9.
+        let dirty: Vec<usize> = (3..9).collect();
+        assert_eq!((outcome.dirty_candidates, outcome.rescored), (6, 6));
+        let healthy = engine.search_result();
+        assert_eq!(healthy.reports.len(), 9);
+
+        // Damage the last block of the overlay the append wrote, and
+        // make the re-score read it again.
+        let overlay = engine.dir.join(overlay_file_name(engine.generation()));
+        let len = std::fs::metadata(&overlay).unwrap().len();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&overlay).unwrap();
+        file.seek(SeekFrom::Start(len - 200)).unwrap();
+        file.write_all(&[0xA5; 8]).unwrap();
+        drop(file);
+        engine.source.invalidate_regions(&dirty);
+
+        let err = engine.rescore(&dirty, &mut outcome).unwrap_err();
+        let BellwetherError::RegionRead { index: bad, .. } = err else {
+            panic!("expected RegionRead, got {err}");
+        };
+        assert!(dirty.contains(&bad), "region {bad}");
+
+        engine.config.scan_policy = ScanPolicy::SkipUnreadable { max_skipped: 1 };
+        engine.rescore(&dirty, &mut outcome).unwrap();
+        assert_eq!(outcome.rescored, 5);
+        let degraded = engine.search_result();
+        assert_eq!(degraded.skipped_regions, vec![bad]);
+        let kept: Vec<usize> = degraded.reports.iter().map(|r| r.source_index).collect();
+        assert_eq!(kept, (0..9).filter(|&idx| idx != bad).collect::<Vec<_>>());
+        for report in &degraded.reports {
+            let before = &healthy.reports[report.source_index];
+            assert_eq!(report.error.value.to_bits(), before.error.value.to_bits());
+        }
+
+        // The next append rewrites the region and reads it back.
+        let outcome = engine.append(&week(1)).unwrap();
+        assert_eq!(outcome.rescored, 6);
+        let recovered = engine.search_result();
+        assert!(recovered.skipped_regions.is_empty());
+        assert_eq!(recovered.reports.len(), 9);
+        std::fs::remove_dir_all(engine.dir()).ok();
     }
 }

@@ -11,9 +11,8 @@
 //! uniformly.
 
 use crate::error::Result;
-use crate::items::{ItemIndex, ItemTable, NO_ITEM};
+use crate::items::{ItemTable, NO_ITEM};
 use bellwether_cube::{CubeResult, Parallelism, RegionId, RegionSpace};
-use bellwether_linreg::RegressionData;
 use bellwether_storage::{MemorySource, RegionBlock, TrainingWriter};
 use std::collections::HashMap;
 use std::path::Path;
@@ -148,28 +147,10 @@ pub fn write_disk_source_in_registry(
     Ok(())
 }
 
-/// View a block as a regression dataset (weights 1). Lane-by-lane
-/// copies of the block's feature columns — no per-row work.
-pub fn block_to_data(block: &RegionBlock) -> RegressionData {
-    let mut d = RegressionData::with_capacity(block.p as usize, block.n());
-    d.extend_from_cols(block.cols(), &block.targets);
-    d
-}
-
-/// View the rows of a block whose items `keep` indexes as a dataset, in
-/// block order.
-pub fn block_subset_data(block: &RegionBlock, keep: &ItemIndex) -> RegressionData {
-    let mut d = RegressionData::new(block.p as usize);
-    let rows: Vec<usize> = (0..block.n())
-        .filter(|&i| keep.get(block.item_ids[i]).is_some())
-        .collect();
-    d.extend_from_cols_gather(block.cols(), &block.targets, &rows);
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::items::ItemIndex;
     use bellwether_cube::{cube_pass, CubeInput, Dimension, Hierarchy, Measure};
     use bellwether_storage::TrainingSource;
     use bellwether_table::ops::AggFunc;
@@ -274,10 +255,11 @@ mod tests {
     fn subset_filtering() {
         let c = cube();
         let b = region_block(&c, &RegionId(vec![1, 0]), &items(), &targets());
-        let d = block_subset_data(&b, &ItemIndex::new(&[2]));
-        assert_eq!(d.n(), 1);
-        assert_eq!(d.y(0), 200.0);
-        let full = block_to_data(&b);
-        assert_eq!(full.n(), 2);
+        let mut rows = crate::eval::RegionEvalScratch::new();
+        rows.gather(&b, Some(&ItemIndex::new(&[2])));
+        assert_eq!(rows.data.n(), 1);
+        assert_eq!(rows.data.y(0), 200.0);
+        rows.gather(&b, None);
+        assert_eq!(rows.data.n(), 2);
     }
 }

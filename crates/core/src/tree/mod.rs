@@ -21,14 +21,13 @@ pub mod rainforest;
 pub(crate) mod tests_support;
 
 use crate::error::{BellwetherError, Result};
-use crate::eval::{record_eval_stats, RegionEvalScratch};
+use crate::eval::{record_eval_stats, RegionEvalScratch, WinnerFits};
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions, BestRegion, WithScratch};
-use crate::training::block_subset_data;
+use crate::scan::{scan_regions, BestRegion, Scanned, WithScratch};
 use bellwether_cube::{RegionId, RegionSpace};
-use bellwether_linreg::{fit_wls, LinearModel};
-use bellwether_storage::{RegionBlock, TrainingSource};
+use bellwether_linreg::LinearModel;
+use bellwether_storage::TrainingSource;
 use std::collections::{HashMap, HashSet};
 
 /// Construction knobs for bellwether trees.
@@ -442,35 +441,18 @@ impl BellwetherTree {
     }
 }
 
-/// `Error(h_r | S)`: error of the model built on region block `block`
-/// restricted to the items `keep` indexes, through a caller-held
-/// [`RegionEvalScratch`] so scan hot loops reuse the gather/engine
-/// buffers across blocks. `None` when the subset cannot support a model
-/// there.
-pub fn block_subset_error_with(
-    block: &RegionBlock,
-    keep: &ItemIndex,
-    config: &BellwetherConfig,
-    scratch: &mut RegionEvalScratch,
-) -> Option<f64> {
-    scratch.gather(block, Some(keep));
-    if scratch.data.n() < config.min_examples.max(1) {
-        return None;
-    }
-    scratch.estimate_value(config)
-}
-
-/// Solve the basic bellwether problem for an item subset by scanning all
-/// stored regions once (through the shared [`crate::scan`] engine, so
-/// the scan parallelises under `config.parallelism` and honours
-/// `config.scan_policy`): returns the min-error region and its model.
-pub fn subset_bellwether(
+/// The basic bellwether scan for an item subset: the region whose
+/// block, restricted to the items `members` indexes, gives the lowest
+/// `Error(h_r | S)` (a block holding fewer than `min_examples` of them
+/// supports no model). One pass through the shared [`crate::scan`]
+/// engine, so it parallelises under `config.parallelism` and honours
+/// `config.scan_policy`; the skip count and the workers' `linreg/*`
+/// counters are recorded here.
+pub(crate) fn best_region(
     source: &dyn TrainingSource,
-    space: &RegionSpace,
-    keep: &HashSet<i64>,
+    members: &ItemIndex,
     config: &BellwetherConfig,
-) -> Result<Option<NodeInfo>> {
-    let members: ItemIndex = keep.iter().copied().collect();
+) -> Result<Scanned<BestRegion>> {
     let scanned = scan_regions(
         source,
         config.parallelism,
@@ -481,8 +463,11 @@ pub fn subset_bellwether(
             scratch: RegionEvalScratch::new(),
         },
         |ws: &mut WithScratch<BestRegion, RegionEvalScratch>, idx, block| {
-            if let Some(err) = block_subset_error_with(block, &members, config, &mut ws.scratch) {
-                ws.acc.observe(idx, err);
+            ws.scratch.gather(block, Some(members));
+            if ws.scratch.data.n() >= config.min_examples.max(1) {
+                if let Some(err) = ws.scratch.estimate_value(config) {
+                    ws.acc.observe(idx, err);
+                }
             }
             Ok(())
         },
@@ -490,31 +475,50 @@ pub fn subset_bellwether(
     scanned.record_skipped(config.recorder.as_ref());
     let WithScratch { acc, scratch } = scanned.acc;
     record_eval_stats(config.recorder.as_ref(), &scratch.eval.stats);
-    let Some((region_index, error)) = acc.0 else {
+    Ok(Scanned {
+        acc,
+        skipped: scanned.skipped,
+    })
+}
+
+/// Solve the basic bellwether problem for an item subset: one
+/// `best_region` scan over all stored regions, then the winner fit.
+/// Returns the min-error region and its model.
+pub fn subset_bellwether(
+    source: &dyn TrainingSource,
+    space: &RegionSpace,
+    keep: &HashSet<i64>,
+    config: &BellwetherConfig,
+) -> Result<Option<NodeInfo>> {
+    let members: ItemIndex = keep.iter().copied().collect();
+    let Some((region_index, error)) = best_region(source, &members, config)?.acc.0 else {
         return Ok(None);
     };
-    // One more read to fit the winning model (the search loop above only
-    // kept the score). The region was readable moments ago, but on a
-    // faulty source the targeted re-read can still fail — surface it
-    // with the region index attached.
-    let block = source
-        .read_region(region_index)
-        .map_err(|source| BellwetherError::RegionRead {
-            index: region_index,
-            source,
-        })?;
-    let data = block_subset_data(&block, &members);
-    let model = fit_wls(&data).ok_or_else(|| {
-        BellwetherError::Config("winning region no longer fits a model".into())
-    })?;
-    let region = RegionId(source.region_coords(region_index).to_vec());
-    Ok(Some(NodeInfo {
+    fit_node(source, space, config, &members, region_index, error)?
+        .ok_or_else(|| BellwetherError::Config("winning region no longer fits a model".into()))
+        .map(Some)
+}
+
+/// The final model of a node — the items `keep` indexes — from its
+/// winning region and the error the scan found there: one
+/// [`WinnerFits::fit`], so one targeted read. `None` when the rows no
+/// longer fit a model.
+pub(crate) fn fit_node(
+    source: &dyn TrainingSource,
+    space: &RegionSpace,
+    config: &BellwetherConfig,
+    keep: &ItemIndex,
+    region_index: usize,
+    error: f64,
+) -> Result<Option<NodeInfo>> {
+    let fitted = WinnerFits::new(source, config).fit(region_index, keep, |_| Some(error))?;
+    Ok(fitted.map(|w| NodeInfo {
         region_index,
-        label: space.label(&region),
-        region,
-        error,
-        model,
-        n_examples: data.n(),
+        label: space.label(&w.region),
+        region: w.region,
+        error: w.error,
+        model: w.model,
+        n_examples: w.n_examples,
     }))
 }
 

@@ -2,14 +2,14 @@
 //! splitting where every (node, criterion) evaluation re-reads the
 //! entire training data. Correct but IO-bound: ~`l·m` full scans.
 
-use super::{candidate_splits, BellwetherTree, CandidateSplit, Node, TreeConfig};
+use super::{candidate_splits, fit_node, BellwetherTree, CandidateSplit, Node, TreeConfig};
 use crate::error::Result;
 use crate::eval::record_eval_stats;
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, MinSlots, WithScratch};
 use crate::tree::merge_skipped;
-use crate::tree::partition::{fit_node_model, LevelPlan, RoutedScratch, Scope, Scored};
+use crate::tree::partition::{LevelPlan, RoutedScratch, Scope, Scored};
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
 use bellwether_storage::{RegionBlock, TrainingSource};
@@ -112,7 +112,8 @@ fn split_node(
         },
     )?;
     let Some((ridx, node_err)) = best.0 else { return Ok(()) };
-    tree.nodes[node_id].info = fit_node_model(source, space, items, &rows, ridx, node_err)?;
+    let keep = rows.iter().map(|&r| items.ids()[r]).collect();
+    tree.nodes[node_id].info = fit_node(source, space, problem, &keep, ridx, node_err)?;
 
     // Termination condition (including the numerically-perfect gate).
     if !splits || tree.nodes[node_id].info.is_none() || node_err <= tree_cfg.perfect_error_tol {

@@ -30,16 +30,13 @@
 //!   filter of the block would give. This path is also the oracle the
 //!   statistics path is tested against.
 
-use super::{CandidateSplit, NodeInfo, SplitCriterion};
-use crate::error::{BellwetherError, Result};
+use super::{CandidateSplit, SplitCriterion};
 use crate::eval::{PartitionScratch, RegionEvalScratch};
-use crate::items::{ItemIndex, ItemTable, NO_ITEM};
+use crate::items::{ItemIndex, NO_ITEM};
 use crate::problem::{BellwetherConfig, ErrorMeasure};
 use crate::scan::ScanScratch;
-use crate::training::block_subset_data;
-use bellwether_cube::{RegionId, RegionSpace};
-use bellwether_linreg::{fit_wls, EvalScratch, RegSuffStats};
-use bellwether_storage::{RegionBlock, TrainingSource};
+use bellwether_linreg::{EvalScratch, RegSuffStats};
+use bellwether_storage::RegionBlock;
 use std::ops::Range;
 
 /// Slot of a member that no child (or bucket) takes.
@@ -749,38 +746,6 @@ impl ScanScratch for RoutedScratch {
         self.node.absorb(later.node);
         self.children.absorb(later.children);
     }
-}
-
-/// Fit the final model of a node — `rows` of the item table — from its
-/// winning region: one targeted read, then the rows of that block whose
-/// items are the node's. The region was readable during the scan, but on
-/// a faulty source the re-read can still fail; the failure carries the
-/// region index. `None` when the rows no longer fit a model.
-pub fn fit_node_model(
-    source: &dyn TrainingSource,
-    space: &RegionSpace,
-    items: &ItemTable,
-    rows: &[usize],
-    region_index: usize,
-    error: f64,
-) -> Result<Option<NodeInfo>> {
-    let block = source
-        .read_region(region_index)
-        .map_err(|source| BellwetherError::RegionRead {
-            index: region_index,
-            source,
-        })?;
-    let keep: ItemIndex = rows.iter().map(|&r| items.ids()[r]).collect();
-    let data = block_subset_data(&block, &keep);
-    let region = RegionId(source.region_coords(region_index).to_vec());
-    Ok(fit_wls(&data).map(|model| NodeInfo {
-        region_index,
-        label: space.label(&region),
-        region,
-        error,
-        model,
-        n_examples: data.n(),
-    }))
 }
 
 #[cfg(test)]

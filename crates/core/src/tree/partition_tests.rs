@@ -184,10 +184,9 @@ fn children_score_independently() {
 fn partition_errors_match_direct_subset_computation() {
     let b = block();
     let subset: HashSet<i64> = [1, 3, 5, 7, 9].into_iter().collect();
-    let keep: ItemIndex = subset.iter().copied().collect();
     let direct = config()
         .error_measure
-        .estimate(&block_subset_data(&b, &keep))
+        .estimate(&oracle::gather(&b, &subset).0)
         .unwrap()
         .value;
     let [stats, gathered] = both_paths(&b, &[subset]);

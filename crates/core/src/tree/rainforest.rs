@@ -12,7 +12,7 @@
 //! model).
 
 use super::{
-    candidate_splits, merge_skipped, BellwetherTree, CandidateSplit, Node, TreeConfig,
+    candidate_splits, fit_node, merge_skipped, BellwetherTree, CandidateSplit, Node, TreeConfig,
 };
 use crate::error::Result;
 use crate::eval::record_eval_stats;
@@ -20,7 +20,7 @@ use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
 use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, WithScratch};
 use crate::tree::naive::goodness_of;
-use crate::tree::partition::{fit_node_model, LevelPlan, RoutedScratch, Scope, Scored};
+use crate::tree::partition::{LevelPlan, RoutedScratch, Scope, Scored};
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
 use bellwether_storage::TrainingSource;
@@ -194,8 +194,8 @@ pub fn build_rainforest(
         for (e, partial) in entries.iter().zip(acc.0) {
             if let Some((ridx, err)) = partial.node_best.0 {
                 let rows = &tree.nodes[e.node_id].item_rows;
-                tree.nodes[e.node_id].info =
-                    fit_node_model(source, space, items, rows, ridx, err)?;
+                let keep = rows.iter().map(|&r| items.ids()[r]).collect();
+                tree.nodes[e.node_id].info = fit_node(source, space, problem, &keep, ridx, err)?;
             }
             let Some((_, node_err)) = partial.node_best.0 else { continue };
             if !e.active

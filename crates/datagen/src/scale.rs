@@ -326,14 +326,14 @@ mod tests {
 
     #[test]
     fn planted_regions_fit_well_others_do_not() {
-        use bellwether_linreg::{training_set_estimate, RegressionData};
+        use bellwether_linreg::{EvalScratch, RegressionData};
         let w = build_scale_workload(&small());
         let errs: Vec<f64> = (0..w.regions.len())
             .map(|r| {
                 let b = w.region_block(r);
                 let mut d = RegressionData::new(4);
                 d.extend_from_cols(b.cols(), &b.targets);
-                training_set_estimate(&d).unwrap().value
+                EvalScratch::new().training_value(&d).unwrap()
             })
             .collect();
         for &p in &w.planted_regions {

@@ -14,8 +14,8 @@
 //!    of per-example terms) and solving one packed `O(p³)` Cholesky.
 //! 3. A second pass over the rows accumulates each fold's held-out SSE
 //!    under its complement model — in the same row order as the refit
-//!    path, so fold RMSEs are **bit-identical** to
-//!    [`crate::crossval::cross_validate`].
+//!    path (kept as the test oracle `crossval::oracle`), so fold RMSEs
+//!    are **bit-identical** to it.
 //!
 //! All workspace lives in a reusable [`EvalScratch`]: after the first
 //! (warm-up) evaluation at a given shape, a scratch performs **zero heap
@@ -244,8 +244,8 @@ impl EvalScratch {
     /// k-fold cross-validated error of a WLS model on `data`, computed
     /// algebraically (one statistics pass, k downdated packed solves,
     /// one held-out evaluation pass). Fold RMSEs and the resulting
-    /// estimate are bit-identical to
-    /// [`crate::crossval::cross_val_estimate`]; `None` under the same
+    /// estimate are bit-identical to the refit oracle's
+    /// (`crossval::oracle::cross_val_estimate`); `None` under the same
     /// conditions.
     pub fn cv_estimate(&mut self, data: &RegressionData, k: usize, seed: u64) -> Option<ErrorEstimate> {
         self.cached_total = CachedTotal::None;
@@ -327,9 +327,9 @@ impl EvalScratch {
     }
 
     /// Training-set error of a WLS model on `data` (one fit, residual
-    /// spread for the standard error). Values bit-identical to
-    /// [`crate::crossval::training_set_estimate`], without its second
-    /// statistics pass and per-call allocations.
+    /// spread for the standard error). Values bit-identical to the
+    /// oracle's `training_set_estimate`, without its second statistics
+    /// pass and per-call allocations.
     pub fn training_estimate(&mut self, data: &RegressionData) -> Option<ErrorEstimate> {
         let n = data.n();
         let rmse = self.training_rmse(data, n)?;
@@ -520,7 +520,7 @@ impl EvalScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crossval::{cross_val_estimate, cross_validate, training_set_estimate};
+    use crate::crossval::oracle::{cross_val_estimate, cross_validate, training_set_estimate};
     use crate::model::fit_wls;
     use crate::stats::SplitMix64;
 

@@ -12,7 +12,7 @@
 //! item-hierarchy lattice instead of refitting models.
 //!
 //! ```
-//! use bellwether_linreg::{RegressionData, RegSuffStats, cross_val_estimate};
+//! use bellwether_linreg::{EvalScratch, RegressionData, RegSuffStats};
 //!
 //! let mut data = RegressionData::new(2);
 //! for i in 0..50 {
@@ -21,7 +21,7 @@
 //! }
 //! let model = RegSuffStats::from_dataset(&data).fit().unwrap();
 //! assert!((model.predict(&[1.0, 10.0]) - 23.0).abs() < 1e-6);
-//! let err = cross_val_estimate(&data, 10, 42).unwrap();
+//! let err = EvalScratch::new().cv_estimate(&data, 10, 42).unwrap();
 //! assert!(err.value < 1e-6);
 //! ```
 
@@ -43,10 +43,7 @@ pub use cholesky::{
     Cholesky, FitDiagnostics,
 };
 pub use confint::ErrorEstimate;
-pub use crossval::{
-    cross_val_estimate, cross_validate, fold_assignment, fold_assignment_into,
-    training_set_estimate, CvResult,
-};
+pub use crossval::{fold_assignment, fold_assignment_into};
 pub use folded::{EvalScratch, EvalStats, FoldedSuffStats};
 pub use dataset::RegressionData;
 pub use matrix::Matrix;

@@ -1,9 +1,8 @@
-//! Property tests of the numerical core: Cholesky solves, least-squares
-//! optimality, and cross-validation sanity.
+//! Property tests of the numerical core: Cholesky solves and
+//! least-squares optimality.
 
 use bellwether_linreg::{
-    cross_validate, fit_ols, normal_quantile, solve_spd_ridged, Cholesky, Matrix,
-    RegSuffStats, RegressionData,
+    fit_ols, normal_quantile, solve_spd_ridged, Cholesky, Matrix, RegSuffStats, RegressionData,
 };
 use bellwether_prop::{check, Rng};
 
@@ -78,27 +77,6 @@ fn suffstats_sse_is_minimal_at_fit() {
             model.coefficients()[1] + db1,
         ]);
         assert!(stats.sse_of_model(&perturbed) >= fitted_sse - 1e-6);
-    });
-}
-
-#[test]
-fn cv_error_nonnegative_and_finite() {
-    check("cv_error_nonnegative_and_finite", 64, |rng| {
-        let rows = rng.vec_of(12, 80, |r| (r.f64_in(-5.0, 5.0), r.f64_in(-50.0, 50.0)));
-        let k = rng.usize_in(2, 10);
-        let seed = rng.next_u64() % 100;
-        let mut d = RegressionData::new(2);
-        for (x, y) in &rows {
-            d.push(&[1.0, *x], *y);
-        }
-        if let Some(result) = cross_validate(&d, k, seed) {
-            for e in &result.fold_rmses {
-                assert!(e.is_finite() && *e >= 0.0);
-            }
-            let est = result.estimate();
-            assert!(est.value >= 0.0);
-            assert!(est.std_err >= 0.0);
-        }
     });
 }
 

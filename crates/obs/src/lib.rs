@@ -19,6 +19,9 @@
 //!   offline; the shape matches the bench harness reports) and a
 //!   rendered span tree for profiles.
 //!
+//! Beside them, [`peak_rss_bytes`] / [`reset_peak_rss`] read and reset
+//! the kernel's resident-set high-water mark of this process.
+//!
 //! Span paths are hierarchical by `/` segments — `cube_pass/phase1_scan`
 //! nests under `cube_pass` — and the [`span!`] macro produces a drop
 //! guard that records elapsed wall-clock time on scope exit:
@@ -43,9 +46,11 @@
 pub mod json;
 pub mod names;
 mod registry;
+mod rss;
 mod snapshot;
 mod span;
 
 pub use registry::{Counter, Gauge, NoopRecorder, Recorder, Registry};
+pub use rss::{peak_rss_bytes, reset_peak_rss};
 pub use snapshot::{MetricsSnapshot, SpanStat};
 pub use span::Span;

@@ -1,8 +1,9 @@
-//! Peak-RSS sampling for benchmark hygiene.
+//! Peak-RSS sampling.
 //!
 //! Wall time alone cannot show that an out-of-core pass actually held
-//! its memory budget, so the harness reports the process's peak
-//! resident set alongside every timing. On Linux the kernel tracks the
+//! its memory budget, so the bench harness reports the process's peak
+//! resident set alongside every timing and every fleet worker reports
+//! its own on shutdown. On Linux the kernel tracks the
 //! high-water mark (`VmHWM` in `/proc/self/status`) and lets a process
 //! reset it (writing `5` to `/proc/self/clear_refs`), which gives
 //! per-benchmark peaks rather than one all-time max. Both operations

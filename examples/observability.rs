@@ -182,8 +182,11 @@ fn main() {
     // under 10-fold cross-validation, read back through the snapshot
     // accessors. Every fold is fit by downdating shared sufficient
     // statistics, so `linreg/fits` counts Cholesky solves, not data
-    // passes — and a warm per-worker scratch means evaluations reuse
-    // buffers instead of allocating (`linreg/scratch_reuses`).
+    // passes — every solve of every builder, once: the scans' (one per
+    // evaluated set, `k` more under CV) and the winner fits after them
+    // (one per fitted tree node, two per cube cell: its estimate and its
+    // model). A warm per-worker scratch means evaluations reuse buffers
+    // instead of allocating (`linreg/scratch_reuses`).
     let cv_problem = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)
         .min_examples(20)
