@@ -159,7 +159,8 @@ fn main() {
     }
 
     // --- Cache on/off against a real disk source. The RF tree re-reads
-    // every block once per level; the naive cube once per subset.
+    // every block once per level above the leaves; the naive cube once
+    // per subset.
     let disk_path = std::env::temp_dir().join("bw_builder_scan_source.bin");
     write_blocks(&src, w.region_space.arity() as u32, &disk_path);
     let budget: usize = src.blocks().iter().map(|b| b.encoded_len()).sum();

@@ -234,7 +234,8 @@ pub(crate) mod tests_support {
     use super::*;
     use crate::items::ItemTable;
     use bellwether_cube::{Dimension, Hierarchy};
-    use bellwether_linreg::{fit_wls, RegressionData};
+    use crate::seeded::hash_fold;
+    use bellwether_linreg::{fit_wls, EvalScratch, FoldedSuffStats, RegressionData};
     use bellwether_storage::{MemorySource, RegionBlock};
     use bellwether_table::{Column, DataType, Schema, Table};
 
@@ -278,6 +279,61 @@ pub(crate) mod tests_support {
             model,
             n_examples: data.n(),
         }))
+    }
+
+    /// The per-block scan the optimized cubes ran before the lattice
+    /// schedule, kept as their oracle: per block a `HashMap` of base-cell
+    /// statistics fed row by row, rolled up through `rollup_lattice`'s
+    /// map, and one allocating solve per subset (`rmse`, or the
+    /// algebraic fold RMSEs under `folds`). Per subset of `order`: its
+    /// best region, that error, and the fold RMSEs there.
+    #[allow(clippy::type_complexity)]
+    pub fn scan_by_maps(
+        source: &dyn TrainingSource,
+        item_space: &RegionSpace,
+        item_coords: &HashMap<i64, Vec<u32>>,
+        order: &[RegionId],
+        problem: &BellwetherConfig,
+        folds: Option<(usize, u64)>,
+    ) -> Vec<Option<(usize, f64, Vec<f64>)>> {
+        let p = source.feature_arity();
+        let k = folds.map_or(1, |(k, _)| k);
+        let mut best: HashMap<RegionId, (usize, f64, Vec<f64>)> = HashMap::new();
+        let mut eval = EvalScratch::new();
+        for idx in 0..source.num_regions() {
+            let block = source.read_region(idx).unwrap();
+            let mut base: HashMap<RegionId, FoldedSuffStats> = HashMap::new();
+            for (row, id) in block.item_ids.iter().enumerate() {
+                let Some(coords) = item_coords.get(id) else { continue };
+                let stats = base
+                    .entry(RegionId(coords.clone()))
+                    .or_insert_with(|| FoldedSuffStats::new(p, k));
+                let fold = folds.map_or(0, |(k, seed)| hash_fold(*id, k, seed));
+                stats.add_from_cols(block.cols(), row, block.targets[row], 1.0, fold);
+            }
+            let rolled = rollup_lattice(item_space, base, |a, b| a.merge(b));
+            for subset in order {
+                let Some(stats) = rolled.get(subset) else { continue };
+                if stats.n() < problem.min_examples.max(1) {
+                    continue;
+                }
+                let (err, fold_rmses) = if folds.is_some() {
+                    let fold_rmses = eval.algebraic_fold_rmses(stats).to_vec();
+                    if fold_rmses.is_empty() {
+                        continue;
+                    }
+                    (ErrorEstimate::from_folds(&fold_rmses).value, fold_rmses)
+                } else {
+                    let Some(err) = stats.total().rmse() else { continue };
+                    (err, Vec::new())
+                };
+                let slot = best.entry(subset.clone()).or_insert((idx, f64::INFINITY, Vec::new()));
+                if err < slot.1 {
+                    *slot = (idx, err, fold_rmses);
+                }
+            }
+        }
+        order.iter().map(|subset| best.remove(subset)).collect()
     }
 
     /// Item space: one hierarchy Any → {ga, gb}; 24 items, half per

@@ -16,158 +16,193 @@
 
 use super::{finalize_cells, BellwetherCube, CubeConfig};
 use crate::error::{BellwetherError, Result};
-use crate::eval::{record_eval_stats, RegionEvalScratch};
+use crate::eval::record_eval_stats;
 use crate::items::ItemIndex;
 use crate::problem::{BellwetherConfig, ErrorMeasure};
-use crate::scan::{scan_regions, MergeableAccumulator, Scanned, WithScratch};
+use crate::scan::{scan_regions, MergeableAccumulator, ScanScratch, Scanned, WithScratch};
 use crate::seeded::hash_fold;
-use bellwether_cube::{rollup_lattice, Parallelism, RegionId, RegionSpace};
-use bellwether_linreg::{FoldedSuffStats, RegSuffStats};
+use crate::tree::partition::add_into;
+use bellwether_cube::{LatticeSchedule, Parallelism, RegionId, RegionSpace};
+use bellwether_linreg::{ErrorEstimate, EvalScratch, FoldedSuffStats, RegSuffStats};
 use bellwether_obs::{names, span};
 use bellwether_storage::{RegionBlock, TrainingSource};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Best `(region index, error)` per subset. Merges per key with strict
-/// `<`, keeping the earlier chunk's winner on ties — exactly the
-/// sequential scan's `or_insert + strict-<` update over ascending
-/// region indices. The value carried per key is order-independent
-/// except for ties, and ties resolve to the lower region index because
-/// partials merge in ascending chunk order.
-struct BestMap<V>(HashMap<RegionId, V>);
-
-/// Error value a per-subset slot is ranked by.
-trait Ranked {
-    fn err(&self) -> f64;
+/// The rollup of one build: the [`LatticeSchedule`] over the base cells
+/// its items sit at, each item's base slot resolved once (an example
+/// then costs an id lookup and a load), and each significant subset's
+/// slot.
+struct Lattice {
+    schedule: LatticeSchedule,
+    index: ItemIndex,
+    /// Per position of `index`: the item's base slot.
+    base_of: Vec<usize>,
+    /// Per subset of the build's `order`: its slot.
+    subset_slots: Vec<usize>,
+    /// The CV cube's `(folds, seed)`: a slot holds the total, then one
+    /// statistic per fold.
+    folds: Option<(usize, u64)>,
 }
 
-impl Ranked for (usize, f64) {
-    fn err(&self) -> f64 {
-        self.1
+impl Lattice {
+    fn new(
+        item_space: &RegionSpace,
+        item_coords: &HashMap<i64, Vec<u32>>,
+        order: &[RegionId],
+        folds: Option<(usize, u64)>,
+    ) -> Self {
+        let cells = item_coords.values().map(|c| RegionId(c.clone()));
+        let schedule = LatticeSchedule::new(item_space, cells);
+        let (ids, base_of): (Vec<i64>, Vec<usize>) = item_coords
+            .iter()
+            .map(|(&id, coords)| {
+                let slot = schedule.base.binary_search_by(|c| c.0.cmp(coords));
+                (id, slot.expect("every item's cell is scheduled"))
+            })
+            .unzip();
+        let subset_slots = order
+            .iter()
+            .map(|subset| schedule.cell_slot(subset).expect("a significant subset is rolled up"))
+            .collect();
+        Lattice {
+            schedule,
+            index: ItemIndex::new(&ids),
+            base_of,
+            subset_slots,
+            folds,
+        }
     }
-}
 
-impl Ranked for (usize, f64, Vec<f64>) {
-    fn err(&self) -> f64 {
-        self.1
+    /// Floats per slot over `p` features: per statistic, its example
+    /// count (exact in an `f64`) and its [`RegSuffStats::flat_len`] sums
+    /// — the layout [`FoldedSuffStats::load_flat`] reads.
+    fn stride(&self, p: usize) -> usize {
+        (1 + self.folds.map_or(0, |(k, _)| k)) * (1 + RegSuffStats::flat_len(p))
     }
-}
 
-impl<V: Ranked + Send> MergeableAccumulator for BestMap<V> {
-    fn merge(&mut self, later: Self) {
-        for (subset, slot) in later.0 {
-            match self.0.entry(subset) {
-                Entry::Occupied(mut o) => {
-                    if slot.err() < o.get().err() {
-                        o.insert(slot);
-                    }
-                }
-                Entry::Vacant(v) => {
-                    v.insert(slot);
-                }
+    /// Roll `block` up the lattice into `sums`: each row's unit-weight
+    /// terms added to its base slot's total (and fold) in ascending row
+    /// order — the scalar fold `add_from_cols` makes — then the schedule
+    /// replayed, an empty source skipped and an empty destination copied
+    /// into, as [`LatticeSchedule`] says. Rows of items without
+    /// coordinates are skipped.
+    fn roll(&self, block: &RegionBlock, sums: &mut Vec<f64>, terms: &mut Vec<f64>) {
+        let p = block.p as usize;
+        let (part, stride) = (1 + RegSuffStats::flat_len(p), self.stride(p));
+        let (schedule, base) = (&self.schedule, self.schedule.base.len() * stride);
+        sums.resize((schedule.first_cell + schedule.cells.len()) * stride, 0.0);
+        sums[..base].fill(0.0);
+        sums[base..].iter_mut().step_by(stride).for_each(|n| *n = 0.0);
+        terms.resize(part - 1, 0.0);
+        let mut add = |at: usize, terms: &[f64]| {
+            sums[at] += 1.0;
+            add_into(&mut sums[at + 1..at + part], terms);
+        };
+        for (row, &id) in block.item_ids.iter().enumerate() {
+            let Some(item) = self.index.get(id) else { continue };
+            let slot = self.base_of[item] * stride;
+            RegSuffStats::unit_terms_from_cols(block.cols(), row, block.targets[row], terms);
+            add(slot, terms);
+            if let Some((k, seed)) = self.folds {
+                add(slot + (1 + hash_fold(id, k, seed)) * part, terms);
+            }
+        }
+        for &(from, to) in &schedule.steps {
+            if sums[from * stride] == 0.0 {
+                continue;
+            }
+            let (sources, rest) = sums.split_at_mut(to * stride);
+            let (source, dest) = (&sources[from * stride..][..stride], &mut rest[..stride]);
+            if dest[0] == 0.0 {
+                dest.copy_from_slice(source);
+            } else {
+                add_into(dest, source);
             }
         }
     }
 }
 
-/// The base cells of a build — the distinct leaf-coordinate combinations
-/// its items sit at — with each item's cell resolved once, so the
-/// per-example step of the base aggregation is an id lookup and two
-/// array loads instead of a coordinate-vector clone and hash.
-struct BaseCells {
-    index: ItemIndex,
-    /// Per position of `index`: the item's slot in `cells`.
-    cell_of: Vec<u32>,
-    /// Leaf coordinates, ascending.
-    cells: Vec<RegionId>,
-}
+/// One subset's best region so far — lowest error, earliest region on
+/// ties, as [`crate::scan::BestRegion`] — and what the build keeps of
+/// its score there.
+struct Best<V>(Option<(usize, f64, V)>);
 
-impl BaseCells {
-    fn new(item_coords: &HashMap<i64, Vec<u32>>) -> Self {
-        let mut cells: Vec<RegionId> =
-            item_coords.values().map(|c| RegionId(c.clone())).collect();
-        cells.sort();
-        cells.dedup();
-        let (ids, cell_of): (Vec<i64>, Vec<u32>) = item_coords
-            .iter()
-            .map(|(&id, coords)| {
-                let cell = cells.binary_search_by(|c| c.0.cmp(coords));
-                (id, cell.expect("every item's cell was collected") as u32)
-            })
-            .unzip();
-        BaseCells {
-            index: ItemIndex::new(&ids),
-            cell_of,
-            cells,
+impl<V> Best<V> {
+    fn observe(&mut self, idx: usize, err: f64, kept: impl FnOnce() -> V) {
+        if self.0.as_ref().is_none_or(|best| err < best.1) {
+            self.0 = Some((idx, err, kept()));
         }
-    }
-
-    /// One statistic per base cell with examples in `block`, each fed
-    /// its rows (`add(stat, row, item id)`) in ascending order; examples
-    /// of items without coordinates are skipped.
-    fn aggregate<S>(
-        &self,
-        block: &RegionBlock,
-        new: impl Fn() -> S,
-        mut add: impl FnMut(&mut S, usize, i64),
-    ) -> HashMap<RegionId, S> {
-        let mut stats: Vec<Option<S>> = self.cells.iter().map(|_| None).collect();
-        for (row, &id) in block.item_ids.iter().enumerate() {
-            let Some(item) = self.index.get(id) else { continue };
-            let cell = self.cell_of[item] as usize;
-            add(stats[cell].get_or_insert_with(&new), row, id);
-        }
-        let filled = self.cells.iter().zip(stats);
-        filled
-            .filter_map(|(cell, stat)| Some((cell.clone(), stat?)))
-            .collect()
     }
 }
 
-/// The optimized cube's scan: per significant subset, the region whose
-/// rolled-up statistic gives the lowest training-set error.
-fn scan_best(
+impl<V: Send> MergeableAccumulator for Best<V> {
+    fn merge(&mut self, later: Self) {
+        if let Some((idx, err, kept)) = later.0 {
+            self.observe(idx, err, || kept);
+        }
+    }
+}
+
+/// Per-worker state of an optimized cube scan: the slots of the block
+/// last rolled up, one row's terms, and the error engine.
+#[derive(Default)]
+struct RollScratch {
+    sums: Vec<f64>,
+    terms: Vec<f64>,
+    folded: FoldedSuffStats,
+    eval: EvalScratch,
+}
+
+impl ScanScratch for RollScratch {
+    fn absorb(&mut self, later: Self) {
+        self.eval.stats.absorb(&later.eval.stats);
+    }
+}
+
+/// The optimized cubes' scan: per significant subset, the region where
+/// `score` — given a subset slot with at least `min_examples` examples —
+/// reads the lowest error, with `kept` taken from the engine there. The
+/// skip count and the engine's `linreg/*` counters are recorded here.
+fn scan_best<V: Send>(
     source: &dyn TrainingSource,
-    item_space: &RegionSpace,
-    item_coords: &HashMap<i64, Vec<u32>>,
-    order: &[RegionId],
+    lattice: &Lattice,
     problem: &BellwetherConfig,
-) -> Result<Scanned<BestMap<(usize, f64)>>> {
-    let p = source.feature_arity();
-    let base_cells = BaseCells::new(item_coords);
-    scan_regions(
+    parallelism: Parallelism,
+    score: impl Fn(&mut EvalScratch, &mut FoldedSuffStats, &[f64]) -> Option<f64> + Sync,
+    kept: impl Fn(&EvalScratch) -> V + Sync,
+) -> Result<Scanned<Vec<Best<V>>>> {
+    let scanned = scan_regions(
         source,
-        problem.parallelism,
+        parallelism,
         problem.scan_policy,
         |_| true,
-        || BestMap(HashMap::new()),
-        |acc: &mut BestMap<(usize, f64)>, idx, block| {
-            // Base aggregation: one suffstats update per example, read
-            // straight from the block's feature lanes.
-            let base = base_cells.aggregate(
-                block,
-                || RegSuffStats::new(p),
-                |stats, row, _| stats.add_from_cols(block.cols(), row, block.targets[row], 1.0),
-            );
-
-            // Lattice rollup: merge statistics upward (Observation 1).
-            let rolled = rollup_lattice(item_space, base, |a, b| a.merge(b));
-
-            // Read each significant subset's error from its statistic.
-            for subset in order {
-                let Some(stats) = rolled.get(subset) else { continue };
-                if stats.n() < problem.min_examples.max(1) {
+        || WithScratch {
+            acc: (0..lattice.subset_slots.len()).map(|_| Best(None)).collect(),
+            scratch: RollScratch::default(),
+        },
+        |ws: &mut WithScratch<Vec<Best<V>>, RollScratch>, idx, block| {
+            let RollScratch { sums, terms, folded, eval } = &mut ws.scratch;
+            lattice.roll(block, sums, terms);
+            let stride = lattice.stride(block.p as usize);
+            for (best, &slot) in ws.acc.iter_mut().zip(&lattice.subset_slots) {
+                let stats = &sums[slot * stride..][..stride];
+                if (stats[0] as usize) < problem.min_examples.max(1) {
                     continue;
                 }
-                let Some(err) = stats.rmse() else { continue };
-                let slot = acc.0.entry(subset.clone()).or_insert((idx, f64::INFINITY));
-                if err < slot.1 {
-                    *slot = (idx, err);
+                if let Some(err) = score(eval, folded, stats) {
+                    best.observe(idx, err, || kept(eval));
                 }
             }
             Ok(())
         },
-    )
+    )?;
+    scanned.record_skipped(problem.recorder.as_ref());
+    let WithScratch { acc, scratch } = scanned.acc;
+    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
+    Ok(Scanned {
+        acc,
+        skipped: scanned.skipped,
+    })
 }
 
 /// Build a bellwether cube with the algebraic-rollup optimization.
@@ -188,15 +223,20 @@ pub fn build_optimized_cube(
     }
     let _timer = span!(problem.recorder, "cube/optimized");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
-    let scanned = scan_best(source, item_space, item_coords, &index.order, problem)?;
-    scanned.record_skipped(problem.recorder.as_ref());
-    let best = scanned.acc.0;
+    let lattice = Lattice::new(item_space, item_coords, &index.order, None);
+    let p = source.feature_arity();
+    // A subset's training-set error, read straight off its statistic.
+    let scanned = scan_best(
+        source,
+        &lattice,
+        problem,
+        problem.parallelism,
+        |eval, _, stats| eval.training_value_flat(p, stats[0] as usize, &stats[1..]),
+        |_| (),
+    )?;
 
-    let winners: Vec<Option<usize>> = index
-        .order
-        .iter()
-        .map(|subset| best.get(subset).map(|&(region_index, _)| region_index))
-        .collect();
+    let winners: Vec<Option<usize>> =
+        scanned.acc.iter().map(|best| best.0.as_ref().map(|w| w.0)).collect();
     let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |_, rows| {
         rows.estimate(problem)
     })?;
@@ -209,16 +249,13 @@ pub fn build_optimized_cube(
     })
 }
 
-/// Per-worker state of the CV cube scan: best `(region idx, cv error,
-/// fold rmses)` per subset, plus the reusable evaluation scratch.
-type CvScanState = WithScratch<BestMap<(usize, f64, Vec<f64>)>, RegionEvalScratch>;
-
 /// **Extension beyond the paper**: a *cross-validated* optimized cube.
 ///
 /// Theorem 1 decomposes training-set SSE. The same statistic also
 /// yields k-fold cross-validation error without revisiting examples:
-/// keep a [`FoldedSuffStats`] per base subset (one [`RegSuffStats`] per
-/// fold plus the running total, built in a single pass); fold `f`'s
+/// keep one [`RegSuffStats`] per fold plus the running total per base
+/// subset ([`FoldedSuffStats`]'s flat form, built in a single pass and
+/// rolled up like the total); fold `f`'s
 /// model is fit by *downdating* the total via
 /// [`RegSuffStats::subtract`], and its test SSE on fold `f` is
 /// `Y'Y − 2β'X'Y + β'X'Xβ` — entirely from fold `f`'s statistic
@@ -241,80 +278,39 @@ pub fn build_optimized_cube_cv(
     folds: usize,
     seed: u64,
 ) -> Result<BellwetherCube> {
-    use bellwether_linreg::ErrorEstimate;
     if folds < 2 {
         return Err(BellwetherError::Config("cv cube needs at least 2 folds".into()));
     }
     let _timer = span!(problem.recorder, "cube/optimized_cv");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
+    let lattice = Lattice::new(item_space, item_coords, &index.order, Some((folds, seed)));
     let p = source.feature_arity();
-    let base_cells = BaseCells::new(item_coords);
 
-    // best[subset] = (region idx, cv error, fold rmses). Runs through
-    // the shared scan engine for the one-idiom property, but pinned
-    // sequential: this extension pass is never on the benchmarked path
-    // and keeps the conservative configuration.
-    let scanned = scan_regions(
+    // Algebraic k-fold CV: k downdate-and-solve steps per subset, no
+    // per-fold merging and no raw-row refits. Runs through the shared
+    // scan engine for the one-idiom property, but pinned sequential:
+    // this extension pass is never on the benchmarked path and keeps the
+    // conservative configuration.
+    let scanned = scan_best(
         source,
+        &lattice,
+        problem,
         Parallelism::sequential(),
-        problem.scan_policy,
-        |_| true,
-        || WithScratch {
-            acc: BestMap(HashMap::new()),
-            scratch: RegionEvalScratch::new(),
+        |eval, folded, stats| {
+            folded.load_flat(p, folds, stats);
+            let fold_rmses = eval.algebraic_fold_rmses(folded);
+            (!fold_rmses.is_empty()).then(|| ErrorEstimate::from_folds(fold_rmses).value)
         },
-        |ws: &mut CvScanState, idx, block| {
-            let WithScratch { acc, scratch } = ws;
-            // Base aggregation, one folded statistic per base subset.
-            let base = base_cells.aggregate(
-                block,
-                || FoldedSuffStats::new(p, folds),
-                |stats, row, id| {
-                    let fold = hash_fold(id, folds, seed);
-                    stats.add_from_cols(block.cols(), row, block.targets[row], 1.0, fold);
-                },
-            );
-
-            // Rollup: merge folded statistics (total + per-fold).
-            let rolled = rollup_lattice(item_space, base, |a, b| a.merge(b));
-
-            for subset in &index.order {
-                let Some(stats) = rolled.get(subset) else { continue };
-                if stats.n() < problem.min_examples.max(1) {
-                    continue;
-                }
-                // Algebraic k-fold CV: k downdate-and-solve steps, no
-                // per-fold merging and no raw-row refits.
-                let fold_rmses = scratch.eval.algebraic_fold_rmses(stats);
-                if fold_rmses.is_empty() {
-                    continue;
-                }
-                let est = ErrorEstimate::from_folds(fold_rmses);
-                let slot = acc
-                    .0
-                    .entry(subset.clone())
-                    .or_insert((idx, f64::INFINITY, Vec::new()));
-                if est.value < slot.1 {
-                    slot.0 = idx;
-                    slot.1 = est.value;
-                    slot.2.clear();
-                    slot.2.extend_from_slice(fold_rmses);
-                }
-            }
-            Ok(())
-        },
+        |eval| eval.fold_rmses().to_vec(),
     )?;
-    scanned.record_skipped(problem.recorder.as_ref());
-    let WithScratch { acc, scratch } = scanned.acc;
-    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
-    let best = acc.0;
 
     // Finalize: fit the winning models; the error estimate is the
     // algebraic CV estimate gathered during the scan.
+    let best = &scanned.acc;
     let winners: Vec<Option<usize>> =
-        index.order.iter().map(|subset| best.get(subset).map(|w| w.0)).collect();
+        best.iter().map(|best| best.0.as_ref().map(|w| w.0)).collect();
     let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |slot, _| {
-        let (_, _, fold_rmses) = best.get(&index.order[slot])?;
+        let (_, _, fold_rmses) = best[slot].0.as_ref()?;
         Some(ErrorEstimate::from_folds(fold_rmses))
     })?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
@@ -330,7 +326,8 @@ pub fn build_optimized_cube_cv(
 mod tests {
     use super::*;
     use crate::cube::single_scan::build_single_scan_cube;
-    use crate::cube::tests_support::cube_fixture;
+    use crate::cube::tests_support::{cube_fixture, scan_by_maps};
+    use bellwether_storage::MemorySource;
 
     fn problem() -> BellwetherConfig {
         BellwetherConfig::builder(1e9)
@@ -379,8 +376,7 @@ mod tests {
         let item_space = RegionSpace::new(vec![Dimension::Hierarchy(Hierarchy::flat(
             "G", "Any", &leaves,
         ))]);
-        let coords: HashMap<i64, Vec<u32>> =
-            (0..60).map(|id| (id, vec![1 + (id % 6) as u32])).collect();
+        let region_space = item_space.clone();
         let mut rng = bellwether_prop::Rng::new(3);
         let blocks = (0..6)
             .map(|r| {
@@ -393,18 +389,17 @@ mod tests {
             })
             .collect();
         let src = MemorySource::new(blocks);
-        let order = super::super::significant_subsets(&item_space, &coords, &cfg())
-            .unwrap()
-            .order;
-        assert_eq!(order.len(), 7);
+        // A fresh map every run: no order may come from its iteration.
         let run = || {
-            let best = scan_best(&src, &item_space, &coords, &order, &problem()).unwrap();
-            let errors: Vec<_> = order
-                .iter()
-                .map(|s| best.acc.0.get(s).map(|&(idx, err)| (idx, err.to_bits())))
-                .collect();
-            assert!(errors.iter().all(Option::is_some));
-            errors
+            let coords: HashMap<i64, Vec<u32>> =
+                (0..60).map(|id| (id, vec![1 + (id % 6) as u32])).collect();
+            let cube =
+                build_optimized_cube(&src, &region_space, &item_space, &coords, &problem(), &cfg())
+                    .unwrap();
+            assert_eq!(cube.cells.len(), 7);
+            let mut cells: Vec<String> = cube.cells.values().map(|c| format!("{c:?}")).collect();
+            cells.sort();
+            cells
         };
         let first = run();
         for _ in 0..8 {
@@ -538,5 +533,110 @@ mod tests {
             build_optimized_cube(&src, &region_space, &item_space, &coords, &problem(), &cfg())
                 .unwrap();
         assert_eq!(cube.root_cell().unwrap().size, 23);
+    }
+
+    /// Two item hierarchies (one of depth 2), items of which some have
+    /// no coordinates, and blocks that miss whole base cells and repeat
+    /// items.
+    fn random_lattice_input(
+        rng: &mut bellwether_prop::Rng,
+    ) -> (MemorySource, RegionSpace, RegionSpace, HashMap<i64, Vec<u32>>) {
+        use bellwether_cube::{Dimension, Hierarchy};
+        let mut deep = Hierarchy::new("A", "AnyA");
+        for g in 0..rng.usize_in(1, 4) {
+            let group = deep.add_child(0, format!("a{g}"));
+            for leaf in 0..rng.usize_in(1, 4) {
+                deep.add_child(group, format!("a{g}.{leaf}"));
+            }
+        }
+        let flat: Vec<String> = (0..rng.usize_in(1, 5)).map(|b| format!("b{b}")).collect();
+        let flat: Vec<&str> = flat.iter().map(String::as_str).collect();
+        let item_space = RegionSpace::new(vec![
+            Dimension::Hierarchy(deep.clone()),
+            Dimension::Hierarchy(Hierarchy::flat("B", "AnyB", &flat)),
+        ]);
+        let (a_leaves, b_leaves) = (deep.leaves(), 1..=flat.len() as u32);
+        let n_items = rng.usize_in(20, 80) as i64;
+        let mut coords = HashMap::new();
+        for id in 0..n_items {
+            if !rng.flip(0.1) {
+                let b = rng.u32_in(*b_leaves.start(), b_leaves.end() + 1);
+                coords.insert(3 * id - 20, vec![*rng.choice(&a_leaves), b]);
+            }
+        }
+        let regions = rng.usize_in(2, 7) as u32;
+        let names: Vec<String> = (1..regions).map(|r| format!("r{r}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let region_space =
+            RegionSpace::new(vec![Dimension::Hierarchy(Hierarchy::flat("L", "All", &names))]);
+        let blocks = (0..regions)
+            .map(|r| {
+                let mut b = RegionBlock::new(vec![r], 3);
+                // Some blocks hold few items, so whole base cells are absent.
+                let pool = rng.usize_in(1, n_items as usize + 1) as i64;
+                for id in 0..pool {
+                    for _ in 0..[0, 1, 1, 2][rng.below(4)] {
+                        let x = [1.0, rng.f64_in(-9.0, 9.0), rng.f64_in(-1e3, 1e3)];
+                        b.push(3 * id - 20, &x, rng.f64_in(-50.0, 50.0) * 10f64.powi(rng.below(4) as i32));
+                    }
+                }
+                b
+            })
+            .collect();
+        (MemorySource::new(blocks), region_space, item_space, coords)
+    }
+
+    #[test]
+    fn both_cubes_equal_the_per_block_map_scan_bit_for_bit() {
+        use bellwether_prop::check;
+        let compared = std::cell::Cell::new(0);
+        check("optimized_cubes_vs_map_scan", 40, |rng| {
+            let (src, region_space, item_space, coords) = random_lattice_input(rng);
+            let cube_cfg = CubeConfig {
+                min_subset_size: rng.usize_in(1, 6),
+            };
+            let mut problem = problem();
+            problem.min_examples = rng.usize_in(1, 12);
+            let (folds, seed) = (rng.usize_in(2, 5), rng.next_u64());
+            let index = super::super::significant_subsets(&item_space, &coords, &cube_cfg).unwrap();
+            for cv in [false, true] {
+                let cv_folds = cv.then_some((folds, seed));
+                let oracle =
+                    scan_by_maps(&src, &item_space, &coords, &index.order, &problem, cv_folds);
+                let winners: Vec<Option<usize>> =
+                    oracle.iter().map(|w| w.as_ref().map(|w| w.0)).collect();
+                let want = finalize_cells(
+                    &src,
+                    &region_space,
+                    &item_space,
+                    &index,
+                    &problem,
+                    &winners,
+                    |slot, rows| match &oracle[slot] {
+                        Some((_, _, fold_rmses)) if cv => Some(ErrorEstimate::from_folds(fold_rmses)),
+                        _ => rows.estimate(&problem),
+                    },
+                )
+                .unwrap();
+                compared.set(compared.get() + want.len());
+                for threads in [1, 2, 4] {
+                    problem.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
+                    let cube = if cv {
+                        build_optimized_cube_cv(
+                            &src, &region_space, &item_space, &coords, &problem, &cube_cfg, folds, seed,
+                        )
+                    } else {
+                        build_optimized_cube(&src, &region_space, &item_space, &coords, &problem, &cube_cfg)
+                    };
+                    let cube = cube.unwrap();
+                    assert_eq!(cube.cells.len(), want.len(), "cv={cv} threads={threads}");
+                    for (subset, cell) in &want {
+                        // `f64`'s `Debug` round-trips: equal text is equal bits.
+                        assert_eq!(format!("{:?}", cube.cells[subset]), format!("{cell:?}"));
+                    }
+                }
+            }
+        });
+        assert!(compared.get() > 200, "only {} cells compared", compared.get());
     }
 }

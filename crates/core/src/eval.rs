@@ -483,9 +483,11 @@ mod tests {
             min_node_items: 8,
             ..TreeConfig::default()
         };
-        // A node's own set in the scan that finds its bellwether, each
-        // child of each candidate in the scans that score its candidates
-        // (`scored`), and one winner fit a fitted node.
+        // The root's own set in the scan that finds its bellwether (every
+        // other node inherits its bellwether from the scan that scored
+        // it as a child), each child of each candidate in the scans that
+        // score its candidates (`scored`), and one winner fit a fitted
+        // node.
         let tree_fits = |tree: &BellwetherTree, scored: &dyn Fn(&Node) -> bool| -> u64 {
             let per_node = tree.nodes.iter().map(|node| {
                 let rows = &node.item_rows;
@@ -495,11 +497,18 @@ mod tests {
                 } else {
                     Vec::new()
                 };
+                let own = if node.depth == 0 { fitted(rows.len()) } else { 0 };
                 let children = candidates.iter().flat_map(|c| &c.partition);
-                let scans = fitted(rows.len()) + children.map(|c| fitted(c.len())).sum::<u64>();
+                let scans = own + children.map(|c| fitted(c.len())).sum::<u64>();
                 REGIONS * scans + u64::from(node.info.is_some())
             });
             per_node.sum()
+        };
+        // Below the root, both builders score a node's candidates only
+        // when it is fitted and imperfect.
+        let imperfect = |node: &Node| {
+            let info = node.info.as_ref();
+            info.is_some_and(|info| info.error > tree_cfg.perfect_error_tol)
         };
         let (coords_src, region_space, _, item_space, coords) = cube_fixture();
         let cube_cfg = CubeConfig { min_subset_size: 5 };
@@ -523,18 +532,13 @@ mod tests {
             counted(threads, &|config| {
                 let tree = build_rainforest(&src, &space, &items, None, config, &tree_cfg).unwrap();
                 assert!(tree.nodes.len() > 1);
-                // A level scan scores every active node's candidates.
-                tree_fits(&tree, &|_| true)
+                // The root's level scan scores its candidates before its
+                // error is known.
+                tree_fits(&tree, &|node| node.depth == 0 || imperfect(node))
             });
             counted(threads, &|config| {
                 let tree = build_naive(&src, &space, &items, None, config, &tree_cfg).unwrap();
                 assert!(tree.nodes.len() > 1);
-                // The naive recursion stops before the candidates of a
-                // node it could not fit or found perfect.
-                let imperfect = |node: &Node| {
-                    let info = node.info.as_ref();
-                    info.is_some_and(|info| info.error > tree_cfg.perfect_error_tol)
-                };
                 tree_fits(&tree, &imperfect)
             });
             for build in [build_naive_cube, build_single_scan_cube] {
@@ -553,8 +557,8 @@ mod tests {
                     config,
                     &cube_cfg,
                 );
-                // Its scan reads errors off rolled-up statistics.
-                cube_fits(&cube.unwrap(), &|_| 0, 2)
+                // Its scan solves each subset's rolled-up statistic.
+                cube_fits(&cube.unwrap(), &size_fitted, 2)
             });
             counted(threads, &|config| {
                 let (folds, seed) = (3, 99);

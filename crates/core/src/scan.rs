@@ -191,15 +191,6 @@ impl<A: MergeableAccumulator, S: ScanScratch> MergeableAccumulator for WithScrat
     }
 }
 
-impl<S1: ScanScratch, S2: ScanScratch> ScanScratch for (S1, S2) {
-    /// Pairs of scratches for scans that need both a whole-region buffer
-    /// and a partition buffer (the RainForest level scan).
-    fn absorb(&mut self, later: Self) {
-        self.0.absorb(later.0);
-        self.1.absorb(later.1);
-    }
-}
-
 /// How a scan reacts to a region whose read fails (truncation,
 /// corruption, IO error). Fold-function errors are *never* skippable —
 /// only the read itself.

@@ -10,8 +10,9 @@
 //! Two construction algorithms produce **identical trees** (Lemma 1):
 //! [`naive::build_naive`] re-reads the entire training data for every
 //! (node, criterion), while [`rainforest::build_rainforest`] scans it
-//! once per level, accumulating the sufficient statistic
-//! `{MinError[v,c,p], Size[v,c,p]}`.
+//! once per level above the leaves, accumulating the sufficient statistic
+//! `{MinError[v,c,p], Size[v,c,p]}` with each minimum's region — a child's
+//! bellwether, so only the root's is scanned for.
 
 pub mod naive;
 pub mod partition;

@@ -7,7 +7,7 @@ use crate::error::Result;
 use crate::eval::record_eval_stats;
 use crate::items::{ItemIndex, ItemTable};
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, MinSlots, WithScratch};
+use crate::scan::{scan_regions, BestRegion, MergeableAccumulator, WithScratch};
 use crate::tree::merge_skipped;
 use crate::tree::partition::{LevelPlan, RoutedScratch, Scope, Scored};
 use bellwether_cube::RegionSpace;
@@ -30,14 +30,27 @@ pub fn build_naive(
         nodes: Vec::new(),
         skipped_regions: Vec::new(),
     };
+    let index = items.index();
+    // The root's bellwether: one full scan for its own error. Every other
+    // node is born with its bellwether, found by the criterion scan that
+    // scored it as a child.
+    let plan = LevelPlan::new(index, problem.error_measure, &[(&rows, &[])]);
+    let best = full_scan(
+        source,
+        problem,
+        &mut tree,
+        BestRegion::default,
+        |best, scratch, idx, block| {
+            plan.score(block, scratch, problem, Scope::Level, |_, _, err| best.observe(idx, err));
+        },
+    )?;
     tree.nodes.push(Node {
         depth: 0,
         item_rows: rows,
         info: None,
         split: None,
     });
-    let index = items.index();
-    split_node(0, source, space, items, index, problem, tree_cfg, &mut tree)?;
+    split_node(0, best, source, space, items, index, problem, tree_cfg, &mut tree)?;
     problem.recorder.add(names::TREE_NODES, tree.nodes.len() as u64);
     Ok(tree)
 }
@@ -74,10 +87,12 @@ fn full_scan<A: MergeableAccumulator>(
     Ok(acc)
 }
 
-/// Recursive SplitNode from Figure 4.
+/// Recursive SplitNode from Figure 4, for a node whose bellwether `best`
+/// is already known.
 #[allow(clippy::too_many_arguments)] // the recursion's fixed context
 fn split_node(
     node_id: usize,
+    best: BestRegion,
     source: &dyn TrainingSource,
     space: &RegionSpace,
     items: &ItemTable,
@@ -89,65 +104,46 @@ fn split_node(
     let rows = tree.nodes[node_id].item_rows.clone();
     let depth = tree.nodes[node_id].depth;
 
-    // The node is scored exactly as a RainForest level of one node
-    // would score it (Lemma 1); only the scans differ: one for the
-    // node's own error, then one per criterion.
-    let splits = depth < tree_cfg.max_depth && rows.len() >= tree_cfg.min_node_items;
-    let candidates = if splits {
-        candidate_splits(items, &rows, tree_cfg)
-    } else {
-        Vec::new()
-    };
-    let plan = LevelPlan::new(index, problem.error_measure, &[(&rows, &candidates)]);
-
-    // Find the bellwether for this node's item subset (one full scan,
-    // then a targeted read to fit the winning region's model).
-    let best = full_scan(
-        source,
-        problem,
-        tree,
-        BestRegion::default,
-        |best, scratch, idx, block| {
-            plan.score(block, scratch, problem, Scope::Own, |_, _, err| best.observe(idx, err));
-        },
-    )?;
+    // Fit the bellwether's model (a targeted read of the winning region).
     let Some((ridx, node_err)) = best.0 else { return Ok(()) };
     let keep = rows.iter().map(|&r| items.ids()[r]).collect();
     tree.nodes[node_id].info = fit_node(source, space, problem, &keep, ridx, node_err)?;
 
     // Termination condition (including the numerically-perfect gate).
+    let splits = depth < tree_cfg.max_depth && rows.len() >= tree_cfg.min_node_items;
     if !splits || tree.nodes[node_id].info.is_none() || node_err <= tree_cfg.perfect_error_tol {
         return Ok(());
     }
 
     // Evaluate every splitting criterion: one full scan each, computing
-    // all of the criterion's child errors inside the same scan.
-    let mut best: Option<(usize, f64)> = None; // (cand idx, goodness)
+    // all of the criterion's child bellwethers inside the same scan. The
+    // node is scored exactly as a RainForest level of one node would
+    // score it (Lemma 1); only the scans differ.
+    let candidates = candidate_splits(items, &rows, tree_cfg);
+    let plan = LevelPlan::new(index, problem.error_measure, &[(&rows, &candidates)]);
+    let mut best: Option<(usize, f64, Vec<BestRegion>)> = None; // (cand idx, goodness, children)
     for (ci, cand) in candidates.iter().enumerate() {
-        let min_err = full_scan(
+        let children = full_scan(
             source,
             problem,
             tree,
-            || MinSlots::new(cand.partition.len()),
-            |min_err, scratch, _, block| {
+            || vec![BestRegion::default(); cand.partition.len()],
+            |children, scratch, idx, block| {
                 plan.score(block, scratch, problem, Scope::Candidate(ci), |_, scored, err| {
                     if let Scored::Child { child, .. } = scored {
-                        min_err.observe(child, err);
+                        children[child].observe(idx, err);
                     }
                 });
             },
-        )?
-        .0;
-        if min_err.iter().any(|e| !e.is_finite()) {
-            continue; // some child cannot be modelled anywhere
-        }
-        let goodness = goodness_of(&rows, node_err, cand, &min_err);
-        if best.is_none_or(|(_, g)| goodness > g) {
-            best = Some((ci, goodness));
+        )?;
+        // `None`: some child cannot be modelled anywhere.
+        let Some(goodness) = goodness_of(&rows, node_err, cand, &children) else { continue };
+        if best.as_ref().is_none_or(|&(_, g, _)| goodness > g) {
+            best = Some((ci, goodness, children));
         }
     }
 
-    let Some((ci, goodness)) = best else {
+    let Some((ci, goodness, bellwethers)) = best else {
         return Ok(());
     };
     if tree_cfg.require_positive_goodness && goodness <= 0.0 {
@@ -168,27 +164,32 @@ fn split_node(
         children.push(child_id);
     }
     tree.nodes[node_id].split = Some((cand.criterion, children.clone()));
-    for child in children {
-        split_node(child, source, space, items, index, problem, tree_cfg, tree)?;
+    for (child, best) in children.into_iter().zip(bellwethers) {
+        split_node(child, best, source, space, items, index, problem, tree_cfg, tree)?;
     }
     Ok(())
 }
 
-/// `Goodness(c) = |S|·Error(h_r|S) − Σ_p |S_p|·Error(h_{r_p}|S_p)`.
+/// `Goodness(c) = |S|·Error(h_r|S) − Σ_p |S_p|·Error(h_{r_p}|S_p)`, from
+/// each child's bellwether; `None` unless every child has one with a
+/// finite error.
 pub(crate) fn goodness_of(
     rows: &[usize],
     node_err: f64,
     cand: &CandidateSplit,
-    child_errs: &[f64],
-) -> f64 {
+    children: &[BestRegion],
+) -> Option<f64> {
     let total = rows.len() as f64 * node_err;
     let split: f64 = cand
         .partition
         .iter()
-        .zip(child_errs)
-        .map(|(p, e)| p.len() as f64 * e)
-        .sum();
-    total - split
+        .zip(children)
+        .map(|(p, child)| {
+            let (_, e) = child.0.filter(|(_, e)| e.is_finite())?;
+            Some(p.len() as f64 * e)
+        })
+        .sum::<Option<f64>>()?;
+    Some(total - split)
 }
 
 #[cfg(test)]

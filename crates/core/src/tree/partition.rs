@@ -180,11 +180,14 @@ impl<'a> GroupRouting<'a> {
 /// Which of a plan's errors one scan wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
-    /// Every node's own error and the children of all its candidates: a
-    /// RainForest level scan.
+    /// Every node's own error and the children of all its candidates: the
+    /// RainForest scan of the root level (and, over a plan without
+    /// candidates, the naive tree's scan for the root's own error).
     Level,
-    /// Every node's own error: the naive tree's scan for a node.
-    Own,
+    /// The children of every candidate, but no node's own error: a
+    /// RainForest level below the root, whose nodes inherited their own
+    /// bellwethers from the scan that scored them as children.
+    Children,
     /// The children of each node's candidate with this index: the naive
     /// tree's scan for one criterion.
     Candidate(usize),
@@ -193,14 +196,13 @@ pub enum Scope {
 impl Scope {
     /// Whether the scan wants the nodes' own errors.
     fn own(self) -> bool {
-        !matches!(self, Scope::Candidate(_))
+        self == Scope::Level
     }
 
     /// The candidates the scan wants, of a node that has `n`.
     fn candidates(self, n: usize) -> Range<usize> {
         match self {
-            Scope::Level => 0..n,
-            Scope::Own => 0..0,
+            Scope::Level | Scope::Children => 0..n,
             Scope::Candidate(c) => c.min(n)..(c + 1).min(n),
         }
     }
@@ -208,8 +210,7 @@ impl Scope {
     /// The attribute groups (of one node) those candidates sit in.
     fn groups(self, groups: &[AttrGroup]) -> Range<usize> {
         match self {
-            Scope::Level => 0..groups.len(),
-            Scope::Own => 0..0,
+            Scope::Level | Scope::Children => 0..groups.len(),
             Scope::Candidate(c) => groups
                 .iter()
                 .position(|group| group.cands.contains(&c))
@@ -439,7 +440,7 @@ impl StatPlan {
 /// `into[i] += from[i]`: the one addition every slot sum and bucket merge
 /// is made of.
 #[inline]
-fn add_into(into: &mut [f64], from: &[f64]) {
+pub(crate) fn add_into(into: &mut [f64], from: &[f64]) {
     for (sum, part) in into.iter_mut().zip(from) {
         *sum += part;
     }
@@ -566,7 +567,8 @@ impl<'a> LevelPlan<'a> {
             Scorer::Gather(specs) => {
                 self.routing.split(block, scratch);
                 for (g, specs) in specs.iter().enumerate() {
-                    if !scratch.gather_group(block, g) {
+                    let cands = scope.candidates(specs.len());
+                    if (!scope.own() && cands.is_empty()) || !scratch.gather_group(block, g) {
                         continue;
                     }
                     if scope.own() && scratch.node.data.n() >= config.min_examples.max(1) {
@@ -574,7 +576,7 @@ impl<'a> LevelPlan<'a> {
                             sink(g, Scored::Node, err);
                         }
                     }
-                    for cand in scope.candidates(specs.len()) {
+                    for cand in cands {
                         let errs = scratch.child_errors(&specs[cand], g, config);
                         for (child, err) in errs.iter().enumerate() {
                             if let Some(err) = *err {

@@ -454,13 +454,24 @@ fn assert_statistics_match_the_oracle(level: &Level) -> usize {
             }
         }
         // What a scan asks for does not change what it gets: the naive
-        // tree's scans read the very bits of the RainForest level scan,
-        // from either path, into a scratch that saw other blocks.
-        for (plan, level_scores) in [(&plan, &got), (&oracle_plan, &want)] {
+        // tree's scans and the RainForest scans below the root read the
+        // very bits of the root's level scan, from either path, into a
+        // scratch that saw other blocks — and a plan without candidates
+        // (the naive root's) reads the same own errors.
+        let bare: Vec<(&[usize], &[CandidateSplit])> =
+            nodes.iter().map(|&(items, _)| (items, &[][..])).collect();
+        let bare_plans = [
+            LevelPlan::new(&index, measure, &bare),
+            with_gather_oracle(|| LevelPlan::new(&index, measure, &bare)),
+        ];
+        for ((plan, level_scores), bare_plan) in [(&plan, &got), (&oracle_plan, &want)].into_iter().zip(&bare_plans) {
             let mut fresh = RoutedScratch::new();
-            let own = score(plan, &nodes, block, &mut fresh, &level.config, Scope::Own);
+            let own = score(bare_plan, &bare, block, &mut fresh, &level.config, Scope::Level);
             assert_eq!(bits(&own.own), bits(&level_scores.own));
-            assert!(own.children.iter().flatten().flatten().all(Option::is_none));
+            let children = score(plan, &nodes, block, &mut fresh, &level.config, Scope::Children);
+            assert!(children.own.iter().all(Option::is_none));
+            let pairs = children.children.iter().flatten().zip(level_scores.children.iter().flatten());
+            pairs.for_each(|(errs, level_errs)| assert_eq!(bits(errs), bits(level_errs)));
             let most = level.candidates.iter().map(Vec::len).max().unwrap_or(0);
             for c in 0..most {
                 let one = score(plan, &nodes, block, &mut fresh, &level.config, Scope::Candidate(c));

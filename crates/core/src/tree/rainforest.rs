@@ -6,10 +6,13 @@
 //! over all feasible regions collects, for every active node `v`,
 //! criterion `c` and child partition `p`, the sufficient statistic
 //! `MinError[v, c, p] = min_r Error(h_r | S_p)` (together with `|S_p|`),
-//! which is all the goodness computation needs. By Lemma 1 the resulting
-//! tree is identical to the naive one while scanning the data once per
-//! level (plus one targeted region read per node to fit its final
-//! model).
+//! which is all the goodness computation needs. The scan keeps each
+//! minimum's arg-min region beside it, so the children of the chosen
+//! criterion are born with their bellwethers: only the root's is scanned
+//! for, and a level none of whose nodes can split is not scanned at all.
+//! By Lemma 1 the resulting tree is identical to the naive one while
+//! scanning the data `l` times, once per level that splits (plus one
+//! targeted region read per node to fit its final model).
 
 use super::{
     candidate_splits, fit_node, merge_skipped, BellwetherTree, CandidateSplit, Node, TreeConfig,
@@ -30,24 +33,28 @@ use bellwether_storage::TrainingSource;
 /// [`LevelAcc`].
 struct LevelEntry {
     node_id: usize,
-    /// Candidates (empty when inactive).
+    /// The node's bellwether, inherited from the scan that scored it as
+    /// a child; the root's is found by the root level's scan.
+    best: BestRegion,
+    /// Candidates (empty when the node will not split).
     candidates: Vec<CandidateSplit>,
-    active: bool,
 }
 
 /// One node's share of the level statistic.
 struct EntryPartial {
-    /// Best (region index, error) for the node's own item set.
+    /// Best (region index, error) for the node's own item set (scored
+    /// at the root only).
     node_best: BestRegion,
-    /// MinError[c][p].
-    min_err: Vec<Vec<f64>>,
+    /// `MinError[c][p]` with its arg-min: per candidate and child, the
+    /// best region for the child's items.
+    children: Vec<Vec<BestRegion>>,
 }
 
-/// The level's sufficient statistic (Lemma 1): per active node, the
-/// `MinError[v, c, p]` table plus the node's own best region. Both
-/// merge exactly — `min` over disjoint region ranges is `min` over
-/// their union, and strict-`<` updates with in-order merging preserve
-/// the sequential scan's lowest-region-index tie-breaking.
+/// The level's sufficient statistic (Lemma 1): per node, the
+/// `MinError[v, c, p]` table and (at the root) the node's own best
+/// region. Both merge exactly: strict-`<` updates with in-order merging
+/// keep the sequential scan's minimum and its lowest-region-index
+/// tie-breaking.
 struct LevelAcc(Vec<EntryPartial>);
 
 impl LevelAcc {
@@ -57,10 +64,10 @@ impl LevelAcc {
                 .iter()
                 .map(|e| EntryPartial {
                     node_best: BestRegion::default(),
-                    min_err: e
+                    children: e
                         .candidates
                         .iter()
-                        .map(|c| vec![f64::INFINITY; c.partition.len()])
+                        .map(|c| vec![BestRegion::default(); c.partition.len()])
                         .collect(),
                 })
                 .collect(),
@@ -72,13 +79,7 @@ impl MergeableAccumulator for LevelAcc {
     fn merge(&mut self, later: Self) {
         for (ours, theirs) in self.0.iter_mut().zip(later.0) {
             ours.node_best.merge(theirs.node_best);
-            for (oc, tc) in ours.min_err.iter_mut().zip(theirs.min_err) {
-                for (ov, tv) in oc.iter_mut().zip(tc) {
-                    if tv < *ov {
-                        *ov = tv;
-                    }
-                }
-            }
+            ours.children.merge(theirs.children);
         }
     }
 }
@@ -106,117 +107,120 @@ pub fn build_rainforest(
         split: None,
     });
 
-    let mut level: Vec<usize> = vec![0];
+    let mut level = vec![(0, BestRegion::default())];
     let mut depth = 0usize;
     let mut stat_slots = 0;
     while !level.is_empty() {
-        // Prepare the level: termination decides which nodes are active,
-        // active nodes enumerate their candidate criteria.
+        // Prepare the level: termination decides which nodes may split
+        // (below the root a node's error is known before the scan, and a
+        // perfect one will not), those enumerate their candidate criteria.
+        let root = depth == 0;
         let entries: Vec<LevelEntry> = level
-            .iter()
-            .map(|&node_id| {
+            .into_iter()
+            .map(|(node_id, best)| {
                 let node = &tree.nodes[node_id];
-                let active = node.depth < tree_cfg.max_depth
-                    && node.item_rows.len() >= tree_cfg.min_node_items;
-                let candidates = if active {
+                let splits = node.depth < tree_cfg.max_depth
+                    && node.item_rows.len() >= tree_cfg.min_node_items
+                    && (root || best.0.is_some_and(|(_, err)| err > tree_cfg.perfect_error_tol));
+                let candidates = if splits {
                     candidate_splits(items, &node.item_rows, tree_cfg)
                 } else {
                     Vec::new()
                 };
                 LevelEntry {
                     node_id,
+                    best,
                     candidates,
-                    active,
                 }
             })
             .collect();
-        // The level's nodes hold disjoint items, so one plan routes a
-        // row to its node and says what the node's candidates need from
-        // it.
-        let nodes: Vec<(&[usize], &[CandidateSplit])> = entries
-            .iter()
-            .map(|e| (tree.nodes[e.node_id].item_rows.as_slice(), e.candidates.as_slice()))
-            .collect();
-        let plan = LevelPlan::new(index, problem.error_measure, &nodes);
-        stat_slots = stat_slots.max(plan.stat_slots());
 
         // The level's single scan over the entire training data, run
         // through the shared engine (parallel under
         // `problem.parallelism`, merged in region order): every block
-        // yields each node's own error and the child errors of all its
-        // candidates. One span per level scan — the empirical witness of
-        // Lemma 1's "`l` scans over the entire training data" claim.
-        let level_timer = span!(problem.recorder, "tree/rainforest/level{depth}");
-        let scanned = scan_regions(
-            source,
-            problem.parallelism,
-            problem.scan_policy,
-            |_| true,
-            || WithScratch {
-                acc: LevelAcc::for_entries(&entries),
-                scratch: RoutedScratch::new(),
-            },
-            |ws: &mut WithScratch<LevelAcc, RoutedScratch>, idx, block| {
-                let WithScratch { acc, scratch } = ws;
-                plan.score(block, scratch, problem, Scope::Level, |node, scored, err| {
-                    let partial = &mut acc.0[node];
-                    match scored {
-                        // Track the node's own bellwether in the same pass.
-                        Scored::Node => partial.node_best.observe(idx, err),
-                        Scored::Child { cand, child } => {
-                            let min = &mut partial.min_err[cand][child];
-                            if err < *min {
-                                *min = err;
+        // yields the child errors of every node's candidates, and at the
+        // root the root's own error. One span per level scan — the
+        // empirical witness of Lemma 1's "`l` scans over the entire
+        // training data" claim.
+        let mut acc = LevelAcc::for_entries(&entries);
+        if root || entries.iter().any(|e| !e.candidates.is_empty()) {
+            // The level's nodes hold disjoint items, so one plan routes a
+            // row to its node and says what the node's candidates need
+            // from it.
+            let nodes: Vec<(&[usize], &[CandidateSplit])> = entries
+                .iter()
+                .map(|e| (tree.nodes[e.node_id].item_rows.as_slice(), e.candidates.as_slice()))
+                .collect();
+            let plan = LevelPlan::new(index, problem.error_measure, &nodes);
+            stat_slots = stat_slots.max(plan.stat_slots());
+            let scope = if root { Scope::Level } else { Scope::Children };
+            let level_timer = span!(problem.recorder, "tree/rainforest/level{depth}");
+            let scanned = scan_regions(
+                source,
+                problem.parallelism,
+                problem.scan_policy,
+                |_| true,
+                || WithScratch {
+                    acc: LevelAcc::for_entries(&entries),
+                    scratch: RoutedScratch::new(),
+                },
+                |ws: &mut WithScratch<LevelAcc, RoutedScratch>, idx, block| {
+                    let WithScratch { acc, scratch } = ws;
+                    plan.score(block, scratch, problem, scope, |node, scored, err| {
+                        let partial = &mut acc.0[node];
+                        match scored {
+                            Scored::Node => partial.node_best.observe(idx, err),
+                            Scored::Child { cand, child } => {
+                                partial.children[cand][child].observe(idx, err)
                             }
                         }
-                    }
-                });
-                Ok(())
-            },
-        )?;
+                    });
+                    Ok(())
+                },
+            )?;
 
-        drop(level_timer); // the level span covers the scan loop only
-        scanned.record_skipped(problem.recorder.as_ref());
-        merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
-        let WithScratch { acc, scratch } = scanned.acc;
-        record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
-        record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
-        problem
-            .recorder
-            .add(names::TREE_ROWS_ROUTED, scratch.rows_routed);
-        if scratch.slot_adds > 0 {
-            problem.recorder.add(names::TREE_SLOT_ADDS, scratch.slot_adds);
+            drop(level_timer); // the level span covers the scan loop only
+            scanned.record_skipped(problem.recorder.as_ref());
+            merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
+            let WithScratch { acc: level_acc, scratch } = scanned.acc;
+            acc = level_acc;
+            record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
+            record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
+            problem
+                .recorder
+                .add(names::TREE_ROWS_ROUTED, scratch.rows_routed);
+            if scratch.slot_adds > 0 {
+                problem.recorder.add(names::TREE_SLOT_ADDS, scratch.slot_adds);
+            }
         }
 
         // Finalize the level: fit node models (targeted reads), pick
-        // splits, spawn the next level.
+        // splits, spawn the next level with its bellwethers.
         let mut next_level = Vec::new();
         for (e, partial) in entries.iter().zip(acc.0) {
-            if let Some((ridx, err)) = partial.node_best.0 {
-                let rows = &tree.nodes[e.node_id].item_rows;
-                let keep = rows.iter().map(|&r| items.ids()[r]).collect();
-                tree.nodes[e.node_id].info = fit_node(source, space, problem, &keep, ridx, err)?;
-            }
-            let Some((_, node_err)) = partial.node_best.0 else { continue };
-            if !e.active
+            let best = if root { partial.node_best } else { e.best };
+            let Some((ridx, node_err)) = best.0 else { continue };
+            let rows = &tree.nodes[e.node_id].item_rows;
+            let keep = rows.iter().map(|&r| items.ids()[r]).collect();
+            tree.nodes[e.node_id].info = fit_node(source, space, problem, &keep, ridx, node_err)?;
+            if e.candidates.is_empty()
                 || tree.nodes[e.node_id].info.is_none()
                 || node_err <= tree_cfg.perfect_error_tol
             {
                 continue;
             }
 
-            let rows = tree.nodes[e.node_id].item_rows.clone();
-            let mut best: Option<(usize, f64)> = None;
+            let rows = &tree.nodes[e.node_id].item_rows;
+            let mut chosen: Option<(usize, f64)> = None;
             for (ci, cand) in e.candidates.iter().enumerate() {
-                if partial.min_err[ci].iter().any(|v| !v.is_finite()) {
+                let Some(g) = goodness_of(rows, node_err, cand, &partial.children[ci]) else {
                     continue;
-                }
-                let g = goodness_of(&rows, node_err, cand, &partial.min_err[ci]);
-                if best.is_none_or(|(_, bg)| g > bg) {
-                    best = Some((ci, g));
+                };
+                if chosen.is_none_or(|(_, bg)| g > bg) {
+                    chosen = Some((ci, g));
                 }
             }
-            let Some((ci, goodness)) = best else { continue };
+            let Some((ci, goodness)) = chosen else { continue };
             if tree_cfg.require_positive_goodness && goodness <= 0.0 {
                 continue;
             }
@@ -224,7 +228,7 @@ pub fn build_rainforest(
             let cand = e.candidates[ci].clone();
             let depth = tree.nodes[e.node_id].depth;
             let mut children = Vec::with_capacity(cand.partition.len());
-            for part in &cand.partition {
+            for (part, &best) in cand.partition.iter().zip(&partial.children[ci]) {
                 let child_id = tree.nodes.len();
                 tree.nodes.push(Node {
                     depth: depth + 1,
@@ -233,7 +237,7 @@ pub fn build_rainforest(
                     split: None,
                 });
                 children.push(child_id);
-                next_level.push(child_id);
+                next_level.push((child_id, best));
             }
             tree.nodes[e.node_id].split = Some((cand.criterion, children));
         }
@@ -285,6 +289,32 @@ mod tests {
         );
     }
 
+    /// The candidates a build scored for `node`, read off the finished
+    /// tree: none unless the node is active and — below the root, where
+    /// its error was known before the scan — imperfect.
+    fn scored_candidates(node: &Node, items: &ItemTable, cfg: &TreeConfig) -> Vec<CandidateSplit> {
+        let imperfect = node.info.as_ref().is_some_and(|i| i.error > cfg.perfect_error_tol);
+        let splits = node.depth < cfg.max_depth
+            && node.item_rows.len() >= cfg.min_node_items
+            && (node.depth == 0 || imperfect);
+        if splits {
+            candidate_splits(items, &node.item_rows, cfg)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// The level scans a build made: the root's, and one for each level
+    /// below it with a node that had candidates to score. A level without
+    /// one has no children, so these are levels `0..scans`.
+    fn level_scans(tree: &BellwetherTree, items: &ItemTable, cfg: &TreeConfig) -> usize {
+        let scanned = |d: usize| {
+            let mut at_depth = tree.nodes.iter().filter(|n| n.depth == d);
+            at_depth.any(|n| !scored_candidates(n, items, cfg).is_empty())
+        };
+        1 + (1..=tree.depth()).filter(|&d| scanned(d)).count()
+    }
+
     #[test]
     fn lemma_1_scan_counts() {
         let (src, space, items) = two_group_fixture();
@@ -300,57 +330,73 @@ mod tests {
             build_naive(&src, &space, &items, None, &problem(), &tree_cfg()).unwrap();
         let naive_reads = src.snapshot().regions_read();
 
-        // RF: one full scan per level plus one targeted read per node.
-        let levels = rf.depth() as u64 + 1;
+        // RF: the paper's `l` scans — one per level above the leaves,
+        // whose bellwethers their parent's scan found — plus one
+        // targeted read per node.
         let nodes = rf.nodes.len() as u64;
-        assert_eq!(rf_reads, levels * num_regions + nodes);
-        // Naive re-scans per (node, criterion) and per node: strictly more.
+        assert_eq!(rf_reads, rf.depth() as u64 * num_regions + nodes);
+        // Naive re-scans per (node, criterion): strictly more.
         assert!(
             naive_reads > rf_reads,
             "naive {naive_reads} should exceed RF {rf_reads}"
         );
     }
 
+    /// The fixture's tree with its two perfect leaves still scored: an
+    /// error tolerance of zero makes them worth splitting.
+    fn deep_cfg() -> TreeConfig {
+        TreeConfig {
+            perfect_error_tol: 0.0,
+            ..tree_cfg()
+        }
+    }
+
     #[test]
     fn one_level_span_per_scan() {
         let (src, space, items) = two_group_fixture();
-        let reg = bellwether_obs::Registry::shared();
-        let mut problem = problem();
-        problem.recorder = reg.clone();
-        let rf =
-            build_rainforest(&src, &space, &items, None, &problem, &tree_cfg()).unwrap();
-        let snap = reg.snapshot();
-        // Exactly one `tree/rainforest/level{d}` span per level, each
-        // called once — the Lemma 1 `l`-scan claim, observed.
-        let levels = rf.depth() + 1;
-        for d in 0..levels {
-            let s = snap
-                .span(&format!("tree/rainforest/level{d}"))
-                .unwrap_or_else(|| panic!("missing level {d} span"));
-            assert_eq!(s.calls, 1);
+        for cfg in [tree_cfg(), deep_cfg()] {
+            let reg = bellwether_obs::Registry::shared();
+            let mut problem = problem();
+            problem.recorder = reg.clone();
+            let rf = build_rainforest(&src, &space, &items, None, &problem, &cfg).unwrap();
+            let snap = reg.snapshot();
+            // Exactly one `tree/rainforest/level{d}` span per level scan,
+            // each called once — the Lemma 1 `l`-scan claim, observed —
+            // and none for a level that was not scanned.
+            let scans = level_scans(&rf, &items, &cfg);
+            for d in 0..scans {
+                let s = snap
+                    .span(&format!("tree/rainforest/level{d}"))
+                    .unwrap_or_else(|| panic!("missing level {d} span"));
+                assert_eq!(s.calls, 1);
+            }
+            assert!(snap.span(&format!("tree/rainforest/level{scans}")).is_none());
+            assert_eq!(
+                snap.counter(bellwether_obs::names::TREE_NODES),
+                Some(rf.nodes.len() as u64)
+            );
         }
-        assert!(snap.span(&format!("tree/rainforest/level{levels}")).is_none());
-        assert_eq!(
-            snap.counter(bellwether_obs::names::TREE_NODES),
-            Some(rf.nodes.len() as u64)
-        );
     }
 
     #[test]
     fn every_block_row_is_routed_once_per_level() {
         let (src, space, items) = two_group_fixture();
-        let reg = bellwether_obs::Registry::shared();
-        let mut problem = problem();
-        problem.recorder = reg.clone();
-        let rf =
-            build_rainforest(&src, &space, &items, None, &problem, &tree_cfg()).unwrap();
-        let levels = rf.depth() as u64 + 1;
-        assert!(levels > 1);
         let block_rows: u64 = src.blocks().iter().map(|b| b.n() as u64).sum();
-        assert_eq!(
-            reg.snapshot().counter(bellwether_obs::names::TREE_ROWS_ROUTED),
-            Some(levels * block_rows)
-        );
+        let mut seen = Vec::new();
+        for cfg in [tree_cfg(), deep_cfg()] {
+            let reg = bellwether_obs::Registry::shared();
+            let mut problem = problem();
+            problem.recorder = reg.clone();
+            let rf = build_rainforest(&src, &space, &items, None, &problem, &cfg).unwrap();
+            let scans = level_scans(&rf, &items, &cfg) as u64;
+            assert_eq!(
+                reg.snapshot().counter(bellwether_obs::names::TREE_ROWS_ROUTED),
+                Some(scans * block_rows)
+            );
+            seen.push(scans);
+        }
+        assert_eq!(seen[0], 1, "the perfect leaves are not scanned");
+        assert!(seen[1] > 1, "{seen:?}");
     }
 
     #[test]
@@ -359,61 +405,53 @@ mod tests {
         use bellwether_cube::Parallelism;
         use bellwether_obs::names::{TREE_SLOT_ADDS, TREE_STAT_SLOTS};
         let (src, space, items) = two_group_fixture();
-        let mut seen = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let reg = bellwether_obs::Registry::shared();
-            let mut problem = problem();
-            problem.recorder = reg.clone();
-            problem.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
-            let rf =
-                build_rainforest(&src, &space, &items, None, &problem, &tree_cfg()).unwrap();
-            // What the plan of every level holds and adds, from the
-            // finished tree: a node's total, plus per attribute with a
-            // candidate one bucket per child or threshold interval.
-            let (mut adds, mut widest) = (0u64, 0u64);
-            for depth in 0..=rf.depth() {
-                let mut slots = 0;
-                for node in rf.nodes.iter().filter(|n| n.depth == depth) {
-                    let cfg = tree_cfg();
-                    let active =
-                        depth < cfg.max_depth && node.item_rows.len() >= cfg.min_node_items;
-                    let candidates = if active {
-                        candidate_splits(&items, &node.item_rows, &cfg)
-                    } else {
-                        Vec::new()
-                    };
-                    let mut attrs = std::collections::BTreeMap::new();
-                    for cand in &candidates {
-                        match cand.criterion {
-                            SplitCriterion::Categorical { attr, .. } => {
-                                attrs.insert((0, attr), cand.partition.len() as u64);
-                            }
-                            SplitCriterion::Numeric { attr, .. } => {
-                                *attrs.entry((1, attr)).or_insert(1) += 1;
+        for cfg in [tree_cfg(), deep_cfg()] {
+            let mut seen = Vec::new();
+            for threads in [1usize, 2, 4] {
+                let reg = bellwether_obs::Registry::shared();
+                let mut problem = problem();
+                problem.recorder = reg.clone();
+                problem.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
+                let rf = build_rainforest(&src, &space, &items, None, &problem, &cfg).unwrap();
+                // What the plan of every scanned level holds and adds, from
+                // the finished tree: a node's total, plus per attribute with
+                // a candidate one bucket per child or threshold interval;
+                // a row adds to its node's total at the root only.
+                let (mut adds, mut widest) = (0u64, 0u64);
+                for depth in 0..level_scans(&rf, &items, &cfg) {
+                    let mut slots = 0;
+                    for node in rf.nodes.iter().filter(|n| n.depth == depth) {
+                        let mut attrs = std::collections::BTreeMap::new();
+                        for cand in scored_candidates(node, &items, &cfg) {
+                            match cand.criterion {
+                                SplitCriterion::Categorical { attr, .. } => {
+                                    attrs.insert((0, attr), cand.partition.len() as u64);
+                                }
+                                SplitCriterion::Numeric { attr, .. } => {
+                                    *attrs.entry((1, attr)).or_insert(1) += 1;
+                                }
                             }
                         }
+                        slots += 1 + attrs.values().sum::<u64>();
+                        let ids: HashSet<i64> =
+                            node.item_rows.iter().map(|&r| items.ids()[r]).collect();
+                        let rows = src
+                            .blocks()
+                            .iter()
+                            .flat_map(|b| &b.item_ids)
+                            .filter(|id| ids.contains(id))
+                            .count() as u64;
+                        adds += rows * (u64::from(depth == 0) + attrs.len() as u64);
                     }
-                    slots += 1 + attrs.values().sum::<u64>();
-                    let ids: HashSet<i64> =
-                        node.item_rows.iter().map(|&r| items.ids()[r]).collect();
-                    let rows = src
-                        .blocks()
-                        .iter()
-                        .flat_map(|b| &b.item_ids)
-                        .filter(|id| ids.contains(id))
-                        .count() as u64;
-                    adds += rows * (1 + attrs.len() as u64);
+                    widest = widest.max(slots);
                 }
-                widest = widest.max(slots);
+                let snap = reg.snapshot();
+                assert_eq!(snap.counter(TREE_SLOT_ADDS), Some(adds));
+                assert_eq!(snap.counter(TREE_STAT_SLOTS), Some(widest));
+                seen.push((adds, widest));
             }
-            let snap = reg.snapshot();
-            assert_eq!(snap.counter(TREE_SLOT_ADDS), Some(adds));
-            assert_eq!(snap.counter(TREE_STAT_SLOTS), Some(widest));
-            seen.push((adds, widest));
+            assert!(seen.iter().all(|&s| s == seen[0]), "{seen:?}");
         }
-        // 20 items in 3 blocks; the root has both attributes (3 adds a
-        // row), its two children only the numeric one (2 adds).
-        assert_eq!(seen, [(300, 1 + 2 + 20); 3]);
 
         // Cross-validation scores gathered rows and has no slots.
         let reg = bellwether_obs::Registry::shared();
@@ -435,9 +473,12 @@ mod tests {
             max_depth: 0,
             ..tree_cfg()
         };
+        src.stats().reset();
         let tree = build_rainforest(&src, &space, &items, None, &problem(), &cfg).unwrap();
         assert_eq!(tree.nodes.len(), 1);
         assert!(tree.root().info.is_some());
+        // One scan for the root's bellwether, one read to fit it.
+        assert_eq!(src.snapshot().regions_read(), src.num_regions() as u64 + 1);
     }
 
     #[test]

@@ -65,4 +65,4 @@ pub use iceberg::{
     Constraints,
 };
 pub use region::{RegionId, RegionSpace};
-pub use rollup::{rollup_lattice, rollup_naive};
+pub use rollup::{rollup_lattice, rollup_naive, LatticeSchedule};

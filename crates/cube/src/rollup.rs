@@ -10,11 +10,91 @@
 //!
 //! The merge operation must be associative and commutative and the base
 //! cells disjoint, which is exactly the "distributive or algebraic
-//! aggregate" condition of Observation 1.
+//! aggregate" condition of Observation 1. The merge order is derived
+//! once, as a [`LatticeSchedule`], and replayed.
 
 use crate::dimension::Dimension;
 use crate::region::{RegionId, RegionSpace};
 use std::collections::HashMap;
+
+/// The merge order of a lattice rollup over a fixed set of base cells, as
+/// `(from, to)` steps between slots. Stage 0 is the base cells, stage
+/// `d + 1` every cell that rolling stage `d` up dimension `d` reaches, each
+/// ascending; the steps visit a stage's cells in order and each one's
+/// ancestors-or-self along `d`, nearest first, a slot's first arrival a
+/// copy and later ones merges. Float merges only commute, so this order is
+/// part of the result. Replayed over only *some* base cells — empty sources
+/// skipped, empty destinations copied into — it is their rollup bit for bit.
+#[derive(Debug, Clone)]
+pub struct LatticeSchedule {
+    /// Base cells, ascending: slot `i` holds `base[i]`.
+    pub base: Vec<RegionId>,
+    /// The last stage, ascending, in the slots from `first_cell` on.
+    pub cells: Vec<RegionId>,
+    /// Slot of `cells[0]`.
+    pub first_cell: usize,
+    /// `(from, to)` in execution order, `from` in an earlier stage.
+    pub steps: Vec<(usize, usize)>,
+}
+
+impl LatticeSchedule {
+    /// The schedule of `space` (hierarchy dimensions only) over `base`
+    /// (duplicates ignored).
+    pub fn new(space: &RegionSpace, base: impl IntoIterator<Item = RegionId>) -> Self {
+        let mut stage: Vec<RegionId> = base.into_iter().collect();
+        stage.sort();
+        stage.dedup();
+        let (base, mut first, mut steps) = (stage.clone(), 0, Vec::new());
+        for (d, dim) in space.dims().iter().enumerate() {
+            let Dimension::Hierarchy(h) = dim else {
+                panic!("rollup_lattice requires hierarchy dimensions");
+            };
+            let mut reached = Vec::new();
+            for (at, key) in stage.iter().enumerate() {
+                for anc in h.ancestors_or_self(key.coord(d)) {
+                    let mut coords = key.0.clone();
+                    coords[d] = anc;
+                    reached.push((first + at, RegionId(coords)));
+                }
+            }
+            let mut next: Vec<RegionId> = reached.iter().map(|(_, key)| key.clone()).collect();
+            next.sort();
+            next.dedup();
+            first += stage.len();
+            let slot_of = |key: &RegionId| first + next.binary_search(key).expect("reached");
+            steps.extend(reached.iter().map(|(from, key)| (*from, slot_of(key))));
+            stage = next;
+        }
+        let (cells, first_cell) = (stage, first);
+        LatticeSchedule { base, cells, first_cell, steps }
+    }
+
+    /// Slot of a rolled-up cell, if the rollup reaches it.
+    pub fn cell_slot(&self, cell: &RegionId) -> Option<usize> {
+        self.cells.binary_search(cell).ok().map(|i| self.first_cell + i)
+    }
+
+    /// Roll `base` — values for some of the schedule's base cells; other
+    /// keys are ignored — up to every cell they reach.
+    pub fn rollup<T: Clone>(
+        &self,
+        mut base: HashMap<RegionId, T>,
+        mut merge: impl FnMut(&mut T, &T),
+    ) -> HashMap<RegionId, T> {
+        let mut slots: Vec<Option<T>> = self.base.iter().map(|key| base.remove(key)).collect();
+        slots.resize_with(self.first_cell + self.cells.len(), || None);
+        for &(from, to) in &self.steps {
+            let (sources, rest) = slots.split_at_mut(to);
+            let Some(value) = &sources[from] else { continue };
+            match &mut rest[0] {
+                Some(cell) => merge(cell, value),
+                empty => *empty = Some(value.clone()),
+            }
+        }
+        let rolled = self.cells.iter().zip(&mut slots[self.first_cell..]);
+        rolled.filter_map(|(key, value)| Some((key.clone(), value.take()?))).collect()
+    }
+}
 
 /// Roll base-cell values up to every lattice cell.
 ///
@@ -24,42 +104,9 @@ use std::collections::HashMap;
 pub fn rollup_lattice<T: Clone>(
     space: &RegionSpace,
     base: HashMap<RegionId, T>,
-    mut merge: impl FnMut(&mut T, &T),
+    merge: impl FnMut(&mut T, &T),
 ) -> HashMap<RegionId, T> {
-    for dim in space.dims() {
-        assert!(
-            matches!(dim, Dimension::Hierarchy(_)),
-            "rollup_lattice requires hierarchy dimensions"
-        );
-    }
-    let mut current = base;
-    for (d, dim) in space.dims().iter().enumerate() {
-        let Dimension::Hierarchy(h) = dim else { unreachable!() };
-        let mut next: HashMap<RegionId, T> = HashMap::with_capacity(current.len() * 2);
-        // Ascending key order, not the map's: a cell's children must
-        // merge in one fixed order, because float merges are only
-        // commutative — regrouping them changes the low bits callers
-        // take arg-mins over.
-        let mut cells: Vec<(RegionId, T)> = current.into_iter().collect();
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, value) in cells {
-            // After processing dims 0..d, the key's coordinate along d is
-            // still a leaf; expand it to every ancestor-or-self.
-            for anc in h.ancestors_or_self(key.coord(d)) {
-                let mut coords = key.0.clone();
-                coords[d] = anc;
-                let k = RegionId(coords);
-                match next.get_mut(&k) {
-                    Some(existing) => merge(existing, &value),
-                    None => {
-                        next.insert(k, value.clone());
-                    }
-                }
-            }
-        }
-        current = next;
-    }
-    current
+    LatticeSchedule::new(space, base.keys().cloned()).rollup(base, merge)
 }
 
 /// Reference implementation for tests: for every lattice cell, merge the
@@ -91,6 +138,39 @@ pub fn rollup_naive<T: Clone>(
 mod tests {
     use super::*;
     use crate::dimension::Hierarchy;
+    use bellwether_prop::{check, Rng};
+
+    /// The rollup as it was before the schedule, kept as its oracle: one
+    /// map per stage, each cell inserted on first arrival and merged into
+    /// after, cells visited in ascending key order.
+    fn rollup_by_maps<T: Clone>(
+        space: &RegionSpace,
+        base: HashMap<RegionId, T>,
+        mut merge: impl FnMut(&mut T, &T),
+    ) -> HashMap<RegionId, T> {
+        let mut current = base;
+        for (d, dim) in space.dims().iter().enumerate() {
+            let Dimension::Hierarchy(h) = dim else { unreachable!() };
+            let mut next: HashMap<RegionId, T> = HashMap::with_capacity(current.len() * 2);
+            let mut cells: Vec<(RegionId, T)> = current.into_iter().collect();
+            cells.sort_by(|a, b| a.0.cmp(&b.0));
+            for (key, value) in cells {
+                for anc in h.ancestors_or_self(key.coord(d)) {
+                    let mut coords = key.0.clone();
+                    coords[d] = anc;
+                    let k = RegionId(coords);
+                    match next.get_mut(&k) {
+                        Some(existing) => merge(existing, &value),
+                        None => {
+                            next.insert(k, value.clone());
+                        }
+                    }
+                }
+            }
+            current = next;
+        }
+        current
+    }
 
     /// Two item hierarchies mirroring Fig. 5: Category and RDExpense.
     fn item_space() -> RegionSpace {
@@ -195,6 +275,80 @@ mod tests {
         for k in rolled.keys() {
             assert!(base.keys().any(|b| s.contains(k, b)));
         }
+    }
+
+    /// A hierarchy of depth 1–3 whose nodes have 1–5 children each.
+    fn random_hierarchy(rng: &mut Rng, name: &str) -> Hierarchy {
+        let mut h = Hierarchy::new(name, "All");
+        let mut frontier = vec![0];
+        for depth in 0..rng.usize_in(1, 4) {
+            let mut next = Vec::new();
+            for parent in frontier {
+                for c in 0..rng.usize_in(1, 6) {
+                    next.push(h.add_child(parent, format!("{name}{depth}.{parent}.{c}")));
+                }
+            }
+            frontier = next;
+        }
+        h
+    }
+
+    #[test]
+    fn the_schedule_is_the_rollup() {
+        check("lattice_schedule_vs_map_rollup", 300, |rng| {
+            // Few enough base cells for `rollup_naive`'s quadratic walk.
+            let (space, all) = loop {
+                let dims = (0..rng.usize_in(1, 4))
+                    .map(|d| Dimension::Hierarchy(random_hierarchy(rng, &format!("h{d}"))))
+                    .collect();
+                let space = RegionSpace::new(dims);
+                let all = space.base_regions();
+                if all.len() <= 240 {
+                    break (space, all);
+                }
+            };
+            // Every base cell, none, or a random part of them.
+            let keep = match rng.below(4) {
+                0 => 1.0,
+                1 => 0.0,
+                _ => rng.f64(),
+            };
+            let present: Vec<RegionId> = all.iter().filter(|_| rng.flip(keep)).cloned().collect();
+            // Magnitudes far apart, so regrouping any sum moves its bits.
+            let floats: HashMap<RegionId, f64> = present
+                .iter()
+                .map(|r| (r.clone(), rng.f64_in(-1.0, 1.0) * 10f64.powi(rng.below(16) as i32)))
+                .collect();
+            let counts: HashMap<RegionId, u64> =
+                present.iter().map(|r| (r.clone(), rng.next_u64() >> 20)).collect();
+
+            // One schedule over every base cell, replayed over the
+            // present ones — what the optimized cube does per block.
+            let schedule = LatticeSchedule::new(&space, all.iter().cloned());
+            let add_f = |a: &mut f64, b: &f64| *a += *b;
+            let want = rollup_by_maps(&space, floats.clone(), add_f);
+            let bits = |m: &HashMap<RegionId, f64>| -> HashMap<RegionId, u64> {
+                m.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect()
+            };
+            assert_eq!(bits(&schedule.rollup(floats.clone(), add_f)), bits(&want));
+            assert_eq!(bits(&rollup_lattice(&space, floats.clone(), add_f)), bits(&want));
+
+            let add_u = |a: &mut u64, b: &u64| *a += *b;
+            let want = rollup_by_maps(&space, counts.clone(), add_u);
+            assert_eq!(schedule.rollup(counts.clone(), add_u), want);
+            assert_eq!(rollup_lattice(&space, counts.clone(), add_u), want);
+            assert_eq!(rollup_naive(&space, &counts, add_u), want);
+            let near = rollup_naive(&space, &floats, add_f);
+            assert_eq!(near.len(), want.len());
+            for (cell, v) in &rollup_lattice(&space, floats.clone(), add_f) {
+                let scale: f64 = floats
+                    .iter()
+                    .filter(|(b, _)| space.contains(cell, b))
+                    .map(|(_, x)| x.abs())
+                    .sum();
+                assert!((v - near[cell]).abs() <= 1e-12 * scale, "{cell:?}");
+            }
+        });
     }
 
     #[test]

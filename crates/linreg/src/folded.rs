@@ -124,6 +124,23 @@ impl FoldedSuffStats {
         }
     }
 
+    /// Overwrite `self` with the unit-weight statistic whose flat form is
+    /// `flat`: the total, then folds `0..k`, each as its example count
+    /// followed by its [`RegSuffStats::flat_len`] sums. Reuses buffers;
+    /// returns `true` if one had to grow.
+    pub fn load_flat(&mut self, p: usize, k: usize, flat: &[f64]) -> bool {
+        let part = 1 + RegSuffStats::flat_len(p);
+        assert_eq!(flat.len(), (k + 1) * part, "flat statistic length mismatch");
+        let mut grew = self.folds.len() < k;
+        self.folds.resize_with(k.max(self.folds.len()), RegSuffStats::default);
+        self.k = k;
+        let parts = std::iter::once(&mut self.total).chain(&mut self.folds[..k]);
+        for (stats, part) in parts.zip(flat.chunks_exact(part)) {
+            grew |= stats.load_flat(p, part[0] as usize, &part[1..]);
+        }
+        grew
+    }
+
     /// Merge a disjoint subset's folded statistic fold-wise (both
     /// operands must share shape) — the lattice rollup of the optimized
     /// CV cube.

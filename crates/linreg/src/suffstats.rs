@@ -803,6 +803,69 @@ mod tests {
         });
     }
 
+    /// A CV fold's training statistic is the total downdated by the fold
+    /// (`total − fold`), not the complement accumulated directly. Per
+    /// entry the two differ by no more than the rounding of the sums
+    /// involved: the total (`n` rows), the fold and the complement each
+    /// err by at most `n·ε` times the sum of their terms' magnitudes,
+    /// and the subtraction by `ε` of its result, so
+    /// `|Δ| ≤ (2n + 1)·ε·Σ|term|` over all `n` rows. On a near-collinear
+    /// design the same bound holds entrywise — what it cannot promise is
+    /// a positive pivot: such a Gram matrix is singular to within that
+    /// much, which is where ridge rescues come from. Normwise, against the
+    /// total's largest entry, the worst relative error is at most
+    /// `(2n + 1)·ε` (a term-magnitude sum is at most the largest diagonal
+    /// one, which is a sum of squares).
+    #[test]
+    fn downdated_gram_is_the_direct_complement_within_the_summation_bound() {
+        use bellwether_prop::check;
+        check("suffstats/downdate_vs_direct_complement", 300, |rng| {
+            let (n, p, k) = (rng.usize_in(4, 160), rng.usize_in(2, 7), rng.usize_in(2, 11));
+            let collinear = rng.flip(0.5);
+            let mut data = RegressionData::new(p);
+            let mut magnitudes = RegressionData::new(p);
+            for _ in 0..n {
+                let mut x: Vec<f64> = (0..p).map(|_| rng.f64_in(-1e3, 1e3)).collect();
+                x[0] = 1.0;
+                if collinear {
+                    // The last feature repeats another to ~6 digits.
+                    x[p - 1] = x[p / 2] * (1.0 + rng.f64_in(-1e-6, 1e-6));
+                }
+                let y = rng.f64_in(-1e4, 1e4);
+                data.push(&x, y);
+                let abs: Vec<f64> = x.iter().map(|v| v.abs()).collect();
+                magnitudes.push(&abs, y.abs());
+            }
+            let assignment = crate::crossval::fold_assignment(n, k, rng.next_u64());
+            let mut folded = crate::folded::FoldedSuffStats::new(p, k);
+            folded.add_dataset(&data, &assignment);
+            let terms = RegSuffStats::from_dataset(&magnitudes);
+            let slack = (2 * n + 1) as f64 * f64::EPSILON * (1.0 + 1e-9);
+            let mut worst = 0.0f64;
+            for f in 0..k {
+                let rest: Vec<usize> = (0..n).filter(|&i| assignment[i] != f).collect();
+                let direct = RegSuffStats::from_dataset(&data.subset(&rest));
+                let mut down = folded.total().clone();
+                down.subtract(folded.fold(f));
+                assert_eq!(down.n(), direct.n());
+                let pairs = [
+                    (&down.gram, &direct.gram, &terms.gram),
+                    (&down.xtwy, &direct.xtwy, &terms.xtwy),
+                ];
+                for (got, want, bound) in pairs {
+                    for ((g, w), b) in got.iter().zip(want).zip(bound) {
+                        assert!((g - w).abs() <= slack * b, "n={n} p={p}: {g} vs {w}, bound {b}");
+                    }
+                }
+                assert!((down.ytwy - direct.ytwy).abs() <= slack * terms.ytwy);
+                let largest = terms.gram.iter().fold(0.0f64, |m, g| m.max(*g));
+                let apart = down.gram.iter().zip(&direct.gram).map(|(g, w)| (g - w).abs());
+                worst = worst.max(apart.fold(0.0, f64::max) / largest);
+            }
+            assert!(worst <= slack, "normwise {worst:e} > {slack:e}");
+        });
+    }
+
     #[test]
     fn sse_of_coeffs_matches_sse_of_model() {
         let mut d = RegressionData::new(2);

@@ -88,7 +88,9 @@ pub const LINREG_SCRATCH_GROWS: &str = "linreg/scratch_grows";
 /// Nodes constructed by a bellwether tree builder.
 pub const TREE_NODES: &str = "tree/nodes";
 /// Block rows the RainForest level scans split among a level's nodes:
-/// every row of every block read, once per level — `levels × Σ rows`.
+/// every row of every block read, once per level scan — `scans × Σ rows`,
+/// a level being scanned if it is the root's or one of its nodes may
+/// split.
 pub const TREE_ROWS_ROUTED: &str = "tree/rows_routed";
 /// Statistic slots one RainForest scan worker holds at the tree's widest
 /// level (a node's total plus one bucket per child or threshold
@@ -97,8 +99,9 @@ pub const TREE_ROWS_ROUTED: &str = "tree/rows_routed";
 /// Absent under cross-validation, which scores gathered rows.
 pub const TREE_STAT_SLOTS: &str = "tree/stat_slots";
 /// Slot additions of the RainForest level scans: per block row of a
-/// node's item, one for the node's total and one per attribute with a
-/// candidate — however many candidates those attributes carry.
+/// node's item, one per attribute with a candidate — however many
+/// candidates those attributes carry — and at the root one for the
+/// node's total.
 pub const TREE_SLOT_ADDS: &str = "tree/slot_adds";
 /// Cells emitted by a bellwether cube builder.
 pub const CUBE_CELLS: &str = "cube/cells_emitted";

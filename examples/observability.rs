@@ -219,19 +219,23 @@ fn main() {
             .unwrap();
     println!("RF tree: {} nodes, depth {}", tree.nodes.len(), tree.depth());
     // A level scan hands every block row to its node exactly once:
-    // levels × the rows of one pass over the data.
+    // scans × the rows of one pass over the data. The root's level is
+    // always scanned, a level below it only if one of its nodes may
+    // split — each node inherits its bellwether from the scan that
+    // scored it as a child — so the leaves' level usually is not.
     let snap = reg.snapshot();
     let rows_routed = snap.counter("tree/rows_routed").unwrap_or(0);
-    println!(
-        "RF tree: {rows_routed} rows routed over {} level scans",
-        tree.depth() + 1
-    );
+    let level_scans = (0..)
+        .take_while(|d| snap.span(&format!("tree/rainforest/level{d}")).is_some())
+        .count();
+    assert!((1..=tree.depth() + 1).contains(&level_scans));
+    println!("RF tree: {rows_routed} rows routed over {level_scans} level scans");
     // Under the training-set measure a routed row is never copied: its
-    // terms are added to its node's total slot and to one bucket slot
-    // per attribute with a candidate — 1 + attributes additions a row
-    // (1 at the last level, whose nodes do not split), where gathering
-    // made one pass per candidate. The slots of the widest level are
-    // all a scan worker holds: Lemma 1's in-memory MinError table.
+    // terms are added to one bucket slot per attribute with a candidate,
+    // and at the root to its node's total slot too — attributes (+ 1)
+    // additions a row, where gathering made one pass per candidate. The
+    // slots of the widest level are all a scan worker holds: Lemma 1's
+    // in-memory MinError table.
     let floats_per_slot = {
         let p = source.feature_arity();
         1 + p + p * (p + 1) / 2
@@ -330,9 +334,10 @@ fn main() {
     assert!(stream_count("stream/regions_rebuilt") > 0);
     std::fs::remove_dir_all(&stream_dir).ok();
 
-    // ---- one span per RainForest level scan (Lemma 1, observed).
+    // ---- one span per RainForest level scan (Lemma 1, observed): every
+    // level above the leaves has one.
     let snap = reg.snapshot();
-    for d in 0..=tree.depth() {
+    for d in 0..tree.depth().max(1) {
         assert!(
             snap.span(&format!("tree/rainforest/level{d}")).is_some(),
             "missing level {d} scan span"

@@ -179,18 +179,127 @@ const CV_TREE_DIGEST: u64 = 6_086_481_988_088_189_166;
 #[test]
 fn lemma_1_rf_scan_budget() {
     let (w, src) = workload();
-    src.stats().reset();
-    let rf =
-        build_rainforest(&src, &w.region_space, &w.items, None, &problem(), &tree_cfg())
-            .unwrap();
-    let levels = rf.depth() as u64 + 1;
-    let nodes = rf.nodes.len() as u64;
     let regions = src.num_regions() as u64;
+    let reads = |tree_cfg: &TreeConfig| {
+        src.stats().reset();
+        let rf = build_rainforest(&src, &w.region_space, &w.items, None, &problem(), tree_cfg)
+            .unwrap();
+        (rf, src.snapshot().regions_read())
+    };
+    // The paper's `l`: one scan per level above the leaves, whose
+    // bellwethers their parent's scan already found, plus one fit-read
+    // per node.
+    let (rf, read) = reads(&tree_cfg());
+    assert_eq!(rf.depth(), tree_cfg().max_depth, "the tree reaches its depth cap");
     assert_eq!(
-        src.snapshot().regions_read(),
-        levels * regions + nodes,
-        "RF must scan once per level plus one fit-read per node"
+        read,
+        rf.depth() as u64 * regions + rf.nodes.len() as u64,
+        "RF must scan once per level above the leaves plus one fit-read per node"
     );
+    // A stump still scans once, for the root's own bellwether.
+    let stump = TreeConfig {
+        max_depth: 0,
+        ..tree_cfg()
+    };
+    let (rf, read) = reads(&stump);
+    assert_eq!(rf.nodes.len(), 1);
+    assert_eq!(read, regions + 1);
+}
+
+/// Every non-root node's bellwether is inherited from the scan that
+/// scored it as a child of its parent's chosen criterion. The oracle is
+/// the scan that found it before: the node planned alone, without
+/// candidates, for its own error. Under cross-validation a child's
+/// gathered rows are the rows its own scan gathers, and under the
+/// training-set measure a categorical child's bucket is its total slot,
+/// so both give the same bits; a numeric child sums the same rows'
+/// terms as a merge of buckets, which moves the error by no more than
+/// reordering `n` additions can (the bound of
+/// `statistics_match_the_gather_oracle_within_the_summation_bound`).
+#[test]
+fn a_node_inherits_its_bellwether_from_its_parents_scan() {
+    use bellwether_core::tree::partition::{LevelPlan, RoutedScratch, Scope};
+    use bellwether_core::{scan_regions, BestRegion, WithScratch};
+    let (categorical, numeric) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    bellwether_prop::check("inherited_bellwethers_vs_own_scans", 4, |rng| {
+        let w = build_scale_workload(&ScaleConfig {
+            n_items: rng.usize_in(150, 300),
+            fact_dim_leaves: [rng.usize_in(2, 4), rng.usize_in(2, 4)],
+            item_hierarchy_leaves: [rng.usize_in(2, 4), 2, 2],
+            n_numeric_attrs: 2,
+            regional_features: 2,
+            bellwether_noise: 0.5,
+            seed: rng.next_u64(),
+        });
+        let src = w.memory_source();
+        let tree_cfg = TreeConfig {
+            max_depth: 4,
+            min_node_items: 20,
+            max_numeric_splits: 3,
+            require_positive_goodness: false,
+            perfect_error_tol: 0.0,
+            ..TreeConfig::default()
+        };
+        for measure in [ErrorMeasure::TrainingSet, ErrorMeasure::CrossValidation { folds: 3, seed: 5 }] {
+            let mut problem = problem();
+            problem.min_examples = 4;
+            problem.error_measure = measure;
+            let own_scan = |rows: &[usize]| -> BestRegion {
+                let nodes: [(&[usize], &[_]); 1] = [(rows, &[])];
+                let plan = LevelPlan::new(w.items.index(), measure, &nodes);
+                let scanned = scan_regions(
+                    &src,
+                    Parallelism::sequential(),
+                    problem.scan_policy,
+                    |_| true,
+                    || WithScratch { acc: BestRegion::default(), scratch: RoutedScratch::new() },
+                    |ws: &mut WithScratch<BestRegion, RoutedScratch>, idx, block| {
+                        let WithScratch { acc, scratch } = ws;
+                        plan.score(block, scratch, &problem, Scope::Level, |_, _, err| acc.observe(idx, err));
+                        Ok(())
+                    },
+                );
+                scanned.unwrap().acc.acc
+            };
+            let space = &w.region_space;
+            let builds = [
+                build_rainforest(&src, space, &w.items, None, &problem, &tree_cfg).unwrap(),
+                build_naive_tree(&src, space, &w.items, None, &problem, &tree_cfg).unwrap(),
+            ];
+            for tree in &builds {
+                assert!(tree.depth() >= 2, "shallow tree");
+                for parent in &tree.nodes {
+                    let Some((criterion, children)) = &parent.split else { continue };
+                    for &child in children {
+                        let node = &tree.nodes[child];
+                        let info = node.info.as_ref().expect("a split's children are fitted");
+                        let (region, err) = own_scan(&node.item_rows).0.expect("an own bellwether");
+                        assert_eq!(info.region_index, region, "node {child}");
+                        let numeric_split = matches!(criterion, SplitCriterion::Numeric { .. });
+                        if !numeric_split || measure != ErrorMeasure::TrainingSet {
+                            assert_eq!(info.error.to_bits(), err.to_bits(), "node {child}");
+                            categorical.set(categorical.get() + usize::from(!numeric_split));
+                            continue;
+                        }
+                        // `|ΔSSE| ≤ 64·n·ε·Y'Y` over the node's rows of the
+                        // winning region, whose SSE is `err²·(n − p)`.
+                        numeric.set(numeric.get() + 1);
+                        let block = &src.blocks()[region];
+                        let ids: std::collections::HashSet<i64> =
+                            node.item_rows.iter().map(|&r| w.items.ids()[r]).collect();
+                        let rows = (0..block.n()).filter(|&i| ids.contains(&block.item_ids[i]));
+                        let (ytwy, n) = rows.fold((0.0, 0), |(s, n), i| (s + block.y(i) * block.y(i), n + 1));
+                        let dof = (n - block.p as usize) as f64;
+                        let delta = (info.error * info.error * dof - err * err * dof).abs();
+                        let bound = 64.0 * n as f64 * f64::EPSILON * ytwy;
+                        assert!(delta <= bound, "node {child}: ΔSSE {delta:e} > {bound:e}");
+                    }
+                }
+            }
+        }
+    });
+    let (categorical, numeric) = (categorical.get(), numeric.get());
+    assert!(categorical > 10 && numeric > 10, "{categorical} categorical, {numeric} numeric");
 }
 
 #[test]
