@@ -1,111 +1,22 @@
-//! Figure 7 — basic bellwether analysis of the (synthetic) mail-order
-//! dataset.
+//! Figure 7 — basic bellwether analysis of the mail-order dataset (see
+//! [`bellwether_bench::figures::fig07`]), plus the bellwether region found
+//! at each budget.
 //!
-//! * (a) RMSE of the bellwether model (`Bel Err`), the average feasible
-//!   region (`Avg Err`) and random budget-matched collections
-//!   (`Smp Err`) as a function of the budget, under 10-fold CV error;
-//! * (b) fraction of regions indistinguishable from the bellwether at
-//!   95 % / 99 % confidence;
-//! * (c) the same curves as (a) under training-set error — which, for
-//!   linear models, should look almost identical to (a).
+//! `BW_QUICK=1` runs a scaled-down configuration and writes nothing.
 
-use bellwether_bench::{prepare_retail, quick_mode, results_dir, FigureReport, Series};
-use bellwether_core::{
-    basic_search, sampling_baseline_error, BellwetherConfig, ErrorMeasure,
-};
-use bellwether_datagen::RetailConfig;
+use bellwether_bench::{emit_figures, figures, quick_mode};
+use std::process::ExitCode;
 
-fn main() {
-    let (n_items, trials) = if quick_mode() { (120, 2) } else { (400, 5) };
-    let cfg = RetailConfig::mail_order(n_items, 20060912);
-    eprintln!("generating mail-order dataset ({n_items} items)…");
-    let prep = prepare_retail(&cfg);
-    eprintln!(
-        "fact rows: {}, regions: {}",
-        prep.data.db.fact.num_rows(),
-        prep.regions.len()
-    );
-
-    let budgets: Vec<f64> = (0..=8).map(|i| 5.0 + 10.0 * i as f64).collect();
-    let dir = results_dir();
-
-    for (fig_id, title, measure) in [
-        (
-            "fig07a",
-            "mail order: error vs budget (10-fold CV)",
-            ErrorMeasure::cv10(),
-        ),
-        (
-            "fig07c",
-            "mail order: error vs budget (training-set error)",
-            ErrorMeasure::TrainingSet,
-        ),
+fn main() -> ExitCode {
+    let fig = figures::fig07(quick_mode());
+    for (measure, winners) in [
+        ("10-fold CV", &fig.winners_cv),
+        ("training-set error", &fig.winners_training),
     ] {
-        let mut bel = Series::new("Bel Err");
-        let mut avg = Series::new("Avg Err");
-        let mut smp = Series::new("Smp Err");
-        let mut frac95 = Series::new("95%");
-        let mut frac99 = Series::new("99%");
-        let mut best_labels: Vec<(f64, String)> = Vec::new();
-
-        for &budget in &budgets {
-            let config = BellwetherConfig::builder(budget)
-                .min_coverage(0.5)
-                .min_examples(20)
-                .error_measure(measure)
-                .build()
-                .unwrap();
-            let result = basic_search(
-                &prep.source,
-                &prep.data.space,
-                &prep.data.cost,
-                &config,
-                prep.data.items.len(),
-            )
-            .expect("basic search");
-            bel.push(budget, result.bellwether().map(|r| r.error.value));
-            avg.push(budget, result.average_error());
-            let sample = sampling_baseline_error(
-                &prep.data.space,
-                &prep.cube_input,
-                &prep.data.items,
-                &prep.targets,
-                &prep.data.cost,
-                &config,
-                trials,
-                7 + budget as u64,
-            )
-            .expect("sampling baseline");
-            smp.push(budget, sample);
-            frac95.push(budget, result.indistinguishable_fraction(0.95));
-            frac99.push(budget, result.indistinguishable_fraction(0.99));
-            if let Some(b) = result.bellwether() {
-                best_labels.push((budget, b.label.clone()));
-            }
-        }
-
-        let mut fig = FigureReport::new(fig_id, title, "budget", "RMSE");
-        fig.add_series(bel);
-        fig.add_series(avg);
-        fig.add_series(smp);
-        fig.emit(&dir);
-
-        println!("bellwether regions by budget:");
-        for (b, label) in &best_labels {
-            println!("  budget {b}: {label}");
-        }
-        println!();
-
-        if fig_id == "fig07a" {
-            let mut fb = FigureReport::new(
-                "fig07b",
-                "mail order: fraction of indistinguishable regions",
-                "budget",
-                "fraction",
-            );
-            fb.add_series(frac95);
-            fb.add_series(frac99);
-            fb.emit(&dir);
+        println!("bellwether regions by budget ({measure}):");
+        for (budget, label) in winners {
+            println!("  budget {budget}: {label}");
         }
     }
+    emit_figures(&fig.reports)
 }

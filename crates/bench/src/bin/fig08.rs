@@ -1,94 +1,11 @@
 //! Figure 8 — item-centric bellwether-based prediction on the mail-order
-//! dataset: 10-fold CV prediction RMSE of the Basic / Tree / Cube
-//! methods at various budgets.
+//! dataset: Basic vs Tree vs Cube (see [`bellwether_bench::figures::fig08`]).
+//!
+//! `BW_QUICK=1` runs a scaled-down configuration and writes nothing.
 
-use bellwether_bench::{
-    budget_filtered_source, prepare_retail, quick_mode, results_dir, FigureReport, Series,
-};
-use bellwether_core::{
-    evaluate_method, BellwetherConfig, CubeConfig, ErrorMeasure, EvalContext,
-    ItemCentricEval, Method, TreeConfig,
-};
-use bellwether_datagen::RetailConfig;
-use bellwether_storage::TrainingSource;
+use bellwether_bench::{emit_figures, figures, quick_mode};
+use std::process::ExitCode;
 
-fn main() {
-    let (n_items, folds) = if quick_mode() { (120, 4) } else { (400, 10) };
-    let cfg = RetailConfig::mail_order(n_items, 20060912);
-    eprintln!("generating mail-order dataset ({n_items} items)…");
-    let prep = prepare_retail(&cfg);
-
-    // Trees/cubes fit many small models per region: training-set error
-    // keeps that tractable and, per Fig. 7(c), tracks CV for linear
-    // models.
-    let problem = BellwetherConfig::builder(f64::INFINITY)
-        .min_coverage(0.0)
-        .min_examples(20)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap();
-    let tree_cfg = TreeConfig {
-        min_node_items: (n_items / 8).max(20),
-        max_numeric_splits: 16,
-        prune_frac: 0.05,
-        ..TreeConfig::default()
-    };
-    let cube_cfg = CubeConfig {
-        min_subset_size: (n_items / 10).max(15),
-    };
-    let eval = ItemCentricEval {
-        folds,
-        seed: 0xF18,
-    };
-
-    let budgets: Vec<f64> = (1..=8).map(|i| 10.0 * i as f64).collect();
-    let mut basic = Series::new("Basic");
-    let mut tree = Series::new("Tree");
-    let mut cube = Series::new("Cube");
-
-    for &budget in &budgets {
-        let source = budget_filtered_source(&prep, budget);
-        eprintln!(
-            "budget {budget}: {} affordable regions",
-            source.num_regions()
-        );
-        if source.num_regions() == 0 {
-            basic.push(budget, None);
-            tree.push(budget, None);
-            cube.push(budget, None);
-            continue;
-        }
-        let ctx = EvalContext {
-            source: &source,
-            region_space: &prep.data.space,
-            items: &prep.data.items,
-            targets: &prep.targets,
-            item_space: Some(&prep.data.item_space),
-            item_coords: Some(&prep.data.item_coords),
-        };
-        let b = evaluate_method(&ctx, &problem, &Method::Basic, &eval).expect("basic");
-        let t = evaluate_method(&ctx, &problem, &Method::Tree(tree_cfg.clone()), &eval)
-            .expect("tree");
-        let c = evaluate_method(
-            &ctx,
-            &problem,
-            &Method::Cube(cube_cfg.clone(), 0.95),
-            &eval,
-        )
-        .expect("cube");
-        basic.push(budget, b);
-        tree.push(budget, t);
-        cube.push(budget, c);
-    }
-
-    let mut fig = FigureReport::new(
-        "fig08",
-        "mail order: item-centric prediction (Basic vs Tree vs Cube)",
-        "budget",
-        "RMSE",
-    );
-    fig.add_series(basic);
-    fig.add_series(tree);
-    fig.add_series(cube);
-    fig.emit(&results_dir());
+fn main() -> ExitCode {
+    emit_figures(&figures::fig08(quick_mode()))
 }

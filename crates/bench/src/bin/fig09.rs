@@ -1,149 +1,11 @@
-//! Figure 9 — the book-store dataset, where **no clear bellwether
-//! exists**: (a) error vs budget, (b) fraction of indistinguishable
-//! regions (expected to stay high), (c) Basic vs Tree vs Cube with no
-//! clear winner.
+//! Figure 9 — the book-store dataset, where no clear bellwether exists
+//! (see [`bellwether_bench::figures::fig09`]).
+//!
+//! `BW_QUICK=1` runs a scaled-down configuration and writes nothing.
 
-use bellwether_bench::{
-    budget_filtered_source, prepare_retail, quick_mode, results_dir, FigureReport, Series,
-};
-use bellwether_core::{
-    basic_search, evaluate_method, sampling_baseline_error, BellwetherConfig, CubeConfig,
-    ErrorMeasure, EvalContext, ItemCentricEval, Method, TreeConfig,
-};
-use bellwether_datagen::RetailConfig;
-use bellwether_storage::TrainingSource;
+use bellwether_bench::{emit_figures, figures, quick_mode};
+use std::process::ExitCode;
 
-fn main() {
-    let (n_items, folds, trials) = if quick_mode() { (120, 4, 2) } else { (400, 10, 5) };
-    let cfg = RetailConfig::book_store(n_items, 2004);
-    eprintln!("generating book-store dataset ({n_items} items)…");
-    let prep = prepare_retail(&cfg);
-    let dir = results_dir();
-
-    // (a) + (b): basic analysis under CV error. The axis stays below the
-    // cost of the all-covering region (which would contain the target
-    // itself).
-    let budgets: Vec<f64> = (1..=7).map(|i| 20.0 * i as f64).collect();
-    let mut bel = Series::new("Bel Err");
-    let mut avg = Series::new("Avg Err");
-    let mut smp = Series::new("Smp Err");
-    let mut frac95 = Series::new("95%");
-    let mut frac99 = Series::new("99%");
-    for &budget in &budgets {
-        let config = BellwetherConfig::builder(budget)
-            .min_coverage(0.5)
-            .min_examples(20)
-            .error_measure(ErrorMeasure::cv10())
-            .build()
-            .unwrap();
-        let result = basic_search(
-            &prep.source,
-            &prep.data.space,
-            &prep.data.cost,
-            &config,
-            prep.data.items.len(),
-        )
-        .expect("basic search");
-        bel.push(budget, result.bellwether().map(|r| r.error.value));
-        avg.push(budget, result.average_error());
-        smp.push(
-            budget,
-            sampling_baseline_error(
-                &prep.data.space,
-                &prep.cube_input,
-                &prep.data.items,
-                &prep.targets,
-                &prep.data.cost,
-                &config,
-                trials,
-                9 + budget as u64,
-            )
-            .expect("sampling"),
-        );
-        frac95.push(budget, result.indistinguishable_fraction(0.95));
-        frac99.push(budget, result.indistinguishable_fraction(0.99));
-    }
-    let mut fa = FigureReport::new(
-        "fig09a",
-        "book store: error vs budget (10-fold CV)",
-        "budget",
-        "RMSE",
-    );
-    fa.add_series(bel);
-    fa.add_series(avg);
-    fa.add_series(smp);
-    fa.emit(&dir);
-
-    let mut fb = FigureReport::new(
-        "fig09b",
-        "book store: fraction of indistinguishable regions",
-        "budget",
-        "fraction",
-    );
-    fb.add_series(frac95);
-    fb.add_series(frac99);
-    fb.emit(&dir);
-
-    // (c): item-centric methods.
-    let problem = BellwetherConfig::builder(f64::INFINITY)
-        .min_coverage(0.0)
-        .min_examples(20)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap();
-    let tree_cfg = TreeConfig {
-        min_node_items: (n_items / 8).max(20),
-        max_numeric_splits: 16,
-        prune_frac: 0.05,
-        ..TreeConfig::default()
-    };
-    let cube_cfg = CubeConfig {
-        min_subset_size: (n_items / 10).max(15),
-    };
-    let eval = ItemCentricEval { folds, seed: 0xF19 };
-
-    let mut basic = Series::new("SingleRegion");
-    let mut tree = Series::new("Tree");
-    let mut cube = Series::new("Cube");
-    for &budget in &budgets {
-        let source = budget_filtered_source(&prep, budget);
-        if source.num_regions() == 0 {
-            basic.push(budget, None);
-            tree.push(budget, None);
-            cube.push(budget, None);
-            continue;
-        }
-        let ctx = EvalContext {
-            source: &source,
-            region_space: &prep.data.space,
-            items: &prep.data.items,
-            targets: &prep.targets,
-            item_space: Some(&prep.data.item_space),
-            item_coords: Some(&prep.data.item_coords),
-        };
-        basic.push(
-            budget,
-            evaluate_method(&ctx, &problem, &Method::Basic, &eval).expect("basic"),
-        );
-        tree.push(
-            budget,
-            evaluate_method(&ctx, &problem, &Method::Tree(tree_cfg.clone()), &eval)
-                .expect("tree"),
-        );
-        cube.push(
-            budget,
-            evaluate_method(&ctx, &problem, &Method::Cube(cube_cfg.clone(), 0.95), &eval)
-                .expect("cube"),
-        );
-    }
-    let mut fc = FigureReport::new(
-        "fig09c",
-        "book store: item-centric prediction",
-        "budget",
-        "RMSE",
-    );
-    fc.add_series(basic);
-    fc.add_series(tree);
-    fc.add_series(cube);
-    fc.emit(&dir);
+fn main() -> ExitCode {
+    emit_figures(&figures::fig09(quick_mode()))
 }

@@ -1,136 +1,11 @@
-//! Figure 10 — controlled simulation: prediction error of the cube,
-//! basic and tree methods as a function of (a) the noise level at a
-//! 15-node concept, and (b) the concept complexity (tree node count) at
-//! noise 0.5. Each point averages several independently generated
-//! datasets.
+//! Figure 10 — controlled simulation: error vs noise and vs concept
+//! complexity (see [`bellwether_bench::figures::fig10`]).
+//!
+//! `BW_QUICK=1` runs a scaled-down configuration and writes nothing.
 
-use bellwether_bench::{quick_mode, results_dir, FigureReport, Series};
-use bellwether_core::{
-    evaluate_method, BellwetherConfig, CubeConfig, ErrorMeasure, EvalContext,
-    ItemCentricEval, Method, TreeConfig,
-};
-use bellwether_datagen::{generate_simulation, SimulationConfig};
+use bellwether_bench::{emit_figures, figures, quick_mode};
+use std::process::ExitCode;
 
-/// Evaluate the three methods on one generated dataset.
-fn run_once(cfg: &SimulationConfig, folds: usize) -> (Option<f64>, Option<f64>, Option<f64>) {
-    let sim = generate_simulation(cfg);
-    let problem = BellwetherConfig::builder(f64::INFINITY)
-        .min_coverage(0.0)
-        .min_examples(10)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap();
-    let tree_cfg = TreeConfig {
-        min_node_items: 30,
-        max_numeric_splits: 4,
-        prune_frac: 0.02,
-        ..TreeConfig::default()
-    };
-    let cube_cfg = CubeConfig {
-        min_subset_size: 25,
-    };
-    let eval = ItemCentricEval {
-        folds,
-        seed: cfg.seed ^ 0xE7A1,
-    };
-    let ctx = EvalContext {
-        source: &sim.source,
-        region_space: &sim.region_space,
-        items: &sim.items,
-        targets: &sim.targets,
-        item_space: Some(&sim.item_space),
-        item_coords: Some(&sim.item_coords),
-    };
-    let basic = evaluate_method(&ctx, &problem, &Method::Basic, &eval).expect("basic");
-    let tree =
-        evaluate_method(&ctx, &problem, &Method::Tree(tree_cfg), &eval).expect("tree");
-    let cube = evaluate_method(&ctx, &problem, &Method::Cube(cube_cfg, 0.95), &eval)
-        .expect("cube");
-    (basic, tree, cube)
-}
-
-/// Average the methods over `reps` dataset seeds.
-fn run_point(
-    nodes: usize,
-    noise: f64,
-    reps: usize,
-    n_items: usize,
-    folds: usize,
-) -> (Option<f64>, Option<f64>, Option<f64>) {
-    let mut acc = [Vec::new(), Vec::new(), Vec::new()];
-    for rep in 0..reps {
-        let cfg = SimulationConfig {
-            n_items,
-            ..SimulationConfig::paper(nodes, noise, 1000 + rep as u64)
-        };
-        let (b, t, c) = run_once(&cfg, folds);
-        if let Some(v) = b {
-            acc[0].push(v);
-        }
-        if let Some(v) = t {
-            acc[1].push(v);
-        }
-        if let Some(v) = c {
-            acc[2].push(v);
-        }
-    }
-    let mean = |xs: &Vec<f64>| {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(xs.iter().sum::<f64>() / xs.len() as f64)
-        }
-    };
-    (mean(&acc[0]), mean(&acc[1]), mean(&acc[2]))
-}
-
-fn main() {
-    let (reps, n_items, folds) = if quick_mode() { (2, 300, 4) } else { (10, 1000, 10) };
-    let dir = results_dir();
-
-    // (a) error vs noise at 15-node complexity.
-    let noises = [0.05, 0.5, 1.0, 2.0];
-    let mut basic = Series::new("basic");
-    let mut tree = Series::new("tree");
-    let mut cube = Series::new("cube");
-    for &noise in &noises {
-        eprintln!("fig10a: noise {noise}…");
-        let (b, t, c) = run_point(15, noise, reps, n_items, folds);
-        basic.push(noise, b);
-        tree.push(noise, t);
-        cube.push(noise, c);
-    }
-    let mut fa = FigureReport::new(
-        "fig10a",
-        "simulation: error vs noise (15-node concept)",
-        "noise",
-        "RMSE",
-    );
-    fa.add_series(cube);
-    fa.add_series(basic);
-    fa.add_series(tree);
-    fa.emit(&dir);
-
-    // (b) error vs concept complexity at noise 0.5.
-    let node_counts = [3usize, 7, 15, 31, 63];
-    let mut basic = Series::new("basic");
-    let mut tree = Series::new("tree");
-    let mut cube = Series::new("cube");
-    for &nodes in &node_counts {
-        eprintln!("fig10b: {nodes} nodes…");
-        let (b, t, c) = run_point(nodes, 0.5, reps, n_items, folds);
-        basic.push(nodes as f64, b);
-        tree.push(nodes as f64, t);
-        cube.push(nodes as f64, c);
-    }
-    let mut fb = FigureReport::new(
-        "fig10b",
-        "simulation: error vs concept complexity (noise 0.5)",
-        "nodes",
-        "RMSE",
-    );
-    fb.add_series(cube);
-    fb.add_series(basic);
-    fb.add_series(tree);
-    fb.emit(&dir);
+fn main() -> ExitCode {
+    emit_figures(&figures::fig10(quick_mode()))
 }

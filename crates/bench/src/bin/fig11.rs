@@ -1,195 +1,11 @@
-//! Figure 11 — efficiency and scalability on the §7.4 synthetic
-//! workload, with the entire training data on disk and **no caching**:
-//! every region request is a real file read.
+//! Figure 11 — efficiency and scalability, every region read from disk
+//! (see [`bellwether_bench::figures::fig11`]).
 //!
-//! * (a) naive vs scan-based algorithms (naive tree / RF tree /
-//!   naive cube / single-scan cube / optimized cube) at 100–300 k
-//!   examples;
-//! * (b) single-scan vs optimized cube at 2.5–10 M examples;
-//! * (c) RF tree at 2.5–10 M examples.
+//! `BW_QUICK=1` runs a scaled-down configuration and writes nothing.
 
-use bellwether_bench::{quick_mode, results_dir, time_secs, FigureReport, Series};
-use bellwether_core::{
-    build_naive_cube, build_naive_tree, build_optimized_cube, build_rainforest,
-    build_single_scan_cube, BellwetherConfig, CubeConfig, ErrorMeasure, TreeConfig,
-};
-use bellwether_datagen::{build_scale_workload, ScaleConfig, ScaleWorkload};
-use bellwether_storage::DiskSource;
-use std::path::PathBuf;
+use bellwether_bench::{emit_figures, figures, quick_mode};
+use std::process::ExitCode;
 
-fn problem() -> BellwetherConfig {
-    BellwetherConfig::builder(f64::INFINITY)
-        .min_coverage(0.0)
-        .min_examples(10)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap()
-}
-
-fn tree_cfg(depth: usize) -> TreeConfig {
-    TreeConfig {
-        max_depth: depth,
-        min_node_items: 200,
-        max_numeric_splits: 8,
-        ..TreeConfig::default()
-    }
-}
-
-fn cube_cfg() -> CubeConfig {
-    CubeConfig {
-        min_subset_size: 30,
-    }
-}
-
-/// Generate a workload of ~`examples` examples on disk; returns the
-/// workload and the opened source.
-fn disk_workload(examples: usize, seed: u64) -> (ScaleWorkload, DiskSource, PathBuf) {
-    let cfg = ScaleConfig::sized_for(examples, seed);
-    let w = build_scale_workload(&cfg);
-    let path = std::env::temp_dir().join(format!("bw_fig11_{examples}_{seed}.bwtd"));
-    w.write_to_disk(&path).expect("write workload");
-    let src = DiskSource::open(&path).expect("open workload");
-    (w, src, path)
-}
-
-fn main() {
-    let dir = results_dir();
-    let quick = quick_mode();
-
-    // ---- (a) naive vs scan-based, 100k–300k examples.
-    let sizes_a: Vec<usize> = if quick {
-        vec![20_000, 40_000]
-    } else {
-        vec![100_000, 200_000, 300_000]
-    };
-    let mut s_naive_tree = Series::new("naive tree");
-    let mut s_rf_tree = Series::new("RF tree");
-    let mut s_naive_cube = Series::new("naive cube");
-    let mut s_single = Series::new("single-scan cube");
-    let mut s_opt = Series::new("optimized cube");
-    for &n in &sizes_a {
-        eprintln!("fig11a: {n} examples…");
-        let (w, src, path) = disk_workload(n, 411);
-        let x = n as f64 / 1000.0;
-        let pr = problem();
-        let tc = tree_cfg(if quick { 2 } else { 3 });
-        let cc = cube_cfg();
-
-        let (_, t) = time_secs(|| {
-            build_naive_tree(&src, &w.region_space, &w.items, None, &pr, &tc).unwrap()
-        });
-        s_naive_tree.push(x, Some(t));
-        let (_, t) = time_secs(|| {
-            build_rainforest(&src, &w.region_space, &w.items, None, &pr, &tc).unwrap()
-        });
-        s_rf_tree.push(x, Some(t));
-        let (_, t) = time_secs(|| {
-            build_naive_cube(&src, &w.region_space, &w.item_space, &w.item_coords, &pr, &cc)
-                .unwrap()
-        });
-        s_naive_cube.push(x, Some(t));
-        let (_, t) = time_secs(|| {
-            build_single_scan_cube(
-                &src,
-                &w.region_space,
-                &w.item_space,
-                &w.item_coords,
-                &pr,
-                &cc,
-            )
-            .unwrap()
-        });
-        s_single.push(x, Some(t));
-        let (_, t) = time_secs(|| {
-            build_optimized_cube(
-                &src,
-                &w.region_space,
-                &w.item_space,
-                &w.item_coords,
-                &pr,
-                &cc,
-            )
-            .unwrap()
-        });
-        s_opt.push(x, Some(t));
-        std::fs::remove_file(path).ok();
-    }
-    let mut fa = FigureReport::new(
-        "fig11a",
-        "naive vs scan-based algorithms, all reads from disk",
-        "thousands of examples",
-        "seconds",
-    );
-    fa.add_series(s_opt);
-    fa.add_series(s_naive_cube);
-    fa.add_series(s_single);
-    fa.add_series(s_naive_tree);
-    fa.add_series(s_rf_tree);
-    fa.emit(&dir);
-
-    // ---- (b) cubes at 2.5M–10M examples; (c) RF tree, same sizes.
-    let sizes_b: Vec<usize> = if quick {
-        vec![250_000, 500_000]
-    } else {
-        vec![2_500_000, 5_000_000, 7_500_000, 10_000_000]
-    };
-    let mut s_single = Series::new("single-scan cube");
-    let mut s_opt = Series::new("optimized cube");
-    let mut s_rf = Series::new("RF tree");
-    for &n in &sizes_b {
-        eprintln!("fig11bc: {n} examples…");
-        let (w, src, path) = disk_workload(n, 412);
-        let x = n as f64 / 1_000_000.0;
-        let pr = problem();
-        let cc = cube_cfg();
-
-        let (_, t) = time_secs(|| {
-            build_single_scan_cube(
-                &src,
-                &w.region_space,
-                &w.item_space,
-                &w.item_coords,
-                &pr,
-                &cc,
-            )
-            .unwrap()
-        });
-        s_single.push(x, Some(t));
-        let (_, t) = time_secs(|| {
-            build_optimized_cube(
-                &src,
-                &w.region_space,
-                &w.item_space,
-                &w.item_coords,
-                &pr,
-                &cc,
-            )
-            .unwrap()
-        });
-        s_opt.push(x, Some(t));
-        let tc = tree_cfg(if quick { 2 } else { 7 });
-        let (_, t) = time_secs(|| {
-            build_rainforest(&src, &w.region_space, &w.items, None, &pr, &tc).unwrap()
-        });
-        s_rf.push(x, Some(t));
-        std::fs::remove_file(path).ok();
-    }
-    let mut fb = FigureReport::new(
-        "fig11b",
-        "cube scalability (millions of examples)",
-        "millions of examples",
-        "seconds",
-    );
-    fb.add_series(s_opt.clone());
-    fb.add_series(s_single);
-    fb.emit(&dir);
-
-    let mut fc = FigureReport::new(
-        "fig11c",
-        "RF tree scalability (millions of examples)",
-        "millions of examples",
-        "seconds",
-    );
-    fc.add_series(s_rf);
-    fc.emit(&dir);
+fn main() -> ExitCode {
+    emit_figures(&figures::fig11(quick_mode()))
 }

@@ -1,109 +1,11 @@
-//! Figure 12 — algorithm characteristics:
+//! Figure 12 — the optimized cube against significant subsets and the RF
+//! tree against item-table features (see [`bellwether_bench::figures::fig12`]).
 //!
-//! * (a) the optimized cube's runtime vs the number of significant item
-//!   subsets (2.5 M examples, item-hierarchy fanout swept);
-//! * (b) the RF tree's runtime vs the number of item-table features
-//!   (1 M examples, numeric attribute count swept).
+//! `BW_QUICK=1` runs a scaled-down configuration and writes nothing.
 
-use bellwether_bench::{quick_mode, results_dir, time_secs, FigureReport, Series};
-use bellwether_core::cube::significant_subsets;
-use bellwether_core::{
-    build_optimized_cube, build_rainforest, BellwetherConfig, CubeConfig, ErrorMeasure,
-    TreeConfig,
-};
-use bellwether_datagen::{build_scale_workload, ScaleConfig};
-use bellwether_storage::DiskSource;
+use bellwether_bench::{emit_figures, figures, quick_mode};
+use std::process::ExitCode;
 
-fn problem() -> BellwetherConfig {
-    BellwetherConfig::builder(f64::INFINITY)
-        .min_coverage(0.0)
-        .min_examples(10)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap()
-}
-
-fn main() {
-    let dir = results_dir();
-    let quick = quick_mode();
-
-    // ---- (a) optimized cube vs #significant subsets.
-    let examples_a = if quick { 200_000 } else { 2_500_000 };
-    let fanouts: Vec<usize> = if quick { vec![2, 4] } else { vec![2, 4, 8, 12, 16] };
-    let cc = CubeConfig {
-        min_subset_size: 10,
-    };
-    let mut s_opt = Series::new("optimized cube");
-    for &fanout in &fanouts {
-        let mut cfg = ScaleConfig::sized_for(examples_a, 501);
-        cfg.item_hierarchy_leaves = [fanout, fanout, fanout];
-        let w = build_scale_workload(&cfg);
-        let n_subsets = significant_subsets(&w.item_space, &w.item_coords, &cc)
-            .map(|idx| idx.order.len())
-            .unwrap_or(0);
-        eprintln!("fig12a: fanout {fanout} → {n_subsets} significant subsets…");
-        let path = std::env::temp_dir().join(format!("bw_fig12a_{fanout}.bwtd"));
-        w.write_to_disk(&path).expect("write");
-        let src = DiskSource::open(&path).expect("open");
-        let pr = problem();
-        let (_, t) = time_secs(|| {
-            build_optimized_cube(
-                &src,
-                &w.region_space,
-                &w.item_space,
-                &w.item_coords,
-                &pr,
-                &cc,
-            )
-            .unwrap()
-        });
-        s_opt.push(n_subsets as f64, Some(t));
-        std::fs::remove_file(path).ok();
-    }
-    let mut fa = FigureReport::new(
-        "fig12a",
-        "optimized cube vs number of significant subsets",
-        "# significant subsets",
-        "seconds",
-    );
-    fa.add_series(s_opt);
-    fa.emit(&dir);
-
-    // ---- (b) RF tree vs #item-table features.
-    let examples_b = if quick { 100_000 } else { 1_000_000 };
-    let attr_counts: Vec<usize> = if quick {
-        vec![5, 10]
-    } else {
-        vec![25, 50, 100, 150, 200]
-    };
-    let mut s_rf = Series::new("RF tree");
-    for &attrs in &attr_counts {
-        eprintln!("fig12b: {attrs} item-table features…");
-        let mut cfg = ScaleConfig::sized_for(examples_b, 502);
-        cfg.n_numeric_attrs = attrs;
-        let w = build_scale_workload(&cfg);
-        let path = std::env::temp_dir().join(format!("bw_fig12b_{attrs}.bwtd"));
-        w.write_to_disk(&path).expect("write");
-        let src = DiskSource::open(&path).expect("open");
-        let pr = problem();
-        let tc = TreeConfig {
-            max_depth: if quick { 2 } else { 3 },
-            min_node_items: 200,
-            max_numeric_splits: 4,
-            ..TreeConfig::default()
-        };
-        let (_, t) = time_secs(|| {
-            build_rainforest(&src, &w.region_space, &w.items, None, &pr, &tc).unwrap()
-        });
-        s_rf.push(attrs as f64, Some(t));
-        std::fs::remove_file(path).ok();
-    }
-    let mut fb = FigureReport::new(
-        "fig12b",
-        "RF tree vs number of item-table features",
-        "# item-table features",
-        "seconds",
-    );
-    fb.add_series(s_rf);
-    fb.emit(&dir);
+fn main() -> ExitCode {
+    emit_figures(&figures::fig12(quick_mode()))
 }

@@ -6,6 +6,7 @@
 
 use bellwether_obs::json;
 use std::fs;
+use std::io;
 use std::path::Path;
 
 /// One plotted series: `(x, y)` points (missing y = the method produced
@@ -97,11 +98,6 @@ impl FigureReport {
         }
     }
 
-    /// Add a series.
-    pub fn add_series(&mut self, s: Series) {
-        self.series.push(s);
-    }
-
     /// Render an aligned text table: one row per x, one column per
     /// series.
     pub fn render(&self) -> String {
@@ -157,25 +153,20 @@ impl FigureReport {
         out
     }
 
-    /// Print the table and write `results/<id>.json`.
-    pub fn emit(&self, results_dir: &Path) {
+    /// Print the table and write `<results_dir>/<id>.json`.
+    pub fn emit(&self, results_dir: &Path) -> io::Result<()> {
         println!("{}", self.render());
-        if let Err(e) = fs::create_dir_all(results_dir) {
-            eprintln!("warning: cannot create {results_dir:?}: {e}");
-            return;
-        }
+        fs::create_dir_all(results_dir)?;
         let path = results_dir.join(format!("{}.json", self.id));
-        if let Err(e) = fs::write(&path, self.to_json()) {
-            eprintln!("warning: cannot write {path:?}: {e}");
-        } else {
-            println!("(wrote {})\n", path.display());
-        }
+        fs::write(&path, self.to_json())?;
+        println!("(wrote {})\n", path.display());
+        Ok(())
     }
 }
 
 /// Default results directory: `results/` at the workspace root.
 /// Anchored at this crate's manifest so binaries (run from the root)
-/// and benches (run from the package dir) agree on the location.
+/// and tests (run from the package dir) agree on the location.
 pub fn results_dir() -> std::path::PathBuf {
     let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     manifest
@@ -198,8 +189,7 @@ mod tests {
         let mut b = Series::new("B");
         b.push(5.0, Some(2.0));
         b.push(10.0, Some(3.0));
-        fig.add_series(a);
-        fig.add_series(b);
+        fig.series = vec![a, b];
         let s = fig.render();
         assert!(s.contains("budget\tA\tB"));
         assert!(s.contains("5\t1.2500\t2.0000"));
@@ -212,7 +202,7 @@ mod tests {
         let mut a = Series::new("A");
         a.push(1.0, Some(2.5));
         a.push(2.0, None);
-        fig.add_series(a);
+        fig.series.push(a);
         let j = fig.to_json();
         assert!(j.contains("\"id\": \"t3\""));
         assert!(j.contains("\\\"uote"));
@@ -224,10 +214,21 @@ mod tests {
     fn emit_writes_json() {
         let dir = std::env::temp_dir().join("bw_report_test");
         let fig = FigureReport::new("t2", "demo", "x", "y");
-        fig.emit(&dir);
+        fig.emit(&dir).unwrap();
         let path = dir.join("t2.json");
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.contains("\"id\": \"t2\""));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn emit_into_an_unwritable_path_is_an_error() {
+        // A directory cannot be created under a regular file, whoever runs
+        // the test.
+        let file = std::env::temp_dir().join(format!("bw_report_file_{}", std::process::id()));
+        std::fs::write(&file, b"").unwrap();
+        let fig = FigureReport::new("t4", "demo", "x", "y");
+        assert!(fig.emit(&file.join("results")).is_err());
+        std::fs::remove_file(file).ok();
     }
 }

@@ -16,8 +16,8 @@
 //! microseconds; on inputs where each extra worker would own fewer than
 //! [`Parallelism::min_chunk`] work items the kernels run sequentially
 //! instead. This is what keeps `threads=4` from being *slower* than
-//! `threads=1` on tiny benches (the committed `BENCH_cube_pass.json`
-//! regression this knob was introduced to fix).
+//! `threads=1` on tiny inputs (a CUBE-pass regression this knob was
+//! introduced to fix).
 
 /// Default [`Parallelism::min_chunk`]: each extra worker must own at
 /// least this many work items (row chunks, regions, …) before a thread

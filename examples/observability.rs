@@ -32,6 +32,10 @@
 //! place) against `regions_rebuilt` (dirty regions re-aggregated from
 //! everything they cover, which only the repeated week causes).
 //!
+//! Every `assert!` below is a check on the metrics layer itself (the
+//! CUBE counters and span, the CV engine's work counters, the cache's
+//! hits and misses), so CI runs this example.
+//!
 //! Run with: `cargo run --release --example observability`
 
 use bellwether::prelude::*;
@@ -60,6 +64,11 @@ fn main() {
         "CUBE pass: {} rows scanned, {} regions emitted",
         snap.rows_scanned(),
         snap.regions_emitted()
+    );
+    assert!(snap.rows_scanned() > 0 && snap.base_cells() > 0 && snap.regions_emitted() > 0);
+    assert!(
+        snap.spans.iter().any(|s| s.path.starts_with("cube_pass/")),
+        "the CUBE pass recorded no span"
     );
 
     println!(
@@ -203,11 +212,11 @@ fn main() {
         snap.cv_folds_evaluated(),
         snap.ridge_rescues(),
     );
-    println!(
-        "engine scratch: {} reuses / {} grows (allocation-free once warm)",
-        snap.counter("linreg/scratch_reuses").unwrap_or(0),
-        snap.counter("linreg/scratch_grows").unwrap_or(0),
-    );
+    let reuses = snap.counter("linreg/scratch_reuses").unwrap_or(0);
+    let grows = snap.counter("linreg/scratch_grows").unwrap_or(0);
+    println!("engine scratch: {reuses} reuses / {grows} grows (allocation-free once warm)");
+    assert!(snap.fits() > 0 && snap.cv_folds_evaluated() > 0);
+    assert!(reuses > 0 && reuses >= 10 * grows, "scan scratch not reused: {reuses} reuses, {grows} grows");
 
     let tree_cfg = TreeConfig {
         min_node_items: 60,
@@ -288,6 +297,7 @@ fn main() {
         .unwrap();
     let snap = reg.snapshot();
     assert!(snap.cache_hits() > 0, "level re-scans should hit the cache");
+    assert!(snap.cache_misses() > 0, "a cold cache should miss");
     println!(
         "cached tree build: {} hits / {} misses ({:.1}% hit rate), {} evictions",
         snap.cache_hits(),
