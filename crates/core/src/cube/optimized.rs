@@ -10,19 +10,27 @@
 //! cost no longer multiplies by the number of nested subsets, which is
 //! what Figures 11(b) and 12(a) measure.
 //!
-//! The training-set error is what Theorem 1 makes algebraic, so this
-//! algorithm requires [`ErrorMeasure::TrainingSet`]; constructing with a
-//! cross-validation measure is a configuration error.
+//! The error measure decides what a slot holds. Under
+//! [`ErrorMeasure::TrainingSet`] — what Theorem 1 makes algebraic — it
+//! is the flat statistic alone. Under [`ErrorMeasure::CrossValidation`]
+//! (an extension beyond the paper) it also holds one statistic per fold,
+//! an item's fold being [`hash_fold`] of its id, because rolled-up
+//! statistics have no row identity: fold `f`'s model is fit by
+//! *downdating* the total ([`RegSuffStats::subtract`]) and its test SSE
+//! comes from fold `f`'s statistic alone
+//! ([`RegSuffStats::sse_of_coeffs`]), so every subset gets a genuine CV
+//! estimate (mean fold RMSE ± spread) with no per-subset refits from raw
+//! rows, at a factor `k` more statistics per block.
 
 use super::{finalize_cells, BellwetherCube, CubeConfig};
 use crate::error::{BellwetherError, Result};
 use crate::eval::record_eval_stats;
 use crate::items::ItemIndex;
 use crate::problem::{BellwetherConfig, ErrorMeasure};
-use crate::scan::{scan_regions, MergeableAccumulator, ScanScratch, Scanned, WithScratch};
+use crate::scan::{scan_regions, MergeableAccumulator, ScanScratch, WithScratch};
 use crate::seeded::hash_fold;
 use crate::tree::partition::add_into;
-use bellwether_cube::{LatticeSchedule, Parallelism, RegionId, RegionSpace};
+use bellwether_cube::{LatticeSchedule, RegionId, RegionSpace};
 use bellwether_linreg::{ErrorEstimate, EvalScratch, FoldedSuffStats, RegSuffStats};
 use bellwether_obs::{names, span};
 use bellwether_storage::{RegionBlock, TrainingSource};
@@ -39,8 +47,8 @@ struct Lattice {
     base_of: Vec<usize>,
     /// Per subset of the build's `order`: its slot.
     subset_slots: Vec<usize>,
-    /// The CV cube's `(folds, seed)`: a slot holds the total, then one
-    /// statistic per fold.
+    /// Under cross-validation, `(folds, seed)`: a slot holds the total,
+    /// then one statistic per fold.
     folds: Option<(usize, u64)>,
 }
 
@@ -123,22 +131,22 @@ impl Lattice {
 }
 
 /// One subset's best region so far — lowest error, earliest region on
-/// ties, as [`crate::scan::BestRegion`] — and what the build keeps of
-/// its score there.
-struct Best<V>(Option<(usize, f64, V)>);
+/// ties, as [`crate::scan::BestRegion`] — and its fold RMSEs there
+/// (none under the training-set measure).
+struct Best(Option<(usize, f64, Vec<f64>)>);
 
-impl<V> Best<V> {
-    fn observe(&mut self, idx: usize, err: f64, kept: impl FnOnce() -> V) {
+impl Best {
+    fn observe(&mut self, idx: usize, err: f64, fold_rmses: impl FnOnce() -> Vec<f64>) {
         if self.0.as_ref().is_none_or(|best| err < best.1) {
-            self.0 = Some((idx, err, kept()));
+            self.0 = Some((idx, err, fold_rmses()));
         }
     }
 }
 
-impl<V: Send> MergeableAccumulator for Best<V> {
+impl MergeableAccumulator for Best {
     fn merge(&mut self, later: Self) {
-        if let Some((idx, err, kept)) = later.0 {
-            self.observe(idx, err, || kept);
+        if let Some((idx, err, fold_rmses)) = later.0 {
+            self.observe(idx, err, || fold_rmses);
         }
     }
 }
@@ -159,53 +167,8 @@ impl ScanScratch for RollScratch {
     }
 }
 
-/// The optimized cubes' scan: per significant subset, the region where
-/// `score` — given a subset slot with at least `min_examples` examples —
-/// reads the lowest error, with `kept` taken from the engine there. The
-/// skip count and the engine's `linreg/*` counters are recorded here.
-fn scan_best<V: Send>(
-    source: &dyn TrainingSource,
-    lattice: &Lattice,
-    problem: &BellwetherConfig,
-    parallelism: Parallelism,
-    score: impl Fn(&mut EvalScratch, &mut FoldedSuffStats, &[f64]) -> Option<f64> + Sync,
-    kept: impl Fn(&EvalScratch) -> V + Sync,
-) -> Result<Scanned<Vec<Best<V>>>> {
-    let scanned = scan_regions(
-        source,
-        parallelism,
-        problem.scan_policy,
-        |_| true,
-        || WithScratch {
-            acc: (0..lattice.subset_slots.len()).map(|_| Best(None)).collect(),
-            scratch: RollScratch::default(),
-        },
-        |ws: &mut WithScratch<Vec<Best<V>>, RollScratch>, idx, block| {
-            let RollScratch { sums, terms, folded, eval } = &mut ws.scratch;
-            lattice.roll(block, sums, terms);
-            let stride = lattice.stride(block.p as usize);
-            for (best, &slot) in ws.acc.iter_mut().zip(&lattice.subset_slots) {
-                let stats = &sums[slot * stride..][..stride];
-                if (stats[0] as usize) < problem.min_examples.max(1) {
-                    continue;
-                }
-                if let Some(err) = score(eval, folded, stats) {
-                    best.observe(idx, err, || kept(eval));
-                }
-            }
-            Ok(())
-        },
-    )?;
-    scanned.record_skipped(problem.recorder.as_ref());
-    let WithScratch { acc, scratch } = scanned.acc;
-    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
-    Ok(Scanned {
-        acc,
-        skipped: scanned.skipped,
-    })
-}
-
-/// Build a bellwether cube with the algebraic-rollup optimization.
+/// Build a bellwether cube with the algebraic-rollup optimization, under
+/// `problem.error_measure` (see the module docs).
 pub fn build_optimized_cube(
     source: &dyn TrainingSource,
     region_space: &RegionSpace,
@@ -214,104 +177,68 @@ pub fn build_optimized_cube(
     problem: &BellwetherConfig,
     cube_cfg: &CubeConfig,
 ) -> Result<BellwetherCube> {
-    if problem.error_measure != ErrorMeasure::TrainingSet {
-        return Err(BellwetherError::Config(
-            "the optimized cube requires ErrorMeasure::TrainingSet (Theorem 1 \
-             decomposes training-set SSE, not cross-validation error)"
-                .into(),
-        ));
-    }
+    let folds = match problem.error_measure {
+        ErrorMeasure::TrainingSet => None,
+        // The builder rejects this too, but the fields are public.
+        ErrorMeasure::CrossValidation { folds, .. } if folds < 2 => {
+            return Err(BellwetherError::Config(format!(
+                "cross-validation needs at least 2 folds, got {folds}"
+            )));
+        }
+        ErrorMeasure::CrossValidation { folds, seed } => Some((folds, seed)),
+    };
     let _timer = span!(problem.recorder, "cube/optimized");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
-    let lattice = Lattice::new(item_space, item_coords, &index.order, None);
+    let lattice = Lattice::new(item_space, item_coords, &index.order, folds);
     let p = source.feature_arity();
-    // A subset's training-set error, read straight off its statistic.
-    let scanned = scan_best(
+    // Per significant subset, the region whose rolled-up statistic reads
+    // the lowest error.
+    let scanned = scan_regions(
         source,
-        &lattice,
-        problem,
         problem.parallelism,
-        |eval, _, stats| eval.training_value_flat(p, stats[0] as usize, &stats[1..]),
-        |_| (),
-    )?;
-
-    let winners: Vec<Option<usize>> =
-        scanned.acc.iter().map(|best| best.0.as_ref().map(|w| w.0)).collect();
-    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |_, rows| {
-        rows.estimate(problem)
-    })?;
-    problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
-    Ok(BellwetherCube {
-        item_space: item_space.clone(),
-        item_coords: item_coords.clone(),
-        cells,
-        skipped_regions: scanned.skipped,
-    })
-}
-
-/// **Extension beyond the paper**: a *cross-validated* optimized cube.
-///
-/// Theorem 1 decomposes training-set SSE. The same statistic also
-/// yields k-fold cross-validation error without revisiting examples:
-/// keep one [`RegSuffStats`] per fold plus the running total per base
-/// subset ([`FoldedSuffStats`]'s flat form, built in a single pass and
-/// rolled up like the total); fold `f`'s
-/// model is fit by *downdating* the total via
-/// [`RegSuffStats::subtract`], and its test SSE on fold `f` is
-/// `Y'Y − 2β'X'Y + β'X'Xβ` — entirely from fold `f`'s statistic
-/// ([`RegSuffStats::sse_of_model`]). The k solves run through the
-/// shared [`bellwether_linreg::EvalScratch`] engine, so per-fold Gram
-/// buffers are reused across subsets and regions. The per-block cost
-/// gains a factor `k` in statistics but still avoids per-subset refits
-/// from raw rows.
-///
-/// The resulting cell errors are genuine CV estimates (mean fold RMSE ±
-/// spread), so confidence-bound prediction works unchanged.
-#[allow(clippy::too_many_arguments)] // mirrors the other builders + CV knobs
-pub fn build_optimized_cube_cv(
-    source: &dyn TrainingSource,
-    region_space: &RegionSpace,
-    item_space: &RegionSpace,
-    item_coords: &HashMap<i64, Vec<u32>>,
-    problem: &BellwetherConfig,
-    cube_cfg: &CubeConfig,
-    folds: usize,
-    seed: u64,
-) -> Result<BellwetherCube> {
-    if folds < 2 {
-        return Err(BellwetherError::Config("cv cube needs at least 2 folds".into()));
-    }
-    let _timer = span!(problem.recorder, "cube/optimized_cv");
-    let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
-    let lattice = Lattice::new(item_space, item_coords, &index.order, Some((folds, seed)));
-    let p = source.feature_arity();
-
-    // Algebraic k-fold CV: k downdate-and-solve steps per subset, no
-    // per-fold merging and no raw-row refits. Runs through the shared
-    // scan engine for the one-idiom property, but pinned sequential:
-    // this extension pass is never on the benchmarked path and keeps the
-    // conservative configuration.
-    let scanned = scan_best(
-        source,
-        &lattice,
-        problem,
-        Parallelism::sequential(),
-        |eval, folded, stats| {
-            folded.load_flat(p, folds, stats);
-            let fold_rmses = eval.algebraic_fold_rmses(folded);
-            (!fold_rmses.is_empty()).then(|| ErrorEstimate::from_folds(fold_rmses).value)
+        problem.scan_policy,
+        |_| true,
+        || WithScratch {
+            acc: (0..lattice.subset_slots.len()).map(|_| Best(None)).collect(),
+            scratch: RollScratch::default(),
         },
-        |eval| eval.fold_rmses().to_vec(),
+        |ws: &mut WithScratch<Vec<Best>, RollScratch>, idx, block| {
+            let RollScratch { sums, terms, folded, eval } = &mut ws.scratch;
+            lattice.roll(block, sums, terms);
+            let stride = lattice.stride(block.p as usize);
+            for (best, &slot) in ws.acc.iter_mut().zip(&lattice.subset_slots) {
+                let stats = &sums[slot * stride..][..stride];
+                let n = stats[0] as usize;
+                if n < problem.min_examples.max(1) {
+                    continue;
+                }
+                // One solve, or k downdate-and-solve steps.
+                let err = match folds {
+                    None => eval.training_value_flat(p, n, &stats[1..]),
+                    Some((k, _)) => {
+                        folded.load_flat(p, k, stats);
+                        let fold_rmses = eval.algebraic_fold_rmses(folded);
+                        (!fold_rmses.is_empty()).then(|| ErrorEstimate::from_folds(fold_rmses).value)
+                    }
+                };
+                if let Some(err) = err {
+                    best.observe(idx, err, || eval.fold_rmses().to_vec());
+                }
+            }
+            Ok(())
+        },
     )?;
+    scanned.record_skipped(problem.recorder.as_ref());
+    let WithScratch { acc: best, scratch } = scanned.acc;
+    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
 
-    // Finalize: fit the winning models; the error estimate is the
-    // algebraic CV estimate gathered during the scan.
-    let best = &scanned.acc;
     let winners: Vec<Option<usize>> =
         best.iter().map(|best| best.0.as_ref().map(|w| w.0)).collect();
-    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |slot, _| {
-        let (_, _, fold_rmses) = best[slot].0.as_ref()?;
-        Some(ErrorEstimate::from_folds(fold_rmses))
+    let cells = finalize_cells(source, region_space, item_space, &index, problem, &winners, |slot, rows| {
+        match (folds, &best[slot].0) {
+            (Some(_), Some((_, _, fold_rmses))) => Some(ErrorEstimate::from_folds(fold_rmses)),
+            _ => rows.estimate(problem),
+        }
     })?;
     problem.recorder.add(names::CUBE_CELLS, cells.len() as u64);
     Ok(BellwetherCube {
@@ -327,6 +254,7 @@ mod tests {
     use super::*;
     use crate::cube::single_scan::build_single_scan_cube;
     use crate::cube::tests_support::{cube_fixture, scan_by_maps};
+    use bellwether_cube::Parallelism;
     use bellwether_storage::MemorySource;
 
     fn problem() -> BellwetherConfig {
@@ -342,6 +270,12 @@ mod tests {
         CubeConfig {
             min_subset_size: 5,
         }
+    }
+
+    fn cv_problem(folds: usize, seed: u64) -> BellwetherConfig {
+        let mut problem = problem();
+        problem.error_measure = ErrorMeasure::CrossValidation { folds, seed };
+        problem
     }
 
     #[test]
@@ -424,29 +358,18 @@ mod tests {
     }
 
     #[test]
-    fn cv_measure_rejected() {
-        let (src, region_space, _items, item_space, coords) = cube_fixture();
-        let bad = BellwetherConfig::builder(1e9).build().unwrap(); // defaults to CV
-        let err =
-            build_optimized_cube(&src, &region_space, &item_space, &coords, &bad, &cfg());
-        assert!(matches!(err, Err(BellwetherError::Config(_))));
-    }
-
-    #[test]
     fn cv_cube_matches_direct_fold_computation() {
         use bellwether_linreg::RegSuffStats;
         let (src, region_space, _items, item_space, coords) = cube_fixture();
         let folds = 3;
         let seed = 99;
-        let cube = build_optimized_cube_cv(
+        let cube = build_optimized_cube(
             &src,
             &region_space,
             &item_space,
             &coords,
-            &problem(),
+            &cv_problem(folds, seed),
             &cfg(),
-            folds,
-            seed,
         )
         .unwrap();
         assert!(!cube.cells.is_empty());
@@ -491,15 +414,13 @@ mod tests {
     #[test]
     fn cv_cube_picks_the_planted_regions() {
         let (src, region_space, _items, item_space, coords) = cube_fixture();
-        let cube = build_optimized_cube_cv(
+        let cube = build_optimized_cube(
             &src,
             &region_space,
             &item_space,
             &coords,
-            &problem(),
+            &cv_problem(4, 7),
             &cfg(),
-            4,
-            7,
         )
         .unwrap();
         assert_eq!(cube.cell(&RegionId(vec![1])).unwrap().region_label, "[ra]");
@@ -511,17 +432,13 @@ mod tests {
     #[test]
     fn cv_cube_rejects_single_fold() {
         let (src, region_space, _items, item_space, coords) = cube_fixture();
-        let err = build_optimized_cube_cv(
-            &src,
-            &region_space,
-            &item_space,
-            &coords,
-            &problem(),
-            &cfg(),
-            1,
-            0,
-        );
-        assert!(matches!(err, Err(BellwetherError::Config(_))));
+        // The config builder refuses these too, but the fields are
+        // public; `hash_fold` cannot take zero folds.
+        for folds in [0, 1] {
+            let bad = cv_problem(folds, 0);
+            let err = build_optimized_cube(&src, &region_space, &item_space, &coords, &bad, &cfg());
+            assert!(matches!(err, Err(BellwetherError::Config(_))), "{folds} folds");
+        }
     }
 
     #[test]
@@ -620,14 +537,12 @@ mod tests {
                 .unwrap();
                 compared.set(compared.get() + want.len());
                 for threads in [1, 2, 4] {
+                    let mut problem = problem.clone();
+                    if cv {
+                        problem.error_measure = ErrorMeasure::CrossValidation { folds, seed };
+                    }
                     problem.parallelism = Parallelism::fixed(threads).with_min_chunk(1);
-                    let cube = if cv {
-                        build_optimized_cube_cv(
-                            &src, &region_space, &item_space, &coords, &problem, &cube_cfg, folds, seed,
-                        )
-                    } else {
-                        build_optimized_cube(&src, &region_space, &item_space, &coords, &problem, &cube_cfg)
-                    };
+                    let cube = build_optimized_cube(&src, &region_space, &item_space, &coords, &problem, &cube_cfg);
                     let cube = cube.unwrap();
                     assert_eq!(cube.cells.len(), want.len(), "cv={cv} threads={threads}");
                     for (subset, cell) in &want {

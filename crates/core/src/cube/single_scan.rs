@@ -2,19 +2,37 @@
 //! §6.3): keep a `MinError[S]` entry per significant subset in memory
 //! and find every subset's bellwether region in **one** scan over the
 //! entire training data (Lemma 2), plus one targeted read per cell to
-//! fit the final model.
+//! fit the final model. A subset's rows of a block are gathered
+//! ascending through the one row gatherer, [`RegionEvalScratch`] — the
+//! dataset the naive cube's per-subset scan builds, so both cubes score
+//! the same bits.
 
 use super::{finalize_cells, BellwetherCube, CubeConfig};
 use crate::error::Result;
-use crate::eval::{record_eval_stats, PartitionScratch};
+use crate::eval::{record_eval_stats, RegionEvalScratch};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
-use crate::scan::{scan_regions, BestRegion, WithScratch};
-use crate::tree::partition::PartitionSpec;
+use crate::scan::{scan_regions, BestRegion, ScanScratch, WithScratch};
 use bellwether_cube::RegionSpace;
 use bellwether_obs::{names, span};
 use bellwether_storage::TrainingSource;
 use std::collections::HashMap;
+
+/// Per-worker scratch of the scan: the block's id lane resolved to
+/// universe positions, one subset's rows of the block, and the row
+/// gatherer.
+#[derive(Default)]
+struct SubsetScratch {
+    at: Vec<u32>,
+    rows: Vec<usize>,
+    eval: RegionEvalScratch,
+}
+
+impl ScanScratch for SubsetScratch {
+    fn absorb(&mut self, later: Self) {
+        self.eval.absorb(later.eval);
+    }
+}
 
 /// Build a bellwether cube in a single scan.
 pub fn build_single_scan_cube(
@@ -28,16 +46,18 @@ pub fn build_single_scan_cube(
     let _timer = span!(problem.recorder, "cube/single_scan");
     let index = super::significant_subsets(item_space, item_coords, cube_cfg)?;
     // Cube subsets overlap (they are nested), so each subset gets its
-    // own one-child routing table over the item universe, built once
-    // for the whole scan; a block's ids are resolved once for all of
-    // them.
+    // own membership lane over the item universe, built once for the
+    // whole scan; a block's ids are resolved once for all of them.
     let universe: ItemIndex = item_coords.keys().copied().collect();
-    let subset_specs: Vec<PartitionSpec> = index
+    let members: Vec<Vec<bool>> = index
         .order
         .iter()
         .map(|s| {
-            let members = index.members[s].iter().filter_map(|&id| universe.get(id));
-            PartitionSpec::new(universe.len(), [members])
+            let mut lane = vec![false; universe.len()];
+            for at in index.members[s].iter().filter_map(|&id| universe.get(id)) {
+                lane[at] = true;
+            }
+            lane
         })
         .collect();
 
@@ -51,17 +71,24 @@ pub fn build_single_scan_cube(
         |_| true,
         || WithScratch {
             acc: vec![BestRegion::default(); index.order.len()],
-            scratch: PartitionScratch::new(),
+            scratch: SubsetScratch::default(),
         },
-        |ws: &mut WithScratch<Vec<BestRegion>, PartitionScratch>, idx, block| {
+        |ws: &mut WithScratch<Vec<BestRegion>, SubsetScratch>, idx, block| {
             // Build a model h_r for every significant subset from this
             // block — the per-subset refits the optimized variant
             // eliminates.
             let WithScratch { acc, scratch } = ws;
-            scratch.resolve(&universe, block);
-            for (slot, spec) in subset_specs.iter().enumerate() {
-                if let Some(err) = scratch.errors(spec, block, problem)[0] {
-                    acc[slot].observe(idx, err);
+            let SubsetScratch { at, rows, eval } = scratch;
+            universe.resolve_into(&block.item_ids, at);
+            for (best, lane) in acc.iter_mut().zip(&members) {
+                rows.clear();
+                rows.extend((0..at.len()).filter(|&row| lane.get(at[row] as usize) == Some(&true)));
+                eval.gather_rows(block, rows);
+                if eval.data.n() < problem.min_examples.max(1) {
+                    continue;
+                }
+                if let Some(err) = eval.estimate_value(problem) {
+                    best.observe(idx, err);
                 }
             }
             Ok(())
@@ -69,7 +96,7 @@ pub fn build_single_scan_cube(
     )?;
     scanned.record_skipped(problem.recorder.as_ref());
     let WithScratch { acc: best, scratch } = scanned.acc;
-    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.stats);
+    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.eval.stats);
 
     let winners: Vec<Option<usize>> = best
         .iter()

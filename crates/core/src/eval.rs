@@ -3,19 +3,18 @@
 //! Every builder's hot loop does the same thing per region block:
 //! gather some rows into a dataset, estimate a model's error, sometimes
 //! fit the model. Doing that with fresh allocations per region is what
-//! dominated profile before the algebraic engine; these scratch types
-//! carry every buffer the loop needs — the dataset, per-child datasets
-//! for partition scoring, and the [`EvalScratch`] of the algebraic
-//! error engine — so a warm worker evaluates regions with **zero heap
-//! allocations**. Both types implement [`ScanScratch`], so they ride
-//! along scan accumulators via [`crate::scan::WithScratch`] and their
-//! work counters merge deterministically across worker chunks.
+//! dominated profile before the algebraic engine. [`RegionEvalScratch`]
+//! is the one row gatherer of every raw-row score — a dataset buffer and
+//! the [`EvalScratch`] of the algebraic error engine — so a warm worker
+//! evaluates regions with **zero heap allocations**. It implements
+//! [`ScanScratch`], so it rides along scan accumulators via
+//! [`crate::scan::WithScratch`] and its work counters merge
+//! deterministically across worker chunks.
 
 use crate::error::{BellwetherError, Result};
 use crate::items::ItemIndex;
 use crate::problem::BellwetherConfig;
 use crate::scan::ScanScratch;
-use crate::tree::partition::PartitionSpec;
 use bellwether_cube::RegionId;
 use bellwether_linreg::{ErrorEstimate, EvalScratch, EvalStats, LinearModel, RegressionData};
 use bellwether_obs::{names, Recorder};
@@ -200,110 +199,6 @@ impl Drop for WinnerFits<'_> {
     }
 }
 
-/// Reusable per-worker scratch for partition scoring: one dataset
-/// buffer per child slot plus the error engine, so
-/// [`PartitionSpec`]-routed evaluations allocate nothing when warm.
-#[derive(Debug, Default)]
-pub struct PartitionScratch {
-    datasets: Vec<RegressionData>,
-    /// Per-child row-index lists, the routing pass's output.
-    rowsets: Vec<Vec<usize>>,
-    errs: Vec<Option<f64>>,
-    /// Positions of the block last passed to
-    /// [`PartitionScratch::resolve`], one per row.
-    at: Vec<u32>,
-    /// The algebraic error engine (owns the work counters).
-    pub eval: EvalScratch,
-}
-
-impl PartitionScratch {
-    /// Fresh scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        PartitionScratch::default()
-    }
-
-    /// Resolve `block`'s id lane through `index`, once, for every
-    /// [`PartitionScratch::errors`] call on this block — the specs must
-    /// partition sets whose member positions are `index`'s.
-    pub fn resolve(&mut self, index: &ItemIndex, block: &RegionBlock) {
-        index.resolve_into(&block.item_ids, &mut self.at);
-    }
-
-    /// Each child's model error for the block last resolved: one entry
-    /// per child (`None` = too few examples / unfittable).
-    pub fn errors(
-        &mut self,
-        spec: &PartitionSpec,
-        block: &RegionBlock,
-        config: &BellwetherConfig,
-    ) -> &[Option<f64>] {
-        let at = std::mem::take(&mut self.at);
-        assert_eq!(at.len(), block.n(), "resolve the block before scoring it");
-        self.errors_cols(spec, block.p as usize, block.cols(), &at, &block.targets, config);
-        self.at = at;
-        &self.errs
-    }
-
-    /// The one partition-scoring function: each child's model error over
-    /// the rows given as bare feature columns, `at[i]` being row `i`'s
-    /// position in the set `spec` partitions (the RF tree pre-gathers
-    /// each node's rows once per block and feeds only those lanes to its
-    /// candidates). Two passes: route each row to its child slot with
-    /// one table load, then gather each child's rows lane by lane —
-    /// ascending, so a child's dataset is the block filtered to it.
-    pub fn errors_cols(
-        &mut self,
-        spec: &PartitionSpec,
-        p: usize,
-        cols: &[Vec<f64>],
-        at: &[u32],
-        ys: &[f64],
-        config: &BellwetherConfig,
-    ) -> &[Option<f64>] {
-        let k = spec.n_children();
-        let grew = self.datasets.len() < k || self.rowsets.len() < k;
-        while self.datasets.len() < k {
-            self.datasets.push(RegressionData::new(p));
-        }
-        self.rowsets.resize_with(k.max(self.rowsets.len()), Vec::new);
-        for d in &mut self.datasets[..k] {
-            d.reset(p);
-        }
-        for r in &mut self.rowsets[..k] {
-            r.clear();
-        }
-        if grew {
-            self.eval.stats.scratch_grows += 1;
-        } else {
-            self.eval.stats.scratch_reuses += 1;
-        }
-        for (i, &at) in at.iter().enumerate() {
-            if let Some(slot) = spec.slot_of(at) {
-                self.rowsets[slot].push(i);
-            }
-        }
-        for (d, rows) in self.datasets[..k].iter_mut().zip(&self.rowsets[..k]) {
-            d.extend_from_cols_gather(cols, ys, rows);
-        }
-        self.errs.clear();
-        for d in &self.datasets[..k] {
-            let e = if d.n() < config.min_examples.max(1) {
-                None
-            } else {
-                config.error_measure.estimate_value_with(d, &mut self.eval)
-            };
-            self.errs.push(e);
-        }
-        &self.errs
-    }
-}
-
-impl ScanScratch for PartitionScratch {
-    fn absorb(&mut self, later: Self) {
-        self.eval.stats.absorb(&later.eval.stats);
-    }
-}
-
 /// Record an engine's work counters under the canonical
 /// `linreg/*` metric names (builders call this once per scan with the
 /// merged per-worker totals, which are thread-count invariant).
@@ -350,12 +245,6 @@ mod tests {
             .unwrap()
     }
 
-    /// Items 0..20 split into 0..10 and 10..20.
-    fn halves() -> (ItemIndex, PartitionSpec) {
-        let index: ItemIndex = (0..20).collect();
-        (index, PartitionSpec::new(20, [0..10, 10..20]))
-    }
-
     #[test]
     fn gather_matches_block_to_data_and_subsets() {
         let b = block();
@@ -389,23 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_scratch_matches_partition_spec() {
-        let b = block();
-        let cfg = config();
-        let (index, spec) = halves();
-        let mut scratch = PartitionScratch::new();
-        scratch.resolve(&index, &b);
-        let via_scratch = scratch.errors(&spec, &b, &cfg).to_vec();
-        let low: HashSet<i64> = (0..10).collect();
-        let high: HashSet<i64> = (10..20).collect();
-        let (data, ids) = oracle::gather(&b, &(0..20).collect());
-        let via_hashes = oracle::HashPartitionSpec::new(&[low, high]).errors(&data, &ids, &cfg);
-        assert_eq!(via_hashes, via_scratch);
-        assert!(via_scratch[0].unwrap() < 1e-6);
-        assert!(via_scratch[1].unwrap() < 1e-6);
-    }
-
-    #[test]
     fn warm_scratch_stops_growing() {
         let b = block();
         let cfg = config();
@@ -420,16 +292,17 @@ mod tests {
         assert_eq!(s.eval.stats.scratch_grows, grows, "warm gather must not grow");
         assert!(s.eval.stats.scratch_reuses >= 20);
 
-        let (index, spec) = halves();
-        let mut ps = PartitionScratch::new();
-        ps.resolve(&index, &b);
-        ps.errors(&spec, &b, &cfg);
-        let grows = ps.eval.stats.scratch_grows;
+        // Subsets of the block in turn, as the single-scan cube and the
+        // trees' cross-validation reader gather them.
+        let halves: [Vec<usize>; 2] = [(0..10).collect(), (10..20).collect()];
+        let grows = s.eval.stats.scratch_grows;
         for _ in 0..10 {
-            ps.resolve(&index, &b);
-            ps.errors(&spec, &b, &cfg);
+            for rows in &halves {
+                s.gather_rows(&b, rows);
+                s.estimate(&cfg).unwrap();
+            }
         }
-        assert_eq!(ps.eval.stats.scratch_grows, grows);
+        assert_eq!(s.eval.stats.scratch_grows, grows);
     }
 
     #[test]
@@ -456,7 +329,7 @@ mod tests {
     #[test]
     fn every_fit_is_counted_once() {
         use crate::cube::naive::build_naive_cube;
-        use crate::cube::optimized::{build_optimized_cube, build_optimized_cube_cv};
+        use crate::cube::optimized::build_optimized_cube;
         use crate::cube::single_scan::build_single_scan_cube;
         use crate::cube::tests_support::cube_fixture;
         use crate::cube::{significant_subsets, BellwetherCube, CubeConfig};
@@ -562,15 +435,15 @@ mod tests {
             });
             counted(threads, &|config| {
                 let (folds, seed) = (3, 99);
-                let cube = build_optimized_cube_cv(
+                let mut config = config.clone();
+                config.error_measure = ErrorMeasure::CrossValidation { folds, seed };
+                let cube = build_optimized_cube(
                     &coords_src,
                     &region_space,
                     &item_space,
                     &coords,
-                    config,
+                    &config,
                     &cube_cfg,
-                    folds,
-                    seed,
                 );
                 // One downdated fit a non-empty fold; the cell keeps the
                 // scan's estimate.

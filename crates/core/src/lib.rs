@@ -58,14 +58,14 @@ pub use basic::{
 pub use combinatorial::{greedy_combinatorial_search, CombinatorialResult};
 pub use cube::explore::{cross_tab, render_cross_tab, CrossTabCell};
 pub use cube::naive::build_naive_cube;
-pub use cube::optimized::{build_optimized_cube, build_optimized_cube_cv};
+pub use cube::optimized::build_optimized_cube;
 pub use cube::predict::{
     candidate_cells, select_cell, select_cell_for_item, select_cells_for_items,
 };
 pub use cube::single_scan::build_single_scan_cube;
 pub use cube::{BellwetherCube, CubeConfig, CubeConfigBuilder, SubsetCell};
 pub use error::{BellwetherError, Result};
-pub use eval::{record_eval_stats, PartitionScratch, RegionEvalScratch};
+pub use eval::{record_eval_stats, RegionEvalScratch};
 pub use bellwether_cube::Parallelism;
 pub use bellwether_obs::{
     MetricsSnapshot, NoopRecorder, Recorder, Registry,

@@ -132,19 +132,26 @@ impl<'s> ModelBuilder<'s> {
     }
 
     /// Install a bellwether cube with the §6 confidence level used for
-    /// cell selection (e.g. `0.95`).
+    /// cell selection (e.g. `0.95`; [`ModelBuilder::build`] refuses one
+    /// not strictly inside `(0, 1)`).
     pub fn cube(mut self, cube: BellwetherCube, confidence: f64) -> Self {
         self.cube = Some((cube, confidence));
         self
     }
 
     /// Read every referenced region block and produce the model.
-    /// Fails if no predictor was installed.
+    /// Fails if no predictor was installed, or if the cube's confidence
+    /// is not strictly inside `(0, 1)`.
     pub fn build(self) -> Result<BellwetherModel> {
         if self.basic.is_none() && self.tree.is_none() && self.cube.is_none() {
             return Err(BellwetherError::Config(
                 "model needs at least one predictor (basic, tree or cube)".into(),
             ));
+        }
+        if let Some(&(_, conf)) = self.cube.as_ref().filter(|(_, conf)| !is_confidence(*conf)) {
+            return Err(BellwetherError::Config(format!(
+                "cube confidence must be strictly inside (0, 1), got {conf}"
+            )));
         }
         let mut wanted: Vec<usize> = Vec::new();
         if let Some(b) = &self.basic {
@@ -372,6 +379,9 @@ impl BellwetherModel {
             .map(|b| {
                 let mut d = Cursor::new(b);
                 let conf = d.get_f64_le()?;
+                if !is_confidence(conf) {
+                    return Err(de(&format!("cube confidence {conf} is not inside (0, 1)")));
+                }
                 let cube = dec_cube(&mut d)?;
                 Ok::<_, BellwetherError>((cube, conf))
             })
@@ -394,6 +404,13 @@ impl BellwetherModel {
             blocks,
         ))
     }
+}
+
+/// Whether `conf` can select cube cells: the §6 confidence level feeds a
+/// normal quantile, defined only for a probability strictly inside
+/// `(0, 1)` (so never NaN or infinite).
+fn is_confidence(conf: f64) -> bool {
+    conf > 0.0 && conf < 1.0
 }
 
 /// Decode-error constructor: malformed model payloads are IO
@@ -949,6 +966,45 @@ mod tests {
     fn empty_builder_is_rejected() {
         let (src, _rs, items, _is, _c) = cube_fixture();
         assert!(ModelBuilder::new(&src, items).build().is_err());
+    }
+
+    /// The cube's confidence feeds a normal quantile at its first
+    /// prediction, so a value outside `(0, 1)` must not reach a model:
+    /// the builder refuses it, and so does `load` for a snapshot whose
+    /// cube section was re-sealed around it.
+    #[test]
+    fn a_cube_confidence_outside_the_unit_interval_is_refused() {
+        let (model, ids) = full_model();
+        let path = tmp("confidence.bwsn");
+        model.save(&path).unwrap();
+        let snap = SnapshotFile::read(&path).unwrap();
+        let (src, _, items, _, _) = cube_fixture();
+        let cube = model.cube().unwrap().0;
+        for conf in [0.95, 1.5, 1.0, 0.0, -0.5, f64::NAN, f64::INFINITY] {
+            let mut w = SnapshotWriter::create(&path).unwrap();
+            for sec in &snap.sections {
+                let mut payload = sec.payload.clone();
+                if sec.kind == SEC_CUBE {
+                    payload[..8].copy_from_slice(&conf.to_le_bytes());
+                }
+                w.write_section(sec.kind, &payload).unwrap();
+            }
+            w.finish().unwrap();
+            let loaded = BellwetherModel::load(&path);
+            let built = ModelBuilder::new(&src, items.clone()).cube(cube.clone(), conf).build();
+            if conf == 0.95 {
+                let loaded = loaded.unwrap();
+                assert_eq!(loaded.predict_batch(MethodKind::Cube, &ids), model.predict_batch(MethodKind::Cube, &ids));
+                assert!(built.is_ok());
+                continue;
+            }
+            match loaded {
+                Err(BellwetherError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+                other => panic!("confidence {conf} loaded: {other:?}"),
+            }
+            assert!(matches!(built, Err(BellwetherError::Config(_))), "confidence {conf}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -82,8 +82,7 @@ fn full_scan<A: MergeableAccumulator>(
     scanned.record_skipped(problem.recorder.as_ref());
     merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
     let WithScratch { acc, scratch } = scanned.acc;
-    record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
-    record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
+    record_eval_stats(problem.recorder.as_ref(), &scratch.eval.eval.stats);
     Ok(acc)
 }
 

@@ -21,17 +21,17 @@
 //!   every threshold's two children are merges of them. See
 //!   [`LevelPlan`] for the order of every sum.
 //! * **Cross-validation** draws its folds from a shuffle of the child's
-//!   own row positions, which no shared statistic can reproduce; it
-//!   keeps the gather path: rows are handed to their node, the node's
-//!   rows gathered once, and each candidate routes them to per-child
-//!   datasets through a [`PartitionSpec`]. Rows keep their ascending
-//!   block order at every step, so each dataset — and every reduction
-//!   over it — sees the same operands in the same lanes as a per-child
-//!   filter of the block would give. This path is also the oracle the
-//!   statistics path is tested against.
+//!   own row positions, which no shared statistic can reproduce, so it
+//!   reads rows off the same plan instead of summing them: rows are
+//!   handed to their node, and a child's rows are those whose bucket
+//!   entry its criterion admits, gathered into the one
+//!   [`RegionEvalScratch`]. Rows keep their ascending block order at
+//!   every step, so each dataset — and every reduction over it — is the
+//!   one a per-child filter of the block would give. This reader is
+//!   also the oracle the statistics path is tested against.
 
 use super::{CandidateSplit, SplitCriterion};
-use crate::eval::{PartitionScratch, RegionEvalScratch};
+use crate::eval::RegionEvalScratch;
 use crate::items::{ItemIndex, NO_ITEM};
 use crate::problem::{BellwetherConfig, ErrorMeasure};
 use crate::scan::ScanScratch;
@@ -39,59 +39,9 @@ use bellwether_linreg::{EvalScratch, RegSuffStats};
 use bellwether_storage::RegionBlock;
 use std::ops::Range;
 
-/// Slot of a member that no child (or bucket) takes.
+/// Bucket entry of an item that no child of a categorical criterion
+/// takes.
 const NO_CHILD: u32 = u32::MAX;
-
-/// A reusable routing table for one child partition of an item set (a
-/// tree node's items, a cube's item universe): the child slot of each
-/// member, indexed by the member's position in the set. Building it is
-/// O(members); it is then shared by every region block of a scan.
-#[derive(Debug, Clone)]
-pub struct PartitionSpec {
-    /// `u32`, not narrower: a categorical criterion has one child per
-    /// value present and attributes with more than 255 values exist.
-    slot_of: Vec<u32>,
-    n_children: usize,
-}
-
-impl PartitionSpec {
-    /// Build from each child's member positions (disjoint, all below
-    /// `n_members`). Members in no child are routed nowhere.
-    pub fn new<C>(n_members: usize, children: C) -> Self
-    where
-        C: IntoIterator,
-        C::Item: IntoIterator<Item = usize>,
-    {
-        let mut slot_of = vec![NO_CHILD; n_members];
-        let mut n_children = 0;
-        for (slot, members) in children.into_iter().enumerate() {
-            assert!(slot < NO_CHILD as usize, "too many children for a u32 slot");
-            for at in members {
-                slot_of[at] = slot as u32;
-            }
-            n_children = slot + 1;
-        }
-        PartitionSpec {
-            slot_of,
-            n_children,
-        }
-    }
-
-    /// Number of children.
-    pub fn n_children(&self) -> usize {
-        self.n_children
-    }
-
-    /// Child slot of the member at position `at`; `None` for members no
-    /// child takes and for anything past the set ([`NO_ITEM`] included).
-    #[inline]
-    pub fn slot_of(&self, at: u32) -> Option<usize> {
-        match self.slot_of.get(at as usize) {
-            Some(&slot) if slot != NO_CHILD => Some(slot as usize),
-            _ => None,
-        }
-    }
-}
 
 /// Where an item sits among a scan's groups.
 #[derive(Debug, Clone, Copy)]
@@ -139,41 +89,20 @@ impl<'a> GroupRouting<'a> {
         }
     }
 
-    /// The routing table of `partition` — a split of one group's `len`
-    /// items, given like the group itself as positions of the index.
-    fn spec(&self, len: usize, partition: &[Vec<usize>]) -> PartitionSpec {
-        PartitionSpec::new(
-            len,
-            partition
-                .iter()
-                .map(|items| items.iter().map(|&item| self.place[item].at as usize)),
-        )
-    }
-
     /// Hand each row of `block` to the group holding its item: one id
     /// resolution and one `place` load per row, rows ascending within
     /// every group. Rows of unknown or ungrouped items go nowhere.
     fn split(&self, block: &RegionBlock, scratch: &mut RoutedScratch) {
-        let before = scratch.routed_capacity();
-        let RoutedScratch {
-            items, rows, at, ..
-        } = scratch;
+        let RoutedScratch { items, rows, .. } = scratch;
         rows.resize_with(self.n_groups.max(rows.len()), Vec::new);
-        at.resize_with(self.n_groups.max(at.len()), Vec::new);
-        for (r, a) in rows.iter_mut().zip(at.iter_mut()) {
-            r.clear();
-            a.clear();
-        }
+        rows.iter_mut().for_each(Vec::clear);
         self.index.resolve_into(&block.item_ids, items);
         for (i, &item) in items.iter().enumerate() {
             let Some(place) = self.place.get(item as usize) else { continue };
             let Some(group_rows) = rows.get_mut(place.group as usize) else { continue };
             group_rows.push(i);
-            at[place.group as usize].push(place.at);
         }
         scratch.rows_routed += block.n() as u64;
-        let grew = scratch.routed_capacity() > before;
-        scratch.note_shape(grew);
     }
 }
 
@@ -245,6 +174,24 @@ struct AttrGroup {
     /// `m + 1` for `m` thresholds.
     buckets: Range<usize>,
     numeric: bool,
+}
+
+impl AttrGroup {
+    /// The child of candidate `cand` that holds an item with bucket
+    /// entry `entry`: a categorical child is its bucket ([`NO_CHILD`] is
+    /// in none), and threshold `j`'s child 0 is buckets `0..=j`, its
+    /// child 1 the rest — the nesting [`StatPlan::push_node`] builds.
+    fn child_of(&self, cand: usize, entry: u32) -> Option<usize> {
+        if entry == NO_CHILD {
+            return None;
+        }
+        let bucket = entry as usize - self.buckets.start;
+        Some(if self.numeric {
+            usize::from(bucket > cand - self.cands.start)
+        } else {
+            bucket
+        })
+    }
 }
 
 /// One node's slots.
@@ -357,6 +304,13 @@ impl StatPlan {
         self.n_slots = next;
     }
 
+    /// The bucket entries, one per attribute group, of the item at
+    /// position `at` of `node`.
+    fn entries(&self, node: &StatNode, at: u32) -> &[u32] {
+        let width = node.groups.len();
+        &self.slot_of[node.table + at as usize * width..][..width]
+    }
+
     /// Read the errors `scope` asks for out of the slots
     /// [`LevelPlan::accumulate`] filled.
     fn errors(
@@ -375,10 +329,10 @@ impl StatPlan {
             prefix,
             suffix,
             suffix_n,
-            node: own,
-            children,
+            eval,
             ..
         } = scratch;
+        let eval = &mut eval.eval;
         let slot = |s: usize| &sums[s * stride..(s + 1) * stride];
         for (g, node) in self.nodes.iter().enumerate() {
             if scope.own() {
@@ -386,13 +340,13 @@ impl StatPlan {
                 if n == 0 {
                     continue; // none of the node's items in this block
                 }
-                if let Some(err) = flat_error(&mut own.eval, config, p, n, slot(node.total)) {
+                if let Some(err) = flat_error(eval, config, p, n, slot(node.total)) {
                     sink(g, Scored::Node, err);
                 }
             }
             let cands = scope.candidates(node.n_candidates);
             let mut child = |cand: usize, child: usize, n: u32, flat: &[f64]| {
-                if let Some(err) = flat_error(&mut children.eval, config, p, n, flat) {
+                if let Some(err) = flat_error(eval, config, p, n, flat) {
                     sink(g, Scored::Child { cand, child }, err);
                 }
             };
@@ -463,14 +417,19 @@ fn flat_error(
     eval.training_value_flat(p, n, flat)
 }
 
-/// How a plan turns routed rows into errors.
-#[derive(Debug)]
-enum Scorer {
-    /// From per-slot statistics (training-set error).
-    Stats(StatPlan),
-    /// From gathered per-child datasets: per node, each candidate's
-    /// routing table.
-    Gather(Vec<Vec<PartitionSpec>>),
+/// The error of the model fitted to `rows` of `block`, gathered in that
+/// order, under [`flat_error`]'s gates.
+fn gathered_error(
+    eval: &mut RegionEvalScratch,
+    block: &RegionBlock,
+    rows: &[usize],
+    config: &BellwetherConfig,
+) -> Option<f64> {
+    if rows.len() < config.min_examples.max(1) {
+        return None;
+    }
+    eval.gather_rows(block, rows);
+    eval.estimate_value(config)
 }
 
 /// Everything one scan needs to score region blocks for a set of
@@ -497,10 +456,20 @@ enum Scorer {
 /// block, the nodes' items and their candidate lists alone — not of
 /// which worker scores the block, what it scored before, or which of the
 /// errors the scan wants ([`Scope`]).
+///
+/// # The rows of a set (cross-validation)
+///
+/// A node's rows are the block's rows of its items; a child's are those
+/// of them whose bucket entry under the child's attribute group the
+/// child takes ([`AttrGroup::child_of`]). Both are gathered ascending,
+/// so a set's dataset is the block filtered to its items.
 #[derive(Debug)]
 pub struct LevelPlan<'a> {
     routing: GroupRouting<'a>,
-    scorer: Scorer,
+    plan: StatPlan,
+    /// Whether errors are read from gathered rows (cross-validation)
+    /// rather than from summed slots.
+    gather: bool,
 }
 
 impl<'a> LevelPlan<'a> {
@@ -514,33 +483,29 @@ impl<'a> LevelPlan<'a> {
         nodes: &[(&[usize], &[CandidateSplit])],
     ) -> Self {
         let routing = GroupRouting::new(index, nodes.iter().map(|&(items, _)| items));
+        let mut plan = StatPlan::default();
+        for &(items, candidates) in nodes {
+            plan.push_node(&routing, items, candidates);
+        }
         // Theorem 1 decomposes training-set SSE; cross-validation folds
         // shuffle each child's own row positions and need the rows.
-        let stats = measure == ErrorMeasure::TrainingSet;
+        let gather = measure != ErrorMeasure::TrainingSet;
         #[cfg(test)]
-        let stats = stats && !tests::GATHER_ORACLE.with(std::cell::Cell::get);
-        let scorer = if stats {
-            let mut plan = StatPlan::default();
-            for &(items, candidates) in nodes {
-                plan.push_node(&routing, items, candidates);
-            }
-            Scorer::Stats(plan)
-        } else {
-            let specs = |&(items, candidates): &(&[usize], &[CandidateSplit])| {
-                let spec = |c: &CandidateSplit| routing.spec(items.len(), &c.partition);
-                candidates.iter().map(spec).collect()
-            };
-            Scorer::Gather(nodes.iter().map(specs).collect())
-        };
-        LevelPlan { routing, scorer }
+        let gather = gather || tests::GATHER_ORACLE.with(std::cell::Cell::get);
+        LevelPlan {
+            routing,
+            plan,
+            gather,
+        }
     }
 
     /// Statistic slots one worker holds while scanning under this plan
-    /// (none on the gather path).
+    /// (none when it gathers rows).
     pub fn stat_slots(&self) -> usize {
-        match &self.scorer {
-            Scorer::Stats(plan) => plan.n_slots,
-            Scorer::Gather(_) => 0,
+        if self.gather {
+            0
+        } else {
+            self.plan.n_slots
         }
     }
 
@@ -556,33 +521,62 @@ impl<'a> LevelPlan<'a> {
         scope: Scope,
         mut sink: impl FnMut(usize, Scored, f64),
     ) {
-        match &self.scorer {
-            Scorer::Stats(plan) => {
-                let before = scratch.slot_capacity();
-                self.accumulate(plan, block, scratch, scope);
-                plan.errors(block.p as usize, scratch, config, scope, &mut sink);
-                let grew = scratch.slot_capacity() > before;
-                scratch.note_shape(grew);
+        if self.gather {
+            return self.read_rows(block, scratch, scope, |g, scored, rows, eval| {
+                if let Some(err) = gathered_error(eval, block, rows, config) {
+                    sink(g, scored, err);
+                }
+            });
+        }
+        let before = scratch.slot_capacity();
+        self.accumulate(block, scratch, scope);
+        self.plan.errors(block.p as usize, scratch, config, scope, &mut sink);
+        let grew = scratch.slot_capacity() > before;
+        scratch.note_shape(grew);
+    }
+
+    /// Hand each row of `block` to its node, then `each(node, what,
+    /// rows, engine)` every set `scope` asks for with its rows of the
+    /// block, ascending: a node's own rows, and each child's, picked off
+    /// the bucket table. Nodes without rows in the block are skipped.
+    fn read_rows(
+        &self,
+        block: &RegionBlock,
+        scratch: &mut RoutedScratch,
+        scope: Scope,
+        mut each: impl FnMut(usize, Scored, &[usize], &mut RegionEvalScratch),
+    ) {
+        self.routing.split(block, scratch);
+        let RoutedScratch {
+            items,
+            rows,
+            child_rows,
+            eval,
+            ..
+        } = scratch;
+        for (g, node) in self.plan.nodes.iter().enumerate() {
+            let rows = &rows[g];
+            if rows.is_empty() {
+                continue;
             }
-            Scorer::Gather(specs) => {
-                self.routing.split(block, scratch);
-                for (g, specs) in specs.iter().enumerate() {
-                    let cands = scope.candidates(specs.len());
-                    if (!scope.own() && cands.is_empty()) || !scratch.gather_group(block, g) {
-                        continue;
-                    }
-                    if scope.own() && scratch.node.data.n() >= config.min_examples.max(1) {
-                        if let Some(err) = scratch.node.estimate_value(config) {
-                            sink(g, Scored::Node, err);
+            if scope.own() {
+                each(g, Scored::Node, rows, eval);
+            }
+            let cands = scope.candidates(node.n_candidates);
+            for a in scope.groups(&node.groups) {
+                let group = &node.groups[a];
+                let k = if group.numeric { 2 } else { group.buckets.len() };
+                for cand in group.cands.clone().filter(|c| cands.contains(c)) {
+                    child_rows.resize_with(k.max(child_rows.len()), Vec::new);
+                    child_rows[..k].iter_mut().for_each(Vec::clear);
+                    for &row in rows {
+                        let at = self.routing.place[items[row] as usize].at;
+                        if let Some(child) = group.child_of(cand, self.plan.entries(node, at)[a]) {
+                            child_rows[child].push(row);
                         }
                     }
-                    for cand in cands {
-                        let errs = scratch.child_errors(&specs[cand], g, config);
-                        for (child, err) in errs.iter().enumerate() {
-                            if let Some(err) = *err {
-                                sink(g, Scored::Child { cand, child }, err);
-                            }
-                        }
+                    for (child, rows) in child_rows[..k].iter().enumerate() {
+                        each(g, Scored::Child { cand, child }, rows, eval);
                     }
                 }
             }
@@ -593,13 +587,8 @@ impl<'a> LevelPlan<'a> {
     /// the scan wants own errors) and into its bucket slot under each
     /// attribute group the scan wants: the row's terms are computed
     /// once, every slot it belongs to adds them.
-    fn accumulate(
-        &self,
-        plan: &StatPlan,
-        block: &RegionBlock,
-        scratch: &mut RoutedScratch,
-        scope: Scope,
-    ) {
+    fn accumulate(&self, block: &RegionBlock, scratch: &mut RoutedScratch, scope: Scope) {
+        let plan = &self.plan;
         let stride = RegSuffStats::flat_len(block.p as usize);
         let RoutedScratch {
             items,
@@ -632,8 +621,7 @@ impl<'a> LevelPlan<'a> {
                 add(node.total, terms);
                 adds += 1;
             }
-            let width = node.groups.len();
-            let entries = &plan.slot_of[node.table + place.at as usize * width..][..width];
+            let entries = plan.entries(node, place.at);
             for &slot in &entries[wanted[place.group as usize].clone()] {
                 if slot != NO_CHILD {
                     add(slot as usize, terms);
@@ -646,18 +634,17 @@ impl<'a> LevelPlan<'a> {
     }
 }
 
-/// Per-worker scratch of a [`LevelPlan`] scan. On the statistics path:
-/// the slots of the block last scored. On the gather path: the routed
-/// rows of that block, the dataset of the node being scored, and the
-/// per-child datasets of its candidates.
+/// Per-worker scratch of a [`LevelPlan`] scan: the slots of the block
+/// last scored (training-set error) or its routed rows (cross-validation),
+/// and the one engine every error is read through.
 #[derive(Debug, Default)]
 pub struct RoutedScratch {
     /// Resolved item positions of the block's rows.
     items: Vec<u32>,
     /// Per group: its rows of the block, ascending.
     rows: Vec<Vec<usize>>,
-    /// Per group: each of those rows' position within the group.
-    at: Vec<Vec<u32>>,
+    /// Per child of the candidate being read: its rows, ascending.
+    child_rows: Vec<Vec<usize>>,
     /// Per slot, its `RegSuffStats::flat_len` sums.
     sums: Vec<f64>,
     /// Per slot, the rows folded into it.
@@ -676,23 +663,14 @@ pub struct RoutedScratch {
     /// Slot additions so far: per routed row of a node's item, one for
     /// each slot it was folded into.
     pub slot_adds: u64,
-    /// The gathered group, and the error engine of nodes' own errors.
-    pub node: RegionEvalScratch,
-    /// Child datasets, and the error engine of child errors.
-    pub children: PartitionScratch,
+    /// The gathered rows, and the error engine of every error.
+    pub eval: RegionEvalScratch,
 }
 
 impl RoutedScratch {
     /// Fresh scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         RoutedScratch::default()
-    }
-
-    /// What the routing buffers can hold without allocating.
-    fn routed_capacity(&self) -> usize {
-        self.items.capacity()
-            + self.rows.iter().map(Vec::capacity).sum::<usize>()
-            + self.at.iter().map(Vec::capacity).sum::<usize>()
     }
 
     /// What the slot buffers can hold without allocating.
@@ -708,36 +686,12 @@ impl RoutedScratch {
     }
 
     fn note_shape(&mut self, grew: bool) {
-        let stats = &mut self.node.eval.stats;
+        let stats = &mut self.eval.eval.stats;
         if grew {
             stats.scratch_grows += 1;
         } else {
             stats.scratch_reuses += 1;
         }
-    }
-
-    /// Gather group `g`'s rows of the block last split into `node`.
-    /// False (and nothing gathered) when the block holds none.
-    fn gather_group(&mut self, block: &RegionBlock, g: usize) -> bool {
-        let rows = &self.rows[g];
-        if rows.is_empty() {
-            return false;
-        }
-        self.node.gather_rows(block, rows);
-        true
-    }
-
-    /// Each child's model error over the gathered group `g` under one
-    /// of its candidates' routing tables.
-    fn child_errors(
-        &mut self,
-        spec: &PartitionSpec,
-        g: usize,
-        config: &BellwetherConfig,
-    ) -> &[Option<f64>] {
-        let data = &self.node.data;
-        self.children
-            .errors_cols(spec, data.p(), data.cols(), &self.at[g], data.ys(), config)
     }
 }
 
@@ -745,8 +699,7 @@ impl ScanScratch for RoutedScratch {
     fn absorb(&mut self, later: Self) {
         self.rows_routed += later.rows_routed;
         self.slot_adds += later.slot_adds;
-        self.node.absorb(later.node);
-        self.children.absorb(later.children);
+        self.eval.absorb(later.eval);
     }
 }
 

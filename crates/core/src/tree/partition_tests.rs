@@ -1,8 +1,8 @@
-//! Tests of the level scorer. The gather path — the only path until the
-//! training-set measure got per-slot statistics, still cross-validation's
-//! — is held to the hash-routed oracle bit for bit, and is itself the
-//! oracle of the statistics path: same gates, same `n`, errors equal up
-//! to the reordering of the sums.
+//! Tests of the level scorer. The row reader — cross-validation's path,
+//! and the only path until the training-set measure got per-slot
+//! statistics — is held to the hash-routed oracle bit for bit, and is
+//! itself the oracle of the statistics path: same gates, same `n`,
+//! errors equal up to the reordering of the sums.
 
 use super::*;
 use crate::items::ItemTable;
@@ -18,14 +18,15 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 thread_local! {
-    /// While set, plans built on this thread take the gather path
-    /// whatever the measure (see [`with_gather_oracle`]).
+    /// While set, plans built on this thread read gathered rows whatever
+    /// the measure (see [`with_gather_oracle`]).
     pub(super) static GATHER_ORACLE: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Run `f` with every [`LevelPlan`] built on this thread scoring through
-/// gathered rows: what the training-set measure did before it had slot
-/// statistics, kept as their oracle.
+/// gathered rows — the reader cross-validation runs, and what the
+/// training-set measure did before it had slot statistics — as the
+/// statistics' oracle.
 pub(crate) fn with_gather_oracle<T>(f: impl FnOnce() -> T) -> T {
     struct Reset;
     impl Drop for Reset {
@@ -378,6 +379,50 @@ fn dense_routing_matches_the_hash_oracle_bit_for_bit() {
     });
 }
 
+/// Under cross-validation a child's rows are read off the bucket table.
+/// Whatever the criteria — categorical values no item of the node has,
+/// items in no child, equal thresholds, NaN values — every set the
+/// reader hands out holds exactly the block's rows of its `partition`
+/// items (or the node's items), ascending, and a node without rows in
+/// the block hands out nothing.
+#[test]
+fn the_cv_reader_gathers_each_childs_partition() {
+    let nonempty = Cell::new(0);
+    check("cv_reader_children_are_partitions", 300, |rng| {
+        let level = random_level(rng, Some(ErrorMeasure::CrossValidation { folds: 3, seed: 1 }));
+        let index = ItemIndex::new(&level.ids);
+        let nodes = level.nodes();
+        let plan = LevelPlan::new(&index, level.config.error_measure, &nodes);
+        assert_eq!(plan.stat_slots(), 0);
+        let mut scratch = RoutedScratch::new();
+        for block in &level.blocks {
+            let mut got = Vec::new();
+            plan.read_rows(block, &mut scratch, Scope::Level, |g, scored, rows, _| {
+                got.push((g, scored, rows.to_vec()));
+            });
+            let rows_of = |items: &[usize]| -> Vec<usize> {
+                let ids = level.id_set(items);
+                (0..block.n()).filter(|&i| ids.contains(&block.item_ids[i])).collect()
+            };
+            let mut want = Vec::new();
+            for (g, &(items, candidates)) in nodes.iter().enumerate() {
+                if rows_of(items).is_empty() {
+                    continue;
+                }
+                want.push((g, Scored::Node, rows_of(items)));
+                for (cand, c) in candidates.iter().enumerate() {
+                    for (child, members) in c.partition.iter().enumerate() {
+                        want.push((g, Scored::Child { cand, child }, rows_of(members)));
+                    }
+                }
+            }
+            nonempty.set(nonempty.get() + want.iter().filter(|(.., rows)| !rows.is_empty()).count());
+            assert_eq!(got, want);
+        }
+    });
+    assert!(nonempty.get() > 5_000, "only {} non-empty sets", nonempty.get());
+}
+
 /// `Σ y²` and the row count of the rows of `block` whose item is in
 /// `ids`.
 fn ytwy_and_n(block: &RegionBlock, ids: &HashSet<i64>) -> (f64, usize) {
@@ -614,8 +659,7 @@ fn the_gates_are_the_oracles_gates() {
             }
             // One fit per scored child and one for the node.
             let scored = got.children[0][0].iter().flatten().count() as u64;
-            assert_eq!(scratch.children.eval.stats.fits, scored);
-            assert_eq!(scratch.node.eval.stats.fits, 1);
+            assert_eq!(scratch.eval.eval.stats.fits, scored + 1);
         }
     }
 }
@@ -672,7 +716,7 @@ fn warm_routed_scratch_stops_growing() {
             for block in &level.blocks {
                 plan.score(block, scratch, &level.config, Scope::Level, |_, _, _| {});
             }
-            scratch.node.eval.stats.scratch_grows + scratch.children.eval.stats.scratch_grows
+            scratch.eval.eval.stats.scratch_grows
         };
         let cold = scan(&mut scratch);
         assert!(cold > 0);

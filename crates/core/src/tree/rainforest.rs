@@ -184,8 +184,7 @@ pub fn build_rainforest(
             merge_skipped(&mut tree.skipped_regions, &scanned.skipped);
             let WithScratch { acc: level_acc, scratch } = scanned.acc;
             acc = level_acc;
-            record_eval_stats(problem.recorder.as_ref(), &scratch.node.eval.stats);
-            record_eval_stats(problem.recorder.as_ref(), &scratch.children.eval.stats);
+            record_eval_stats(problem.recorder.as_ref(), &scratch.eval.eval.stats);
             problem
                 .recorder
                 .add(names::TREE_ROWS_ROUTED, scratch.rows_routed);

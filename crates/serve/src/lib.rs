@@ -1061,6 +1061,74 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A snapshot whose cube confidence is out of range would panic every
+    /// cube request's worker once served; its reload fails instead, and
+    /// the old model keeps serving.
+    #[test]
+    fn reload_refuses_a_cube_confidence_outside_the_unit_interval() {
+        use bellwether_core::BellwetherCube;
+        use bellwether_cube::{Dimension, Hierarchy, RegionSpace};
+        use bellwether_storage::{SnapshotFile, SnapshotWriter};
+        let dir = std::env::temp_dir().join("bw_serve_reload_confidence");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bwsn");
+        let ids: Vec<i64> = (1..=8).collect();
+        let block = RegionBlock::from_columns(
+            vec![0],
+            2,
+            ids.clone(),
+            vec![vec![1.0; 8], vec![0.0; 8]],
+            vec![0.0; 8],
+        );
+        let src = MemorySource::new(vec![block]);
+        let cube = BellwetherCube {
+            item_space: RegionSpace::new(vec![Dimension::Hierarchy(Hierarchy::flat("G", "Any", &["g"]))]),
+            item_coords: ids.iter().map(|&id| (id, vec![1])).collect(),
+            cells: Default::default(),
+            skipped_regions: Vec::new(),
+        };
+        let items = ItemTable::from_parts(ids, vec![], vec![]).unwrap();
+        let with_cube = ModelBuilder::new(&src, items).cube(cube, 0.95).build().unwrap();
+        with_cube.save(&path).unwrap();
+        // Re-seal the cube section, the one that opens with the
+        // confidence, around 1.5.
+        let snap = SnapshotFile::read(&path).unwrap();
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        let mut resealed = 0;
+        for sec in &snap.sections {
+            let mut payload = sec.payload.clone();
+            if payload.starts_with(&0.95f64.to_le_bytes()) {
+                payload[..8].copy_from_slice(&1.5f64.to_le_bytes());
+                resealed += 1;
+            }
+            w.write_section(sec.kind, &payload).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(resealed, 1);
+
+        let config = ServeConfig::builder()
+            .workers(1)
+            .request_timeout(Duration::from_millis(500))
+            .model_path(&path)
+            .registry(Arc::new(Registry::default()))
+            .build()
+            .unwrap();
+        let handle = Server::bind("127.0.0.1:0", fixture_model(), config).unwrap();
+        let mut conn = connect(&handle);
+        let (status, body) = roundtrip(&mut conn, "POST", "/reload", "");
+        assert_eq!(status, 500, "{body}");
+        let (status, body) =
+            roundtrip(&mut conn, "POST", "/predict", r#"{"method":"basic","ids":[1]}"#);
+        assert_eq!(status, 200);
+        assert!(body.contains("[5.0]"), "{body}");
+        assert_eq!(
+            handle.registry().snapshot().counter(names::SERVE_RELOADS),
+            Some(0)
+        );
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn overloaded_server_answers_503_instead_of_queueing() {
         let config = ServeConfig::builder()

@@ -117,18 +117,19 @@ fn main() {
         tree.num_leaves()
     );
 
-    // ---- 5. algebraic cross-validated cube (Theorem 1 extended to CV).
-    let cv_cube = build_optimized_cube_cv(
+    // ---- 5. algebraic cross-validated cube (Theorem 1 extended to CV):
+    // the optimized cube under a cross-validation measure.
+    let mut cv_problem = problem.clone();
+    cv_problem.error_measure = ErrorMeasure::CrossValidation { folds: 5, seed: 42 };
+    let cv_cube = build_optimized_cube(
         &budget_source,
         &data.space,
         &data.item_space,
         &data.item_coords,
-        &problem,
+        &cv_problem,
         &CubeConfig {
             min_subset_size: 30,
         },
-        5,
-        42,
     )
     .unwrap();
     println!("\ncross-validated cube cells (errors are CV estimates ± spread):");

@@ -5,7 +5,7 @@
 
 use bellwether::prelude::*;
 use bellwether_core::{
-    basic_search_linear, build_cube_input, build_optimized_cube_cv, build_rainforest,
+    basic_search_linear, build_cube_input, build_optimized_cube, build_rainforest,
     build_single_scan_cube, greedy_combinatorial_search, prune_tree, LinearCriterion,
 };
 use std::collections::HashMap;
@@ -178,6 +178,8 @@ fn cv_cube_agrees_with_single_scan_on_winning_regions() {
         .error_measure(ErrorMeasure::TrainingSet)
         .build()
         .unwrap();
+    let mut cv_problem = ts_problem.clone();
+    cv_problem.error_measure = ErrorMeasure::CrossValidation { folds: 5, seed: 42 };
     let single = build_single_scan_cube(
         &source,
         &data.space,
@@ -187,15 +189,13 @@ fn cv_cube_agrees_with_single_scan_on_winning_regions() {
         &cube_cfg,
     )
     .unwrap();
-    let cv = build_optimized_cube_cv(
+    let cv = build_optimized_cube(
         &source,
         &data.space,
         &data.item_space,
         &data.item_coords,
-        &ts_problem,
+        &cv_problem,
         &cube_cfg,
-        5,
-        42,
     )
     .unwrap();
     assert_eq!(single.cells.len(), cv.cells.len());

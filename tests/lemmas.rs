@@ -302,37 +302,39 @@ fn a_node_inherits_its_bellwether_from_its_parents_scan() {
     assert!(categorical > 10 && numeric > 10, "{categorical} categorical, {numeric} numeric");
 }
 
+/// Both builders hand the error engine a subset's rows of a block in
+/// ascending order, so under either measure every cell is the same down
+/// to the bit: region, error and spread, model and example count.
 #[test]
 fn lemma_2_single_scan_equals_naive_cube() {
     let (w, src) = workload();
     let cc = CubeConfig {
         min_subset_size: 25,
     };
-    let naive = build_naive_cube(
-        &src,
-        &w.region_space,
-        &w.item_space,
-        &w.item_coords,
-        &problem(),
-        &cc,
-    )
-    .unwrap();
-    let single = build_single_scan_cube(
-        &src,
-        &w.region_space,
-        &w.item_space,
-        &w.item_coords,
-        &problem(),
-        &cc,
-    )
-    .unwrap();
-    assert_eq!(naive.cells.len(), single.cells.len());
-    assert!(!naive.cells.is_empty());
-    for (subset, a) in &naive.cells {
-        let b = &single.cells[subset];
-        assert_eq!(a.region, b.region, "subset {subset:?}");
-        assert!((a.error.value - b.error.value).abs() < 1e-9);
-        assert_eq!(a.size, b.size);
+    for measure in [ErrorMeasure::TrainingSet, ErrorMeasure::CrossValidation { folds: 5, seed: 99 }] {
+        let mut problem = problem();
+        problem.error_measure = measure;
+        let naive =
+            build_naive_cube(&src, &w.region_space, &w.item_space, &w.item_coords, &problem, &cc)
+                .unwrap();
+        let single =
+            build_single_scan_cube(&src, &w.region_space, &w.item_space, &w.item_coords, &problem, &cc)
+                .unwrap();
+        assert_eq!(naive.cells.len(), single.cells.len());
+        assert!(!naive.cells.is_empty());
+        for (subset, a) in &naive.cells {
+            let b = &single.cells[subset];
+            let what = format!("{measure:?} subset {subset:?}");
+            assert_eq!(a.region, b.region, "{what}");
+            assert_eq!(a.error.value.to_bits(), b.error.value.to_bits(), "{what}");
+            assert_eq!(a.error.std_err.to_bits(), b.error.std_err.to_bits(), "{what}");
+            let bits = |m: &bellwether_linreg::LinearModel| -> Vec<u64> {
+                m.coefficients().iter().map(|c| c.to_bits()).collect()
+            };
+            assert_eq!(bits(&a.model), bits(&b.model), "{what}");
+            assert_eq!(a.n_examples, b.n_examples, "{what}");
+            assert_eq!(a.size, b.size, "{what}");
+        }
     }
 }
 

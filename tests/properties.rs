@@ -1010,19 +1010,18 @@ fn all_builders_agree_on_retail_bellwether() {
             );
         }
 
-        // The item-fold CV cube partitions folds by item hash instead of
-        // row shuffle — numerically a different estimate, but it must
-        // still pick the same bellwether for the all-items subset.
+        // Under cross-validation the optimized cube partitions folds by
+        // item hash instead of row shuffle — numerically a different
+        // estimate, but it must still pick the same bellwether for the
+        // all-items subset.
         if measure != ErrorMeasure::TrainingSet {
-            let cvcube = build_optimized_cube_cv(
+            let cvcube = build_optimized_cube(
                 &source,
                 &data.space,
                 &data.item_space,
                 &data.item_coords,
                 &problem,
                 &cube_cfg,
-                10,
-                0xBE11,
             )
             .unwrap();
             let cell = cvcube.cell(&root_subset).expect("CV cube root cell");
