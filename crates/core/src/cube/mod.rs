@@ -14,7 +14,6 @@
 //!
 //! All three produce the same cube; the integration tests assert it.
 
-pub mod explore;
 pub mod naive;
 pub mod optimized;
 pub mod predict;
@@ -263,8 +262,8 @@ pub(crate) mod tests_support {
             .collect();
         let mut data = RegressionData::new(block.p as usize);
         data.extend_from_cols_gather(block.cols(), &block.targets, &rows);
-        let (Some(error), Some(model)) = (problem.error_measure.estimate(&data), fit_wls(&data))
-        else {
+        let estimate = problem.error_measure.estimate_with(&data, &mut EvalScratch::new());
+        let (Some(error), Some(model)) = (estimate, fit_wls(&data)) else {
             return Ok(None);
         };
         let region = RegionId(source.region_coords(region_index).to_vec());

@@ -7,7 +7,6 @@
 //! confidence P), trading error against stability.
 
 use super::{BellwetherCube, SubsetCell};
-use bellwether_cube::{Parallelism, RegionId};
 
 /// All cube subsets containing an item with the given leaf coordinates,
 /// restricted to subsets that actually have cells.
@@ -50,51 +49,6 @@ pub fn select_cell_for_item(
     select_cell(cube, &coords, confidence)
 }
 
-/// Batch routing: the predicting cell for every item id, in input
-/// order, sharded across workers under `par`. The per-item choice is
-/// exactly [`select_cell_for_item`], so the thread count never changes
-/// the routing.
-pub fn select_cells_for_items<'c>(
-    cube: &'c BellwetherCube,
-    items: &[i64],
-    confidence: f64,
-    par: Parallelism,
-) -> Vec<Option<&'c SubsetCell>> {
-    let threads = par.threads_for(items.len());
-    if threads <= 1 {
-        return items
-            .iter()
-            .map(|&i| select_cell_for_item(cube, i, confidence))
-            .collect();
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let lo = items.len() * w / threads;
-                let hi = items.len() * (w + 1) / threads;
-                s.spawn(move || {
-                    items[lo..hi]
-                        .iter()
-                        .map(|&i| select_cell_for_item(cube, i, confidence))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("routing worker panicked"))
-            .collect()
-    })
-}
-
-/// Convenience: the subset ids of the candidates (for explanations).
-pub fn candidate_subsets(cube: &BellwetherCube, leaf_coords: &[u32]) -> Vec<RegionId> {
-    candidate_cells(cube, leaf_coords)
-        .into_iter()
-        .map(|c| c.subset.clone())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +56,7 @@ mod tests {
     use crate::cube::tests_support::cube_fixture;
     use crate::cube::CubeConfig;
     use crate::problem::{BellwetherConfig, ErrorMeasure};
+    use bellwether_cube::RegionId;
 
     fn cube() -> BellwetherCube {
         let (src, region_space, _items, item_space, coords) = cube_fixture();
@@ -127,10 +82,11 @@ mod tests {
     fn candidates_are_ancestors() {
         let c = cube();
         // item in leaf ga (node 1): candidates = {[ga], [Any]}
-        let cands = candidate_subsets(&c, &[1]);
+        let cands: Vec<&RegionId> =
+            candidate_cells(&c, &[1]).iter().map(|c| &c.subset).collect();
         assert_eq!(cands.len(), 2);
-        assert!(cands.contains(&RegionId(vec![1])));
-        assert!(cands.contains(&RegionId(vec![0])));
+        assert!(cands.contains(&&RegionId(vec![1])));
+        assert!(cands.contains(&&RegionId(vec![0])));
     }
 
     #[test]
@@ -148,22 +104,6 @@ mod tests {
     fn unknown_item_yields_none() {
         let c = cube();
         assert!(select_cell_for_item(&c, 9999, 0.95).is_none());
-    }
-
-    #[test]
-    fn batch_routing_matches_single_item_routing() {
-        let c = cube();
-        let mut items: Vec<i64> = c.item_coords.keys().copied().collect();
-        items.sort_unstable();
-        items.push(9999); // unknown item routes to None
-        let seq = select_cells_for_items(&c, &items, 0.95, Parallelism::sequential());
-        let par = select_cells_for_items(&c, &items, 0.95, Parallelism::fixed(4));
-        assert_eq!(seq.len(), items.len());
-        for ((a, b), &i) in seq.iter().zip(&par).zip(&items) {
-            let want = select_cell_for_item(&c, i, 0.95);
-            assert_eq!(a.map(|x| &x.subset), want.map(|x| &x.subset));
-            assert_eq!(b.map(|x| &x.subset), want.map(|x| &x.subset));
-        }
     }
 
     #[test]

@@ -268,7 +268,7 @@ mod tests {
         let est = s.estimate(&cfg).unwrap();
         assert_eq!(s.estimate_value(&cfg).map(f64::to_bits), Some(est.value.to_bits()));
         let (rows, _) = oracle::gather(&b, &(0..10).collect());
-        let direct = cfg.error_measure.estimate(&rows).unwrap();
+        let direct = cfg.error_measure.estimate_with(&rows, &mut EvalScratch::new()).unwrap();
         assert_eq!(est.value.to_bits(), direct.value.to_bits());
         let m = s.fit_model().unwrap();
         let direct_m = bellwether_linreg::fit_wls(&rows).unwrap();

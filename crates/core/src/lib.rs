@@ -23,8 +23,8 @@
 //! * [`sampling`] — the random-collection baseline (Smp Err);
 //! * [`tree`] — bellwether trees: naive and RainForest-style (Lemma 1);
 //! * [`cube`] — bellwether cubes: naive, single-scan (Lemma 2) and the
-//!   Theorem-1 optimized algorithm, with prediction and rollup/
-//!   drilldown exploration;
+//!   Theorem-1 optimized algorithm, with confidence-bound cell selection
+//!   for prediction;
 //! * [`predict`] — the item-centric evaluation harness comparing the
 //!   basic/tree/cube methods.
 //!
@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod basic;
-pub mod combinatorial;
 pub mod cube;
 pub mod error;
 pub mod eval;
@@ -55,13 +54,9 @@ pub use basic::{
     basic_search, basic_search_linear, BasicSearchResult, LinearCriterion,
     LinearSearchResult, RegionReport,
 };
-pub use combinatorial::{greedy_combinatorial_search, CombinatorialResult};
-pub use cube::explore::{cross_tab, render_cross_tab, CrossTabCell};
 pub use cube::naive::build_naive_cube;
 pub use cube::optimized::build_optimized_cube;
-pub use cube::predict::{
-    candidate_cells, select_cell, select_cell_for_item, select_cells_for_items,
-};
+pub use cube::predict::{candidate_cells, select_cell, select_cell_for_item};
 pub use cube::single_scan::build_single_scan_cube;
 pub use cube::{BellwetherCube, CubeConfig, CubeConfigBuilder, SubsetCell};
 pub use error::{BellwetherError, Result};
@@ -82,8 +77,8 @@ pub use problem::{BellwetherConfig, BellwetherConfigBuilder, ErrorMeasure};
 pub use report::BellwetherReport;
 pub use sampling::sampling_baseline_error;
 pub use scan::{
-    scan_regions, BestRegion, Concat, MergeableAccumulator, MinSlots, ScanPolicy, ScanScratch,
-    Scanned, WithScratch,
+    scan_regions, BestRegion, Concat, MergeableAccumulator, ScanPolicy, ScanScratch, Scanned,
+    WithScratch,
 };
 pub use seeded::{hash_fold, seeded_rng};
 pub use stream::{AppendOutcome, DriftEvent, StreamingBellwether};

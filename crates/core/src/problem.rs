@@ -29,20 +29,12 @@ impl ErrorMeasure {
         ErrorMeasure::CrossValidation { folds: 10, seed: 0xBE11 }
     }
 
-    /// Estimate the error of a WLS linear model on `data`. `None` when
-    /// the data cannot support a model (too few examples).
-    ///
-    /// Convenience wrapper over [`ErrorMeasure::estimate_with`] that pays
-    /// for a fresh [`EvalScratch`] per call; hot loops should hold a
-    /// per-worker scratch and call `estimate_with` instead.
-    pub fn estimate(&self, data: &RegressionData) -> Option<ErrorEstimate> {
-        self.estimate_with(data, &mut EvalScratch::new())
-    }
-
-    /// Estimate through the algebraic error engine using caller-owned
-    /// scratch: one statistics pass plus k downdated packed solves for
-    /// cross-validation, one fit for training-set error — no dataset
-    /// copies, and no heap allocation once `scratch` is warm. Values are
+    /// Estimate the error of a WLS linear model on `data` (`None` when
+    /// the data cannot support a model: too few examples) through the
+    /// algebraic error engine using caller-owned scratch: one statistics
+    /// pass plus k downdated packed solves for cross-validation, one fit
+    /// for training-set error — no dataset copies, and no heap
+    /// allocation once `scratch` is warm. Values are
     /// bit-identical to a refit per fold (`bellwether_linreg`'s test
     /// oracle holds the engine to that).
     pub fn estimate_with(
@@ -239,8 +231,9 @@ mod tests {
     #[test]
     fn both_measures_agree_on_exact_data() {
         let d = line(100);
-        let cv = ErrorMeasure::cv10().estimate(&d).unwrap();
-        let tr = ErrorMeasure::TrainingSet.estimate(&d).unwrap();
+        let scratch = &mut EvalScratch::new();
+        let cv = ErrorMeasure::cv10().estimate_with(&d, scratch).unwrap();
+        let tr = ErrorMeasure::TrainingSet.estimate_with(&d, scratch).unwrap();
         assert!(cv.value < 1e-6);
         assert!(tr.value < 1e-6);
     }
@@ -248,8 +241,9 @@ mod tests {
     #[test]
     fn degenerate_data_yields_none() {
         let d = line(1);
-        assert!(ErrorMeasure::cv10().estimate(&d).is_none());
-        assert!(ErrorMeasure::TrainingSet.estimate(&d).is_none());
+        let scratch = &mut EvalScratch::new();
+        assert!(ErrorMeasure::cv10().estimate_with(&d, scratch).is_none());
+        assert!(ErrorMeasure::TrainingSet.estimate_with(&d, scratch).is_none());
     }
 
     #[test]

@@ -102,36 +102,6 @@ impl MergeableAccumulator for BestRegion {
     }
 }
 
-/// Element-wise minimum over a fixed-width slot vector (e.g. per-
-/// partition SSE totals); slots start at `+inf`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MinSlots(pub Vec<f64>);
-
-impl MinSlots {
-    /// `len` slots, all `+inf`.
-    pub fn new(len: usize) -> Self {
-        MinSlots(vec![f64::INFINITY; len])
-    }
-
-    /// Lower slot `i` to `v` if strictly smaller (NaN never replaces).
-    pub fn observe(&mut self, i: usize, v: f64) {
-        if v < self.0[i] {
-            self.0[i] = v;
-        }
-    }
-}
-
-impl MergeableAccumulator for MinSlots {
-    fn merge(&mut self, later: Self) {
-        assert_eq!(self.0.len(), later.0.len(), "slot width mismatch");
-        for (s, l) in self.0.iter_mut().zip(later.0) {
-            if l < *s {
-                *s = l;
-            }
-        }
-    }
-}
-
 /// Concatenation accumulator: per-region rows collected in scan order.
 /// Valid because `scan_regions` merges partials in ascending chunk
 /// order, so the concatenated vector equals the sequential scan's.
@@ -520,20 +490,6 @@ mod tests {
             })
             .unwrap();
             assert_eq!(best.0, Some((0, 1.0)), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn min_slots_merge_matches_sequential() {
-        let src = source(17);
-        let fold = |acc: &mut MinSlots, idx: usize, _: &RegionBlock| {
-            acc.observe(idx % 3, (idx as f64 * 7.0) % 5.0);
-            Ok(())
-        };
-        let seq = scan_all(&src, par(1), || MinSlots::new(3), fold).unwrap();
-        for threads in [2, 4, 7] {
-            let got = scan_all(&src, par(threads), || MinSlots::new(3), fold).unwrap();
-            assert_eq!(got, seq, "threads={threads}");
         }
     }
 

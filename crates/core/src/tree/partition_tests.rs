@@ -187,7 +187,7 @@ fn partition_errors_match_direct_subset_computation() {
     let subset: HashSet<i64> = [1, 3, 5, 7, 9].into_iter().collect();
     let direct = config()
         .error_measure
-        .estimate(&oracle::gather(&b, &subset).0)
+        .estimate_with(&oracle::gather(&b, &subset).0, &mut EvalScratch::new())
         .unwrap()
         .value;
     let [stats, gathered] = both_paths(&b, &[subset]);

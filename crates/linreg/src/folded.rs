@@ -389,7 +389,7 @@ impl EvalScratch {
         if n <= p {
             return None;
         }
-        self.train.add_dataset(data);
+        self.train.add_rows(data);
         self.cached_total = CachedTotal::Train { n, p };
         self.rmse_of_train()
     }
@@ -473,7 +473,7 @@ impl EvalScratch {
         grew |= ensure_buf(&mut self.beta_buf, p);
         self.note_shape(grew);
 
-        self.train.add_dataset(data);
+        self.train.add_rows(data);
         self.cached_total = CachedTotal::Train {
             n: data.n(),
             p,

@@ -1,10 +1,10 @@
 //! # bellwether-linreg
 //!
-//! The regression substrate of the bellwether reproduction: dense linear
-//! algebra sized for small feature counts, ordinary and weighted least
-//! squares, the Theorem-1 sufficient statistic (`⟨Y'WY, X'WX, X'WY⟩`)
-//! with exact merge/subtract, k-fold cross-validation, and error
-//! estimates with confidence intervals.
+//! The regression substrate of the bellwether reproduction: weighted
+//! least squares fitted from the Theorem-1 sufficient statistic
+//! (`⟨Y'WY, X'WX, X'WY⟩`, with exact merge/subtract) through one packed
+//! Cholesky solve with a ridge fallback, k-fold cross-validation, and
+//! error estimates with confidence intervals.
 //!
 //! Everything downstream — basic bellwether search, bellwether trees and
 //! cubes — measures model quality through [`ErrorEstimate`]s produced
@@ -33,20 +33,15 @@ pub mod confint;
 pub mod crossval;
 pub mod dataset;
 pub mod folded;
-pub mod matrix;
 pub mod model;
 pub mod stats;
 pub mod suffstats;
 
-pub use cholesky::{
-    packed_idx, packed_len, packed_solve_spd_ridged, solve_spd_ridged, solve_spd_ridged_diag,
-    Cholesky, FitDiagnostics,
-};
+pub use cholesky::{packed_idx, packed_len, packed_solve_spd_ridged, FitDiagnostics};
 pub use confint::ErrorEstimate;
 pub use crossval::{fold_assignment, fold_assignment_into};
 pub use folded::{EvalScratch, EvalStats, FoldedSuffStats};
 pub use dataset::RegressionData;
-pub use matrix::Matrix;
-pub use model::{fit_ols, fit_wls, LinearModel};
+pub use model::{fit_wls, LinearModel};
 pub use stats::{mean, normal_quantile, sample_std, sample_variance, SplitMix64};
 pub use suffstats::RegSuffStats;

@@ -1,4 +1,4 @@
-//! Fitted linear models and the convenience OLS/WLS entry points.
+//! Fitted linear models and the convenience WLS entry point.
 
 use crate::dataset::RegressionData;
 use crate::suffstats::RegSuffStats;
@@ -48,14 +48,6 @@ impl LinearModel {
     }
 }
 
-/// Fit ordinary least squares on `data` (weights ignored — all treated
-/// as 1, per the reduction noted in §6.4 of the paper).
-pub fn fit_ols(data: &RegressionData) -> Option<LinearModel> {
-    let mut stats = RegSuffStats::new(data.p());
-    stats.add_rows_unweighted(data);
-    stats.fit()
-}
-
 /// Fit weighted least squares using the dataset's weights.
 pub fn fit_wls(data: &RegressionData) -> Option<LinearModel> {
     RegSuffStats::from_dataset(data).fit()
@@ -77,7 +69,9 @@ mod tests {
         let mut d = RegressionData::new(1);
         d.push_weighted(&[1.0], 0.0, 1.0);
         d.push_weighted(&[1.0], 10.0, 3.0);
-        let ols = fit_ols(&d).unwrap();
+        let mut unweighted = RegSuffStats::new(1);
+        unweighted.add_rows_unweighted(&d);
+        let ols = unweighted.fit().unwrap();
         let wls = fit_wls(&d).unwrap();
         assert!((ols.coefficients()[0] - 5.0).abs() < 1e-9);
         assert!((wls.coefficients()[0] - 7.5).abs() < 1e-9);
@@ -89,7 +83,7 @@ mod tests {
         for i in 0..4 {
             d.push(&[1.0, i as f64], 1.0 + 2.0 * i as f64);
         }
-        let m = fit_ols(&d).unwrap();
+        let m = fit_wls(&d).unwrap();
         assert!(m.rmse_on(&d) < 1e-9);
     }
 

@@ -23,8 +23,8 @@ use crate::model::LinearModel;
 ///
 /// The Gram matrix `X'WX` is symmetric and stored packed (lower triangle,
 /// row-major, `p(p+1)/2` floats) — half the memory and accumulation work
-/// of a full matrix, factored by the in-place packed Cholesky whose
-/// arithmetic order matches the dense one bit for bit.
+/// of a full matrix, factored in place by the packed Cholesky
+/// (`crate::cholesky`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegSuffStats {
     p: usize,
@@ -228,7 +228,7 @@ impl RegSuffStats {
     /// every weight as exactly 1 regardless of the stored weights (the
     /// OLS reduction of §6.4). On a unit-weight dataset this is the
     /// path [`RegSuffStats::add_rows`] takes.
-    pub fn add_rows_unweighted(&mut self, data: &RegressionData) {
+    pub(crate) fn add_rows_unweighted(&mut self, data: &RegressionData) {
         assert_eq!(data.p(), self.p, "feature vector length mismatch");
         let n = data.n();
         if n == 0 {
@@ -249,16 +249,10 @@ impl RegSuffStats {
         }
     }
 
-    /// Accumulate an entire dataset (batched; see
-    /// [`RegSuffStats::add_rows`] for the summation order).
-    pub fn add_dataset(&mut self, data: &RegressionData) {
-        self.add_rows(data);
-    }
-
     /// Build the statistic for a dataset in one pass.
     pub fn from_dataset(data: &RegressionData) -> Self {
         let mut s = RegSuffStats::new(data.p());
-        s.add_dataset(data);
+        s.add_rows(data);
         s
     }
 
@@ -652,7 +646,7 @@ mod tests {
         let bulk = RegSuffStats::from_dataset(&exact_line());
         assert!(!s.reset(2), "same width must not grow");
         assert_eq!(s.n(), 0);
-        s.add_dataset(&exact_line());
+        s.add_rows(&exact_line());
         assert_eq!(s, bulk);
         let mut copy = RegSuffStats::new(2);
         copy.copy_from(&bulk);

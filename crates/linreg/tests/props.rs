@@ -2,17 +2,19 @@
 //! least-squares optimality.
 
 use bellwether_linreg::{
-    fit_ols, normal_quantile, solve_spd_ridged, Cholesky, Matrix, RegSuffStats, RegressionData,
+    fit_wls, normal_quantile, packed_idx, packed_solve_spd_ridged, RegSuffStats, RegressionData,
 };
 use bellwether_prop::{check, Rng};
 
-/// A random SPD matrix A = M'M + I.
-fn spd(rng: &mut Rng, n: usize) -> Matrix {
-    let data: Vec<f64> = (0..n * n).map(|_| rng.f64_in(-3.0, 3.0)).collect();
-    let m = Matrix::from_rows(n, n, data);
-    let mut a = m.transpose().matmul(&m);
+/// A random SPD matrix A = M'M + I, packed (lower triangle, row-major).
+fn spd(rng: &mut Rng, n: usize) -> Vec<f64> {
+    let m: Vec<f64> = (0..n * n).map(|_| rng.f64_in(-3.0, 3.0)).collect();
+    let mut a = Vec::new();
     for i in 0..n {
-        a[(i, i)] += 1.0;
+        for j in 0..=i {
+            let mtm: f64 = (0..n).map(|r| m[r * n + i] * m[r * n + j]).sum();
+            a.push(mtm + if i == j { 1.0 } else { 0.0 });
+        }
     }
     a
 }
@@ -22,15 +24,15 @@ fn cholesky_solves_spd_systems() {
     check("cholesky_solves_spd_systems", 64, |rng| {
         let a = spd(rng, 4);
         let x: Vec<f64> = (0..4).map(|_| rng.f64_in(-10.0, 10.0)).collect();
-        let b = a.matvec(&x);
-        let solved = Cholesky::factor(&a).unwrap().solve(&b);
+        // b = A·x, each entry read from the lower triangle.
+        let b: Vec<f64> = (0..4)
+            .map(|i| (0..4).map(|j| a[packed_idx(i.max(j), i.min(j))] * x[j]).sum())
+            .collect();
+        let (mut factor, mut solved) = (Vec::new(), Vec::new());
+        let diag = packed_solve_spd_ridged(&a, 4, &b, &mut factor, &mut solved).unwrap();
+        assert!(!diag.ridged(), "a well-conditioned system needs no ridge");
         for (s, t) in solved.iter().zip(&x) {
             assert!((s - t).abs() < 1e-6, "{s} vs {t}");
-        }
-        // Ridged solve agrees on well-conditioned systems.
-        let ridged = solve_spd_ridged(&a, &b).unwrap();
-        for (s, t) in ridged.iter().zip(&x) {
-            assert!((s - t).abs() < 1e-4);
         }
     });
 }
@@ -44,7 +46,7 @@ fn ols_residuals_are_orthogonal_to_features() {
         for (x, y) in &rows {
             d.push(&[1.0, *x], *y);
         }
-        let Some(model) = fit_ols(&d) else { return };
+        let Some(model) = fit_wls(&d) else { return };
         let mut g0 = 0.0;
         let mut g1 = 0.0;
         for i in 0..d.n() {

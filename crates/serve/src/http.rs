@@ -93,7 +93,7 @@ pub fn read_request(
         return Ok(ReadOutcome::Bad("malformed request line"));
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut close = version.eq_ignore_ascii_case("HTTP/1.0");
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -101,10 +101,17 @@ pub fn read_request(
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => return Ok(ReadOutcome::Bad("bad content-length")),
+            // RFC 9112 §6.3: `1*DIGIT` (`usize::from_str` also takes a
+            // leading `+`), and a repeated header must agree, or a proxy
+            // and this server could frame the stream differently.
+            let n = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Ok(ReadOutcome::Bad("bad content-length")),
+            };
+            if content_length.is_some_and(|seen| seen != n) {
+                return Ok(ReadOutcome::Bad("bad content-length"));
             }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 close = true;
@@ -115,6 +122,7 @@ pub fn read_request(
             return Ok(ReadOutcome::Bad("transfer-encoding unsupported"));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Ok(ReadOutcome::Bad("body too large"));
     }
@@ -235,6 +243,8 @@ mod tests {
             &b"GARBAGE\r\n\r\n"[..],
             b"GET nopath HTTP/1.1\r\n\r\n",
             b"POST / HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nabcde",
             b"POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
             b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
@@ -244,6 +254,13 @@ mod tests {
             read_all(b"GET / HTTP/1.1\r\nHo"),
             ReadOutcome::Bad(_)
         ));
+        // Identical duplicates frame the body the same way either way.
+        let ReadOutcome::Request(r) =
+            read_all(b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd")
+        else {
+            panic!()
+        };
+        assert_eq!(r.body, b"abcd");
     }
 
     /// The parser faces the network: every truncation and flipped bit of

@@ -1,7 +1,6 @@
 //! A tour of the §3.4 extensions implemented beyond the paper's core
 //! algorithms: automatic feature generation, the linear optimization
-//! criterion, greedy combinatorial region selection, tree pruning, and
-//! the algebraic cross-validated cube.
+//! criterion, tree pruning, and the algebraic cross-validated cube.
 //!
 //! Run with: `cargo run --release --example extensions_tour`
 
@@ -74,26 +73,7 @@ fn main() {
         }
     }
 
-    // ---- 3. combinatorial bellwether: a *set* of regions under budget.
-    let combo = greedy_combinatorial_search(
-        &data.space,
-        &cube_input,
-        &data.items,
-        &targets,
-        &data.cost,
-        &problem,
-        3,
-    )
-    .unwrap();
-    if let Some(c) = combo {
-        println!(
-            "\ncombinatorial pick (budget {}): {:?} — cost {:.1}, err {:.1}",
-            problem.budget, c.labels, c.total_cost, c.error.value
-        );
-        println!("  error after each greedy addition: {:?}", c.error_trace);
-    }
-
-    // ---- 4. tree pruning.
+    // ---- 3. tree pruning.
     let tree_cfg = TreeConfig {
         min_node_items: 20,
         max_numeric_splits: 8,
@@ -117,7 +97,7 @@ fn main() {
         tree.num_leaves()
     );
 
-    // ---- 5. algebraic cross-validated cube (Theorem 1 extended to CV):
+    // ---- 4. algebraic cross-validated cube (Theorem 1 extended to CV):
     // the optimized cube under a cross-validation measure.
     let mut cv_problem = problem.clone();
     cv_problem.error_measure = ErrorMeasure::CrossValidation { folds: 5, seed: 42 };

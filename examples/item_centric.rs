@@ -1,7 +1,7 @@
 //! Item-centric bellwether prediction: build a bellwether tree and a
 //! bellwether cube over the mail-order items, inspect them, and compare
 //! prediction quality against the single-region baseline (a miniature
-//! of Figure 8 plus the §6.2 rollup/drilldown view).
+//! of Figure 8).
 //!
 //! Run with: `cargo run --release --example item_centric`
 
@@ -73,11 +73,6 @@ fn main() {
         &cube_cfg,
     )
     .unwrap();
-    println!("bellwether cube, drilldown to categories:");
-    println!("{}", render_cross_tab(&cube, &[1]));
-    println!("rolled up to [Any]:");
-    println!("{}", render_cross_tab(&cube, &[0]));
-
     // ---- cube prediction for one item: which ancestor subset wins?
     let some_item = *data.items.ids().first().unwrap();
     if let Some(cell) = select_cell_for_item(&cube, some_item, 0.95) {

@@ -1,19 +1,17 @@
 //! Integration tests for the §3.4 extension features on generated
 //! retail data: automatic feature generation, the linear optimization
-//! criterion, greedy combinatorial search, tree pruning, and the
-//! algebraic cross-validated cube.
+//! criterion, tree pruning, and the algebraic cross-validated cube.
 
 use bellwether::prelude::*;
 use bellwether_core::{
     basic_search_linear, build_cube_input, build_optimized_cube, build_rainforest,
-    build_single_scan_cube, greedy_combinatorial_search, prune_tree, LinearCriterion,
+    build_single_scan_cube, prune_tree, LinearCriterion,
 };
 use std::collections::HashMap;
 
 fn dataset() -> (
     bellwether_datagen::RetailDataset,
     HashMap<i64, f64>,
-    CubeInput,
     MemorySource,
 ) {
     let mut cfg = RetailConfig::mail_order(120, 77);
@@ -26,12 +24,12 @@ fn dataset() -> (
     let cube = cube_pass(&data.space, &cube_input);
     let regions = data.space.all_regions();
     let source = build_memory_source(&cube, &regions, &data.items, &targets);
-    (data, targets, cube_input, source)
+    (data, targets, source)
 }
 
 #[test]
 fn auto_generated_queries_run_end_to_end() {
-    let (data, targets, _, _) = dataset();
+    let (data, targets, _) = dataset();
     let fk_of: HashMap<String, String> =
         [("catalogs".to_string(), "catalog".to_string())].into();
     let queries = bellwether_core::auto_generate_queries(&data.db, &fk_of).unwrap();
@@ -53,7 +51,7 @@ fn auto_generated_queries_run_end_to_end() {
 
 #[test]
 fn linear_criterion_prefers_cheap_regions_as_weight_grows() {
-    let (data, _targets, _, source) = dataset();
+    let (data, _, source) = dataset();
     let config = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)
         .min_examples(20)
@@ -96,45 +94,8 @@ fn linear_criterion_prefers_cheap_regions_as_weight_grows() {
 }
 
 #[test]
-fn combinatorial_search_never_loses_to_single_region_choice() {
-    let (data, targets, cube_input, source) = dataset();
-    let config = BellwetherConfig::builder(12.0)
-        .min_coverage(0.0)
-        .min_examples(20)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap();
-    // Single-region bellwether under the same budget.
-    let single =
-        basic_search(&source, &data.space, &data.cost, &config, data.items.len()).unwrap();
-    let combo = greedy_combinatorial_search(
-        &data.space,
-        &cube_input,
-        &data.items,
-        &targets,
-        &data.cost,
-        &config,
-        4,
-    )
-    .unwrap();
-    let (Some(single), Some(combo)) = (single.bellwether(), combo) else {
-        panic!("both searches should find something at this budget");
-    };
-    // The greedy's first step considers every affordable single region,
-    // so its final error can't exceed the single-region optimum (both
-    // use the same training-set measure over the same features).
-    assert!(
-        combo.error.value <= single.error.value + 1e-9,
-        "combo {} vs single {}",
-        combo.error.value,
-        single.error.value
-    );
-    assert!(combo.total_cost <= 12.0);
-}
-
-#[test]
 fn pruning_reduces_or_keeps_leaves_and_preserves_routing() {
-    let (data, _targets, _, source) = dataset();
+    let (data, _, source) = dataset();
     let problem = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)
         .min_examples(15)
@@ -166,7 +127,7 @@ fn pruning_reduces_or_keeps_leaves_and_preserves_routing() {
 
 #[test]
 fn cv_cube_agrees_with_single_scan_on_winning_regions() {
-    let (data, _targets, _, source) = dataset();
+    let (data, _, source) = dataset();
     let cube_cfg = CubeConfig {
         min_subset_size: 20,
     };
