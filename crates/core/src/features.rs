@@ -11,7 +11,9 @@
 //!   column once per *distinct* foreign key.
 //!
 //! [`build_cube_input`] applies the §4.2 rewrite, turning the per-region
-//! per-item selections into inputs for one CUBE pass.
+//! per-item selections into inputs for one CUBE pass. The queries are
+//! the caller's: §3.4's automatic generation from the schema is not
+//! implemented (DESIGN.md §5).
 
 use crate::error::{BellwetherError, Result};
 use bellwether_cube::{CubeInput, Dimension, Measure, Parallelism, RegionSpace};
@@ -337,100 +339,6 @@ pub fn build_cube_input_with(
     })
 }
 
-/// Automatic feature generation (§3.4): enumerate a sensible default
-/// set of stylized feature queries straight from the star schema, so an
-/// analyst can run bellwether analysis without hand-writing queries.
-///
-/// For every numeric fact column that is not the item id or a dimension
-/// coordinate: `sum`, `avg`, `max` and one `count`. For every reference
-/// table and each of its numeric non-key columns: a fact-side `max`
-/// (`JoinAgg`) and a distinct-FK `sum` (`DistinctJoinAgg`), plus one
-/// `count_distinct` of the foreign key per reference table.
-///
-/// `fk_of` maps each reference-table name to its foreign-key column in
-/// the fact table (schemas don't record this relationship).
-pub fn auto_generate_queries(
-    db: &StarDatabase,
-    fk_of: &HashMap<String, String>,
-) -> Result<Vec<FeatureQuery>> {
-    use bellwether_table::DataType;
-    let mut out = Vec::new();
-
-    let excluded: Vec<&str> = std::iter::once(db.item_col.as_str())
-        .chain(db.dim_cols.iter().map(String::as_str))
-        .chain(fk_of.values().map(String::as_str))
-        .collect();
-
-    let mut counted = false;
-    for field in db.fact.schema().fields() {
-        if excluded.contains(&field.name.as_str()) {
-            continue;
-        }
-        let numeric = matches!(field.dtype, DataType::Int | DataType::Float);
-        if !numeric {
-            continue;
-        }
-        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Max] {
-            out.push(FeatureQuery::FactAgg {
-                name: format!("{}_{}", func.name(), field.name),
-                column: field.name.clone(),
-                func,
-            });
-        }
-        if !counted {
-            out.push(FeatureQuery::FactAgg {
-                name: format!("count_{}", field.name),
-                column: field.name.clone(),
-                func: AggFunc::Count,
-            });
-            counted = true;
-        }
-    }
-
-    for (table_name, (table, pk)) in &db.refs {
-        let fk = fk_of.get(table_name).ok_or_else(|| {
-            BellwetherError::Config(format!(
-                "no foreign-key mapping for reference table {table_name}"
-            ))
-        })?;
-        // Validate the FK column exists and is an Int like the PK.
-        db.fact.column_by_name(fk)?.as_int(fk)?;
-        let mut first = true;
-        for field in table.schema().fields() {
-            if &field.name == pk
-                || !matches!(field.dtype, DataType::Int | DataType::Float)
-            {
-                continue;
-            }
-            out.push(FeatureQuery::JoinAgg {
-                name: format!("max_{}_{}", table_name, field.name),
-                table: table_name.clone(),
-                fk: fk.clone(),
-                column: field.name.clone(),
-                func: AggFunc::Max,
-            });
-            out.push(FeatureQuery::DistinctJoinAgg {
-                name: format!("distinct_sum_{}_{}", table_name, field.name),
-                table: table_name.clone(),
-                fk: fk.clone(),
-                column: field.name.clone(),
-                func: AggFunc::Sum,
-            });
-            if first {
-                out.push(FeatureQuery::DistinctJoinAgg {
-                    name: format!("n_distinct_{table_name}"),
-                    table: table_name.clone(),
-                    fk: fk.clone(),
-                    column: field.name.clone(),
-                    func: AggFunc::CountDistinct,
-                });
-                first = false;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// The target generation query τ (§3.2): one global aggregate of a fact
 /// column per item — e.g. total first-year worldwide profit. Items with
 /// no fact rows are absent.
@@ -610,39 +518,6 @@ mod tests {
         assert_eq!(db.refs["ads"].0.num_rows(), 2);
         let targets = global_target(&db, "profit", AggFunc::Sum).unwrap();
         assert_eq!(targets[&1], 30.5);
-    }
-
-    #[test]
-    fn auto_generation_covers_the_schema() {
-        let db = db();
-        let fk_of: HashMap<String, String> =
-            [("ads".to_string(), "ad".to_string())].into();
-        let queries = auto_generate_queries(&db, &fk_of).unwrap();
-        let names: Vec<&str> = queries.iter().map(FeatureQuery::name).collect();
-        // profit: sum/avg/max + one count
-        assert!(names.contains(&"sum_profit"));
-        assert!(names.contains(&"avg_profit"));
-        assert!(names.contains(&"max_profit"));
-        assert!(names.iter().any(|n| n.starts_with("count_")));
-        // reference table: max, distinct sum, distinct count
-        assert!(names.contains(&"max_ads_size"));
-        assert!(names.contains(&"distinct_sum_ads_size"));
-        assert!(names.contains(&"n_distinct_ads"));
-        // id / dims / fk excluded from fact aggregates
-        assert!(!names.contains(&"sum_item"));
-        assert!(!names.contains(&"sum_week"));
-        assert!(!names.contains(&"sum_ad"));
-        // And the generated queries actually run through the CUBE pass.
-        let input = build_cube_input(&db, &space(), &queries).unwrap();
-        let result = cube_pass(&space(), &input);
-        assert!(result.coverage_count(&RegionId(vec![1, 0])) >= 2);
-    }
-
-    #[test]
-    fn auto_generation_requires_fk_mapping() {
-        let db = db();
-        let err = auto_generate_queries(&db, &HashMap::new());
-        assert!(err.is_err());
     }
 
     #[test]

@@ -67,8 +67,7 @@ pub use bellwether_obs::{
 };
 pub use bellwether_storage::retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
 pub use features::{
-    auto_generate_queries, build_cube_input, build_cube_input_with, global_target, FeatureQuery,
-    StarDatabase,
+    build_cube_input, build_cube_input_with, global_target, FeatureQuery, StarDatabase,
 };
 pub use items::{ItemIndex, ItemTable};
 pub use model::{BellwetherModel, MethodKind, ModelBuilder};

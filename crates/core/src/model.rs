@@ -29,15 +29,18 @@ use crate::report::BellwetherReport;
 use crate::tree::{BellwetherTree, Node, NodeInfo, SplitCriterion};
 use bellwether_cube::{Dimension, Hierarchy, RegionId, RegionSpace};
 use bellwether_linreg::{ErrorEstimate, LinearModel};
-use bellwether_storage::codec::{Cursor, PutLe};
+use bellwether_storage::codec::{Cursor, PutLe, CHECKSUM_LEN};
+use bellwether_storage::format::{decode_block_v2, encode_block_v2};
 use bellwether_storage::{RegionBlock, SnapshotFile, SnapshotWriter, TrainingSource};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Model payload version inside the snapshot container. Bump when the
-/// section encodings change; old versions must keep decoding.
-pub const MODEL_VERSION: u32 = 1;
+/// section encodings change: a snapshot of any other version is refused
+/// by its version, never misparsed. Version 2 stores region blocks in the
+/// storage crate's checksummed block encoding.
+pub const MODEL_VERSION: u32 = 2;
 
 // Section kinds inside the BWSN container.
 const SEC_HEADER: u32 = 1;
@@ -153,25 +156,8 @@ impl<'s> ModelBuilder<'s> {
                 "cube confidence must be strictly inside (0, 1), got {conf}"
             )));
         }
-        let mut wanted: Vec<usize> = Vec::new();
-        if let Some(b) = &self.basic {
-            wanted.push(b.region_index);
-        }
-        if let Some(t) = &self.tree {
-            // Every node with a fitted bellwether, not just leaves:
-            // routing stops early on unseen categorical values and
-            // predicts from the interior node it stopped at.
-            wanted.extend(
-                t.nodes
-                    .iter()
-                    .filter_map(|n| n.info.as_ref().map(|i| i.region_index)),
-            );
-        }
-        if let Some((c, _)) = &self.cube {
-            wanted.extend(c.cells.values().map(|cell| cell.region_index));
-        }
         let mut blocks = BTreeMap::new();
-        for idx in wanted {
+        for (idx, _) in choosable(&self.basic, &self.tree, &self.cube) {
             if blocks.contains_key(&idx) {
                 continue;
             }
@@ -390,10 +376,31 @@ impl BellwetherModel {
         let blocks_bytes = snap
             .section(SEC_BLOCKS)
             .ok_or_else(|| de("missing region-blocks section"))?;
-        let blocks = dec_blocks(&mut Cursor::new(blocks_bytes))?;
+        let blocks = dec_blocks(&mut Cursor::new(blocks_bytes), feature_arity)?;
 
         if basic.is_none() && tree.is_none() && cube.is_none() {
             return Err(de("model snapshot holds no predictor"));
+        }
+        // What `predict` takes on trust: an item's fallback row
+        // (intercept + static features) fits the feature arity, and
+        // every region a predictor can choose has a stored block and a
+        // model as wide as its rows.
+        let statics = items.numeric_attrs().len();
+        if 1 + statics > feature_arity {
+            return Err(de(&format!(
+                "{statics} static features do not fit feature arity {feature_arity}"
+            )));
+        }
+        for (idx, model) in choosable(&basic, &tree, &cube) {
+            if model.p() != feature_arity {
+                return Err(de(&format!(
+                    "a model of region {idx} has {} coefficients, not {feature_arity}",
+                    model.p()
+                )));
+            }
+            if !blocks.contains_key(&idx) {
+                return Err(de(&format!("region {idx} has no stored block")));
+            }
         }
         Ok(Self::assemble(
             feature_arity,
@@ -404,6 +411,26 @@ impl BellwetherModel {
             blocks,
         ))
     }
+}
+
+/// Every (region index, model) pair a predictor can choose: the basic
+/// report, every tree node with a fitted bellwether (not just leaves:
+/// routing stops early on unseen categorical values and predicts from
+/// the interior node it stopped at), and every cube cell.
+fn choosable<'a>(
+    basic: &'a Option<BellwetherReport>,
+    tree: &'a Option<BellwetherTree>,
+    cube: &'a Option<(BellwetherCube, f64)>,
+) -> impl Iterator<Item = (usize, &'a LinearModel)> {
+    let basic = basic.iter().map(|b| (b.region_index, &b.model));
+    let tree = tree
+        .iter()
+        .flat_map(|t| &t.nodes)
+        .filter_map(|n| n.info.as_ref());
+    let cells = cube.iter().flat_map(|(c, _)| c.cells.values());
+    basic
+        .chain(tree.map(|i| (i.region_index, &i.model)))
+        .chain(cells.map(|cell| (cell.region_index, &cell.model)))
 }
 
 /// Whether `conf` can select cube cells: the §6 confidence level feeds a
@@ -806,53 +833,35 @@ fn dec_cube(d: &mut Cursor<'_>) -> Result<BellwetherCube> {
 
 // ---- region blocks ----
 
+/// A count, then per block its scan index and the length-prefixed
+/// checksummed block encoding of [`bellwether_storage::format`].
 fn enc_blocks(blocks: &BTreeMap<usize, RegionBlock>) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.put_u64_le(blocks.len() as u64);
     for (&idx, block) in blocks {
         buf.put_u64_le(idx as u64);
-        buf.put_u32_vec(&block.region);
-        buf.put_u32_le(block.p);
-        buf.put_i64_vec(&block.item_ids);
-        buf.put_f64_vec(&block.targets);
-        buf.put_u64_le(block.cols().len() as u64);
-        for col in block.cols() {
-            buf.put_f64_vec(col);
-        }
+        buf.put_u64_le((block.encoded_len() + CHECKSUM_LEN) as u64);
+        encode_block_v2(block, &mut buf);
     }
     buf
 }
 
-fn dec_blocks(d: &mut Cursor<'_>) -> Result<BTreeMap<usize, RegionBlock>> {
-    let n = d.get_count(8)?;
+/// The blocks section: each block verified and parsed by
+/// [`decode_block_v2`], and as wide as the model's `feature_arity`.
+fn dec_blocks(d: &mut Cursor<'_>, feature_arity: usize) -> Result<BTreeMap<usize, RegionBlock>> {
+    let n = d.get_count(16)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
         let idx = d.get_usize()?;
-        let region = d.get_u32_vec()?;
-        let p = d.get_u32_le()?;
-        let item_ids = d.get_i64_vec()?;
-        let targets = d.get_f64_vec()?;
-        let n_cols = d.get_count(8)?;
-        let mut cols = Vec::with_capacity(n_cols);
-        for _ in 0..n_cols {
-            cols.push(d.get_f64_vec()?);
+        let len = d.get_count(1)?;
+        let block = decode_block_v2(d.take_span(len)?)?;
+        if block.p as usize != feature_arity {
+            return Err(de(&format!(
+                "block of region {idx} has {} features, not {feature_arity}",
+                block.p
+            )));
         }
-        // Validate what RegionBlock::from_columns would assert, so
-        // malformed payloads error instead of panicking.
-        if targets.len() != item_ids.len() {
-            return Err(de("block targets/ids length mismatch"));
-        }
-        if cols.len() == p as usize {
-            if cols.iter().any(|c| c.len() != item_ids.len()) {
-                return Err(de("ragged block feature lane"));
-            }
-        } else if !(cols.is_empty() && item_ids.is_empty()) {
-            return Err(de("block lane count mismatch"));
-        }
-        out.insert(
-            idx,
-            RegionBlock::from_columns(region, p, item_ids, cols, targets),
-        );
+        out.insert(idx, block);
     }
     d.done()?;
     Ok(out)
@@ -968,6 +977,31 @@ mod tests {
         assert!(ModelBuilder::new(&src, items).build().is_err());
     }
 
+    /// Re-save `snap` at `path` with the payload of section `kind`
+    /// replaced, every section re-sealed as a forger would.
+    fn reseal(path: &Path, snap: &SnapshotFile, kind: u32, payload: &[u8]) {
+        let mut w = SnapshotWriter::create(path).unwrap();
+        for sec in &snap.sections {
+            let payload = if sec.kind == kind {
+                payload
+            } else {
+                &sec.payload[..]
+            };
+            w.write_section(sec.kind, payload).unwrap();
+        }
+        w.finish().unwrap();
+    }
+
+    fn assert_refused(loaded: Result<Arc<BellwetherModel>>, what: &str) {
+        match loaded {
+            Err(BellwetherError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}");
+                assert!(e.to_string().contains(what), "{what}: {e}");
+            }
+            other => panic!("{what}: loaded {other:?}"),
+        }
+    }
+
     /// The cube's confidence feeds a normal quantile at its first
     /// prediction, so a value outside `(0, 1)` must not reach a model:
     /// the builder refuses it, and so does `load` for a snapshot whose
@@ -978,18 +1012,13 @@ mod tests {
         let path = tmp("confidence.bwsn");
         model.save(&path).unwrap();
         let snap = SnapshotFile::read(&path).unwrap();
+        let cube_section = snap.section(SEC_CUBE).unwrap().to_vec();
         let (src, _, items, _, _) = cube_fixture();
         let cube = model.cube().unwrap().0;
         for conf in [0.95, 1.5, 1.0, 0.0, -0.5, f64::NAN, f64::INFINITY] {
-            let mut w = SnapshotWriter::create(&path).unwrap();
-            for sec in &snap.sections {
-                let mut payload = sec.payload.clone();
-                if sec.kind == SEC_CUBE {
-                    payload[..8].copy_from_slice(&conf.to_le_bytes());
-                }
-                w.write_section(sec.kind, &payload).unwrap();
-            }
-            w.finish().unwrap();
+            let mut payload = cube_section.clone();
+            payload[..8].copy_from_slice(&conf.to_le_bytes());
+            reseal(&path, &snap, SEC_CUBE, &payload);
             let loaded = BellwetherModel::load(&path);
             let built = ModelBuilder::new(&src, items.clone()).cube(cube.clone(), conf).build();
             if conf == 0.95 {
@@ -998,11 +1027,79 @@ mod tests {
                 assert!(built.is_ok());
                 continue;
             }
-            match loaded {
-                Err(BellwetherError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
-                other => panic!("confidence {conf} loaded: {other:?}"),
-            }
+            assert_refused(loaded, "confidence");
             assert!(matches!(built, Err(BellwetherError::Config(_))), "confidence {conf}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `predict` zips a model with a row of the feature arity and falls
+    /// back to static features padded to it when a block is missing, so
+    /// a re-sealed snapshot that breaks either is refused at load —
+    /// never answered with a truncated dot product.
+    #[test]
+    fn a_snapshot_predict_cannot_trust_is_refused() {
+        let (model, ids) = full_model();
+        let p = model.feature_arity();
+        let path = tmp("untrusted.bwsn");
+        model.save(&path).unwrap();
+        let snap = SnapshotFile::read(&path).unwrap();
+        let narrow = |m: &mut LinearModel| *m = LinearModel::new(m.coefficients()[1..].to_vec());
+
+        // (a) A stored block one feature wider than the arity.
+        let mut wide = model.blocks.clone();
+        let block = wide.values_mut().next().unwrap();
+        let mut cols = block.cols().to_vec();
+        cols.push(vec![0.0; block.n()]);
+        *block = RegionBlock::from_columns(
+            block.region.clone(),
+            p as u32 + 1,
+            block.item_ids.clone(),
+            cols,
+            block.targets.clone(),
+        );
+        // (b) A basic, tree-node or cube-cell model one coefficient short.
+        let mut basic = model.basic.clone().unwrap();
+        narrow(&mut basic.model);
+        let mut tree = model.tree.clone().unwrap();
+        let info = tree.nodes.iter_mut().find_map(|n| n.info.as_mut());
+        narrow(&mut info.unwrap().model);
+        let (mut cube, conf) = model.cube.clone().unwrap();
+        narrow(&mut cube.cells.values_mut().next().unwrap().model);
+        let mut cube_section = Vec::new();
+        cube_section.put_f64_le(conf);
+        enc_cube_into(&mut cube_section, &cube);
+        // (c) The basic region's block gone.
+        let mut missing = model.blocks.clone();
+        missing.remove(&basic.region_index);
+        // (d) As many static features as the arity, plus the intercept.
+        let mut numeric = model.items.numeric_attrs().to_vec();
+        while numeric.len() < p {
+            let name = format!("extra{}", numeric.len());
+            let values = vec![0.0; ids.len()];
+            numeric.push(NumericAttr { name, values });
+        }
+        let categorical = model.items.categorical_attrs().to_vec();
+        let crowded = ItemTable::from_parts(ids.clone(), numeric, categorical).unwrap();
+
+        let cases = [
+            (SEC_BLOCKS, enc_blocks(&wide), "features, not"),
+            (SEC_BASIC, enc_report(&basic), "coefficients"),
+            (SEC_TREE, enc_tree(&tree), "coefficients"),
+            (SEC_CUBE, cube_section, "coefficients"),
+            (SEC_BLOCKS, enc_blocks(&missing), "no stored block"),
+            (SEC_ITEMS, enc_items(&crowded), "static features"),
+        ];
+        for (kind, payload, what) in cases {
+            reseal(&path, &snap, kind, &payload);
+            assert_refused(BellwetherModel::load(&path), what);
+        }
+        // Re-sealing the untouched blocks loads the same model.
+        reseal(&path, &snap, SEC_BLOCKS, &enc_blocks(&model.blocks));
+        let loaded = BellwetherModel::load(&path).unwrap();
+        for method in model.methods() {
+            let batch = model.predict_batch(method, &ids);
+            assert_eq!(loaded.predict_batch(method, &ids), batch);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1039,22 +1136,24 @@ mod tests {
             let _ = SnapshotFile::decode(&bytes[..len]);
         }
         let snap = SnapshotFile::decode(&bytes).unwrap();
-        for sec in &snap.sections {
-            let reencode: fn(&mut Cursor<'_>) -> Result<Vec<u8>> = match sec.kind {
-                SEC_ITEMS => |d| dec_items(d).map(|items| enc_items(&items)),
-                SEC_BASIC => |d| dec_report(d).map(|report| enc_report(&report)),
-                SEC_TREE => |d| dec_tree(d).map(|tree| enc_tree(&tree)),
-                SEC_CUBE => |d| {
+        let p = model.feature_arity();
+        let reencode = |kind: u32, d: &mut Cursor<'_>| -> Result<Vec<u8>> {
+            match kind {
+                SEC_ITEMS => dec_items(d).map(|items| enc_items(&items)),
+                SEC_BASIC => dec_report(d).map(|report| enc_report(&report)),
+                SEC_TREE => dec_tree(d).map(|tree| enc_tree(&tree)),
+                SEC_CUBE => {
                     let mut buf = Vec::new();
                     buf.put_f64_le(d.get_f64_le()?);
                     enc_cube_into(&mut buf, &dec_cube(d)?);
                     Ok(buf)
-                },
-                SEC_BLOCKS => |d| dec_blocks(d).map(|blocks| enc_blocks(&blocks)),
-                _ => continue,
-            };
+                }
+                _ => dec_blocks(d, p).map(|blocks| enc_blocks(&blocks)),
+            }
+        };
+        for sec in snap.sections.iter().filter(|sec| sec.kind != SEC_HEADER) {
             sweep(&sec.payload, |bytes, damage| {
-                match (reencode(&mut Cursor::new(bytes)), damage) {
+                match (reencode(sec.kind, &mut Cursor::new(bytes)), damage) {
                     (Ok(_), Damage::Truncated { .. }) => panic!("section {} decoded", sec.kind),
                     (Ok(back), _) => assert!(back.len() <= bytes.len(), "section {}", sec.kind),
                     (Err(_), _) => {}

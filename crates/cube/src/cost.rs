@@ -2,10 +2,12 @@
 //!
 //! The paper assumes a cost table `C(Z, Cost)` over finest-grained
 //! regions, with a larger region costing an aggregate (e.g. the sum) of
-//! its cells; the mail-order experiment uses the product form
-//! `months × zip_areas/100`. Both are *monotone*: a region containing
-//! another never costs less. Monotonicity is what lets iceberg pruning
-//! cut the search space, so the trait documents and tests it.
+//! its cells — [`UniformCellCost`] is that sum over a uniform table; the
+//! mail-order experiment uses the product form `months × zip_areas/100`
+//! ([`ProductCost`]). Both are *monotone*: a region containing
+//! another never costs less. The trait documents and tests that
+//! property; basic search compares each region's cost with the budget
+//! before reading it, so no pruning relies on it.
 
 use crate::region::{RegionId, RegionSpace};
 use std::collections::HashMap;
@@ -67,73 +69,6 @@ impl CostModel for ProductCost {
     }
 }
 
-/// Cell-sum cost from an explicit table over finest cells (the paper's
-/// `α_sum(Cost) σ_{Z∈r} C`). Cells absent from the table cost `default`.
-#[derive(Debug, Clone)]
-pub struct CellTableCost {
-    /// Cost per finest-grained cell, keyed by leaf coordinates.
-    pub cells: HashMap<RegionId, f64>,
-    /// Cost of unlisted cells.
-    pub default: f64,
-}
-
-impl CostModel for CellTableCost {
-    fn cost(&self, space: &RegionSpace, r: &RegionId) -> f64 {
-        // Sum costs of the finest cells inside r by enumerating the
-        // per-dimension leaf sets. Fine for the spaces we use (≤ 1e4 cells).
-        let per_dim: Vec<Vec<u32>> = space
-            .dims()
-            .iter()
-            .enumerate()
-            .map(|(d, dim)| leaf_values_under(dim, r.coord(d)))
-            .collect();
-        let mut total = 0.0;
-        let mut idx = vec![0usize; space.arity()];
-        loop {
-            let cell = RegionId(
-                idx.iter()
-                    .zip(&per_dim)
-                    .map(|(&i, vals)| vals[i])
-                    .collect(),
-            );
-            total += self.cells.get(&cell).copied().unwrap_or(self.default);
-            let mut d = space.arity();
-            loop {
-                if d == 0 {
-                    return total;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < per_dim[d].len() {
-                    break;
-                }
-                idx[d] = 0;
-            }
-        }
-    }
-}
-
-/// Finest-cell coordinates covered by one dimension value.
-fn leaf_values_under(dim: &crate::dimension::Dimension, value: u32) -> Vec<u32> {
-    use crate::dimension::Dimension;
-    match dim {
-        Dimension::Interval { .. } => (0..=value).collect(),
-        Dimension::Hierarchy(h) => {
-            let mut out = Vec::new();
-            let mut stack = vec![value];
-            while let Some(n) = stack.pop() {
-                if h.is_leaf(n) {
-                    out.push(n);
-                } else {
-                    stack.extend_from_slice(h.children(n));
-                }
-            }
-            out.sort_unstable();
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,28 +111,15 @@ mod tests {
     }
 
     #[test]
-    fn cell_table_cost_sums_cells() {
-        let s = space();
-        let mut cells = HashMap::new();
-        cells.insert(RegionId(vec![0, 2]), 10.0); // (t=1, WI)
-        cells.insert(RegionId(vec![1, 3]), 1.0); // (t=2, MD)
-        let c = CellTableCost {
-            cells,
-            default: 0.5,
-        };
-        // [1-2, US] covers (t1,WI)(t1,MD)(t2,WI)(t2,MD) = 10 + .5 + .5 + 1
-        assert_eq!(c.cost(&s, &RegionId(vec![1, 1])), 12.0);
-    }
-
-    #[test]
     fn costs_are_monotone_in_containment() {
         let s = space();
+        // Weights that grow with containment: time [1-1] 0.5, [1-2] 2,
+        // [1-3] its 3 cells; All 10 ⊇ US 6 ⊇ {WI 5, MD 1}, All ⊇ KR 3.
+        let time_w = HashMap::from([(0u32, 0.5), (1, 2.0)]);
+        let loc_w = HashMap::from([(0u32, 10.0), (1, 6.0), (2, 5.0), (3, 1.0), (4, 3.0)]);
         let models: Vec<Box<dyn CostModel>> = vec![
             Box::new(UniformCellCost { rate: 1.0 }),
-            Box::new(CellTableCost {
-                cells: HashMap::new(),
-                default: 1.0,
-            }),
+            Box::new(ProductCost::new(vec![time_w, loc_w])),
         ];
         let all = s.all_regions();
         for m in &models {

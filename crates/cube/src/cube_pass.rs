@@ -888,14 +888,6 @@ impl CubeResult {
     pub fn features(&self, r: &RegionId, item: i64) -> Option<Row<'_>> {
         self.regions.get(r)?.get(item)
     }
-
-    /// Coverage counts for every region (input to iceberg pruning).
-    pub fn coverage_counts(&self) -> HashMap<RegionId, usize> {
-        self.regions
-            .iter()
-            .map(|(r, items)| (r.clone(), items.len()))
-            .collect()
-    }
 }
 
 /// Dense `u64` encoding of `(finest coords, item)` keys.

@@ -171,11 +171,6 @@ impl Hierarchy {
             }
         }
     }
-
-    /// Maximum depth over all nodes.
-    pub fn max_depth(&self) -> u32 {
-        self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
 }
 
 /// A dimension of the region space.
@@ -250,16 +245,6 @@ impl Dimension {
             Dimension::Hierarchy(h) => h.leaf_count(value),
         }
     }
-
-    /// The "level" of a value, used for lattice displays: for intervals,
-    /// the prefix length; for hierarchies, depth *below* the root counted
-    /// upward so that coarser = higher (root has the highest level).
-    pub fn coarseness(&self, value: u32) -> u32 {
-        match self {
-            Dimension::Interval { .. } => value,
-            Dimension::Hierarchy(h) => h.max_depth() - h.node(value).depth,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +270,6 @@ mod tests {
         assert!(!h.is_leaf(1));
         assert_eq!(h.leaves(), vec![2, 3, 4]);
         assert_eq!(h.node(2).depth, 2);
-        assert_eq!(h.max_depth(), 2);
     }
 
     #[test]
@@ -339,8 +323,6 @@ mod tests {
         assert_eq!(d.label(1), "US");
         assert_eq!(d.containing_values(2), vec![2, 1, 0]);
         assert_eq!(d.finest_cell_count(0), 3);
-        assert_eq!(d.coarseness(0), 2); // root is coarsest
-        assert_eq!(d.coarseness(2), 0); // leaf is finest
     }
 
     #[test]

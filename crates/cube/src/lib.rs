@@ -6,14 +6,13 @@
 //!   used as item hierarchies (§6.1);
 //! * [`region`] — the product space of candidate regions / cube subsets,
 //!   with containment, enumeration and CUBE expansion;
-//! * [`cost`] — monotone cost models (the κ query);
+//! * [`cost`] — monotone cost models (the κ query; basic search checks
+//!   cost ≤ B before it reads a region, and coverage ≥ C from its block);
 //! * [`mod@cube_pass`] — one-pass computation of every `(region, item)`
 //!   aggregate, the §4.2 query rewrite, as a parallel allocation-lean
 //!   kernel with a bit-identical-for-any-thread-count guarantee;
 //! * [`parallel`] — the shared [`Parallelism`] thread-budget knob
 //!   consumed by every multi-threaded code path in the workspace;
-//! * [`iceberg`] — BUC-style bottom-up pruning to the feasible regions
-//!   (cost ≤ B, coverage ≥ C);
 //! * [`rollup`] — generic algebraic-aggregate rollup over the item
 //!   hierarchy lattice (Observation 1 / §6.4).
 //!
@@ -41,7 +40,6 @@ pub mod delta;
 pub mod dimension;
 pub mod external;
 mod fxhash;
-pub mod iceberg;
 pub mod parallel;
 pub mod region;
 pub mod rollup;
@@ -51,7 +49,7 @@ mod rollup_tests;
 mod testutil;
 
 pub use bellwether_obs::{NoopRecorder, Recorder, Registry};
-pub use cost::{CellTableCost, CostModel, ProductCost, UniformCellCost};
+pub use cost::{CostModel, ProductCost, UniformCellCost};
 pub use cube_pass::{
     aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_traced, cube_pass_with,
     CubeInput, CubeResult, Measure, RegionColumns, Row,
@@ -60,9 +58,5 @@ pub use delta::{DeltaUpdate, StreamingCube, StreamingCubeError};
 pub use external::{cube_pass_external, RUN_CHUNKS, UNLIMITED_BUDGET};
 pub use parallel::{Parallelism, DEFAULT_MIN_CHUNK};
 pub use dimension::{Dimension, HierNode, Hierarchy};
-pub use iceberg::{
-    coarser_neighbours, cost_feasible_regions, feasible_regions, feasible_regions_naive,
-    Constraints,
-};
 pub use region::{RegionId, RegionSpace};
 pub use rollup::{rollup_lattice, rollup_naive, LatticeSchedule};

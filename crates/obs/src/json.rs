@@ -2,6 +2,8 @@
 //! workspace (the build is offline, so there is no serde): the metrics
 //! snapshot here, the bench and figure reports, the serve responses.
 
+use std::fmt::Write as _;
+
 /// Append `s` to `out` escaped for a JSON string literal (without the
 /// surrounding quotes).
 pub fn escape_into(out: &mut String, s: &str) {
@@ -25,18 +27,28 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Format an `f64` as a JSON number. JSON has no NaN/Inf: they become
-/// `null`. `{}` prints integral floats without a decimal point; one is
-/// kept so consumers parse the field back as a float.
-pub fn number(v: f64) -> String {
+/// Append `v` to `out` as a JSON number. JSON has no NaN/Inf: they
+/// become `null`. `{}` prints integral floats without a decimal point
+/// (and never in exponent form, so `2e15` is `2000000000000000`); one is
+/// kept so consumers parse the field back as a float. Allocates nothing
+/// beyond `out`'s own growth.
+pub fn number_into(out: &mut String, v: f64) {
     if !v.is_finite() {
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
-    let mut s = format!("{v}");
-    if !s.contains(['.', 'e', 'E']) {
-        s.push_str(".0");
+    let start = out.len();
+    write!(out, "{v}").expect("writing to a String cannot fail");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
     }
-    s
+}
+
+/// [`number_into`] a fresh `String`.
+pub fn number(v: f64) -> String {
+    let mut out = String::new();
+    number_into(&mut out, v);
+    out
 }
 
 #[cfg(test)]
@@ -49,5 +61,19 @@ mod tests {
         assert_eq!(number(2.0), "2.0");
         assert_eq!(number(-0.25), "-0.25");
         assert_eq!(number(f64::NEG_INFINITY), "null");
+    }
+
+    #[test]
+    fn number_into_appends_what_number_returns() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        for v in [0.0, -0.0, 42.0, 2e15, 1e300, 0.1, nan, inf, -inf] {
+            let mut out = String::from("[");
+            number_into(&mut out, v);
+            assert_eq!(out, format!("[{}", number(v)), "{v}");
+        }
+        assert_eq!(number(-0.0), "-0.0");
+        assert_eq!(number(42.0), "42.0");
+        assert_eq!(number(2e15), "2000000000000000.0");
+        assert_eq!(number(f64::NAN), "null");
     }
 }

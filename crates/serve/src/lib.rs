@@ -674,20 +674,11 @@ fn predict(
             scratch.body_out.push(',');
         }
         match model.predict(method, id) {
-            // Rust's shortest-round-trip float display; non-finite
-            // values have no JSON spelling, so they answer null too.
-            Some(v) if v.is_finite() => {
-                scratch.body_out.push_str(&format!("{v}"));
-                if v.fract() == 0.0 && v.abs() < 1e15 {
-                    // "42" parses as an integer downstream; keep the
-                    // slot typed as a float.
-                    if !scratch.body_out.ends_with(|c: char| c == '.' || c.is_ascii_alphabetic())
-                    {
-                        scratch.body_out.push_str(".0");
-                    }
-                }
-            }
-            _ => scratch.body_out.push_str("null"),
+            // Rust's shortest-round-trip float display, always typed as
+            // a float; non-finite values have no JSON spelling, so they
+            // answer null like an unknown id.
+            Some(v) => bellwether_obs::json::number_into(&mut scratch.body_out, v),
+            None => scratch.body_out.push_str("null"),
         }
     }
     scratch.body_out.push_str("],\"count\":");
@@ -813,6 +804,21 @@ mod tests {
             body,
             r#"{"method":"basic","predictions":[5.0,11.0,3.0,null],"count":4}"#
         );
+        handle.shutdown();
+    }
+
+    /// `{}` never prints an exponent, so a prediction of 2e15 spells all
+    /// sixteen digits; the reply still types it as a float.
+    #[test]
+    fn large_integral_predictions_stay_json_floats() {
+        let model = fixture_model_with(2e15, 0.0);
+        let handle = Server::bind("127.0.0.1:0", model, quick_config()).unwrap();
+        let mut conn = connect(&handle);
+        let request = r#"{"method":"basic","ids":[1]}"#;
+        let (status, body) = roundtrip(&mut conn, "POST", "/predict", request);
+        assert_eq!(status, 200, "{body}");
+        let want = r#"{"method":"basic","predictions":[2000000000000000.0],"count":1}"#;
+        assert_eq!(body, want);
         handle.shutdown();
     }
 
@@ -1119,6 +1125,55 @@ mod tests {
         assert_eq!(status, 500, "{body}");
         let (status, body) =
             roundtrip(&mut conn, "POST", "/predict", r#"{"method":"basic","ids":[1]}"#);
+        assert_eq!(status, 200);
+        assert!(body.contains("[5.0]"), "{body}");
+        assert_eq!(
+            handle.registry().snapshot().counter(names::SERVE_RELOADS),
+            Some(0)
+        );
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot re-sealed to claim a feature arity its stored block
+    /// does not have would answer truncated dot products once served;
+    /// its reload fails instead, and the old model keeps serving.
+    #[test]
+    fn reload_refuses_a_snapshot_whose_blocks_do_not_match_its_arity() {
+        use bellwether_core::model::MODEL_VERSION;
+        use bellwether_storage::{SnapshotFile, SnapshotWriter};
+        let dir = std::env::temp_dir().join("bw_serve_reload_arity");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bwsn");
+        fixture_model_with(1.0, 1.0).save(&path).unwrap();
+        // The header section is the model version, then the arity (2).
+        let snap = SnapshotFile::read(&path).unwrap();
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        let mut resealed = 0;
+        for sec in &snap.sections {
+            let mut payload = sec.payload.clone();
+            if payload.len() == 12 && payload.starts_with(&MODEL_VERSION.to_le_bytes()) {
+                payload[4..].copy_from_slice(&3u64.to_le_bytes());
+                resealed += 1;
+            }
+            w.write_section(sec.kind, &payload).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(resealed, 1);
+
+        let config = ServeConfig::builder()
+            .workers(1)
+            .request_timeout(Duration::from_millis(500))
+            .model_path(&path)
+            .registry(Arc::new(Registry::default()))
+            .build()
+            .unwrap();
+        let handle = Server::bind("127.0.0.1:0", fixture_model(), config).unwrap();
+        let mut conn = connect(&handle);
+        let (status, body) = roundtrip(&mut conn, "POST", "/reload", "");
+        assert_eq!(status, 500, "{body}");
+        let request = r#"{"method":"basic","ids":[1]}"#;
+        let (status, body) = roundtrip(&mut conn, "POST", "/predict", request);
         assert_eq!(status, 200);
         assert!(body.contains("[5.0]"), "{body}");
         assert_eq!(

@@ -15,15 +15,15 @@
 //! can stream blocks without knowing their sizes in advance; the reader
 //! loads the index once and then reads regions randomly or sequentially.
 //!
-//! # Versions
+//! # Version
 //!
-//! * **v1** — blocks are the raw payload, no checksum. Read-only: no
-//!   writer emits it any more.
-//! * **v2** (current) — every block carries a trailing CRC-32 of its
-//!   payload ([`crate::codec::seal`]), so a rotted or torn block surfaces
-//!   as a structured [`CorruptBlock`] error instead of silently decoding
-//!   garbage (or worse, plausible-looking wrong numbers). Readers accept
-//!   both versions.
+//! Version 2 is the only one written or read: every block carries a
+//! trailing CRC-32 of its payload ([`crate::codec::seal`]), so a rotted
+//! or torn block surfaces as a structured [`CorruptBlock`] error instead
+//! of silently decoding garbage (or worse, plausible-looking wrong
+//! numbers). The same sealed block encoding is what a coord frame and a
+//! model snapshot's blocks section carry. Version 1 (raw blocks, no
+//! checksum) is refused as an unsupported version.
 //!
 //! # Fault model
 //!
@@ -40,12 +40,8 @@ use std::io;
 
 /// File magic.
 pub const MAGIC: &[u8; 4] = b"BWTD";
-/// First format version: raw blocks, no checksums.
-pub const VERSION_V1: u32 = 1;
-/// Second format version: every block carries a trailing CRC-32.
-pub const VERSION_V2: u32 = 2;
-/// Current (default-written) format version.
-pub const VERSION: u32 = VERSION_V2;
+/// Format version: every block carries a trailing CRC-32.
+pub const VERSION: u32 = 2;
 /// A region block failed its CRC-32 validation: the bytes on disk are
 /// not the bytes that were written. Carried as the inner error of an
 /// `io::Error` with kind `InvalidData`; use [`is_corrupt`] to classify.
@@ -126,7 +122,7 @@ pub struct Header {
 pub struct IndexEntry {
     /// Byte offset of the block.
     pub offset: u64,
-    /// Encoded length in bytes (including the v2 checksum trailer).
+    /// Encoded length in bytes (including the checksum trailer).
     pub len: u64,
     /// Region coordinates (so the index alone answers "which regions").
     pub coords: Vec<u32>,
@@ -143,14 +139,14 @@ pub fn encode_header(h: &Header, out: &mut Vec<u8>) {
 /// Header byte length.
 pub const HEADER_LEN: usize = 4 + 4 + 4 + 4;
 
-/// Decode and validate the header. Accepts every known version.
+/// Decode and validate the header. Accepts [`VERSION`] only.
 pub fn decode_header(buf: &[u8]) -> io::Result<Header> {
     let mut buf = Cursor::new(buf);
     if buf.take_span(4)? != MAGIC {
         return Err(bad("bad magic"));
     }
     let version = buf.get_u32_le()?;
-    if version != VERSION_V1 && version != VERSION_V2 {
+    if version != VERSION {
         return Err(bad("unsupported version"));
     }
     Ok(Header {
@@ -160,8 +156,7 @@ pub fn decode_header(buf: &[u8]) -> io::Result<Header> {
     })
 }
 
-/// The payload of a block: everything the v2 checksum covers (and all
-/// there is of a v1 block).
+/// The payload of a block: everything the checksum covers.
 fn encode_block(block: &RegionBlock, out: &mut Vec<u8>) {
     out.put_u32_le(block.region.len() as u32);
     for &c in &block.region {
@@ -185,15 +180,15 @@ fn encode_block(block: &RegionBlock, out: &mut Vec<u8>) {
     }
 }
 
-/// Encode one region block with the v2 trailing CRC-32 over the payload.
+/// Encode one region block with a trailing CRC-32 over the payload.
 pub fn encode_block_v2(block: &RegionBlock, out: &mut Vec<u8>) {
     let start = out.len();
     encode_block(block, out);
     seal(out, start);
 }
 
-/// Structural block parse shared by the v1 and v2 paths: the row-major
-/// payload decodes straight into the block's SoA lanes.
+/// Structural parse of a verified block payload: the row-major payload
+/// decodes straight into the block's SoA lanes.
 fn parse_block(cur: &mut Cursor<'_>) -> io::Result<RegionBlock> {
     let arity = cur.get_u32_le()? as usize;
     if cur.remaining() < arity.saturating_mul(4).saturating_add(12) {
@@ -233,12 +228,7 @@ fn parse_block(cur: &mut Cursor<'_>) -> io::Result<RegionBlock> {
     Ok(RegionBlock::from_columns(region, p, item_ids, cols, targets))
 }
 
-/// Decode one v1 (checksum-less) region block from its exact byte span.
-pub fn decode_block(buf: &[u8]) -> io::Result<RegionBlock> {
-    parse_block(&mut Cursor::new(buf))
-}
-
-/// Decode one v2 region block: [`verify`], then decode. A mismatch is a
+/// Decode one region block: [`verify`], then decode. A mismatch is a
 /// [`CorruptBlock`] error (see [`is_corrupt`]) whatever the structure
 /// looks like — corrupt bytes routinely garble the structure too, and
 /// the checksum verdict is the more actionable one. Only verified
@@ -250,16 +240,7 @@ pub fn decode_block_v2(buf: &[u8]) -> io::Result<RegionBlock> {
     parse_block(&mut Cursor::new(verify(buf)?))
 }
 
-/// Decode one region block encoded with `version`.
-pub fn decode_block_versioned(buf: &[u8], version: u32) -> io::Result<RegionBlock> {
-    match version {
-        VERSION_V1 => decode_block(buf),
-        VERSION_V2 => decode_block_v2(buf),
-        _ => Err(bad("unsupported version")),
-    }
-}
-
-/// Byte length of a raw (v1 / pre-checksum) block payload. This is the
+/// Byte length of a block payload, before its checksum trailer. This is the
 /// single owner of the block size arithmetic: `RegionBlock::encoded_len`
 /// delegates here, so the encoder and the accounting can't drift.
 pub fn encoded_payload_len(region_arity: usize, n: usize, p: usize) -> usize {
@@ -267,40 +248,20 @@ pub fn encoded_payload_len(region_arity: usize, n: usize, p: usize) -> usize {
     4 + region_arity * 4 + 8 + 4 + n * 8 + n * p * 8 + n * 8
 }
 
-/// Bytes a block of `version` carries after its payload (the v2
-/// checksum).
-fn trailer_len(version: u32) -> usize {
-    match version {
-        VERSION_V1 => 0,
-        _ => CHECKSUM_LEN,
-    }
+/// Encoded length of a block holding no examples, checksum included —
+/// the shortest span an index entry can name.
+pub fn empty_block_len(region_arity: usize) -> usize {
+    encoded_payload_len(region_arity, 0, 0) + CHECKSUM_LEN
 }
 
-/// Encoded length of `block` under `version` (v1 = raw payload,
-/// v2 = payload + checksum trailer).
-pub fn encoded_block_len(block: &RegionBlock, version: u32) -> usize {
-    block.encoded_len() + trailer_len(version)
-}
-
-/// Encoded length of a block holding no examples — the shortest span an
-/// index entry of a `version` file can name.
-pub fn empty_block_len(region_arity: usize, version: u32) -> usize {
-    encoded_payload_len(region_arity, 0, 0) + trailer_len(version)
-}
-
-/// The inverse of [`encoded_payload_len`] through a version's trailer:
+/// The inverse of [`encoded_payload_len`] through the checksum trailer:
 /// how many examples a block of `len` encoded bytes holds, or `None`
 /// unless some whole number of them encodes to exactly `len` — so an
 /// index entry's length answers "how many rows" without the block's
 /// bytes.
-pub fn examples_in_encoded_len(
-    region_arity: usize,
-    p: usize,
-    len: u64,
-    version: u32,
-) -> Option<u64> {
+pub fn examples_in_encoded_len(region_arity: usize, p: usize, len: u64) -> Option<u64> {
     let per_example = encoded_payload_len(0, 1, p) - encoded_payload_len(0, 0, p);
-    let rows = len.checked_sub(empty_block_len(region_arity, version) as u64)?;
+    let rows = len.checked_sub(empty_block_len(region_arity) as u64)?;
     (rows % per_example as u64 == 0).then_some(rows / per_example as u64)
 }
 
@@ -362,17 +323,15 @@ mod tests {
 
     #[test]
     fn header_round_trip() {
-        for version in [VERSION_V1, VERSION_V2] {
-            let h = Header {
-                version,
-                p: 5,
-                arity: 2,
-            };
-            let mut buf = Vec::new();
-            encode_header(&h, &mut buf);
-            assert_eq!(buf.len(), HEADER_LEN);
-            assert_eq!(decode_header(&buf).unwrap(), h);
-        }
+        let h = Header {
+            version: VERSION,
+            p: 5,
+            arity: 2,
+        };
+        let mut buf = Vec::new();
+        encode_header(&h, &mut buf);
+        assert_eq!(buf.len(), HEADER_LEN);
+        assert_eq!(decode_header(&buf).unwrap(), h);
     }
 
     #[test]
@@ -387,27 +346,18 @@ mod tests {
         encode_header(&h, &mut buf);
         buf[0] = b'X';
         assert!(decode_header(&buf).is_err());
-        // Unknown future version is rejected, not misparsed.
-        let mut future = Vec::new();
-        encode_header(
-            &Header {
-                version: 99,
+        // Version 1 and unknown future versions are rejected, not
+        // misparsed.
+        for version in [1, 99] {
+            let mut other = Vec::new();
+            let h = Header {
+                version,
                 p: 1,
                 arity: 1,
-            },
-            &mut future,
-        );
-        assert!(decode_header(&future).is_err());
-    }
-
-    #[test]
-    fn block_round_trip_v1() {
-        let b = block();
-        let mut buf = Vec::new();
-        encode_block(&b, &mut buf);
-        assert_eq!(buf.len(), b.encoded_len());
-        let back = decode_block(&buf).unwrap();
-        assert_eq!(back, b);
+            };
+            encode_header(&h, &mut other);
+            assert!(decode_header(&other).is_err(), "version {version}");
+        }
     }
 
     #[test]
@@ -415,12 +365,9 @@ mod tests {
         let b = block();
         let mut buf = Vec::new();
         encode_block_v2(&b, &mut buf);
-        assert_eq!(buf.len(), encoded_block_len(&b, VERSION_V2));
         assert_eq!(buf.len(), b.encoded_len() + CHECKSUM_LEN);
         let back = decode_block_v2(&buf).unwrap();
         assert_eq!(back, b);
-        // The versioned dispatcher agrees.
-        assert_eq!(decode_block_versioned(&buf, VERSION_V2).unwrap(), b);
     }
 
     /// The v2 disk format, pinned byte for byte by a block written out
@@ -459,27 +406,22 @@ mod tests {
     fn truncated_block_rejected() {
         let b = block();
         let mut buf = Vec::new();
-        encode_block(&b, &mut buf);
-        assert!(decode_block(&buf[..buf.len() - 1]).is_err());
-        assert!(decode_block(&buf[..3]).is_err());
+        encode_block_v2(&b, &mut buf);
+        assert!(decode_block_v2(&buf[..buf.len() - 1]).is_err());
+        assert!(decode_block_v2(&buf[..3]).is_err());
     }
 
     #[test]
     fn every_truncation_errors_instead_of_panicking() {
         let b = block();
-        let (mut v1, mut v2) = (Vec::new(), Vec::new());
-        encode_block(&b, &mut v1);
-        encode_block_v2(&b, &mut v2);
-        for (buf, version) in [(v1, VERSION_V1), (v2, VERSION_V2)] {
-            sweep(&buf, |bytes, damage| {
-                let r = decode_block_versioned(bytes, version);
-                // A flipped v1 bit may decode (garbled); it must not panic.
-                if let Damage::Truncated { .. } = damage {
-                    assert!(r.is_err(), "version {version} {damage:?} decoded");
-                }
-            });
-            assert!(decode_block_versioned(&buf, version).is_ok());
-        }
+        let mut buf = Vec::new();
+        encode_block_v2(&b, &mut buf);
+        sweep(&buf, |bytes, damage| {
+            if let Damage::Truncated { .. } = damage {
+                assert!(decode_block_v2(bytes).is_err(), "{damage:?} decoded");
+            }
+        });
+        assert!(decode_block_v2(&buf).is_ok());
         // Headers, footers and indexes are total over truncations too.
         let mut hdr = Vec::new();
         encode_header(
@@ -511,13 +453,15 @@ mod tests {
 
     #[test]
     fn garbage_counts_do_not_overflow() {
-        // A "block" claiming usize::MAX examples must be rejected by the
-        // length check, not crash the size arithmetic.
+        // A sealed "block" claiming usize::MAX examples must be rejected
+        // by the length check, not crash the size arithmetic.
         let mut buf = Vec::new();
         buf.extend_from_slice(&0u32.to_le_bytes()); // arity 0
         buf.extend_from_slice(&u64::MAX.to_le_bytes()); // n = huge
         buf.extend_from_slice(&u32::MAX.to_le_bytes()); // p = huge
-        assert!(decode_block(&buf).is_err());
+        seal(&mut buf, 0);
+        let err = decode_block_v2(&buf).expect_err("huge counts decoded");
+        assert!(!is_corrupt(&err), "the checksum holds: {err}");
     }
 
     #[test]
@@ -603,11 +547,9 @@ mod tests {
     fn empty_block_round_trip() {
         let b = RegionBlock::new(vec![7], 3);
         let mut buf = Vec::new();
-        encode_block(&b, &mut buf);
-        assert_eq!(decode_block(&buf).unwrap(), b);
-        let mut buf2 = Vec::new();
-        encode_block_v2(&b, &mut buf2);
-        assert_eq!(decode_block_v2(&buf2).unwrap(), b);
+        encode_block_v2(&b, &mut buf);
+        assert_eq!(buf.len(), empty_block_len(1));
+        assert_eq!(decode_block_v2(&buf).unwrap(), b);
     }
 
     /// `RegionBlock::encoded_len` is derived from
@@ -623,27 +565,24 @@ mod tests {
                         let x: Vec<f64> = (0..p).map(|j| (i * 10 + j as usize) as f64).collect();
                         b.push(i as i64, &x, i as f64);
                     }
-                    let mut v1 = Vec::new();
-                    encode_block(&b, &mut v1);
-                    assert_eq!(v1.len(), b.encoded_len(), "arity {arity} p {p} n {n}");
-                    assert_eq!(v1.len(), encoded_block_len(&b, VERSION_V1));
+                    let mut payload = Vec::new();
+                    encode_block(&b, &mut payload);
+                    assert_eq!(payload.len(), b.encoded_len(), "arity {arity} p {p} n {n}");
                     assert_eq!(
-                        v1.len(),
+                        payload.len(),
                         encoded_payload_len(arity, n, p as usize),
                         "arity {arity} p {p} n {n}"
                     );
-                    let mut v2 = Vec::new();
-                    encode_block_v2(&b, &mut v2);
-                    assert_eq!(v2.len(), encoded_block_len(&b, VERSION_V2));
+                    let mut sealed = Vec::new();
+                    encode_block_v2(&b, &mut sealed);
+                    assert_eq!(sealed.len(), b.encoded_len() + CHECKSUM_LEN);
                     // And back: the length alone gives the row count,
                     // and no other length near it gives any.
-                    for (bytes, version) in [(&v1, VERSION_V1), (&v2, VERSION_V2)] {
-                        let len = bytes.len() as u64;
-                        let rows = |len| examples_in_encoded_len(arity, p as usize, len, version);
-                        assert_eq!(rows(len), Some(n as u64), "arity {arity} p {p} n {n}");
-                        assert_eq!(rows(len + 1), None);
-                        assert_eq!(rows(len - 1), None);
-                    }
+                    let len = sealed.len() as u64;
+                    let rows = |len| examples_in_encoded_len(arity, p as usize, len);
+                    assert_eq!(rows(len), Some(n as u64), "arity {arity} p {p} n {n}");
+                    assert_eq!(rows(len + 1), None);
+                    assert_eq!(rows(len - 1), None);
                 }
             }
         }
@@ -706,66 +645,31 @@ mod tests {
                 let x: Vec<f64> = (0..p).map(|_| rng.f64_in(-100.0, 100.0)).collect();
                 b.push(rng.i64_in(-1000, 1000), &x, rng.f64_in(-10.0, 10.0));
             }
-            for version in [VERSION_V1, VERSION_V2] {
-                let mut buf = Vec::new();
-                match version {
-                    VERSION_V1 => encode_block(&b, &mut buf),
-                    _ => encode_block_v2(&b, &mut buf),
-                }
-                // Clean decode agrees field-for-field with the AoS oracle.
-                let soa = decode_block_versioned(&buf, version).unwrap();
-                let aos = match version {
-                    VERSION_V1 => decode_block_aos(&buf).unwrap(),
-                    _ => decode_block_aos_v2(&buf).unwrap(),
-                };
-                assert_eq!(soa.region, aos.0);
-                assert_eq!(soa.item_ids, aos.1);
-                assert_eq!(soa.targets, aos.3);
-                assert_eq!(soa.p, aos.4);
-                for i in 0..n {
-                    assert_eq!(soa.row(i), &aos.2[i * p..(i + 1) * p], "row {i}");
-                }
-                assert_eq!(soa, b);
-                // Every truncation errors on both decoders.
-                if !buf.is_empty() {
-                    let cut = rng.usize_in(0, buf.len() - 1);
-                    let soa_err = decode_block_versioned(&buf[..cut], version);
-                    let aos_err = match version {
-                        VERSION_V1 => decode_block_aos(&buf[..cut]).map(|_| ()),
-                        _ => decode_block_aos_v2(&buf[..cut]).map(|_| ()),
-                    };
-                    assert!(soa_err.is_err(), "truncation at {cut} decoded");
-                    assert!(aos_err.is_err(), "oracle accepted truncation at {cut}");
-                }
-                // Single-byte corruption classifies identically (v2
-                // flags CorruptBlock; v1 may decode garbled values —
-                // then both decoders must garble identically).
-                if !buf.is_empty() {
-                    let pos = rng.usize_in(0, buf.len() - 1);
-                    let mut bad_buf = buf.clone();
-                    bad_buf[pos] ^= 0x41;
-                    let soa_res = decode_block_versioned(&bad_buf, version);
-                    match version {
-                        VERSION_V1 => match (soa_res, decode_block_aos(&bad_buf)) {
-                            (Ok(s), Ok(a)) => {
-                                assert_eq!(s.item_ids, a.1);
-                                assert_eq!(s.targets, a.3);
-                            }
-                            (Err(_), Err(_)) => {}
-                            (s, a) => {
-                                panic!("divergent verdicts: soa {s:?} vs aos ok={}", a.is_ok())
-                            }
-                        },
-                        _ => {
-                            let err = soa_res.expect_err("corruption undetected");
-                            assert!(is_corrupt(&err), "pos {pos}: {err}");
-                            let aos_err =
-                                decode_block_aos_v2(&bad_buf).expect_err("oracle undetected");
-                            assert!(is_corrupt(&aos_err));
-                        }
-                    }
-                }
+            let mut buf = Vec::new();
+            encode_block_v2(&b, &mut buf);
+            // Clean decode agrees field-for-field with the AoS oracle.
+            let soa = decode_block_v2(&buf).unwrap();
+            let aos = decode_block_aos_v2(&buf).unwrap();
+            assert_eq!(soa.region, aos.0);
+            assert_eq!(soa.item_ids, aos.1);
+            assert_eq!(soa.targets, aos.3);
+            assert_eq!(soa.p, aos.4);
+            for i in 0..n {
+                assert_eq!(soa.row(i), &aos.2[i * p..(i + 1) * p], "row {i}");
             }
+            assert_eq!(soa, b);
+            // Every truncation errors on both decoders.
+            let cut = rng.usize_in(0, buf.len() - 1);
+            assert!(decode_block_v2(&buf[..cut]).is_err(), "cut {cut} decoded");
+            assert!(decode_block_aos_v2(&buf[..cut]).is_err(), "oracle {cut}");
+            // Single-byte corruption is CorruptBlock on both decoders.
+            let pos = rng.usize_in(0, buf.len() - 1);
+            let mut bad_buf = buf.clone();
+            bad_buf[pos] ^= 0x41;
+            let err = decode_block_v2(&bad_buf).expect_err("corruption undetected");
+            assert!(is_corrupt(&err), "pos {pos}: {err}");
+            let aos_err = decode_block_aos_v2(&bad_buf).expect_err("oracle undetected");
+            assert!(is_corrupt(&aos_err));
         });
     }
 }

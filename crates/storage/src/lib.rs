@@ -27,8 +27,8 @@
 //!
 //! ## Fault tolerance
 //!
-//! The on-disk format checksums every block (CRC-32, format v2; v1 files
-//! still read), so rot surfaces as a structured
+//! The on-disk format checksums every block (CRC-32, format v2, the only
+//! version read), so rot surfaces as a structured
 //! [`CorruptBlock`](format::CorruptBlock) error instead of silently
 //! decoding garbage. [`RetryingSource`] retries transient read failures
 //! under a validated [`RetryPolicy`]; [`FaultySource`] injects

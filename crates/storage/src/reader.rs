@@ -8,7 +8,7 @@
 
 use crate::block::RegionBlock;
 use crate::format::{
-    decode_block_versioned, decode_footer, decode_header, decode_index, empty_block_len,
+    decode_block_v2, decode_footer, decode_header, decode_index, empty_block_len,
     examples_in_encoded_len, Header, IndexEntry, MisplacedBlock, FOOTER_LEN, HEADER_LEN,
 };
 use crate::metrics::IoStats;
@@ -65,7 +65,7 @@ impl DiskSource {
         let mut index_buf = vec![0u8; index_len];
         file.read_exact_at(&mut index_buf, index_offset)?;
         let index = decode_index(&index_buf, count, header.arity)?;
-        let shortest = empty_block_len(header.arity as usize, header.version) as u64;
+        let shortest = empty_block_len(header.arity as usize) as u64;
         for e in &index {
             let is_block = e.offset >= HEADER_LEN as u64
                 && e.len >= shortest
@@ -107,18 +107,13 @@ impl DiskSource {
         self.index.iter().map(|e| e.len).sum()
     }
 
-    /// Format version the file's blocks are encoded with.
-    pub fn format_version(&self) -> u32 {
-        self.header.version
-    }
-
     /// Examples in region `idx` going by its index entry alone: the
     /// block's encoded length fixes its row count, so no block bytes
     /// are read. `None` when the length is not that of a whole number
     /// of examples.
     pub(crate) fn region_examples(&self, idx: usize) -> Option<u64> {
         let (arity, p) = (self.header.arity as usize, self.header.p as usize);
-        examples_in_encoded_len(arity, p, self.index[idx].len, self.header.version)
+        examples_in_encoded_len(arity, p, self.index[idx].len)
     }
 }
 
@@ -143,7 +138,7 @@ impl TrainingSource for DiskSource {
         let entry = &self.index[idx];
         let mut buf = vec![0u8; entry.len as usize];
         self.file.read_exact_at(&mut buf, entry.offset)?;
-        let block = decode_block_versioned(&buf, self.header.version)
+        let block = decode_block_v2(&buf)
             .and_then(|block| {
                 // The index carries no checksum: an entry redirected onto
                 // another block of exactly its length verifies and
@@ -360,9 +355,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A version-1 file as the last v1 writer left it, pinned as bytes
-    /// (nothing writes the format any more): header, three raw blocks —
-    /// the middle one empty — index, footer.
+    /// A version-1 file as the last v1 writer left it, pinned as bytes:
+    /// header, three raw blocks — the middle one empty — index, footer.
+    /// No reader accepts the format any more.
     const GOLDEN_V1_FILE: &str = concat!(
         "42575444", "01000000", "02000000", "01000000", // BWTD, v1, p = 2, arity 1
         "01000000", "04000000", "0200000000000000", "02000000", // region [4], n = 2, p = 2
@@ -381,27 +376,16 @@ mod tests {
     );
 
     #[test]
-    fn reads_v1_files_without_checksums() {
+    fn refuses_v1_files_without_checksums() {
         let path = tmpfile("v1.bwtd");
         let golden: Vec<u8> = (0..GOLDEN_V1_FILE.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&GOLDEN_V1_FILE[i..i + 2], 16).unwrap())
             .collect();
         std::fs::write(&path, golden).unwrap();
-        let mut first = RegionBlock::new(vec![4], 2);
-        first.push(10, &[1.5, -2.0], 7.0);
-        first.push(-3, &[0.25, 4.0], -1.0);
-        let mut last = RegionBlock::new(vec![9], 2);
-        last.push(11, &[0.0, 1e300], 0.1);
-        let blocks = [first, RegionBlock::new(vec![6], 2), last];
-
-        let src = DiskSource::open(&path).unwrap();
-        assert_eq!(src.format_version(), crate::format::VERSION_V1);
-        assert_eq!(src.num_regions(), blocks.len());
-        for (i, expect) in blocks.iter().enumerate() {
-            assert_eq!(src.read_region(i).unwrap().as_ref(), expect);
-        }
-        assert_eq!(src.region_examples(0), Some(2));
+        let err = DiskSource::open(&path).err().expect("a v1 file opened");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported version"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -417,7 +401,6 @@ mod tests {
 
         // Rot one byte in the middle of region 2's block.
         let src = DiskSource::open(&path).unwrap();
-        assert_eq!(src.format_version(), crate::format::VERSION_V2);
         let mut bytes = std::fs::read(&path).unwrap();
         let entry = src.index[2].clone();
         bytes[(entry.offset + entry.len / 2) as usize] ^= 0x01;

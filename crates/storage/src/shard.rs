@@ -28,11 +28,10 @@
 //! entry ([`ShardAppender`]). Readers that opened the old manifest keep
 //! serving a consistent pre-append snapshot (their files still exist,
 //! untouched); [`ShardedSource::refresh`] adopts the new generation in
-//! place. A manifest with appends is written as format **version 2**;
-//! a reader that only knows version 1 rejects it structurally
-//! ("unsupported manifest version") instead of ever seeing torn state.
-//! Generation-0 layouts keep writing byte-identical version-1
-//! manifests, so old readers and old fixtures stay valid.
+//! place. Every manifest, generation 0 included, is written in one
+//! layout (format version 2: generation, example total and overlay table
+//! always present); any other version is rejected structurally
+//! ("unsupported manifest version").
 
 use crate::atomic::AtomicFile;
 use crate::block::RegionBlock;
@@ -54,12 +53,8 @@ pub const MANIFEST_NAME: &str = "manifest.bwsm";
 /// Magic bytes opening a manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"BWSM";
 
-/// Manifest format version written for generation-0 layouts (no
-/// overlays) — and the only version pre-append readers understand.
-pub const MANIFEST_VERSION_V1: u32 = 1;
-
-/// Manifest format version written once a layout has been appended
-/// over (carries the generation and the overlay table).
+/// Manifest format version (carries the generation, the example total
+/// and the overlay table).
 pub const MANIFEST_VERSION: u32 = 2;
 
 /// One shard's entry in the manifest.
@@ -134,26 +129,17 @@ impl ShardManifest {
         starts
     }
 
-    /// Serialize: magic, version, arities, shard entries, CRC-32 trailer
-    /// over everything preceding it. A generation-0 manifest without
-    /// overlays encodes as byte-identical version 1 (old readers keep
-    /// working); any appended-over layout encodes as version 2, which a
-    /// version-1-only reader rejects structurally instead of serving a
-    /// stale region view.
+    /// Serialize: magic, version, arities, generation, example total,
+    /// shard entries, overlay entries, CRC-32 trailer over everything
+    /// preceding it.
     pub fn encode(&self) -> Vec<u8> {
-        let shard_examples = self.shards.iter().try_fold(0u64, |e, s| e.checked_add(s.examples));
-        let v1 = self.generation == 0
-            && self.overlays.is_empty()
-            && shard_examples == Some(self.examples);
         let mut out = Vec::new();
         out.put_slice(&MANIFEST_MAGIC);
-        out.put_u32_le(if v1 { MANIFEST_VERSION_V1 } else { MANIFEST_VERSION });
+        out.put_u32_le(MANIFEST_VERSION);
         out.put_u32_le(self.p);
         out.put_u32_le(self.arity);
-        if !v1 {
-            out.put_u64_le(self.generation);
-            out.put_u64_le(self.examples);
-        }
+        out.put_u64_le(self.generation);
+        out.put_u64_le(self.examples);
         out.put_u32_le(self.shards.len() as u32);
         for s in &self.shards {
             out.put_str(&s.file);
@@ -161,13 +147,11 @@ impl ShardManifest {
             out.put_u64_le(s.examples);
             out.put_u64_le(s.bytes);
         }
-        if !v1 {
-            out.put_u32_le(self.overlays.len() as u32);
-            for o in &self.overlays {
-                out.put_str(&o.file);
-                out.put_u64_le(o.bytes);
-                out.put_u64_vec(&o.regions);
-            }
+        out.put_u32_le(self.overlays.len() as u32);
+        for o in &self.overlays {
+            out.put_str(&o.file);
+            out.put_u64_le(o.bytes);
+            out.put_u64_vec(&o.regions);
         }
         seal(&mut out, 0);
         out
@@ -182,16 +166,13 @@ impl ShardManifest {
             return Err(bad("not a sharded manifest (bad magic)"));
         }
         let version = cur.get_u32_le()?;
-        if version != MANIFEST_VERSION_V1 && version != MANIFEST_VERSION {
+        if version != MANIFEST_VERSION {
             return Err(bad(&format!("unsupported manifest version {version}")));
         }
         let p = cur.get_u32_le()?;
         let arity = cur.get_u32_le()?;
-        let (generation, examples) = if version >= MANIFEST_VERSION {
-            (cur.get_u64_le()?, Some(cur.get_u64_le()?))
-        } else {
-            (0, None)
-        };
+        let generation = cur.get_u64_le()?;
+        let examples = cur.get_u64_le()?;
         // Shortest entries: name length + three u64s for a shard, name
         // length + bytes + region count for an overlay.
         let n = cur.get_u32_le()?;
@@ -206,40 +187,39 @@ impl ShardManifest {
             });
         }
         // Every later sum over the shards (`total_regions`,
-        // `shard_starts`, the example total) is this one, checked here:
-        // the CRC is no guard against values that were written wrong.
-        let (total, shard_examples) = shards
+        // `shard_starts`) is this one, checked here, and so are the
+        // shards' example counts: the CRC is no guard against values
+        // that were written wrong.
+        let (total, _) = shards
             .iter()
             .try_fold((0u64, 0u64), |(r, e), s| {
                 Some((r.checked_add(s.regions)?, e.checked_add(s.examples)?))
             })
             .filter(|&(regions, _)| usize::try_from(regions).is_ok())
             .ok_or_else(|| bad("shard totals overflow"))?;
-        let mut overlays = Vec::new();
-        if version >= MANIFEST_VERSION {
-            let n = cur.get_u32_le()?;
-            let n = cur.count(n.into(), 4 + 2 * 8)?;
-            for _ in 0..n {
-                let file = cur.get_string()?;
-                let bytes = cur.get_u64_le()?;
-                let regions = cur.get_u64_vec()?;
-                let ascending = regions.windows(2).all(|w| w[0] < w[1]);
-                if !ascending || regions.last().is_some_and(|&r| r >= total) {
-                    return Err(bad(&format!("overlay {file} region list invalid")));
-                }
-                overlays.push(OverlayMeta {
-                    file,
-                    bytes,
-                    regions,
-                });
+        let n = cur.get_u32_le()?;
+        let n = cur.count(n.into(), 4 + 2 * 8)?;
+        let mut overlays = Vec::with_capacity(n);
+        for _ in 0..n {
+            let file = cur.get_string()?;
+            let bytes = cur.get_u64_le()?;
+            let regions = cur.get_u64_vec()?;
+            let ascending = regions.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || regions.last().is_some_and(|&r| r >= total) {
+                return Err(bad(&format!("overlay {file} region list invalid")));
             }
+            overlays.push(OverlayMeta {
+                file,
+                bytes,
+                regions,
+            });
         }
         cur.done()?;
         Ok(ShardManifest {
             p,
             arity,
             generation,
-            examples: examples.unwrap_or(shard_examples),
+            examples,
             shards,
             overlays,
         })
@@ -821,7 +801,6 @@ impl TrainingSource for ShardedSource {
 mod tests {
     use super::*;
     use crate::cache::CachedSource;
-    use crate::crc32::crc32;
     use crate::source::MemorySource;
 
     fn block(region: u32, rows: usize) -> RegionBlock {
@@ -896,18 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_zero_manifests_stay_version_1() {
-        // Pre-append layouts keep the original byte format, so readers
-        // that only know version 1 can still open them.
-        let m = base_manifest();
-        let bytes = m.encode();
-        assert_eq!(
-            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            MANIFEST_VERSION_V1
-        );
-    }
-
-    #[test]
     fn appended_manifests_roundtrip_as_version_2() {
         let mut m = base_manifest();
         m.generation = 3;
@@ -925,9 +892,6 @@ mod tests {
             },
         ];
         let bytes = m.encode();
-        // A version-1-only reader sees the bumped version field and
-        // rejects the layout structurally instead of reading a stale
-        // region view.
         assert_eq!(
             u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
             MANIFEST_VERSION
@@ -938,14 +902,15 @@ mod tests {
             bad[i] ^= 0x11;
             assert!(ShardManifest::decode(&bad).is_err(), "byte {i}");
         }
-        // Unknown future versions are rejected with a version error.
-        let mut future = m.encode();
-        future[4] = 9;
-        let patched = crc32(&future[..future.len() - 4]);
-        let n = future.len();
-        future[n - 4..].copy_from_slice(&patched.to_le_bytes());
-        let err = ShardManifest::decode(&future).unwrap_err();
-        assert!(err.to_string().contains("unsupported manifest version"), "{err}");
+        // Version 1 and unknown future versions are rejected with a
+        // version error.
+        for version in [1, 9] {
+            let mut other = m.encode();
+            other[4] = version;
+            let err = ShardManifest::decode(&reseal(other)).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("unsupported manifest version"), "{msg}");
+        }
     }
 
     #[test]
@@ -963,19 +928,19 @@ mod tests {
     }
 
     /// The checksum is no guard against a count that was *written*
-    /// wrong: recompute it over an oversized shard count and an
-    /// oversized overlay region count, each the last field of its
-    /// manifest. Both must be refused against the bytes left, before
-    /// they size a vector (an unchecked `with_capacity` aborts the
-    /// process inside the allocator).
+    /// wrong: recompute it over an oversized shard count (followed only
+    /// by an empty overlay table) and an oversized overlay region count
+    /// (the last field of its manifest). Both must be refused against
+    /// the bytes left, before they size a vector (an unchecked
+    /// `with_capacity` aborts the process inside the allocator).
     #[test]
     fn oversized_counts_under_a_valid_checksum_are_rejected() {
         let mut m = base_manifest();
         m.shards.clear();
         m.examples = 0;
         let mut bytes = m.encode();
-        assert_eq!(bytes.len(), 24, "generation 0, no shards");
-        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 44, "generation 0, no shards, no overlays");
+        bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = ShardManifest::decode(&reseal(bytes)).expect_err("shard count");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 
@@ -998,15 +963,14 @@ mod tests {
     }
 
     /// Nor against values that sum past a `u64`: two forged region
-    /// counts, then two forged example counts (the total a version-1
-    /// manifest does not carry), are refused in `decode`, where every
-    /// later sum over the shards is taken once.
+    /// counts, then two forged shard example counts, are refused in
+    /// `decode`, where every later sum over the shards is taken once.
     #[test]
     fn overflowing_shard_totals_under_a_valid_checksum_are_rejected() {
         let clean = base_manifest().encode();
-        // 20 header bytes, then per shard a 4 + 15 byte name and
+        // 36 header bytes, then per shard a 4 + 15 byte name and
         // regions | examples | bytes.
-        let shard = |s: usize| 20 + s * (19 + 24) + 19;
+        let shard = |s: usize| 36 + s * (19 + 24) + 19;
         assert_eq!(clean[shard(1)..][..8], 7u64.to_le_bytes(), "shard 1's region count");
         for (field, what) in [(0, "regions"), (8, "examples")] {
             let mut bytes = clean.clone();

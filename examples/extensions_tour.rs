@@ -1,6 +1,6 @@
 //! A tour of the §3.4 extensions implemented beyond the paper's core
-//! algorithms: automatic feature generation, the linear optimization
-//! criterion, tree pruning, and the algebraic cross-validated cube.
+//! algorithms: the linear optimization criterion, tree pruning, and the
+//! algebraic cross-validated cube.
 //!
 //! Run with: `cargo run --release --example extensions_tour`
 
@@ -18,16 +18,7 @@ fn main() {
     let targets: HashMap<i64, f64> =
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
 
-    // ---- 1. automatic feature generation straight from the schema.
-    let fk_of: HashMap<String, String> =
-        [("catalogs".to_string(), "catalog".to_string())].into();
-    let queries = auto_generate_queries(&data.db, &fk_of).unwrap();
-    println!("auto-generated {} feature queries:", queries.len());
-    for q in &queries {
-        println!("  {}", q.name());
-    }
-
-    let cube_input = build_cube_input(&data.db, &data.space, &queries).unwrap();
+    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
     let cube = cube_pass(&data.space, &cube_input);
     let problem = BellwetherConfig::builder(25.0)
         .min_coverage(0.5)
@@ -50,8 +41,8 @@ fn main() {
         .collect();
     let budget_source = build_memory_source(&cube, &affordable, &data.items, &targets);
 
-    // ---- 2. linear optimization criterion: error + w1·cost − w2·coverage.
-    println!("\nlinear criterion sweep (cost weight ↑ → cheaper regions):");
+    // ---- 1. linear optimization criterion: error + w1·cost − w2·coverage.
+    println!("linear criterion sweep (cost weight ↑ → cheaper regions):");
     for w1 in [0.0, 5.0, 50.0] {
         let found = basic_search_linear(
             &source,
@@ -73,7 +64,7 @@ fn main() {
         }
     }
 
-    // ---- 3. tree pruning.
+    // ---- 2. tree pruning.
     let tree_cfg = TreeConfig {
         min_node_items: 20,
         max_numeric_splits: 8,
@@ -97,7 +88,7 @@ fn main() {
         tree.num_leaves()
     );
 
-    // ---- 4. algebraic cross-validated cube (Theorem 1 extended to CV):
+    // ---- 3. algebraic cross-validated cube (Theorem 1 extended to CV):
     // the optimized cube under a cross-validation measure.
     let mut cv_problem = problem.clone();
     cv_problem.error_measure = ErrorMeasure::CrossValidation { folds: 5, seed: 42 };

@@ -57,11 +57,7 @@ fn main() {
     )
     .unwrap();
     let clean = DiskSource::open(&path).unwrap();
-    println!(
-        "wrote {} checksummed regions (format v{})",
-        regions.len(),
-        clean.format_version()
-    );
+    println!("wrote {} checksummed regions", regions.len());
 
     let problem = BellwetherConfig::builder(budget)
         .min_coverage(0.5)

@@ -9,8 +9,8 @@
 //! * [`table`] — typed columnar tables + extended relational algebra;
 //! * [`linreg`] — OLS/WLS regression, Theorem-1 sufficient statistics,
 //!   cross-validation, confidence intervals;
-//! * [`cube`] — dimensions, regions, CUBE pass, iceberg pruning,
-//!   lattice rollup;
+//! * [`cube`] — dimensions, regions, cost models, CUBE pass, lattice
+//!   rollup;
 //! * [`storage`] — region-partitioned entire-training-data storage;
 //! * [`datagen`] — deterministic synthetic workloads;
 //! * [`core`] — the paper's algorithms: basic search, bellwether trees
@@ -80,9 +80,9 @@ pub use bellwether_table as table;
 /// `examples/` compiles from this module alone.
 pub mod prelude {
     pub use bellwether_core::{
-        auto_generate_queries, basic_search, basic_search_linear, build_cube_input,
-        build_memory_source, build_naive_cube, build_naive_tree, build_optimized_cube,
-        build_rainforest, build_single_scan_cube, evaluate_method, global_target, prune_tree,
+        basic_search, basic_search_linear, build_cube_input, build_memory_source,
+        build_naive_cube, build_naive_tree, build_optimized_cube, build_rainforest,
+        build_single_scan_cube, evaluate_method, global_target, prune_tree,
         sampling_baseline_error, scan_regions, select_cell_for_item, write_disk_source,
         write_disk_source_in_registry, BasicSearchResult, BellwetherConfig,
         BellwetherConfigBuilder, BellwetherCube, BellwetherError, BellwetherTree, CubeConfig,
@@ -92,9 +92,8 @@ pub mod prelude {
         TreeConfig, TreeConfigBuilder,
     };
     pub use bellwether_cube::{
-        cube_pass, cube_pass_traced, feasible_regions, Constraints, CostModel, CubeInput,
-        Dimension, Hierarchy, Parallelism, ProductCost, RegionId, RegionSpace,
-        UniformCellCost,
+        cube_pass, cube_pass_traced, CostModel, CubeInput, Dimension, Hierarchy, Parallelism,
+        ProductCost, RegionId, RegionSpace, UniformCellCost,
     };
     pub use bellwether_coord::{
         Coordinator, CoordinatorConfig, WorkerExit, WorkerFault, WorkerFaultPlan,

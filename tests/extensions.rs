@@ -1,19 +1,14 @@
 //! Integration tests for the §3.4 extension features on generated
-//! retail data: automatic feature generation, the linear optimization
-//! criterion, tree pruning, and the algebraic cross-validated cube.
+//! retail data: the linear optimization criterion, tree pruning, and the
+//! algebraic cross-validated cube.
 
 use bellwether::prelude::*;
 use bellwether_core::{
     basic_search_linear, build_cube_input, build_optimized_cube, build_rainforest,
     build_single_scan_cube, prune_tree, LinearCriterion,
 };
-use std::collections::HashMap;
 
-fn dataset() -> (
-    bellwether_datagen::RetailDataset,
-    HashMap<i64, f64>,
-    MemorySource,
-) {
+fn dataset() -> (bellwether_datagen::RetailDataset, MemorySource) {
     let mut cfg = RetailConfig::mail_order(120, 77);
     cfg.months = 6;
     cfg.converge_month = 4;
@@ -24,34 +19,12 @@ fn dataset() -> (
     let cube = cube_pass(&data.space, &cube_input);
     let regions = data.space.all_regions();
     let source = build_memory_source(&cube, &regions, &data.items, &targets);
-    (data, targets, source)
-}
-
-#[test]
-fn auto_generated_queries_run_end_to_end() {
-    let (data, targets, _) = dataset();
-    let fk_of: HashMap<String, String> =
-        [("catalogs".to_string(), "catalog".to_string())].into();
-    let queries = bellwether_core::auto_generate_queries(&data.db, &fk_of).unwrap();
-    assert!(queries.len() >= 8, "schema yields a rich feature set");
-    let input = build_cube_input(&data.db, &data.space, &queries).unwrap();
-    let cube = cube_pass(&data.space, &input);
-    let regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &regions, &data.items, &targets);
-    let config = BellwetherConfig::builder(20.0)
-        .min_coverage(0.5)
-        .min_examples(20)
-        .error_measure(ErrorMeasure::TrainingSet)
-        .build()
-        .unwrap();
-    let found =
-        basic_search(&source, &data.space, &data.cost, &config, data.items.len()).unwrap();
-    assert!(found.bellwether().is_some());
+    (data, source)
 }
 
 #[test]
 fn linear_criterion_prefers_cheap_regions_as_weight_grows() {
-    let (data, _, source) = dataset();
+    let (data, source) = dataset();
     let config = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)
         .min_examples(20)
@@ -95,7 +68,7 @@ fn linear_criterion_prefers_cheap_regions_as_weight_grows() {
 
 #[test]
 fn pruning_reduces_or_keeps_leaves_and_preserves_routing() {
-    let (data, _, source) = dataset();
+    let (data, source) = dataset();
     let problem = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)
         .min_examples(15)
@@ -127,7 +100,7 @@ fn pruning_reduces_or_keeps_leaves_and_preserves_routing() {
 
 #[test]
 fn cv_cube_agrees_with_single_scan_on_winning_regions() {
-    let (data, _, source) = dataset();
+    let (data, source) = dataset();
     let cube_cfg = CubeConfig {
         min_subset_size: 20,
     };

@@ -8,15 +8,16 @@
 //!   concatenation after every append of a random schedule, and
 //!   time-ordered appends never leave its fast path;
 //! * lattice rollup of counts agrees with the naive per-cell definition;
-//! * iceberg pruning returns exactly the brute-force feasible set;
+//! * basic search reads exactly the regions within budget and reports
+//!   every one that passes coverage and can fit a model;
 //! * the Theorem-1 statistic is merge-order invariant and subtraction
 //!   inverts merge;
 //! * region containment is a partial order consistent with coverage.
 
 use bellwether::prelude::*;
 use bellwether_cube::{
-    aggregate_filtered, cube_pass_with, feasible_regions, feasible_regions_naive,
-    rollup_lattice, rollup_naive, Constraints, CubeResult, Measure, Parallelism, StreamingCube,
+    aggregate_filtered, cube_pass_with, rollup_lattice, rollup_naive, CubeResult, Measure,
+    Parallelism, StreamingCube,
 };
 use bellwether_prop::{check, Rng};
 use std::collections::HashMap;
@@ -328,43 +329,72 @@ fn rollup_matches_naive_for_random_bases() {
 }
 
 #[test]
-fn iceberg_pruning_is_exact() {
-    check("iceberg_pruning_is_exact", 64, |rng| {
+fn basic_search_evaluates_exactly_the_feasible_regions() {
+    check("basic_search_evaluates_feasible_regions", 64, |rng| {
         let budget = rng.f64_in(0.0, 30.0);
         let min_cov = rng.f64();
-        let covs: Vec<usize> = (0..12).map(|_| rng.below(10)).collect();
+        let min_examples = rng.usize_in(1, 6);
+        let total_items = 10;
+        let p = 2;
         let s = space();
-        let cost = UniformCellCost { rate: 1.0 };
-        let all = s.all_regions();
-        let coverage: HashMap<RegionId, usize> = all
-            .iter()
-            .cloned()
-            .zip(covs.into_iter().cycle())
-            .collect();
-        // Make coverage monotone (supersets cover at least as much), as
-        // real coverage always is.
-        let coverage: HashMap<RegionId, usize> = all
-            .iter()
+        // Every region of the space, each with a random number of items.
+        let blocks: Vec<RegionBlock> = s
+            .all_regions()
+            .into_iter()
             .map(|r| {
-                let c = all
-                    .iter()
-                    .filter(|r2| s.contains(r, r2))
-                    .map(|r2| coverage[r2])
-                    .max()
-                    .unwrap_or(0);
-                (r.clone(), c)
+                let mut block = RegionBlock::new(r.0, p as u32);
+                for item in 0..rng.below(total_items + 1) {
+                    let x = [rng.f64_in(-10.0, 10.0), rng.f64_in(-10.0, 10.0)];
+                    block.push(item as i64, &x, rng.f64_in(-100.0, 100.0));
+                }
+                block
             })
             .collect();
-        let cons = Constraints {
-            budget,
-            min_coverage: min_cov,
-            total_items: 10,
-        };
-        let mut pruned = feasible_regions(&s, &cost, &cons, &coverage);
-        let mut naive = feasible_regions_naive(&s, &cost, &cons, &coverage);
-        pruned.sort();
-        naive.sort();
-        assert_eq!(pruned, naive);
+        let weights = s
+            .dims()
+            .iter()
+            .map(|d| {
+                (0..d.num_values())
+                    .map(|v| (v, rng.f64_in(0.0, 10.0)))
+                    .collect()
+            })
+            .collect();
+        let models: [Box<dyn CostModel>; 2] = [
+            Box::new(UniformCellCost { rate: 1.0 }),
+            Box::new(ProductCost::new(weights)),
+        ];
+        let config = BellwetherConfig::builder(budget)
+            .min_coverage(min_cov)
+            .min_examples(min_examples)
+            .error_measure(ErrorMeasure::TrainingSet)
+            .build()
+            .unwrap();
+        let min_n = min_examples.max((min_cov * total_items as f64).ceil() as usize);
+        for cost in &models {
+            let source = MemorySource::new(blocks.clone());
+            let found = basic_search(&source, &s, cost.as_ref(), &config, total_items).unwrap();
+            let affordable: Vec<&RegionBlock> = blocks
+                .iter()
+                .filter(|b| cost.cost(&s, &RegionId(b.region.clone())) <= budget)
+                .collect();
+            // Over-budget regions are never read.
+            assert_eq!(source.snapshot().regions_read(), affordable.len() as u64);
+            for report in &found.reports {
+                assert!(report.cost <= budget, "{} over budget", report.label);
+                assert!(
+                    report.n_examples >= min_n,
+                    "{} under coverage",
+                    report.label
+                );
+            }
+            for block in affordable.iter().filter(|b| b.n() >= min_n && b.n() > p) {
+                assert!(
+                    found.reports.iter().any(|r| r.region.0 == block.region),
+                    "feasible region {:?} has no report",
+                    block.region
+                );
+            }
+        }
     });
 }
 
