@@ -11,9 +11,15 @@ use bellwether_bench::{prepare_retail, Harness};
 use bellwether_core::{
     basic_search, build_cube_input, build_rainforest, BellwetherConfig, ErrorMeasure, TreeConfig,
 };
-use bellwether_cube::cube_pass::cube_pass_reference;
-use bellwether_cube::{cube_pass_with, CostModel, Parallelism, RegionId, RegionSpace};
-use bellwether_datagen::{build_scale_workload, generate_retail, RetailConfig, ScaleConfig};
+use bellwether_cube::cube_pass::{cube_pass_reference, CubeInput, CubeResult, Measure};
+use bellwether_cube::{
+    cube_pass_external, cube_pass_with, CostModel, NoopRecorder, Parallelism, RegionId,
+    RegionSpace, UNLIMITED_BUDGET,
+};
+use bellwether_datagen::{
+    build_scale_workload, build_stream_workload, generate_retail, RetailConfig, ScaleConfig,
+    StreamConfig,
+};
 use bellwether_linreg::{
     fit_wls, fold_assignment, ErrorEstimate, RegSuffStats, RegressionData, SplitMix64,
 };
@@ -129,6 +135,53 @@ fn dataset(n: usize, p: usize) -> (RegressionData, Vec<Vec<f64>>, Vec<f64>) {
     (data, rows, ys)
 }
 
+/// The rows of a stream slice (numeric measures only) in a seeded random
+/// order.
+fn shuffled(input: &CubeInput, rng: &mut SplitMix64) -> CubeInput {
+    let n = input.item_ids.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        order.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    let arity = input.coords.len() / n.max(1);
+    let measure = |m: &Measure| match m {
+        Measure::Numeric { name, func, values } => Measure::Numeric {
+            name: name.clone(),
+            func: *func,
+            values: order.iter().map(|&r| values[r]).collect(),
+        },
+        Measure::DistinctKeyed { .. } => unreachable!("stream slices carry numeric measures"),
+    };
+    CubeInput {
+        item_ids: order.iter().map(|&r| input.item_ids[r]).collect(),
+        coords: order
+            .iter()
+            .flat_map(|&r| &input.coords[r * arity..(r + 1) * arity])
+            .copied()
+            .collect(),
+        measures: input.measures.iter().map(measure).collect(),
+    }
+}
+
+/// Every `(region, item, measure)` value of `r` as bits, in one order.
+fn result_bits(r: &CubeResult) -> Vec<(Vec<u32>, i64, Vec<Option<u64>>)> {
+    let mut cells: Vec<_> = r
+        .regions
+        .iter()
+        .flat_map(|(region, cols)| {
+            cols.iter().map(move |(item, row)| {
+                (
+                    region.0.clone(),
+                    item,
+                    row.iter().map(|v| v.map(f64::to_bits)).collect(),
+                )
+            })
+        })
+        .collect();
+    cells.sort_unstable();
+    cells
+}
+
 fn main() -> ExitCode {
     let mut h = Harness::new();
     // (what, baseline's fastest sample / the kernel's, floor)
@@ -156,6 +209,56 @@ fn main() -> ExitCode {
         "CUBE pass, dense kernel vs reference",
         reference / dense,
         2.0,
+    ));
+
+    // --- The external CUBE pass over a stream's ten week slices (the
+    // `train_spill` shape, nothing spilled): rows in key order, as a
+    // stream delivers them, against the same rows shuffled within each
+    // slice. Each row is its own base cell, so the two agree bit for bit.
+    let stream = build_stream_workload(&StreamConfig {
+        n_items: 300,
+        weeks: 60,
+        leaves: 30,
+        item_hierarchy_leaves: 3,
+        n_numeric_attrs: 2,
+        bellwether_noise: 0.05,
+        late_noise: 0.0005,
+        open_week: 6,
+        seed: 7,
+    });
+    let slices: Vec<CubeInput> = (0..10)
+        .map(|s| stream.input_range(6 * s, 6 * s + 6))
+        .collect();
+    let mut rng = SplitMix64::new(SEED);
+    let scrambled: Vec<CubeInput> = slices.iter().map(|s| shuffled(s, &mut rng)).collect();
+    let external = |inputs: &[CubeInput]| {
+        cube_pass_external(
+            &stream.region_space,
+            inputs,
+            Parallelism::fixed(1),
+            UNLIMITED_BUDGET,
+            &NoopRecorder,
+        )
+        .expect("a pass that never spills over well-formed input")
+    };
+    assert!(
+        result_bits(&external(&slices)) == result_bits(&external(&scrambled)),
+        "key-ascending and shuffled slices disagree"
+    );
+    let ascending = h
+        .bench("cube_pass_external_week_slices/order=ascending", || {
+            external(&slices)
+        })
+        .min_secs();
+    let scrambled = h
+        .bench("cube_pass_external_week_slices/order=shuffled", || {
+            external(&scrambled)
+        })
+        .min_secs();
+    ratios.push((
+        "CUBE pass, sorted vs shuffled slices",
+        scrambled / ascending,
+        1.3,
     ));
 
     // --- Sufficient statistics: batched columnar `add_rows` against the

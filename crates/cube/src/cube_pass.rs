@@ -31,12 +31,14 @@
 //!   slice walks (the measure-kind `match` is hoisted out of the
 //!   per-cell loop) with no per-cell heap allocation.
 //! * Fact rows are cut into fixed [`ROW_CHUNK`]-row chunks. Workers fold
-//!   chunks into small key-sorted tables (phase 1a) — one slot-assignment
-//!   pass over the rows, then one columnar update pass per measure —
-//!   then own disjoint contiguous key ranges and merge every chunk's
-//!   slice of their range **in chunk order** (phase 1b), into a flat
-//!   dense table when the key space is small, a hash-indexed one
-//!   otherwise.
+//!   chunks into small key-sorted tables (phase 1a) — one key pass that
+//!   numbers the cell slots in key order (rows that arrive key-ascending
+//!   are their own numbering; others sort their keys once), then one
+//!   columnar update pass per measure. Chunk tables that chain in key
+//!   order already are the run's base cells (phase 1b); otherwise workers
+//!   own disjoint contiguous key ranges and merge every chunk's slice of
+//!   their range **in chunk order**, into a flat dense table when the key
+//!   space is small, a hash-indexed one otherwise.
 //! * Phase 2 rolls base cells up with precomputed per-dimension ancestor
 //!   key tables into dense item-indexed [`RegionTable`]s (the same
 //!   columnar lanes), each output cell accumulating contributions in
@@ -235,6 +237,17 @@ impl CubeInput {
         self.measures.iter().try_for_each(|m| m.check_len(n))
     }
 
+    /// `Err` naming the first coordinate at or past its dimension's
+    /// `num_values`: its dense key would alias another cell's.
+    pub(crate) fn check_coords(&self, space: &RegionSpace) -> Result<(), String> {
+        let bounds: Vec<u32> = space.dims().iter().map(Dimension::num_values).collect();
+        let mut bounded = self.coords.iter().zip(bounds.iter().cycle());
+        bounded.position(|(&c, &bound)| c >= bound).map_or(Ok(()), |i| {
+            let d = i % bounds.len();
+            Err(format!("coordinate {} out of range on dimension {d}", self.coords[i]))
+        })
+    }
+
     /// What inputs must agree on to be aggregated together.
     fn schema(&self) -> impl Iterator<Item = (&str, bool, AggFunc)> {
         self.measures.iter().map(Measure::shape)
@@ -416,7 +429,7 @@ pub(crate) enum StateCol {
 /// Longest distinct pair list handled by element moves: [`dedup_pairs`]
 /// insertion-sorts up to this many pairs, and [`union_into`] keeps a
 /// destination a sorted set while destination plus source fit in it.
-const SMALL_PAIRS_MAX: usize = 32;
+pub(crate) const SMALL_PAIRS_MAX: usize = 32;
 
 /// Stable-sort `pairs` by key and keep the **last** occurrence of each
 /// key (= hash-map insert order semantics). The result is key-sorted.
@@ -955,31 +968,17 @@ impl KeySpace {
             .sum()
     }
 
-    /// The dense `(cell, item)` key of one fact row; `Err` when a
-    /// coordinate is out of range or the item is outside the key space.
-    pub(crate) fn row_key(&self, coords: &[u32], item: i64) -> Result<u64, String> {
-        for (d, (&c, &nv)) in coords.iter().zip(&self.num_values).enumerate() {
-            if c as u64 >= nv {
-                return Err(format!("coordinate {c} out of range on dimension {d}"));
-            }
-        }
-        match self.item_index.get(&item) {
-            Some(&idx) => Ok(self.cell_key(coords) * self.n_items + idx as u64),
-            None => Err(format!("item {item} is outside the pinned item universe")),
-        }
-    }
-
-    /// [`KeySpace::row_key`] as the key function [`fold_chunk`] takes
-    /// over `input`'s rows. Panics on a row the key space does not
-    /// cover: the cold passes build the key space from the very rows
-    /// they fold, and the delta pass validates a batch before folding it.
+    /// The dense key of `input`'s rows as the key function [`fold_chunk`]
+    /// takes, unchecked: every pass checks coordinates first
+    /// ([`CubeInput::check_coords`]); the cold passes build the key space
+    /// from the items they fold, and the delta pass refuses an item
+    /// outside its universe before folding.
     pub(crate) fn key_fn<'a>(
         &'a self,
         input: &'a CubeInput,
     ) -> impl Fn(usize, &[u32]) -> Option<u64> + Sync + 'a {
-        move |row, coords| match self.row_key(coords, input.item_ids[row]) {
-            Ok(key) => Some(key),
-            Err(e) => panic!("{e}"),
+        move |row, coords| {
+            Some(self.cell_key(coords) * self.n_items + self.item_index[&input.item_ids[row]] as u64)
         }
     }
 
@@ -1006,28 +1005,42 @@ fn split_point(space: u64, w: usize, t: usize) -> u64 {
 }
 
 /// Phase 1a for one chunk: fold its rows into a key-sorted table. Pass
-/// one walks the rows assigning cell slots (first-seen order); pass two
-/// updates each measure column over the whole chunk with the measure
-/// kind matched once. Per (cell, measure) the update sequence is
-/// row-ascending either way, so every accumulated scalar is bit-equal
-/// to a row-at-a-time fold.
+/// one computes every row's key and numbers the cell slots in ascending
+/// key order: a chunk whose keys strictly ascend (stream inputs arrive
+/// so) takes its rows' order as it is, any other sorts its keys once.
+/// Pass two updates each measure column over the whole chunk with the
+/// measure kind matched once. Per (cell, measure) the update sequence is
+/// row-ascending, so every accumulated scalar is bit-equal to a
+/// row-at-a-time fold.
 pub(crate) fn fold_chunk<K>(input: &CubeInput, arity: usize, rows: Range<usize>, key_of: &K) -> StateTable
 where
     K: Fn(usize, &[u32]) -> Option<u64>,
 {
-    let mut index: FxMap<u64, u32> = FxMap::default();
-    let mut keys: Vec<u64> = Vec::new();
+    #[cfg(test)]
+    if tests::phase1_oracle() {
+        return tests::fold_chunk_by_map(input, arity, rows, key_of);
+    }
+    let mut keys: Vec<u64> = Vec::with_capacity(rows.len());
     let mut slots: Vec<u32> = Vec::with_capacity(rows.len());
+    let mut ascending = true;
     for row in rows.clone() {
-        let coords = &input.coords[row * arity..(row + 1) * arity];
-        let slot = match key_of(row, coords) {
-            Some(key) => *index.entry(key).or_insert_with(|| {
+        match key_of(row, &input.coords[row * arity..(row + 1) * arity]) {
+            Some(key) => {
+                ascending &= keys.last().is_none_or(|&last| last < key);
+                slots.push(keys.len() as u32);
                 keys.push(key);
-                (keys.len() - 1) as u32
-            }),
-            None => NO_SLOT,
-        };
-        slots.push(slot);
+            }
+            None => slots.push(NO_SLOT),
+        }
+    }
+    if !ascending {
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        for slot in slots.iter_mut().filter(|s| **s != NO_SLOT) {
+            *slot = sorted.binary_search(&keys[*slot as usize]).expect("a key of the chunk") as u32;
+        }
+        keys = sorted;
     }
     let cols = input
         .measures
@@ -1035,15 +1048,11 @@ where
         .map(|m| {
             let mut col = StateCol::new(m, keys.len());
             col.update_rows(m, rows.clone(), &slots);
+            col.dedup_distinct();
             col
         })
         .collect();
-    let mut table = StateTable { keys, cols };
-    for col in &mut table.cols {
-        col.dedup_distinct();
-    }
-    table.sort_by_key();
-    table
+    StateTable { keys, cols }
 }
 
 /// Phase 1a: fold chunks `chunks` of `input`, sharding them over
@@ -1178,6 +1187,30 @@ fn merge_range(
         table.sort_by_key();
         table
     }
+}
+
+/// Phase 1b for one run of chunk tables: tables that chain (each one's
+/// first key above the previous one's last, as key-ascending input
+/// folds) already are the run's base cells in key order; any overlap
+/// merges them all with [`merge_chunks`]. Returns the run's tables and
+/// the merges into an occupied slot.
+pub(crate) fn chain_or_merge(
+    tables: Vec<StateTable>,
+    key_space: u64,
+    threads: usize,
+) -> (Vec<StateTable>, u64) {
+    let mut last = None;
+    let mut ends = tables.iter().filter_map(|t| Some((*t.keys.first()?, *t.keys.last()?)));
+    let chained = ends.all(|(first, end)| last.replace(end) < Some(first));
+    #[cfg(test)]
+    let chained = chained && !tests::phase1_oracle();
+    if chained {
+        return (tables, 0);
+    }
+    let (shards, merges) = merge_chunks(&tables, key_space, threads);
+    #[cfg(test)]
+    tests::copied(shards.iter().map(StateTable::len).sum());
+    (shards, merges)
 }
 
 /// Phase 1b: merge chunk tables into per-worker shards of contiguous
@@ -1650,6 +1683,9 @@ pub fn cube_pass_with(
 /// (`phase1_scan`, `phase1_merge`, `phase2_rollup`). With a disabled
 /// recorder (e.g. [`NoopRecorder`]) the kernel pays one branch per phase
 /// and nothing per row; the result is bit-identical either way.
+///
+/// Panics on malformed input (a short column, a coordinate out of range),
+/// which [`crate::cube_pass_external`] returns as an error.
 pub fn cube_pass_traced(
     space: &RegionSpace,
     input: &CubeInput,
@@ -1657,7 +1693,7 @@ pub fn cube_pass_traced(
     rec: &dyn Recorder,
 ) -> CubeResult {
     // One resident run of all chunks under no budget: nothing spills,
-    // so the driver never touches the file system.
+    // so `cube_pass_runs` fails only on malformed input.
     cube_pass_runs(
         space,
         std::slice::from_ref(input),
@@ -1666,7 +1702,7 @@ pub fn cube_pass_traced(
         usize::MAX,
         rec,
     )
-    .expect("a pass that never spills does no I/O")
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The original tuple-keyed, single-threaded CUBE pass, retained as the
@@ -1784,7 +1820,7 @@ pub fn aggregate_filtered_traced(
     };
     let (shards, merges) = {
         let _t = span!(rec, "cube_pass/phase1_merge");
-        merge_chunks(&tables, items.len() as u64, threads)
+        chain_or_merge(tables, items.len() as u64, threads)
     };
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
     rec.add(names::CUBE_PASS_ROWS_SCANNED, n as u64);
@@ -1831,6 +1867,78 @@ pub(crate) mod tests {
         /// Whether the regions this thread finishes go through
         /// [`finish_region_by_rows`].
         static ROW_FINISH: Cell<bool> = const { Cell::new(false) };
+        /// Whether this thread's phase 1 runs as it did before slots
+        /// were numbered in key order: chunks fold through
+        /// [`fold_chunk_by_map`], every run is merged by copying, and
+        /// the final merge copies every frame. Worker threads never see
+        /// it: run an oracle pass at one thread.
+        static PHASE1_ORACLE: Cell<bool> = const { Cell::new(false) };
+        /// Base cells phase 1b and the final run merge copied on this
+        /// thread.
+        static CELLS_COPIED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn phase1_oracle() -> bool {
+        PHASE1_ORACLE.with(Cell::get)
+    }
+
+    /// Run `f` with this thread's phase 1 as its oracle.
+    pub(crate) fn with_phase1_oracle<T>(f: impl FnOnce() -> T) -> T {
+        PHASE1_ORACLE.with(|o| o.set(true));
+        let out = f();
+        PHASE1_ORACLE.with(|o| o.set(false));
+        out
+    }
+
+    pub(crate) fn copied(cells: usize) {
+        CELLS_COPIED.with(|c| c.set(c.get() + cells as u64));
+    }
+
+    pub(crate) fn cells_copied() -> u64 {
+        CELLS_COPIED.with(Cell::get)
+    }
+
+    /// The fold that numbered slots by first sight through a chunk-local
+    /// hash map and then sorted the table by key, kept as the oracle of
+    /// [`fold_chunk`].
+    pub(crate) fn fold_chunk_by_map<K>(
+        input: &CubeInput,
+        arity: usize,
+        rows: Range<usize>,
+        key_of: &K,
+    ) -> StateTable
+    where
+        K: Fn(usize, &[u32]) -> Option<u64>,
+    {
+        let mut index: FxMap<u64, u32> = FxMap::default();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut slots: Vec<u32> = Vec::with_capacity(rows.len());
+        for row in rows.clone() {
+            let coords = &input.coords[row * arity..(row + 1) * arity];
+            let slot = match key_of(row, coords) {
+                Some(key) => *index.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    (keys.len() - 1) as u32
+                }),
+                None => NO_SLOT,
+            };
+            slots.push(slot);
+        }
+        let cols = input
+            .measures
+            .iter()
+            .map(|m| {
+                let mut col = StateCol::new(m, keys.len());
+                col.update_rows(m, rows.clone(), &slots);
+                col
+            })
+            .collect();
+        let mut table = StateTable { keys, cols };
+        for col in &mut table.cols {
+            col.dedup_distinct();
+        }
+        table.sort_by_key();
+        table
     }
 
     pub(super) fn row_finish_oracle() -> bool {

@@ -365,11 +365,12 @@ impl StreamingCube {
         let arity = self.space.arity();
         delta.check_shape(arity)?;
         self.pending.check_schema(delta)?;
-        let mut cells: Vec<u64> = Vec::with_capacity(delta.item_ids.len());
-        for (row, &id) in delta.item_ids.iter().enumerate() {
-            let coords = &delta.coords[row * arity..(row + 1) * arity];
-            cells.push(self.ks.row_key(coords, id)? / self.ks.n_items);
+        delta.check_coords(&self.space)?;
+        if let Some(id) = delta.item_ids.iter().find(|id| !self.ks.item_index.contains_key(id)) {
+            return Err(format!("item {id} is outside the pinned item universe"));
         }
+        let coords = |row: usize| &delta.coords[row * arity..(row + 1) * arity];
+        let mut cells: Vec<u64> = (0..delta.item_ids.len()).map(|row| self.ks.cell_key(coords(row))).collect();
         cells.sort_unstable();
         cells.dedup();
         Ok(cells)

@@ -6,9 +6,10 @@
 //! Every pass is the same pipeline ([`cube_pass_runs`]). Fact rows are
 //! folded in fixed [`ROW_CHUNK`] chunks; chunks are grouped into **runs**
 //! of a fixed number of chunks (the last run may be short) and each
-//! completed run is merged by `merge_chunks` into a key-sorted state
-//! run. The byte budget then decides only *where* completed runs live:
-//! when the resident runs exceed the budget, the oldest ones are
+//! completed run becomes a key-sorted state run: its chunk tables as they
+//! are when they chain in key order, else their merge (`chain_or_merge`).
+//! The byte budget then decides only *where* completed runs live: when
+//! the resident runs exceed the budget, the oldest ones are
 //! serialized to temp files (a `shard/spills` counter per run,
 //! `shard/spill_bytes` for volume) until the budget holds again.
 //! Finally all runs — spilled and resident alike, in formation order —
@@ -52,20 +53,20 @@
 //! `cube_pass/external_spill` (encode + write), `cube_pass/external_merge`
 //! (the k-way merge, with `cube_pass/external_decode` — read-back and
 //! frame decode — inside it) and `cube_pass/phase2_rollup`. The merge
-//! moves *ranges*: the run holding the smallest head key copies every
-//! cell of its current frame that lies below every other run's head with
-//! one `merge_from` per column, and only keys two runs share go cell by
-//! cell. The frame reader (`FrameReader`) treats a run as untrusted
-//! bytes.
+//! moves whole frames, then ranges, and only keys two runs share go cell
+//! by cell (`merge_runs`). The frame reader (`FrameReader`) treats a run
+//! as untrusted bytes and checks every record's CRC-32 trailer first.
 
 use crate::cube_pass::{
-    cube_pass_reference, fold_chunks, merge_chunks, rollup_walk, strictly_ascending, CubeInput,
+    chain_or_merge, cube_pass_reference, fold_chunks, rollup_walk, strictly_ascending, CubeInput,
     CubeResult, KeySpace, RollupPlan, StateCol, StateTable, ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
 use bellwether_obs::{names, span, Recorder};
-use bellwether_storage::codec::{Cursor, PutLe};
+use bellwether_storage::codec::{seal, Cursor, PutLe};
+use bellwether_storage::crc32::{crc32_finish, crc32_update, CRC_INIT};
+use bellwether_storage::CorruptBlock;
 use bellwether_table::ops::AggFunc;
 use std::collections::HashMap;
 use std::fs::{self, File};
@@ -98,8 +99,9 @@ fn invalid<T>(msg: String) -> io::Result<T> {
 //   header:  u32 n_cols, then per column u8 kind tag + u8 func tag
 //   frames:  u32 cell count (0 terminates), count × u64 keys, then per
 //            column its lanes for those cells
-// All integers and floats little-endian; `f64` via `to_bits`, so the
-// round trip is bit-exact.
+// The header, every frame and the terminator each end in the CRC-32 of
+// their own bytes (`codec::seal`). All integers and floats
+// little-endian; `f64` via `to_bits`, so the round trip is bit-exact.
 // ---------------------------------------------------------------------
 
 fn func_tag(f: AggFunc) -> u8 {
@@ -179,6 +181,14 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
     let mut bytes = 0u64;
     let mut buf = Vec::new();
 
+    let mut put_sealed = |buf: &mut Vec<u8>| -> io::Result<()> {
+        seal(buf, 0);
+        w.write_all(buf)?;
+        bytes += buf.len() as u64;
+        buf.clear();
+        Ok(())
+    };
+
     let cols = shards.first().map(|t| t.cols.as_slice()).unwrap_or(&[]);
     buf.put_u32_le(cols.len() as u32);
     for c in cols {
@@ -186,14 +196,12 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
         buf.push(kind);
         buf.push(func);
     }
-    w.write_all(&buf)?;
-    bytes += buf.len() as u64;
+    put_sealed(&mut buf)?;
 
     for table in shards {
         let mut lo = 0;
         while lo < table.len() {
             let hi = (lo + FRAME_CELLS).min(table.len());
-            buf.clear();
             buf.put_u32_le((hi - lo) as u32);
             for &k in &table.keys[lo..hi] {
                 buf.put_u64_le(k);
@@ -201,15 +209,12 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
             for col in &table.cols {
                 encode_lanes(col, lo, hi, &mut buf);
             }
-            w.write_all(&buf)?;
-            bytes += buf.len() as u64;
+            put_sealed(&mut buf)?;
             lo = hi;
         }
     }
-    buf.clear();
     buf.put_u32_le(0);
-    w.write_all(&buf)?;
-    bytes += buf.len() as u64;
+    put_sealed(&mut buf)?;
     w.flush()?;
     Ok(bytes)
 }
@@ -217,15 +222,17 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
 /// Reads a run back. The bytes are only as trustworthy as the temp
 /// directory: every length is checked against what the format allows
 /// and what the file still holds *before* anything is allocated for it,
-/// and the key order the merge relies on is checked as it is decoded.
-/// It streams a file, so it has no slice for a [`Cursor`] to borrow: it
-/// keeps the `left` accounting itself and parses what it read through
-/// one.
+/// the key order the merge relies on is checked as it is decoded, and a
+/// record is handed on only once its CRC-32 trailer matches. It streams
+/// a file, so it has no slice for a [`Cursor`] to borrow: it keeps the
+/// `left` accounting and the checksum itself and parses through one.
 struct FrameReader {
     r: BufReader<File>,
     schema: Vec<(u8, u8)>,
     /// Bytes of the file not read yet.
     left: u64,
+    /// CRC register over the sealed record being read.
+    crc: u32,
     /// The last cell key decoded: keys ascend strictly across the run.
     last_key: Option<u64>,
     /// Time spent in [`FrameReader::next_frame`] (`None` = not timed).
@@ -237,7 +244,17 @@ impl FrameReader {
         let mut b = [0u8; 4];
         self.r.read_exact(&mut b)?;
         self.left = self.left.saturating_sub(4);
+        self.crc = crc32_update(self.crc, &b);
         Ok(u32::from_le_bytes(b))
+    }
+
+    /// Read the trailer that ends a sealed record and check it against
+    /// everything read since the previous one.
+    fn check_seal(&mut self) -> io::Result<()> {
+        let actual = crc32_finish(self.crc);
+        let expected = self.u32()?;
+        self.crc = CRC_INIT;
+        (expected == actual).then_some(()).ok_or_else(|| CorruptBlock { expected, actual }.into())
     }
 
     /// The next `count × width` bytes; fails before allocating when the
@@ -252,6 +269,7 @@ impl FrameReader {
         self.left -= n as u64;
         let mut v = vec![0u8; n];
         self.r.read_exact(&mut v)?;
+        self.crc = crc32_update(self.crc, &v);
         Ok(v)
     }
 
@@ -277,11 +295,13 @@ impl FrameReader {
             left: file.metadata()?.len(),
             r: BufReader::new(file),
             schema: Vec::new(),
+            crc: CRC_INIT,
             last_key: None,
             decode_nanos: timed.then_some(0),
         };
         let n_cols = fr.u32()? as usize;
         let raw = fr.bytes(n_cols, 2)?;
+        fr.check_seal()?;
         fr.schema = raw.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         Ok(fr)
     }
@@ -301,6 +321,7 @@ impl FrameReader {
     fn decode_frame(&mut self) -> io::Result<Option<StateTable>> {
         let n = self.u32()? as usize;
         if n == 0 {
+            self.check_seal()?;
             return Ok(None);
         }
         if n > FRAME_CELLS {
@@ -357,6 +378,7 @@ impl FrameReader {
             };
             cols.push(col);
         }
+        self.check_seal()?;
         Ok(Some(StateTable { keys, cols }))
     }
 }
@@ -494,9 +516,10 @@ impl RunCursor {
 /// The final merge: one sorted base-cell table, cut into segments, from
 /// all runs in run formation order. Per key the first run holding it
 /// copies and later runs merge, ascending by run. A run whose head key
-/// is below every other run's head copies, with one `merge_from` per
-/// column, every cell of its current frame that is — week-sliced inputs
-/// make runs nearly disjoint, so that is most of the merge. Returns the
+/// is below every other run's head copies every cell of its current
+/// frame that is with one `merge_from` per column, or, when all of it is
+/// and the open segment is empty, hands the frame on as a segment. Week
+/// slices make runs disjoint, so that is most of the merge. Returns the
 /// segments and the merges into an occupied slot.
 fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>, u64)> {
     let mut cursors = runs
@@ -537,6 +560,16 @@ fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>
         let (head, later) = cursors[f..].split_first_mut().expect("f indexes a cursor");
         let frame = head.frame.as_ref().expect("peek returned Some");
         let start = cur.len();
+        // A whole frame below every other run's head, with nothing in
+        // the open segment, already is a segment.
+        let whole = start == 0 && head.pos == 0 && frame.keys[frame.len() - 1] < rest;
+        #[cfg(test)]
+        let whole = whole && !crate::cube_pass::tests::phase1_oracle();
+        if whole {
+            segments.push(head.frame.take().expect("peek returned Some"));
+            head.load_frame()?;
+            continue;
+        }
         let cells = if rest == key {
             1
         } else {
@@ -550,6 +583,8 @@ fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>
             dst.resize_default(start + cells);
             dst.merge_from(src, head.pos..head.pos + cells, &dsts, &copied[..cells]);
         }
+        #[cfg(test)]
+        crate::cube_pass::tests::copied(cells);
         head.advance(cells)?;
         if rest == key {
             for c in later.iter_mut().filter(|c| c.peek() == Some(key)) {
@@ -602,10 +637,12 @@ fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>
 /// compare like with like.
 ///
 /// Inputs must share one measure schema (names, kinds, functions, in
-/// order). When the dense key encoding overflows (`KeySpace` fails) the
-/// pass falls back to the tuple-keyed reference kernel over the
-/// concatenated input, which is *not* out-of-core — callers at scale
-/// should keep their key spaces within `u64` (the normal case).
+/// order); malformed input is an [`io::ErrorKind::InvalidInput`] error,
+/// a damaged spill file `InvalidData` or `UnexpectedEof`. When the dense
+/// key encoding overflows (`KeySpace` fails) the pass falls back to the
+/// tuple-keyed reference kernel over the concatenated input, which is
+/// *not* out-of-core — callers at scale should keep their key spaces
+/// within `u64` (the normal case).
 pub fn cube_pass_external(
     space: &RegionSpace,
     inputs: &[CubeInput],
@@ -642,9 +679,11 @@ pub(crate) fn cube_pass_runs(
     };
     let mut total_rows = 0usize;
     for (idx, input) in inputs.iter().enumerate() {
-        if let Err(e) = input.check_shape(arity).and(first.check_schema(input)) {
-            panic!("input {idx}: {e}");
-        }
+        input
+            .check_shape(arity)
+            .and_then(|()| first.check_schema(input))
+            .and_then(|()| input.check_coords(space))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("input {idx}: {e}")))?;
         total_rows += input.item_ids.len();
     }
     let measure_names: Vec<String> = first.measures.iter().map(|m| m.name().to_string()).collect();
@@ -686,9 +725,8 @@ pub(crate) fn cube_pass_runs(
     let mut close_run = |pending: &mut Vec<StateTable>| -> io::Result<()> {
         let (shards, merges) = {
             let _t = span!(rec, "cube_pass/phase1_merge");
-            merge_chunks(pending, key_space, threads)
+            chain_or_merge(std::mem::take(pending), key_space, threads)
         };
-        pending.clear();
         run_merges += merges;
         let bytes = shards.iter().map(table_bytes).sum::<usize>();
         runs.push(Run::Resident { shards, bytes });
@@ -767,10 +805,19 @@ pub(crate) fn cube_pass_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube_pass::{chunk_range, cube_pass_with, fold_chunk, Measure};
+    use crate::cube_pass::tests::{cells_copied, fold_chunk_by_map, with_phase1_oracle};
+    use crate::cube_pass::{
+        chunk_range, cube_pass_with, fold_chunk, merge_chunks, Measure, SMALL_PAIRS_MAX,
+    };
+    use crate::dimension::Dimension;
     use crate::region::RegionId;
-    use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
+    use crate::testutil::{
+        assert_bit_identical, gen_distinct_input, gen_input, measures_of_every_kind, slice_rows,
+        space,
+    };
     use bellwether_obs::{NoopRecorder, Registry};
+    use bellwether_prop::Rng;
+    use bellwether_storage::is_corrupt;
 
     fn items() -> Vec<i64> {
         (0..7).map(|i| i * 3).collect()
@@ -1046,10 +1093,11 @@ mod tests {
         let path = dir.join("run.bwrun");
         write_run(&path, std::slice::from_ref(&table)).unwrap();
         let good = fs::read(&path).unwrap();
-        // header (4 + 2), cell count (4), cell key (8), list length (4),
-        // then the two 16-byte pairs.
-        let pairs_at = 22;
-        assert_eq!(good.len(), pairs_at + 32 + 4);
+        // header (4 + 2) and its checksum (4), cell count (4), cell key
+        // (8), list length (4), then the two 16-byte pairs, the frame's
+        // checksum and the sealed terminator.
+        let pairs_at = 26;
+        assert_eq!(good.len(), pairs_at + 32 + 4 + 8);
         assert!(RunCursor::open(Run::Spilled { path: path.clone() }, false).is_ok());
 
         let mut swapped = good.clone();
@@ -1089,65 +1137,36 @@ mod tests {
         cells
     }
 
-    /// Merge the run in `path` with a resident one, as the pass would.
-    fn merge_with(path: &std::path::Path, resident: &[StateTable]) -> io::Result<Vec<StateTable>> {
-        let runs = vec![
-            Run::Spilled { path: path.to_path_buf() },
-            Run::Resident { shards: resident.to_vec(), bytes: 0 },
-        ];
-        merge_runs(runs, &NoopRecorder).map(|(segments, _)| segments)
-    }
-
     fn is_structured(err: &io::Error) -> bool {
         matches!(err.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof)
     }
 
     #[test]
-    fn a_damaged_spill_run_is_an_error_or_one_damaged_cell() {
-        // A full frame would take minutes to cut at every byte; ~120
-        // cells of every state kind (15 KB) hold every field there is.
-        let spilled = merged_run(300, 5, 1);
-        let resident = merged_run(300, 6, 1);
+    fn every_truncation_and_every_flipped_bit_of_a_spill_run_is_an_error() {
+        // Two frames of 8 cells of every state kind: every field there
+        // is, small enough to damage at every bit.
+        let spilled = merged_run(16, 5, 2);
+        assert!(spilled.len() == 2 && spilled.iter().all(|t| t.len() > 0));
         let dir = std::env::temp_dir().join(format!("bw_run_damage_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.bwrun");
+        let read_back = |bytes: &[u8]| {
+            fs::write(&path, bytes).unwrap();
+            merge_runs(vec![Run::Spilled { path: path.clone() }], &NoopRecorder)
+        };
         write_run(&path, &spilled).unwrap();
         let good = fs::read(&path).unwrap();
-        let clean = cells_of(&merge_with(&path, &resident).unwrap());
-        assert!(clean.len() > spilled[0].len(), "the runs overlap only in part");
+        assert_eq!(cells_of(&read_back(&good).unwrap().0), cells_of(&spilled));
 
-        // Cut short anywhere, the terminator is gone.
-        let file = fs::OpenOptions::new().write(true).open(&path).unwrap();
-        for len in (0..good.len() as u64).rev() {
-            file.set_len(len).unwrap();
-            let err = merge_with(&path, &resident).err().unwrap_or_else(|| panic!("{len} bytes merged"));
-            assert!(is_structured(&err), "{len} bytes: {err}");
-        }
-        drop(file);
-
-        // One flipped bit. The format carries no checksum, so a flip
-        // inside a cell's own key or lanes that leaves the run well
-        // formed reads back as that cell damaged; anything that shifts
-        // what follows must be caught.
-        let (undetected, caught) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
-        bellwether_prop::check("one flipped bit in a spill run", 1500, |rng| {
-            let mut bytes = good.clone();
-            bytes[rng.below(good.len())] ^= 1 << rng.below(8);
-            fs::write(&path, &bytes).unwrap();
-            match merge_with(&path, &resident) {
-                Err(err) => {
-                    assert!(is_structured(&err), "{err}");
-                    caught.set(caught.get() + 1);
-                }
-                Ok(segments) => {
-                    let got = cells_of(&segments);
-                    let same = got.iter().filter(|cell| clean.binary_search(cell).is_ok()).count();
-                    assert!(got.len().abs_diff(clean.len()) <= 1 && same + 1 >= got.len().min(clean.len()));
-                    undetected.set(undetected.get() + (got != clean) as u32);
-                }
-            }
+        let corrupt = std::cell::Cell::new(0u32);
+        bellwether_prop::sweep(&good, |bytes, _| {
+            let err = read_back(bytes).expect_err("damaged bytes read back");
+            assert!(is_structured(&err), "{err}");
+            corrupt.set(corrupt.get() + is_corrupt(&err) as u32);
         });
-        assert!(caught.get() > 0 && undetected.get() > 0, "{caught:?} caught, {undetected:?} not");
+        // A flip in a lane or a trailer leaves the run well formed: only
+        // the checksum catches it.
+        assert!(corrupt.get() > 0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1165,9 +1184,9 @@ mod tests {
         let path = dir.join("run.bwrun");
         write_run(&path, std::slice::from_ref(&table)).unwrap();
         let good = fs::read(&path).unwrap();
-        // header (4 + 2), cell count (4), two keys (16), first list's
-        // length (4).
-        let (n_cols_at, count_at, keys_at, len_at) = (0, 6, 10, 26);
+        // header (4 + 2) and its checksum (4), cell count (4), two keys
+        // (16), first list's length (4).
+        let (n_cols_at, count_at, keys_at, len_at) = (0, 10, 14, 30);
         let with_u32 = |at: usize, v: u32| {
             let mut bytes = good.clone();
             bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
@@ -1177,7 +1196,7 @@ mod tests {
         swapped[keys_at..keys_at + 8].copy_from_slice(&good[keys_at + 8..keys_at + 16]);
         swapped[keys_at + 8..keys_at + 16].copy_from_slice(&good[keys_at..keys_at + 8]);
         // A second frame starting below where the first ended.
-        let mut two_frames = good[..good.len() - 4].to_vec();
+        let mut two_frames = good[..good.len() - 8].to_vec();
         two_frames.extend_from_slice(&good[count_at..]);
         for (what, bytes, kind) in [
             ("4 billion columns", with_u32(n_cols_at, u32::MAX), io::ErrorKind::UnexpectedEof),
@@ -1200,5 +1219,312 @@ mod tests {
             assert_eq!(err.kind(), kind, "{what}: {err}");
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_not_a_panic() {
+        let t4 = RegionSpace::new(vec![Dimension::Interval {
+            name: "T".into(),
+            max_t: 4,
+        }]);
+        let row = |name: &str, coord: u32| CubeInput {
+            item_ids: vec![1],
+            coords: vec![coord],
+            measures: vec![Measure::Numeric {
+                name: name.into(),
+                func: AggFunc::Sum,
+                values: vec![Some(1.0)],
+            }],
+        };
+        let mut short = row("s", 0);
+        short.measures[0] = Measure::Numeric {
+            name: "s".into(),
+            func: AggFunc::Sum,
+            values: vec![],
+        };
+        for (what, inputs) in [
+            ("a coordinate past max_t", vec![row("s", 0), row("s", 9)]),
+            ("a measure column one entry short", vec![short]),
+            ("another measure schema", vec![row("s", 0), row("t", 0)]),
+        ] {
+            for budget in [0, UNLIMITED_BUDGET] {
+                let err = cube_pass_external(&t4, &inputs, par(1), budget, &NoopRecorder)
+                    .err()
+                    .unwrap_or_else(|| panic!("{what} passed"));
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{what}: {err}");
+            }
+        }
+    }
+
+    /// `tables` as one table, spelled out: what a run's cells are,
+    /// however they are cut.
+    fn spelled(tables: &[StateTable]) -> String {
+        let Some(first) = tables.iter().find(|t| t.len() > 0) else {
+            return String::new();
+        };
+        let mut all = StateTable {
+            keys: Vec::new(),
+            cols: first.cols.iter().map(|c| c.new_like(0)).collect(),
+        };
+        for t in tables {
+            let start = all.len() as u32;
+            let dsts: Vec<u32> = (start..start + t.len() as u32).collect();
+            all.keys.extend_from_slice(&t.keys);
+            for (dst, src) in all.cols.iter_mut().zip(&t.cols) {
+                dst.resize_default(all.keys.len());
+                dst.merge_from(src, 0..t.len(), &dsts, &vec![false; t.len()]);
+            }
+        }
+        format!("{all:?}")
+    }
+
+    /// Fact rows over [`space`]'s cells with every state kind, and the
+    /// order they arrive in.
+    fn phase1_facts(rng: &mut Rng) -> (CubeInput, String) {
+        // 600 items make 10,800 cells, one row each at most; 4 items
+        // make 72, each met by many rows, whose distinct lists outgrow
+        // the sorted regime inside one chunk.
+        let unique = rng.flip(0.5);
+        let rows = if unique {
+            *rng.choice(&[1usize, 700, ROW_CHUNK, ROW_CHUNK + 1, 9000])
+        } else {
+            *rng.choice(&[700, ROW_CHUNK + 1, 9000])
+        };
+        let items: Vec<i64> = if unique {
+            (0..600).map(|i| 3 * i - 7).collect()
+        } else {
+            vec![-5, 2, 9, 40]
+        };
+        let mut cells: Vec<(u32, u32, i64)> = Vec::new();
+        for week in 0..6 {
+            for leaf in [2, 3, 5] {
+                cells.extend(items.iter().map(|&item| (week, leaf, item)));
+            }
+        }
+        let mut drawn: Vec<(u32, u32, i64)> = if unique {
+            rng.shuffle(&mut cells);
+            cells.truncate(rows);
+            cells
+        } else {
+            (0..rows).map(|_| *rng.choice(&cells)).collect()
+        };
+        // Keys order as (week, leaf, item): time is the major stride.
+        let order = *rng.choice(&["ascending", "descending", "shuffled", "ascending per chunk"]);
+        match order {
+            "ascending" => drawn.sort(),
+            "descending" => drawn.sort_by(|a, b| b.cmp(a)),
+            "ascending per chunk" => drawn.chunks_mut(ROW_CHUNK).for_each(|c| c.sort()),
+            _ => {}
+        }
+        let n = drawn.len();
+        // Thirds: no sum of them is exact, so a changed order shows.
+        let mut float = |p_null: f64| -> Vec<Option<f64>> {
+            (0..n)
+                .map(|_| (!rng.flip(p_null)).then(|| rng.i64_in(-300, 300) as f64 / 3.0))
+                .collect()
+        };
+        let (sums, extrema, avgs, values) = (float(0.1), float(0.2), float(0.0), float(0.0));
+        let fks = (0..n)
+            .map(|_| (!rng.flip(0.2)).then(|| rng.i64_in(0, 80)))
+            .collect();
+        let input = CubeInput {
+            item_ids: drawn.iter().map(|c| c.2).collect(),
+            coords: drawn.iter().flat_map(|c| [c.0, c.1]).collect(),
+            measures: measures_of_every_kind(
+                sums,
+                extrema,
+                avgs,
+                fks,
+                values.into_iter().flatten().collect(),
+            ),
+        };
+        let what = format!(
+            "{n} {} rows, {order}",
+            if unique { "unique" } else { "repeated" }
+        );
+        (input, what)
+    }
+
+    /// One run of chunks through phase 1: its cells and merges.
+    fn phase1_run<K>(
+        input: &CubeInput,
+        run: std::ops::Range<usize>,
+        threads: usize,
+        key_space: u64,
+        key_of: &K,
+    ) -> (String, u64)
+    where
+        K: Fn(usize, &[u32]) -> Option<u64> + Sync,
+    {
+        let (tables, merges) = chain_or_merge(
+            fold_chunks(input, 2, run, threads, key_of),
+            key_space,
+            threads,
+        );
+        (spelled(&tables), merges)
+    }
+
+    /// [`phase1_run`]'s oracle: the map fold, and the copying merge.
+    fn phase1_run_oracle<K>(
+        input: &CubeInput,
+        run: std::ops::Range<usize>,
+        key_space: u64,
+        key_of: &K,
+    ) -> (String, u64)
+    where
+        K: Fn(usize, &[u32]) -> Option<u64>,
+    {
+        let n = input.item_ids.len();
+        let tables: Vec<StateTable> = run
+            .map(|c| fold_chunk_by_map(input, 2, chunk_range(c, n), key_of))
+            .collect();
+        let (shards, merges) = merge_chunks(&tables, key_space, 1);
+        (spelled(&shards), merges)
+    }
+
+    #[test]
+    fn phase1_matches_its_oracle_whatever_order_the_rows_come_in() {
+        let sp = space();
+        let widest = std::cell::Cell::new(0);
+        bellwether_prop::check("phase 1 = map fold + copying merges", 10, |rng| {
+            let (input, what) = phase1_facts(rng);
+            let ks = KeySpace::build(&sp, &input.item_ids).unwrap();
+            let key_space = ks.cell_space * ks.n_items;
+            let key_of = ks.key_fn(&input);
+            let first = fold_chunk_by_map(&input, 2, chunk_range(0, input.item_ids.len()), &key_of);
+            if let Some(StateCol::Distinct { pairs, .. }) = first.cols.last() {
+                widest.set(pairs.iter().map(Vec::len).fold(widest.get(), usize::max));
+            }
+            // The delta pass's dirty-cell filter: rows outside a set of
+            // cells get no slot.
+            let some_cells = |row: usize, coords: &[u32]| {
+                key_of(row, coords).filter(|k| k / ks.n_items % 3 != 1)
+            };
+            let chunks = input.item_ids.len().div_ceil(ROW_CHUNK);
+            for run_chunks in [1usize, 3, 64, usize::MAX] {
+                let mut c = 0;
+                while c < chunks {
+                    let run = c..c.saturating_add(run_chunks).min(chunks);
+                    let all = phase1_run_oracle(&input, run.clone(), key_space, &key_of);
+                    let filtered = phase1_run_oracle(&input, run.clone(), key_space, &some_cells);
+                    for threads in [1usize, 2, 4] {
+                        let at = format!("{what}, run {run:?}, threads={threads}");
+                        assert_eq!(
+                            phase1_run(&input, run.clone(), threads, key_space, &key_of),
+                            all,
+                            "{at}"
+                        );
+                        let got = phase1_run(&input, run.clone(), threads, key_space, &some_cells);
+                        assert_eq!(got, filtered, "{at}, filtered");
+                    }
+                    c = run.end;
+                }
+
+                let inputs = std::slice::from_ref(&input);
+                let counts = |reg: &Registry| {
+                    let snap = reg.snapshot();
+                    (snap.base_cells(), snap.cell_merges())
+                };
+                let reg = Registry::shared();
+                let oracle = with_phase1_oracle(|| {
+                    cube_pass_runs(
+                        &sp,
+                        inputs,
+                        par(1),
+                        UNLIMITED_BUDGET,
+                        run_chunks,
+                        reg.as_ref(),
+                    )
+                    .unwrap()
+                });
+                let want = counts(&reg);
+                for threads in [1usize, 2, 4] {
+                    for budget in [0, UNLIMITED_BUDGET] {
+                        let at = format!(
+                            "{what}, run_chunks={run_chunks}, threads={threads}, budget={budget}"
+                        );
+                        let reg = Registry::shared();
+                        let got = cube_pass_runs(
+                            &sp,
+                            inputs,
+                            par(threads),
+                            budget,
+                            run_chunks,
+                            reg.as_ref(),
+                        )
+                        .unwrap();
+                        assert_bit_identical(&got, &oracle, &at);
+                        assert_eq!(counts(&reg), want, "{at}");
+                    }
+                }
+            }
+        });
+        assert!(widest.get() > SMALL_PAIRS_MAX, "no chunk's distinct list left the sorted regime");
+    }
+
+    #[test]
+    fn key_ascending_week_slices_copy_no_cell_in_phase_1() {
+        // A stream's week slices: every (week, leaf, item) once, in key
+        // order, two weeks a slice of 3,000 rows.
+        let sp = space();
+        let mut cells: Vec<(u32, u32, i64)> = Vec::new();
+        for week in 0..6 {
+            for leaf in [2, 3, 5] {
+                cells.extend((0..500).map(|item| (week, leaf, item)));
+            }
+        }
+        let n = cells.len();
+        let input = CubeInput {
+            item_ids: cells.iter().map(|c| c.2).collect(),
+            coords: cells.iter().flat_map(|c| [c.0, c.1]).collect(),
+            measures: measures_of_every_kind(
+                (0..n).map(|r| Some(r as f64 / 3.0)).collect(),
+                (0..n)
+                    .map(|r| (r % 5 != 0).then(|| (r % 97) as f64 / 7.0))
+                    .collect(),
+                (0..n).map(|r| Some((r % 13) as f64 / 3.0)).collect(),
+                (0..n)
+                    .map(|r| (r % 4 != 0).then_some((r % 40) as i64))
+                    .collect(),
+                (0..n).map(|r| r as f64 / 9.0).collect(),
+            ),
+        };
+        let slices: Vec<CubeInput> = (0..3)
+            .map(|s| slice_rows(&input, s * n / 3..(s + 1) * n / 3))
+            .collect();
+        for run_chunks in [1usize, 2, RUN_CHUNKS] {
+            let before = cells_copied();
+            let oracle = with_phase1_oracle(|| {
+                cube_pass_runs(
+                    &sp,
+                    &slices,
+                    par(1),
+                    UNLIMITED_BUDGET,
+                    run_chunks,
+                    &NoopRecorder,
+                )
+                .unwrap()
+            });
+            assert!(
+                cells_copied() > before,
+                "run_chunks={run_chunks}: the oracle copies"
+            );
+            for (threads, budget) in [(1, 0), (2, UNLIMITED_BUDGET), (4, 0), (1, UNLIMITED_BUDGET)]
+            {
+                let at = format!("run_chunks={run_chunks}, threads={threads}, budget={budget}");
+                let before = cells_copied();
+                let got = cube_pass_runs(
+                    &sp,
+                    &slices,
+                    par(threads),
+                    budget,
+                    run_chunks,
+                    &NoopRecorder,
+                )
+                .unwrap();
+                assert_eq!(cells_copied(), before, "{at}: cells copied");
+                assert_bit_identical(&got, &oracle, &at);
+            }
+        }
     }
 }
