@@ -16,9 +16,9 @@
 //! implemented (DESIGN.md §5).
 
 use crate::error::{BellwetherError, Result};
-use bellwether_cube::{CubeInput, Dimension, Measure, Parallelism, RegionSpace};
+use bellwether_cube::{aggregate_filtered, CubeInput, Dimension, Measure, Parallelism, RegionSpace};
 use bellwether_table::ops::AggFunc;
-use bellwether_table::{Table, Value};
+use bellwether_table::{Column, DataType, Table, TableError};
 use std::collections::HashMap;
 
 /// One regional feature, defined by a stylized query form.
@@ -34,7 +34,8 @@ pub enum FeatureQuery {
         func: AggFunc,
     },
     /// `α_func(T.column)` over the reference rows matched by the item's
-    /// fact rows in the region (one contribution per fact row).
+    /// fact rows in the region (one contribution per fact row). `func` is
+    /// Sum, Min, Max, Avg or Count.
     JoinAgg {
         /// Output feature name.
         name: String,
@@ -56,8 +57,8 @@ pub enum FeatureQuery {
         table: String,
         /// Foreign-key column in the fact table.
         fk: String,
-        /// Reference-table column to aggregate (ignored for
-        /// CountDistinct).
+        /// Reference-table column to aggregate (for CountDistinct only
+        /// its NULLs matter: a key whose value is NULL is not counted).
         column: String,
         /// Aggregate function (Sum, Min, Max, Avg or CountDistinct).
         func: AggFunc,
@@ -126,10 +127,17 @@ impl StarDatabase {
             .ok_or_else(|| BellwetherError::NotFound(format!("reference table {name}")))
     }
 
-    /// Item ids of all fact rows.
+    /// Item ids of all fact rows. A NULL id is an error: the row would
+    /// otherwise count towards whatever item its filler value names.
     pub fn fact_item_ids(&self) -> Result<Vec<i64>> {
         let col = self.fact.column_by_name(&self.item_col)?;
         let data = col.as_int(&self.item_col)?;
+        if col.null_count() > 0 {
+            return Err(BellwetherError::Config(format!(
+                "item column {} holds NULL ids",
+                self.item_col
+            )));
+        }
         Ok(data.values.clone())
     }
 
@@ -192,17 +200,25 @@ impl StarDatabase {
         Ok(coords)
     }
 
-    /// Per-fact-row numeric values of a fact column (`None` = NULL).
-    fn fact_values(&self, column: &str) -> Result<Vec<Option<f64>>> {
-        let col = self.fact.column_by_name(column)?;
+    /// Per-fact-row numeric values of a fact column (`None` = NULL) for
+    /// `func` to aggregate.
+    fn fact_values(&self, column: &str, func: AggFunc) -> Result<Vec<Option<f64>>> {
+        let col = numeric_column(&self.fact, column, func)?;
         Ok((0..self.fact.num_rows()).map(|r| col.float_at(r)).collect())
     }
 
-    /// Per-fact-row foreign keys and their joined reference values.
-    fn joined_values(&self, table: &str, fk: &str, column: &str) -> Result<JoinedValues> {
+    /// Per-fact-row foreign keys and their joined reference values, for
+    /// `func` to aggregate.
+    fn joined_values(
+        &self,
+        table: &str,
+        fk: &str,
+        column: &str,
+        func: AggFunc,
+    ) -> Result<JoinedValues> {
         let (ref_table, pk) = self.reference(table)?;
         let pk_col = ref_table.column_by_name(pk)?.as_int(pk)?;
-        let val_col = ref_table.column_by_name(column)?;
+        let val_col = numeric_column(ref_table, column, func)?;
         let mut lut: HashMap<i64, Option<f64>> = HashMap::with_capacity(ref_table.num_rows());
         for row in 0..ref_table.num_rows() {
             if pk_col.is_valid(row)
@@ -242,6 +258,36 @@ impl StarDatabase {
     }
 }
 
+/// Column `name` of `table`, refusing a `Str` column: its rows have no
+/// number for `func` to aggregate.
+fn numeric_column<'t>(table: &'t Table, name: &str, func: AggFunc) -> Result<&'t Column> {
+    let col = table.column_by_name(name)?;
+    if col.dtype() == DataType::Str {
+        return Err(TableError::UnsupportedAggregate {
+            func: func.name(),
+            dtype: DataType::Str.name(),
+        }
+        .into());
+    }
+    Ok(col)
+}
+
+/// `Err` unless the CUBE kernel computes `func` over `name`'s measure
+/// kind: per fact row (`distinct == false`) it folds Sum, Min, Max, Avg
+/// and Count; over distinct foreign keys, Sum, Min, Max, Avg and
+/// CountDistinct.
+fn check_func(name: &str, func: AggFunc, distinct: bool) -> Result<()> {
+    let refused = if distinct { AggFunc::Count } else { AggFunc::CountDistinct };
+    if func != refused {
+        return Ok(());
+    }
+    let over = if distinct { "distinct foreign keys" } else { "fact rows" };
+    Err(BellwetherError::Config(format!(
+        "{name}: {} is not computed over {over}",
+        func.name()
+    )))
+}
+
 /// Apply the §4.2 rewrite: compile feature queries into one CUBE input,
 /// with default [`Parallelism`].
 pub fn build_cube_input(
@@ -265,11 +311,14 @@ pub fn build_cube_input_with(
     let coords = db.fact_coords(space)?;
     let build_measure = |q: &FeatureQuery| -> Result<Measure> {
         Ok(match q {
-            FeatureQuery::FactAgg { name, column, func } => Measure::Numeric {
-                name: name.clone(),
-                func: *func,
-                values: db.fact_values(column)?,
-            },
+            FeatureQuery::FactAgg { name, column, func } => {
+                check_func(name, *func, false)?;
+                Measure::Numeric {
+                    name: name.clone(),
+                    func: *func,
+                    values: db.fact_values(column, *func)?,
+                }
+            }
             FeatureQuery::JoinAgg {
                 name,
                 table,
@@ -277,7 +326,8 @@ pub fn build_cube_input_with(
                 column,
                 func,
             } => {
-                let (_, values) = db.joined_values(table, fk, column)?;
+                check_func(name, *func, false)?;
+                let (_, values) = db.joined_values(table, fk, column, *func)?;
                 Measure::Numeric {
                     name: name.clone(),
                     func: *func,
@@ -291,7 +341,8 @@ pub fn build_cube_input_with(
                 column,
                 func,
             } => {
-                let (keys, values) = db.joined_values(table, fk, column)?;
+                check_func(name, *func, true)?;
+                let (keys, values) = db.joined_values(table, fk, column, *func)?;
                 // A NULL reference value cannot contribute to the distinct
                 // aggregate: drop the key too.
                 let (keys, values): (Vec<_>, Vec<_>) = keys
@@ -341,30 +392,33 @@ pub fn build_cube_input_with(
 
 /// The target generation query τ (§3.2): one global aggregate of a fact
 /// column per item — e.g. total first-year worldwide profit. Items with
-/// no fact rows are absent.
+/// no fact rows, or whose aggregate is NULL, are absent.
+///
+/// τ is one [`Measure::Numeric`] folded by the CUBE kernel with no
+/// dimension and every row kept, so it aggregates exactly as a feature
+/// does: per row chunk, the chunks merged in order.
 pub fn global_target(db: &StarDatabase, column: &str, func: AggFunc) -> Result<HashMap<i64, f64>> {
-    use bellwether_table::ops::{aggregate, AggExpr};
-    let out = aggregate(
-        &db.fact,
-        &[db.item_col.as_str()],
-        &[AggExpr::new(func, column).with_alias("target")],
-    )?;
-    let ids = out.column_by_name(&db.item_col)?;
-    let targets = out.column_by_name("target")?;
-    let mut map = HashMap::with_capacity(out.num_rows());
-    for row in 0..out.num_rows() {
-        if let (Value::Int(id), Some(t)) = (ids.value(row), targets.float_at(row)) {
-            map.insert(id, t);
-        }
-    }
-    Ok(map)
+    check_func("target", func, false)?;
+    let input = CubeInput {
+        item_ids: db.fact_item_ids()?,
+        coords: Vec::new(),
+        measures: vec![Measure::Numeric {
+            name: "target".into(),
+            func,
+            values: db.fact_values(column, func)?,
+        }],
+    };
+    Ok(aggregate_filtered(&input, 0, |_| true)
+        .into_iter()
+        .filter_map(|(id, target)| Some((id, target[0]?)))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bellwether_cube::{cube_pass, Hierarchy, RegionId};
-    use bellwether_table::{Column, DataType, Schema};
+    use bellwether_table::{Column, DataType, Schema, Value};
 
     /// The motivating example's schema in miniature: orders + ads.
     fn db() -> StarDatabase {
@@ -387,10 +441,16 @@ mod tests {
         )
         .unwrap();
         let ads = Table::new(
-            Schema::from_pairs(&[("ad", DataType::Int), ("size", DataType::Float)]).unwrap(),
+            Schema::from_pairs(&[
+                ("ad", DataType::Int),
+                ("size", DataType::Float),
+                ("kind", DataType::Str),
+            ])
+            .unwrap(),
             vec![
                 Column::from_ints(vec![7, 8]),
                 Column::from_floats(vec![3.0, 9.0]),
+                Column::from_strs(&["banner", "video"]),
             ],
         )
         .unwrap();
@@ -467,7 +527,7 @@ mod tests {
     #[test]
     fn dangling_fk_never_joins() {
         let db = db(); // ad 9 has no reference row
-        let (keys, values) = db.joined_values("ads", "ad", "size").unwrap();
+        let (keys, values) = db.joined_values("ads", "ad", "size", AggFunc::Max).unwrap();
         assert_eq!(keys[3], None);
         assert_eq!(values[3], None);
         assert_eq!(keys[0], Some(7));
@@ -541,5 +601,157 @@ mod tests {
             max_t: 2,
         }]);
         assert!(db.fact_coords(&one_dim).is_err());
+    }
+
+    /// `build_cube_input` on one query: `Err(Config)` is the refusal the
+    /// kernel needs, which would otherwise panic inside the pass.
+    fn refused(query: FeatureQuery) -> bool {
+        match build_cube_input(&db(), &space(), &[query]) {
+            Err(BellwetherError::Config(_)) => true,
+            Err(e) => panic!("refused for another reason: {e}"),
+            Ok(input) => {
+                cube_pass(&space(), &input);
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn count_distinct_over_fact_rows_is_refused() {
+        assert!(refused(FeatureQuery::FactAgg {
+            name: "x".into(),
+            column: "profit".into(),
+            func: AggFunc::CountDistinct,
+        }));
+    }
+
+    #[test]
+    fn count_distinct_over_joined_rows_is_refused() {
+        assert!(refused(FeatureQuery::JoinAgg {
+            name: "x".into(),
+            table: "ads".into(),
+            fk: "ad".into(),
+            column: "size".into(),
+            func: AggFunc::CountDistinct,
+        }));
+    }
+
+    #[test]
+    fn count_over_distinct_keys_is_refused() {
+        assert!(refused(FeatureQuery::DistinctJoinAgg {
+            name: "x".into(),
+            table: "ads".into(),
+            fk: "ad".into(),
+            column: "size".into(),
+            func: AggFunc::Count,
+        }));
+    }
+
+    #[test]
+    fn count_distinct_target_is_refused() {
+        let err = global_target(&db(), "profit", AggFunc::CountDistinct).unwrap_err();
+        assert!(matches!(err, BellwetherError::Config(_)), "{err}");
+    }
+
+    fn unsupported(r: Result<impl std::fmt::Debug>) -> bool {
+        matches!(
+            r,
+            Err(BellwetherError::Table(TableError::UnsupportedAggregate { dtype: "Str", .. }))
+        )
+    }
+
+    #[test]
+    fn a_string_fact_column_is_not_read_as_nulls() {
+        let fact_agg = FeatureQuery::FactAgg {
+            name: "x".into(),
+            column: "state".into(),
+            func: AggFunc::Min,
+        };
+        assert!(unsupported(build_cube_input(&db(), &space(), &[fact_agg])));
+        assert!(unsupported(global_target(&db(), "state", AggFunc::Sum)));
+        assert!(unsupported(global_target(&db(), "state", AggFunc::Count)));
+    }
+
+    #[test]
+    fn a_string_reference_column_is_not_read_as_nulls() {
+        let joined = FeatureQuery::JoinAgg {
+            name: "x".into(),
+            table: "ads".into(),
+            fk: "ad".into(),
+            column: "kind".into(),
+            func: AggFunc::Max,
+        };
+        assert!(unsupported(build_cube_input(&db(), &space(), &[joined])));
+        let distinct = FeatureQuery::DistinctJoinAgg {
+            name: "x".into(),
+            table: "ads".into(),
+            fk: "ad".into(),
+            column: "kind".into(),
+            func: AggFunc::CountDistinct,
+        };
+        assert!(unsupported(build_cube_input(&db(), &space(), &[distinct])));
+    }
+
+    #[test]
+    fn null_item_ids_are_refused() {
+        let mut db = db();
+        let mut columns = db.fact.columns().to_vec();
+        columns[0] = Column::from_values(&[Value::Int(1), Value::Null, Value::Int(1), Value::Int(2)]).unwrap();
+        db.fact = Table::new(db.fact.schema().clone(), columns).unwrap();
+        assert!(matches!(db.fact_item_ids(), Err(BellwetherError::Config(_))));
+        assert!(global_target(&db, "profit", AggFunc::Sum).is_err());
+    }
+
+    /// τ against its definition: per item, the fact rows' non-NULL values
+    /// folded in row order. Every value is a multiple of 1/8 in a range
+    /// where all sums are exact, so the chunked fold must agree to the
+    /// bit; the facts span several [`ROW_CHUNK`]-row chunks with the
+    /// items interleaved, so items straddle chunk boundaries.
+    #[test]
+    fn global_target_is_the_per_item_row_order_fold() {
+        use bellwether_cube::cube_pass::ROW_CHUNK;
+        bellwether_prop::check("τ = row-order fold", 6, |rng| {
+            let n = 2 * ROW_CHUNK + rng.usize_in(1, ROW_CHUNK);
+            let items: Vec<i64> = (0..rng.i64_in(1, 6)).map(|i| 7 * i - 3).collect();
+            let ids: Vec<i64> = (0..n).map(|_| *rng.choice(&items)).collect();
+            let values: Vec<Option<f64>> = (0..n)
+                .map(|_| (!rng.flip(0.1)).then(|| rng.i64_in(-8000, 8000) as f64 / 8.0))
+                .collect();
+            let profit: Vec<Value> = values.iter().map(|v| v.map_or(Value::Null, Value::Float)).collect();
+            let mut db = db();
+            db.fact = Table::new(
+                Schema::from_pairs(&[("item", DataType::Int), ("profit", DataType::Float)]).unwrap(),
+                vec![Column::from_ints(ids.clone()), Column::from_values(&profit).unwrap()],
+            )
+            .unwrap();
+
+            for func in [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::Count] {
+                let got = global_target(&db, "profit", func).unwrap();
+                let mut want = HashMap::new();
+                for &item in &items {
+                    let vals: Vec<f64> = ids
+                        .iter()
+                        .zip(&values)
+                        .filter_map(|(&id, v)| v.filter(|_| id == item))
+                        .collect();
+                    let sum = vals.iter().fold(0.0, |a, v| a + v);
+                    let folded = match func {
+                        AggFunc::Count => Some(vals.len() as f64),
+                        _ if vals.is_empty() => None,
+                        AggFunc::Sum => Some(sum),
+                        AggFunc::Avg => Some(sum / vals.len() as f64),
+                        AggFunc::Min => vals.iter().copied().reduce(f64::min),
+                        _ => vals.iter().copied().reduce(f64::max),
+                    };
+                    if ids.contains(&item) {
+                        if let Some(t) = folded {
+                            want.insert(item, t.to_bits());
+                        }
+                    }
+                }
+                let got: HashMap<i64, u64> = got.into_iter().map(|(i, t)| (i, t.to_bits())).collect();
+                assert_eq!(got, want, "{func:?}");
+            }
+        });
     }
 }

@@ -3,7 +3,7 @@
 //! §4.2 rewrites the per-region, per-item feature queries
 //! `α_f σ_{ID=i, Z∈r} F` and `α_f(T.A)((π_FK σ_{ID=i, Z∈r} F) ⋈ T)` into
 //! one pass. Here the queries are evaluated as written, region by region,
-//! with `bellwether-table`'s σ / π / ⋈ / α operators over generated star
+//! with the σ / π / ⋈ / α operators of `relalg` over generated star
 //! schemas, and the pass must agree — read only through the view every
 //! consumer reads (`regions.get()` / `iter()` / `features()`). Nothing of
 //! the kernel is shared: not its keys, its tables, nor its notion of
@@ -12,12 +12,15 @@
 //! Every measure value is a multiple of 1/8 in a range where all sums
 //! are exact, so the two sides agree to the bit in any order of addition.
 
+mod relalg;
+
 use bellwether_cube::{
     cube_pass_with, CubeInput, Dimension, Hierarchy, Measure, Parallelism, RegionId, RegionSpace,
 };
 use bellwether_prop::{check, Rng};
-use bellwether_table::ops::{aggregate, filter, natural_join, project_distinct, AggExpr, AggFunc};
-use bellwether_table::{Column, ColumnBuilder, DataType, Predicate, Schema, Table, Value};
+use bellwether_table::ops::AggFunc;
+use bellwether_table::{Column, ColumnBuilder, DataType, Schema, Table, Value};
+use relalg::{aggregate, filter, natural_join, project_distinct};
 use std::collections::HashSet;
 
 /// One fact row: item, time point (0-based), location leaf, measure, FK.
@@ -138,12 +141,12 @@ fn leaves_under(h: &Hierarchy, node: u32) -> Vec<Value> {
 }
 
 /// `α_{item; aggs}` of `table` as `(item, one optional value per agg)`.
-fn per_item(table: &Table, aggs: &[AggExpr]) -> Vec<(i64, Vec<Option<f64>>)> {
-    let out = aggregate(table, &["item"], aggs).unwrap();
+fn per_item(table: &Table, aggs: &[(AggFunc, &str)]) -> Vec<(i64, Vec<Option<f64>>)> {
+    let out = aggregate(table, &["item"], aggs);
     (0..out.num_rows())
         .map(|row| {
-            let item = out.value(row, "item").unwrap().as_int().unwrap();
-            let vals = aggs.iter().map(|a| out.value(row, &a.alias).unwrap().as_float()).collect();
+            let item = out.column(0).value(row).as_int().unwrap();
+            let vals = (1..=aggs.len()).map(|c| out.column(c).value(row).as_float()).collect();
             (item, vals)
         })
         .collect()
@@ -151,9 +154,8 @@ fn per_item(table: &Table, aggs: &[AggExpr]) -> Vec<(i64, Vec<Option<f64>>)> {
 
 #[test]
 fn cube_pass_agrees_with_the_feature_queries_as_written() {
-    let numeric = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::Count]
-        .map(|f| AggExpr::new(f, "x"));
-    let distinct = [AggExpr::new(AggFunc::Sum, "size"), AggExpr::new(AggFunc::CountDistinct, "fk")];
+    let numeric = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::Count].map(|f| (f, "x"));
+    let distinct = [(AggFunc::Sum, "size"), (AggFunc::CountDistinct, "fk")];
     check("cube pass = σ/π/⋈/α", 60, |rng| {
         let star = star(rng);
         let threads = *rng.choice(&[1usize, 3]);
@@ -164,18 +166,15 @@ fn cube_pass_agrees_with_the_feature_queries_as_written() {
         for t in 0..star.space.dims()[0].num_values() {
             for node in 0..star.loc.num_nodes() {
                 let region = RegionId(vec![t, node]);
-                let sigma = Predicate::And(vec![
-                    Predicate::between("t", 0i64, t as i64),
-                    Predicate::in_set("loc", leaves_under(&star.loc, node)),
-                ]);
-                let selected = filter(&star.fact, &sigma).unwrap();
+                // σ_{T ≤ t, Loc under node}
+                let leaves = leaves_under(&star.loc, node);
+                let (time, loc) = (star.fact.column(1), star.fact.column(2));
+                let selected = filter(&star.fact, |r| {
+                    time.value(r) <= Value::Int(t as i64) && leaves.contains(&loc.value(r))
+                });
                 let want = per_item(&selected, &numeric);
-                let joined = natural_join(
-                    &project_distinct(&selected, &["item", "fk"]).unwrap(),
-                    &star.reference,
-                    "fk",
-                )
-                .unwrap();
+                let joined =
+                    natural_join(&project_distinct(&selected, &["item", "fk"]), &star.reference, "fk");
                 let want_distinct = per_item(&joined, &distinct);
 
                 let Some(cols) = cube.regions.get(&region) else {

@@ -1,8 +1,5 @@
-//! Compact validity / selection bitmaps.
-//!
-//! Used both as NULL masks inside columns and as selection vectors produced
-//! by predicate evaluation, so filters can be composed without materialising
-//! intermediate tables.
+//! Compact validity bitmaps: the NULL masks inside columns and the
+//! CUBE's output lanes.
 
 /// A fixed-length bitmap backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,17 +24,6 @@ impl Bitmap {
             len,
         };
         bm.mask_tail();
-        bm
-    }
-
-    /// Build from a boolean slice.
-    pub fn from_bools(bits: &[bool]) -> Self {
-        let mut bm = Bitmap::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                bm.set(i, true);
-            }
-        }
         bm
     }
 
@@ -84,30 +70,6 @@ impl Bitmap {
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// In-place AND with another bitmap of the same length.
-    pub fn and_inplace(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place OR with another bitmap of the same length.
-    pub fn or_inplace(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place NOT.
-    pub fn not_inplace(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.mask_tail();
     }
 
     /// Iterator over the indices of set bits, ascending.
@@ -180,22 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn boolean_algebra() {
-        let a = Bitmap::from_bools(&[true, true, false, false]);
-        let b = Bitmap::from_bools(&[true, false, true, false]);
-        let mut and = a.clone();
-        and.and_inplace(&b);
-        assert_eq!(and, Bitmap::from_bools(&[true, false, false, false]));
-        let mut or = a.clone();
-        or.or_inplace(&b);
-        assert_eq!(or, Bitmap::from_bools(&[true, true, true, false]));
-        let mut not = a.clone();
-        not.not_inplace();
-        assert_eq!(not, Bitmap::from_bools(&[false, false, true, true]));
-        assert_eq!(not.count_ones(), 2);
-    }
-
-    #[test]
     fn iter_ones_spans_words() {
         let mut bm = Bitmap::zeros(130);
         for i in [0usize, 63, 64, 127, 129] {
@@ -203,13 +149,6 @@ mod tests {
         }
         let got: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(got, vec![0, 63, 64, 127, 129]);
-    }
-
-    #[test]
-    fn not_respects_tail() {
-        let mut bm = Bitmap::ones(65);
-        bm.not_inplace();
-        assert_eq!(bm.count_ones(), 0);
     }
 
     #[test]

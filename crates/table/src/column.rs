@@ -189,35 +189,6 @@ impl Column {
             Column::Str(_) => None,
         }
     }
-
-    /// Materialise the subset of rows whose bit is set in `selection`.
-    pub fn filter(&self, selection: &Bitmap) -> Column {
-        assert_eq!(selection.len(), self.len(), "selection length mismatch");
-        let idx: Vec<usize> = selection.iter_ones().collect();
-        self.take(&idx)
-    }
-
-    /// Materialise the rows at `indices`, in order (gather).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        fn gather<T: Clone + Default>(d: &ColumnData<T>, indices: &[usize]) -> ColumnData<T> {
-            let values: Vec<T> = indices.iter().map(|&i| d.values[i].clone()).collect();
-            let validity = d.validity.as_ref().map(|v| {
-                let mut out = Bitmap::zeros(indices.len());
-                for (pos, &i) in indices.iter().enumerate() {
-                    if v.get(i) {
-                        out.set(pos, true);
-                    }
-                }
-                out
-            });
-            ColumnData::new(values, validity)
-        }
-        match self {
-            Column::Int(d) => Column::Int(gather(d, indices)),
-            Column::Float(d) => Column::Float(gather(d, indices)),
-            Column::Str(d) => Column::Str(gather(d, indices)),
-        }
-    }
 }
 
 /// Incremental builder for one column, accepting dynamically typed pushes.
@@ -399,31 +370,6 @@ mod tests {
         let c = Column::from_floats(vec![1.0]);
         assert!(c.as_int("test").is_err());
         assert!(c.as_float("test").is_ok());
-    }
-
-    #[test]
-    fn filter_and_take() {
-        let c = Column::from_ints(vec![10, 20, 30, 40]);
-        let sel = Bitmap::from_bools(&[true, false, false, true]);
-        let f = c.filter(&sel);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.value(0), Value::Int(10));
-        assert_eq!(f.value(1), Value::Int(40));
-        let t = c.take(&[3, 0, 0]);
-        assert_eq!(t.value(0), Value::Int(40));
-        assert_eq!(t.value(2), Value::Int(10));
-    }
-
-    #[test]
-    fn take_preserves_validity() {
-        let mut b = ColumnBuilder::new(DataType::Int);
-        b.push_int(1).unwrap();
-        b.push_null();
-        b.push_int(3).unwrap();
-        let c = b.finish();
-        let t = c.take(&[1, 2]);
-        assert_eq!(t.value(0), Value::Null);
-        assert_eq!(t.value(1), Value::Int(3));
     }
 
     #[test]

@@ -1,37 +1,14 @@
-//! Minimal CSV import/export so examples can inspect and exchange data.
+//! Minimal CSV import: the adoption path for real exported data
+//! (`StarDatabase::from_csv` and the `bellwether` CLI read through it).
 //!
-//! Values containing commas, quotes or newlines are quoted on write and
-//! unquoted on read; NULL round-trips as the empty field.
+//! A quoted field may hold commas and doubled quotes (`""`); the empty
+//! field is NULL.
 
 use crate::error::{Result, TableError};
 use crate::schema::Schema;
 use crate::table::{Table, TableBuilder};
 use crate::value::{DataType, Value};
-use std::io::{BufRead, Write};
-
-/// Write `table` as CSV with a header row.
-pub fn write_csv<W: Write>(table: &Table, out: &mut W) -> Result<()> {
-    let header: Vec<String> = table
-        .schema()
-        .names()
-        .iter()
-        .map(|n| escape(n))
-        .collect();
-    writeln!(out, "{}", header.join(","))?;
-    for row in 0..table.num_rows() {
-        let cells: Vec<String> = table
-            .row(row)
-            .iter()
-            .map(|v| match v {
-                Value::Null => String::new(),
-                Value::Str(s) => escape(s),
-                other => other.to_string(),
-            })
-            .collect();
-        writeln!(out, "{}", cells.join(","))?;
-    }
-    Ok(())
-}
+use std::io::BufRead;
 
 /// Read CSV with a header row into a table with the given schema.
 /// The header must match the schema's column names exactly, in order.
@@ -93,14 +70,6 @@ fn parse_cell(cell: &str, dtype: DataType, lineno: usize) -> Result<Value> {
     }
 }
 
-fn escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// Split one CSV line into unescaped cells.
 fn parse_line(line: &str) -> Result<Vec<String>> {
     let mut cells = Vec::new();
@@ -138,34 +107,20 @@ fn parse_line(line: &str) -> Result<Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
     use std::io::Cursor;
 
-    fn sample() -> Table {
+    #[test]
+    fn round_trip() {
         let schema = Schema::from_pairs(&[
             ("id", DataType::Int),
             ("name", DataType::Str),
             ("profit", DataType::Float),
         ])
         .unwrap();
-        Table::new(
-            schema,
-            vec![
-                Column::from_ints(vec![1, 2]),
-                Column::from_strs(&["plain", "with,comma \"q\""]),
-                Column::from_floats(vec![1.5, -2.0]),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn round_trip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_csv(&t, &mut buf).unwrap();
-        let back = read_csv(t.schema().clone(), Cursor::new(buf)).unwrap();
+        let csv = "id,name,profit\n1,plain,1.5\n2,\"with,comma \"\"q\"\"\",-2\n";
+        let back = read_csv(schema, Cursor::new(csv)).unwrap();
         assert_eq!(back.num_rows(), 2);
+        assert_eq!(back.value(0, "name").unwrap(), Value::str("plain"));
         assert_eq!(back.value(1, "name").unwrap(), Value::str("with,comma \"q\""));
         assert_eq!(back.value(1, "profit").unwrap(), Value::Float(-2.0));
     }

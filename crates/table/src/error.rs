@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors raised by schema validation and relational operators.
+/// Errors raised by schema validation, column access and CSV import.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TableError {
     /// A referenced column does not exist in the schema.
@@ -32,8 +32,6 @@ pub enum TableError {
     },
     /// A duplicate column name was supplied to a schema.
     DuplicateColumn(String),
-    /// Join keys did not satisfy the key/foreign-key contract.
-    KeyViolation(String),
     /// A CSV file could not be parsed.
     Csv(String),
     /// An IO error, stringified to keep the error type `Clone + Eq`.
@@ -56,7 +54,6 @@ impl fmt::Display for TableError {
                 write!(f, "aggregate {func} unsupported over {dtype}")
             }
             TableError::DuplicateColumn(name) => write!(f, "duplicate column name: {name}"),
-            TableError::KeyViolation(msg) => write!(f, "key violation: {msg}"),
             TableError::Csv(msg) => write!(f, "csv error: {msg}"),
             TableError::Io(msg) => write!(f, "io error: {msg}"),
         }

@@ -1,36 +1,30 @@
 //! # bellwether-table
 //!
-//! Typed columnar tables plus the extended relational algebra (Table 1 of
-//! the paper) that bellwether analysis is defined over: selection σ,
-//! duplicate-free projection π, key/foreign-key natural join ⋈, and
-//! group-by aggregation α with SUM/MIN/MAX/AVG/COUNT/COUNT-DISTINCT.
+//! Typed columnar tables: the star schema `DB = {F, T₁, …, Tₙ}` that
+//! bellwether analysis reads (§3.2), held in memory as [`Table`]s of
+//! typed [`Column`]s under a [`Schema`], plus the [`ops::AggFunc`]
+//! vocabulary of its feature and target queries and a CSV reader for
+//! real exported data.
 //!
-//! The design goal is a small, fully auditable in-memory relational
-//! substrate — not a general query engine. Operators materialise eagerly;
-//! there is no planner. This is sufficient (and fast enough) for the
-//! paper's workloads, where heavy lifting happens in the CUBE pass of
-//! `bellwether-cube` and the scan algorithms of `bellwether-core`.
+//! Nothing here evaluates a query. Every aggregate the pipeline needs —
+//! each regional feature and the target τ — is folded by the CUBE kernel
+//! of `bellwether-cube`; the paper's Table 1 operators (σ, π, ⋈, α) are
+//! that kernel's test oracle, beside its tests.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use bellwether_table::{
-//!     Column, Schema, Table, DataType, Predicate,
-//!     ops::{filter, aggregate, AggExpr, AggFunc},
-//! };
+//! use bellwether_table::{DataType, Schema, TableBuilder, Value};
 //!
-//! let orders = Table::new(
-//!     Schema::from_pairs(&[("item", DataType::Int), ("profit", DataType::Float)]).unwrap(),
-//!     vec![
-//!         Column::from_ints(vec![1, 1, 2]),
-//!         Column::from_floats(vec![10.0, 5.0, 7.0]),
-//!     ],
-//! ).unwrap();
+//! let schema =
+//!     Schema::from_pairs(&[("item", DataType::Int), ("profit", DataType::Float)]).unwrap();
+//! let mut orders = TableBuilder::new(schema);
+//! orders.push_row(vec![Value::Int(1), Value::Float(10.0)]).unwrap();
+//! orders.push_row(vec![Value::Int(2), Value::Null]).unwrap();
+//! let orders = orders.finish().unwrap();
 //!
-//! // α_{item, sum(profit)} σ_{profit > 6} orders
-//! let selected = filter(&orders, &Predicate::cmp("profit", bellwether_table::CmpOp::Gt, 6.0)).unwrap();
-//! let per_item = aggregate(&selected, &["item"], &[AggExpr::new(AggFunc::Sum, "profit")]).unwrap();
-//! assert_eq!(per_item.num_rows(), 2);
+//! assert_eq!(orders.num_rows(), 2);
+//! assert_eq!(orders.column_by_name("profit").unwrap().float_at(1), None);
 //! ```
 
 #![warn(missing_docs)]
@@ -40,7 +34,6 @@ pub mod bitmap;
 pub mod column;
 pub mod csv;
 pub mod error;
-pub mod expr;
 pub mod ops;
 pub mod schema;
 pub mod table;
@@ -49,7 +42,6 @@ pub mod value;
 pub use bitmap::Bitmap;
 pub use column::{Column, ColumnBuilder, ColumnData};
 pub use error::{Result, TableError};
-pub use expr::{CmpOp, Predicate};
 pub use schema::{Field, Schema, SchemaRef};
 pub use table::{Table, TableBuilder};
 pub use value::{DataType, Value};

@@ -93,27 +93,6 @@ impl Schema {
     pub fn names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
-
-    /// A new schema with only the named columns, in the given order.
-    pub fn select(&self, names: &[&str]) -> Result<Schema> {
-        let fields = names
-            .iter()
-            .map(|n| self.field(n).cloned())
-            .collect::<Result<Vec<_>>>()?;
-        Schema::new(fields)
-    }
-
-    /// Concatenate two schemas, skipping right-side columns whose names
-    /// collide (natural-join semantics: the shared key appears once).
-    pub fn join(&self, right: &Schema) -> Result<Schema> {
-        let mut fields = self.fields.clone();
-        for f in &right.fields {
-            if !self.contains(&f.name) {
-                fields.push(f.clone());
-            }
-        }
-        Schema::new(fields)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -158,22 +137,6 @@ mod tests {
     fn duplicates_rejected() {
         let err = Schema::from_pairs(&[("x", DataType::Int), ("x", DataType::Int)]);
         assert!(matches!(err, Err(TableError::DuplicateColumn(_))));
-    }
-
-    #[test]
-    fn select_reorders() {
-        let s = abc().select(&["c", "a"]).unwrap();
-        assert_eq!(s.names(), vec!["c", "a"]);
-        assert!(abc().select(&["nope"]).is_err());
-    }
-
-    #[test]
-    fn join_deduplicates_shared_keys() {
-        let left = abc();
-        let right =
-            Schema::from_pairs(&[("a", DataType::Int), ("d", DataType::Float)]).unwrap();
-        let joined = left.join(&right).unwrap();
-        assert_eq!(joined.names(), vec!["a", "b", "c", "d"]);
     }
 
     #[test]

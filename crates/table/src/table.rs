@@ -1,6 +1,5 @@
 //! The `Table`: an immutable batch of typed columns under a schema.
 
-use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnBuilder};
 use crate::error::{Result, TableError};
 use crate::schema::{Schema, SchemaRef};
@@ -10,10 +9,8 @@ use std::sync::Arc;
 
 /// An immutable table: a schema plus equal-length columns.
 ///
-/// Tables are the unit all relational operators consume and produce. They
-/// are cheap to clone column-wise thanks to `Arc`-backed string payloads,
-/// but operators always return freshly materialised tables — there is no
-/// lazy plan layer, which keeps this substrate small and auditable.
+/// Tables are cheap to clone column-wise thanks to `Arc`-backed string
+/// payloads.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: SchemaRef,
@@ -116,62 +113,6 @@ impl Table {
     pub fn row(&self, row: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c.value(row)).collect()
     }
-
-    /// Keep only rows whose bit is set.
-    pub fn filter(&self, selection: &Bitmap) -> Table {
-        let columns = self.columns.iter().map(|c| c.filter(selection)).collect();
-        Table {
-            schema: Arc::clone(&self.schema),
-            columns,
-            rows: selection.count_ones(),
-        }
-    }
-
-    /// Gather rows by index, in order (duplicates allowed).
-    pub fn take(&self, indices: &[usize]) -> Table {
-        let columns = self.columns.iter().map(|c| c.take(indices)).collect();
-        Table {
-            schema: Arc::clone(&self.schema),
-            columns,
-            rows: indices.len(),
-        }
-    }
-
-    /// Project to the named columns (no dedup — see `ops::project` for π).
-    pub fn select(&self, names: &[&str]) -> Result<Table> {
-        let schema = self.schema.select(names)?;
-        let columns = names
-            .iter()
-            .map(|n| self.column_by_name(n).cloned())
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Table {
-            schema: Arc::new(schema),
-            columns,
-            rows: self.rows,
-        })
-    }
-
-    /// Vertically concatenate tables with identical schemas.
-    pub fn concat(tables: &[&Table]) -> Result<Table> {
-        let first = tables
-            .first()
-            .ok_or_else(|| TableError::Csv("concat of zero tables".into()))?;
-        let schema = first.schema().clone();
-        let mut builder = TableBuilder::new(schema.clone());
-        for t in tables {
-            if t.schema() != &schema {
-                return Err(TableError::TypeMismatch {
-                    context: "concat".into(),
-                    expected: "identical schemas",
-                    found: "divergent schema",
-                });
-            }
-            for row in 0..t.num_rows() {
-                builder.push_row(t.row(row))?;
-            }
-        }
-        builder.finish()
-    }
 }
 
 impl fmt::Display for Table {
@@ -190,7 +131,7 @@ impl fmt::Display for Table {
     }
 }
 
-/// Row-at-a-time table builder, used by generators and operators.
+/// Row-at-a-time table builder, used by generators and the CSV reader.
 #[derive(Debug)]
 pub struct TableBuilder {
     schema: Schema,
@@ -288,23 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_take_select() {
-        let t = sample();
-        let sel = Bitmap::from_bools(&[false, true, true]);
-        let f = t.filter(&sel);
-        assert_eq!(f.num_rows(), 2);
-        assert_eq!(f.value(0, "id").unwrap(), Value::Int(2));
-
-        let taken = t.take(&[2, 2, 0]);
-        assert_eq!(taken.num_rows(), 3);
-        assert_eq!(taken.value(0, "id").unwrap(), Value::Int(3));
-
-        let proj = t.select(&["profit"]).unwrap();
-        assert_eq!(proj.num_columns(), 1);
-        assert_eq!(proj.num_rows(), 3);
-    }
-
-    #[test]
     fn builder_round_trip() {
         let schema =
             Schema::from_pairs(&[("a", DataType::Str), ("b", DataType::Int)]).unwrap();
@@ -314,14 +238,6 @@ mod tests {
         let t = b.finish().unwrap();
         assert_eq!(t.num_rows(), 2);
         assert_eq!(t.value(1, "a").unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn concat_appends_rows() {
-        let t = sample();
-        let c = Table::concat(&[&t, &t]).unwrap();
-        assert_eq!(c.num_rows(), 6);
-        assert_eq!(c.value(5, "id").unwrap(), Value::Int(3));
     }
 
     #[test]

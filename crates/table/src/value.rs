@@ -3,8 +3,8 @@
 //! The bellwether workloads only need three scalar types: 64-bit integers
 //! (ids, counts, dimension codes), 64-bit floats (profits, expenses) and
 //! interned strings (categories, state names). `Value` is the dynamically
-//! typed view used at operator boundaries (group keys, predicates, row
-//! accessors); bulk storage stays in typed columns.
+//! typed view used at row boundaries (row accessors and builders, CSV
+//! cells, group keys); bulk storage stays in typed columns.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -1,196 +1,62 @@
-//! Property-based tests of the relational operators.
+//! Property-based tests of the CSV reader and of `Value`'s ordering.
 
 use bellwether_prop::{check, Rng};
-use bellwether_table::ops::sort::SortOrder;
-use bellwether_table::ops::{
-    aggregate, filter, natural_join, project_distinct, sort_by, AggExpr, AggFunc,
-};
-use bellwether_table::{CmpOp, Column, DataType, Predicate, Schema, Table, Value};
-use std::collections::{HashMap, HashSet};
+use bellwether_table::csv::read_csv;
+use bellwether_table::{DataType, Schema, Value};
+use std::io::Cursor;
 
-fn orders(rng: &mut Rng) -> Vec<(i64, String, f64)> {
+/// One row as CSV fields: the empty field is NULL, a field holding a
+/// comma or a quote is quoted with its quotes doubled.
+fn csv_line(row: &[Value]) -> String {
+    let field = |v: &Value| match v {
+        Value::Null => String::new(),
+        Value::Str(s) if s.contains([',', '"']) => format!("\"{}\"", s.replace('"', "\"\"")),
+        other => other.to_string(),
+    };
+    row.iter().map(field).collect::<Vec<_>>().join(",")
+}
+
+fn orders(rng: &mut Rng) -> Vec<Vec<Value>> {
+    let maybe = |rng: &mut Rng, v: Value| if rng.flip(0.1) { Value::Null } else { v };
     rng.vec_of(0, 80, |r| {
-        (
-            r.i64_in(0, 20),
-            r.choice(&["wi", "md", "ca"]).to_string(),
-            r.f64_in(-1000.0, 1000.0),
-        )
+        let item = Value::Int(r.i64_in(-20, 20));
+        let state = Value::str(*r.choice(&["wi", "m,d", "c\"a\"", "\"", ",,"]));
+        let profit = Value::Float(r.f64_in(-1000.0, 1000.0));
+        vec![maybe(r, item), maybe(r, state), maybe(r, profit)]
     })
 }
 
-fn build_orders(rows: &[(i64, String, f64)]) -> Table {
-    let schema = Schema::from_pairs(&[
-        ("item", DataType::Int),
-        ("state", DataType::Str),
-        ("profit", DataType::Float),
-    ])
-    .unwrap();
-    Table::new(
-        schema,
-        vec![
-            Column::from_ints(rows.iter().map(|r| r.0).collect()),
-            Column::from_strs(&rows.iter().map(|r| r.1.as_str()).collect::<Vec<_>>()),
-            Column::from_floats(rows.iter().map(|r| r.2).collect()),
-        ],
-    )
-    .unwrap()
-}
-
-#[test]
-fn aggregate_sum_matches_manual() {
-    check("aggregate_sum_matches_manual", 64, |rng| {
-        let rows = orders(rng);
-        let t = build_orders(&rows);
-        let out = aggregate(&t, &["item"], &[AggExpr::new(AggFunc::Sum, "profit")]).unwrap();
-        let mut manual: HashMap<i64, f64> = HashMap::new();
-        for (item, _, profit) in &rows {
-            *manual.entry(*item).or_insert(0.0) += profit;
-        }
-        assert_eq!(out.num_rows(), manual.len());
-        for row in 0..out.num_rows() {
-            let item = out.value(row, "item").unwrap().as_int().unwrap();
-            let sum = out.value(row, "sum_profit").unwrap().as_float().unwrap();
-            assert!((sum - manual[&item]).abs() < 1e-6);
-        }
-    });
-}
-
-#[test]
-fn filter_partitions_rows() {
-    check("filter_partitions_rows", 64, |rng| {
-        let rows = orders(rng);
-        let threshold = rng.f64_in(-1000.0, 1000.0);
-        let t = build_orders(&rows);
-        let p = Predicate::cmp("profit", CmpOp::Ge, threshold);
-        let yes = filter(&t, &p).unwrap();
-        let no = filter(&t, &Predicate::Not(Box::new(p))).unwrap();
-        assert_eq!(yes.num_rows() + no.num_rows(), t.num_rows());
-        for row in 0..yes.num_rows() {
-            assert!(yes.value(row, "profit").unwrap().as_float().unwrap() >= threshold);
-        }
-        for row in 0..no.num_rows() {
-            assert!(no.value(row, "profit").unwrap().as_float().unwrap() < threshold);
-        }
-    });
-}
-
-#[test]
-fn distinct_projection_is_exactly_the_value_set() {
-    check("distinct_projection_is_exactly_the_value_set", 64, |rng| {
-        let rows = orders(rng);
-        let t = build_orders(&rows);
-        let out = project_distinct(&t, &["state"]).unwrap();
-        let expect: HashSet<&str> = rows.iter().map(|r| r.1.as_str()).collect();
-        assert_eq!(out.num_rows(), expect.len());
-        let got: HashSet<String> = (0..out.num_rows())
-            .map(|r| out.value(r, "state").unwrap().as_str().unwrap().to_string())
-            .collect();
-        assert_eq!(
-            got,
-            expect.into_iter().map(String::from).collect::<HashSet<_>>()
-        );
-    });
-}
-
-#[test]
-fn join_respects_fk_semantics() {
-    check("join_respects_fk_semantics", 64, |rng| {
-        let rows = orders(rng);
-        let t = build_orders(&rows);
-        // Reference table covering items 0..10 only.
-        let items = Table::new(
-            Schema::from_pairs(&[("item", DataType::Int), ("weight", DataType::Float)])
-                .unwrap(),
-            vec![
-                Column::from_ints((0..10).collect()),
-                Column::from_floats((0..10).map(|i| i as f64).collect()),
-            ],
-        )
-        .unwrap();
-        let joined = natural_join(&t, &items, "item").unwrap();
-        let expect = rows.iter().filter(|r| r.0 < 10).count();
-        assert_eq!(joined.num_rows(), expect);
-        for row in 0..joined.num_rows() {
-            let item = joined.value(row, "item").unwrap().as_int().unwrap();
-            let w = joined.value(row, "weight").unwrap().as_float().unwrap();
-            assert_eq!(w, item as f64);
-        }
-    });
-}
-
-#[test]
-fn sort_produces_ordered_permutation() {
-    check("sort_produces_ordered_permutation", 64, |rng| {
-        let rows = orders(rng);
-        let t = build_orders(&rows);
-        let out =
-            sort_by(&t, &[("profit", SortOrder::Asc), ("item", SortOrder::Desc)]).unwrap();
-        assert_eq!(out.num_rows(), t.num_rows());
-        for row in 1..out.num_rows() {
-            let a = out.value(row - 1, "profit").unwrap();
-            let b = out.value(row, "profit").unwrap();
-            assert!(a <= b);
-            if a == b {
-                let ia = out.value(row - 1, "item").unwrap();
-                let ib = out.value(row, "item").unwrap();
-                assert!(ia >= ib);
-            }
-        }
-        // Same multiset of rows.
-        let mut before: Vec<String> = (0..t.num_rows())
-            .map(|r| format!("{:?}", t.row(r)))
-            .collect();
-        let mut after: Vec<String> = (0..out.num_rows())
-            .map(|r| format!("{:?}", out.row(r)))
-            .collect();
-        before.sort();
-        after.sort();
-        assert_eq!(before, after);
-    });
-}
-
+/// Rows formatted as CSV text read back as the same values, NULLs and
+/// quoted commas and quotes included; a damaged field is an error naming
+/// its line.
 #[test]
 fn csv_round_trip() {
     check("csv_round_trip", 64, |rng| {
+        let schema = Schema::from_pairs(&[
+            ("item", DataType::Int),
+            ("state", DataType::Str),
+            ("profit", DataType::Float),
+        ])
+        .unwrap();
         let rows = orders(rng);
-        let t = build_orders(&rows);
-        let mut buf = Vec::new();
-        bellwether_table::csv::write_csv(&t, &mut buf).unwrap();
-        let back =
-            bellwether_table::csv::read_csv(t.schema().clone(), std::io::Cursor::new(buf))
-                .unwrap();
-        assert_eq!(back.num_rows(), t.num_rows());
-        for row in 0..t.num_rows() {
-            assert_eq!(back.value(row, "item").unwrap(), t.value(row, "item").unwrap());
-            assert_eq!(
-                back.value(row, "state").unwrap(),
-                t.value(row, "state").unwrap()
-            );
-            let a = back.value(row, "profit").unwrap().as_float().unwrap();
-            let b = t.value(row, "profit").unwrap().as_float().unwrap();
-            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0));
+        let mut lines: Vec<String> = vec!["item,state,profit".into()];
+        lines.extend(rows.iter().map(|row| csv_line(row)));
+        let back = read_csv(schema.clone(), Cursor::new(lines.join("\n"))).unwrap();
+        assert_eq!(back.num_rows(), rows.len());
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(&back.row(r), row, "row {r}");
         }
-    });
-}
 
-#[test]
-fn take_concat_identity() {
-    check("take_concat_identity", 64, |rng| {
-        let rows = orders(rng);
-        let t = build_orders(&rows);
-        if t.num_rows() == 0 {
+        if rows.is_empty() {
             return;
         }
-        let half = t.num_rows() / 2;
-        let first: Vec<usize> = (0..half).collect();
-        let second: Vec<usize> = (half..t.num_rows()).collect();
-        let a = t.take(&first);
-        let b = t.take(&second);
-        let back = Table::concat(&[&a, &b]).unwrap();
-        assert_eq!(back.num_rows(), t.num_rows());
-        for row in 0..t.num_rows() {
-            assert_eq!(back.row(row), t.row(row));
-        }
+        let bad = rng.usize_in(0, rows.len());
+        lines[bad + 1] = format!("x{},wi,1", lines[bad + 1].len());
+        let err = read_csv(schema, Cursor::new(lines.join("\n"))).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("line {}:", bad + 2)),
+            "{err}"
+        );
     });
 }
 

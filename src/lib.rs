@@ -6,7 +6,7 @@
 //!
 //! Re-exports the workspace crates under stable paths:
 //!
-//! * [`table`] — typed columnar tables + extended relational algebra;
+//! * [`table`] — typed columnar tables, the `AggFunc` vocabulary, CSV import;
 //! * [`linreg`] — OLS/WLS regression, Theorem-1 sufficient statistics,
 //!   cross-validation, confidence intervals;
 //! * [`cube`] — dimensions, regions, cost models, CUBE pass, lattice
@@ -110,6 +110,6 @@ pub mod prelude {
         FaultPlan, FaultySource, MemorySource, RegionBlock, RetryPolicy, RetryPolicyBuilder,
         RetryingSource, ShardManifest, ShardedSource, ShardedWriter, TrainingSource,
     };
-    pub use bellwether_table::ops::{AggExpr, AggFunc};
-    pub use bellwether_table::{Column, DataType, Predicate, Schema, Table, Value};
+    pub use bellwether_table::ops::AggFunc;
+    pub use bellwether_table::{Column, DataType, Schema, Table, Value};
 }
