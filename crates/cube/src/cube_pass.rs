@@ -13,7 +13,8 @@
 //! 2. **Rollup expansion** — each base cell is merged into every region
 //!    that contains it (the cartesian product of per-dimension
 //!    ancestors). All numeric aggregates here are distributive; the
-//!    distinct-FK form keeps the key→value map so set-union dedups
+//!    distinct-FK form keeps its set of keys (a bitset over interned key
+//!    ids when they fit, key→value pairs otherwise) so set-union dedups
 //!    exactly as `π_FK` requires.
 //!
 //! # Kernel layout
@@ -181,17 +182,21 @@ impl Measure {
     }
 
     /// `Err` unless every per-row column has exactly `n` rows — the kernel
-    /// indexes `keys` and `values` alike by row.
-    fn check_len(&self, n: usize) -> Result<(), String> {
-        let ok = match self {
-            Measure::Numeric { values, .. } => values.len() == n,
-            Measure::DistinctKeyed { keys, values, .. } => keys.len() == n && values.len() == n,
+    /// indexes `keys` and `values` alike by row — and the kernel computes
+    /// `func` over this kind: Count over fact rows only, CountDistinct
+    /// over distinct keys only.
+    fn check(&self, n: usize) -> Result<(), String> {
+        let (ok, refused, over) = match self {
+            Measure::Numeric { values, .. } => (values.len() == n, AggFunc::CountDistinct, "fact rows"),
+            Measure::DistinctKeyed { keys, values, .. } => {
+                (keys.len() == n && values.len() == n, AggFunc::Count, "distinct keys")
+            }
         };
-        if ok {
-            Ok(())
-        } else {
-            Err(format!("measure {} length mismatch", self.name()))
+        let (name, _, func) = self.shape();
+        if func == refused {
+            return Err(format!("measure {name}: {} is not computed over {over}", func.name()));
         }
+        ok.then_some(()).ok_or_else(|| format!("measure {name} length mismatch"))
     }
 }
 
@@ -228,13 +233,14 @@ impl CubeInput {
     }
 
     /// `Err` unless `coords` and every measure column hold exactly one
-    /// entry per row of `item_ids`.
+    /// entry per row of `item_ids`, and every measure's function is one
+    /// its kind computes.
     pub(crate) fn check_shape(&self, arity: usize) -> Result<(), String> {
         let n = self.item_ids.len();
         if self.coords.len() != n * arity {
             return Err("coords length mismatch".to_string());
         }
-        self.measures.iter().try_for_each(|m| m.check_len(n))
+        self.measures.iter().try_for_each(|m| m.check(n))
     }
 
     /// `Err` naming the first coordinate at or past its dimension's
@@ -273,7 +279,7 @@ impl CubeInput {
 fn finish_distinct(func: AggFunc, keys: &FxMap<i64, f64>) -> Option<f64> {
     let mut pairs: Vec<(i64, f64)> = keys.iter().map(|(&k, &v)| (k, v)).collect();
     pairs.sort_unstable_by_key(|&(k, _)| k);
-    finish_distinct_pairs(func, &pairs)
+    finish_distinct_vals(func, pairs.len(), pairs.iter().map(|&(_, v)| v))
 }
 
 /// Mergeable per-cell state of one measure: the row-at-a-time (AoS)
@@ -408,8 +414,10 @@ impl CellState {
 /// semantics: the first contribution to a slot assigns, later ones
 /// merge. That keeps e.g. a `-0.0` sum bit-identical to the AoS oracle,
 /// which clones the first contribution instead of adding it to `0.0`.
-/// The distinct-FK lanes hold `(key, value)` pair lists instead of hash
-/// maps. A chunk fold pushes rows and restores the map-overwrite
+/// A distinct-FK measure whose keys [`intern_keys`] numbered holds a
+/// bitset over those ids per slot ([`StateCol::Bits`]: a fold sets a
+/// bit, a merge copies or ORs words). Any other holds `(key, value)`
+/// pair lists instead of hash maps. A chunk fold pushes rows and restores the map-overwrite
 /// semantics ("last insert wins per key") with [`dedup_pairs`], a stable
 /// sort-by-key + keep-last dedup; from there on every merge goes through
 /// [`union_into`], which keeps a list a key-sorted set while it is small
@@ -424,6 +432,91 @@ pub(crate) enum StateCol {
     Min { vals: Vec<f64>, seen: Vec<bool> },
     Max { vals: Vec<f64>, seen: Vec<bool> },
     Distinct { func: AggFunc, pairs: Vec<Vec<(i64, f64)>> },
+    /// Slot `i`'s distinct key ids are the bits set in
+    /// `bits[i * w..(i + 1) * w]`, `w = words(vals)`; `vals[id]` is the
+    /// one value key `id` joins.
+    Bits { func: AggFunc, vals: Arc<[f64]>, bits: Vec<u64> },
+}
+
+/// Largest distinct-FK key domain held in bitset lanes: four words a
+/// slot, 32 bytes, against a pair list's 24-byte header alone.
+pub(crate) const BITSET_KEYS_MAX: usize = 256;
+
+/// Id lane entry of a row whose key is NULL.
+const NO_KEY: u32 = u32::MAX;
+
+/// Words per slot of a bitset lane over `vals.len()` key ids.
+pub(crate) fn words(vals: &[f64]) -> usize {
+    vals.len().div_ceil(64)
+}
+
+/// One input's interned distinct-FK measure: the values the ids join,
+/// and one id per row ([`NO_KEY`] for a NULL key).
+#[derive(Clone, Copy)]
+pub(crate) struct IdLane<'a> { pub(crate) vals: &'a Arc<[f64]>, pub(crate) ids: &'a [u32] }
+
+/// A distinct-FK measure's values by key id, and per input its id lane.
+pub(crate) type Interned = (Arc<[f64]>, Vec<Vec<u32>>);
+
+/// Number distinct-FK measure `m`'s keys over all `inputs` in ascending
+/// key order: `vals[id]` is the key's value, `ids[i]` input `i`'s id
+/// lane. `None` (pair lists) unless it has 1 to [`BITSET_KEYS_MAX`] keys
+/// and every row of a key joins the same value, compared by bits.
+pub(crate) fn intern_keys(inputs: &[CubeInput], m: usize) -> Option<Interned> {
+    #[cfg(test)]
+    if tests::pair_lists_forced() {
+        return None;
+    }
+    let mut index: FxMap<i64, u32> = FxMap::default();
+    let mut seen: Vec<(i64, f64)> = Vec::new();
+    let mut lanes = Vec::with_capacity(inputs.len());
+    for input in inputs {
+        let Measure::DistinctKeyed { keys, values, .. } = &input.measures[m] else {
+            return None;
+        };
+        let mut lane = Vec::with_capacity(keys.len());
+        for (&key, &v) in keys.iter().zip(values) {
+            let Some(key) = key else {
+                lane.push(NO_KEY);
+                continue;
+            };
+            let next = seen.len() as u32;
+            let id = *index.entry(key).or_insert(next);
+            if id == next {
+                if seen.len() == BITSET_KEYS_MAX {
+                    return None;
+                }
+                seen.push((key, v));
+            } else if seen[id as usize].1.to_bits() != v.to_bits() {
+                return None;
+            }
+            lane.push(id);
+        }
+        lanes.push(lane);
+    }
+    if seen.is_empty() {
+        return None;
+    }
+    let mut order: Vec<u32> = (0..seen.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| seen[i as usize].0);
+    let mut rank = vec![0u32; seen.len()];
+    (0u32..).zip(&order).for_each(|(r, &i)| rank[i as usize] = r);
+    for id in lanes.iter_mut().flatten().filter(|id| **id != NO_KEY) {
+        *id = rank[*id as usize];
+    }
+    Some((order.iter().map(|&i| seen[i as usize].1).collect(), lanes))
+}
+
+/// The ids set in one slot's words, ascending.
+fn set_ids(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    (0..).zip(words).flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            Some(w * 64 + bit)
+        })
+    })
 }
 
 /// Longest distinct pair list handled by element moves: [`dedup_pairs`]
@@ -521,21 +614,21 @@ fn union_into(dst: &mut Vec<(i64, f64)>, src: &[(i64, f64)]) {
     tests::touched(dst.len() * src.len());
 }
 
-/// Reduce one cell's deduplicated, key-sorted distinct pairs.
-fn finish_distinct_pairs(func: AggFunc, sorted: &[(i64, f64)]) -> Option<f64> {
+/// Reduce one cell's `n` distinct keys, whose values `vals` yields in
+/// ascending key order.
+fn finish_distinct_vals(func: AggFunc, n: usize, vals: impl Iterator<Item = f64>) -> Option<f64> {
     if func == AggFunc::CountDistinct {
-        return Some(sorted.len() as f64);
+        return Some(n as f64);
     }
-    if sorted.is_empty() {
+    if n == 0 {
         return None;
     }
-    let vals = sorted.iter().map(|&(_, v)| v);
     Some(match func {
         AggFunc::Sum => vals.sum(),
-        AggFunc::Avg => vals.sum::<f64>() / sorted.len() as f64,
+        AggFunc::Avg => vals.sum::<f64>() / n as f64,
         AggFunc::Min => vals.fold(f64::INFINITY, f64::min),
         AggFunc::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-        AggFunc::Count | AggFunc::CountDistinct => unreachable!(),
+        AggFunc::Count | AggFunc::CountDistinct => unreachable!("refused by `Measure::check`"),
     })
 }
 
@@ -579,13 +672,23 @@ impl StateCol {
                 vals: vec![0.0; len],
                 seen: vec![false; len],
             },
-            AggFunc::CountDistinct => panic!("CountDistinct requires Measure::DistinctKeyed"),
+            AggFunc::CountDistinct => unreachable!("refused by `Measure::check`"),
         }
     }
 
-    fn new(measure: &Measure, len: usize) -> StateCol {
+    /// `len` empty bitset slots over the ids `vals` is indexed by.
+    fn bitset(func: AggFunc, vals: &Arc<[f64]>, len: usize) -> StateCol {
+        StateCol::Bits { func, vals: Arc::clone(vals), bits: vec![0; len * words(vals)] }
+    }
+
+    /// `len` empty slots of `measure`, as bitsets over `lane`'s ids when
+    /// it has one.
+    fn new(measure: &Measure, lane: Option<IdLane>, len: usize) -> StateCol {
         let (_, distinct, func) = measure.shape();
-        StateCol::with_len(func, distinct, len)
+        match lane {
+            Some(lane) => StateCol::bitset(func, lane.vals, len),
+            None => StateCol::with_len(func, distinct, len),
+        }
     }
 
     /// A fresh column of the same measure kind with `len` empty slots.
@@ -597,6 +700,7 @@ impl StateCol {
             StateCol::Min { .. } => (AggFunc::Min, false),
             StateCol::Max { .. } => (AggFunc::Max, false),
             StateCol::Distinct { func, .. } => (*func, true),
+            StateCol::Bits { func, vals, .. } => return StateCol::bitset(*func, vals, len),
         };
         StateCol::with_len(func, distinct, len)
     }
@@ -616,14 +720,24 @@ impl StateCol {
                 counts.resize(len, 0);
             }
             StateCol::Distinct { pairs, .. } => pairs.resize_with(len, Vec::new),
+            StateCol::Bits { vals, bits, .. } => bits.resize(len * words(vals), 0),
         }
     }
 
     /// Fold the rows of one chunk into this column: `slots[row - rows.start]`
-    /// is the row's cell slot ([`NO_SLOT`] = filtered out). One `match`,
-    /// then a single pass over the chunk's rows in row order.
-    fn update_rows(&mut self, measure: &Measure, rows: Range<usize>, slots: &[u32]) {
+    /// is the row's cell slot ([`NO_SLOT`] = filtered out), and a bitset
+    /// column reads `lane`'s ids. One `match`, then a single pass over the
+    /// chunk's rows in row order.
+    fn update_rows(&mut self, measure: &Measure, lane: Option<IdLane>, rows: Range<usize>, slots: &[u32]) {
         match (self, measure) {
+            (StateCol::Bits { vals, bits, .. }, _) => {
+                let (w, ids) = (words(vals), lane.expect("a bitset column folds interned ids").ids);
+                for (&id, &slot) in ids[rows].iter().zip(slots) {
+                    if slot != NO_SLOT && id != NO_KEY {
+                        bits[slot as usize * w + id as usize / 64] |= 1 << (id % 64);
+                    }
+                }
+            }
             (StateCol::Sum { totals, seen }, Measure::Numeric { values, .. }) => {
                 for (row, &slot) in rows.zip(slots) {
                     if slot == NO_SLOT {
@@ -784,6 +898,18 @@ impl StateCol {
                     union_into(&mut pairs[d], sl);
                 }
             }
+            (StateCol::Bits { vals, bits, .. }, StateCol::Bits { bits: sb, .. }) => {
+                let w = words(vals);
+                let src = sb[range.start * w..range.end * w].chunks_exact(w);
+                for (s, (&d, &occupied)) in src.zip(dsts.iter().zip(was)) {
+                    let dst = &mut bits[d as usize * w..(d as usize + 1) * w];
+                    if occupied {
+                        dst.iter_mut().zip(s).for_each(|(a, &b)| *a |= b);
+                    } else {
+                        dst.copy_from_slice(s);
+                    }
+                }
+            }
             _ => unreachable!("merging mismatched state columns"),
         }
     }
@@ -812,6 +938,15 @@ impl StateCol {
                 func: *func,
                 pairs: gather_take(pairs, idx),
             },
+            StateCol::Bits { func, vals, bits } => {
+                let w = words(vals);
+                let slot = |&i: &u32| &bits[i as usize * w..(i as usize + 1) * w];
+                StateCol::Bits {
+                    func: *func,
+                    vals: Arc::clone(vals),
+                    bits: idx.iter().flat_map(slot).copied().collect(),
+                }
+            }
         }
     }
 
@@ -839,7 +974,15 @@ impl StateCol {
             StateCol::Min { vals, seen } | StateCol::Max { vals, seen } => {
                 seen[i].then_some(vals[i])
             }
-            StateCol::Distinct { func, pairs } => finish_distinct_pairs(*func, &pairs[i]),
+            StateCol::Distinct { func, pairs } => {
+                finish_distinct_vals(*func, pairs[i].len(), pairs[i].iter().map(|&(_, v)| v))
+            }
+            StateCol::Bits { func, vals, bits } => {
+                let w = words(vals);
+                let set = &bits[i * w..(i + 1) * w];
+                let n = set.iter().map(|word| word.count_ones() as usize).sum();
+                finish_distinct_vals(*func, n, set_ids(set).map(|id| vals[id]))
+            }
         }
     }
 }
@@ -1011,14 +1154,17 @@ fn split_point(space: u64, w: usize, t: usize) -> u64 {
 /// Pass two updates each measure column over the whole chunk with the
 /// measure kind matched once. Per (cell, measure) the update sequence is
 /// row-ascending, so every accumulated scalar is bit-equal to a
-/// row-at-a-time fold.
-pub(crate) fn fold_chunk<K>(input: &CubeInput, arity: usize, rows: Range<usize>, key_of: &K) -> StateTable
+/// row-at-a-time fold. `lanes[m]`, when given, is measure `m`'s
+/// interned key ids, which it folds into bitset lanes.
+pub(crate) fn fold_chunk<K>(
+    input: &CubeInput, lanes: &[Option<IdLane>], arity: usize, rows: Range<usize>, key_of: &K,
+) -> StateTable
 where
     K: Fn(usize, &[u32]) -> Option<u64>,
 {
     #[cfg(test)]
     if tests::phase1_oracle() {
-        return tests::fold_chunk_by_map(input, arity, rows, key_of);
+        return tests::fold_chunk_by_map(input, lanes, arity, rows, key_of);
     }
     let mut keys: Vec<u64> = Vec::with_capacity(rows.len());
     let mut slots: Vec<u32> = Vec::with_capacity(rows.len());
@@ -1042,12 +1188,12 @@ where
         }
         keys = sorted;
     }
-    let cols = input
-        .measures
-        .iter()
-        .map(|m| {
-            let mut col = StateCol::new(m, keys.len());
-            col.update_rows(m, rows.clone(), &slots);
+    let cols = (0..)
+        .zip(&input.measures)
+        .map(|(m, measure)| {
+            let lane = lanes.get(m).copied().flatten();
+            let mut col = StateCol::new(measure, lane, keys.len());
+            col.update_rows(measure, lane, rows.clone(), &slots);
             col.dedup_distinct();
             col
         })
@@ -1060,6 +1206,7 @@ where
 /// partition of chunks onto workers never shows in the output.
 pub(crate) fn fold_chunks<K>(
     input: &CubeInput,
+    lanes: &[Option<IdLane>],
     arity: usize,
     chunks: Range<usize>,
     threads: usize,
@@ -1071,7 +1218,7 @@ where
     let n = input.item_ids.len();
     let fold = |chunks: Range<usize>| -> Vec<StateTable> {
         chunks
-            .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
+            .map(|c| fold_chunk(input, lanes, arity, chunk_range(c, n), key_of))
             .collect()
     };
     if threads <= 1 || chunks.len() <= 1 {
@@ -1816,7 +1963,7 @@ pub fn aggregate_filtered_traced(
     };
     let tables = {
         let _t = span!(rec, "cube_pass/phase1_scan");
-        fold_chunks(input, arity, 0..n.div_ceil(ROW_CHUNK), threads, &key_of)
+        fold_chunks(input, &[], arity, 0..n.div_ceil(ROW_CHUNK), threads, &key_of)
     };
     let (shards, merges) = {
         let _t = span!(rec, "cube_pass/phase1_merge");
@@ -1876,6 +2023,22 @@ pub(crate) mod tests {
         /// Base cells phase 1b and the final run merge copied on this
         /// thread.
         static CELLS_COPIED: Cell<u64> = const { Cell::new(0) };
+        /// Whether this thread's passes keep every distinct-FK lane a
+        /// pair list: the path bitset lanes are held to.
+        static PAIR_LISTS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn pair_lists_forced() -> bool {
+        PAIR_LISTS.with(Cell::get)
+    }
+
+    /// Run `f` with every distinct-FK lane of this thread's passes a pair
+    /// list.
+    pub(crate) fn with_pair_lists<T>(f: impl FnOnce() -> T) -> T {
+        PAIR_LISTS.with(|o| o.set(true));
+        let out = f();
+        PAIR_LISTS.with(|o| o.set(false));
+        out
     }
 
     pub(crate) fn phase1_oracle() -> bool {
@@ -1903,6 +2066,7 @@ pub(crate) mod tests {
     /// [`fold_chunk`].
     pub(crate) fn fold_chunk_by_map<K>(
         input: &CubeInput,
+        lanes: &[Option<IdLane>],
         arity: usize,
         rows: Range<usize>,
         key_of: &K,
@@ -1924,12 +2088,12 @@ pub(crate) mod tests {
             };
             slots.push(slot);
         }
-        let cols = input
-            .measures
-            .iter()
-            .map(|m| {
-                let mut col = StateCol::new(m, keys.len());
-                col.update_rows(m, rows.clone(), &slots);
+        let cols = (0..)
+            .zip(&input.measures)
+            .map(|(m, measure)| {
+                let lane = lanes.get(m).copied().flatten();
+                let mut col = StateCol::new(measure, lane, keys.len());
+                col.update_rows(measure, lane, rows.clone(), &slots);
                 col
             })
             .collect();

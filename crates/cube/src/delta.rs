@@ -392,7 +392,7 @@ impl StreamingCube {
     /// Fold a row range of the pending tail into a chunk table.
     fn fold_pending(&self, rows: std::ops::Range<usize>) -> StateTable {
         let key_of = self.ks.key_fn(&self.pending);
-        fold_chunk(&self.pending, self.space.arity(), rows, &key_of)
+        fold_chunk(&self.pending, &[], self.space.arity(), rows, &key_of)
     }
 
     /// The base-cell table to roll up: `complete` plus the pending
@@ -434,7 +434,7 @@ impl StreamingCube {
             key_of(row, coords).filter(|key| cells.binary_search(&(key / n)).is_ok())
         };
         let rows = 0..self.pending.item_ids.len();
-        let tail = fold_chunk(&self.pending, self.space.arity(), rows, &in_cells);
+        let tail = fold_chunk(&self.pending, &[], self.space.arity(), rows, &in_cells);
         merge_delta_into(&mut table, &tail);
         table
     }
@@ -456,28 +456,35 @@ mod tests {
     use super::*;
     use crate::cube_pass::cube_pass_with;
     use crate::cube_pass::tests::with_one_epoch;
-    use crate::testutil::{assert_bit_identical, gen_distinct_input, gen_input, space};
+    use crate::testutil::{
+        assert_bit_identical, gen_distinct_input, gen_functional_input, gen_input, space,
+    };
 
     #[test]
     fn appends_match_cold_rebuild_bit_for_bit() {
         let space = space();
         let items: Vec<i64> = (0..48).map(|i| i * 3 + 1).collect();
-        let base = gen_input(7, 700, &items);
-        for threads in [1usize, 2, 4] {
-            let par = Parallelism::fixed(threads);
-            let mut stream = StreamingCube::new(&space, &base, &items, par).unwrap();
-            let mut concat = base.clone();
-            // Uneven batches that straddle the 4096-row chunk boundary
-            // several times.
-            for (i, rows) in [900usize, 3000, 1, 650, 4096, 77].iter().enumerate() {
-                let delta = gen_input(100 + i as u64, *rows, &items);
-                let update = stream.append(&delta).unwrap();
-                assert_eq!(update.rows_appended, *rows);
-                concat.extend(&delta);
-                let cold = cube_pass_with(&space, &concat, par, None);
-                assert_bit_identical(stream.result(), &cold, &format!("threads={threads} batch {i}"));
+        // The stream keeps pair lists; the cold pass folds a functional
+        // measure into bitsets.
+        for gen_input in [gen_input, gen_functional_input] {
+            let base = gen_input(7, 700, &items);
+            for threads in [1usize, 2, 4] {
+                let par = Parallelism::fixed(threads);
+                let mut stream = StreamingCube::new(&space, &base, &items, par).unwrap();
+                let mut concat = base.clone();
+                // Uneven batches that straddle the 4096-row chunk boundary
+                // several times.
+                for (i, rows) in [900usize, 3000, 1, 650, 4096, 77].iter().enumerate() {
+                    let delta = gen_input(100 + i as u64, *rows, &items);
+                    let update = stream.append(&delta).unwrap();
+                    assert_eq!(update.rows_appended, *rows);
+                    concat.extend(&delta);
+                    let cold = cube_pass_with(&space, &concat, par, None);
+                    let what = format!("threads={threads} batch {i}");
+                    assert_bit_identical(stream.result(), &cold, &what);
+                }
+                assert_eq!(stream.rows(), 700 + 900 + 3000 + 1 + 650 + 4096 + 77);
             }
-            assert_eq!(stream.rows(), 700 + 900 + 3000 + 1 + 650 + 4096 + 77);
         }
     }
 
@@ -732,6 +739,17 @@ mod tests {
         let empty = gen_input(0, 1, &items).empty_like();
         let err = StreamingCube::new(&wide, &empty, &items, par).err().unwrap();
         assert_eq!(err, StreamingCubeError::KeySpaceTooLarge);
+        // COUNT over distinct keys is not a function the kernel computes.
+        let mut bad = gen_input(15, 20, &items);
+        let Some(Measure::DistinctKeyed { func, .. }) = bad.measures.last_mut() else {
+            panic!("generator puts a distinct-keyed measure last")
+        };
+        *func = bellwether_table::ops::AggFunc::Count;
+        let err = StreamingCube::new(&space, &bad, &items, par).err().unwrap();
+        assert!(
+            matches!(&err, StreamingCubeError::Malformed(why) if why.contains("count is not computed")),
+            "{err}"
+        );
     }
 
     #[test]

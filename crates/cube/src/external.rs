@@ -27,7 +27,7 @@
 //! between two bit-exact representations of the same run — the
 //! in-memory [`StateTable`]s or their serialized form, which round-trips
 //! every accumulator exactly (`f64` bits, integer counts, the
-//! key-sorted distinct pair lists) — so the k-way merge consumes
+//! key-sorted distinct pair lists, bitset words) — so the k-way merge consumes
 //! identical per-run state sequences either way. Per output key the
 //! merge folds contributions in ascending run order (copy the first,
 //! merge the rest), the same copy-first, earlier-chunks-first order the
@@ -58,8 +58,9 @@
 //! as untrusted bytes and checks every record's CRC-32 trailer first.
 
 use crate::cube_pass::{
-    chain_or_merge, cube_pass_reference, fold_chunks, rollup_walk, strictly_ascending, CubeInput,
-    CubeResult, KeySpace, RollupPlan, StateCol, StateTable, ROW_CHUNK,
+    chain_or_merge, cube_pass_reference, fold_chunks, intern_keys, rollup_walk, strictly_ascending,
+    words, CubeInput, CubeResult, IdLane, KeySpace, RollupPlan, StateCol, StateTable,
+    BITSET_KEYS_MAX, ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -73,6 +74,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Chunks per run. Fixed — never derived from the budget or thread
@@ -96,9 +98,10 @@ fn invalid<T>(msg: String) -> io::Result<T> {
 
 // ---------------------------------------------------------------------
 // Spill-file format (temp scratch, process-private):
-//   header:  u32 n_cols, then per column u8 kind tag + u8 func tag
+//   header:  u32 n_cols, then per column u8 kind tag + u8 func tag, then
+//            per bitset column u32 words, u32 n_keys, n_keys × f64 values
 //   frames:  u32 cell count (0 terminates), count × u64 keys, then per
-//            column its lanes for those cells
+//            column its lanes for those cells (a bitset: words per cell)
 // The header, every frame and the terminator each end in the CRC-32 of
 // their own bytes (`codec::seal`). All integers and floats
 // little-endian; `f64` via `to_bits`, so the round trip is bit-exact.
@@ -135,6 +138,7 @@ fn col_tags(c: &StateCol) -> (u8, u8) {
         StateCol::Min { .. } => (3, 0),
         StateCol::Max { .. } => (4, 0),
         StateCol::Distinct { func, .. } => (5, func_tag(*func)),
+        StateCol::Bits { func, .. } => (6, func_tag(*func)),
     }
 }
 
@@ -171,6 +175,10 @@ fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
                 }
             }
         }
+        StateCol::Bits { vals, bits, .. } => {
+            let w = words(vals);
+            bits[lo * w..hi * w].iter().for_each(|&word| out.put_u64_le(word));
+        }
     }
 }
 
@@ -195,6 +203,13 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
         let (kind, func) = col_tags(c);
         buf.push(kind);
         buf.push(func);
+    }
+    for c in cols {
+        if let StateCol::Bits { vals, .. } = c {
+            buf.put_u32_le(words(vals) as u32);
+            buf.put_u32_le(vals.len() as u32);
+            vals.iter().for_each(|&v| buf.put_f64_le(v));
+        }
     }
     put_sealed(&mut buf)?;
 
@@ -229,6 +244,8 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
 struct FrameReader {
     r: BufReader<File>,
     schema: Vec<(u8, u8)>,
+    /// Per column, a bitset column's values by key id.
+    domains: Vec<Option<Arc<[f64]>>>,
     /// Bytes of the file not read yet.
     left: u64,
     /// CRC register over the sealed record being read.
@@ -295,15 +312,29 @@ impl FrameReader {
             left: file.metadata()?.len(),
             r: BufReader::new(file),
             schema: Vec::new(),
+            domains: Vec::new(),
             crc: CRC_INIT,
             last_key: None,
             decode_nanos: timed.then_some(0),
         };
         let n_cols = fr.u32()? as usize;
         let raw = fr.bytes(n_cols, 2)?;
-        fr.check_seal()?;
         fr.schema = raw.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+        for i in 0..n_cols {
+            let domain = if fr.schema[i].0 == 6 { Some(fr.domain()?) } else { None };
+            fr.domains.push(domain);
+        }
+        fr.check_seal()?;
         Ok(fr)
+    }
+
+    /// A bitset column's word count and values, from the header.
+    fn domain(&mut self) -> io::Result<Arc<[f64]>> {
+        let (w, n_keys) = (self.u32()? as usize, self.u32()? as usize);
+        if !(1..=BITSET_KEYS_MAX).contains(&n_keys) || w != n_keys.div_ceil(64) {
+            return invalid(format!("a bitset of {w} words over {n_keys} keys in spill run"));
+        }
+        Ok(self.f64s(n_keys)?.into())
     }
 
     /// Read the next frame as a small [`StateTable`]; `None` at the
@@ -374,6 +405,17 @@ impl FrameReader {
                     }
                     StateCol::Distinct { func, pairs }
                 }
+                6 => {
+                    let vals = self.domains[i].clone().expect("read with the header");
+                    let w = words(&vals);
+                    let bits = self.u64s(n * w)?;
+                    // Bits past the domain in each slot's last word.
+                    let spare = w * 64 - vals.len();
+                    if spare > 0 && bits.chunks_exact(w).any(|slot| slot[w - 1] >> (64 - spare) != 0) {
+                        return invalid("a distinct key id past its domain in spill run".to_string());
+                    }
+                    StateCol::Bits { func: func_from(func)?, vals, bits }
+                }
                 other => return invalid(format!("bad column tag {other} in spill run")),
             };
             cols.push(col);
@@ -406,6 +448,7 @@ fn table_bytes(t: &StateTable) -> usize {
             StateCol::Distinct { pairs, .. } => {
                 n * 24 + pairs.iter().map(|p| p.capacity() * 16).sum::<usize>()
             }
+            StateCol::Bits { bits, .. } => bits.len() * 8,
         }
     }
     b
@@ -714,6 +757,9 @@ pub(crate) fn cube_pass_runs(
     drop(uniq);
     let key_space = ks.cell_space * ks.n_items;
     let threads = par.threads_for(total_rows.div_ceil(ROW_CHUNK));
+    // Distinct-FK measures whose keys fit bitset lanes, numbered over
+    // every input.
+    let interned: Vec<_> = (0..first.measures.len()).map(|m| intern_keys(inputs, m)).collect();
 
     // Phase 1: fold chunks into fixed-size runs, spilling the oldest
     // resident runs whenever the budget is exceeded.
@@ -749,15 +795,19 @@ pub(crate) fn cube_pass_runs(
         }
         Ok(())
     };
-    for input in inputs {
+    for (idx, input) in inputs.iter().enumerate() {
         let key_of = ks.key_fn(input);
+        let lanes: Vec<Option<IdLane>> = interned
+            .iter()
+            .map(|i| i.as_ref().map(|(vals, ids)| IdLane { vals, ids: &ids[idx] }))
+            .collect();
         let n_chunks = input.item_ids.len().div_ceil(ROW_CHUNK);
         let mut c = 0;
         while c < n_chunks {
             let take = (run_chunks - pending.len()).min(n_chunks - c);
             let mut tables = {
                 let _t = span!(rec, "cube_pass/phase1_scan");
-                fold_chunks(input, arity, c..c + take, threads, &key_of)
+                fold_chunks(input, &lanes, arity, c..c + take, threads, &key_of)
             };
             pending.append(&mut tables);
             c += take;
@@ -812,8 +862,8 @@ mod tests {
     use crate::dimension::Dimension;
     use crate::region::RegionId;
     use crate::testutil::{
-        assert_bit_identical, gen_distinct_input, gen_input, measures_of_every_kind, slice_rows,
-        space,
+        assert_bit_identical, gen_distinct_input, gen_functional_input, gen_input,
+        measures_of_every_kind, slice_rows, space,
     };
     use bellwether_obs::{NoopRecorder, Registry};
     use bellwether_prop::Rng;
@@ -828,19 +878,37 @@ mod tests {
         gen_input(seed, rows, &items())
     }
 
+    /// [`input`] whose Sum distinct-FK measure takes bitset lanes.
+    fn functional_input(rows: usize, seed: u64) -> CubeInput {
+        gen_functional_input(seed, rows, &items())
+    }
+
     fn par(threads: usize) -> Parallelism {
         Parallelism::fixed(threads).with_min_chunk(1)
     }
 
     /// The merged state of `rows` seeded rows — one run's worth, every
-    /// state kind — as `shards` key-range shards.
-    fn merged_run(rows: usize, seed: u64, shards: usize) -> Vec<StateTable> {
+    /// state kind, with a bitset lane when `bitsets` — as `shards`
+    /// key-range shards.
+    fn merged_run(rows: usize, seed: u64, shards: usize, bitsets: bool) -> Vec<StateTable> {
         let sp = space();
-        let inp = input(rows, seed);
+        let inp = if bitsets {
+            functional_input(rows, seed)
+        } else {
+            input(rows, seed)
+        };
+        let interned: Vec<_> = (0..inp.measures.len())
+            .map(|m| intern_keys(std::slice::from_ref(&inp), m).filter(|_| bitsets))
+            .collect();
+        assert_eq!(interned.iter().flatten().count(), bitsets as usize);
+        let lanes: Vec<Option<IdLane>> = interned
+            .iter()
+            .map(|i| i.as_ref().map(|(vals, ids)| IdLane { vals, ids: &ids[0] }))
+            .collect();
         let ks = KeySpace::build(&sp, &items()).unwrap();
         let key_of = ks.key_fn(&inp);
         let tables: Vec<StateTable> = (0..rows.div_ceil(ROW_CHUNK))
-            .map(|c| fold_chunk(&inp, 2, chunk_range(c, rows), &key_of))
+            .map(|c| fold_chunk(&inp, &lanes, 2, chunk_range(c, rows), &key_of))
             .collect();
         merge_chunks(&tables, ks.cell_space * ks.n_items, shards).0
     }
@@ -848,18 +916,19 @@ mod tests {
     #[test]
     fn single_run_matches_in_memory_kernel_exactly() {
         let sp = space();
-        let inp = input(3000, 42);
-        let expect = cube_pass_with(&sp, &inp, par(1), None);
-        for threads in [1, 2, 4] {
-            let got = cube_pass_external(
-                &sp,
-                std::slice::from_ref(&inp),
-                par(threads),
-                UNLIMITED_BUDGET,
-                &NoopRecorder,
-            )
-            .unwrap();
-            assert_bit_identical(&got, &expect, &format!("threads={threads}"));
+        for inp in [input(3000, 42), functional_input(3000, 42)] {
+            let expect = cube_pass_with(&sp, &inp, par(1), None);
+            for threads in [1, 2, 4] {
+                let got = cube_pass_external(
+                    &sp,
+                    std::slice::from_ref(&inp),
+                    par(threads),
+                    UNLIMITED_BUDGET,
+                    &NoopRecorder,
+                )
+                .unwrap();
+                assert_bit_identical(&got, &expect, &format!("threads={threads}"));
+            }
         }
     }
 
@@ -869,63 +938,36 @@ mod tests {
         // Three inputs of 9000 rows at run_chunks=2: the 9 chunks form
         // 5 runs, so budget 0 spills several runs and the final pass is
         // a genuine multi-run k-way merge on both sides.
-        let inputs: Vec<CubeInput> = (0..3).map(|i| input(9000, 7 + i)).collect();
-        let reg = Registry::shared();
-        let unlimited = cube_pass_runs(
-            &sp,
-            &inputs,
-            par(2),
-            UNLIMITED_BUDGET,
-            2,
-            &NoopRecorder,
-        )
-        .unwrap();
-        let spilled =
-            cube_pass_runs(&sp, &inputs, par(4), 0, 2, reg.as_ref()).unwrap();
-        assert_bit_identical(&spilled, &unlimited, "spilled vs unlimited");
-        let snap = reg.snapshot();
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .unwrap_or(0)
-        };
-        assert!(get(names::SHARD_SPILLS) > 0, "budget 0 must spill");
-        assert!(get(names::SHARD_SPILL_BYTES) > 0);
-        assert!(get(names::SHARD_RUNS_MERGED) > 0);
-        assert_eq!(get(names::CUBE_PASS_ROWS_SCANNED), 27000);
+        for gen in [input, functional_input] {
+            let inputs: Vec<CubeInput> = (0..3).map(|i| gen(9000, 7 + i)).collect();
+            let reg = Registry::shared();
+            let unlimited =
+                cube_pass_runs(&sp, &inputs, par(2), UNLIMITED_BUDGET, 2, &NoopRecorder).unwrap();
+            let spilled = cube_pass_runs(&sp, &inputs, par(4), 0, 2, reg.as_ref()).unwrap();
+            assert_bit_identical(&spilled, &unlimited, "spilled vs unlimited");
+            let snap = reg.snapshot();
+            let get = |name: &str| snap.counter(name).unwrap_or(0);
+            assert!(get(names::SHARD_SPILLS) > 0, "budget 0 must spill");
+            assert!(get(names::SHARD_SPILL_BYTES) > 0);
+            assert!(get(names::SHARD_RUNS_MERGED) > 0);
+            assert_eq!(get(names::CUBE_PASS_ROWS_SCANNED), 27000);
+        }
     }
 
     #[test]
     fn multi_input_partition_is_stable_across_threads_and_budgets() {
         let sp = space();
-        let inputs: Vec<CubeInput> = (0..2).map(|i| input(5000, 100 + i)).collect();
-        let base = cube_pass_runs(
-            &sp,
-            &inputs,
-            par(1),
-            UNLIMITED_BUDGET,
-            3,
-            &NoopRecorder,
-        )
-        .unwrap();
-        for threads in [2, 4] {
-            for budget in [0usize, 1 << 20, UNLIMITED_BUDGET] {
-                let got = cube_pass_runs(
-                    &sp,
-                    &inputs,
-                    par(threads),
-                    budget,
-                    3,
-                    &NoopRecorder,
-                )
-                .unwrap();
-                assert_bit_identical(
-                    &got,
-                    &base,
-                    &format!("threads={threads} budget={budget}"),
-                );
+        for gen in [input, functional_input] {
+            let inputs: Vec<CubeInput> = (0..2).map(|i| gen(5000, 100 + i)).collect();
+            let base =
+                cube_pass_runs(&sp, &inputs, par(1), UNLIMITED_BUDGET, 3, &NoopRecorder).unwrap();
+            for threads in [2, 4] {
+                for budget in [0usize, 1 << 20, UNLIMITED_BUDGET] {
+                    let got = cube_pass_runs(&sp, &inputs, par(threads), budget, 3, &NoopRecorder)
+                        .unwrap();
+                    let what = format!("threads={threads} budget={budget}");
+                    assert_bit_identical(&got, &base, &what);
+                }
             }
         }
     }
@@ -1008,7 +1050,12 @@ mod tests {
     #[test]
     fn run_roundtrip_is_bit_exact() {
         // Serialize + reload one run and compare every lane.
-        let shards = merged_run(2000, 77, 2);
+        for bitsets in [false, true] {
+            roundtrip(merged_run(2000, 77, 2, bitsets));
+        }
+    }
+
+    fn roundtrip(shards: Vec<StateTable>) {
         let dir = std::env::temp_dir().join(format!("bw_run_rt_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.bwrun");
@@ -1116,6 +1163,144 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn a_spilled_bitset_past_its_domain_or_width_is_invalid_data() {
+        // One cell whose bitset lane over 70 keys (two words) holds ids 0
+        // and 69.
+        let table = StateTable {
+            keys: vec![7],
+            cols: vec![StateCol::Bits {
+                func: AggFunc::Sum,
+                vals: (0..70).map(f64::from).collect(),
+                bits: vec![1, 1 << 5],
+            }],
+        };
+        let dir = std::env::temp_dir().join(format!("bw_run_bitset_{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.bwrun");
+        write_run(&path, std::slice::from_ref(&table)).unwrap();
+        let good = fs::read(&path).unwrap();
+        // n_cols (4), tags (2), words (4), n_keys (4), 70 values, the
+        // header's checksum (4), cell count (4), cell key (8), two words.
+        let (words_at, n_keys_at, bits_at) = (6, 10, 14 + 560 + 16);
+        assert_eq!(good.len(), bits_at + 16 + 4 + 8);
+        assert!(RunCursor::open(Run::Spilled { path: path.clone() }, false).is_ok());
+        let with_u32 = |at: usize, v: u32| {
+            let mut bytes = good.clone();
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            bytes
+        };
+        let mut past = good.clone();
+        past[bits_at + 15] |= 0x80; // id 127 of a 70-key domain
+        let mut at_end = good.clone();
+        at_end[bits_at + 8] |= 1 << 6; // id 70
+        for (what, bytes, says) in [
+            ("id 127", past, "past its domain"),
+            ("id 70", at_end, "past its domain"),
+            ("three words over 70 keys", with_u32(words_at, 3), "words"),
+            ("one word over 70 keys", with_u32(words_at, 1), "words"),
+            ("no keys", with_u32(n_keys_at, 0), "words"),
+            ("257 keys", with_u32(n_keys_at, 257), "words"),
+        ] {
+            fs::write(&path, bytes).unwrap();
+            let err = RunCursor::open(Run::Spilled { path: path.clone() }, false)
+                .err()
+                .unwrap_or_else(|| panic!("{what} decoded"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(says), "{what}: {err}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `rows` rows over [`space`]'s cells whose distinct-FK measures, one
+    /// per function the form takes, join each of `domain` keys to one
+    /// value: `-0.0`, NaN payloads, infinities and thirds among them. Every
+    /// key occurs, extremes of `i64` included; one row in eight has a NULL
+    /// key. Cut into `slices` inputs.
+    fn functional_facts(
+        rng: &mut Rng,
+        domain: usize,
+        rows: usize,
+        slices: usize,
+    ) -> Vec<CubeInput> {
+        let keys: Vec<i64> = (0..domain as i64)
+            .map(|i| match i {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => (i - domain as i64 / 2) * 7919,
+            })
+            .collect();
+        let special = [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_beef),
+            f64::INFINITY,
+        ];
+        let value: Vec<f64> = keys
+            .iter()
+            .map(|_| match rng.below(4) {
+                0 => *rng.choice(&special),
+                _ => rng.i64_in(-300, 300) as f64 / 3.0,
+            })
+            .collect();
+        let fks: Vec<Option<usize>> = (0..rows)
+            .map(|r| match r {
+                r if r < domain => Some(r),
+                _ => (!rng.flip(0.125)).then(|| rng.below(domain)),
+            })
+            .collect();
+        let weeks: Vec<u32> = (0..6).collect();
+        let mut input = gen_distinct_input(rng.next_u64(), rows, &items(), &weeks, 0..1, true);
+        for m in &mut input.measures {
+            if let Measure::DistinctKeyed {
+                keys: ks, values, ..
+            } = m
+            {
+                *ks = fks.iter().map(|k| k.map(|k| keys[k])).collect();
+                *values = fks.iter().map(|k| k.map_or(0.5, |k| value[k])).collect();
+            }
+        }
+        (0..slices)
+            .map(|s| slice_rows(&input, s * rows / slices..(s + 1) * rows / slices))
+            .collect()
+    }
+
+    #[test]
+    fn bitset_lanes_match_the_pair_lists_bit_for_bit() {
+        let sp = space();
+        bellwether_prop::check("bitset lanes = pair lists", 2, |rng| {
+            for domain in [1usize, 63, 64, 65, 200, 256, 257] {
+                let rows = domain.max(*rng.choice(&[700, ROW_CHUNK + 1, 9000]));
+                let slices = rng.usize_in(1, 4);
+                let inputs = functional_facts(rng, domain, rows, slices);
+                let bitsets = (0..5)
+                    .filter(|&m| intern_keys(&inputs, m).is_some())
+                    .count();
+                assert_eq!(
+                    bitsets,
+                    if domain <= BITSET_KEYS_MAX { 5 } else { 0 },
+                    "{domain} keys"
+                );
+                let pairs = crate::cube_pass::tests::with_pair_lists(|| {
+                    cube_pass_runs(&sp, &inputs, par(1), UNLIMITED_BUDGET, 2, &NoopRecorder)
+                        .unwrap()
+                });
+                for threads in [1usize, 2, 4] {
+                    for budget in [0, UNLIMITED_BUDGET] {
+                        let got =
+                            cube_pass_runs(&sp, &inputs, par(threads), budget, 2, &NoopRecorder)
+                                .unwrap();
+                        let what = format!(
+                            "{domain} keys, {rows} rows, threads={threads}, budget={budget}"
+                        );
+                        assert_bit_identical(&got, &pairs, &what);
+                    }
+                }
+            }
+        });
+    }
+
     /// Every merged cell as `(key, state)`, the state spelled out per
     /// column.
     fn cells_of(segments: &[StateTable]) -> Vec<(u64, String)> {
@@ -1144,8 +1329,14 @@ mod tests {
     #[test]
     fn every_truncation_and_every_flipped_bit_of_a_spill_run_is_an_error() {
         // Two frames of 8 cells of every state kind: every field there
-        // is, small enough to damage at every bit.
-        let spilled = merged_run(16, 5, 2);
+        // is, small enough to damage at every bit; once with a bitset
+        // lane and its header domain.
+        for bitsets in [false, true] {
+            damage(merged_run(16, 5, 2, bitsets));
+        }
+    }
+
+    fn damage(spilled: Vec<StateTable>) {
         assert!(spilled.len() == 2 && spilled.iter().all(|t| t.len() > 0));
         let dir = std::env::temp_dir().join(format!("bw_run_damage_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
@@ -1242,10 +1433,26 @@ mod tests {
             func: AggFunc::Sum,
             values: vec![],
         };
+        // A function the measure's kind does not compute.
+        let mut count_distinct_rows = row("s", 0);
+        count_distinct_rows.measures[0] = Measure::Numeric {
+            name: "s".into(),
+            func: AggFunc::CountDistinct,
+            values: vec![Some(1.0)],
+        };
+        let mut count_keys = row("s", 0);
+        count_keys.measures[0] = Measure::DistinctKeyed {
+            name: "s".into(),
+            func: AggFunc::Count,
+            keys: vec![Some(3)],
+            values: vec![1.0],
+        };
         for (what, inputs) in [
             ("a coordinate past max_t", vec![row("s", 0), row("s", 9)]),
             ("a measure column one entry short", vec![short]),
             ("another measure schema", vec![row("s", 0), row("t", 0)]),
+            ("COUNT DISTINCT over fact rows", vec![count_distinct_rows]),
+            ("COUNT over distinct keys", vec![count_keys]),
         ] {
             for budget in [0, UNLIMITED_BUDGET] {
                 let err = cube_pass_external(&t4, &inputs, par(1), budget, &NoopRecorder)
@@ -1357,7 +1564,7 @@ mod tests {
         K: Fn(usize, &[u32]) -> Option<u64> + Sync,
     {
         let (tables, merges) = chain_or_merge(
-            fold_chunks(input, 2, run, threads, key_of),
+            fold_chunks(input, &[], 2, run, threads, key_of),
             key_space,
             threads,
         );
@@ -1376,7 +1583,7 @@ mod tests {
     {
         let n = input.item_ids.len();
         let tables: Vec<StateTable> = run
-            .map(|c| fold_chunk_by_map(input, 2, chunk_range(c, n), key_of))
+            .map(|c| fold_chunk_by_map(input, &[], 2, chunk_range(c, n), key_of))
             .collect();
         let (shards, merges) = merge_chunks(&tables, key_space, 1);
         (spelled(&shards), merges)
@@ -1391,7 +1598,13 @@ mod tests {
             let ks = KeySpace::build(&sp, &input.item_ids).unwrap();
             let key_space = ks.cell_space * ks.n_items;
             let key_of = ks.key_fn(&input);
-            let first = fold_chunk_by_map(&input, 2, chunk_range(0, input.item_ids.len()), &key_of);
+            let first = fold_chunk_by_map(
+                &input,
+                &[],
+                2,
+                chunk_range(0, input.item_ids.len()),
+                &key_of,
+            );
             if let Some(StateCol::Distinct { pairs, .. }) = first.cols.last() {
                 widest.set(pairs.iter().map(Vec::len).fold(widest.get(), usize::max));
             }

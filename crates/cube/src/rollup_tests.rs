@@ -130,7 +130,7 @@ fn facts(rng: &mut Rng, space: &RegionSpace, pools: &[Vec<u32>], rows: usize) ->
 fn base_cells(space: &RegionSpace, input: &CubeInput) -> (KeySpace, Vec<StateTable>) {
     let ks = KeySpace::build(space, &input.item_ids).expect("small key space");
     let chunks = input.item_ids.len().div_ceil(ROW_CHUNK);
-    let tables = fold_chunks(input, space.arity(), 0..chunks, 1, &ks.key_fn(input));
+    let tables = fold_chunks(input, &[], space.arity(), 0..chunks, 1, &ks.key_fn(input));
     let (shards, _) = merge_chunks(&tables, ks.cell_space * ks.n_items, 1);
     (ks, shards)
 }

@@ -97,6 +97,20 @@ pub(crate) fn gen_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
     }
 }
 
+/// [`gen_input`] with the Sum distinct-FK measure's values a function of
+/// the key (the join contract), so that it takes bitset lanes; the
+/// CountDistinct one keeps free values and pair lists.
+pub(crate) fn gen_functional_input(seed: u64, rows: usize, items: &[i64]) -> CubeInput {
+    let mut input = gen_input(seed, rows, items);
+    let Some(Measure::DistinctKeyed { keys, values, .. }) = input.measures.get_mut(5) else {
+        unreachable!("measures_of_every_kind puts `d` sixth")
+    };
+    for (v, k) in values.iter_mut().zip(keys.iter()) {
+        *v = k.map_or(0.0, |k| k as f64 / 3.0 - 4.0);
+    }
+    input
+}
+
 /// `rows` seeded fact rows over the leaf cells of [`space`] at times
 /// drawn from `weeks`, carrying nothing but distinct-FK measures: every
 /// `func` the form takes, all over the same foreign keys drawn from

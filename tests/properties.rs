@@ -166,6 +166,41 @@ fn random_measure(rng: &mut Rng, idx: usize, n: usize) -> Measure {
     }
 }
 
+/// `input` with every other distinct-keyed measure (the first, the
+/// third, …) joining one value per key — the join contract, under which
+/// the kernel folds those measures into bitset lanes — and, when it has
+/// no distinct-keyed measure, one such measure appended.
+fn with_functional_values(rng: &mut Rng, input: &CubeInput) -> CubeInput {
+    let table: Vec<f64> = (0..12).map(|_| rng.f64_in(-20.0, 20.0)).collect();
+    let joined = |keys: &[Option<i64>]| {
+        keys.iter().map(|k| k.map_or(0.0, |k| table[k as usize])).collect()
+    };
+    let mut out = input.clone();
+    let mut distinct = 0;
+    for m in &mut out.measures {
+        if let Measure::DistinctKeyed { keys, values, .. } = m {
+            if distinct % 2 == 0 {
+                *values = joined(keys);
+            }
+            distinct += 1;
+        }
+    }
+    if distinct == 0 {
+        let n = input.item_ids.len();
+        let keys: Vec<Option<i64>> = (0..n)
+            .map(|_| (!rng.flip(0.15)).then(|| rng.i64_in(0, 12)))
+            .collect();
+        let funcs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::CountDistinct];
+        out.measures.push(Measure::DistinctKeyed {
+            name: "f".into(),
+            func: *rng.choice(&funcs),
+            values: joined(&keys),
+            keys,
+        });
+    }
+    out
+}
+
 /// Bitwise equality of two cube results (float payloads compared via
 /// `to_bits`, so "close" is not good enough).
 fn assert_bit_identical(a: &CubeResult, b: &CubeResult) {
@@ -215,6 +250,12 @@ fn parallel_cube_pass_is_bit_identical_to_sequential() {
         let seq = cube_pass_with(&s, &input, Parallelism::sequential(), None);
         for threads in 2..=8 {
             let par = cube_pass_with(&s, &input, Parallelism::fixed(threads), None);
+            assert_bit_identical(&seq, &par);
+        }
+        let functional = with_functional_values(rng, &input);
+        let seq = cube_pass_with(&s, &functional, Parallelism::sequential(), None);
+        for threads in 2..=8 {
+            let par = cube_pass_with(&s, &functional, Parallelism::fixed(threads), None);
             assert_bit_identical(&seq, &par);
         }
     });
@@ -284,20 +325,25 @@ fn streaming_cube_matches_cold_pass_on_random_schedules() {
         cuts.push(n);
         cuts.sort_unstable();
         let universe: Vec<i64> = (0..8).collect();
-        for threads in [1usize, 2, 4] {
-            let par = Parallelism::fixed(threads);
-            let base = slice_input(&input, 0..cuts[0], arity);
-            let mut stream = StreamingCube::new(&s, &base, &universe, par).unwrap();
-            for w in cuts.windows(2) {
-                let update = stream.append(&slice_input(&input, w[0]..w[1], arity)).unwrap();
-                let cold = cube_pass_with(&s, &slice_input(&input, 0..w[1], arity), par, None);
-                assert_bit_identical(stream.result(), &cold);
-                assert_eq!(
-                    update.regions_extended + update.regions_rebuilt,
-                    update.dirty_regions.len()
-                );
-                if in_order {
-                    assert_eq!(update.regions_rebuilt, 0, "time-ordered append left the fast path");
+        // The stream keeps pair lists; the cold pass folds the functional
+        // input's measures into bitsets.
+        let functional = with_functional_values(rng, &input);
+        for input in [&input, &functional] {
+            for threads in [1usize, 2, 4] {
+                let par = Parallelism::fixed(threads);
+                let base = slice_input(input, 0..cuts[0], arity);
+                let mut stream = StreamingCube::new(&s, &base, &universe, par).unwrap();
+                for w in cuts.windows(2) {
+                    let update = stream.append(&slice_input(input, w[0]..w[1], arity)).unwrap();
+                    let cold = cube_pass_with(&s, &slice_input(input, 0..w[1], arity), par, None);
+                    assert_bit_identical(stream.result(), &cold);
+                    assert_eq!(
+                        update.regions_extended + update.regions_rebuilt,
+                        update.dirty_regions.len()
+                    );
+                    if in_order {
+                        assert_eq!(update.regions_rebuilt, 0, "time-ordered append left the fast path");
+                    }
                 }
             }
         }
