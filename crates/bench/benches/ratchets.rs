@@ -11,10 +11,10 @@ use bellwether_bench::{prepare_retail, Harness};
 use bellwether_core::{
     basic_search, build_cube_input, build_rainforest, BellwetherConfig, ErrorMeasure, TreeConfig,
 };
-use bellwether_cube::cube_pass::{cube_pass_reference, CubeInput, CubeResult, Measure};
+use bellwether_cube::cube_pass::{CubeInput, CubeResult, Measure};
 use bellwether_cube::{
-    cube_pass_external, cube_pass_with, CostModel, NoopRecorder, Parallelism, RegionId,
-    RegionSpace, UNLIMITED_BUDGET,
+    cube_pass, cube_pass_external, CostModel, NoopRecorder, Parallelism, RegionId, RegionSpace,
+    UNLIMITED_BUDGET,
 };
 use bellwether_datagen::{
     build_scale_workload, build_stream_workload, generate_retail, RetailConfig, ScaleConfig,
@@ -187,30 +187,6 @@ fn main() -> ExitCode {
     // (what, baseline's fastest sample / the kernel's, floor)
     let mut ratios: Vec<(&str, f64, f64)> = Vec::new();
 
-    // --- The CUBE pass: the dense-keyed kernel against the hash-per-row
-    // reference on a 150-item × 8-month × 10-state retail dataset.
-    let mut cfg = RetailConfig::mail_order(150, 99);
-    cfg.months = 8;
-    cfg.converge_month = 6;
-    cfg.states = Some(STATES.to_vec());
-    let data = generate_retail(&cfg);
-    let input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let reference = h
-        .bench("cube_pass_reference_retail_150x8x10", || {
-            cube_pass_reference(&data.space, &input)
-        })
-        .min_secs();
-    let dense = h
-        .bench("cube_pass_retail_150x8x10/threads=1", || {
-            cube_pass_with(&data.space, &input, Parallelism::fixed(1), None)
-        })
-        .min_secs();
-    ratios.push((
-        "CUBE pass, dense kernel vs reference",
-        reference / dense,
-        2.0,
-    ));
-
     // --- The retail pass over `train_facts`' input with its distinct-FK
     // measure (120 catalogs, each joining one page count) against the same
     // pass without it: bitset lanes hold the measure to ≤ 2.2× (pair lists
@@ -224,7 +200,7 @@ fn main() -> ExitCode {
     assert!(numeric.measures.len() < input.measures.len(), "retail has a distinct-FK measure");
     let [with, without] = [("with", &input), ("without", &numeric)].map(|(what, input)| {
         h.bench(&format!("cube_pass_retail_distinct/measures={what}/threads=1"), || {
-            cube_pass_with(&data.space, input, Parallelism::fixed(1), None)
+            cube_pass(&data.space, input, Parallelism::fixed(1), &NoopRecorder).expect("CUBE pass")
         })
         .min_secs()
     });

@@ -1,7 +1,7 @@
 //! Dataset preparation shared by the retail figures (7, 8, 9).
 
 use bellwether_core::{build_cube_input, build_memory_source, global_target};
-use bellwether_cube::{CostModel, CubeInput, RegionId};
+use bellwether_cube::{cube_pass, CostModel, CubeInput, NoopRecorder, Parallelism, RegionId};
 use bellwether_datagen::{generate_retail, RetailConfig, RetailDataset};
 use bellwether_storage::{MemorySource, TrainingSource};
 use bellwether_table::ops::AggFunc;
@@ -30,7 +30,8 @@ pub fn prepare_retail(cfg: &RetailConfig) -> PreparedRetail {
         global_target(&data.db, "profit", AggFunc::Sum).expect("target query");
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries)
         .expect("cube input");
-    let cube = bellwether_cube::cube_pass(&data.space, &cube_input);
+    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder)
+        .expect("CUBE pass");
     let regions = data.space.all_regions();
     let source = build_memory_source(&cube, &regions, &data.items, &targets);
     PreparedRetail {

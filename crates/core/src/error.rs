@@ -92,6 +92,18 @@ impl From<std::io::Error> for BellwetherError {
     }
 }
 
+/// A CUBE pass's malformed input or too-large key space is a
+/// configuration error; its spill I/O is I/O.
+impl From<bellwether_cube::CubeError> for BellwetherError {
+    fn from(e: bellwether_cube::CubeError) -> Self {
+        match e {
+            bellwether_cube::CubeError::Io(e) => BellwetherError::Io(e),
+            bellwether_cube::CubeError::InvalidInput(why) => BellwetherError::Config(why),
+            e => BellwetherError::Config(e.to_string()),
+        }
+    }
+}
+
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, BellwetherError>;
 

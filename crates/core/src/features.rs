@@ -408,7 +408,7 @@ pub fn global_target(db: &StarDatabase, column: &str, func: AggFunc) -> Result<H
             values: db.fact_values(column, func)?,
         }],
     };
-    Ok(aggregate_filtered(&input, 0, |_| true)
+    Ok(aggregate_filtered(&input, 0, |_| true)?
         .into_iter()
         .filter_map(|(id, target)| Some((id, target[0]?)))
         .collect())
@@ -417,7 +417,7 @@ pub fn global_target(db: &StarDatabase, column: &str, func: AggFunc) -> Result<H
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bellwether_cube::{cube_pass, Hierarchy, RegionId};
+    use bellwether_cube::{cube_pass, Hierarchy, NoopRecorder, RegionId};
     use bellwether_table::{Column, DataType, Schema, Value};
 
     /// The motivating example's schema in miniature: orders + ads.
@@ -507,7 +507,7 @@ mod tests {
         let db = db();
         let space = space();
         let input = build_cube_input(&db, &space, &queries()).unwrap();
-        let result = cube_pass(&space, &input);
+        let result = cube_pass(&space, &input, Parallelism::default(), &NoopRecorder).unwrap();
 
         // [1-2, WI] item 1: profit 30, max ad size 3, distinct-ad total 3
         let f = result.features(&RegionId(vec![1, 2]), 1).unwrap();
@@ -610,7 +610,7 @@ mod tests {
             Err(BellwetherError::Config(_)) => true,
             Err(e) => panic!("refused for another reason: {e}"),
             Ok(input) => {
-                cube_pass(&space(), &input);
+                cube_pass(&space(), &input, Parallelism::default(), &NoopRecorder).unwrap();
                 false
             }
         }

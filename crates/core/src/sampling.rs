@@ -7,16 +7,17 @@
 //! Averaged over several trials, this shows what budget-matched
 //! unstructured acquisition achieves versus the bellwether.
 
-use crate::error::Result;
+use crate::error::{BellwetherError, Result};
 use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
 use crate::seeded::seeded_rng;
-use bellwether_cube::{aggregate_filtered, CostModel, CubeInput, RegionId, RegionSpace};
+use bellwether_cube::{aggregate_filtered, CostModel, CubeInput, Dimension, RegionId, RegionSpace};
 use bellwether_linreg::{EvalScratch, RegressionData};
 use std::collections::HashMap;
 
 /// Mean error of the random-collection baseline over `trials` draws.
-/// Returns `None` if no trial could afford data and fit a model.
+/// Returns `None` if no trial could afford data and fit a model, and
+/// `Err(Config)` on a malformed `cube_input`.
 #[allow(clippy::too_many_arguments)]
 pub fn sampling_baseline_error(
     space: &RegionSpace,
@@ -28,6 +29,15 @@ pub fn sampling_baseline_error(
     trials: usize,
     seed: u64,
 ) -> Result<Option<f64>> {
+    // A cell's coordinates index `space`'s hierarchies when a region is
+    // tested against it.
+    let bounds: Vec<u32> = space.dims().iter().map(Dimension::num_values).collect();
+    let mut bounded = cube_input.coords.iter().zip(bounds.iter().cycle());
+    if let Some(i) = bounded.position(|(&c, &bound)| c >= bound) {
+        let (c, d) = (cube_input.coords[i], i % bounds.len());
+        let why = format!("coordinate {c} out of range on dimension {d}");
+        return Err(BellwetherError::Config(why));
+    }
     let all_regions = space.all_regions();
     let mut rng = seeded_rng(seed);
     let mut errors = Vec::new();
@@ -57,7 +67,7 @@ pub fn sampling_baseline_error(
         let features = aggregate_filtered(cube_input, space.arity(), |cell| {
             let cell = RegionId(cell.to_vec());
             chosen.iter().any(|r| space.contains(r, &cell))
-        });
+        })?;
 
         // Assemble a training set with the standard layout.
         let n_static = items.numeric_attrs().len();
@@ -168,6 +178,43 @@ mod tests {
         let err = sampling_baseline_error(&space, &input, &items, &targets, &cost, &cfg, 3, 1)
             .unwrap();
         assert!(err.is_none());
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_not_a_panic() {
+        let (space, input, items, targets) = fixture();
+        let cfg = BellwetherConfig::builder(100.0).min_examples(5).build().unwrap();
+        let cost = UniformCellCost { rate: 1.0 };
+        let with_measure = |func, values| CubeInput {
+            measures: vec![Measure::Numeric {
+                name: "profit".into(),
+                func,
+                values,
+            }],
+            ..input.clone()
+        };
+        let n = input.item_ids.len();
+        let mut past_leaves = input.clone();
+        past_leaves.coords[3] = 9;
+        let mut coords_short = input.clone();
+        coords_short.coords.pop();
+        let mut count_keys = input.clone();
+        count_keys.measures = vec![Measure::DistinctKeyed {
+            name: "ads".into(),
+            func: AggFunc::Count,
+            keys: vec![Some(1); n],
+            values: vec![1.0; n],
+        }];
+        for (what, bad) in [
+            ("a coordinate past the leaves", past_leaves),
+            ("a coordinate row one entry short", coords_short),
+            ("a measure column one entry short", with_measure(AggFunc::Sum, vec![None; n - 1])),
+            ("COUNT DISTINCT over fact rows", with_measure(AggFunc::CountDistinct, vec![None; n])),
+            ("COUNT over distinct keys", count_keys),
+        ] {
+            let got = sampling_baseline_error(&space, &bad, &items, &targets, &cost, &cfg, 3, 1);
+            assert!(matches!(got, Err(BellwetherError::Config(_))), "{what}: {got:?}");
+        }
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl StreamingBellwether {
     /// candidates with its own — the engine converges on the cold
     /// result instead of serving the stale blocks forever.
     pub fn append(&mut self, delta: &CubeInput) -> Result<AppendOutcome> {
-        let update = self.cube.append(delta).map_err(BellwetherError::Config)?;
+        let update = self.cube.append(delta)?;
 
         // Dirty *candidates*: the cube reports every dirty region in
         // the space; only those in our candidate list hold blocks.

@@ -151,7 +151,7 @@ pub fn write_disk_source_in_registry(
 mod tests {
     use super::*;
     use crate::items::ItemIndex;
-    use bellwether_cube::{cube_pass, CubeInput, Dimension, Hierarchy, Measure};
+    use bellwether_cube::{cube_pass, CubeInput, Dimension, Hierarchy, Measure, NoopRecorder};
     use bellwether_storage::TrainingSource;
     use bellwether_table::ops::AggFunc;
     use bellwether_table::{Column, DataType, Schema, Table};
@@ -189,7 +189,7 @@ mod tests {
                 values: vec![Some(4.0), Some(6.0), Some(8.0)],
             }],
         };
-        cube_pass(&space(), &input)
+        cube_pass(&space(), &input, Parallelism::default(), &NoopRecorder).unwrap()
     }
 
     fn targets() -> HashMap<i64, f64> {

@@ -104,7 +104,7 @@ fn retail_workload_blocks_are_byte_equal() {
     let data = generate_retail(&cfg);
     let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &input);
+    let cube = cube_pass(&data.space, &input, Parallelism::default(), &NoopRecorder).unwrap();
     let examples =
         assert_same_blocks(&cube, &data.space.all_regions(), &data.items, &targets, "retail");
     assert!(examples > 1_000, "{examples} examples");

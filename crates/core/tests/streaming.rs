@@ -14,7 +14,7 @@ use bellwether_core::{
     CubeConfig, ErrorMeasure, LinearCriterion, ModelBuilder, Parallelism, Recorder, Registry,
     StreamingBellwether, TreeConfig,
 };
-use bellwether_cube::{cube_pass, CostModel, UniformCellCost};
+use bellwether_cube::{cube_pass, CostModel, NoopRecorder, UniformCellCost};
 use bellwether_datagen::{build_stream_workload, StreamConfig, StreamWorkload};
 use bellwether_storage::{even_shard_plan, ShardedSource, ShardedWriter, TrainingSource};
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ fn config_for(threads: usize, budget: f64) -> BellwetherConfig {
 /// to a fresh sharded layout, in the workload's canonical region order.
 fn cold_layout(wl: &StreamWorkload, upto: u32, shards: usize, tag: &str) -> PathBuf {
     let input = wl.input_range(0, upto);
-    let cube = cube_pass(&wl.region_space, &input);
+    let cube = cube_pass(&wl.region_space, &input, Parallelism::default(), &NoopRecorder).unwrap();
     let targets = wl.target_map();
     let p = (1 + wl.items.numeric_attrs().len() + cube.measure_names.len()) as u32;
     let dir = tmp_dir(tag);

@@ -56,10 +56,9 @@
 //! for every thread count**, floating-point and all. Merging preserves
 //! copy-first semantics: the first contribution to a slot is written,
 //! not merged into a zero-initialised accumulator, so even signed-zero
-//! corner cases match the retained row-at-a-time oracle. The
-//! [`cube_pass_reference`] kernel — the fallback when the dense key would
-//! overflow — folds its base cells in `(coords, item)` order, so it too
-//! returns the same bits on every call.
+//! corner cases match the row-at-a-time (AoS) reference kernel the tests
+//! keep as their oracle. A key space the dense `u64` key cannot encode
+//! is [`CubeError::KeySpaceTooLarge`], never a different pass.
 //!
 //! The result maps every region to its [`RegionColumns`]: the items with
 //! data in it, ascending, and one flat lane per measure — the relation a
@@ -75,7 +74,9 @@ use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::{names, span, NoopRecorder, Recorder};
 use bellwether_table::ops::AggFunc;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fmt;
+use std::io;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -270,138 +271,6 @@ impl CubeInput {
             other.schema().collect::<Vec<_>>(),
             self.schema().collect::<Vec<_>>()
         ))
-    }
-}
-
-/// Reduce the distinct-key map of one cell in key order, so the float
-/// result does not depend on hash-map iteration (part of the
-/// determinism policy).
-fn finish_distinct(func: AggFunc, keys: &FxMap<i64, f64>) -> Option<f64> {
-    let mut pairs: Vec<(i64, f64)> = keys.iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable_by_key(|&(k, _)| k);
-    finish_distinct_vals(func, pairs.len(), pairs.iter().map(|&(_, v)| v))
-}
-
-/// Mergeable per-cell state of one measure: the row-at-a-time (AoS)
-/// representation, retained for [`cube_pass_reference`] alone.
-#[derive(Debug, Clone)]
-enum CellState {
-    Sum { total: f64, seen: bool },
-    Count(u64),
-    Avg { total: f64, count: u64 },
-    Min(Option<f64>),
-    Max(Option<f64>),
-    Distinct { func: AggFunc, keys: FxMap<i64, f64> },
-}
-
-impl CellState {
-    fn new(measure: &Measure) -> CellState {
-        match measure {
-            Measure::Numeric { func, .. } => match func {
-                AggFunc::Sum => CellState::Sum {
-                    total: 0.0,
-                    seen: false,
-                },
-                AggFunc::Count => CellState::Count(0),
-                AggFunc::Avg => CellState::Avg {
-                    total: 0.0,
-                    count: 0,
-                },
-                AggFunc::Min => CellState::Min(None),
-                AggFunc::Max => CellState::Max(None),
-                AggFunc::CountDistinct => {
-                    panic!("CountDistinct requires Measure::DistinctKeyed")
-                }
-            },
-            Measure::DistinctKeyed { func, .. } => CellState::Distinct {
-                func: *func,
-                keys: FxMap::default(),
-            },
-        }
-    }
-
-    fn update(&mut self, measure: &Measure, row: usize) {
-        match (self, measure) {
-            (CellState::Sum { total, seen }, Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
-                    *total += v;
-                    *seen = true;
-                }
-            }
-            (CellState::Count(c), Measure::Numeric { values, .. }) => {
-                if values[row].is_some() {
-                    *c += 1;
-                }
-            }
-            (CellState::Avg { total, count }, Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
-                    *total += v;
-                    *count += 1;
-                }
-            }
-            (CellState::Min(best), Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
-                    *best = Some(best.map_or(v, |b| b.min(v)));
-                }
-            }
-            (CellState::Max(best), Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
-                    *best = Some(best.map_or(v, |b| b.max(v)));
-                }
-            }
-            (CellState::Distinct { keys, .. }, Measure::DistinctKeyed { keys: ks, values, .. }) => {
-                if let Some(k) = ks[row] {
-                    keys.insert(k, values[row]);
-                }
-            }
-            _ => unreachable!("state/measure kind mismatch"),
-        }
-    }
-
-    fn merge(&mut self, other: &CellState) {
-        match (self, other) {
-            (CellState::Sum { total, seen }, CellState::Sum { total: t2, seen: s2 }) => {
-                *total += t2;
-                *seen |= s2;
-            }
-            (CellState::Count(a), CellState::Count(b)) => *a += b,
-            (
-                CellState::Avg { total, count },
-                CellState::Avg {
-                    total: t2,
-                    count: c2,
-                },
-            ) => {
-                *total += t2;
-                *count += c2;
-            }
-            (CellState::Min(a), CellState::Min(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(a.map_or(*bv, |av| av.min(*bv)));
-                }
-            }
-            (CellState::Max(a), CellState::Max(b)) => {
-                if let Some(bv) = b {
-                    *a = Some(a.map_or(*bv, |av| av.max(*bv)));
-                }
-            }
-            (CellState::Distinct { keys, .. }, CellState::Distinct { keys: k2, .. }) => {
-                for (k, v) in k2 {
-                    keys.insert(*k, *v);
-                }
-            }
-            _ => unreachable!("merging mismatched states"),
-        }
-    }
-
-    fn finish(&self) -> Option<f64> {
-        match self {
-            CellState::Sum { total, seen } => seen.then_some(*total),
-            CellState::Count(c) => Some(*c as f64),
-            CellState::Avg { total, count } => (*count > 0).then(|| total / *count as f64),
-            CellState::Min(v) | CellState::Max(v) => *v,
-            CellState::Distinct { func, keys } => finish_distinct(*func, keys),
-        }
     }
 }
 
@@ -616,7 +485,11 @@ fn union_into(dst: &mut Vec<(i64, f64)>, src: &[(i64, f64)]) {
 
 /// Reduce one cell's `n` distinct keys, whose values `vals` yields in
 /// ascending key order.
-fn finish_distinct_vals(func: AggFunc, n: usize, vals: impl Iterator<Item = f64>) -> Option<f64> {
+pub(crate) fn finish_distinct_vals(
+    func: AggFunc,
+    n: usize,
+    vals: impl Iterator<Item = f64>,
+) -> Option<f64> {
     if func == AggFunc::CountDistinct {
         return Some(n as f64);
     }
@@ -1046,13 +919,56 @@ impl CubeResult {
     }
 }
 
+/// Why a CUBE pass ([`cube_pass`], [`crate::cube_pass_external`],
+/// [`aggregate_filtered`], [`crate::StreamingCube`]) failed.
+#[derive(Debug)]
+pub enum CubeError {
+    /// Malformed input: a column of the wrong length, a coordinate out of
+    /// range, inputs with different measure schemas, a function the
+    /// measure's kind does not compute, an item outside a stream's
+    /// universe.
+    InvalidInput(String),
+    /// The space × item domain does not fit the dense `u64` cell key.
+    KeySpaceTooLarge,
+    /// Spill I/O failed, or a spilled run read back damaged
+    /// (`InvalidData`, `UnexpectedEof`, or `is_corrupt`).
+    Io(io::Error),
+}
+
+impl fmt::Display for CubeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CubeError::InvalidInput(why) => write!(f, "invalid CUBE input: {why}"),
+            CubeError::KeySpaceTooLarge => {
+                f.write_str("region × item key space too large for dense keys")
+            }
+            CubeError::Io(e) => write!(f, "CUBE spill: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CubeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CubeError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for CubeError {
+    fn from(e: io::Error) -> Self {
+        CubeError::Io(e)
+    }
+}
+
 /// Dense `u64` encoding of `(finest coords, item)` keys.
 ///
 /// Cell coordinates use per-dimension strides over `num_values` (so the
 /// *same* encoding covers both finest cells and region coordinates);
 /// the item id maps through a dense index over the distinct ids. `build`
 /// returns `None` when the combined key space cannot fit a `u64` with
-/// headroom — callers then fall back to [`cube_pass_reference`].
+/// headroom, which every entry reports as [`CubeError::KeySpaceTooLarge`].
 #[derive(Clone)]
 pub(crate) struct KeySpace {
     pub(crate) strides: Vec<u64>,
@@ -1808,114 +1724,52 @@ pub(crate) fn rollup_walk(
     })
 }
 
-/// Run the CUBE pass over fact data with default [`Parallelism`].
-pub fn cube_pass(space: &RegionSpace, input: &CubeInput) -> CubeResult {
-    cube_pass_with(space, input, Parallelism::default(), None)
+/// Run the CUBE pass over fact data: one resident run of every chunk, no
+/// byte budget, so nothing spills. It reports into `rec`: phase counters
+/// under the canonical `cube_pass/*` names plus one span per phase
+/// (`phase1_scan`, `phase1_merge`, `phase2_rollup`). With a disabled
+/// recorder (e.g. [`NoopRecorder`]) the kernel pays one branch per phase
+/// and nothing per row. The result is bit-identical for every
+/// [`Parallelism`] and either recorder.
+///
+/// Malformed input (a short column, a coordinate out of range, a
+/// function the measure's kind does not compute) is
+/// [`CubeError::InvalidInput`]; a space × item domain past the dense key
+/// encoding is [`CubeError::KeySpaceTooLarge`].
+pub fn cube_pass(
+    space: &RegionSpace,
+    input: &CubeInput,
+    par: Parallelism,
+    rec: &dyn Recorder,
+) -> Result<CubeResult, CubeError> {
+    cube_pass_runs(space, std::slice::from_ref(input), par, UNLIMITED_BUDGET, usize::MAX, rec)
 }
 
-/// Run the CUBE pass with an explicit thread budget and an optional
-/// recorder ([`cube_pass_traced`] under [`NoopRecorder`] when `None`).
-/// The result is bit-identical for every `Parallelism`.
+/// [`cube_pass`] under an optional recorder, panicking on its error.
+#[doc(hidden)]
 pub fn cube_pass_with(
     space: &RegionSpace,
     input: &CubeInput,
     par: Parallelism,
     rec: Option<&dyn Recorder>,
 ) -> CubeResult {
-    cube_pass_traced(space, input, par, rec.unwrap_or(&NoopRecorder))
+    cube_pass(space, input, par, rec.unwrap_or(&NoopRecorder)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run the CUBE pass reporting into a [`Recorder`]: phase counters under
-/// the canonical `cube_pass/*` names plus one span per phase
-/// (`phase1_scan`, `phase1_merge`, `phase2_rollup`). With a disabled
-/// recorder (e.g. [`NoopRecorder`]) the kernel pays one branch per phase
-/// and nothing per row; the result is bit-identical either way.
-///
-/// Panics on malformed input (a short column, a coordinate out of range),
-/// which [`crate::cube_pass_external`] returns as an error.
+/// [`cube_pass`], panicking on its error.
+#[doc(hidden)]
 pub fn cube_pass_traced(
     space: &RegionSpace,
     input: &CubeInput,
     par: Parallelism,
     rec: &dyn Recorder,
 ) -> CubeResult {
-    // One resident run of all chunks under no budget: nothing spills,
-    // so `cube_pass_runs` fails only on malformed input.
-    cube_pass_runs(
-        space,
-        std::slice::from_ref(input),
-        par,
-        UNLIMITED_BUDGET,
-        usize::MAX,
-        rec,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The original tuple-keyed, single-threaded CUBE pass, retained as the
-/// differential-testing reference and as the fallback when the dense
-/// key encoding would overflow a `u64`.
-///
-/// Phase 2 folds the base cells in ascending `(coords, item)` order — the
-/// order [`cube_pass`] folds them in — so every call returns the same
-/// bits, floating-point sums and keep-last distinct values included.
-pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult {
-    let n = input.item_ids.len();
-    let arity = space.arity();
-    input.check_shape(arity).unwrap_or_else(|e| panic!("{e}"));
-
-    // Phase 1: base-cell aggregation keyed by (finest coords, item).
-    let mut base: BTreeMap<(Vec<u32>, i64), Vec<CellState>> = BTreeMap::new();
-    for row in 0..n {
-        let coords = input.coords[row * arity..(row + 1) * arity].to_vec();
-        let key = (coords, input.item_ids[row]);
-        let states = base
-            .entry(key)
-            .or_insert_with(|| input.measures.iter().map(CellState::new).collect());
-        for (state, measure) in states.iter_mut().zip(&input.measures) {
-            state.update(measure, row);
-        }
-    }
-
-    // Phase 2: expand base cells, in key order, into all containing regions.
-    let mut regions: HashMap<RegionId, HashMap<i64, Vec<CellState>>> = HashMap::new();
-    for ((coords, item), states) in &base {
-        for region in space.containing_regions(coords) {
-            let items = regions.entry(region).or_default();
-            match items.get_mut(item) {
-                Some(existing) => {
-                    for (a, b) in existing.iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    items.insert(*item, states.clone());
-                }
-            }
-        }
-    }
-
-    // Finalize.
-    let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
-    let regions = regions
-        .into_iter()
-        .map(|(r, items)| {
-            let rows = items
-                .into_iter()
-                .map(|(i, states)| (i, states.iter().map(CellState::finish).collect()))
-                .collect();
-            (r, Arc::new(RegionColumns::from_rows(rows)))
-        })
-        .collect();
-    CubeResult {
-        measure_names,
-        regions,
-    }
+    cube_pass(space, input, par, rec).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Aggregate the measures per item over the fact rows whose finest-cell
 /// coordinates pass `row_filter`, with no cube expansion, using default
-/// [`Parallelism`].
+/// [`Parallelism`]. Malformed input is [`CubeError::InvalidInput`].
 ///
 /// This evaluates the same feature queries over an *arbitrary* union of
 /// cells — the shape the random-sampling baseline of Figure 7(a) buys,
@@ -1925,8 +1779,8 @@ pub fn aggregate_filtered(
     input: &CubeInput,
     arity: usize,
     row_filter: impl Fn(&[u32]) -> bool + Sync,
-) -> HashMap<i64, Vec<Option<f64>>> {
-    aggregate_filtered_traced(input, arity, row_filter, Parallelism::default(), &NoopRecorder)
+) -> Result<HashMap<i64, Vec<Option<f64>>>, CubeError> {
+    fold_filtered(input, arity, row_filter, Parallelism::default(), &NoopRecorder)
 }
 
 /// [`aggregate_filtered`] with an explicit thread budget, reporting into
@@ -1935,17 +1789,17 @@ pub fn aggregate_filtered(
 /// spans). Runs on the same chunked phase-1 kernel as [`cube_pass`]
 /// (keyed by dense item index alone), so it inherits the bit-identical
 /// determinism guarantee.
-pub fn aggregate_filtered_traced(
+pub(crate) fn fold_filtered(
     input: &CubeInput,
     arity: usize,
     row_filter: impl Fn(&[u32]) -> bool + Sync,
     par: Parallelism,
     rec: &dyn Recorder,
-) -> HashMap<i64, Vec<Option<f64>>> {
+) -> Result<HashMap<i64, Vec<Option<f64>>>, CubeError> {
     let n = input.item_ids.len();
-    input.check_shape(arity).unwrap_or_else(|e| panic!("{e}"));
+    input.check_shape(arity).map_err(CubeError::InvalidInput)?;
     if n == 0 {
-        return HashMap::new();
+        return Ok(HashMap::new());
     }
 
     let mut items: Vec<i64> = input.item_ids.clone();
@@ -1982,7 +1836,7 @@ pub fn aggregate_filtered_traced(
             );
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1991,7 +1845,8 @@ pub(crate) mod tests {
     use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
     use crate::testutil::{
-        assert_bit_identical, gen_distinct_input, gen_input, measures_of_every_kind, space,
+        assert_bit_identical, cube_pass_reference, gen_distinct_input, gen_input,
+        measures_of_every_kind, space,
     };
     use bellwether_prop::check;
     use std::cell::Cell;
@@ -2196,6 +2051,11 @@ pub(crate) mod tests {
         }
     }
 
+    /// The resident pass at default parallelism, unrecorded.
+    fn pass(space: &RegionSpace, input: &CubeInput) -> CubeResult {
+        cube_pass(space, input, Parallelism::default(), &NoopRecorder).unwrap()
+    }
+
     fn get(result: &CubeResult, r: Vec<u32>, item: i64) -> Vec<Option<f64>> {
         result
             .features(&RegionId(r), item)
@@ -2206,7 +2066,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sums_roll_up_over_time_and_space() {
-        let r = cube_pass(&space(), &input());
+        let r = pass(&space(), &input());
         // [1-1, WI] item 1: only the first row
         assert_eq!(get(&r, vec![0, 2], 1)[0], Some(10.0));
         // [1-2, WI] item 1: rows 1+2
@@ -2221,7 +2081,7 @@ pub(crate) mod tests {
 
     #[test]
     fn distinct_fk_deduplicates_across_cells() {
-        let r = cube_pass(&space(), &input());
+        let r = pass(&space(), &input());
         // [1-2, WI] item 1: ad 7 appears twice but counts once → 3.0
         assert_eq!(get(&r, vec![1, 2], 1)[2], Some(3.0));
         // [1-2, US] item 1: ads {7, 8} → 3 + 9 = 12
@@ -2232,21 +2092,21 @@ pub(crate) mod tests {
 
     #[test]
     fn coverage_counts() {
-        let r = cube_pass(&space(), &input());
+        let r = pass(&space(), &input());
         assert_eq!(r.coverage_count(&RegionId(vec![1, 0])), 2); // both items
         assert_eq!(r.coverage_count(&RegionId(vec![0, 2])), 1); // only item 1
     }
 
     #[test]
     fn coverage_t1_excludes_late_items() {
-        let r = cube_pass(&space(), &input());
+        let r = pass(&space(), &input());
         // [1-1, All]: item 2's only row is at t2
         assert_eq!(r.coverage_count(&RegionId(vec![0, 0])), 1);
     }
 
     #[test]
     fn absent_cells_are_none() {
-        let r = cube_pass(&space(), &input());
+        let r = pass(&space(), &input());
         assert!(r.features(&RegionId(vec![0, 3]), 2).is_none()); // item 2 not in [1-1, MD]
         assert_eq!(r.coverage_count(&RegionId(vec![99, 99])), 0);
     }
@@ -2275,7 +2135,7 @@ pub(crate) mod tests {
                 },
             ],
         };
-        let r = cube_pass(&s, &inp);
+        let r = pass(&s, &inp);
         let v = get(&r, vec![1, 0], 1); // [1-2, All]
         assert_eq!(v[0], Some(2.0));
         assert_eq!(v[1], Some(5.0));
@@ -2299,7 +2159,7 @@ pub(crate) mod tests {
                 values: vec![0.0, 0.0],
             }],
         };
-        let r = cube_pass(&s, &inp);
+        let r = pass(&s, &inp);
         assert_eq!(get(&r, vec![0, 1], 1)[0], Some(1.0)); // US: same ad in both states
     }
 
@@ -2309,37 +2169,39 @@ pub(crate) mod tests {
         let inp = input();
         // Filter = the region [1-2, US]: time ≤ 1 (always true here) and
         // location under US (nodes 2 or 3).
-        let filtered = aggregate_filtered(&inp, 2, |c| c[0] <= 1 && (c[1] == 2 || c[1] == 3));
-        let cube = cube_pass(&s, &inp);
+        let under_us = |c: &[u32]| c[0] <= 1 && (c[1] == 2 || c[1] == 3);
+        let filtered = aggregate_filtered(&inp, 2, under_us).unwrap();
+        let cube = pass(&s, &inp);
         let want = cube.features(&RegionId(vec![1, 1]), 1).unwrap();
         assert!(want.iter().eq(filtered[&1].iter().copied()));
     }
 
     #[test]
     fn filtered_aggregation_empty_filter() {
-        let filtered = aggregate_filtered(&input(), 2, |_| false);
+        let filtered = aggregate_filtered(&input(), 2, |_| false).unwrap();
         assert!(filtered.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn shape_mismatch_panics() {
+    fn shape_mismatch_is_invalid_input() {
         let s = space();
         let inp = CubeInput {
             item_ids: vec![1],
             coords: vec![0], // should be 2 coords
             measures: vec![],
         };
-        cube_pass(&s, &inp);
+        let err = cube_pass(&s, &inp, Parallelism::default(), &NoopRecorder).unwrap_err();
+        let says = |why: &str| why.contains("length mismatch");
+        assert!(matches!(&err, CubeError::InvalidInput(why) if says(why)), "{err}");
     }
 
     #[test]
     fn thread_count_never_changes_bits() {
         let s = space();
         let inp = input();
-        let base = cube_pass_with(&s, &inp, Parallelism::sequential(), None);
+        let base = cube_pass(&s, &inp, Parallelism::sequential(), &NoopRecorder).unwrap();
         for t in 2..=8 {
-            let par = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
+            let par = cube_pass(&s, &inp, Parallelism::fixed(t), &NoopRecorder).unwrap();
             assert_bit_identical(&base, &par, &format!("threads={t}"));
         }
     }
@@ -2348,13 +2210,13 @@ pub(crate) mod tests {
     fn matches_reference_kernel() {
         let s = space();
         let inp = input(); // integer-valued, so the reference is exact
-        let fast = cube_pass(&s, &inp);
+        let fast = pass(&s, &inp);
         let reference = cube_pass_reference(&s, &inp);
         assert_bit_identical(&fast, &reference, "fast vs reference");
     }
 
     #[test]
-    fn reference_fallback_is_order_deterministic() {
+    fn reference_kernel_is_order_deterministic() {
         // Tenths over all 18 base cells of every item: no two orders of
         // adding them agree on every region's low bits.
         let s = space();
@@ -2387,7 +2249,7 @@ pub(crate) mod tests {
         }
         // And the order is the kernel's own: one row a cell, so the two
         // differ in nothing but how they walk.
-        assert_bit_identical(&cube_pass(&s, &inp), &first, "kernel vs reference");
+        assert_bit_identical(&pass(&s, &inp), &first, "kernel vs reference");
     }
 
     #[test]
@@ -2411,7 +2273,7 @@ pub(crate) mod tests {
         // Dense item slots: ids scrambled against their rank.
         let items: Vec<i64> = (0..40).map(|i| (i * 37) % 41 - 20).collect();
         let inp = gen_input(3, 5000, &items);
-        check("dense", &|| cube_pass_with(&s, &inp, par, None));
+        check("dense", &|| cube_pass(&s, &inp, par, &NoopRecorder).unwrap());
         // Hashed slots: a universe past 2^16 items, slots assigned in
         // arrival order, extended by an append.
         let universe: Vec<i64> = (-3..(1 << 16)).collect();
@@ -2462,7 +2324,7 @@ pub(crate) mod tests {
         };
         let reference = cube_pass_reference(&s, &inp);
         for t in 1..=4 {
-            let fast = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
+            let fast = cube_pass(&s, &inp, Parallelism::fixed(t), &NoopRecorder).unwrap();
             assert_bit_identical(&fast, &reference, &format!("threads={t}"));
         }
     }
@@ -2503,7 +2365,7 @@ pub(crate) mod tests {
         let universe: Vec<i64> = (0..n as i64).collect();
         for t in [1usize, 3] {
             let par = Parallelism::fixed(t);
-            let fast = cube_pass_with(&s, &full, par, None);
+            let fast = cube_pass(&s, &full, par, &NoopRecorder).unwrap();
             assert_bit_identical(&fast, &reference, &format!("cold, threads={t}"));
             // The delta rows sit at time 1, so only [1-2] is dirty and
             // the *filtered* rollup crosses the hashed branch too.
@@ -2526,7 +2388,7 @@ pub(crate) mod tests {
                 values: vec![],
             }],
         };
-        let r = cube_pass(&s, &inp);
+        let r = pass(&s, &inp);
         assert_eq!(r.measure_names, vec!["m".to_string()]);
         assert!(r.regions.is_empty());
     }
@@ -2536,7 +2398,7 @@ pub(crate) mod tests {
         let s = space();
         let inp = input();
         let stats = bellwether_obs::Registry::new();
-        let r = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
+        let r = cube_pass(&s, &inp, Parallelism::fixed(2), &stats).unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.rows_scanned(), 4);
         // 4 rows in 4 distinct (cell, item) combinations → no phase-1
@@ -2551,9 +2413,9 @@ pub(crate) mod tests {
         let s = space();
         let inp = input();
         let reg = bellwether_obs::Registry::shared();
-        let r = cube_pass_traced(&s, &inp, Parallelism::fixed(2), reg.as_ref());
+        let r = cube_pass(&s, &inp, Parallelism::fixed(2), reg.as_ref()).unwrap();
         let stats = bellwether_obs::Registry::new();
-        let legacy = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
+        let legacy = cube_pass(&s, &inp, Parallelism::fixed(2), &stats).unwrap();
         assert_bit_identical(&r, &legacy, "traced vs stats");
         let snap = reg.snapshot();
         let legacy_snap = stats.snapshot();
@@ -2580,20 +2442,22 @@ pub(crate) mod tests {
     fn filtered_aggregation_stats_and_threads() {
         let inp = input();
         let stats = bellwether_obs::Registry::new();
-        let seq = aggregate_filtered_traced(
+        let seq = fold_filtered(
             &inp,
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::sequential(),
             &NoopRecorder,
-        );
-        let par = aggregate_filtered_traced(
+        )
+        .unwrap();
+        let par = fold_filtered(
             &inp,
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::fixed(4),
             &stats,
-        );
+        )
+        .unwrap();
         assert_eq!(seq.len(), par.len());
         for (item, values) in &seq {
             assert_eq!(par.get(item), Some(values));
@@ -2779,7 +2643,7 @@ pub(crate) mod tests {
 
         let before = pairs_touched();
         APPEND_ORACLE.with(|o| o.set(true));
-        let oracle = cube_pass_with(&sp, &free, Parallelism::fixed(1), None);
+        let oracle = cube_pass(&sp, &free, Parallelism::fixed(1), &NoopRecorder).unwrap();
         APPEND_ORACLE.with(|o| o.set(false));
         assert_eq!(pairs_touched(), before, "the oracle pass ran union_into");
         // `d_count` is the length of a slot's list.
@@ -2791,8 +2655,9 @@ pub(crate) mod tests {
         for threads in [1usize, 2, 4] {
             let par = Parallelism::fixed(threads).with_min_chunk(1);
             let what = format!("threads={threads}");
-            assert_bit_identical(&cube_pass_with(&sp, &functional, par, None), &reference, &what);
-            assert_bit_identical(&cube_pass_with(&sp, &free, par, None), &oracle, &what);
+            let pass = |input| cube_pass(&sp, input, par, &NoopRecorder).unwrap();
+            assert_bit_identical(&pass(&functional), &reference, &what);
+            assert_bit_identical(&pass(&free), &oracle, &what);
         }
     }
 }

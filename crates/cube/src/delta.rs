@@ -63,8 +63,8 @@
 //! outside the universe is an error.
 
 use crate::cube_pass::{
-    chunk_range, dedup_pairs, fold_chunk, rollup_walk, CubeInput, CubeResult, KeySpace, Measure,
-    RegionTable, RollupPlan, StateCol, StateTable, Walk, ROW_CHUNK,
+    chunk_range, dedup_pairs, fold_chunk, rollup_walk, CubeError, CubeInput, CubeResult, KeySpace,
+    Measure, RegionTable, RollupPlan, StateCol, StateTable, Walk, ROW_CHUNK,
 };
 use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
@@ -72,7 +72,6 @@ use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::NoopRecorder;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt;
 
 /// Merge every entry of the key-sorted `src` table into `dst` in one
 /// pass: existing keys merge in place, new keys append. Both key arrays
@@ -157,30 +156,6 @@ pub struct DeltaUpdate {
     pub regions_rebuilt: usize,
 }
 
-/// Why [`StreamingCube::new`] refused to build a stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamingCubeError {
-    /// `space` × item universe does not fit the dense key encoding;
-    /// the caller stays on cold rebuilds.
-    KeySpaceTooLarge,
-    /// The base input is malformed (column lengths, a coordinate out of
-    /// range, an item outside the universe).
-    Malformed(String),
-}
-
-impl fmt::Display for StreamingCubeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamingCubeError::KeySpaceTooLarge => {
-                f.write_str("region × item key space too large for dense delta keys")
-            }
-            StreamingCubeError::Malformed(why) => write!(f, "malformed base input: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamingCubeError {}
-
 /// Incrementally maintained CUBE state — see the [module docs](self).
 ///
 /// ```
@@ -232,15 +207,15 @@ impl StreamingCube {
     /// Build the stream from its base input and a pinned item
     /// universe (must contain every item id the stream will ever see;
     /// a superset never changes any output bit). On
-    /// [`StreamingCubeError::KeySpaceTooLarge`] the caller stays on
-    /// cold rebuilds.
+    /// [`CubeError::KeySpaceTooLarge`] the caller stays on cold rebuilds;
+    /// a malformed base input is [`CubeError::InvalidInput`].
     pub fn new(
         space: &RegionSpace,
         input: &CubeInput,
         item_universe: &[i64],
         par: Parallelism,
-    ) -> Result<StreamingCube, StreamingCubeError> {
-        let ks = KeySpace::build(space, item_universe).ok_or(StreamingCubeError::KeySpaceTooLarge)?;
+    ) -> Result<StreamingCube, CubeError> {
+        let ks = KeySpace::build(space, item_universe).ok_or(CubeError::KeySpaceTooLarge)?;
         let plan = RollupPlan::new(space, &ks);
         let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
         let mut stream = StreamingCube {
@@ -260,7 +235,7 @@ impl StreamingCube {
                 regions: HashMap::new(),
             },
         };
-        stream.validate(input).map_err(StreamingCubeError::Malformed)?;
+        stream.validate(input).map_err(CubeError::InvalidInput)?;
         stream.ingest(input);
         stream.rebuild(None);
         Ok(stream)
@@ -269,12 +244,12 @@ impl StreamingCube {
     /// Append a batch of fact rows and patch the retained result.
     /// `O(Δ · ancestors + dirty tables · items)` when every table the
     /// batch reaches resumes its walk (see the module docs); a table that
-    /// cannot is rebuilt from the base cells it covers. Errors (shape
-    /// mismatch, unknown item, out-of-range coordinate) leave the
-    /// stream unchanged.
-    pub fn append(&mut self, delta: &CubeInput) -> Result<DeltaUpdate, String> {
+    /// cannot is rebuilt from the base cells it covers. Malformed input
+    /// (shape mismatch, unknown item, out-of-range coordinate) is
+    /// [`CubeError::InvalidInput`] and leaves the stream unchanged.
+    pub fn append(&mut self, delta: &CubeInput) -> Result<DeltaUpdate, CubeError> {
         let rows = delta.item_ids.len();
-        let dirty_cells = self.validate(delta)?;
+        let dirty_cells = self.validate(delta).map_err(CubeError::InvalidInput)?;
         self.ingest(delta);
 
         // Walk the dirty cells ascending, so a table meets its smallest
@@ -454,7 +429,7 @@ impl StreamingCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube_pass::cube_pass_with;
+    use crate::cube_pass::cube_pass;
     use crate::cube_pass::tests::with_one_epoch;
     use crate::testutil::{
         assert_bit_identical, gen_distinct_input, gen_functional_input, gen_input, space,
@@ -479,7 +454,7 @@ mod tests {
                     let update = stream.append(&delta).unwrap();
                     assert_eq!(update.rows_appended, *rows);
                     concat.extend(&delta);
-                    let cold = cube_pass_with(&space, &concat, par, None);
+                    let cold = cube_pass(&space, &concat, par, &NoopRecorder).unwrap();
                     let what = format!("threads={threads} batch {i}");
                     assert_bit_identical(stream.result(), &cold, &what);
                 }
@@ -526,7 +501,7 @@ mod tests {
             for (i, batch) in batches.iter().enumerate() {
                 let update = stream.append(batch).unwrap();
                 concat.extend(batch);
-                let cold = cube_pass_with(space, &concat, par, None);
+                let cold = cube_pass(space, &concat, par, &NoopRecorder).unwrap();
                 let what = format!("threads={threads} batch {i}");
                 assert_bit_identical(stream.result(), &cold, &what);
                 assert_eq!(
@@ -555,7 +530,7 @@ mod tests {
         }
         let mut concat = base.clone();
         batches.iter().for_each(|batch| concat.extend(batch));
-        let cold = cube_pass_with(space, &concat, par, None);
+        let cold = cube_pass(space, &concat, par, &NoopRecorder).unwrap();
         assert_bit_identical(per_region.result(), &cold, "a table per region");
         updates
     }
@@ -715,7 +690,7 @@ mod tests {
         for (stream, delta) in [(&a, &da), (&b, &db)] {
             let mut concat = base.clone();
             concat.extend(delta);
-            let cold = cube_pass_with(&space, &concat, par, None);
+            let cold = cube_pass(&space, &concat, par, &NoopRecorder).unwrap();
             assert_bit_identical(stream.result(), &cold, "diverged clone");
         }
     }
@@ -728,17 +703,17 @@ mod tests {
         let mut bad = gen_input(15, 20, &items);
         bad.coords[1] = 99;
         let err = StreamingCube::new(&space, &bad, &items, par).err().unwrap();
-        assert!(matches!(&err, StreamingCubeError::Malformed(why) if why.contains("out of range")));
+        assert!(matches!(&err, CubeError::InvalidInput(why) if why.contains("out of range")));
         let base = gen_input(15, 20, &items);
         let err = StreamingCube::new(&space, &base, &items[..2], par).err().unwrap();
-        assert!(matches!(&err, StreamingCubeError::Malformed(why) if why.contains("universe")));
+        assert!(matches!(&err, CubeError::InvalidInput(why) if why.contains("universe")));
         let wide = RegionSpace::new(vec![
             crate::dimension::Dimension::Interval { name: "T".into(), max_t: u32::MAX };
             3
         ]);
         let empty = gen_input(0, 1, &items).empty_like();
         let err = StreamingCube::new(&wide, &empty, &items, par).err().unwrap();
-        assert_eq!(err, StreamingCubeError::KeySpaceTooLarge);
+        assert!(matches!(err, CubeError::KeySpaceTooLarge), "{err}");
         // COUNT over distinct keys is not a function the kernel computes.
         let mut bad = gen_input(15, 20, &items);
         let Some(Measure::DistinctKeyed { func, .. }) = bad.measures.last_mut() else {
@@ -747,7 +722,7 @@ mod tests {
         *func = bellwether_table::ops::AggFunc::Count;
         let err = StreamingCube::new(&space, &bad, &items, par).err().unwrap();
         assert!(
-            matches!(&err, StreamingCubeError::Malformed(why) if why.contains("count is not computed")),
+            matches!(&err, CubeError::InvalidInput(why) if why.contains("count is not computed")),
             "{err}"
         );
     }
@@ -760,13 +735,13 @@ mod tests {
         let base = gen_input(3, 300, &items);
         let par = Parallelism::fixed(1);
         let mut stream = StreamingCube::new(&space, &base, &universe, par).unwrap();
-        let cold = cube_pass_with(&space, &base, par, None);
+        let cold = cube_pass(&space, &base, par, &NoopRecorder).unwrap();
         assert_bit_identical(stream.result(), &cold, "base");
         let delta = gen_input(4, 500, &items);
         stream.append(&delta).unwrap();
         let mut concat = base.clone();
         concat.extend(&delta);
-        let cold = cube_pass_with(&space, &concat, par, None);
+        let cold = cube_pass(&space, &concat, par, &NoopRecorder).unwrap();
         assert_bit_identical(stream.result(), &cold, "after append");
     }
 
@@ -801,6 +776,11 @@ mod tests {
         }
     }
 
+    /// Whether `got` is an `InvalidInput` error that says `says`.
+    fn invalid<T>(got: Result<T, CubeError>, says: &str) -> bool {
+        matches!(got, Err(CubeError::InvalidInput(why)) if why.contains(says))
+    }
+
     #[test]
     fn appends_are_validated_and_leave_state_unchanged() {
         let space = space();
@@ -812,15 +792,15 @@ mod tests {
 
         let mut bad = gen_input(14, 5, &items);
         bad.item_ids[0] = 999; // outside the universe
-        assert!(stream.append(&bad).unwrap_err().contains("universe"));
+        assert!(invalid(stream.append(&bad), "universe"));
 
         let mut bad = gen_input(14, 5, &items);
         bad.coords[0] = 6; // out of range on T
-        assert!(stream.append(&bad).unwrap_err().contains("out of range"));
+        assert!(invalid(stream.append(&bad), "out of range"));
 
         let mut bad = gen_input(14, 5, &items);
         bad.measures.pop();
-        assert!(stream.append(&bad).unwrap_err().contains("measures"));
+        assert!(invalid(stream.append(&bad), "measures"));
 
         // A short measure column — for a distinct-keyed measure, either
         // of its two — is an error, not a panic or a stray index.
@@ -829,14 +809,14 @@ mod tests {
             panic!("generator puts a numeric measure first")
         };
         values.pop();
-        assert!(stream.append(&bad).unwrap_err().contains("length mismatch"));
+        assert!(invalid(stream.append(&bad), "length mismatch"));
 
         let mut bad = gen_input(14, 5, &items);
         let Some(Measure::DistinctKeyed { values, .. }) = bad.measures.last_mut() else {
             panic!("generator puts a distinct-keyed measure last")
         };
         values.pop();
-        assert!(stream.append(&bad).unwrap_err().contains("length mismatch"));
+        assert!(invalid(stream.append(&bad), "length mismatch"));
 
         assert_eq!(stream.result().regions.len(), before);
         assert_eq!(stream.rows(), 100);
@@ -852,7 +832,7 @@ mod tests {
         assert!(stream.result().regions.is_empty());
         let delta = gen_input(21, 450, &items);
         stream.append(&delta).unwrap();
-        let cold = cube_pass_with(&space, &delta, par, None);
+        let cold = cube_pass(&space, &delta, par, &NoopRecorder).unwrap();
         assert_bit_identical(stream.result(), &cold, "empty base");
     }
 }

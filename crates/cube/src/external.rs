@@ -14,11 +14,12 @@
 //! `shard/spill_bytes` for volume) until the budget holds again.
 //! Finally all runs — spilled and resident alike, in formation order —
 //! are k-way merged by key into sorted output segments and rolled up by
-//! `rollup_walk`. The entry points differ only in the two numbers they
+//! `rollup_walk`. The two entries differ only in the two numbers they
 //! fix: [`cube_pass_external`] takes [`RUN_CHUNKS`] chunks per run and
-//! the caller's budget; the in-memory [`crate::cube_pass`] functions
-//! take one run of all chunks and no budget, so nothing spills and the
-//! single run *is* the merged base-cell table.
+//! the caller's budget; the resident [`crate::cube_pass()`] takes one run
+//! of all chunks and no budget, so nothing spills and the single run
+//! *is* the merged base-cell table. Both fail the same way, with a
+//! [`CubeError`].
 //!
 //! # Determinism
 //!
@@ -58,9 +59,9 @@
 //! as untrusted bytes and checks every record's CRC-32 trailer first.
 
 use crate::cube_pass::{
-    chain_or_merge, cube_pass_reference, fold_chunks, intern_keys, rollup_walk, strictly_ascending,
-    words, CubeInput, CubeResult, IdLane, KeySpace, RollupPlan, StateCol, StateTable,
-    BITSET_KEYS_MAX, ROW_CHUNK,
+    chain_or_merge, fold_chunks, intern_keys, rollup_walk, strictly_ascending, words, CubeError,
+    CubeInput, CubeResult, IdLane, KeySpace, RollupPlan, StateCol, StateTable, BITSET_KEYS_MAX,
+    ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -680,19 +681,18 @@ fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>
 /// compare like with like.
 ///
 /// Inputs must share one measure schema (names, kinds, functions, in
-/// order); malformed input is an [`io::ErrorKind::InvalidInput`] error,
-/// a damaged spill file `InvalidData` or `UnexpectedEof`. When the dense
-/// key encoding overflows (`KeySpace` fails) the pass falls back to the
-/// tuple-keyed reference kernel over the concatenated input, which is
-/// *not* out-of-core — callers at scale should keep their key spaces
-/// within `u64` (the normal case).
+/// order); malformed input is [`CubeError::InvalidInput`]. A space ×
+/// item domain the dense `u64` key cannot encode is
+/// [`CubeError::KeySpaceTooLarge`]: the pass never turns resident.
+/// Failed spill I/O is [`CubeError::Io`], and so is a damaged spill run
+/// (`InvalidData`, `UnexpectedEof`, or `is_corrupt`).
 pub fn cube_pass_external(
     space: &RegionSpace,
     inputs: &[CubeInput],
     par: Parallelism,
     budget_bytes: usize,
     rec: &dyn Recorder,
-) -> io::Result<CubeResult> {
+) -> Result<CubeResult, CubeError> {
     cube_pass_runs(space, inputs, par, budget_bytes, RUN_CHUNKS, rec)
 }
 
@@ -700,8 +700,8 @@ pub fn cube_pass_external(
 /// fixed [`ROW_CHUNK`] chunks, close a run every `run_chunks` chunks,
 /// spill the oldest resident runs past `budget_bytes`, merge the runs
 /// and roll up. [`cube_pass_external`] enters with [`RUN_CHUNKS`];
-/// the in-memory [`crate::cube_pass`] entry points enter with one run of
-/// all chunks and no budget; tests shrink the run length to exercise
+/// the resident [`crate::cube_pass()`] enters with one run of all chunks
+/// and no budget; tests shrink the run length to exercise
 /// multi-run merges on small inputs. Results are comparable only across
 /// passes with the *same* run length.
 pub(crate) fn cube_pass_runs(
@@ -711,7 +711,7 @@ pub(crate) fn cube_pass_runs(
     budget_bytes: usize,
     run_chunks: usize,
     rec: &dyn Recorder,
-) -> io::Result<CubeResult> {
+) -> Result<CubeResult, CubeError> {
     assert!(run_chunks > 0, "run_chunks must be positive");
     let arity = space.arity();
     let Some(first) = inputs.first() else {
@@ -726,7 +726,7 @@ pub(crate) fn cube_pass_runs(
             .check_shape(arity)
             .and_then(|()| first.check_schema(input))
             .and_then(|()| input.check_coords(space))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, format!("input {idx}: {e}")))?;
+            .map_err(|e| CubeError::InvalidInput(format!("input {idx}: {e}")))?;
         total_rows += input.item_ids.len();
     }
     let measure_names: Vec<String> = first.measures.iter().map(|m| m.name().to_string()).collect();
@@ -745,15 +745,7 @@ pub(crate) fn cube_pass_runs(
         uniq.sort_unstable();
         uniq.dedup();
     }
-    let Some(ks) = KeySpace::build(space, &uniq) else {
-        // Key space too large for dense u64 encoding — use the
-        // tuple-keyed reference kernel (not out-of-core).
-        let mut all = first.empty_like();
-        for input in inputs {
-            all.extend(input);
-        }
-        return Ok(cube_pass_reference(space, &all));
-    };
+    let ks = KeySpace::build(space, &uniq).ok_or(CubeError::KeySpaceTooLarge)?;
     drop(uniq);
     let key_space = ks.cell_space * ks.n_items;
     let threads = par.threads_for(total_rows.div_ceil(ROW_CHUNK));
@@ -857,13 +849,14 @@ mod tests {
     use super::*;
     use crate::cube_pass::tests::{cells_copied, fold_chunk_by_map, with_phase1_oracle};
     use crate::cube_pass::{
-        chunk_range, cube_pass_with, fold_chunk, merge_chunks, Measure, SMALL_PAIRS_MAX,
+        aggregate_filtered, chunk_range, cube_pass, fold_chunk, merge_chunks, Measure,
+        SMALL_PAIRS_MAX,
     };
+    use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
-    use crate::region::RegionId;
     use crate::testutil::{
-        assert_bit_identical, gen_distinct_input, gen_functional_input, gen_input,
-        measures_of_every_kind, slice_rows, space,
+        assert_bit_identical, cube_pass_reference, gen_distinct_input, gen_functional_input,
+        gen_input, measures_of_every_kind, slice_rows, space,
     };
     use bellwether_obs::{NoopRecorder, Registry};
     use bellwether_prop::Rng;
@@ -917,7 +910,7 @@ mod tests {
     fn single_run_matches_in_memory_kernel_exactly() {
         let sp = space();
         for inp in [input(3000, 42), functional_input(3000, 42)] {
-            let expect = cube_pass_with(&sp, &inp, par(1), None);
+            let expect = cube_pass(&sp, &inp, par(1), &NoopRecorder).unwrap();
             for threads in [1, 2, 4] {
                 let got = cube_pass_external(
                     &sp,
@@ -1000,10 +993,11 @@ mod tests {
     }
 
     #[test]
-    fn a_key_space_past_u64_takes_the_reference_kernel() {
+    fn a_key_space_past_u64_is_key_space_too_large() {
         // 2^32 - 1 time points three times over: no dense key. Rows sit
         // at the last two points of each, so a cell is in at most eight
-        // regions.
+        // regions, and the reference kernel, which needs no dense key,
+        // computes them all: the input is well formed, only too wide.
         let max_t = u32::MAX;
         let wide = RegionSpace::new(vec![
             crate::dimension::Dimension::Interval { name: "T".into(), max_t };
@@ -1016,15 +1010,16 @@ mod tests {
             inp
         };
         let slices = [slice(1), slice(2)];
-        let got = cube_pass_external(&wide, &slices, par(2), 0, &NoopRecorder).unwrap();
-        let mut concat = slices[0].clone();
-        concat.extend(&slices[1]);
-        assert_bit_identical(&got, &cube_pass_reference(&wide, &concat), "fallback");
-        assert_eq!(got.regions.len(), 8);
-        let all = RegionId(vec![max_t - 1; 3]);
-        assert_eq!(got.coverage_count(&all), items().len());
-        let rows_of_item_0 = concat.item_ids.iter().filter(|&&id| id == 0).count() as f64;
-        assert_eq!(got.features(&all, 0).unwrap().get(4), Some(rows_of_item_0), "the count lane");
+        assert_eq!(cube_pass_reference(&wide, &slices[0]).regions.len(), 8);
+        fn too_large<T>(got: Result<T, CubeError>) -> bool {
+            matches!(got, Err(CubeError::KeySpaceTooLarge))
+        }
+        for budget in [0, UNLIMITED_BUDGET] {
+            let got = cube_pass_external(&wide, &slices, par(2), budget, &NoopRecorder);
+            assert!(too_large(got), "external, budget {budget}");
+        }
+        assert!(too_large(cube_pass(&wide, &slices[0], par(2), &NoopRecorder)), "resident");
+        assert!(too_large(StreamingCube::new(&wide, &slices[0], &items(), par(2))), "stream");
     }
 
     #[test]
@@ -1412,12 +1407,19 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn malformed_input_is_an_error_not_a_panic() {
-        let t4 = RegionSpace::new(vec![Dimension::Interval {
+    /// A space of one interval dimension, `max_t` 4.
+    fn t4() -> RegionSpace {
+        RegionSpace::new(vec![Dimension::Interval {
             name: "T".into(),
             max_t: 4,
-        }]);
+        }])
+    }
+
+    /// Every class of malformed input over [`t4`], as the inputs that
+    /// carry it (the last one carries the defect), whether that last
+    /// input is malformed on its own, and whether the defect needs the
+    /// region space to show. Every item is 1.
+    fn malformed_inputs() -> Vec<(&'static str, Vec<CubeInput>, bool, bool)> {
         let row = |name: &str, coord: u32| CubeInput {
             item_ids: vec![1],
             coords: vec![coord],
@@ -1427,38 +1429,76 @@ mod tests {
                 values: vec![Some(1.0)],
             }],
         };
-        let mut short = row("s", 0);
-        short.measures[0] = Measure::Numeric {
-            name: "s".into(),
-            func: AggFunc::Sum,
-            values: vec![],
+        let with_measure = |measure: Measure| CubeInput {
+            measures: vec![measure],
+            ..row("s", 0)
         };
-        // A function the measure's kind does not compute.
-        let mut count_distinct_rows = row("s", 0);
-        count_distinct_rows.measures[0] = Measure::Numeric {
+        let numeric = |func, values| Measure::Numeric {
             name: "s".into(),
-            func: AggFunc::CountDistinct,
-            values: vec![Some(1.0)],
+            func,
+            values,
         };
-        let mut count_keys = row("s", 0);
-        count_keys.measures[0] = Measure::DistinctKeyed {
-            name: "s".into(),
-            func: AggFunc::Count,
-            keys: vec![Some(3)],
-            values: vec![1.0],
-        };
-        for (what, inputs) in [
-            ("a coordinate past max_t", vec![row("s", 0), row("s", 9)]),
-            ("a measure column one entry short", vec![short]),
-            ("another measure schema", vec![row("s", 0), row("t", 0)]),
-            ("COUNT DISTINCT over fact rows", vec![count_distinct_rows]),
-            ("COUNT over distinct keys", vec![count_keys]),
-        ] {
+        let mut coords_short = row("s", 0);
+        coords_short.coords.clear();
+        vec![
+            ("a coordinate past max_t", vec![row("s", 0), row("s", 9)], true, true),
+            ("a coordinate row one entry short", vec![coords_short], true, false),
+            (
+                "a measure column one entry short",
+                vec![with_measure(numeric(AggFunc::Sum, vec![]))],
+                true,
+                false,
+            ),
+            ("another measure schema", vec![row("s", 0), row("t", 0)], false, false),
+            (
+                "COUNT DISTINCT over fact rows",
+                vec![with_measure(numeric(AggFunc::CountDistinct, vec![Some(1.0)]))],
+                true,
+                false,
+            ),
+            (
+                "COUNT over distinct keys",
+                vec![with_measure(Measure::DistinctKeyed {
+                    name: "s".into(),
+                    func: AggFunc::Count,
+                    keys: vec![Some(3)],
+                    values: vec![1.0],
+                })],
+                true,
+                false,
+            ),
+        ]
+    }
+
+    /// Whether `got` is [`CubeError::InvalidInput`].
+    fn invalid<T>(got: Result<T, CubeError>) -> bool {
+        matches!(got, Err(CubeError::InvalidInput(_)))
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_not_a_panic() {
+        let t4 = t4();
+        for (what, inputs, alone, spatial) in malformed_inputs() {
             for budget in [0, UNLIMITED_BUDGET] {
-                let err = cube_pass_external(&t4, &inputs, par(1), budget, &NoopRecorder)
-                    .err()
-                    .unwrap_or_else(|| panic!("{what} passed"));
-                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{what}: {err}");
+                let got = cube_pass_external(&t4, &inputs, par(1), budget, &NoopRecorder);
+                assert!(invalid(got), "external, budget {budget}: {what}");
+            }
+            // The stream takes the first input as its base and appends
+            // the rest: the defect shows on the input that carries it.
+            let (base, deltas) = inputs.split_first().unwrap();
+            let stream = StreamingCube::new(&t4, base, &[1], par(1)).and_then(|mut stream| {
+                deltas.iter().try_for_each(|delta| stream.append(delta).map(drop))
+            });
+            assert!(invalid(stream), "stream: {what}");
+            // The single-input entries meet every defect one input
+            // carries; `aggregate_filtered` takes no space, so a
+            // coordinate is never out of range for it.
+            let bad = inputs.last().unwrap();
+            if alone {
+                assert!(invalid(cube_pass(&t4, bad, par(1), &NoopRecorder)), "resident: {what}");
+            }
+            if alone && !spatial {
+                assert!(invalid(aggregate_filtered(bad, 1, |_| true)), "filtered: {what}");
             }
         }
     }

@@ -51,12 +51,12 @@ mod testutil;
 pub use bellwether_obs::{NoopRecorder, Recorder, Registry};
 pub use cost::{CostModel, ProductCost, UniformCellCost};
 pub use cube_pass::{
-    aggregate_filtered, aggregate_filtered_traced, cube_pass, cube_pass_traced, cube_pass_with,
-    CubeInput, CubeResult, Measure, RegionColumns, Row,
+    aggregate_filtered, cube_pass, cube_pass_traced, cube_pass_with, CubeError, CubeInput,
+    CubeResult, Measure, RegionColumns, Row,
 };
-pub use delta::{DeltaUpdate, StreamingCube, StreamingCubeError};
+pub use delta::{DeltaUpdate, StreamingCube};
 pub use external::{cube_pass_external, RUN_CHUNKS, UNLIMITED_BUDGET};
 pub use parallel::{Parallelism, DEFAULT_MIN_CHUNK};
 pub use dimension::{Dimension, HierNode, Hierarchy};
 pub use region::{RegionId, RegionSpace};
-pub use rollup::{rollup_lattice, rollup_naive, LatticeSchedule};
+pub use rollup::{rollup_lattice, LatticeSchedule};

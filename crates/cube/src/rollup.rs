@@ -109,35 +109,11 @@ pub fn rollup_lattice<T: Clone>(
     LatticeSchedule::new(space, base.keys().cloned()).rollup(base, merge)
 }
 
-/// Reference implementation for tests: for every lattice cell, merge the
-/// base cells it contains, straight from the definition.
-pub fn rollup_naive<T: Clone>(
-    space: &RegionSpace,
-    base: &HashMap<RegionId, T>,
-    mut merge: impl FnMut(&mut T, &T),
-) -> HashMap<RegionId, T> {
-    let mut out: HashMap<RegionId, T> = HashMap::new();
-    for cell in space.all_regions() {
-        let mut acc: Option<T> = None;
-        for (bk, bv) in base {
-            if space.contains(&cell, bk) {
-                match &mut acc {
-                    Some(a) => merge(a, bv),
-                    None => acc = Some(bv.clone()),
-                }
-            }
-        }
-        if let Some(a) = acc {
-            out.insert(cell, a);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dimension::Hierarchy;
+    use crate::testutil::rollup_naive;
     use bellwether_prop::{check, Rng};
 
     /// The rollup as it was before the schedule, kept as its oracle: one

@@ -10,7 +10,7 @@
 
 use crate::cube_pass::tests::with_one_epoch;
 use crate::cube_pass::{
-    cube_pass_with, fold_chunks, merge_chunks, rollup_walk, CubeInput, CubeResult, KeySpace,
+    cube_pass, fold_chunks, merge_chunks, rollup_walk, CubeInput, CubeResult, KeySpace,
     RegionColumns, RollupPlan, StateTable, ROW_CHUNK,
 };
 use crate::dimension::{Dimension, Hierarchy};
@@ -248,9 +248,11 @@ fn whole_passes_match_the_oracle_at_any_budget_with_any_recorder() {
                 let rows = *rng.choice(&[300usize, 6000, 9000]);
                 let input = facts(rng, &space, &pools, rows);
                 let par = |threads| Parallelism::fixed(threads).with_min_chunk(1);
-                let oracle = with_one_epoch(|| cube_pass_with(&space, &input, par(1), None));
+                let pass =
+                    |threads| cube_pass(&space, &input, par(threads), &NoopRecorder).unwrap();
+                let oracle = with_one_epoch(|| pass(1));
                 for threads in [1usize, 2, 4] {
-                    let got = cube_pass_with(&space, &input, par(threads), None);
+                    let got = pass(threads);
                     assert_bit_identical(&got, &oracle, &format!("{shape}, threads={threads}"));
                 }
 
@@ -307,8 +309,9 @@ fn empty_weeks_hand_out_their_predecessors_values() {
             vec![0.5, 1.5, 2.5, 3.5],
         ),
     };
-    let oracle = with_one_epoch(|| cube_pass_with(&space, &input, Parallelism::sequential(), None));
-    let got = cube_pass_with(&space, &input, Parallelism::sequential(), None);
+    let pass = || cube_pass(&space, &input, Parallelism::sequential(), &NoopRecorder).unwrap();
+    let oracle = with_one_epoch(pass);
+    let got = pass();
     assert_bit_identical(&got, &oracle, "empty weeks");
     let region = |t: u32, n: u32| got.regions.get(&RegionId(vec![t, n]));
     // Nothing before the first row; `b` is empty until week 4.

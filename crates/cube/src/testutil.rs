@@ -1,11 +1,15 @@
 //! Fixtures shared by the crate's unit tests: one region space, one
 //! seeded fact generator covering every state kind, one bit-level
-//! result comparison.
+//! result comparison, and the reference kernels the optimized ones are
+//! held to — the tuple-keyed AoS CUBE pass and the naive lattice rollup.
 
-use crate::cube_pass::{CubeInput, CubeResult, Measure};
+use crate::cube_pass::{finish_distinct_vals, CubeInput, CubeResult, Measure, RegionColumns};
 use crate::dimension::{Dimension, Hierarchy};
-use crate::region::RegionSpace;
+use crate::fxhash::FxMap;
+use crate::region::{RegionId, RegionSpace};
 use bellwether_table::ops::AggFunc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Leaf nodes of [`space`]'s location hierarchy.
 const LEAVES: [u32; 3] = [2, 3, 5];
@@ -210,4 +214,222 @@ pub(crate) fn assert_bit_identical(a: &CubeResult, b: &CubeResult, what: &str) {
             assert_eq!(bits, obits, "{what}: {r:?} item {id}");
         }
     }
+}
+
+/// Reduce the distinct-key map of one cell in key order, so the float
+/// result does not depend on hash-map iteration (part of the
+/// determinism policy).
+fn finish_distinct(func: AggFunc, keys: &FxMap<i64, f64>) -> Option<f64> {
+    let mut pairs: Vec<(i64, f64)> = keys.iter().map(|(&k, &v)| (k, v)).collect();
+    pairs.sort_unstable_by_key(|&(k, _)| k);
+    finish_distinct_vals(func, pairs.len(), pairs.iter().map(|&(_, v)| v))
+}
+
+/// Mergeable per-cell state of one measure: the row-at-a-time (AoS)
+/// representation of [`cube_pass_reference`].
+#[derive(Debug, Clone)]
+enum CellState {
+    Sum { total: f64, seen: bool },
+    Count(u64),
+    Avg { total: f64, count: u64 },
+    Min(Option<f64>),
+    Max(Option<f64>),
+    Distinct { func: AggFunc, keys: FxMap<i64, f64> },
+}
+
+impl CellState {
+    fn new(measure: &Measure) -> CellState {
+        match measure {
+            Measure::Numeric { func, .. } => match func {
+                AggFunc::Sum => CellState::Sum {
+                    total: 0.0,
+                    seen: false,
+                },
+                AggFunc::Count => CellState::Count(0),
+                AggFunc::Avg => CellState::Avg {
+                    total: 0.0,
+                    count: 0,
+                },
+                AggFunc::Min => CellState::Min(None),
+                AggFunc::Max => CellState::Max(None),
+                AggFunc::CountDistinct => {
+                    panic!("CountDistinct requires Measure::DistinctKeyed")
+                }
+            },
+            Measure::DistinctKeyed { func, .. } => CellState::Distinct {
+                func: *func,
+                keys: FxMap::default(),
+            },
+        }
+    }
+
+    fn update(&mut self, measure: &Measure, row: usize) {
+        match (self, measure) {
+            (CellState::Sum { total, seen }, Measure::Numeric { values, .. }) => {
+                if let Some(v) = values[row] {
+                    *total += v;
+                    *seen = true;
+                }
+            }
+            (CellState::Count(c), Measure::Numeric { values, .. }) => {
+                if values[row].is_some() {
+                    *c += 1;
+                }
+            }
+            (CellState::Avg { total, count }, Measure::Numeric { values, .. }) => {
+                if let Some(v) = values[row] {
+                    *total += v;
+                    *count += 1;
+                }
+            }
+            (CellState::Min(best), Measure::Numeric { values, .. }) => {
+                if let Some(v) = values[row] {
+                    *best = Some(best.map_or(v, |b| b.min(v)));
+                }
+            }
+            (CellState::Max(best), Measure::Numeric { values, .. }) => {
+                if let Some(v) = values[row] {
+                    *best = Some(best.map_or(v, |b| b.max(v)));
+                }
+            }
+            (CellState::Distinct { keys, .. }, Measure::DistinctKeyed { keys: ks, values, .. }) => {
+                if let Some(k) = ks[row] {
+                    keys.insert(k, values[row]);
+                }
+            }
+            _ => unreachable!("state/measure kind mismatch"),
+        }
+    }
+
+    fn merge(&mut self, other: &CellState) {
+        match (self, other) {
+            (CellState::Sum { total, seen }, CellState::Sum { total: t2, seen: s2 }) => {
+                *total += t2;
+                *seen |= s2;
+            }
+            (CellState::Count(a), CellState::Count(b)) => *a += b,
+            (
+                CellState::Avg { total, count },
+                CellState::Avg {
+                    total: t2,
+                    count: c2,
+                },
+            ) => {
+                *total += t2;
+                *count += c2;
+            }
+            (CellState::Min(a), CellState::Min(b)) => {
+                if let Some(bv) = b {
+                    *a = Some(a.map_or(*bv, |av| av.min(*bv)));
+                }
+            }
+            (CellState::Max(a), CellState::Max(b)) => {
+                if let Some(bv) = b {
+                    *a = Some(a.map_or(*bv, |av| av.max(*bv)));
+                }
+            }
+            (CellState::Distinct { keys, .. }, CellState::Distinct { keys: k2, .. }) => {
+                for (k, v) in k2 {
+                    keys.insert(*k, *v);
+                }
+            }
+            _ => unreachable!("merging mismatched states"),
+        }
+    }
+
+    fn finish(&self) -> Option<f64> {
+        match self {
+            CellState::Sum { total, seen } => seen.then_some(*total),
+            CellState::Count(c) => Some(*c as f64),
+            CellState::Avg { total, count } => (*count > 0).then(|| total / *count as f64),
+            CellState::Min(v) | CellState::Max(v) => *v,
+            CellState::Distinct { func, keys } => finish_distinct(*func, keys),
+        }
+    }
+}
+
+/// The original tuple-keyed, single-threaded CUBE pass: the kernel's
+/// differential-testing reference. It needs no dense key, so it also runs
+/// on spaces the kernel refuses as too large.
+///
+/// Phase 2 folds the base cells in ascending `(coords, item)` order — the
+/// order [`crate::cube_pass()`] folds them in — so every call returns the
+/// same bits, floating-point sums and keep-last distinct values included.
+pub(crate) fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult {
+    let n = input.item_ids.len();
+    let arity = space.arity();
+    input.check_shape(arity).unwrap();
+
+    // Phase 1: base-cell aggregation keyed by (finest coords, item).
+    let mut base: BTreeMap<(Vec<u32>, i64), Vec<CellState>> = BTreeMap::new();
+    for row in 0..n {
+        let coords = input.coords[row * arity..(row + 1) * arity].to_vec();
+        let key = (coords, input.item_ids[row]);
+        let states = base
+            .entry(key)
+            .or_insert_with(|| input.measures.iter().map(CellState::new).collect());
+        for (state, measure) in states.iter_mut().zip(&input.measures) {
+            state.update(measure, row);
+        }
+    }
+
+    // Phase 2: expand base cells, in key order, into all containing regions.
+    let mut regions: HashMap<RegionId, HashMap<i64, Vec<CellState>>> = HashMap::new();
+    for ((coords, item), states) in &base {
+        for region in space.containing_regions(coords) {
+            let items = regions.entry(region).or_default();
+            match items.get_mut(item) {
+                Some(existing) => {
+                    for (a, b) in existing.iter_mut().zip(states) {
+                        a.merge(b);
+                    }
+                }
+                None => {
+                    items.insert(*item, states.clone());
+                }
+            }
+        }
+    }
+
+    // Finalize.
+    let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
+    let regions = regions
+        .into_iter()
+        .map(|(r, items)| {
+            let rows = items
+                .into_iter()
+                .map(|(i, states)| (i, states.iter().map(CellState::finish).collect()))
+                .collect();
+            (r, Arc::new(RegionColumns::from_rows(rows)))
+        })
+        .collect();
+    CubeResult {
+        measure_names,
+        regions,
+    }
+}
+
+/// The lattice rollup straight from its definition: for every lattice
+/// cell, merge the base cells it contains.
+pub(crate) fn rollup_naive<T: Clone>(
+    space: &RegionSpace,
+    base: &HashMap<RegionId, T>,
+    mut merge: impl FnMut(&mut T, &T),
+) -> HashMap<RegionId, T> {
+    let mut out: HashMap<RegionId, T> = HashMap::new();
+    for cell in space.all_regions() {
+        let mut acc: Option<T> = None;
+        for (bk, bv) in base {
+            if space.contains(&cell, bk) {
+                match &mut acc {
+                    Some(a) => merge(a, bv),
+                    None => acc = Some(bv.clone()),
+                }
+            }
+        }
+        if let Some(a) = acc {
+            out.insert(cell, a);
+        }
+    }
+    out
 }

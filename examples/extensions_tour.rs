@@ -19,7 +19,7 @@ fn main() {
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
 
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input);
+    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let problem = BellwetherConfig::builder(25.0)
         .min_coverage(0.5)
         .min_examples(20)

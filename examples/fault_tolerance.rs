@@ -36,7 +36,8 @@ fn main() {
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input =
         build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube_result = cube_pass(&data.space, &cube_input);
+    let cube_result =
+        cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
 
     let budget = 40.0;
     let regions: Vec<RegionId> = data

@@ -21,7 +21,8 @@ fn main() {
     let targets: HashMap<i64, f64> =
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube_result = cube_pass(&data.space, &cube_input);
+    let cube_result =
+        cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
 
     // Store only the regions affordable under the acquisition budget —
     // with no budget, the region covering the whole period and area

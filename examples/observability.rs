@@ -57,7 +57,7 @@ fn main() {
 
     // ---- CUBE pass, reporting phases + counters into the registry.
     let cube_result =
-        cube_pass_traced(&data.space, &cube_input, Parallelism::default(), reg.as_ref());
+        cube_pass(&data.space, &cube_input, Parallelism::default(), reg.as_ref()).unwrap();
 
     let snap = reg.snapshot();
     println!(
@@ -121,7 +121,7 @@ fn main() {
         (0..3)
             .map(|_| {
                 lanes.reset();
-                cube_pass_traced(&data.space, input, Parallelism::fixed(1), lanes.as_ref());
+                cube_pass(&data.space, input, Parallelism::fixed(1), lanes.as_ref()).unwrap();
                 let snap = lanes.snapshot();
                 let ms = |phase: &str| {
                     snap.span(&format!("cube_pass/{phase}"))

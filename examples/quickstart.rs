@@ -95,7 +95,7 @@ fn main() {
 
     // ---- one CUBE pass builds every region's training set.
     let cube_input = build_cube_input(&db, &space, &queries).unwrap();
-    let cube = cube_pass(&space, &cube_input);
+    let cube = cube_pass(&space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let items = ItemTable::from_table(
         &Table::new(
             Schema::from_pairs(&[("id", DataType::Int)]).unwrap(),

@@ -25,7 +25,7 @@ fn main() {
     let targets: HashMap<i64, f64> =
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let pass = cube_pass(&data.space, &cube_input);
+    let pass = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let problem = BellwetherConfig::builder(25.0)
         .min_coverage(0.0)
         .min_examples(20)

@@ -170,7 +170,7 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let items = bellwether_core::ItemTable::from_table(&item_table, "id", &[], &[])?;
 
     let cube_input = build_cube_input(&db, &space, &queries)?;
-    let cube = cube_pass(&space, &cube_input);
+    let cube = cube_pass(&space, &cube_input, Parallelism::default(), &NoopRecorder)?;
     let regions = space.all_regions();
     let source = bellwether_core::build_memory_source(&cube, &regions, &items, &targets);
 

@@ -40,7 +40,8 @@
 //! // training set in one CUBE pass …
 //! let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
 //! let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-//! let result = cube_pass(&data.space, &cube_input);
+//! let result =
+//!     cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
 //! let regions = data.space.all_regions();
 //! let source = build_memory_source(&result, &regions, &data.items, &targets);
 //!
@@ -92,7 +93,7 @@ pub mod prelude {
         TreeConfig, TreeConfigBuilder,
     };
     pub use bellwether_cube::{
-        cube_pass, cube_pass_traced, CostModel, CubeInput, Dimension, Hierarchy, Parallelism,
+        cube_pass, CostModel, CubeInput, Dimension, Hierarchy, Parallelism,
         ProductCost, RegionId, RegionSpace, UniformCellCost,
     };
     pub use bellwether_coord::{

@@ -24,7 +24,7 @@ fn pipeline(n_items: usize, seed: u64) -> Pipeline {
     let data = generate_retail(&cfg);
     let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input);
+    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let regions = data.space.all_regions();
     let source = build_memory_source(&cube, &regions, &data.items, &targets);
     Pipeline {
@@ -157,7 +157,7 @@ fn disk_backed_pipeline_matches_memory() {
     let data = generate_retail(&cfg);
     let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input);
+    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let regions = data.space.all_regions();
     let mem = build_memory_source(&cube, &regions, &data.items, &targets);
 

@@ -16,7 +16,7 @@ fn dataset() -> (bellwether_datagen::RetailDataset, MemorySource) {
     let data = generate_retail(&cfg);
     let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input);
+    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let regions = data.space.all_regions();
     let source = build_memory_source(&cube, &regions, &data.items, &targets);
     (data, source)

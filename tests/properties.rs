@@ -16,8 +16,7 @@
 
 use bellwether::prelude::*;
 use bellwether_cube::{
-    aggregate_filtered, cube_pass_with, rollup_lattice, rollup_naive, CubeResult, Measure,
-    Parallelism, StreamingCube,
+    aggregate_filtered, rollup_lattice, CubeResult, Measure, Parallelism, StreamingCube,
 };
 use bellwether_prop::{check, Rng};
 use std::collections::HashMap;
@@ -65,11 +64,12 @@ fn cube_pass_matches_filtered_aggregation() {
                 values: rows.iter().map(|(_, _, v)| Some(*v)).collect(),
             }],
         };
-        let cube = cube_pass(&s, &input);
+        let cube = cube_pass(&s, &input, Parallelism::default(), &NoopRecorder).unwrap();
         for region in s.all_regions() {
             let direct = aggregate_filtered(&input, 2, |cell| {
                 s.contains(&region, &RegionId(cell.to_vec()))
-            });
+            })
+            .unwrap();
             // Same covered items.
             assert_eq!(cube.coverage_count(&region), direct.len());
             for (item, vals) in &direct {
@@ -247,16 +247,13 @@ fn parallel_cube_pass_is_bit_identical_to_sequential() {
             coords,
             measures,
         };
-        let seq = cube_pass_with(&s, &input, Parallelism::sequential(), None);
-        for threads in 2..=8 {
-            let par = cube_pass_with(&s, &input, Parallelism::fixed(threads), None);
-            assert_bit_identical(&seq, &par);
-        }
         let functional = with_functional_values(rng, &input);
-        let seq = cube_pass_with(&s, &functional, Parallelism::sequential(), None);
-        for threads in 2..=8 {
-            let par = cube_pass_with(&s, &functional, Parallelism::fixed(threads), None);
-            assert_bit_identical(&seq, &par);
+        for input in [&input, &functional] {
+            let pass = |par| cube_pass(&s, input, par, &NoopRecorder).unwrap();
+            let seq = pass(Parallelism::sequential());
+            for threads in 2..=8 {
+                assert_bit_identical(&seq, &pass(Parallelism::fixed(threads)));
+            }
         }
     });
 }
@@ -335,7 +332,8 @@ fn streaming_cube_matches_cold_pass_on_random_schedules() {
                 let mut stream = StreamingCube::new(&s, &base, &universe, par).unwrap();
                 for w in cuts.windows(2) {
                     let update = stream.append(&slice_input(input, w[0]..w[1], arity)).unwrap();
-                    let cold = cube_pass_with(&s, &slice_input(input, 0..w[1], arity), par, None);
+                    let prefix = slice_input(input, 0..w[1], arity);
+                    let cold = cube_pass(&s, &prefix, par, &NoopRecorder).unwrap();
                     assert_bit_identical(stream.result(), &cold);
                     assert_eq!(
                         update.regions_extended + update.regions_rebuilt,
@@ -348,6 +346,31 @@ fn streaming_cube_matches_cold_pass_on_random_schedules() {
             }
         }
     });
+}
+
+/// The lattice rollup straight from its definition: for every lattice
+/// cell, merge the base cells it contains.
+fn rollup_naive<T: Clone>(
+    space: &RegionSpace,
+    base: &HashMap<RegionId, T>,
+    mut merge: impl FnMut(&mut T, &T),
+) -> HashMap<RegionId, T> {
+    let mut out: HashMap<RegionId, T> = HashMap::new();
+    for cell in space.all_regions() {
+        let mut acc: Option<T> = None;
+        for (bk, bv) in base {
+            if space.contains(&cell, bk) {
+                match &mut acc {
+                    Some(a) => merge(a, bv),
+                    None => acc = Some(bv.clone()),
+                }
+            }
+        }
+        if let Some(a) = acc {
+            out.insert(cell, a);
+        }
+    }
+    out
 }
 
 #[test]
@@ -993,7 +1016,7 @@ fn all_builders_agree_on_retail_bellwether() {
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
     let cube_input =
         build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input);
+    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let regions = data.space.all_regions();
     let source = build_memory_source(&cube, &regions, &data.items, &targets);
     let n_items = data.items.len();
