@@ -74,16 +74,6 @@ impl CoordinatorConfig {
         self.restart_policy = policy;
         self
     }
-
-    /// The configured deadline.
-    pub fn deadline_value(&self) -> Duration {
-        self.deadline
-    }
-
-    /// The configured restart policy.
-    pub fn restart_policy_value(&self) -> &RetryPolicy {
-        &self.restart_policy
-    }
 }
 
 /// Coordinator-side counters, bound once to a registry.

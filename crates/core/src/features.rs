@@ -16,6 +16,7 @@
 //! implemented (DESIGN.md §5).
 
 use crate::error::{BellwetherError, Result};
+use bellwether_cube::parallel::{fork_join, split_point};
 use bellwether_cube::{aggregate_filtered, CubeInput, Dimension, Measure, Parallelism, RegionSpace};
 use bellwether_table::ops::AggFunc;
 use bellwether_table::{Column, DataType, Table, TableError};
@@ -288,24 +289,14 @@ fn check_func(name: &str, func: AggFunc, distinct: bool) -> Result<()> {
     )))
 }
 
-/// Apply the §4.2 rewrite: compile feature queries into one CUBE input,
-/// with default [`Parallelism`].
+/// Apply the §4.2 rewrite: compile feature queries into one CUBE input.
+/// Measure columns are materialised query-by-query, so independent
+/// queries shard across the default [`Parallelism`]'s workers. Output
+/// order is query order regardless of thread count.
 pub fn build_cube_input(
     db: &StarDatabase,
     space: &RegionSpace,
     queries: &[FeatureQuery],
-) -> Result<CubeInput> {
-    build_cube_input_with(db, space, queries, Parallelism::default())
-}
-
-/// [`build_cube_input`] with an explicit thread budget: measure columns
-/// are materialised query-by-query, so independent queries shard across
-/// workers. Output order is query order regardless of thread count.
-pub fn build_cube_input_with(
-    db: &StarDatabase,
-    space: &RegionSpace,
-    queries: &[FeatureQuery],
-    par: Parallelism,
 ) -> Result<CubeInput> {
     let item_ids = db.fact_item_ids()?;
     let coords = db.fact_coords(space)?;
@@ -363,26 +354,17 @@ pub fn build_cube_input_with(
         })
     };
 
-    let threads = par.threads_for(queries.len());
-    let results: Vec<Result<Measure>> = if threads <= 1 {
-        queries.iter().map(build_measure).collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = queries.len() * w / threads;
-                    let hi = queries.len() * (w + 1) / threads;
-                    let build_measure = &build_measure;
-                    s.spawn(move || queries[lo..hi].iter().map(build_measure).collect::<Vec<_>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("measure worker panicked"))
-                .collect()
-        })
-    };
-    let measures = results.into_iter().collect::<Result<Vec<Measure>>>()?;
+    let threads = Parallelism::default().threads_for(queries.len());
+    let cut = |w| split_point(queries.len() as u64, w, threads) as usize;
+    let measures = fork_join(threads, |w| {
+        queries[cut(w)..cut(w + 1)]
+            .iter()
+            .map(build_measure)
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect::<Result<Vec<Measure>>>()?;
     Ok(CubeInput {
         item_ids,
         coords,

@@ -66,9 +66,7 @@ pub use bellwether_obs::{
     MetricsSnapshot, NoopRecorder, Recorder, Registry,
 };
 pub use bellwether_storage::retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
-pub use features::{
-    build_cube_input, build_cube_input_with, global_target, FeatureQuery, StarDatabase,
-};
+pub use features::{build_cube_input, global_target, FeatureQuery, StarDatabase};
 pub use items::{ItemIndex, ItemTable};
 pub use model::{BellwetherModel, MethodKind, ModelBuilder};
 pub use predict::{evaluate_method, EvalContext, ItemCentricEval, Method};
@@ -82,8 +80,7 @@ pub use scan::{
 pub use seeded::{hash_fold, seeded_rng};
 pub use stream::{AppendOutcome, DriftEvent, StreamingBellwether};
 pub use training::{
-    build_memory_source, build_memory_source_with, region_block, write_disk_source,
-    write_disk_source_in_registry,
+    build_memory_source, region_block, write_disk_source, write_disk_source_in_registry,
 };
 pub use tree::naive::build_naive as build_naive_tree;
 pub use tree::prune::prune_tree;

@@ -48,6 +48,7 @@
 //! unsharded scan of the same regions.
 
 use crate::error::{BellwetherError, Result};
+use bellwether_cube::parallel::fork_join;
 use bellwether_cube::Parallelism;
 use bellwether_obs::{names, Recorder};
 use bellwether_storage::{RegionBlock, TrainingSource};
@@ -351,37 +352,11 @@ where
     for (seg_lo, seg_hi) in segments {
         let len = seg_hi - seg_lo;
         let threads = par.threads_for(len);
-        let partials: Vec<Result<Scanned<A>>> = if threads <= 1 {
-            vec![run_chunk(0, seg_lo, seg_hi)]
-        } else {
-            let chunk = len.div_ceil(threads);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = seg_lo + t * chunk;
-                        let hi = (seg_lo + (t + 1) * chunk).min(seg_hi);
-                        let run_chunk = &run_chunk;
-                        s.spawn(move || run_chunk(t, lo, hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(t, h)| {
-                        // catch_unwind already confines panics inside
-                        // the worker; a join error can only mean the
-                        // payload escaped some other way. Still
-                        // isolate it.
-                        h.join().unwrap_or_else(|payload| {
-                            Err(BellwetherError::WorkerPanic {
-                                worker: t,
-                                message: panic_message(payload.as_ref()),
-                            })
-                        })
-                    })
-                    .collect()
-            })
-        };
+        let chunk = len.div_ceil(threads);
+        let partials = fork_join(threads, |t| {
+            let lo = seg_lo + t * chunk;
+            run_chunk(t, lo, (lo + chunk).min(seg_hi))
+        });
         for partial in partials {
             let part = partial?;
             skipped.extend(part.skipped);

@@ -12,6 +12,7 @@
 
 use crate::error::Result;
 use crate::items::{ItemTable, NO_ITEM};
+use bellwether_cube::parallel::{fork_join, split_point};
 use bellwether_cube::{CubeResult, Parallelism, RegionId, RegionSpace};
 use bellwether_storage::{MemorySource, RegionBlock, TrainingWriter};
 use std::collections::HashMap;
@@ -60,54 +61,25 @@ pub fn region_block(
 }
 
 /// Build an in-memory entire-training-data source over `regions`
-/// (typically the feasible regions, in a fixed scan order), with default
-/// [`Parallelism`].
+/// (typically the feasible regions, in a fixed scan order). Region
+/// blocks are independent, so they shard across the default
+/// [`Parallelism`]'s workers. Block order is always `regions` order —
+/// the scan order every algorithm depends on.
 pub fn build_memory_source(
     cube: &CubeResult,
     regions: &[RegionId],
     items: &ItemTable,
     targets: &HashMap<i64, f64>,
 ) -> MemorySource {
-    build_memory_source_with(cube, regions, items, targets, Parallelism::default())
-}
-
-/// [`build_memory_source`] with an explicit thread budget: region blocks
-/// are independent, so they shard across workers. Block order is always
-/// `regions` order — the scan order every algorithm depends on.
-pub fn build_memory_source_with(
-    cube: &CubeResult,
-    regions: &[RegionId],
-    items: &ItemTable,
-    targets: &HashMap<i64, f64>,
-    par: Parallelism,
-) -> MemorySource {
-    let threads = par.threads_for(regions.len());
-    let blocks = if threads <= 1 {
-        regions
+    let threads = Parallelism::default().threads_for(regions.len());
+    let cut = |w| split_point(regions.len() as u64, w, threads) as usize;
+    let blocks = fork_join(threads, |w| {
+        regions[cut(w)..cut(w + 1)]
             .iter()
             .map(|r| region_block(cube, r, items, targets))
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = regions.len() * w / threads;
-                    let hi = regions.len() * (w + 1) / threads;
-                    s.spawn(move || {
-                        regions[lo..hi]
-                            .iter()
-                            .map(|r| region_block(cube, r, items, targets))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("block worker panicked"))
-                .collect()
-        })
-    };
-    MemorySource::new(blocks)
+            .collect::<Vec<_>>()
+    });
+    MemorySource::new(blocks.into_iter().flatten().collect())
 }
 
 /// Write the entire training data to disk (for the efficiency

@@ -69,7 +69,7 @@ use crate::columns::Lane;
 use crate::dimension::Dimension;
 use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
-use crate::parallel::Parallelism;
+use crate::parallel::{fork_join, split_point, Parallelism};
 use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::{names, span, NoopRecorder, Recorder};
 use bellwether_table::ops::AggFunc;
@@ -1058,11 +1058,6 @@ pub(crate) fn chunk_range(chunk: usize, n: usize) -> Range<usize> {
     chunk * ROW_CHUNK..((chunk + 1) * ROW_CHUNK).min(n)
 }
 
-/// Even split point `w` of `space` into `t` contiguous ranges.
-fn split_point(space: u64, w: usize, t: usize) -> u64 {
-    ((space as u128 * w as u128) / t as u128) as u64
-}
-
 /// Phase 1a for one chunk: fold its rows into a key-sorted table. Pass
 /// one computes every row's key and numbers the cell slots in ascending
 /// key order: a chunk whose keys strictly ascend (stream inputs arrive
@@ -1132,27 +1127,16 @@ where
     K: Fn(usize, &[u32]) -> Option<u64> + Sync,
 {
     let n = input.item_ids.len();
-    let fold = |chunks: Range<usize>| -> Vec<StateTable> {
-        chunks
+    let threads = threads.min(chunks.len()).max(1);
+    let cut = |w| chunks.start + split_point(chunks.len() as u64, w, threads) as usize;
+    fork_join(threads, |w| {
+        (cut(w)..cut(w + 1))
             .map(|c| fold_chunk(input, lanes, arity, chunk_range(c, n), key_of))
-            .collect()
-    };
-    if threads <= 1 || chunks.len() <= 1 {
-        return fold(chunks);
-    }
-    let (lo, count) = (chunks.start, chunks.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let fold = &fold;
-                s.spawn(move || fold(lo + count * w / threads..lo + count * (w + 1) / threads))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("cube fold worker panicked"))
-            .collect()
+            .collect::<Vec<_>>()
     })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Phase 1b for one key range: merge every chunk's slice of `[lo, hi)`
@@ -1285,32 +1269,14 @@ pub(crate) fn merge_chunks(
     threads: usize,
 ) -> (Vec<StateTable>, u64) {
     let dense = key_space <= DENSE_SLOTS_MAX;
-    if threads <= 1 {
+    let cut = |w| split_point(key_space, w, threads);
+    let parts = fork_join(threads, |w| {
         let mut merges = 0;
-        let shard = merge_range(tables, 0, key_space, dense, &mut merges);
-        return (vec![shard], merges);
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let lo = split_point(key_space, w, threads);
-                let hi = split_point(key_space, w + 1, threads);
-                s.spawn(move || {
-                    let mut merges = 0;
-                    let shard = merge_range(tables, lo, hi, dense, &mut merges);
-                    (shard, merges)
-                })
-            })
-            .collect();
-        let mut shards = Vec::with_capacity(threads);
-        let mut merges = 0;
-        for h in handles {
-            let (shard, m) = h.join().expect("cube merge worker panicked");
-            shards.push(shard);
-            merges += m;
-        }
-        (shards, merges)
-    })
+        let shard = merge_range(tables, cut(w), cut(w + 1), dense, &mut merges);
+        (shard, merges)
+    });
+    let merges = parts.iter().map(|(_, m)| m).sum();
+    (parts.into_iter().map(|(shard, _)| shard).collect(), merges)
 }
 
 /// Where a table's items live in its lanes — chosen from the observed
@@ -1699,29 +1665,22 @@ pub(crate) fn rollup_walk(
         rolled
     };
 
-    let threads = threads.min(usize::try_from(plan.epoch_stride).unwrap_or(usize::MAX));
-    if threads <= 1 {
-        return record(worker(0, plan.epoch_stride));
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let (lo, hi) = plan.worker_range(w, threads);
-                let worker = &worker;
-                s.spawn(move || worker(lo, hi))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| record(h.join().expect("cube rollup worker panicked")))
-            .reduce(|mut all, part| {
-                all.tables.extend(part.tables);
-                all.finished.extend(part.finished);
-                all.merges += part.merges;
-                all
-            })
-            .expect("at least two workers")
+    let threads = threads
+        .min(usize::try_from(plan.epoch_stride).unwrap_or(usize::MAX))
+        .max(1);
+    fork_join(threads, |w| {
+        let (lo, hi) = plan.worker_range(w, threads);
+        worker(lo, hi)
     })
+    .into_iter()
+    .map(record)
+    .reduce(|mut all, part| {
+        all.tables.extend(part.tables);
+        all.finished.extend(part.finished);
+        all.merges += part.merges;
+        all
+    })
+    .expect("fork_join returns one result per worker")
 }
 
 /// Run the CUBE pass over fact data: one resident run of every chunk, no

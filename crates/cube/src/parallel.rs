@@ -1,4 +1,4 @@
-//! Shared parallelism configuration.
+//! Shared parallelism: the thread budget and the fork-join spending it.
 //!
 //! One small knob consumed by every multi-threaded code path in the
 //! workspace — the CUBE-pass kernel, the basic bellwether search, the
@@ -7,10 +7,11 @@
 //! hardcoded caps.
 //!
 //! **Determinism policy:** no algorithm in this workspace may let the
-//! thread count influence its output. Work is split into fixed-size
-//! chunks whose partial results are combined in a fixed order, so any
-//! `Parallelism` produces bit-identical results (see `cube_pass` and
-//! `bellwether_core`'s `scan_regions`).
+//! thread count influence its output. Every parallel path is one
+//! [`fork_join`] over fixed per-worker ranges whose partial results come
+//! back, and combine, in worker order, so any `Parallelism` produces
+//! bit-identical results (see `cube_pass` and `bellwether_core`'s
+//! `scan_regions`).
 //!
 //! **Small-input fallback:** spawning a thread costs tens of
 //! microseconds; on inputs where each extra worker would own fewer than
@@ -98,6 +99,32 @@ impl Parallelism {
     }
 }
 
+/// Run `work(w)` for every worker index `w` in `0..threads` and return
+/// the results in index order. At `threads <= 1` it calls `work(0)` on
+/// the caller's thread; otherwise each index gets one scoped thread, and
+/// the threads are joined in index order. A worker's panic is re-raised
+/// on the caller's thread with that worker's own payload (the lowest
+/// panicking index wins when several do).
+pub fn fork_join<T: Send>(threads: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if threads <= 1 {
+        return vec![work(0)];
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|w| s.spawn(move || work(w))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
+}
+
+/// Even split point `w` of `len` into `threads` contiguous ranges: worker
+/// `w` owns `split_point(len, w, threads)..split_point(len, w + 1, threads)`.
+pub fn split_point(len: u64, w: usize, threads: usize) -> u64 {
+    ((len as u128 * w as u128) / threads as u128) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,5 +168,49 @@ mod tests {
     #[should_panic(expected = "min_chunk must be >= 1")]
     fn zero_min_chunk_rejected() {
         let _ = Parallelism::fixed(2).with_min_chunk(0);
+    }
+
+    #[test]
+    fn fork_join_returns_results_in_worker_order() {
+        for threads in 0..=8 {
+            let got = fork_join(threads, |w| w * 10);
+            let want: Vec<usize> = (0..threads.max(1)).map(|w| w * 10).collect();
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn fork_join_runs_inline_at_one_thread() {
+        let caller = std::thread::current().id();
+        for threads in [0, 1] {
+            assert_eq!(
+                fork_join(threads, |_| std::thread::current().id()),
+                vec![caller]
+            );
+        }
+        let ids = fork_join(2, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    fn fork_join_reraises_the_workers_own_panic() {
+        for threads in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                fork_join(threads, |w| {
+                    if w == threads - 1 {
+                        panic!("worker {w} of {threads} failed");
+                    }
+                    w
+                })
+            })
+            .expect_err("the panic reaches the caller");
+            let message = caught
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(
+                *message,
+                format!("worker {} of {threads} failed", threads - 1)
+            );
+        }
     }
 }

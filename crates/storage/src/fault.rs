@@ -24,8 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// SplitMix64-style finalizer: decorrelates `(seed, idx)` pairs so fault
-/// placement looks arbitrary but is a pure function of the plan.
-fn mix(seed: u64, idx: u64) -> u64 {
+/// placement (and retry jitter) looks arbitrary but is a pure function
+/// of its inputs.
+pub(crate) fn mix(seed: u64, idx: u64) -> u64 {
     let mut z = seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -21,6 +21,7 @@
 //! property tests assert across thread counts.
 
 use crate::block::RegionBlock;
+use crate::fault::mix;
 use crate::metrics::IoStats;
 use crate::source::TrainingSource;
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
@@ -97,17 +98,10 @@ impl RetryPolicy {
         let exp = self.multiplier.powi(attempt.saturating_sub(1).min(63) as i32);
         let uncapped = self.base_backoff.as_secs_f64() * exp;
         let capped = uncapped.min(self.max_backoff.as_secs_f64());
-        let h = jitter_mix(self.jitter_seed, ((region as u64) << 32) | attempt as u64);
+        let h = mix(self.jitter_seed, ((region as u64) << 32) | attempt as u64);
         let jitter = 0.5 + (h >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
         Duration::from_secs_f64(capped * jitter)
     }
-}
-
-fn jitter_mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl RetryPolicyBuilder {

@@ -42,6 +42,7 @@ use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use std::collections::hash_map::{Entry, HashMap};
+use std::ffi::OsStr;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -180,7 +181,7 @@ impl ShardManifest {
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
             shards.push(ShardMeta {
-                file: cur.get_string()?,
+                file: member_name(cur.get_string()?)?,
                 regions: cur.get_u64_le()?,
                 examples: cur.get_u64_le()?,
                 bytes: cur.get_u64_le()?,
@@ -201,7 +202,7 @@ impl ShardManifest {
         let n = cur.count(n.into(), 4 + 2 * 8)?;
         let mut overlays = Vec::with_capacity(n);
         for _ in 0..n {
-            let file = cur.get_string()?;
+            let file = member_name(cur.get_string()?)?;
             let bytes = cur.get_u64_le()?;
             let regions = cur.get_u64_vec()?;
             let ascending = regions.windows(2).all(|w| w[0] < w[1]);
@@ -235,6 +236,19 @@ impl ShardManifest {
     /// Read and validate the manifest at `path`.
     pub fn read(path: &Path) -> io::Result<ShardManifest> {
         ShardManifest::decode(&fs::read(path)?)
+    }
+}
+
+/// A member file name read from a manifest, checked to be one bare file
+/// name: every reader joins it onto the layout directory, so a `..`, a
+/// separator or an absolute path would serve a file from elsewhere.
+fn member_name(file: String) -> io::Result<String> {
+    if Path::new(&file).file_name() == Some(OsStr::new(&file)) {
+        Ok(file)
+    } else {
+        Err(bad(&format!(
+            "manifest names {file:?}, not a file in its directory"
+        )))
     }
 }
 

@@ -69,11 +69,6 @@ impl Table {
         &self.schema
     }
 
-    /// Shared schema handle.
-    pub fn schema_ref(&self) -> SchemaRef {
-        Arc::clone(&self.schema)
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.rows

@@ -10,7 +10,11 @@
 //! * the injected transients really happen (fault and retry counters
 //!   are non-zero), so the equivalence is exercised, not vacuous;
 //! * a truncated shard file and a doctored manifest byte count are both
-//!   rejected at open time with structured errors, never a panic.
+//!   rejected at open time with structured errors, never a panic, and so
+//!   is a manifest naming a file outside its layout directory;
+//! * a shard whose every block is corrupt degrades with exact skip
+//!   accounting under `SkipUnreadable` and fails classified under
+//!   `Strict` or a skip budget smaller than the shard.
 
 use bellwether::prelude::*;
 use bellwether_prop::{check, Rng};
@@ -413,6 +417,128 @@ fn damaged_sharded_layouts_are_rejected_at_open() {
         "doctored manifest must not open"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A dead shard degrades with exact skip accounting: every block of
+/// shard 1 of a four-shard layout is corrupt. `Strict` fails with a
+/// classified `RegionRead` naming one of that shard's regions,
+/// `SkipUnreadable` completes with exactly that shard's regions skipped
+/// (ascending: scan order is canonical), and a skip budget smaller than
+/// the shard fails as `TooManyUnreadable`. Nothing panics, at any thread
+/// count.
+#[test]
+fn a_dead_shard_degrades_with_exact_skip_accounting() {
+    use bellwether_storage::format::{decode_footer, FOOTER_LEN, HEADER_LEN};
+    let mut rng = Rng::new(0xDEAD);
+    let (blocks, region_space, ..) = random_fixture(&mut rng);
+    let dir = write_shards(&blocks, 4, "dead");
+    // Shard 1 holds regions 2 and 3: flip a byte in the first block and
+    // the last byte of the second, which ends where the index starts.
+    let shard = dir.join(bellwether::storage::shard_file_name(1));
+    let mut bytes = std::fs::read(&shard).unwrap();
+    let (index_at, count) = decode_footer(&bytes[bytes.len() - FOOTER_LEN..]).unwrap();
+    assert_eq!(count, 2);
+    bytes[HEADER_LEN + 8] ^= 0x40;
+    bytes[index_at as usize - 1] ^= 0x40;
+    std::fs::write(&shard, &bytes).unwrap();
+    let dead = vec![2usize, 3];
+    let source = ShardedSource::open(&dir).unwrap();
+    let cost = UniformCellCost { rate: 1.0 };
+    let skip_cfg = |threads: usize, max_skipped: usize| {
+        BellwetherConfig::builder(1e9)
+            .min_coverage(0.0)
+            .min_examples(3)
+            .error_measure(ErrorMeasure::TrainingSet)
+            .parallelism(Parallelism::fixed(threads).with_min_chunk(1))
+            .scan_policy(ScanPolicy::SkipUnreadable { max_skipped })
+            .build()
+            .unwrap()
+    };
+
+    for threads in [1usize, 2, 4] {
+        match basic_search(&source, &region_space, &cost, &config_for(threads), 16) {
+            Err(BellwetherError::RegionRead { index, source }) => {
+                assert!(
+                    dead.contains(&index),
+                    "threads={threads}: region {index} is not dead"
+                );
+                assert!(
+                    bellwether::storage::is_corrupt(&source),
+                    "threads={threads}: {source}"
+                );
+            }
+            Err(other) => panic!("threads={threads}: expected RegionRead, got {other}"),
+            Ok(_) => panic!("threads={threads}: a strict scan over a dead shard must fail"),
+        }
+
+        let result =
+            basic_search(&source, &region_space, &cost, &skip_cfg(threads, 4), 16).unwrap();
+        assert_eq!(result.skipped_regions, dead, "threads={threads}");
+        assert!(
+            !result.reports.is_empty(),
+            "threads={threads}: healthy shards still evaluated"
+        );
+
+        match basic_search(&source, &region_space, &cost, &skip_cfg(threads, 1), 16) {
+            Err(BellwetherError::TooManyUnreadable { max_skipped: 1, .. }) => {}
+            Err(other) => panic!("threads={threads}: expected TooManyUnreadable, got {other}"),
+            Ok(_) => panic!("threads={threads}: 2 dead regions > max_skipped=1 must fail"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A manifest names files inside its layout directory and nowhere else.
+/// A shard or overlay name that is not one bare file name is refused at
+/// decode as `InvalidData`, under a checksum that verifies and with a
+/// real copy of a shard waiting at the path the name points to.
+#[test]
+fn manifest_names_cannot_point_outside_the_layout_directory() {
+    let mut rng = Rng::new(13);
+    let (blocks, ..) = random_fixture(&mut rng);
+    let dir = write_shards(&blocks, 2, "escape");
+    let manifest_path = dir.join(bellwether::storage::MANIFEST_NAME);
+    let clean = ShardManifest::read(&manifest_path).unwrap();
+    let outside = tmp("escape_outside");
+    std::fs::create_dir_all(&outside).unwrap();
+    std::fs::create_dir_all(dir.join("a")).unwrap();
+    std::fs::copy(dir.join(&clean.shards[0].file), outside.join("x.bwtd")).unwrap();
+    std::fs::copy(dir.join(&clean.shards[1].file), dir.join("a/b.bwtd")).unwrap();
+
+    let mut up = clean.clone();
+    up.shards[0].file = "../escape_outside/x.bwtd".into();
+    let mut absolute = clean.clone();
+    absolute.shards[0].file = outside.join("x.bwtd").to_string_lossy().into_owned();
+    let mut nested = clean.clone();
+    let first = clean.shards[0].regions;
+    nested.generation = 1;
+    nested.overlays.push(bellwether::storage::OverlayMeta {
+        file: "a/b.bwtd".into(),
+        bytes: clean.shards[1].bytes,
+        regions: (first..first + clean.shards[1].regions).collect(),
+    });
+    for (bad, name) in [
+        (up, "../escape_outside/x.bwtd"),
+        (absolute, "escape_outside/x.bwtd"),
+        (nested, "a/b.bwtd"),
+    ] {
+        let err = ShardManifest::decode(&bad.encode()).expect_err("a name outside the layout");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        assert!(err.to_string().contains(name), "{name}: {err}");
+        bad.write_atomic(&manifest_path).unwrap();
+        let err = match ShardedSource::open(&dir) {
+            Ok(src) => panic!("{name}: opened {} regions", src.num_regions()),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+    }
+    clean.write_atomic(&manifest_path).unwrap();
+    assert!(
+        ShardedSource::open(&dir).is_ok(),
+        "the clean manifest still opens"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&outside).ok();
 }
 
 /// Exhaustive manifest damage property: *every* truncation length and
