@@ -5,6 +5,7 @@
 
 use bellwether_table::Bitmap;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One measure's aggregates over a region's items.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,16 +31,17 @@ impl Lane {
 }
 
 /// The aggregates of one region: every item with data in it, ascending by
-/// id, and one lane per measure over those items.
+/// id, and one lane per measure over those items. Regions a running table
+/// finished from the same item set share one id lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionColumns {
-    item_ids: Vec<i64>,
+    item_ids: Arc<[i64]>,
     lanes: Vec<Lane>,
 }
 
 impl RegionColumns {
     /// From a strictly ascending id lane and one lane per measure over it.
-    pub(crate) fn from_lanes(item_ids: Vec<i64>, lanes: Vec<Lane>) -> RegionColumns {
+    pub(crate) fn from_lanes(item_ids: Arc<[i64]>, lanes: Vec<Lane>) -> RegionColumns {
         debug_assert!(item_ids.windows(2).all(|w| w[0] < w[1]), "item ids ascend");
         debug_assert!(lanes.iter().all(|l| l.values.len() == item_ids.len()));
         RegionColumns { item_ids, lanes }

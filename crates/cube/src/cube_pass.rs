@@ -73,12 +73,13 @@ use crate::parallel::{fork_join, split_point, Parallelism};
 use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::{names, span, NoopRecorder, Recorder};
 use bellwether_table::ops::AggFunc;
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Fixed scan granularity: fact rows are folded in chunks of this many
@@ -97,6 +98,10 @@ const DENSE_ITEMS_MAX: u64 = 1 << 16;
 
 /// Slot marker for rows the key function filtered out.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Base cells the rollup walks per fork: it gathers whole segments until
+/// it holds this many, and the k-way merge cuts its segments at it.
+pub(crate) const SEGMENT_CELLS: usize = 1 << 16;
 
 /// One measure (feature column) to compute per `(region, item)`.
 #[derive(Debug, Clone)]
@@ -863,7 +868,7 @@ impl StateCol {
 /// A key-sorted table of cells in structure-of-arrays layout: `keys[i]`
 /// is cell `i`'s dense key, `cols[m]` holds measure `m`'s accumulator
 /// lanes for every cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct StateTable {
     pub(crate) keys: Vec<u64>,
     pub(crate) cols: Vec<StateCol>,
@@ -1305,6 +1310,9 @@ pub(crate) struct RegionTable {
     /// The columns finished from this very state; `None` once a cell
     /// arrives.
     emitted: Option<Arc<RegionColumns>>,
+    /// The id lane last finished. Occupancy only grows, so while the
+    /// occupied-slot count equals its length it is this table's lane.
+    ids: Arc<[i64]>,
 }
 
 /// How phase 2 lays a region space out for its walk.
@@ -1428,7 +1436,10 @@ fn finish_region(ks: &KeySpace, table: &mut RegionTable) -> RegionColumns {
     slots.sort_unstable();
     let lane = |c: &StateCol| Lane::collect(slots.len(), slots.iter().map(|&(_, s)| c.finish_at(s as usize)));
     let lanes = table.cols.iter().map(lane).collect();
-    RegionColumns::from_lanes(slots.iter().map(|&(i, _)| ks.items[i as usize]).collect(), lanes)
+    if table.ids.len() != slots.len() {
+        table.ids = slots.iter().map(|&(i, _)| ks.items[i as usize]).collect();
+    }
+    RegionColumns::from_lanes(Arc::clone(&table.ids), lanes)
 }
 
 /// What a walk leaves behind.
@@ -1439,8 +1450,8 @@ pub(crate) struct Rolled {
     pub(crate) finished: Vec<(RegionId, Arc<RegionColumns>)>,
     /// Merges into an occupied slot.
     pub(crate) merges: u64,
-    /// Nanoseconds spent merging cells and finishing tables, when timed.
-    spans: Option<(u64, u64)>,
+    /// Nanoseconds the walk's batches took, when timed.
+    pub(crate) nanos: u64,
 }
 
 /// One walk over base cells in ascending key order: the running tables
@@ -1455,8 +1466,13 @@ pub(crate) struct Walk<'a> {
     epoch: u64,
     rolled_out: Vec<(RegionId, Arc<RegionColumns>)>,
     merges: u64,
-    /// When a timed walk began, and how much of it went into finishing.
-    started: Option<Instant>,
+    /// The table keys this walk folds; the cell last seen, and its keys.
+    keys: Range<u64>,
+    cell: u64,
+    expansion: Vec<u64>,
+    /// Whether the walk is timed; its time in batches, finishing included.
+    timed: bool,
+    nanos: u64,
     finish_nanos: u64,
     /// Dense item index of each entry of the run being flushed — one
     /// `% n_items` per entry, shared across every table and column.
@@ -1482,7 +1498,11 @@ impl<'a> Walk<'a> {
             epoch: 0,
             rolled_out: Vec::new(),
             merges: 0,
-            started: timed.then(Instant::now),
+            keys: 0..plan.epoch_stride,
+            cell: u64::MAX,
+            expansion: Vec::new(),
+            timed,
+            nanos: 0,
             finish_nanos: 0,
             items: Vec::new(),
             hashed: Vec::new(),
@@ -1500,7 +1520,7 @@ impl<'a> Walk<'a> {
         if until <= self.epoch {
             return;
         }
-        let started = self.started.map(|_| Instant::now());
+        let started = self.timed.then(Instant::now);
         let epochs = std::mem::replace(&mut self.epoch, until)..until;
         for (&key, table) in &mut self.tables {
             for epoch in epochs.clone() {
@@ -1521,22 +1541,22 @@ impl<'a> Walk<'a> {
 
     /// Merge one cell's run of shard entries (`run`, a contiguous index
     /// range of `shard` sharing a cell key) into the tables of every key
-    /// in `expansion`. Runs arrive in ascending cell-key order, so each
+    /// in the cell's `expansion`. Runs arrive in ascending cell-key order, so each
     /// `(table, item)` slot accumulates its contributions in the same
     /// order for any sharding — a run split at a shard boundary flushes
     /// as two segments, which preserves that per-slot order.
-    pub(crate) fn flush(&mut self, expansion: &[u64], shard: &StateTable, run: Range<usize>) {
-        if expansion.is_empty() {
+    fn flush(&mut self, shard: &StateTable, run: Range<usize>) {
+        if self.expansion.is_empty() {
             // Filtered rollups prune most cells; don't pay the per-entry
             // item decode for a run no table will consume.
             return;
         }
         let n_items = self.ks.n_items;
-        let Walk { tables, merges, items, hashed, was, .. } = self;
+        let Walk { tables, merges, items, hashed, was, expansion, .. } = self;
         items.clear();
         items.extend(shard.keys[run.clone()].iter().map(|&k| (k % n_items) as u32));
         let cell = shard.keys[run.start] / n_items;
-        for &key in expansion {
+        for &key in expansion.iter() {
             let table = tables.entry(key).or_insert_with(|| {
                 let (slots, len) = if n_items <= DENSE_ITEMS_MAX {
                     (ItemSlots::Dense(vec![false; n_items as usize]), n_items as usize)
@@ -1548,6 +1568,7 @@ impl<'a> Walk<'a> {
                     cols: shard.cols.iter().map(|c| c.new_like(len)).collect(),
                     last_cell: cell,
                     emitted: None,
+                    ids: Arc::default(),
                 }
             });
             table.last_cell = cell;
@@ -1583,15 +1604,42 @@ impl<'a> Walk<'a> {
         }
     }
 
+    /// Walk one segment, folding each cell into the tables of its keys in
+    /// `self.keys` that `keep(tables, cell, key)` accepts. Base cells with
+    /// the same coordinates are adjacent in key order, so the expansion
+    /// list is memoised per distinct cell and the cell's items are
+    /// batched into one columnar run, hashing each table key once per run
+    /// instead of once per (table, item).
+    pub(crate) fn walk_segment(
+        &mut self,
+        shard: &StateTable,
+        mut keep: impl FnMut(&mut FxMap<u64, RegionTable>, u64, u64) -> bool,
+    ) {
+        let (plan, ks) = (self.plan, self.ks);
+        let mut i = 0;
+        while i < shard.len() {
+            let cell = shard.keys[i] / ks.n_items;
+            let j = i + shard.keys[i..].partition_point(|&k| k / ks.n_items == cell);
+            if cell != self.cell {
+                self.cell = cell;
+                self.close_epochs(cell / plan.epoch_stride);
+                plan.table_keys(cell, ks, self.keys.start, self.keys.end, &mut self.expansion);
+                let tables = &mut self.tables;
+                self.expansion.retain(|&key| keep(tables, cell, key));
+            }
+            self.flush(shard, i..j);
+            i = j;
+        }
+    }
+
     /// Close every remaining epoch and hand the walk's state over.
     pub(crate) fn finish(mut self) -> Rolled {
         self.close_epochs(self.plan.n_epochs);
-        let finish = self.finish_nanos;
         Rolled {
             tables: self.tables,
             finished: self.rolled_out,
             merges: self.merges,
-            spans: self.started.map(|s| (s.elapsed().as_nanos() as u64 - finish, finish)),
+            nanos: 0,
         }
     }
 }
@@ -1603,6 +1651,10 @@ impl<'a> Walk<'a> {
 /// contributions in a fixed order and no two workers ever touch the same
 /// output cell.
 ///
+/// The base cells arrive as ascending `segments`, pulled as the walk
+/// goes: every worker walks each batch of [`SEGMENT_CELLS`] cells in one
+/// [`fork_join`], then the batch is dropped. A failed pull is the error.
+///
 /// When `filter` is given (a **sorted** list of region keys), only those
 /// regions are handed out, and only the tables that stand for one of
 /// them are kept — the delta pass uses this to rebuild regions it cannot
@@ -1611,76 +1663,83 @@ impl<'a> Walk<'a> {
 /// bit-identical to the same region in an unfiltered walk.
 ///
 /// An enabled `rec` gets one `phase2_walk` and one `phase2_finish` span
-/// per worker.
-pub(crate) fn rollup_walk(
+/// per worker; the result's `nanos` times the batches alone, not the
+/// pulls between them.
+pub(crate) fn rollup_walk<S, E>(
     plan: &RollupPlan,
     ks: &KeySpace,
-    shards: &[StateTable],
+    segments: impl IntoIterator<Item = Result<S, E>>,
     threads: usize,
     filter: Option<&[u64]>,
     rec: &dyn Recorder,
-) -> Rolled {
+) -> Result<Rolled, E>
+where
+    S: Borrow<StateTable> + Sync,
+{
     let wanted_tables: Option<Vec<u64>> = filter.map(|keep| {
         let mut keys: Vec<u64> = keep.iter().map(|region| region % plan.epoch_stride).collect();
         keys.sort_unstable();
         keys.dedup();
         keys
     });
-    let worker = |lo: u64, hi: u64| -> Rolled {
-        // Base cells with the same coordinates are adjacent in key
-        // order, so the expansion list is memoised per distinct cell
-        // and the cell's items are batched into one columnar run,
-        // hashing each table key once per run instead of once per
-        // (table, item).
-        let mut walk = Walk::new(plan, ks, filter, rec.enabled());
-        let mut cur_cell = u64::MAX;
-        let mut expansion: Vec<u64> = Vec::new();
-        for shard in shards {
-            let mut i = 0;
-            while i < shard.len() {
-                let cell_key = shard.keys[i] / ks.n_items;
-                let mut j = i + 1;
-                while j < shard.len() && shard.keys[j] / ks.n_items == cell_key {
-                    j += 1;
-                }
-                if cell_key != cur_cell {
-                    cur_cell = cell_key;
-                    walk.close_epochs(cell_key / plan.epoch_stride);
-                    plan.table_keys(cell_key, ks, lo, hi, &mut expansion);
-                    if let Some(keep) = &wanted_tables {
-                        expansion.retain(|k| keep.binary_search(k).is_ok());
-                    }
-                }
-                walk.flush(&expansion, shard, i..j);
-                i = j;
-            }
-        }
-        walk.finish()
-    };
-    let record = |rolled: Rolled| {
-        if let Some((walk, finish)) = rolled.spans {
-            rec.record_span(names::CUBE_PASS_PHASE2_WALK, walk);
-            rec.record_span(names::CUBE_PASS_PHASE2_FINISH, finish);
-        }
-        rolled
-    };
-
     let threads = threads
         .min(usize::try_from(plan.epoch_stride).unwrap_or(usize::MAX))
         .max(1);
-    fork_join(threads, |w| {
-        let (lo, hi) = plan.worker_range(w, threads);
-        worker(lo, hi)
-    })
-    .into_iter()
-    .map(record)
-    .reduce(|mut all, part| {
-        all.tables.extend(part.tables);
-        all.finished.extend(part.finished);
-        all.merges += part.merges;
-        all
-    })
-    .expect("fork_join returns one result per worker")
+    let timed = rec.enabled();
+    let walks: Vec<Mutex<Walk>> = (0..threads)
+        .map(|w| {
+            let (lo, hi) = plan.worker_range(w, threads);
+            Mutex::new(Walk { keys: lo..hi, ..Walk::new(plan, ks, filter, timed) })
+        })
+        .collect();
+    let mut nanos = 0u64;
+    // Every worker walks the batch, the last one closing every epoch
+    // still open; then the batch is dropped.
+    let mut walk_batch = |batch: &mut Vec<S>, last: bool| {
+        let started = timed.then(Instant::now);
+        fork_join(threads, |w| {
+            let mut walk = walks[w].lock().unwrap_or_else(PoisonError::into_inner);
+            let started = timed.then(Instant::now);
+            for segment in batch.iter() {
+                walk.walk_segment(segment.borrow(), |_, _, key| {
+                    wanted_tables.as_ref().is_none_or(|keep| keep.binary_search(&key).is_ok())
+                });
+            }
+            if last {
+                walk.close_epochs(plan.n_epochs);
+            }
+            walk.nanos += started.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        });
+        batch.clear();
+        nanos += started.map_or(0, |s| s.elapsed().as_nanos() as u64);
+    };
+    let batch_cells = SEGMENT_CELLS;
+    #[cfg(test)]
+    let batch_cells = tests::batch_cells().unwrap_or(batch_cells);
+    let (mut batch, mut cells) = (Vec::new(), 0);
+    for segment in segments {
+        let segment = segment?;
+        cells += segment.borrow().len();
+        batch.push(segment);
+        if cells >= batch_cells {
+            walk_batch(&mut batch, false);
+            cells = 0;
+        }
+    }
+    walk_batch(&mut batch, true);
+    let mut rolled = Rolled { tables: FxMap::default(), finished: Vec::new(), merges: 0, nanos };
+    for walk in walks {
+        let walk = walk.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if timed {
+            rec.record_span(names::CUBE_PASS_PHASE2_WALK, walk.nanos - walk.finish_nanos);
+            rec.record_span(names::CUBE_PASS_PHASE2_FINISH, walk.finish_nanos);
+        }
+        let part = walk.finish();
+        rolled.tables.extend(part.tables);
+        rolled.finished.extend(part.finished);
+        rolled.merges += part.merges;
+    }
+    Ok(rolled)
 }
 
 /// Run the CUBE pass over fact data: one resident run of every chunk, no
@@ -1840,6 +1899,22 @@ pub(crate) mod tests {
         /// Whether this thread's passes keep every distinct-FK lane a
         /// pair list: the path bitset lanes are held to.
         static PAIR_LISTS: Cell<bool> = const { Cell::new(false) };
+        /// The cells a rollup walk on this thread gathers per batch, when
+        /// not [`SEGMENT_CELLS`]: small inputs walk many batches.
+        static BATCH_CELLS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    pub(crate) fn batch_cells() -> Option<usize> {
+        BATCH_CELLS.with(Cell::get)
+    }
+
+    /// Run `f` with this thread's rollup walks forking every `cells`
+    /// base cells.
+    pub(crate) fn with_batch_cells<T>(cells: usize, f: impl FnOnce() -> T) -> T {
+        BATCH_CELLS.with(|b| b.set(Some(cells)));
+        let out = f();
+        BATCH_CELLS.with(|b| b.set(None));
+        out
     }
 
     pub(crate) fn pair_lists_forced() -> bool {
@@ -2389,12 +2464,14 @@ pub(crate) mod tests {
             assert_eq!(span.calls, 1);
         }
         // One of each per rollup worker, inside `phase2_rollup`.
-        let rollup = snap.span("cube_pass/phase2_rollup").unwrap().total_nanos;
+        let rollup = snap.span(names::CUBE_PASS_PHASE2_ROLLUP).unwrap().total_nanos;
         for part in [names::CUBE_PASS_PHASE2_WALK, names::CUBE_PASS_PHASE2_FINISH] {
             let span = snap.span(part).unwrap_or_else(|| panic!("missing span {part}"));
             assert!((1..=2).contains(&span.calls), "{part}: {} calls", span.calls);
             assert!(span.total_nanos <= rollup * span.calls, "{part}");
         }
+        // One resident run streams its own shards: nothing to merge.
+        assert!(snap.span(names::CUBE_PASS_EXTERNAL_MERGE).is_none());
     }
 
     #[test]

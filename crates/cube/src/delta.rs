@@ -70,8 +70,10 @@ use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::NoopRecorder;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Merge every entry of the key-sorted `src` table into `dst` in one
 /// pass: existing keys merge in place, new keys append. Both key arrays
@@ -222,10 +224,7 @@ impl StreamingCube {
             space: space.clone(),
             ks,
             plan,
-            complete: StateTable {
-                keys: Vec::new(),
-                cols: Vec::new(),
-            },
+            complete: StateTable::default(),
             pending: input.empty_like(),
             rows_total: 0,
             par,
@@ -263,40 +262,28 @@ impl StreamingCube {
         let regions_from = |first: u64, key: u64| (first..n_epochs).map(move |e| e * stride + key);
         let mut walk = Walk::new(&self.plan, &self.ks, None, false);
         let (mut dirty_keys, mut rebuild): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
-        let mut expansion: Vec<u64> = Vec::new();
-        let n = self.ks.n_items;
-        let mut i = 0;
-        while i < cells.len() {
-            let cell = cells.keys[i] / n;
-            let run = i..i + cells.keys[i..].partition_point(|&k| k / n == cell);
-            let epoch = cell / stride;
-            walk.close_epochs(epoch);
-            self.plan.table_keys(cell, &self.ks, 0, stride, &mut expansion);
-            expansion.retain(|&key| {
-                if walk.tables.contains_key(&key) {
-                    return true;
+        walk.walk_segment(&cells, |walking, cell, key| {
+            if walking.contains_key(&key) {
+                return true;
+            }
+            let resumes = match self.tables.entry(key) {
+                Entry::Occupied(e) if e.get().last_cell == u64::MAX => return false,
+                Entry::Occupied(mut e) if e.get().last_cell >= cell => {
+                    e.get_mut().last_cell = u64::MAX;
+                    false
                 }
-                let resumes = match self.tables.entry(key) {
-                    Entry::Occupied(e) if e.get().last_cell == u64::MAX => return false,
-                    Entry::Occupied(mut e) if e.get().last_cell >= cell => {
-                        e.get_mut().last_cell = u64::MAX;
-                        false
-                    }
-                    Entry::Occupied(e) => {
-                        walk.tables.insert(key, e.remove());
-                        true
-                    }
-                    Entry::Vacant(_) => true,
-                };
-                dirty_keys.extend(regions_from(epoch, key));
-                if !resumes {
-                    rebuild.extend(regions_from(epoch, key));
+                Entry::Occupied(e) => {
+                    walking.insert(key, e.remove());
+                    true
                 }
-                resumes
-            });
-            walk.flush(&expansion, &cells, run.clone());
-            i = run.end;
-        }
+                Entry::Vacant(_) => true,
+            };
+            dirty_keys.extend(regions_from(cell / stride, key));
+            if !resumes {
+                rebuild.extend(regions_from(cell / stride, key));
+            }
+            resumes
+        });
         let rolled = walk.finish();
         self.tables.extend(rolled.tables);
         self.result.regions.extend(rolled.finished);
@@ -372,15 +359,16 @@ impl StreamingCube {
 
     /// The base-cell table to roll up: `complete` plus the pending
     /// tail folded as the partial final chunk — exactly the chunk
-    /// sequence a cold pass over the concatenated data merges.
-    fn rollup_table(&self) -> StateTable {
+    /// sequence a cold pass over the concatenated data merges. With no
+    /// tail it is `complete` itself, borrowed.
+    fn rollup_table(&self) -> Cow<'_, StateTable> {
         if self.pending.item_ids.is_empty() {
-            return self.complete.clone();
+            return Cow::Borrowed(&self.complete);
         }
         let tail = self.fold_pending(0..self.pending.item_ids.len());
         let mut table = self.complete.clone();
         merge_delta_into(&mut table, &tail);
-        table
+        Cow::Owned(table)
     }
 
     /// [`Self::rollup_table`] restricted to `cells` (ascending base
@@ -418,9 +406,9 @@ impl StreamingCube {
     /// up from every base cell through the cold walk, replacing their
     /// tables and results.
     fn rebuild(&mut self, filter: Option<&[u64]>) {
-        let table = self.rollup_table();
-        let shards = std::slice::from_ref(&table);
-        let rolled = rollup_walk(&self.plan, &self.ks, shards, self.threads(), filter, &NoopRecorder);
+        let segments = [Ok::<_, Infallible>(self.rollup_table())];
+        let Ok(rolled) =
+            rollup_walk(&self.plan, &self.ks, segments, self.threads(), filter, &NoopRecorder);
         self.tables.extend(rolled.tables);
         self.result.regions.extend(rolled.finished);
     }
@@ -620,6 +608,21 @@ mod tests {
         assert_eq!((updates[2].regions_extended, updates[2].regions_rebuilt), (0, 24));
         // [1-6, MD] holds only the new cell; [1-6, US] also an old one.
         assert!(updates[3].regions_extended > 0 && updates[3].regions_rebuilt > 0);
+    }
+
+    #[test]
+    fn a_rebuild_onto_a_chunk_boundary_walks_the_retained_cells_borrowed() {
+        // Back-fills that leave no pending tail: each rebuild walks
+        // `complete` itself, not a merged copy.
+        let items: Vec<i64> = (0..30).collect();
+        let base = rows_at(3, 500, &items, &[0, 1, 3], &ALL_LEAVES);
+        let batches = [
+            rows_at(30, ROW_CHUNK - 500, &items, &[2], &ALL_LEAVES),
+            rows_at(31, ROW_CHUNK, &items, &[1], &[3]),
+        ];
+        for update in check_schedule(&space(), &items, &base, &batches, &[0]) {
+            assert!(update.regions_rebuilt > 0);
+        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! serialized to temp files (a `shard/spills` counter per run,
 //! `shard/spill_bytes` for volume) until the budget holds again.
 //! Finally all runs — spilled and resident alike, in formation order —
-//! are k-way merged by key into sorted output segments and rolled up by
-//! `rollup_walk`. The two entries differ only in the two numbers they
-//! fix: [`cube_pass_external`] takes [`RUN_CHUNKS`] chunks per run and
-//! the caller's budget; the resident [`crate::cube_pass()`] takes one run
-//! of all chunks and no budget, so nothing spills and the single run
-//! *is* the merged base-cell table. Both fail the same way, with a
-//! [`CubeError`].
+//! are k-way merged by key into a stream of sorted segments that
+//! `rollup_walk` pulls and drops as it walks them. The two entries differ
+//! only in the two numbers they fix: [`cube_pass_external`] takes
+//! [`RUN_CHUNKS`] chunks per run and the caller's budget; the resident
+//! [`crate::cube_pass()`] takes one run of all chunks and no budget, so
+//! nothing spills and the single run's own shards are the stream. Both
+//! fail the same way, with a [`CubeError`].
 //!
 //! # Determinism
 //!
@@ -40,28 +40,28 @@
 //! The budget bounds the *aggregation state* (completed runs). Three
 //! allocations are intentionally outside it: the transient chunk tables
 //! of the run being folded (at most `RUN_CHUNKS × ROW_CHUNK` rows of
-//! state — the floor any streaming pass pays); the final merged
-//! base-cell table handed to the rollup, whose size is bounded by
-//! `#finest-cells × #items` — the aggregate itself, which must fit to
-//! be useful, independent of how many fact rows collapsed into it; and
-//! the rollup's own state, one running table per trailing-coordinate
-//! combination × items when an interval leads the space (per region
-//! otherwise), beside the finished columns that are the result.
+//! state — the floor any streaming pass pays); the merge's window — a
+//! frame per run, the open segment and the rollup's batch, never the
+//! merged table; and the rollup's own state, one running table per
+//! trailing-coordinate combination × items when an interval leads the
+//! space (per region otherwise), beside the finished columns that are
+//! the result.
 //!
 //! # What a spill costs
 //!
 //! Five spans decompose the pass: `cube_pass/phase1_merge` (run close),
 //! `cube_pass/external_spill` (encode + write), `cube_pass/external_merge`
 //! (the k-way merge, with `cube_pass/external_decode` — read-back and
-//! frame decode — inside it) and `cube_pass/phase2_rollup`. The merge
-//! moves whole frames, then ranges, and only keys two runs share go cell
-//! by cell (`merge_runs`). The frame reader (`FrameReader`) treats a run
+//! frame decode — inside it) and `cube_pass/phase2_rollup`, the last two
+//! interleaved self-times that add up. The merge moves whole frames,
+//! then ranges, and only keys two runs share go cell by cell
+//! (`MergeRuns`). The frame reader (`FrameReader`) treats a run
 //! as untrusted bytes and checks every record's CRC-32 trailer first.
 
 use crate::cube_pass::{
     chain_or_merge, fold_chunks, intern_keys, rollup_walk, strictly_ascending, words, CubeError,
     CubeInput, CubeResult, IdLane, KeySpace, RollupPlan, StateCol, StateTable, BITSET_KEYS_MAX,
-    ROW_CHUNK,
+    ROW_CHUNK, SEGMENT_CELLS,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -85,10 +85,6 @@ pub const RUN_CHUNKS: usize = 64;
 
 /// Cells per serialized spill frame.
 const FRAME_CELLS: usize = 4096;
-
-/// Cells per output segment of the final k-way merge (the rollup
-/// tolerates any ascending segmentation).
-const SEGMENT_CELLS: usize = 1 << 16;
 
 /// Pass with no byte budget: nothing ever spills.
 pub const UNLIMITED_BUDGET: usize = usize::MAX;
@@ -557,113 +553,114 @@ impl RunCursor {
     }
 }
 
-/// The final merge: one sorted base-cell table, cut into segments, from
-/// all runs in run formation order. Per key the first run holding it
-/// copies and later runs merge, ascending by run. A run whose head key
+/// The final merge: the sorted base-cell table, as a stream of segments,
+/// from all runs in run formation order. Per key the first run holding
+/// it copies and later runs merge, ascending by run. A run whose head key
 /// is below every other run's head copies every cell of its current
 /// frame that is with one `merge_from` per column, or, when all of it is
 /// and the open segment is empty, hands the frame on as a segment. Week
-/// slices make runs disjoint, so that is most of the merge. Returns the
-/// segments and the merges into an occupied slot.
-fn merge_runs(runs: Vec<Run>, rec: &dyn Recorder) -> io::Result<(Vec<StateTable>, u64)> {
-    let mut cursors = runs
-        .into_iter()
-        .map(|run| RunCursor::open(run, rec.enabled()))
-        .collect::<io::Result<Vec<_>>>()?;
-    let template: Vec<StateCol> = cursors
-        .iter()
-        .find_map(|c| c.frame.as_ref())
-        .map(|t| t.cols.iter().map(|col| col.new_like(0)).collect())
-        .unwrap_or_default();
-    let fresh = |template: &[StateCol]| StateTable {
-        keys: Vec::new(),
-        cols: template.iter().map(|c| c.new_like(0)).collect(),
-    };
-    let mut merges = 0u64;
-    let mut segments: Vec<StateTable> = Vec::new();
-    let mut cur = fresh(&template);
-    let mut dsts: Vec<u32> = Vec::new();
-    let copied = vec![false; SEGMENT_CELLS];
-    loop {
-        // The lowest run holding the smallest head key, and the smallest
-        // head among the other runs (cell keys stay far below u64::MAX).
-        let mut first: Option<(usize, u64)> = None;
-        let mut rest = u64::MAX;
-        for (i, c) in cursors.iter().enumerate() {
-            let Some(k) = c.peek() else { continue };
-            match first {
-                Some((_, min)) if k >= min => rest = rest.min(k),
-                Some((_, min)) => {
-                    rest = min;
-                    first = Some((i, k));
+/// slices make runs disjoint, so that is most of the merge. The rollup
+/// pulls one segment at a time, so the merged table is never resident.
+struct MergeRuns {
+    cursors: Vec<RunCursor>,
+    /// The open segment, shaped by the first frame it copies from.
+    cur: StateTable,
+    dsts: Vec<u32>,
+    copied: Vec<bool>,
+    /// Merges into an occupied slot so far.
+    merges: u64,
+}
+
+impl MergeRuns {
+    fn open(runs: Vec<Run>, timed: bool) -> io::Result<MergeRuns> {
+        let cursors = runs.into_iter().map(|run| RunCursor::open(run, timed));
+        Ok(MergeRuns {
+            cursors: cursors.collect::<io::Result<_>>()?,
+            cur: StateTable::default(),
+            dsts: Vec::new(),
+            copied: vec![false; SEGMENT_CELLS],
+            merges: 0,
+        })
+    }
+
+    fn next_segment(&mut self) -> io::Result<Option<StateTable>> {
+        let MergeRuns { cursors, cur, dsts, copied, merges } = self;
+        loop {
+            // The lowest run holding the smallest head key, and the
+            // smallest head among the other runs (cell keys stay far
+            // below u64::MAX).
+            let mut first: Option<(usize, u64)> = None;
+            let mut rest = u64::MAX;
+            for (i, c) in cursors.iter().enumerate() {
+                let Some(k) = c.peek() else { continue };
+                match first {
+                    Some((_, min)) if k >= min => rest = rest.min(k),
+                    Some((_, min)) => {
+                        rest = min;
+                        first = Some((i, k));
+                    }
+                    None => first = Some((i, k)),
                 }
-                None => first = Some((i, k)),
             }
-        }
-        let Some((f, key)) = first else { break };
-        let (head, later) = cursors[f..].split_first_mut().expect("f indexes a cursor");
-        let frame = head.frame.as_ref().expect("peek returned Some");
-        let start = cur.len();
-        // A whole frame below every other run's head, with nothing in
-        // the open segment, already is a segment.
-        let whole = start == 0 && head.pos == 0 && frame.keys[frame.len() - 1] < rest;
-        #[cfg(test)]
-        let whole = whole && !crate::cube_pass::tests::phase1_oracle();
-        if whole {
-            segments.push(head.frame.take().expect("peek returned Some"));
-            head.load_frame()?;
-            continue;
-        }
-        let cells = if rest == key {
-            1
-        } else {
-            let below = frame.keys[head.pos..].partition_point(|&k| k < rest);
-            below.min(SEGMENT_CELLS - start)
-        };
-        cur.keys.extend_from_slice(&frame.keys[head.pos..head.pos + cells]);
-        dsts.clear();
-        dsts.extend(start as u32..(start + cells) as u32);
-        for (dst, src) in cur.cols.iter_mut().zip(&frame.cols) {
-            dst.resize_default(start + cells);
-            dst.merge_from(src, head.pos..head.pos + cells, &dsts, &copied[..cells]);
-        }
-        #[cfg(test)]
-        crate::cube_pass::tests::copied(cells);
-        head.advance(cells)?;
-        if rest == key {
-            for c in later.iter_mut().filter(|c| c.peek() == Some(key)) {
-                let t = c.frame.as_ref().expect("peek returned Some");
-                for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                    dst.merge_from(src, c.pos..c.pos + 1, &[start as u32], &[true]);
+            let Some((f, key)) = first else { break };
+            let (head, later) = cursors[f..].split_first_mut().expect("f indexes a cursor");
+            let frame = head.frame.as_ref().expect("peek returned Some");
+            let start = cur.len();
+            // A whole frame below every other run's head, with nothing in
+            // the open segment, already is a segment.
+            let whole = start == 0 && head.pos == 0 && frame.keys[frame.len() - 1] < rest;
+            #[cfg(test)]
+            let whole = whole && !crate::cube_pass::tests::phase1_oracle();
+            if whole {
+                let frame = head.frame.take().expect("peek returned Some");
+                head.load_frame()?;
+                return Ok(Some(frame));
+            }
+            if cur.cols.is_empty() {
+                cur.cols = frame.cols.iter().map(|c| c.new_like(0)).collect();
+            }
+            let cells = if rest == key {
+                1
+            } else {
+                let below = frame.keys[head.pos..].partition_point(|&k| k < rest);
+                below.min(SEGMENT_CELLS - start)
+            };
+            cur.keys.extend_from_slice(&frame.keys[head.pos..head.pos + cells]);
+            dsts.clear();
+            dsts.extend(start as u32..(start + cells) as u32);
+            for (dst, src) in cur.cols.iter_mut().zip(&frame.cols) {
+                dst.resize_default(start + cells);
+                dst.merge_from(src, head.pos..head.pos + cells, dsts, &copied[..cells]);
+            }
+            #[cfg(test)]
+            crate::cube_pass::tests::copied(cells);
+            head.advance(cells)?;
+            if rest == key {
+                for c in later.iter_mut().filter(|c| c.peek() == Some(key)) {
+                    let t = c.frame.as_ref().expect("peek returned Some");
+                    for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
+                        dst.merge_from(src, c.pos..c.pos + 1, &[start as u32], &[true]);
+                    }
+                    *merges += 1;
+                    c.advance(1)?;
                 }
-                merges += 1;
-                c.advance(1)?;
+            }
+            if cur.len() >= SEGMENT_CELLS {
+                break;
             }
         }
-        if cur.len() >= SEGMENT_CELLS {
-            for col in &mut cur.cols {
-                col.dedup_distinct();
-            }
-            segments.push(std::mem::replace(&mut cur, fresh(&template)));
-        }
+        // A closed segment restores its distinct lanes' dedup invariant.
+        cur.cols.iter_mut().for_each(StateCol::dedup_distinct);
+        Ok((cur.len() > 0).then(|| std::mem::take(cur)))
     }
-    if cur.len() > 0 {
-        for col in &mut cur.cols {
-            col.dedup_distinct();
-        }
-        segments.push(cur);
+}
+
+impl Iterator for MergeRuns {
+    type Item = io::Result<StateTable>;
+
+    fn next(&mut self) -> Option<io::Result<StateTable>> {
+        self.next_segment().transpose()
     }
-    if rec.enabled() {
-        let decode: u64 = cursors
-            .iter()
-            .filter_map(|c| match &c.source {
-                CursorSource::Spilled(reader) => reader.decode_nanos,
-                CursorSource::Resident(_) => None,
-            })
-            .sum();
-        rec.record_span(names::CUBE_PASS_EXTERNAL_DECODE, decode);
-    }
-    Ok((segments, merges))
 }
 
 // ---------------------------------------------------------------------
@@ -812,24 +809,38 @@ pub(crate) fn cube_pass_runs(
         close_run(&mut pending)?;
     }
 
-    // A single resident run needs no final merge at all — it *is*
-    // phase 1's output.
-    let (shards, final_merges) = match runs.pop() {
-        Some(Run::Resident { shards, .. }) if runs.is_empty() => (shards, 0),
+    // Phase 2 rolls up a single resident run's own shards, or the k-way
+    // merge of every run, each segment dropped once walked. The merge's
+    // own time is the stretch less the rollup's.
+    let plan = RollupPlan::new(space, &ks);
+    let mut base_cells = 0u64;
+    let count = |s: &io::Result<StateTable>| base_cells += s.as_ref().map_or(0, |s| s.len() as u64);
+    let (rolled, final_merges) = match runs.pop() {
+        Some(Run::Resident { shards, .. }) if runs.is_empty() => {
+            let segments = shards.into_iter().map(Ok).inspect(count);
+            (rollup_walk(&plan, &ks, segments, threads, None, rec)?, 0)
+        }
         last => {
             runs.extend(last);
-            let _t = span!(rec, "cube_pass/external_merge");
             rec.add(names::SHARD_RUNS_MERGED, runs.len() as u64);
-            merge_runs(runs, rec)?
+            let started = Instant::now();
+            let mut merge = MergeRuns::open(runs, rec.enabled())?;
+            let rolled = rollup_walk(&plan, &ks, (&mut merge).inspect(count), threads, None, rec)?;
+            if rec.enabled() {
+                let decode = merge.cursors.iter().filter_map(|c| match &c.source {
+                    CursorSource::Spilled(reader) => reader.decode_nanos,
+                    CursorSource::Resident(_) => None,
+                });
+                let merge_nanos = started.elapsed().as_nanos() as u64 - rolled.nanos;
+                rec.record_span(names::CUBE_PASS_EXTERNAL_MERGE, merge_nanos);
+                rec.record_span(names::CUBE_PASS_EXTERNAL_DECODE, decode.sum());
+            }
+            (rolled, merge.merges)
         }
     };
-    let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
-
-    // Phase 2: the rollup (segmentation-tolerant).
-    let rolled = {
-        let _t = span!(rec, "cube_pass/phase2_rollup");
-        rollup_walk(&RollupPlan::new(space, &ks), &ks, &shards, threads, None, rec)
-    };
+    if rec.enabled() {
+        rec.record_span(names::CUBE_PASS_PHASE2_ROLLUP, rolled.nanos);
+    }
 
     rec.add(names::CUBE_PASS_ROWS_SCANNED, total_rows as u64);
     rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
@@ -1338,11 +1349,12 @@ mod tests {
         let path = dir.join("run.bwrun");
         let read_back = |bytes: &[u8]| {
             fs::write(&path, bytes).unwrap();
-            merge_runs(vec![Run::Spilled { path: path.clone() }], &NoopRecorder)
+            MergeRuns::open(vec![Run::Spilled { path: path.clone() }], false)?
+                .collect::<io::Result<Vec<_>>>()
         };
         write_run(&path, &spilled).unwrap();
         let good = fs::read(&path).unwrap();
-        assert_eq!(cells_of(&read_back(&good).unwrap().0), cells_of(&spilled));
+        assert_eq!(cells_of(&read_back(&good).unwrap()), cells_of(&spilled));
 
         let corrupt = std::cell::Cell::new(0u32);
         bellwether_prop::sweep(&good, |bytes, _| {

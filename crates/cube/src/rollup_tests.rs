@@ -5,10 +5,11 @@
 //! base cell into every region containing it. Everything here holds the
 //! two bit-identical: over generated spaces of every shape, timelines
 //! with empty stretches, late items and locations, every state kind,
-//! every thread count, filtered walks, the external pass at both ends of
-//! its budget, and a live recorder.
+//! every thread count, filtered walks, base cells streamed in segments
+//! of any size and batches of any size, the external pass at both ends
+//! of its budget, and a live recorder.
 
-use crate::cube_pass::tests::with_one_epoch;
+use crate::cube_pass::tests::{with_batch_cells, with_one_epoch};
 use crate::cube_pass::{
     cube_pass, fold_chunks, merge_chunks, rollup_walk, CubeInput, CubeResult, KeySpace,
     RegionColumns, RollupPlan, StateTable, ROW_CHUNK,
@@ -22,11 +23,17 @@ use bellwether_obs::{names, NoopRecorder, Registry};
 use bellwether_prop::{check, Rng};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Dimension kinds, leading first: interval leading, trailing, absent,
 /// doubled, and alone.
 const SHAPES: [&str; 8] = ["IH", "IHH", "HI", "HH", "II", "IIH", "I", "H"];
+
+/// The spans a pass records on its calling thread.
+const PASS_SPANS: [&str; 5] =
+    ["phase1_scan", "phase1_merge", "external_spill", "external_merge", "phase2_rollup"];
 
 /// A space of the given shape and, per dimension, the fact-level
 /// coordinates rows may use.
@@ -135,15 +142,39 @@ fn base_cells(space: &RegionSpace, input: &CubeInput) -> (KeySpace, Vec<StateTab
     (ks, shards)
 }
 
-/// The regions a walk hands out, as a result.
+/// `shards` re-cut at random points into ascending segments, a cell's
+/// items split between two segments wherever a cut falls inside them.
+fn cut(rng: &mut Rng, shards: &[StateTable]) -> Vec<StateTable> {
+    let mut segments = Vec::new();
+    for shard in shards {
+        let mut at = 0;
+        while at < shard.len() {
+            let end = (at + 1 + rng.below(40)).min(shard.len());
+            let mut segment = StateTable {
+                keys: shard.keys[at..end].to_vec(),
+                cols: shard.cols.iter().map(|c| c.new_like(end - at)).collect(),
+            };
+            let dsts: Vec<u32> = (0..(end - at) as u32).collect();
+            for (dst, src) in segment.cols.iter_mut().zip(&shard.cols) {
+                dst.merge_from(src, at..end, &dsts, &vec![false; end - at]);
+            }
+            segments.push(segment);
+            at = end;
+        }
+    }
+    segments
+}
+
+/// The regions a walk over `segments` hands out, as a result.
 fn walked(
     plan: &RollupPlan,
     ks: &KeySpace,
-    shards: &[StateTable],
+    segments: &[StateTable],
     threads: usize,
     filter: Option<&[u64]>,
 ) -> CubeResult {
-    let rolled = rollup_walk(plan, ks, shards, threads, filter, &NoopRecorder);
+    let segments = segments.iter().map(Ok::<_, Infallible>);
+    let Ok(rolled) = rollup_walk(plan, ks, segments, threads, filter, &NoopRecorder);
     let n = rolled.finished.len();
     let regions: HashMap<RegionId, Arc<RegionColumns>> = rolled.finished.into_iter().collect();
     assert_eq!(regions.len(), n, "a region handed out twice");
@@ -192,6 +223,10 @@ fn prefix_walk_matches_the_one_epoch_oracle() {
                     narrowest.set(narrowest.get().min(count));
                     widest.set(widest.get().max(count));
                 }
+                // The same cells streamed in small segments, a fork every
+                // few of them.
+                let segments = cut(rng, &shards);
+                let batch = 1 + rng.below(100);
                 for threads in [1usize, 2, 4] {
                     let what = format!("{shape}, threads={threads}");
                     assert_bit_identical(
@@ -204,6 +239,9 @@ fn prefix_walk_matches_the_one_epoch_oracle() {
                         &oracle,
                         &what,
                     );
+                    let streamed =
+                        with_batch_cells(batch, || walked(&plan, &ks, &segments, threads, None));
+                    assert_bit_identical(&streamed, &oracle, &format!("{what}, batch={batch}"));
                 }
 
                 // A sorted subset of the region keys, some of them empty
@@ -220,12 +258,13 @@ fn prefix_walk_matches_the_one_epoch_oracle() {
                     }
                 }
                 for threads in [1usize, 2, 4] {
+                    let what = format!("{shape}, filtered, threads={threads}");
                     let got = walked(&plan, &ks, &shards, threads, Some(&keep));
-                    assert_bit_identical(
-                        &got,
-                        &want,
-                        &format!("{shape}, filtered, threads={threads}"),
-                    );
+                    assert_bit_identical(&got, &want, &what);
+                    let streamed = with_batch_cells(batch, || {
+                        walked(&plan, &ks, &segments, threads, Some(&keep))
+                    });
+                    assert_bit_identical(&streamed, &want, &format!("{what}, batch={batch}"));
                 }
             },
         );
@@ -251,9 +290,12 @@ fn whole_passes_match_the_oracle_at_any_budget_with_any_recorder() {
                 let pass =
                     |threads| cube_pass(&space, &input, par(threads), &NoopRecorder).unwrap();
                 let oracle = with_one_epoch(|| pass(1));
+                let batch = 1 + rng.below(2000);
                 for threads in [1usize, 2, 4] {
-                    let got = pass(threads);
-                    assert_bit_identical(&got, &oracle, &format!("{shape}, threads={threads}"));
+                    let what = format!("{shape}, threads={threads}");
+                    assert_bit_identical(&pass(threads), &oracle, &what);
+                    let streamed = with_batch_cells(batch, || pass(threads));
+                    assert_bit_identical(&streamed, &oracle, &format!("{what}, batch={batch}"));
                 }
 
                 // Two inputs, one chunk a run: up to four runs to merge.
@@ -268,7 +310,12 @@ fn whole_passes_match_the_oracle_at_any_budget_with_any_recorder() {
                     let reg = Registry::shared();
                     let what = format!("{shape}, budget={budget}, threads={threads}");
                     assert_bit_identical(&runs(budget, threads, &NoopRecorder), &oracle, &what);
-                    assert_bit_identical(&runs(budget, threads, reg.as_ref()), &oracle, &what);
+                    let streamed = with_batch_cells(batch, || runs(budget, threads, &NoopRecorder));
+                    assert_bit_identical(&streamed, &oracle, &format!("{what}, batch={batch}"));
+                    let started = Instant::now();
+                    let traced = runs(budget, threads, reg.as_ref());
+                    let elapsed = started.elapsed().as_nanos() as u64;
+                    assert_bit_identical(&traced, &oracle, &what);
                     let snap = reg.snapshot();
                     let rollup = snap.span("cube_pass/phase2_rollup").expect("rollup span");
                     let walk = snap.span(names::CUBE_PASS_PHASE2_WALK).expect("walk span");
@@ -279,8 +326,19 @@ fn whole_passes_match_the_oracle_at_any_budget_with_any_recorder() {
                     assert!((1..=threads as u64).contains(&walk.calls), "{what}");
                     assert_eq!(walk.calls, finish.calls, "{what}");
                     let decode = snap.span(names::CUBE_PASS_EXTERNAL_DECODE);
+                    let merge = snap.span("cube_pass/external_merge");
                     let merged = snap.counter(names::SHARD_RUNS_MERGED).is_some();
                     assert_eq!(decode.is_some(), merged, "{what}");
+                    assert_eq!(merge.map(|m| m.calls), merged.then_some(1), "{what}");
+                    // The pass's own spans are self-times on the calling thread:
+                    // the merge and the rollup interleave, neither clock
+                    // runs inside the other, so together they fit the pass.
+                    let own: u64 = PASS_SPANS
+                        .iter()
+                        .filter_map(|phase| snap.span(&format!("cube_pass/{phase}")))
+                        .map(|span| span.total_nanos)
+                        .sum();
+                    assert!(own <= elapsed, "{what}: {own} > {elapsed} ns");
                 }
             },
         );
@@ -327,4 +385,47 @@ fn empty_weeks_hand_out_their_predecessors_values() {
     }
     assert_ne!(region(2, 0), region(3, 0));
     assert_eq!(got.regions.len(), 2 * 2 + 3 * 3);
+}
+
+#[test]
+fn a_table_whose_items_did_not_grow_hands_its_epochs_one_id_lane() {
+    // Three weeks × {All → a, b}: items 1 and 2 under `a` in weeks 1 and
+    // 2, item 3 joins in week 3; `b` has rows in week 1 only.
+    let space = RegionSpace::new(vec![
+        Dimension::Interval {
+            name: "T".into(),
+            max_t: 3,
+        },
+        Dimension::Hierarchy(Hierarchy::flat("L", "All", &["a", "b"])),
+    ]);
+    let input = CubeInput {
+        item_ids: vec![1, 2, 2, 1, 2, 3, 1],
+        coords: vec![0, 1, 0, 1, 1, 1, 1, 1, 2, 1, 2, 1, 0, 2],
+        measures: measures_of_every_kind(
+            (1..=7).map(|v| Some(v as f64 / 3.0)).collect(),
+            vec![Some(4.0); 7],
+            vec![Some(1.0); 7],
+            (1..=7).map(Some).collect(),
+            vec![0.5; 7],
+        ),
+    };
+    let got = cube_pass(&space, &input, Parallelism::sequential(), &NoopRecorder).unwrap();
+    let region = |t: u32, n: u32| &got.regions[&RegionId(vec![t, n])];
+    let lane = |t: u32, n: u32| region(t, n).item_ids().as_ptr();
+    for n in [0, 1] {
+        // Week 2 changed the values, not the items: a new finish, the
+        // same lane.
+        assert_ne!(region(0, n), region(1, n), "[1-2, {n}]");
+        assert_eq!(lane(0, n), lane(1, n), "[1-2, {n}]");
+        // Week 3's item 3 grew the set: a lane of its own.
+        assert_ne!(lane(1, n), lane(2, n), "[1-3, {n}]");
+        assert_eq!(region(2, n).item_ids(), [1, 2, 3].as_slice() , "[1-3, {n}]");
+    }
+    assert_eq!(region(0, 0).item_ids(), [1, 2].as_slice());
+    assert_eq!(region(0, 2).item_ids(), [1].as_slice());
+    // `b` saw no cell after week 1: the one allocation, all of it.
+    assert!(Arc::ptr_eq(region(0, 2), region(2, 2)));
+    assert_bit_identical(&got, &with_one_epoch(|| {
+        cube_pass(&space, &input, Parallelism::sequential(), &NoopRecorder).unwrap()
+    }), "shared lanes");
 }

@@ -56,6 +56,12 @@ pub const CUBE_PASS_CELL_MERGES: &str = "cube_pass/cell_merges";
 /// Non-empty regions emitted by the rollup.
 pub const CUBE_PASS_REGIONS_EMITTED: &str = "cube_pass/regions_emitted";
 
+/// Span, one per pass: the rollup's own time. The rollup walks the base
+/// cells in batches as the k-way merge hands them over, and this clock
+/// runs only while a batch is walked, never while the merge makes the
+/// next one: it and `cube_pass/external_merge` are self-times that add
+/// up, neither nested in the other.
+pub const CUBE_PASS_PHASE2_ROLLUP: &str = "cube_pass/phase2_rollup";
 /// Span, one per rollup worker, inside `cube_pass/phase2_rollup`: merging
 /// base cells into the running tables.
 pub const CUBE_PASS_PHASE2_WALK: &str = "cube_pass/phase2_rollup/phase2_walk";
@@ -63,6 +69,10 @@ pub const CUBE_PASS_PHASE2_WALK: &str = "cube_pass/phase2_rollup/phase2_walk";
 /// finishing tables into the per-item feature vectors of the regions
 /// they stand for.
 pub const CUBE_PASS_PHASE2_FINISH: &str = "cube_pass/phase2_rollup/phase2_finish";
+/// Span, one per pass that merges runs: the k-way merge's own time,
+/// summed over every segment the rollup pulls from it (read-back and
+/// decode included, the rollup's batches not).
+pub const CUBE_PASS_EXTERNAL_MERGE: &str = "cube_pass/external_merge";
 /// Span, one per merge, inside `cube_pass/external_merge`: reading
 /// spilled runs back and decoding their frames.
 pub const CUBE_PASS_EXTERNAL_DECODE: &str = "cube_pass/external_decode";

@@ -20,7 +20,9 @@
 //! growing with the weeks), then the same input through the external
 //! pass with no byte budget at all, so its one run spills, with the five
 //! spans that decompose what a spill costs: run close, spill write,
-//! read-back + decode, the k-way merge, and the rollup. Then the same
+//! read-back + decode, the k-way merge, and the rollup. The merge and the
+//! rollup interleave, each timing only itself, so the five add up to no
+//! more than the pass (asserted). Then the same
 //! pass runs twice more on one thread, with and without the
 //! `DistinctKeyed` measures, and prints what share of the pass (and of
 //! its rollup phase) the distinct-FK lanes account for.
@@ -40,6 +42,7 @@
 
 use bellwether::prelude::*;
 use std::collections::HashMap;
+use std::time::Instant;
 
 fn main() {
     let reg = Registry::shared();
@@ -81,6 +84,7 @@ fn main() {
     // ---- what a spill costs: the same input through the external pass
     // under a zero byte budget, on one thread so a span is CPU time.
     let ext = Registry::shared();
+    let started = Instant::now();
     let spilled = bellwether::cube::cube_pass_external(
         &data.space,
         std::slice::from_ref(&cube_input),
@@ -89,6 +93,7 @@ fn main() {
         ext.as_ref(),
     )
     .expect("spill I/O");
+    let pass_ms = started.elapsed().as_secs_f64() * 1e3;
     assert_eq!(spilled.regions.len(), cube_result.regions.len());
     let ext_snap = ext.snapshot();
     let ms = |path: &str| ext_snap.span(path).map_or(0.0, |s| s.total_secs() * 1e3);
@@ -98,15 +103,22 @@ fn main() {
         ext_snap.counter("shard/spills").unwrap_or(0),
         ext_snap.counter("shard/spill_bytes").unwrap_or(0)
     );
-    for (what, millis) in [
+    let parts = [
         ("run close (phase1_merge)", ms("cube_pass/phase1_merge")),
         ("spill write (external_spill)", ms("cube_pass/external_spill")),
         ("read-back + decode (external_decode)", decode),
         ("k-way merge (external_merge - decode)", ms("cube_pass/external_merge") - decode),
         ("rollup (phase2_rollup)", ms("cube_pass/phase2_rollup")),
-    ] {
+    ];
+    for (what, millis) in parts {
         println!("  {what:<40} {millis:>8.2} ms");
     }
+    let parts_ms: f64 = parts.iter().map(|(_, millis)| millis).sum();
+    println!("  {:<40} {pass_ms:>8.2} ms", "the whole pass");
+    assert!(
+        parts_ms <= pass_ms,
+        "the spans of the pass overlap: {parts_ms:.2} ms of them in a {pass_ms:.2} ms pass"
+    );
 
     // ---- what the distinct-FK lanes cost: the same pass with the
     // `DistinctKeyed` measures and without them, through one recorder
