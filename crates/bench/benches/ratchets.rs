@@ -148,7 +148,7 @@ fn shuffled(input: &CubeInput, rng: &mut SplitMix64) -> CubeInput {
         Measure::Numeric { name, func, values } => Measure::Numeric {
             name: name.clone(),
             func: *func,
-            values: order.iter().map(|&r| values[r]).collect(),
+            values: order.iter().map(|&r| values.get(r)).collect(),
         },
         Measure::DistinctKeyed { .. } => unreachable!("stream slices carry numeric measures"),
     };

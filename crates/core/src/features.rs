@@ -19,7 +19,7 @@ use crate::error::{BellwetherError, Result};
 use bellwether_cube::parallel::{fork_join, split_point};
 use bellwether_cube::{aggregate_filtered, CubeInput, Dimension, Measure, Parallelism, RegionSpace};
 use bellwether_table::ops::AggFunc;
-use bellwether_table::{Column, DataType, Table, TableError};
+use bellwether_table::{Column, ColumnData, DataType, Table, TableError};
 use std::collections::HashMap;
 
 /// One regional feature, defined by a stylized query form.
@@ -77,8 +77,9 @@ impl FeatureQuery {
     }
 }
 
-/// Per-fact-row `(foreign key, joined reference value)` columns.
-type JoinedValues = (Vec<Option<i64>>, Vec<Option<f64>>);
+/// Per-fact-row `(foreign key, joined reference value)` lanes under one
+/// validity: a row is valid when its key joins a non-NULL value.
+type JoinedValues = (ColumnData<i64>, ColumnData<f64>);
 
 /// The historical star-schema database.
 #[derive(Debug, Clone)]
@@ -201,11 +202,17 @@ impl StarDatabase {
         Ok(coords)
     }
 
-    /// Per-fact-row numeric values of a fact column (`None` = NULL) for
-    /// `func` to aggregate.
-    fn fact_values(&self, column: &str, func: AggFunc) -> Result<Vec<Option<f64>>> {
-        let col = numeric_column(&self.fact, column, func)?;
-        Ok((0..self.fact.num_rows()).map(|r| col.float_at(r)).collect())
+    /// Per-fact-row numeric values of a fact column, with its validity,
+    /// for `func` to aggregate.
+    fn fact_values(&self, column: &str, func: AggFunc) -> Result<ColumnData<f64>> {
+        Ok(match numeric_column(&self.fact, column, func)? {
+            Column::Float(col) => col.clone(),
+            Column::Int(col) => ColumnData {
+                values: col.values.iter().map(|&v| v as f64).collect(),
+                validity: col.validity.clone(),
+            },
+            Column::Str(_) => unreachable!("numeric_column refuses Str"),
+        })
     }
 
     /// Per-fact-row foreign keys and their joined reference values, for
@@ -233,28 +240,14 @@ impl StarDatabase {
                 }
         }
         let fk_col = self.fact.column_by_name(fk)?.as_int(fk)?;
-        let n = self.fact.num_rows();
-        let mut keys = Vec::with_capacity(n);
-        let mut values = Vec::with_capacity(n);
-        for row in 0..n {
-            if fk_col.is_valid(row) {
-                let k = fk_col.values[row];
-                match lut.get(&k) {
-                    Some(v) => {
-                        keys.push(Some(k));
-                        values.push(*v);
-                    }
-                    None => {
-                        // dangling FK: never joins (inner-join semantics)
-                        keys.push(None);
-                        values.push(None);
-                    }
-                }
-            } else {
-                keys.push(None);
-                values.push(None);
-            }
-        }
+        // A NULL or dangling key never joins (inner-join semantics).
+        let values: ColumnData<f64> = (0..fk_col.values.len())
+            .map(|row| fk_col.get(row).and_then(|k| lut.get(&k).copied().flatten()))
+            .collect();
+        let keys = ColumnData {
+            values: fk_col.values.clone(),
+            validity: values.validity.clone(),
+        };
         Ok((keys, values))
     }
 }
@@ -333,22 +326,14 @@ pub fn build_cube_input(
                 func,
             } => {
                 check_func(name, *func, true)?;
-                let (keys, values) = db.joined_values(table, fk, column, *func)?;
                 // A NULL reference value cannot contribute to the distinct
-                // aggregate: drop the key too.
-                let (keys, values): (Vec<_>, Vec<_>) = keys
-                    .into_iter()
-                    .zip(values)
-                    .map(|(k, v)| match (k, v) {
-                        (Some(k), Some(v)) => (Some(k), v),
-                        _ => (None, 0.0),
-                    })
-                    .unzip();
+                // aggregate: its key is NULL too.
+                let (keys, values) = db.joined_values(table, fk, column, *func)?;
                 Measure::DistinctKeyed {
                     name: name.clone(),
                     func: *func,
                     keys,
-                    values,
+                    values: values.values,
                 }
             }
         })
@@ -507,13 +492,51 @@ mod tests {
     }
 
     #[test]
+    fn measure_lanes_keep_a_bitmap_only_where_a_row_is_null() {
+        let db = db();
+        let mut queries = queries();
+        queries.push(FeatureQuery::FactAgg {
+            name: "ad_ids".into(),
+            column: "ad".into(),
+            func: AggFunc::Sum,
+        });
+        let input = build_cube_input(&db, &space(), &queries).unwrap();
+        let lane = |m: usize| match &input.measures[m] {
+            Measure::Numeric { values, .. } => values.clone(),
+            Measure::DistinctKeyed { .. } => unreachable!("measure {m} is numeric"),
+        };
+        // A Float column with no NULL row, and an Int one widened.
+        assert_eq!(
+            (lane(0).values, lane(0).validity),
+            (vec![10.0, 20.0, 5.0, 1.0], None)
+        );
+        assert_eq!(
+            (lane(3).values, lane(3).validity),
+            (vec![7.0, 7.0, 8.0, 9.0], None)
+        );
+        // Ad 9 dangles: both joined lanes clear row 3, and only row 3.
+        let sizes = lane(1);
+        assert_eq!(
+            (0..4).map(|r| sizes.get(r)).collect::<Vec<_>>(),
+            [Some(3.0), Some(3.0), Some(9.0), None]
+        );
+        let Measure::DistinctKeyed { keys, .. } = &input.measures[2] else {
+            unreachable!("measure 2 is distinct-keyed")
+        };
+        assert_eq!(
+            (0..4).map(|r| keys.get(r)).collect::<Vec<_>>(),
+            [Some(7), Some(7), Some(8), None]
+        );
+    }
+
+    #[test]
     fn dangling_fk_never_joins() {
         let db = db(); // ad 9 has no reference row
         let (keys, values) = db.joined_values("ads", "ad", "size", AggFunc::Max).unwrap();
-        assert_eq!(keys[3], None);
-        assert_eq!(values[3], None);
-        assert_eq!(keys[0], Some(7));
-        assert_eq!(values[0], Some(3.0));
+        assert_eq!(keys.get(3), None);
+        assert_eq!(values.get(3), None);
+        assert_eq!(keys.get(0), Some(7));
+        assert_eq!(values.get(0), Some(3.0));
     }
 
     #[test]

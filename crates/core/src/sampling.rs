@@ -136,7 +136,7 @@ mod tests {
             measures: vec![Measure::Numeric {
                 name: "profit".into(),
                 func: AggFunc::Sum,
-                values: profits,
+                values: profits.into_iter().collect(),
             }],
         };
         let table = Table::new(
@@ -185,11 +185,11 @@ mod tests {
         let (space, input, items, targets) = fixture();
         let cfg = BellwetherConfig::builder(100.0).min_examples(5).build().unwrap();
         let cost = UniformCellCost { rate: 1.0 };
-        let with_measure = |func, values| CubeInput {
+        let with_measure = |func, values: Vec<Option<f64>>| CubeInput {
             measures: vec![Measure::Numeric {
                 name: "profit".into(),
                 func,
-                values,
+                values: values.into_iter().collect(),
             }],
             ..input.clone()
         };
@@ -202,7 +202,7 @@ mod tests {
         count_keys.measures = vec![Measure::DistinctKeyed {
             name: "ads".into(),
             func: AggFunc::Count,
-            keys: vec![Some(1); n],
+            keys: vec![Some(1); n].into_iter().collect(),
             values: vec![1.0; n],
         }];
         for (what, bad) in [

@@ -158,7 +158,7 @@ mod tests {
             measures: vec![Measure::Numeric {
                 name: "profit".into(),
                 func: AggFunc::Sum,
-                values: vec![Some(4.0), Some(6.0), Some(8.0)],
+                values: [Some(4.0), Some(6.0), Some(8.0)].into_iter().collect(),
             }],
         };
         cube_pass(&space(), &input, Parallelism::default(), &NoopRecorder).unwrap()

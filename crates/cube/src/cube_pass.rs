@@ -73,6 +73,7 @@ use crate::parallel::{fork_join, split_point, Parallelism};
 use crate::region::{RegionId, RegionSpace};
 use bellwether_obs::{names, span, NoopRecorder, Recorder};
 use bellwether_table::ops::AggFunc;
+use bellwether_table::ColumnData;
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -115,8 +116,9 @@ pub enum Measure {
         name: String,
         /// Aggregate function.
         func: AggFunc,
-        /// Per-fact-row input; `None` = SQL NULL (skipped).
-        values: Vec<Option<f64>>,
+        /// Per-fact-row input; a row its validity clears is SQL NULL
+        /// (skipped).
+        values: ColumnData<f64>,
     },
     /// `α_f(T.A)((π_FK F) ⋈ T)`: aggregate over *distinct* foreign keys,
     /// each key contributing its (functional) reference-table value once.
@@ -126,8 +128,8 @@ pub enum Measure {
         name: String,
         /// Aggregate function over the distinct keys' values.
         func: AggFunc,
-        /// Per-fact-row foreign key; `None` never joins.
-        keys: Vec<Option<i64>>,
+        /// Per-fact-row foreign key; a NULL key never joins.
+        keys: ColumnData<i64>,
         /// Per-fact-row joined value `T.A` (ignored for CountDistinct).
         values: Vec<f64>,
     },
@@ -155,12 +157,12 @@ impl Measure {
             Measure::Numeric { name, func, .. } => Measure::Numeric {
                 name: name.clone(),
                 func: *func,
-                values: Vec::new(),
+                values: ColumnData::default(),
             },
             Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
                 name: name.clone(),
                 func: *func,
-                keys: Vec::new(),
+                keys: ColumnData::default(),
                 values: Vec::new(),
             },
         }
@@ -170,7 +172,7 @@ impl Measure {
     fn extend(&mut self, src: &Measure) {
         match (self, src) {
             (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
-                values.extend_from_slice(sv);
+                values.extend_from(sv);
             }
             (
                 Measure::DistinctKeyed { keys, values, .. },
@@ -180,22 +182,25 @@ impl Measure {
                     ..
                 },
             ) => {
-                keys.extend_from_slice(sk);
+                keys.extend_from(sk);
                 values.extend_from_slice(sv);
             }
             _ => unreachable!("measure shapes checked before extend"),
         }
     }
 
-    /// `Err` unless every per-row column has exactly `n` rows — the kernel
-    /// indexes `keys` and `values` alike by row — and the kernel computes
-    /// `func` over this kind: Count over fact rows only, CountDistinct
-    /// over distinct keys only.
+    /// `Err` unless every per-row column and validity bitmap has exactly
+    /// `n` rows — the kernel indexes `keys`, `values` and validity alike
+    /// by row — and the kernel computes `func` over this kind: Count over
+    /// fact rows only, CountDistinct over distinct keys only.
     fn check(&self, n: usize) -> Result<(), String> {
+        fn rows<T>(lane: &ColumnData<T>, n: usize) -> bool {
+            lane.values.len() == n && lane.validity.as_ref().is_none_or(|v| v.len() == n)
+        }
         let (ok, refused, over) = match self {
-            Measure::Numeric { values, .. } => (values.len() == n, AggFunc::CountDistinct, "fact rows"),
+            Measure::Numeric { values, .. } => (rows(values, n), AggFunc::CountDistinct, "fact rows"),
             Measure::DistinctKeyed { keys, values, .. } => {
-                (keys.len() == n && values.len() == n, AggFunc::Count, "distinct keys")
+                (rows(keys, n) && values.len() == n, AggFunc::Count, "distinct keys")
             }
         };
         let (name, _, func) = self.shape();
@@ -348,12 +353,12 @@ pub(crate) fn intern_keys(inputs: &[CubeInput], m: usize) -> Option<Interned> {
         let Measure::DistinctKeyed { keys, values, .. } = &input.measures[m] else {
             return None;
         };
-        let mut lane = Vec::with_capacity(keys.len());
-        for (&key, &v) in keys.iter().zip(values) {
-            let Some(key) = key else {
+        let mut lane = Vec::with_capacity(values.len());
+        for (row, (&key, &v)) in keys.values.iter().zip(values).enumerate() {
+            if !keys.is_valid(row) {
                 lane.push(NO_KEY);
                 continue;
-            };
+            }
             let next = seen.len() as u32;
             let id = *index.entry(key).or_insert(next);
             if id == next {
@@ -522,6 +527,26 @@ fn gather_take<T: Default>(v: &mut [T], idx: &[u32]) -> Vec<T> {
         .collect()
 }
 
+/// Call `f(row, slot, value)` for each row of `rows` that has a cell
+/// slot and a valid value, in row order. The validity bitmap is looked
+/// up once per call: a lane with no NULLs walks its values alone.
+#[inline(always)]
+fn fold_valid<T: Copy>(
+    lane: &ColumnData<T>,
+    rows: Range<usize>,
+    slots: &[u32],
+    mut f: impl FnMut(usize, usize, T),
+) {
+    let rows = rows.clone().zip(&lane.values[rows]).zip(slots);
+    let kept = rows.filter(|&(_, &slot)| slot != NO_SLOT);
+    match &lane.validity {
+        None => kept.for_each(|((row, &v), &slot)| f(row, slot as usize, v)),
+        Some(valid) => kept
+            .filter(|&((row, _), _)| valid.get(row))
+            .for_each(|((row, &v), &slot)| f(row, slot as usize, v)),
+    }
+}
+
 impl StateCol {
     /// A column of `len` empty slots for `func`, over distinct-FK lanes
     /// when `distinct`.
@@ -605,7 +630,7 @@ impl StateCol {
     /// Fold the rows of one chunk into this column: `slots[row - rows.start]`
     /// is the row's cell slot ([`NO_SLOT`] = filtered out), and a bitset
     /// column reads `lane`'s ids. One `match`, then a single pass over the
-    /// chunk's rows in row order.
+    /// chunk's rows in row order ([`fold_valid`]: validity once a chunk).
     fn update_rows(&mut self, measure: &Measure, lane: Option<IdLane>, rows: Range<usize>, slots: &[u32]) {
         match (self, measure) {
             (StateCol::Bits { vals, bits, .. }, _) => {
@@ -617,70 +642,37 @@ impl StateCol {
                 }
             }
             (StateCol::Sum { totals, seen }, Measure::Numeric { values, .. }) => {
-                for (row, &slot) in rows.zip(slots) {
-                    if slot == NO_SLOT {
-                        continue;
-                    }
-                    if let Some(v) = values[row] {
-                        totals[slot as usize] += v;
-                        seen[slot as usize] = true;
-                    }
-                }
+                fold_valid(values, rows, slots, |_, s, v| {
+                    totals[s] += v;
+                    seen[s] = true;
+                });
             }
             (StateCol::Count(counts), Measure::Numeric { values, .. }) => {
-                for (row, &slot) in rows.zip(slots) {
-                    if slot != NO_SLOT && values[row].is_some() {
-                        counts[slot as usize] += 1;
-                    }
-                }
+                fold_valid(values, rows, slots, |_, s, _| counts[s] += 1);
             }
             (StateCol::Avg { totals, counts }, Measure::Numeric { values, .. }) => {
-                for (row, &slot) in rows.zip(slots) {
-                    if slot == NO_SLOT {
-                        continue;
-                    }
-                    if let Some(v) = values[row] {
-                        totals[slot as usize] += v;
-                        counts[slot as usize] += 1;
-                    }
-                }
+                fold_valid(values, rows, slots, |_, s, v| {
+                    totals[s] += v;
+                    counts[s] += 1;
+                });
             }
             (StateCol::Min { vals, seen }, Measure::Numeric { values, .. }) => {
-                for (row, &slot) in rows.zip(slots) {
-                    if slot == NO_SLOT {
-                        continue;
-                    }
-                    if let Some(v) = values[row] {
-                        let s = slot as usize;
-                        vals[s] = if seen[s] { vals[s].min(v) } else { v };
-                        seen[s] = true;
-                    }
-                }
+                fold_valid(values, rows, slots, |_, s, v| {
+                    vals[s] = if seen[s] { vals[s].min(v) } else { v };
+                    seen[s] = true;
+                });
             }
             (StateCol::Max { vals, seen }, Measure::Numeric { values, .. }) => {
-                for (row, &slot) in rows.zip(slots) {
-                    if slot == NO_SLOT {
-                        continue;
-                    }
-                    if let Some(v) = values[row] {
-                        let s = slot as usize;
-                        vals[s] = if seen[s] { vals[s].max(v) } else { v };
-                        seen[s] = true;
-                    }
-                }
+                fold_valid(values, rows, slots, |_, s, v| {
+                    vals[s] = if seen[s] { vals[s].max(v) } else { v };
+                    seen[s] = true;
+                });
             }
             (
                 StateCol::Distinct { pairs, .. },
                 Measure::DistinctKeyed { keys: ks, values, .. },
             ) => {
-                for (row, &slot) in rows.zip(slots) {
-                    if slot == NO_SLOT {
-                        continue;
-                    }
-                    if let Some(k) = ks[row] {
-                        pairs[slot as usize].push((k, values[row]));
-                    }
-                }
+                fold_valid(ks, rows, slots, |row, s, k| pairs[s].push((k, values[row])));
             }
             _ => unreachable!("state/measure kind mismatch"),
         }
@@ -2068,17 +2060,17 @@ pub(crate) mod tests {
                 Measure::Numeric {
                     name: "profit".into(),
                     func: AggFunc::Sum,
-                    values: vec![Some(10.0), Some(20.0), Some(5.0), Some(1.0)],
+                    values: [Some(10.0), Some(20.0), Some(5.0), Some(1.0)].into_iter().collect(),
                 },
                 Measure::Numeric {
                     name: "orders".into(),
                     func: AggFunc::Count,
-                    values: vec![Some(1.0), Some(1.0), Some(1.0), Some(1.0)],
+                    values: [Some(1.0), Some(1.0), Some(1.0), Some(1.0)].into_iter().collect(),
                 },
                 Measure::DistinctKeyed {
                     name: "ad_size_total".into(),
                     func: AggFunc::Sum,
-                    keys: vec![Some(7), Some(7), Some(8), None],
+                    keys: [Some(7), Some(7), Some(8), None].into_iter().collect(),
                     values: vec![3.0, 3.0, 9.0, 0.0],
                 },
             ],
@@ -2155,17 +2147,17 @@ pub(crate) mod tests {
                 Measure::Numeric {
                     name: "mn".into(),
                     func: AggFunc::Min,
-                    values: vec![Some(5.0), Some(2.0), None],
+                    values: [Some(5.0), Some(2.0), None].into_iter().collect(),
                 },
                 Measure::Numeric {
                     name: "mx".into(),
                     func: AggFunc::Max,
-                    values: vec![Some(5.0), Some(2.0), None],
+                    values: [Some(5.0), Some(2.0), None].into_iter().collect(),
                 },
                 Measure::Numeric {
                     name: "av".into(),
                     func: AggFunc::Avg,
-                    values: vec![Some(5.0), Some(2.0), None],
+                    values: [Some(5.0), Some(2.0), None].into_iter().collect(),
                 },
             ],
         };
@@ -2189,7 +2181,7 @@ pub(crate) mod tests {
             measures: vec![Measure::DistinctKeyed {
                 name: "n_ads".into(),
                 func: AggFunc::CountDistinct,
-                keys: vec![Some(4), Some(4)],
+                keys: [Some(4), Some(4)].into_iter().collect(),
                 values: vec![0.0, 0.0],
             }],
         };
@@ -2272,7 +2264,7 @@ pub(crate) mod tests {
                 Measure::DistinctKeyed {
                     name: "d".into(),
                     func: AggFunc::Sum,
-                    keys: vec![Some(7); rows.len()],
+                    keys: vec![Some(7); rows.len()].into_iter().collect(),
                     values: (1..=rows.len()).map(|k| k as f64 * 0.3).collect(),
                 },
             ],
@@ -2347,12 +2339,12 @@ pub(crate) mod tests {
                     func: AggFunc::Sum,
                     // Exactly representable sums in any order, so the
                     // reference comparison is bitwise.
-                    values: vec![Some(0.5), Some(2.0), Some(4.0), Some(0.25)],
+                    values: [Some(0.5), Some(2.0), Some(4.0), Some(0.25)].into_iter().collect(),
                 },
                 Measure::Numeric {
                     name: "m".into(),
                     func: AggFunc::Min,
-                    values: vec![Some(3.0), None, Some(1.0), Some(5.0)],
+                    values: [Some(3.0), None, Some(1.0), Some(5.0)].into_iter().collect(),
                 },
             ],
         };
@@ -2419,7 +2411,7 @@ pub(crate) mod tests {
             measures: vec![Measure::Numeric {
                 name: "m".into(),
                 func: AggFunc::Sum,
-                values: vec![],
+                values: ColumnData::default(),
             }],
         };
         let r = pass(&s, &inp);

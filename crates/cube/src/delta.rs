@@ -127,11 +127,9 @@ fn drain_rows(input: &mut CubeInput, rows: usize, arity: usize) {
     input.coords.drain(..rows * arity);
     for m in &mut input.measures {
         match m {
-            Measure::Numeric { values, .. } => {
-                values.drain(..rows);
-            }
+            Measure::Numeric { values, .. } => values.drain_front(rows),
             Measure::DistinctKeyed { keys, values, .. } => {
-                keys.drain(..rows);
+                keys.drain_front(rows);
                 values.drain(..rows);
             }
         }
@@ -162,7 +160,7 @@ pub struct DeltaUpdate {
 ///
 /// ```
 /// use bellwether_cube::{CubeInput, Dimension, Measure, Parallelism, RegionSpace, StreamingCube};
-/// use bellwether_table::ops::AggFunc;
+/// use bellwether_table::{ops::AggFunc, ColumnData};
 ///
 /// let space = RegionSpace::new(vec![Dimension::Interval { name: "T".into(), max_t: 4 }]);
 /// let input = CubeInput {
@@ -171,7 +169,7 @@ pub struct DeltaUpdate {
 ///     measures: vec![Measure::Numeric {
 ///         name: "sales".into(),
 ///         func: AggFunc::Sum,
-///         values: vec![Some(10.0), Some(20.0)],
+///         values: ColumnData { values: vec![10.0, 20.0], validity: None },
 ///     }],
 /// };
 /// let mut stream =
@@ -182,7 +180,7 @@ pub struct DeltaUpdate {
 /// delta.measures = vec![Measure::Numeric {
 ///     name: "sales".into(),
 ///     func: AggFunc::Sum,
-///     values: vec![Some(5.0)],
+///     values: ColumnData { values: vec![5.0], validity: None },
 /// }];
 /// let update = stream.append(&delta).unwrap();
 /// assert_eq!(update.rows_appended, 1);
@@ -419,6 +417,7 @@ mod tests {
     use super::*;
     use crate::cube_pass::cube_pass;
     use crate::cube_pass::tests::with_one_epoch;
+    use bellwether_table::Bitmap;
     use crate::testutil::{
         assert_bit_identical, gen_distinct_input, gen_functional_input, gen_input, space,
     };
@@ -762,9 +761,9 @@ mod tests {
         delta.coords.extend_from_slice(&[2, 2]);
         for m in &mut delta.measures {
             match m {
-                Measure::Numeric { values, .. } => values.push(Some(1.0)),
+                Measure::Numeric { values, .. } => *values = [Some(1.0)].into_iter().collect(),
                 Measure::DistinctKeyed { keys, values, .. } => {
-                    keys.push(Some(1));
+                    *keys = [Some(1)].into_iter().collect();
                     values.push(2.0);
                 }
             }
@@ -811,7 +810,15 @@ mod tests {
         let Some(Measure::Numeric { values, .. }) = bad.measures.first_mut() else {
             panic!("generator puts a numeric measure first")
         };
-        values.pop();
+        values.values.pop();
+        assert!(invalid(stream.append(&bad), "length mismatch"));
+
+        // So is a validity bitmap a row short of its lane.
+        let mut bad = gen_input(14, 5, &items);
+        let Some(Measure::DistinctKeyed { keys, .. }) = bad.measures.last_mut() else {
+            panic!("generator puts a distinct-keyed measure last")
+        };
+        keys.validity = Some(Bitmap::ones(4));
         assert!(invalid(stream.append(&bad), "length mismatch"));
 
         let mut bad = gen_input(14, 5, &items);

@@ -872,6 +872,7 @@ mod tests {
     use bellwether_obs::{NoopRecorder, Registry};
     use bellwether_prop::Rng;
     use bellwether_storage::is_corrupt;
+    use bellwether_table::{Bitmap, ColumnData};
 
     fn items() -> Vec<i64> {
         (0..7).map(|i| i * 3).collect()
@@ -976,6 +977,62 @@ mod tests {
         }
     }
 
+    /// Every value and key lane's validity in `inp`, by measure index.
+    fn validities(inp: &mut CubeInput) -> impl Iterator<Item = (usize, &mut Option<Bitmap>)> {
+        inp.measures.iter_mut().enumerate().map(|(m, measure)| match measure {
+            Measure::Numeric { values, .. } => (m, &mut values.validity),
+            Measure::DistinctKeyed { keys, .. } => (m, &mut keys.validity),
+        })
+    }
+
+    #[test]
+    fn null_lanes_across_chunk_and_run_edges_match_the_reference() {
+        let sp = space();
+        let run_rows = RUN_CHUNKS * ROW_CHUNK;
+        let rows = run_rows + ROW_CHUNK + 77;
+        // NULL stretches straddling the first chunk edge and the first
+        // run edge, over the generator's own scattered NULLs; the Min
+        // lane (1) and the CountDistinct keys (6) are NULL in every row.
+        let straddles = |r: usize| [ROW_CHUNK, run_rows].iter().any(|e| (e - 70..e + 70).contains(&r));
+        let mut nulled = functional_input(rows, 5);
+        // Whole numbers: the reference folds a cell's rows in one
+        // sequence, the kernel chunk by chunk, so only exact sums agree.
+        for m in &mut nulled.measures {
+            if let Measure::Numeric { values, .. } = m {
+                values.values.iter_mut().for_each(|v| *v = v.round());
+            }
+        }
+        for (m, validity) in validities(&mut nulled) {
+            let mut valid = validity.take().unwrap_or_else(|| Bitmap::ones(rows));
+            let cleared = (0..rows).filter(|&r| m == 1 || m == 6 || straddles(r));
+            cleared.for_each(|r| valid.set(r, false));
+            *validity = Some(valid);
+        }
+        // The same rows with no NULL, with no bitmap and under an
+        // all-ones one; the Sum distinct lane (5) still joins one value
+        // per key, so it keeps its bitset lanes.
+        let mut dense = nulled.clone();
+        validities(&mut dense).for_each(|(_, validity)| *validity = None);
+        let Measure::DistinctKeyed { keys, values, .. } = &mut dense.measures[5] else {
+            unreachable!("measures_of_every_kind puts `d` sixth")
+        };
+        for (v, &k) in values.iter_mut().zip(&keys.values) {
+            *v = k as f64 / 3.0 - 4.0;
+        }
+        let mut ones = dense.clone();
+        validities(&mut ones).for_each(|(_, validity)| *validity = Some(Bitmap::ones(rows)));
+        let cases = [("NULLs", nulled), ("no bitmap", dense), ("all-ones bitmaps", ones)];
+        for (what, inp) in &cases {
+            let one = std::slice::from_ref(inp);
+            assert!(intern_keys(one, 5).is_some(), "{what}: bitset lane");
+            let reference = cube_pass_reference(&sp, inp);
+            let resident = cube_pass(&sp, inp, par(2), &NoopRecorder).unwrap();
+            assert_bit_identical(&resident, &reference, &format!("{what}: resident"));
+            let external = cube_pass_external(&sp, one, par(2), 0, &NoopRecorder).unwrap();
+            assert_bit_identical(&external, &reference, &format!("{what}: spilled runs"));
+        }
+    }
+
     #[test]
     fn integer_sums_match_the_reference_kernel() {
         // Exactly-representable arithmetic: external, in-memory and
@@ -984,15 +1041,15 @@ mod tests {
         let mut inp = input(4000, 9);
         for m in &mut inp.measures {
             if let Measure::Numeric { values, .. } = m {
-                for v in values.iter_mut().flatten() {
+                for v in &mut values.values {
                     *v = v.round();
                 }
             }
             // T.A is functional per key (the join contract); the
             // reference kernel's hash-order merge relies on it.
             if let Measure::DistinctKeyed { keys, values, .. } = m {
-                for (v, k) in values.iter_mut().zip(keys) {
-                    *v = k.map_or(0.0, |k| (k * 3) as f64);
+                for (row, v) in values.iter_mut().enumerate() {
+                    *v = keys.get(row).map_or(0.0, |k| (k * 3) as f64);
                 }
             }
         }
@@ -1045,7 +1102,7 @@ mod tests {
             measures: vec![Measure::Numeric {
                 name: "s".into(),
                 func: AggFunc::Sum,
-                values: vec![],
+                values: ColumnData::default(),
             }],
         };
         let got = cube_pass_external(&sp, &[empty], par(1), 0, &NoopRecorder).unwrap();
@@ -1438,7 +1495,7 @@ mod tests {
             measures: vec![Measure::Numeric {
                 name: name.into(),
                 func: AggFunc::Sum,
-                values: vec![Some(1.0)],
+                values: [Some(1.0)].into_iter().collect(),
             }],
         };
         let with_measure = |measure: Measure| CubeInput {
@@ -1450,6 +1507,16 @@ mod tests {
             func,
             values,
         };
+        // One row of value 1.0 (of key 3) under `validity`.
+        let valued = |validity| ColumnData { values: vec![1.0], validity };
+        let keyed = |validity| {
+            with_measure(Measure::DistinctKeyed {
+                name: "s".into(),
+                func: AggFunc::Sum,
+                keys: ColumnData { values: vec![3], validity },
+                values: vec![1.0],
+            })
+        };
         let mut coords_short = row("s", 0);
         coords_short.coords.clear();
         vec![
@@ -1457,14 +1524,14 @@ mod tests {
             ("a coordinate row one entry short", vec![coords_short], true, false),
             (
                 "a measure column one entry short",
-                vec![with_measure(numeric(AggFunc::Sum, vec![]))],
+                vec![with_measure(numeric(AggFunc::Sum, ColumnData::default()))],
                 true,
                 false,
             ),
             ("another measure schema", vec![row("s", 0), row("t", 0)], false, false),
             (
                 "COUNT DISTINCT over fact rows",
-                vec![with_measure(numeric(AggFunc::CountDistinct, vec![Some(1.0)]))],
+                vec![with_measure(numeric(AggFunc::CountDistinct, valued(None)))],
                 true,
                 false,
             ),
@@ -1473,9 +1540,32 @@ mod tests {
                 vec![with_measure(Measure::DistinctKeyed {
                     name: "s".into(),
                     func: AggFunc::Count,
-                    keys: vec![Some(3)],
+                    keys: [Some(3)].into_iter().collect(),
                     values: vec![1.0],
                 })],
+                true,
+                false,
+            ),
+            // A validity bitmap whose length is not its lane's lets a
+            // kernel read past it: on a base, then on an appended input.
+            (
+                "a value validity bitmap one bit short",
+                vec![with_measure(numeric(AggFunc::Sum, valued(Some(Bitmap::zeros(0)))))],
+                true,
+                false,
+            ),
+            (
+                "an appended value validity bitmap one bit long",
+                vec![
+                    row("s", 0),
+                    with_measure(numeric(AggFunc::Sum, valued(Some(Bitmap::ones(2))))),
+                ],
+                true,
+                false,
+            ),
+            (
+                "an appended key validity bitmap one bit short",
+                vec![keyed(None), keyed(Some(Bitmap::zeros(0)))],
                 true,
                 false,
             ),

@@ -41,15 +41,15 @@ pub(crate) fn measures_of_every_kind(
     fks: Vec<Option<i64>>,
     fk_values: Vec<f64>,
 ) -> Vec<Measure> {
-    let numeric = |name: &str, func, values| Measure::Numeric {
+    let numeric = |name: &str, func, rows: Vec<Option<f64>>| Measure::Numeric {
         name: name.into(),
         func,
-        values,
+        values: rows.into_iter().collect(),
     };
-    let distinct = |name: &str, func, keys, values| Measure::DistinctKeyed {
+    let distinct = |name: &str, func, rows: Vec<Option<i64>>, values| Measure::DistinctKeyed {
         name: name.into(),
         func,
-        keys,
+        keys: rows.into_iter().collect(),
         values,
     };
     vec![
@@ -109,8 +109,8 @@ pub(crate) fn gen_functional_input(seed: u64, rows: usize, items: &[i64]) -> Cub
     let Some(Measure::DistinctKeyed { keys, values, .. }) = input.measures.get_mut(5) else {
         unreachable!("measures_of_every_kind puts `d` sixth")
     };
-    for (v, k) in values.iter_mut().zip(keys.iter()) {
-        *v = k.map_or(0.0, |k| k as f64 / 3.0 - 4.0);
+    for (row, v) in values.iter_mut().enumerate() {
+        *v = keys.get(row).map_or(0.0, |k| k as f64 / 3.0 - 4.0);
     }
     input
 }
@@ -159,7 +159,7 @@ pub(crate) fn gen_distinct_input(
     .map(|(name, func)| Measure::DistinctKeyed {
         name: name.into(),
         func,
-        keys: fks.clone(),
+        keys: fks.iter().copied().collect(),
         values: fk_values.clone(),
     })
     .collect();
@@ -179,13 +179,13 @@ pub(crate) fn slice_rows(input: &CubeInput, rows: std::ops::Range<usize>) -> Cub
     for (dst, src) in out.measures.iter_mut().zip(&input.measures) {
         match (dst, src) {
             (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
-                *values = sv[rows.clone()].to_vec();
+                *values = rows.clone().map(|r| sv.get(r)).collect();
             }
             (
                 Measure::DistinctKeyed { keys, values, .. },
                 Measure::DistinctKeyed { keys: sk, values: sv, .. },
             ) => {
-                *keys = sk[rows.clone()].to_vec();
+                *keys = rows.clone().map(|r| sk.get(r)).collect();
                 *values = sv[rows.clone()].to_vec();
             }
             _ => unreachable!("`empty_like` keeps measure kinds"),
@@ -266,34 +266,34 @@ impl CellState {
     fn update(&mut self, measure: &Measure, row: usize) {
         match (self, measure) {
             (CellState::Sum { total, seen }, Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
+                if let Some(v) = values.get(row) {
                     *total += v;
                     *seen = true;
                 }
             }
             (CellState::Count(c), Measure::Numeric { values, .. }) => {
-                if values[row].is_some() {
+                if values.is_valid(row) {
                     *c += 1;
                 }
             }
             (CellState::Avg { total, count }, Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
+                if let Some(v) = values.get(row) {
                     *total += v;
                     *count += 1;
                 }
             }
             (CellState::Min(best), Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
+                if let Some(v) = values.get(row) {
                     *best = Some(best.map_or(v, |b| b.min(v)));
                 }
             }
             (CellState::Max(best), Measure::Numeric { values, .. }) => {
-                if let Some(v) = values[row] {
+                if let Some(v) = values.get(row) {
                     *best = Some(best.map_or(v, |b| b.max(v)));
                 }
             }
             (CellState::Distinct { keys, .. }, Measure::DistinctKeyed { keys: ks, values, .. }) => {
-                if let Some(k) = ks[row] {
+                if let Some(k) = ks.get(row) {
                     keys.insert(k, values[row]);
                 }
             }

@@ -8,8 +8,12 @@
 //! base-cell table; a pass that merges every run into one table before it
 //! rolls up does.
 //!
-//! This file is its own test binary with a single test, so the counting
-//! allocator sees this pass and nothing running beside it.
+//! The pass's input is counted too: a measure column with no NULL row is
+//! its values alone, eight bytes a row, with no validity bitmap.
+//!
+//! This file is its own test binary, and its tests take turns on one
+//! lock, so the counting allocator sees the measured work and nothing
+//! running beside it.
 
 use bellwether_cube::{
     cube_pass_external, CubeInput, Dimension, Hierarchy, Measure, Parallelism, RegionSpace,
@@ -18,8 +22,10 @@ use bellwether_cube::{
 use bellwether_obs::names;
 use bellwether_prop::Rng;
 use bellwether_table::ops::AggFunc;
+use bellwether_table::ColumnData;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// The system allocator, counting live bytes and their high-water mark.
 struct Counting;
@@ -73,6 +79,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Taken by every test for its whole body: the counters are global.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const ROW_CHUNK: usize = 4096;
 const WEEKS: u32 = 10;
 const ITEMS: i64 = 4000;
@@ -115,7 +124,7 @@ fn facts(space: &RegionSpace) -> CubeInput {
                 if rng.flip(0.7) {
                     input.item_ids.push(item);
                     input.coords.extend([week, leaf]);
-                    values.push(Some(rng.i64_in(1, 1000) as f64 / 8.0));
+                    values.push(rng.i64_in(1, 1000) as f64 / 8.0);
                 }
             }
         }
@@ -123,7 +132,10 @@ fn facts(space: &RegionSpace) -> CubeInput {
     input.measures.push(Measure::Numeric {
         name: "sales".into(),
         func: AggFunc::Sum,
-        values,
+        values: ColumnData {
+            values,
+            validity: None,
+        },
     });
     input
 }
@@ -134,6 +146,7 @@ const CELL_BYTES: usize = 8 + 8 + 1;
 
 #[test]
 fn the_pass_never_holds_the_result_and_the_merged_base_cells_at_once() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let space = space();
     let run_rows = RUN_CHUNKS * ROW_CHUNK;
     let input = facts(&space);
@@ -176,5 +189,45 @@ fn the_pass_never_holds_the_result_and_the_merged_base_cells_at_once() {
         peak < result_bytes + merged_table,
         "peak {peak} B: the result ({result_bytes}) and the merged base-cell table \
          ({merged_table}) were resident at once"
+    );
+}
+
+#[test]
+fn a_null_free_input_holds_32_bytes_a_row() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    const N: usize = 100_000;
+    let entry = LIVE.load(Ordering::Relaxed);
+    // Arity 2 and two summed measures, collected the way a caller with
+    // nullable data builds a lane.
+    let input = CubeInput {
+        item_ids: (0..N as i64).map(|r| r % ITEMS).collect(),
+        coords: (0..2 * N as u32)
+            .map(|i| if i % 2 == 0 { i / 2 % WEEKS } else { 5 })
+            .collect(),
+        measures: ["sales", "volume"]
+            .into_iter()
+            .map(|name| Measure::Numeric {
+                name: name.into(),
+                func: AggFunc::Sum,
+                values: (0..N).map(|r| Some(r as f64 / 8.0)).collect(),
+            })
+            .collect(),
+    };
+    let held = LIVE.load(Ordering::Relaxed) - entry;
+    for m in &input.measures {
+        let Measure::Numeric { values, .. } = m else {
+            unreachable!("both measures are numeric")
+        };
+        assert!(
+            values.validity.is_none(),
+            "a lane with no NULL row keeps no bitmap"
+        );
+    }
+    // An item id (8 B), two coordinates (8 B) and two values (16 B) a
+    // row; the slack covers the names and the measure list.
+    let slack = 1 << 10;
+    assert!(
+        held <= 32 * N + slack,
+        "input holds {held} B for {N} rows: > 32 B a row + {slack}"
     );
 }

@@ -26,7 +26,7 @@ use crate::rng::Gen;
 use bellwether_core::items::ItemTable;
 use bellwether_cube::{CubeInput, Dimension, Hierarchy, Measure, RegionId, RegionSpace};
 use bellwether_table::ops::AggFunc;
-use bellwether_table::{Column, DataType, Schema, Table};
+use bellwether_table::{Column, ColumnData, DataType, Schema, Table};
 use std::collections::HashMap;
 
 /// Stream-workload parameters.
@@ -189,8 +189,8 @@ impl StreamWorkload {
         assert!(week_lo <= week_hi && week_hi <= self.cfg.weeks);
         let mut item_ids = Vec::new();
         let mut coords = Vec::new();
-        let mut values: Vec<Option<f64>> = Vec::new();
-        let mut volumes: Vec<Option<f64>> = Vec::new();
+        let mut values = Vec::new();
+        let mut volumes = Vec::new();
         for w in week_lo..week_hi {
             for leaf in 0..self.cfg.leaves {
                 if leaf == 1 && w < self.cfg.open_week {
@@ -213,8 +213,8 @@ impl StreamWorkload {
                     // leaf l is hierarchy node l+1 (0 = All).
                     coords.push(w);
                     coords.push((leaf + 1) as u32);
-                    values.push(Some(self.signal[i] + g.normal(0.0, noise)));
-                    volumes.push(Some(g.uniform(0.0, 5.0)));
+                    values.push(self.signal[i] + g.normal(0.0, noise));
+                    volumes.push(g.uniform(0.0, 5.0));
                 }
             }
         }
@@ -225,12 +225,18 @@ impl StreamWorkload {
                 Measure::Numeric {
                     name: "avg_v".into(),
                     func: AggFunc::Avg,
-                    values,
+                    values: ColumnData {
+                        values,
+                        validity: None,
+                    },
                 },
                 Measure::Numeric {
                     name: "volume".into(),
                     func: AggFunc::Sum,
-                    values: volumes,
+                    values: ColumnData {
+                        values: volumes,
+                        validity: None,
+                    },
                 },
             ],
         }
@@ -279,21 +285,23 @@ mod tests {
         assert_eq!(full.item_ids.len(), wl.total_rows());
         let mut ids = Vec::new();
         let mut coords = Vec::new();
-        let mut vals: Vec<Vec<Option<f64>>> = vec![Vec::new(), Vec::new()];
+        let mut vals: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
         for (lo, hi) in [(0, 3), (3, 4), (4, 9), (9, 12)] {
             let part = wl.input_range(lo, hi);
             ids.extend(part.item_ids);
             coords.extend(part.coords);
             for (m, out) in part.measures.iter().zip(vals.iter_mut()) {
                 let Measure::Numeric { values, .. } = m else { panic!() };
-                out.extend(values.iter().cloned());
+                assert!(values.validity.is_none(), "a stream lane has no NULLs");
+                out.extend(&values.values);
             }
         }
         assert_eq!(ids, full.item_ids);
         assert_eq!(coords, full.coords);
         for (m, got) in full.measures.iter().zip(vals.iter()) {
             let Measure::Numeric { values, .. } = m else { panic!() };
-            assert_eq!(values, got);
+            assert!(values.validity.is_none(), "a stream lane has no NULLs");
+            assert_eq!(&values.values, got);
         }
     }
 

@@ -67,6 +67,41 @@ impl Bitmap {
         self.set(last, v);
     }
 
+    /// Append every bit of `other`, a word at a time: each of its words
+    /// lands shifted by this bitmap's offset into its last word.
+    pub fn append(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &w in &other.words {
+                *self.words.last_mut().expect("a partial word exists") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
+    /// Drop the first `n` bits, shifting the rest down a word at a time.
+    /// Panics if `n` exceeds the length.
+    pub fn drain_front(&mut self, n: usize) {
+        assert!(n <= self.len, "bitmap drain {n} out of range {}", self.len);
+        self.words.drain(..n / 64);
+        let shift = n % 64;
+        if shift != 0 {
+            for i in 0..self.words.len() {
+                let carry = self
+                    .words
+                    .get(i + 1)
+                    .map_or(0, |&next| next << (64 - shift));
+                self.words[i] = (self.words[i] >> shift) | carry;
+            }
+        }
+        self.len -= n;
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -149,6 +184,47 @@ mod tests {
         }
         let got: Vec<usize> = bm.iter_ones().collect();
         assert_eq!(got, vec![0, 63, 64, 127, 129]);
+    }
+
+    /// A bitmap of `len` bits, bit `i` set when `i * 7 + seed` is not a
+    /// multiple of 3: irregular across word edges.
+    fn pattern(len: usize, seed: usize) -> Bitmap {
+        let mut bm = Bitmap::zeros(0);
+        (0..len).for_each(|i| bm.push(!(i * 7 + seed).is_multiple_of(3)));
+        bm
+    }
+
+    fn bits(bm: &Bitmap) -> Vec<bool> {
+        (0..bm.len()).map(|i| bm.get(i)).collect()
+    }
+
+    #[test]
+    fn append_matches_pushing_bit_by_bit_at_every_offset() {
+        for at in 0..=130 {
+            for len in [0, 1, 63, 64, 65, 130] {
+                let other = pattern(len, at + 1);
+                let mut got = pattern(at, 0);
+                got.append(&other);
+                let mut oracle = pattern(at, 0);
+                bits(&other).into_iter().for_each(|b| oracle.push(b));
+                assert_eq!(got, oracle, "append {len} bits at offset {at}");
+                assert_eq!(got.count_ones(), oracle.count_ones());
+            }
+        }
+    }
+
+    #[test]
+    fn drain_front_matches_the_bit_by_bit_tail_at_every_offset() {
+        for n in 0..=130 {
+            for len in [n, n + 1, n + 63, n + 64, 200] {
+                let mut got = pattern(len, n);
+                let mut oracle = Bitmap::zeros(0);
+                bits(&got)[n..].iter().for_each(|&b| oracle.push(b));
+                got.drain_front(n);
+                assert_eq!(got, oracle, "drain {n} of {len} bits");
+                assert_eq!(got.count_ones(), oracle.count_ones());
+            }
+        }
     }
 
     #[test]

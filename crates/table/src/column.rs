@@ -23,7 +23,7 @@ pub enum Column {
 }
 
 /// Typed payload + validity for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ColumnData<T> {
     /// Dense values; the slot content for NULL rows is unspecified filler.
     pub values: Vec<T>,
@@ -40,6 +40,51 @@ impl<T> ColumnData<T> {
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
         self.validity.as_ref().is_none_or(|v| v.get(i))
+    }
+
+    /// Drop the first `n` rows.
+    pub fn drain_front(&mut self, n: usize) {
+        self.values.drain(..n);
+        if let Some(valid) = &mut self.validity {
+            valid.drain_front(n);
+        }
+    }
+}
+
+impl<T: Copy> ColumnData<T> {
+    /// Row `i`, or `None` if it is NULL. Panics if out of range.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<T> {
+        self.is_valid(i).then(|| self.values[i])
+    }
+
+    /// Append `src`'s rows. A bitmap appears only once either side has one.
+    pub fn extend_from(&mut self, src: &ColumnData<T>) {
+        let ColumnData { values, validity } = self;
+        match (validity, &src.validity) {
+            (None, None) => {}
+            (Some(valid), None) => valid.append(&Bitmap::ones(src.values.len())),
+            (valid, Some(sv)) => valid
+                .get_or_insert_with(|| Bitmap::ones(values.len()))
+                .append(sv),
+        }
+        values.extend_from_slice(&src.values);
+    }
+}
+
+/// Collects a nullable lane: `None` rows hold `T::default()` as filler,
+/// and the bitmap is dropped when no row is NULL.
+impl<T: Default> FromIterator<Option<T>> for ColumnData<T> {
+    fn from_iter<I: IntoIterator<Item = Option<T>>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut values = Vec::with_capacity(iter.size_hint().0);
+        let mut valid = Bitmap::zeros(0);
+        for v in iter {
+            valid.push(v.is_some());
+            values.push(v.unwrap_or_default());
+        }
+        let validity = (valid.count_ones() < valid.len()).then_some(valid);
+        ColumnData { values, validity }
     }
 }
 
@@ -348,6 +393,36 @@ mod tests {
         assert_eq!(c.value(1), Value::Null);
         assert_eq!(c.value(2), Value::Float(2.0));
         assert_eq!(c.float_at(1), None);
+    }
+
+    /// A lane of `len` rows, row `r` NULL when `null(r)`.
+    fn lane(len: usize, null: impl Fn(usize) -> bool) -> ColumnData<i64> {
+        (0..len as i64)
+            .map(|r| (!null(r as usize)).then_some(r))
+            .collect()
+    }
+
+    fn rows(lane: &ColumnData<i64>) -> Vec<Option<i64>> {
+        (0..lane.values.len()).map(|r| lane.get(r)).collect()
+    }
+
+    #[test]
+    fn a_lane_keeps_a_bitmap_only_once_a_row_is_null() {
+        assert_eq!(lane(70, |_| false).validity, None);
+        let odd = |r: usize| r % 2 == 1;
+        for (a, b) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+            let (head, tail) = (
+                lane(67, |r| a == 1 && odd(r)),
+                lane(70, |r| b == 1 && r > 60),
+            );
+            let mut got = head.clone();
+            got.extend_from(&tail);
+            assert_eq!(got.validity.is_some(), a + b > 0);
+            assert_eq!(rows(&got), [rows(&head), rows(&tail)].concat());
+            let mut drained = got.clone();
+            drained.drain_front(66);
+            assert_eq!(rows(&drained), rows(&got)[66..]);
+        }
     }
 
     #[test]

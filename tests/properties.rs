@@ -19,6 +19,7 @@ use bellwether_cube::{
     aggregate_filtered, rollup_lattice, CubeResult, Measure, Parallelism, StreamingCube,
 };
 use bellwether_prop::{check, Rng};
+use bellwether_table::ColumnData;
 use std::collections::HashMap;
 
 /// A small two-dimensional space: 3 time points × a 2-level hierarchy.
@@ -172,8 +173,8 @@ fn random_measure(rng: &mut Rng, idx: usize, n: usize) -> Measure {
 /// no distinct-keyed measure, one such measure appended.
 fn with_functional_values(rng: &mut Rng, input: &CubeInput) -> CubeInput {
     let table: Vec<f64> = (0..12).map(|_| rng.f64_in(-20.0, 20.0)).collect();
-    let joined = |keys: &[Option<i64>]| {
-        keys.iter().map(|k| k.map_or(0.0, |k| table[k as usize])).collect()
+    let joined = |keys: &ColumnData<i64>| {
+        (0..keys.values.len()).map(|r| keys.get(r).map_or(0.0, |k| table[k as usize])).collect()
     };
     let mut out = input.clone();
     let mut distinct = 0;
@@ -187,7 +188,7 @@ fn with_functional_values(rng: &mut Rng, input: &CubeInput) -> CubeInput {
     }
     if distinct == 0 {
         let n = input.item_ids.len();
-        let keys: Vec<Option<i64>> = (0..n)
+        let keys: ColumnData<i64> = (0..n)
             .map(|_| (!rng.flip(0.15)).then(|| rng.i64_in(0, 12)))
             .collect();
         let funcs = [AggFunc::Sum, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::CountDistinct];
@@ -270,12 +271,12 @@ fn slice_input(input: &CubeInput, rows: std::ops::Range<usize>, arity: usize) ->
                 Measure::Numeric { name, func, values } => Measure::Numeric {
                     name: name.clone(),
                     func: *func,
-                    values: values[rows.clone()].to_vec(),
+                    values: rows.clone().map(|r| values.get(r)).collect(),
                 },
                 Measure::DistinctKeyed { name, func, keys, values } => Measure::DistinctKeyed {
                     name: name.clone(),
                     func: *func,
-                    keys: keys[rows.clone()].to_vec(),
+                    keys: rows.clone().map(|r| keys.get(r)).collect(),
                     values: values[rows.clone()].to_vec(),
                 },
             })
