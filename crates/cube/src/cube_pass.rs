@@ -35,11 +35,11 @@
 //!   chunks into small key-sorted tables (phase 1a) — one key pass that
 //!   numbers the cell slots in key order (rows that arrive key-ascending
 //!   are their own numbering; others sort their keys once), then one
-//!   columnar update pass per measure. Chunk tables that chain in key
-//!   order already are the run's base cells (phase 1b); otherwise workers
-//!   own disjoint contiguous key ranges and merge every chunk's slice of
-//!   their range **in chunk order**, into a flat dense table when the key
-//!   space is small, a hash-indexed one otherwise.
+//!   columnar update pass per measure. Phase 1b merges a run's chunk
+//!   tables **in chunk order** through `external::MergeRuns`, the k-way
+//!   merge the runs go through, each table a one-frame run: tables that
+//!   chain in key order pass through uncopied, and the merge holds state
+//!   only for the cells it meets, never for the whole key space.
 //! * Phase 2 rolls base cells up with precomputed per-dimension ancestor
 //!   key tables into dense item-indexed [`RegionTable`]s (the same
 //!   columnar lanes), each output cell accumulating contributions in
@@ -67,7 +67,7 @@
 pub use crate::columns::{RegionColumns, Row, RowIter};
 use crate::columns::Lane;
 use crate::dimension::Dimension;
-use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
+use crate::external::{cube_pass_runs, MergeRuns, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
 use crate::parallel::{fork_join, split_point, Parallelism};
 use crate::region::{RegionId, RegionSpace};
@@ -75,7 +75,6 @@ use bellwether_obs::{names, span, NoopRecorder, Recorder};
 use bellwether_table::ops::AggFunc;
 use bellwether_table::ColumnData;
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -87,10 +86,6 @@ use std::time::Instant;
 /// rows regardless of thread count, which is what makes the parallel
 /// merge order (and hence every floating-point sum) reproducible.
 pub const ROW_CHUNK: usize = 4096;
-
-/// Largest combined key space for which phase-1b merging uses a flat
-/// dense table (per-worker slice of a `Vec`) instead of a hash index.
-const DENSE_SLOTS_MAX: u64 = 1 << 20;
 
 /// Largest item domain for which phase-2 rollup keeps one dense
 /// item-indexed table per region (memory `O(regions × items)`); above
@@ -785,7 +780,7 @@ impl StateCol {
     }
 
     /// Reorder into `idx` order (indices distinct), consuming the lanes.
-    fn gather(&mut self, idx: &[u32]) -> StateCol {
+    pub(crate) fn gather(&mut self, idx: &[u32]) -> StateCol {
         match self {
             StateCol::Sum { totals, seen } => StateCol::Sum {
                 totals: gather_copy(totals, idx),
@@ -1134,146 +1129,6 @@ where
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Phase 1b for one key range: merge every chunk's slice of `[lo, hi)`
-/// in chunk order, column by column. Per source table the occupancy
-/// pre-state of every touched slot is captured first, so each column
-/// merge knows copy vs merge without re-deriving it. Returns the
-/// range's base cells sorted by key.
-fn merge_range(
-    tables: &[StateTable],
-    lo: u64,
-    hi: u64,
-    dense: bool,
-    merges: &mut u64,
-) -> StateTable {
-    let mut was: Vec<bool> = Vec::new();
-    let mut dsts: Vec<u32> = Vec::new();
-    if dense {
-        let n_slots = (hi - lo) as usize;
-        let mut occupied = vec![false; n_slots];
-        let mut cols: Vec<StateCol> = tables
-            .first()
-            .map(|t| t.cols.iter().map(|c| c.new_like(n_slots)).collect())
-            .unwrap_or_default();
-        for t in tables {
-            let r = t.range_of(lo, hi);
-            if r.is_empty() {
-                continue;
-            }
-            was.clear();
-            dsts.clear();
-            for &k in &t.keys[r.clone()] {
-                let s = (k - lo) as usize;
-                *merges += occupied[s] as u64;
-                was.push(occupied[s]);
-                dsts.push(s as u32);
-                occupied[s] = true;
-            }
-            for (dst, src) in cols.iter_mut().zip(&t.cols) {
-                dst.merge_from(src, r.clone(), &dsts, &was);
-            }
-        }
-        let idx: Vec<u32> = occupied
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &o)| o.then_some(i as u32))
-            .collect();
-        let keys: Vec<u64> = idx.iter().map(|&i| lo + i as u64).collect();
-        for col in &mut cols {
-            *col = col.gather(&idx);
-            col.dedup_distinct();
-        }
-        StateTable { keys, cols }
-    } else {
-        let mut index: FxMap<u64, u32> = FxMap::default();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut cols: Vec<StateCol> = tables
-            .first()
-            .map(|t| t.cols.iter().map(|c| c.new_like(0)).collect())
-            .unwrap_or_default();
-        let mut slots: Vec<u32> = Vec::new();
-        for t in tables {
-            let r = t.range_of(lo, hi);
-            if r.is_empty() {
-                continue;
-            }
-            slots.clear();
-            was.clear();
-            for &k in &t.keys[r.clone()] {
-                match index.entry(k) {
-                    Entry::Occupied(e) => {
-                        slots.push(*e.get());
-                        was.push(true);
-                    }
-                    Entry::Vacant(e) => {
-                        let s = keys.len() as u32;
-                        keys.push(k);
-                        e.insert(s);
-                        slots.push(s);
-                        was.push(false);
-                    }
-                }
-            }
-            *merges += was.iter().filter(|&&w| w).count() as u64; // sparse path: cold
-            for col in &mut cols {
-                col.resize_default(keys.len());
-            }
-            for (dst, src) in cols.iter_mut().zip(&t.cols) {
-                dst.merge_from(src, r.clone(), &slots, &was);
-            }
-        }
-        let mut table = StateTable { keys, cols };
-        for col in &mut table.cols {
-            col.dedup_distinct();
-        }
-        table.sort_by_key();
-        table
-    }
-}
-
-/// Phase 1b for one run of chunk tables: tables that chain (each one's
-/// first key above the previous one's last, as key-ascending input
-/// folds) already are the run's base cells in key order; any overlap
-/// merges them all with [`merge_chunks`]. Returns the run's tables and
-/// the merges into an occupied slot.
-pub(crate) fn chain_or_merge(
-    tables: Vec<StateTable>,
-    key_space: u64,
-    threads: usize,
-) -> (Vec<StateTable>, u64) {
-    let mut last = None;
-    let mut ends = tables.iter().filter_map(|t| Some((*t.keys.first()?, *t.keys.last()?)));
-    let chained = ends.all(|(first, end)| last.replace(end) < Some(first));
-    #[cfg(test)]
-    let chained = chained && !tests::phase1_oracle();
-    if chained {
-        return (tables, 0);
-    }
-    let (shards, merges) = merge_chunks(&tables, key_space, threads);
-    #[cfg(test)]
-    tests::copied(shards.iter().map(StateTable::len).sum());
-    (shards, merges)
-}
-
-/// Phase 1b: merge chunk tables into per-worker shards of contiguous
-/// key ranges. Concatenating the shards in order yields all base cells
-/// sorted by key — for every worker count.
-pub(crate) fn merge_chunks(
-    tables: &[StateTable],
-    key_space: u64,
-    threads: usize,
-) -> (Vec<StateTable>, u64) {
-    let dense = key_space <= DENSE_SLOTS_MAX;
-    let cut = |w| split_point(key_space, w, threads);
-    let parts = fork_join(threads, |w| {
-        let mut merges = 0;
-        let shard = merge_range(tables, cut(w), cut(w + 1), dense, &mut merges);
-        (shard, merges)
-    });
-    let merges = parts.iter().map(|(_, m)| m).sum();
-    (parts.into_iter().map(|(shard, _)| shard).collect(), merges)
 }
 
 /// Where a table's items live in its lanes — chosen from the observed
@@ -1829,14 +1684,14 @@ pub(crate) fn fold_filtered(
         let _t = span!(rec, "cube_pass/phase1_scan");
         fold_chunks(input, &[], arity, 0..n.div_ceil(ROW_CHUNK), threads, &key_of)
     };
-    let (shards, merges) = {
-        let _t = span!(rec, "cube_pass/phase1_merge");
-        chain_or_merge(tables, items.len() as u64, threads)
-    };
+    let phase1_merge = span!(rec, "cube_pass/phase1_merge");
+    let mut merge = MergeRuns::of_chunks(tables)?;
+    let shards: Vec<StateTable> = (&mut merge).collect::<io::Result<_>>()?;
+    drop(phase1_merge);
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
     rec.add(names::CUBE_PASS_ROWS_SCANNED, n as u64);
     rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
-    rec.add(names::CUBE_PASS_CELL_MERGES, merges);
+    rec.add(names::CUBE_PASS_CELL_MERGES, merge.merges);
     let mut out = HashMap::new();
     for t in &shards {
         for (i, &k) in t.keys.iter().enumerate() {
@@ -2314,10 +2169,10 @@ pub(crate) mod tests {
 
     #[test]
     fn sparse_key_space_matches_reference() {
-        // Two interval dimensions whose combined key space exceeds
-        // DENSE_SLOTS_MAX force the hash-indexed phase-1b merge path.
-        // Coordinates sit near the top of each interval so every cell
-        // expands into only a few regions.
+        // Two interval dimensions whose combined key space is past 2^20
+        // keys, four cells of it occupied: phase 1b's state follows the
+        // cells, not the key space. Coordinates sit near the top of each
+        // interval so every cell expands into only a few regions.
         let max_t = 1200u32; // 1200 × 1200 × 2 items > 2^20 keys
         let s = RegionSpace::new(vec![
             Dimension::Interval {

@@ -16,9 +16,9 @@
 //! retained `complete` table is the left fold of every *completed*
 //! [`ROW_CHUNK`]-row chunk of the concatenated stream, merged in
 //! ascending chunk order with the same copy-first semantics as the
-//! cold `merge_chunks`; rows past the last chunk boundary wait in a
-//! `pending` tail (< one chunk) and are folded as the partial final
-//! chunk of each rollup. Per `(cell, item)` slot the update sequence is
+//! cold pass's phase-1b merge (`MergeRuns`); rows past the last chunk
+//! boundary wait in a `pending` tail (< one chunk) and are folded as the
+//! partial final chunk of each rollup. Per `(cell, item)` slot the update sequence is
 //! therefore *identical* to a cold pass over the concatenated data —
 //! which is what makes stream-then-update **bit-identical** to a cold
 //! rebuild, not merely close.

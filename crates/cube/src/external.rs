@@ -6,8 +6,8 @@
 //! Every pass is the same pipeline ([`cube_pass_runs`]). Fact rows are
 //! folded in fixed [`ROW_CHUNK`] chunks; chunks are grouped into **runs**
 //! of a fixed number of chunks (the last run may be short) and each
-//! completed run becomes a key-sorted state run: its chunk tables as they
-//! are when they chain in key order, else their merge (`chain_or_merge`).
+//! completed run becomes a key-sorted state run: its chunk tables merged
+//! by `MergeRuns`, the k-way merge that also merges the runs at the end.
 //! The byte budget then decides only *where* completed runs live: when
 //! the resident runs exceed the budget, the oldest ones are
 //! serialized to temp files (a `shard/spills` counter per run,
@@ -31,8 +31,8 @@
 //! key-sorted distinct pair lists, bitset words) — so the k-way merge consumes
 //! identical per-run state sequences either way. Per output key the
 //! merge folds contributions in ascending run order (copy the first,
-//! merge the rest), the same copy-first, earlier-chunks-first order the
-//! in-memory kernel uses, and distinct lanes restore their keep-last
+//! merge the rest); inside a run phase 1b folded them in ascending chunk
+//! order with the same merge, and distinct lanes restore their keep-last
 //! dedup invariant per closed segment. Hence the acceptance property:
 //! **a spill-forced pass (tiny budget) and an unlimited-budget pass are
 //! bit-identical**, at any thread count.
@@ -53,15 +53,15 @@
 //! `cube_pass/external_spill` (encode + write), `cube_pass/external_merge`
 //! (the k-way merge, with `cube_pass/external_decode` — read-back and
 //! frame decode — inside it) and `cube_pass/phase2_rollup`, the last two
-//! interleaved self-times that add up. The merge moves whole frames,
-//! then ranges, and only keys two runs share go cell by cell
+//! interleaved self-times that add up. The merge hands on whole frames,
+//! takes ranges, and goes key by key only through keys two runs share
 //! (`MergeRuns`). The frame reader (`FrameReader`) treats a run
 //! as untrusted bytes and checks every record's CRC-32 trailer first.
 
 use crate::cube_pass::{
-    chain_or_merge, fold_chunks, intern_keys, rollup_walk, strictly_ascending, words, CubeError,
-    CubeInput, CubeResult, IdLane, KeySpace, RollupPlan, StateCol, StateTable, BITSET_KEYS_MAX,
-    ROW_CHUNK, SEGMENT_CELLS,
+    fold_chunks, intern_keys, rollup_walk, strictly_ascending, words, CubeError, CubeInput,
+    CubeResult, IdLane, KeySpace, RollupPlan, StateCol, StateTable, BITSET_KEYS_MAX, ROW_CHUNK,
+    SEGMENT_CELLS,
 };
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
@@ -70,7 +70,8 @@ use bellwether_storage::codec::{seal, Cursor, PutLe};
 use bellwether_storage::crc32::{crc32_finish, crc32_update, CRC_INIT};
 use bellwether_storage::CorruptBlock;
 use bellwether_table::ops::AggFunc;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
@@ -492,11 +493,19 @@ impl Drop for SpillDir {
 }
 
 /// Streaming view of one run's cells in ascending key order, uniform
-/// over resident and spilled runs.
+/// over resident and spilled runs. The merge takes cells off the current
+/// frame and merges what it took, one `merge_from` per column, when it
+/// flushes.
 struct RunCursor {
     source: CursorSource,
     frame: Option<StateTable>,
+    /// The next cell of `frame` to take.
     pos: usize,
+    /// The last `dsts.len()` cells before `pos` are taken but not merged
+    /// yet: the `i`-th goes to segment slot `dsts[i]`, which held its key
+    /// already iff `was[i]`.
+    dsts: Vec<u32>,
+    was: Vec<bool>,
 }
 
 enum CursorSource {
@@ -514,6 +523,8 @@ impl RunCursor {
             source,
             frame: None,
             pos: 0,
+            dsts: Vec::new(),
+            was: Vec::new(),
         };
         cur.load_frame()?;
         Ok(cur)
@@ -521,6 +532,7 @@ impl RunCursor {
 
     /// Pull frames until one is non-empty or the run is exhausted.
     fn load_frame(&mut self) -> io::Result<()> {
+        debug_assert!(self.dsts.is_empty(), "a frame left with cells taken but not merged");
         self.pos = 0;
         loop {
             let next = match &mut self.source {
@@ -541,117 +553,150 @@ impl RunCursor {
         self.frame.as_ref().map(|t| t.keys[self.pos])
     }
 
-    /// Step over `cells` cells of the current frame.
-    fn advance(&mut self, cells: usize) -> io::Result<()> {
+    /// Take the next `cells` cells for segment slots from `slot` on, which
+    /// held their keys already iff `was`; true when that uses up the frame.
+    fn take(&mut self, cells: usize, slot: usize, was: bool) -> bool {
+        self.dsts.extend(slot as u32..(slot + cells) as u32);
+        self.was.resize(self.was.len() + cells, was);
         self.pos += cells;
-        if let Some(t) = &self.frame {
-            if self.pos >= t.len() {
-                self.load_frame()?;
-            }
+        self.frame.as_ref().is_some_and(|t| self.pos == t.len())
+    }
+
+    /// Merge the cells taken since the last flush into `cols`, then pull
+    /// the next frame if this one is used up.
+    fn flush(&mut self, cols: &mut [StateCol]) -> io::Result<()> {
+        let Some(frame) = &self.frame else {
+            return Ok(());
+        };
+        let taken = self.pos - self.dsts.len()..self.pos;
+        for (dst, src) in cols.iter_mut().zip(&frame.cols) {
+            dst.merge_from(src, taken.clone(), &self.dsts, &self.was);
+        }
+        self.dsts.clear();
+        self.was.clear();
+        if self.pos == frame.len() {
+            self.load_frame()?;
         }
         Ok(())
     }
 }
 
-/// The final merge: the sorted base-cell table, as a stream of segments,
-/// from all runs in run formation order. Per key the first run holding
-/// it copies and later runs merge, ascending by run. A run whose head key
-/// is below every other run's head copies every cell of its current
-/// frame that is with one `merge_from` per column, or, when all of it is
-/// and the open segment is empty, hands the frame on as a segment. Week
-/// slices make runs disjoint, so that is most of the merge. The rollup
-/// pulls one segment at a time, so the merged table is never resident.
-struct MergeRuns {
+/// The one merge of key-sorted state, over a run's chunk tables (phase
+/// 1b, [`MergeRuns::of_chunks`]) and over the runs: a stream of segments
+/// in ascending key order. Per key the first run holding it copies and
+/// later runs merge, ascending by run. Each step takes the lowest run's
+/// cells below every other head, or one key from every run holding it. A
+/// frame below every other head, met with the open segment empty, is
+/// handed on whole: chained chunk tables and week-slice runs pass through
+/// uncopied. The rollup pulls one segment at a time.
+pub(crate) struct MergeRuns {
     cursors: Vec<RunCursor>,
-    /// The open segment, shaped by the first frame it copies from.
+    /// `(head key, run)` of every run with cells left but the one a step
+    /// is taking from.
+    heads: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The open segment, shaped by the first frame it takes from.
     cur: StateTable,
-    dsts: Vec<u32>,
-    copied: Vec<bool>,
     /// Merges into an occupied slot so far.
-    merges: u64,
+    pub(crate) merges: u64,
 }
 
 impl MergeRuns {
     fn open(runs: Vec<Run>, timed: bool) -> io::Result<MergeRuns> {
         let cursors = runs.into_iter().map(|run| RunCursor::open(run, timed));
+        let cursors: Vec<RunCursor> = cursors.collect::<io::Result<_>>()?;
+        let heads = cursors.iter().enumerate().filter_map(|(i, c)| Some(Reverse((c.peek()?, i))));
         Ok(MergeRuns {
-            cursors: cursors.collect::<io::Result<_>>()?,
+            heads: heads.collect(),
+            cursors,
             cur: StateTable::default(),
-            dsts: Vec::new(),
-            copied: vec![false; SEGMENT_CELLS],
             merges: 0,
         })
     }
 
+    /// Merge every run's taken cells into the open segment in run order, so
+    /// each slot sees its operands in run order; used-up frames are replaced.
+    fn flush(&mut self) -> io::Result<()> {
+        let len = self.cur.len();
+        self.cur.cols.iter_mut().for_each(|col| col.resize_default(len));
+        self.cursors.iter_mut().try_for_each(|c| c.flush(&mut self.cur.cols))
+    }
+
+    /// Put `run` back on the heap at its head, after a flush if the last
+    /// take `used_up` its frame.
+    fn requeue(&mut self, run: usize, used_up: bool) -> io::Result<()> {
+        if used_up {
+            self.flush()?;
+        }
+        self.heads.extend(self.cursors[run].peek().map(|k| Reverse((k, run))));
+        Ok(())
+    }
+
+    /// Phase 1b: one run's chunk tables, in chunk order, each a one-frame
+    /// resident run.
+    pub(crate) fn of_chunks(tables: Vec<StateTable>) -> io::Result<MergeRuns> {
+        #[cfg(test)]
+        if let Some((shards, merges)) = crate::testutil::phase1b_oracle(&tables) {
+            let run = Run::Resident { shards, bytes: 0 };
+            return Ok(MergeRuns { merges, ..MergeRuns::open(vec![run], false)? });
+        }
+        let runs = tables.into_iter().map(|t| Run::Resident { shards: vec![t], bytes: 0 });
+        MergeRuns::open(runs.collect(), false)
+    }
+
     fn next_segment(&mut self) -> io::Result<Option<StateTable>> {
-        let MergeRuns { cursors, cur, dsts, copied, merges } = self;
-        loop {
-            // The lowest run holding the smallest head key, and the
-            // smallest head among the other runs (cell keys stay far
-            // below u64::MAX).
-            let mut first: Option<(usize, u64)> = None;
-            let mut rest = u64::MAX;
-            for (i, c) in cursors.iter().enumerate() {
-                let Some(k) = c.peek() else { continue };
-                match first {
-                    Some((_, min)) if k >= min => rest = rest.min(k),
-                    Some((_, min)) => {
-                        rest = min;
-                        first = Some((i, k));
-                    }
-                    None => first = Some((i, k)),
-                }
-            }
-            let Some((f, key)) = first else { break };
-            let (head, later) = cursors[f..].split_first_mut().expect("f indexes a cursor");
-            let frame = head.frame.as_ref().expect("peek returned Some");
-            let start = cur.len();
-            // A whole frame below every other run's head, with nothing in
-            // the open segment, already is a segment.
+        // The lowest run holding the smallest head key, and the smallest
+        // head among the other runs (cell keys stay far below u64::MAX).
+        while let Some(Reverse((key, f))) = self.heads.pop() {
+            let rest = self.heads.peek().map_or(u64::MAX, |Reverse((k, _))| *k);
+            let start = self.cur.len();
+            let head = &self.cursors[f];
+            let frame = head.frame.as_ref().expect("a run on the heap has a frame");
             let whole = start == 0 && head.pos == 0 && frame.keys[frame.len() - 1] < rest;
             #[cfg(test)]
             let whole = whole && !crate::cube_pass::tests::phase1_oracle();
             if whole {
-                let frame = head.frame.take().expect("peek returned Some");
+                let head = &mut self.cursors[f];
+                let frame = head.frame.take();
                 head.load_frame()?;
-                return Ok(Some(frame));
+                self.requeue(f, false)?;
+                return Ok(frame);
             }
-            if cur.cols.is_empty() {
-                cur.cols = frame.cols.iter().map(|c| c.new_like(0)).collect();
+            if self.cur.cols.is_empty() {
+                self.cur.cols = frame.cols.iter().map(|c| c.new_like(0)).collect();
             }
-            let cells = if rest == key {
-                1
-            } else {
-                let below = frame.keys[head.pos..].partition_point(|&k| k < rest);
-                below.min(SEGMENT_CELLS - start)
-            };
-            cur.keys.extend_from_slice(&frame.keys[head.pos..head.pos + cells]);
-            dsts.clear();
-            dsts.extend(start as u32..(start + cells) as u32);
-            for (dst, src) in cur.cols.iter_mut().zip(&frame.cols) {
-                dst.resize_default(start + cells);
-                dst.merge_from(src, head.pos..head.pos + cells, dsts, &copied[..cells]);
-            }
-            #[cfg(test)]
-            crate::cube_pass::tests::copied(cells);
-            head.advance(cells)?;
             if rest == key {
-                for c in later.iter_mut().filter(|c| c.peek() == Some(key)) {
-                    let t = c.frame.as_ref().expect("peek returned Some");
-                    for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                        dst.merge_from(src, c.pos..c.pos + 1, &[start as u32], &[true]);
+                // Every run holding the key, ascending: the first copies.
+                self.cur.keys.push(key);
+                let mut run = f;
+                loop {
+                    let used_up = self.cursors[run].take(1, start, run != f);
+                    self.merges += (run != f) as u64;
+                    self.requeue(run, used_up)?;
+                    match self.heads.peek() {
+                        Some(&Reverse((k, next))) if k == key => run = next,
+                        _ => break,
                     }
-                    *merges += 1;
-                    c.advance(1)?;
+                    self.heads.pop();
                 }
+            } else {
+                // A scan, not a search: interleaved tables give up a cell
+                // or two a step, and every cell taken is copied anyway.
+                let below = frame.keys[head.pos..].iter().take_while(|&&k| k < rest);
+                let cells = below.take(SEGMENT_CELLS - start).count();
+                self.cur.keys.extend_from_slice(&frame.keys[head.pos..head.pos + cells]);
+                let used_up = self.cursors[f].take(cells, start, false);
+                self.requeue(f, used_up)?;
             }
-            if cur.len() >= SEGMENT_CELLS {
+            if self.cur.len() >= SEGMENT_CELLS {
+                self.flush()?;
                 break;
             }
         }
+        #[cfg(test)]
+        crate::cube_pass::tests::copied(self.cur.len());
         // A closed segment restores its distinct lanes' dedup invariant.
-        cur.cols.iter_mut().for_each(StateCol::dedup_distinct);
-        Ok((cur.len() > 0).then(|| std::mem::take(cur)))
+        self.cur.cols.iter_mut().for_each(StateCol::dedup_distinct);
+        Ok((self.cur.len() > 0).then(|| std::mem::take(&mut self.cur)))
     }
 }
 
@@ -744,7 +789,6 @@ pub(crate) fn cube_pass_runs(
     }
     let ks = KeySpace::build(space, &uniq).ok_or(CubeError::KeySpaceTooLarge)?;
     drop(uniq);
-    let key_space = ks.cell_space * ks.n_items;
     let threads = par.threads_for(total_rows.div_ceil(ROW_CHUNK));
     // Distinct-FK measures whose keys fit bitset lanes, numbered over
     // every input.
@@ -758,11 +802,11 @@ pub(crate) fn cube_pass_runs(
     let mut run_merges = 0u64;
     let mut pending: Vec<StateTable> = Vec::new();
     let mut close_run = |pending: &mut Vec<StateTable>| -> io::Result<()> {
-        let (shards, merges) = {
-            let _t = span!(rec, "cube_pass/phase1_merge");
-            chain_or_merge(std::mem::take(pending), key_space, threads)
-        };
-        run_merges += merges;
+        let phase1_merge = span!(rec, "cube_pass/phase1_merge");
+        let mut merge = MergeRuns::of_chunks(std::mem::take(pending))?;
+        let shards = (&mut merge).collect::<io::Result<Vec<_>>>()?;
+        run_merges += merge.merges;
+        drop(phase1_merge);
         let bytes = shards.iter().map(table_bytes).sum::<usize>();
         runs.push(Run::Resident { shards, bytes });
         resident_bytes += bytes;
@@ -860,14 +904,13 @@ mod tests {
     use super::*;
     use crate::cube_pass::tests::{cells_copied, fold_chunk_by_map, with_phase1_oracle};
     use crate::cube_pass::{
-        aggregate_filtered, chunk_range, cube_pass, fold_chunk, merge_chunks, Measure,
-        SMALL_PAIRS_MAX,
+        aggregate_filtered, chunk_range, cube_pass, fold_chunk, Measure, SMALL_PAIRS_MAX,
     };
     use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
     use crate::testutil::{
         assert_bit_identical, cube_pass_reference, gen_distinct_input, gen_functional_input,
-        gen_input, measures_of_every_kind, slice_rows, space,
+        gen_input, measures_of_every_kind, merge_chunks, slice_rows, space,
     };
     use bellwether_obs::{NoopRecorder, Registry};
     use bellwether_prop::Rng;
@@ -1118,6 +1161,16 @@ mod tests {
         }
     }
 
+    /// Take `cells` cells off `cursor`'s frame into fresh slots and
+    /// flush them, as the merge does: their state, spelled.
+    fn step(cursor: &mut RunCursor, cells: usize) -> io::Result<String> {
+        let frame = cursor.frame.as_ref().expect("a frame to take from");
+        let mut cols: Vec<StateCol> = frame.cols.iter().map(|c| c.new_like(cells)).collect();
+        cursor.take(cells, 0, false);
+        cursor.flush(&mut cols)?;
+        Ok(format!("{cols:?}"))
+    }
+
     fn roundtrip(shards: Vec<StateTable>) {
         let dir = std::env::temp_dir().join(format!("bw_run_rt_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
@@ -1127,28 +1180,19 @@ mod tests {
         let mut from_disk =
             RunCursor::open(Run::Spilled { path: path.clone() }, false).unwrap();
         let mut from_mem = RunCursor::open(Run::Resident { shards, bytes: 0 }, false).unwrap();
+        let tags = |c: &RunCursor| c.frame.as_ref().map(|t| t.cols.iter().map(col_tags).collect::<Vec<_>>());
         let mut cells = 0usize;
         loop {
             match (from_mem.peek(), from_disk.peek()) {
                 (None, None) => break,
                 (Some(a), Some(b)) => {
                     assert_eq!(a, b, "key order diverged at cell {cells}");
-                    let ta = from_mem.frame.as_ref().unwrap();
-                    let tb = from_disk.frame.as_ref().unwrap();
-                    for (ca, cb) in ta.cols.iter().zip(&tb.cols) {
-                        assert_eq!(col_tags(ca), col_tags(cb), "column kinds diverged");
-                        let mut probe_a = ca.new_like(1);
-                        let mut probe_b = cb.new_like(1);
-                        probe_a.merge_from(ca, from_mem.pos..from_mem.pos + 1, &[0], &[false]);
-                        probe_b.merge_from(cb, from_disk.pos..from_disk.pos + 1, &[0], &[false]);
-                        assert_eq!(
-                            format!("{probe_a:?}"),
-                            format!("{probe_b:?}"),
-                            "cell {cells} state diverged"
-                        );
-                    }
-                    from_mem.advance(1).unwrap();
-                    from_disk.advance(1).unwrap();
+                    assert_eq!(tags(&from_mem), tags(&from_disk), "column kinds diverged");
+                    assert_eq!(
+                        step(&mut from_mem, 1).unwrap(),
+                        step(&mut from_disk, 1).unwrap(),
+                        "cell {cells} state diverged"
+                    );
                     cells += 1;
                 }
                 other => panic!("cursor lengths diverged at {cells}: {other:?}"),
@@ -1464,9 +1508,10 @@ mod tests {
         ] {
             fs::write(&path, bytes).unwrap();
             let mut cursor = RunCursor::open(Run::Spilled { path: path.clone() }, false);
-            // The first frame decodes on open; the second on advance.
+            // The first frame decodes on open; the second when the merge
+            // flushes the first one's cells.
             if let Ok(c) = &mut cursor {
-                if let Err(e) = c.advance(2) {
+                if let Err(e) = step(c, 2) {
                     cursor = Err(e);
                 }
             }
@@ -1699,18 +1744,15 @@ mod tests {
         input: &CubeInput,
         run: std::ops::Range<usize>,
         threads: usize,
-        key_space: u64,
         key_of: &K,
     ) -> (String, u64)
     where
         K: Fn(usize, &[u32]) -> Option<u64> + Sync,
     {
-        let (tables, merges) = chain_or_merge(
-            fold_chunks(input, &[], 2, run, threads, key_of),
-            key_space,
-            threads,
-        );
-        (spelled(&tables), merges)
+        let tables = fold_chunks(input, &[], 2, run, threads, key_of);
+        let mut merge = MergeRuns::of_chunks(tables).unwrap();
+        let segments: Vec<StateTable> = (&mut merge).map(Result::unwrap).collect();
+        (spelled(&segments), merge.merges)
     }
 
     /// [`phase1_run`]'s oracle: the map fold, and the copying merge.
@@ -1765,11 +1807,11 @@ mod tests {
                     for threads in [1usize, 2, 4] {
                         let at = format!("{what}, run {run:?}, threads={threads}");
                         assert_eq!(
-                            phase1_run(&input, run.clone(), threads, key_space, &key_of),
+                            phase1_run(&input, run.clone(), threads, &key_of),
                             all,
                             "{at}"
                         );
-                        let got = phase1_run(&input, run.clone(), threads, key_space, &some_cells);
+                        let got = phase1_run(&input, run.clone(), threads, &some_cells);
                         assert_eq!(got, filtered, "{at}, filtered");
                     }
                     c = run.end;
@@ -1815,6 +1857,55 @@ mod tests {
             }
         });
         assert!(widest.get() > SMALL_PAIRS_MAX, "no chunk's distinct list left the sorted regime");
+    }
+
+    #[test]
+    fn merge_runs_over_interleaved_chunk_tables_matches_the_copying_merge() {
+        // Phase 1b's one merge against the dense and hashed key-range
+        // merges it replaced. Rows come in drawn order, so every chunk
+        // table spans the key space and the tables interleave; few items
+        // share nearly every cell across chunks, many leave some cells to
+        // one chunk. NULL stretches span chunks and straddle their edges.
+        let sp = space();
+        bellwether_prop::check("phase 1b = the copying merge", 12, |rng| {
+            let n_items = *rng.choice(&[3i64, 40, 600]);
+            let items: Vec<i64> = (0..n_items).map(|i| 5 * i - 11).collect();
+            let rows = rng.usize_in(ROW_CHUNK + 1, 5 * ROW_CHUNK);
+            let mut input = gen_functional_input(rng.next_u64(), rows, &items);
+            for (_, validity) in validities(&mut input) {
+                let mut valid = validity.take().unwrap_or_else(|| Bitmap::ones(rows));
+                for _ in 0..rng.below(4) {
+                    let start = rng.below(rows);
+                    let len = *rng.choice(&[1, 70, ROW_CHUNK, 2 * ROW_CHUNK]);
+                    (start..(start + len).min(rows)).for_each(|r| valid.set(r, false));
+                }
+                *validity = Some(valid);
+            }
+            let one = std::slice::from_ref(&input);
+            let interned: Vec<_> = (0..input.measures.len()).map(|m| intern_keys(one, m)).collect();
+            assert!(interned[5].is_some() && interned[6].is_none(), "a bitset and a pair-list lane");
+            let lanes: Vec<Option<IdLane>> = interned
+                .iter()
+                .map(|i| i.as_ref().map(|(vals, ids)| IdLane { vals, ids: &ids[0] }))
+                .collect();
+            let ks = KeySpace::build(&sp, &input.item_ids).unwrap();
+            let key_space = ks.cell_space * ks.n_items;
+            let key_of = ks.key_fn(&input);
+            for threads in 1..=4 {
+                let tables = fold_chunks(&input, &lanes, 2, 0..rows.div_ceil(ROW_CHUNK), threads, &key_of);
+                let overlap = tables.windows(2).any(|w| w[1].keys[0] <= w[0].keys[w[0].len() - 1]);
+                assert!(overlap, "{rows} rows over {n_items} items: the chunk tables chain");
+                // Past 2^20 keys the oracle takes its hashed path.
+                let oracles = [key_space, 1 << 21].map(|space| merge_chunks(&tables, space, threads));
+                let mut merge = MergeRuns::of_chunks(tables).unwrap();
+                let got: Vec<StateTable> = (&mut merge).map(Result::unwrap).collect();
+                for (want, merges) in &oracles {
+                    let at = format!("{rows} rows over {n_items} items, threads={threads}");
+                    assert_eq!(spelled(&got), spelled(want), "{at}");
+                    assert_eq!(merge.merges, *merges, "{at}: cell merges");
+                }
+            }
+        });
     }
 
     #[test]

@@ -11,14 +11,14 @@
 
 use crate::cube_pass::tests::{with_batch_cells, with_one_epoch};
 use crate::cube_pass::{
-    cube_pass, fold_chunks, merge_chunks, rollup_walk, CubeInput, CubeResult, KeySpace,
+    cube_pass, fold_chunks, rollup_walk, CubeInput, CubeResult, KeySpace,
     RegionColumns, RollupPlan, StateTable, ROW_CHUNK,
 };
 use crate::dimension::{Dimension, Hierarchy};
 use crate::external::{cube_pass_runs, UNLIMITED_BUDGET};
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
-use crate::testutil::{assert_bit_identical, measures_of_every_kind, slice_rows};
+use crate::testutil::{assert_bit_identical, measures_of_every_kind, merge_chunks, slice_rows};
 use bellwether_obs::{names, NoopRecorder, Registry};
 use bellwether_prop::{check, Rng};
 use std::cell::Cell;

@@ -1,13 +1,18 @@
 //! Fixtures shared by the crate's unit tests: one region space, one
 //! seeded fact generator covering every state kind, one bit-level
 //! result comparison, and the reference kernels the optimized ones are
-//! held to — the tuple-keyed AoS CUBE pass and the naive lattice rollup.
+//! held to — the tuple-keyed AoS CUBE pass, the naive lattice rollup and
+//! the dense and hashed key-range merges of phase 1b.
 
-use crate::cube_pass::{finish_distinct_vals, CubeInput, CubeResult, Measure, RegionColumns};
+use crate::cube_pass::{
+    finish_distinct_vals, CubeInput, CubeResult, Measure, RegionColumns, StateCol, StateTable,
+};
 use crate::dimension::{Dimension, Hierarchy};
 use crate::fxhash::FxMap;
+use crate::parallel::{fork_join, split_point};
 use crate::region::{RegionId, RegionSpace};
 use bellwether_table::ops::AggFunc;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -432,4 +437,141 @@ pub(crate) fn rollup_naive<T: Clone>(
         }
     }
     out
+}
+
+/// Under [`crate::cube_pass::tests::with_phase1_oracle`], the shards and
+/// merges [`merge_chunks`] makes of one run's chunk tables, over a key
+/// space reaching their largest key, its copies counted; `None` otherwise.
+pub(crate) fn phase1b_oracle(tables: &[StateTable]) -> Option<(Vec<StateTable>, u64)> {
+    if !crate::cube_pass::tests::phase1_oracle() {
+        return None;
+    }
+    let key_space = tables.iter().filter_map(|t| t.keys.last()).max().map_or(0, |k| k + 1);
+    let (shards, merges) = merge_chunks(tables, key_space, 1);
+    crate::cube_pass::tests::copied(shards.iter().map(StateTable::len).sum());
+    Some((shards, merges))
+}
+
+/// Largest combined key space for which [`merge_chunks`] uses a flat
+/// dense table (per-worker slice of a `Vec`) instead of a hash index.
+const DENSE_SLOTS_MAX: u64 = 1 << 20;
+
+/// Phase 1b as it was before runs' chunk tables went through
+/// [`crate::external::MergeRuns`]: merge chunk tables into per-worker
+/// shards of contiguous key ranges, into a flat dense table when the key
+/// space is small, a hash-indexed one otherwise. Concatenating the shards
+/// in order yields all base cells sorted by key — for every worker count.
+/// Kept as the phase-1b oracle; returns the shards and the merges into an
+/// occupied slot.
+pub(crate) fn merge_chunks(
+    tables: &[StateTable],
+    key_space: u64,
+    threads: usize,
+) -> (Vec<StateTable>, u64) {
+    let dense = key_space <= DENSE_SLOTS_MAX;
+    let cut = |w| split_point(key_space, w, threads);
+    let parts = fork_join(threads, |w| {
+        let mut merges = 0;
+        let shard = merge_range(tables, cut(w), cut(w + 1), dense, &mut merges);
+        (shard, merges)
+    });
+    let merges = parts.iter().map(|(_, m)| m).sum();
+    (parts.into_iter().map(|(shard, _)| shard).collect(), merges)
+}
+
+/// Phase 1b for one key range: merge every chunk's slice of `[lo, hi)`
+/// in chunk order, column by column. Per source table the occupancy
+/// pre-state of every touched slot is captured first, so each column
+/// merge knows copy vs merge without re-deriving it. Returns the
+/// range's base cells sorted by key.
+fn merge_range(
+    tables: &[StateTable],
+    lo: u64,
+    hi: u64,
+    dense: bool,
+    merges: &mut u64,
+) -> StateTable {
+    let mut was: Vec<bool> = Vec::new();
+    let mut dsts: Vec<u32> = Vec::new();
+    if dense {
+        let n_slots = (hi - lo) as usize;
+        let mut occupied = vec![false; n_slots];
+        let mut cols: Vec<StateCol> = tables
+            .first()
+            .map(|t| t.cols.iter().map(|c| c.new_like(n_slots)).collect())
+            .unwrap_or_default();
+        for t in tables {
+            let r = t.range_of(lo, hi);
+            if r.is_empty() {
+                continue;
+            }
+            was.clear();
+            dsts.clear();
+            for &k in &t.keys[r.clone()] {
+                let s = (k - lo) as usize;
+                *merges += occupied[s] as u64;
+                was.push(occupied[s]);
+                dsts.push(s as u32);
+                occupied[s] = true;
+            }
+            for (dst, src) in cols.iter_mut().zip(&t.cols) {
+                dst.merge_from(src, r.clone(), &dsts, &was);
+            }
+        }
+        let idx: Vec<u32> = occupied
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &o)| o.then_some(i as u32))
+            .collect();
+        let keys: Vec<u64> = idx.iter().map(|&i| lo + i as u64).collect();
+        for col in &mut cols {
+            *col = col.gather(&idx);
+            col.dedup_distinct();
+        }
+        StateTable { keys, cols }
+    } else {
+        let mut index: FxMap<u64, u32> = FxMap::default();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut cols: Vec<StateCol> = tables
+            .first()
+            .map(|t| t.cols.iter().map(|c| c.new_like(0)).collect())
+            .unwrap_or_default();
+        let mut slots: Vec<u32> = Vec::new();
+        for t in tables {
+            let r = t.range_of(lo, hi);
+            if r.is_empty() {
+                continue;
+            }
+            slots.clear();
+            was.clear();
+            for &k in &t.keys[r.clone()] {
+                match index.entry(k) {
+                    Entry::Occupied(e) => {
+                        slots.push(*e.get());
+                        was.push(true);
+                    }
+                    Entry::Vacant(e) => {
+                        let s = keys.len() as u32;
+                        keys.push(k);
+                        e.insert(s);
+                        slots.push(s);
+                        was.push(false);
+                    }
+                }
+            }
+            *merges += was.iter().filter(|&&w| w).count() as u64; // sparse path: cold
+            for col in &mut cols {
+                col.resize_default(keys.len());
+            }
+            for (dst, src) in cols.iter_mut().zip(&t.cols) {
+                dst.merge_from(src, r.clone(), &slots, &was);
+            }
+        }
+        let mut table = StateTable { keys, cols };
+        for col in &mut table.cols {
+            col.dedup_distinct();
+        }
+        table.sort_by_key();
+        table
+    }
 }

@@ -8,34 +8,68 @@
 //! base-cell table; a pass that merges every run into one table before it
 //! rolls up does.
 //!
+//! Phase 1b merges a run's chunk tables key by key, so the resident pass
+//! holds state in proportion to its cells, never to the size of the key
+//! space those cells are drawn from.
+//!
 //! The pass's input is counted too: a measure column with no NULL row is
 //! its values alone, eight bytes a row, with no validity bitmap.
 //!
-//! This file is its own test binary, and its tests take turns on one
-//! lock, so the counting allocator sees the measured work and nothing
-//! running beside it.
+//! This file is its own test binary. The allocator counts per thread and
+//! every pass runs at one thread, inline, so a count sees the measured
+//! work and nothing the test harness does beside it; the tests still take
+//! turns on one lock.
 
 use bellwether_cube::{
-    cube_pass_external, CubeInput, Dimension, Hierarchy, Measure, Parallelism, RegionSpace,
-    Registry, RUN_CHUNKS,
+    cube_pass, cube_pass_external, CubeInput, Dimension, Hierarchy, Measure, NoopRecorder,
+    Parallelism, RegionSpace, Registry, RUN_CHUNKS,
 };
 use bellwether_obs::names;
 use bellwether_prop::Rng;
 use bellwether_table::ops::AggFunc;
 use bellwether_table::ColumnData;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, PoisonError};
 
-/// The system allocator, counting live bytes and their high-water mark.
+/// The system allocator, counting each thread's live bytes and their
+/// high-water mark.
 struct Counting;
 
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Bytes this thread allocated less those it freed (it may free what
+    /// another thread allocated, hence signed).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 
 fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    // A thread whose locals are gone (it is exiting) is not counted.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes as isize);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+fn shrank(bytes: usize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as isize));
+}
+
+/// This thread's live bytes.
+fn live() -> isize {
+    LIVE.with(Cell::get)
+}
+
+/// Start a high-water mark at this thread's live bytes; returns them.
+fn reset_peak() -> isize {
+    let entry = live();
+    PEAK.with(|peak| peak.set(entry));
+    entry
+}
+
+/// Bytes `count` is above `entry`.
+fn above(count: isize, entry: isize) -> usize {
+    usize::try_from(count - entry).unwrap_or(0)
 }
 
 // SAFETY: every call forwards to `System` with the caller's own
@@ -62,14 +96,14 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: forwarded as received.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        shrank(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // SAFETY: forwarded as received.
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
         if !moved.is_null() {
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            shrank(layout.size());
             grew(new_size);
         }
         moved
@@ -79,7 +113,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Taken by every test for its whole body: the counters are global.
+/// Taken by every test for its whole body.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 const ROW_CHUNK: usize = 4096;
@@ -154,8 +188,7 @@ fn the_pass_never_holds_the_result_and_the_merged_base_cells_at_once() {
     assert!((2 * run_rows + 1..3 * run_rows).contains(&input.item_ids.len()));
     let reg = Registry::shared();
 
-    let entry = LIVE.load(Ordering::Relaxed);
-    PEAK.store(entry, Ordering::Relaxed);
+    let entry = reset_peak();
     let result = cube_pass_external(
         &space,
         std::slice::from_ref(&input),
@@ -164,8 +197,8 @@ fn the_pass_never_holds_the_result_and_the_merged_base_cells_at_once() {
         reg.as_ref(),
     )
     .expect("spill I/O");
-    let peak = PEAK.load(Ordering::Relaxed) - entry;
-    let result_bytes = LIVE.load(Ordering::Relaxed) - entry;
+    let peak = above(PEAK.with(Cell::get), entry);
+    let result_bytes = above(live(), entry);
 
     let snap = reg.snapshot();
     assert_eq!(snap.counter(names::SHARD_RUNS_MERGED), Some(3));
@@ -196,7 +229,7 @@ fn the_pass_never_holds_the_result_and_the_merged_base_cells_at_once() {
 fn a_null_free_input_holds_32_bytes_a_row() {
     let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     const N: usize = 100_000;
-    let entry = LIVE.load(Ordering::Relaxed);
+    let entry = live();
     // Arity 2 and two summed measures, collected the way a caller with
     // nullable data builds a lane.
     let input = CubeInput {
@@ -213,7 +246,7 @@ fn a_null_free_input_holds_32_bytes_a_row() {
             })
             .collect(),
     };
-    let held = LIVE.load(Ordering::Relaxed) - entry;
+    let held = above(live(), entry);
     for m in &input.measures {
         let Measure::Numeric { values, .. } = m else {
             unreachable!("both measures are numeric")
@@ -230,4 +263,46 @@ fn a_null_free_input_holds_32_bytes_a_row() {
         held <= 32 * N + slack,
         "input holds {held} B for {N} rows: > 32 B a row + {slack}"
     );
+}
+
+#[test]
+fn phase_1b_holds_cells_not_the_key_space() {
+    let _turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // 255 weeks × 4,096 items: a key space of 1,044,480, just under 2^20.
+    // 5,000 rows in the last two weeks, shuffled, so the two chunk tables
+    // interleave over the same cells and must merge.
+    const ROWS: usize = 5_000;
+    const WEEKS: u32 = 255;
+    const ITEMS: usize = 4096;
+    let space = RegionSpace::new(vec![Dimension::Interval {
+        name: "T".into(),
+        max_t: WEEKS,
+    }]);
+    let mut rng = Rng::new(38);
+    let mut rows: Vec<(i64, u32)> = (0..ROWS)
+        .map(|r| ((r % ITEMS) as i64, WEEKS - 1 - rng.i64_in(0, 2) as u32))
+        .collect();
+    rng.shuffle(&mut rows);
+    let input = CubeInput {
+        item_ids: rows.iter().map(|r| r.0).collect(),
+        coords: rows.iter().map(|r| r.1).collect(),
+        measures: vec![Measure::Numeric {
+            name: "sales".into(),
+            func: AggFunc::Sum,
+            values: (0..ROWS).map(|r| Some(r as f64 / 8.0)).collect(),
+        }],
+    };
+    const { assert!(ROWS > ROW_CHUNK && ROWS < 2 * ROW_CHUNK, "two chunks") };
+
+    let entry = reset_peak();
+    let result = cube_pass(&space, &input, Parallelism::fixed(1), &NoopRecorder).expect("valid input");
+    let peak = above(PEAK.with(Cell::get), entry);
+    assert_eq!(result.regions.len(), 2, "[1-254] and [1-255]");
+    // Phase 1 holds two chunk tables and the run they merge into, and
+    // phase 2 one running table of every item and the two regions: 0.8 MB
+    // at this size, 164 bytes a row. A merge into a flat table over the
+    // key space holds ten bytes a key of it for one summed measure
+    // (total, validity, occupancy): 10.4 MB here.
+    let budget = 160 * ROWS + (512 << 10);
+    assert!(peak <= budget, "peak {peak} B for {ROWS} rows > {budget}");
 }
