@@ -591,8 +591,10 @@ impl RunCursor {
 /// uncopied. The rollup pulls one segment at a time.
 pub(crate) struct MergeRuns {
     cursors: Vec<RunCursor>,
-    /// `(head key, run)` of every run with cells left but the one a step
-    /// is taking from.
+    /// `(head key, run)` of the lowest run with cells left: the one the
+    /// next step takes from, kept off the heap.
+    lowest: Option<(u64, usize)>,
+    /// `(head key, run)` of every other run with cells left.
     heads: BinaryHeap<Reverse<(u64, usize)>>,
     /// The open segment, shaped by the first frame it takes from.
     cur: StateTable,
@@ -605,8 +607,10 @@ impl MergeRuns {
         let cursors = runs.into_iter().map(|run| RunCursor::open(run, timed));
         let cursors: Vec<RunCursor> = cursors.collect::<io::Result<_>>()?;
         let heads = cursors.iter().enumerate().filter_map(|(i, c)| Some(Reverse((c.peek()?, i))));
+        let mut heads: BinaryHeap<_> = heads.collect();
         Ok(MergeRuns {
-            heads: heads.collect(),
+            lowest: heads.pop().map(|Reverse(h)| h),
+            heads,
             cursors,
             cur: StateTable::default(),
             merges: 0,
@@ -621,13 +625,24 @@ impl MergeRuns {
         self.cursors.iter_mut().try_for_each(|c| c.flush(&mut self.cur.cols))
     }
 
-    /// Put `run` back on the heap at its head, after a flush if the last
-    /// take `used_up` its frame.
+    /// Put `run`, the lowest, back at its head, after a flush if the last
+    /// take `used_up` its frame, as one push-pop: it stays off the heap
+    /// while below the heap's top, else it replaces the top, which becomes
+    /// the lowest. `(key, run)` is a strict total order, so the steps are
+    /// those of a pop and a push, at one sift a step.
     fn requeue(&mut self, run: usize, used_up: bool) -> io::Result<()> {
         if used_up {
             self.flush()?;
         }
-        self.heads.extend(self.cursors[run].peek().map(|k| Reverse((k, run))));
+        self.lowest = match self.cursors[run].peek() {
+            None => self.heads.pop().map(|Reverse(h)| h),
+            Some(key) => match self.heads.peek_mut() {
+                Some(mut top) if top.0 < (key, run) => {
+                    Some(std::mem::replace(&mut *top, Reverse((key, run))).0)
+                }
+                _ => Some((key, run)),
+            },
+        };
         Ok(())
     }
 
@@ -646,7 +661,7 @@ impl MergeRuns {
     fn next_segment(&mut self) -> io::Result<Option<StateTable>> {
         // The lowest run holding the smallest head key, and the smallest
         // head among the other runs (cell keys stay far below u64::MAX).
-        while let Some(Reverse((key, f))) = self.heads.pop() {
+        while let Some((key, f)) = self.lowest {
             let rest = self.heads.peek().map_or(u64::MAX, |Reverse((k, _))| *k);
             let start = self.cur.len();
             let head = &self.cursors[f];
@@ -672,11 +687,10 @@ impl MergeRuns {
                     let used_up = self.cursors[run].take(1, start, run != f);
                     self.merges += (run != f) as u64;
                     self.requeue(run, used_up)?;
-                    match self.heads.peek() {
-                        Some(&Reverse((k, next))) if k == key => run = next,
+                    match self.lowest {
+                        Some((k, next)) if k == key => run = next,
                         _ => break,
                     }
-                    self.heads.pop();
                 }
             } else {
                 // A scan, not a search: interleaved tables give up a cell

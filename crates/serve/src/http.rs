@@ -162,7 +162,8 @@ fn is_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// Write one response with a JSON body and flush it.
+/// Write one response with a JSON body in one send and flush it: a
+/// one-off [`send_response`] through a buffer sized for the reply.
 pub fn write_response(
     conn: &mut impl Write,
     status: u16,
@@ -170,13 +171,33 @@ pub fn write_response(
     body: &str,
     close: bool,
 ) -> io::Result<()> {
-    let head = format!(
+    // Besides the reason, the head is at most 113 bytes.
+    let mut out = Vec::with_capacity(128 + reason.len() + body.len());
+    send_response(conn, &mut out, status, reason, body, close)
+}
+
+/// Assemble one response — status line, headers, JSON body — in `out`,
+/// then send it with one `write_all` and flush. One send is one segment
+/// on a `TCP_NODELAY` socket, so the peer never wakes for a head whose
+/// body is still to come. Once `out` has grown to the largest reply,
+/// nothing here allocates.
+pub fn send_response(
+    conn: &mut impl Write,
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    body: &str,
+    close: bool,
+) -> io::Result<()> {
+    out.clear();
+    write!(
+        out,
         "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         body.len(),
         if close { "close" } else { "keep-alive" },
-    );
-    conn.write_all(head.as_bytes())?;
-    conn.write_all(body.as_bytes())?;
+    )?;
+    out.extend_from_slice(body.as_bytes());
+    conn.write_all(out)?;
     conn.flush()
 }
 
@@ -288,5 +309,74 @@ mod tests {
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(s.contains("content-length: 7\r\n"));
         assert!(s.ends_with("\r\n\r\n{\"a\":1}"));
+    }
+
+    /// A peer that takes every byte offered and counts the `write` calls
+    /// it took them in.
+    #[derive(Default)]
+    struct CountingPeer {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingPeer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every shape the server answers leaves in one send, byte for byte
+    /// the wire format below, whether through a reused buffer (the
+    /// workers) or a one-off one (the acceptor's 503).
+    #[test]
+    fn every_response_is_one_send_of_pinned_bytes() {
+        let cases: [(u16, &str, &str, bool, &str); 4] = [
+            (
+                200,
+                "OK",
+                r#"{"method":"basic","predictions":[5.0,null],"count":2}"#,
+                false,
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 53\r\nconnection: keep-alive\r\n\r\n{\"method\":\"basic\",\"predictions\":[5.0,null],\"count\":2}",
+            ),
+            (
+                400,
+                "Bad Request",
+                r#"{"error":"malformed request line"}"#,
+                true,
+                "HTTP/1.1 400 Bad Request\r\ncontent-type: application/json\r\ncontent-length: 34\r\nconnection: close\r\n\r\n{\"error\":\"malformed request line\"}",
+            ),
+            (
+                408,
+                "Request Timeout",
+                r#"{"error":"request timed out"}"#,
+                true,
+                "HTTP/1.1 408 Request Timeout\r\ncontent-type: application/json\r\ncontent-length: 29\r\nconnection: close\r\n\r\n{\"error\":\"request timed out\"}",
+            ),
+            (
+                503,
+                "Service Unavailable",
+                r#"{"error":"server busy, retry later"}"#,
+                true,
+                "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: 36\r\nconnection: close\r\n\r\n{\"error\":\"server busy, retry later\"}",
+            ),
+        ];
+        let mut reused = Vec::new();
+        for (status, reason, body, close, wire) in cases {
+            let mut peer = CountingPeer::default();
+            write_response(&mut peer, status, reason, body, close).unwrap();
+            assert_eq!(peer.writes, 1, "{status}: one send per response");
+            assert_eq!(String::from_utf8(peer.bytes).unwrap(), wire, "{status}");
+
+            let mut peer = CountingPeer::default();
+            send_response(&mut peer, &mut reused, status, reason, body, close).unwrap();
+            assert_eq!(peer.writes, 1, "{status}: one send per response");
+            assert_eq!(String::from_utf8(peer.bytes).unwrap(), wire, "{status}");
+        }
     }
 }

@@ -8,9 +8,16 @@
 //! over many predictions; this crate is that serving side. A bounded
 //! worker pool shares one `Arc<BellwetherModel>` (loaded via
 //! [`BellwetherModel::load`] or built in-process); each worker owns a
-//! reusable [`ServeScratch`] — buffers that warm up once and then serve
-//! every request allocation-free on the framing path, the same
+//! reusable [`ServeScratch`] — buffers that warm up once, the same
 //! discipline as the scan engine's per-worker `RegionEvalScratch`.
+//!
+//! The response framing path is allocation-free once they are warm: the
+//! body is built in place, and [`http::send_response`] assembles status
+//! line, headers and body in the worker's reply buffer and sends them
+//! with one `write_all`. One send is one segment on the `TCP_NODELAY`
+//! socket, so a client never wakes for a head whose body is still in
+//! flight. (A parsed [`http::Request`] still owns its method, path and
+//! body.)
 //!
 //! ## Endpoints
 //!
@@ -61,7 +68,8 @@ pub use latency::LatencyHistogram;
 
 use bellwether_core::model::{BellwetherModel, MethodKind};
 use bellwether_obs::{names, Recorder, Registry};
-use http::{read_request, write_response, ReadOutcome, Request};
+use http::{read_request, send_response, write_response, ReadOutcome, Request};
+use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -185,12 +193,14 @@ fn bad_config(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
-/// Per-worker reusable buffers: warm once, then the request framing
-/// path allocates nothing per request.
+/// Per-worker reusable buffers: warm once, then framing a reply
+/// allocates nothing.
 #[derive(Default)]
 pub struct ServeScratch {
     read_buf: Vec<u8>,
     body_out: String,
+    /// The whole reply, head and body, as it leaves in one send.
+    reply: Vec<u8>,
     ids: Vec<i64>,
 }
 
@@ -467,8 +477,9 @@ fn handle_connection(
             ReadOutcome::TimedOut { started } => {
                 if started {
                     metrics.errors.inc();
-                    let _ = write_response(
+                    let _ = send_response(
                         &mut conn,
+                        &mut scratch.reply,
                         408,
                         "Request Timeout",
                         "{\"error\":\"request timed out\"}",
@@ -483,8 +494,14 @@ fn handle_connection(
                 scratch.body_out.push_str("{\"error\":\"");
                 json::escape_into(&mut scratch.body_out, msg);
                 scratch.body_out.push_str("\"}");
-                let _ =
-                    write_response(&mut conn, 400, "Bad Request", &scratch.body_out, true);
+                let _ = send_response(
+                    &mut conn,
+                    &mut scratch.reply,
+                    400,
+                    "Bad Request",
+                    &scratch.body_out,
+                    true,
+                );
                 return;
             }
         };
@@ -499,7 +516,15 @@ fn handle_connection(
         if status >= 400 {
             metrics.errors.inc();
         }
-        let ok = write_response(&mut conn, status, reason, &scratch.body_out, close).is_ok();
+        let ok = send_response(
+            &mut conn,
+            &mut scratch.reply,
+            status,
+            reason,
+            &scratch.body_out,
+            close,
+        )
+        .is_ok();
         let elapsed = started.elapsed();
         metrics.latency.observe(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
         metrics
@@ -682,7 +707,7 @@ fn predict(
         }
     }
     scratch.body_out.push_str("],\"count\":");
-    scratch.body_out.push_str(&scratch.ids.len().to_string());
+    write!(scratch.body_out, "{}", scratch.ids.len()).expect("writing to a String cannot fail");
     scratch.body_out.push('}');
     (200, "OK")
 }
@@ -758,7 +783,11 @@ mod tests {
     }
 
     fn read_response(stream: &mut TcpStream) -> (u16, String) {
-        let mut reader = BufReader::new(stream);
+        read_response_from(&mut BufReader::new(stream))
+    }
+
+    /// Read one response off `reader`, leaving any bytes after it there.
+    fn read_response_from(reader: &mut impl BufRead) -> (u16, String) {
         let mut status_line = String::new();
         reader.read_line(&mut status_line).unwrap();
         let status: u16 = status_line.split(' ').nth(1).unwrap().parse().unwrap();
@@ -837,6 +866,41 @@ mod tests {
             let want = 3.0 + 2.0 * i as f64;
             assert!(body.contains(&format!("[{want:.1}]")), "{body}");
         }
+        handle.shutdown();
+    }
+
+    /// Two requests in one send on one keep-alive connection: the worker
+    /// answers both, in order, each reply whole, and one reader that may
+    /// buffer past the first reply finds the second intact.
+    #[test]
+    fn pipelined_requests_over_a_real_socket_answer_in_order() {
+        let handle = start(quick_config());
+        let mut conn = connect(&handle);
+        let mut pipelined = String::new();
+        for body in [
+            r#"{"method":"basic","ids":[1,2,3]}"#,
+            r#"{"method":"basic","ids":[4]}"#,
+        ] {
+            pipelined.push_str(&format!(
+                "POST /predict HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            ));
+        }
+        conn.write_all(pipelined.as_bytes()).unwrap();
+        let mut reader = BufReader::new(&mut conn);
+        let (status, body) = read_response_from(&mut reader);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            body,
+            r#"{"method":"basic","predictions":[5.0,7.0,9.0],"count":3}"#
+        );
+        let (status, body) = read_response_from(&mut reader);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, r#"{"method":"basic","predictions":[11.0],"count":1}"#);
+        drop(reader);
+        let snap = handle.registry().snapshot();
+        assert_eq!(snap.counter(names::SERVE_CONNECTIONS), Some(1));
+        assert_eq!(snap.counter(names::SERVE_REQUESTS), Some(2));
         handle.shutdown();
     }
 

@@ -123,15 +123,15 @@ fn main() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Minimal HTTP/1.1 client: one request, one JSON body back.
+/// Minimal HTTP/1.1 client: one request, one JSON body back. The request
+/// is formatted whole and leaves in one `write_all`: `write!` on an
+/// unbuffered socket would send each format fragment as its own segment.
 fn request(conn: &mut TcpStream, method: &str, path: &str, body: &str) -> String {
-    write!(
-        conn,
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nhost: example\r\ncontent-length: {}\r\n\r\n{body}",
         body.len()
-    )
-    .unwrap();
-    conn.flush().unwrap();
+    );
+    conn.write_all(request.as_bytes()).unwrap();
     let mut reader = BufReader::new(conn);
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
