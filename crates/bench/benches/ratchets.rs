@@ -23,8 +23,10 @@ use bellwether_datagen::{
 use bellwether_linreg::{
     fit_wls, fold_assignment, ErrorEstimate, RegSuffStats, RegressionData, SplitMix64,
 };
+use bellwether_storage::codec::{seal, verify, Cursor, PutLe};
 use bellwether_storage::crc32::{crc32, crc32_bytewise, crc32_finish, crc32_table, CRC_INIT};
-use bellwether_storage::TrainingSource;
+use bellwether_storage::format::{decode_block_v2, encode_block_v2};
+use bellwether_storage::{RegionBlock, TrainingSource};
 use std::hint::black_box;
 use std::process::ExitCode;
 
@@ -180,6 +182,59 @@ fn result_bits(r: &CubeResult) -> Vec<(Vec<u32>, i64, Vec<Option<u64>>)> {
         .collect();
     cells.sort_unstable();
     cells
+}
+
+/// The block encoder the lane-at-a-time one replaced, reconstructed: one
+/// checked `put` per value, each row gathered across the feature lanes.
+fn encode_block_by_values(block: &RegionBlock, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.put_u32_le(block.region.len() as u32);
+    for &c in &block.region {
+        out.put_u32_le(c);
+    }
+    out.put_u64_le(block.n() as u64);
+    out.put_u32_le(block.p);
+    for &id in &block.item_ids {
+        out.put_i64_le(id);
+    }
+    let cols = block.cols();
+    for i in 0..block.n() {
+        for col in cols {
+            out.put_f64_le(col[i]);
+        }
+    }
+    for &t in &block.targets {
+        out.put_f64_le(t);
+    }
+    seal(out, start);
+}
+
+/// The block decoder the lane-at-a-time one replaced, reconstructed for
+/// well-formed input: each row pushed value by value into the lanes.
+fn decode_block_by_values(sealed: &[u8]) -> RegionBlock {
+    let mut cur = Cursor::new(verify(sealed).expect("a block this bench sealed"));
+    let read = |cur: &mut Cursor<'_>| -> std::io::Result<RegionBlock> {
+        let arity = cur.get_u32_le()? as usize;
+        let region = cur.get_u32_lane(arity)?;
+        let n = cur.get_u64_le()? as usize;
+        let p = cur.get_u32_le()?;
+        let item_ids = cur.get_i64_lane(n)?;
+        let mut cols: Vec<Vec<f64>> = (0..p).map(|_| Vec::with_capacity(n)).collect();
+        let mut values = cur
+            .take_span(n * p as usize * 8)?
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")));
+        for _ in 0..n {
+            for col in cols.iter_mut() {
+                col.push(values.next().expect("span length checked"));
+            }
+        }
+        let targets = cur.get_f64_lane(n)?;
+        Ok(RegionBlock::from_columns(
+            region, p, item_ids, cols, targets,
+        ))
+    };
+    read(&mut cur).expect("a block this bench encoded")
 }
 
 fn main() -> ExitCode {
@@ -409,6 +464,63 @@ fn main() -> ExitCode {
         four / fifty,
         1.0 / 6.0,
     ));
+
+    // --- The block codec over ~31 MB of p = 5 blocks, the bytes
+    // `train_spill`'s uncached layout writes and reads: each block is
+    // encoded and its bytes decoded again, a lane at a time against the
+    // per-value codec it replaced. The layout encodes a block right after
+    // building it and decodes one right after reading it, so the cell
+    // cycles eight cache-resident blocks (560 round trips) rather than
+    // streaming 31 MB from memory. Both codecs must give the same bytes
+    // and the same blocks. The two sides take turns, three rounds each,
+    // so a noisy stretch of the machine lands on both.
+    let mut rng = SplitMix64::new(SEED);
+    let mut value = || (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+    let blocks: Vec<RegionBlock> = (0..8u32)
+        .map(|r| {
+            let mut b = RegionBlock::new(vec![r, r % 7], 5);
+            for i in 0..1000 {
+                let x: [f64; 5] = std::array::from_fn(|_| value());
+                b.push(i, &x, value());
+            }
+            b
+        })
+        .collect();
+    let mut buf = Vec::new();
+    let mut round_trip = |encode: fn(&RegionBlock, &mut Vec<u8>),
+                          decode: fn(&[u8]) -> RegionBlock| {
+        let mut bytes = 0;
+        for b in blocks.iter().cycle().take(560) {
+            buf.clear();
+            encode(b, &mut buf);
+            bytes += buf.len();
+            black_box(decode(&buf));
+        }
+        bytes
+    };
+    let by_lanes: fn(&[u8]) -> RegionBlock = |b| decode_block_v2(b).expect("a block just encoded");
+    println!("block_codec/p=5 covers {} bytes", round_trip(encode_block_v2, by_lanes));
+    for b in &blocks {
+        let (mut lanes, mut values) = (Vec::new(), Vec::new());
+        encode_block_v2(b, &mut lanes);
+        encode_block_by_values(b, &mut values);
+        assert!(lanes == values, "the two encoders disagree");
+        assert!(by_lanes(&lanes) == *b && decode_block_by_values(&lanes) == *b);
+    }
+    let (mut per_value, mut lanes) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        per_value = per_value.min(
+            h.bench("block_codec/p=5/codec=per_value", || {
+                round_trip(encode_block_by_values, decode_block_by_values)
+            })
+            .min_secs(),
+        );
+        lanes = lanes.min(
+            h.bench("block_codec/p=5/codec=lanes", || round_trip(encode_block_v2, by_lanes))
+                .min_secs(),
+        );
+    }
+    ratios.push(("block codec, lanes vs per value (p=5)", per_value / lanes, 1.2));
 
     println!();
     let mut below = 0;

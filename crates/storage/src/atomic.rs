@@ -11,6 +11,11 @@ use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+/// Bytes buffered before a `write` call. Region blocks of tens of KB
+/// went straight through the default 8 KiB buffer, one call per block;
+/// this batches a dozen or more of them into a call.
+const WRITE_BUFFER: usize = 256 << 10;
+
 /// A file that becomes visible at its path only on
 /// [`AtomicFile::commit`].
 pub struct AtomicFile {
@@ -27,7 +32,7 @@ impl AtomicFile {
         name.push(".tmp");
         let tmp = path.with_file_name(name);
         Ok(AtomicFile {
-            out: BufWriter::new(File::create(&tmp)?),
+            out: BufWriter::with_capacity(WRITE_BUFFER, File::create(&tmp)?),
             tmp,
             path: path.to_path_buf(),
         })

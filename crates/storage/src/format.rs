@@ -158,25 +158,32 @@ pub fn decode_header(buf: &[u8]) -> io::Result<Header> {
 
 /// The payload of a block: everything the checksum covers.
 fn encode_block(block: &RegionBlock, out: &mut Vec<u8>) {
+    let (n, p) = (block.n(), block.p as usize);
+    out.reserve(encoded_payload_len(block.region.len(), n, p));
     out.put_u32_le(block.region.len() as u32);
     for &c in &block.region {
         out.put_u32_le(c);
     }
-    out.put_u64_le(block.n() as u64);
+    out.put_u64_le(n as u64);
     out.put_u32_le(block.p);
-    for &id in &block.item_ids {
-        out.put_i64_le(id);
+    // Ids, row-major features and targets fill one span sized up front,
+    // a lane at a time: the disk layout is row-major, so each feature
+    // lane is a strided pass over the rows (the transpose happens here,
+    // not on disk). A block with `p = 0` has no lanes to stride over.
+    let start = out.len();
+    out.resize(start + n * (p + 2) * 8, 0);
+    let (ids, rest) = out[start..].split_at_mut(n * 8);
+    let (rows, targets) = rest.split_at_mut(n * p * 8);
+    for (dst, id) in ids.chunks_exact_mut(8).zip(&block.item_ids) {
+        dst.copy_from_slice(&id.to_le_bytes());
     }
-    // The disk layout is row-major: gather each row across the block's
-    // SoA feature lanes (the transpose happens here, not on disk).
-    let cols = block.cols();
-    for i in 0..block.n() {
-        for col in cols {
-            out.put_f64_le(col[i]);
+    for (j, col) in block.cols().iter().enumerate() {
+        for (row, v) in rows.chunks_exact_mut(p * 8).zip(col) {
+            row[j * 8..j * 8 + 8].copy_from_slice(&v.to_le_bytes());
         }
     }
-    for &t in &block.targets {
-        out.put_f64_le(t);
+    for (dst, t) in targets.chunks_exact_mut(8).zip(&block.targets) {
+        dst.copy_from_slice(&t.to_le_bytes());
     }
 }
 
@@ -208,22 +215,25 @@ fn parse_block(cur: &mut Cursor<'_>) -> io::Result<RegionBlock> {
         _ => return Err(bad("truncated block payload")),
     }
     let item_ids = cur.get_i64_lane(n)?;
-    // An empty block gets no lanes at all — `p` is untrusted here and
-    // must not size an allocation on its own.
-    let feat_bytes = cur.take_span(n * p as usize * 8)?;
-    let mut cols: Vec<Vec<f64>> = if n == 0 {
+    // Each lane is one strided pass over the rows, collected at its
+    // exact size (`p > 0` whenever a lane is collected). An empty block
+    // gets no lanes at all — `p` is untrusted here and must not size an
+    // allocation on its own.
+    let stride = p as usize * 8;
+    let rows = cur.take_span(n * stride)?;
+    let cols: Vec<Vec<f64>> = if n == 0 {
         Vec::new()
     } else {
-        (0..p).map(|_| Vec::with_capacity(n)).collect()
+        (0..p as usize)
+            .map(|j| {
+                rows.chunks_exact(stride)
+                    .map(|row| {
+                        f64::from_le_bytes(row[j * 8..j * 8 + 8].try_into().expect("8 bytes"))
+                    })
+                    .collect()
+            })
+            .collect()
     };
-    let mut values = feat_bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")));
-    for _ in 0..n {
-        for col in cols.iter_mut() {
-            col.push(values.next().expect("span length checked"));
-        }
-    }
     let targets = cur.get_f64_lane(n)?;
     Ok(RegionBlock::from_columns(region, p, item_ids, cols, targets))
 }
@@ -586,6 +596,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-value encoder the lane-at-a-time one replaced: one
+    /// checked `put` per value, each row gathered across the lanes.
+    /// Kept as its byte-for-byte oracle.
+    fn encode_block_by_values(block: &RegionBlock, out: &mut Vec<u8>) {
+        out.put_u32_le(block.region.len() as u32);
+        for &c in &block.region {
+            out.put_u32_le(c);
+        }
+        out.put_u64_le(block.n() as u64);
+        out.put_u32_le(block.p);
+        for &id in &block.item_ids {
+            out.put_i64_le(id);
+        }
+        let cols = block.cols();
+        for i in 0..block.n() {
+            for col in cols {
+                out.put_f64_le(col[i]);
+            }
+        }
+        for &t in &block.targets {
+            out.put_f64_le(t);
+        }
+    }
+
+    /// The per-value decoder the lane-at-a-time one replaced: every row
+    /// pushed value by value into the lanes. Kept as its oracle; takes a
+    /// verified payload, as [`parse_block`] does.
+    fn parse_block_by_values(cur: &mut Cursor<'_>) -> io::Result<RegionBlock> {
+        let arity = cur.get_u32_le()? as usize;
+        if cur.remaining() < arity.saturating_mul(4).saturating_add(12) {
+            return Err(bad("truncated block header"));
+        }
+        let region = cur.get_u32_lane(arity)?;
+        let n = cur.get_u64_le()? as usize;
+        let p = cur.get_u32_le()?;
+        let need = n
+            .checked_mul(16)
+            .and_then(|b| n.checked_mul(p as usize).map(|f| (b, f)))
+            .and_then(|(b, f)| f.checked_mul(8).and_then(|fb| fb.checked_add(b)));
+        match need {
+            Some(need) if cur.remaining() >= need => {}
+            _ => return Err(bad("truncated block payload")),
+        }
+        let item_ids = cur.get_i64_lane(n)?;
+        let feat_bytes = cur.take_span(n * p as usize * 8)?;
+        let mut cols: Vec<Vec<f64>> = if n == 0 {
+            Vec::new()
+        } else {
+            (0..p).map(|_| Vec::with_capacity(n)).collect()
+        };
+        let mut values = feat_bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunks")));
+        for _ in 0..n {
+            for col in cols.iter_mut() {
+                col.push(values.next().expect("span length checked"));
+            }
+        }
+        let targets = cur.get_f64_lane(n)?;
+        Ok(RegionBlock::from_columns(
+            region, p, item_ids, cols, targets,
+        ))
+    }
+
+    /// A value from the corners of `f64`: any bit pattern, a NaN with a
+    /// random payload and sign, −0.0, a subnormal, or an ordinary one.
+    fn awkward_f64(rng: &mut bellwether_prop::Rng) -> f64 {
+        let sign = (rng.next_u64() & 1) << 63;
+        let mantissa = rng.next_u64() & 0x000f_ffff_ffff_ffff;
+        match rng.below(5) {
+            0 => f64::from_bits(rng.next_u64()),
+            1 => f64::from_bits(sign | 0x7ff0_0000_0000_0000 | mantissa | 1),
+            2 => -0.0,
+            3 => f64::from_bits(sign | mantissa),
+            _ => rng.f64_in(-1e6, 1e6),
+        }
+    }
+
+    /// Every lane of a block as bits: NaNs compare by payload.
+    #[allow(clippy::type_complexity)]
+    fn lane_bits(b: &RegionBlock) -> (&[u32], u32, &[i64], Vec<Vec<u64>>, Vec<u64>) {
+        let bits = |lane: &[f64]| lane.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let cols = b.cols().iter().map(|c| bits(c)).collect();
+        (&b.region, b.p, &b.item_ids, cols, bits(&b.targets))
+    }
+
+    #[test]
+    fn lane_codec_matches_the_per_value_oracle_bit_for_bit() {
+        use bellwether_prop::check;
+        check("format/lane_codec_vs_per_value", 3, |rng| {
+            for p in 0..=8u32 {
+                for n in [0usize, 1, 2, 7, 64, 301] {
+                    let region = (0..rng.usize_in(0, 3))
+                        .map(|_| rng.next_u64() as u32)
+                        .collect();
+                    let mut b = RegionBlock::new(region, p);
+                    for _ in 0..n {
+                        let x: Vec<f64> = (0..p).map(|_| awkward_f64(rng)).collect();
+                        let y = awkward_f64(rng);
+                        b.push(rng.next_u64() as i64, &x, y);
+                    }
+                    // Both encoders append after whatever the buffer holds.
+                    let prefix = vec![0xA5; rng.usize_in(0, 3)];
+                    let (mut lanes, mut values) = (prefix.clone(), prefix.clone());
+                    encode_block_v2(&b, &mut lanes);
+                    encode_block_by_values(&b, &mut values);
+                    seal(&mut values, prefix.len());
+                    assert_eq!(lanes, values, "p {p} n {n}: encoded bytes differ");
+
+                    let sealed = &lanes[prefix.len()..];
+                    let decoded = decode_block_v2(sealed).unwrap();
+                    let payload = verify(sealed).unwrap();
+                    let oracle = parse_block_by_values(&mut Cursor::new(payload)).unwrap();
+                    assert_eq!(
+                        lane_bits(&decoded),
+                        lane_bits(&b),
+                        "p {p} n {n}: round trip"
+                    );
+                    assert_eq!(lane_bits(&oracle), lane_bits(&b), "p {p} n {n}: oracle");
+                }
+            }
+        });
     }
 
     /// The original row-major (AoS) decoder, kept verbatim as the

@@ -46,7 +46,8 @@ use std::ffi::OsStr;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
+use std::thread::{self, JoinHandle};
 
 /// File name of the manifest inside a sharded dataset directory.
 pub const MANIFEST_NAME: &str = "manifest.bwsm";
@@ -277,6 +278,13 @@ pub fn even_shard_plan(total: usize, shards: usize) -> Vec<usize> {
 /// a fixed partition plan, then writes the checksummed manifest. Only
 /// one shard's writer is open at a time and blocks are encoded as they
 /// arrive — nothing is ever materialised beyond the block being written.
+///
+/// A closed shard commits (flush, fsync, rename) on a thread of its own
+/// while the caller encodes the next shard's blocks, one commit in
+/// flight at a time: closing the next shard joins it first, and so do
+/// [`ShardedWriter::finish`], before the manifest is written, and `Drop`.
+/// A failed commit is the error of the next [`ShardedWriter::write_region`]
+/// or of `finish`, and after one no manifest is ever written.
 pub struct ShardedWriter {
     dir: PathBuf,
     p: u32,
@@ -287,6 +295,8 @@ pub struct ShardedWriter {
     examples_in_shard: u64,
     current: Option<TrainingWriter>,
     metas: Vec<ShardMeta>,
+    commit: Option<JoinHandle<io::Result<()>>>,
+    commit_failed: bool,
 }
 
 impl ShardedWriter {
@@ -312,6 +322,8 @@ impl ShardedWriter {
             examples_in_shard: 0,
             current: None,
             metas: Vec::new(),
+            commit: None,
+            commit_failed: false,
         })
     }
 
@@ -319,23 +331,55 @@ impl ShardedWriter {
         self.dir.join(shard_file_name(s))
     }
 
-    /// Close the current shard file and record its manifest entry.
+    /// Wait for the commit in flight, if any, and return its error. A
+    /// failure sticks: every later call fails too.
+    fn join_commit(&mut self) -> io::Result<()> {
+        let done = match self.commit.take() {
+            Some(handle) => handle
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("shard commit thread panicked"))),
+            None if self.commit_failed => Err(io::Error::other(
+                "an earlier shard commit failed; the layout has no manifest",
+            )),
+            None => Ok(()),
+        };
+        self.commit_failed |= done.is_err();
+        done
+    }
+
+    /// Close the current shard file, record its manifest entry, and start
+    /// its commit once the previous shard's has landed.
     fn close_shard(&mut self) -> io::Result<()> {
-        let path = self.shard_path(self.shard);
         let writer = match self.current.take() {
             Some(w) => w,
             // A zero-region shard still gets a (valid, empty) file so
             // the manifest never points at a missing path.
-            None => TrainingWriter::create(&path, self.p, self.arity)?,
+            None => TrainingWriter::create(&self.shard_path(self.shard), self.p, self.arity)?,
         };
-        writer.finish()?;
-        let bytes = fs::metadata(&path)?.len();
+        let (file, bytes) = writer.close()?;
         self.metas.push(ShardMeta {
             file: shard_file_name(self.shard),
             regions: self.written_in_shard as u64,
             examples: self.examples_in_shard,
             bytes,
         });
+        self.join_commit()?;
+        // The file comes over a channel so that a failed spawn leaves it
+        // here, to commit inline.
+        let (tx, rx) = mpsc::sync_channel::<AtomicFile>(1);
+        let spawned = thread::Builder::new()
+            .name("shard-commit".into())
+            .spawn(move || rx.recv().map_or(Ok(()), AtomicFile::commit));
+        match spawned {
+            Ok(handle) => {
+                self.commit = Some(handle);
+                if let Err(mpsc::SendError(file)) = tx.send(file) {
+                    self.join_commit()?;
+                    file.commit()?;
+                }
+            }
+            Err(_) => file.commit()?,
+        }
         self.shard += 1;
         self.written_in_shard = 0;
         self.examples_in_shard = 0;
@@ -345,6 +389,9 @@ impl ShardedWriter {
     /// Append the next region of the global scan order; shard files
     /// advance automatically at the plan's boundaries.
     pub fn write_region(&mut self, block: &RegionBlock) -> io::Result<()> {
+        if self.commit_failed || self.commit.as_ref().is_some_and(JoinHandle::is_finished) {
+            self.join_commit()?;
+        }
         // Skip over zero-region shards in the plan.
         while self.shard < self.plan.len() && self.written_in_shard == self.plan[self.shard] {
             self.close_shard()?;
@@ -376,8 +423,9 @@ impl ShardedWriter {
         self.metas.iter().map(|m| m.regions as usize).sum::<usize>() + self.written_in_shard
     }
 
-    /// Finish every remaining shard and write the manifest atomically.
-    /// Fails if fewer regions arrived than the plan promised.
+    /// Finish every remaining shard, wait until every shard is durable,
+    /// and write the manifest atomically. Fails if fewer regions arrived
+    /// than the plan promised, or if any shard's commit failed.
     pub fn finish(mut self) -> io::Result<ShardManifest> {
         while self.shard < self.plan.len() {
             if self.written_in_shard != self.plan[self.shard] {
@@ -391,16 +439,24 @@ impl ShardedWriter {
             }
             self.close_shard()?;
         }
+        self.join_commit()?;
         let manifest = ShardManifest {
             p: self.p,
             arity: self.arity,
             generation: 0,
             examples: self.metas.iter().map(|m| m.examples).sum(),
-            shards: self.metas,
+            shards: std::mem::take(&mut self.metas),
             overlays: Vec::new(),
         };
         manifest.write_atomic(&self.dir.join(MANIFEST_NAME))?;
         Ok(manifest)
+    }
+}
+
+impl Drop for ShardedWriter {
+    /// No commit outlives the writer; its error is dropped with it.
+    fn drop(&mut self) {
+        let _ = self.join_commit();
     }
 }
 
@@ -482,7 +538,8 @@ impl ShardAppender {
         old_examples: fn(&Path, &ShardManifest, &[u64]) -> io::Result<u64>,
     ) -> io::Result<ShardManifest> {
         let writer = self.writer.take().expect("writer lives until finish");
-        writer.finish()?;
+        let (file, bytes) = writer.close()?;
+        file.commit()?;
         let path = self.dir.join(&self.file);
         let mut manifest = self.manifest;
         if self.regions.is_empty() {
@@ -499,7 +556,7 @@ impl ShardAppender {
                 .ok_or_else(|| bad("manifest example total does not cover the blocks it replaces"))?;
             manifest.overlays.push(OverlayMeta {
                 file: self.file.clone(),
-                bytes: fs::metadata(&path)?.len(),
+                bytes,
                 regions: std::mem::take(&mut self.regions),
             });
         }
@@ -870,6 +927,152 @@ mod tests {
         bytes.truncate(bytes.len() - 4);
         seal(&mut bytes, 0);
         bytes
+    }
+
+    /// The layout as it was written before shards committed on a thread
+    /// of their own: each shard finished and committed in turn, its size
+    /// read back from the file system, then the manifest. The byte oracle
+    /// of [`ShardedWriter`].
+    fn write_sharded_synchronously(
+        dir: &Path,
+        plan: &[usize],
+        blocks: &[RegionBlock],
+    ) -> ShardManifest {
+        let mut blocks = blocks.iter();
+        let mut shards = Vec::new();
+        for (s, &regions) in plan.iter().enumerate() {
+            let path = dir.join(shard_file_name(s));
+            let mut w = TrainingWriter::create(&path, 2, 1).unwrap();
+            let mut examples = 0;
+            for b in blocks.by_ref().take(regions) {
+                w.write_region(b).unwrap();
+                examples += b.n() as u64;
+            }
+            w.finish().unwrap();
+            shards.push(ShardMeta {
+                file: shard_file_name(s),
+                regions: regions as u64,
+                examples,
+                bytes: fs::metadata(&path).unwrap().len(),
+            });
+        }
+        let manifest = ShardManifest {
+            p: 2,
+            arity: 1,
+            generation: 0,
+            examples: shards.iter().map(|m| m.examples).sum(),
+            shards,
+            overlays: Vec::new(),
+        };
+        manifest.write_atomic(&dir.join(MANIFEST_NAME)).unwrap();
+        manifest
+    }
+
+    /// Every file of `dir` by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn layouts_and_overlays_match_the_synchronous_oracle_byte_for_byte() {
+        for (case, plan) in [vec![4, 4, 3], vec![3, 0, 5, 1, 0], vec![0], vec![9]]
+            .into_iter()
+            .enumerate()
+        {
+            let total = plan.iter().sum::<usize>();
+            let blocks: Vec<RegionBlock> =
+                (0..total).map(|r| block(r as u32, 1 + r * 7 % 5)).collect();
+            let (threaded, oracle) = (
+                tmp_dir(&format!("ident-{case}")),
+                tmp_dir(&format!("oracle-{case}")),
+            );
+            let mut w = ShardedWriter::create(&threaded, 2, 1, plan.clone()).unwrap();
+            for b in &blocks {
+                w.write_region(b).unwrap();
+            }
+            let manifest = w.finish().unwrap();
+            assert_eq!(
+                manifest,
+                write_sharded_synchronously(&oracle, &plan, &blocks)
+            );
+            assert_eq!(dir_bytes(&threaded), dir_bytes(&oracle), "plan {plan:?}");
+            for meta in &manifest.shards {
+                assert_eq!(
+                    meta.bytes,
+                    fs::metadata(threaded.join(&meta.file)).unwrap().len()
+                );
+            }
+
+            // One append over each: the overlay's size is the writer's
+            // count, and both layouts stay byte-identical.
+            if total > 0 {
+                for dir in [&threaded, &oracle] {
+                    let mut app = ShardAppender::open(dir).unwrap();
+                    app.write_region(total / 2, &block(900, 6)).unwrap();
+                    app.write_region(total - 1, &block(901, 2)).unwrap();
+                    let appended = app.finish().unwrap();
+                    let overlay = &appended.overlays[0];
+                    assert_eq!(
+                        overlay.bytes,
+                        fs::metadata(dir.join(&overlay.file)).unwrap().len()
+                    );
+                }
+                assert_eq!(
+                    dir_bytes(&threaded),
+                    dir_bytes(&oracle),
+                    "plan {plan:?} appended"
+                );
+            }
+            fs::remove_dir_all(&threaded).ok();
+            fs::remove_dir_all(&oracle).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_shard_commit_fails_the_writer_and_no_manifest_is_written() {
+        let dir = tmp_dir("commit-fails");
+        // A non-empty directory where shard 0 goes: its rename fails.
+        fs::create_dir_all(dir.join(shard_file_name(0))).unwrap();
+        fs::write(dir.join(shard_file_name(0)).join("keep"), b"x").unwrap();
+        let mut w = ShardedWriter::create(&dir, 2, 1, vec![2, 2, 2]).unwrap();
+        let writes: Vec<io::Result<()>> = (0..6).map(|r| w.write_region(&block(r, 40))).collect();
+        // Shard 0 closes in the third write, so no earlier one can know.
+        assert!(writes[..3].iter().all(Result::is_ok));
+        // Once a write has failed, every later one does too.
+        if let Some(first) = writes.iter().position(Result::is_err) {
+            assert!(writes[first..].iter().all(Result::is_err));
+        }
+        assert!(w.finish().is_err(), "finish published over a failed commit");
+        assert!(!dir.join(MANIFEST_NAME).exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dropping_an_unfinished_writer_joins_its_commit() {
+        for round in 0..4 {
+            let dir = tmp_dir(&format!("drop-{round}"));
+            let mut w = ShardedWriter::create(&dir, 2, 1, vec![3, 3]).unwrap();
+            for r in 0..4 {
+                w.write_region(&block(r, 2000)).unwrap();
+            }
+            drop(w);
+            // Shard 0 has landed and nothing is still writing into the
+            // directory: it removes whole, and stays removed.
+            assert!(dir.join(shard_file_name(0)).exists());
+            fs::remove_dir_all(&dir).unwrap();
+            assert!(!dir.exists());
+        }
     }
 
     #[test]

@@ -100,11 +100,18 @@ impl TrainingWriter {
 
     /// Write the index and footer and commit the file: only then can a
     /// reader observe it — and then always in full.
-    pub fn finish(mut self) -> io::Result<()> {
+    pub fn finish(self) -> io::Result<()> {
+        self.close()?.0.commit()
+    }
+
+    /// Write the index and footer, and hand back the file, not yet
+    /// committed, with its length in bytes: whoever holds it decides
+    /// when [`AtomicFile::commit`] runs.
+    pub(crate) fn close(mut self) -> io::Result<(AtomicFile, u64)> {
         self.buf.clear();
         encode_index(&self.entries, self.arity, self.offset, &mut self.buf);
         self.out.write_all(&self.buf)?;
-        self.out.commit()
+        Ok((self.out, self.offset + self.buf.len() as u64))
     }
 }
 
