@@ -375,10 +375,9 @@ pub fn global_target(db: &StarDatabase, column: &str, func: AggFunc) -> Result<H
             values: db.fact_values(column, func)?,
         }],
     };
-    Ok(aggregate_filtered(&input, 0, |_| true)?
-        .into_iter()
-        .filter_map(|(id, target)| Some((id, target[0]?)))
-        .collect())
+    let tau = aggregate_filtered(&input, 0, |_| true)?;
+    let ids = tau.item_ids().iter().enumerate();
+    Ok(ids.filter_map(|(at, &id)| Some((id, tau.lane(0).get(at)?))).collect())
 }
 
 #[cfg(test)]

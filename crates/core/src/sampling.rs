@@ -8,11 +8,12 @@
 //! unstructured acquisition achieves versus the bellwether.
 
 use crate::error::{BellwetherError, Result};
+use crate::eval::RegionEvalScratch;
 use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
 use crate::seeded::seeded_rng;
+use crate::training::{columns_block, target_lane};
 use bellwether_cube::{aggregate_filtered, CostModel, CubeInput, Dimension, RegionId, RegionSpace};
-use bellwether_linreg::{EvalScratch, RegressionData};
 use std::collections::HashMap;
 
 /// Mean error of the random-collection baseline over `trials` draws.
@@ -41,9 +42,10 @@ pub fn sampling_baseline_error(
     let all_regions = space.all_regions();
     let mut rng = seeded_rng(seed);
     let mut errors = Vec::new();
-    // One engine scratch across trials: the per-trial estimate reuses
-    // the fold/Gram buffers instead of reallocating them.
-    let mut scratch = EvalScratch::new();
+    // One scratch across trials: the per-trial gather and estimate reuse
+    // the dataset and fold/Gram buffers instead of reallocating them.
+    let mut scratch = RegionEvalScratch::new();
+    let tau = target_lane(items, targets);
 
     for _ in 0..trials {
         // Draw a random affordable collection of regions.
@@ -63,33 +65,21 @@ pub fn sampling_baseline_error(
             continue;
         }
 
-        // Aggregate features over the union of the collection's cells.
+        // Aggregate features over the union of the collection's cells,
+        // and assemble them as any region's training block is.
         let features = aggregate_filtered(cube_input, space.arity(), |cell| {
             let cell = RegionId(cell.to_vec());
             chosen.iter().any(|r| space.contains(r, &cell))
         })?;
-
-        // Assemble a training set with the standard layout.
-        let n_static = items.numeric_attrs().len();
-        let p = 1 + n_static + cube_input.measures.len();
-        let mut data = RegressionData::with_capacity(p, features.len());
-        let mut ids: Vec<i64> = features.keys().copied().collect();
-        ids.sort_unstable();
-        let mut x = Vec::with_capacity(p);
-        for id in ids {
-            let (Some(&y), Some(statics)) = (targets.get(&id), items.static_features(id)) else {
-                continue;
-            };
-            x.clear();
-            x.push(1.0);
-            x.extend_from_slice(&statics);
-            x.extend(features[&id].iter().map(|v| v.unwrap_or(0.0)));
-            data.push(&x, y);
-        }
-        if data.n() < config.min_examples {
+        let n_measures = cube_input.measures.len();
+        let block = columns_block(Vec::new(), Some(&features), n_measures, items, |row, _| {
+            tau.get(row as usize)
+        });
+        if block.n() < config.min_examples {
             continue;
         }
-        if let Some(e) = config.error_measure.estimate_with(&data, &mut scratch) {
+        scratch.gather(&block, None);
+        if let Some(e) = scratch.estimate(config) {
             errors.push(e.value);
         }
     }
@@ -104,6 +94,7 @@ pub fn sampling_baseline_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::items::NumericAttr;
     use crate::problem::ErrorMeasure;
     use bellwether_cube::{Dimension, Hierarchy, Measure, UniformCellCost};
     use bellwether_table::ops::AggFunc;
@@ -147,6 +138,143 @@ mod tests {
         let items = ItemTable::from_table(&table, "id", &[], &[]).unwrap();
         let targets: HashMap<i64, f64> = (0..n).map(|i| (i, 10.0 * i as f64)).collect();
         (space, input, items, targets)
+    }
+
+    /// The baseline as it assembled its trials before it went through
+    /// `columns_block`: the filtered aggregates as a row map, its keys
+    /// re-sorted, a target probe and a static-feature vector per item, and
+    /// one `push` per example. The oracle of
+    /// `sampling_matches_its_row_assembly_oracle_bit_for_bit`.
+    #[allow(clippy::too_many_arguments)]
+    fn sampling_by_rows(
+        space: &RegionSpace,
+        cube_input: &CubeInput,
+        items: &ItemTable,
+        targets: &HashMap<i64, f64>,
+        cost_model: &dyn CostModel,
+        config: &BellwetherConfig,
+        trials: usize,
+        seed: u64,
+    ) -> Option<f64> {
+        let all_regions = space.all_regions();
+        let mut rng = seeded_rng(seed);
+        let mut errors = Vec::new();
+        let mut scratch = bellwether_linreg::EvalScratch::new();
+        for _ in 0..trials {
+            let mut order: Vec<usize> = (0..all_regions.len()).collect();
+            rng.shuffle(&mut order);
+            let mut chosen: Vec<&RegionId> = Vec::new();
+            let mut spent = 0.0;
+            for idx in order {
+                let c = cost_model.cost(space, &all_regions[idx]);
+                if spent + c <= config.budget {
+                    spent += c;
+                    chosen.push(&all_regions[idx]);
+                }
+            }
+            if chosen.is_empty() {
+                continue;
+            }
+            let cols = aggregate_filtered(cube_input, space.arity(), |cell| {
+                let cell = RegionId(cell.to_vec());
+                chosen.iter().any(|r| space.contains(r, &cell))
+            })
+            .unwrap();
+            let n_measures = cube_input.measures.len();
+            let features: HashMap<i64, Vec<Option<f64>>> = (cols.item_ids().iter().enumerate())
+                .map(|(at, &id)| (id, (0..n_measures).map(|m| cols.lane(m).get(at)).collect()))
+                .collect();
+            let p = 1 + items.numeric_attrs().len() + n_measures;
+            let mut data = bellwether_linreg::RegressionData::with_capacity(p, features.len());
+            let mut ids: Vec<i64> = features.keys().copied().collect();
+            ids.sort_unstable();
+            let mut x = Vec::with_capacity(p);
+            for id in ids {
+                let (Some(&y), Some(statics)) = (targets.get(&id), items.static_features(id)) else {
+                    continue;
+                };
+                x.clear();
+                x.push(1.0);
+                x.extend_from_slice(&statics);
+                x.extend(features[&id].iter().map(|v| v.unwrap_or(0.0)));
+                data.push(&x, y);
+            }
+            if data.n() < config.min_examples {
+                continue;
+            }
+            if let Some(e) = config.error_measure.estimate_with(&data, &mut scratch) {
+                errors.push(e.value);
+            }
+        }
+        (!errors.is_empty()).then(|| errors.iter().sum::<f64>() / errors.len() as f64)
+    }
+
+    /// Random facts over `T × L`: items the item table lacks, items with
+    /// no target, NULL and `-0.0` aggregates, `-0.0` targets, and two
+    /// static features, under both error measures and a range of budgets.
+    #[test]
+    fn sampling_matches_its_row_assembly_oracle_bit_for_bit() {
+        bellwether_prop::check("sampling = row assembly", 24, |rng| {
+            let space = RegionSpace::new(vec![
+                Dimension::Interval { name: "T".into(), max_t: 3 },
+                Dimension::Hierarchy(Hierarchy::flat("L", "All", &["a", "b", "c"])),
+            ]);
+            let pool: Vec<i64> = (0..rng.i64_in(8, 40)).map(|i| 5 * i - 30).collect();
+            let rows = rng.usize_in(20, 400);
+            let value = |rng: &mut bellwether_prop::Rng| {
+                let v = if rng.flip(0.05) { -0.0 } else { rng.f64_in(-50.0, 50.0) };
+                (!rng.flip(0.1)).then_some(v)
+            };
+            let (mut ids, mut coords, mut sums, mut maxes) = (vec![], vec![], vec![], vec![]);
+            for _ in 0..rows {
+                ids.push(*rng.choice(&pool));
+                coords.extend([rng.u32_in(0, 3), rng.u32_in(1, 4)]);
+                sums.push(value(rng));
+                maxes.push(value(rng));
+            }
+            let numeric = |name: &str, func, values: Vec<Option<f64>>| Measure::Numeric {
+                name: name.into(),
+                func,
+                values: values.into_iter().collect(),
+            };
+            let input = CubeInput {
+                item_ids: ids,
+                coords,
+                measures: vec![numeric("s", AggFunc::Sum, sums), numeric("m", AggFunc::Max, maxes)],
+            };
+            // The table skips every fourth pool item and holds one the facts never name.
+            let known: Vec<i64> =
+                pool.iter().copied().filter(|id| id % 4 != 1).chain([999]).collect();
+            let attr = |name: &str, rng: &mut bellwether_prop::Rng| NumericAttr {
+                name: name.into(),
+                values: known.iter().map(|_| rng.f64_in(-3.0, 3.0)).collect(),
+            };
+            let numeric_attrs = vec![attr("u", rng), attr("v", rng)];
+            let items = ItemTable::from_parts(known.clone(), numeric_attrs, vec![]).unwrap();
+            let targets: HashMap<i64, f64> = pool
+                .iter()
+                .filter_map(|&id| {
+                    let y = if rng.flip(0.05) { -0.0 } else { rng.f64_in(-500.0, 500.0) };
+                    (!rng.flip(0.15)).then_some((id, y))
+                })
+                .collect();
+            let cost = UniformCellCost { rate: 1.0 };
+            let cv = ErrorMeasure::CrossValidation { folds: 3, seed: 9 };
+            for measure in [ErrorMeasure::TrainingSet, cv] {
+                let budget = rng.f64_in(1.0, 12.0);
+                let cfg = BellwetherConfig::builder(budget)
+                    .min_examples(4)
+                    .error_measure(measure)
+                    .build()
+                    .unwrap();
+                let seed = rng.u32_in(0, 1000) as u64;
+                let got =
+                    sampling_baseline_error(&space, &input, &items, &targets, &cost, &cfg, 6, seed);
+                let want = sampling_by_rows(&space, &input, &items, &targets, &cost, &cfg, 6, seed);
+                let bits = |e: Option<f64>| e.map(f64::to_bits);
+                assert_eq!(bits(got.unwrap()), bits(want), "{measure:?}, budget {budget}");
+            }
+        });
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! is **bit-identical** to running [`basic_search`] cold over a layout
 //! built from the concatenated input: the delta cube is bit-identical
 //! by construction (see `bellwether-cube`'s `delta` module), the block
-//! assembly is the same [`region_block`] call, and the re-score *is*
+//! assembly is the same [`region_block_lane`] call, and the re-score *is*
 //! `basic_search`'s scan and its `(error, source index)` argmin, not a
 //! copy of them. Regions *not* in the dirty set keep their previous
 //! report, which is bit-identical to what a cold pass would recompute
@@ -39,13 +39,14 @@ use bellwether_obs::names;
 use bellwether_storage::{
     even_shard_plan, CachedSource, ShardAppender, ShardedSource, ShardedWriter,
 };
+use bellwether_table::ColumnData;
 
 use crate::basic::{basic_search, evaluate_regions, min_error, BasicSearchResult, RegionReport};
 use crate::error::{BellwetherError, Result};
 use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
 use crate::scan::merge_skipped;
-use crate::training::region_block;
+use crate::training::{region_block_lane, target_lane};
 
 /// One argmin flip: the bellwether changed identity after an append.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +96,8 @@ pub struct StreamingBellwether {
     space: RegionSpace,
     cube: StreamingCube,
     items: ItemTable,
-    targets: HashMap<i64, f64>,
+    /// τ over `items`' rows ([`target_lane`]).
+    tau: ColumnData<f64>,
     regions: Vec<RegionId>,
     region_index: HashMap<RegionId, usize>,
     cost_model: Arc<dyn CostModel + Send + Sync>,
@@ -154,8 +156,9 @@ impl StreamingBellwether {
         let p = (1 + n_static + cube.result().measure_names.len()) as u32;
         let plan = even_shard_plan(regions.len(), n_shards);
         let mut writer = ShardedWriter::create(dir, p, space.arity() as u32, plan)?;
+        let tau = target_lane(&items, &targets);
         for region in &regions {
-            writer.write_region(&region_block(cube.result(), region, &items, &targets))?;
+            writer.write_region(&region_block_lane(cube.result(), region, &items, &tau))?;
         }
         writer.finish()?;
 
@@ -182,7 +185,7 @@ impl StreamingBellwether {
             space: space.clone(),
             cube,
             items,
-            targets,
+            tau,
             regions,
             region_index,
             cost_model,
@@ -276,12 +279,8 @@ impl StreamingBellwether {
         // appender enforces it); `dirty` is sorted.
         let mut appender = ShardAppender::open(&self.dir)?;
         for &idx in dirty {
-            let block = region_block(
-                self.cube.result(),
-                &self.regions[idx],
-                &self.items,
-                &self.targets,
-            );
+            let region = &self.regions[idx];
+            let block = region_block_lane(self.cube.result(), region, &self.items, &self.tau);
             appender.write_region(idx, &block)?;
         }
         appender.finish()?;

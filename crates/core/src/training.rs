@@ -13,51 +13,92 @@
 use crate::error::Result;
 use crate::items::{ItemTable, NO_ITEM};
 use bellwether_cube::parallel::{fork_join, split_point};
-use bellwether_cube::{CubeResult, Parallelism, RegionId, RegionSpace};
+use bellwether_cube::{CubeResult, Parallelism, RegionColumns, RegionId, RegionSpace};
 use bellwether_storage::{MemorySource, RegionBlock, TrainingWriter};
+use bellwether_table::ColumnData;
 use std::collections::HashMap;
 use std::path::Path;
 
-/// Assemble one region's training block from the cube result.
+/// τ as a lane over `items`' rows: slot `row` holds the target of
+/// `items.ids()[row]`, NULL where τ has none. Resolve it once, then hand
+/// it to [`region_block_lane`] for every region.
+pub fn target_lane(items: &ItemTable, targets: &HashMap<i64, f64>) -> ColumnData<f64> {
+    items.ids().iter().map(|id| targets.get(id).copied()).collect()
+}
+
+/// Assemble one region's training block from the cube result, with τ as
+/// [`target_lane`]'s lane over `items` (panics if it has another length).
 ///
-/// Items included are those with data in the region *and* a known target
-/// (the paper's `I_r`, intersected with τ's domain), ascending by id as
-/// the region's id lane is; every feature lane is one gather over them.
+/// Items included are those with data in the region, in the item table
+/// *and* with a target (the paper's `I_r`, intersected with τ's domain),
+/// ascending by id as the region's id lane is; every feature lane and τ
+/// are one gather over them.
+pub fn region_block_lane(
+    cube: &CubeResult,
+    region: &RegionId,
+    items: &ItemTable,
+    tau: &ColumnData<f64>,
+) -> RegionBlock {
+    assert_eq!(tau.values.len(), items.len(), "τ's lane is over the item table's rows");
+    let (cols, n_measures) = (cube.regions.get(region).map(|c| &**c), cube.measure_names.len());
+    columns_block(region.0.clone(), cols, n_measures, items, |row, _| tau.get(row as usize))
+}
+
+/// [`region_block_lane`] with τ as a map, probed once per (region, item).
+/// For a caller that holds only the map; any other resolves
+/// [`target_lane`] once.
 pub fn region_block(
     cube: &CubeResult,
     region: &RegionId,
     items: &ItemTable,
     targets: &HashMap<i64, f64>,
 ) -> RegionBlock {
+    let (cols, n_measures) = (cube.regions.get(region).map(|c| &**c), cube.measure_names.len());
+    columns_block(region.0.clone(), cols, n_measures, items, |_, id| targets.get(&id).copied())
+}
+
+/// The one assembly of training rows from a region's columns (`None`: no
+/// item has data there): `[1, statics…, measures…]` over the items of the
+/// id lane that `items` holds and `tau` gives a target, looked up by item
+/// table row and id. A NULL aggregate reads as its lane's `+0.0`.
+pub(crate) fn columns_block(
+    coords: Vec<u32>,
+    cols: Option<&RegionColumns>,
+    n_measures: usize,
+    items: &ItemTable,
+    tau: impl Fn(u32, i64) -> Option<f64>,
+) -> RegionBlock {
     let statics = items.numeric_attrs();
-    let p = 1 + statics.len() + cube.measure_names.len();
-    let Some(cols) = cube.regions.get(region) else {
-        return RegionBlock::new(region.0.clone(), p as u32);
+    let p = (1 + statics.len() + n_measures) as u32;
+    let Some(cols) = cols else {
+        return RegionBlock::new(coords, p);
     };
     let ids = cols.item_ids();
     let mut rows = Vec::new();
     items.index().resolve_into(ids, &mut rows);
     // The examples: where in the id lane, and the target.
     let kept: Vec<(usize, f64)> = (0..ids.len())
-        .filter(|&at| rows[at] != NO_ITEM)
-        .filter_map(|at| Some((at, *targets.get(&ids[at])?)))
+        .filter_map(|at| match rows[at] {
+            NO_ITEM => None,
+            row => Some((at, tau(row, ids[at])?)),
+        })
         .collect();
     if kept.is_empty() {
-        return RegionBlock::new(region.0.clone(), p as u32);
+        return RegionBlock::new(coords, p);
     }
     fn gather(kept: &[(usize, f64)], lane: impl Fn(usize) -> f64) -> Vec<f64> {
         kept.iter().map(|&(at, _)| lane(at)).collect()
     }
-    let mut lanes = Vec::with_capacity(p);
+    let mut lanes = Vec::with_capacity(p as usize);
     lanes.push(vec![1.0; kept.len()]);
     lanes.extend(statics.iter().map(|a| gather(&kept, |at| a.values[rows[at] as usize])));
-    lanes.extend((0..cube.measure_names.len()).map(|m| {
+    lanes.extend((0..n_measures).map(|m| {
         let lane = cols.values(m);
         gather(&kept, |at| lane[at])
     }));
     let item_ids = kept.iter().map(|&(at, _)| ids[at]).collect();
     let ys = kept.iter().map(|&(_, y)| y).collect();
-    RegionBlock::from_columns(region.0.clone(), p as u32, item_ids, lanes, ys)
+    RegionBlock::from_columns(coords, p, item_ids, lanes, ys)
 }
 
 /// Build an in-memory entire-training-data source over `regions`
@@ -71,33 +112,21 @@ pub fn build_memory_source(
     items: &ItemTable,
     targets: &HashMap<i64, f64>,
 ) -> MemorySource {
+    let tau = target_lane(items, targets);
     let threads = Parallelism::default().threads_for(regions.len());
     let cut = |w| split_point(regions.len() as u64, w, threads) as usize;
     let blocks = fork_join(threads, |w| {
         regions[cut(w)..cut(w + 1)]
             .iter()
-            .map(|r| region_block(cube, r, items, targets))
+            .map(|r| region_block_lane(cube, r, items, &tau))
             .collect::<Vec<_>>()
     });
     MemorySource::new(blocks.into_iter().flatten().collect())
 }
 
 /// Write the entire training data to disk (for the efficiency
-/// experiments, where every region request must hit the file).
-pub fn write_disk_source(
-    path: &Path,
-    cube: &CubeResult,
-    regions: &[RegionId],
-    space: &RegionSpace,
-    items: &ItemTable,
-    targets: &HashMap<i64, f64>,
-) -> Result<()> {
-    let unread = bellwether_obs::Registry::new();
-    write_disk_source_in_registry(path, cube, regions, space, items, targets, &unread)
-}
-
-/// Like [`write_disk_source`], but the writer reports
-/// `storage/regions_written` and `storage/bytes_written` into
+/// experiments, where every region request must hit the file). The writer
+/// reports `storage/regions_written` and `storage/bytes_written` into
 /// `registry`.
 pub fn write_disk_source_in_registry(
     path: &Path,
@@ -112,8 +141,9 @@ pub fn write_disk_source_in_registry(
     let p = (1 + n_static + cube.measure_names.len()) as u32;
     let mut writer =
         TrainingWriter::create_with_registry(path, p, space.arity() as u32, registry)?;
+    let tau = target_lane(items, targets);
     for r in regions {
-        writer.write_region(&region_block(cube, r, items, targets))?;
+        writer.write_region(&region_block_lane(cube, r, items, &tau))?;
     }
     writer.finish()?;
     Ok(())
@@ -172,9 +202,9 @@ mod tests {
     fn block_layout_and_membership() {
         let c = cube();
         let it = items();
-        let t = targets();
+        let t = target_lane(&it, &targets());
         // [1-2, All] (coords [1, 0]) covers both items.
-        let b = region_block(&c, &RegionId(vec![1, 0]), &it, &t);
+        let b = region_block_lane(&c, &RegionId(vec![1, 0]), &it, &t);
         assert_eq!(b.p, 3); // intercept + rd + profit
         assert_eq!(b.n(), 2);
         assert_eq!(b.item_ids, vec![1, 2]); // sorted
@@ -182,7 +212,7 @@ mod tests {
         assert_eq!(b.row(1), &[1.0, 1.5, 8.0]);
         assert_eq!(b.y(1), 200.0);
         // [1-1, a] covers only item 1.
-        let b = region_block(&c, &RegionId(vec![0, 1]), &it, &t);
+        let b = region_block_lane(&c, &RegionId(vec![0, 1]), &it, &t);
         assert_eq!(b.n(), 1);
         assert_eq!(b.row(0), &[1.0, 0.5, 4.0]);
     }
@@ -193,7 +223,7 @@ mod tests {
         let it = items();
         let mut t = targets();
         t.remove(&2);
-        let b = region_block(&c, &RegionId(vec![1, 0]), &it, &t);
+        let b = region_block_lane(&c, &RegionId(vec![1, 0]), &it, &target_lane(&it, &t));
         assert_eq!(b.item_ids, vec![1]);
     }
 
@@ -215,7 +245,8 @@ mod tests {
         let t = targets();
         let mem = build_memory_source(&c, &regions, &it, &t);
         let path = std::env::temp_dir().join("bw_training_rt.bwtd");
-        write_disk_source(&path, &c, &regions, &space(), &it, &t).unwrap();
+        let reg = bellwether_obs::Registry::new();
+        write_disk_source_in_registry(&path, &c, &regions, &space(), &it, &t, &reg).unwrap();
         let disk = bellwether_storage::DiskSource::open(&path).unwrap();
         for i in 0..2 {
             assert_eq!(disk.read_region(i).unwrap(), mem.read_region(i).unwrap());
@@ -226,7 +257,8 @@ mod tests {
     #[test]
     fn subset_filtering() {
         let c = cube();
-        let b = region_block(&c, &RegionId(vec![1, 0]), &items(), &targets());
+        let it = items();
+        let b = region_block_lane(&c, &RegionId(vec![1, 0]), &it, &target_lane(&it, &targets()));
         let mut rows = crate::eval::RegionEvalScratch::new();
         rows.gather(&b, Some(&ItemIndex::new(&[2])));
         assert_eq!(rows.data.n(), 1);

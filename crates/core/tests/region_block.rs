@@ -1,16 +1,18 @@
-//! `region_block` against the assembly it replaced.
+//! `region_block` against the assembly it replaced, and its two forms
+//! against each other.
 //!
 //! [`region_block_by_rows`] is the former body, kept here as the oracle:
 //! collect the region's items, sort them by id, probe the target map and
 //! the item table per item, push each example row by row. The lane-copy
-//! `region_block` must produce byte-identical `.bwtd` blocks.
+//! assembly must produce byte-identical `.bwtd` blocks whether τ is the
+//! item-indexed lane (`region_block_lane`) or the map (`region_block`).
 
-use bellwether_core::training::region_block;
+use bellwether_core::training::{region_block, region_block_lane, target_lane};
 use bellwether_core::items::NumericAttr;
 use bellwether_core::{build_cube_input, global_target, ItemTable};
 use bellwether_cube::{
-    cube_pass, cube_pass_external, CubeInput, CubeResult, NoopRecorder, Parallelism, RegionColumns,
-    RegionId, Row,
+    aggregate_filtered, cube_pass, cube_pass_external, CubeInput, CubeResult, Measure,
+    NoopRecorder, Parallelism, RegionColumns, RegionId, Row,
 };
 use bellwether_datagen::{build_stream_workload, generate_retail, RetailConfig, StreamConfig};
 use bellwether_storage::format::encode_block_v2;
@@ -49,8 +51,25 @@ fn region_block_by_rows(
     block
 }
 
-/// Both assemblies over `regions`, compared as encoded bytes; returns the
-/// examples seen.
+/// A region's columns holding exactly `rows` (one per item, `measures`
+/// aggregates each): every item one fact row, folded by MAX, which copies
+/// a lone value bit for bit and leaves a NULL one NULL.
+fn columns(rows: &[(i64, Vec<Option<f64>>)], measures: usize) -> Arc<RegionColumns> {
+    let lane = |m: usize| Measure::Numeric {
+        name: format!("m{m}"),
+        func: AggFunc::Max,
+        values: rows.iter().map(|(_, v)| v[m]).collect(),
+    };
+    let input = CubeInput {
+        item_ids: rows.iter().map(|&(id, _)| id).collect(),
+        coords: Vec::new(),
+        measures: (0..measures).map(lane).collect(),
+    };
+    Arc::new(aggregate_filtered(&input, 0, |_| true).unwrap())
+}
+
+/// The lane form, the map form and the row oracle over `regions`,
+/// compared as encoded bytes; returns the examples seen.
 fn assert_same_blocks(
     cube: &CubeResult,
     regions: &[RegionId],
@@ -58,15 +77,20 @@ fn assert_same_blocks(
     targets: &HashMap<i64, f64>,
     what: &str,
 ) -> usize {
-    let (mut got, mut want) = (Vec::new(), Vec::new());
+    let tau = target_lane(items, targets);
+    let bytes = |block: &RegionBlock| {
+        let mut out = Vec::new();
+        encode_block_v2(block, &mut out);
+        out
+    };
     let mut examples = 0;
     for region in regions {
-        let block = region_block(cube, region, items, targets);
-        got.clear();
-        want.clear();
-        encode_block_v2(&block, &mut got);
-        encode_block_v2(&region_block_by_rows(cube, region, items, targets), &mut want);
-        assert_eq!(got, want, "{what}: {region:?}");
+        let block = region_block_lane(cube, region, items, &tau);
+        let got = bytes(&block);
+        let map = region_block(cube, region, items, targets);
+        assert_eq!(got, bytes(&map), "{what}: map form, {region:?}");
+        let rows = region_block_by_rows(cube, region, items, targets);
+        assert_eq!(got, bytes(&rows), "{what}: {region:?}");
         examples += block.n();
     }
     examples
@@ -126,7 +150,7 @@ fn corner_cases_are_byte_equal() {
     let targets: HashMap<i64, f64> =
         [(30, 300.0), (-7, -0.0), (1 << 40, 1e300), (10, 100.0), (40, 400.0), (50, 500.0)].into();
     let region = |rows: &[(i64, [Option<f64>; 2])]| {
-        Arc::new(RegionColumns::from_rows(rows.iter().map(|&(id, v)| (id, v.to_vec())).collect()))
+        columns(&rows.iter().map(|&(id, v)| (id, v.to_vec())).collect::<Vec<_>>(), 2)
     };
     let cube = CubeResult {
         measure_names: vec!["a".into(), "b".into()],
@@ -158,4 +182,58 @@ fn corner_cases_are_byte_equal() {
     assert_eq!(bits(block.col(2)), bits(&[0.0, 1.0, -0.0, f64::MIN_POSITIVE]), "NULL is +0.0");
     assert_eq!(bits(block.col(3)), bits(&[0.0, 0.0, f64::NAN, -1e-300]));
     assert_eq!(bits(&block.targets), bits(&[-0.0, 100.0, 300.0, 1e300]));
+}
+
+/// Random cubes over a random item pool: items the table lacks and items
+/// it holds that no region names, items without τ, NULL aggregates,
+/// `-0.0` and NaN values and targets, empty regions and regions outside
+/// the result.
+#[test]
+fn lane_and_map_forms_agree_on_random_cubes() {
+    bellwether_prop::check("region_block lane = map", 64, |rng| {
+        let pool: Vec<i64> = (0..rng.i64_in(1, 40)).map(|i| 3 * i - 20).collect();
+        let special = [0.0, -0.0, f64::NAN, f64::from_bits(0x7ff8_0000_0000_beef), 1e300];
+        let value = |rng: &mut bellwether_prop::Rng| {
+            if rng.flip(0.2) {
+                *rng.choice(&special)
+            } else {
+                rng.f64_in(-100.0, 100.0)
+            }
+        };
+        let mut table_ids = vec![1000, -1000];
+        let mut targets = HashMap::from([(1000, value(rng))]);
+        for &id in &pool {
+            if !rng.flip(0.2) {
+                table_ids.push(id);
+            }
+            if !rng.flip(0.2) {
+                targets.insert(id, value(rng));
+            }
+        }
+        rng.shuffle(&mut table_ids);
+        let attrs = (0..rng.usize_in(0, 3))
+            .map(|a| NumericAttr {
+                name: format!("s{a}"),
+                values: table_ids.iter().map(|_| value(rng)).collect(),
+            })
+            .collect();
+        let items = ItemTable::from_parts(table_ids, attrs, vec![]).unwrap();
+        let measures = rng.usize_in(0, 4);
+        let n_regions = rng.u32_in(1, 6);
+        let mut regions = HashMap::new();
+        for r in 0..n_regions {
+            let mut rows = Vec::new();
+            for &id in pool.iter().filter(|_| rng.flip(0.6)).collect::<Vec<_>>() {
+                rows.push((id, (0..measures).map(|_| (!rng.flip(0.2)).then(|| value(rng))).collect()));
+            }
+            rng.shuffle(&mut rows);
+            regions.insert(RegionId(vec![r, 0]), columns(&rows, measures));
+        }
+        let cube = CubeResult {
+            measure_names: (0..measures).map(|m| format!("m{m}")).collect(),
+            regions,
+        };
+        let asked: Vec<RegionId> = (0..=n_regions).map(|r| RegionId(vec![r, 0])).collect();
+        assert_same_blocks(&cube, &asked, &items, &targets, "random");
+    });
 }

@@ -1,61 +1,44 @@
 //! The shape a region leaves the CUBE pass in: one ascending item-id lane
-//! and, per measure, one flat value lane with its validity bitmap — the
-//! layout the rollup's running tables already hold, and the one a
-//! training block is copied from lane by lane.
+//! and, per measure, one value lane with its validity bitmap — the
+//! [`ColumnData`] a measure enters the pass as, the layout the rollup's
+//! running tables already hold, and the one a training block is copied
+//! from lane by lane.
 
-use bellwether_table::Bitmap;
-use std::collections::HashMap;
+use bellwether_table::ColumnData;
 use std::sync::Arc;
 
-/// One measure's aggregates over a region's items.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Lane {
-    /// One value per item; `0.0` where the aggregate is NULL.
-    pub(crate) values: Vec<f64>,
-    /// Bit `i` set = item `i`'s aggregate is not NULL.
-    pub(crate) valid: Bitmap,
-}
-
-impl Lane {
-    /// The lane of `n` optional aggregates.
-    pub(crate) fn collect(n: usize, aggregates: impl Iterator<Item = Option<f64>>) -> Lane {
-        let mut valid = Bitmap::zeros(n);
-        let values: Vec<f64> = aggregates
-            .enumerate()
-            .inspect(|&(i, v)| valid.set(i, v.is_some()))
-            .map(|(_, v)| v.unwrap_or(0.0))
-            .collect();
-        assert_eq!(values.len(), n, "one aggregate per item");
-        Lane { values, valid }
-    }
-}
-
 /// The aggregates of one region: every item with data in it, ascending by
-/// id, and one lane per measure over those items. Regions a running table
-/// finished from the same item set share one id lane.
+/// id, and one lane per measure over those items, collected from its
+/// optional aggregates (`0.0` where NULL, a bitmap only if one is).
+/// Regions a running table finished from the same item set share one id
+/// lane.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegionColumns {
     item_ids: Arc<[i64]>,
-    lanes: Vec<Lane>,
+    lanes: Vec<ColumnData<f64>>,
 }
 
 impl RegionColumns {
     /// From a strictly ascending id lane and one lane per measure over it.
-    pub(crate) fn from_lanes(item_ids: Arc<[i64]>, lanes: Vec<Lane>) -> RegionColumns {
+    pub(crate) fn from_lanes(item_ids: Arc<[i64]>, lanes: Vec<ColumnData<f64>>) -> RegionColumns {
         debug_assert!(item_ids.windows(2).all(|w| w[0] < w[1]), "item ids ascend");
         debug_assert!(lanes.iter().all(|l| l.values.len() == item_ids.len()));
         RegionColumns { item_ids, lanes }
     }
 
     /// The columns of per-item feature vectors (all of one length): sorted
-    /// by id, split into lanes.
-    pub fn from_rows(rows: HashMap<i64, Vec<Option<f64>>>) -> RegionColumns {
+    /// by id, split into lanes: how the reference kernels' row maps are
+    /// compared with the pass.
+    #[cfg(test)]
+    pub(crate) fn from_rows(
+        rows: std::collections::HashMap<i64, Vec<Option<f64>>>,
+    ) -> RegionColumns {
         let mut rows: Vec<(i64, Vec<Option<f64>>)> = rows.into_iter().collect();
         rows.sort_unstable_by_key(|&(id, _)| id);
         let n_measures = rows.first().map_or(0, |(_, vals)| vals.len());
         assert!(rows.iter().all(|(_, vals)| vals.len() == n_measures), "ragged feature vectors");
         let lanes = (0..n_measures)
-            .map(|m| Lane::collect(rows.len(), rows.iter().map(|(_, vals)| vals[m])))
+            .map(|m| rows.iter().map(|(_, vals)| vals[m]).collect())
             .collect();
         RegionColumns::from_lanes(rows.iter().map(|&(id, _)| id).collect(), lanes)
     }
@@ -80,6 +63,12 @@ impl RegionColumns {
     /// apart).
     pub fn values(&self, m: usize) -> &[f64] {
         &self.lanes[m].values
+    }
+
+    /// Measure `m` over [`Self::item_ids`]: [`Self::values`] and which of
+    /// them are NULL.
+    pub fn lane(&self, m: usize) -> &ColumnData<f64> {
+        &self.lanes[m]
     }
 
     /// The feature vector of `item`, if it has data in the region.
@@ -115,8 +104,7 @@ impl<'a> Row<'a> {
 
     /// Measure `m`'s aggregate. Panics if out of range.
     pub fn get(&self, m: usize) -> Option<f64> {
-        let lane = &self.cols.lanes[m];
-        lane.valid.get(self.at).then_some(lane.values[self.at])
+        self.cols.lanes[m].get(self.at)
     }
 
     /// The aggregates in measure order.
@@ -152,6 +140,7 @@ impl Iterator for RowIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn rows_become_sorted_lanes_and_read_back() {

@@ -65,7 +65,6 @@
 //! training block is copied from, not a lookup structure.
 
 pub use crate::columns::{RegionColumns, Row, RowIter};
-use crate::columns::Lane;
 use crate::dimension::Dimension;
 use crate::external::{cube_pass_runs, MergeRuns, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
@@ -972,6 +971,17 @@ pub(crate) struct KeySpace {
     pub(crate) n_items: u64,
 }
 
+/// The pass's item numbering: the distinct ids ascending (dense item index
+/// → id) and its inverse. `None` past `u32` indices.
+fn number_items(item_ids: &[i64]) -> Option<(Vec<i64>, FxMap<i64, u32>)> {
+    let mut items = item_ids.to_vec();
+    items.sort_unstable();
+    items.dedup();
+    u32::try_from(items.len()).ok()?;
+    let index = (0u32..).zip(&items).map(|(i, &id)| (id, i)).collect();
+    Some((items, index))
+}
+
 impl KeySpace {
     pub(crate) fn build(space: &RegionSpace, item_ids: &[i64]) -> Option<KeySpace> {
         let num_values: Vec<u64> = space
@@ -989,17 +999,11 @@ impl KeySpace {
             acc *= num_values[d] as u128;
         }
         let cell_space = u64::try_from(acc).ok()?;
-        let mut items: Vec<i64> = item_ids.to_vec();
-        items.sort_unstable();
-        items.dedup();
-        if items.len() > u32::MAX as usize {
-            return None;
-        }
+        let (items, item_index) = number_items(item_ids)?;
         let n_items = items.len() as u64;
         if (cell_space as u128) * (n_items as u128) > (1u128 << 62) {
             return None;
         }
-        let item_index = items.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
         Some(KeySpace {
             strides,
             num_values,
@@ -1281,7 +1285,7 @@ fn finish_region(ks: &KeySpace, table: &mut RegionTable) -> RegionColumns {
         ItemSlots::Hashed(index) => index.iter().map(|(&item, &slot)| (item, slot)).collect(),
     };
     slots.sort_unstable();
-    let lane = |c: &StateCol| Lane::collect(slots.len(), slots.iter().map(|&(_, s)| c.finish_at(s as usize)));
+    let lane = |c: &StateCol| slots.iter().map(|&(_, s)| c.finish_at(s as usize)).collect();
     let lanes = table.cols.iter().map(lane).collect();
     if table.ids.len() != slots.len() {
         table.ids = slots.iter().map(|&(i, _)| ks.items[i as usize]).collect();
@@ -1638,13 +1642,14 @@ pub fn cube_pass_traced(
 ///
 /// This evaluates the same feature queries over an *arbitrary* union of
 /// cells — the shape the random-sampling baseline of Figure 7(a) buys,
-/// which "may not correspond to any OLAP-style region" (hence per-item
-/// vectors, the one result that is not a [`RegionColumns`]).
+/// which "may not correspond to any OLAP-style region" — and returns it
+/// in a region's shape: every item some kept row names, ascending by id,
+/// and one lane per measure.
 pub fn aggregate_filtered(
     input: &CubeInput,
     arity: usize,
     row_filter: impl Fn(&[u32]) -> bool + Sync,
-) -> Result<HashMap<i64, Vec<Option<f64>>>, CubeError> {
+) -> Result<RegionColumns, CubeError> {
     fold_filtered(input, arity, row_filter, Parallelism::default(), &NoopRecorder)
 }
 
@@ -1653,32 +1658,22 @@ pub fn aggregate_filtered(
 /// timed under the `cube_pass/phase1_scan` and `cube_pass/phase1_merge`
 /// spans). Runs on the same chunked phase-1 kernel as [`cube_pass`]
 /// (keyed by dense item index alone), so it inherits the bit-identical
-/// determinism guarantee.
+/// determinism guarantee; the merged segments arrive in dense-item order,
+/// which is id order, and are finished lane by lane as a region is.
 pub(crate) fn fold_filtered(
     input: &CubeInput,
     arity: usize,
     row_filter: impl Fn(&[u32]) -> bool + Sync,
     par: Parallelism,
     rec: &dyn Recorder,
-) -> Result<HashMap<i64, Vec<Option<f64>>>, CubeError> {
+) -> Result<RegionColumns, CubeError> {
     let n = input.item_ids.len();
     input.check_shape(arity).map_err(CubeError::InvalidInput)?;
-    if n == 0 {
-        return Ok(HashMap::new());
-    }
-
-    let mut items: Vec<i64> = input.item_ids.clone();
-    items.sort_unstable();
-    items.dedup();
-    let item_index: FxMap<i64, u64> = items
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i as u64))
-        .collect();
+    let (items, item_index) = number_items(&input.item_ids).ok_or(CubeError::KeySpaceTooLarge)?;
 
     let threads = par.threads_for(n.div_ceil(ROW_CHUNK));
     let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-        row_filter(coords).then(|| item_index[&input.item_ids[row]])
+        row_filter(coords).then(|| item_index[&input.item_ids[row]] as u64)
     };
     let tables = {
         let _t = span!(rec, "cube_pass/phase1_scan");
@@ -1692,16 +1687,11 @@ pub(crate) fn fold_filtered(
     rec.add(names::CUBE_PASS_ROWS_SCANNED, n as u64);
     rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
     rec.add(names::CUBE_PASS_CELL_MERGES, merge.merges);
-    let mut out = HashMap::new();
-    for t in &shards {
-        for (i, &k) in t.keys.iter().enumerate() {
-            out.insert(
-                items[k as usize],
-                t.cols.iter().map(|c| c.finish_at(i)).collect(),
-            );
-        }
-    }
-    Ok(out)
+    let ids = shards.iter().flat_map(|t| &t.keys).map(|&k| items[k as usize]).collect();
+    let lane = |m: usize| {
+        shards.iter().flat_map(|t| (0..t.len()).map(move |i| t.cols[m].finish_at(i))).collect()
+    };
+    Ok(RegionColumns::from_lanes(ids, (0..input.measures.len()).map(lane).collect()))
 }
 
 #[cfg(test)]
@@ -1710,8 +1700,8 @@ pub(crate) mod tests {
     use crate::delta::StreamingCube;
     use crate::dimension::Dimension;
     use crate::testutil::{
-        assert_bit_identical, cube_pass_reference, gen_distinct_input, gen_input,
-        measures_of_every_kind, space,
+        assert_bit_identical, cube_pass_reference, fold_filtered_by_rows, gen_distinct_input,
+        gen_functional_input, gen_input, measures_of_every_kind, space,
     };
     use bellwether_prop::check;
     use std::cell::Cell;
@@ -2053,8 +2043,7 @@ pub(crate) mod tests {
         let under_us = |c: &[u32]| c[0] <= 1 && (c[1] == 2 || c[1] == 3);
         let filtered = aggregate_filtered(&inp, 2, under_us).unwrap();
         let cube = pass(&s, &inp);
-        let want = cube.features(&RegionId(vec![1, 1]), 1).unwrap();
-        assert!(want.iter().eq(filtered[&1].iter().copied()));
+        assert_eq!(filtered, *cube.regions[&RegionId(vec![1, 1])]);
     }
 
     #[test]
@@ -2341,13 +2330,45 @@ pub(crate) mod tests {
             &stats,
         )
         .unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (item, values) in &seq {
-            assert_eq!(par.get(item), Some(values));
-        }
+        assert_eq!(seq, par);
         let snap = stats.snapshot();
         assert_eq!(snap.rows_scanned(), 4);
         assert_eq!(snap.base_cells(), 2); // two items survive the filter
+    }
+
+    /// A region's columns as rows of optional aggregate bits, ascending by
+    /// id (`-0.0`, NaN payloads and all).
+    fn bit_rows(cols: &RegionColumns, measures: usize) -> Vec<(i64, Vec<Option<u64>>)> {
+        let bits = |i: usize, m: usize| cols.lane(m).get(i).map(f64::to_bits);
+        let row = |(i, &id)| (id, (0..measures).map(|m| bits(i, m)).collect());
+        cols.item_ids().iter().enumerate().map(row).collect()
+    }
+
+    /// The lanes against the row-map fold they replaced, under filters that
+    /// keep every row, no row and about half of them, at one and four
+    /// threads, over inputs spanning several row chunks with every state
+    /// kind and NULLs.
+    #[test]
+    fn filtered_columns_match_the_row_map_fold_bit_for_bit() {
+        let items: Vec<i64> = (0..50).map(|i| 37 * i - 400).collect();
+        let filters: [fn(&[u32]) -> bool; 3] = [|_| true, |_| false, |c| (c[0] + c[1]) % 2 == 0];
+        let bits = |row: Vec<Option<f64>>| row.iter().map(|v| v.map(f64::to_bits)).collect();
+        for (seed, rows) in [(1, 0), (2, 1), (3, 3 * ROW_CHUNK + 17)] {
+            for input in [gen_input(seed, rows, &items), gen_functional_input(seed, rows, &items)] {
+                for (what, keep) in ["every row", "no row", "half"].into_iter().zip(filters) {
+                    for threads in [1, 4] {
+                        let oracle = fold_filtered_by_rows(&input, 2, keep, threads);
+                        let mut want: Vec<(i64, Vec<Option<u64>>)> =
+                            oracle.into_iter().map(|(id, row)| (id, bits(row))).collect();
+                        want.sort_unstable_by_key(|&(id, _)| id);
+                        let par = Parallelism::fixed(threads);
+                        let got = fold_filtered(&input, 2, keep, par, &NoopRecorder).unwrap();
+                        let got = bit_rows(&got, input.measures.len());
+                        assert_eq!(got, want, "{rows} rows, {what}, {threads} threads");
+                    }
+                }
+            }
+        }
     }
 
     /// `pairs` after the closing dedup, values as bits (`-0.0`, NaN

@@ -2,11 +2,14 @@
 //! seeded fact generator covering every state kind, one bit-level
 //! result comparison, and the reference kernels the optimized ones are
 //! held to — the tuple-keyed AoS CUBE pass, the naive lattice rollup and
-//! the dense and hashed key-range merges of phase 1b.
+//! the dense and hashed key-range merges of phase 1b, and the row-map
+//! form `aggregate_filtered` returned before it returned a region's lanes.
 
 use crate::cube_pass::{
-    finish_distinct_vals, CubeInput, CubeResult, Measure, RegionColumns, StateCol, StateTable,
+    finish_distinct_vals, fold_chunks, CubeInput, CubeResult, Measure, RegionColumns, StateCol,
+    StateTable, ROW_CHUNK,
 };
+use crate::external::MergeRuns;
 use crate::dimension::{Dimension, Hierarchy};
 use crate::fxhash::FxMap;
 use crate::parallel::{fork_join, split_point};
@@ -574,4 +577,42 @@ fn merge_range(
         table.sort_by_key();
         table
     }
+}
+
+/// [`crate::aggregate_filtered`] as it was before it returned a
+/// [`RegionColumns`]: its own sort / dedup / map item numbering, and one
+/// row of optional aggregates per item in a map. The oracle of
+/// `cube_pass::tests::filtered_columns_match_the_row_map_fold_bit_for_bit`;
+/// panics on malformed input.
+pub(crate) fn fold_filtered_by_rows(
+    input: &CubeInput,
+    arity: usize,
+    row_filter: impl Fn(&[u32]) -> bool + Sync,
+    threads: usize,
+) -> HashMap<i64, Vec<Option<f64>>> {
+    let n = input.item_ids.len();
+    input.check_shape(arity).unwrap();
+    if n == 0 {
+        return HashMap::new();
+    }
+    let mut items: Vec<i64> = input.item_ids.clone();
+    items.sort_unstable();
+    items.dedup();
+    let item_index: FxMap<i64, u64> =
+        items.iter().enumerate().map(|(i, &id)| (id, i as u64)).collect();
+    let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
+        row_filter(coords).then(|| item_index[&input.item_ids[row]])
+    };
+    let tables = fold_chunks(input, &[], arity, 0..n.div_ceil(ROW_CHUNK), threads, &key_of);
+    let shards: Vec<StateTable> = MergeRuns::of_chunks(tables)
+        .unwrap()
+        .collect::<std::io::Result<_>>()
+        .unwrap();
+    let mut out = HashMap::new();
+    for t in &shards {
+        for (i, &k) in t.keys.iter().enumerate() {
+            out.insert(items[k as usize], t.cols.iter().map(|c| c.finish_at(i)).collect());
+        }
+    }
+    out
 }

@@ -45,12 +45,24 @@ impl AtomicFile {
         fs::rename(&self.tmp, &self.path)?;
         // Make the rename itself durable where possible; directory
         // handles cannot be fsynced on every platform, so best-effort.
-        if let Some(parent) = self.path.parent() {
-            if let Ok(dir) = File::open(parent) {
-                let _ = dir.sync_all();
-            }
-        }
+        let _ = sync_dir_of(&self.path);
         Ok(())
+    }
+}
+
+/// Fsync the directory that holds `path`.
+fn sync_dir_of(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+}
+
+/// Unlink `path` if it exists, then fsync its directory and return that
+/// fsync's error: after `Ok`, no later rename in the directory reaches the
+/// disk while `path` is still there.
+pub fn remove_durably(path: &Path) -> io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        removed => removed.and_then(|()| sync_dir_of(path)),
     }
 }
 

@@ -33,7 +33,7 @@
 //! always present); any other version is rejected structurally
 //! ("unsupported manifest version").
 
-use crate::atomic::AtomicFile;
+use crate::atomic::{remove_durably, AtomicFile};
 use crate::block::RegionBlock;
 use crate::codec::{bad, seal, verify, Cursor, PutLe};
 use crate::metrics::IoStats;
@@ -304,6 +304,11 @@ impl ShardedWriter {
     /// gives the number of regions per shard in ascending global order;
     /// [`even_shard_plan`] is the usual choice. Blocks must then arrive
     /// via [`ShardedWriter::write_region`] in global scan order.
+    ///
+    /// A layout already in `dir` stops being one here: its manifest is
+    /// removed durably before any new shard is renamed over an old one,
+    /// so a rewrite that never reaches [`ShardedWriter::finish`] leaves no
+    /// layout to open, never a mix of old and new shards.
     pub fn create(dir: &Path, p: u32, arity: u32, plan: Vec<usize>) -> io::Result<Self> {
         if plan.is_empty() {
             return Err(io::Error::new(
@@ -312,6 +317,7 @@ impl ShardedWriter {
             ));
         }
         fs::create_dir_all(dir)?;
+        remove_durably(&dir.join(MANIFEST_NAME))?;
         Ok(ShardedWriter {
             dir: dir.to_path_buf(),
             p,
@@ -982,6 +988,41 @@ mod tests {
             .collect();
         files.sort();
         files
+    }
+
+    /// A rewrite in place that stops short of `finish` leaves the disk as
+    /// a crash after two shard commits would: the new shards 0–1 over the
+    /// old ones, old shard 2, no new manifest. That is no layout (a
+    /// structured error), never old and new blocks served together; a
+    /// rewrite that finishes serves only its own blocks.
+    #[test]
+    fn an_interrupted_rewrite_leaves_no_layout_never_a_mix() {
+        let dir = tmp_dir("rewrite");
+        let old = |r: usize| block(r as u32, 1 + r % 3);
+        // New targets, the same row counts: every file keeps its size.
+        let new = |r: usize| {
+            let mut b = old(r);
+            b.targets.iter_mut().for_each(|y| *y += 100.0);
+            b
+        };
+        let write = |blocks: &dyn Fn(usize) -> RegionBlock, regions: usize| {
+            let mut w = ShardedWriter::create(&dir, 2, 1, even_shard_plan(6, 3)).unwrap();
+            for r in 0..regions {
+                w.write_region(&blocks(r)).unwrap();
+            }
+            if regions == 6 {
+                w.finish().unwrap();
+            }
+        };
+        write(&old, 6);
+        write(&new, 5);
+        let err = ShardedSource::open(&dir).err().expect("a half-rewritten layout opened");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        write(&new, 6);
+        let src = ShardedSource::open(&dir).unwrap();
+        for r in 0..6 {
+            assert_eq!(*src.read_region(r).unwrap(), new(r), "region {r}");
+        }
     }
 
     #[test]

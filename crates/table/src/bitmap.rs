@@ -107,15 +107,6 @@ impl Bitmap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Iterator over the indices of set bits, ascending.
-    pub fn iter_ones(&self) -> OnesIter<'_> {
-        OnesIter {
-            bitmap: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-
     /// Clear bits past `len` in the last word so `count_ones` stays exact.
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
@@ -123,32 +114,6 @@ impl Bitmap {
             if let Some(last) = self.words.last_mut() {
                 *last &= (1u64 << tail) - 1;
             }
-        }
-    }
-}
-
-/// Iterator over set-bit positions of a [`Bitmap`].
-pub struct OnesIter<'a> {
-    bitmap: &'a Bitmap,
-    word_idx: usize,
-    current: u64,
-}
-
-impl Iterator for OnesIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let bit = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1; // clear lowest set bit
-                return Some(self.word_idx * 64 + bit);
-            }
-            self.word_idx += 1;
-            if self.word_idx >= self.bitmap.words.len() {
-                return None;
-            }
-            self.current = self.bitmap.words[self.word_idx];
         }
     }
 }
@@ -174,16 +139,6 @@ mod tests {
         bm.push(true);
         assert_eq!(bm.len(), 4);
         assert!(bm.get(3));
-    }
-
-    #[test]
-    fn iter_ones_spans_words() {
-        let mut bm = Bitmap::zeros(130);
-        for i in [0usize, 63, 64, 127, 129] {
-            bm.set(i, true);
-        }
-        let got: Vec<usize> = bm.iter_ones().collect();
-        assert_eq!(got, vec![0, 63, 64, 127, 129]);
     }
 
     /// A bitmap of `len` bits, bit `i` set when `i * 7 + seed` is not a

@@ -23,7 +23,7 @@ pub enum Column {
 }
 
 /// Typed payload + validity for one column.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnData<T> {
     /// Dense values; the slot content for NULL rows is unspecified filler.
     pub values: Vec<T>,
@@ -73,17 +73,22 @@ impl<T: Copy> ColumnData<T> {
 }
 
 /// Collects a nullable lane: `None` rows hold `T::default()` as filler,
-/// and the bitmap is dropped when no row is NULL.
+/// and a bitmap exists only when some row is NULL, so a NULL-free lane is
+/// one plain collect.
 impl<T: Default> FromIterator<Option<T>> for ColumnData<T> {
     fn from_iter<I: IntoIterator<Item = Option<T>>>(iter: I) -> Self {
-        let iter = iter.into_iter();
-        let mut values = Vec::with_capacity(iter.size_hint().0);
-        let mut valid = Bitmap::zeros(0);
-        for v in iter {
-            valid.push(v.is_some());
-            values.push(v.unwrap_or_default());
-        }
-        let validity = (valid.count_ones() < valid.len()).then_some(valid);
+        let mut nulls = Vec::new();
+        let values: Vec<T> = (iter.into_iter().enumerate())
+            .map(|(i, v)| v.unwrap_or_else(|| {
+                nulls.push(i);
+                T::default()
+            }))
+            .collect();
+        let validity = (!nulls.is_empty()).then(|| {
+            let mut valid = Bitmap::ones(values.len());
+            nulls.into_iter().for_each(|i| valid.set(i, false));
+            valid
+        });
         ColumnData { values, validity }
     }
 }

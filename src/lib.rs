@@ -84,7 +84,7 @@ pub mod prelude {
         basic_search, basic_search_linear, build_cube_input, build_memory_source,
         build_naive_cube, build_naive_tree, build_optimized_cube, build_rainforest,
         build_single_scan_cube, evaluate_method, global_target, prune_tree,
-        sampling_baseline_error, scan_regions, select_cell_for_item, write_disk_source,
+        sampling_baseline_error, scan_regions, select_cell_for_item,
         write_disk_source_in_registry, BasicSearchResult, BellwetherConfig,
         BellwetherConfigBuilder, BellwetherCube, BellwetherError, BellwetherTree, CubeConfig,
         CubeConfigBuilder, ErrorMeasure, EvalContext, FeatureQuery, ItemCentricEval,

@@ -73,9 +73,10 @@ fn cube_pass_matches_filtered_aggregation() {
             .unwrap();
             // Same covered items.
             assert_eq!(cube.coverage_count(&region), direct.len());
-            for (item, vals) in &direct {
-                let got = cube.features(&region, *item).unwrap();
-                match (got.get(0), vals[0]) {
+            for (at, &item) in direct.item_ids().iter().enumerate() {
+                let got = cube.features(&region, item).unwrap();
+                let want = direct.lane(0).get(at);
+                match (got.get(0), want) {
                     (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9),
                     (a, b) => assert_eq!(a, b),
                 }
