@@ -144,7 +144,7 @@ pub struct Coordinator {
     index: HashMap<Vec<u32>, usize>,
     slots: Vec<Mutex<WorkerSlot>>,
     config: CoordinatorConfig,
-    stats: Arc<IoStats>,
+    stats: IoStats,
     c: CoordCounters,
 }
 
@@ -523,8 +523,8 @@ impl TrainingSource for Coordinator {
         }
     }
 
-    fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
+    fn record_corrupt_block(&self) {
+        self.stats.record_corrupt_block();
     }
 
     fn snapshot(&self) -> MetricsSnapshot {

@@ -490,11 +490,11 @@ mod tests {
                 .map(|_| (!rng.flip(0.15)).then(|| rng.below(regions as usize)))
                 .collect();
 
-            src.stats().reset();
+            let before = src.snapshot().regions_read();
             let cells = finalize(&src, &region_space, &item_space, &index, &problem, &winners)
                 .unwrap();
             let distinct: HashSet<usize> = winners.iter().flatten().copied().collect();
-            assert_eq!(src.snapshot().regions_read(), distinct.len() as u64);
+            assert_eq!(src.snapshot().regions_read() - before, distinct.len() as u64);
 
             let mut expected = 0;
             for (subset, winner) in index.order.iter().zip(&winners) {

@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn optimized_scan_count_matches_single_scan() {
         let (src, region_space, _items, item_space, coords) = cube_fixture();
-        src.stats().reset();
+        let before = src.snapshot().regions_read();
         let cube =
             build_optimized_cube(&src, &region_space, &item_space, &coords, &problem(), &cfg())
                 .unwrap();
@@ -352,7 +352,7 @@ mod tests {
         let winners: std::collections::HashSet<usize> =
             cube.cells.values().map(|c| c.region_index).collect();
         assert_eq!(
-            src.snapshot().regions_read(),
+            src.snapshot().regions_read() - before,
             src.num_regions() as u64 + winners.len() as u64
         );
     }

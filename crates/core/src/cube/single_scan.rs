@@ -159,11 +159,12 @@ mod tests {
         let (src, region_space, _items, item_space, coords) = cube_fixture();
         let num_regions = src.num_regions() as u64;
 
-        src.stats().reset();
+        let reads = || src.snapshot().regions_read();
+        let before = reads();
         let single =
             build_single_scan_cube(&src, &region_space, &item_space, &coords, &problem(), &cfg())
                 .unwrap();
-        let single_reads = src.snapshot().regions_read();
+        let single_reads = reads() - before;
         // One full scan + one targeted read per distinct winning region
         // (`[Any]` wins a region one of the groups wins too).
         let winners = |cube: &BellwetherCube| -> u64 {
@@ -174,11 +175,11 @@ mod tests {
         assert!(winners(&single) < single.cells.len() as u64);
         assert_eq!(single_reads, num_regions + winners(&single));
 
-        src.stats().reset();
+        let before = reads();
         let naive =
             build_naive_cube(&src, &region_space, &item_space, &coords, &problem(), &cfg())
                 .unwrap();
-        let naive_reads = src.snapshot().regions_read();
+        let naive_reads = reads() - before;
         // One full scan per subset + one targeted read per distinct
         // winning region.
         assert_eq!(naive_reads, num_regions * 3 + winners(&naive));

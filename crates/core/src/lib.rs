@@ -79,9 +79,7 @@ pub use scan::{
 };
 pub use seeded::{hash_fold, seeded_rng};
 pub use stream::{AppendOutcome, DriftEvent, StreamingBellwether};
-pub use training::{
-    build_memory_source, region_block, write_disk_source_in_registry,
-};
+pub use training::{build_memory_source, region_block};
 pub use tree::naive::build_naive as build_naive_tree;
 pub use tree::prune::prune_tree;
 pub use tree::rainforest::build_rainforest;

@@ -68,8 +68,7 @@ pub fn sampling_baseline_error(
         // Aggregate features over the union of the collection's cells,
         // and assemble them as any region's training block is.
         let features = aggregate_filtered(cube_input, space.arity(), |cell| {
-            let cell = RegionId(cell.to_vec());
-            chosen.iter().any(|r| space.contains(r, &cell))
+            in_collection(space, &chosen, cell)
         })?;
         let n_measures = cube_input.measures.len();
         let block = columns_block(Vec::new(), Some(&features), n_measures, items, |row, _| {
@@ -89,6 +88,17 @@ pub fn sampling_baseline_error(
     } else {
         Ok(Some(errors.iter().sum::<f64>() / errors.len() as f64))
     }
+}
+
+/// Whether the fact-level cell `cell` lies in a region of `chosen`: the
+/// test [`RegionSpace::contains`] makes, read off the coordinate slice so
+/// the per-row filter allocates nothing.
+fn in_collection(space: &RegionSpace, chosen: &[&RegionId], cell: &[u32]) -> bool {
+    let dims = space.dims();
+    chosen.iter().any(|r| {
+        let mut coords = dims.iter().zip(&r.0).zip(cell);
+        coords.all(|((d, &rv), &cv)| d.value_contains(rv, cv))
+    })
 }
 
 #[cfg(test)]
@@ -140,6 +150,51 @@ mod tests {
         (space, input, items, targets)
     }
 
+    /// The baseline's row filter before [`in_collection`]: a `RegionId`
+    /// allocated for every fact row and tested with
+    /// [`RegionSpace::contains`]. The oracle of
+    /// `in_collection_keeps_the_rows_its_oracle_keeps`.
+    fn in_collection_by_ids(space: &RegionSpace, chosen: &[&RegionId], cell: &[u32]) -> bool {
+        let cell = RegionId(cell.to_vec());
+        chosen.iter().any(|r| space.contains(r, &cell))
+    }
+
+    /// Random spaces of one to three dimensions (intervals, and
+    /// hierarchies grown by hanging each node under a random earlier
+    /// one), random chosen sets of their regions, including none and
+    /// repeats, and random cells over every value of every dimension.
+    #[test]
+    fn in_collection_keeps_the_rows_its_oracle_keeps() {
+        bellwether_prop::check("in_collection = RegionId filter", 64, |rng| {
+            let dims: Vec<Dimension> = (0..rng.usize_in(1, 4))
+                .map(|d| {
+                    if rng.flip(0.4) {
+                        Dimension::Interval { name: format!("T{d}"), max_t: rng.u32_in(1, 6) }
+                    } else {
+                        let mut h = Hierarchy::new(format!("H{d}"), format!("root{d}"));
+                        for n in 1..rng.u32_in(2, 9) {
+                            h.add_child(rng.u32_in(0, n), format!("n{d}_{n}"));
+                        }
+                        Dimension::Hierarchy(h)
+                    }
+                })
+                .collect();
+            let space = RegionSpace::new(dims);
+            let regions = space.all_regions();
+            let chosen: Vec<&RegionId> =
+                (0..rng.usize_in(0, 7)).map(|_| rng.choice(&regions)).collect();
+            for _ in 0..64 {
+                let cell: Vec<u32> =
+                    space.dims().iter().map(|d| rng.u32_in(0, d.num_values())).collect();
+                assert_eq!(
+                    in_collection(&space, &chosen, &cell),
+                    in_collection_by_ids(&space, &chosen, &cell),
+                    "cell {cell:?}, chosen {chosen:?}"
+                );
+            }
+        });
+    }
+
     /// The baseline as it assembled its trials before it went through
     /// `columns_block`: the filtered aggregates as a row map, its keys
     /// re-sorted, a target probe and a static-feature vector per item, and
@@ -176,8 +231,7 @@ mod tests {
                 continue;
             }
             let cols = aggregate_filtered(cube_input, space.arity(), |cell| {
-                let cell = RegionId(cell.to_vec());
-                chosen.iter().any(|r| space.contains(r, &cell))
+                in_collection_by_ids(space, &chosen, cell)
             })
             .unwrap();
             let n_measures = cube_input.measures.len();

@@ -656,8 +656,12 @@ mod tests {
             self.inner.read_region(idx)
         }
 
-        fn stats(&self) -> &std::sync::Arc<bellwether_storage::IoStats> {
-            self.inner.stats()
+        fn snapshot(&self) -> bellwether_obs::MetricsSnapshot {
+            self.inner.snapshot()
+        }
+
+        fn record_corrupt_block(&self) {
+            self.inner.record_corrupt_block();
         }
 
         fn shard_starts(&self) -> Option<Vec<usize>> {

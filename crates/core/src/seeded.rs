@@ -16,7 +16,7 @@
 //! folds partition a single dataset's rows; the optimized CV cube uses
 //! the former because its folds must agree across overlapping subsets.
 
-use bellwether_linreg::SplitMix64;
+pub use bellwether_linreg::SplitMix64;
 
 /// A deterministic RNG for `seed` — the workspace-wide policy for
 /// seeded shuffles and draws.

@@ -10,14 +10,12 @@
 //! profit/orders there — a policy documented here once and applied
 //! uniformly.
 
-use crate::error::Result;
 use crate::items::{ItemTable, NO_ITEM};
 use bellwether_cube::parallel::{fork_join, split_point};
-use bellwether_cube::{CubeResult, Parallelism, RegionColumns, RegionId, RegionSpace};
-use bellwether_storage::{MemorySource, RegionBlock, TrainingWriter};
+use bellwether_cube::{CubeResult, Parallelism, RegionColumns, RegionId};
+use bellwether_storage::{MemorySource, RegionBlock};
 use bellwether_table::ColumnData;
 use std::collections::HashMap;
-use std::path::Path;
 
 /// τ as a lane over `items`' rows: slot `row` holds the target of
 /// `items.ids()[row]`, NULL where τ has none. Resolve it once, then hand
@@ -124,37 +122,14 @@ pub fn build_memory_source(
     MemorySource::new(blocks.into_iter().flatten().collect())
 }
 
-/// Write the entire training data to disk (for the efficiency
-/// experiments, where every region request must hit the file). The writer
-/// reports `storage/regions_written` and `storage/bytes_written` into
-/// `registry`.
-pub fn write_disk_source_in_registry(
-    path: &Path,
-    cube: &CubeResult,
-    regions: &[RegionId],
-    space: &RegionSpace,
-    items: &ItemTable,
-    targets: &HashMap<i64, f64>,
-    registry: &bellwether_obs::Registry,
-) -> Result<()> {
-    let n_static = items.numeric_attrs().len();
-    let p = (1 + n_static + cube.measure_names.len()) as u32;
-    let mut writer =
-        TrainingWriter::create_with_registry(path, p, space.arity() as u32, registry)?;
-    let tau = target_lane(items, targets);
-    for r in regions {
-        writer.write_region(&region_block_lane(cube, r, items, &tau))?;
-    }
-    writer.finish()?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::items::ItemIndex;
-    use bellwether_cube::{cube_pass, CubeInput, Dimension, Hierarchy, Measure, NoopRecorder};
-    use bellwether_storage::TrainingSource;
+    use bellwether_cube::{
+        cube_pass, CubeInput, Dimension, Hierarchy, Measure, NoopRecorder, RegionSpace,
+    };
+    use bellwether_storage::{DiskSource, TrainingSource, TrainingWriter};
     use bellwether_table::ops::AggFunc;
     use bellwether_table::{Column, DataType, Schema, Table};
 
@@ -245,9 +220,13 @@ mod tests {
         let t = targets();
         let mem = build_memory_source(&c, &regions, &it, &t);
         let path = std::env::temp_dir().join("bw_training_rt.bwtd");
-        let reg = bellwether_obs::Registry::new();
-        write_disk_source_in_registry(&path, &c, &regions, &space(), &it, &t, &reg).unwrap();
-        let disk = bellwether_storage::DiskSource::open(&path).unwrap();
+        let arity = space().arity() as u32;
+        let mut writer = TrainingWriter::create(&path, mem.feature_arity() as u32, arity).unwrap();
+        for block in mem.blocks() {
+            writer.write_region(block).unwrap();
+        }
+        writer.finish().unwrap();
+        let disk = DiskSource::open(&path).unwrap();
         for i in 0..2 {
             assert_eq!(disk.read_region(i).unwrap(), mem.read_region(i).unwrap());
         }

@@ -319,15 +319,16 @@ mod tests {
         let (src, space, items) = two_group_fixture();
         let num_regions = src.num_regions() as u64;
 
-        src.stats().reset();
+        let reads = || src.snapshot().regions_read();
+        let before = reads();
         let rf =
             build_rainforest(&src, &space, &items, None, &problem(), &tree_cfg()).unwrap();
-        let rf_reads = src.snapshot().regions_read();
+        let rf_reads = reads() - before;
 
-        src.stats().reset();
+        let before = reads();
         let _naive =
             build_naive(&src, &space, &items, None, &problem(), &tree_cfg()).unwrap();
-        let naive_reads = src.snapshot().regions_read();
+        let naive_reads = reads() - before;
 
         // RF: the paper's `l` scans — one per level above the leaves,
         // whose bellwethers their parent's scan found — plus one
@@ -472,12 +473,13 @@ mod tests {
             max_depth: 0,
             ..tree_cfg()
         };
-        src.stats().reset();
+        let before = src.snapshot().regions_read();
         let tree = build_rainforest(&src, &space, &items, None, &problem(), &cfg).unwrap();
         assert_eq!(tree.nodes.len(), 1);
         assert!(tree.root().info.is_some());
         // One scan for the root's bellwether, one read to fit it.
-        assert_eq!(src.snapshot().regions_read(), src.num_regions() as u64 + 1);
+        let reads = src.snapshot().regions_read() - before;
+        assert_eq!(reads, src.num_regions() as u64 + 1);
     }
 
     #[test]

@@ -75,7 +75,8 @@ pub fn normal_quantile(p: f64) -> f64 {
     }
 }
 
-/// SplitMix64: tiny deterministic RNG used only for fold shuffling.
+/// SplitMix64: the workspace's one tiny deterministic RNG (fold
+/// shuffling, seeded draws, and the synthetic data generators' stream).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

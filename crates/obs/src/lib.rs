@@ -8,8 +8,9 @@
 //!
 //! * **Handles** — [`Counter`] / [`Gauge`] are `Arc<AtomicU64>` wrappers;
 //!   holding one makes an increment a single relaxed atomic op, with no
-//!   name lookup. The storage crate's `IoStats` is a bundle of these
-//!   handles.
+//!   name lookup. The storage crate's `IoStats` and every storage
+//!   wrapper hold these handles, and read them back through
+//!   `TrainingSource::snapshot`.
 //! * **[`Recorder`]** — the dynamic sink the algorithms talk to. The
 //!   default [`NoopRecorder`] reports `enabled() == false`, so an
 //!   instrumented kernel pays one branch per *phase* (never per row)

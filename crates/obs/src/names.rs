@@ -11,10 +11,6 @@ pub const STORAGE_REGIONS_READ: &str = "storage/regions_read";
 pub const STORAGE_BYTES_READ: &str = "storage/bytes_read";
 /// Training examples read by a training source.
 pub const STORAGE_EXAMPLES_READ: &str = "storage/examples_read";
-/// Region blocks written by a training writer.
-pub const STORAGE_REGIONS_WRITTEN: &str = "storage/regions_written";
-/// Bytes written by a training writer.
-pub const STORAGE_BYTES_WRITTEN: &str = "storage/bytes_written";
 /// Region reads served from the decoded-block cache.
 pub const STORAGE_CACHE_HITS: &str = "storage/cache_hits";
 /// Region reads the decoded-block cache had to forward to its inner

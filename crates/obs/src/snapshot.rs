@@ -75,16 +75,6 @@ impl MetricsSnapshot {
         self.counter_or_zero(names::STORAGE_EXAMPLES_READ)
     }
 
-    /// Region blocks written ([`names::STORAGE_REGIONS_WRITTEN`]).
-    pub fn regions_written(&self) -> u64 {
-        self.counter_or_zero(names::STORAGE_REGIONS_WRITTEN)
-    }
-
-    /// Bytes written ([`names::STORAGE_BYTES_WRITTEN`]).
-    pub fn bytes_written(&self) -> u64 {
-        self.counter_or_zero(names::STORAGE_BYTES_WRITTEN)
-    }
-
     /// Region reads served from the decoded-block cache
     /// ([`names::STORAGE_CACHE_HITS`]).
     pub fn cache_hits(&self) -> u64 {

@@ -19,121 +19,22 @@
 //!   evicted once the budget is exceeded. A block alone larger than the
 //!   whole budget is served but never cached.
 //! * **Honest IO accounting.** Cache hits do not touch the inner
-//!   source, so [`TrainingSource::stats`] keeps counting *real* reads
-//!   and the paper's scan-count lemmas stay assertable. Hits, misses
-//!   and evictions are counted separately in [`CacheStats`], bindable
+//!   source, so its `storage/regions_read` keeps counting *real* reads
+//!   and the paper's scan-count lemmas stay assertable. Hits, misses,
+//!   evictions and invalidations are the cache's own counters, bindable
 //!   to a shared `bellwether_obs` registry via
-//!   [`CachedSource::with_registry`].
+//!   [`CachedSource::with_registry`]; [`TrainingSource::snapshot`] reads
+//!   both sets.
 //! * **Bit identity.** A hit returns a shared handle to the very block
 //!   the inner source decoded, so cached and uncached scans see
 //!   identical data.
 
 use crate::block::RegionBlock;
-use crate::metrics::IoStats;
 use crate::source::TrainingSource;
-use bellwether_obs::{names, Counter, MetricsSnapshot, Recorder, Registry};
+use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Shared, thread-safe cache counters (same pattern as [`IoStats`]).
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    invalidations: Counter,
-}
-
-impl CacheStats {
-    /// Fresh counters behind an `Arc` for sharing with caches.
-    pub fn shared() -> Arc<CacheStats> {
-        Arc::new(CacheStats::default())
-    }
-
-    /// Counters bound to the canonical `storage/cache_*` entries of
-    /// `reg`: every hit/miss recorded here is visible in
-    /// `reg.snapshot()` too.
-    pub fn in_registry(reg: &Registry) -> Arc<CacheStats> {
-        Arc::new(CacheStats {
-            hits: reg.counter(names::STORAGE_CACHE_HITS),
-            misses: reg.counter(names::STORAGE_CACHE_MISSES),
-            evictions: reg.counter(names::STORAGE_CACHE_EVICTIONS),
-            invalidations: reg.counter(names::STORAGE_CACHE_INVALIDATIONS),
-        })
-    }
-
-    /// Record one read served from the cache.
-    pub fn record_hit(&self) {
-        self.hits.inc();
-    }
-
-    /// Record one read forwarded to the inner source.
-    pub fn record_miss(&self) {
-        self.misses.inc();
-    }
-
-    /// Record `n` blocks evicted under the byte budget.
-    pub fn record_evictions(&self, n: u64) {
-        self.evictions.add(n);
-    }
-
-    /// Record `n` blocks dropped by an explicit invalidation.
-    pub fn record_invalidations(&self, n: u64) {
-        self.invalidations.add(n);
-    }
-
-    /// Point-in-time copy of the counters under their canonical names.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: vec![
-                (names::STORAGE_CACHE_HITS.to_string(), self.hits.get()),
-                (names::STORAGE_CACHE_MISSES.to_string(), self.misses.get()),
-                (
-                    names::STORAGE_CACHE_EVICTIONS.to_string(),
-                    self.evictions.get(),
-                ),
-                (
-                    names::STORAGE_CACHE_INVALIDATIONS.to_string(),
-                    self.invalidations.get(),
-                ),
-            ],
-            gauges: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    /// Reset all counters (between experiment phases).
-    pub fn reset(&self) {
-        self.hits.reset();
-        self.misses.reset();
-        self.evictions.reset();
-        self.invalidations.reset();
-    }
-}
-
-impl From<&CacheStats> for MetricsSnapshot {
-    fn from(s: &CacheStats) -> MetricsSnapshot {
-        s.snapshot()
-    }
-}
-
-impl Recorder for CacheStats {
-    fn add(&self, name: &str, delta: u64) {
-        match name {
-            names::STORAGE_CACHE_HITS => self.hits.add(delta),
-            names::STORAGE_CACHE_MISSES => self.misses.add(delta),
-            names::STORAGE_CACHE_EVICTIONS => self.evictions.add(delta),
-            names::STORAGE_CACHE_INVALIDATIONS => self.invalidations.add(delta),
-            _ => {}
-        }
-    }
-
-    fn set_gauge(&self, _name: &str, _value: f64) {}
-
-    fn record_span(&self, _path: &str, _nanos: u64) {}
-}
 
 #[derive(Debug)]
 struct CacheEntry {
@@ -179,8 +80,10 @@ pub struct CachedSource<S> {
     inner: S,
     budget_bytes: usize,
     state: Mutex<CacheState>,
-    cache_stats: Arc<CacheStats>,
-    generation: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    invalidations: Counter,
 }
 
 impl<S: TrainingSource> CachedSource<S> {
@@ -191,17 +94,23 @@ impl<S: TrainingSource> CachedSource<S> {
             inner,
             budget_bytes,
             state: Mutex::new(CacheState::default()),
-            cache_stats: CacheStats::shared(),
-            generation: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
+            evictions: Counter::new(),
+            invalidations: Counter::new(),
         }
     }
 
-    /// Like [`CachedSource::new`], but hit/miss/eviction counters are
-    /// bound to the canonical `storage/cache_*` entries of `reg`.
+    /// Like [`CachedSource::new`], but the cache's counters are bound to
+    /// the canonical `storage/cache_*` entries of `reg`.
     pub fn with_registry(inner: S, budget_bytes: usize, reg: &Registry) -> Self {
-        let mut src = CachedSource::new(inner, budget_bytes);
-        src.cache_stats = CacheStats::in_registry(reg);
-        src
+        CachedSource {
+            hits: reg.counter(names::STORAGE_CACHE_HITS),
+            misses: reg.counter(names::STORAGE_CACHE_MISSES),
+            evictions: reg.counter(names::STORAGE_CACHE_EVICTIONS),
+            invalidations: reg.counter(names::STORAGE_CACHE_INVALIDATIONS),
+            ..CachedSource::new(inner, budget_bytes)
+        }
     }
 
     /// The wrapped source.
@@ -228,11 +137,6 @@ impl<S: TrainingSource> CachedSource<S> {
         }
     }
 
-    /// Shared hit/miss/eviction counters.
-    pub fn cache_stats(&self) -> &Arc<CacheStats> {
-        &self.cache_stats
-    }
-
     /// Number of blocks currently cached.
     pub fn cached_blocks(&self) -> usize {
         self.lock_state().map.len()
@@ -251,7 +155,7 @@ impl<S: TrainingSource> CachedSource<S> {
     }
 
     /// Drop exactly the cached blocks of `indices` (a no-op for indices
-    /// not currently cached) and bump the cache generation. This is the
+    /// not currently cached). This is the
     /// dirty-region hook of the streaming append path: after new fact
     /// rows change a region's sufficient statistics, the stale decoded
     /// block must leave the cache while every clean region keeps its
@@ -268,20 +172,10 @@ impl<S: TrainingSource> CachedSource<S> {
                 }
             }
         }
-        self.generation.fetch_add(1, Ordering::Relaxed);
         if dropped > 0 {
-            self.cache_stats.record_invalidations(dropped);
+            self.invalidations.add(dropped);
         }
         dropped
-    }
-
-    /// Monotonic generation, bumped once per [`invalidate_regions`]
-    /// call. Readers that captured blocks earlier can compare
-    /// generations to learn their view may be stale.
-    ///
-    /// [`invalidate_regions`]: CachedSource::invalidate_regions
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
     }
 }
 
@@ -307,7 +201,7 @@ impl<S: TrainingSource> TrainingSource for CachedSource<S> {
                 entry.last_used = tick;
                 let block = Arc::clone(&entry.block);
                 drop(state);
-                self.cache_stats.record_hit();
+                self.hits.inc();
                 return Ok(block);
             }
         }
@@ -316,7 +210,7 @@ impl<S: TrainingSource> TrainingSource for CachedSource<S> {
         // index both read (and both count a miss); the second insert is
         // a no-op.
         let block = self.inner.read_region(idx)?;
-        self.cache_stats.record_miss();
+        self.misses.inc();
         let bytes = block.encoded_len();
         if bytes <= self.budget_bytes {
             let mut state = self.lock_state();
@@ -336,23 +230,31 @@ impl<S: TrainingSource> TrainingSource for CachedSource<S> {
                 );
                 let evicted = state.evict_to(self.budget_bytes, idx);
                 if evicted > 0 {
-                    self.cache_stats.record_evictions(evicted);
+                    self.evictions.add(evicted);
                 }
             }
         }
         Ok(block)
     }
 
-    fn stats(&self) -> &Arc<IoStats> {
-        self.inner.stats()
-    }
-
-    /// Inner IO counters plus this cache's hit/miss/eviction counters in
-    /// one snapshot, so `snapshot().cache_hit_rate()` works directly.
+    /// Inner counters plus this cache's hit/miss/eviction/invalidation
+    /// counters in one snapshot, so `snapshot().cache_hit_rate()` works
+    /// directly.
     fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.inner.snapshot();
-        snap.counters.extend(self.cache_stats.snapshot().counters);
+        for (name, counter) in [
+            (names::STORAGE_CACHE_HITS, &self.hits),
+            (names::STORAGE_CACHE_MISSES, &self.misses),
+            (names::STORAGE_CACHE_EVICTIONS, &self.evictions),
+            (names::STORAGE_CACHE_INVALIDATIONS, &self.invalidations),
+        ] {
+            snap.counters.push((name.to_string(), counter.get()));
+        }
         snap
+    }
+
+    fn record_corrupt_block(&self) {
+        self.inner.record_corrupt_block();
     }
 
     fn find_region(&self, coords: &[u32]) -> Option<usize> {
@@ -488,14 +390,12 @@ mod tests {
             src.read_region(idx).unwrap();
         }
         assert_eq!(src.cached_blocks(), 4);
-        assert_eq!(src.generation(), 0);
 
         // Invalidate two cached regions plus one that is not cached.
         let dropped = src.invalidate_regions(&[1, 3, 17]);
         assert_eq!(dropped, 2);
         assert_eq!(src.cached_blocks(), 2);
         assert_eq!(src.cached_bytes(), 2 * block_bytes());
-        assert_eq!(src.generation(), 1);
         assert_eq!(src.snapshot().counter(
             names::STORAGE_CACHE_INVALIDATIONS).unwrap(), 2);
 
@@ -506,10 +406,8 @@ mod tests {
         assert_eq!(snap.cache_hits(), 1);
         assert_eq!(snap.cache_misses(), 5);
 
-        // An all-miss invalidation still bumps the generation but
-        // counts nothing.
+        // An all-miss invalidation counts nothing.
         assert_eq!(src.invalidate_regions(&[40, 41]), 0);
-        assert_eq!(src.generation(), 2);
         assert_eq!(src.snapshot().counter(
             names::STORAGE_CACHE_INVALIDATIONS).unwrap(), 2);
     }
@@ -609,19 +507,5 @@ mod tests {
         assert!(snap.cache_misses() >= 3);
         assert!(snap.cache_hits() >= 1);
         assert!(src.cached_blocks() >= 1);
-    }
-
-    #[test]
-    fn cache_stats_as_recorder_routes_canonical_names() {
-        let s = CacheStats::shared();
-        let rec: &dyn Recorder = s.as_ref();
-        rec.add(names::STORAGE_CACHE_HITS, 5);
-        rec.add(names::STORAGE_CACHE_MISSES, 2);
-        rec.add("unrelated/counter", 9); // ignored
-        let snap = s.snapshot();
-        assert_eq!(snap.cache_hits(), 5);
-        assert_eq!(snap.cache_misses(), 2);
-        s.reset();
-        assert_eq!(s.snapshot().cache_hits(), 0);
     }
 }

@@ -15,7 +15,6 @@
 
 use crate::block::RegionBlock;
 use crate::format::{decode_block_v2, encode_block_v2};
-use crate::metrics::IoStats;
 use crate::source::TrainingSource;
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use std::io;
@@ -159,11 +158,6 @@ impl<S: TrainingSource> FaultySource<S> {
         &self.plan
     }
 
-    /// Total faults injected so far (transients + corrupt reads).
-    pub fn faults_injected(&self) -> u64 {
-        self.faults.get()
-    }
-
     /// Forget transient-fault history, so previously recovered regions
     /// fail again on their next reads (a "second incident").
     pub fn reset_transients(&self) {
@@ -210,14 +204,10 @@ impl<S: TrainingSource> TrainingSource for FaultySource<S> {
             buf[bit / 8] ^= 1 << (bit % 8);
             let err = decode_block_v2(&buf).expect_err("flipped bit must fail the checksum");
             self.faults.inc();
-            self.inner.stats().record_corrupt_block();
+            self.inner.record_corrupt_block();
             return Err(err);
         }
         self.inner.read_region(idx)
-    }
-
-    fn stats(&self) -> &Arc<IoStats> {
-        self.inner.stats()
     }
 
     /// Inner counters plus `storage/faults_injected`.
@@ -226,6 +216,10 @@ impl<S: TrainingSource> TrainingSource for FaultySource<S> {
         snap.counters
             .push((names::STORAGE_FAULTS_INJECTED.to_string(), self.faults.get()));
         snap
+    }
+
+    fn record_corrupt_block(&self) {
+        self.inner.record_corrupt_block();
     }
 
     fn find_region(&self, coords: &[u32]) -> Option<usize> {
@@ -259,7 +253,7 @@ mod tests {
         for idx in 0..6 {
             assert_eq!(src.read_region(idx).unwrap().region, vec![idx as u32]);
         }
-        assert_eq!(src.faults_injected(), 0);
+        assert_eq!(src.snapshot().faults_injected(), 0);
     }
 
     #[test]
@@ -290,7 +284,7 @@ mod tests {
         }
         // Third attempt recovers and reads the true block.
         assert_eq!(src.read_region(0).unwrap().region, vec![0]);
-        assert_eq!(src.faults_injected(), 2);
+        assert_eq!(src.snapshot().faults_injected(), 2);
         // Only the failed attempts were faults; the real read was
         // counted by the inner source exactly once.
         assert_eq!(src.snapshot().regions_read(), 1);
@@ -310,7 +304,7 @@ mod tests {
             let again = src.read_region(idx).expect_err("still corrupt");
             assert!(is_corrupt(&again));
         }
-        assert_eq!(src.faults_injected(), 6);
+        assert_eq!(src.snapshot().faults_injected(), 6);
         assert_eq!(src.snapshot().corrupt_blocks(), 6);
     }
 
@@ -330,6 +324,6 @@ mod tests {
         let plan = FaultPlan::new(4).with_latency(Duration::from_micros(50));
         let src = FaultySource::new(MemorySource::new(blocks(2)), plan);
         assert_eq!(src.read_region(1).unwrap().region, vec![1]);
-        assert_eq!(src.faults_injected(), 0);
+        assert_eq!(src.snapshot().faults_injected(), 0);
     }
 }

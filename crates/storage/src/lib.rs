@@ -13,17 +13,18 @@
 //!   index, written by [`TrainingWriter`], for the efficiency
 //!   experiments where every region request must hit disk.
 //!
-//! The [`IoStats`] counters record region reads, bytes and examples, so
-//! tests can assert the paper's scan-count lemmas (naive tree ≈ `l·m`
-//! scans, RF tree = `l`, single-scan cube = 1) exactly. Counts are read
-//! through [`TrainingSource::snapshot`] (a `bellwether_obs`
-//! `MetricsSnapshot`); constructing a source `with_registry` binds the
-//! counters into a shared observability registry instead.
+//! Each source's [`IoStats`] counters record region reads, bytes and
+//! examples, so tests can assert the paper's scan-count lemmas (naive
+//! tree ≈ `l·m` scans, RF tree = `l`, single-scan cube = 1) exactly.
+//! Every count — a source's and each wrapper's — is read through
+//! [`TrainingSource::snapshot`] (a `bellwether_obs` `MetricsSnapshot`),
+//! and nothing else; opening or wrapping a source `with_registry` binds
+//! its counters into a shared observability registry as well.
 //!
 //! [`CachedSource`] wraps any source with a byte-budgeted LRU cache of
 //! decoded blocks, so the multi-scan algorithms stop re-decoding the
 //! regions they revisit; cache hits bypass (and are not counted by) the
-//! inner source's [`IoStats`].
+//! inner source.
 //!
 //! ## Fault tolerance
 //!
@@ -72,7 +73,7 @@ pub mod writer;
 
 pub use atomic::AtomicFile;
 pub use block::RegionBlock;
-pub use cache::{CacheStats, CachedSource};
+pub use cache::CachedSource;
 pub use fault::{FaultPlan, FaultySource};
 pub use format::{is_corrupt, CorruptBlock};
 pub use metrics::IoStats;

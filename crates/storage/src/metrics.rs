@@ -5,16 +5,16 @@
 //! cube = 1). These counters let integration tests assert the claims
 //! exactly, independent of wall-clock noise.
 //!
-//! [`IoStats`] is a thin bundle of [`Counter`] handles. Constructed via
-//! [`IoStats::in_registry`] the handles are bound to the canonical
-//! [`names`] entries of a shared [`Registry`], so a source's own books
-//! and the workspace-wide metrics see the *same* atomics. Read values
-//! through [`MetricsSnapshot`] accessors.
+//! [`IoStats`] is a thin bundle of [`Counter`] handles that a source
+//! owns. Constructed via [`IoStats::in_registry`] the handles are bound
+//! to the canonical [`names`] entries of a shared [`Registry`], so a
+//! source's own books and the workspace-wide metrics see the *same*
+//! atomics. Values are read through the source's
+//! `TrainingSource::snapshot`.
 
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
-use std::sync::Arc;
 
-/// Shared, thread-safe IO counters.
+/// Thread-safe IO counters of one source.
 #[derive(Debug, Default)]
 pub struct IoStats {
     regions_read: Counter,
@@ -24,20 +24,15 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Fresh counters behind an `Arc` for sharing with sources.
-    pub fn shared() -> Arc<IoStats> {
-        Arc::new(IoStats::default())
-    }
-
     /// Counters bound to the canonical `storage/*` entries of `reg`:
     /// every read recorded here is visible in `reg.snapshot()` too.
-    pub fn in_registry(reg: &Registry) -> Arc<IoStats> {
-        Arc::new(IoStats {
+    pub fn in_registry(reg: &Registry) -> IoStats {
+        IoStats {
             regions_read: reg.counter(names::STORAGE_REGIONS_READ),
             bytes_read: reg.counter(names::STORAGE_BYTES_READ),
             examples_read: reg.counter(names::STORAGE_EXAMPLES_READ),
             corrupt_blocks: reg.counter(names::STORAGE_CORRUPT_BLOCKS),
-        })
+        }
     }
 
     /// Record one region read of `bytes` bytes and `examples` examples.
@@ -72,20 +67,6 @@ impl IoStats {
             spans: Vec::new(),
         }
     }
-
-    /// Reset all counters (between experiment phases).
-    pub fn reset(&self) {
-        self.regions_read.reset();
-        self.bytes_read.reset();
-        self.examples_read.reset();
-        self.corrupt_blocks.reset();
-    }
-}
-
-impl From<&IoStats> for MetricsSnapshot {
-    fn from(s: &IoStats) -> MetricsSnapshot {
-        s.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +74,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_accumulate_and_reset() {
-        let s = IoStats::shared();
+    fn records_accumulate() {
+        let s = IoStats::default();
         s.record_region_read(100, 10);
         s.record_region_read(50, 5);
         let snap = s.snapshot();
@@ -102,10 +83,7 @@ mod tests {
         assert_eq!(snap.bytes_read(), 150);
         assert_eq!(snap.examples_read(), 15);
         assert!((snap.scan_equivalents(4) - 0.5).abs() < 1e-12);
-        s.reset();
-        let snap = s.snapshot();
-        assert_eq!(snap.regions_read(), 0);
-        assert_eq!(snap.scan_equivalents(0), 0.0);
+        assert_eq!(IoStats::default().snapshot().scan_equivalents(0), 0.0);
     }
 
     #[test]
@@ -117,25 +95,22 @@ mod tests {
         assert_eq!(snap.regions_read(), 1);
         assert_eq!(snap.bytes_read(), 64);
         assert_eq!(snap.examples_read(), 4);
-        // The From<&_> conversion agrees with the registry view.
-        assert_eq!(MetricsSnapshot::from(io.as_ref()).regions_read(), 1);
+        // The source's own view agrees with the registry view.
+        assert_eq!(io.snapshot().regions_read(), 1);
     }
 
     #[test]
     fn shared_across_threads() {
-        let s = IoStats::shared();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let s = Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    s.record_region_read(1, 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        let s = IoStats::default();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        s.record_region_read(1, 1);
+                    }
+                });
+            }
+        });
         assert_eq!(s.snapshot().regions_read(), 4000);
     }
 }

@@ -13,7 +13,7 @@ use crate::format::{
 };
 use crate::metrics::IoStats;
 use crate::source::TrainingSource;
-use bellwether_obs::{span, Registry};
+use bellwether_obs::{span, MetricsSnapshot, Registry};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io;
@@ -27,7 +27,7 @@ pub struct DiskSource {
     header: Header,
     index: Vec<IndexEntry>,
     by_coords: HashMap<Vec<u32>, usize>,
-    stats: Arc<IoStats>,
+    stats: IoStats,
     registry: Option<Arc<Registry>>,
 }
 
@@ -85,7 +85,7 @@ impl DiskSource {
             header,
             index,
             by_coords,
-            stats: IoStats::shared(),
+            stats: IoStats::default(),
             registry: None,
         })
     }
@@ -165,8 +165,12 @@ impl TrainingSource for DiskSource {
         Ok(Arc::new(block))
     }
 
-    fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.stats.snapshot()
+    }
+
+    fn record_corrupt_block(&self) {
+        self.stats.record_corrupt_block();
     }
 
     fn find_region(&self, coords: &[u32]) -> Option<usize> {

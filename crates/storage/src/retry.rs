@@ -22,7 +22,6 @@
 
 use crate::block::RegionBlock;
 use crate::fault::mix;
-use crate::metrics::IoStats;
 use crate::source::TrainingSource;
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use std::io;
@@ -199,10 +198,6 @@ impl<S: TrainingSource> RetryingSource<S> {
         &self.policy
     }
 
-    /// Total retries performed so far (first attempts are not retries).
-    pub fn retries(&self) -> u64 {
-        self.retries.get()
-    }
 }
 
 impl<S: TrainingSource> TrainingSource for RetryingSource<S> {
@@ -238,16 +233,16 @@ impl<S: TrainingSource> TrainingSource for RetryingSource<S> {
         }
     }
 
-    fn stats(&self) -> &Arc<IoStats> {
-        self.inner.stats()
-    }
-
     /// Inner counters plus `storage/retries`.
     fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.inner.snapshot();
         snap.counters
             .push((names::STORAGE_RETRIES.to_string(), self.retries.get()));
         snap
+    }
+
+    fn record_corrupt_block(&self) {
+        self.inner.record_corrupt_block();
     }
 
     fn find_region(&self, coords: &[u32]) -> Option<usize> {
@@ -352,7 +347,7 @@ mod tests {
         for idx in 0..4 {
             assert_eq!(src.read_region(idx).unwrap().region, vec![idx as u32]);
         }
-        assert_eq!(src.retries(), 8, "two retries per region");
+        assert_eq!(src.snapshot().retries(), 8, "two retries per region");
         assert_eq!(src.snapshot().retries(), 8);
         assert_eq!(src.snapshot().regions_read(), 4);
     }
@@ -365,7 +360,7 @@ mod tests {
         let src = RetryingSource::new(faulty, fast_policy(3));
         let err = src.read_region(0).expect_err("budget exhausted");
         assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        assert_eq!(src.retries(), 2, "max_attempts - 1 retries");
+        assert_eq!(src.snapshot().retries(), 2, "max_attempts - 1 retries");
     }
 
     #[test]
@@ -375,8 +370,8 @@ mod tests {
         let src = RetryingSource::new(faulty, fast_policy(5));
         let err = src.read_region(0).expect_err("corruption is permanent");
         assert!(is_corrupt(&err));
-        assert_eq!(src.retries(), 0, "no attempts wasted on permanent rot");
-        assert_eq!(src.inner().faults_injected(), 1, "single read attempt");
+        assert_eq!(src.snapshot().retries(), 0, "no attempts wasted on permanent rot");
+        assert_eq!(src.inner().snapshot().faults_injected(), 1, "single read attempt");
     }
 
     #[test]
@@ -389,7 +384,7 @@ mod tests {
         let src = CachedSource::new(retrying, 1 << 20);
         assert_eq!(src.read_region(0).unwrap().region, vec![0]);
         assert_eq!(src.read_region(0).unwrap().region, vec![0]);
-        assert_eq!(src.inner().retries(), 1, "second read was a cache hit");
+        assert_eq!(src.inner().snapshot().retries(), 1, "second read was a cache hit");
         let snap = src.snapshot();
         assert_eq!(snap.cache_hits(), 1);
         assert_eq!(snap.retries(), 1);

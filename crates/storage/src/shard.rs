@@ -634,14 +634,15 @@ fn open_member(dir: &Path, file: &str, bytes: u64, regions: u64) -> io::Result<D
 /// index `i` maps to `(shard s, local index i - starts[s])` by binary
 /// search over the cumulative shard starts. Reads are counted in this
 /// source's own [`IoStats`] (the per-shard inner sources keep their own
-/// books), and [`TrainingSource::shard_starts`] exposes the partition so
-/// the scan engine can run its two-level shard-aligned merge.
+/// books, which [`TrainingSource::snapshot`] does not read), and
+/// [`TrainingSource::shard_starts`] exposes the partition so the scan
+/// engine can run its two-level shard-aligned merge.
 pub struct ShardedSource {
     shards: Vec<Box<dyn TrainingSource>>,
     starts: Vec<usize>,
     total: usize,
     p: usize,
-    stats: Arc<IoStats>,
+    stats: IoStats,
     dir: Option<PathBuf>,
     view: RwLock<Option<ManifestView>>,
     reads: Counter,
@@ -741,7 +742,7 @@ impl ShardedSource {
             starts,
             total,
             p,
-            stats: IoStats::shared(),
+            stats: IoStats::default(),
             dir: None,
             view: RwLock::new(None),
             reads: Counter::new(),
@@ -845,17 +846,17 @@ impl TrainingSource for ShardedSource {
         Ok(block)
     }
 
-    fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
+    /// This source's own read counters only: every read it routes is
+    /// counted here once, whichever shard or overlay served it. A
+    /// shard's inner layers keep books of their own, read through
+    /// [`ShardedSource::shard`]'s snapshot.
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.stats.snapshot()
     }
 
-    /// This source's own read counters plus every shard's inner
-    /// counters, concatenated (same-name entries from different shards
-    /// are summed by `MetricsSnapshot` accessors reading the first
-    /// match; shard-level detail stays available via
-    /// [`ShardedSource::shard`]).
-    fn snapshot(&self) -> MetricsSnapshot {
-        self.stats.as_ref().into()
+    /// Counted here, where [`TrainingSource::snapshot`] reads it.
+    fn record_corrupt_block(&self) {
+        self.stats.record_corrupt_block();
     }
 
     fn total_examples(&self) -> io::Result<u64> {

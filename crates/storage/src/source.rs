@@ -5,7 +5,7 @@
 
 use crate::block::RegionBlock;
 use crate::metrics::IoStats;
-use bellwether_obs::{MetricsSnapshot, Registry};
+use bellwether_obs::MetricsSnapshot;
 use std::io;
 use std::sync::Arc;
 
@@ -13,8 +13,8 @@ use std::sync::Arc;
 ///
 /// Region order is fixed at construction; "one scan over the entire
 /// training data" = `read_region(0..num_regions())` in order. Every read
-/// is counted in [`TrainingSource::stats`], so tests can verify the
-/// paper's scan-count lemmas.
+/// is counted, and [`TrainingSource::snapshot`] reads the counts, so
+/// tests can verify the paper's scan-count lemmas.
 pub trait TrainingSource: Send + Sync {
     /// Number of stored regions.
     fn num_regions(&self) -> usize;
@@ -34,15 +34,17 @@ pub trait TrainingSource: Send + Sync {
     /// block.
     fn read_region(&self, idx: usize) -> io::Result<Arc<RegionBlock>>;
 
-    /// Shared IO counters.
-    fn stats(&self) -> &Arc<IoStats>;
+    /// Point-in-time copy of this source's counters, and of every layer
+    /// it wraps, addressed by the canonical names in
+    /// `bellwether_obs::names` — the one way to read scan counts. Each
+    /// name appears once.
+    fn snapshot(&self) -> MetricsSnapshot;
 
-    /// Point-in-time copy of this source's IO counters, addressed by the
-    /// canonical names in `bellwether_obs::names` — the one way to read
-    /// scan counts.
-    fn snapshot(&self) -> MetricsSnapshot {
-        self.stats().as_ref().into()
-    }
+    /// Count one block of this source's that failed validation above it:
+    /// a `FaultySource` serving injected corruption calls this, so the
+    /// rot lands under `storage/corrupt_blocks` exactly as a real rotten
+    /// block read here would. Wrappers forward it to their inner source.
+    fn record_corrupt_block(&self);
 
     /// Index of the region with the given coordinates, if stored.
     fn find_region(&self, coords: &[u32]) -> Option<usize> {
@@ -78,7 +80,7 @@ pub trait TrainingSource: Send + Sync {
 pub struct MemorySource {
     blocks: Vec<Arc<RegionBlock>>,
     p: usize,
-    stats: Arc<IoStats>,
+    stats: IoStats,
 }
 
 impl MemorySource {
@@ -98,17 +100,8 @@ impl MemorySource {
         MemorySource {
             blocks,
             p,
-            stats: IoStats::shared(),
+            stats: IoStats::default(),
         }
-    }
-
-    /// Like [`MemorySource::new`], but IO counters are bound to the
-    /// canonical `storage/*` entries of `reg`, so every read shows up in
-    /// `reg.snapshot()` alongside the rest of the pipeline's metrics.
-    pub fn with_registry(blocks: Vec<RegionBlock>, reg: &Registry) -> Self {
-        let mut src = MemorySource::new(blocks);
-        src.stats = IoStats::in_registry(reg);
-        src
     }
 
     /// Direct (uncounted) access for construction-time bookkeeping.
@@ -137,8 +130,12 @@ impl TrainingSource for MemorySource {
         Ok(b)
     }
 
-    fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.stats.snapshot()
+    }
+
+    fn record_corrupt_block(&self) {
+        self.stats.record_corrupt_block();
     }
 }
 
@@ -164,18 +161,6 @@ mod tests {
         assert_eq!(b.n(), 2);
         assert_eq!(src.snapshot().regions_read(), 1);
         assert_eq!(src.snapshot().examples_read(), 2);
-    }
-
-    #[test]
-    fn registry_bound_source_reports_into_registry() {
-        let reg = Registry::shared();
-        let src = MemorySource::with_registry(blocks(), &reg);
-        src.read_region(0).unwrap();
-        src.read_region(1).unwrap();
-        assert_eq!(reg.snapshot().regions_read(), 2);
-        assert_eq!(reg.snapshot().examples_read(), 3);
-        // The source's own view is the same atomics.
-        assert_eq!(src.snapshot().regions_read(), 2);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::block::RegionBlock;
 use crate::format::{
     encode_block_v2, encode_header, encode_index, Header, IndexEntry, HEADER_LEN, VERSION,
 };
-use bellwether_obs::{names, Counter, Registry};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -22,8 +21,6 @@ pub struct TrainingWriter {
     p: u32,
     arity: u32,
     buf: Vec<u8>,
-    regions_counter: Counter,
-    bytes_counter: Counter,
 }
 
 impl TrainingWriter {
@@ -44,24 +41,7 @@ impl TrainingWriter {
             p,
             arity,
             buf: Vec::new(),
-            regions_counter: Counter::new(),
-            bytes_counter: Counter::new(),
         })
-    }
-
-    /// Like [`TrainingWriter::create`], but write counters are bound to
-    /// the canonical `storage/regions_written` / `storage/bytes_written`
-    /// entries of `reg`.
-    pub fn create_with_registry(
-        path: &Path,
-        p: u32,
-        arity: u32,
-        reg: &Registry,
-    ) -> io::Result<Self> {
-        let mut w = TrainingWriter::create(path, p, arity)?;
-        w.regions_counter = reg.counter(names::STORAGE_REGIONS_WRITTEN);
-        w.bytes_counter = reg.counter(names::STORAGE_BYTES_WRITTEN);
-        Ok(w)
     }
 
     /// Append one region's training set. Blocks must be written in the
@@ -88,8 +68,6 @@ impl TrainingWriter {
             coords: block.region.clone(),
         });
         self.offset += self.buf.len() as u64;
-        self.regions_counter.inc();
-        self.bytes_counter.add(self.buf.len() as u64);
         Ok(())
     }
 
@@ -134,24 +112,6 @@ mod tests {
         assert!(w.write_region(&ok).is_ok());
         assert_eq!(w.regions_written(), 1);
         w.finish().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn registry_bound_writer_counts_writes() {
-        let dir = std::env::temp_dir().join("bw_writer_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("counted.bwtd");
-        let reg = Registry::new();
-        let mut w = TrainingWriter::create_with_registry(&path, 2, 2, &reg).unwrap();
-        let mut b = RegionBlock::new(vec![0, 0], 2);
-        b.push(1, &[1.0, 2.0], 3.0);
-        w.write_region(&b).unwrap();
-        w.write_region(&b).unwrap();
-        w.finish().unwrap();
-        let snap = reg.snapshot();
-        assert_eq!(snap.regions_written(), 2);
-        assert!(snap.bytes_written() > 0);
         std::fs::remove_file(&path).ok();
     }
 

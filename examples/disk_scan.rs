@@ -89,16 +89,16 @@ fn main() {
     ];
 
     for (name, build) in &algorithms {
-        src.stats().reset();
+        let before = src.snapshot().regions_read();
         let start = std::time::Instant::now();
         let cube = build();
         let secs = start.elapsed().as_secs_f64();
-        let snap = src.snapshot();
+        let reads = src.snapshot().regions_read() - before;
         println!(
             "{name:<18} {:>6.2}s  {:>6} region reads  ({:.1} full scans)  {} cells",
             secs,
-            snap.regions_read(),
-            snap.scan_equivalents(regions),
+            reads,
+            reads as f64 / regions as f64,
             cube.cells.len()
         );
     }

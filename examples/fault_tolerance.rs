@@ -47,16 +47,13 @@ fn main() {
         .filter(|r| data.cost.cost(&data.space, r) <= budget)
         .collect();
     let path = std::env::temp_dir().join("bellwether_fault_tolerance.btd");
-    write_disk_source_in_registry(
-        &path,
-        &cube_result,
-        &regions,
-        &data.space,
-        &data.items,
-        &targets,
-        &reg,
-    )
-    .unwrap();
+    let blocks = build_memory_source(&cube_result, &regions, &data.items, &targets);
+    let (p, arity) = (blocks.feature_arity() as u32, data.space.arity() as u32);
+    let mut writer = bellwether::storage::TrainingWriter::create(&path, p, arity).unwrap();
+    for block in blocks.blocks() {
+        writer.write_region(block).unwrap();
+    }
+    writer.finish().unwrap();
     let clean = DiskSource::open(&path).unwrap();
     println!("wrote {} checksummed regions", regions.len());
 
@@ -100,10 +97,11 @@ fn main() {
         format!("{baseline:?}"),
         "retried faults must not change the result"
     );
+    let flaky_counts = flaky.snapshot();
     println!(
         "faulty search: {} transients injected, {} retries — result bit-identical to clean run",
-        flaky.inner().faults_injected(),
-        flaky.retries()
+        flaky_counts.faults_injected(),
+        flaky_counts.retries()
     );
 
     // ---- corruption: flip one byte of the first block on disk.

@@ -1,6 +1,6 @@
 //! Observability tour: run the mail-order pipeline end to end with one
 //! metrics [`Registry`] attached to every layer — the CUBE pass, the
-//! disk storage reader/writer, the basic search, the RainForest tree
+//! disk storage reader, the basic search, the RainForest tree
 //! builder (one span per level scan, the empirical Lemma 1 witness) and
 //! the optimized cube builder — then print the resulting span-tree
 //! profile and counters.
@@ -154,8 +154,8 @@ fn main() {
         (1.0 - without / with) * 100.0
     );
 
-    // ---- entire training data on disk, written and read through the
-    // registry-bound storage layer.
+    // ---- entire training data on disk, written block by block and read
+    // back through the registry-bound storage layer.
     let budget = 40.0;
     let regions: Vec<RegionId> = data
         .space
@@ -164,16 +164,13 @@ fn main() {
         .filter(|r| data.cost.cost(&data.space, r) <= budget)
         .collect();
     let path = std::env::temp_dir().join("bellwether_observability.btd");
-    write_disk_source_in_registry(
-        &path,
-        &cube_result,
-        &regions,
-        &data.space,
-        &data.items,
-        &targets,
-        &reg,
-    )
-    .unwrap();
+    let blocks = build_memory_source(&cube_result, &regions, &data.items, &targets);
+    let (p, arity) = (blocks.feature_arity() as u32, data.space.arity() as u32);
+    let mut writer = bellwether::storage::TrainingWriter::create(&path, p, arity).unwrap();
+    for block in blocks.blocks() {
+        writer.write_region(block).unwrap();
+    }
+    writer.finish().unwrap();
     let source = DiskSource::open_with_registry(&path, &reg).unwrap();
     // Every block written above and read below is checksummed; say
     // which kernel this CPU runs it through ("table" is the slow path).
@@ -282,9 +279,9 @@ fn main() {
     .unwrap();
     println!("optimized cube: {} cells", cube.cells.len());
 
-    // Legacy cross-check for storage I/O: replay the tree build on a
-    // plain DiskSource and compare its IoStats-backed snapshot against
-    // the registry's running counters.
+    // Cross-check for storage I/O: replay the tree build on a plain
+    // DiskSource and compare its own snapshot against the registry's
+    // running counters.
     let before = reg.snapshot().regions_read();
     let _ = build_rainforest(&source, &data.space, &data.items, None, &problem, &tree_cfg)
         .unwrap();
@@ -295,9 +292,9 @@ fn main() {
     assert_eq!(
         plain.snapshot().regions_read(),
         tree_reads,
-        "registry and legacy IoStats disagree on regions read"
+        "the registry and a plain source's snapshot disagree on regions read"
     );
-    println!("tree build: {tree_reads} region reads (matches legacy IoStats)");
+    println!("tree build: {tree_reads} region reads (matches a plain source's snapshot)");
 
     // ---- decoded-block cache: the RF tree reads the entire training
     // data once per level, so everything after the first level-scan is

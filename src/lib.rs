@@ -84,8 +84,8 @@ pub mod prelude {
         basic_search, basic_search_linear, build_cube_input, build_memory_source,
         build_naive_cube, build_naive_tree, build_optimized_cube, build_rainforest,
         build_single_scan_cube, evaluate_method, global_target, prune_tree,
-        sampling_baseline_error, scan_regions, select_cell_for_item,
-        write_disk_source_in_registry, BasicSearchResult, BellwetherConfig,
+        sampling_baseline_error, scan_regions, select_cell_for_item, BasicSearchResult,
+        BellwetherConfig,
         BellwetherConfigBuilder, BellwetherCube, BellwetherError, BellwetherTree, CubeConfig,
         CubeConfigBuilder, ErrorMeasure, EvalContext, FeatureQuery, ItemCentricEval,
         BellwetherModel, BellwetherReport, ItemTable, LinearCriterion, MergeableAccumulator,
@@ -107,7 +107,7 @@ pub mod prelude {
     };
     pub use bellwether_linreg::{ErrorEstimate, LinearModel, RegSuffStats, RegressionData};
     pub use bellwether_storage::{
-        even_shard_plan, is_corrupt, CacheStats, CachedSource, CorruptBlock, DiskSource,
+        even_shard_plan, is_corrupt, CachedSource, CorruptBlock, DiskSource,
         FaultPlan, FaultySource, MemorySource, RegionBlock, RetryPolicy, RetryPolicyBuilder,
         RetryingSource, ShardManifest, ShardedSource, ShardedWriter, TrainingSource,
     };

@@ -149,7 +149,6 @@ fn training_set_error_tracks_cv_error() {
 
 #[test]
 fn disk_backed_pipeline_matches_memory() {
-    use bellwether_core::write_disk_source_in_registry;
     let mut cfg = RetailConfig::mail_order(60, 16);
     cfg.months = 5;
     cfg.converge_month = 4;
@@ -162,9 +161,14 @@ fn disk_backed_pipeline_matches_memory() {
     let mem = build_memory_source(&cube, &regions, &data.items, &targets);
 
     let path = std::env::temp_dir().join("bw_e2e_disk.bwtd");
-    let reg = bellwether_obs::Registry::new();
-    write_disk_source_in_registry(&path, &cube, &regions, &data.space, &data.items, &targets, &reg)
-        .unwrap();
+    let arity = data.space.arity() as u32;
+    let mut writer =
+        bellwether::storage::TrainingWriter::create(&path, mem.feature_arity() as u32, arity)
+            .unwrap();
+    for block in mem.blocks() {
+        writer.write_region(block).unwrap();
+    }
+    writer.finish().unwrap();
     let disk = DiskSource::open(&path).unwrap();
 
     let config = BellwetherConfig::builder(25.0)

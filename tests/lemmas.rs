@@ -181,10 +181,10 @@ fn lemma_1_rf_scan_budget() {
     let (w, src) = workload();
     let regions = src.num_regions() as u64;
     let reads = |tree_cfg: &TreeConfig| {
-        src.stats().reset();
+        let before = src.snapshot().regions_read();
         let rf = build_rainforest(&src, &w.region_space, &w.items, None, &problem(), tree_cfg)
             .unwrap();
-        (rf, src.snapshot().regions_read())
+        (rf, src.snapshot().regions_read() - before)
     };
     // The paper's `l`: one scan per level above the leaves, whose
     // bellwethers their parent's scan already found, plus one fit-read
@@ -382,7 +382,8 @@ fn scan_count_ordering_naive_vs_scan_based() {
         min_subset_size: 25,
     };
 
-    src.stats().reset();
+    let reads = || src.snapshot().regions_read();
+    let before = reads();
     build_single_scan_cube(
         &src,
         &w.region_space,
@@ -392,9 +393,9 @@ fn scan_count_ordering_naive_vs_scan_based() {
         &cc,
     )
     .unwrap();
-    let single_reads = src.snapshot().regions_read();
+    let single_reads = reads() - before;
 
-    src.stats().reset();
+    let before = reads();
     build_naive_cube(
         &src,
         &w.region_space,
@@ -404,7 +405,7 @@ fn scan_count_ordering_naive_vs_scan_based() {
         &cc,
     )
     .unwrap();
-    let naive_reads = src.snapshot().regions_read();
+    let naive_reads = reads() - before;
     assert!(
         naive_reads > 3 * single_reads,
         "naive {naive_reads} vs single {single_reads}"

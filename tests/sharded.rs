@@ -488,6 +488,69 @@ fn a_dead_shard_degrades_with_exact_skip_accounting() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One set of books: a stack bound to one `Registry` —
+/// `CachedSource(RetryingSource(FaultySource(ShardedSource)))` over a
+/// sharded layout — scanned twice with a transient fault on every region
+/// and permanent corruption on a few. The stack's snapshot names each
+/// counter once, and each reads what the registry holds under that name.
+#[test]
+fn a_registry_bound_stack_keeps_one_set_of_books() {
+    let mut rng = Rng::new(0xB00C);
+    let (blocks, region_space, ..) = random_fixture(&mut rng);
+    let dir = write_shards(&blocks, 3, "books");
+    let corrupt = |plan: &FaultPlan| (0..blocks.len()).filter(|&i| plan.is_corrupt_region(i)).count();
+    let plan = (0..)
+        .map(|seed| FaultPlan::new(seed).transient_every(1, 2).corrupt_every(4))
+        .find(|plan| (1..=3).contains(&corrupt(plan)))
+        .unwrap();
+    let n_corrupt = corrupt(&plan);
+
+    let reg = Registry::shared();
+    let sharded = ShardedSource::open_with_registry(&dir, &reg).unwrap();
+    let faulty = FaultySource::with_registry(sharded, plan, &reg);
+    let retrying = RetryingSource::with_registry(faulty, absorbing_policy(), &reg);
+    let src = CachedSource::with_registry(retrying, 1 << 20, &reg);
+    let cfg = BellwetherConfig::builder(1e9)
+        .min_coverage(0.0)
+        .min_examples(3)
+        .error_measure(ErrorMeasure::TrainingSet)
+        .scan_policy(ScanPolicy::SkipUnreadable { max_skipped: n_corrupt })
+        .build()
+        .unwrap();
+    let cost = UniformCellCost { rate: 1.0 };
+    for _ in 0..2 {
+        let result = basic_search(&src, &region_space, &cost, &cfg, 32).unwrap();
+        assert_eq!(result.skipped_regions.len(), n_corrupt);
+    }
+
+    let (snap, books) = (src.snapshot(), reg.snapshot());
+    let mut names: Vec<&str> = snap.counters.iter().map(|(name, _)| name.as_str()).collect();
+    names.sort_unstable();
+    let mut want = vec![
+        "storage/bytes_read",
+        "storage/cache_evictions",
+        "storage/cache_hits",
+        "storage/cache_invalidations",
+        "storage/cache_misses",
+        "storage/corrupt_blocks",
+        "storage/examples_read",
+        "storage/faults_injected",
+        "storage/regions_read",
+        "storage/retries",
+    ];
+    want.sort_unstable();
+    assert_eq!(names, want, "every layer's counters, each once");
+    for (name, value) in &snap.counters {
+        assert_eq!(books.counter(name), Some(*value), "{name}");
+    }
+    // Not vacuous: every kind of event happened.
+    assert!(snap.cache_hits() > 0 && snap.cache_misses() > 0);
+    assert!(snap.retries() > 0 && snap.faults_injected() > snap.retries());
+    assert_eq!(snap.corrupt_blocks(), 2 * n_corrupt as u64, "one per scan per corrupt region");
+    assert!(snap.regions_read() > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A manifest names files inside its layout directory and nowhere else.
 /// A shard or overlay name that is not one bare file name is refused at
 /// decode as `InvalidData`, under a checksum that verifies and with a
