@@ -9,8 +9,10 @@
 //! 2. only those regions' training blocks are re-assembled and written
 //!    to the sharded layout as a new *generation* (an append-only
 //!    overlay — clean blocks are never rewritten);
-//! 3. the [`CachedSource`] evicts exactly the dirty blocks; every clean
-//!    block stays cached and is never re-read;
+//! 3. once the sharded source has adopted that generation (opening only
+//!    the new overlay file), the blocks just built replace the dirty
+//!    regions' entries in the [`CachedSource`]; every clean block stays
+//!    cached, and no block is read back from disk;
 //! 4. only the dirty candidates are re-scored — the cold search's own
 //!    scan (`scan_regions`, so its panic isolation and the config's
 //!    `ScanPolicy`) with the dirty set as its pre-read filter — and the
@@ -35,9 +37,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
-use bellwether_obs::names;
+use bellwether_obs::{names, span};
 use bellwether_storage::{
-    even_shard_plan, CachedSource, ShardAppender, ShardedSource, ShardedWriter,
+    even_shard_plan, CachedSource, RegionBlock, ShardAppender, ShardedSource, ShardedWriter,
 };
 use bellwether_table::ColumnData;
 
@@ -79,7 +81,7 @@ pub struct AppendOutcome {
     pub dirty_candidates: usize,
     /// Dirty candidates actually re-scored (dirty minus over-budget).
     pub rescored: usize,
-    /// Cached blocks evicted by the dirty-set invalidation.
+    /// Stale cached blocks the append's own blocks replaced.
     pub blocks_invalidated: u64,
     /// Storage generation after the append (unchanged if no candidate
     /// was dirty).
@@ -203,16 +205,21 @@ impl StreamingBellwether {
     }
 
     /// Fold `delta` into the stream: update the cube, rewrite exactly
-    /// the dirty candidates' blocks as a new storage generation,
-    /// invalidate their cache entries, re-score them, and recompute the
-    /// argmin. An append the cube rejects (shape mismatch) leaves every
-    /// layer of state unchanged. When storage fails after the cube took
+    /// the dirty candidates' blocks as a new storage generation, put
+    /// them in the cache in place of the stale entries, re-score them,
+    /// and recompute the argmin. An append the cube rejects (shape
+    /// mismatch) leaves every layer of state unchanged. When storage fails after the cube took
     /// the rows, the call is an `Err` and is not counted, the rows stay
     /// folded, and the next append publishes this one's dirty
     /// candidates with its own — the engine converges on the cold
     /// result instead of serving the stale blocks forever.
     pub fn append(&mut self, delta: &CubeInput) -> Result<AppendOutcome> {
-        let update = self.cube.append(delta)?;
+        let rec = Arc::clone(&self.config.recorder);
+        let _append = span!(rec, "{}", names::STREAM_APPEND);
+        let update = {
+            let _cube = span!(rec, "{}", names::STREAM_APPEND_DELTA_CUBE);
+            self.cube.append(delta)?
+        };
 
         // Dirty *candidates*: the cube reports every dirty region in
         // the space; only those in our candidate list hold blocks.
@@ -245,7 +252,6 @@ impl StreamingBellwether {
             }
         }
         self.appends += 1;
-        let rec = &self.config.recorder;
         rec.add(names::STREAM_APPENDS, 1);
         rec.add(names::STREAM_REGIONS_DIRTIED, dirty.len() as u64);
         rec.add(names::STREAM_REGIONS_EXTENDED, update.regions_extended as u64);
@@ -264,7 +270,7 @@ impl StreamingBellwether {
                 to_label: to_summary.map(|r| r.label.clone()),
                 to_error: to_summary.map(|r| r.error.value),
             };
-            self.config.recorder.add(names::STREAM_DRIFT_EVENTS, 1);
+            rec.add(names::STREAM_DRIFT_EVENTS, 1);
             self.drift_log.push(event.clone());
             outcome.drift = Some(event);
         }
@@ -273,24 +279,46 @@ impl StreamingBellwether {
     }
 
     /// Rewrite the `dirty` candidates' blocks under a new generation,
-    /// adopt it, evict their cache entries and re-score them.
+    /// adopt it, seed the cache with the blocks and re-score them.
     fn publish(&mut self, dirty: &[usize], outcome: &mut AppendOutcome) -> Result<()> {
-        // Blocks must be appended in ascending source order (the
-        // appender enforces it); `dirty` is sorted.
-        let mut appender = ShardAppender::open(&self.dir)?;
-        for &idx in dirty {
-            let region = &self.regions[idx];
-            let block = region_block_lane(self.cube.result(), region, &self.items, &self.tau);
-            appender.write_region(idx, &block)?;
+        let rec = Arc::clone(&self.config.recorder);
+        let blocks: Vec<Arc<RegionBlock>> = {
+            let _build = span!(rec, "{}", names::STREAM_APPEND_BLOCK_BUILD);
+            let (cube, items, tau) = (self.cube.result(), &self.items, &self.tau);
+            dirty
+                .iter()
+                .map(|&idx| Arc::new(region_block_lane(cube, &self.regions[idx], items, tau)))
+                .collect()
+        };
+        {
+            let _publish = span!(rec, "{}", names::STREAM_APPEND_PUBLISH);
+            // Blocks must be appended in ascending source order (the
+            // appender enforces it); `dirty` is sorted.
+            let mut appender = ShardAppender::open(&self.dir)?;
+            {
+                let _write = span!(rec, "{}", names::STORAGE_APPEND_WRITE);
+                for (&idx, block) in dirty.iter().zip(&blocks) {
+                    appender.write_region(idx, block)?;
+                }
+            }
+            let published = appender.finish_recorded(rec.as_ref())?.generation;
+            outcome.generation = {
+                let _refresh = span!(rec, "{}", names::STORAGE_REFRESH);
+                self.source.inner().refresh()?
+            };
+            // The cache may hold a dirty block only once the source
+            // serves it: a newer generation another writer published
+            // may hold other blocks for these regions.
+            let replaced = if outcome.generation == published {
+                self.source.replace_regions(dirty.iter().copied().zip(blocks))
+            } else {
+                self.source.clear();
+                0
+            };
+            outcome.blocks_invalidated = replaced;
+            rec.add(names::STORAGE_CACHE_INVALIDATIONS, replaced);
         }
-        appender.finish()?;
-        outcome.generation = self.source.inner().refresh()?;
-        let evicted = self.source.invalidate_regions(dirty);
-        outcome.blocks_invalidated = evicted;
-        self.config
-            .recorder
-            .add(names::STORAGE_CACHE_INVALIDATIONS, evicted);
-
+        let _rescore = span!(rec, "{}", names::STREAM_APPEND_RESCORE);
         self.rescore(dirty, outcome)
     }
 
@@ -482,7 +510,7 @@ mod tests {
         file.seek(SeekFrom::Start(len - 200)).unwrap();
         file.write_all(&[0xA5; 8]).unwrap();
         drop(file);
-        engine.source.invalidate_regions(&dirty);
+        engine.source.clear();
 
         let err = engine.rescore(&dirty, &mut outcome).unwrap_err();
         let BellwetherError::RegionRead { index: bad, .. } = err else {

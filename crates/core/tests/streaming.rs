@@ -16,6 +16,8 @@ use bellwether_core::{
 };
 use bellwether_cube::{cube_pass, CostModel, NoopRecorder, UniformCellCost};
 use bellwether_datagen::{build_stream_workload, StreamConfig, StreamWorkload};
+use bellwether_prop::check;
+use bellwether_storage::format::encode_block_v2;
 use bellwether_storage::{even_shard_plan, ShardedSource, ShardedWriter, TrainingSource};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -156,6 +158,95 @@ fn every_append_matches_cold_rebuild_bit_for_bit() {
         assert!(engine.generation() > 0, "appends created generations");
         std::fs::remove_dir_all(engine.dir()).ok();
     }
+}
+
+/// The engine's cache is seeded with the blocks each append writes,
+/// and its sharded source adopts each generation by opening only what
+/// it adds. Neither may change what a reader sees: over random append
+/// schedules (batches, empty appends, re-appended weeks, so the
+/// all-time regions are dirtied by every append) at 1–4 shards and a
+/// cache that holds all, some or none of the layout, every block the
+/// engine serves after every append equals a fresh open's, as a block
+/// and as encoded bytes, and the engine's search result equals a cold
+/// search of that fresh open.
+#[test]
+fn the_engine_serves_what_a_fresh_open_reads_after_every_append() {
+    check("engine_serves_a_fresh_open", 6, |rng| {
+        let cfg = StreamConfig {
+            n_items: rng.usize_in(20, 40),
+            weeks: 8,
+            leaves: 3,
+            open_week: 4,
+            seed: rng.next_u64(),
+            ..StreamConfig::default()
+        };
+        let wl = build_stream_workload(&cfg);
+        let shards = rng.usize_in(1, 5);
+        let threads = rng.usize_in(1, 3);
+        let whole = {
+            let one = build_engine(&wl, 1, 1, f64::INFINITY, 1, "fresh_size");
+            let bytes = (0..wl.regions.len())
+                .map(|idx| one.source().read_region(idx).unwrap().encoded_len())
+                .sum::<usize>();
+            std::fs::remove_dir_all(one.dir()).ok();
+            bytes
+        };
+        let cache_bytes = *rng.choice(&[0, whole / 3, 4 * whole]);
+        let mut engine = StreamingBellwether::create(
+            &tmp_dir(&format!("fresh_{shards}")),
+            &wl.region_space,
+            &wl.input_range(0, 1),
+            &wl.item_universe(),
+            wl.items.clone(),
+            wl.target_map(),
+            wl.regions.clone(),
+            Arc::new(UniformCellCost { rate: 1.0 }),
+            config_for(threads, f64::INFINITY),
+            wl.items.len(),
+            shards,
+            cache_bytes,
+        )
+        .unwrap();
+        let (mut done, mut rewrites) = (1u32, 0usize);
+        while done < cfg.weeks {
+            let (lo, hi) = match rng.usize_in(0, 4) {
+                0 => (done, done),
+                1 => {
+                    let w = rng.usize_in(0, done as usize) as u32;
+                    (w, w + 1)
+                }
+                _ => (done, (done + rng.usize_in(1, 3) as u32).min(cfg.weeks)),
+            };
+            let outcome = engine.append(&wl.input_range(lo, hi)).unwrap();
+            assert_eq!(outcome.dirty_candidates == 0, lo == hi, "weeks {lo}..{hi}");
+            rewrites += outcome.dirty_candidates;
+            done = done.max(hi);
+
+            let ctx = format!("shards={shards} cache={cache_bytes} weeks {lo}..{hi}");
+            let fresh = ShardedSource::open(engine.dir()).unwrap();
+            assert_eq!(fresh.generation(), engine.generation(), "{ctx}");
+            for idx in 0..wl.regions.len() {
+                let served = engine.source().read_region(idx).unwrap();
+                let read = fresh.read_region(idx).unwrap();
+                assert_eq!(*served, *read, "{ctx}: block {idx}");
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                encode_block_v2(&served, &mut a);
+                encode_block_v2(&read, &mut b);
+                assert_eq!(a, b, "{ctx}: block {idx} bytes");
+            }
+            let cold = basic_search(
+                &fresh,
+                &wl.region_space,
+                &UniformCellCost { rate: 1.0 },
+                &config_for(threads, f64::INFINITY),
+                wl.items.len(),
+            )
+            .unwrap();
+            assert_same_result(&engine.search_result(), &cold, &ctx);
+        }
+        assert!(rewrites > wl.regions.len(), "some region was rewritten more than once");
+        std::fs::remove_dir_all(engine.dir()).ok();
+    });
 }
 
 /// The budget prefilter must behave identically incrementally: an

@@ -18,8 +18,8 @@ pub const STORAGE_CACHE_HITS: &str = "storage/cache_hits";
 pub const STORAGE_CACHE_MISSES: &str = "storage/cache_misses";
 /// Decoded blocks evicted by the cache's byte budget.
 pub const STORAGE_CACHE_EVICTIONS: &str = "storage/cache_evictions";
-/// Cached blocks dropped by an explicit `invalidate_regions` call
-/// (dirty-region invalidation after an append).
+/// Stale cached blocks a `CachedSource::replace_regions` call replaced
+/// with the blocks an append wrote (the dirty regions that were cached).
 pub const STORAGE_CACHE_INVALIDATIONS: &str = "storage/cache_invalidations";
 /// Region reads retried after a transient failure.
 pub const STORAGE_RETRIES: &str = "storage/retries";
@@ -29,13 +29,26 @@ pub const STORAGE_CORRUPT_BLOCKS: &str = "storage/corrupt_blocks";
 /// latency).
 pub const STORAGE_FAULTS_INJECTED: &str = "storage/faults_injected";
 
+/// Span, one per append that wrote blocks, inside
+/// `stream/append/publish`: writing the replacement blocks into the
+/// overlay file (buffered; the commit makes them durable).
+pub const STORAGE_APPEND_WRITE: &str = "storage/append_write";
+/// Span, one per append, inside `stream/append/publish`: closing the
+/// overlay file and committing it (flush, fsync, rename).
+pub const STORAGE_APPEND_COMMIT: &str = "storage/append_commit";
+/// Span, one per append, inside `stream/append/publish`: counting the
+/// examples the replaced blocks held and publishing the next
+/// generation's manifest atomically.
+pub const STORAGE_APPEND_MANIFEST: &str = "storage/append_manifest";
+/// Span, one per append, inside `stream/append/publish`: a sharded
+/// source adopting the generation the append published.
+pub const STORAGE_REFRESH: &str = "storage/refresh";
+
 /// Region indices dropped by a `SkipUnreadable` scan policy.
 pub const SCAN_REGIONS_SKIPPED: &str = "scan/regions_skipped";
 
 /// Shard files opened through a sharded manifest.
 pub const SHARD_SHARDS_OPENED: &str = "shard/shards_opened";
-/// Region reads routed through a sharded source to one of its shards.
-pub const SHARD_READS: &str = "shard/reads";
 /// Sorted state runs the external CUBE pass spilled to temp files.
 pub const SHARD_SPILLS: &str = "shard/spills";
 /// Bytes written to external-CUBE spill files.
@@ -158,6 +171,19 @@ pub const STREAM_REGIONS_RESCORED: &str = "stream/regions_rescored";
 /// Bellwether drift events: appends after which the argmin region
 /// flipped.
 pub const STREAM_DRIFT_EVENTS: &str = "stream/drift_events";
+/// Span, one per `StreamingBellwether::append` call: the whole append.
+pub const STREAM_APPEND: &str = "stream/append";
+/// Span inside `stream/append`: folding the rows into the delta cube.
+pub const STREAM_APPEND_DELTA_CUBE: &str = "stream/append/delta_cube";
+/// Span inside `stream/append`: assembling the dirty candidates'
+/// training blocks.
+pub const STREAM_APPEND_BLOCK_BUILD: &str = "stream/append/block_build";
+/// Span inside `stream/append`: writing the blocks as a new generation,
+/// adopting it and seeding the cache with them (the `storage/append_*`
+/// and `storage/refresh` spans run inside it).
+pub const STREAM_APPEND_PUBLISH: &str = "stream/append/publish";
+/// Span inside `stream/append`: re-scoring the dirty candidates.
+pub const STREAM_APPEND_RESCORE: &str = "stream/append/rescore";
 
 /// Worker processes (or simulated workers) spawned by a coordinator,
 /// including restarts.

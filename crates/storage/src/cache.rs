@@ -21,7 +21,7 @@
 //! * **Honest IO accounting.** Cache hits do not touch the inner
 //!   source, so its `storage/regions_read` keeps counting *real* reads
 //!   and the paper's scan-count lemmas stay assertable. Hits, misses,
-//!   evictions and invalidations are the cache's own counters, bindable
+//!   evictions and replacements are the cache's own counters, bindable
 //!   to a shared `bellwether_obs` registry via
 //!   [`CachedSource::with_registry`]; [`TrainingSource::snapshot`] reads
 //!   both sets.
@@ -70,6 +70,28 @@ impl CacheState {
             evicted += 1;
         }
         evicted
+    }
+
+    /// Cache `block` (charged `bytes`) as `idx`'s most recently used
+    /// entry — only marking the entry used if `idx` is already cached —
+    /// then evict down to `budget`. Returns the number of evictions.
+    fn admit(&mut self, idx: usize, block: Arc<RegionBlock>, bytes: usize, budget: usize) -> u64 {
+        self.tick += 1;
+        let tick = self.tick;
+        if let Some(entry) = self.map.get_mut(&idx) {
+            entry.last_used = tick;
+            return 0;
+        }
+        self.bytes += bytes;
+        self.map.insert(
+            idx,
+            CacheEntry {
+                block,
+                bytes,
+                last_used: tick,
+            },
+        );
+        self.evict_to(budget, idx)
     }
 }
 
@@ -154,28 +176,40 @@ impl<S: TrainingSource> CachedSource<S> {
         state.bytes = 0;
     }
 
-    /// Drop exactly the cached blocks of `indices` (a no-op for indices
-    /// not currently cached). This is the
-    /// dirty-region hook of the streaming append path: after new fact
-    /// rows change a region's sufficient statistics, the stale decoded
-    /// block must leave the cache while every clean region keeps its
-    /// warm entry. Counts dropped entries under
+    /// Put `blocks` — `(region index, block)` pairs — in the cache in
+    /// place of whatever it holds for those regions. This is the
+    /// write-through hook of the streaming append path: once the inner
+    /// source serves the blocks an append wrote, the append hands over
+    /// the very blocks it built, so a re-read of a dirty region is a hit
+    /// while every clean region keeps its warm entry. Each block is
+    /// cached as a miss would cache it (within the budget, evicting the
+    /// least recently used). Counts the stale entries replaced under
     /// `storage/cache_invalidations` and returns that count.
-    pub fn invalidate_regions(&self, indices: &[usize]) -> u64 {
-        let mut dropped = 0u64;
+    pub fn replace_regions(
+        &self,
+        blocks: impl IntoIterator<Item = (usize, Arc<RegionBlock>)>,
+    ) -> u64 {
+        let (mut replaced, mut evicted) = (0u64, 0u64);
         {
             let mut state = self.lock_state();
-            for &idx in indices {
-                if let Some(entry) = state.map.remove(&idx) {
-                    state.bytes -= entry.bytes;
-                    dropped += 1;
+            for (idx, block) in blocks {
+                if let Some(stale) = state.map.remove(&idx) {
+                    state.bytes -= stale.bytes;
+                    replaced += 1;
+                }
+                let bytes = block.encoded_len();
+                if bytes <= self.budget_bytes {
+                    evicted += state.admit(idx, block, bytes, self.budget_bytes);
                 }
             }
         }
-        if dropped > 0 {
-            self.invalidations.add(dropped);
+        if replaced > 0 {
+            self.invalidations.add(replaced);
         }
-        dropped
+        if evicted > 0 {
+            self.evictions.add(evicted);
+        }
+        replaced
     }
 }
 
@@ -214,24 +248,10 @@ impl<S: TrainingSource> TrainingSource for CachedSource<S> {
         let bytes = block.encoded_len();
         if bytes <= self.budget_bytes {
             let mut state = self.lock_state();
-            state.tick += 1;
-            let tick = state.tick;
-            if let Some(entry) = state.map.get_mut(&idx) {
-                entry.last_used = tick;
-            } else {
-                state.bytes += bytes;
-                state.map.insert(
-                    idx,
-                    CacheEntry {
-                        block: Arc::clone(&block),
-                        bytes,
-                        last_used: tick,
-                    },
-                );
-                let evicted = state.evict_to(self.budget_bytes, idx);
-                if evicted > 0 {
-                    self.evictions.add(evicted);
-                }
+            let evicted = state.admit(idx, Arc::clone(&block), bytes, self.budget_bytes);
+            drop(state);
+            if evicted > 0 {
+                self.evictions.add(evicted);
             }
         }
         Ok(block)
@@ -384,32 +404,57 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_drops_exactly_the_named_regions() {
+    fn replacement_swaps_exactly_the_named_regions() {
         let src = source(4, 4);
         for idx in 0..4 {
             src.read_region(idx).unwrap();
         }
         assert_eq!(src.cached_blocks(), 4);
 
-        // Invalidate two cached regions plus one that is not cached.
-        let dropped = src.invalidate_regions(&[1, 3, 17]);
-        assert_eq!(dropped, 2);
-        assert_eq!(src.cached_blocks(), 2);
-        assert_eq!(src.cached_bytes(), 2 * block_bytes());
-        assert_eq!(src.snapshot().counter(
-            names::STORAGE_CACHE_INVALIDATIONS).unwrap(), 2);
+        // Replace two cached regions, and seed one that was not cached.
+        let fresh = |r: u32| {
+            let mut b = RegionBlock::new(vec![r], 1);
+            b.push(100 + r as i64, &[-1.0], -2.0);
+            Arc::new(b)
+        };
+        let replaced = src.replace_regions([(1, fresh(1)), (3, fresh(3))]);
+        assert_eq!(replaced, 2);
+        assert_eq!(src.cached_blocks(), 4);
+        assert_eq!(src.cached_bytes(), 4 * block_bytes());
+        let invalidations = src.snapshot().counter(names::STORAGE_CACHE_INVALIDATIONS);
+        assert_eq!(invalidations, Some(2));
 
-        // Clean regions still hit; invalidated regions re-read.
-        src.read_region(0).unwrap();
-        src.read_region(1).unwrap();
+        // Every region hits; replaced ones serve the handed-over block.
+        for idx in 0..4 {
+            let got = src.read_region(idx).unwrap();
+            let want = match idx {
+                1 | 3 => fresh(idx as u32),
+                _ => Arc::new(blocks(4)[idx].clone()),
+            };
+            assert_eq!(got, want, "region {idx}");
+        }
         let snap = src.snapshot();
-        assert_eq!(snap.cache_hits(), 1);
-        assert_eq!(snap.cache_misses(), 5);
+        assert_eq!(snap.cache_hits(), 4);
+        assert_eq!(snap.cache_misses(), 4);
+        assert_eq!(snap.regions_read(), 4, "no replaced region was read again");
 
-        // An all-miss invalidation counts nothing.
-        assert_eq!(src.invalidate_regions(&[40, 41]), 0);
-        assert_eq!(src.snapshot().counter(
-            names::STORAGE_CACHE_INVALIDATIONS).unwrap(), 2);
+        // Seeding regions that were not cached replaces nothing; over the
+        // budget, the least recently used entries make room.
+        assert_eq!(src.replace_regions([(0, fresh(0))]), 1);
+        let src = source(4, 2);
+        src.read_region(0).unwrap();
+        assert_eq!(src.replace_regions([(2, fresh(2)), (3, fresh(3))]), 0);
+        assert_eq!(src.cached_blocks(), 2);
+        let snap = src.snapshot();
+        assert_eq!(snap.cache_evictions(), 1);
+        assert_eq!(snap.counter(names::STORAGE_CACHE_INVALIDATIONS).unwrap(), 0);
+        src.read_region(3).unwrap();
+        assert_eq!(src.snapshot().cache_hits(), 1);
+
+        // A block larger than the whole budget is never cached.
+        let tiny = CachedSource::new(MemorySource::new(blocks(2)), block_bytes() - 1);
+        assert_eq!(tiny.replace_regions([(0, fresh(0))]), 0);
+        assert_eq!(tiny.cached_blocks(), 0);
     }
 
     #[test]
@@ -419,7 +464,8 @@ mod tests {
         for idx in 0..3 {
             src.read_region(idx).unwrap();
         }
-        src.invalidate_regions(&[0, 2]);
+        let seeded = blocks(3).into_iter().map(Arc::new).enumerate().step_by(2);
+        assert_eq!(src.replace_regions(seeded), 2);
         assert_eq!(
             reg.snapshot().counter(names::STORAGE_CACHE_INVALIDATIONS),
             Some(2)

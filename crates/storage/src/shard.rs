@@ -40,7 +40,7 @@ use crate::metrics::IoStats;
 use crate::reader::DiskSource;
 use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
-use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
+use bellwether_obs::{names, span, MetricsSnapshot, NoopRecorder, Recorder, Registry};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ffi::OsStr;
 use std::fs;
@@ -533,19 +533,31 @@ impl ShardAppender {
     /// replaced nothing still bumps the generation (the overlay file is
     /// discarded). Returns the published manifest.
     pub fn finish(self) -> io::Result<ShardManifest> {
-        self.finish_counting(replaced_examples)
+        self.finish_recorded(&NoopRecorder)
     }
 
-    /// [`ShardAppender::finish`] over either way of counting the
-    /// examples the replaced blocks held (tests pass the reading
+    /// [`ShardAppender::finish`], timed in `rec`: closing and committing
+    /// the overlay file (flush, fsync, rename) under
+    /// `storage/append_commit`, counting the replaced examples and
+    /// publishing the manifest under `storage/append_manifest`.
+    pub fn finish_recorded(self, rec: &dyn Recorder) -> io::Result<ShardManifest> {
+        self.finish_counting(replaced_examples, rec)
+    }
+
+    /// [`ShardAppender::finish_recorded`] over either way of counting
+    /// the examples the replaced blocks held (tests pass the reading
     /// oracle).
     fn finish_counting(
         mut self,
         old_examples: fn(&Path, &ShardManifest, &[u64]) -> io::Result<u64>,
+        rec: &dyn Recorder,
     ) -> io::Result<ShardManifest> {
+        let commit = span!(rec, "{}", names::STORAGE_APPEND_COMMIT);
         let writer = self.writer.take().expect("writer lives until finish");
         let (file, bytes) = writer.close()?;
         file.commit()?;
+        drop(commit);
+        let _manifest = span!(rec, "{}", names::STORAGE_APPEND_MANIFEST);
         let path = self.dir.join(&self.file);
         let mut manifest = self.manifest;
         if self.regions.is_empty() {
@@ -609,6 +621,8 @@ fn replaced_examples(dir: &Path, manifest: &ShardManifest, regions: &[u64]) -> i
 /// Open one member file of a layout — a shard or an overlay — holding
 /// it to the size and the region count its manifest entry records.
 fn open_member(dir: &Path, file: &str, bytes: u64, regions: u64) -> io::Result<DiskSource> {
+    #[cfg(test)]
+    tests::member_opened();
     let path = dir.join(file);
     let actual = fs::metadata(&path)?.len();
     if actual != bytes {
@@ -645,29 +659,47 @@ pub struct ShardedSource {
     stats: IoStats,
     dir: Option<PathBuf>,
     view: RwLock<Option<ManifestView>>,
-    reads: Counter,
 }
 
 /// The generation-specific part of a sharded view: the manifest plus
-/// the opened overlay files and the global-index redirect table they
+/// the opened overlay files and the per-region redirect lane they
 /// induce (later overlays shadow earlier ones). Swapped wholesale by
-/// [`ShardedSource::refresh`].
+/// [`ShardedSource::refresh`]; a view built over the one it replaces
+/// shares that view's overlay files.
 struct ManifestView {
     manifest: ShardManifest,
-    overlays: Vec<DiskSource>,
-    redirect: HashMap<usize, (u32, u32)>,
+    overlays: Vec<Arc<DiskSource>>,
+    /// `(overlay, local index)` per global region index, `None` where the
+    /// base shard serves it; empty while no overlay exists.
+    redirect: Vec<Option<(u32, u32)>>,
 }
 
 impl ManifestView {
-    fn build(dir: &Path, manifest: ShardManifest) -> io::Result<ManifestView> {
-        let mut overlays = Vec::with_capacity(manifest.overlays.len());
-        let mut redirect = HashMap::new();
-        for (o, meta) in manifest.overlays.iter().enumerate() {
-            let disk = open_member(dir, &meta.file, meta.bytes, meta.regions.len() as u64)?;
-            for (local, &global) in meta.regions.iter().enumerate() {
-                redirect.insert(global as usize, (o as u32, local as u32));
+    /// The view of `manifest`. Over `previous`, the view it replaces, the
+    /// work is what the manifest adds: when its overlay list extends the
+    /// adopted one, those members and their redirects carry over and only
+    /// the new entries are opened and patched in. A list that does not
+    /// extend it (an entry changed or gone) opens every member afresh.
+    fn build(
+        dir: &Path,
+        manifest: ShardManifest,
+        previous: Option<&ManifestView>,
+    ) -> io::Result<ManifestView> {
+        let (mut overlays, mut redirect) = match previous {
+            Some(prev) if manifest.overlays.starts_with(&prev.manifest.overlays) => {
+                (prev.overlays.clone(), prev.redirect.clone())
             }
-            overlays.push(disk);
+            _ => (Vec::new(), Vec::new()),
+        };
+        for (o, meta) in manifest.overlays.iter().enumerate().skip(overlays.len()) {
+            let disk = open_member(dir, &meta.file, meta.bytes, meta.regions.len() as u64)?;
+            if redirect.is_empty() {
+                redirect = vec![None; manifest.total_regions() as usize];
+            }
+            for (local, &global) in meta.regions.iter().enumerate() {
+                redirect[global as usize] = Some((o as u32, local as u32));
+            }
+            overlays.push(Arc::new(disk));
         }
         Ok(ManifestView {
             manifest,
@@ -684,12 +716,11 @@ impl ShardedSource {
         Self::open_layered(dir, |disk| Box::new(disk))
     }
 
-    /// Like [`ShardedSource::open`], but read counters (and the
-    /// `shard/*` counters) are bound to `reg`.
+    /// Like [`ShardedSource::open`], but read counters (and
+    /// `shard/shards_opened`) are bound to `reg`.
     pub fn open_with_registry(dir: &Path, reg: &Registry) -> io::Result<ShardedSource> {
         let mut src = Self::open_layered(dir, |disk| Box::new(disk))?;
         src.stats = IoStats::in_registry(reg);
-        src.reads = reg.counter(names::SHARD_READS);
         reg.counter(names::SHARD_SHARDS_OPENED)
             .add(src.shards.len() as u64);
         Ok(src)
@@ -707,7 +738,7 @@ impl ShardedSource {
         for meta in &manifest.shards {
             shards.push(layer(open_member(dir, &meta.file, meta.bytes, meta.regions)?));
         }
-        let view = ManifestView::build(dir, manifest)?;
+        let view = ManifestView::build(dir, manifest, None)?;
         let mut src = ShardedSource::from_sources(shards)?;
         src.dir = Some(dir.to_path_buf());
         src.view = RwLock::new(Some(view));
@@ -745,7 +776,6 @@ impl ShardedSource {
             stats: IoStats::default(),
             dir: None,
             view: RwLock::new(None),
-            reads: Counter::new(),
         })
     }
 
@@ -766,11 +796,15 @@ impl ShardedSource {
     }
 
     /// Re-read the manifest and adopt any newer generation in place:
-    /// newly appended overlay files are opened and the redirect table
-    /// swapped atomically, while the base shard sources (and whatever
-    /// cache/fault layers wrap them) stay untouched. Returns the
-    /// generation now served. No-op for in-memory sources and for an
-    /// unchanged manifest.
+    /// overlay files the served view already holds are kept, newly
+    /// appended ones are opened and patched into a copy of the redirect
+    /// lane, and the view is swapped atomically, while the base shard
+    /// sources (and whatever cache/fault layers wrap them) stay
+    /// untouched. Returns the generation now served. No-op for in-memory
+    /// sources and for an unchanged manifest.
+    ///
+    /// Neither base shards nor adopted overlays are ever reopened, so a
+    /// member file rewritten in place under a live source is not seen.
     pub fn refresh(&self) -> io::Result<u64> {
         let Some(dir) = &self.dir else {
             return Ok(self.generation());
@@ -785,7 +819,7 @@ impl ShardedSource {
                 "refreshed manifest changed the region count",
             ));
         }
-        let view = ManifestView::build(dir, manifest)?;
+        let view = ManifestView::build(dir, manifest, self.view().as_ref())?;
         let generation = view.manifest.generation;
         *self.view.write().unwrap_or_else(|e| e.into_inner()) = Some(view);
         Ok(generation)
@@ -825,22 +859,27 @@ impl TrainingSource for ShardedSource {
 
     fn read_region(&self, idx: usize) -> io::Result<Arc<RegionBlock>> {
         // Appended-over regions resolve through the overlay redirect
-        // table; everything else routes to its base shard.
-        let block = {
-            let view = self.view();
-            match view.as_ref().and_then(|v| v.redirect.get(&idx).copied()) {
-                Some((o, local)) => {
-                    let v = view.as_ref().expect("redirect implies a view");
-                    v.overlays[o as usize].read_region(local as usize)?
-                }
-                None => {
-                    drop(view);
-                    let (s, local) = self.locate(idx);
-                    self.shards[s].read_region(local)?
-                }
+        // lane; everything else routes to its base shard.
+        let view = self.view();
+        let overlay = view.as_ref().and_then(|v| {
+            let (o, local) = v.redirect.get(idx).copied().flatten()?;
+            Some((&v.overlays[o as usize], local as usize))
+        });
+        let read = match overlay {
+            Some((disk, local)) => disk.read_region(local),
+            None => {
+                drop(view);
+                let (s, local) = self.locate(idx);
+                self.shards[s].read_region(local)
             }
         };
-        self.reads.inc();
+        // A block whose bytes did not validate is `InvalidData`, the
+        // errors a `DiskSource` counts as corrupt in its own books.
+        let block = read.inspect_err(|e| {
+            if e.kind() == io::ErrorKind::InvalidData {
+                self.stats.record_corrupt_block();
+            }
+        })?;
         self.stats
             .record_region_read(block.encoded_len() as u64, block.n() as u64);
         Ok(block)
@@ -879,7 +918,37 @@ impl TrainingSource for ShardedSource {
 mod tests {
     use super::*;
     use crate::cache::CachedSource;
+    use crate::format::{encode_block_v2, HEADER_LEN};
     use crate::source::MemorySource;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Layout member files [`open_member`] opened on this thread.
+        static MEMBERS_OPENED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn member_opened() {
+        MEMBERS_OPENED.with(|c| c.set(c.get() + 1));
+    }
+
+    fn members_opened() -> u64 {
+        MEMBERS_OPENED.with(Cell::get)
+    }
+
+    /// `src` serves what a fresh open of `dir` serves, block for block
+    /// and byte for byte.
+    fn assert_serves_a_fresh_open(src: &ShardedSource, dir: &Path, ctx: &str) {
+        let fresh = ShardedSource::open(dir).unwrap();
+        assert_eq!(src.manifest(), fresh.manifest(), "{ctx}");
+        for r in 0..fresh.num_regions() {
+            let (got, want) = (src.read_region(r).unwrap(), fresh.read_region(r).unwrap());
+            assert_eq!(got, want, "{ctx}: region {r}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            encode_block_v2(&got, &mut a);
+            encode_block_v2(&want, &mut b);
+            assert_eq!(a, b, "{ctx}: region {r} bytes");
+        }
+    }
 
     fn block(region: u32, rows: usize) -> RegionBlock {
         let mut b = RegionBlock::new(vec![region], 2);
@@ -1429,6 +1498,115 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// A refresh opens the one overlay its generation added and nothing
+    /// the source already holds: exactly one member per append that
+    /// wrote blocks, none after one that replaced nothing, however many
+    /// generations came before.
+    #[test]
+    fn refresh_opens_only_the_overlay_each_append_adds() {
+        let dir = tmp_dir("refresh_incremental");
+        write_sharded(&dir, 12, 3);
+        let src = ShardedSource::open(&dir).unwrap();
+        for k in 1..=20u32 {
+            // Every fifth append replaces nothing; region 5 is dirtied by
+            // every other one.
+            let regions: Vec<usize> = if k % 5 == 0 {
+                Vec::new()
+            } else {
+                let mut r = vec![(k as usize * 7) % 12, 5 * (k as usize % 2)];
+                r.sort_unstable();
+                r.dedup();
+                r
+            };
+            let mut app = ShardAppender::open(&dir).unwrap();
+            for &r in &regions {
+                app.write_region(r, &block(100 * k + r as u32, 1 + r % 4)).unwrap();
+            }
+            app.finish().unwrap();
+            let before = members_opened();
+            assert_eq!(src.refresh().unwrap(), k as u64);
+            let opened = members_opened() - before;
+            assert_eq!(opened, u64::from(!regions.is_empty()), "append {k}: {regions:?}");
+            let before = members_opened();
+            assert_eq!(src.refresh().unwrap(), k as u64, "unchanged manifest");
+            assert_eq!(members_opened(), before, "append {k}: a no-op refresh opened a file");
+            if [1, 5, 20].contains(&k) {
+                assert_serves_a_fresh_open(&src, &dir, &format!("after {k} appends"));
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A manifest whose earlier overlay entry changed — its bytes or its
+    /// regions — does not extend the adopted one: the refresh opens every
+    /// member it lists, as a fresh open would.
+    #[test]
+    fn a_manifest_that_does_not_extend_the_adopted_one_reopens_every_member() {
+        for (case, regions, rows) in [("bytes", vec![1u64], 3), ("regions", vec![1, 4], 1)] {
+            let dir = tmp_dir(&format!("refresh_doctored_{case}"));
+            write_sharded(&dir, 8, 2);
+            for (g, r) in [(1u32, 1usize), (2, 2), (3, 6)] {
+                let mut app = ShardAppender::open(&dir).unwrap();
+                app.write_region(r, &block(100 * g, 2)).unwrap();
+                app.finish().unwrap();
+            }
+            let src = ShardedSource::open(&dir).unwrap();
+
+            // Generation 1's overlay rewritten under its own name, and a
+            // manifest that lists it so.
+            let mut manifest = ShardManifest::read(&dir.join(MANIFEST_NAME)).unwrap();
+            let first = &mut manifest.overlays[0];
+            let mut w = TrainingWriter::create(&dir.join(&first.file), 2, 1).unwrap();
+            for &r in &regions {
+                w.write_region(&block(500 + r as u32, rows)).unwrap();
+            }
+            let (file, bytes) = w.close().unwrap();
+            file.commit().unwrap();
+            assert_ne!((bytes, &regions), (first.bytes, &first.regions), "{case}");
+            (first.bytes, first.regions) = (bytes, regions);
+            manifest.generation += 1;
+            manifest.write_atomic(&dir.join(MANIFEST_NAME)).unwrap();
+
+            let before = members_opened();
+            assert_eq!(src.refresh().unwrap(), 4);
+            assert_eq!(members_opened() - before, 3, "{case}: every overlay reopened");
+            assert_serves_a_fresh_open(&src, &dir, case);
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A rotten block in a shard or an overlay is counted in the sharded
+    /// source's own books — the ones its snapshot and its registry read.
+    #[test]
+    fn a_corrupt_shard_or_overlay_block_is_counted_where_the_snapshot_reads() {
+        let dir = tmp_dir("corrupt_books");
+        write_sharded(&dir, 4, 2);
+        let mut app = ShardAppender::open(&dir).unwrap();
+        app.write_region(3, &block(30, 2)).unwrap();
+        app.finish().unwrap();
+        // The first block of shard 0 (region 0) and of the overlay
+        // (region 3) each get one byte flipped.
+        for file in [shard_file_name(0), overlay_file_name(1)] {
+            let path = dir.join(file);
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[HEADER_LEN + 12] ^= 0x20;
+            fs::write(&path, &bytes).unwrap();
+        }
+        let reg = Registry::shared();
+        let src = ShardedSource::open_with_registry(&dir, &reg).unwrap();
+        for (region, corrupt) in [(0, 1), (1, 1), (3, 2)] {
+            let read = src.read_region(region);
+            assert_eq!(read.is_err(), region != 1, "region {region}");
+            if let Err(err) = read {
+                assert!(crate::is_corrupt(&err), "{err}");
+            }
+            assert_eq!(src.snapshot().corrupt_blocks(), corrupt, "region {region}");
+            assert_eq!(reg.snapshot().corrupt_blocks(), corrupt, "region {region}");
+        }
+        assert_eq!(src.snapshot().regions_read(), 1, "only the healthy read counted");
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn appender_enforces_order_range_and_empty_appends() {
         let dir = tmp_dir("append_guard");
@@ -1500,7 +1678,7 @@ mod tests {
                 for (&r, &n) in regions.iter().zip(&rows) {
                     app.write_region(r, &block(100 * g as u32 + r as u32, n)).unwrap();
                 }
-                let manifest = app.finish_counting(count).unwrap();
+                let manifest = app.finish_counting(count, &NoopRecorder).unwrap();
                 assert_eq!(manifest.generation, g as u64 + 1);
                 published.push(fs::read(dir.join(MANIFEST_NAME)).unwrap());
             }
@@ -1553,7 +1731,6 @@ mod tests {
                 .unwrap_or(0)
         };
         assert_eq!(get(names::SHARD_SHARDS_OPENED), 3);
-        assert_eq!(get(names::SHARD_READS), 6);
         fs::remove_dir_all(&dir).ok();
     }
 }

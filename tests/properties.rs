@@ -18,9 +18,13 @@ use bellwether::prelude::*;
 use bellwether_cube::{
     aggregate_filtered, rollup_lattice, CubeResult, Measure, Parallelism, StreamingCube,
 };
+use bellwether::core::StreamingBellwether;
+use bellwether::datagen::{build_stream_workload, StreamConfig};
+use bellwether::obs::names;
 use bellwether_prop::{check, Rng};
 use bellwether_table::ColumnData;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A small two-dimensional space: 3 time points × a 2-level hierarchy.
 fn space() -> RegionSpace {
@@ -582,7 +586,8 @@ fn canon_cube(cube: &BellwetherCube) -> Vec<(RegionId, String)> {
 }
 
 /// Enabling a live metrics recorder must not change a single bit of any
-/// search, tree or cube result — the observability layer only watches.
+/// search, tree or cube result, nor a streaming engine's state after its
+/// appends — the observability layer only watches.
 #[test]
 fn recorder_does_not_change_results() {
     check("recorder_does_not_change_results", 12, |rng| {
@@ -680,8 +685,57 @@ fn recorder_does_not_change_results() {
         .unwrap();
         assert_eq!(canon_cube(&c_off), canon_cube(&c_on), "optimized cube diverged");
 
+        // Streaming appends, timed layer by layer.
+        let wl = build_stream_workload(&StreamConfig {
+            n_items: 20,
+            weeks: 5,
+            leaves: 3,
+            open_week: 2,
+            seed: rng.next_u64(),
+            ..StreamConfig::default()
+        });
+        let stream = |config: &BellwetherConfig, tag: &str| {
+            let dir = std::env::temp_dir().join(format!("bw_props_recorder_{tag}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut engine = StreamingBellwether::create(
+                &dir,
+                &wl.region_space,
+                &wl.input_range(0, 1),
+                &wl.item_universe(),
+                wl.items.clone(),
+                wl.target_map(),
+                wl.regions.clone(),
+                Arc::new(UniformCellCost { rate: 1.0 }),
+                config.clone(),
+                wl.items.len(),
+                2,
+                1 << 20,
+            )
+            .unwrap();
+            for week in 1..5 {
+                engine.append(&wl.input_range(week, week + 1)).unwrap();
+            }
+            let run = (format!("{:?}", engine.search_result()), engine.drift_log().to_vec());
+            std::fs::remove_dir_all(&dir).ok();
+            run
+        };
+        assert_eq!(stream(&off, "off"), stream(&on, "on"), "streaming appends diverged");
+
         // The recorder really was live: the traced runs left counters.
         let snap = reg.snapshot();
+        for path in [
+            names::STREAM_APPEND,
+            names::STREAM_APPEND_DELTA_CUBE,
+            names::STREAM_APPEND_BLOCK_BUILD,
+            names::STREAM_APPEND_PUBLISH,
+            names::STREAM_APPEND_RESCORE,
+            names::STORAGE_APPEND_WRITE,
+            names::STORAGE_APPEND_COMMIT,
+            names::STORAGE_APPEND_MANIFEST,
+            names::STORAGE_REFRESH,
+        ] {
+            assert_eq!(snap.span(path).map(|s| s.calls), Some(4), "{path}");
+        }
         assert!(snap.counter("search/regions_evaluated").is_some());
         assert!(snap.counter("tree/nodes").is_some());
         // The level statistics were counted while they were left alone:
