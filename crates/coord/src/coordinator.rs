@@ -20,7 +20,8 @@ use crate::transport::{ProcessSpawner, SimSpawner, Transport, WorkerSpawner};
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use bellwether_storage::format::decode_block_v2;
 use bellwether_storage::{
-    IoStats, RegionBlock, RetryPolicy, ShardManifest, TrainingSource, MANIFEST_NAME,
+    published_generation, IoStats, RegionBlock, RetryPolicy, ShardManifest, TrainingSource,
+    MANIFEST_NAME,
 };
 use std::collections::HashMap;
 use std::io;
@@ -156,6 +157,16 @@ fn shard_files(dir: &Path, manifest: &ShardManifest) -> Vec<PathBuf> {
     manifest.shards.iter().map(|m| dir.join(&m.file)).collect()
 }
 
+/// The manifest at `dir` with the generation its overlay files say the
+/// layout has, which [`Coordinator::connect`] refuses unless it is 0.
+fn read_layout(dir: &Path) -> io::Result<ShardManifest> {
+    let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
+    Ok(ShardManifest {
+        generation: published_generation(dir)?,
+        ..manifest
+    })
+}
+
 impl Coordinator {
     /// Open the sharded dataset at `dir` and manage one OS process per
     /// shard, spawned from `bin` in `--worker` mode.
@@ -177,7 +188,7 @@ impl Coordinator {
         config: CoordinatorConfig,
         reg: &Registry,
     ) -> io::Result<Coordinator> {
-        let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
+        let manifest = read_layout(dir)?;
         let files = shard_files(dir, &manifest);
         let spawner = ProcessSpawner::new(bin.to_path_buf(), files, plan);
         Self::connect(Box::new(spawner), manifest, config, reg)
@@ -200,7 +211,7 @@ impl Coordinator {
         config: CoordinatorConfig,
         reg: &Registry,
     ) -> io::Result<Coordinator> {
-        let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
+        let manifest = read_layout(dir)?;
         let files = shard_files(dir, &manifest);
         let spawner = SimSpawner::new(files, plan);
         Self::connect(Box::new(spawner), manifest, config, reg)
@@ -222,7 +233,7 @@ impl Coordinator {
                 io::ErrorKind::InvalidData,
                 format!(
                     "coordinator does not serve appended-over layouts \
-                     (manifest generation {}); run a compaction first",
+                     (layout generation {}); run a compaction first",
                     manifest.generation
                 ),
             ));

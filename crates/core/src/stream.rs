@@ -39,7 +39,7 @@ use std::sync::Arc;
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
 use bellwether_obs::{names, span};
 use bellwether_storage::{
-    even_shard_plan, CachedSource, RegionBlock, ShardAppender, ShardedSource, ShardedWriter,
+    even_shard_plan, CachedSource, RegionBlock, ShardedSource, ShardedWriter,
 };
 use bellwether_table::ColumnData;
 
@@ -292,16 +292,25 @@ impl StreamingBellwether {
         };
         {
             let _publish = span!(rec, "{}", names::STREAM_APPEND_PUBLISH);
+            // The appender publishes the generation after the one the
+            // source serves, so adopt first whatever was published since
+            // this engine's last refresh: another writer's generation,
+            // or this engine's own when the refresh after it failed.
+            // Either may replace blocks the cache holds.
+            let served = self.source.inner().generation();
+            if self.source.inner().refresh()? != served {
+                self.source.clear();
+            }
             // Blocks must be appended in ascending source order (the
             // appender enforces it); `dirty` is sorted.
-            let mut appender = ShardAppender::open(&self.dir)?;
+            let mut appender = self.source.inner().appender()?;
             {
                 let _write = span!(rec, "{}", names::STORAGE_APPEND_WRITE);
                 for (&idx, block) in dirty.iter().zip(&blocks) {
                     appender.write_region(idx, block)?;
                 }
             }
-            let published = appender.finish_recorded(rec.as_ref())?.generation;
+            let published = appender.finish_recorded(rec.as_ref())?;
             outcome.generation = {
                 let _refresh = span!(rec, "{}", names::STORAGE_REFRESH);
                 self.source.inner().refresh()?

@@ -18,7 +18,9 @@ use bellwether_cube::{cube_pass, CostModel, NoopRecorder, UniformCellCost};
 use bellwether_datagen::{build_stream_workload, StreamConfig, StreamWorkload};
 use bellwether_prop::check;
 use bellwether_storage::format::encode_block_v2;
-use bellwether_storage::{even_shard_plan, ShardedSource, ShardedWriter, TrainingSource};
+use bellwether_storage::{
+    even_shard_plan, ShardAppender, ShardedSource, ShardedWriter, TrainingSource,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -540,13 +542,14 @@ fn failed_publish_is_carried_into_the_next_append() {
     engine.append(&wl.input_range(4, 5)).unwrap();
     healthy.append(&wl.input_range(4, 6)).unwrap();
 
-    // The appender cannot open a layout without its manifest.
-    let manifest = engine.dir().join("manifest.bwsm");
-    let aside = engine.dir().join("manifest.aside");
-    std::fs::rename(&manifest, &aside).unwrap();
+    // The next generation's name is taken (here by a directory), so
+    // its overlay cannot be published.
+    let next = engine.source().inner().generation() + 1;
+    let taken = engine.dir().join(bellwether_storage::overlay_file_name(next));
+    std::fs::create_dir(&taken).unwrap();
     assert!(engine.append(&wl.input_range(5, 6)).is_err());
     assert_eq!(engine.appends(), 1, "failed append not counted");
-    std::fs::rename(&aside, &manifest).unwrap();
+    std::fs::remove_dir(&taken).unwrap();
 
     // Week 6 alone touches the intervals from [1-7] on; [1-6, *] is
     // dirty from the failed append only.
@@ -573,6 +576,41 @@ fn failed_publish_is_carried_into_the_next_append() {
     }
     std::fs::remove_dir_all(engine.dir()).ok();
     std::fs::remove_dir_all(&cold_dir).ok();
+}
+
+/// The engine appends after what another writer published since its
+/// last append: it adopts that generation first (dropping the cache
+/// entries it supersedes), then publishes the next one, and serves what
+/// a fresh open reads.
+#[test]
+fn an_engine_behind_the_directory_adopts_it_before_publishing() {
+    let wl = build_stream_workload(&StreamConfig::default());
+    let mut engine = build_engine(&wl, 4, 1, f64::INFINITY, 2, "behind");
+    engine.append(&wl.input_range(4, 5)).unwrap();
+
+    // Another writer replaces every block, so the regions the next
+    // append leaves alone are served only if the cache lets them go.
+    let mut outside = ShardAppender::open(engine.dir()).unwrap();
+    for idx in 0..wl.regions.len() {
+        let mut block = (*engine.source().read_region(idx).unwrap()).clone();
+        block.targets.iter_mut().for_each(|y| *y += 1.0);
+        outside.write_region(idx, &block).unwrap();
+    }
+    let theirs = outside.finish().unwrap();
+    assert_eq!(theirs, engine.generation() + 1);
+
+    for (lo, hi) in [(5, 6), (6, 7)] {
+        let outcome = engine.append(&wl.input_range(lo, hi)).unwrap();
+        assert!(outcome.dirty_candidates > 0, "weeks {lo}..{hi}");
+        let fresh = ShardedSource::open(engine.dir()).unwrap();
+        assert_eq!(fresh.generation(), engine.generation(), "weeks {lo}..{hi}");
+        for idx in 0..wl.regions.len() {
+            let served = engine.source().read_region(idx).unwrap();
+            assert_eq!(*served, *fresh.read_region(idx).unwrap(), "weeks {lo}..{hi}: block {idx}");
+        }
+    }
+    assert_eq!(engine.generation(), theirs + 2);
+    std::fs::remove_dir_all(engine.dir()).ok();
 }
 
 /// A failed append (shape mismatch) leaves every layer untouched.

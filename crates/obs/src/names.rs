@@ -33,13 +33,11 @@ pub const STORAGE_FAULTS_INJECTED: &str = "storage/faults_injected";
 /// `stream/append/publish`: writing the replacement blocks into the
 /// overlay file (buffered; the commit makes them durable).
 pub const STORAGE_APPEND_WRITE: &str = "storage/append_write";
-/// Span, one per append, inside `stream/append/publish`: closing the
-/// overlay file and committing it (flush, fsync, rename).
+/// Span, one per append that wrote blocks, inside
+/// `stream/append/publish`: closing the overlay file and committing it
+/// (flush, fsync, link under its final name, unlink of the temporary
+/// name, directory fsync), which publishes the generation.
 pub const STORAGE_APPEND_COMMIT: &str = "storage/append_commit";
-/// Span, one per append, inside `stream/append/publish`: counting the
-/// examples the replaced blocks held and publishing the next
-/// generation's manifest atomically.
-pub const STORAGE_APPEND_MANIFEST: &str = "storage/append_manifest";
 /// Span, one per append, inside `stream/append/publish`: a sharded
 /// source adopting the generation the append published.
 pub const STORAGE_REFRESH: &str = "storage/refresh";

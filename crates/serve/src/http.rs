@@ -5,22 +5,49 @@
 //! error, never a panic.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 /// Caps keeping a hostile peer from ballooning worker memory.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// One parsed request.
+/// One parsed request: where its method, path and body lie in the read
+/// buffer it was parsed from. Nothing is copied out of the buffer.
 #[derive(Debug)]
 pub struct Request {
-    /// Request method, upper-case as sent (`GET`, `POST`, …).
-    pub method: String,
-    /// Request target path, e.g. `/predict` (query string included).
-    pub path: String,
-    /// Body bytes (empty when no `Content-Length`).
-    pub body: Vec<u8>,
+    method: Range<usize>,
+    path: Range<usize>,
+    body: Range<usize>,
     /// True when the client asked to close the connection after this
     /// response (`Connection: close` or HTTP/1.0 without keep-alive).
     pub close: bool,
+}
+
+impl Request {
+    /// Request method, upper-case as sent (`GET`, `POST`, …).
+    pub fn method<'b>(&self, buf: &'b [u8]) -> &'b str {
+        head_str(buf, &self.method)
+    }
+
+    /// Request target path, e.g. `/predict` (query string included).
+    pub fn path<'b>(&self, buf: &'b [u8]) -> &'b str {
+        head_str(buf, &self.path)
+    }
+
+    /// Body bytes (empty when no `Content-Length`).
+    pub fn body<'b>(&self, buf: &'b [u8]) -> &'b [u8] {
+        &buf[self.body.clone()]
+    }
+
+    /// Where this request's bytes, head and body, end in its buffer.
+    pub fn end(&self) -> usize {
+        self.body.end
+    }
+}
+
+/// A piece of a head [`read_request`] checked to be UTF-8 and cut at
+/// ASCII spaces, so it is UTF-8 on its own.
+fn head_str<'b>(buf: &'b [u8], at: &Range<usize>) -> &'b str {
+    std::str::from_utf8(&buf[at.clone()]).unwrap_or_default()
 }
 
 /// Why reading a request stopped.
@@ -43,8 +70,10 @@ pub enum ReadOutcome {
 }
 
 /// Read one HTTP/1.1 request from `conn`. `buf` is the caller's
-/// reusable scratch; leftover pipelined bytes stay in it between calls.
-/// `max_body` bounds acceptable `Content-Length`.
+/// reusable scratch: the request this returns lies at its front, with
+/// any pipelined bytes read past it behind. The caller drains the
+/// request (`buf.drain(..request.end())`) once done with it, before the
+/// next call. `max_body` bounds acceptable `Content-Length`.
 pub fn read_request(
     conn: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -92,6 +121,9 @@ pub fn read_request(
     if parts.next().is_some() || method.is_empty() || !path.starts_with('/') {
         return Ok(ReadOutcome::Bad("malformed request line"));
     }
+    // Both sit in the request line, which starts the buffer.
+    let method = 0..method.len();
+    let path = method.end + 1..method.end + 1 + path.len();
 
     let mut content_length: Option<usize> = None;
     let mut close = version.eq_ignore_ascii_case("HTTP/1.0");
@@ -126,10 +158,6 @@ pub fn read_request(
     if content_length > max_body {
         return Ok(ReadOutcome::Bad("body too large"));
     }
-    // Own the head strings before the body loop grows `buf` again.
-    let method = method.to_string();
-    let path = path.to_string();
-
     let body_start = head_end + 4;
     while buf.len() < body_start + content_length {
         match conn.read(&mut chunk) {
@@ -140,13 +168,10 @@ pub fn read_request(
         }
     }
 
-    let body = buf[body_start..body_start + content_length].to_vec();
-    // Keep pipelined bytes of the next request.
-    buf.drain(..body_start + content_length);
     Ok(ReadOutcome::Request(Request {
         method,
         path,
-        body,
+        body: body_start..body_start + content_length,
         close,
     }))
 }
@@ -205,54 +230,62 @@ pub fn send_response(
 mod tests {
     use super::*;
 
-    fn read_all(raw: &[u8]) -> ReadOutcome {
+    /// The outcome of reading `raw`, with the buffer it lies in.
+    fn read_all(raw: &[u8]) -> (ReadOutcome, Vec<u8>) {
         let mut cursor = io::Cursor::new(raw.to_vec());
         let mut buf = Vec::new();
-        read_request(&mut cursor, &mut buf, 1024).unwrap()
+        (read_request(&mut cursor, &mut buf, 1024).unwrap(), buf)
     }
 
     #[test]
     fn parses_post_with_body() {
-        let out = read_all(
+        let (out, buf) = read_all(
             b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
         );
         let ReadOutcome::Request(r) = out else {
             panic!("{out:?}")
         };
-        assert_eq!(r.method, "POST");
-        assert_eq!(r.path, "/predict");
-        assert_eq!(r.body, b"abcd");
+        assert_eq!(r.method(&buf), "POST");
+        assert_eq!(r.path(&buf), "/predict");
+        assert_eq!(r.body(&buf), b"abcd");
         assert!(!r.close);
     }
 
+    /// A second request read off the same bytes lies where the first
+    /// one lay once the caller drains the first.
     #[test]
     fn pipelined_requests_stay_buffered() {
-        let raw = b"GET /health HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n";
+        let raw =
+            b"GET /health HTTP/1.1\r\n\r\nPOST /metrics HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}";
         let mut cursor = io::Cursor::new(raw.to_vec());
         let mut buf = Vec::new();
-        let ReadOutcome::Request(r1) = read_request(&mut cursor, &mut buf, 0).unwrap() else {
+        let ReadOutcome::Request(r1) = read_request(&mut cursor, &mut buf, 2).unwrap() else {
             panic!()
         };
-        assert_eq!(r1.path, "/health");
-        let ReadOutcome::Request(r2) = read_request(&mut cursor, &mut buf, 0).unwrap() else {
+        assert_eq!(r1.path(&buf), "/health");
+        buf.drain(..r1.end());
+        let ReadOutcome::Request(r2) = read_request(&mut cursor, &mut buf, 2).unwrap() else {
             panic!()
         };
-        assert_eq!(r2.path, "/metrics");
+        assert_eq!(r2.path(&buf), "/metrics");
+        assert_eq!(r2.body(&buf), b"{}");
+        assert_eq!(r2.method(&buf), "POST");
+        buf.drain(..r2.end());
         assert!(matches!(
-            read_request(&mut cursor, &mut buf, 0).unwrap(),
+            read_request(&mut cursor, &mut buf, 2).unwrap(),
             ReadOutcome::Closed
         ));
     }
 
     #[test]
     fn connection_close_and_http10_are_honoured() {
-        let ReadOutcome::Request(r) =
+        let (ReadOutcome::Request(r), _) =
             read_all(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
         else {
             panic!()
         };
         assert!(r.close);
-        let ReadOutcome::Request(r) = read_all(b"GET / HTTP/1.0\r\n\r\n") else {
+        let (ReadOutcome::Request(r), _) = read_all(b"GET / HTTP/1.0\r\n\r\n") else {
             panic!()
         };
         assert!(r.close);
@@ -269,19 +302,19 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length: 99999\r\n\r\n",
             b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
-            assert!(matches!(read_all(raw), ReadOutcome::Bad(_)), "{raw:?}");
+            assert!(matches!(read_all(raw).0, ReadOutcome::Bad(_)), "{raw:?}");
         }
         assert!(matches!(
-            read_all(b"GET / HTTP/1.1\r\nHo"),
+            read_all(b"GET / HTTP/1.1\r\nHo").0,
             ReadOutcome::Bad(_)
         ));
         // Identical duplicates frame the body the same way either way.
-        let ReadOutcome::Request(r) =
+        let (ReadOutcome::Request(r), buf) =
             read_all(b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd")
         else {
             panic!()
         };
-        assert_eq!(r.body, b"abcd");
+        assert_eq!(r.body(&buf), b"abcd");
     }
 
     /// The parser faces the network: every truncation and flipped bit of
@@ -291,13 +324,14 @@ mod tests {
     fn damaged_requests_are_an_outcome_and_never_read_past_the_buffer() {
         let valid = b"POST /predict HTTP/1.1\r\nContent-Length: 12\r\nConnection: close\r\n\r\n{\"ids\":[1]} ";
         bellwether_prop::sweep(valid, |raw, damage| match read_all(raw) {
-            ReadOutcome::Request(r) => {
-                let held = r.method.len() + r.path.len() + r.body.len();
-                assert!(r.path.starts_with('/') && held < raw.len(), "{damage:?}: {r:?}");
+            (ReadOutcome::Request(r), buf) => {
+                let held = r.method(&buf).len() + r.path(&buf).len() + r.body(&buf).len();
+                assert!(r.path(&buf).starts_with('/') && held < raw.len(), "{damage:?}: {r:?}");
+                assert!(r.end() <= buf.len() && buf.len() <= raw.len(), "{damage:?}: {r:?}");
             }
-            ReadOutcome::Bad(_) => {}
-            ReadOutcome::Closed => assert!(raw.is_empty(), "{damage:?}"),
-            timed_out => panic!("{damage:?}: {timed_out:?} from a stream that ended"),
+            (ReadOutcome::Bad(_), _) => {}
+            (ReadOutcome::Closed, _) => assert!(raw.is_empty(), "{damage:?}"),
+            (timed_out, _) => panic!("{damage:?}: {timed_out:?} from a stream that ended"),
         });
     }
 

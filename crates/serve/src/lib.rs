@@ -16,8 +16,9 @@
 //! line, headers and body in the worker's reply buffer and sends them
 //! with one `write_all`. One send is one segment on the `TCP_NODELAY`
 //! socket, so a client never wakes for a head whose body is still in
-//! flight. (A parsed [`http::Request`] still owns its method, path and
-//! body.)
+//! flight. Reading is allocation-free once warm too: a parsed
+//! [`http::Request`] is the ranges of its method, path and body in the
+//! worker's read buffer, drained once the request is answered.
 //!
 //! ## Endpoints
 //!
@@ -454,17 +455,32 @@ fn worker_loop(
 }
 
 fn handle_connection(
-    mut conn: TcpStream,
+    conn: TcpStream,
     slot: &ModelSlot,
     config: &ServeConfig,
     metrics: &ServeMetrics,
     shutdown: &AtomicBool,
     scratch: &mut ServeScratch,
 ) {
-    scratch.read_buf.clear();
+    // Requests borrow the read buffer while the rest of the scratch
+    // builds their replies, so it is held apart for the connection.
+    let mut buf = std::mem::take(&mut scratch.read_buf);
+    buf.clear();
+    serve_connection(conn, slot, config, metrics, shutdown, &mut buf, scratch);
+    scratch.read_buf = buf;
+}
+
+fn serve_connection(
+    mut conn: TcpStream,
+    slot: &ModelSlot,
+    config: &ServeConfig,
+    metrics: &ServeMetrics,
+    shutdown: &AtomicBool,
+    buf: &mut Vec<u8>,
+    scratch: &mut ServeScratch,
+) {
     loop {
-        let outcome = match read_request(&mut conn, &mut scratch.read_buf, config.max_body_bytes)
-        {
+        let outcome = match read_request(&mut conn, buf, config.max_body_bytes) {
             Ok(o) => o,
             Err(_) => {
                 metrics.errors.inc();
@@ -511,7 +527,8 @@ fn handle_connection(
         // Resolve the model per request so reloads land between
         // requests, never inside a batch.
         let model = slot.current();
-        let (status, reason) = dispatch(&request, &model, slot, config, metrics, scratch);
+        let (status, reason) =
+            dispatch(&request, buf, &model, slot, config, metrics, scratch);
         let close = request.close || shutdown.load(Ordering::SeqCst);
         if status >= 400 {
             metrics.errors.inc();
@@ -525,6 +542,8 @@ fn handle_connection(
             close,
         )
         .is_ok();
+        // Keep only the pipelined bytes behind this request.
+        buf.drain(..request.end());
         let elapsed = started.elapsed();
         metrics.latency.observe(elapsed.as_micros().min(u128::from(u64::MAX)) as u64);
         metrics
@@ -536,18 +555,20 @@ fn handle_connection(
     }
 }
 
-/// Route one request; the response body lands in `scratch.body_out`.
+/// Route one request, read out of `buf`; the response body lands in
+/// `scratch.body_out`.
 fn dispatch(
     request: &Request,
+    buf: &[u8],
     model: &BellwetherModel,
     slot: &ModelSlot,
     config: &ServeConfig,
     metrics: &ServeMetrics,
     scratch: &mut ServeScratch,
 ) -> (u16, &'static str) {
-    let path = request.path.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
-        ("POST", "/predict") => predict(request, model, config, metrics, scratch),
+    let path = request.path(buf).split('?').next().unwrap_or("");
+    match (request.method(buf), path) {
+        ("POST", "/predict") => predict(request.body(buf), model, config, metrics, scratch),
         ("POST", "/reload") => reload(slot, config, metrics, scratch),
         ("GET" | "HEAD", "/health") => {
             scratch.body_out.clear();
@@ -644,7 +665,7 @@ fn reload(
 }
 
 fn predict(
-    request: &Request,
+    body: &[u8],
     model: &BellwetherModel,
     config: &ServeConfig,
     metrics: &ServeMetrics,
@@ -659,7 +680,7 @@ fn predict(
         (400, "Bad Request")
     };
 
-    let Ok(text) = std::str::from_utf8(&request.body) else {
+    let Ok(text) = std::str::from_utf8(body) else {
         return bad(scratch, "body is not utf-8");
     };
     let value = match json::parse(text) {

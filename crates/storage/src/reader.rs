@@ -19,14 +19,17 @@ use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Reader over a file produced by [`crate::writer::TrainingWriter`].
 pub struct DiskSource {
     file: File,
     header: Header,
     index: Vec<IndexEntry>,
-    by_coords: HashMap<Vec<u32>, usize>,
+    /// Built by the first [`TrainingSource::find_region`]: most opens
+    /// (every overlay, a standalone appender's shards) never look a
+    /// region up by its coordinates.
+    by_coords: OnceLock<HashMap<Vec<u32>, usize>>,
     stats: IoStats,
     registry: Option<Arc<Registry>>,
 }
@@ -75,16 +78,11 @@ impl DiskSource {
             }
         }
 
-        let by_coords = index
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.coords.clone(), i))
-            .collect();
         Ok(DiskSource {
             file,
             header,
             index,
-            by_coords,
+            by_coords: OnceLock::new(),
             stats: IoStats::default(),
             registry: None,
         })
@@ -174,7 +172,14 @@ impl TrainingSource for DiskSource {
     }
 
     fn find_region(&self, coords: &[u32]) -> Option<usize> {
-        self.by_coords.get(coords).copied()
+        let by_coords = self.by_coords.get_or_init(|| {
+            self.index
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.coords.clone(), i))
+                .collect()
+        });
+        by_coords.get(coords).copied()
     }
 }
 

@@ -22,18 +22,22 @@
 //! A sharded layout is never rewritten in place. An append (new fact
 //! rows changing some regions' training blocks) lands as an **overlay
 //! file** — one more complete `.bwtd` file holding only the replaced
-//! blocks in ascending global-region order — plus an atomically
-//! swapped manifest whose **generation** is bumped and whose overlay
-//! list says which global region index now resolves to which overlay
-//! entry ([`ShardAppender`]). Readers that opened the old manifest keep
-//! serving a consistent pre-append snapshot (their files still exist,
-//! untouched); [`ShardedSource::refresh`] adopts the new generation in
-//! place. Every manifest, generation 0 included, is written in one
-//! layout (format version 2: generation, example total and overlay table
-//! always present); any other version is rejected structurally
-//! ("unsupported manifest version").
+//! blocks in ascending global-region order, each block naming its region
+//! by its coordinates ([`ShardAppender`]). Generation `g`'s overlay is
+//! published under its final name `overlay-{g}.bwtd` by a step that never
+//! replaces a name, and that publish is the append's commit: the
+//! manifest is written once, by [`ShardedWriter`], and an append never
+//! touches it. A layout's **generation** is the number of overlay files
+//! `overlay-0001.bwtd`, `overlay-0002.bwtd`, … present before the first
+//! missing one ([`published_generation`]). Readers that adopted an older
+//! generation keep serving that consistent snapshot (its files still
+//! exist, untouched); [`ShardedSource::refresh`] adopts newer ones in
+//! place. A manifest is written in one layout (format version 2:
+//! generation, example total and overlay table always present, the
+//! generation 0 and the table empty); any other version, and a manifest
+//! that lists overlays, is rejected structurally.
 
-use crate::atomic::{remove_durably, AtomicFile};
+use crate::atomic::{remove_all_durably, remove_durably, AtomicFile};
 use crate::block::RegionBlock;
 use crate::codec::{bad, seal, verify, Cursor, PutLe};
 use crate::metrics::IoStats;
@@ -41,7 +45,6 @@ use crate::reader::DiskSource;
 use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
 use bellwether_obs::{names, span, MetricsSnapshot, NoopRecorder, Recorder, Registry};
-use std::collections::hash_map::{Entry, HashMap};
 use std::ffi::OsStr;
 use std::fs;
 use std::io::{self, Write};
@@ -72,14 +75,14 @@ pub struct ShardMeta {
     pub bytes: u64,
 }
 
-/// One overlay file's entry in the manifest: a complete `.bwtd` file of
+/// One overlay file a sharded view adopted: a complete `.bwtd` file of
 /// replacement blocks written by one append, later overlays shadowing
 /// earlier ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverlayMeta {
     /// Overlay file name, relative to the manifest's directory.
     pub file: String,
-    /// Size of the overlay file in bytes (integrity check at open).
+    /// Size of the overlay file in bytes.
     pub bytes: u64,
     /// Ascending global region indices replaced by this overlay; the
     /// block for `regions[i]` is the overlay file's local region `i`.
@@ -87,24 +90,27 @@ pub struct OverlayMeta {
 }
 
 /// The checksummed description of a sharded dataset: shared feature and
-/// region arity plus per-shard entries in ascending global-region order,
-/// and — once appended over — the generation counter and overlay table.
+/// region arity plus per-shard entries in ascending global-region order.
+/// On disk its generation is 0 and its overlay table empty; the
+/// manifest a [`ShardedSource`] serves ([`ShardedSource::manifest`])
+/// carries the generation it adopted and the overlays that make it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
     /// Feature arity shared by every shard.
     pub p: u32,
     /// Region-coordinate arity shared by every shard.
     pub arity: u32,
-    /// Append generation: 0 for a freshly written layout, bumped once
-    /// per [`ShardAppender::finish`].
+    /// Append generation: 0 on disk, the number of overlays adopted in a
+    /// view.
     pub generation: u64,
-    /// Total training examples across the dataset as currently visible
-    /// (shard totals corrected for replaced blocks).
+    /// Total training examples visible: on disk the shards' sum, in a
+    /// view corrected for every replaced block.
     pub examples: u64,
     /// Shards, ascending: shard `s` holds the next `shards[s].regions`
     /// regions of the global scan order.
     pub shards: Vec<ShardMeta>,
-    /// Overlay files in append order (ascending generation).
+    /// Overlay files in append order (ascending generation); empty on
+    /// disk.
     pub overlays: Vec<OverlayMeta>,
 }
 
@@ -114,7 +120,7 @@ impl ShardManifest {
         self.shards.iter().map(|s| s.regions).sum()
     }
 
-    /// Total training examples currently visible (tracks block
+    /// Total training examples visible (in a view, tracks block
     /// replacements across appends).
     pub fn total_examples(&self) -> u64 {
         self.examples
@@ -161,7 +167,11 @@ impl ShardManifest {
 
     /// Decode and checksum-validate a manifest: a trailer that does not
     /// match is corruption ([`crate::is_corrupt`]), anything wrong with
-    /// bytes that verify is structural `InvalidData`.
+    /// bytes that verify is structural `InvalidData`. So is a manifest
+    /// of a generation other than 0 or with overlays listed: appends
+    /// publish overlay files by name and never rewrite the manifest, so
+    /// such a manifest comes from an appender that did, and a layout
+    /// has one way its overlays are found.
     pub fn decode(bytes: &[u8]) -> io::Result<ShardManifest> {
         let mut cur = Cursor::new(verify(bytes)?);
         if cur.take_span(4)? != MANIFEST_MAGIC {
@@ -192,29 +202,28 @@ impl ShardManifest {
         // `shard_starts`) is this one, checked here, and so are the
         // shards' example counts: the CRC is no guard against values
         // that were written wrong.
-        let (total, _) = shards
+        let (_, shard_examples) = shards
             .iter()
             .try_fold((0u64, 0u64), |(r, e), s| {
                 Some((r.checked_add(s.regions)?, e.checked_add(s.examples)?))
             })
             .filter(|&(regions, _)| usize::try_from(regions).is_ok())
             .ok_or_else(|| bad("shard totals overflow"))?;
-        let n = cur.get_u32_le()?;
-        let n = cur.count(n.into(), 4 + 2 * 8)?;
-        let mut overlays = Vec::with_capacity(n);
-        for _ in 0..n {
-            let file = member_name(cur.get_string()?)?;
-            let bytes = cur.get_u64_le()?;
-            let regions = cur.get_u64_vec()?;
-            let ascending = regions.windows(2).all(|w| w[0] < w[1]);
-            if !ascending || regions.last().is_some_and(|&r| r >= total) {
-                return Err(bad(&format!("overlay {file} region list invalid")));
-            }
-            overlays.push(OverlayMeta {
-                file,
-                bytes,
-                regions,
-            });
+        let overlays = cur.get_u32_le()?;
+        if overlays > 0 {
+            let first = member_name(cur.get_string()?)?;
+            return Err(bad(&format!(
+                "manifest lists {overlays} overlay(s), first {first}: \
+                 overlays are found by file name, never listed"
+            )));
+        }
+        if generation != 0 {
+            return Err(bad(&format!("manifest of generation {generation}, not 0")));
+        }
+        if examples != shard_examples {
+            return Err(bad(&format!(
+                "manifest example total {examples} is not its shards' sum {shard_examples}"
+            )));
         }
         cur.done()?;
         Ok(ShardManifest {
@@ -223,7 +232,7 @@ impl ShardManifest {
             generation,
             examples,
             shards,
-            overlays,
+            overlays: Vec::new(),
         })
     }
 
@@ -261,6 +270,22 @@ pub fn shard_file_name(s: usize) -> String {
 /// Canonical overlay file name for the append creating generation `g`.
 pub fn overlay_file_name(g: u64) -> String {
     format!("overlay-{g:04}.bwtd")
+}
+
+/// An overlay file or the temporary file of one: what a rewrite sweeps.
+fn is_overlay_member(name: &str) -> bool {
+    name.starts_with("overlay-") && (name.ends_with(".bwtd") || name.ends_with(".tmp"))
+}
+
+/// The generation published in the layout at `dir`: how many overlay
+/// files `overlay-0001.bwtd`, `overlay-0002.bwtd`, … are present before
+/// the first missing one. Reads no file.
+pub fn published_generation(dir: &Path) -> io::Result<u64> {
+    let mut g = 0;
+    while dir.join(overlay_file_name(g + 1)).try_exists()? {
+        g += 1;
+    }
+    Ok(g)
 }
 
 /// Split `total` regions into `shards` contiguous even ranges (earlier
@@ -308,7 +333,10 @@ impl ShardedWriter {
     /// A layout already in `dir` stops being one here: its manifest is
     /// removed durably before any new shard is renamed over an old one,
     /// so a rewrite that never reaches [`ShardedWriter::finish`] leaves no
-    /// layout to open, never a mix of old and new shards.
+    /// layout to open, never a mix of old and new shards. Then every
+    /// overlay file and overlay temporary file goes too, durably, so the
+    /// new layout starts at generation 0 and adopts none of the old
+    /// one's overlays.
     pub fn create(dir: &Path, p: u32, arity: u32, plan: Vec<usize>) -> io::Result<Self> {
         if plan.is_empty() {
             return Err(io::Error::new(
@@ -318,6 +346,7 @@ impl ShardedWriter {
         }
         fs::create_dir_all(dir)?;
         remove_durably(&dir.join(MANIFEST_NAME))?;
+        remove_all_durably(dir, is_overlay_member)?;
         Ok(ShardedWriter {
             dir: dir.to_path_buf(),
             p,
@@ -466,160 +495,135 @@ impl Drop for ShardedWriter {
     }
 }
 
-/// Appends replacement blocks to an existing sharded layout as one
-/// overlay file plus an atomically bumped manifest generation. Blocks
-/// must arrive in ascending global-region order; nothing already on
-/// disk is touched, so readers of the previous generation keep a
-/// consistent snapshot and [`ShardedSource::refresh`] adopts the new
-/// one.
-pub struct ShardAppender {
+/// Appends replacement blocks to an existing sharded layout as the next
+/// generation's overlay file. Blocks must arrive in ascending
+/// global-region order, each naming the region it replaces by its
+/// coordinates. [`ShardAppender::finish`] publishes the file under its
+/// final name `overlay-{g}.bwtd` by a step that never replaces a name:
+/// that is the commit, and nothing else on disk is written or touched,
+/// so readers of the previous generation keep a consistent snapshot
+/// and [`ShardedSource::refresh`] adopts the new one. Of two appenders
+/// opened at one generation, the second to finish fails with
+/// `AlreadyExists` and the first one's overlay stands.
+pub struct ShardAppender<'a> {
     dir: PathBuf,
-    manifest: ShardManifest,
+    base: Base<'a>,
+    arity: u32,
+    generation: u64,
+    /// Created by the first block: an append that replaces nothing
+    /// writes no file.
     writer: Option<TrainingWriter>,
-    file: String,
-    regions: Vec<u64>,
-    examples_written: u64,
+    /// The region of the last block written.
+    last: Option<usize>,
 }
 
-impl ShardAppender {
-    /// Open `dir`'s manifest and start the overlay file for the next
-    /// generation.
-    pub fn open(dir: &Path) -> io::Result<ShardAppender> {
-        let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
-        let file = overlay_file_name(manifest.generation + 1);
-        let writer = TrainingWriter::create(&dir.join(&file), manifest.p, manifest.arity)?;
+/// The layout an appender checks its blocks against: the source it was
+/// taken from, or the base shards [`ShardAppender::open`] opened.
+enum Base<'a> {
+    Held(&'a ShardedSource),
+    Opened(Box<ShardedSource>),
+}
+
+impl std::ops::Deref for Base<'_> {
+    type Target = ShardedSource;
+
+    fn deref(&self) -> &ShardedSource {
+        match self {
+            Base::Held(src) => src,
+            Base::Opened(src) => src,
+        }
+    }
+}
+
+impl ShardAppender<'static> {
+    /// Open the layout at `dir` for the append after its published
+    /// generation: its base shards (for the blocks' coordinates) and
+    /// the overlay names present, not the overlays themselves.
+    pub fn open(dir: &Path) -> io::Result<ShardAppender<'static>> {
+        let base = ShardedSource::open_base(dir, |disk| Box::new(disk))?;
+        let generation = published_generation(dir)?;
+        ShardAppender::over(Base::Opened(Box::new(base)), generation)
+    }
+}
+
+impl<'a> ShardAppender<'a> {
+    fn over(base: Base<'a>, generation: u64) -> io::Result<ShardAppender<'a>> {
+        let arity = base.view().as_ref().map(|v| v.manifest.arity);
+        let (Some(dir), Some(arity)) = (base.dir.clone(), arity) else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "only a layout opened from a directory takes appends",
+            ));
+        };
         Ok(ShardAppender {
-            dir: dir.to_path_buf(),
-            manifest,
-            writer: Some(writer),
-            file,
-            regions: Vec::new(),
-            examples_written: 0,
+            dir,
+            base,
+            arity,
+            generation,
+            writer: None,
+            last: None,
         })
     }
 
     /// The generation this append supersedes.
     pub fn generation(&self) -> u64 {
-        self.manifest.generation
+        self.generation
     }
 
     /// Write the replacement block of global region `idx`. Indices must
-    /// be strictly ascending and in range.
+    /// be strictly ascending and in range, and the block's coordinates
+    /// those of region `idx`.
     pub fn write_region(&mut self, idx: usize, block: &RegionBlock) -> io::Result<()> {
-        let idx = idx as u64;
-        if idx >= self.manifest.total_regions() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("region {idx} outside the sharded layout"),
-            ));
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        if idx >= self.base.num_regions() {
+            return Err(invalid(format!("region {idx} outside the sharded layout")));
         }
-        if self.regions.last().is_some_and(|&last| idx <= last) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "overlay regions must be written in ascending order",
-            ));
+        if self.last.is_some_and(|last| idx <= last) {
+            return Err(invalid("overlay regions must be written in ascending order".into()));
         }
-        self.writer
-            .as_mut()
-            .expect("writer lives until finish")
-            .write_region(block)?;
-        self.regions.push(idx);
-        self.examples_written += block.n() as u64;
+        let coords = self.base.region_coords(idx);
+        if block.region != coords {
+            return Err(invalid(format!(
+                "block of region {:?} written as region {idx}, which is {coords:?}",
+                block.region
+            )));
+        }
+        let writer = match &mut self.writer {
+            Some(writer) => writer,
+            None => self.writer.insert(TrainingWriter::create_new(
+                &self.dir.join(overlay_file_name(self.generation + 1)),
+                self.base.feature_arity() as u32,
+                self.arity,
+            )?),
+        };
+        writer.write_region(block)?;
+        self.last = Some(idx);
         Ok(())
     }
 
-    /// Finish the overlay file, correct the visible example total, and
-    /// atomically publish the next-generation manifest. An append that
-    /// replaced nothing still bumps the generation (the overlay file is
-    /// discarded). Returns the published manifest.
-    pub fn finish(self) -> io::Result<ShardManifest> {
+    /// Close the overlay file and publish it as the next generation.
+    /// Returns the generation the layout then has: one past
+    /// [`ShardAppender::generation`], or that generation unchanged when
+    /// no block was written (nothing is published then).
+    pub fn finish(self) -> io::Result<u64> {
         self.finish_recorded(&NoopRecorder)
     }
 
-    /// [`ShardAppender::finish`], timed in `rec`: closing and committing
-    /// the overlay file (flush, fsync, rename) under
-    /// `storage/append_commit`, counting the replaced examples and
-    /// publishing the manifest under `storage/append_manifest`.
-    pub fn finish_recorded(self, rec: &dyn Recorder) -> io::Result<ShardManifest> {
-        self.finish_counting(replaced_examples, rec)
-    }
-
-    /// [`ShardAppender::finish_recorded`] over either way of counting
-    /// the examples the replaced blocks held (tests pass the reading
-    /// oracle).
-    fn finish_counting(
-        mut self,
-        old_examples: fn(&Path, &ShardManifest, &[u64]) -> io::Result<u64>,
-        rec: &dyn Recorder,
-    ) -> io::Result<ShardManifest> {
-        let commit = span!(rec, "{}", names::STORAGE_APPEND_COMMIT);
-        let writer = self.writer.take().expect("writer lives until finish");
-        let (file, bytes) = writer.close()?;
-        file.commit()?;
-        drop(commit);
-        let _manifest = span!(rec, "{}", names::STORAGE_APPEND_MANIFEST);
-        let path = self.dir.join(&self.file);
-        let mut manifest = self.manifest;
-        if self.regions.is_empty() {
-            fs::remove_file(&path)?;
-        } else {
-            // The example total changes by (new − old) per replaced
-            // block; old counts come from the pre-append view the
-            // manifest in hand describes.
-            let old_examples = old_examples(&self.dir, &manifest, &self.regions)?;
-            manifest.examples = manifest
-                .examples
-                .checked_sub(old_examples)
-                .and_then(|kept| kept.checked_add(self.examples_written))
-                .ok_or_else(|| bad("manifest example total does not cover the blocks it replaces"))?;
-            manifest.overlays.push(OverlayMeta {
-                file: self.file.clone(),
-                bytes,
-                regions: std::mem::take(&mut self.regions),
-            });
-        }
-        manifest.generation += 1;
-        manifest.write_atomic(&self.dir.join(MANIFEST_NAME))?;
-        Ok(manifest)
-    }
-}
-
-/// Examples held by the blocks an append is about to replace, without
-/// reading one of them: each region resolves to the file that holds it
-/// in the view `manifest` describes (the newest overlay listing it, else
-/// its base shard), and that file's index gives the block's length,
-/// which fixes its row count. Only holder files are opened, each once,
-/// and only header, footer and index are read.
-fn replaced_examples(dir: &Path, manifest: &ShardManifest, regions: &[u64]) -> io::Result<u64> {
-    let starts = manifest.shard_starts();
-    let mut holders: HashMap<&str, DiskSource> = HashMap::new();
-    let mut examples = 0u64;
-    for &r in regions {
-        let overlay = manifest.overlays.iter().rev().find_map(|o| {
-            let local = o.regions.binary_search(&r).ok()?;
-            Some((o.file.as_str(), o.bytes, o.regions.len() as u64, local))
-        });
-        let (file, bytes, held, local) = overlay.unwrap_or_else(|| {
-            let s = starts.partition_point(|&start| start as u64 <= r) - 1;
-            let shard = &manifest.shards[s];
-            (shard.file.as_str(), shard.bytes, shard.regions, r as usize - starts[s])
-        });
-        let holder = match holders.entry(file) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => e.insert(open_member(dir, file, bytes, held)?),
+    /// [`ShardAppender::finish`], timing the close and the commit
+    /// (flush, fsync, link, unlink of the temporary name, directory
+    /// fsync) in `rec` under `storage/append_commit`.
+    pub fn finish_recorded(self, rec: &dyn Recorder) -> io::Result<u64> {
+        let Some(writer) = self.writer else {
+            return Ok(self.generation);
         };
-        examples += holder.region_examples(local).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{file}: region {local} is not a whole number of examples long"),
-            )
-        })?;
+        let _commit = span!(rec, "{}", names::STORAGE_APPEND_COMMIT);
+        writer.close()?.0.commit()?;
+        Ok(self.generation + 1)
     }
-    Ok(examples)
 }
 
-/// Open one member file of a layout — a shard or an overlay — holding
-/// it to the size and the region count its manifest entry records.
+/// Open one base shard of a layout, holding it to the size and the
+/// region count its manifest entry records.
 fn open_member(dir: &Path, file: &str, bytes: u64, regions: u64) -> io::Result<DiskSource> {
     #[cfg(test)]
     tests::member_opened();
@@ -661,51 +665,48 @@ pub struct ShardedSource {
     view: RwLock<Option<ManifestView>>,
 }
 
-/// The generation-specific part of a sharded view: the manifest plus
-/// the opened overlay files and the per-region redirect lane they
-/// induce (later overlays shadow earlier ones). Swapped wholesale by
-/// [`ShardedSource::refresh`]; a view built over the one it replaces
-/// shares that view's overlay files.
+/// The generation-specific part of a sharded view: the manifest as
+/// adopted, the overlay files, the per-region redirect lane they induce
+/// (later overlays shadow earlier ones) and the per-region row-count
+/// lane the visible example total is kept from. Only ever extended, in
+/// place, by [`ShardedSource::refresh`].
 struct ManifestView {
     manifest: ShardManifest,
-    overlays: Vec<Arc<DiskSource>>,
+    overlays: Vec<DiskSource>,
     /// `(overlay, local index)` per global region index, `None` where the
     /// base shard serves it; empty while no overlay exists.
     redirect: Vec<Option<(u32, u32)>>,
+    /// Examples of each global region's visible block.
+    rows: Vec<u64>,
+}
+
+/// One generation's overlay file, opened and mapped onto the layout's
+/// regions, ready to adopt.
+struct Overlay {
+    meta: OverlayMeta,
+    disk: DiskSource,
+    /// Examples of each of the overlay's blocks, by local index.
+    rows: Vec<u64>,
 }
 
 impl ManifestView {
-    /// The view of `manifest`. Over `previous`, the view it replaces, the
-    /// work is what the manifest adds: when its overlay list extends the
-    /// adopted one, those members and their redirects carry over and only
-    /// the new entries are opened and patched in. A list that does not
-    /// extend it (an entry changed or gone) opens every member afresh.
-    fn build(
-        dir: &Path,
-        manifest: ShardManifest,
-        previous: Option<&ManifestView>,
-    ) -> io::Result<ManifestView> {
-        let (mut overlays, mut redirect) = match previous {
-            Some(prev) if manifest.overlays.starts_with(&prev.manifest.overlays) => {
-                (prev.overlays.clone(), prev.redirect.clone())
-            }
-            _ => (Vec::new(), Vec::new()),
-        };
-        for (o, meta) in manifest.overlays.iter().enumerate().skip(overlays.len()) {
-            let disk = open_member(dir, &meta.file, meta.bytes, meta.regions.len() as u64)?;
-            if redirect.is_empty() {
-                redirect = vec![None; manifest.total_regions() as usize];
-            }
-            for (local, &global) in meta.regions.iter().enumerate() {
-                redirect[global as usize] = Some((o as u32, local as u32));
-            }
-            overlays.push(Arc::new(disk));
+    /// Adopt the next generation's overlay: patch both lanes and the
+    /// example total where its blocks replace others.
+    fn adopt(&mut self, overlay: Overlay) {
+        let o = self.overlays.len() as u32;
+        if self.redirect.is_empty() {
+            self.redirect = vec![None; self.rows.len()];
         }
-        Ok(ManifestView {
-            manifest,
-            overlays,
-            redirect,
-        })
+        let replaced = overlay.meta.regions.iter().zip(&overlay.rows);
+        for (local, (&global, &rows)) in replaced.enumerate() {
+            let global = global as usize;
+            self.redirect[global] = Some((o, local as u32));
+            self.manifest.examples = self.manifest.examples - self.rows[global] + rows;
+            self.rows[global] = rows;
+        }
+        self.manifest.generation += 1;
+        self.manifest.overlays.push(overlay.meta);
+        self.overlays.push(overlay.disk);
     }
 }
 
@@ -729,19 +730,49 @@ impl ShardedSource {
     /// Open a sharded dataset wrapping every shard's [`DiskSource`]
     /// through `layer` — the hook that applies the
     /// `CachedSource`/`FaultySource`/`RetryingSource` stack *per shard*.
+    /// The overlays published so far are adopted as
+    /// [`ShardedSource::refresh`] adopts them.
     pub fn open_layered(
+        dir: &Path,
+        layer: impl FnMut(DiskSource) -> Box<dyn TrainingSource>,
+    ) -> io::Result<ShardedSource> {
+        let src = Self::open_base(dir, layer)?;
+        src.refresh()?;
+        Ok(src)
+    }
+
+    /// The layout at `dir` at generation 0: the manifest's shards, each
+    /// held to its entry, and the row-count lane read off their indexes.
+    fn open_base(
         dir: &Path,
         mut layer: impl FnMut(DiskSource) -> Box<dyn TrainingSource>,
     ) -> io::Result<ShardedSource> {
         let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
         let mut shards: Vec<Box<dyn TrainingSource>> = Vec::with_capacity(manifest.shards.len());
+        let mut rows = Vec::with_capacity(manifest.total_regions() as usize);
         for meta in &manifest.shards {
-            shards.push(layer(open_member(dir, &meta.file, meta.bytes, meta.regions)?));
+            let disk = open_member(dir, &meta.file, meta.bytes, meta.regions)?;
+            let start = rows.len();
+            for local in 0..disk.num_regions() {
+                rows.push(block_examples(&disk, &meta.file, local)?);
+            }
+            let held: u64 = rows[start..].iter().sum();
+            if held != meta.examples {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("{} holds {held} examples, manifest says {}", meta.file, meta.examples),
+                ));
+            }
+            shards.push(layer(disk));
         }
-        let view = ManifestView::build(dir, manifest, None)?;
         let mut src = ShardedSource::from_sources(shards)?;
         src.dir = Some(dir.to_path_buf());
-        src.view = RwLock::new(Some(view));
+        src.view = RwLock::new(Some(ManifestView {
+            manifest,
+            overlays: Vec::new(),
+            redirect: Vec::new(),
+            rows,
+        }));
         Ok(src)
     }
 
@@ -784,7 +815,8 @@ impl ShardedSource {
     }
 
     /// The manifest this source currently serves, if it was opened from
-    /// a directory (refreshes replace it).
+    /// a directory: the generation adopted, the visible example total
+    /// and the overlays adopted so far.
     pub fn manifest(&self) -> Option<ShardManifest> {
         self.view().as_ref().map(|v| v.manifest.clone())
     }
@@ -795,34 +827,96 @@ impl ShardedSource {
         self.view().as_ref().map_or(0, |v| v.manifest.generation)
     }
 
-    /// Re-read the manifest and adopt any newer generation in place:
-    /// overlay files the served view already holds are kept, newly
-    /// appended ones are opened and patched into a copy of the redirect
-    /// lane, and the view is swapped atomically, while the base shard
-    /// sources (and whatever cache/fault layers wrap them) stay
-    /// untouched. Returns the generation now served. No-op for in-memory
-    /// sources and for an unchanged manifest.
+    /// Adopt every generation published since the one served: probe
+    /// `overlay_file_name(g + 1)` until one is missing, open each overlay
+    /// found and map its blocks onto the layout's regions by their
+    /// coordinates, then patch the redirect and row-count lanes in place
+    /// under the view's lock. The base shard sources (and whatever
+    /// cache/fault layers wrap them) stay untouched, and an overlay
+    /// already adopted is never reopened. Returns the generation now
+    /// served. No-op for in-memory sources and when no newer overlay
+    /// exists; a refresh that fails adopts nothing.
     ///
-    /// Neither base shards nor adopted overlays are ever reopened, so a
-    /// member file rewritten in place under a live source is not seen.
+    /// A live source follows appends, not rewrites: after
+    /// [`ShardedWriter::create`] over its directory, open it afresh.
     pub fn refresh(&self) -> io::Result<u64> {
         let Some(dir) = &self.dir else {
             return Ok(self.generation());
         };
-        let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
-        if manifest.generation == self.generation() {
-            return Ok(manifest.generation);
+        let from = self.generation();
+        let mut found = Vec::new();
+        while let Some(overlay) = self.probe_overlay(dir, from + 1 + found.len() as u64)? {
+            found.push(overlay);
         }
-        if manifest.total_regions() as usize != self.total {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "refreshed manifest changed the region count",
-            ));
+        let mut view = self.view.write().unwrap_or_else(|e| e.into_inner());
+        let view = view.as_mut().expect("a source opened from a directory has a view");
+        // A refresh beside this one may have adopted some of them already.
+        let adopted = (view.manifest.generation - from) as usize;
+        for overlay in found.into_iter().skip(adopted) {
+            view.adopt(overlay);
         }
-        let view = ManifestView::build(dir, manifest, self.view().as_ref())?;
-        let generation = view.manifest.generation;
-        *self.view.write().unwrap_or_else(|e| e.into_inner()) = Some(view);
-        Ok(generation)
+        Ok(view.manifest.generation)
+    }
+
+    /// Generation `g`'s overlay in `dir`, if published: opened, held to
+    /// this layout's feature arity, and its blocks mapped to the regions
+    /// whose coordinates they carry, which must ascend.
+    fn probe_overlay(&self, dir: &Path, g: u64) -> io::Result<Option<Overlay>> {
+        let file = overlay_file_name(g);
+        let path = dir.join(&file);
+        let bytes = match fs::metadata(&path) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        #[cfg(test)]
+        tests::member_opened();
+        let disk = DiskSource::open(&path)?;
+        let invalid =
+            |what: String| io::Error::new(io::ErrorKind::InvalidData, format!("{file}: {what}"));
+        if disk.feature_arity() != self.p {
+            let p = disk.feature_arity();
+            return Err(invalid(format!("feature arity {p}, layout has {}", self.p)));
+        }
+        let unordered = || invalid("blocks are not in ascending region order".into());
+        let n = disk.num_regions();
+        let (mut regions, mut rows) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        // Ascending blocks visit the shards in order, so each is looked
+        // up from the shard of the block before it on.
+        let mut shard = 0;
+        for local in 0..n {
+            let coords = disk.region_coords(local);
+            let found = (shard..self.shards.len())
+                .find_map(|s| Some((s, self.starts[s] + self.shards[s].find_region(coords)?)));
+            let Some((s, global)) = found else {
+                return Err(match self.find_region(coords) {
+                    Some(_) => unordered(),
+                    None => invalid(format!(
+                        "block {local} is of region {coords:?}, not in the layout"
+                    )),
+                });
+            };
+            let global = global as u64;
+            if regions.last().is_some_and(|&last| global <= last) {
+                return Err(unordered());
+            }
+            shard = s;
+            regions.push(global);
+            rows.push(block_examples(&disk, &file, local)?);
+        }
+        Ok(Some(Overlay {
+            meta: OverlayMeta { file, bytes, regions },
+            disk,
+            rows,
+        }))
+    }
+
+    /// An appender for the generation after the one this source serves,
+    /// checking each block's coordinates against this layout. Refresh
+    /// first to append after what others published since: an appender
+    /// behind the directory fails its publish with `AlreadyExists`.
+    pub fn appender(&self) -> io::Result<ShardAppender<'_>> {
+        ShardAppender::over(Base::Held(self), self.generation())
     }
 
     /// Number of shards.
@@ -841,6 +935,16 @@ impl ShardedSource {
         let s = self.starts.partition_point(|&start| start <= idx) - 1;
         (s, idx - self.starts[s])
     }
+}
+
+/// Examples in `disk`'s region `local`, going by its index entry.
+fn block_examples(disk: &DiskSource, file: &str, local: usize) -> io::Result<u64> {
+    disk.region_examples(local).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{file}: region {local} is not a whole number of examples long"),
+        )
+    })
 }
 
 impl TrainingSource for ShardedSource {
@@ -898,6 +1002,14 @@ impl TrainingSource for ShardedSource {
         self.stats.record_corrupt_block();
     }
 
+    fn find_region(&self, coords: &[u32]) -> Option<usize> {
+        self.shards
+            .iter()
+            .zip(&self.starts)
+            .find_map(|(shard, &start)| Some(start + shard.find_region(coords)?))
+    }
+
+    /// Off the row-count lane for a layout opened from a directory.
     fn total_examples(&self) -> io::Result<u64> {
         if let Some(v) = self.view().as_ref() {
             return Ok(v.manifest.total_examples());
@@ -917,13 +1029,16 @@ impl TrainingSource for ShardedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atomic::crash;
     use crate::cache::CachedSource;
     use crate::format::{encode_block_v2, HEADER_LEN};
     use crate::source::MemorySource;
     use std::cell::Cell;
+    use std::collections::HashMap;
 
     thread_local! {
-        /// Layout member files [`open_member`] opened on this thread.
+        /// Layout member files — shards and overlays — opened on this
+        /// thread.
         static MEMBERS_OPENED: Cell<u64> = const { Cell::new(0) };
     }
 
@@ -956,6 +1071,24 @@ mod tests {
             b.push(i as i64, &[1.0, region as f64 + i as f64], i as f64);
         }
         b
+    }
+
+    /// A replacement block of `region`: its coordinates, other values
+    /// (`salt` tells replacements apart).
+    fn rewritten(region: usize, rows: usize, salt: u32) -> RegionBlock {
+        let mut b = block(region as u32, rows);
+        b.targets.iter_mut().for_each(|y| *y += f64::from(salt));
+        b
+    }
+
+    /// Append one generation replacing `regions` (ascending), each with
+    /// `rows(r)` rows; returns the generation `finish` reports.
+    fn append(dir: &Path, regions: &[usize], rows: impl Fn(usize) -> usize, salt: u32) -> u64 {
+        let mut app = ShardAppender::open(dir).unwrap();
+        for &r in regions {
+            app.write_region(r, &rewritten(r, rows(r), salt)).unwrap();
+        }
+        app.finish().unwrap()
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -1129,10 +1262,10 @@ mod tests {
             // count, and both layouts stay byte-identical.
             if total > 0 {
                 for dir in [&threaded, &oracle] {
-                    let mut app = ShardAppender::open(dir).unwrap();
-                    app.write_region(total / 2, &block(900, 6)).unwrap();
-                    app.write_region(total - 1, &block(901, 2)).unwrap();
-                    let appended = app.finish().unwrap();
+                    let mut regions = vec![total / 2, total - 1];
+                    regions.dedup();
+                    assert_eq!(append(dir, &regions, |r| 6 - r % 4, 900), 1);
+                    let appended = ShardedSource::open(dir).unwrap().manifest().unwrap();
                     let overlay = &appended.overlays[0];
                     assert_eq!(
                         overlay.bytes,
@@ -1202,38 +1335,41 @@ mod tests {
         }
     }
 
+    /// Appends never rewrite the manifest, so a manifest of a later
+    /// generation, one listing overlays or one whose example total is
+    /// not its shards' sum was written some other way: each is refused
+    /// as structure (it verifies), as are other versions.
     #[test]
-    fn appended_manifests_roundtrip_as_version_2() {
-        let mut m = base_manifest();
-        m.generation = 3;
-        m.examples = 190;
-        m.overlays = vec![
-            OverlayMeta {
-                file: "overlay-0001.bwtd".into(),
-                bytes: 512,
-                regions: vec![2, 9, 11],
-            },
-            OverlayMeta {
-                file: "overlay-0003.bwtd".into(),
-                bytes: 256,
-                regions: vec![9],
-            },
-        ];
-        let bytes = m.encode();
-        assert_eq!(
-            u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-            MANIFEST_VERSION
-        );
-        assert_eq!(ShardManifest::decode(&bytes).unwrap(), m);
-        for i in [5, 13, 21, bytes.len() - 9, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x11;
-            assert!(ShardManifest::decode(&bad).is_err(), "byte {i}");
+    fn a_manifest_of_an_appended_layout_is_refused() {
+        let overlay = OverlayMeta {
+            file: "overlay-0001.bwtd".into(),
+            bytes: 512,
+            regions: vec![2, 9, 11],
+        };
+        let mut listed = base_manifest();
+        listed.generation = 1;
+        listed.overlays = vec![overlay.clone()];
+        let mut unlisted = base_manifest();
+        unlisted.generation = 3;
+        let mut gen0_listed = base_manifest();
+        gen0_listed.overlays = vec![overlay];
+        let mut corrected = base_manifest();
+        corrected.examples = 190;
+        for (case, m, says) in [
+            ("listed", listed, "overlay"),
+            ("generation 3", unlisted, "generation 3"),
+            ("listed at generation 0", gen0_listed, "overlay-0001.bwtd"),
+            ("corrected total", corrected, "190"),
+        ] {
+            let err = ShardManifest::decode(&m.encode()).expect_err(case);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+            assert!(!crate::is_corrupt(&err), "{case}: verified bytes are not corrupt");
+            assert!(err.to_string().contains(says), "{case}: {err}");
         }
         // Version 1 and unknown future versions are rejected with a
         // version error.
         for version in [1, 9] {
-            let mut other = m.encode();
+            let mut other = base_manifest().encode();
             other[4] = version;
             let err = ShardManifest::decode(&reseal(other)).unwrap_err();
             let msg = err.to_string();
@@ -1241,26 +1377,42 @@ mod tests {
         }
     }
 
+    /// An overlay file is adopted only if each of its blocks names a
+    /// region of the layout, in ascending order, at the layout's
+    /// feature arity: otherwise the open (and a refresh) fails whole.
     #[test]
     fn overlay_region_lists_must_be_ascending_and_in_range() {
-        let mut m = base_manifest();
-        m.generation = 1;
-        m.overlays = vec![OverlayMeta {
-            file: "overlay-0001.bwtd".into(),
-            bytes: 64,
-            regions: vec![5, 5],
-        }];
-        assert!(ShardManifest::decode(&m.encode()).is_err(), "duplicate index");
-        m.overlays[0].regions = vec![3, 17];
-        assert!(ShardManifest::decode(&m.encode()).is_err(), "out of range");
+        let dir = tmp_dir("overlay_lists");
+        write_sharded(&dir, 6, 2);
+        for (case, blocks) in [
+            ("descending", vec![block(3, 1), block(1, 1)]),
+            ("repeated", vec![block(2, 1), block(2, 2)]),
+            ("out of range", vec![block(2, 1), block(17, 1)]),
+            ("feature arity", vec![RegionBlock::new(vec![2], 3)]),
+        ] {
+            let p = blocks[0].p;
+            let mut w = TrainingWriter::create(&dir.join(overlay_file_name(1)), p, 1).unwrap();
+            for b in &blocks {
+                w.write_region(b).unwrap();
+            }
+            w.finish().unwrap();
+            let err = ShardedSource::open(&dir).err().expect(case);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+            assert!(err.to_string().contains("overlay-0001.bwtd"), "{case}: {err}");
+        }
+        fs::remove_file(dir.join(overlay_file_name(1))).unwrap();
+        let src = ShardedSource::open(&dir).unwrap();
+        assert_eq!(src.generation(), 0);
+        assert_eq!(src.refresh().unwrap(), 0);
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// The checksum is no guard against a count that was *written*
     /// wrong: recompute it over an oversized shard count (followed only
-    /// by an empty overlay table) and an oversized overlay region count
-    /// (the last field of its manifest). Both must be refused against
-    /// the bytes left, before they size a vector (an unchecked
-    /// `with_capacity` aborts the process inside the allocator).
+    /// by an empty overlay table) and an overlay table count (the last
+    /// field of its manifest). Both must be refused against the bytes
+    /// left, before they size a vector (an unchecked `with_capacity`
+    /// aborts the process inside the allocator).
     #[test]
     fn oversized_counts_under_a_valid_checksum_are_rejected() {
         let mut m = base_manifest();
@@ -1272,20 +1424,14 @@ mod tests {
         let err = ShardManifest::decode(&reseal(bytes)).expect_err("shard count");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
 
-        let mut m = base_manifest();
-        m.generation = 1;
-        m.overlays = vec![OverlayMeta {
-            file: "overlay-0001.bwtd".into(),
-            bytes: 64,
-            regions: Vec::new(),
-        }];
+        let m = base_manifest();
         let clean = m.encode();
         assert_eq!(ShardManifest::decode(&clean).unwrap(), m);
-        for count in [1u64, 1 << 40, u64::MAX] {
+        for count in [1u32, 1 << 20, u32::MAX] {
             let mut bytes = clean.clone();
-            let at = bytes.len() - 12;
-            bytes[at..at + 8].copy_from_slice(&count.to_le_bytes());
-            let err = ShardManifest::decode(&reseal(bytes)).expect_err("region count");
+            let at = bytes.len() - 8;
+            bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            let err = ShardManifest::decode(&reseal(bytes)).expect_err("overlay count");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
         }
     }
@@ -1308,15 +1454,17 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
             assert!(!crate::is_corrupt(&err), "{what}: verified bytes are not corrupt");
         }
-        // An appender handed a total smaller than what it replaces stops
-        // instead of wrapping.
+        // Nor against a shard example count that sums right but is not
+        // what the shard's index holds: the open stops, before any
+        // total is kept from it.
         let dir = tmp_dir("forged_total");
-        write_sharded(&dir, 4, 1);
-        let mut app = ShardAppender::open(&dir).unwrap();
-        app.manifest.examples = 1;
-        app.write_region(2, &block(9, 1)).unwrap();
-        let err = app.finish().expect_err("1 - 3 + 1 examples");
+        let mut m = write_sharded(&dir, 4, 2);
+        m.shards[0].examples += 1;
+        m.shards[1].examples -= 1;
+        m.write_atomic(&dir.join(MANIFEST_NAME)).unwrap();
+        let err = ShardedSource::open(&dir).err().expect("a forged shard total");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&shard_file_name(0)), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1445,24 +1593,29 @@ mod tests {
         let dir = tmp_dir("append");
         write_sharded(&dir, 6, 2);
 
+        let before = fs::read(dir.join(MANIFEST_NAME)).unwrap();
         let mut app = ShardAppender::open(&dir).unwrap();
         assert_eq!(app.generation(), 0);
-        app.write_region(1, &block(100, 4)).unwrap();
-        app.write_region(4, &block(200, 5)).unwrap();
-        let manifest = app.finish().unwrap();
+        app.write_region(1, &rewritten(1, 4, 100)).unwrap();
+        app.write_region(4, &rewritten(4, 5, 200)).unwrap();
+        assert_eq!(app.finish().unwrap(), 1);
+        // The overlay file is the commit: the manifest is not rewritten.
+        assert_eq!(fs::read(dir.join(MANIFEST_NAME)).unwrap(), before);
+        assert_eq!(published_generation(&dir).unwrap(), 1);
+
+        // A fresh open resolves replaced regions through the overlay and
+        // leaves clean regions untouched.
+        let src = ShardedSource::open(&dir).unwrap();
+        let manifest = src.manifest().unwrap();
         assert_eq!(manifest.generation, 1);
         assert_eq!(manifest.overlays.len(), 1);
         assert_eq!(manifest.overlays[0].regions, vec![1, 4]);
         // Old blocks had 1 + r % 3 rows: region 1 had 2, region 4 had 2.
         let old_total: u64 = (0..6).map(|r| 1 + r as u64 % 3).sum();
         assert_eq!(manifest.examples, old_total - 2 - 2 + 4 + 5);
-
-        // A fresh open resolves replaced regions through the overlay and
-        // leaves clean regions untouched.
-        let src = ShardedSource::open(&dir).unwrap();
         assert_eq!(src.generation(), 1);
-        assert_eq!(*src.read_region(1).unwrap(), block(100, 4));
-        assert_eq!(*src.read_region(4).unwrap(), block(200, 5));
+        assert_eq!(*src.read_region(1).unwrap(), rewritten(1, 4, 100));
+        assert_eq!(*src.read_region(4).unwrap(), rewritten(4, 5, 200));
         assert_eq!(*src.read_region(0).unwrap(), block(0, 1));
         assert_eq!(src.total_examples().unwrap(), manifest.examples);
         fs::remove_dir_all(&dir).ok();
@@ -1476,37 +1629,44 @@ mod tests {
         assert_eq!(*src.read_region(2).unwrap(), block(2, 3));
         assert_eq!(src.refresh().unwrap(), 0, "unchanged manifest is a no-op");
 
-        let mut app = ShardAppender::open(&dir).unwrap();
-        app.write_region(2, &block(42, 1)).unwrap();
-        app.finish().unwrap();
+        append(&dir, &[2], |_| 1, 42);
 
         // The open source still serves its consistent old snapshot...
         assert_eq!(*src.read_region(2).unwrap(), block(2, 3));
         // ...until it refreshes.
         assert_eq!(src.refresh().unwrap(), 1);
-        assert_eq!(*src.read_region(2).unwrap(), block(42, 1));
+        assert_eq!(*src.read_region(2).unwrap(), rewritten(2, 1, 42));
 
-        // Chained appends: the latest overlay shadows earlier ones.
-        let mut app = ShardAppender::open(&dir).unwrap();
-        app.write_region(2, &block(43, 2)).unwrap();
-        app.write_region(5, &block(44, 2)).unwrap();
-        app.finish().unwrap();
+        // Chained appends, through the source's own appender: the latest
+        // overlay shadows earlier ones.
+        let mut app = src.appender().unwrap();
+        assert_eq!(app.generation(), 1);
+        app.write_region(2, &rewritten(2, 2, 43)).unwrap();
+        app.write_region(5, &rewritten(5, 2, 44)).unwrap();
+        assert_eq!(app.finish().unwrap(), 2);
         assert_eq!(src.refresh().unwrap(), 2);
-        assert_eq!(*src.read_region(2).unwrap(), block(43, 2));
-        assert_eq!(*src.read_region(5).unwrap(), block(44, 2));
+        assert_eq!(*src.read_region(2).unwrap(), rewritten(2, 2, 43));
+        assert_eq!(*src.read_region(5).unwrap(), rewritten(5, 2, 44));
         assert_eq!(*src.read_region(0).unwrap(), block(0, 1));
+        // Two appends that came in while the source looked away are
+        // adopted by one refresh.
+        append(&dir, &[0, 1], |_| 3, 45);
+        append(&dir, &[1], |_| 1, 46);
+        assert_eq!(src.refresh().unwrap(), 4);
+        assert_serves_a_fresh_open(&src, &dir, "two at once");
         fs::remove_dir_all(&dir).ok();
     }
 
     /// A refresh opens the one overlay its generation added and nothing
     /// the source already holds: exactly one member per append that
-    /// wrote blocks, none after one that replaced nothing, however many
-    /// generations came before.
+    /// wrote blocks, none after one that replaced nothing (which
+    /// publishes nothing), however many generations came before.
     #[test]
     fn refresh_opens_only_the_overlay_each_append_adds() {
         let dir = tmp_dir("refresh_incremental");
         write_sharded(&dir, 12, 3);
         let src = ShardedSource::open(&dir).unwrap();
+        let mut generation = 0;
         for k in 1..=20u32 {
             // Every fifth append replaces nothing; region 5 is dirtied by
             // every other one.
@@ -1518,17 +1678,14 @@ mod tests {
                 r.dedup();
                 r
             };
-            let mut app = ShardAppender::open(&dir).unwrap();
-            for &r in &regions {
-                app.write_region(r, &block(100 * k + r as u32, 1 + r % 4)).unwrap();
-            }
-            app.finish().unwrap();
+            generation += u64::from(!regions.is_empty());
+            assert_eq!(append(&dir, &regions, |r| 1 + r % 4, 100 * k), generation);
             let before = members_opened();
-            assert_eq!(src.refresh().unwrap(), k as u64);
+            assert_eq!(src.refresh().unwrap(), generation);
             let opened = members_opened() - before;
             assert_eq!(opened, u64::from(!regions.is_empty()), "append {k}: {regions:?}");
             let before = members_opened();
-            assert_eq!(src.refresh().unwrap(), k as u64, "unchanged manifest");
+            assert_eq!(src.refresh().unwrap(), generation, "nothing published");
             assert_eq!(members_opened(), before, "append {k}: a no-op refresh opened a file");
             if [1, 5, 20].contains(&k) {
                 assert_serves_a_fresh_open(&src, &dir, &format!("after {k} appends"));
@@ -1537,53 +1694,13 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A manifest whose earlier overlay entry changed — its bytes or its
-    /// regions — does not extend the adopted one: the refresh opens every
-    /// member it lists, as a fresh open would.
-    #[test]
-    fn a_manifest_that_does_not_extend_the_adopted_one_reopens_every_member() {
-        for (case, regions, rows) in [("bytes", vec![1u64], 3), ("regions", vec![1, 4], 1)] {
-            let dir = tmp_dir(&format!("refresh_doctored_{case}"));
-            write_sharded(&dir, 8, 2);
-            for (g, r) in [(1u32, 1usize), (2, 2), (3, 6)] {
-                let mut app = ShardAppender::open(&dir).unwrap();
-                app.write_region(r, &block(100 * g, 2)).unwrap();
-                app.finish().unwrap();
-            }
-            let src = ShardedSource::open(&dir).unwrap();
-
-            // Generation 1's overlay rewritten under its own name, and a
-            // manifest that lists it so.
-            let mut manifest = ShardManifest::read(&dir.join(MANIFEST_NAME)).unwrap();
-            let first = &mut manifest.overlays[0];
-            let mut w = TrainingWriter::create(&dir.join(&first.file), 2, 1).unwrap();
-            for &r in &regions {
-                w.write_region(&block(500 + r as u32, rows)).unwrap();
-            }
-            let (file, bytes) = w.close().unwrap();
-            file.commit().unwrap();
-            assert_ne!((bytes, &regions), (first.bytes, &first.regions), "{case}");
-            (first.bytes, first.regions) = (bytes, regions);
-            manifest.generation += 1;
-            manifest.write_atomic(&dir.join(MANIFEST_NAME)).unwrap();
-
-            let before = members_opened();
-            assert_eq!(src.refresh().unwrap(), 4);
-            assert_eq!(members_opened() - before, 3, "{case}: every overlay reopened");
-            assert_serves_a_fresh_open(&src, &dir, case);
-            fs::remove_dir_all(&dir).ok();
-        }
-    }
-
     /// A rotten block in a shard or an overlay is counted in the sharded
     /// source's own books — the ones its snapshot and its registry read.
     #[test]
     fn a_corrupt_shard_or_overlay_block_is_counted_where_the_snapshot_reads() {
         let dir = tmp_dir("corrupt_books");
         write_sharded(&dir, 4, 2);
-        let mut app = ShardAppender::open(&dir).unwrap();
-        app.write_region(3, &block(30, 2)).unwrap();
-        app.finish().unwrap();
+        append(&dir, &[3], |_| 2, 30);
         // The first block of shard 0 (region 0) and of the overlay
         // (region 3) each get one byte flipped.
         for file in [shard_file_name(0), overlay_file_name(1)] {
@@ -1612,47 +1729,230 @@ mod tests {
         let dir = tmp_dir("append_guard");
         write_sharded(&dir, 4, 2);
         let mut app = ShardAppender::open(&dir).unwrap();
-        app.write_region(2, &block(9, 1)).unwrap();
-        assert!(app.write_region(2, &block(9, 1)).is_err(), "not ascending");
-        assert!(app.write_region(1, &block(9, 1)).is_err(), "not ascending");
-        assert!(app.write_region(4, &block(9, 1)).is_err(), "out of range");
+        app.write_region(2, &block(2, 1)).unwrap();
+        assert!(app.write_region(2, &block(2, 1)).is_err(), "not ascending");
+        assert!(app.write_region(1, &block(1, 1)).is_err(), "not ascending");
+        assert!(app.write_region(4, &block(4, 1)).is_err(), "out of range");
+        let err = app.write_region(3, &block(9, 1)).expect_err("another region's block");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         drop(app);
+        assert_eq!(published_generation(&dir).unwrap(), 0, "a dropped append publishes nothing");
 
-        // An append that replaced nothing still bumps the generation and
-        // leaves no orphan overlay file behind.
+        // An append that replaced nothing publishes no file, leaves no
+        // temporary one, and reports the generation unchanged.
+        let before = dir_bytes(&dir);
         let app = ShardAppender::open(&dir).unwrap();
-        let overlay = dir.join(overlay_file_name(1));
-        let manifest = app.finish().unwrap();
-        assert_eq!(manifest.generation, 1);
-        assert!(manifest.overlays.is_empty());
-        assert!(!overlay.exists());
-        assert!(ShardedSource::open(&dir).is_ok());
+        assert_eq!(app.finish().unwrap(), 0);
+        assert_eq!(dir_bytes(&dir), before);
+        assert_eq!(ShardedSource::open(&dir).unwrap().generation(), 0);
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// What [`replaced_examples`] replaced, kept as its oracle: open the
-    /// whole pre-append layout and read every replaced block for its
-    /// row count.
-    fn replaced_examples_by_reading(
-        dir: &Path,
-        _manifest: &ShardManifest,
-        regions: &[u64],
-    ) -> io::Result<u64> {
-        let old_view = ShardedSource::open(dir)?;
-        let mut old_examples = 0u64;
-        for &r in regions {
-            old_examples += old_view.read_region(r as usize)?.n() as u64;
-        }
-        Ok(old_examples)
+    /// One writer per generation: of two appenders opened at the same
+    /// generation, the first to finish publishes it and the second
+    /// fails with `AlreadyExists`, whatever it wrote and whenever;
+    /// readers see the first one's blocks and no temporary file stays.
+    #[test]
+    fn a_second_appender_at_one_generation_fails_and_the_first_overlay_stands() {
+        let dir = tmp_dir("one_writer");
+        write_sharded(&dir, 6, 2);
+        let src = ShardedSource::open(&dir).unwrap();
+        let (mut first, mut second) = (ShardAppender::open(&dir).unwrap(), src.appender().unwrap());
+        assert_eq!((first.generation(), second.generation()), (0, 0));
+        first.write_region(1, &rewritten(1, 2, 10)).unwrap();
+        second.write_region(1, &rewritten(1, 5, 20)).unwrap();
+        second.write_region(4, &rewritten(4, 5, 20)).unwrap();
+        first.write_region(3, &rewritten(3, 2, 10)).unwrap();
+        assert_eq!(first.finish().unwrap(), 1);
+        let published = fs::read(dir.join(overlay_file_name(1))).unwrap();
+        let err = second.finish().expect_err("a published generation replaced");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
+        assert_eq!(fs::read(dir.join(overlay_file_name(1))).unwrap(), published);
+        let names: Vec<String> = dir_bytes(&dir).into_iter().map(|(name, _)| name).collect();
+        assert!(names.iter().all(|n| !n.ends_with(".tmp")), "{names:?}");
+        assert_eq!(src.refresh().unwrap(), 1);
+        assert_eq!(*src.read_region(1).unwrap(), rewritten(1, 2, 10));
+        assert_eq!(*src.read_region(4).unwrap(), block(4, 2));
+        assert_serves_a_fresh_open(&src, &dir, "first writer's generation");
+        fs::remove_dir_all(&dir).ok();
     }
 
+    /// A rewrite over an appended layout sweeps its overlays: opened
+    /// again, the layout is the rewrite's alone at generation 0, even
+    /// though its blocks have the shapes (so the shard files the sizes)
+    /// of the old ones and the old overlays would still map onto it.
     #[test]
-    fn index_counted_appends_publish_the_manifests_the_reading_oracle_does() {
-        use bellwether_prop::Rng;
-        let (by_index, by_reading) = (tmp_dir("count_index"), tmp_dir("count_read"));
-        for dir in [&by_index, &by_reading] {
-            write_sharded(dir, 12, 2);
+    fn a_rewrite_sweeps_the_overlays_of_the_layout_it_replaces() {
+        let dir = tmp_dir("rewrite_sweep");
+        write_sharded(&dir, 8, 2);
+        for (g, regions) in [[1usize, 5], [2, 5], [0, 7]].iter().enumerate() {
+            append(&dir, regions, |r| 1 + r % 3, g as u32 + 1);
         }
+        // A leftover temporary file of an append that never finished.
+        let mut stale = ShardAppender::open(&dir).unwrap();
+        stale.write_region(3, &rewritten(3, 1, 9)).unwrap();
+        std::mem::forget(stale);
+        assert_eq!(published_generation(&dir).unwrap(), 3);
+
+        let mut w = ShardedWriter::create(&dir, 2, 1, even_shard_plan(8, 2)).unwrap();
+        for r in 0..8 {
+            w.write_region(&rewritten(r, 1 + r % 3, 500)).unwrap();
+        }
+        w.finish().unwrap();
+        let names: Vec<String> = dir_bytes(&dir).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, [MANIFEST_NAME, "shard-0000.bwtd", "shard-0001.bwtd"]);
+        let src = ShardedSource::open(&dir).unwrap();
+        assert_eq!(src.generation(), 0);
+        for r in 0..8 {
+            assert_eq!(*src.read_region(r).unwrap(), rewritten(r, 1 + r % 3, 500), "region {r}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a layout directory serves: generation, example total and
+    /// every block's bytes, or why it serves nothing.
+    type Served = Result<(u64, u64, Vec<Vec<u8>>), io::ErrorKind>;
+
+    fn served(dir: &Path) -> Served {
+        let src = ShardedSource::open(dir).map_err(|e| e.kind())?;
+        let blocks = (0..src.num_regions())
+            .map(|r| {
+                let mut bytes = Vec::new();
+                encode_block_v2(&src.read_region(r).unwrap(), &mut bytes);
+                bytes
+            })
+            .collect();
+        Ok((src.generation(), src.total_examples().unwrap(), blocks))
+    }
+
+    /// Run `op` over the state `setup` makes, once per crash point — its
+    /// first file-system step failing, then its second, and so on until
+    /// it runs whole — and hold what each crash leaves to `allowed`
+    /// (the old state, the new one, and for a rewrite no layout). After
+    /// each crash that did not reach the new state the operation runs
+    /// again, unhindered, and must reach it: no leftover of a crash is
+    /// adopted or stands in the way. Returns the number of crash points.
+    fn crash_everywhere(
+        dir: &Path,
+        setup: &dyn Fn(),
+        op: &dyn Fn() -> io::Result<()>,
+        read: &dyn Fn() -> Served,
+        none_allowed: bool,
+    ) -> u64 {
+        setup();
+        let old = read();
+        op().unwrap();
+        let new = read();
+        assert_ne!(old, new, "the operation changes what is served");
+        let mut k = 0;
+        loop {
+            fs::remove_dir_all(dir).ok();
+            fs::create_dir_all(dir).unwrap();
+            setup();
+            let (done, crashed) = crash::at(k, op);
+            let now = read();
+            let none = now == Err(io::ErrorKind::NotFound) && none_allowed;
+            assert!(now == old || now == new || none, "crash at step {k}: {now:?}");
+            if !crashed {
+                done.unwrap();
+                assert_eq!(now, new, "ran whole at step {k}");
+                return k;
+            }
+            if now != new {
+                op().unwrap_or_else(|e| panic!("after a crash at step {k}: {e}"));
+                assert_eq!(read(), new, "redone after a crash at step {k}");
+            }
+            k += 1;
+        }
+    }
+
+    /// Every crash point of a cold write, a rewrite over an appended
+    /// layout, an append and a snapshot save leaves what was there
+    /// before or what the operation makes, and the operation redone from
+    /// there completes. A rewrite may also leave no layout: it removes
+    /// the old manifest before its first shard rename, and shard names
+    /// are reused, so the old state cannot outlive that step. Old-or-new
+    /// for a rewrite needs shard names no live manifest uses.
+    #[test]
+    fn every_crash_point_leaves_the_old_state_or_the_new_one() {
+        let dir = tmp_dir("crash");
+        let write = |salt: u32| {
+            let mut w = ShardedWriter::create(&dir, 2, 1, vec![3, 0, 2])?;
+            for r in 0..5 {
+                w.write_region(&rewritten(r, 1 + r % 3, salt))?;
+            }
+            w.finish().map(drop)
+        };
+        let appended = || {
+            write(0).unwrap();
+            append(&dir, &[1, 4], |_| 3, 1);
+            append(&dir, &[4], |_| 1, 2);
+        };
+        let layout = || served(&dir);
+        let cold = crash_everywhere(&dir, &|| {}, &|| write(7), &layout, false);
+        let rewrite = crash_everywhere(&dir, &appended, &|| write(7), &layout, true);
+        let append_op = || {
+            let mut app = ShardAppender::open(&dir)?;
+            app.write_region(0, &rewritten(0, 4, 3))?;
+            app.write_region(4, &rewritten(4, 2, 3))?;
+            app.finish().map(drop)
+        };
+        let appends = crash_everywhere(&dir, &appended, &append_op, &layout, false);
+        let path = dir.join("model.bwsn");
+        let save = |payload: &[u8]| {
+            let mut w = crate::snapshot::SnapshotWriter::create(&path)?;
+            w.write_section(1, payload)?;
+            w.finish()
+        };
+        let snapshot = || match fs::read(&path) {
+            Ok(bytes) => Ok((0, 0, vec![bytes])),
+            Err(e) => Err(e.kind()),
+        };
+        let old = || save(b"old").unwrap();
+        let saves = crash_everywhere(&dir, &old, &|| save(b"new"), &snapshot, false);
+        // Not vacuous: each operation was cut at each kind of step.
+        assert!(cold >= 3 * 5 + 2, "cold write: {cold} steps");
+        assert!(rewrite > cold, "rewrite: {rewrite} steps, the sweep among them");
+        assert!(appends >= 6, "append: {appends} steps");
+        assert!(saves >= 5, "snapshot save: {saves} steps");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What an append replaced, counted from the holder files' indexes
+    /// in the view `manifest` describes (the newest overlay listing the
+    /// region, else its base shard), without reading a block: one oracle
+    /// of the row-count lane.
+    fn replaced_examples(dir: &Path, manifest: &ShardManifest, regions: &[u64]) -> io::Result<u64> {
+        let starts = manifest.shard_starts();
+        let mut holders: HashMap<&str, DiskSource> = HashMap::new();
+        let mut examples = 0u64;
+        for &r in regions {
+            let overlay = manifest.overlays.iter().rev().find_map(|o| {
+                let local = o.regions.binary_search(&r).ok()?;
+                Some((o.file.as_str(), local))
+            });
+            let (file, local) = overlay.unwrap_or_else(|| {
+                let s = starts.partition_point(|&start| start as u64 <= r) - 1;
+                (manifest.shards[s].file.as_str(), r as usize - starts[s])
+            });
+            if !holders.contains_key(file) {
+                holders.insert(file, DiskSource::open(&dir.join(file))?);
+            }
+            examples += block_examples(&holders[file], file, local)?;
+        }
+        Ok(examples)
+    }
+
+    /// The visible example total is kept from the row-count lane: over
+    /// 40 appends (one replacing nothing, one touching both shards and
+    /// three overlays) it moves as the index-counting oracle says, and
+    /// equals the rows of every block a fresh open serves, read whole.
+    #[test]
+    fn the_row_count_lane_keeps_the_total_the_oracles_count() {
+        use bellwether_prop::Rng;
+        let dir = tmp_dir("row_lane");
+        write_sharded(&dir, 12, 2);
+        let src = ShardedSource::open(&dir).unwrap();
         // Hand-picked opening: three overlays, an append that replaces
         // nothing, then one whose regions sit in both base shards (0;
         // 6, 11) and in each of the three overlays (1; 7; 2, 8).
@@ -1669,46 +1969,54 @@ mod tests {
         }
         for (g, regions) in schedule.iter().enumerate() {
             let rows: Vec<usize> = regions.iter().map(|_| rng.usize_in(0, 6)).collect();
-            let mut published = Vec::new();
-            for (dir, count) in [
-                (&by_index, replaced_examples as fn(&Path, &ShardManifest, &[u64]) -> _),
-                (&by_reading, replaced_examples_by_reading),
-            ] {
-                let mut app = ShardAppender::open(dir).unwrap();
-                for (&r, &n) in regions.iter().zip(&rows) {
-                    app.write_region(r, &block(100 * g as u32 + r as u32, n)).unwrap();
-                }
-                let manifest = app.finish_counting(count, &NoopRecorder).unwrap();
-                assert_eq!(manifest.generation, g as u64 + 1);
-                published.push(fs::read(dir.join(MANIFEST_NAME)).unwrap());
+            let before = src.manifest().unwrap();
+            let wide: Vec<u64> = regions.iter().map(|&r| r as u64).collect();
+            let old = replaced_examples(&dir, &before, &wide).unwrap();
+            let mut app = src.appender().unwrap();
+            for (&r, &n) in regions.iter().zip(&rows) {
+                app.write_region(r, &rewritten(r, n, g as u32)).unwrap();
             }
-            assert_eq!(published[0], published[1], "generation {}", g + 1);
+            app.finish().unwrap();
+            src.refresh().unwrap();
+            let new = rows.iter().sum::<usize>() as u64;
+            assert_eq!(src.total_examples().unwrap(), before.examples - old + new, "append {g}");
+            let fresh = ShardedSource::open(&dir).unwrap();
+            let read: u64 = (0..12).map(|r| fresh.read_region(r).unwrap().n() as u64).sum();
+            assert_eq!(fresh.total_examples().unwrap(), read, "append {g}");
+            assert_eq!(fresh.manifest(), src.manifest(), "append {g}");
         }
-        // And the total both carried forward is the layout's.
-        let src = ShardedSource::open(&by_index).unwrap();
-        let read: u64 = (0..12).map(|r| src.read_region(r).unwrap().n() as u64).sum();
-        assert_eq!(src.total_examples().unwrap(), read);
-        for dir in [by_index, by_reading] {
-            fs::remove_dir_all(&dir).ok();
-        }
+        assert_eq!(src.generation(), 39, "one of the 40 appends replaced nothing");
+        fs::remove_dir_all(&dir).ok();
     }
 
-    /// A holder whose index entry is not a block's length stops the
-    /// append instead of publishing a wrong total.
+    /// A holder whose index entry is not a block's length stops the open
+    /// (and with it an appender's) instead of keeping a wrong total, in
+    /// a base shard and in an overlay alike.
     #[test]
     fn appender_refuses_an_index_length_that_is_no_whole_block() {
         let dir = tmp_dir("count_bad_len");
-        let manifest = write_sharded(&dir, 4, 1);
-        // Grow region 2's `len` by one (its block is followed by region
-        // 3's, so the entry still lies inside the block area).
-        let shard = dir.join(shard_file_name(0));
-        let mut bytes = fs::read(&shard).unwrap();
-        let entry = bytes.len() - crate::format::FOOTER_LEN - 2 * (16 + 4);
-        bytes[entry + 8] += 1;
-        fs::write(&shard, &bytes).unwrap();
-        let err = replaced_examples(&dir, &manifest, &[2]).expect_err("odd length counted");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert_eq!(replaced_examples(&dir, &manifest, &[1]).unwrap(), 2);
+        write_sharded(&dir, 4, 1);
+        append(&dir, &[1, 2], |_| 2, 5);
+        // Grow the `len` of the second index entry from the end by one
+        // (its block is followed by another, so the entry still lies
+        // inside the block area) in the overlay, then in the shard.
+        for file in [overlay_file_name(1), shard_file_name(0)] {
+            let path = dir.join(&file);
+            let clean = fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
+            let entry = bytes.len() - crate::format::FOOTER_LEN - 2 * (16 + 4);
+            bytes[entry + 8] += 1;
+            fs::write(&path, &bytes).unwrap();
+            let err = ShardedSource::open(&dir).err().expect("odd length counted");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{file}: {err}");
+            assert!(err.to_string().contains(&file), "{err}");
+            if file.starts_with("shard") {
+                let err = ShardAppender::open(&dir).err().expect("appender over an odd length");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            }
+            fs::write(&path, &clean).unwrap();
+        }
+        assert_eq!(ShardedSource::open(&dir).unwrap().generation(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,7 +30,16 @@ impl TrainingWriter {
     /// until [`TrainingWriter::finish`]; dropping the writer without
     /// finishing leaves `path` untouched.
     pub fn create(path: &Path, p: u32, arity: u32) -> io::Result<Self> {
-        let mut out = AtomicFile::create(path)?;
+        Self::over(AtomicFile::create(path)?, p, arity)
+    }
+
+    /// [`TrainingWriter::create`] for a file that is published only if
+    /// nothing is at `path` by then ([`AtomicFile::create_new`]).
+    pub(crate) fn create_new(path: &Path, p: u32, arity: u32) -> io::Result<Self> {
+        Self::over(AtomicFile::create_new(path)?, p, arity)
+    }
+
+    fn over(mut out: AtomicFile, p: u32, arity: u32) -> io::Result<Self> {
         let mut buf = Vec::with_capacity(HEADER_LEN);
         encode_header(&Header { version: VERSION, p, arity }, &mut buf);
         out.write_all(&buf)?;

@@ -463,3 +463,34 @@ fn too_small_skip_budget_fails_loudly() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Workers read base shard files and know nothing of overlays, so the
+/// coordinator refuses a layout with a generation appended over it
+/// (serving it would resurrect the replaced blocks) and still serves
+/// the same layout written afresh.
+#[test]
+fn the_coordinator_refuses_an_appended_layout() {
+    let mut rng = Rng::new(0xA44);
+    let (blocks, ..) = random_fixture(&mut rng);
+    let dir = write_shards(&blocks, 2, "coord_appended");
+    let simulated = || {
+        bellwether::coord::Coordinator::simulated(&dir, WorkerFaultPlan::new(1), restart_budget(2))
+    };
+    assert!(simulated().is_ok(), "the base layout is served");
+
+    let mut replacement = blocks[3].clone();
+    replacement.targets.iter_mut().for_each(|y| *y += 1.0);
+    let mut appender = bellwether::storage::ShardAppender::open(&dir).unwrap();
+    appender.write_region(3, &replacement).unwrap();
+    appender.finish().unwrap();
+    let err = match simulated() {
+        Ok(_) => panic!("an appended layout was served"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("appended"), "{err}");
+
+    write_shards(&blocks, 2, "coord_appended");
+    assert!(simulated().is_ok(), "the layout written afresh is served");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -723,7 +723,7 @@ fn recorder_does_not_change_results() {
 
         // The recorder really was live: the traced runs left counters.
         let snap = reg.snapshot();
-        for path in [
+        let append_spans = [
             names::STREAM_APPEND,
             names::STREAM_APPEND_DELTA_CUBE,
             names::STREAM_APPEND_BLOCK_BUILD,
@@ -731,10 +731,19 @@ fn recorder_does_not_change_results() {
             names::STREAM_APPEND_RESCORE,
             names::STORAGE_APPEND_WRITE,
             names::STORAGE_APPEND_COMMIT,
-            names::STORAGE_APPEND_MANIFEST,
             names::STORAGE_REFRESH,
-        ] {
+        ];
+        for path in append_spans {
             assert_eq!(snap.span(path).map(|s| s.calls), Some(4), "{path}");
+        }
+        // And an append records no span besides these: every span under
+        // `stream/append` or `storage/` (a region read is no part of
+        // the traced engine's stack) is one of them, once per append.
+        for s in &snap.spans {
+            if s.path.starts_with("stream/append") || s.path.starts_with("storage/") {
+                assert!(append_spans.contains(&s.path.as_str()), "unlisted span {}", s.path);
+                assert_eq!(s.calls, 4, "{}", s.path);
+            }
         }
         assert!(snap.counter("search/regions_evaluated").is_some());
         assert!(snap.counter("tree/nodes").is_some());
