@@ -6,19 +6,22 @@
 //! 1. the delta CUBE ([`StreamingCube`]) folds the new rows into its
 //!    retained suffstat tables and reports exactly which candidate
 //!    regions changed (the *dirty set*);
-//! 2. only those regions' training blocks are re-assembled and written
-//!    to the sharded layout as a new *generation* (an append-only
-//!    overlay — clean blocks are never rewritten);
-//! 3. once the sharded source has adopted that generation (opening only
-//!    the new overlay file), the blocks just built replace the dirty
-//!    regions' entries in the [`CachedSource`]; every clean block stays
-//!    cached, and no block is read back from disk;
-//! 4. only the dirty candidates are re-scored — the cold search's own
-//!    scan (`scan_regions`, so its panic isolation and the config's
-//!    `ScanPolicy`) with the dirty set as its pre-read filter — and the
-//!    argmin is recomputed over the retained per-region reports. An
-//!    argmin flip is a [`DriftEvent`] — the signal a server uses to
-//!    hot-swap its model.
+//! 2. only those regions' training blocks are re-assembled, each handed
+//!    as it is built to the engine's [`OverlayWriter`], whose thread
+//!    writes them to the sharded layout as a new *generation* (an
+//!    append-only overlay — clean blocks are never rewritten) and
+//!    commits it;
+//! 3. while it commits, only the dirty candidates are re-scored, over the
+//!    blocks just built — the cold search's own scan (`scan_regions`, so
+//!    its panic isolation and the config's `ScanPolicy`) with the dirty
+//!    set as its pre-read filter;
+//! 4. once the commit is durable and the sharded source has adopted that
+//!    generation (opening only the new overlay file), the blocks replace
+//!    the dirty regions' entries in the [`CachedSource`] and the
+//!    re-scored reports are adopted (every clean block stays cached, and
+//!    no block is read back from disk); the argmin is recomputed over the
+//!    retained per-region reports. An argmin flip is a [`DriftEvent`] —
+//!    the signal a server uses to hot-swap its model.
 //!
 //! # Equivalence contract
 //!
@@ -37,17 +40,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
-use bellwether_obs::{names, span};
+use bellwether_obs::{names, span, MetricsSnapshot};
 use bellwether_storage::{
-    even_shard_plan, CachedSource, RegionBlock, ShardedSource, ShardedWriter,
+    even_shard_plan, CachedSource, OverlayWriter, RegionBlock, ShardedSource, ShardedWriter,
+    TrainingSource,
 };
 use bellwether_table::ColumnData;
 
-use crate::basic::{basic_search, evaluate_regions, min_error, BasicSearchResult, RegionReport};
+use crate::basic::{
+    basic_search, evaluate_regions, min_error, BasicSearchResult, Evaluated, RegionReport,
+};
 use crate::error::{BellwetherError, Result};
 use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
-use crate::scan::merge_skipped;
+use crate::scan::{merge_skipped, Scanned};
 use crate::training::{region_block_lane, target_lane};
 
 /// One argmin flip: the bellwether changed identity after an append.
@@ -107,6 +113,8 @@ pub struct StreamingBellwether {
     total_items: usize,
     dir: PathBuf,
     source: CachedSource<ShardedSource>,
+    /// The thread the overlays are written on.
+    writer: OverlayWriter,
     /// Retained per-candidate reports, indexed by source index.
     reports: Vec<Option<RegionReport>>,
     /// Source index of the current bellwether.
@@ -195,6 +203,7 @@ impl StreamingBellwether {
             total_items,
             dir: dir.to_path_buf(),
             source,
+            writer: OverlayWriter::new(),
             reports,
             best,
             skipped: boot.skipped_regions,
@@ -278,72 +287,112 @@ impl StreamingBellwether {
         Ok(outcome)
     }
 
-    /// Rewrite the `dirty` candidates' blocks under a new generation,
-    /// adopt it, seed the cache with the blocks and re-score them.
+    /// Rewrite the `dirty` candidates' blocks under a new generation and
+    /// re-score them while it commits, then adopt the generation and seed
+    /// the cache with the blocks.
     fn publish(&mut self, dirty: &[usize], outcome: &mut AppendOutcome) -> Result<()> {
         let rec = Arc::clone(&self.config.recorder);
-        let blocks: Vec<Arc<RegionBlock>> = {
+        let _publish = span!(rec, "{}", names::STREAM_APPEND_PUBLISH);
+        // The appender publishes the generation after the one the
+        // source serves, so adopt first whatever was published since
+        // this engine's last refresh: another writer's generation, or
+        // this engine's own when the refresh after it failed. Either may
+        // replace blocks the cache holds.
+        let source = self.source.inner();
+        let served = source.generation();
+        if source.refresh()? != served {
+            self.source.clear();
+        }
+        let mut append = self.writer.begin(source.appender()?);
+        // Each block goes to the overlay writer as it is built; `dirty`
+        // ascends, as the appender requires.
+        let blocks = {
             let _build = span!(rec, "{}", names::STREAM_APPEND_BLOCK_BUILD);
             let (cube, items, tau) = (self.cube.result(), &self.items, &self.tau);
-            dirty
-                .iter()
-                .map(|&idx| Arc::new(region_block_lane(cube, &self.regions[idx], items, tau)))
-                .collect()
+            let mut blocks = Vec::with_capacity(dirty.len());
+            for &idx in dirty {
+                let block = Arc::new(region_block_lane(cube, &self.regions[idx], items, tau));
+                append.write_region(idx, Arc::clone(&block))?;
+                blocks.push(block);
+            }
+            blocks
         };
-        {
-            let _publish = span!(rec, "{}", names::STREAM_APPEND_PUBLISH);
-            // The appender publishes the generation after the one the
-            // source serves, so adopt first whatever was published since
-            // this engine's last refresh: another writer's generation,
-            // or this engine's own when the refresh after it failed.
-            // Either may replace blocks the cache holds.
-            let served = self.source.inner().generation();
-            if self.source.inner().refresh()? != served {
-                self.source.clear();
-            }
-            // Blocks must be appended in ascending source order (the
-            // appender enforces it); `dirty` is sorted.
-            let mut appender = self.source.inner().appender()?;
-            {
-                let _write = span!(rec, "{}", names::STORAGE_APPEND_WRITE);
-                for (&idx, block) in dirty.iter().zip(&blocks) {
-                    appender.write_region(idx, block)?;
-                }
-            }
-            let published = appender.finish_recorded(rec.as_ref())?;
-            outcome.generation = {
-                let _refresh = span!(rec, "{}", names::STORAGE_REFRESH);
-                self.source.inner().refresh()?
+        #[cfg(test)]
+        tests::other_writer(tests::Stage::BeforeCommit, &self.dir);
+        let commit = append.commit();
+        // While the overlay commits, re-score the very blocks it holds.
+        let rescored = {
+            let _rescore = span!(rec, "{}", names::STREAM_APPEND_RESCORE);
+            let writing = Writing {
+                source: &self.source,
+                dirty,
+                blocks: &blocks,
             };
-            // The cache may hold a dirty block only once the source
-            // serves it: a newer generation another writer published
-            // may hold other blocks for these regions.
-            let replaced = if outcome.generation == published {
-                self.source.replace_regions(dirty.iter().copied().zip(blocks))
-            } else {
-                self.source.clear();
-                0
-            };
-            outcome.blocks_invalidated = replaced;
-            rec.add(names::STORAGE_CACHE_INVALIDATIONS, replaced);
+            self.evaluate(&writing, dirty)
+        };
+        // The stale blocks the overlay replaces leave the cache now and
+        // are freed while the commit may still run; the cache takes the
+        // new blocks once the source serves them.
+        let stale = self.source.take_regions(dirty.iter().copied());
+        outcome.blocks_invalidated = stale.len() as u64;
+        drop(stale);
+        let published = {
+            let _wait = span!(rec, "{}", names::STREAM_APPEND_COMMIT_WAIT);
+            commit.join(rec.as_ref())?
+        };
+        #[cfg(test)]
+        tests::other_writer(tests::Stage::AfterCommit, &self.dir);
+        outcome.generation = {
+            let _refresh = span!(rec, "{}", names::STORAGE_REFRESH);
+            self.source.inner().refresh()?
+        };
+        // The cache may hold a dirty block, and the engine the report
+        // scored from it, only once the source serves it: a newer
+        // generation another writer published may hold other blocks for
+        // these regions, and then the re-score reads what the source
+        // serves.
+        let adopted = outcome.generation == published;
+        if adopted {
+            let replaced = self.source.replace_regions(dirty.iter().copied().zip(blocks));
+            outcome.blocks_invalidated += replaced;
+        } else {
+            self.source.clear();
         }
-        let _rescore = span!(rec, "{}", names::STREAM_APPEND_RESCORE);
-        self.rescore(dirty, outcome)
+        rec.add(names::STORAGE_CACHE_INVALIDATIONS, outcome.blocks_invalidated);
+        if adopted {
+            self.adopt(dirty, rescored?, outcome);
+            Ok(())
+        } else {
+            let _rescore = span!(rec, "{}", names::STREAM_APPEND_RESCORE);
+            self.rescore(dirty, outcome)
+        }
     }
 
     /// Re-score the `dirty` candidates through the cold search's own
-    /// scan, narrowed to them: an over-budget region is still never read
-    /// and stays report-less, an unreadable one is the scan policy's to
-    /// fail on or to skip (and loses its report).
+    /// scan, narrowed to them, reading what the source serves.
     fn rescore(&mut self, dirty: &[usize], outcome: &mut AppendOutcome) -> Result<()> {
-        let scanned = evaluate_regions(
-            &self.source,
+        let scanned = self.evaluate(&self.source, dirty)?;
+        self.adopt(dirty, scanned, outcome);
+        Ok(())
+    }
+
+    /// Evaluate the `dirty` candidates of `source`: an over-budget region
+    /// is still never read and stays report-less, an unreadable one is
+    /// the scan policy's to fail on or to skip.
+    fn evaluate(&self, source: &dyn TrainingSource, dirty: &[usize]) -> Result<Scanned<Evaluated>> {
+        evaluate_regions(
+            source,
             &self.space,
             self.cost_model.as_ref(),
             &self.config,
             self.total_items,
             |idx| dirty.binary_search(&idx).is_ok(),
-        )?;
+        )
+    }
+
+    /// Take the re-scored `dirty` candidates' reports; a skipped one loses
+    /// its report.
+    fn adopt(&mut self, dirty: &[usize], scanned: Scanned<Evaluated>, outcome: &mut AppendOutcome) {
         outcome.rescored = scanned.acc.len();
         for (idx, report) in scanned.acc {
             self.reports[idx] = report;
@@ -353,7 +402,6 @@ impl StreamingBellwether {
         for &idx in &scanned.skipped {
             self.reports[idx] = None;
         }
-        Ok(())
     }
 
     /// Argmin over retained reports by `(error, source index)` — the
@@ -424,24 +472,112 @@ impl StreamingBellwether {
     }
 }
 
+/// The engine's source with the blocks an append is writing served from
+/// memory, by ascending region index: what the re-score reads while the
+/// overlay commits. Every other region reads through to the source.
+struct Writing<'a> {
+    source: &'a CachedSource<ShardedSource>,
+    dirty: &'a [usize],
+    blocks: &'a [Arc<RegionBlock>],
+}
+
+impl TrainingSource for Writing<'_> {
+    fn num_regions(&self) -> usize {
+        self.source.num_regions()
+    }
+
+    fn feature_arity(&self) -> usize {
+        self.source.feature_arity()
+    }
+
+    fn region_coords(&self, idx: usize) -> &[u32] {
+        self.source.region_coords(idx)
+    }
+
+    fn read_region(&self, idx: usize) -> std::io::Result<Arc<RegionBlock>> {
+        match self.dirty.binary_search(&idx) {
+            Ok(i) => Ok(Arc::clone(&self.blocks[i])),
+            Err(_) => self.source.read_region(idx),
+        }
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.source.snapshot()
+    }
+
+    fn record_corrupt_block(&self) {
+        self.source.record_corrupt_block();
+    }
+
+    fn shard_starts(&self) -> Option<Vec<usize>> {
+        self.source.shard_starts()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::ErrorMeasure;
     use crate::scan::ScanPolicy;
     use bellwether_cube::{Dimension, Hierarchy, Measure, UniformCellCost};
-    use bellwether_storage::overlay_file_name;
+    use bellwether_storage::{overlay_file_name, ShardAppender};
     use bellwether_table::ops::AggFunc;
     use bellwether_table::{Column, DataType, Schema, Table};
+    use std::cell::RefCell;
     use std::io::{Seek, SeekFrom, Write};
 
-    /// Every one of 12 items sells in both leaves in `week` (0-based).
-    fn week(week: u32) -> CubeInput {
-        let rows = (1..=12i64).flat_map(|id| [1u32, 2].map(|leaf| (id, leaf)));
-        let profit = |(id, leaf): (i64, u32)| ((id * 7 + leaf as i64 * 3 + week as i64) % 11) as f64;
+    /// Where [`other_writer`] acts in a publish.
+    #[derive(Clone, Copy, PartialEq)]
+    pub(super) enum Stage {
+        /// The blocks are handed to the overlay writer, not yet committed.
+        BeforeCommit,
+        /// The commit has landed; the source has not refreshed.
+        AfterCommit,
+    }
+
+    type OtherWrite = Box<dyn FnOnce(&Path)>;
+
+    thread_local! {
+        static OTHER_WRITER: RefCell<Option<(Stage, OtherWrite)>> = const { RefCell::new(None) };
+    }
+
+    /// Run, once, the write [`when`] set for `stage` on this thread,
+    /// over the layout in `dir`.
+    pub(super) fn other_writer(stage: Stage, dir: &Path) {
+        let due = OTHER_WRITER.with(|w| {
+            let mut w = w.borrow_mut();
+            if w.as_ref().is_some_and(|(at, _)| *at == stage) {
+                w.take()
+            } else {
+                None
+            }
+        });
+        if let Some((_, write)) = due {
+            write(dir);
+        }
+    }
+
+    /// Have another writer run `write` over the layout when the next
+    /// publish on this thread reaches `stage`.
+    fn when(stage: Stage, write: impl FnOnce(&Path) + 'static) {
+        OTHER_WRITER.with(|w| *w.borrow_mut() = Some((stage, Box::new(write))));
+    }
+
+    /// Every one of 12 items sells in both leaves in each of `weeks`
+    /// (0-based), in that order.
+    fn weeks(weeks: &[u32]) -> CubeInput {
+        let rows = weeks.iter().flat_map(|&week| {
+            (1..=12i64).flat_map(move |id| [1u32, 2].map(|leaf| (week, id, leaf)))
+        });
+        let profit = |(week, id, leaf): (u32, i64, u32)| {
+            ((id * 7 + leaf as i64 * 3 + week as i64) % 11) as f64
+        };
         CubeInput {
-            item_ids: rows.clone().map(|(id, _)| id).collect(),
-            coords: rows.clone().flat_map(|(_, leaf)| [week, leaf]).collect(),
+            item_ids: rows.clone().map(|(_, id, _)| id).collect(),
+            coords: rows
+                .clone()
+                .flat_map(|(week, _, leaf)| [week, leaf])
+                .collect(),
             measures: vec![Measure::Numeric {
                 name: "profit".into(),
                 func: AggFunc::Sum,
@@ -450,8 +586,18 @@ mod tests {
         }
     }
 
+    fn week(week: u32) -> CubeInput {
+        weeks(&[week])
+    }
+
     /// Three weeks × {All, a, b}: nine candidates over week 0.
     fn engine(tag: &str) -> StreamingBellwether {
+        engine_over(tag, &[0])
+    }
+
+    /// The engine over `base` weeks: built by a cold search, the oracle
+    /// of an engine that appended the same weeks.
+    fn engine_over(tag: &str, base: &[u32]) -> StreamingBellwether {
         let space = RegionSpace::new(vec![
             Dimension::Interval {
                 name: "T".into(),
@@ -482,7 +628,7 @@ mod tests {
         StreamingBellwether::create(
             &dir,
             &space,
-            &week(0),
+            &weeks(base),
             &ids,
             items,
             targets,
@@ -545,6 +691,81 @@ mod tests {
         let recovered = engine.search_result();
         assert!(recovered.skipped_regions.is_empty());
         assert_eq!(recovered.reports.len(), 9);
+        std::fs::remove_dir_all(engine.dir()).ok();
+    }
+
+    /// Another writer takes the generation's name while the append's
+    /// overlay is being written, so its commit fails: the re-score that
+    /// ran beside it is dropped, and the reports, the skipped set and
+    /// the drift log stay as they were. The next append adopts the other
+    /// writer's generation, publishes the stranded candidates with its
+    /// own, and serves the cold search over every week folded.
+    #[test]
+    fn a_failed_commit_changes_nothing_and_the_next_append_converges() {
+        let mut engine = engine("commit_fails");
+        engine.append(&week(1)).unwrap();
+        let (before, drifts) = (engine.search_result(), engine.drift_log().to_vec());
+        // The other writer republishes a block week 2 leaves alone.
+        when(Stage::BeforeCommit, |dir| {
+            let served = ShardedSource::open(dir).unwrap().read_region(0).unwrap();
+            let mut other = ShardAppender::open(dir).unwrap();
+            other.write_region(0, &served).unwrap();
+            other.finish().unwrap();
+        });
+        let err = engine.append(&week(2)).unwrap_err();
+        assert!(matches!(err, BellwetherError::Io(_)), "{err}");
+        assert_eq!(engine.appends(), 1);
+        assert_eq!(engine.generation(), 1, "nothing adopted");
+        let after = engine.search_result();
+        assert_eq!(format!("{after:?}"), format!("{before:?}"));
+        assert_eq!(engine.drift_log(), drifts);
+
+        let outcome = engine.append(&week(2)).unwrap();
+        assert_eq!(
+            outcome.generation, 3,
+            "after the other writer's generation 2"
+        );
+        let cold = engine_over("commit_fails_cold", &[0, 1, 2, 2]);
+        let (got, want) = (engine.search_result(), cold.search_result());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        std::fs::remove_dir_all(engine.dir()).ok();
+        std::fs::remove_dir_all(cold.dir()).ok();
+    }
+
+    /// When another writer publishes after the append's commit, the
+    /// source adopts its generation too, and what it serves for the dirty
+    /// regions is no longer what the engine wrote: the engine drops the
+    /// re-score it ran over its own blocks and the cache, and re-scores
+    /// from the source.
+    #[test]
+    fn a_newer_generation_adopted_after_the_commit_is_rescored_from_the_source() {
+        let mut engine = engine("newer");
+        // Week 1 dirties candidates 3..9; the other writer changes one.
+        when(Stage::AfterCommit, |dir| {
+            let served = ShardedSource::open(dir).unwrap().read_region(4).unwrap();
+            let mut changed = (*served).clone();
+            for (i, y) in changed.targets.iter_mut().enumerate() {
+                *y = *y * 3.0 + (i % 2) as f64;
+            }
+            let mut other = ShardAppender::open(dir).unwrap();
+            other.write_region(4, &changed).unwrap();
+            other.finish().unwrap();
+        });
+        let outcome = engine.append(&week(1)).unwrap();
+        assert_eq!((outcome.generation, outcome.rescored), (2, 6));
+        // Cleared, not seeded: the cache holds only what the re-score read.
+        assert_eq!(engine.source().cached_blocks(), 6);
+        let fresh = ShardedSource::open(engine.dir()).unwrap();
+        let cold = basic_search(
+            &fresh,
+            &engine.space,
+            engine.cost_model.as_ref(),
+            &engine.config,
+            engine.total_items,
+        )
+        .unwrap();
+        let got = engine.search_result();
+        assert_eq!(format!("{got:?}"), format!("{cold:?}"));
         std::fs::remove_dir_all(engine.dir()).ok();
     }
 }

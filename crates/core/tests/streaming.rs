@@ -245,6 +245,18 @@ fn the_engine_serves_what_a_fresh_open_reads_after_every_append() {
             )
             .unwrap();
             assert_same_result(&engine.search_result(), &cold, &ctx);
+            // The re-score ran over the blocks being written, while they
+            // committed; re-scored from what the engine's own source
+            // serves once it adopted them, they read the same.
+            let rescored = basic_search(
+                engine.source(),
+                &wl.region_space,
+                &UniformCellCost { rate: 1.0 },
+                &config_for(threads, f64::INFINITY),
+                wl.items.len(),
+            )
+            .unwrap();
+            assert_same_result(&engine.search_result(), &rescored, &format!("{ctx}: source"));
         }
         assert!(rewrites > wl.regions.len(), "some region was rewritten more than once");
         std::fs::remove_dir_all(engine.dir()).ok();

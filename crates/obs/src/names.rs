@@ -18,8 +18,10 @@ pub const STORAGE_CACHE_HITS: &str = "storage/cache_hits";
 pub const STORAGE_CACHE_MISSES: &str = "storage/cache_misses";
 /// Decoded blocks evicted by the cache's byte budget.
 pub const STORAGE_CACHE_EVICTIONS: &str = "storage/cache_evictions";
-/// Stale cached blocks a `CachedSource::replace_regions` call replaced
-/// with the blocks an append wrote (the dirty regions that were cached).
+/// Stale cached blocks an append let go: taken out by
+/// `CachedSource::take_regions` before its commit, or replaced by a
+/// `CachedSource::replace_regions` call (the dirty regions that were
+/// cached).
 pub const STORAGE_CACHE_INVALIDATIONS: &str = "storage/cache_invalidations";
 /// Region reads retried after a transient failure.
 pub const STORAGE_RETRIES: &str = "storage/retries";
@@ -30,13 +32,17 @@ pub const STORAGE_CORRUPT_BLOCKS: &str = "storage/corrupt_blocks";
 pub const STORAGE_FAULTS_INJECTED: &str = "storage/faults_injected";
 
 /// Span, one per append that wrote blocks, inside
-/// `stream/append/publish`: writing the replacement blocks into the
-/// overlay file (buffered; the commit makes them durable).
+/// `stream/append/publish`: creating the overlay file and writing the
+/// replacement blocks into it (buffered; the commit makes them
+/// durable). A pipelined append writes on the overlay writer's thread,
+/// beside the caller's block build and re-score; the caller records
+/// the time it took there.
 pub const STORAGE_APPEND_WRITE: &str = "storage/append_write";
 /// Span, one per append that wrote blocks, inside
 /// `stream/append/publish`: closing the overlay file and committing it
 /// (flush, fsync, link under its final name, unlink of the temporary
-/// name, directory fsync), which publishes the generation.
+/// name, directory fsync), which publishes the generation. Like
+/// `storage/append_write`, timed where it ran and recorded by the caller.
 pub const STORAGE_APPEND_COMMIT: &str = "storage/append_commit";
 /// Span, one per append, inside `stream/append/publish`: a sharded
 /// source adopting the generation the append published.
@@ -173,15 +179,22 @@ pub const STREAM_DRIFT_EVENTS: &str = "stream/drift_events";
 pub const STREAM_APPEND: &str = "stream/append";
 /// Span inside `stream/append`: folding the rows into the delta cube.
 pub const STREAM_APPEND_DELTA_CUBE: &str = "stream/append/delta_cube";
-/// Span inside `stream/append`: assembling the dirty candidates'
-/// training blocks.
+/// Span inside `stream/append/publish`: assembling the dirty candidates'
+/// training blocks and handing each to the overlay writer.
 pub const STREAM_APPEND_BLOCK_BUILD: &str = "stream/append/block_build";
-/// Span inside `stream/append`: writing the blocks as a new generation,
-/// adopting it and seeding the cache with them (the `storage/append_*`
-/// and `storage/refresh` spans run inside it).
+/// Span inside `stream/append`: everything after the delta cube —
+/// writing the blocks as a new generation, re-scoring them, adopting the
+/// generation and seeding the cache. `block_build`, `rescore`,
+/// `commit_wait` and the `storage/append_*` and `storage/refresh` spans
+/// run inside it.
 pub const STREAM_APPEND_PUBLISH: &str = "stream/append/publish";
-/// Span inside `stream/append`: re-scoring the dirty candidates.
+/// Span inside `stream/append/publish`: re-scoring the dirty candidates,
+/// while the overlay commits. Recorded a second time in an append whose
+/// source adopted another writer's generation and re-scored from it.
 pub const STREAM_APPEND_RESCORE: &str = "stream/append/rescore";
+/// Span inside `stream/append/publish`: the time the caller waits for
+/// the overlay writer's commit after re-scoring.
+pub const STREAM_APPEND_COMMIT_WAIT: &str = "stream/append/commit_wait";
 
 /// Worker processes (or simulated workers) spawned by a coordinator,
 /// including restarts.

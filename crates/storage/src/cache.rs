@@ -176,6 +176,29 @@ impl<S: TrainingSource> CachedSource<S> {
         state.bytes = 0;
     }
 
+    /// Drop the cache's entries of `regions` and hand their blocks to
+    /// the caller, which decides when they are freed. Counts them under
+    /// `storage/cache_invalidations`. This is the streaming append's
+    /// eviction of the blocks its overlay replaces: it takes them before
+    /// the commit and frees them while the commit runs.
+    pub fn take_regions(&self, regions: impl IntoIterator<Item = usize>) -> Vec<Arc<RegionBlock>> {
+        let taken: Vec<_> = {
+            let mut state = self.lock_state();
+            regions
+                .into_iter()
+                .filter_map(|idx| {
+                    let entry = state.map.remove(&idx)?;
+                    state.bytes -= entry.bytes;
+                    Some(entry.block)
+                })
+                .collect()
+        };
+        if !taken.is_empty() {
+            self.invalidations.add(taken.len() as u64);
+        }
+        taken
+    }
+
     /// Put `blocks` — `(region index, block)` pairs — in the cache in
     /// place of whatever it holds for those regions. This is the
     /// write-through hook of the streaming append path: once the inner
@@ -455,6 +478,28 @@ mod tests {
         let tiny = CachedSource::new(MemorySource::new(blocks(2)), block_bytes() - 1);
         assert_eq!(tiny.replace_regions([(0, fresh(0))]), 0);
         assert_eq!(tiny.cached_blocks(), 0);
+    }
+
+    /// Taken regions leave the cache with their blocks, counted as
+    /// invalidations; a region not cached yields nothing, and every other
+    /// entry stays warm.
+    #[test]
+    fn taken_regions_hand_back_their_blocks() {
+        let src = source(4, 4);
+        for idx in 0..3 {
+            src.read_region(idx).unwrap();
+        }
+        let taken = src.take_regions([0, 2, 3]);
+        let old = blocks(4);
+        assert_eq!(taken, [&old[0], &old[2]].map(|b| Arc::new(b.clone())));
+        assert_eq!(src.cached_blocks(), 1);
+        assert_eq!(src.cached_bytes(), block_bytes());
+        let snap = src.snapshot();
+        assert_eq!(snap.counter(names::STORAGE_CACHE_INVALIDATIONS), Some(2));
+        src.read_region(1).unwrap();
+        src.read_region(2).unwrap();
+        let snap = src.snapshot();
+        assert_eq!((snap.cache_hits(), snap.cache_misses()), (1, 4));
     }
 
     #[test]

@@ -80,8 +80,9 @@ pub use metrics::IoStats;
 pub use reader::DiskSource;
 pub use retry::{RetryPolicy, RetryPolicyBuilder, RetryingSource};
 pub use shard::{
-    even_shard_plan, overlay_file_name, published_generation, shard_file_name, OverlayMeta,
-    ShardAppender, ShardManifest, ShardMeta, ShardedSource, ShardedWriter, MANIFEST_NAME,
+    even_shard_plan, overlay_file_name, published_generation, shard_file_name, AppendCommit,
+    OverlayMeta, OverlayWriter, PipelinedAppend, ShardAppender, ShardManifest, ShardMeta,
+    ShardedSource, ShardedWriter, MANIFEST_NAME,
 };
 pub use snapshot::{Section, SnapshotFile, SnapshotWriter, SNAPSHOT_VERSION};
 pub use source::{MemorySource, TrainingSource};

@@ -44,13 +44,14 @@ use crate::metrics::IoStats;
 use crate::reader::DiskSource;
 use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
-use bellwether_obs::{names, span, MetricsSnapshot, NoopRecorder, Recorder, Registry};
+use bellwether_obs::{names, MetricsSnapshot, Recorder, Registry};
 use std::ffi::OsStr;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// File name of the manifest inside a sharded dataset directory.
 pub const MANIFEST_NAME: &str = "manifest.bwsm";
@@ -574,6 +575,21 @@ impl<'a> ShardAppender<'a> {
     /// be strictly ascending and in range, and the block's coordinates
     /// those of region `idx`.
     pub fn write_region(&mut self, idx: usize, block: &RegionBlock) -> io::Result<()> {
+        self.admit(idx, block)?;
+        if self.writer.is_none() {
+            self.writer = Some(self.create_overlay()?);
+        }
+        self.writer
+            .as_mut()
+            .expect("created above")
+            .write_region(block)?;
+        self.last = Some(idx);
+        Ok(())
+    }
+
+    /// Check that `block` may follow the blocks written so far as the
+    /// replacement of region `idx`.
+    fn admit(&self, idx: usize, block: &RegionBlock) -> io::Result<()> {
         let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         if idx >= self.base.num_regions() {
             return Err(invalid(format!("region {idx} outside the sharded layout")));
@@ -588,17 +604,17 @@ impl<'a> ShardAppender<'a> {
                 block.region
             )));
         }
-        let writer = match &mut self.writer {
-            Some(writer) => writer,
-            None => self.writer.insert(TrainingWriter::create_new(
-                &self.dir.join(overlay_file_name(self.generation + 1)),
-                self.base.feature_arity() as u32,
-                self.arity,
-            )?),
-        };
-        writer.write_region(block)?;
-        self.last = Some(idx);
         Ok(())
+    }
+
+    /// Create the file the next generation's overlay is written into,
+    /// under a temporary name of its own.
+    fn create_overlay(&self) -> io::Result<TrainingWriter> {
+        TrainingWriter::create_new(
+            &self.dir.join(overlay_file_name(self.generation + 1)),
+            self.base.feature_arity() as u32,
+            self.arity,
+        )
     }
 
     /// Close the overlay file and publish it as the next generation.
@@ -606,20 +622,261 @@ impl<'a> ShardAppender<'a> {
     /// [`ShardAppender::generation`], or that generation unchanged when
     /// no block was written (nothing is published then).
     pub fn finish(self) -> io::Result<u64> {
-        self.finish_recorded(&NoopRecorder)
-    }
-
-    /// [`ShardAppender::finish`], timing the close and the commit
-    /// (flush, fsync, link, unlink of the temporary name, directory
-    /// fsync) in `rec` under `storage/append_commit`.
-    pub fn finish_recorded(self, rec: &dyn Recorder) -> io::Result<u64> {
         let Some(writer) = self.writer else {
             return Ok(self.generation);
         };
-        let _commit = span!(rec, "{}", names::STORAGE_APPEND_COMMIT);
         writer.close()?.0.commit()?;
         Ok(self.generation + 1)
     }
+}
+
+/// Blocks a [`PipelinedAppend`] may queue for the writer thread ahead of
+/// its writes. The caller keeps its own handle to each block, so the
+/// bound holds back a caller that outruns the disk, not memory.
+const BLOCKS_IN_FLIGHT: usize = 256;
+
+/// The thread one appending engine's overlays are written on: spawned
+/// once, fed by each [`PipelinedAppend`] begun on it, and joined on drop.
+///
+/// The caller hands each block over as it builds it; the thread encodes
+/// and writes the blocks as they arrive, then closes and commits the
+/// file while the caller goes on (the commit is
+/// [`ShardAppender::finish`]'s: flush, fsync, link under its final name,
+/// unlink, directory fsync). When the thread cannot be spawned, every
+/// append is written and committed inline on the caller.
+pub struct OverlayWriter {
+    /// The thread's queue of appends and its handle; `None` when the
+    /// spawn failed.
+    thread: Option<(mpsc::Sender<Task>, JoinHandle<()>)>,
+}
+
+/// One append for the writer thread: its overlay file (created by the
+/// caller), the queue its blocks arrive on, and where the outcome goes.
+struct Task {
+    file: TrainingWriter,
+    steps: mpsc::Receiver<Step>,
+    reply: mpsc::SyncSender<Written>,
+}
+
+/// What a [`PipelinedAppend`] sends the writer thread.
+enum Step {
+    Block(Arc<RegionBlock>),
+    /// No more blocks: close and commit the file.
+    Commit,
+}
+
+/// The account of one append's file: its outcome and where the time
+/// went.
+struct Written {
+    result: io::Result<()>,
+    write: Duration,
+    commit: Duration,
+}
+
+impl Written {
+    fn new(result: io::Result<()>) -> Written {
+        Written {
+            result,
+            write: Duration::ZERO,
+            commit: Duration::ZERO,
+        }
+    }
+
+    /// Close and commit `file`, timed, unless a write into it failed.
+    fn commit(mut self, file: TrainingWriter) -> Written {
+        if self.result.is_ok() {
+            let started = Instant::now();
+            self.result = file.close().and_then(|(file, _)| file.commit());
+            self.commit = started.elapsed();
+        }
+        self
+    }
+}
+
+impl Default for OverlayWriter {
+    fn default() -> Self {
+        OverlayWriter::new()
+    }
+}
+
+impl OverlayWriter {
+    /// Spawn the writer thread, or fall back to writing inline when the
+    /// spawn fails.
+    pub fn new() -> OverlayWriter {
+        let (tasks, queue) = mpsc::channel();
+        let thread = spawn_writer(queue).ok().map(|handle| (tasks, handle));
+        OverlayWriter { thread }
+    }
+
+    /// Begin `appender`'s generation as a pipelined append written on
+    /// this writer's thread.
+    pub fn begin<'a>(&'a self, appender: ShardAppender<'a>) -> PipelinedAppend<'a> {
+        PipelinedAppend {
+            appender,
+            tasks: self.thread.as_ref().map(|(tasks, _)| tasks),
+            handed: None,
+            write: Duration::ZERO,
+        }
+    }
+}
+
+impl Drop for OverlayWriter {
+    /// The thread finishes what it was handed, then exits.
+    fn drop(&mut self) {
+        if let Some((tasks, handle)) = self.thread.take() {
+            drop(tasks);
+            let _ = handle.join();
+        }
+    }
+}
+
+fn spawn_writer(queue: mpsc::Receiver<Task>) -> io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if tests::spawns_fail() {
+        return Err(io::Error::other("spawn refused by the test"));
+    }
+    thread::Builder::new()
+        .name("overlay-writer".into())
+        .spawn(move || {
+            for Task { file, steps, reply } in queue {
+                if let Some(written) = write_overlay(file, steps) {
+                    let _ = reply.send(written);
+                }
+            }
+        })
+}
+
+/// Write `file`'s blocks as they arrive, then close and commit it. The
+/// first failed write stops the writes and is the outcome. `None` when
+/// the caller dropped the append before its commit: the file is dropped
+/// unpublished.
+fn write_overlay(mut file: TrainingWriter, steps: mpsc::Receiver<Step>) -> Option<Written> {
+    let mut written = Written::new(Ok(()));
+    loop {
+        match steps.recv().ok()? {
+            Step::Block(block) if written.result.is_ok() => {
+                let started = Instant::now();
+                written.result = file.write_region(&block);
+                written.write += started.elapsed();
+            }
+            Step::Block(_) => {}
+            Step::Commit => return Some(written.commit(file)),
+        }
+    }
+}
+
+/// One generation's append in flight on an [`OverlayWriter`]: the
+/// caller checks each block's order and coordinates, as
+/// [`ShardAppender::write_region`] does, and creates the overlay file at
+/// the first block, so the file carries the caller's crash plan in tests;
+/// the writer thread does the rest. Dropped before
+/// [`PipelinedAppend::commit`], it publishes nothing.
+pub struct PipelinedAppend<'a> {
+    appender: ShardAppender<'a>,
+    /// The writer thread's queue of appends; `None` writes inline.
+    tasks: Option<&'a mpsc::Sender<Task>>,
+    /// This append's block queue and reply, once the first block has
+    /// handed the file to the writer thread.
+    handed: Option<(mpsc::SyncSender<Step>, mpsc::Receiver<Written>)>,
+    /// Time the caller spent creating the file, and inline writing it.
+    write: Duration,
+}
+
+impl<'a> PipelinedAppend<'a> {
+    /// Hand over the replacement block of global region `idx`, under
+    /// [`ShardAppender::write_region`]'s rules. A write that fails on
+    /// the writer thread is the error of [`AppendCommit::join`].
+    pub fn write_region(&mut self, idx: usize, block: Arc<RegionBlock>) -> io::Result<()> {
+        let started = Instant::now();
+        let Some(tasks) = self.tasks else {
+            self.appender.write_region(idx, &block)?;
+            self.write += started.elapsed();
+            return Ok(());
+        };
+        self.appender.admit(idx, &block)?;
+        if self.handed.is_none() {
+            let file = self.appender.create_overlay()?;
+            let (blocks, steps) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
+            let (reply, written) = mpsc::sync_channel(1);
+            tasks
+                .send(Task { file, steps, reply })
+                .map_err(|_| writer_stopped())?;
+            self.handed = Some((blocks, written));
+            self.write += started.elapsed();
+        }
+        let (blocks, _) = self.handed.as_ref().expect("handed above");
+        blocks
+            .send(Step::Block(block))
+            .map_err(|_| writer_stopped())?;
+        self.appender.last = Some(idx);
+        Ok(())
+    }
+
+    /// No more blocks: have the writer thread close and commit the
+    /// overlay, and return at once; [`AppendCommit::join`] waits for it.
+    /// Inline, the commit runs here.
+    pub fn commit(self) -> AppendCommit {
+        let commit = match self.handed {
+            Some((blocks, written)) => {
+                // A thread that is gone fails the join.
+                let _ = blocks.send(Step::Commit);
+                Commit::Thread(written)
+            }
+            None => Commit::Inline(
+                self.appender
+                    .writer
+                    .map(|file| Written::new(Ok(())).commit(file)),
+            ),
+        };
+        AppendCommit {
+            generation: self.appender.generation,
+            write: self.write,
+            commit,
+        }
+    }
+}
+
+/// A [`PipelinedAppend`]'s commit, running on the writer thread.
+pub struct AppendCommit {
+    generation: u64,
+    write: Duration,
+    commit: Commit,
+}
+
+enum Commit {
+    /// The writer thread's reply.
+    Thread(mpsc::Receiver<Written>),
+    /// The inline commit's account; `None` when no block was written.
+    Inline(Option<Written>),
+}
+
+impl AppendCommit {
+    /// Wait for the commit. Returns the generation the layout then has,
+    /// as [`ShardAppender::finish`] does, or the append's first error.
+    /// When a file was written, records the time spent writing blocks
+    /// into it under `storage/append_write` and closing and committing
+    /// it under `storage/append_commit` in `rec`, once each, wherever
+    /// they ran.
+    pub fn join(self, rec: &dyn Recorder) -> io::Result<u64> {
+        let written = match self.commit {
+            Commit::Thread(reply) => reply
+                .recv()
+                .unwrap_or_else(|_| Written::new(Err(writer_stopped()))),
+            Commit::Inline(Some(written)) => written,
+            Commit::Inline(None) => return Ok(self.generation),
+        };
+        let nanos = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
+        rec.record_span(
+            names::STORAGE_APPEND_WRITE,
+            nanos(self.write + written.write),
+        );
+        rec.record_span(names::STORAGE_APPEND_COMMIT, nanos(written.commit));
+        written.result.map(|()| self.generation + 1)
+    }
+}
+
+fn writer_stopped() -> io::Error {
+    io::Error::other("the overlay writer thread stopped")
 }
 
 /// Open one base shard of a layout, holding it to the size and the
@@ -1033,6 +1290,7 @@ mod tests {
     use crate::cache::CachedSource;
     use crate::format::{encode_block_v2, HEADER_LEN};
     use crate::source::MemorySource;
+    use bellwether_obs::NoopRecorder;
     use std::cell::Cell;
     use std::collections::HashMap;
 
@@ -1044,6 +1302,24 @@ mod tests {
 
     pub(super) fn member_opened() {
         MEMBERS_OPENED.with(|c| c.set(c.get() + 1));
+    }
+
+    thread_local! {
+        /// Whether an [`OverlayWriter`] made on this thread fails to
+        /// spawn its thread.
+        static SPAWNS_FAIL: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(super) fn spawns_fail() -> bool {
+        SPAWNS_FAIL.with(Cell::get)
+    }
+
+    /// An [`OverlayWriter`] whose spawn failed: it writes inline.
+    fn inline_writer() -> OverlayWriter {
+        SPAWNS_FAIL.with(|f| f.set(true));
+        let writer = OverlayWriter::new();
+        SPAWNS_FAIL.with(|f| f.set(false));
+        writer
     }
 
     fn members_opened() -> u64 {
@@ -1898,6 +2174,20 @@ mod tests {
             app.finish().map(drop)
         };
         let appends = crash_everywhere(&dir, &appended, &append_op, &layout, false);
+        // The pipelined append, on a writer thread and inline: the caller
+        // creates the file, so the thread's writes, fsync, link, unlink
+        // and directory fsync are steps of the caller's plan, the same
+        // steps the appender takes. One writer serves every crash point.
+        for writer in [OverlayWriter::new(), inline_writer()] {
+            let pipelined_op = || {
+                let mut app = writer.begin(ShardAppender::open(&dir)?);
+                app.write_region(0, Arc::new(rewritten(0, 4, 3)))?;
+                app.write_region(4, Arc::new(rewritten(4, 2, 3)))?;
+                app.commit().join(&NoopRecorder).map(drop)
+            };
+            let pipelined = crash_everywhere(&dir, &appended, &pipelined_op, &layout, false);
+            assert_eq!(pipelined, appends, "inline: {}", writer.thread.is_none());
+        }
         let path = dir.join("model.bwsn");
         let save = |payload: &[u8]| {
             let mut w = crate::snapshot::SnapshotWriter::create(&path)?;
@@ -1915,6 +2205,81 @@ mod tests {
         assert!(rewrite > cold, "rewrite: {rewrite} steps, the sweep among them");
         assert!(appends >= 6, "append: {appends} steps");
         assert!(saves >= 5, "snapshot save: {saves} steps");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A pipelined append writes the overlay [`ShardAppender`] writes,
+    /// byte for byte, on the writer thread and in the inline fallback a
+    /// failed spawn leaves, and records each storage span once.
+    #[test]
+    fn the_inline_fallback_writes_the_overlay_the_writer_thread_does() {
+        let regions = [1, 4, 5, 7];
+        let rows = |r: usize| 2 + r;
+        let layout = |name: &str| {
+            let dir = tmp_dir(name);
+            write_sharded(&dir, 8, 3);
+            dir
+        };
+        let oracle = layout("pipelined_oracle");
+        assert_eq!(append(&oracle, &regions, rows, 5), 1);
+        let want = dir_bytes(&oracle);
+        for (writer, inline) in [(OverlayWriter::new(), false), (inline_writer(), true)] {
+            assert_eq!(writer.thread.is_none(), inline);
+            let dir = layout(&format!("pipelined_{inline}"));
+            let src = ShardedSource::open(&dir).unwrap();
+            let mut app = writer.begin(src.appender().unwrap());
+            for &r in &regions {
+                app.write_region(r, Arc::new(rewritten(r, rows(r), 5)))
+                    .unwrap();
+            }
+            let reg = Registry::shared();
+            assert_eq!(
+                app.commit().join(reg.as_ref()).unwrap(),
+                1,
+                "inline: {inline}"
+            );
+            assert_eq!(dir_bytes(&dir), want, "inline: {inline}");
+            let snap = reg.snapshot();
+            for path in [names::STORAGE_APPEND_WRITE, names::STORAGE_APPEND_COMMIT] {
+                assert_eq!(snap.span(path).map(|s| s.calls), Some(1), "{path}");
+            }
+            assert_eq!(src.refresh().unwrap(), 1);
+            assert_serves_a_fresh_open(&src, &dir, &format!("inline: {inline}"));
+            fs::remove_dir_all(&dir).ok();
+        }
+        fs::remove_dir_all(&oracle).ok();
+    }
+
+    /// A pipelined append refuses a block out of order or of another
+    /// region on the caller, as the appender does; dropped before its
+    /// commit it publishes nothing, and the writer thread goes on to the
+    /// next append. An append with no block publishes nothing either.
+    #[test]
+    fn a_pipelined_append_publishes_only_what_it_commits() {
+        let dir = tmp_dir("pipelined_drop");
+        write_sharded(&dir, 6, 2);
+        let src = ShardedSource::open(&dir).unwrap();
+        let writer = OverlayWriter::new();
+        {
+            let mut app = writer.begin(src.appender().unwrap());
+            app.write_region(3, Arc::new(rewritten(3, 2, 1))).unwrap();
+            let kind = |e: io::Error| e.kind();
+            let early = app.write_region(2, Arc::new(rewritten(2, 2, 1)));
+            assert_eq!(early.map_err(kind), Err(io::ErrorKind::InvalidInput));
+            let misplaced = app.write_region(4, Arc::new(rewritten(5, 2, 1)));
+            assert_eq!(misplaced.map_err(kind), Err(io::ErrorKind::InvalidInput));
+        }
+        let empty = writer.begin(src.appender().unwrap()).commit();
+        assert_eq!(empty.join(&NoopRecorder).unwrap(), 0);
+        let mut app = writer.begin(src.appender().unwrap());
+        app.write_region(5, Arc::new(rewritten(5, 1, 2))).unwrap();
+        assert_eq!(app.commit().join(&NoopRecorder).unwrap(), 1);
+        drop(writer);
+        // The dropped append's temporary file is the sweep's to remove;
+        // no overlay but the committed one was published.
+        assert_eq!(published_generation(&dir).unwrap(), 1);
+        assert_eq!(src.refresh().unwrap(), 1);
+        assert_eq!(src.manifest().unwrap().overlays[0].regions, [5]);
         fs::remove_dir_all(&dir).ok();
     }
 

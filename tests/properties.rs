@@ -729,6 +729,7 @@ fn recorder_does_not_change_results() {
             names::STREAM_APPEND_BLOCK_BUILD,
             names::STREAM_APPEND_PUBLISH,
             names::STREAM_APPEND_RESCORE,
+            names::STREAM_APPEND_COMMIT_WAIT,
             names::STORAGE_APPEND_WRITE,
             names::STORAGE_APPEND_COMMIT,
             names::STORAGE_REFRESH,
