@@ -20,8 +20,7 @@ use crate::transport::{ProcessSpawner, SimSpawner, Transport, WorkerSpawner};
 use bellwether_obs::{names, Counter, MetricsSnapshot, Registry};
 use bellwether_storage::format::decode_block_v2;
 use bellwether_storage::{
-    published_generation, IoStats, RegionBlock, RetryPolicy, ShardManifest, TrainingSource,
-    MANIFEST_NAME,
+    IoStats, RegionBlock, RetryPolicy, ShardManifest, TrainingSource, MANIFEST_NAME,
 };
 use std::collections::HashMap;
 use std::io;
@@ -157,14 +156,23 @@ fn shard_files(dir: &Path, manifest: &ShardManifest) -> Vec<PathBuf> {
     manifest.shards.iter().map(|m| dir.join(&m.file)).collect()
 }
 
-/// The manifest at `dir` with the generation its overlay files say the
-/// layout has, which [`Coordinator::connect`] refuses unless it is 0.
+/// The manifest at `dir`, refused once a generation is published over
+/// it: workers read base shard files directly and know nothing of
+/// overlay redirects, so serving an appended-over layout would silently
+/// resurrect the replaced blocks.
 fn read_layout(dir: &Path) -> io::Result<ShardManifest> {
     let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME))?;
-    Ok(ShardManifest {
-        generation: published_generation(dir)?,
-        ..manifest
-    })
+    let generation = manifest.published_generation(dir)?;
+    if generation > 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "coordinator does not serve appended-over layouts \
+                 (layout generation {generation}); run a compaction first"
+            ),
+        ));
+    }
+    Ok(manifest)
 }
 
 impl Coordinator {
@@ -218,26 +226,15 @@ impl Coordinator {
     }
 
     /// Handshake every worker (with restarts against the budget) and
-    /// assemble the global region index.
+    /// assemble the global region index. The workers serve `manifest`'s
+    /// base shards as they are: the constructors that read a layout from
+    /// a directory refuse one with a generation published over it.
     pub fn connect(
         spawner: Box<dyn WorkerSpawner>,
         manifest: ShardManifest,
         config: CoordinatorConfig,
         reg: &Registry,
     ) -> io::Result<Coordinator> {
-        if manifest.generation > 0 || !manifest.overlays.is_empty() {
-            // Workers read base shard files directly and know nothing of
-            // overlay redirects; serving an appended-over layout here
-            // would silently resurrect the replaced blocks.
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "coordinator does not serve appended-over layouts \
-                     (layout generation {}); run a compaction first",
-                    manifest.generation
-                ),
-            ));
-        }
         let c = CoordCounters::in_registry(reg);
         let stats = IoStats::in_registry(reg);
         let starts = manifest.shard_starts();

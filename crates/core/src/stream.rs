@@ -7,7 +7,7 @@
 //!    retained suffstat tables and reports exactly which candidate
 //!    regions changed (the *dirty set*);
 //! 2. only those regions' training blocks are re-assembled, each handed
-//!    as it is built to the engine's [`OverlayWriter`], whose thread
+//!    as it is built to the engine's [`MemberWriter`], whose thread
 //!    writes them to the sharded layout as a new *generation* (an
 //!    append-only overlay — clean blocks are never rewritten) and
 //!    commits it;
@@ -42,7 +42,7 @@ use std::sync::Arc;
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
 use bellwether_obs::{names, span, MetricsSnapshot};
 use bellwether_storage::{
-    even_shard_plan, CachedSource, OverlayWriter, RegionBlock, ShardedSource, ShardedWriter,
+    even_shard_plan, CachedSource, MemberWriter, RegionBlock, ShardedSource, ShardedWriter,
     TrainingSource,
 };
 use bellwether_table::ColumnData;
@@ -114,7 +114,7 @@ pub struct StreamingBellwether {
     dir: PathBuf,
     source: CachedSource<ShardedSource>,
     /// The thread the overlays are written on.
-    writer: OverlayWriter,
+    writer: MemberWriter,
     /// Retained per-candidate reports, indexed by source index.
     reports: Vec<Option<RegionReport>>,
     /// Source index of the current bellwether.
@@ -203,7 +203,7 @@ impl StreamingBellwether {
             total_items,
             dir: dir.to_path_buf(),
             source,
-            writer: OverlayWriter::new(),
+            writer: MemberWriter::new(),
             reports,
             best,
             skipped: boot.skipped_regions,
@@ -293,7 +293,7 @@ impl StreamingBellwether {
     fn publish(&mut self, dirty: &[usize], outcome: &mut AppendOutcome) -> Result<()> {
         let rec = Arc::clone(&self.config.recorder);
         let _publish = span!(rec, "{}", names::STREAM_APPEND_PUBLISH);
-        // The appender publishes the generation after the one the
+        // The append publishes the generation after the one the
         // source serves, so adopt first whatever was published since
         // this engine's last refresh: another writer's generation, or
         // this engine's own when the refresh after it failed. Either may
@@ -303,9 +303,9 @@ impl StreamingBellwether {
         if source.refresh()? != served {
             self.source.clear();
         }
-        let mut append = self.writer.begin(source.appender()?);
+        let mut append = self.writer.append(source);
         // Each block goes to the overlay writer as it is built; `dirty`
-        // ascends, as the appender requires.
+        // ascends, as the append requires.
         let blocks = {
             let _build = span!(rec, "{}", names::STREAM_APPEND_BLOCK_BUILD);
             let (cube, items, tau) = (self.cube.result(), &self.items, &self.tau);
@@ -520,7 +520,7 @@ mod tests {
     use crate::problem::ErrorMeasure;
     use crate::scan::ScanPolicy;
     use bellwether_cube::{Dimension, Hierarchy, Measure, UniformCellCost};
-    use bellwether_storage::{overlay_file_name, ShardAppender};
+    use bellwether_storage::ShardAppender;
     use bellwether_table::ops::AggFunc;
     use bellwether_table::{Column, DataType, Schema, Table};
     use std::cell::RefCell;
@@ -659,7 +659,8 @@ mod tests {
 
         // Damage the last block of the overlay the append wrote, and
         // make the re-score read it again.
-        let overlay = engine.dir.join(overlay_file_name(engine.generation()));
+        let view = engine.source.inner().manifest().unwrap();
+        let overlay = engine.dir.join(&view.overlays.last().unwrap().file);
         let len = std::fs::metadata(&overlay).unwrap().len();
         let mut file = std::fs::OpenOptions::new().write(true).open(&overlay).unwrap();
         file.seek(SeekFrom::Start(len - 200)).unwrap();

@@ -556,8 +556,9 @@ fn failed_publish_is_carried_into_the_next_append() {
 
     // The next generation's name is taken (here by a directory), so
     // its overlay cannot be published.
-    let next = engine.source().inner().generation() + 1;
-    let taken = engine.dir().join(bellwether_storage::overlay_file_name(next));
+    let view = engine.source().inner().manifest().unwrap();
+    let next = bellwether_storage::overlay_file_name(view.manifest.write_id, view.generation + 1);
+    let taken = engine.dir().join(next);
     std::fs::create_dir(&taken).unwrap();
     assert!(engine.append(&wl.input_range(5, 6)).is_err());
     assert_eq!(engine.appends(), 1, "failed append not counted");

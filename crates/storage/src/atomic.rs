@@ -7,11 +7,16 @@
 //! worst an orphan `.tmp` beside it.
 //!
 //! There are two ways to publish. [`AtomicFile::create`] renames
-//! `<path>.tmp` over `path`, replacing whatever was there.
+//! `<path>.tmp` over `path`, replacing whatever was there: the manifest
+//! and snapshot files, whose rename is their writer's commit.
 //! [`AtomicFile::create_new`] streams into a temporary name of its own
 //! writer and hard-links it to `path`, which fails with `AlreadyExists`
 //! if the name is taken: of two writers racing for one name, exactly
 //! one publishes, and the other's bytes never reach the winner's file.
+//! Every layout member (shard and overlay) is published this way, under
+//! a name no live manifest uses. A writer that publishes several files
+//! before one commit links all but the last without the directory fsync
+//! (`commit_unsynced`): the last one's makes every link durable.
 //!
 //! Every step that changes the file system — creating the temporary
 //! file, each write into it, the fsyncs, the rename or link, each unlink
@@ -100,12 +105,24 @@ impl AtomicFile {
         }
     }
 
-    /// Make everything written durable, then visible at the path. A
-    /// file from [`AtomicFile::create_new`] whose name was taken fails
-    /// with `AlreadyExists`, leaves the file there untouched and removes
-    /// its own temporary file. Once the file is visible the commit is
-    /// `Ok`, even if its temporary name could not be removed.
+    /// Make everything written durable, then visible at the path, then
+    /// fsync its directory. A file from [`AtomicFile::create_new`] whose
+    /// name was taken fails with `AlreadyExists`, leaves the file there
+    /// untouched and removes its own temporary file. Once the file is
+    /// visible the commit is `Ok`, even if its temporary name could not
+    /// be removed.
     pub fn commit(mut self) -> io::Result<()> {
+        self.commit_unsynced()?;
+        // Directory handles cannot be fsynced on every platform, so
+        // best-effort.
+        let _ = sync_dir_of(&self.path, &self.out.get_ref().steps);
+        Ok(())
+    }
+
+    /// [`AtomicFile::commit`] without the directory fsync: for a file
+    /// whose link a later commit in the same directory makes durable,
+    /// before whatever names them is committed.
+    pub(crate) fn commit_unsynced(&mut self) -> io::Result<()> {
         self.out.flush()?;
         let Tmp { file, steps } = self.out.get_ref();
         steps.take()?;
@@ -119,14 +136,10 @@ impl AtomicFile {
             // Published: a temporary name left behind is a leftover
             // for the next sweep, not a failed publish.
             let _ = steps.take().and_then(|()| fs::remove_file(&self.tmp));
+            Ok(())
         } else {
-            fs::rename(&self.tmp, &self.path)?;
+            fs::rename(&self.tmp, &self.path)
         }
-        // Make the rename or link itself durable where possible;
-        // directory handles cannot be fsynced on every platform, so
-        // best-effort.
-        let _ = sync_dir_of(&self.path, steps);
-        Ok(())
     }
 }
 
@@ -137,40 +150,26 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Fsync the directory that holds `path`.
+/// Fsync the directory that holds `path`: every link and rename made in
+/// it so far is durable.
 fn sync_dir_of(path: &Path, steps: &Steps) -> io::Result<()> {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     steps.take()?;
     File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
 }
 
-/// Unlink `path` if it exists, then fsync its directory and return that
-/// fsync's error: after `Ok`, no later rename in the directory reaches the
-/// disk while `path` is still there.
-pub fn remove_durably(path: &Path) -> io::Result<()> {
+/// Unlink every file of `dir` whose name `doomed` picks. No fsync
+/// follows: what a crash brings back is picked again next time.
+pub(crate) fn remove_each(dir: &Path, doomed: impl Fn(&str) -> bool) -> io::Result<()> {
     let steps = Steps::current();
-    steps.take()?;
-    match fs::remove_file(path) {
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        removed => removed.and_then(|()| sync_dir_of(path, &steps)),
-    }
-}
-
-/// Unlink every file of `dir` whose name `doomed` picks, then fsync
-/// `dir` once and return that fsync's error, as [`remove_durably`] does
-/// for one file.
-pub(crate) fn remove_all_durably(dir: &Path, doomed: impl Fn(&str) -> bool) -> io::Result<()> {
-    let steps = Steps::current();
-    let mut last = None;
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
         if path.file_name().and_then(|n| n.to_str()).is_some_and(&doomed) {
             steps.take()?;
             fs::remove_file(&path)?;
-            last = Some(path);
         }
     }
-    last.map_or(Ok(()), |path| sync_dir_of(&path, &steps))
+    Ok(())
 }
 
 impl Write for AtomicFile {

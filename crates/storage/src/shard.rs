@@ -1,13 +1,13 @@
 //! Sharded on-disk layout for out-of-core training data.
 //!
-//! A sharded dataset is a directory holding one v2 block file
-//! (`shard-NNNN.bwtd`, written by [`crate::TrainingWriter`]) per shard
-//! plus a small CRC-32-checksummed manifest (`manifest.bwsm`). Shards
-//! partition the global region order into **contiguous ranges**: shard
-//! `s` holds regions `[starts[s], starts[s+1])` of the single-file scan
-//! order. Concatenating the shards ascending therefore reproduces the
-//! exact region sequence a single `.bwtd` file would serve — which is
-//! what makes the two-level scan merge (per-shard accumulators merged in
+//! A sharded dataset is a directory holding one v2 block file per shard
+//! (written by [`crate::TrainingWriter`]) plus a small
+//! CRC-32-checksummed manifest (`manifest.bwsm`). Shards partition the
+//! global region order into **contiguous ranges**: shard `s` holds
+//! regions `[starts[s], starts[s+1])` of the single-file scan order.
+//! Concatenating the shards ascending therefore reproduces the exact
+//! region sequence a single `.bwtd` file would serve — which is what
+//! makes the two-level scan merge (per-shard accumulators merged in
 //! ascending shard order) bit-identical to a flat scan.
 //!
 //! Every shard file is a complete, self-describing training-data file,
@@ -17,34 +17,42 @@
 //! `RetryingSource`/`FaultySource`/`CachedSource` before the sharded
 //! view is assembled.
 //!
-//! # Appends and generations
+//! # Writes, appends and generations
 //!
-//! A sharded layout is never rewritten in place. An append (new fact
-//! rows changing some regions' training blocks) lands as an **overlay
-//! file** — one more complete `.bwtd` file holding only the replaced
-//! blocks in ascending global-region order, each block naming its region
-//! by its coordinates ([`ShardAppender`]). Generation `g`'s overlay is
-//! published under its final name `overlay-{g}.bwtd` by a step that never
-//! replaces a name, and that publish is the append's commit: the
-//! manifest is written once, by [`ShardedWriter`], and an append never
-//! touches it. A layout's **generation** is the number of overlay files
-//! `overlay-0001.bwtd`, `overlay-0002.bwtd`, … present before the first
-//! missing one ([`published_generation`]). Readers that adopted an older
-//! generation keep serving that consistent snapshot (its files still
-//! exist, untouched); [`ShardedSource::refresh`] adopts newer ones in
-//! place. A manifest is written in one layout (format version 2:
-//! generation, example total and overlay table always present, the
-//! generation 0 and the table empty); any other version, and a manifest
-//! that lists overlays, is rejected structurally.
+//! Every layout file is published under a name no live manifest uses,
+//! by a step that never replaces a name ([`AtomicFile::create_new`]), and
+//! is written on one [`MemberWriter`] thread. A write of a layout (cold,
+//! or a rewrite: [`ShardedWriter`]) takes a fresh **write id**, one past
+//! every id a layout file in the directory carries, names its shards by
+//! it ([`shard_file_name`]), links them, fsyncs the directory once, and
+//! commits by renaming the manifest, which names the id, into place: a
+//! crash before the rename leaves the old layout, one after it the new.
+//! Then it sweeps the layout files of every other write id.
+//!
+//! A layout is never rewritten in place. An append (new fact rows
+//! changing some regions' training blocks) lands as an **overlay file**
+//! — a complete `.bwtd` file of the replaced blocks in ascending
+//! global-region order, each naming its region by its coordinates
+//! ([`PipelinedAppend`], [`ShardAppender`]). Generation `g`'s overlay is
+//! published under the live write id as [`overlay_file_name`]`(id, g)`,
+//! and that publish is the append's commit; the manifest is never
+//! touched. A layout's **generation** is the number of its overlay
+//! files, generation 1, 2, …, present before the first missing one
+//! ([`ShardManifest::published_generation`]). A reader keeps serving the
+//! generation it adopted (its files stay untouched) until
+//! [`ShardedSource::refresh`] adopts newer ones in place. The manifest
+//! has one encoding (version 3: write id, example total, shard table);
+//! any other version is rejected structurally.
 
-use crate::atomic::{remove_all_durably, remove_durably, AtomicFile};
+use crate::atomic::{remove_each, AtomicFile};
 use crate::block::RegionBlock;
 use crate::codec::{bad, seal, verify, Cursor, PutLe};
 use crate::metrics::IoStats;
 use crate::reader::DiskSource;
 use crate::source::TrainingSource;
 use crate::writer::TrainingWriter;
-use bellwether_obs::{names, MetricsSnapshot, Recorder, Registry};
+use bellwether_obs::{names, MetricsSnapshot, NoopRecorder, Recorder, Registry};
+use std::borrow::Borrow;
 use std::ffi::OsStr;
 use std::fs;
 use std::io::{self, Write};
@@ -59,9 +67,9 @@ pub const MANIFEST_NAME: &str = "manifest.bwsm";
 /// Magic bytes opening a manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"BWSM";
 
-/// Manifest format version (carries the generation, the example total
-/// and the overlay table).
-pub const MANIFEST_VERSION: u32 = 2;
+/// Manifest format version (carries the write id, the example total and
+/// the shard table).
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// One shard's entry in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,7 +89,7 @@ pub struct ShardMeta {
 /// earlier ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverlayMeta {
-    /// Overlay file name, relative to the manifest's directory.
+    /// Overlay file name, relative to the layout's directory.
     pub file: String,
     /// Size of the overlay file in bytes.
     pub bytes: u64,
@@ -91,28 +99,22 @@ pub struct OverlayMeta {
 }
 
 /// The checksummed description of a sharded dataset: shared feature and
-/// region arity plus per-shard entries in ascending global-region order.
-/// On disk its generation is 0 and its overlay table empty; the
-/// manifest a [`ShardedSource`] serves ([`ShardedSource::manifest`])
-/// carries the generation it adopted and the overlays that make it.
+/// region arity, the write that made it, and per-shard entries in
+/// ascending global-region order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardManifest {
     /// Feature arity shared by every shard.
     pub p: u32,
     /// Region-coordinate arity shared by every shard.
     pub arity: u32,
-    /// Append generation: 0 on disk, the number of overlays adopted in a
-    /// view.
-    pub generation: u64,
-    /// Total training examples visible: on disk the shards' sum, in a
-    /// view corrected for every replaced block.
+    /// The write that made the layout: its shard names carry it, and
+    /// its overlays are found under it.
+    pub write_id: u64,
+    /// Total training examples in the shards.
     pub examples: u64,
     /// Shards, ascending: shard `s` holds the next `shards[s].regions`
     /// regions of the global scan order.
     pub shards: Vec<ShardMeta>,
-    /// Overlay files in append order (ascending generation); empty on
-    /// disk.
-    pub overlays: Vec<OverlayMeta>,
 }
 
 impl ShardManifest {
@@ -121,8 +123,7 @@ impl ShardManifest {
         self.shards.iter().map(|s| s.regions).sum()
     }
 
-    /// Total training examples visible (in a view, tracks block
-    /// replacements across appends).
+    /// Total training examples in the shards.
     pub fn total_examples(&self) -> u64 {
         self.examples
     }
@@ -138,16 +139,15 @@ impl ShardManifest {
         starts
     }
 
-    /// Serialize: magic, version, arities, generation, example total,
-    /// shard entries, overlay entries, CRC-32 trailer over everything
-    /// preceding it.
+    /// Serialize: magic, version, arities, write id, example total,
+    /// shard entries, CRC-32 trailer over everything preceding it.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.put_slice(&MANIFEST_MAGIC);
         out.put_u32_le(MANIFEST_VERSION);
         out.put_u32_le(self.p);
         out.put_u32_le(self.arity);
-        out.put_u64_le(self.generation);
+        out.put_u64_le(self.write_id);
         out.put_u64_le(self.examples);
         out.put_u32_le(self.shards.len() as u32);
         for s in &self.shards {
@@ -156,23 +156,13 @@ impl ShardManifest {
             out.put_u64_le(s.examples);
             out.put_u64_le(s.bytes);
         }
-        out.put_u32_le(self.overlays.len() as u32);
-        for o in &self.overlays {
-            out.put_str(&o.file);
-            out.put_u64_le(o.bytes);
-            out.put_u64_vec(&o.regions);
-        }
         seal(&mut out, 0);
         out
     }
 
     /// Decode and checksum-validate a manifest: a trailer that does not
     /// match is corruption ([`crate::is_corrupt`]), anything wrong with
-    /// bytes that verify is structural `InvalidData`. So is a manifest
-    /// of a generation other than 0 or with overlays listed: appends
-    /// publish overlay files by name and never rewrite the manifest, so
-    /// such a manifest comes from an appender that did, and a layout
-    /// has one way its overlays are found.
+    /// bytes that verify is structural `InvalidData`.
     pub fn decode(bytes: &[u8]) -> io::Result<ShardManifest> {
         let mut cur = Cursor::new(verify(bytes)?);
         if cur.take_span(4)? != MANIFEST_MAGIC {
@@ -184,10 +174,9 @@ impl ShardManifest {
         }
         let p = cur.get_u32_le()?;
         let arity = cur.get_u32_le()?;
-        let generation = cur.get_u64_le()?;
+        let write_id = cur.get_u64_le()?;
         let examples = cur.get_u64_le()?;
-        // Shortest entries: name length + three u64s for a shard, name
-        // length + bytes + region count for an overlay.
+        // Shortest entry: name length + three u64s.
         let n = cur.get_u32_le()?;
         let n = cur.count(n.into(), 4 + 3 * 8)?;
         let mut shards = Vec::with_capacity(n);
@@ -210,17 +199,6 @@ impl ShardManifest {
             })
             .filter(|&(regions, _)| usize::try_from(regions).is_ok())
             .ok_or_else(|| bad("shard totals overflow"))?;
-        let overlays = cur.get_u32_le()?;
-        if overlays > 0 {
-            let first = member_name(cur.get_string()?)?;
-            return Err(bad(&format!(
-                "manifest lists {overlays} overlay(s), first {first}: \
-                 overlays are found by file name, never listed"
-            )));
-        }
-        if generation != 0 {
-            return Err(bad(&format!("manifest of generation {generation}, not 0")));
-        }
         if examples != shard_examples {
             return Err(bad(&format!(
                 "manifest example total {examples} is not its shards' sum {shard_examples}"
@@ -230,10 +208,9 @@ impl ShardManifest {
         Ok(ShardManifest {
             p,
             arity,
-            generation,
+            write_id,
             examples,
             shards,
-            overlays: Vec::new(),
         })
     }
 
@@ -247,6 +224,20 @@ impl ShardManifest {
     /// Read and validate the manifest at `path`.
     pub fn read(path: &Path) -> io::Result<ShardManifest> {
         ShardManifest::decode(&fs::read(path)?)
+    }
+
+    /// The generation published over this layout in `dir`: how many
+    /// overlay files of its write id, generation 1, 2, …, are present
+    /// before the first missing one. Reads no file.
+    pub fn published_generation(&self, dir: &Path) -> io::Result<u64> {
+        let mut g = 0;
+        while dir
+            .join(overlay_file_name(self.write_id, g + 1))
+            .try_exists()?
+        {
+            g += 1;
+        }
+        Ok(g)
     }
 }
 
@@ -263,30 +254,36 @@ fn member_name(file: String) -> io::Result<String> {
     }
 }
 
-/// Canonical shard file name for shard `s`.
-pub fn shard_file_name(s: usize) -> String {
-    format!("shard-{s:04}.bwtd")
+/// File name of shard `s` of the layout write `write_id` made.
+pub fn shard_file_name(write_id: u64, s: usize) -> String {
+    format!("w{write_id:04}-shard-{s:04}.bwtd")
 }
 
-/// Canonical overlay file name for the append creating generation `g`.
-pub fn overlay_file_name(g: u64) -> String {
-    format!("overlay-{g:04}.bwtd")
+/// File name of the overlay of generation `g` over the layout write
+/// `write_id` made.
+pub fn overlay_file_name(write_id: u64, g: u64) -> String {
+    format!("w{write_id:04}-overlay-{g:04}.bwtd")
 }
 
-/// An overlay file or the temporary file of one: what a rewrite sweeps.
-fn is_overlay_member(name: &str) -> bool {
-    name.starts_with("overlay-") && (name.ends_with(".bwtd") || name.ends_with(".tmp"))
+/// The write id a layout file's name carries, published or temporary;
+/// `None` for any other name.
+fn write_id_of(name: &str) -> Option<u64> {
+    let (id, member) = name.strip_prefix('w')?.split_once('-')?;
+    let member = member.starts_with("shard-") || member.starts_with("overlay-");
+    member.then(|| id.parse().ok()).flatten()
 }
 
-/// The generation published in the layout at `dir`: how many overlay
-/// files `overlay-0001.bwtd`, `overlay-0002.bwtd`, … are present before
-/// the first missing one. Reads no file.
-pub fn published_generation(dir: &Path) -> io::Result<u64> {
-    let mut g = 0;
-    while dir.join(overlay_file_name(g + 1)).try_exists()? {
-        g += 1;
+/// A write id no file in `dir` carries and none will: one past the
+/// largest there.
+fn fresh_write_id(dir: &Path) -> io::Result<u64> {
+    let mut last = 0;
+    for entry in fs::read_dir(dir)? {
+        if let Some(id) = entry?.file_name().to_str().and_then(write_id_of) {
+            last = last.max(id);
+        }
     }
-    Ok(g)
+    last.checked_add(1)
+        .ok_or_else(|| io::Error::other("the layout's write ids are exhausted"))
 }
 
 /// Split `total` regions into `shards` contiguous even ranges (earlier
@@ -295,34 +292,37 @@ pub fn even_shard_plan(total: usize, shards: usize) -> Vec<usize> {
     let shards = shards.max(1);
     let base = total / shards;
     let rem = total % shards;
-    (0..shards)
-        .map(|s| base + usize::from(s < rem))
-        .collect()
+    (0..shards).map(|s| base + usize::from(s < rem)).collect()
 }
 
 /// Streams region blocks into per-shard [`TrainingWriter`]s according to
-/// a fixed partition plan, then writes the checksummed manifest. Only
-/// one shard's writer is open at a time and blocks are encoded as they
-/// arrive — nothing is ever materialised beyond the block being written.
+/// a fixed partition plan, then commits the layout by writing the
+/// checksummed manifest. Only one shard's writer is open at a time and
+/// blocks are encoded on the caller as they arrive — nothing is ever
+/// materialised beyond the block being written.
 ///
-/// A closed shard commits (flush, fsync, rename) on a thread of its own
-/// while the caller encodes the next shard's blocks, one commit in
-/// flight at a time: closing the next shard joins it first, and so do
-/// [`ShardedWriter::finish`], before the manifest is written, and `Drop`.
-/// A failed commit is the error of the next [`ShardedWriter::write_region`]
-/// or of `finish`, and after one no manifest is ever written.
+/// A closed shard goes to the writer's [`MemberWriter`] thread, which
+/// writes its index and links it (flush, fsync, link; the last shard's
+/// commit also fsyncs the directory, once for all of them) while the
+/// caller encodes the next shards' blocks; [`ShardedWriter::finish`]
+/// waits for every shard, and a failed one is its error: no manifest is
+/// written.
 pub struct ShardedWriter {
     dir: PathBuf,
     p: u32,
     arity: u32,
     plan: Vec<usize>,
-    shard: usize,
+    write_id: u64,
     written_in_shard: usize,
     examples_in_shard: u64,
     current: Option<TrainingWriter>,
+    /// Entries of the shards closed so far: the current shard is the
+    /// next one.
     metas: Vec<ShardMeta>,
-    commit: Option<JoinHandle<io::Result<()>>>,
-    commit_failed: bool,
+    /// Each closed shard's commit, by shard; its entry's `bytes` are
+    /// filled in when it lands.
+    commits: Vec<Committing>,
+    writer: MemberWriter,
 }
 
 impl ShardedWriter {
@@ -331,13 +331,10 @@ impl ShardedWriter {
     /// [`even_shard_plan`] is the usual choice. Blocks must then arrive
     /// via [`ShardedWriter::write_region`] in global scan order.
     ///
-    /// A layout already in `dir` stops being one here: its manifest is
-    /// removed durably before any new shard is renamed over an old one,
-    /// so a rewrite that never reaches [`ShardedWriter::finish`] leaves no
-    /// layout to open, never a mix of old and new shards. Then every
-    /// overlay file and overlay temporary file goes too, durably, so the
-    /// new layout starts at generation 0 and adopts none of the old
-    /// one's overlays.
+    /// A layout already in `dir` stays what `dir` serves until
+    /// [`ShardedWriter::finish`] commits the new one: a rewrite that
+    /// never gets there leaves the old layout, and files the next
+    /// write sweeps.
     pub fn create(dir: &Path, p: u32, arity: u32, plan: Vec<usize>) -> io::Result<Self> {
         if plan.is_empty() {
             return Err(io::Error::new(
@@ -346,77 +343,47 @@ impl ShardedWriter {
             ));
         }
         fs::create_dir_all(dir)?;
-        remove_durably(&dir.join(MANIFEST_NAME))?;
-        remove_all_durably(dir, is_overlay_member)?;
         Ok(ShardedWriter {
             dir: dir.to_path_buf(),
             p,
             arity,
             plan,
-            shard: 0,
+            write_id: fresh_write_id(dir)?,
             written_in_shard: 0,
             examples_in_shard: 0,
             current: None,
             metas: Vec::new(),
-            commit: None,
-            commit_failed: false,
+            commits: Vec::new(),
+            writer: MemberWriter::new(),
         })
     }
 
-    fn shard_path(&self, s: usize) -> PathBuf {
-        self.dir.join(shard_file_name(s))
+    fn create_shard(&self) -> io::Result<TrainingWriter> {
+        let path = self
+            .dir
+            .join(shard_file_name(self.write_id, self.metas.len()));
+        TrainingWriter::create_new(&path, self.p, self.arity)
     }
 
-    /// Wait for the commit in flight, if any, and return its error. A
-    /// failure sticks: every later call fails too.
-    fn join_commit(&mut self) -> io::Result<()> {
-        let done = match self.commit.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("shard commit thread panicked"))),
-            None if self.commit_failed => Err(io::Error::other(
-                "an earlier shard commit failed; the layout has no manifest",
-            )),
-            None => Ok(()),
-        };
-        self.commit_failed |= done.is_err();
-        done
-    }
-
-    /// Close the current shard file, record its manifest entry, and start
-    /// its commit once the previous shard's has landed.
+    /// Close the current shard file, record its manifest entry, and hand
+    /// it to the writer thread.
     fn close_shard(&mut self) -> io::Result<()> {
-        let writer = match self.current.take() {
+        let file = match self.current.take() {
             Some(w) => w,
             // A zero-region shard still gets a (valid, empty) file so
             // the manifest never points at a missing path.
-            None => TrainingWriter::create(&self.shard_path(self.shard), self.p, self.arity)?,
+            None => self.create_shard()?,
         };
-        let (file, bytes) = writer.close()?;
         self.metas.push(ShardMeta {
-            file: shard_file_name(self.shard),
+            file: shard_file_name(self.write_id, self.metas.len()),
             regions: self.written_in_shard as u64,
             examples: self.examples_in_shard,
-            bytes,
+            bytes: 0,
         });
-        self.join_commit()?;
-        // The file comes over a channel so that a failed spawn leaves it
-        // here, to commit inline.
-        let (tx, rx) = mpsc::sync_channel::<AtomicFile>(1);
-        let spawned = thread::Builder::new()
-            .name("shard-commit".into())
-            .spawn(move || rx.recv().map_or(Ok(()), AtomicFile::commit));
-        match spawned {
-            Ok(handle) => {
-                self.commit = Some(handle);
-                if let Err(mpsc::SendError(file)) = tx.send(file) {
-                    self.join_commit()?;
-                    file.commit()?;
-                }
-            }
-            Err(_) => file.commit()?,
-        }
-        self.shard += 1;
+        // The last shard's commit fsyncs the directory, and with it every
+        // shard's link.
+        let last = self.metas.len() == self.plan.len();
+        self.commits.push(self.writer.hand(file, last)?.commit());
         self.written_in_shard = 0;
         self.examples_in_shard = 0;
         Ok(())
@@ -425,25 +392,18 @@ impl ShardedWriter {
     /// Append the next region of the global scan order; shard files
     /// advance automatically at the plan's boundaries.
     pub fn write_region(&mut self, block: &RegionBlock) -> io::Result<()> {
-        if self.commit_failed || self.commit.as_ref().is_some_and(JoinHandle::is_finished) {
-            self.join_commit()?;
-        }
         // Skip over zero-region shards in the plan.
-        while self.shard < self.plan.len() && self.written_in_shard == self.plan[self.shard] {
+        while self.plan.get(self.metas.len()) == Some(&self.written_in_shard) {
             self.close_shard()?;
         }
-        if self.shard >= self.plan.len() {
+        if self.metas.len() >= self.plan.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "more regions written than the shard plan holds",
             ));
         }
         if self.current.is_none() {
-            self.current = Some(TrainingWriter::create(
-                &self.shard_path(self.shard),
-                self.p,
-                self.arity,
-            )?);
+            self.current = Some(self.create_shard()?);
         }
         self.current
             .as_mut()
@@ -454,273 +414,194 @@ impl ShardedWriter {
         Ok(())
     }
 
-    /// Regions written so far (across all shards).
-    pub fn regions_written(&self) -> usize {
-        self.metas.iter().map(|m| m.regions as usize).sum::<usize>() + self.written_in_shard
-    }
-
-    /// Finish every remaining shard, wait until every shard is durable,
-    /// and write the manifest atomically. Fails if fewer regions arrived
-    /// than the plan promised, or if any shard's commit failed.
+    /// Finish every remaining shard, wait until every shard is linked and
+    /// the directory fsynced, and commit the layout by renaming its
+    /// manifest into place; then sweep the files of every other write.
+    /// Fails if fewer regions arrived than the plan promised, or if any
+    /// shard's commit failed.
     pub fn finish(mut self) -> io::Result<ShardManifest> {
-        while self.shard < self.plan.len() {
-            if self.written_in_shard != self.plan[self.shard] {
+        while let Some(&planned) = self.plan.get(self.metas.len()) {
+            if self.written_in_shard != planned {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     format!(
-                        "shard {} received {} of {} planned regions",
-                        self.shard, self.written_in_shard, self.plan[self.shard]
+                        "shard {} received {} of {planned} planned regions",
+                        self.metas.len(),
+                        self.written_in_shard
                     ),
                 ));
             }
             self.close_shard()?;
         }
-        self.join_commit()?;
+        for (meta, commit) in self.metas.iter_mut().zip(std::mem::take(&mut self.commits)) {
+            meta.bytes = join(commit).result?;
+        }
         let manifest = ShardManifest {
             p: self.p,
             arity: self.arity,
-            generation: 0,
+            write_id: self.write_id,
             examples: self.metas.iter().map(|m| m.examples).sum(),
             shards: std::mem::take(&mut self.metas),
-            overlays: Vec::new(),
         };
         manifest.write_atomic(&self.dir.join(MANIFEST_NAME))?;
+        // Committed: a file the sweep leaves is the next one's.
+        let live = self.write_id;
+        let _ = remove_each(&self.dir, |name| {
+            write_id_of(name).is_some_and(|id| id != live)
+        });
         Ok(manifest)
     }
 }
 
-impl Drop for ShardedWriter {
-    /// No commit outlives the writer; its error is dropped with it.
-    fn drop(&mut self) {
-        let _ = self.join_commit();
-    }
+/// The thread a layout's files are written and committed on: spawned
+/// once, handed one file at a time — a cold write's closed shard, or an
+/// append's overlay with its blocks as they are built — and joined on
+/// drop, once it has committed what it was handed. When the thread
+/// cannot be spawned, each file is written inline, on the caller: its
+/// blocks as they are handed over, its commit when it is committed.
+pub struct MemberWriter {
+    /// The thread's queue of files and its handle; `None` inline.
+    thread: Option<(mpsc::Sender<Handed>, JoinHandle<()>)>,
 }
 
-/// Appends replacement blocks to an existing sharded layout as the next
-/// generation's overlay file. Blocks must arrive in ascending
-/// global-region order, each naming the region it replaces by its
-/// coordinates. [`ShardAppender::finish`] publishes the file under its
-/// final name `overlay-{g}.bwtd` by a step that never replaces a name:
-/// that is the commit, and nothing else on disk is written or touched,
-/// so readers of the previous generation keep a consistent snapshot
-/// and [`ShardedSource::refresh`] adopts the new one. Of two appenders
-/// opened at one generation, the second to finish fails with
-/// `AlreadyExists` and the first one's overlay stands.
-pub struct ShardAppender<'a> {
-    dir: PathBuf,
-    base: Base<'a>,
-    arity: u32,
-    generation: u64,
-    /// Created by the first block: an append that replaces nothing
-    /// writes no file.
-    writer: Option<TrainingWriter>,
-    /// The region of the last block written.
-    last: Option<usize>,
-}
+/// A file handed to the writer thread, with the queue its blocks arrive
+/// on.
+type Handed = (Task, mpsc::Receiver<Step>);
 
-/// The layout an appender checks its blocks against: the source it was
-/// taken from, or the base shards [`ShardAppender::open`] opened.
-enum Base<'a> {
-    Held(&'a ShardedSource),
-    Opened(Box<ShardedSource>),
-}
+/// The writer with no thread, that [`ShardAppender`] writes through.
+static INLINE: MemberWriter = MemberWriter { thread: None };
 
-impl std::ops::Deref for Base<'_> {
-    type Target = ShardedSource;
-
-    fn deref(&self) -> &ShardedSource {
-        match self {
-            Base::Held(src) => src,
-            Base::Opened(src) => src,
-        }
-    }
-}
-
-impl ShardAppender<'static> {
-    /// Open the layout at `dir` for the append after its published
-    /// generation: its base shards (for the blocks' coordinates) and
-    /// the overlay names present, not the overlays themselves.
-    pub fn open(dir: &Path) -> io::Result<ShardAppender<'static>> {
-        let base = ShardedSource::open_base(dir, |disk| Box::new(disk))?;
-        let generation = published_generation(dir)?;
-        ShardAppender::over(Base::Opened(Box::new(base)), generation)
-    }
-}
-
-impl<'a> ShardAppender<'a> {
-    fn over(base: Base<'a>, generation: u64) -> io::Result<ShardAppender<'a>> {
-        let arity = base.view().as_ref().map(|v| v.manifest.arity);
-        let (Some(dir), Some(arity)) = (base.dir.clone(), arity) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "only a layout opened from a directory takes appends",
-            ));
-        };
-        Ok(ShardAppender {
-            dir,
-            base,
-            arity,
-            generation,
-            writer: None,
-            last: None,
-        })
-    }
-
-    /// The generation this append supersedes.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Write the replacement block of global region `idx`. Indices must
-    /// be strictly ascending and in range, and the block's coordinates
-    /// those of region `idx`.
-    pub fn write_region(&mut self, idx: usize, block: &RegionBlock) -> io::Result<()> {
-        self.admit(idx, block)?;
-        if self.writer.is_none() {
-            self.writer = Some(self.create_overlay()?);
-        }
-        self.writer
-            .as_mut()
-            .expect("created above")
-            .write_region(block)?;
-        self.last = Some(idx);
-        Ok(())
-    }
-
-    /// Check that `block` may follow the blocks written so far as the
-    /// replacement of region `idx`.
-    fn admit(&self, idx: usize, block: &RegionBlock) -> io::Result<()> {
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-        if idx >= self.base.num_regions() {
-            return Err(invalid(format!("region {idx} outside the sharded layout")));
-        }
-        if self.last.is_some_and(|last| idx <= last) {
-            return Err(invalid("overlay regions must be written in ascending order".into()));
-        }
-        let coords = self.base.region_coords(idx);
-        if block.region != coords {
-            return Err(invalid(format!(
-                "block of region {:?} written as region {idx}, which is {coords:?}",
-                block.region
-            )));
-        }
-        Ok(())
-    }
-
-    /// Create the file the next generation's overlay is written into,
-    /// under a temporary name of its own.
-    fn create_overlay(&self) -> io::Result<TrainingWriter> {
-        TrainingWriter::create_new(
-            &self.dir.join(overlay_file_name(self.generation + 1)),
-            self.base.feature_arity() as u32,
-            self.arity,
-        )
-    }
-
-    /// Close the overlay file and publish it as the next generation.
-    /// Returns the generation the layout then has: one past
-    /// [`ShardAppender::generation`], or that generation unchanged when
-    /// no block was written (nothing is published then).
-    pub fn finish(self) -> io::Result<u64> {
-        let Some(writer) = self.writer else {
-            return Ok(self.generation);
-        };
-        writer.close()?.0.commit()?;
-        Ok(self.generation + 1)
-    }
-}
-
-/// Blocks a [`PipelinedAppend`] may queue for the writer thread ahead of
-/// its writes. The caller keeps its own handle to each block, so the
-/// bound holds back a caller that outruns the disk, not memory.
-const BLOCKS_IN_FLIGHT: usize = 256;
-
-/// The thread one appending engine's overlays are written on: spawned
-/// once, fed by each [`PipelinedAppend`] begun on it, and joined on drop.
-///
-/// The caller hands each block over as it builds it; the thread encodes
-/// and writes the blocks as they arrive, then closes and commits the
-/// file while the caller goes on (the commit is
-/// [`ShardAppender::finish`]'s: flush, fsync, link under its final name,
-/// unlink, directory fsync). When the thread cannot be spawned, every
-/// append is written and committed inline on the caller.
-pub struct OverlayWriter {
-    /// The thread's queue of appends and its handle; `None` when the
-    /// spawn failed.
-    thread: Option<(mpsc::Sender<Task>, JoinHandle<()>)>,
-}
-
-/// One append for the writer thread: its overlay file (created by the
-/// caller), the queue its blocks arrive on, and where the outcome goes.
+/// One file to write and commit: the file (created by the caller, so
+/// that in tests it carries the caller's crash plan), whether its commit
+/// fsyncs the directory, where its account goes, and the account so far.
 struct Task {
     file: TrainingWriter,
-    steps: mpsc::Receiver<Step>,
+    sync_dir: bool,
     reply: mpsc::SyncSender<Written>,
+    written: Written,
 }
 
-/// What a [`PipelinedAppend`] sends the writer thread.
+/// What a file's task is sent on the writer thread.
 enum Step {
     Block(Arc<RegionBlock>),
     /// No more blocks: close and commit the file.
     Commit,
 }
 
-/// The account of one append's file: its outcome and where the time
-/// went.
+/// The account of one file: its size once committed, or its first
+/// error, and where the time went.
 struct Written {
-    result: io::Result<()>,
+    result: io::Result<u64>,
     write: Duration,
     commit: Duration,
 }
 
 impl Written {
-    fn new(result: io::Result<()>) -> Written {
+    fn new(result: io::Result<u64>) -> Written {
         Written {
             result,
             write: Duration::ZERO,
             commit: Duration::ZERO,
         }
     }
+}
 
-    /// Close and commit `file`, timed, unless a write into it failed.
-    fn commit(mut self, file: TrainingWriter) -> Written {
-        if self.result.is_ok() {
+impl Task {
+    /// Write one block, timed, unless an earlier one failed.
+    fn write(&mut self, block: &RegionBlock) {
+        if self.written.result.is_ok() {
             let started = Instant::now();
-            self.result = file.close().and_then(|(file, _)| file.commit());
-            self.commit = started.elapsed();
+            self.written.result = self.file.write_region(block).map(|()| 0);
+            self.written.write += started.elapsed();
         }
-        self
+    }
+
+    /// Close and commit the file unless a write failed, and send its
+    /// account.
+    fn commit(self) {
+        let started = Instant::now();
+        let Task {
+            file,
+            sync_dir,
+            reply,
+            mut written,
+        } = self;
+        written.result = written.result.and_then(|_| {
+            let (mut file, bytes) = file.close()?;
+            let done = if sync_dir {
+                file.commit()
+            } else {
+                file.commit_unsynced()
+            };
+            done.map(|()| bytes)
+        });
+        written.commit = started.elapsed();
+        let _ = reply.send(written);
+    }
+
+    /// On the writer thread: write the blocks as they arrive on `steps`,
+    /// then commit. A file whose caller went before its commit is
+    /// dropped unpublished.
+    fn run(mut self, steps: mpsc::Receiver<Step>) {
+        while let Ok(step) = steps.recv() {
+            match step {
+                Step::Block(block) => self.write(&block),
+                Step::Commit => return self.commit(),
+            }
+        }
     }
 }
 
-impl Default for OverlayWriter {
+impl Default for MemberWriter {
     fn default() -> Self {
-        OverlayWriter::new()
+        MemberWriter::new()
     }
 }
 
-impl OverlayWriter {
+impl MemberWriter {
     /// Spawn the writer thread, or fall back to writing inline when the
     /// spawn fails.
-    pub fn new() -> OverlayWriter {
-        let (tasks, queue) = mpsc::channel();
-        let thread = spawn_writer(queue).ok().map(|handle| (tasks, handle));
-        OverlayWriter { thread }
+    pub fn new() -> MemberWriter {
+        let (tasks, queue) = mpsc::channel::<Handed>();
+        let spawned = thread::Builder::new()
+            .name("member-writer".into())
+            .spawn(move || queue.into_iter().for_each(|(task, steps)| task.run(steps)));
+        MemberWriter {
+            thread: spawned.ok().map(|handle| (tasks, handle)),
+        }
     }
 
-    /// Begin `appender`'s generation as a pipelined append written on
-    /// this writer's thread.
-    pub fn begin<'a>(&'a self, appender: ShardAppender<'a>) -> PipelinedAppend<'a> {
-        PipelinedAppend {
-            appender,
-            tasks: self.thread.as_ref().map(|(tasks, _)| tasks),
-            handed: None,
-            write: Duration::ZERO,
-        }
+    /// Begin an append of the generation after the one `source` serves,
+    /// its overlay written on this writer.
+    pub fn append<'a>(&'a self, source: &'a ShardedSource) -> PipelinedAppend<'a> {
+        PipelinedAppend::new(source, source.generation(), self)
+    }
+
+    /// Start `file` on its way: handed to the thread, or kept to be
+    /// written inline.
+    fn hand(&self, file: TrainingWriter, sync_dir: bool) -> io::Result<Member> {
+        let (reply, outcome) = mpsc::sync_channel(1);
+        let task = Task {
+            file,
+            sync_dir,
+            reply,
+            written: Written::new(Ok(0)),
+        };
+        let route = match &self.thread {
+            Some((tasks, _)) => {
+                // Unbounded: the caller keeps its own handle to each
+                // block, so the queue holds pointers, not blocks.
+                let (steps, queue) = mpsc::channel();
+                tasks.send((task, queue)).map_err(|_| writer_stopped())?;
+                Route::Thread(steps)
+            }
+            None => Route::Inline(Box::new(task)),
+        };
+        Ok(Member { route, outcome })
     }
 }
 
-impl Drop for OverlayWriter {
+impl Drop for MemberWriter {
     /// The thread finishes what it was handed, then exits.
     fn drop(&mut self) {
         if let Some((tasks, handle)) = self.thread.take() {
@@ -730,85 +611,124 @@ impl Drop for OverlayWriter {
     }
 }
 
-fn spawn_writer(queue: mpsc::Receiver<Task>) -> io::Result<JoinHandle<()>> {
-    #[cfg(test)]
-    if tests::spawns_fail() {
-        return Err(io::Error::other("spawn refused by the test"));
-    }
-    thread::Builder::new()
-        .name("overlay-writer".into())
-        .spawn(move || {
-            for Task { file, steps, reply } in queue {
-                if let Some(written) = write_overlay(file, steps) {
-                    let _ = reply.send(written);
-                }
-            }
-        })
+/// A file on its way through a [`MemberWriter`]: where its blocks go,
+/// and where its account arrives.
+struct Member {
+    route: Route,
+    outcome: Committing,
 }
 
-/// Write `file`'s blocks as they arrive, then close and commit it. The
-/// first failed write stops the writes and is the outcome. `None` when
-/// the caller dropped the append before its commit: the file is dropped
-/// unpublished.
-fn write_overlay(mut file: TrainingWriter, steps: mpsc::Receiver<Step>) -> Option<Written> {
-    let mut written = Written::new(Ok(()));
-    loop {
-        match steps.recv().ok()? {
-            Step::Block(block) if written.result.is_ok() => {
-                let started = Instant::now();
-                written.result = file.write_region(&block);
-                written.write += started.elapsed();
+/// Where a file's blocks are written: on the writer thread, through its
+/// block queue, or inline, on the caller, as they are handed over.
+enum Route {
+    Thread(mpsc::Sender<Step>),
+    Inline(Box<Task>),
+}
+
+impl Member {
+    /// Hand `block` over to be written into the file. A write that fails
+    /// is the commit's error.
+    fn write(&mut self, block: Arc<RegionBlock>) -> io::Result<()> {
+        match &mut self.route {
+            Route::Thread(steps) => steps.send(Step::Block(block)).map_err(|_| writer_stopped()),
+            Route::Inline(task) => {
+                task.write(&block);
+                Ok(())
             }
-            Step::Block(_) => {}
-            Step::Commit => return Some(written.commit(file)),
         }
     }
+
+    /// No more blocks: commit the file, on the thread while the caller
+    /// goes on, or here.
+    fn commit(self) -> Committing {
+        match self.route {
+            // A thread that is gone fails the join.
+            Route::Thread(steps) => drop(steps.send(Step::Commit)),
+            Route::Inline(task) => task.commit(),
+        }
+        self.outcome
+    }
 }
 
-/// One generation's append in flight on an [`OverlayWriter`]: the
-/// caller checks each block's order and coordinates, as
-/// [`ShardAppender::write_region`] does, and creates the overlay file at
-/// the first block, so the file carries the caller's crash plan in tests;
-/// the writer thread does the rest. Dropped before
+/// A file's commit, running on the writer thread or done inline: its
+/// account arrives here.
+type Committing = mpsc::Receiver<Written>;
+
+/// Wait for a commit's account.
+fn join(commit: Committing) -> Written {
+    commit
+        .recv()
+        .unwrap_or_else(|_| Written::new(Err(writer_stopped())))
+}
+
+fn writer_stopped() -> io::Error {
+    io::Error::other("the layout's writer thread stopped")
+}
+
+/// The one append path: one generation's overlay over a layout's base
+/// shards, in flight on a [`MemberWriter`] ([`MemberWriter::append`];
+/// [`ShardAppender`] holds one over base shards it opened). The caller
+/// checks each block's order and coordinates and creates the overlay
+/// file at the first block — an append that replaces nothing writes no
+/// file — so the file carries the caller's crash plan in tests; the
+/// writer writes the blocks as they arrive, then closes the file and
+/// links it under the next generation's name by a step that never
+/// replaces a name: that is the append's commit, and nothing else on
+/// disk is written or touched. Dropped before
 /// [`PipelinedAppend::commit`], it publishes nothing.
-pub struct PipelinedAppend<'a> {
-    appender: ShardAppender<'a>,
-    /// The writer thread's queue of appends; `None` writes inline.
-    tasks: Option<&'a mpsc::Sender<Task>>,
-    /// This append's block queue and reply, once the first block has
-    /// handed the file to the writer thread.
-    handed: Option<(mpsc::SyncSender<Step>, mpsc::Receiver<Written>)>,
-    /// Time the caller spent creating the file, and inline writing it.
+pub struct PipelinedAppend<'w, B: Borrow<ShardedSource> = &'w ShardedSource> {
+    base: B,
+    generation: u64,
+    writer: &'w MemberWriter,
+    file: Option<Member>,
+    /// The region of the last block written.
+    last: Option<usize>,
+    /// Time the caller spent creating the file.
     write: Duration,
 }
 
-impl<'a> PipelinedAppend<'a> {
+impl<'w, B: Borrow<ShardedSource>> PipelinedAppend<'w, B> {
+    /// The append after `generation` over `base`, written on `writer`.
+    fn new(base: B, generation: u64, writer: &'w MemberWriter) -> Self {
+        PipelinedAppend {
+            base,
+            generation,
+            writer,
+            file: None,
+            last: None,
+            write: Duration::ZERO,
+        }
+    }
+
     /// Hand over the replacement block of global region `idx`, under
     /// [`ShardAppender::write_region`]'s rules. A write that fails on
     /// the writer thread is the error of [`AppendCommit::join`].
     pub fn write_region(&mut self, idx: usize, block: Arc<RegionBlock>) -> io::Result<()> {
-        let started = Instant::now();
-        let Some(tasks) = self.tasks else {
-            self.appender.write_region(idx, &block)?;
-            self.write += started.elapsed();
-            return Ok(());
-        };
-        self.appender.admit(idx, &block)?;
-        if self.handed.is_none() {
-            let file = self.appender.create_overlay()?;
-            let (blocks, steps) = mpsc::sync_channel(BLOCKS_IN_FLIGHT);
-            let (reply, written) = mpsc::sync_channel(1);
-            tasks
-                .send(Task { file, steps, reply })
-                .map_err(|_| writer_stopped())?;
-            self.handed = Some((blocks, written));
+        let base = self.base.borrow();
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        if idx >= base.num_regions() {
+            return Err(invalid(format!("region {idx} outside the sharded layout")));
+        }
+        if self.last.is_some_and(|last| idx <= last) {
+            return Err(invalid(
+                "overlay regions must be written in ascending order".into(),
+            ));
+        }
+        let coords = base.region_coords(idx);
+        if block.region != coords {
+            return Err(invalid(format!(
+                "block of region {:?} written as region {idx}, which is {coords:?}",
+                block.region
+            )));
+        }
+        if self.file.is_none() {
+            let started = Instant::now();
+            let file = base.create_overlay(self.generation + 1)?;
+            self.file = Some(self.writer.hand(file, true)?);
             self.write += started.elapsed();
         }
-        let (blocks, _) = self.handed.as_ref().expect("handed above");
-        blocks
-            .send(Step::Block(block))
-            .map_err(|_| writer_stopped())?;
-        self.appender.last = Some(idx);
+        self.file.as_mut().expect("created above").write(block)?;
+        self.last = Some(idx);
         Ok(())
     }
 
@@ -816,38 +736,67 @@ impl<'a> PipelinedAppend<'a> {
     /// overlay, and return at once; [`AppendCommit::join`] waits for it.
     /// Inline, the commit runs here.
     pub fn commit(self) -> AppendCommit {
-        let commit = match self.handed {
-            Some((blocks, written)) => {
-                // A thread that is gone fails the join.
-                let _ = blocks.send(Step::Commit);
-                Commit::Thread(written)
-            }
-            None => Commit::Inline(
-                self.appender
-                    .writer
-                    .map(|file| Written::new(Ok(())).commit(file)),
-            ),
-        };
         AppendCommit {
-            generation: self.appender.generation,
+            generation: self.generation,
             write: self.write,
-            commit,
+            commit: self.file.map(Member::commit),
         }
     }
 }
 
-/// A [`PipelinedAppend`]'s commit, running on the writer thread.
+/// Appends replacement blocks to an existing sharded layout as the next
+/// generation's overlay file, written on the caller as they arrive and
+/// committed when it finishes.
+/// Blocks must arrive in ascending global-region order, each naming the
+/// region it replaces by its coordinates. [`ShardAppender::finish`]
+/// publishes the overlay, readers of the previous generation keep a
+/// consistent snapshot, and [`ShardedSource::refresh`] adopts the new
+/// one. Of two appends at one generation, the second to finish fails
+/// with `AlreadyExists` and the first one's overlay stands.
+pub struct ShardAppender {
+    append: PipelinedAppend<'static, ShardedSource>,
+}
+
+impl ShardAppender {
+    /// Open the layout at `dir` for the append after its published
+    /// generation: its base shards (for the blocks' coordinates) and
+    /// the overlay names present, not the overlays themselves.
+    pub fn open(dir: &Path) -> io::Result<ShardAppender> {
+        let base = ShardedSource::open_base(dir, |disk| Box::new(disk))?;
+        let layout = base.manifest().expect("a layout opened from a directory");
+        let generation = layout.manifest.published_generation(dir)?;
+        Ok(ShardAppender {
+            append: PipelinedAppend::new(base, generation, &INLINE),
+        })
+    }
+
+    /// The generation this append supersedes.
+    pub fn generation(&self) -> u64 {
+        self.append.generation
+    }
+
+    /// Write the replacement block of global region `idx`. Indices must
+    /// be strictly ascending and in range, and the block's coordinates
+    /// those of region `idx`.
+    pub fn write_region(&mut self, idx: usize, block: &RegionBlock) -> io::Result<()> {
+        self.append.write_region(idx, Arc::new(block.clone()))
+    }
+
+    /// Close the overlay file and publish it as the next generation.
+    /// Returns the generation the layout then has: one past
+    /// [`ShardAppender::generation`], or that generation unchanged when
+    /// no block was written (nothing is published then).
+    pub fn finish(self) -> io::Result<u64> {
+        self.append.commit().join(&NoopRecorder)
+    }
+}
+
+/// An append's commit, running on the writer thread or done inline.
 pub struct AppendCommit {
     generation: u64,
     write: Duration,
-    commit: Commit,
-}
-
-enum Commit {
-    /// The writer thread's reply.
-    Thread(mpsc::Receiver<Written>),
-    /// The inline commit's account; `None` when no block was written.
-    Inline(Option<Written>),
+    /// `None` when no block was written.
+    commit: Option<Committing>,
 }
 
 impl AppendCommit {
@@ -858,25 +807,18 @@ impl AppendCommit {
     /// it under `storage/append_commit` in `rec`, once each, wherever
     /// they ran.
     pub fn join(self, rec: &dyn Recorder) -> io::Result<u64> {
-        let written = match self.commit {
-            Commit::Thread(reply) => reply
-                .recv()
-                .unwrap_or_else(|_| Written::new(Err(writer_stopped()))),
-            Commit::Inline(Some(written)) => written,
-            Commit::Inline(None) => return Ok(self.generation),
+        let Some(commit) = self.commit else {
+            return Ok(self.generation);
         };
+        let written = join(commit);
         let nanos = |d: Duration| d.as_nanos().min(u64::MAX as u128) as u64;
         rec.record_span(
             names::STORAGE_APPEND_WRITE,
             nanos(self.write + written.write),
         );
         rec.record_span(names::STORAGE_APPEND_COMMIT, nanos(written.commit));
-        written.result.map(|()| self.generation + 1)
+        written.result.map(|_| self.generation + 1)
     }
-}
-
-fn writer_stopped() -> io::Error {
-    io::Error::other("the overlay writer thread stopped")
 }
 
 /// Open one base shard of a layout, holding it to the size and the
@@ -918,17 +860,34 @@ pub struct ShardedSource {
     total: usize,
     p: usize,
     stats: IoStats,
-    dir: Option<PathBuf>,
-    view: RwLock<Option<ManifestView>>,
+    view: RwLock<Option<View>>,
 }
 
-/// The generation-specific part of a sharded view: the manifest as
+/// What a [`ShardedSource`] opened from a directory serves
+/// ([`ShardedSource::manifest`]): its layout's manifest, the generation
+/// it adopted, the overlays that make it, and the example total they
+/// leave visible.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayoutView {
+    /// The layout's manifest, as on disk.
+    pub manifest: ShardManifest,
+    /// Append generation adopted: the number of overlays.
+    pub generation: u64,
+    /// Total training examples visible, corrected for every replaced
+    /// block.
+    pub examples: u64,
+    /// Overlay files in append order (ascending generation).
+    pub overlays: Vec<OverlayMeta>,
+}
+
+/// The generation-specific part of a sharded source: the layout as
 /// adopted, the overlay files, the per-region redirect lane they induce
 /// (later overlays shadow earlier ones) and the per-region row-count
 /// lane the visible example total is kept from. Only ever extended, in
 /// place, by [`ShardedSource::refresh`].
-struct ManifestView {
-    manifest: ShardManifest,
+struct View {
+    dir: PathBuf,
+    layout: LayoutView,
     overlays: Vec<DiskSource>,
     /// `(overlay, local index)` per global region index, `None` where the
     /// base shard serves it; empty while no overlay exists.
@@ -946,7 +905,7 @@ struct Overlay {
     rows: Vec<u64>,
 }
 
-impl ManifestView {
+impl View {
     /// Adopt the next generation's overlay: patch both lanes and the
     /// example total where its blocks replace others.
     fn adopt(&mut self, overlay: Overlay) {
@@ -958,11 +917,11 @@ impl ManifestView {
         for (local, (&global, &rows)) in replaced.enumerate() {
             let global = global as usize;
             self.redirect[global] = Some((o, local as u32));
-            self.manifest.examples = self.manifest.examples - self.rows[global] + rows;
+            self.layout.examples = self.layout.examples - self.rows[global] + rows;
             self.rows[global] = rows;
         }
-        self.manifest.generation += 1;
-        self.manifest.overlays.push(overlay.meta);
+        self.layout.generation += 1;
+        self.layout.overlays.push(overlay.meta);
         self.overlays.push(overlay.disk);
     }
 }
@@ -1017,15 +976,23 @@ impl ShardedSource {
             if held != meta.examples {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("{} holds {held} examples, manifest says {}", meta.file, meta.examples),
+                    format!(
+                        "{} holds {held} examples, manifest says {}",
+                        meta.file, meta.examples
+                    ),
                 ));
             }
             shards.push(layer(disk));
         }
         let mut src = ShardedSource::from_sources(shards)?;
-        src.dir = Some(dir.to_path_buf());
-        src.view = RwLock::new(Some(ManifestView {
-            manifest,
+        src.view = RwLock::new(Some(View {
+            dir: dir.to_path_buf(),
+            layout: LayoutView {
+                examples: manifest.examples,
+                manifest,
+                generation: 0,
+                overlays: Vec::new(),
+            },
             overlays: Vec::new(),
             redirect: Vec::new(),
             rows,
@@ -1062,30 +1029,29 @@ impl ShardedSource {
             total,
             p,
             stats: IoStats::default(),
-            dir: None,
             view: RwLock::new(None),
         })
     }
 
-    fn view(&self) -> std::sync::RwLockReadGuard<'_, Option<ManifestView>> {
+    fn view(&self) -> std::sync::RwLockReadGuard<'_, Option<View>> {
         self.view.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The manifest this source currently serves, if it was opened from
-    /// a directory: the generation adopted, the visible example total
-    /// and the overlays adopted so far.
-    pub fn manifest(&self) -> Option<ShardManifest> {
-        self.view().as_ref().map(|v| v.manifest.clone())
+    /// The layout this source currently serves, if it was opened from a
+    /// directory: its manifest, the generation adopted, the visible
+    /// example total and the overlays adopted so far.
+    pub fn manifest(&self) -> Option<LayoutView> {
+        self.view().as_ref().map(|v| v.layout.clone())
     }
 
     /// The append generation currently served (0 when opened from
     /// in-memory sources).
     pub fn generation(&self) -> u64 {
-        self.view().as_ref().map_or(0, |v| v.manifest.generation)
+        self.view().as_ref().map_or(0, |v| v.layout.generation)
     }
 
     /// Adopt every generation published since the one served: probe
-    /// `overlay_file_name(g + 1)` until one is missing, open each overlay
+    /// `overlay_file_name(write_id, g + 1)` until one is missing, open each overlay
     /// found and map its blocks onto the layout's regions by their
     /// coordinates, then patch the redirect and row-count lanes in place
     /// under the view's lock. The base shard sources (and whatever
@@ -1097,29 +1063,37 @@ impl ShardedSource {
     /// A live source follows appends, not rewrites: after
     /// [`ShardedWriter::create`] over its directory, open it afresh.
     pub fn refresh(&self) -> io::Result<u64> {
-        let Some(dir) = &self.dir else {
-            return Ok(self.generation());
+        let (dir, write_id, from) = match self.view().as_ref() {
+            Some(v) => (
+                v.dir.clone(),
+                v.layout.manifest.write_id,
+                v.layout.generation,
+            ),
+            None => return Ok(0),
         };
-        let from = self.generation();
         let mut found = Vec::new();
-        while let Some(overlay) = self.probe_overlay(dir, from + 1 + found.len() as u64)? {
+        while let Some(overlay) =
+            self.probe_overlay(&dir, write_id, from + 1 + found.len() as u64)?
+        {
             found.push(overlay);
         }
         let mut view = self.view.write().unwrap_or_else(|e| e.into_inner());
-        let view = view.as_mut().expect("a source opened from a directory has a view");
+        let view = view
+            .as_mut()
+            .expect("a source opened from a directory has a view");
         // A refresh beside this one may have adopted some of them already.
-        let adopted = (view.manifest.generation - from) as usize;
+        let adopted = (view.layout.generation - from) as usize;
         for overlay in found.into_iter().skip(adopted) {
             view.adopt(overlay);
         }
-        Ok(view.manifest.generation)
+        Ok(view.layout.generation)
     }
 
     /// Generation `g`'s overlay in `dir`, if published: opened, held to
     /// this layout's feature arity, and its blocks mapped to the regions
     /// whose coordinates they carry, which must ascend.
-    fn probe_overlay(&self, dir: &Path, g: u64) -> io::Result<Option<Overlay>> {
-        let file = overlay_file_name(g);
+    fn probe_overlay(&self, dir: &Path, write_id: u64, g: u64) -> io::Result<Option<Overlay>> {
+        let file = overlay_file_name(write_id, g);
         let path = dir.join(&file);
         let bytes = match fs::metadata(&path) {
             Ok(meta) => meta.len(),
@@ -1162,18 +1136,28 @@ impl ShardedSource {
             rows.push(block_examples(&disk, &file, local)?);
         }
         Ok(Some(Overlay {
-            meta: OverlayMeta { file, bytes, regions },
+            meta: OverlayMeta {
+                file,
+                bytes,
+                regions,
+            },
             disk,
             rows,
         }))
     }
 
-    /// An appender for the generation after the one this source serves,
-    /// checking each block's coordinates against this layout. Refresh
-    /// first to append after what others published since: an appender
-    /// behind the directory fails its publish with `AlreadyExists`.
-    pub fn appender(&self) -> io::Result<ShardAppender<'_>> {
-        ShardAppender::over(Base::Held(self), self.generation())
+    /// Create the file generation `g`'s overlay is written into, under a
+    /// temporary name of its own.
+    fn create_overlay(&self, g: u64) -> io::Result<TrainingWriter> {
+        let view = self.view();
+        let Some(v) = view.as_ref() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "only a layout opened from a directory takes appends",
+            ));
+        };
+        let (m, p) = (&v.layout.manifest, self.p as u32);
+        TrainingWriter::create_new(&v.dir.join(overlay_file_name(m.write_id, g)), p, m.arity)
     }
 
     /// Number of shards.
@@ -1269,7 +1253,7 @@ impl TrainingSource for ShardedSource {
     /// Off the row-count lane for a layout opened from a directory.
     fn total_examples(&self) -> io::Result<u64> {
         if let Some(v) = self.view().as_ref() {
-            return Ok(v.manifest.total_examples());
+            return Ok(v.layout.examples);
         }
         let mut total = 0;
         for i in 0..self.num_regions() {
@@ -1304,22 +1288,15 @@ mod tests {
         MEMBERS_OPENED.with(|c| c.set(c.get() + 1));
     }
 
-    thread_local! {
-        /// Whether an [`OverlayWriter`] made on this thread fails to
-        /// spawn its thread.
-        static SPAWNS_FAIL: Cell<bool> = const { Cell::new(false) };
+    /// A [`MemberWriter`] as a failed spawn leaves it: it writes inline.
+    fn inline_writer() -> MemberWriter {
+        MemberWriter { thread: None }
     }
 
-    pub(super) fn spawns_fail() -> bool {
-        SPAWNS_FAIL.with(Cell::get)
-    }
-
-    /// An [`OverlayWriter`] whose spawn failed: it writes inline.
-    fn inline_writer() -> OverlayWriter {
-        SPAWNS_FAIL.with(|f| f.set(true));
-        let writer = OverlayWriter::new();
-        SPAWNS_FAIL.with(|f| f.set(false));
-        writer
+    /// The generation published in the layout at `dir`.
+    fn published(dir: &Path) -> u64 {
+        let manifest = ShardManifest::read(&dir.join(MANIFEST_NAME)).unwrap();
+        manifest.published_generation(dir).unwrap()
     }
 
     fn members_opened() -> u64 {
@@ -1375,8 +1352,7 @@ mod tests {
     }
 
     fn write_sharded(dir: &Path, regions: usize, shards: usize) -> ShardManifest {
-        let mut w =
-            ShardedWriter::create(dir, 2, 1, even_shard_plan(regions, shards)).unwrap();
+        let mut w = ShardedWriter::create(dir, 2, 1, even_shard_plan(regions, shards)).unwrap();
         for r in 0..regions {
             w.write_region(&block(r as u32, 1 + r % 3)).unwrap();
         }
@@ -1387,7 +1363,7 @@ mod tests {
         ShardManifest {
             p: 5,
             arity: 2,
-            generation: 0,
+            write_id: 1,
             examples: 170,
             shards: vec![
                 ShardMeta {
@@ -1403,7 +1379,6 @@ mod tests {
                     bytes: 2048,
                 },
             ],
-            overlays: Vec::new(),
         }
     }
 
@@ -1414,10 +1389,11 @@ mod tests {
         bytes
     }
 
-    /// The layout as it was written before shards committed on a thread
-    /// of their own: each shard finished and committed in turn, its size
-    /// read back from the file system, then the manifest. The byte oracle
-    /// of [`ShardedWriter`].
+    /// The layout as it was written before shards committed on a writer
+    /// thread: each shard finished and committed in turn under the name a
+    /// fresh directory's first write gives it, its size read back from
+    /// the file system, then the manifest. The byte oracle of
+    /// [`ShardedWriter`].
     fn write_sharded_synchronously(
         dir: &Path,
         plan: &[usize],
@@ -1426,7 +1402,7 @@ mod tests {
         let mut blocks = blocks.iter();
         let mut shards = Vec::new();
         for (s, &regions) in plan.iter().enumerate() {
-            let path = dir.join(shard_file_name(s));
+            let path = dir.join(shard_file_name(1, s));
             let mut w = TrainingWriter::create(&path, 2, 1).unwrap();
             let mut examples = 0;
             for b in blocks.by_ref().take(regions) {
@@ -1435,7 +1411,7 @@ mod tests {
             }
             w.finish().unwrap();
             shards.push(ShardMeta {
-                file: shard_file_name(s),
+                file: shard_file_name(1, s),
                 regions: regions as u64,
                 examples,
                 bytes: fs::metadata(&path).unwrap().len(),
@@ -1444,10 +1420,9 @@ mod tests {
         let manifest = ShardManifest {
             p: 2,
             arity: 1,
-            generation: 0,
+            write_id: 1,
             examples: shards.iter().map(|m| m.examples).sum(),
             shards,
-            overlays: Vec::new(),
         };
         manifest.write_atomic(&dir.join(MANIFEST_NAME)).unwrap();
         manifest
@@ -1469,13 +1444,13 @@ mod tests {
         files
     }
 
-    /// A rewrite in place that stops short of `finish` leaves the disk as
-    /// a crash after two shard commits would: the new shards 0–1 over the
-    /// old ones, old shard 2, no new manifest. That is no layout (a
-    /// structured error), never old and new blocks served together; a
-    /// rewrite that finishes serves only its own blocks.
+    /// A rewrite that stops short of `finish` leaves the disk as a crash
+    /// after two shard commits would: the new shards 0–1 linked under
+    /// names of their own, no new manifest. The old layout is still what
+    /// the directory serves, block for block, never old and new blocks
+    /// together; a rewrite that finishes serves only its own blocks.
     #[test]
-    fn an_interrupted_rewrite_leaves_no_layout_never_a_mix() {
+    fn an_interrupted_rewrite_leaves_the_old_layout() {
         let dir = tmp_dir("rewrite");
         let old = |r: usize| block(r as u32, 1 + r % 3);
         // New targets, the same row counts: every file keeps its size.
@@ -1495,8 +1470,10 @@ mod tests {
         };
         write(&old, 6);
         write(&new, 5);
-        let err = ShardedSource::open(&dir).err().expect("a half-rewritten layout opened");
-        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        let src = ShardedSource::open(&dir).unwrap();
+        for r in 0..6 {
+            assert_eq!(*src.read_region(r).unwrap(), old(r), "region {r}");
+        }
         write(&new, 6);
         let src = ShardedSource::open(&dir).unwrap();
         for r in 0..6 {
@@ -1562,10 +1539,11 @@ mod tests {
     #[test]
     fn a_failed_shard_commit_fails_the_writer_and_no_manifest_is_written() {
         let dir = tmp_dir("commit-fails");
-        // A non-empty directory where shard 0 goes: its rename fails.
-        fs::create_dir_all(dir.join(shard_file_name(0))).unwrap();
-        fs::write(dir.join(shard_file_name(0)).join("keep"), b"x").unwrap();
         let mut w = ShardedWriter::create(&dir, 2, 1, vec![2, 2, 2]).unwrap();
+        // A non-empty directory where shard 0 goes: its link fails.
+        let taken = dir.join(shard_file_name(w.write_id, 0));
+        fs::create_dir_all(&taken).unwrap();
+        fs::write(taken.join("keep"), b"x").unwrap();
         let writes: Vec<io::Result<()>> = (0..6).map(|r| w.write_region(&block(r, 40))).collect();
         // Shard 0 closes in the third write, so no earlier one can know.
         assert!(writes[..3].iter().all(Result::is_ok));
@@ -1589,7 +1567,7 @@ mod tests {
             drop(w);
             // Shard 0 has landed and nothing is still writing into the
             // directory: it removes whole, and stays removed.
-            assert!(dir.join(shard_file_name(0)).exists());
+            assert!(dir.join(shard_file_name(1, 0)).exists());
             fs::remove_dir_all(&dir).unwrap();
             assert!(!dir.exists());
         }
@@ -1611,10 +1589,39 @@ mod tests {
         }
     }
 
-    /// Appends never rewrite the manifest, so a manifest of a later
-    /// generation, one listing overlays or one whose example total is
-    /// not its shards' sum was written some other way: each is refused
-    /// as structure (it verifies), as are other versions.
+    /// `manifest`'s bytes as version 2 wrote them: the generation after
+    /// the arities, and an overlay table, each overlay's name, size and
+    /// regions, after the shards.
+    fn encode_v2(m: &ShardManifest, generation: u64, overlays: &[OverlayMeta]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_slice(&MANIFEST_MAGIC);
+        out.put_u32_le(2);
+        out.put_u32_le(m.p);
+        out.put_u32_le(m.arity);
+        out.put_u64_le(generation);
+        out.put_u64_le(m.examples);
+        out.put_u32_le(m.shards.len() as u32);
+        for s in &m.shards {
+            out.put_str(&s.file);
+            out.put_u64_le(s.regions);
+            out.put_u64_le(s.examples);
+            out.put_u64_le(s.bytes);
+        }
+        out.put_u32_le(overlays.len() as u32);
+        for o in overlays {
+            out.put_str(&o.file);
+            out.put_u64_le(o.bytes);
+            out.put_u64_vec(&o.regions);
+        }
+        seal(&mut out, 0);
+        out
+    }
+
+    /// A manifest of version 2 — of a layout at generation 0, of a later
+    /// generation, or listing overlays — is refused as an unsupported
+    /// version: structure (its bytes verify), never a panic. So are
+    /// version 1 and unknown future versions, and a version 3 manifest
+    /// whose example total is not its shards' sum.
     #[test]
     fn a_manifest_of_an_appended_layout_is_refused() {
         let overlay = OverlayMeta {
@@ -1622,34 +1629,40 @@ mod tests {
             bytes: 512,
             regions: vec![2, 9, 11],
         };
-        let mut listed = base_manifest();
-        listed.generation = 1;
-        listed.overlays = vec![overlay.clone()];
-        let mut unlisted = base_manifest();
-        unlisted.generation = 3;
-        let mut gen0_listed = base_manifest();
-        gen0_listed.overlays = vec![overlay];
+        let m = base_manifest();
         let mut corrected = base_manifest();
         corrected.examples = 190;
-        for (case, m, says) in [
-            ("listed", listed, "overlay"),
-            ("generation 3", unlisted, "generation 3"),
-            ("listed at generation 0", gen0_listed, "overlay-0001.bwtd"),
-            ("corrected total", corrected, "190"),
+        let mut other = base_manifest().encode();
+        other[4] = 1;
+        let mut future = base_manifest().encode();
+        future[4] = 9;
+        for (case, bytes, says) in [
+            (
+                "v2",
+                encode_v2(&m, 0, &[]),
+                "unsupported manifest version 2",
+            ),
+            (
+                "v2 listed",
+                encode_v2(&m, 1, &[overlay]),
+                "unsupported manifest version 2",
+            ),
+            (
+                "v2 generation 3",
+                encode_v2(&m, 3, &[]),
+                "unsupported manifest version 2",
+            ),
+            ("v1", reseal(other), "unsupported manifest version 1"),
+            ("v9", reseal(future), "unsupported manifest version 9"),
+            ("corrected total", corrected.encode(), "190"),
         ] {
-            let err = ShardManifest::decode(&m.encode()).expect_err(case);
+            let err = ShardManifest::decode(&bytes).expect_err(case);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
-            assert!(!crate::is_corrupt(&err), "{case}: verified bytes are not corrupt");
+            assert!(
+                !crate::is_corrupt(&err),
+                "{case}: verified bytes are not corrupt"
+            );
             assert!(err.to_string().contains(says), "{case}: {err}");
-        }
-        // Version 1 and unknown future versions are rejected with a
-        // version error.
-        for version in [1, 9] {
-            let mut other = base_manifest().encode();
-            other[4] = version;
-            let err = ShardManifest::decode(&reseal(other)).unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("unsupported manifest version"), "{msg}");
         }
     }
 
@@ -1659,7 +1672,7 @@ mod tests {
     #[test]
     fn overlay_region_lists_must_be_ascending_and_in_range() {
         let dir = tmp_dir("overlay_lists");
-        write_sharded(&dir, 6, 2);
+        let overlay = overlay_file_name(write_sharded(&dir, 6, 2).write_id, 1);
         for (case, blocks) in [
             ("descending", vec![block(3, 1), block(1, 1)]),
             ("repeated", vec![block(2, 1), block(2, 2)]),
@@ -1667,16 +1680,16 @@ mod tests {
             ("feature arity", vec![RegionBlock::new(vec![2], 3)]),
         ] {
             let p = blocks[0].p;
-            let mut w = TrainingWriter::create(&dir.join(overlay_file_name(1)), p, 1).unwrap();
+            let mut w = TrainingWriter::create(&dir.join(&overlay), p, 1).unwrap();
             for b in &blocks {
                 w.write_region(b).unwrap();
             }
             w.finish().unwrap();
             let err = ShardedSource::open(&dir).err().expect(case);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
-            assert!(err.to_string().contains("overlay-0001.bwtd"), "{case}: {err}");
+            assert!(err.to_string().contains(&overlay), "{case}: {err}");
         }
-        fs::remove_file(dir.join(overlay_file_name(1))).unwrap();
+        fs::remove_file(dir.join(&overlay)).unwrap();
         let src = ShardedSource::open(&dir).unwrap();
         assert_eq!(src.generation(), 0);
         assert_eq!(src.refresh().unwrap(), 0);
@@ -1684,30 +1697,22 @@ mod tests {
     }
 
     /// The checksum is no guard against a count that was *written*
-    /// wrong: recompute it over an oversized shard count (followed only
-    /// by an empty overlay table) and an overlay table count (the last
-    /// field of its manifest). Both must be refused against the bytes
-    /// left, before they size a vector (an unchecked `with_capacity`
-    /// aborts the process inside the allocator).
+    /// wrong: recompute it over oversized shard counts (the last field
+    /// of a manifest with no shards). Each must be refused against the
+    /// bytes left, before it sizes a vector (an unchecked
+    /// `with_capacity` aborts the process inside the allocator).
     #[test]
     fn oversized_counts_under_a_valid_checksum_are_rejected() {
         let mut m = base_manifest();
         m.shards.clear();
         m.examples = 0;
-        let mut bytes = m.encode();
-        assert_eq!(bytes.len(), 44, "generation 0, no shards, no overlays");
-        bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = ShardManifest::decode(&reseal(bytes)).expect_err("shard count");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-
-        let m = base_manifest();
         let clean = m.encode();
+        assert_eq!(clean.len(), 40, "no shards");
         assert_eq!(ShardManifest::decode(&clean).unwrap(), m);
         for count in [1u32, 1 << 20, u32::MAX] {
             let mut bytes = clean.clone();
-            let at = bytes.len() - 8;
-            bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
-            let err = ShardManifest::decode(&reseal(bytes)).expect_err("overlay count");
+            bytes[32..36].copy_from_slice(&count.to_le_bytes());
+            let err = ShardManifest::decode(&reseal(bytes)).expect_err("shard count");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{count}: {err}");
         }
     }
@@ -1721,14 +1726,21 @@ mod tests {
         // 36 header bytes, then per shard a 4 + 15 byte name and
         // regions | examples | bytes.
         let shard = |s: usize| 36 + s * (19 + 24) + 19;
-        assert_eq!(clean[shard(1)..][..8], 7u64.to_le_bytes(), "shard 1's region count");
+        assert_eq!(
+            clean[shard(1)..][..8],
+            7u64.to_le_bytes(),
+            "shard 1's region count"
+        );
         for (field, what) in [(0, "regions"), (8, "examples")] {
             let mut bytes = clean.clone();
             bytes[shard(0) + field..][..8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
             bytes[shard(1) + field..][..8].copy_from_slice(&2u64.to_le_bytes());
             let err = ShardManifest::decode(&reseal(bytes)).expect_err(what);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-            assert!(!crate::is_corrupt(&err), "{what}: verified bytes are not corrupt");
+            assert!(
+                !crate::is_corrupt(&err),
+                "{what}: verified bytes are not corrupt"
+            );
         }
         // Nor against a shard example count that sums right but is not
         // what the shard's index holds: the open stops, before any
@@ -1738,9 +1750,11 @@ mod tests {
         m.shards[0].examples += 1;
         m.shards[1].examples -= 1;
         m.write_atomic(&dir.join(MANIFEST_NAME)).unwrap();
-        let err = ShardedSource::open(&dir).err().expect("a forged shard total");
+        let err = ShardedSource::open(&dir)
+            .err()
+            .expect("a forged shard total");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        assert!(err.to_string().contains(&shard_file_name(0)), "{err}");
+        assert!(err.to_string().contains(&m.shards[0].file), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1793,11 +1807,13 @@ mod tests {
         assert!(ShardedSource::open(&dir).is_err());
 
         // Restore, then truncate a shard file.
-        write_sharded(&dir, 6, 2);
-        let shard0 = dir.join(shard_file_name(0));
+        let m = write_sharded(&dir, 6, 2);
+        let shard0 = dir.join(&m.shards[0].file);
         let data = fs::read(&shard0).unwrap();
         fs::write(&shard0, &data[..data.len() - 1]).unwrap();
-        let err = ShardedSource::open(&dir).err().expect("resized shard rejected");
+        let err = ShardedSource::open(&dir)
+            .err()
+            .expect("resized shard rejected");
         assert!(err.to_string().contains("bytes"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
@@ -1836,10 +1852,9 @@ mod tests {
     fn layered_open_wraps_each_shard() {
         let dir = tmp_dir("layered");
         write_sharded(&dir, 8, 4);
-        let src = ShardedSource::open_layered(&dir, |disk| {
-            Box::new(CachedSource::new(disk, 1 << 20))
-        })
-        .unwrap();
+        let src =
+            ShardedSource::open_layered(&dir, |disk| Box::new(CachedSource::new(disk, 1 << 20)))
+                .unwrap();
         assert_eq!(src.num_shards(), 4);
         for r in 0..8 {
             src.read_region(r).unwrap();
@@ -1877,7 +1892,7 @@ mod tests {
         assert_eq!(app.finish().unwrap(), 1);
         // The overlay file is the commit: the manifest is not rewritten.
         assert_eq!(fs::read(dir.join(MANIFEST_NAME)).unwrap(), before);
-        assert_eq!(published_generation(&dir).unwrap(), 1);
+        assert_eq!(published(&dir), 1);
 
         // A fresh open resolves replaced regions through the overlay and
         // leaves clean regions untouched.
@@ -1913,13 +1928,13 @@ mod tests {
         assert_eq!(src.refresh().unwrap(), 1);
         assert_eq!(*src.read_region(2).unwrap(), rewritten(2, 1, 42));
 
-        // Chained appends, through the source's own appender: the latest
-        // overlay shadows earlier ones.
-        let mut app = src.appender().unwrap();
-        assert_eq!(app.generation(), 1);
-        app.write_region(2, &rewritten(2, 2, 43)).unwrap();
-        app.write_region(5, &rewritten(5, 2, 44)).unwrap();
-        assert_eq!(app.finish().unwrap(), 2);
+        // Chained appends, over the source itself: the latest overlay
+        // shadows earlier ones.
+        let writer = inline_writer();
+        let mut app = writer.append(&src);
+        app.write_region(2, Arc::new(rewritten(2, 2, 43))).unwrap();
+        app.write_region(5, Arc::new(rewritten(5, 2, 44))).unwrap();
+        assert_eq!(app.commit().join(&NoopRecorder).unwrap(), 2);
         assert_eq!(src.refresh().unwrap(), 2);
         assert_eq!(*src.read_region(2).unwrap(), rewritten(2, 2, 43));
         assert_eq!(*src.read_region(5).unwrap(), rewritten(5, 2, 44));
@@ -1959,10 +1974,18 @@ mod tests {
             let before = members_opened();
             assert_eq!(src.refresh().unwrap(), generation);
             let opened = members_opened() - before;
-            assert_eq!(opened, u64::from(!regions.is_empty()), "append {k}: {regions:?}");
+            assert_eq!(
+                opened,
+                u64::from(!regions.is_empty()),
+                "append {k}: {regions:?}"
+            );
             let before = members_opened();
             assert_eq!(src.refresh().unwrap(), generation, "nothing published");
-            assert_eq!(members_opened(), before, "append {k}: a no-op refresh opened a file");
+            assert_eq!(
+                members_opened(),
+                before,
+                "append {k}: a no-op refresh opened a file"
+            );
             if [1, 5, 20].contains(&k) {
                 assert_serves_a_fresh_open(&src, &dir, &format!("after {k} appends"));
             }
@@ -1975,11 +1998,14 @@ mod tests {
     #[test]
     fn a_corrupt_shard_or_overlay_block_is_counted_where_the_snapshot_reads() {
         let dir = tmp_dir("corrupt_books");
-        write_sharded(&dir, 4, 2);
+        let m = write_sharded(&dir, 4, 2);
         append(&dir, &[3], |_| 2, 30);
         // The first block of shard 0 (region 0) and of the overlay
         // (region 3) each get one byte flipped.
-        for file in [shard_file_name(0), overlay_file_name(1)] {
+        for file in [
+            shard_file_name(m.write_id, 0),
+            overlay_file_name(m.write_id, 1),
+        ] {
             let path = dir.join(file);
             let mut bytes = fs::read(&path).unwrap();
             bytes[HEADER_LEN + 12] ^= 0x20;
@@ -1996,7 +2022,11 @@ mod tests {
             assert_eq!(src.snapshot().corrupt_blocks(), corrupt, "region {region}");
             assert_eq!(reg.snapshot().corrupt_blocks(), corrupt, "region {region}");
         }
-        assert_eq!(src.snapshot().regions_read(), 1, "only the healthy read counted");
+        assert_eq!(
+            src.snapshot().regions_read(),
+            1,
+            "only the healthy read counted"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2009,10 +2039,12 @@ mod tests {
         assert!(app.write_region(2, &block(2, 1)).is_err(), "not ascending");
         assert!(app.write_region(1, &block(1, 1)).is_err(), "not ascending");
         assert!(app.write_region(4, &block(4, 1)).is_err(), "out of range");
-        let err = app.write_region(3, &block(9, 1)).expect_err("another region's block");
+        let err = app
+            .write_region(3, &block(9, 1))
+            .expect_err("another region's block");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         drop(app);
-        assert_eq!(published_generation(&dir).unwrap(), 0, "a dropped append publishes nothing");
+        assert_eq!(published(&dir), 0, "a dropped append publishes nothing");
 
         // An append that replaced nothing publishes no file, leaves no
         // temporary one, and reports the generation unchanged.
@@ -2024,26 +2056,34 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// One writer per generation: of two appenders opened at the same
-    /// generation, the first to finish publishes it and the second
-    /// fails with `AlreadyExists`, whatever it wrote and whenever;
-    /// readers see the first one's blocks and no temporary file stays.
+    /// One writer per generation: of two appends at the same generation,
+    /// the first to finish publishes it and the second fails with
+    /// `AlreadyExists`, whatever it wrote and whenever; readers see the
+    /// first one's blocks and no temporary file stays.
     #[test]
     fn a_second_appender_at_one_generation_fails_and_the_first_overlay_stands() {
         let dir = tmp_dir("one_writer");
-        write_sharded(&dir, 6, 2);
+        let overlay = dir.join(overlay_file_name(write_sharded(&dir, 6, 2).write_id, 1));
         let src = ShardedSource::open(&dir).unwrap();
-        let (mut first, mut second) = (ShardAppender::open(&dir).unwrap(), src.appender().unwrap());
-        assert_eq!((first.generation(), second.generation()), (0, 0));
+        let writer = MemberWriter::new();
+        let (mut first, mut second) = (ShardAppender::open(&dir).unwrap(), writer.append(&src));
+        assert_eq!(first.generation(), 0);
         first.write_region(1, &rewritten(1, 2, 10)).unwrap();
-        second.write_region(1, &rewritten(1, 5, 20)).unwrap();
-        second.write_region(4, &rewritten(4, 5, 20)).unwrap();
+        second
+            .write_region(1, Arc::new(rewritten(1, 5, 20)))
+            .unwrap();
+        second
+            .write_region(4, Arc::new(rewritten(4, 5, 20)))
+            .unwrap();
         first.write_region(3, &rewritten(3, 2, 10)).unwrap();
         assert_eq!(first.finish().unwrap(), 1);
-        let published = fs::read(dir.join(overlay_file_name(1))).unwrap();
-        let err = second.finish().expect_err("a published generation replaced");
+        let published = fs::read(&overlay).unwrap();
+        let err = second
+            .commit()
+            .join(&NoopRecorder)
+            .expect_err("a published generation replaced");
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
-        assert_eq!(fs::read(dir.join(overlay_file_name(1))).unwrap(), published);
+        assert_eq!(fs::read(&overlay).unwrap(), published);
         let names: Vec<String> = dir_bytes(&dir).into_iter().map(|(name, _)| name).collect();
         assert!(names.iter().all(|n| !n.ends_with(".tmp")), "{names:?}");
         assert_eq!(src.refresh().unwrap(), 1);
@@ -2068,20 +2108,126 @@ mod tests {
         let mut stale = ShardAppender::open(&dir).unwrap();
         stale.write_region(3, &rewritten(3, 1, 9)).unwrap();
         std::mem::forget(stale);
-        assert_eq!(published_generation(&dir).unwrap(), 3);
+        assert_eq!(published(&dir), 3);
 
         let mut w = ShardedWriter::create(&dir, 2, 1, even_shard_plan(8, 2)).unwrap();
+        assert_eq!(w.write_id, 2);
         for r in 0..8 {
             w.write_region(&rewritten(r, 1 + r % 3, 500)).unwrap();
         }
         w.finish().unwrap();
         let names: Vec<String> = dir_bytes(&dir).into_iter().map(|(name, _)| name).collect();
-        assert_eq!(names, [MANIFEST_NAME, "shard-0000.bwtd", "shard-0001.bwtd"]);
+        assert_eq!(
+            names,
+            [
+                MANIFEST_NAME,
+                "w0002-shard-0000.bwtd",
+                "w0002-shard-0001.bwtd"
+            ]
+        );
         let src = ShardedSource::open(&dir).unwrap();
         assert_eq!(src.generation(), 0);
         for r in 0..8 {
-            assert_eq!(*src.read_region(r).unwrap(), rewritten(r, 1 + r % 3, 500), "region {r}");
+            assert_eq!(
+                *src.read_region(r).unwrap(),
+                rewritten(r, 1 + r % 3, 500),
+                "region {r}"
+            );
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash after the manifest's rename and before the sweep leaves
+    /// the old write's overlays on disk: the new layout opens at
+    /// generation 0 and adopts none of them, and an append publishes
+    /// generation 1 under the new write id.
+    #[test]
+    fn a_crash_before_the_sweep_leaves_the_new_layout_at_generation_0() {
+        let dir = tmp_dir("before_sweep");
+        let rewrite = || {
+            let mut w = ShardedWriter::create(&dir, 2, 1, even_shard_plan(6, 2))?;
+            for r in 0..6 {
+                w.write_region(&rewritten(r, 1 + r % 3, 500))?;
+            }
+            w.finish().map(|m| m.write_id)
+        };
+        let mut k = 0;
+        let (old_overlay, id) = loop {
+            fs::remove_dir_all(&dir).ok();
+            let old = write_sharded(&dir, 6, 2).write_id;
+            append(&dir, &[1, 4], |_| 2, 1);
+            append(&dir, &[4], |_| 1, 2);
+            let (_, crashed) = crash::at(k, rewrite);
+            assert!(
+                crashed,
+                "the rewrite ran whole before a crash left the sweep undone"
+            );
+            let old_overlay = dir.join(overlay_file_name(old, 2));
+            let id = ShardManifest::read(&dir.join(MANIFEST_NAME))
+                .unwrap()
+                .write_id;
+            if id != old && old_overlay.exists() {
+                break (old_overlay, id);
+            }
+            k += 1;
+        };
+        let src = ShardedSource::open(&dir).unwrap();
+        assert_eq!(src.generation(), 0);
+        for r in 0..6 {
+            assert_eq!(
+                *src.read_region(r).unwrap(),
+                rewritten(r, 1 + r % 3, 500),
+                "region {r}"
+            );
+        }
+        assert_eq!(append(&dir, &[2], |_| 4, 3), 1);
+        assert!(dir.join(overlay_file_name(id, 1)).exists());
+        assert!(old_overlay.exists(), "the next write's sweep takes it");
+        assert_eq!(src.refresh().unwrap(), 1);
+        assert_eq!(*src.read_region(2).unwrap(), rewritten(2, 4, 3));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sweep after a write's commit takes the layout files of every
+    /// other write id, published or temporary, and only those: a
+    /// snapshot, any other file and a name of the older layout
+    /// format stay. A write id is never reused, even when a crashed
+    /// writer left files under it.
+    #[test]
+    fn the_sweep_takes_only_layout_files_of_other_writes() {
+        let dir = tmp_dir("sweep_scope");
+        write_sharded(&dir, 6, 2);
+        append(&dir, &[3], |_| 2, 1);
+        for keep in [
+            "model.bwsn",
+            "notes.txt",
+            "shard-0000.bwtd",
+            "wide-shard-0000.bwtd",
+        ] {
+            fs::write(dir.join(keep), keep).unwrap();
+        }
+        // A writer that stops once shard 0 is linked: write 2's files.
+        let mut crashed = ShardedWriter::create(&dir, 2, 1, vec![3, 3]).unwrap();
+        for r in 0..4 {
+            crashed.write_region(&block(r, 1)).unwrap();
+        }
+        drop(crashed);
+        assert!(dir.join(shard_file_name(2, 0)).exists());
+        let m = write_sharded(&dir, 6, 2);
+        assert_eq!(m.write_id, 3, "write 2's leftovers keep its id taken");
+        let names: Vec<String> = dir_bytes(&dir).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(
+            names,
+            [
+                MANIFEST_NAME,
+                "model.bwsn",
+                "notes.txt",
+                "shard-0000.bwtd",
+                "w0003-shard-0000.bwtd",
+                "w0003-shard-0001.bwtd",
+                "wide-shard-0000.bwtd",
+            ]
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2103,17 +2249,16 @@ mod tests {
 
     /// Run `op` over the state `setup` makes, once per crash point — its
     /// first file-system step failing, then its second, and so on until
-    /// it runs whole — and hold what each crash leaves to `allowed`
-    /// (the old state, the new one, and for a rewrite no layout). After
-    /// each crash that did not reach the new state the operation runs
-    /// again, unhindered, and must reach it: no leftover of a crash is
-    /// adopted or stands in the way. Returns the number of crash points.
+    /// it runs whole — and hold what each crash leaves to exactly the old
+    /// state or the new one. After each crash that did not reach the new
+    /// state the operation runs again, unhindered, and must reach it: no
+    /// leftover of a crash is adopted or stands in the way. Returns the
+    /// number of crash points.
     fn crash_everywhere(
         dir: &Path,
         setup: &dyn Fn(),
         op: &dyn Fn() -> io::Result<()>,
         read: &dyn Fn() -> Served,
-        none_allowed: bool,
     ) -> u64 {
         setup();
         let old = read();
@@ -2127,8 +2272,7 @@ mod tests {
             setup();
             let (done, crashed) = crash::at(k, op);
             let now = read();
-            let none = now == Err(io::ErrorKind::NotFound) && none_allowed;
-            assert!(now == old || now == new || none, "crash at step {k}: {now:?}");
+            assert!(now == old || now == new, "crash at step {k}: {now:?}");
             if !crashed {
                 done.unwrap();
                 assert_eq!(now, new, "ran whole at step {k}");
@@ -2145,10 +2289,10 @@ mod tests {
     /// Every crash point of a cold write, a rewrite over an appended
     /// layout, an append and a snapshot save leaves what was there
     /// before or what the operation makes, and the operation redone from
-    /// there completes. A rewrite may also leave no layout: it removes
-    /// the old manifest before its first shard rename, and shard names
-    /// are reused, so the old state cannot outlive that step. Old-or-new
-    /// for a rewrite needs shard names no live manifest uses.
+    /// there completes. A rewrite leaves the old layout until its
+    /// manifest's rename, because its shards are linked under names of
+    /// their own write id, which no live manifest uses, and its sweep
+    /// comes after.
     #[test]
     fn every_crash_point_leaves_the_old_state_or_the_new_one() {
         let dir = tmp_dir("crash");
@@ -2165,27 +2309,28 @@ mod tests {
             append(&dir, &[4], |_| 1, 2);
         };
         let layout = || served(&dir);
-        let cold = crash_everywhere(&dir, &|| {}, &|| write(7), &layout, false);
-        let rewrite = crash_everywhere(&dir, &appended, &|| write(7), &layout, true);
+        let cold = crash_everywhere(&dir, &|| {}, &|| write(7), &layout);
+        let rewrite = crash_everywhere(&dir, &appended, &|| write(7), &layout);
         let append_op = || {
             let mut app = ShardAppender::open(&dir)?;
             app.write_region(0, &rewritten(0, 4, 3))?;
             app.write_region(4, &rewritten(4, 2, 3))?;
             app.finish().map(drop)
         };
-        let appends = crash_everywhere(&dir, &appended, &append_op, &layout, false);
+        let appends = crash_everywhere(&dir, &appended, &append_op, &layout);
         // The pipelined append, on a writer thread and inline: the caller
         // creates the file, so the thread's writes, fsync, link, unlink
         // and directory fsync are steps of the caller's plan, the same
         // steps the appender takes. One writer serves every crash point.
-        for writer in [OverlayWriter::new(), inline_writer()] {
+        for writer in [MemberWriter::new(), inline_writer()] {
             let pipelined_op = || {
-                let mut app = writer.begin(ShardAppender::open(&dir)?);
+                let src = ShardedSource::open(&dir)?;
+                let mut app = writer.append(&src);
                 app.write_region(0, Arc::new(rewritten(0, 4, 3)))?;
                 app.write_region(4, Arc::new(rewritten(4, 2, 3)))?;
                 app.commit().join(&NoopRecorder).map(drop)
             };
-            let pipelined = crash_everywhere(&dir, &appended, &pipelined_op, &layout, false);
+            let pipelined = crash_everywhere(&dir, &appended, &pipelined_op, &layout);
             assert_eq!(pipelined, appends, "inline: {}", writer.thread.is_none());
         }
         let path = dir.join("model.bwsn");
@@ -2199,10 +2344,13 @@ mod tests {
             Err(e) => Err(e.kind()),
         };
         let old = || save(b"old").unwrap();
-        let saves = crash_everywhere(&dir, &old, &|| save(b"new"), &snapshot, false);
+        let saves = crash_everywhere(&dir, &old, &|| save(b"new"), &snapshot);
         // Not vacuous: each operation was cut at each kind of step.
         assert!(cold >= 3 * 5 + 2, "cold write: {cold} steps");
-        assert!(rewrite > cold, "rewrite: {rewrite} steps, the sweep among them");
+        assert!(
+            rewrite > cold,
+            "rewrite: {rewrite} steps, the sweep among them"
+        );
         assert!(appends >= 6, "append: {appends} steps");
         assert!(saves >= 5, "snapshot save: {saves} steps");
         fs::remove_dir_all(&dir).ok();
@@ -2223,11 +2371,11 @@ mod tests {
         let oracle = layout("pipelined_oracle");
         assert_eq!(append(&oracle, &regions, rows, 5), 1);
         let want = dir_bytes(&oracle);
-        for (writer, inline) in [(OverlayWriter::new(), false), (inline_writer(), true)] {
+        for (writer, inline) in [(MemberWriter::new(), false), (inline_writer(), true)] {
             assert_eq!(writer.thread.is_none(), inline);
             let dir = layout(&format!("pipelined_{inline}"));
             let src = ShardedSource::open(&dir).unwrap();
-            let mut app = writer.begin(src.appender().unwrap());
+            let mut app = writer.append(&src);
             for &r in &regions {
                 app.write_region(r, Arc::new(rewritten(r, rows(r), 5)))
                     .unwrap();
@@ -2259,9 +2407,9 @@ mod tests {
         let dir = tmp_dir("pipelined_drop");
         write_sharded(&dir, 6, 2);
         let src = ShardedSource::open(&dir).unwrap();
-        let writer = OverlayWriter::new();
+        let writer = MemberWriter::new();
         {
-            let mut app = writer.begin(src.appender().unwrap());
+            let mut app = writer.append(&src);
             app.write_region(3, Arc::new(rewritten(3, 2, 1))).unwrap();
             let kind = |e: io::Error| e.kind();
             let early = app.write_region(2, Arc::new(rewritten(2, 2, 1)));
@@ -2269,30 +2417,31 @@ mod tests {
             let misplaced = app.write_region(4, Arc::new(rewritten(5, 2, 1)));
             assert_eq!(misplaced.map_err(kind), Err(io::ErrorKind::InvalidInput));
         }
-        let empty = writer.begin(src.appender().unwrap()).commit();
+        let empty = writer.append(&src).commit();
         assert_eq!(empty.join(&NoopRecorder).unwrap(), 0);
-        let mut app = writer.begin(src.appender().unwrap());
+        let mut app = writer.append(&src);
         app.write_region(5, Arc::new(rewritten(5, 1, 2))).unwrap();
         assert_eq!(app.commit().join(&NoopRecorder).unwrap(), 1);
         drop(writer);
         // The dropped append's temporary file is the sweep's to remove;
         // no overlay but the committed one was published.
-        assert_eq!(published_generation(&dir).unwrap(), 1);
+        assert_eq!(published(&dir), 1);
         assert_eq!(src.refresh().unwrap(), 1);
         assert_eq!(src.manifest().unwrap().overlays[0].regions, [5]);
         fs::remove_dir_all(&dir).ok();
     }
 
     /// What an append replaced, counted from the holder files' indexes
-    /// in the view `manifest` describes (the newest overlay listing the
+    /// in the view `layout` describes (the newest overlay listing the
     /// region, else its base shard), without reading a block: one oracle
     /// of the row-count lane.
-    fn replaced_examples(dir: &Path, manifest: &ShardManifest, regions: &[u64]) -> io::Result<u64> {
+    fn replaced_examples(dir: &Path, layout: &LayoutView, regions: &[u64]) -> io::Result<u64> {
+        let manifest = &layout.manifest;
         let starts = manifest.shard_starts();
         let mut holders: HashMap<&str, DiskSource> = HashMap::new();
         let mut examples = 0u64;
         for &r in regions {
-            let overlay = manifest.overlays.iter().rev().find_map(|o| {
+            let overlay = layout.overlays.iter().rev().find_map(|o| {
                 let local = o.regions.binary_search(&r).ok()?;
                 Some((o.file.as_str(), local))
             });
@@ -2337,20 +2486,30 @@ mod tests {
             let before = src.manifest().unwrap();
             let wide: Vec<u64> = regions.iter().map(|&r| r as u64).collect();
             let old = replaced_examples(&dir, &before, &wide).unwrap();
-            let mut app = src.appender().unwrap();
+            let mut app = ShardAppender::open(&dir).unwrap();
             for (&r, &n) in regions.iter().zip(&rows) {
                 app.write_region(r, &rewritten(r, n, g as u32)).unwrap();
             }
             app.finish().unwrap();
             src.refresh().unwrap();
             let new = rows.iter().sum::<usize>() as u64;
-            assert_eq!(src.total_examples().unwrap(), before.examples - old + new, "append {g}");
+            assert_eq!(
+                src.total_examples().unwrap(),
+                before.examples - old + new,
+                "append {g}"
+            );
             let fresh = ShardedSource::open(&dir).unwrap();
-            let read: u64 = (0..12).map(|r| fresh.read_region(r).unwrap().n() as u64).sum();
+            let read: u64 = (0..12)
+                .map(|r| fresh.read_region(r).unwrap().n() as u64)
+                .sum();
             assert_eq!(fresh.total_examples().unwrap(), read, "append {g}");
             assert_eq!(fresh.manifest(), src.manifest(), "append {g}");
         }
-        assert_eq!(src.generation(), 39, "one of the 40 appends replaced nothing");
+        assert_eq!(
+            src.generation(),
+            39,
+            "one of the 40 appends replaced nothing"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2360,12 +2519,12 @@ mod tests {
     #[test]
     fn appender_refuses_an_index_length_that_is_no_whole_block() {
         let dir = tmp_dir("count_bad_len");
-        write_sharded(&dir, 4, 1);
+        let id = write_sharded(&dir, 4, 1).write_id;
         append(&dir, &[1, 2], |_| 2, 5);
         // Grow the `len` of the second index entry from the end by one
         // (its block is followed by another, so the entry still lies
         // inside the block area) in the overlay, then in the shard.
-        for file in [overlay_file_name(1), shard_file_name(0)] {
+        for file in [overlay_file_name(id, 1), shard_file_name(id, 0)] {
             let path = dir.join(&file);
             let clean = fs::read(&path).unwrap();
             let mut bytes = clean.clone();
@@ -2375,8 +2534,10 @@ mod tests {
             let err = ShardedSource::open(&dir).err().expect("odd length counted");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{file}: {err}");
             assert!(err.to_string().contains(&file), "{err}");
-            if file.starts_with("shard") {
-                let err = ShardAppender::open(&dir).err().expect("appender over an odd length");
+            if file.contains("-shard-") {
+                let err = ShardAppender::open(&dir)
+                    .err()
+                    .expect("appender over an odd length");
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             }
             fs::write(&path, &clean).unwrap();

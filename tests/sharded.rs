@@ -434,7 +434,8 @@ fn a_dead_shard_degrades_with_exact_skip_accounting() {
     let dir = write_shards(&blocks, 4, "dead");
     // Shard 1 holds regions 2 and 3: flip a byte in the first block and
     // the last byte of the second, which ends where the index starts.
-    let shard = dir.join(bellwether::storage::shard_file_name(1));
+    let manifest = ShardManifest::read(&dir.join(bellwether::storage::MANIFEST_NAME)).unwrap();
+    let shard = dir.join(&manifest.shards[1].file);
     let mut bytes = std::fs::read(&shard).unwrap();
     let (index_at, count) = decode_footer(&bytes[bytes.len() - FOOTER_LEN..]).unwrap();
     assert_eq!(count, 2);
@@ -552,9 +553,9 @@ fn a_registry_bound_stack_keeps_one_set_of_books() {
 }
 
 /// A manifest names files inside its layout directory and nowhere else.
-/// A shard or overlay name that is not one bare file name is refused at
-/// decode as `InvalidData`, under a checksum that verifies and with a
-/// real copy of a shard waiting at the path the name points to.
+/// A shard name that is not one bare file name is refused at decode as
+/// `InvalidData`, under a checksum that verifies and with a real copy of
+/// a shard waiting at the path the name points to.
 #[test]
 fn manifest_names_cannot_point_outside_the_layout_directory() {
     let mut rng = Rng::new(13);
@@ -573,13 +574,7 @@ fn manifest_names_cannot_point_outside_the_layout_directory() {
     let mut absolute = clean.clone();
     absolute.shards[0].file = outside.join("x.bwtd").to_string_lossy().into_owned();
     let mut nested = clean.clone();
-    let first = clean.shards[0].regions;
-    nested.generation = 1;
-    nested.overlays.push(bellwether::storage::OverlayMeta {
-        file: "a/b.bwtd".into(),
-        bytes: clean.shards[1].bytes,
-        regions: (first..first + clean.shards[1].regions).collect(),
-    });
+    nested.shards[1].file = "a/b.bwtd".into();
     for (bad, name) in [
         (up, "../escape_outside/x.bwtd"),
         (absolute, "escape_outside/x.bwtd"),
