@@ -1,9 +1,9 @@
 //! Dataset preparation shared by the retail figures (7, 8, 9).
 
-use bellwether_core::{build_cube_input, build_memory_source, global_target};
-use bellwether_cube::{cube_pass, CostModel, CubeInput, NoopRecorder, Parallelism, RegionId};
+use bellwether_core::{build_cube_input, global_target, Memory};
+use bellwether_cube::{CubeInput, NoopRecorder, Parallelism, RegionId};
 use bellwether_datagen::{generate_retail, RetailConfig, RetailDataset};
-use bellwether_storage::{MemorySource, TrainingSource};
+use bellwether_storage::MemorySource;
 use bellwether_table::ops::AggFunc;
 use std::collections::HashMap;
 
@@ -15,7 +15,7 @@ pub struct PreparedRetail {
     pub data: RetailDataset,
     /// Per-item targets (total profit over the full period and area).
     pub targets: HashMap<i64, f64>,
-    /// The compiled CUBE input (reused by the sampling baseline).
+    /// The compiled CUBE input, for the sampling baseline.
     pub cube_input: CubeInput,
     /// Entire training data over all regions, in region scan order.
     pub source: MemorySource,
@@ -26,14 +26,12 @@ pub struct PreparedRetail {
 /// Generate + label + CUBE a retail dataset.
 pub fn prepare_retail(cfg: &RetailConfig) -> PreparedRetail {
     let data = generate_retail(cfg);
-    let targets =
-        global_target(&data.db, "profit", AggFunc::Sum).expect("target query");
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(f64::INFINITY);
+    let source = task.materialize(&regions, Memory, par, &NoopRecorder).expect("training data");
+    let targets = global_target(&data.db, "profit", AggFunc::Sum).expect("target query");
     let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries)
         .expect("cube input");
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder)
-        .expect("CUBE pass");
-    let regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &regions, &data.items, &targets);
     PreparedRetail {
         data,
         targets,
@@ -47,19 +45,17 @@ pub fn prepare_retail(cfg: &RetailConfig) -> PreparedRetail {
 /// `budget` (for the item-centric methods, which search every stored
 /// region).
 pub fn budget_filtered_source(prep: &PreparedRetail, budget: f64) -> MemorySource {
-    let blocks: Vec<_> = (0..prep.source.num_regions())
-        .filter(|&i| {
-            let region = RegionId(prep.source.region_coords(i).to_vec());
-            prep.data.cost.cost(&prep.data.space, &region) <= budget
-        })
-        .map(|i| prep.source.blocks()[i].clone())
-        .collect();
-    MemorySource::from_shared(blocks)
+    // The affordable regions are a subsequence of `prep.regions`.
+    let mut affordable = prep.data.task().regions_within(budget).into_iter().peekable();
+    let blocks = prep.regions.iter().zip(prep.source.blocks());
+    let kept = blocks.filter(|(r, _)| affordable.next_if_eq(r).is_some());
+    MemorySource::from_shared(kept.map(|(_, block)| block.clone()).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bellwether_storage::TrainingSource;
 
     #[test]
     fn prepare_small_retail() {

@@ -245,9 +245,9 @@ impl ItemTable {
         })
     }
 
-    /// Reassemble an item table from its parts — the model-snapshot
-    /// decode path. Validates what [`ItemTable::from_table`] would have:
-    /// unique ids and one attribute value per item.
+    /// Assemble an item table from its parts (the model-snapshot decode
+    /// path, or ids alone). Validates what [`ItemTable::from_table`] would
+    /// have: unique ids and one attribute value per item.
     pub fn from_parts(
         ids: Vec<i64>,
         numeric: Vec<NumericAttr>,

@@ -18,6 +18,8 @@
 //! * [`features`] — the stylized feature/target generation queries over
 //!   a star schema and their CUBE rewrite (§4.2);
 //! * [`training`] — materialisation of the entire training data;
+//! * [`task`] — the bellwether task as data, and the one entry that
+//!   materialises its training data into memory or a sharded layout;
 //! * [`basic`] — basic bellwether search, plus the Avg-Err baseline and
 //!   the Figure 7(b) indistinguishability analysis;
 //! * [`sampling`] — the random-collection baseline (Smp Err);
@@ -47,6 +49,7 @@ pub mod sampling;
 pub mod scan;
 pub mod seeded;
 pub mod stream;
+pub mod task;
 pub mod training;
 pub mod tree;
 
@@ -79,6 +82,7 @@ pub use scan::{
 };
 pub use seeded::{hash_fold, seeded_rng};
 pub use stream::{AppendOutcome, DriftEvent, StreamingBellwether};
+pub use task::{Layout, Memory, Sink, TrainingTask};
 pub use training::{build_memory_source, region_block};
 pub use tree::naive::build_naive as build_naive_tree;
 pub use tree::prune::prune_tree;

@@ -41,10 +41,7 @@ use std::sync::Arc;
 
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
 use bellwether_obs::{names, span, MetricsSnapshot};
-use bellwether_storage::{
-    even_shard_plan, CachedSource, MemberWriter, RegionBlock, ShardedSource, ShardedWriter,
-    TrainingSource,
-};
+use bellwether_storage::{CachedSource, MemberWriter, RegionBlock, ShardedSource, TrainingSource};
 use bellwether_table::ColumnData;
 
 use crate::basic::{
@@ -54,6 +51,7 @@ use crate::error::{BellwetherError, Result};
 use crate::items::ItemTable;
 use crate::problem::BellwetherConfig;
 use crate::scan::{merge_skipped, Scanned};
+use crate::task::{Layout, Sink};
 use crate::training::{region_block_lane, target_lane};
 
 /// One argmin flip: the bellwether changed identity after an append.
@@ -161,16 +159,9 @@ impl StreamingBellwether {
         let cube = StreamingCube::new(space, base, item_universe, config.parallelism)
             .map_err(|e| BellwetherError::Config(format!("incremental maintenance: {e}")))?;
 
-        std::fs::create_dir_all(dir)?;
-        let n_static = items.numeric_attrs().len();
-        let p = (1 + n_static + cube.result().measure_names.len()) as u32;
-        let plan = even_shard_plan(regions.len(), n_shards);
-        let mut writer = ShardedWriter::create(dir, p, space.arity() as u32, plan)?;
         let tau = target_lane(&items, &targets);
-        for region in &regions {
-            writer.write_region(&region_block_lane(cube.result(), region, &items, &tau))?;
-        }
-        writer.finish()?;
+        let layout = Layout { dir, shards: n_shards };
+        layout.write(space, cube.result(), &regions, &items, &tau, config.parallelism)?;
 
         let source = CachedSource::new(ShardedSource::open(dir)?, cache_bytes);
         let boot = basic_search(

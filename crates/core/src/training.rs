@@ -11,7 +11,6 @@
 //! uniformly.
 
 use crate::items::{ItemTable, NO_ITEM};
-use bellwether_cube::parallel::{fork_join, split_point};
 use bellwether_cube::{CubeResult, Parallelism, RegionColumns, RegionId};
 use bellwether_storage::{MemorySource, RegionBlock};
 use bellwether_table::ColumnData;
@@ -99,11 +98,10 @@ pub(crate) fn columns_block(
     RegionBlock::from_columns(coords, p, item_ids, lanes, ys)
 }
 
-/// Build an in-memory entire-training-data source over `regions`
-/// (typically the feasible regions, in a fixed scan order). Region
-/// blocks are independent, so they shard across the default
-/// [`Parallelism`]'s workers. Block order is always `regions` order —
-/// the scan order every algorithm depends on.
+/// Build an in-memory entire-training-data source over `regions` from
+/// one CUBE result: [`crate::task::Memory`]'s assembly on the default
+/// [`Parallelism`]. Callers that start from a star database use
+/// [`crate::task::TrainingTask::materialize`].
 pub fn build_memory_source(
     cube: &CubeResult,
     regions: &[RegionId],
@@ -111,15 +109,7 @@ pub fn build_memory_source(
     targets: &HashMap<i64, f64>,
 ) -> MemorySource {
     let tau = target_lane(items, targets);
-    let threads = Parallelism::default().threads_for(regions.len());
-    let cut = |w| split_point(regions.len() as u64, w, threads) as usize;
-    let blocks = fork_join(threads, |w| {
-        regions[cut(w)..cut(w + 1)]
-            .iter()
-            .map(|r| region_block_lane(cube, r, items, &tau))
-            .collect::<Vec<_>>()
-    });
-    MemorySource::new(blocks.into_iter().flatten().collect())
+    crate::task::memory_source(cube, regions, items, &tau, Parallelism::default())
 }
 
 #[cfg(test)]

@@ -24,6 +24,7 @@
 use crate::rng::Gen;
 use bellwether_core::features::{FeatureQuery, StarDatabase};
 use bellwether_core::items::ItemTable;
+use bellwether_core::task::TrainingTask;
 use bellwether_cube::{Dimension, Hierarchy, ProductCost, RegionSpace};
 use bellwether_table::ops::AggFunc;
 use bellwether_table::{Column, DataType, Schema, Table, TableBuilder, Value};
@@ -176,6 +177,21 @@ pub struct RetailDataset {
     pub item_space: RegionSpace,
     /// Per-item leaf coordinates in the item space.
     pub item_coords: HashMap<i64, Vec<u32>>,
+}
+
+impl RetailDataset {
+    /// The bellwether task over this dataset: τ is each item's total profit.
+    pub fn task(&self) -> TrainingTask<'_> {
+        TrainingTask {
+            db: &self.db,
+            space: &self.space,
+            features: &self.feature_queries,
+            target_column: "profit",
+            target_func: AggFunc::Sum,
+            items: &self.items,
+            cost: &self.cost,
+        }
+    }
 }
 
 /// State list under a config.

@@ -5,7 +5,6 @@
 //! Run with: `cargo run --release --example extensions_tour`
 
 use bellwether::prelude::*;
-use std::collections::HashMap;
 
 fn main() {
     // Heterogeneous variant: electronics' bellwether is MD, apparel's is
@@ -15,11 +14,6 @@ fn main() {
     cfg.converge_month = 4;
     cfg.states = Some(vec!["MD", "WI", "CA", "TX", "NY", "IL", "FL", "OH"]);
     let data = generate_retail(&cfg);
-    let targets: HashMap<i64, f64> =
-        global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let problem = BellwetherConfig::builder(25.0)
         .min_coverage(0.5)
         .min_examples(20)
@@ -30,16 +24,11 @@ fn main() {
     // every region; the tree/cube sections get only affordable regions
     // (the whole-period/whole-area region contains the target itself and
     // would win vacuously).
-    let all_regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &all_regions, &data.items, &targets);
-    let affordable: Vec<RegionId> = all_regions
-        .iter()
-        .filter(|r| {
-            bellwether_cube::CostModel::cost(&data.cost, &data.space, r) <= problem.budget
-        })
-        .cloned()
-        .collect();
-    let budget_source = build_memory_source(&cube, &affordable, &data.items, &targets);
+    let (task, par) = (data.task(), Parallelism::default());
+    let materialize = |budget| {
+        task.materialize(&task.regions_within(budget), Memory, par, &NoopRecorder).unwrap()
+    };
+    let (source, budget_source) = (materialize(f64::INFINITY), materialize(problem.budget));
 
     // ---- 1. linear optimization criterion: error + w1·cost − w2·coverage.
     println!("linear criterion sweep (cost weight ↑ → cheaper regions):");

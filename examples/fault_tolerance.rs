@@ -20,7 +20,6 @@
 //! Run with: `cargo run --release --example fault_tolerance`
 
 use bellwether::prelude::*;
-use std::collections::HashMap;
 use std::time::Duration;
 
 fn main() {
@@ -32,22 +31,12 @@ fn main() {
     cfg.converge_month = 4;
     println!("generating mail-order dataset ({} items)…", cfg.n_items);
     let data = generate_retail(&cfg);
-    let targets: HashMap<i64, f64> =
-        global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input =
-        build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube_result =
-        cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
 
     let budget = 40.0;
-    let regions: Vec<RegionId> = data
-        .space
-        .all_regions()
-        .into_iter()
-        .filter(|r| data.cost.cost(&data.space, r) <= budget)
-        .collect();
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(budget);
     let path = std::env::temp_dir().join("bellwether_fault_tolerance.btd");
-    let blocks = build_memory_source(&cube_result, &regions, &data.items, &targets);
+    let blocks = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
     let (p, arity) = (blocks.feature_arity() as u32, data.space.arity() as u32);
     let mut writer = bellwether::storage::TrainingWriter::create(&path, p, arity).unwrap();
     for block in blocks.blocks() {

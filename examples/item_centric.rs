@@ -20,27 +20,20 @@ fn main() {
 
     let targets: HashMap<i64, f64> =
         global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube_result =
-        cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
 
     // Store only the regions affordable under the acquisition budget —
     // with no budget, the region covering the whole period and area
     // contains the target itself and prediction is vacuous (the "very
     // high cost" extreme of §3.1).
     let budget = 40.0;
-    let regions: Vec<RegionId> = data
-        .space
-        .all_regions()
-        .into_iter()
-        .filter(|r| data.cost.cost(&data.space, r) <= budget)
-        .collect();
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(budget);
     println!(
         "{} of {} regions affordable under budget {budget}",
         regions.len(),
         data.space.num_regions()
     );
-    let source = build_memory_source(&cube_result, &regions, &data.items, &targets);
+    let source = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
 
     let problem = BellwetherConfig::builder(f64::INFINITY)
         .min_coverage(0.0)

@@ -6,7 +6,6 @@
 //! Run with: `cargo run --release --example mail_order_analysis`
 
 use bellwether::prelude::*;
-use std::collections::HashMap;
 
 fn main() {
     let mut cfg = RetailConfig::mail_order(250, 42);
@@ -17,12 +16,9 @@ fn main() {
     println!("fact rows: {}", data.db.fact.num_rows());
     println!("candidate regions: {}", data.space.num_regions());
 
-    let targets: HashMap<i64, f64> =
-        global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-    let regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &regions, &data.items, &targets);
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(f64::INFINITY);
+    let source = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
 
     println!("\n{:>8} {:>16} {:>12} {:>12} {:>8}", "budget", "bellwether", "Bel Err", "Avg Err", "95% ind");
     for budget in [15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0] {

@@ -41,7 +41,6 @@
 //! Run with: `cargo run --release --example observability`
 
 use bellwether::prelude::*;
-use std::collections::HashMap;
 use std::time::Instant;
 
 fn main() {
@@ -53,14 +52,13 @@ fn main() {
     cfg.converge_month = 6;
     println!("generating mail-order dataset ({} items)…", cfg.n_items);
     let data = generate_retail(&cfg);
-    let targets: HashMap<i64, f64> =
-        global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input =
-        build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
 
-    // ---- CUBE pass, reporting phases + counters into the registry.
-    let cube_result =
-        cube_pass(&data.space, &cube_input, Parallelism::default(), reg.as_ref()).unwrap();
+    // ---- the training data of the regions within budget: its CUBE pass
+    // reports phases + counters into the registry.
+    let budget = 40.0;
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(budget);
+    let blocks = task.materialize(&regions, Memory, par, reg.as_ref()).unwrap();
 
     let snap = reg.snapshot();
     println!(
@@ -83,6 +81,7 @@ fn main() {
 
     // ---- what a spill costs: the same input through the external pass
     // under a zero byte budget, on one thread so a span is CPU time.
+    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
     let ext = Registry::shared();
     let started = Instant::now();
     let spilled = bellwether::cube::cube_pass_external(
@@ -94,7 +93,7 @@ fn main() {
     )
     .expect("spill I/O");
     let pass_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(spilled.regions.len(), cube_result.regions.len());
+    assert_eq!(spilled.regions.len() as u64, snap.regions_emitted());
     let ext_snap = ext.snapshot();
     let ms = |path: &str| ext_snap.span(path).map_or(0.0, |s| s.total_secs() * 1e3);
     let decode = ms(bellwether::obs::names::CUBE_PASS_EXTERNAL_DECODE);
@@ -156,15 +155,7 @@ fn main() {
 
     // ---- entire training data on disk, written block by block and read
     // back through the registry-bound storage layer.
-    let budget = 40.0;
-    let regions: Vec<RegionId> = data
-        .space
-        .all_regions()
-        .into_iter()
-        .filter(|r| data.cost.cost(&data.space, r) <= budget)
-        .collect();
     let path = std::env::temp_dir().join("bellwether_observability.btd");
-    let blocks = build_memory_source(&cube_result, &regions, &data.items, &targets);
     let (p, arity) = (blocks.feature_arity() as u32, data.space.arity() as u32);
     let mut writer = bellwether::storage::TrainingWriter::create(&path, p, arity).unwrap();
     for block in blocks.blocks() {

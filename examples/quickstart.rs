@@ -91,27 +91,26 @@ fn main() {
             func: AggFunc::Max,
         },
     ];
-    let targets = global_target(&db, "profit", AggFunc::Sum).unwrap();
+
+    // ---- the task as data: those queries over `db`, the items (no
+    // static features), and a cost of 1 unit per (week, state) cell.
+    let items = ItemTable::from_parts((0..8).collect(), Vec::new(), Vec::new()).unwrap();
+    let cost = UniformCellCost { rate: 1.0 };
+    let task = TrainingTask {
+        db: &db,
+        space: &space,
+        features: &queries,
+        target_column: "profit",
+        target_func: AggFunc::Sum,
+        items: &items,
+        cost: &cost,
+    };
 
     // ---- one CUBE pass builds every region's training set.
-    let cube_input = build_cube_input(&db, &space, &queries).unwrap();
-    let cube = cube_pass(&space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-    let items = ItemTable::from_table(
-        &Table::new(
-            Schema::from_pairs(&[("id", DataType::Int)]).unwrap(),
-            vec![Column::from_ints((0..8).collect())],
-        )
-        .unwrap(),
-        "id",
-        &[],
-        &[],
-    )
-    .unwrap();
-    let regions = space.all_regions();
-    let source = build_memory_source(&cube, &regions, &items, &targets);
+    let regions = task.regions_within(f64::INFINITY);
+    let source = task.materialize(&regions, Memory, Parallelism::default(), &NoopRecorder).unwrap();
 
     // ---- the basic bellwether search under a budget.
-    let cost = UniformCellCost { rate: 1.0 }; // 1 unit per (week, state) cell
     let config = BellwetherConfig::builder(3.0) // at most 3 cells
         .min_coverage(0.9)
         .min_examples(5)

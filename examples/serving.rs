@@ -10,7 +10,6 @@
 //! Run with: `cargo run --release --example serving`
 
 use bellwether::prelude::*;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -22,10 +21,6 @@ fn main() {
     cfg.converge_month = 4;
     cfg.states = Some(vec!["MD", "WI", "CA", "TX", "NY", "IL"]);
     let data = generate_retail(&cfg);
-    let targets: HashMap<i64, f64> =
-        global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let pass = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
     let problem = BellwetherConfig::builder(25.0)
         .min_coverage(0.0)
         .min_examples(20)
@@ -34,13 +29,9 @@ fn main() {
         .unwrap();
     // Only affordable regions: the whole-period/whole-area region
     // contains the target itself and would win vacuously.
-    let affordable: Vec<RegionId> = data
-        .space
-        .all_regions()
-        .into_iter()
-        .filter(|r| CostModel::cost(&data.cost, &data.space, r) <= problem.budget)
-        .collect();
-    let source = build_memory_source(&pass, &affordable, &data.items, &targets);
+    let (task, par) = (data.task(), Parallelism::default());
+    let affordable = task.regions_within(problem.budget);
+    let source = task.materialize(&affordable, Memory, par, &NoopRecorder).unwrap();
 
     let search =
         basic_search(&source, &data.space, &data.cost, &problem, data.items.len()).unwrap();

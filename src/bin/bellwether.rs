@@ -17,7 +17,6 @@
 //! hierarchies, custom costs) use the library API — see the examples.
 
 use bellwether::prelude::*;
-use bellwether_core::build_cube_input;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -110,6 +109,19 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
 }
 
 fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+    // The configuration first: an out-of-range option fails before any
+    // data is read.
+    let measure = if opts.training_set_error {
+        ErrorMeasure::TrainingSet
+    } else {
+        ErrorMeasure::cv10()
+    };
+    let config = BellwetherConfig::builder(opts.budget)
+        .min_coverage(opts.min_coverage)
+        .min_examples(opts.min_examples)
+        .error_measure(measure)
+        .build()?;
+
     // Schema: infer column types from the options.
     let mut fields: Vec<(&str, DataType)> = vec![
         (opts.item_col.as_str(), DataType::Int),
@@ -158,34 +170,25 @@ fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             func: AggFunc::Sum,
         })
         .collect();
-    let targets = bellwether_core::global_target(&db, &opts.target_col, AggFunc::Sum)?;
 
-    // Items: every id appearing in the fact table, no static attributes.
+    // Items: every id the target labels, no static attributes.
+    let targets = global_target(&db, &opts.target_col, AggFunc::Sum)?;
     let mut ids: Vec<i64> = targets.keys().copied().collect();
     ids.sort_unstable();
-    let item_table = Table::new(
-        Schema::from_pairs(&[("id", DataType::Int)])?,
-        vec![Column::from_ints(ids)],
-    )?;
-    let items = bellwether_core::ItemTable::from_table(&item_table, "id", &[], &[])?;
+    let items = ItemTable::from_parts(ids, Vec::new(), Vec::new())?;
 
-    let cube_input = build_cube_input(&db, &space, &queries)?;
-    let cube = cube_pass(&space, &cube_input, Parallelism::default(), &NoopRecorder)?;
-    let regions = space.all_regions();
-    let source = bellwether_core::build_memory_source(&cube, &regions, &items, &targets);
-
-    let measure = if opts.training_set_error {
-        ErrorMeasure::TrainingSet
-    } else {
-        ErrorMeasure::cv10()
-    };
-    let config = BellwetherConfig::builder(opts.budget)
-        .min_coverage(opts.min_coverage)
-        .min_examples(opts.min_examples)
-        .error_measure(measure)
-        .build()
-        .unwrap();
     let cost = UniformCellCost { rate: 1.0 };
+    let task = TrainingTask {
+        db: &db,
+        space: &space,
+        features: &queries,
+        target_column: &opts.target_col,
+        target_func: AggFunc::Sum,
+        items: &items,
+        cost: &cost,
+    };
+    let regions = task.regions_within(opts.budget);
+    let source = task.materialize(&regions, Memory, Parallelism::default(), &NoopRecorder)?;
     let result = basic_search(&source, &space, &cost, &config, items.len())?;
 
     let mut ranked: Vec<_> = result.reports.iter().collect();

@@ -38,12 +38,9 @@
 //!
 //! // … label items with an aggregate query, build every region's
 //! // training set in one CUBE pass …
-//! let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-//! let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-//! let result =
-//!     cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-//! let regions = data.space.all_regions();
-//! let source = build_memory_source(&result, &regions, &data.items, &targets);
+//! let task = data.task();
+//! let regions = task.regions_within(f64::INFINITY);
+//! let source = task.materialize(&regions, Memory, Parallelism::default(), &NoopRecorder).unwrap();
 //!
 //! // … and find the bellwether under a budget, with metrics on.
 //! let registry = Registry::shared();
@@ -89,8 +86,8 @@ pub mod prelude {
         BellwetherConfigBuilder, BellwetherCube, BellwetherError, BellwetherTree, CubeConfig,
         CubeConfigBuilder, ErrorMeasure, EvalContext, FeatureQuery, ItemCentricEval,
         BellwetherModel, BellwetherReport, ItemTable, LinearCriterion, MergeableAccumulator,
-        Method, MethodKind, ModelBuilder, ScanPolicy, Scanned, SplitCriterion, StarDatabase,
-        TreeConfig, TreeConfigBuilder,
+        Layout, Memory, Method, MethodKind, ModelBuilder, ScanPolicy, Scanned, SplitCriterion,
+        StarDatabase, TrainingTask, TreeConfig, TreeConfigBuilder,
     };
     pub use bellwether_cube::{
         cube_pass, CostModel, CubeInput, Dimension, Hierarchy, Parallelism,

@@ -5,12 +5,9 @@
 
 use bellwether::prelude::*;
 use bellwether_core::build_cube_input;
-use std::collections::HashMap;
 
 struct Pipeline {
     data: bellwether_datagen::RetailDataset,
-    targets: HashMap<i64, f64>,
-    cube_input: CubeInput,
     source: MemorySource,
 }
 
@@ -22,17 +19,10 @@ fn pipeline(n_items: usize, seed: u64) -> Pipeline {
         "MD", "WI", "CA", "TX", "NY", "IL", "FL", "OH", "PA", "GA", "VA", "NC",
     ]);
     let data = generate_retail(&cfg);
-    let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-    let regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &regions, &data.items, &targets);
-    Pipeline {
-        data,
-        targets,
-        cube_input,
-        source,
-    }
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(f64::INFINITY);
+    let source = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
+    Pipeline { data, source }
 }
 
 #[test]
@@ -67,11 +57,13 @@ fn bellwether_beats_average_and_sampling() {
         basic_search(&p.source, &p.data.space, &p.data.cost, &config, 150).unwrap();
     let bel = result.bellwether().unwrap().error.value;
     let avg = result.average_error().unwrap();
+    let targets = global_target(&p.data.db, "profit", AggFunc::Sum).unwrap();
+    let input = build_cube_input(&p.data.db, &p.data.space, &p.data.feature_queries).unwrap();
     let smp = sampling_baseline_error(
         &p.data.space,
-        &p.cube_input,
+        &input,
         &p.data.items,
-        &p.targets,
+        &targets,
         &p.data.cost,
         &config,
         3,
@@ -154,11 +146,9 @@ fn disk_backed_pipeline_matches_memory() {
     cfg.converge_month = 4;
     cfg.states = Some(vec!["MD", "WI", "CA", "TX"]);
     let data = generate_retail(&cfg);
-    let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-    let regions = data.space.all_regions();
-    let mem = build_memory_source(&cube, &regions, &data.items, &targets);
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(f64::INFINITY);
+    let mem = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
 
     let path = std::env::temp_dir().join("bw_e2e_disk.bwtd");
     let arity = data.space.arity() as u32;

@@ -4,7 +4,7 @@
 
 use bellwether::prelude::*;
 use bellwether_core::{
-    basic_search_linear, build_cube_input, build_optimized_cube, build_rainforest,
+    basic_search_linear, build_optimized_cube, build_rainforest,
     build_single_scan_cube, prune_tree, LinearCriterion,
 };
 
@@ -14,11 +14,9 @@ fn dataset() -> (bellwether_datagen::RetailDataset, MemorySource) {
     cfg.converge_month = 4;
     cfg.states = Some(vec!["MD", "WI", "CA", "TX", "NY", "IL", "FL", "OH"]);
     let data = generate_retail(&cfg);
-    let targets = global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input = build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-    let regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &regions, &data.items, &targets);
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(f64::INFINITY);
+    let source = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
     (data, source)
 }
 

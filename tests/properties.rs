@@ -1078,13 +1078,9 @@ fn all_builders_agree_on_retail_bellwether() {
     retail_cfg.converge_month = 3;
     retail_cfg.states = Some(vec!["MD", "WI", "CA", "NY"]);
     let data = generate_retail(&retail_cfg);
-    let targets: HashMap<i64, f64> =
-        global_target(&data.db, "profit", AggFunc::Sum).unwrap();
-    let cube_input =
-        build_cube_input(&data.db, &data.space, &data.feature_queries).unwrap();
-    let cube = cube_pass(&data.space, &cube_input, Parallelism::default(), &NoopRecorder).unwrap();
-    let regions = data.space.all_regions();
-    let source = build_memory_source(&cube, &regions, &data.items, &targets);
+    let (task, par) = (data.task(), Parallelism::default());
+    let regions = task.regions_within(f64::INFINITY);
+    let source = task.materialize(&regions, Memory, par, &NoopRecorder).unwrap();
     let n_items = data.items.len();
     let root_subset = RegionId(vec![0]); // the item space's "Any" root
 
